@@ -24,6 +24,7 @@ import (
 	"repro/internal/gmdb/schema"
 	"repro/internal/mme"
 	"repro/internal/perfsim"
+	"repro/internal/plan"
 	"repro/internal/rebalance"
 	"repro/internal/repl"
 	"repro/internal/tpcc"
@@ -658,14 +659,14 @@ func BenchmarkNDPSelectiveScan(b *testing.B) {
 	s.Exec("COMMIT")
 	const query = "SELECT k, v FROM nf WHERE v >= 15872 ORDER BY v DESC LIMIT 10"
 	c := db.Cluster()
-	for _, push := range []bool{false, true} {
+	for _, level := range []plan.PushdownLevel{plan.PushdownOff, plan.PushdownBloom} {
 		name := "off"
-		if push {
+		if level == plan.PushdownBloom {
 			name = "full"
 		}
 		b.Run(name, func(b *testing.B) {
-			c.DisableNDP = !push
-			defer func() { c.DisableNDP = false }()
+			c.Pushdown = level
+			defer func() { c.Pushdown = plan.PushdownBloom }()
 			before := c.Fabric().Stats().Get(transport.ScanFrag)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

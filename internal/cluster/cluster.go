@@ -190,16 +190,11 @@ type Cluster struct {
 	// DisableSegmentPrune turns off zone-map segment pruning on columnar
 	// scans (ablation knob for E13).
 	DisableSegmentPrune bool
-	// NDP ablation knobs (E18). Zero values leave every pushdown level on.
-	// DisableNDP refuses ScanNDP entirely (scans fall back to the legacy
-	// ScanPred/Scan + coordinator-Filter path); the finer-grained knobs
-	// keep NDP filtering but turn off one reduction each. Results are
-	// identical at every setting — pushdown only changes where rows are
-	// dropped, never which rows survive.
-	DisableNDP           bool
-	DisableNDPProjection bool
-	DisableNDPTopN       bool
-	DisableNDPBloom      bool
+	// Pushdown caps how much scan work the planner pushes to the data
+	// nodes (ablation ladder for E18); the zero value is full pushdown.
+	// Results are identical at every level — pushdown only changes where
+	// rows are dropped, never which rows survive.
+	Pushdown plan.PushdownLevel
 	// DisableHTAPReads keeps analytical statements on the primary row
 	// path even when an HTAP provider is installed (ablation knob for
 	// E19's primary-vs-replica comparison; the replicas keep applying).
@@ -345,17 +340,6 @@ func rowPayload(ti *TableInfo, n int) int {
 	return n * ti.Meta.Schema.Len() * 8
 }
 
-// Hops returns the cumulative count of modeled network messages.
-// Compatibility shim over Fabric().Total(); per-type counts live in
-// Fabric().Stats().
-func (c *Cluster) Hops() int64 { return c.fab.Total() }
-
-// SetHopLatency changes the simulated per-message latency. Experiments use
-// it to bulk-load data for free and then measure queries under the cost
-// model. Compatibility shim over Fabric().SetBaseLatency; safe under
-// concurrent statements (the fabric stores it atomically).
-func (c *Cluster) SetHopLatency(d time.Duration) { c.fab.SetBaseLatency(d) }
-
 // parallelDegree resolves the effective fragment concurrency.
 func (c *Cluster) parallelDegree() int {
 	if c.ParallelDegree > 0 {
@@ -428,20 +412,6 @@ func (c *Cluster) writeTarget(key types.Datum) (int, error) {
 // ownership filtering. Caller must hold routeMu.
 func (c *Cluster) needsBucketFilter(ti *TableInfo) bool {
 	return c.filterByBucket && !ti.replicated && ti.Meta.DistKey >= 0
-}
-
-// ownershipFilter returns a predicate keeping only rows whose bucket the
-// routing map assigns to dnID. Scans apply it so rows a migration has
-// copied in (but not yet cut over) or retired (but not yet reaped) are
-// never visible — no duplicates, no torn buckets. It returns nil until the
-// first migration starts, keeping pre-expansion scans free of the per-row
-// hash. Caller must hold routeMu.
-func (c *Cluster) ownershipFilter(ti *TableInfo, dnID int) func(types.Row) bool {
-	if !c.needsBucketFilter(ti) {
-		return nil
-	}
-	dk := ti.Meta.DistKey
-	return func(r types.Row) bool { return c.bmap.dn[BucketOf(r[dk])] == dnID }
 }
 
 // victimGuard returns a per-row check for UPDATE/DELETE victim selection on
@@ -651,12 +621,13 @@ func (c *Cluster) partitionRows(ti *TableInfo, dnID int, xid txnkit.XID, snap *t
 		s := dn.Txm.LocalSnapshot()
 		snap = &s
 	}
-	owns := c.ownershipFilter(ti, dnID)
+	owns := c.fragKeepDatum(ti, readFrag{logical: dnID, phys: dnID, parity: -1})
+	dk := ti.Meta.DistKey
 	var out []types.Row
 	parts := ti.parts.Load()
 	if parts.cols != nil {
 		parts.cols[dnID].ScanRows(xid, snap, func(r types.Row) bool {
-			if owns == nil || owns(r) {
+			if owns == nil || owns(r[dk]) {
 				out = append(out, r)
 			}
 			return true
@@ -664,7 +635,7 @@ func (c *Cluster) partitionRows(ti *TableInfo, dnID int, xid txnkit.XID, snap *t
 		return out
 	}
 	parts.rows[dnID].Scan(xid, snap, func(r types.Row) bool {
-		if owns == nil || owns(r) {
+		if owns == nil || owns(r[dk]) {
 			out = append(out, r.Clone())
 		}
 		return true

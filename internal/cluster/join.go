@@ -17,10 +17,10 @@ package cluster
 //     (shuffle_part messages for every batch that changes nodes); each DN
 //     joins one key range.
 //
-// Side scans reuse the exact NDP fragment bodies (ndpScanColumnar /
-// ndpScanRows), so pushed predicates, projections, HTAP replica routing,
-// standby read splits and MoveBucket ownership fencing all compose — a
-// join side reads precisely the rows a plain scan of that side would ship.
+// Side scans run the one fragment program (ndpProgram.run) with a row sink,
+// so pushed predicates, projections, HTAP replica routing, standby read
+// splits and MoveBucket ownership fencing all compose — a join side reads
+// precisely the rows a plain scan of that side would ship.
 // Every strategy emits rows through an ordered Exchange and scans sources
 // in a fixed order, so results are identical across strategies and
 // parallel degrees.
@@ -111,7 +111,7 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 		return
 	}
 	sideFor := func(ti *TableInfo, s plan.DistJoinSide) joinSide {
-		side := joinSide{ti: ti, prog: a.compileNDP(ti, s.Spec), keys: s.Keys}
+		side := joinSide{ti: ti, prog: a.compileNDP(ti, s.Spec, nil), keys: s.Keys}
 		if ti.replicated {
 			side.srcs = []readFrag{{logical: targets[0], phys: targets[0], parity: -1}}
 		} else {
@@ -136,13 +136,7 @@ func (a *stmtAccess) scanJoinFrag(ctx *exec.Ctx, side joinSide, f readFrag, deli
 	if err != nil {
 		return err
 	}
-	var scanErr error
-	if src.col != nil {
-		a.ndpScanColumnar(ctx, side.ti, f, side.prog, src, nil, deliver, &scanErr)
-	} else {
-		a.ndpScanRows(ctx, side.ti, f, side.prog, src, nil, deliver, &scanErr)
-	}
-	return scanErr
+	return side.prog.run(ctx, src, nil, fragSink{rows: deliver})
 }
 
 // scanSideLocal streams logical node p's share of a join side: the local
@@ -230,7 +224,7 @@ func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table map
 // joinResultWidth is the wire width of one joined row (probe + build
 // projected datums).
 func joinResultWidth(probe, build joinSide) int {
-	return probe.prog.shipWidth + build.prog.shipWidth
+	return probe.prog.shipWidth() + build.prog.shipWidth()
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +315,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 					err = *buildErr
 				}
 				if err == nil {
-					err = c.sendFromDN(f.phys, transport.ScanFrag, n*build.prog.shipWidth*8)
+					err = c.sendFromDN(f.phys, transport.ScanFrag, n*build.prog.shipWidth()*8)
 				}
 				if err != nil {
 					gatherErr = err
@@ -338,7 +332,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 					return gatherErr
 				}
 				// Ship the build side to this DN, then run the local probe.
-				if err := c.sendDN(p, transport.BcastBuild, buildRows*build.prog.shipWidth*8); err != nil {
+				if err := c.sendDN(p, transport.BcastBuild, buildRows*build.prog.shipWidth()*8); err != nil {
 					return err
 				}
 				shipped := 0
@@ -368,21 +362,22 @@ func shufflePart(key string, n int) int {
 }
 
 // shuffleJoin hash-partitions both inputs by join key across the target
-// DNs. Producer goroutines (one per physical source fragment, capped per
-// side at the cluster's parallel degree) scan their fragment and write
-// rows into per-(source,target) bounded queues; every batch that changes
-// nodes is charged as a shuffle_part message. One consumer fragment per
-// target drains its build queues into a hash table, then probes with its
-// probe queues. The consumer Exchange runs every target concurrently —
-// required for progress, since producers block on full queues — so
-// ParallelDegree caps producers instead.
+// DNs. Producer goroutines — one per physical source fragment, so at most
+// 2 × DNs per side — scan their fragment and write rows into
+// per-(source,target) bounded queues; every batch that changes nodes is
+// charged as a shuffle_part message. One consumer fragment per target
+// drains its build queues into a hash table, then probes with its probe
+// queues. Both ends must all run at once for progress: producers block on
+// full queues, and Partitioner.Drain consumes sources strictly in order, so
+// a producer held back (by any admission cap) while a later one fills its
+// queue deadlocks the join. ParallelDegree therefore does not apply here.
 func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 	c := a.s.c
 	return &exec.Exchange{
 		Name:     "join:shuffle",
 		Out:      spec.Out,
 		Ordered:  true,
-		Parallel: 1 << 20, // all consumers must run; see doc comment
+		Parallel: 1 << 20, // every consumer must run; see doc comment
 		Plan: func() ([]exec.Fragment, error) {
 			probe, build, targets, err := a.resolveJoin(spec)
 			if err != nil {
@@ -399,7 +394,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 					if from == to {
 						return nil // local partition: no wire
 					}
-					return c.fab.Send(transport.DN(from), transport.DN(to), transport.ShufflePart, len(rows)*side.prog.shipWidth*8)
+					return c.fab.Send(transport.DN(from), transport.DN(to), transport.ShufflePart, len(rows)*side.prog.shipWidth()*8)
 				}
 			}
 			bp := exec.NewPartitioner(len(build.srcs), len(targets), shuffleBatchRows, shuffleQueueCap, onBatch(&build))
@@ -449,13 +444,10 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 				startOnce.Do(func() {
 					now := ctx.Now
 					spawn := func(side *joinSide, part *exec.Partitioner) {
-						sem := make(chan struct{}, c.parallelDegree())
 						for i := range side.srcs {
 							producerWG.Add(1)
 							go func(src int) {
 								defer producerWG.Done()
-								sem <- struct{}{}
-								defer func() { <-sem }()
 								if err := produce(exec.NewCtx(now), side, part, src); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
 									fail(err)
 								}

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/plan"
 	"repro/internal/transport"
@@ -75,7 +77,7 @@ var starQueries = []struct {
 }
 
 // TestDistJoinIdentityMatrix checks every strategy × parallel degree ×
-// NDP setting produces exactly the rows the CN-fallback reference does.
+// pushdown off/on produces exactly the rows the CN-fallback reference does.
 func TestDistJoinIdentityMatrix(t *testing.T) {
 	c := newCluster(t, 4, ModeGTMLite)
 	s := setupStar(t, c)
@@ -103,15 +105,15 @@ func TestDistJoinIdentityMatrix(t *testing.T) {
 	}
 	for _, pol := range policies {
 		for _, degree := range []int{1, 2, 4} {
-			for _, ndpOff := range []bool{false, true} {
+			for _, level := range []plan.PushdownLevel{plan.PushdownBloom, plan.PushdownOff} {
 				c.JoinPolicy = pol.pol
 				c.ParallelDegree = degree
-				c.DisableNDP = ndpOff
+				c.Pushdown = level
 				for _, q := range starQueries {
 					got := fingerprint(t, s, q.sql)
 					if got != refs[q.name] {
-						t.Errorf("%s/%s degree=%d ndpOff=%v: results differ from reference\n got: %.120s\nwant: %.120s",
-							pol.name, q.name, degree, ndpOff, got, refs[q.name])
+						t.Errorf("%s/%s degree=%d pushdown=%s: results differ from reference\n got: %.120s\nwant: %.120s",
+							pol.name, q.name, degree, level, got, refs[q.name])
 					}
 				}
 			}
@@ -219,6 +221,58 @@ func TestShuffleStreamDropRetries(t *testing.T) {
 		if got := fingerprint(t, s, q); got != want {
 			t.Fatalf("retry %d after fault differs:\n got: %.120s\nwant: %.120s", i, got, want)
 		}
+	}
+}
+
+// TestShuffleJoinNoDeadlockAtDegreeOne is the regression for the E18 hang:
+// with producers admitted through a ParallelDegree-sized semaphore, a late
+// source could win the only slot, fill its bounded queue and park, while
+// every consumer waited (in source order) on a source still queued for the
+// slot. Needs more rows per (source, partition) queue than the queue holds.
+func TestShuffleJoinNoDeadlockAtDegreeOne(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := newCluster(t, 2, ModeGTMLite)
+	s := c.NewSession()
+	const rows = 6 * shuffleQueueCap * shuffleBatchRows // 2 sources x 2 partitions: ~1.5 queues' worth each
+	for _, tb := range []string{"sja", "sjb"} {
+		mustExec(t, s, fmt.Sprintf("CREATE TABLE %s (k BIGINT, j BIGINT) DISTRIBUTE BY HASH(k)", tb))
+		mustExec(t, s, "BEGIN")
+		for lo := 0; lo < rows; lo += 512 {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "INSERT INTO %s VALUES ", tb)
+			for i := lo; i < lo+512; i++ {
+				if i > lo {
+					sb.WriteByte(',')
+				}
+				fmt.Fprintf(&sb, "(%d, %d)", i, i)
+			}
+			mustExec(t, s, sb.String())
+		}
+		mustExec(t, s, "COMMIT")
+	}
+	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
+	c.ParallelDegree = 1
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.Exec("SELECT count(*) FROM sja, sjb WHERE sja.j = sjb.j")
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if got := o.res.Rows[0][0].Int(); got != rows {
+			t.Fatalf("join count = %d, want %d", got, rows)
+		}
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("shuffle join did not finish in 10s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }
 

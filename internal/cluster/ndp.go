@@ -15,22 +15,30 @@ import (
 // of full-width row streams. Every reduction only changes *where* rows are
 // dropped, never which rows the coordinator sees, so results are identical
 // at every pushdown level and parallel degree.
+//
+// One fragment program serves every SELECT that reads a partition: a
+// select stage (zone-map prune, vectorized kernels, ownership, bloom,
+// residual) decides which rows survive, and a sink (fragSink) either
+// materializes their projected columns — plain scans, the fragment TopN
+// heap, join sides, the generic partial aggregate — or folds them into the
+// vectorized aggregate's accumulators. The engine honours whatever spec the
+// planner hands it; how much gets pushed is the planner's decision
+// (plan.PushdownLevel).
 
-// ndpProgram is the compiled form of one scan's pushdown spec, resolved
-// against the cluster's ablation knobs once per Exchange open and shared
-// read-only by the scan's fragments.
+// ndpProgram is the compiled form of one scan's pushdown spec, built once
+// per Exchange open and shared read-only by the scan's fragments.
 type ndpProgram struct {
-	pred exec.Expr
+	pred exec.Expr                    // the whole pushed filter (row-store loop)
 	keep func(*colstore.Segment) bool // zone-map segment pruner
 
 	// matCols lists the table columns materialized into shipped rows (the
-	// projection plus any fragment-TopN key columns); matPos gives each
+	// projection plus whatever the sink's own expressions read: aggregate
+	// inputs, fragment-TopN keys); matPos gives each
 	// one's position in scanCols. Unlisted slots stay NULL — rows keep
 	// schema width so coordinator-compiled column indexes stay valid, but
 	// the wire is charged only for shipWidth datums per row.
-	matCols   []int
-	matPos    []int
-	shipWidth int
+	matCols []int
+	matPos  []int
 
 	// scanCols is the batch-scan projection: matCols plus whatever the
 	// predicate, TopN keys, bloom probe and ownership check read.
@@ -39,29 +47,61 @@ type ndpProgram struct {
 	topn *plan.TopNPush
 
 	bloom    *exec.BloomHandle
-	bloomCol int // table column probed against the bloom filter
-	bloomPos int // its position in scanCols (-1 when bloom is off)
+	bloomCol int // table column probed against the bloom filter (-1: none)
+	distCol  int // distribution key column (-1: no ownership check)
 
-	distPos int // distribution key's position in scanCols (-1: no check)
-
-	vf       *vecFilter // vectorized conjunct kernels over scanCols
-	residual exec.Expr  // conjuncts the kernels could not cover (row-wise)
+	kernels  []vecKernel // vectorized conjuncts over scanCols
+	residual exec.Expr   // conjuncts the kernels could not cover (row-wise)
 
 	tableCols int
 }
 
-// ScanNDP implements plan.NDPAccess. It refuses (falling back to the
-// legacy ScanPred/Scan + coordinator-Filter path) when NDP is disabled or
-// the table is virtual; everything else — row-store tables included —
-// gets exact DN-side filtering and column pruning.
-func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exec.Operator, bool) {
-	if a.s.c.DisableNDP {
-		return nil, false
+// fragSink is where a fragment's selected rows go; exactly one field is
+// set. rows receives each survivor's projected columns as a sparse
+// schema-width row (false stops the scan); agg accumulates survivors
+// straight off the column vectors and needs a columnar source.
+type fragSink struct {
+	rows func(types.Row) bool
+	agg  *vecAgg
+}
+
+// Scan implements plan.Access: the fragment program with an empty spec
+// (every row, every column). Virtual tables are engine-local and have no
+// partitions to fan out over.
+func (a *stmtAccess) Scan(meta *plan.TableMeta) exec.Operator {
+	if vt, ok := a.s.c.virtualTable(meta.Name); ok {
+		return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
+			for _, r := range vt.Scan() {
+				if !emit(r) {
+					return
+				}
+			}
+		})
 	}
+	return a.scanFragments(meta.Name, meta, meta.Schema, &plan.ScanPushdown{}, nil, a.shipRows)
+}
+
+// ScanNDP implements plan.NDPAccess. It refuses only virtual tables (which
+// fall back to Scan under a coordinator Filter); everything else — row-store
+// tables included — gets exact DN-side filtering and column pruning.
+func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exec.Operator, bool) {
 	if _, ok := a.s.c.virtualTable(meta.Name); ok {
 		return nil, false
 	}
-	return exec.NewParallelSource(meta.Name, meta.Schema, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
+	return a.scanFragments(meta.Name, meta, meta.Schema, spec, nil, a.shipRows), true
+}
+
+// scanFragments builds the fan-out every partition-reading SELECT runs as:
+// one fragment per routed data node (two when a standby splits the read),
+// each handing body the program compiled from spec plus its resolved
+// source, merged by an ordered Exchange so results are identical at every
+// parallel degree. The program is compiled when the Exchange opens, not
+// here: the planner fills the spec's Cols/TopN/Bloom after the scan
+// operator is built (late binding). rowExprs are extra expressions body
+// evaluates against shipped rows (see compileNDP).
+func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types.Schema, spec *plan.ScanPushdown, rowExprs []exec.Expr,
+	body func(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error) exec.Operator {
+	return exec.NewParallelSource(name, out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
 		ti, err := a.s.c.tableInfo(meta.Name)
 		if err != nil {
 			return nil, err
@@ -70,90 +110,86 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 		if err := a.s.c.requireLive(fragPhys(fragSet)); err != nil {
 			return nil, err
 		}
-		// The spec's Cols/TopN/Bloom were filled after ScanNDP returned
-		// (late binding); compile them against the ablation knobs now, at
-		// open time.
-		prog := a.compileNDP(ti, spec)
+		prog := a.compileNDP(ti, spec, rowExprs)
 		frags := make([]exec.Fragment, len(fragSet))
 		for i, f := range fragSet {
-			f := f
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				return a.runNDPFragment(ctx, ti, f, prog, emit)
+				src, err := a.fragSource(ti, f)
+				if err != nil {
+					return err
+				}
+				return body(ctx, prog, f, src, emit)
 			}
 		}
 		return frags, nil
-	}), true
+	})
 }
 
-// compileNDP resolves a pushdown spec into an executable program. Caller
-// must hold routeMu (it runs from the Exchange's Plan hook, inside
-// statement execution, like the other fragment planners).
-func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProgram {
+// compileNDP resolves a pushdown spec into an executable program — the one
+// place a fragment's predicate, projection and ownership check are
+// compiled. rowExprs are expressions the fragment's sink will evaluate
+// against shipped rows (a partial aggregate's group keys and arguments);
+// like fragment-TopN keys, the columns they read are materialized on top
+// of spec.Cols. Caller must hold routeMu (it runs from the Exchange's Plan
+// hook, inside statement execution).
+func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs []exec.Expr) *ndpProgram {
 	c := a.s.c
 	n := ti.Meta.Schema.Len()
 	p := &ndpProgram{
 		pred:      spec.Pred,
 		keep:      c.segmentPruner(spec.Pred),
+		topn:      spec.TopN,
 		bloomCol:  -1,
-		bloomPos:  -1,
-		distPos:   -1,
+		distCol:   -1,
 		tableCols: n,
 	}
 
-	pos := map[int]int{} // table column -> scanCols position
 	need := func(col int) int {
-		if at, ok := pos[col]; ok {
+		if at := p.scanPos(col); at >= 0 {
 			return at
 		}
-		at := len(p.scanCols)
-		pos[col] = at
 		p.scanCols = append(p.scanCols, col)
-		return at
+		return len(p.scanCols) - 1
+	}
+	// needRefs adds every in-range column e references to the scan.
+	needRefs := func(e exec.Expr, then func(col int)) {
+		exec.WalkExpr(e, func(x exec.Expr) bool {
+			if cr, ok := x.(*exec.ColRef); ok && cr.Index >= 0 && cr.Index < n {
+				then(cr.Index)
+			}
+			return true
+		})
 	}
 
 	// Shipped columns: the plan's projection, or everything when the
-	// planner could not bound it or the knob is off.
-	ship := spec.Cols
-	if c.DisableNDPProjection {
-		ship = nil
-	}
-	if ship == nil {
-		ship = make([]int, n)
-		for i := range ship {
-			ship[i] = i
+	// planner did not bound it.
+	p.matCols = append([]int(nil), spec.Cols...)
+	if spec.Cols == nil {
+		p.matCols = make([]int, n)
+		for i := range p.matCols {
+			p.matCols[i] = i
 		}
 	}
-	topn := spec.TopN
-	if c.DisableNDPTopN {
-		topn = nil
-	}
-	p.matCols = append([]int(nil), ship...)
-	if topn != nil {
-		// Fragment TopN keys evaluate against the sparse shipped row; make
-		// sure their columns are materialized (they normally already are —
-		// ORDER BY expressions are projection outputs).
-		for _, k := range topn.Keys {
-			exec.WalkExpr(k.Expr, func(x exec.Expr) bool {
-				if cr, ok := x.(*exec.ColRef); ok && cr.Index >= 0 && cr.Index < n {
-					found := false
-					for _, mc := range p.matCols {
-						if mc == cr.Index {
-							found = true
-							break
-						}
-					}
-					if !found {
-						p.matCols = append(p.matCols, cr.Index)
-					}
+	// rowExprs and fragment TopN keys evaluate against the sparse shipped
+	// row; make sure their columns are materialized (TopN's normally
+	// already are — ORDER BY expressions are projection outputs).
+	materialize := func(e exec.Expr) {
+		needRefs(e, func(col int) {
+			for _, mc := range p.matCols {
+				if mc == col {
+					return
 				}
-				return true
-			})
-		}
-		p.topn = topn
+			}
+			p.matCols = append(p.matCols, col)
+		})
 	}
-	p.shipWidth = len(p.matCols)
-	if p.shipWidth == 0 {
-		p.shipWidth = 1 // a shipped row is never free on the wire
+	for _, e := range rowExprs {
+		materialize(e)
+	}
+	if p.topn != nil {
+		for _, k := range p.topn.Keys {
+			materialize(k.Expr)
+		}
 	}
 	p.matPos = make([]int, len(p.matCols))
 	for i, col := range p.matCols {
@@ -162,43 +198,55 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 
 	// Predicate columns (for the sparse residual row) and kernels.
 	if spec.Pred != nil {
-		exec.WalkExpr(spec.Pred, func(x exec.Expr) bool {
-			if cr, ok := x.(*exec.ColRef); ok && cr.Index >= 0 && cr.Index < n {
-				need(cr.Index)
-			}
-			return true
-		})
-		p.vf, p.residual = compileVecFilter(spec.Pred, ti.Meta.Schema, pos)
+		needRefs(spec.Pred, func(col int) { need(col) })
+		p.kernels, p.residual = compileVecFilter(spec.Pred, ti.Meta.Schema, p.scanPos)
 	}
 
-	if spec.Bloom != nil && !c.DisableNDPBloom && spec.BloomCol >= 0 && spec.BloomCol < n {
+	if spec.Bloom != nil && spec.BloomCol >= 0 && spec.BloomCol < n {
 		p.bloom = spec.Bloom
 		p.bloomCol = spec.BloomCol
-		p.bloomPos = need(spec.BloomCol)
+		need(p.bloomCol)
 	}
 
 	// Ownership filtering reads the distribution key: needed while a
 	// migration is live or when fragments are redirected to standbys.
 	if !ti.replicated && ti.Meta.DistKey >= 0 &&
 		(c.needsBucketFilter(ti) || len(a.readMap) > 0 || len(a.splitSet) > 0) {
-		p.distPos = need(ti.Meta.DistKey)
+		p.distCol = ti.Meta.DistKey
+		need(p.distCol)
 	}
 	return p
 }
 
-// fragKeepDatum is fragFilter's columnar twin: the per-fragment ownership
-// check expressed over the distribution-key datum alone, so batch scans
-// need not materialize full rows to test ownership. nil means keep
-// everything. Caller must hold routeMu.
+// shipWidth is the number of datums one shipped row is charged for; a row
+// is never free on the wire.
+func (p *ndpProgram) shipWidth() int { return max(1, len(p.matCols)) }
+
+// scanPos returns col's position in the batch-scan projection (a handful of
+// columns), or -1.
+func (p *ndpProgram) scanPos(col int) int {
+	for at, c := range p.scanCols {
+		if c == col {
+			return at
+		}
+	}
+	return -1
+}
+
+// fragKeepDatum returns the ownership check for one read fragment,
+// expressed over the distribution-key datum alone so batch scans need not
+// materialize rows to test it. Plain fragments keep the rows the routing
+// map assigns to their node — rows a migration has copied in (but not yet
+// cut over) or retired (but not yet reaped) are never visible; fragments
+// redirected to a standby keep exactly the rows of the fragment's logical
+// owner (the paired primary), further halved by parity in split mode. nil
+// means keep everything. Caller must hold routeMu.
 func (c *Cluster) fragKeepDatum(ti *TableInfo, f readFrag) func(types.Datum) bool {
 	if ti.replicated || ti.Meta.DistKey < 0 {
 		return nil
 	}
-	if f.phys == f.logical && f.parity < 0 {
-		if !c.needsBucketFilter(ti) {
-			return nil
-		}
-		return func(d types.Datum) bool { return c.bmap.dn[BucketOf(d)] == f.logical }
+	if f.phys == f.logical && f.parity < 0 && !c.filterByBucket {
+		return nil // no migration has ever started: every row here is owned
 	}
 	return func(d types.Datum) bool {
 		b := BucketOf(d)
@@ -206,14 +254,11 @@ func (c *Cluster) fragKeepDatum(ti *TableInfo, f readFrag) func(types.Datum) boo
 	}
 }
 
-// runNDPFragment executes one DN-side scan fragment: request leg carries
-// the bloom filter (if any), then the pre-reduced rows come back charged
-// at their projected width.
-func (a *stmtAccess) runNDPFragment(ctx *exec.Ctx, ti *TableInfo, f readFrag, p *ndpProgram, emit func(types.Row) bool) error {
-	src, err := a.fragSource(ti, f)
-	if err != nil {
-		return err
-	}
+// shipRows is the scan fragment body: the request leg carries the bloom
+// filter (if any), the row sink feeds the fragment TopN heap or the
+// coordinator directly, and the pre-reduced rows come back charged at
+// their projected width.
+func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error {
 	bf := p.bloom.Get()
 	req := 0
 	if bf != nil {
@@ -228,13 +273,13 @@ func (a *stmtAccess) runNDPFragment(ctx *exec.Ctx, ti *TableInfo, f readFrag, p 
 		heap = exec.NewTopNHeap(ctx, p.topn.Keys, p.topn.Limit)
 	}
 	var shipped int
-	var scanErr error
+	var heapErr error
 	// deliver feeds one surviving (already projected) row onward; false
 	// stops the scan.
 	deliver := func(row types.Row) bool {
 		if heap != nil {
 			if err := heap.Push(row); err != nil {
-				scanErr = err
+				heapErr = err
 				return false
 			}
 			// A bare LIMIT never displaces rows once full: stop early.
@@ -245,15 +290,11 @@ func (a *stmtAccess) runNDPFragment(ctx *exec.Ctx, ti *TableInfo, f readFrag, p 
 		return emit(row)
 	}
 
-	// HTAP replicas are columnar, so offloaded fragments of row tables run
-	// the vectorized body too.
-	if src.col != nil {
-		a.ndpScanColumnar(ctx, ti, f, p, src, bf, deliver, &scanErr)
-	} else {
-		a.ndpScanRows(ctx, ti, f, p, src, bf, deliver, &scanErr)
+	if err := p.run(ctx, src, bf, fragSink{rows: deliver}); err != nil {
+		return err
 	}
-	if scanErr != nil {
-		return scanErr
+	if heapErr != nil {
+		return heapErr
 	}
 	if heap != nil {
 		// Ship the kept rows in scan order: the coordinator merge then sees
@@ -271,15 +312,50 @@ func (a *stmtAccess) runNDPFragment(ctx *exec.Ctx, ti *TableInfo, f readFrag, p 
 			}
 		}
 	}
-	return a.s.c.sendFromDN(f.phys, transport.ScanFrag, shipped*p.shipWidth*8)
+	return a.s.c.sendFromDN(f.phys, transport.ScanFrag, shipped*p.shipWidth()*8)
 }
 
-// ndpScanColumnar is the vectorized fragment body: selection kernels run
-// over decoded column vectors, then ownership / bloom / residual checks,
-// and only then are surviving rows materialized — sparse, at schema width,
-// carrying just the projected columns.
-func (a *stmtAccess) ndpScanColumnar(ctx *exec.Ctx, ti *TableInfo, f readFrag, p *ndpProgram, src fragSource, bf *exec.Bloom, deliver func(types.Row) bool, scanErr *error) {
-	owns := a.s.c.fragKeepDatum(ti, f)
+// run is the one fragment body: the select stage over src — columnar
+// batches (HTAP replicas included, which is what buys offloaded row tables
+// the vectorized loop) or the row store — feeding sink. Rows are dropped by
+// the cheapest check first: zone maps skip whole segments, kernels clear a
+// selection vector over decoded column vectors, then ownership, bloom and
+// the residual predicate decide row by row, and only survivors reach the
+// sink. bf is the sideways bloom filter to probe, nil for none.
+func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fragSink) error {
+	var scanErr error
+	if src.col == nil {
+		src.row.Scan(src.xid, src.snap, func(r types.Row) bool {
+			if src.owns != nil && !src.owns(r[p.distCol]) {
+				return true
+			}
+			if bf != nil {
+				d := r[p.bloomCol]
+				if d.IsNull() || !bf.MayContain(d) {
+					return true
+				}
+			}
+			if p.pred != nil {
+				ok, err := exec.EvalBool(p.pred, ctx, r)
+				if err != nil {
+					scanErr = err
+					return false
+				}
+				if !ok {
+					return true
+				}
+			}
+			// Only the projected columns are copied out of the store's row.
+			row := make(types.Row, p.tableCols)
+			for _, c := range p.matCols {
+				row[c] = r[c]
+			}
+			return sink.rows(row)
+		})
+		return scanErr
+	}
+
+	distPos, bloomPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol)
 	var sel []bool
 	var sparse types.Row // reused for residual predicate evaluation
 	src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, p.keep, func(b *colstore.Batch) bool {
@@ -290,23 +366,29 @@ func (a *stmtAccess) ndpScanColumnar(ctx *exec.Ctx, ti *TableInfo, f readFrag, p
 		for i := range sel {
 			sel[i] = true
 		}
-		if p.vf != nil {
-			if err := p.vf.apply(b, sel); err != nil {
-				*scanErr = err
+		for _, k := range p.kernels {
+			if err := k(b, sel); err != nil {
+				scanErr = err
 				return false
 			}
 		}
-		for i := 0; i < b.N; i++ {
+		// Row-wise checks refine the selection vector. The row sink
+		// materializes each survivor on the spot (so a full bare-LIMIT heap
+		// stops the scan mid-batch); the aggregating sink takes the whole
+		// vector afterwards, in one tight loop.
+		refine := sink.rows != nil || src.owns != nil || bf != nil || p.residual != nil
+		for i := 0; refine && i < b.N; i++ {
 			if !sel[i] {
 				continue
 			}
-			if owns != nil && p.distPos >= 0 && !owns(b.Cols[p.distPos].DatumAt(i)) {
-				continue // migration phantom / other split half
+			if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
+				sel[i] = false // migration phantom / other split half
+				continue
 			}
 			if bf != nil {
-				d := b.Cols[p.bloomPos].DatumAt(i)
-				if d.IsNull() || !bf.MayContain(d) {
-					continue // provably cannot match the join's build side
+				if d := b.Cols[bloomPos].DatumAt(i); d.IsNull() || !bf.MayContain(d) {
+					sel[i] = false // provably cannot match the join's build side
+					continue
 				}
 			}
 			if p.residual != nil {
@@ -318,54 +400,31 @@ func (a *stmtAccess) ndpScanColumnar(ctx *exec.Ctx, ti *TableInfo, f readFrag, p
 				}
 				ok, err := exec.EvalBool(p.residual, ctx, sparse)
 				if err != nil {
-					*scanErr = err
+					scanErr = err
 					return false
 				}
 				if !ok {
+					sel[i] = false
 					continue
 				}
 			}
+			if sink.rows == nil {
+				continue
+			}
+			// Materialize the survivor: sparse, at schema width, carrying
+			// just the projected columns.
 			row := make(types.Row, p.tableCols)
 			for j, c := range p.matCols {
 				row[c] = b.Cols[p.matPos[j]].DatumAt(i)
 			}
-			if !deliver(row) {
+			if !sink.rows(row) {
 				return false
 			}
+		}
+		if sink.agg != nil {
+			sink.agg.addBatch(b, sel)
 		}
 		return true
 	})
-}
-
-// ndpScanRows is the row-store fragment body: the same exact filtering,
-// but row-at-a-time, and — unlike the legacy path's full Clone — only the
-// projected columns are copied out of the store's row.
-func (a *stmtAccess) ndpScanRows(ctx *exec.Ctx, ti *TableInfo, f readFrag, p *ndpProgram, src fragSource, bf *exec.Bloom, deliver func(types.Row) bool, scanErr *error) {
-	owns := a.s.c.fragFilter(ti, f)
-	src.row.Scan(src.xid, src.snap, func(r types.Row) bool {
-		if owns != nil && !owns(r) {
-			return true
-		}
-		if p.pred != nil {
-			ok, err := exec.EvalBool(p.pred, ctx, r)
-			if err != nil {
-				*scanErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		if bf != nil {
-			d := r[p.bloomCol]
-			if d.IsNull() || !bf.MayContain(d) {
-				return true
-			}
-		}
-		row := make(types.Row, p.tableCols)
-		for _, c := range p.matCols {
-			row[c] = r[c]
-		}
-		return deliver(row)
-	})
+	return scanErr
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -119,7 +120,7 @@ func TestSegmentPruningReducesRowsScanned(t *testing.T) {
 		t.Fatalf("agg path: scanned=%d pruned=%d rows=%d, want 1/2/8192", scanned, pruned, rowsRead)
 	}
 
-	// Plain scan path (no aggregate): same pruning through ScanPred.
+	// Plain scan path (no aggregate): same pruning, same fragment program.
 	scanned, pruned, rowsRead = delta(func() {
 		res := mustExec(t, s, "SELECT k FROM ordered WHERE seq = 10000")
 		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 10000 {
@@ -227,42 +228,29 @@ func TestNDPPushdownResultsIdentical(t *testing.T) {
 		"SELECT f.k, f.v, d.tag FROM ndpf f, ndpd d WHERE f.grp = d.id ORDER BY f.k LIMIT 20",
 		"SELECT id, balance FROM accounts WHERE balance >= 100 ORDER BY id LIMIT 11", // row store
 	}
-	levels := []struct {
-		name                   string
-		ndp, proj, topn, bloom bool // disable flags
-	}{
-		{"off", true, true, true, true},
-		{"filter", false, true, true, true},
-		{"+projection", false, false, true, true},
-		{"+topn", false, false, false, true},
-		{"+bloom", false, false, false, false},
-	}
-	defer func() {
-		c.DisableNDP, c.DisableNDPProjection, c.DisableNDPTopN, c.DisableNDPBloom = false, false, false, false
-		c.ParallelDegree = 0
-	}()
+	defer func() { c.Pushdown, c.ParallelDegree = plan.PushdownBloom, 0 }()
 	for _, q := range queries {
-		c.DisableNDP, c.DisableNDPProjection, c.DisableNDPTopN, c.DisableNDPBloom = true, true, true, true
+		c.Pushdown = plan.PushdownOff
 		c.ParallelDegree = 1
 		base := mustExec(t, s, q)
 		var offShipped, fullShipped int64
-		for _, lv := range levels {
-			c.DisableNDP, c.DisableNDPProjection, c.DisableNDPTopN, c.DisableNDPBloom = lv.ndp, lv.proj, lv.topn, lv.bloom
+		for _, lv := range plan.PushdownLadder {
+			c.Pushdown = lv
 			for _, degree := range []int{1, 2, 4, 8} {
 				c.ParallelDegree = degree
 				res := mustExec(t, s, q)
 				if len(res.Rows) != len(base.Rows) {
-					t.Fatalf("%q %s degree %d: %d rows, baseline %d", q, lv.name, degree, len(res.Rows), len(base.Rows))
+					t.Fatalf("%q %s degree %d: %d rows, baseline %d", q, lv, degree, len(res.Rows), len(base.Rows))
 				}
 				for i := range res.Rows {
 					if res.Rows[i].String() != base.Rows[i].String() {
-						t.Fatalf("%q %s degree %d: row %d = %v, baseline %v", q, lv.name, degree, i, res.Rows[i], base.Rows[i])
+						t.Fatalf("%q %s degree %d: row %d = %v, baseline %v", q, lv, degree, i, res.Rows[i], base.Rows[i])
 					}
 				}
-				switch lv.name {
-				case "off":
+				switch lv {
+				case plan.PushdownOff:
 					offShipped = res.RowsShipped
-				case "+bloom":
+				case plan.PushdownBloom:
 					fullShipped = res.RowsShipped
 				}
 			}

@@ -6,13 +6,13 @@ import (
 	"repro/internal/types"
 )
 
-// Segment pruning: the coordinator pushes the scan predicate down to the
-// data nodes (plan.PredicateAccess), and each DN compiles the prunable
-// conjuncts into a zone-map check that skips sealed column segments whose
-// recorded min/max exclude every possible match. Pruning is purely a skip
-// hint — the planner keeps its Filter on top, so an over-permissive keep
-// costs time, never correctness, and the check errs on the side of keeping
-// whenever a comparison is uncertain.
+// Segment pruning: the first step of a fragment program's select stage.
+// The pushed scan predicate's prunable conjuncts compile into a zone-map
+// check that skips sealed column segments whose recorded min/max exclude
+// every possible match. Pruning is purely a skip hint — the program still
+// evaluates the whole predicate on every row it reads, so an
+// over-permissive keep costs time, never correctness, and the check errs
+// on the side of keeping whenever a comparison is uncertain.
 
 // zoneCheck reports whether a segment may contain matching rows.
 type zoneCheck func(*colstore.Segment) bool
@@ -52,7 +52,8 @@ func splitConjuncts(e exec.Expr, out []exec.Expr) []exec.Expr {
 }
 
 // constVal unwraps a non-NULL constant operand (NULL comparisons match no
-// rows anyway; leave them to the Filter rather than reason about 3VL here).
+// rows anyway; leave them to row-wise evaluation rather than reason about
+// 3VL here).
 func constVal(e exec.Expr) (types.Datum, bool) {
 	c, ok := e.(*exec.Const)
 	if !ok || c.Value.IsNull() {
@@ -61,24 +62,32 @@ func constVal(e exec.Expr) (types.Datum, bool) {
 	return c.Value, true
 }
 
+// colOpConst recognizes a binary operator applied to a column and a
+// non-NULL constant, in either orientation, normalized to col-op-const.
+func colOpConst(e exec.Expr) (col *exec.ColRef, op string, v types.Datum, ok bool) {
+	b, isBin := e.(*exec.BinOp)
+	if !isBin {
+		return nil, "", types.Null, false
+	}
+	op = b.Op
+	col, okL := b.Left.(*exec.ColRef)
+	v, okR := constVal(b.Right)
+	if !okL || !okR {
+		col, okL = b.Right.(*exec.ColRef)
+		v, okR = constVal(b.Left)
+		op = flipOp(op)
+	}
+	return col, op, v, okL && okR
+}
+
 // compileZoneCheck recognizes one prunable conjunct shape and returns its
 // zone-map check, or nil when the conjunct cannot prune.
 func compileZoneCheck(e exec.Expr) zoneCheck {
 	switch x := e.(type) {
 	case *exec.BinOp:
-		col, okL := x.Left.(*exec.ColRef)
-		v, okR := constVal(x.Right)
-		op := x.Op
-		if !okL || !okR {
-			// Try the flipped orientation: const op col.
-			col, okL = x.Right.(*exec.ColRef)
-			v, okR = constVal(x.Left)
-			if !okL || !okR {
-				return nil
-			}
-			op = flipOp(op)
+		if col, op, v, ok := colOpConst(x); ok {
+			return rangeCheck(col.Index, op, v)
 		}
-		return rangeCheck(col.Index, op, v)
 	case *exec.BetweenExpr:
 		if x.Not {
 			return nil

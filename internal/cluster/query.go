@@ -136,38 +136,13 @@ func fragPhys(frags []readFrag) []int {
 	return out
 }
 
-// fragFilter returns the per-row keep filter for one read fragment. Plain
-// fragments use the ordinary bucket-ownership filter; fragments redirected
-// to a standby keep exactly the rows the routing map assigns to the
-// fragment's logical owner (the paired primary), further halved by parity
-// in split mode. Caller must hold routeMu.
-func (c *Cluster) fragFilter(ti *TableInfo, f readFrag) func(types.Row) bool {
-	if f.phys == f.logical && f.parity < 0 {
-		return c.ownershipFilter(ti, f.logical)
-	}
-	if ti.replicated || ti.Meta.DistKey < 0 {
-		return nil
-	}
-	dk := ti.Meta.DistKey
-	return func(r types.Row) bool {
-		b := BucketOf(r[dk])
-		return c.bmap.dn[b] == f.logical && (f.parity < 0 || b&1 == f.parity)
-	}
-}
-
-// htapServes reports whether fragments of ti will attempt to read the
-// HTAP columnar replicas (replicated tables always read the primary copy).
-func (a *stmtAccess) htapServes(ti *TableInfo) bool {
-	return a.htap != nil && !ti.replicated
-}
-
 // htapReplica resolves the columnar replica serving fragment f of ti under
 // the statement-cached per-DN replica snapshot. ok=false (replicated
 // table, standby-redirected fragment, or no replica for that primary —
 // e.g. a standby promoted after HTAP was enabled) falls the fragment back
 // to the primary partition.
 func (a *stmtAccess) htapReplica(ti *TableInfo, f readFrag) (*colstore.Table, *txnkit.Snapshot, bool) {
-	if !a.htapServes(ti) || f.phys != f.logical {
+	if a.htap == nil || ti.replicated || f.phys != f.logical {
 		return nil, nil, false
 	}
 	tbl, txm, ok := a.htap.Replica(ti.Meta.Name, f.phys)
@@ -187,199 +162,103 @@ func (a *stmtAccess) htapReplica(ti *TableInfo, f readFrag) (*colstore.Table, *t
 
 // fragSource is the resolved physical source of one scan fragment: either
 // an HTAP columnar replica (xid 0 under a replica-local snapshot) or the
-// primary partition under the transaction's snapshot.
+// primary partition under the transaction's snapshot, plus the ownership
+// check the fragment must apply to the distribution-key datum (nil: keep
+// everything; see fragKeepDatum).
 type fragSource struct {
-	col     *colstore.Table
-	row     *storage.Table
-	xid     txnkit.XID
-	snap    *txnkit.Snapshot
-	replica bool
+	col  *colstore.Table
+	row  *storage.Table
+	xid  txnkit.XID
+	snap *txnkit.Snapshot
+	owns func(types.Datum) bool
 }
 
 // fragSource resolves fragment f's source. Touching the primary (which
 // takes a transaction leg there) happens only when the fragment is
 // primary-served; replica fragments leave the transaction untouched.
+// Caller must hold routeMu.
 func (a *stmtAccess) fragSource(ti *TableInfo, f readFrag) (fragSource, error) {
+	src := fragSource{owns: a.s.c.fragKeepDatum(ti, f)}
 	if tbl, snap, ok := a.htapReplica(ti, f); ok {
-		return fragSource{col: tbl, snap: snap, replica: true}, nil
+		src.col, src.snap = tbl, snap
+		return src, nil
 	}
-	xid := a.t.touch(f.phys)
+	src.xid = a.t.touch(f.phys)
 	snap, err := a.snapshotFor(f.phys)
 	if err != nil {
 		return fragSource{}, err
 	}
+	src.snap = snap
 	if ti.columnar() {
-		return fragSource{col: ti.colParts()[f.phys], xid: xid, snap: snap}, nil
+		src.col = ti.colParts()[f.phys]
+	} else {
+		src.row = ti.rowParts()[f.phys]
 	}
-	return fragSource{row: ti.rowParts()[f.phys], xid: xid, snap: snap}, nil
-}
-
-// scanRowsWhere streams the source's visible rows through fn (cloned on
-// the row-store path), applying the zone-map segment pruner on columnar
-// sources.
-func (src fragSource) scanRowsWhere(keep func(*colstore.Segment) bool, fn func(types.Row) bool) {
-	if src.col != nil {
-		src.col.ScanRowsWhere(src.xid, src.snap, keep, fn)
-		return
-	}
-	src.row.Scan(src.xid, src.snap, func(r types.Row) bool { return fn(r.Clone()) })
-}
-
-// Scan implements plan.Access.
-func (a *stmtAccess) Scan(meta *plan.TableMeta) exec.Operator {
-	return a.scan(meta, nil)
-}
-
-// ScanPred implements plan.PredicateAccess: same rows as Scan, but the
-// pushed predicate lets DN-side scans skip segments via zone maps.
-func (a *stmtAccess) ScanPred(meta *plan.TableMeta, pred exec.Expr) (exec.Operator, bool) {
-	return a.scan(meta, pred), true
-}
-
-// scan builds the fan-out scan: one fragment per routed data node, run
-// through an ordered Exchange so results are identical at every parallel
-// degree. pred (possibly nil) is only a segment-skip hint — the planner's
-// Filter still evaluates it per row.
-func (a *stmtAccess) scan(meta *plan.TableMeta, pred exec.Expr) exec.Operator {
-	if vt, ok := a.s.c.virtualTable(meta.Name); ok {
-		return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
-			for _, r := range vt.Scan() {
-				if !emit(r) {
-					return
-				}
-			}
-		})
-	}
-	return exec.NewParallelSource(meta.Name, meta.Schema, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
-		ti, err := a.s.c.tableInfo(meta.Name)
-		if err != nil {
-			return nil, err
-		}
-		fragSet := a.readFrags(a.targetsFor(ti))
-		if err := a.s.c.requireLive(fragPhys(fragSet)); err != nil {
-			return nil, err
-		}
-		keep := a.s.c.segmentPruner(pred)
-		frags := make([]exec.Fragment, len(fragSet))
-		for i, f := range fragSet {
-			f := f
-			frags[i] = func(_ *exec.Ctx, emit func(types.Row) bool) error {
-				src, err := a.fragSource(ti, f)
-				if err != nil {
-					return err
-				}
-				// Fragment dispatch: CN -> DN request, then the row stream
-				// back (payload = shipped rows, for the bandwidth model).
-				// HTAP replicas are co-located with their primary DN, so
-				// the same endpoints are charged either way.
-				if err := a.s.c.sendDN(f.phys, transport.ScanFrag, 0); err != nil {
-					return err
-				}
-				owns := a.s.c.fragFilter(ti, f)
-				var shipped int
-				counted := func(r types.Row) bool {
-					if owns != nil && !owns(r) {
-						return true // migration phantom / other half: skip, keep scanning
-					}
-					a.rowsShipped.Add(1)
-					shipped++
-					return emit(r)
-				}
-				src.scanRowsWhere(keep, counted)
-				return a.s.c.sendFromDN(f.phys, transport.ScanFrag, rowPayload(ti, shipped))
-			}
-		}
-		return frags, nil
-	})
+	return src, nil
 }
 
 // ScanPartialAgg implements plan.PartialAggAccess: the partial aggregate
-// runs against each partition's rows locally (modelling DN-side
-// reduction), and only the partial result rows ship to the coordinator.
-// Each DN's scan+aggregate is one Exchange fragment, so the reductions run
-// in parallel across data nodes.
+// is the scan fragment program (same compiled predicate, pruning and
+// ownership check as any scan) with an aggregating sink, evaluated against
+// each partition locally (modelling DN-side reduction); only the partial
+// result rows ship to the coordinator. Each DN's scan+aggregate is one
+// Exchange fragment, so the reductions run in parallel across data nodes.
 func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool) {
 	if _, isVirtual := a.s.c.virtualTable(meta.Name); isVirtual {
 		return nil, false // virtual tables are engine-local; nothing to push
 	}
-	return exec.NewParallelSource(meta.Name+":partial-agg", out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
-		ti, err := a.s.c.tableInfo(meta.Name)
-		if err != nil {
-			return nil, err
+	// Ship nothing but what the group keys and aggregate arguments read.
+	inputs := append([]exec.Expr(nil), groupBy...)
+	for _, sp := range aggs {
+		if sp.Arg != nil {
+			inputs = append(inputs, sp.Arg)
 		}
-		fragSet := a.readFrags(a.targetsFor(ti))
-		if err := a.s.c.requireLive(fragPhys(fragSet)); err != nil {
-			return nil, err
-		}
-		// Vectorized fast path: columnar source and every group/agg
-		// expression a bare column reference -> aggregate directly over the
-		// decoded column vectors (the predicate, if any, evaluates row-wise
-		// over the projection). HTAP replicas are columnar, which is what
-		// buys row tables the vectorized path on offloaded statements.
-		// Bucket-ownership filtering is per-row, so once a migration has
-		// started the row-at-a-time fallback runs.
-		var vp *vecPlan
-		if (ti.columnar() || a.htapServes(ti)) && !a.s.c.needsBucketFilter(ti) {
-			vp, _ = buildVecPlan(meta.Schema.Len(), pred, groupBy, aggs, out)
-		}
-		keep := a.s.c.segmentPruner(pred)
-		frags := make([]exec.Fragment, len(fragSet))
-		for i, f := range fragSet {
-			f := f
-			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				src, err := a.fragSource(ti, f)
-				if err != nil {
-					return err
-				}
-				// Fragment dispatch: the scan+partial-agg request goes out,
-				// the reduced result rows come back.
-				if err := a.s.c.sendDN(f.phys, transport.ScanFrag, 0); err != nil {
-					return err
-				}
-				ship := func(rows []types.Row) error {
-					if err := a.s.c.sendFromDN(f.phys, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
-						return err
-					}
-					for _, r := range rows {
-						a.rowsShipped.Add(1)
-						if !emit(r) {
-							return nil
-						}
-					}
-					return nil
-				}
-				if vp != nil && src.col != nil {
-					rows, err := runVectorizedPartialAgg(src.col, src.xid, src.snap, vp, keep, ctx)
-					if err != nil {
-						return err
-					}
-					return ship(rows)
-				}
-				// Partition-local pipeline: scan -> filter -> partial agg.
-				// All of it evaluates "on the data node"; only the
-				// aggregate's output crosses to the coordinator.
-				owns := a.s.c.fragFilter(ti, f)
-				var srcOp exec.Operator = exec.NewSource(meta.Name, meta.Schema, func(emitRow func(types.Row) bool) {
-					src.scanRowsWhere(keep, func(r types.Row) bool {
-						if owns != nil && !owns(r) {
-							return true
-						}
-						return emitRow(r)
-					})
-				})
-				if pred != nil {
-					srcOp = &exec.Filter{Child: srcOp, Pred: pred}
-				}
-				partial := &exec.Agg{Child: srcOp, GroupBy: groupBy, Aggs: aggs, Out: out}
-				rows, err := exec.Collect(ctx, partial)
-				if err != nil {
-					return err
-				}
-				return ship(rows)
+	}
+	spec := &plan.ScanPushdown{Pred: pred, Cols: []int{}}
+	return a.scanFragments(meta.Name+":partial-agg", meta, out, spec, inputs,
+		func(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error {
+			// Fragment dispatch: the scan+partial-agg request goes out, the
+			// reduced result rows come back.
+			if err := a.s.c.sendDN(f.phys, transport.ScanFrag, 0); err != nil {
+				return err
 			}
-		}
-		return frags, nil
-	}), true
+			var rows []types.Row
+			if vp, ok := buildVecPlan(p, groupBy, aggs); ok && src.col != nil {
+				// Every group/agg expression a bare column reference over a
+				// columnar source: aggregate straight off the vectors.
+				acc := &vecAgg{plan: vp, groups: map[string]*vecAccum{}}
+				if err := p.run(ctx, src, nil, fragSink{agg: acc}); err != nil {
+					return err
+				}
+				rows = acc.rows()
+			} else {
+				// Generic aggregate: the row sink feeds exec.Agg. All of it
+				// evaluates "on the data node"; only the aggregate's output
+				// crosses to the coordinator.
+				var scanErr error
+				scan := exec.NewSource(meta.Name, meta.Schema, func(emitRow func(types.Row) bool) {
+					scanErr = p.run(ctx, src, nil, fragSink{rows: emitRow})
+				})
+				var err error
+				rows, err = exec.Collect(ctx, &exec.Agg{Child: scan, GroupBy: groupBy, Aggs: aggs, Out: out})
+				if err == nil {
+					err = scanErr
+				}
+				if err != nil {
+					return err
+				}
+			}
+			if err := a.s.c.sendFromDN(f.phys, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
+				return err
+			}
+			for _, r := range rows {
+				a.rowsShipped.Add(1)
+				if !emit(r) {
+					break
+				}
+			}
+			return nil
+		}), true
 }
 
 // planner builds a statement planner bound to the transaction.
@@ -388,7 +267,7 @@ func (s *Session) planner(t *txn) *plan.Planner {
 }
 
 func (s *Session) plannerWithAccess(a *stmtAccess) *plan.Planner {
-	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy}
+	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy, Pushdown: s.c.Pushdown}
 	if s.c.UseLearnedCard && s.c.Store != nil {
 		p.Estimator = s.c.Store
 	}

@@ -3,7 +3,10 @@ package cluster
 // Differential testing: random predicates and aggregates run through the
 // whole SQL stack (parser -> planner -> distributed execution) and against
 // an independent reference evaluator written directly in Go with SQL
-// ternary-logic semantics. Any mismatch is a real engine bug.
+// ternary-logic semantics. Any mismatch is a real engine bug. Every trial
+// is swept over pushdown level × parallel degree on a row-store and a
+// columnar table, so the one fragment program is checked against the model
+// in every shape it is compiled to.
 
 import (
 	"fmt"
@@ -12,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/types"
 )
 
@@ -243,14 +247,31 @@ func genPred(rng *rand.Rand, depth int) pred {
 	}
 }
 
-// loadRandomTable creates rt on the cluster and mirrors it in reference
-// rows.
-func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int) []refRow {
+// randomStorages are the table layouts every differential test runs on.
+var randomStorages = []struct{ name, clause string }{
+	{"row", ""},
+	{"columnar", " USING COLUMN"},
+}
+
+// loadRandomTable creates rt on the cluster (storage is the CREATE TABLE
+// storage clause) and mirrors it in reference rows. A columnar table seals
+// its first three quarters into segments, so scans cross both zone-mapped
+// segments and the delta buffer.
+func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int, storage string) []refRow {
 	t.Helper()
 	s := c.NewSession()
-	mustExec(t, s, "CREATE TABLE rt (id BIGINT, a BIGINT, b BIGINT, c TEXT) DISTRIBUTE BY HASH(id)")
+	mustExec(t, s, "CREATE TABLE rt (id BIGINT, a BIGINT, b BIGINT, c TEXT) DISTRIBUTE BY HASH(id)"+storage)
 	rows := make([]refRow, 0, n)
 	for i := 0; i < n; i++ {
+		if i == n*3/4 {
+			ti, err := c.tableInfo("rt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range ti.colParts() {
+				part.Flush()
+			}
+		}
 		var r refRow
 		var aSQL, bSQL, cSQL string
 		if rng.Float64() < 0.1 {
@@ -280,6 +301,18 @@ func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int) []refRow {
 	return rows
 }
 
+// sweepPushdown runs check under every pushdown level × parallel degree,
+// handing it a label for failure messages.
+func sweepPushdown(c *Cluster, check func(label string)) {
+	defer func() { c.Pushdown, c.ParallelDegree = plan.PushdownBloom, 0 }()
+	for _, lv := range plan.PushdownLadder {
+		for _, degree := range []int{1, 2, 4} {
+			c.Pushdown, c.ParallelDegree = lv, degree
+			check(fmt.Sprintf("pushdown=%s degree=%d", lv, degree))
+		}
+	}
+}
+
 // canon renders result rows to a sorted multiset fingerprint.
 func canon(rows []types.Row) string {
 	lines := make([]string, len(rows))
@@ -291,28 +324,35 @@ func canon(rows []types.Row) string {
 }
 
 func TestDifferentialRandomPredicates(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	c := newCluster(t, 4, ModeGTMLite)
-	ref := loadRandomTable(t, c, rng, 120)
-	s := c.NewSession()
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			c := newCluster(t, 4, ModeGTMLite)
+			ref := loadRandomTable(t, c, rng, 120, st.clause)
+			s := c.NewSession()
 
-	for trial := 0; trial < 120; trial++ {
-		p := genPred(rng, 3)
-		sql := "SELECT a, b, c FROM rt WHERE " + p.sql()
-		res, err := s.Exec(sql)
-		if err != nil {
-			t.Fatalf("trial %d: %q failed: %v", trial, sql, err)
-		}
-		var want []types.Row
-		for _, r := range ref {
-			if p.eval(r) == ternTrue {
-				want = append(want, refToRow(r))
+			for trial := 0; trial < 120; trial++ {
+				p := genPred(rng, 3)
+				sql := "SELECT a, b, c FROM rt WHERE " + p.sql()
+				var want []types.Row
+				for _, r := range ref {
+					if p.eval(r) == ternTrue {
+						want = append(want, refToRow(r))
+					}
+				}
+				exp := canon(want)
+				sweepPushdown(c, func(label string) {
+					res, err := s.Exec(sql)
+					if err != nil {
+						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
+					}
+					if got := canon(res.Rows); got != exp {
+						t.Fatalf("trial %d %s: %q\nengine (%d rows) != reference (%d rows)\nengine:\n%s\nreference:\n%s",
+							trial, label, sql, len(res.Rows), len(want), got, exp)
+					}
+				})
 			}
-		}
-		if got, exp := canon(res.Rows), canon(want); got != exp {
-			t.Fatalf("trial %d: %q\nengine (%d rows) != reference (%d rows)\nengine:\n%s\nreference:\n%s",
-				trial, sql, len(res.Rows), len(want), got, exp)
-		}
+		})
 	}
 }
 
@@ -330,111 +370,173 @@ func refToRow(r refRow) types.Row {
 	return out
 }
 
-func TestDifferentialRandomAggregates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := newCluster(t, 4, ModeGTMLite)
-	ref := loadRandomTable(t, c, rng, 120)
-	s := c.NewSession()
+// aggSQL is the aggregate shape the differential tests run: group by a
+// (NULL group included) over the rows p keeps.
+func aggSQL(p pred) string {
+	return "SELECT a, count(*), sum(b), min(b), max(b) FROM rt WHERE " + p.sql() + " GROUP BY a"
+}
 
-	for trial := 0; trial < 60; trial++ {
-		p := genPred(rng, 2)
-		sql := "SELECT a, count(*), sum(b), min(b), max(b) FROM rt WHERE " + p.sql() + " GROUP BY a"
-		res, err := s.Exec(sql)
-		if err != nil {
-			t.Fatalf("trial %d: %q failed: %v", trial, sql, err)
+// refAggregate is the model's answer to aggSQL(p).
+func refAggregate(ref []refRow, p pred) []types.Row {
+	type agg struct {
+		key      *int64
+		count    int64
+		sum      int64
+		sumSet   bool
+		min, max int64
+	}
+	groups := map[string]*agg{}
+	for _, r := range ref {
+		if p.eval(r) != ternTrue {
+			continue
 		}
-		// Reference aggregation: group by a (NULL group included).
-		type agg struct {
-			count    int64
-			sum      int64
-			sumSet   bool
-			min, max int64
+		k := "NULL"
+		if r.a != nil {
+			k = fmt.Sprintf("%d", *r.a)
 		}
-		groups := map[string]*agg{}
-		keyOf := func(a *int64) string {
-			if a == nil {
-				return "NULL"
-			}
-			return fmt.Sprintf("%d", *a)
+		g, ok := groups[k]
+		if !ok {
+			g = &agg{key: r.a}
+			groups[k] = g
 		}
-		for _, r := range ref {
-			if p.eval(r) != ternTrue {
-				continue
-			}
-			k := keyOf(r.a)
-			g, ok := groups[k]
-			if !ok {
-				g = &agg{}
-				groups[k] = g
-			}
-			g.count++
-			if r.b != nil {
-				if !g.sumSet {
-					g.min, g.max = *r.b, *r.b
-				} else {
-					if *r.b < g.min {
-						g.min = *r.b
-					}
-					if *r.b > g.max {
-						g.max = *r.b
-					}
+		g.count++
+		if r.b != nil {
+			if !g.sumSet {
+				g.min, g.max = *r.b, *r.b
+			} else {
+				if *r.b < g.min {
+					g.min = *r.b
 				}
-				g.sum += *r.b
-				g.sumSet = true
+				if *r.b > g.max {
+					g.max = *r.b
+				}
 			}
+			g.sum += *r.b
+			g.sumSet = true
 		}
-		var want []types.Row
-		for k, g := range groups {
-			row := make(types.Row, 5)
-			if k != "NULL" {
-				var v int64
-				fmt.Sscanf(k, "%d", &v)
-				row[0] = types.NewInt(v)
+	}
+	var want []types.Row
+	for _, g := range groups {
+		row := make(types.Row, 5)
+		if g.key != nil {
+			row[0] = types.NewInt(*g.key)
+		}
+		row[1] = types.NewInt(g.count)
+		if g.sumSet {
+			row[2] = types.NewInt(g.sum)
+			row[3] = types.NewInt(g.min)
+			row[4] = types.NewInt(g.max)
+		}
+		want = append(want, row)
+	}
+	return want
+}
+
+func TestDifferentialRandomAggregates(t *testing.T) {
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			c := newCluster(t, 4, ModeGTMLite)
+			ref := loadRandomTable(t, c, rng, 120, st.clause)
+			s := c.NewSession()
+
+			for trial := 0; trial < 60; trial++ {
+				p := genPred(rng, 2)
+				sql := aggSQL(p)
+				exp := canon(refAggregate(ref, p))
+				sweepPushdown(c, func(label string) {
+					res, err := s.Exec(sql)
+					if err != nil {
+						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
+					}
+					if got := canon(res.Rows); got != exp {
+						t.Fatalf("trial %d %s: %q\nengine:\n%s\nreference:\n%s", trial, label, sql, got, exp)
+					}
+				})
 			}
-			row[1] = types.NewInt(g.count)
-			if g.sumSet {
-				row[2] = types.NewInt(g.sum)
-				row[3] = types.NewInt(g.min)
-				row[4] = types.NewInt(g.max)
-			}
-			want = append(want, row)
+		})
+	}
+}
+
+// TestDifferentialAggregatesDuringMoveBucket checks filtered GROUP BYs over
+// a columnar table against the model while bucket moves are live — at the
+// "copied" stage the target holds phantom copies the ownership check must
+// hide, at "frozen" the cutover is in flight — and after them. The
+// vectorized aggregate runs under the ownership check here.
+func TestDifferentialAggregatesDuringMoveBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := newCluster(t, 2, ModeGTMLite)
+	ref := loadRandomTable(t, c, rng, 120, " USING COLUMN")
+	check := func(when string) {
+		p := genPred(rng, 2)
+		sql := aggSQL(p)
+		res, err := c.NewSession().Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %q failed: %v", when, sql, err)
 		}
-		if got, exp := canon(res.Rows), canon(want); got != exp {
-			t.Fatalf("trial %d: %q\nengine:\n%s\nreference:\n%s", trial, sql, got, exp)
+		if got, exp := canon(res.Rows), canon(refAggregate(ref, p)); got != exp {
+			t.Fatalf("%s: %q\nengine:\n%s\nreference:\n%s", when, sql, got, exp)
 		}
+	}
+
+	id, err := c.AddDataNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	c.MoveHook = func(stage string, bucket, target int) {
+		if stage == "copied" || stage == "frozen" {
+			live++
+			check(fmt.Sprintf("bucket %d -> dn%d %s", bucket, target, stage))
+		}
+	}
+	for _, b := range c.ExpansionPlan(id) {
+		if _, err := c.MoveBucket(b, id); err != nil {
+			t.Fatalf("MoveBucket(%d, %d): %v", b, id, err)
+		}
+		check(fmt.Sprintf("after moving bucket %d", b))
+	}
+	if live == 0 {
+		t.Fatal("no query ran inside a live move")
 	}
 }
 
 func TestDifferentialOrderLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	c := newCluster(t, 2, ModeGTMLite)
-	ref := loadRandomTable(t, c, rng, 80)
-	s := c.NewSession()
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(99))
+			c := newCluster(t, 2, ModeGTMLite)
+			ref := loadRandomTable(t, c, rng, 80, st.clause)
+			s := c.NewSession()
 
-	for trial := 0; trial < 30; trial++ {
-		p := genPred(rng, 2)
-		limit := 1 + rng.Intn(10)
-		sql := fmt.Sprintf("SELECT id, a FROM rt WHERE %s ORDER BY id LIMIT %d", p.sql(), limit)
-		res, err := s.Exec(sql)
-		if err != nil {
-			t.Fatalf("trial %d: %q failed: %v", trial, sql, err)
-		}
-		var wantIDs []int64
-		for i, r := range ref {
-			if p.eval(r) == ternTrue {
-				wantIDs = append(wantIDs, int64(i))
+			for trial := 0; trial < 30; trial++ {
+				p := genPred(rng, 2)
+				limit := 1 + rng.Intn(10)
+				sql := fmt.Sprintf("SELECT id, a FROM rt WHERE %s ORDER BY id LIMIT %d", p.sql(), limit)
+				var wantIDs []int64
+				for i, r := range ref {
+					if p.eval(r) == ternTrue {
+						wantIDs = append(wantIDs, int64(i))
+					}
+				}
+				if len(wantIDs) > limit {
+					wantIDs = wantIDs[:limit]
+				}
+				sweepPushdown(c, func(label string) {
+					res, err := s.Exec(sql)
+					if err != nil {
+						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
+					}
+					if len(res.Rows) != len(wantIDs) {
+						t.Fatalf("trial %d %s: %q: %d rows, want %d", trial, label, sql, len(res.Rows), len(wantIDs))
+					}
+					for i, r := range res.Rows {
+						if r[0].Int() != wantIDs[i] {
+							t.Fatalf("trial %d %s: %q: row %d id=%v, want %d", trial, label, sql, i, r[0], wantIDs[i])
+						}
+					}
+				})
 			}
-		}
-		if len(wantIDs) > limit {
-			wantIDs = wantIDs[:limit]
-		}
-		if len(res.Rows) != len(wantIDs) {
-			t.Fatalf("trial %d: %q: %d rows, want %d", trial, sql, len(res.Rows), len(wantIDs))
-		}
-		for i, r := range res.Rows {
-			if r[0].Int() != wantIDs[i] {
-				t.Fatalf("trial %d: %q: row %d id=%v, want %d", trial, sql, i, r[0], wantIDs[i])
-			}
-		}
+		})
 	}
 }

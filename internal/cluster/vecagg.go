@@ -3,71 +3,44 @@ package cluster
 import (
 	"repro/internal/colstore"
 	"repro/internal/exec"
-	"repro/internal/txnkit"
 	"repro/internal/types"
 )
 
-// Vectorized aggregation fast path (paper §II: "our vectorized execution
-// engine is equipped with ... fine-grained parallelism"). When a partial
-// aggregate runs over a columnar partition and every expression is a plain
-// column reference, the accumulators consume the decoded column vectors
-// directly — no per-row types.Row materialization, no expression
-// interpreter in the inner loop.
+// Vectorized aggregation (paper §II: "our vectorized execution engine is
+// equipped with ... fine-grained parallelism"). When a partial aggregate
+// runs over a columnar source and every group/agg expression is a plain
+// column reference, the fragment program's aggregating sink consumes the
+// decoded column vectors directly — no per-row types.Row materialization,
+// no expression interpreter in the inner loop. Which rows it sees is the
+// program's select stage's business, exactly as for any scan.
 
 // vecPlan describes a vectorizable partial aggregate: positions are into
-// the scanned projection, not the table schema. A vecPlan is immutable
-// after buildVecPlan, so parallel fragments share one safely.
+// the fragment program's batch-scan projection, not the table schema.
 type vecPlan struct {
-	scanCols  []int // table columns to decode, in projection order
-	groupIdx  []int // projection positions of the group-by columns
-	aggIdx    []int // projection position per agg (-1 for count(*))
-	aggKinds  []exec.AggKind
-	out       *types.Schema
-	tableCols int
-	// pred, when non-nil, filters rows before accumulation. Its ColRefs
-	// index the table schema; eval materializes a sparse schema-width row
-	// from the projection.
-	pred exec.Expr
+	groupIdx []int // projection positions of the group-by columns
+	aggIdx   []int // projection position per agg (-1 for count(*))
+	aggKinds []exec.AggKind
 }
 
-// buildVecPlan inspects the compiled aggregate; ok is false when any
-// group/agg expression is not a bare column reference (the generic row
-// path handles those). pred may be any partition-pure predicate over table
-// columns — its referenced columns join the scan projection.
-func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (*vecPlan, bool) {
-	p := &vecPlan{out: out, tableCols: schemaLen, pred: pred}
-	proj := map[int]int{} // table col -> projection position
-	need := func(tableCol int) int {
-		if pos, ok := proj[tableCol]; ok {
-			return pos
+// buildVecPlan inspects the compiled aggregate against the program that
+// will scan for it; ok is false when any group/agg expression is not a bare
+// reference to a scanned column (the generic exec.Agg sink handles those).
+func buildVecPlan(prog *ndpProgram, groupBy []exec.Expr, aggs []exec.AggSpec) (*vecPlan, bool) {
+	p := &vecPlan{}
+	posOf := func(e exec.Expr) (int, bool) {
+		cr, ok := e.(*exec.ColRef)
+		if !ok {
+			return 0, false
 		}
-		pos := len(p.scanCols)
-		proj[tableCol] = pos
-		p.scanCols = append(p.scanCols, tableCol)
-		return pos
+		at := prog.scanPos(cr.Index)
+		return at, at >= 0
 	}
-	if pred != nil {
-		ok := true
-		exec.WalkExpr(pred, func(x exec.Expr) bool {
-			if cr, isRef := x.(*exec.ColRef); isRef {
-				if cr.Index >= schemaLen {
-					ok = false
-					return false
-				}
-				need(cr.Index)
-			}
-			return true
-		})
+	for _, g := range groupBy {
+		at, ok := posOf(g)
 		if !ok {
 			return nil, false
 		}
-	}
-	for _, g := range groupBy {
-		cr, ok := g.(*exec.ColRef)
-		if !ok || cr.Index >= schemaLen {
-			return nil, false
-		}
-		p.groupIdx = append(p.groupIdx, need(cr.Index))
+		p.groupIdx = append(p.groupIdx, at)
 	}
 	for _, spec := range aggs {
 		p.aggKinds = append(p.aggKinds, spec.Kind)
@@ -75,11 +48,11 @@ func buildVecPlan(schemaLen int, pred exec.Expr, groupBy []exec.Expr, aggs []exe
 			p.aggIdx = append(p.aggIdx, -1)
 			continue
 		}
-		cr, ok := spec.Arg.(*exec.ColRef)
-		if !ok || cr.Index >= schemaLen {
+		at, ok := posOf(spec.Arg)
+		if !ok {
 			return nil, false
 		}
-		p.aggIdx = append(p.aggIdx, need(cr.Index))
+		p.aggIdx = append(p.aggIdx, at)
 	}
 	return p, true
 }
@@ -107,116 +80,98 @@ func newVecAccum(key types.Row, nAggs int) *vecAccum {
 	}
 }
 
-// runVectorizedPartialAgg aggregates one columnar partition; it returns
-// the partial rows (group key columns then agg values), matching what the
-// generic exec.Agg emits so the coordinator-side merge is identical. keep
-// is the zone-map segment filter (nil scans everything); ctx evaluates
-// p.pred.
-func runVectorizedPartialAgg(tbl *colstore.Table, xid txnkit.XID, snap *txnkit.Snapshot, p *vecPlan, keep func(*colstore.Segment) bool, ctx *exec.Ctx) ([]types.Row, error) {
-	groups := map[string]*vecAccum{}
-	var order []string
-	var predRow types.Row // reused sparse row for predicate evaluation
-	var scanErr error
+// vecAgg is one fragment's aggregation state: groups in first-seen order.
+type vecAgg struct {
+	plan   *vecPlan
+	groups map[string]*vecAccum
+	order  []string
+}
 
-	tbl.ScanBatchesWhere(xid, snap, p.scanCols, keep, func(b *colstore.Batch) bool {
-		for i := 0; i < b.N; i++ {
-			if p.pred != nil {
-				if predRow == nil {
-					predRow = make(types.Row, p.tableCols)
-				}
-				for j, c := range p.scanCols {
-					predRow[c] = b.Cols[j].DatumAt(i)
-				}
-				match, err := exec.EvalBool(p.pred, ctx, predRow)
-				if err != nil {
-					scanErr = err
-					return false
-				}
-				if !match {
-					continue
-				}
-			}
-			// Group key.
-			var acc *vecAccum
-			if len(p.groupIdx) == 0 {
-				acc = groups[""]
-				if acc == nil {
-					acc = newVecAccum(nil, len(p.aggKinds))
-					groups[""] = acc
-					order = append(order, "")
-				}
-			} else {
-				keyVals := make(types.Row, len(p.groupIdx))
-				for k, gi := range p.groupIdx {
-					keyVals[k] = b.Cols[gi].DatumAt(i)
-				}
-				key := keyVals.String()
-				acc = groups[key]
-				if acc == nil {
-					acc = newVecAccum(keyVals, len(p.aggKinds))
-					groups[key] = acc
-					order = append(order, key)
-				}
-			}
-			// Accumulate straight off the vectors.
-			for a, kind := range p.aggKinds {
-				if kind == exec.AggCountStar {
-					acc.counts[a]++
-					continue
-				}
-				vec := b.Cols[p.aggIdx[a]]
-				if vec.IsNull(i) {
-					continue
-				}
-				acc.counts[a]++
-				switch kind {
-				case exec.AggCount:
-					// count only
-				case exec.AggSum:
-					switch vec.Kind {
-					case types.KindInt, types.KindTime:
-						if acc.isF[a] {
-							acc.sumF[a] += float64(vec.Ints[i])
-						} else {
-							acc.sumI[a] += vec.Ints[i]
-						}
-					case types.KindFloat:
-						if !acc.isF[a] {
-							acc.sumF[a] = float64(acc.sumI[a])
-							acc.isF[a] = true
-						}
-						acc.sumF[a] += vec.Floats[i]
-					}
-				case exec.AggMin, exec.AggMax:
-					d := vec.DatumAt(i)
-					if !acc.any[a] {
-						acc.minMax[a] = d
-					} else if c, err := types.Compare(d, acc.minMax[a]); err == nil {
-						if (kind == exec.AggMin && c < 0) || (kind == exec.AggMax && c > 0) {
-							acc.minMax[a] = d
-						}
-					}
-				}
-				acc.any[a] = true
-			}
+// group creates key's accumulators on first sight.
+func (v *vecAgg) group(key string, keyVals types.Row) *vecAccum {
+	acc := newVecAccum(keyVals, len(v.plan.aggKinds))
+	v.groups[key] = acc
+	v.order = append(v.order, key)
+	return acc
+}
+
+// addBatch folds the selected rows of b into their groups' accumulators,
+// straight off the vectors.
+func (v *vecAgg) addBatch(b *colstore.Batch, sel []bool) {
+	p := v.plan
+	for i := 0; i < b.N; i++ {
+		if !sel[i] {
+			continue
 		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
+		key, keyVals := "", types.Row(nil)
+		if len(p.groupIdx) > 0 {
+			keyVals = make(types.Row, len(p.groupIdx))
+			for k, gi := range p.groupIdx {
+				keyVals[k] = b.Cols[gi].DatumAt(i)
+			}
+			key = keyVals.String()
+		}
+		acc := v.groups[key]
+		if acc == nil {
+			acc = v.group(key, keyVals)
+		}
+		for a, kind := range p.aggKinds {
+			if kind == exec.AggCountStar {
+				acc.counts[a]++
+				continue
+			}
+			vec := b.Cols[p.aggIdx[a]]
+			if vec.IsNull(i) {
+				continue
+			}
+			acc.counts[a]++
+			switch kind {
+			case exec.AggCount:
+				// count only
+			case exec.AggSum:
+				switch vec.Kind {
+				case types.KindInt, types.KindTime:
+					if acc.isF[a] {
+						acc.sumF[a] += float64(vec.Ints[i])
+					} else {
+						acc.sumI[a] += vec.Ints[i]
+					}
+				case types.KindFloat:
+					if !acc.isF[a] {
+						acc.sumF[a] = float64(acc.sumI[a])
+						acc.isF[a] = true
+					}
+					acc.sumF[a] += vec.Floats[i]
+				}
+			case exec.AggMin, exec.AggMax:
+				d := vec.DatumAt(i)
+				if !acc.any[a] {
+					acc.minMax[a] = d
+				} else if c, err := types.Compare(d, acc.minMax[a]); err == nil {
+					if (kind == exec.AggMin && c < 0) || (kind == exec.AggMax && c > 0) {
+						acc.minMax[a] = d
+					}
+				}
+			}
+			acc.any[a] = true
+		}
 	}
+}
 
+// rows returns the partial rows (group key columns then agg values),
+// matching what the generic exec.Agg emits so the coordinator-side merge is
+// identical.
+func (v *vecAgg) rows() []types.Row {
+	p := v.plan
 	// A global aggregate over an empty partition still emits its identity
 	// row (count=0, sums NULL), mirroring exec.Agg.
-	if len(order) == 0 && len(p.groupIdx) == 0 {
-		acc := newVecAccum(nil, len(p.aggKinds))
-		groups[""] = acc
-		order = append(order, "")
+	if len(v.order) == 0 && len(p.groupIdx) == 0 {
+		v.group("", nil)
 	}
 
-	rows := make([]types.Row, 0, len(order))
-	for _, key := range order {
-		acc := groups[key]
+	rows := make([]types.Row, 0, len(v.order))
+	for _, key := range v.order {
+		acc := v.groups[key]
 		row := make(types.Row, 0, len(p.groupIdx)+len(p.aggKinds))
 		row = append(row, acc.key...)
 		for a, kind := range p.aggKinds {
@@ -244,5 +199,5 @@ func runVectorizedPartialAgg(tbl *colstore.Table, xid txnkit.XID, snap *txnkit.S
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }

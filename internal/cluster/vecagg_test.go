@@ -50,8 +50,8 @@ func TestVectorizedAggMatchesRowPath(t *testing.T) {
 	if r[0].Int() != 300 || r[1].Str() != "n0" || r[2].Str() != "n4" {
 		t.Errorf("global agg = %v", r)
 	}
-	// WHERE stays on the vectorized path (predicate evaluated per row over
-	// the projection); results must agree with the generic path.
+	// WHERE stays on the vectorized path (the fragment program's select
+	// stage runs first); results must agree with the generic path.
 	res = mustExec(t, s, "SELECT count(*) FROM cf WHERE vi < 100")
 	if res.Rows[0][0].Int() != 100 {
 		t.Errorf("filtered count = %v", res.Rows[0][0])
@@ -81,28 +81,33 @@ func TestVectorizedAggNulls(t *testing.T) {
 }
 
 func TestBuildVecPlanRejections(t *testing.T) {
-	out := types.NewSchema(types.Column{Name: "x", Kind: types.KindInt})
+	// A program scanning table columns 1 and 2 (positions 0 and 1).
+	prog := &ndpProgram{scanCols: []int{1, 2}}
 	// Non-column group expression.
-	if _, ok := buildVecPlan(3, nil, []exec.Expr{&exec.BinOp{Op: "+", Left: &exec.ColRef{Index: 0}, Right: &exec.Const{Value: types.NewInt(1)}}}, nil, out); ok {
+	if _, ok := buildVecPlan(prog, []exec.Expr{&exec.BinOp{Op: "+", Left: &exec.ColRef{Index: 1}, Right: &exec.Const{Value: types.NewInt(1)}}}, nil); ok {
 		t.Error("computed group expr must not vectorize")
 	}
 	// Non-column agg argument.
-	specs := []exec.AggSpec{{Kind: exec.AggSum, Arg: &exec.Func{Name: "abs", Args: []exec.Expr{&exec.ColRef{Index: 0}}}}}
-	if _, ok := buildVecPlan(3, nil, nil, specs, out); ok {
+	specs := []exec.AggSpec{{Kind: exec.AggSum, Arg: &exec.Func{Name: "abs", Args: []exec.Expr{&exec.ColRef{Index: 1}}}}}
+	if _, ok := buildVecPlan(prog, nil, specs); ok {
 		t.Error("computed agg arg must not vectorize")
 	}
-	// Plain shape vectorizes, sharing projections.
+	// A column the program does not scan.
+	if _, ok := buildVecPlan(prog, []exec.Expr{&exec.ColRef{Index: 0}}, nil); ok {
+		t.Error("unscanned group column must not vectorize")
+	}
+	// Plain shape vectorizes, sum and min sharing one scanned column.
 	specs = []exec.AggSpec{
 		{Kind: exec.AggCountStar},
 		{Kind: exec.AggSum, Arg: &exec.ColRef{Index: 2}},
 		{Kind: exec.AggMin, Arg: &exec.ColRef{Index: 2}},
 	}
-	p, ok := buildVecPlan(3, nil, []exec.Expr{&exec.ColRef{Index: 1}}, specs, out)
+	p, ok := buildVecPlan(prog, []exec.Expr{&exec.ColRef{Index: 1}}, specs)
 	if !ok {
 		t.Fatal("plain shape must vectorize")
 	}
-	if len(p.scanCols) != 2 { // cols 1 and 2, shared between sum and min
-		t.Errorf("scanCols = %v", p.scanCols)
+	if fmt.Sprint(p.groupIdx, p.aggIdx) != "[0] [-1 1 1]" {
+		t.Errorf("groupIdx, aggIdx = %v %v", p.groupIdx, p.aggIdx)
 	}
 }
 

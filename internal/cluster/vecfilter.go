@@ -18,64 +18,30 @@ import (
 // rows that fail it. sel has b.N entries.
 type vecKernel func(b *colstore.Batch, sel []bool) error
 
-// vecFilter is an ordered set of kernels (one per vectorized conjunct).
-type vecFilter struct {
-	kernels []vecKernel
-}
-
-// apply runs every kernel over the batch.
-func (vf *vecFilter) apply(b *colstore.Batch, sel []bool) error {
-	for _, k := range vf.kernels {
-		if err := k(b, sel); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // compileVecFilter splits pred into conjuncts and compiles each
 // col-op-const comparison into a kernel; everything else is ANDed back
-// together as the residual. pos maps table columns to their scan
-// projection positions. Returns (nil, pred-equivalent) when nothing
-// vectorizes.
-func compileVecFilter(pred exec.Expr, schema *types.Schema, pos map[int]int) (*vecFilter, exec.Expr) {
-	var vf vecFilter
-	var residual exec.Expr
+// together as the residual. pos maps a table column to its scan projection
+// position (-1: not scanned).
+func compileVecFilter(pred exec.Expr, schema *types.Schema, pos func(col int) int) (kernels []vecKernel, residual exec.Expr) {
 	for _, cj := range splitConjuncts(pred, nil) {
 		if k := compileVecKernel(cj, schema, pos); k != nil {
-			vf.kernels = append(vf.kernels, k)
-			continue
-		}
-		if residual == nil {
+			kernels = append(kernels, k)
+		} else if residual == nil {
 			residual = cj
 		} else {
 			residual = &exec.BinOp{Op: "AND", Left: residual, Right: cj}
 		}
 	}
-	if len(vf.kernels) == 0 {
-		return nil, residual
-	}
-	return &vf, residual
+	return kernels, residual
 }
 
 // compileVecKernel recognizes one col-op-const conjunct (either
 // orientation) and returns its kernel, or nil when the conjunct must stay
 // row-wise.
-func compileVecKernel(e exec.Expr, schema *types.Schema, pos map[int]int) vecKernel {
-	b, ok := e.(*exec.BinOp)
+func compileVecKernel(e exec.Expr, schema *types.Schema, pos func(col int) int) vecKernel {
+	col, op, v, ok := colOpConst(e)
 	if !ok {
 		return nil
-	}
-	op := b.Op
-	col, okL := b.Left.(*exec.ColRef)
-	v, okR := constVal(b.Right)
-	if !okL || !okR {
-		col, okL = b.Right.(*exec.ColRef)
-		v, okR = constVal(b.Left)
-		if !okL || !okR {
-			return nil
-		}
-		op = flipOp(op)
 	}
 	switch op {
 	case "<", "<=", ">", ">=", "=", "<>":
@@ -85,8 +51,8 @@ func compileVecKernel(e exec.Expr, schema *types.Schema, pos map[int]int) vecKer
 	if col.Index < 0 || col.Index >= schema.Len() {
 		return nil
 	}
-	at, ok := pos[col.Index]
-	if !ok {
+	at := pos(col.Index)
+	if at < 0 {
 		return nil
 	}
 

@@ -698,15 +698,9 @@ func appendDatum(v *Vector, d types.Datum) {
 	}
 }
 
-// ScanRows adapts ScanBatches to the row-at-a-time executor.
+// ScanRows adapts ScanBatches to row-at-a-time callers.
 func (t *Table) ScanRows(xid txnkit.XID, snap *txnkit.Snapshot, fn func(types.Row) bool) {
-	t.ScanRowsWhere(xid, snap, nil, fn)
-}
-
-// ScanRowsWhere is ScanRows with segment-level zone-map pruning (see
-// ScanBatchesWhere for keep's contract).
-func (t *Table) ScanRowsWhere(xid txnkit.XID, snap *txnkit.Snapshot, keep func(*Segment) bool, fn func(types.Row) bool) {
-	t.ScanBatchesWhere(xid, snap, nil, keep, func(b *Batch) bool {
+	t.ScanBatches(xid, snap, nil, func(b *Batch) bool {
 		for i := 0; i < b.N; i++ {
 			if !fn(b.Row(i)) {
 				return false

@@ -1252,15 +1252,31 @@ func FrontDoor(w io.Writer, sessions int) error {
 	return nil
 }
 
+// rowsFingerprint renders a result for identity checks: the row sequence
+// when the query ordered it, the sorted rows otherwise (a join defines no
+// output order, and where it runs legitimately changes it).
+func rowsFingerprint(rows []types.Row, ordered bool) string {
+	lines := make([]string, len(rows))
+	for i, r := range rows {
+		lines[i] = r.String()
+	}
+	if !ordered {
+		sort.Strings(lines)
+	}
+	return strings.Join(lines, "\n")
+}
+
 // NDP regenerates E18 (near-data processing): scan_frag traffic and latency
 // for a selective filter+TopN scatter query and a skewed hash join as the
-// pushdown levels stack — off (row pull-up, the predicate a pruning hint
-// only), exact DN-side filtering, projection shipping, per-fragment bounded
-// TopN, and a sideways bloom filter built from the join's small side. Every
-// level and every parallel degree must return byte-identical results; the
-// run fails if full pushdown does not cut scan_frag bytes by at least 10x
-// on the TopN query, or if the bloom semi-join does not ship strictly fewer
-// bytes than the pull-up join.
+// pushdown levels stack — off (row pull-up under a coordinator Filter),
+// exact DN-side filtering, projection shipping, per-fragment bounded TopN,
+// and a sideways bloom filter built from the join's small side. The ladder
+// runs with distributed joins disabled so the join column measures the CN
+// hash join the bloom filter feeds; one contrast line reports the DN-side
+// join the planner picks on its own. Every level and every parallel degree
+// must return identical results; the run fails if full pushdown does not
+// cut scan_frag bytes by at least 10x on the TopN query, or if the bloom
+// semi-join does not ship strictly fewer bytes than the pull-up join.
 func NDP(w io.Writer) error {
 	db, err := core.Open(core.Options{DataNodes: 4})
 	if err != nil {
@@ -1325,103 +1341,111 @@ func NDP(w io.Writer) error {
 	const scanQ = "SELECT k, v FROM nfacts WHERE v >= 31744 ORDER BY v DESC LIMIT 10"
 	const joinQ = "SELECT f.k, f.v, d.tag FROM nfacts f, ndims d WHERE f.grp = d.id"
 
-	// measure runs query iters times inside one transaction and returns the
-	// per-query scan_frag byte delta (request + response legs), the rows
-	// shipped to the CN, the mean latency, and a fingerprint of the result.
-	measure := func(query string) (bytes int64, shipped int64, lat time.Duration, key string, err error) {
-		const iters = 3
-		if _, err = s.Exec("BEGIN"); err != nil {
-			return
+	// ndpRun is one measured query: per-query scan_frag bytes (request +
+	// response legs) and bytes over every message type (a DN-side join also
+	// moves rows between nodes), the rows shipped to the CN, the mean
+	// latency, and the result's fingerprint.
+	type ndpRun struct {
+		scanFrag, fabric, shipped int64
+		lat                       time.Duration
+		key                       string
+	}
+	measure := func(query string, iters int64) (ndpRun, error) {
+		var run ndpRun
+		if _, err := s.Exec("BEGIN"); err != nil {
+			return run, err
 		}
-		before := fab.Stats().Get(transport.ScanFrag)
+		before := fab.Stats()
 		start := time.Now()
-		for i := 0; i < iters; i++ {
-			res, e := s.Exec(query)
-			if e != nil {
-				err = e
-				return
+		for i := int64(0); i < iters; i++ {
+			res, err := s.Exec(query)
+			if err != nil {
+				return run, err
 			}
-			shipped = res.RowsShipped
-			key = fmt.Sprintf("%v", res.Rows)
+			run.shipped = res.RowsShipped
+			run.key = rowsFingerprint(res.Rows, strings.Contains(query, "ORDER BY"))
 		}
-		lat = time.Since(start) / iters
-		after := fab.Stats().Get(transport.ScanFrag)
-		if _, err = s.Exec("COMMIT"); err != nil {
+		run.lat = time.Since(start) / time.Duration(iters)
+		delta := fab.Stats().Sub(before)
+		run.scanFrag = delta.Get(transport.ScanFrag).Bytes / iters
+		run.fabric = delta.TotalBytes() / iters
+		_, err := s.Exec("COMMIT")
+		return run, err
+	}
+	// check measures both queries (the mean of iters runs each) and
+	// compares their results with the baseline.
+	var scanKey, joinKey string
+	check := func(what string, iters int64) (scan, join ndpRun, err error) {
+		if scan, err = measure(scanQ, iters); err != nil {
 			return
 		}
-		bytes = (after.Bytes - before.Bytes) / iters
+		if join, err = measure(joinQ, iters); err != nil {
+			return
+		}
+		if scanKey == "" {
+			scanKey, joinKey = scan.key, join.key
+		} else if scan.key != scanKey || join.key != joinKey {
+			err = fmt.Errorf("ndp: results diverge %s from the pushdown-off CN-join baseline", what)
+		}
 		return
 	}
 
-	levels := []struct {
-		name                   string
-		ndp, proj, topn, bloom bool // disable flags
-	}{
-		{"off", true, true, true, true},
-		{"filter", false, true, true, true},
-		{"+projection", false, false, true, true},
-		{"+topn", false, false, false, true},
-		{"+bloom", false, false, false, false},
-	}
-	scanBytes := map[string]int64{}
-	joinBytes := map[string]int64{}
-	var scanKey, joinKey string
+	// The ladder runs with distributed joins off, so the join column
+	// measures the CN hash join whose build side feeds the bloom filter.
+	cnJoin := plan.DistJoinPolicy{Disable: true}
+	c.JoinPolicy = cnJoin
+	defer func() { c.JoinPolicy, c.Pushdown, c.ParallelDegree = plan.DistJoinPolicy{}, plan.PushdownBloom, 0 }()
+	scanBytes := map[plan.PushdownLevel]int64{}
+	joinBytes := map[plan.PushdownLevel]int64{}
 	var rows [][]string
-	for _, lv := range levels {
-		c.DisableNDP, c.DisableNDPProjection, c.DisableNDPTopN, c.DisableNDPBloom = lv.ndp, lv.proj, lv.topn, lv.bloom
-		sBytes, sShipped, sLat, sKey, err := measure(scanQ)
+	for _, lv := range plan.PushdownLadder {
+		c.Pushdown = lv
+		scan, join, err := check(fmt.Sprintf("at level %q", lv), 3)
 		if err != nil {
 			return err
 		}
-		jBytes, jShipped, jLat, jKey, err := measure(joinQ)
-		if err != nil {
-			return err
-		}
-		if scanKey == "" {
-			scanKey, joinKey = sKey, jKey
-		} else if sKey != scanKey || jKey != joinKey {
-			return fmt.Errorf("ndp: results diverge at level %q from pushdown-off baseline", lv.name)
-		}
-		scanBytes[lv.name] = sBytes
-		joinBytes[lv.name] = jBytes
+		scanBytes[lv] = scan.scanFrag
+		joinBytes[lv] = join.scanFrag
 		rows = append(rows, []string{
-			lv.name,
-			fmt.Sprintf("%d", sBytes),
-			fmt.Sprintf("%d", sShipped),
-			sLat.Round(time.Microsecond).String(),
-			fmt.Sprintf("%d", jBytes),
-			fmt.Sprintf("%d", jShipped),
-			jLat.Round(time.Microsecond).String(),
+			lv.String(),
+			fmt.Sprintf("%d", scan.scanFrag),
+			fmt.Sprintf("%d", scan.shipped),
+			scan.lat.Round(time.Microsecond).String(),
+			fmt.Sprintf("%d", join.scanFrag),
+			fmt.Sprintf("%d", join.shipped),
+			join.lat.Round(time.Microsecond).String(),
 		})
 	}
-	c.DisableNDP, c.DisableNDPProjection, c.DisableNDPTopN, c.DisableNDPBloom = false, false, false, false
 
-	// Full pushdown must stay byte-identical at every parallel degree: the
-	// per-fragment bounded heaps ship their survivors in scan order, so the
-	// CN merge cannot observe the degree.
+	// Contrast: left to itself the planner runs this join DN-side.
+	c.JoinPolicy = plan.DistJoinPolicy{}
+	_, dnJoin, err := check("with a DN-side join", 3)
+	if err != nil {
+		return err
+	}
+
+	// Full pushdown must stay identical at every parallel degree, wherever
+	// the join runs: the per-fragment bounded heaps ship their survivors in
+	// scan order, so the CN merge cannot observe the degree.
 	for _, degree := range []int{1, 2, 4} {
 		c.ParallelDegree = degree
-		_, _, _, sKey, err := measure(scanQ)
-		if err != nil {
-			return err
-		}
-		_, _, _, jKey, err := measure(joinQ)
-		if err != nil {
-			return err
-		}
-		if sKey != scanKey || jKey != joinKey {
-			return fmt.Errorf("ndp: results diverge at parallel degree %d", degree)
+		for _, pol := range []plan.DistJoinPolicy{cnJoin, {}} {
+			c.JoinPolicy = pol
+			if _, _, err := check(fmt.Sprintf("at parallel degree %d (join policy %+v)", degree, pol), 1); err != nil {
+				return err
+			}
 		}
 	}
-	c.ParallelDegree = 0
 
-	benchfmt.Table(w, "Near-data processing — pushdown levels, 32k-row x 8-col scatter @4 shards (E18)",
+	benchfmt.Table(w, "Near-data processing — pushdown levels, 32k-row x 8-col scatter @4 shards, join at the CN (E18)",
 		[]string{"pushdown", "scan+topn B/q", "rows to CN", "latency", "join B/q", "rows to CN", "latency"}, rows)
+	fmt.Fprintf(w, "contrast: the DN-side join the planner picks on its own ships %d scan_frag B/q (%d B/q over all message types) in %v\n",
+		dnJoin.scanFrag, dnJoin.fabric, dnJoin.lat.Round(time.Microsecond))
 
-	if off, full := scanBytes["off"], scanBytes["+topn"]; full <= 0 || off < 10*full {
+	if off, full := scanBytes[plan.PushdownOff], scanBytes[plan.PushdownTopN]; full <= 0 || off < 10*full {
 		return fmt.Errorf("ndp: scan_frag bytes off=%d full=%d — wanted >= 10x reduction", off, full)
 	}
-	if pull, bloom := joinBytes["+topn"], joinBytes["+bloom"]; bloom >= pull {
+	if pull, bloom := joinBytes[plan.PushdownTopN], joinBytes[plan.PushdownBloom]; bloom >= pull {
 		return fmt.Errorf("ndp: bloom join shipped %d B vs pull-up %d B — wanted strictly fewer", bloom, pull)
 	}
 	return nil
@@ -1803,16 +1827,7 @@ func Joins(w io.Writer) error {
 		bytes = d.TotalBytes() / iters
 		shufB = d.Get(transport.ShufflePart).Bytes / iters
 		bcastB = d.Get(transport.BcastBuild).Bytes / iters
-		lines := make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			parts := make([]string, len(r))
-			for j, v := range r {
-				parts[j] = v.String()
-			}
-			lines[i] = strings.Join(parts, "|")
-		}
-		sort.Strings(lines)
-		key = fmt.Sprintf("%d:%s", len(lines), strings.Join(lines, ";"))
+		key = rowsFingerprint(res.Rows, false)
 		return
 	}
 

@@ -57,3 +57,13 @@ func TestFrontDoorShedsLowProtectsHigh(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNDPExperiment is E18's acceptance check: the run itself fails unless
+// every pushdown level, parallel degree and join placement returns the
+// same rows, full pushdown cuts scan_frag bytes >= 10x, and the bloom
+// semi-join ships strictly fewer bytes than the pull-up join.
+func TestNDPExperiment(t *testing.T) {
+	if err := NDP(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}

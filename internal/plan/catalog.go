@@ -56,21 +56,6 @@ type PartialAggAccess interface {
 	ScanPartialAgg(t *TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool)
 }
 
-// PredicateAccess is an optional Access extension for predicate pushdown:
-// the engine receives the scan's pushed-down predicate (the AND of the
-// single-table conjuncts) alongside the table. The returned operator must
-// stream the same rows Scan would — the engine may use pred only to skip
-// storage that provably cannot match (e.g. columnar segments excluded by
-// zone maps); the planner keeps its Filter on top, so an over-permissive
-// scan stays correct.
-type PredicateAccess interface {
-	Access
-	// ScanPred returns a predicate-aware scan, or ok=false to fall back to
-	// Scan. pred is never nil and is partition-pure (no outer references,
-	// no subplans).
-	ScanPred(t *TableMeta, pred exec.Expr) (exec.Operator, bool)
-}
-
 // TopNPush asks the engine to keep only the top Limit rows per partition.
 // Keys are compiled against the table schema; an empty Keys means a bare
 // LIMIT (keep the first Limit rows in scan order and stop early).
@@ -87,9 +72,9 @@ type TopNPush struct {
 // the scan *opens*, not when it is constructed.
 type ScanPushdown struct {
 	// Pred is the pushed filter (AND of the single-table conjuncts), or
-	// nil. Unlike PredicateAccess's hint contract, NDP filtering is exact:
-	// the planner drops its own Filter, so the scan must evaluate Pred on
-	// every row. Always partition-pure.
+	// nil. NDP filtering is exact: the planner puts no Filter of its own on
+	// top, so the scan must evaluate Pred on every row. Always
+	// partition-pure.
 	Pred exec.Expr
 	// Cols lists the table column positions the plan references; the scan
 	// ships only these (emitting schema-width rows with NULLs elsewhere so
@@ -115,7 +100,7 @@ type NDPAccess interface {
 	Access
 	// ScanNDP returns a pushdown-capable scan honoring spec (whose Cols/
 	// TopN/Bloom fields may be filled after this call, see ScanPushdown),
-	// or ok=false to fall back to ScanPred/Scan semantics.
+	// or ok=false to fall back to Scan under a coordinator Filter.
 	ScanNDP(t *TableMeta, spec *ScanPushdown) (exec.Operator, bool)
 }
 

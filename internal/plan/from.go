@@ -318,32 +318,23 @@ func (pc *pctx) planBaseTable(bt *sqlx.BaseTable, conjuncts []sqlx.Expr) (exec.O
 		}
 	}
 
-	// NDP scan when the engine offers one and the predicate (if any) is
-	// safe to evaluate on a partition. Unlike the PredicateAccess hint
-	// path below, NDP filtering is exact — the engine evaluates the
-	// predicate on every row DN-side — so no Filter goes on top, and later
-	// passes may additionally push projections, TopN and bloom filters
-	// into the spec (see ScanPushdown).
-	var scan exec.Operator
+	// NDP scan when the pushdown level allows one, the engine offers it and
+	// the predicate (if any) is safe to evaluate on a partition. NDP
+	// filtering is exact — the engine evaluates the predicate on every row
+	// DN-side — so no Filter goes on top, and later passes may additionally
+	// push projections, TopN and bloom filters into the spec (see
+	// ScanPushdown). Otherwise: a plain scan filtered at the coordinator.
+	var op exec.Operator
 	var spec *ScanPushdown
-	if nd, ok := pc.p.Access.(NDPAccess); ok && (combinedPred == nil || exec.IsPartitionPure(combinedPred)) {
+	if nd, ok := pc.p.Access.(NDPAccess); ok && pc.p.Pushdown.includes(PushdownFilter) &&
+		(combinedPred == nil || exec.IsPartitionPure(combinedPred)) {
 		sp := &ScanPushdown{Pred: combinedPred}
 		if s, ok := nd.ScanNDP(meta, sp); ok {
-			scan, spec = s, sp
+			op, spec = s, sp
 		}
 	}
-	op := scan
-	if scan == nil {
-		// Predicate-aware scan when the engine offers one and the predicate
-		// is safe to evaluate on a partition (the engine uses it only as a
-		// skip-hint; the Filter below still runs per row).
-		if pa, ok := pc.p.Access.(PredicateAccess); ok && combinedPred != nil && exec.IsPartitionPure(combinedPred) {
-			scan, _ = pa.ScanPred(meta, combinedPred)
-		}
-		if scan == nil {
-			scan = pc.p.Access.Scan(meta)
-		}
-		op = scan
+	if op == nil {
+		op = pc.p.Access.Scan(meta)
 		if combinedPred != nil {
 			op = &exec.Filter{Child: op, Pred: combinedPred}
 		}

@@ -13,6 +13,30 @@ import (
 	"repro/internal/exec"
 )
 
+// PushdownLevel is the scan-pushdown ladder (E18). Levels are cumulative:
+// each one enables its own reduction plus those of every level declared
+// after it. The zero value is full pushdown. The level is the planner's
+// alone — the engine honours whatever spec it is handed.
+type PushdownLevel uint8
+
+const (
+	PushdownBloom      PushdownLevel = iota // + sideways bloom filters into probe-side scans
+	PushdownTopN                            // + per-fragment bounded TopN
+	PushdownProjection                      // + ship only the referenced columns
+	PushdownFilter                          // exact DN-side filtering, nothing else
+	PushdownOff                             // plain Scan under a coordinator Filter; no spec
+)
+
+// PushdownLadder lists the levels from no pushdown to full pushdown.
+var PushdownLadder = []PushdownLevel{PushdownOff, PushdownFilter, PushdownProjection, PushdownTopN, PushdownBloom}
+
+// includes reports whether level l enables the reduction introduced at rung.
+func (l PushdownLevel) includes(rung PushdownLevel) bool { return l <= rung }
+
+func (l PushdownLevel) String() string {
+	return [...]string{"+bloom", "+topn", "+projection", "filter", "off"}[min(l, PushdownOff)]
+}
+
 // exprNeeds records the columns of the current row that e references into
 // need. It reports false when the expression's column set cannot be
 // bounded — it contains a subplan (whose inner tree may reach any column
@@ -188,7 +212,7 @@ func splitJoinNeed(need []bool, nLeft, nRight int, cond exec.Expr) (ln, rn []boo
 // expressions, which must be partition-pure to evaluate on a DN.
 func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey, exprs []exec.Expr, limit int64) {
 	ls := pc.lastScan
-	if ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
+	if !pc.p.Pushdown.includes(PushdownTopN) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
 		return
 	}
 	keys := make([]exec.SortKey, 0, len(sortKeys))
@@ -215,7 +239,7 @@ func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey
 // a filter of the big side to prune the small side would cost more than
 // it saves.
 func (pc *pctx) tryBloomPushdown(hj *exec.HashJoin, lop exec.Operator, lEst, rEst float64) {
-	if pc.scans == nil {
+	if !pc.p.Pushdown.includes(PushdownBloom) || pc.scans == nil {
 		return
 	}
 	lc, ok := lop.(*exec.Counted)

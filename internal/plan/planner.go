@@ -28,6 +28,9 @@ type Planner struct {
 	// DistJoin steers distributed join strategy selection (dist.go); the
 	// zero value picks automatically.
 	DistJoin DistJoinPolicy
+	// Pushdown caps how much work the planner pushes into scans (ndp.go);
+	// the zero value pushes everything.
+	Pushdown PushdownLevel
 }
 
 // costs resolves the cost model from the catalog, defaulting to the stock
@@ -118,8 +121,8 @@ type scanInfo struct {
 	meta    *TableMeta
 	pred    exec.Expr // nil when no predicate was pushed into the scan
 	counted *exec.Counted
-	// spec is the scan's NDP pushdown spec, nil when the scan went through
-	// the legacy Scan/ScanPred path.
+	// spec is the scan's NDP pushdown spec, nil when the scan is a plain
+	// Access.Scan under a coordinator Filter.
 	spec *ScanPushdown
 }
 
@@ -155,7 +158,9 @@ func (p *Planner) PlanSelect(sel *sqlx.Select) (*Plan, error) {
 	_ = scope
 	// NDP projection pushdown: narrow each scan's shipped columns to the
 	// set the finished plan actually references.
-	pushProjections(op, scans)
+	if p.Pushdown.includes(PushdownProjection) {
+		pushProjections(op, scans)
+	}
 	return &Plan{Root: op, OutputNames: names, Counted: counted}, nil
 }
 

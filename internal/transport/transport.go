@@ -463,8 +463,7 @@ func New(cfg Config) *Fabric {
 func (f *Fabric) BaseLatency() time.Duration { return time.Duration(f.base.Load()) }
 
 // SetBaseLatency changes the default one-way link latency. Safe under
-// concurrent Sends (stored atomically — this is what fixes the old
-// SetHopLatency data race).
+// concurrent Sends (stored atomically).
 func (f *Fabric) SetBaseLatency(d time.Duration) { f.base.Store(int64(d)) }
 
 // SetBandwidth changes the payload bandwidth model (bytes/second, 0 =

@@ -63,9 +63,9 @@ func TestBaseLatencySleeps(t *testing.T) {
 	}
 }
 
-// TestSetBaseLatencyConcurrent is the regression for the old SetHopLatency
-// data race: writers tune the latency while senders read it (run under
-// -race).
+// TestSetBaseLatencyConcurrent is the regression for a data race on the
+// latency setting: writers tune the latency while senders read it (run
+// under -race).
 func TestSetBaseLatencyConcurrent(t *testing.T) {
 	f := New(Config{Sleep: func(time.Duration) {}})
 	var wg sync.WaitGroup
