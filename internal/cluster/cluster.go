@@ -75,10 +75,6 @@ type Config struct {
 	// creation-time value only: runtime changes go through
 	// Fabric().SetBaseLatency and are not reflected here.
 	HopLatency time.Duration
-	// BaselineSnapshotsPerStatement adds this many extra GTM snapshot
-	// requests per statement in baseline mode, modelling statement-level
-	// snapshot refreshes (default 1).
-	BaselineSnapshotsPerStatement int
 }
 
 // tableParts holds the per-DN partitions of one table; exactly one slice is
@@ -195,10 +191,6 @@ type Cluster struct {
 	// Results are identical at every level — pushdown only changes where
 	// rows are dropped, never which rows survive.
 	Pushdown plan.PushdownLevel
-	// DisableHTAPReads keeps analytical statements on the primary row
-	// path even when an HTAP provider is installed (ablation knob for
-	// E19's primary-vs-replica comparison; the replicas keep applying).
-	DisableHTAPReads bool
 	// JoinPolicy steers distributed join strategy selection (E20): the
 	// zero value chooses automatically, Disable forces the CN-fallback
 	// path, Force pins one strategy. Results are identical under every
@@ -229,17 +221,13 @@ type Cluster struct {
 	// place, so a rebalance targeting the dead node can re-target the live
 	// successor (guarded by routeMu).
 	successor map[int]int
-	// tap publishes the installed commit taps (standby replication, HTAP
-	// ingest); nil until a subscriber installs one. tapPrimary is the
-	// SetCommitTap slot, tapExtras the AddCommitTap subscriptions; both
-	// are guarded by tapMu and flattened into the atomic box.
-	tap        atomic.Pointer[tapBox]
-	tapMu      sync.Mutex
-	tapPrimary CommitTap
-	tapExtras  []*tapEntry
+	// taps publishes the AddCommitTap subscriptions (standby replication,
+	// HTAP ingest); nil while there are none. Writers hold tapMu.
+	taps  atomic.Pointer[[]*tapEntry]
+	tapMu sync.Mutex
 	// analytical publishes the HTAP read provider (columnar replicas plus
 	// freshness gate); nil until htap.Enable installs one.
-	analytical atomic.Pointer[analyticalBox]
+	analytical atomic.Pointer[AnalyticalProvider]
 	// stash parks prepared 2PC legs' records across the in-doubt window
 	// (guarded by stashMu).
 	stashMu sync.Mutex
@@ -258,9 +246,6 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.DataNodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least one data node, got %d", cfg.DataNodes)
-	}
-	if cfg.BaselineSnapshotsPerStatement == 0 {
-		cfg.BaselineSnapshotsPerStatement = 1
 	}
 	bmap, err := NewBucketMap(cfg.DataNodes)
 	if err != nil {
@@ -621,7 +606,7 @@ func (c *Cluster) partitionRows(ti *TableInfo, dnID int, xid txnkit.XID, snap *t
 		s := dn.Txm.LocalSnapshot()
 		snap = &s
 	}
-	owns := c.fragKeepDatum(ti, readFrag{logical: dnID, phys: dnID, parity: -1})
+	owns := c.fragKeepDatum(ti, dnID)
 	dk := ti.Meta.DistKey
 	var out []types.Row
 	parts := ti.parts.Load()
@@ -670,15 +655,8 @@ func (c *Cluster) ResolveInDoubt(id int) (committed, aborted int) {
 		decidedCommit, known := c.gtm.Outcome(gxid)
 		switch {
 		case known && decidedCommit:
-			recs := c.takeStash(dn.ID, xid)
-			dn.commitMu.Lock()
-			err := dn.Txm.Commit(xid)
-			if err == nil {
-				// Recovery never blocks on standby ack; drop the wait.
-				_ = c.tapCommitted(dn.ID, recs)
-			}
-			dn.commitMu.Unlock()
-			if err == nil {
+			// Recovery never blocks on standby ack; drop the wait.
+			if _, err := c.commitTapped(dn, xid, c.takeStash(dn.ID, xid)); err == nil {
 				committed++
 			}
 		case known && !decidedCommit:
@@ -771,7 +749,7 @@ func (c *Cluster) liveNodes(ids []int) []int {
 }
 
 // requireLive errors if any of ids is down.
-func (c *Cluster) requireLive(ids []int) error {
+func (c *Cluster) requireLive(ids ...int) error {
 	for _, id := range ids {
 		if c.nodeDown(id) {
 			return fmt.Errorf("%w: dn%d", ErrNodeDown, id)

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"time"
 
@@ -33,25 +32,24 @@ type AnalyticalProvider interface {
 	Replica(name string, dn int) (*colstore.Table, *txnkit.TxnManager, bool)
 }
 
-type analyticalBox struct{ p AnalyticalProvider }
-
 // SetAnalyticalReads installs (or, with nil, removes) the HTAP read
-// provider consulted by analytical statement routing.
+// provider consulted by analytical statement routing. The commit tap is a
+// separate subscription: with routing removed the replicas keep applying,
+// which is how E19 and the identity tests take the primary's answer.
 func (c *Cluster) SetAnalyticalReads(p AnalyticalProvider) {
 	if p == nil {
 		c.analytical.Store(nil)
 		return
 	}
-	c.analytical.Store(&analyticalBox{p: p})
+	c.analytical.Store(&p)
 }
 
 // analyticalReads returns the installed provider, nil when HTAP is off.
 func (c *Cluster) analyticalReads() AnalyticalProvider {
-	b := c.analytical.Load()
-	if b == nil {
-		return nil
+	if p := c.analytical.Load(); p != nil {
+		return *p
 	}
-	return b.p
+	return nil
 }
 
 // AnalyticalSeed is the barrier snapshot of one distributed table handed
@@ -118,12 +116,7 @@ func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, seeds []A
 // partition. Order-independent (commutative sum).
 func DigestRows(rows []types.Row) TableDigest {
 	var d TableDigest
-	for _, r := range rows {
-		h := fnv.New64a()
-		h.Write([]byte(encodeRow(r)))
-		d.Sum += h.Sum64()
-		d.Rows++
-	}
+	d.add(rows)
 	return d
 }
 

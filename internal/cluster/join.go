@@ -17,10 +17,11 @@ package cluster
 //     (shuffle_part messages for every batch that changes nodes); each DN
 //     joins one key range.
 //
-// Side scans run the one fragment program (ndpProgram.run) with a row sink,
-// so pushed predicates, projections, HTAP replica routing, standby read
-// splits and MoveBucket ownership fencing all compose — a join side reads
-// precisely the rows a plain scan of that side would ship.
+// Side scans run the one fragment program (ndpProgram.run) with a row sink
+// over sources resolved by fragSource, so pushed predicates, projections,
+// HTAP replica and standby routing and MoveBucket ownership fencing all
+// compose — a join side reads precisely the rows a plain scan of that side
+// would ship.
 // Every strategy emits rows through an ordered Exchange and scans sources
 // in a fixed order, so results are identical across strategies and
 // parallel degrees.
@@ -85,11 +86,18 @@ type joinSide struct {
 	ti   *TableInfo
 	prog *ndpProgram
 	keys []exec.Expr
-	// srcs are the side's physical scan fragments in deterministic order:
-	// one or two (split reads) per target primary, or a single fragment
-	// for replicated tables (scanning the whole table more than once would
-	// duplicate rows).
-	srcs []readFrag
+	// srcs are the side's resolved scan fragments in deterministic order:
+	// srcs[i] yields the rows targets[i] owns, from whichever copy
+	// fragSource chose — or, for a replicated table, a single fragment
+	// (scanning the whole table more than once would duplicate rows).
+	srcs []fragSource
+}
+
+// scan streams one resolved fragment of the side through deliver (false
+// stops the scan early), with no transport accounting — the caller charges
+// whatever wire the strategy actually uses.
+func (side joinSide) scan(ctx *exec.Ctx, src fragSource, deliver func(types.Row) bool) error {
+	return side.prog.run(ctx, src, nil, fragSink{rows: deliver})
 }
 
 // resolveJoin resolves both sides and the target set at Exchange-open time
@@ -97,75 +105,49 @@ type joinSide struct {
 // checks liveness of every node involved. Caller must hold routeMu.
 func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide, targets []int, err error) {
 	c := a.s.c
-	pti, err := c.tableInfo(spec.Probe.Meta.Name)
-	if err != nil {
-		return
-	}
-	bti, err := c.tableInfo(spec.Build.Meta.Name)
-	if err != nil {
-		return
-	}
 	targets = c.scanTargetsLocked()
 	if len(targets) == 0 {
-		err = ErrNodeDown
+		return probe, build, nil, ErrNodeDown
+	}
+	if err = c.requireLive(targets...); err != nil {
 		return
 	}
-	sideFor := func(ti *TableInfo, s plan.DistJoinSide) joinSide {
-		side := joinSide{ti: ti, prog: a.compileNDP(ti, s.Spec, nil), keys: s.Keys}
-		if ti.replicated {
-			side.srcs = []readFrag{{logical: targets[0], phys: targets[0], parity: -1}}
-		} else {
-			side.srcs = a.readFrags(targets)
+	sideFor := func(s plan.DistJoinSide) (side joinSide, err error) {
+		if side.ti, err = c.tableInfo(s.Meta.Name); err != nil {
+			return
 		}
-		return side
+		side.prog, side.keys = a.compileNDP(side.ti, s.Spec, nil), s.Keys
+		owners := targets
+		if side.ti.replicated {
+			owners = targets[:1]
+		}
+		side.srcs = make([]fragSource, len(owners))
+		for i, p := range owners {
+			if side.srcs[i], err = a.fragSource(side.ti, p); err != nil {
+				return
+			}
+		}
+		return
 	}
-	probe = sideFor(pti, spec.Probe)
-	build = sideFor(bti, spec.Build)
-	phys := append([]int(nil), targets...)
-	phys = append(phys, fragPhys(probe.srcs)...)
-	phys = append(phys, fragPhys(build.srcs)...)
-	err = c.requireLive(dedupInts(phys))
+	if probe, err = sideFor(spec.Probe); err != nil {
+		return
+	}
+	build, err = sideFor(spec.Build)
 	return
 }
 
-// scanJoinFrag streams one physical fragment of a join side through
-// deliver (false stops the scan early), with no transport accounting — the
-// caller charges whatever wire the strategy actually uses.
-func (a *stmtAccess) scanJoinFrag(ctx *exec.Ctx, side joinSide, f readFrag, deliver func(types.Row) bool) error {
-	src, err := a.fragSource(side.ti, f)
+// scanSideLocal streams the share of a join side that lives with
+// targets[i]: the node's own copy of a replicated table, otherwise the
+// fragment of the rows it owns.
+func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, deliver func(types.Row) bool) error {
+	if !side.ti.replicated {
+		return side.scan(ctx, side.srcs[i], deliver)
+	}
+	src, err := a.fragSource(side.ti, target)
 	if err != nil {
 		return err
 	}
-	return side.prog.run(ctx, src, nil, fragSink{rows: deliver})
-}
-
-// scanSideLocal streams logical node p's share of a join side: the local
-// replica partition for replicated tables, otherwise every read fragment
-// of p (possibly redirected or split onto a standby).
-func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, p int, deliver func(types.Row) bool) error {
-	var frags []readFrag
-	if side.ti.replicated {
-		frags = []readFrag{{logical: p, phys: p, parity: -1}}
-	} else {
-		frags = a.readFrags([]int{p})
-	}
-	for _, f := range frags {
-		stopped := false
-		err := a.scanJoinFrag(ctx, side, f, func(r types.Row) bool {
-			if !deliver(r) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return nil
-		}
-	}
-	return nil
+	return side.scan(ctx, src, deliver)
 }
 
 // buildHashFrom adds rows into a build hash table keyed by the side's join
@@ -245,7 +227,6 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 		width := joinResultWidth(probe, build)
 		frags := make([]exec.Fragment, len(targets))
 		for i, p := range targets {
-			p := p
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
 				// One request leg carries the whole join fragment.
 				if err := c.sendDN(p, transport.ScanFrag, 0); err != nil {
@@ -253,7 +234,7 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 				}
 				table := map[string][]types.Row{}
 				add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
-				if err := a.scanSideLocal(ctx, build, p, add); err != nil {
+				if err := a.scanSideLocal(ctx, build, i, p, add); err != nil {
 					return err
 				}
 				if *buildErr != nil {
@@ -261,7 +242,7 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 				}
 				shipped := 0
 				pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-				if err := a.scanSideLocal(ctx, probe, p, pe); err != nil {
+				if err := a.scanSideLocal(ctx, probe, i, p, pe); err != nil {
 					return err
 				}
 				if *probeErr != nil {
@@ -300,13 +281,13 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 		gather := func(ctx *exec.Ctx) {
 			table = map[string][]types.Row{}
 			add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
-			for _, f := range build.srcs {
-				if err := c.sendDN(f.phys, transport.ScanFrag, 0); err != nil {
+			for _, src := range build.srcs {
+				if err := c.sendDN(src.node, transport.ScanFrag, 0); err != nil {
 					gatherErr = err
 					return
 				}
 				n := 0
-				err := a.scanJoinFrag(ctx, build, f, func(r types.Row) bool {
+				err := build.scan(ctx, src, func(r types.Row) bool {
 					n++
 					buildRows++
 					return add(r)
@@ -315,7 +296,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 					err = *buildErr
 				}
 				if err == nil {
-					err = c.sendFromDN(f.phys, transport.ScanFrag, n*build.prog.shipWidth()*8)
+					err = c.sendFromDN(src.node, transport.ScanFrag, n*build.prog.shipWidth()*8)
 				}
 				if err != nil {
 					gatherErr = err
@@ -325,7 +306,6 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 		}
 		frags := make([]exec.Fragment, len(targets))
 		for i, p := range targets {
-			p := p
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
 				gatherOnce.Do(func() { gather(ctx) })
 				if gatherErr != nil {
@@ -337,7 +317,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 				}
 				shipped := 0
 				pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-				if err := a.scanSideLocal(ctx, probe, p, pe); err != nil {
+				if err := a.scanSideLocal(ctx, probe, i, p, pe); err != nil {
 					return err
 				}
 				if *probeErr != nil {
@@ -362,8 +342,8 @@ func shufflePart(key string, n int) int {
 }
 
 // shuffleJoin hash-partitions both inputs by join key across the target
-// DNs. Producer goroutines — one per physical source fragment, so at most
-// 2 × DNs per side — scan their fragment and write rows into
+// DNs. Producer goroutines — one per source fragment, so at most one per
+// DN and side — scan their fragment and write rows into
 // per-(source,target) bounded queues; every batch that changes nodes is
 // charged as a shuffle_part message. One consumer fragment per target
 // drains its build queues into a hash table, then probes with its probe
@@ -390,7 +370,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			// shuffle_part faults surface, failing the producer).
 			onBatch := func(side *joinSide) func(src, part int, rows []types.Row) error {
 				return func(src, part int, rows []types.Row) error {
-					from, to := side.srcs[src].phys, targets[part]
+					from, to := side.srcs[src].node, targets[part]
 					if from == to {
 						return nil // local partition: no wire
 					}
@@ -417,7 +397,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, src int) error {
 				w := part.Writer(src)
 				var keyErr error
-				err := a.scanJoinFrag(ctx, *side, side.srcs[src], func(r types.Row) bool {
+				err := side.scan(ctx, side.srcs[src], func(r types.Row) bool {
 					key, null, err := exec.EncodeJoinKey(ctx, side.keys, r)
 					if err != nil {
 						keyErr = err

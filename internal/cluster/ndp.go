@@ -92,33 +92,31 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 }
 
 // scanFragments builds the fan-out every partition-reading SELECT runs as:
-// one fragment per routed data node (two when a standby splits the read),
-// each handing body the program compiled from spec plus its resolved
-// source, merged by an ordered Exchange so results are identical at every
-// parallel degree. The program is compiled when the Exchange opens, not
+// one fragment per routed shard owner, each handing body the program
+// compiled from spec plus the source fragSource resolved for that owner,
+// merged by an ordered Exchange so results are identical at every parallel
+// degree. Program and sources are resolved when the Exchange opens, not
 // here: the planner fills the spec's Cols/TopN/Bloom after the scan
-// operator is built (late binding). rowExprs are extra expressions body
-// evaluates against shipped rows (see compileNDP).
+// operator is built (late binding), and a dead node fails the scan before
+// any fragment is dispatched. rowExprs are extra expressions body evaluates
+// against shipped rows (see compileNDP).
 func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types.Schema, spec *plan.ScanPushdown, rowExprs []exec.Expr,
-	body func(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error) exec.Operator {
+	body func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error) exec.Operator {
 	return exec.NewParallelSource(name, out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
 		ti, err := a.s.c.tableInfo(meta.Name)
 		if err != nil {
 			return nil, err
 		}
-		fragSet := a.readFrags(a.targetsFor(ti))
-		if err := a.s.c.requireLive(fragPhys(fragSet)); err != nil {
-			return nil, err
-		}
+		owners := a.targetsFor(ti)
 		prog := a.compileNDP(ti, spec, rowExprs)
-		frags := make([]exec.Fragment, len(fragSet))
-		for i, f := range fragSet {
+		frags := make([]exec.Fragment, len(owners))
+		for i, owner := range owners {
+			src, err := a.fragSource(ti, owner)
+			if err != nil {
+				return nil, err
+			}
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				src, err := a.fragSource(ti, f)
-				if err != nil {
-					return err
-				}
-				return body(ctx, prog, f, src, emit)
+				return body(ctx, prog, src, emit)
 			}
 		}
 		return frags, nil
@@ -208,10 +206,9 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 		need(p.bloomCol)
 	}
 
-	// Ownership filtering reads the distribution key: needed while a
-	// migration is live or when fragments are redirected to standbys.
-	if !ti.replicated && ti.Meta.DistKey >= 0 &&
-		(c.needsBucketFilter(ti) || len(a.readMap) > 0 || len(a.splitSet) > 0) {
+	// Ownership filtering reads the distribution key: on from the first
+	// bucket move or standby attach (see fragKeepDatum).
+	if c.needsBucketFilter(ti) {
 		p.distCol = ti.Meta.DistKey
 		need(p.distCol)
 	}
@@ -233,38 +230,33 @@ func (p *ndpProgram) scanPos(col int) int {
 	return -1
 }
 
-// fragKeepDatum returns the ownership check for one read fragment,
-// expressed over the distribution-key datum alone so batch scans need not
-// materialize rows to test it. Plain fragments keep the rows the routing
-// map assigns to their node — rows a migration has copied in (but not yet
-// cut over) or retired (but not yet reaped) are never visible; fragments
-// redirected to a standby keep exactly the rows of the fragment's logical
-// owner (the paired primary), further halved by parity in split mode. nil
-// means keep everything. Caller must hold routeMu.
-func (c *Cluster) fragKeepDatum(ti *TableInfo, f readFrag) func(types.Datum) bool {
-	if ti.replicated || ti.Meta.DistKey < 0 {
+// fragKeepDatum returns the ownership check for the read fragment of
+// owner's rows, expressed over the distribution-key datum alone so batch
+// scans need not materialize rows to test it: keep the rows the routing map
+// assigns to owner, whichever copy is scanned. On owner's own partition
+// that hides rows a migration has copied in (but not yet cut over) or
+// retired (but not yet reaped); on a standby mirror or an HTAP replica it
+// selects the same rows. nil means keep everything: until the first bucket
+// move or standby attach every stored row is owned by its node. Caller
+// must hold routeMu.
+func (c *Cluster) fragKeepDatum(ti *TableInfo, owner int) func(types.Datum) bool {
+	if !c.needsBucketFilter(ti) {
 		return nil
 	}
-	if f.phys == f.logical && f.parity < 0 && !c.filterByBucket {
-		return nil // no migration has ever started: every row here is owned
-	}
-	return func(d types.Datum) bool {
-		b := BucketOf(d)
-		return c.bmap.dn[b] == f.logical && (f.parity < 0 || b&1 == f.parity)
-	}
+	return func(d types.Datum) bool { return c.bmap.dn[BucketOf(d)] == owner }
 }
 
 // shipRows is the scan fragment body: the request leg carries the bloom
 // filter (if any), the row sink feeds the fragment TopN heap or the
 // coordinator directly, and the pre-reduced rows come back charged at
 // their projected width.
-func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error {
+func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
 	bf := p.bloom.Get()
 	req := 0
 	if bf != nil {
 		req = bf.SizeBytes()
 	}
-	if err := a.s.c.sendDN(f.phys, transport.ScanFrag, req); err != nil {
+	if err := a.s.c.sendDN(src.node, transport.ScanFrag, req); err != nil {
 		return err
 	}
 
@@ -312,7 +304,7 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, f readFrag, src frag
 			}
 		}
 	}
-	return a.s.c.sendFromDN(f.phys, transport.ScanFrag, shipped*p.shipWidth()*8)
+	return a.s.c.sendFromDN(src.node, transport.ScanFrag, shipped*p.shipWidth()*8)
 }
 
 // run is the one fragment body: the select stage over src — columnar
@@ -382,7 +374,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 				continue
 			}
 			if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
-				sel[i] = false // migration phantom / other split half
+				sel[i] = false // not owner's row (migration phantom)
 				continue
 			}
 			if bf != nil {

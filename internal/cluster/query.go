@@ -28,26 +28,26 @@ type stmtAccess struct {
 	// map scan the default set. Written only during routing, before any
 	// fragment starts.
 	routed map[string][]int
-	// readMap redirects an offloaded shard's whole read fragment to its
-	// synced standby; splitSet instead splits the shard into an even-bucket
-	// fragment on the primary and an odd-bucket one on the standby. Both
-	// are keyed by primary id and written only during routing.
-	readMap  map[int]int
-	splitSet map[int]int
-
 	// scatter marks the statement as unrouted (scans every primary) —
 	// the shape eligible for HTAP replica service. Written during
 	// routing, before any fragment starts.
 	scatter bool
-	// htap, when non-nil, redirects this statement's distributed-table
-	// fragments to the columnar analytical replicas; the primaries are
-	// never touched, so the statement takes no transaction legs there.
-	htap AnalyticalProvider
+
+	// What routing admitted for this statement (see admitReplicas); which
+	// copy a fragment actually reads is fragSource's decision. htap, when
+	// non-nil, is the analytical provider whose freshness gate passed:
+	// fragments it has a columnar replica for never touch their primary,
+	// so the statement takes no transaction leg there. standbys maps a
+	// shard's owner to the synced standby that may serve its fragments
+	// (nil when there is none). Written only during routing.
+	htap     AnalyticalProvider
+	standbys map[int]int
 
 	mu    sync.Mutex // guards snaps, htapSnaps
 	snaps map[int]*txnkit.Snapshot
 	// htapSnaps caches one replica-local snapshot per DN so concurrent
-	// fragments (and multiple tables on one DN) read consistently.
+	// fragments (and multiple tables on one DN) read consistently;
+	// allocated on first replica read.
 	htapSnaps map[int]*txnkit.Snapshot
 
 	// rowsShipped counts rows that crossed a partition -> coordinator
@@ -58,11 +58,8 @@ type stmtAccess struct {
 func (s *Session) newStmtAccess(t *txn) *stmtAccess {
 	return &stmtAccess{
 		s: s, t: t,
-		routed:    map[string][]int{},
-		readMap:   map[int]int{},
-		splitSet:  map[int]int{},
-		snaps:     map[int]*txnkit.Snapshot{},
-		htapSnaps: map[int]*txnkit.Snapshot{},
+		routed: map[string][]int{},
+		snaps:  map[int]*txnkit.Snapshot{},
 	}
 }
 
@@ -89,83 +86,59 @@ func (a *stmtAccess) targetsFor(ti *TableInfo) []int {
 		return set
 	}
 	if ti.replicated {
-		// Read one replica: prefer a live shard the transaction already
-		// uses, else the first live shard (read failover).
-		if ids := a.s.c.liveNodes(a.t.sortedDNs()); len(ids) > 0 {
-			return ids[:1]
-		}
-		if live := a.s.c.liveNodes(allDNs(a.s.c.DataNodeCount())); len(live) > 0 {
-			return live[:1]
-		}
-		return []int{0} // nothing live: the scan will surface the error
+		return a.s.c.replicaReadNode(a.t)
 	}
 	return a.s.c.scanTargetsLocked()
 }
 
-// readFrag is one physical scan fragment of a routed shard: phys is the
-// node actually scanned, logical the bucket owner whose rows it must
-// yield, and parity (when >= 0) restricts it to buckets with that low bit
-// — StandbyReadSplit's half-and-half scan.
-type readFrag struct {
-	logical, phys, parity int
-}
-
-// readFrags expands the logical target set through the statement's
-// read-replica routing decisions (one fragment per shard, two when split).
-func (a *stmtAccess) readFrags(targets []int) []readFrag {
-	out := make([]readFrag, 0, len(targets)+len(a.splitSet))
-	for _, p := range targets {
-		if sid, ok := a.readMap[p]; ok {
-			out = append(out, readFrag{logical: p, phys: sid, parity: -1})
-		} else if sid, ok := a.splitSet[p]; ok {
-			out = append(out,
-				readFrag{logical: p, phys: p, parity: 0},
-				readFrag{logical: p, phys: sid, parity: 1})
-		} else {
-			out = append(out, readFrag{logical: p, phys: p, parity: -1})
-		}
+// replicaReadNode picks the one node a replicated-table read uses: a live
+// shard the transaction already holds a leg on, else the first live shard
+// (read failover; a retired or down node must never take a new leg).
+func (c *Cluster) replicaReadNode(t *txn) []int {
+	if ids := c.liveNodes(t.sortedDNs()); len(ids) > 0 {
+		return ids[:1]
 	}
-	return out
-}
-
-func fragPhys(frags []readFrag) []int {
-	out := make([]int, len(frags))
-	for i, f := range frags {
-		out[i] = f.phys
+	if live := c.liveNodes(allDNs(c.DataNodeCount())); len(live) > 0 {
+		return live[:1]
 	}
-	return out
+	return []int{0} // nothing live: the scan will surface the error
 }
 
-// htapReplica resolves the columnar replica serving fragment f of ti under
-// the statement-cached per-DN replica snapshot. ok=false (replicated
-// table, standby-redirected fragment, or no replica for that primary —
-// e.g. a standby promoted after HTAP was enabled) falls the fragment back
-// to the primary partition.
-func (a *stmtAccess) htapReplica(ti *TableInfo, f readFrag) (*colstore.Table, *txnkit.Snapshot, bool) {
-	if a.htap == nil || ti.replicated || f.phys != f.logical {
+// htapReplica resolves the columnar replica mirroring owner's partition of
+// ti under the statement-cached per-DN replica snapshot. ok=false (the
+// statement was not admitted to the replicas, or there is no replica for
+// that primary — e.g. a standby promoted after HTAP was enabled) leaves
+// the fragment to the row copies.
+func (a *stmtAccess) htapReplica(ti *TableInfo, owner int) (*colstore.Table, *txnkit.Snapshot, bool) {
+	if a.htap == nil {
 		return nil, nil, false
 	}
-	tbl, txm, ok := a.htap.Replica(ti.Meta.Name, f.phys)
+	tbl, txm, ok := a.htap.Replica(ti.Meta.Name, owner)
 	if !ok {
 		return nil, nil, false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	snap, cached := a.htapSnaps[f.phys]
+	snap, cached := a.htapSnaps[owner]
 	if !cached {
 		s := txm.LocalSnapshot()
 		snap = &s
-		a.htapSnaps[f.phys] = snap
+		if a.htapSnaps == nil {
+			a.htapSnaps = map[int]*txnkit.Snapshot{}
+		}
+		a.htapSnaps[owner] = snap
 	}
 	return tbl, snap, true
 }
 
-// fragSource is the resolved physical source of one scan fragment: either
-// an HTAP columnar replica (xid 0 under a replica-local snapshot) or the
-// primary partition under the transaction's snapshot, plus the ownership
-// check the fragment must apply to the distribution-key datum (nil: keep
-// everything; see fragKeepDatum).
+// fragSource is the resolved physical source of one scan fragment: the
+// copy that serves it (exactly one of col / row), the snapshot it reads
+// under (xid 0 and a replica-local snapshot on an HTAP replica, the
+// transaction's leg and snapshot otherwise), the ownership check the
+// fragment must apply to the distribution-key datum (nil: keep everything;
+// see fragKeepDatum), and the node the fragment's messages are charged to.
 type fragSource struct {
+	node int
 	col  *colstore.Table
 	row  *storage.Table
 	xid  txnkit.XID
@@ -173,26 +146,39 @@ type fragSource struct {
 	owns func(types.Datum) bool
 }
 
-// fragSource resolves fragment f's source. Touching the primary (which
-// takes a transaction leg there) happens only when the fragment is
-// primary-served; replica fragments leave the transaction untouched.
-// Caller must hold routeMu.
-func (a *stmtAccess) fragSource(ti *TableInfo, f readFrag) (fragSource, error) {
-	src := fragSource{owns: a.s.c.fragKeepDatum(ti, f)}
-	if tbl, snap, ok := a.htapReplica(ti, f); ok {
-		src.col, src.snap = tbl, snap
-		return src, nil
+// fragSource resolves the fragment of ti whose rows owner holds — the one
+// place a copy is chosen. In order: the columnar HTAP replica of owner's
+// partition, when the statement passed the freshness gate and a replica
+// exists (no leg on the primary; messages still go to owner, where the
+// replica lives); the synced standby routing admitted for owner, filtered
+// down to owner's rows; owner's own partition. Replicated tables have no
+// replicas of either kind: owner is simply the node whose copy is read.
+// The chosen node must be live. Caller must hold routeMu.
+func (a *stmtAccess) fragSource(ti *TableInfo, owner int) (fragSource, error) {
+	c := a.s.c
+	src := fragSource{node: owner, owns: c.fragKeepDatum(ti, owner)}
+	if !ti.replicated {
+		if tbl, snap, ok := a.htapReplica(ti, owner); ok {
+			src.col, src.snap = tbl, snap
+			return src, c.requireLive(owner)
+		}
+		if sid, ok := a.standbys[owner]; ok {
+			src.node = sid
+		}
 	}
-	src.xid = a.t.touch(f.phys)
-	snap, err := a.snapshotFor(f.phys)
+	if err := c.requireLive(src.node); err != nil {
+		return fragSource{}, err
+	}
+	src.xid = a.t.touch(src.node)
+	snap, err := a.snapshotFor(src.node)
 	if err != nil {
 		return fragSource{}, err
 	}
 	src.snap = snap
 	if ti.columnar() {
-		src.col = ti.colParts()[f.phys]
+		src.col = ti.colParts()[src.node]
 	} else {
-		src.row = ti.rowParts()[f.phys]
+		src.row = ti.rowParts()[src.node]
 	}
 	return src, nil
 }
@@ -216,10 +202,10 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 	}
 	spec := &plan.ScanPushdown{Pred: pred, Cols: []int{}}
 	return a.scanFragments(meta.Name+":partial-agg", meta, out, spec, inputs,
-		func(ctx *exec.Ctx, p *ndpProgram, f readFrag, src fragSource, emit func(types.Row) bool) error {
+		func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
 			// Fragment dispatch: the scan+partial-agg request goes out, the
 			// reduced result rows come back.
-			if err := a.s.c.sendDN(f.phys, transport.ScanFrag, 0); err != nil {
+			if err := a.s.c.sendDN(src.node, transport.ScanFrag, 0); err != nil {
 				return err
 			}
 			var rows []types.Row
@@ -248,7 +234,7 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 					return err
 				}
 			}
-			if err := a.s.c.sendFromDN(f.phys, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
+			if err := a.s.c.sendFromDN(src.node, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
 				return err
 			}
 			for _, r := range rows {
@@ -274,22 +260,13 @@ func (s *Session) plannerWithAccess(a *stmtAccess) *plan.Planner {
 	return p
 }
 
-// planSelect routes, touches and plans a SELECT.
+// planSelect routes, touches and plans a SELECT. Routing returns the nodes
+// the statement takes legs on; they are touched up front so a multi-shard
+// statement escalates to a global transaction once, before any fragment
+// acquires a snapshot.
 func (s *Session) planSelect(t *txn, sel *sqlx.Select) (*plan.Plan, *stmtAccess, error) {
 	access := s.newStmtAccess(t)
-	dnSet := s.routeSelect(t, sel, access)
-	if prov := s.htapProvider(t, access, sel, dnSet); prov != nil {
-		// HTAP offload: fragments scan the columnar replicas under
-		// replica-local snapshots. The primaries are never touched, so
-		// the statement takes no transaction legs and no GTM round.
-		access.htap = prov
-	} else {
-		// Read-replica rewrite must run before the touch: an offloaded
-		// shard's primary is never touched, so the transaction stays
-		// standby-only there.
-		dnSet = s.c.applyStandbyReads(t, access, dnSet)
-		t.touchSet(dnSet)
-	}
+	t.touchSet(s.routeSelect(t, sel, access))
 	t.refreshGlobalSnapshot()
 	p, err := s.plannerWithAccess(access).PlanSelect(sel)
 	if err != nil {
@@ -317,30 +294,42 @@ func (s *Session) execSelect(t *txn, sel *sqlx.Select) (*Result, error) {
 	return &Result{Columns: p.OutputNames, Rows: rows, Plan: p, RowsShipped: access.rowsShipped.Load(), PlanTime: planTime}, nil
 }
 
-// htapProvider decides whether the statement is served by the columnar
-// analytical replicas: HTAP must be installed and enabled, the statement
-// must be a scatter read inside a transaction with no legs and no prior
-// DML (read-own-writes stays on the primary), its AST must classify as an
-// analytical shape, and the freshness gate must admit it — under a
-// blocking policy that last call is where a stale replica catches up.
-func (s *Session) htapProvider(t *txn, access *stmtAccess, sel *sqlx.Select, dnSet []int) AnalyticalProvider {
-	if s.c.DisableHTAPReads || !access.scatter {
-		return nil
+// admitReplicas is routing's last step: the once-per-statement checks that
+// say which replicas fragSource may read for the routed owners, and the
+// nodes the statement will therefore hold legs on. A scatter read of
+// analytical shape, in a transaction with no legs and no prior DML
+// (read-own-writes stays on the primary), goes through the HTAP freshness
+// gate — under a blocking policy that call is where a stale replica
+// catches up — and, admitted, takes no legs at all. Otherwise each owner
+// with a synced standby, and no leg of this transaction on it yet (its own
+// uncommitted writes are invisible on the standby), is served there: the
+// leg moves to the standby, so the transaction stays standby-only for that
+// shard and reads survive the primary going down before a failover.
+func (s *Session) admitReplicas(t *txn, a *stmtAccess, sel *sqlx.Select, owners []int) []int {
+	c := s.c
+	if prov := c.analyticalReads(); prov != nil && a.scatter && !t.dmlSeen() && !t.hasAnyLeg() {
+		if _, analytical := plan.AnalyticalShape(sel); analytical && prov.Gate(owners) {
+			a.htap = prov
+			return nil
+		}
 	}
-	prov := s.c.analyticalReads()
-	if prov == nil {
-		return nil
+	if c.standbyReadMode == StandbyReadOff || len(c.standbyOf) == 0 || c.standbyReadable == nil {
+		return owners
 	}
-	if t.dmlSeen() || t.hasAnyLeg() {
-		return nil
+	legs := append([]int(nil), owners...)
+	for i, p := range owners {
+		if len(c.standbyOf[p]) == 0 || t.hasLeg(p) {
+			continue
+		}
+		if sid, ok := c.standbyReadable(p); ok && !c.nodeDown(sid) {
+			if a.standbys == nil {
+				a.standbys = map[int]int{}
+			}
+			a.standbys[p] = sid
+			legs[i] = sid
+		}
 	}
-	if _, analytical := plan.AnalyticalShape(sel); !analytical {
-		return nil
-	}
-	if !prov.Gate(dnSet) {
-		return nil
-	}
-	return prov
+	return legs
 }
 
 // ---------------------------------------------------------------------------
@@ -352,7 +341,8 @@ func (s *Session) htapProvider(t *txn, access *stmtAccess, sel *sqlx.Select, dnS
 // block) carries an equality predicate on its distribution key and all
 // such predicates route to the same shard — the paper's "majority of
 // transactions are single-sharded" fast path. Otherwise all shards are
-// touched.
+// touched. The shards' owners then pass through admitReplicas, which may
+// move a leg to a synced standby or drop the legs altogether.
 func (s *Session) routeSelect(t *txn, sel *sqlx.Select, access *stmtAccess) []int {
 	shards := map[int]struct{}{}
 	sawDistributed := false
@@ -440,37 +430,31 @@ func (s *Session) routeSelect(t *txn, sel *sqlx.Select, access *stmtAccess) []in
 
 	walkSelect(sel, map[string]bool{})
 
+	var owners []int
 	switch {
 	case !sawDistributed:
-		// Replicated-only: stay on an already-touched live shard, else the
-		// first live one (a retired or down node must never take a new leg).
-		if ids := s.c.liveNodes(t.sortedDNs()); len(ids) > 0 {
-			return ids[:1]
-		}
-		if live := s.c.liveNodes(allDNs(s.c.DataNodeCount())); len(live) > 0 {
-			return live[:1]
-		}
-		return []int{0}
+		owners = s.c.replicaReadNode(t)
 	case unrouted || len(shards) == 0:
 		// Clear per-table routing: a scatter statement scans every primary.
 		access.routed = map[string][]int{}
 		access.scatter = true
-		return s.c.scanTargetsLocked()
+		owners = s.c.scanTargetsLocked()
 	default:
-		out := make([]int, 0, len(shards))
+		owners = make([]int, 0, len(shards))
 		for sh := range shards {
-			out = append(out, sh)
+			owners = append(owners, sh)
 		}
-		sort.Ints(out)
+		sort.Ints(owners)
 		// Deduplicate routed lists in every branch: a table referenced
 		// twice (self-join, repeated CTE use) must not be scanned twice.
-		// When len(out) > 1 the statement touches multiple shards but each
-		// table still scans only its own routed (deduplicated) shard set.
+		// When len(owners) > 1 the statement touches multiple shards but
+		// each table still scans only its own routed (deduplicated) shard
+		// set.
 		for name, list := range access.routed {
 			access.routed[name] = dedupInts(list)
 		}
-		return out
 	}
+	return s.admitReplicas(t, access, sel, owners)
 }
 
 func dedupInts(in []int) []int {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/storage"
 	"repro/internal/transport"
-	"repro/internal/txnkit"
 	"repro/internal/types"
 )
 
@@ -51,77 +50,20 @@ func (c *Cluster) AddDataNode() (int, error) {
 	// The write side of routeMu is a barrier: no statement is in flight
 	// while we hold it, and none can start until we release it. Commit and
 	// abort paths take no route lock, so in-flight transactions can still
-	// settle — which is exactly what the replicated-table drain below
-	// waits for.
+	// settle — which is exactly what enrolLocked's drain waits for.
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	old := c.nodes()
-	id := len(old)
-	dn := &DataNode{ID: id, Txm: txnkit.NewTxnManager()}
-
-	// Uncommitted replicated-table writes would be missed by the snapshot
-	// copy below and could never reach the new replica afterwards. Wait for
-	// them to settle before changing anything; on timeout the cluster is
-	// untouched and the caller can retry.
-	deadline := time.Now().Add(c.drainTimeout())
-	for _, ti := range c.tables {
-		if !ti.replicated {
-			continue
-		}
-		src := c.firstLiveLocked(len(old))
-		if src < 0 {
-			return 0, fmt.Errorf("cluster: no live node to copy replicated table %q from: %w", ti.Meta.Name, ErrRebalanceRetry)
-		}
-		if err := waitSettled(ti.parts.Load(), src, nil, deadline); err != nil {
-			return 0, fmt.Errorf("cluster: replicated table %q: %w", ti.Meta.Name, err)
-		}
-	}
-
-	// Grow every table's partition set first: a reader may only see the new
-	// node once its partitions exist (len(parts) >= len(dns) always).
-	type undo struct {
-		ti  *TableInfo
-		old *tableParts
-	}
-	var undos []undo
-	rollback := func() {
-		for _, u := range undos {
-			u.ti.parts.Store(u.old)
-		}
-	}
-	for _, ti := range c.tables {
-		p := ti.parts.Load()
-		undos = append(undos, undo{ti, p})
-		ti.parts.Store(appendPartition(ti, p, dn))
-	}
-
-	// Materialize replicated tables on the new node before publishing it.
-	for _, ti := range c.tables {
-		if !ti.replicated {
-			continue
-		}
-		src := c.firstLiveLocked(len(old))
-		if err := c.copyReplica(ti, src, id, dn); err != nil {
-			rollback()
-			return 0, fmt.Errorf("cluster: copying replicated table %q to dn%d: %w", ti.Meta.Name, id, err)
-		}
-	}
-
-	grown := make([]*DataNode, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = dn
-	c.dns.Store(&grown)
-	return id, nil
+	return c.enrolLocked(-1, -1, nil)
 }
 
-// firstLiveLocked returns the lowest live, non-retired node id < n, or -1.
-// Caller holds c.mu.
-func (c *Cluster) firstLiveLocked(n int) int {
+// firstLiveLocked returns the lowest live, non-retired node id < n other
+// than except (a node being wiped cannot seed itself), or -1. Caller holds
+// c.mu.
+func (c *Cluster) firstLiveLocked(n, except int) int {
 	for i := 0; i < n; i++ {
-		if !c.downNodes[i] && !c.retired[i] {
+		if i != except && !c.downNodes[i] && !c.retired[i] {
 			return i
 		}
 	}
@@ -577,6 +519,18 @@ type TableDigest struct {
 	Sum  uint64
 }
 
+// add folds rows into the digest — the one row-hash loop behind
+// TableChecksum, PartitionDigest and DigestRows.
+func (d *TableDigest) add(rows []types.Row) {
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Reset()
+		_, _ = h.Write([]byte(encodeRow(r)))
+		d.Sum += h.Sum64()
+		d.Rows++
+	}
+}
+
 // TableChecksum digests the cluster-wide visible contents of a table under
 // fresh local snapshots. Distributed tables sum their owned rows across all
 // shards; replicated tables digest one live replica.
@@ -599,12 +553,7 @@ func (c *Cluster) TableChecksum(name string) (TableDigest, error) {
 	}
 	var d TableDigest
 	for _, dnID := range ids {
-		for _, r := range c.partitionRows(ti, dnID, 0, nil) {
-			h := fnv.New64a()
-			_, _ = h.Write([]byte(encodeRow(r)))
-			d.Rows++
-			d.Sum += h.Sum64()
-		}
+		d.add(c.partitionRows(ti, dnID, 0, nil))
 	}
 	return d, nil
 }

@@ -180,18 +180,14 @@ func (t *txn) touchSet(dnIDs []int) {
 }
 
 // refreshGlobalSnapshot implements baseline mode's per-statement snapshot
-// round trips (the "many-round communication" the paper removes).
+// round trip (the "many-round communication" the paper removes): one extra
+// GTM snapshot request per statement.
 func (t *txn) refreshGlobalSnapshot() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.global {
-		return
-	}
-	if t.mode == ModeBaseline {
-		for i := 0; i < t.c.cfg.BaselineSnapshotsPerStatement; i++ {
-			t.c.sendGTM(transport.SnapshotReq)
-			t.gsnap = t.c.gtm.Snapshot()
-		}
+	if t.global && t.mode == ModeBaseline {
+		t.c.sendGTM(transport.SnapshotReq)
+		t.gsnap = t.c.gtm.Snapshot()
 	}
 }
 
@@ -610,7 +606,7 @@ func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
 			}
 			targets = []int{dnID}
 		}
-		if err := s.c.requireLive(targets); err != nil {
+		if err := s.c.requireLive(targets...); err != nil {
 			if ti.replicated {
 				return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
 			}
@@ -748,7 +744,7 @@ func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
 	}
 
 	targets := s.routeWrite(ti, up.Where)
-	if err := s.c.requireLive(targets); err != nil {
+	if err := s.c.requireLive(targets...); err != nil {
 		if ti.replicated {
 			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
 		}
@@ -845,7 +841,7 @@ func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
 		}
 	}
 	targets := s.routeWrite(ti, del.Where)
-	if err := s.c.requireLive(targets); err != nil {
+	if err := s.c.requireLive(targets...); err != nil {
 		if ti.replicated {
 			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
 		}

@@ -28,7 +28,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,75 +90,60 @@ type CommitTap interface {
 	Committed(dnID int, recs []WriteRec) (wait func())
 }
 
-// tapBox holds the installed taps so the hot path can load the whole fan-out
-// set with one atomic read. The box is rebuilt copy-on-write under tapMu.
-type tapBox struct{ taps []CommitTap }
-
-// tapEntry identifies one AddCommitTap subscription for detachment.
+// tapEntry is one AddCommitTap subscription; its address identifies the
+// subscription for detachment.
 type tapEntry struct{ t CommitTap }
 
-// SetCommitTap installs (or, with nil, removes) the replication commit tap.
-// This is a dedicated slot — repl.Manager.Close clearing it does not detach
-// subscribers added with AddCommitTap (the HTAP manager), and vice versa.
-func (c *Cluster) SetCommitTap(t CommitTap) {
-	c.tapMu.Lock()
-	defer c.tapMu.Unlock()
-	c.tapPrimary = t
-	c.storeTapsLocked()
-}
-
-// AddCommitTap subscribes an additional tap to the commit stream and
-// returns a function that detaches exactly that subscription. Every
-// installed tap sees every committed leg, in per-DN commit order.
+// AddCommitTap subscribes a tap to the commit stream and returns a
+// function that detaches exactly that subscription. Every installed tap
+// sees every committed leg, in per-DN commit order. The subscriber set is
+// copy-on-write under tapMu, so the commit path loads the whole fan-out
+// with one atomic read.
 func (c *Cluster) AddCommitTap(t CommitTap) (detach func()) {
+	e := &tapEntry{t: t}
 	c.tapMu.Lock()
 	defer c.tapMu.Unlock()
-	e := &tapEntry{t: t}
-	c.tapExtras = append(c.tapExtras, e)
-	c.storeTapsLocked()
+	var taps []*tapEntry
+	if old := c.taps.Load(); old != nil {
+		taps = append(taps, *old...)
+	}
+	taps = append(taps, e)
+	c.taps.Store(&taps)
 	return func() {
 		c.tapMu.Lock()
 		defer c.tapMu.Unlock()
-		for i, x := range c.tapExtras {
-			if x == e {
-				c.tapExtras = append(c.tapExtras[:i:i], c.tapExtras[i+1:]...)
-				break
+		old := c.taps.Load()
+		if old == nil {
+			return
+		}
+		var rest []*tapEntry
+		for _, x := range *old {
+			if x != e {
+				rest = append(rest, x)
 			}
 		}
-		c.storeTapsLocked()
+		if len(rest) == 0 {
+			c.taps.Store(nil) // back to no record capture at all
+			return
+		}
+		c.taps.Store(&rest)
 	}
-}
-
-// storeTapsLocked publishes the current tap set. Caller holds tapMu.
-func (c *Cluster) storeTapsLocked() {
-	taps := make([]CommitTap, 0, 1+len(c.tapExtras))
-	if c.tapPrimary != nil {
-		taps = append(taps, c.tapPrimary)
-	}
-	for _, e := range c.tapExtras {
-		taps = append(taps, e.t)
-	}
-	if len(taps) == 0 {
-		c.tap.Store(nil)
-		return
-	}
-	c.tap.Store(&tapBox{taps: taps})
 }
 
 // tapInstalled reports whether commits must capture write records.
-func (c *Cluster) tapInstalled() bool { return c.tap.Load() != nil }
+func (c *Cluster) tapInstalled() bool { return c.taps.Load() != nil }
 
 // tapCommitted fans one leg's records out to every installed tap. Caller
 // holds the data node's commit lock; the returned wait (if any) composes
 // the taps' waits and must run after unlocking.
 func (c *Cluster) tapCommitted(dnID int, recs []WriteRec) func() {
-	tb := c.tap.Load()
-	if tb == nil || len(recs) == 0 {
+	taps := c.taps.Load()
+	if taps == nil || len(recs) == 0 {
 		return nil
 	}
 	var waits []func()
-	for _, t := range tb.taps {
-		if w := t.Committed(dnID, recs); w != nil {
+	for _, e := range *taps {
+		if w := e.t.Committed(dnID, recs); w != nil {
 			waits = append(waits, w)
 		}
 	}
@@ -175,18 +160,23 @@ func (c *Cluster) tapCommitted(dnID int, recs []WriteRec) func() {
 	}
 }
 
-// commitLeg commits one transaction leg under the node's commit lock and
-// ships its records to the tap in commit order. Waits are collected, not
-// run: the caller runs them after releasing its commit slots.
-func (c *Cluster) commitLeg(dnID int, xid txnkit.XID, recs []WriteRec, waits *[]func()) error {
-	dn := c.node(dnID)
+// commitTapped commits xid on dn under the node's commit lock and hands
+// its records to the taps before unlocking, so every tap sees the node's
+// legs in commit order. The returned wait (if any) must run after the
+// caller has released whatever else it holds.
+func (c *Cluster) commitTapped(dn *DataNode, xid txnkit.XID, recs []WriteRec) (wait func(), err error) {
 	dn.commitMu.Lock()
-	err := dn.Txm.Commit(xid)
-	var wait func()
-	if err == nil {
-		wait = c.tapCommitted(dnID, recs)
+	defer dn.commitMu.Unlock()
+	if err = dn.Txm.Commit(xid); err == nil {
+		wait = c.tapCommitted(dn.ID, recs)
 	}
-	dn.commitMu.Unlock()
+	return wait, err
+}
+
+// commitLeg commits one transaction leg. Waits are collected, not run: the
+// caller runs them after releasing its commit slots.
+func (c *Cluster) commitLeg(dnID int, xid txnkit.XID, recs []WriteRec, waits *[]func()) error {
+	wait, err := c.commitTapped(c.node(dnID), xid, recs)
 	if wait != nil {
 		*waits = append(*waits, wait)
 	}
@@ -203,13 +193,7 @@ func (c *Cluster) commitLocal(dn *DataNode, xid txnkit.XID, recs []WriteRec) err
 		_ = dn.Txm.Abort(xid)
 		return fmt.Errorf("%w: dn%d", ErrNodeDown, dn.ID)
 	}
-	dn.commitMu.Lock()
-	err := dn.Txm.Commit(xid)
-	var wait func()
-	if err == nil {
-		wait = c.tapCommitted(dn.ID, recs)
-	}
-	dn.commitMu.Unlock()
+	wait, err := c.commitTapped(dn, xid, recs)
 	if wait != nil {
 		wait()
 	}
@@ -259,7 +243,7 @@ func (c *Cluster) takeStash(dnID int, xid txnkit.XID) []WriteRec {
 // standby with a full physical mirror of the upstream's partitions (and a
 // copy of every replicated table), and enables bucket-ownership filtering
 // so the mirror rows stay invisible. onReady, if non-nil, runs while the
-// barrier is still held — internal/repl registers its log there, so record
+// barrier is still held — internal/repl registers its feed there, so record
 // capture starts exactly at the seed snapshot with no gap and no overlap.
 //
 // An upstream may hold any number of standbys (a replica group), and may
@@ -275,159 +259,30 @@ func (c *Cluster) AddStandby(upstream int, onReady func(standbyID int)) (int, er
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	old := c.nodes()
-	if upstream < 0 || upstream >= len(old) {
+	if upstream < 0 {
 		return 0, fmt.Errorf("cluster: dn%d does not exist", upstream)
 	}
-	if c.retired[upstream] {
-		return 0, fmt.Errorf("cluster: dn%d is retired", upstream)
-	}
-	if c.downNodes[upstream] {
-		return 0, fmt.Errorf("cluster: cannot seed a standby from dn%d: %w", upstream, ErrNodeDown)
-	}
-
-	id := len(old)
-	dn := &DataNode{ID: id, Txm: txnkit.NewTxnManager()}
-
-	// Grow partition sets (copy-on-write, with rollback on failure).
-	type undo struct {
-		ti  *TableInfo
-		old *tableParts
-	}
-	var undos []undo
-	rollback := func() {
-		for _, u := range undos {
-			u.ti.parts.Store(u.old)
-		}
-	}
-	for _, ti := range c.tables {
-		undos = append(undos, undo{ti, ti.parts.Load()})
-		ti.parts.Store(grownParts(ti, dn))
-	}
-	if err := c.seedTablesLocked(upstream, id, len(old), dn); err != nil {
-		rollback()
-		return 0, err
-	}
-
-	// Mirror rows must never surface in scans: their buckets are owned by
-	// the primary, so the ownership filter hides them — from now on.
-	c.filterByBucket = true
-	c.standbys[id] = upstream
-	c.standbyOf[upstream] = append(c.standbyOf[upstream], id)
-
-	grown := make([]*DataNode, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = dn
-	c.dns.Store(&grown)
-
-	if onReady != nil {
-		onReady(id)
-	}
-	return id, nil
-}
-
-// seedTablesLocked drains in-flight writes on the seed sources and copies
-// every table onto node id, whose partitions must already exist and be
-// empty. Distributed tables copy from upstream (a physical mirror,
-// including rows an unfinished migration left behind — the reap will ship
-// through the tap); replicated tables copy from the first live replica
-// among the first n nodes. Caller holds routeMu and mu — the barrier
-// blocks new statements while in-flight transactions settle.
-func (c *Cluster) seedTablesLocked(upstream, id, n int, dn *DataNode) error {
-	deadline := time.Now().Add(c.drainTimeout())
-	for _, ti := range c.tables {
-		src := upstream
-		if ti.replicated {
-			if src = c.firstLiveLocked(n); src < 0 {
-				return fmt.Errorf("cluster: no live replica of %q to seed from: %w", ti.Meta.Name, ErrRebalanceRetry)
-			}
-		}
-		if err := waitSettled(ti.parts.Load(), src, nil, deadline); err != nil {
-			return fmt.Errorf("cluster: seeding standby of dn%d, table %q: %w", upstream, ti.Meta.Name, err)
-		}
-	}
-	for _, ti := range c.tables {
-		src := upstream
-		if ti.replicated {
-			src = c.firstLiveLocked(n)
-		}
-		if err := c.copyReplica(ti, src, id, dn); err != nil {
-			return fmt.Errorf("cluster: seeding standby of dn%d, table %q: %w", upstream, ti.Meta.Name, err)
-		}
-	}
-	return nil
+	return c.enrolLocked(-1, upstream, onReady)
 }
 
 // ReenrollStandby returns a retired node (a primary replaced by a promoted
-// standby) to service as a fresh standby of upstream: under the route
-// barrier its partitions are wiped and replaced by empty ones, re-seeded
-// from upstream exactly like AddStandby, and the node re-enters the
-// standby set — un-retired, serving replicated-table writes again and
-// mirroring upstream through the commit tap. onReady runs while the
-// barrier is held, so record capture resumes exactly at the seed snapshot.
+// standby) to service as a fresh standby of upstream: its partitions are
+// wiped and re-seeded exactly like AddStandby's, and the node re-enters
+// the standby set — un-retired, marked up, serving replicated-table writes
+// again and mirroring upstream through the commit tap.
 func (c *Cluster) ReenrollStandby(node, upstream int, onReady func(standbyID int)) error {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	n := len(c.nodes())
-	if node < 0 || node >= n {
-		return fmt.Errorf("cluster: dn%d does not exist", node)
-	}
-	if upstream < 0 || upstream >= n {
+	if upstream < 0 {
 		return fmt.Errorf("cluster: dn%d does not exist", upstream)
-	}
-	if node == upstream {
-		return fmt.Errorf("cluster: dn%d cannot be its own standby", node)
 	}
 	if !c.retired[node] {
 		return fmt.Errorf("cluster: dn%d is not retired; only a replaced primary can re-enroll", node)
 	}
-	if c.retired[upstream] {
-		return fmt.Errorf("cluster: dn%d is retired", upstream)
-	}
-	if c.downNodes[upstream] {
-		return fmt.Errorf("cluster: cannot seed a standby from dn%d: %w", upstream, ErrNodeDown)
-	}
-
-	dn := c.node(node)
-
-	// Wipe: swap fresh empty partitions in at the node's index (copy-on-
-	// write with rollback, mirroring AddStandby's grow). The node stays
-	// retired until seeding finishes, so no scan or replicated write can
-	// observe the half-built state.
-	type undo struct {
-		ti  *TableInfo
-		old *tableParts
-	}
-	var undos []undo
-	rollback := func() {
-		for _, u := range undos {
-			u.ti.parts.Store(u.old)
-		}
-	}
-	for _, ti := range c.tables {
-		p := ti.parts.Load()
-		undos = append(undos, undo{ti, p})
-		ti.parts.Store(replacePartition(ti, p, node, dn))
-	}
-	if err := c.seedTablesLocked(upstream, node, n, dn); err != nil {
-		rollback()
-		return err
-	}
-
-	c.filterByBucket = true
-	c.standbys[node] = upstream
-	c.standbyOf[upstream] = append(c.standbyOf[upstream], node)
-	delete(c.retired, node)
-	delete(c.downNodes, node)
-
-	if onReady != nil {
-		onReady(node)
-	}
-	return nil
+	_, err := c.enrolLocked(node, upstream, onReady)
+	return err
 }
 
 // ReseedStandby wipes an existing standby and re-seeds it as a fresh direct
@@ -435,82 +290,159 @@ func (c *Cluster) ReenrollStandby(node, upstream int, onReady func(standbyID int
 // self-healing paths: re-homing a chain-orphaned standby (its parent
 // standby broke or died) directly under the group's primary, and restoring
 // a poisoned mirror (apply divergence) from a clean snapshot. The caller
-// (internal/repl) must have quiesced the standby's apply pipeline first —
-// nothing may call ApplyStandbyRecs for the node concurrently. Like
-// ReenrollStandby the wipe + re-seed happens under the route barrier, and
-// onReady runs while the barrier is held, so record capture resumes exactly
-// at the seed snapshot.
+// (internal/repl) must have quiesced the standby's feed first — nothing may
+// call ApplyStandbyRecs for the node concurrently.
 func (c *Cluster) ReseedStandby(node, upstream int, onReady func(standbyID int)) error {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	n := len(c.nodes())
-	if node < 0 || node >= n {
-		return fmt.Errorf("cluster: dn%d does not exist", node)
-	}
-	if upstream < 0 || upstream >= n {
+	if upstream < 0 {
 		return fmt.Errorf("cluster: dn%d does not exist", upstream)
 	}
-	if node == upstream {
-		return fmt.Errorf("cluster: dn%d cannot be its own standby", node)
-	}
-	oldUp, isStandby := c.standbys[node]
-	if !isStandby {
+	if _, isStandby := c.standbys[node]; !isStandby {
 		return fmt.Errorf("cluster: dn%d is not a standby; only standbys can re-seed (see ReenrollStandby for retired primaries)", node)
 	}
-	if c.downNodes[node] || c.fab.Unreachable(transport.DN(node)) {
+	if c.downNodes[node] {
 		return fmt.Errorf("cluster: cannot re-seed dn%d: %w", node, ErrNodeDown)
 	}
-	if c.retired[upstream] {
-		return fmt.Errorf("cluster: dn%d is retired", upstream)
-	}
-	if c.downNodes[upstream] || c.fab.Unreachable(transport.DN(upstream)) {
-		return fmt.Errorf("cluster: cannot seed a standby from dn%d: %w", upstream, ErrNodeDown)
-	}
+	_, err := c.enrolLocked(node, upstream, onReady)
+	return err
+}
 
-	dn := c.node(node)
-
-	// Wipe: swap fresh empty partitions in at the node's index (copy-on-
-	// write with rollback, mirroring ReenrollStandby). The route barrier
-	// blocks all statements for the duration, so no scan or replicated
-	// write can observe the half-built state.
-	type undo struct {
-		ti  *TableInfo
-		old *tableParts
+// enrolLocked is the one body behind AddDataNode, AddStandby,
+// ReenrollStandby and ReseedStandby: it brings a node into service with
+// freshly seeded partitions, all under the route barrier, so no statement
+// can observe a half-built state and the barrier's drain makes the seed a
+// definite prefix of the commit stream.
+//
+// node < 0 appends a new data node; otherwise node's partitions are wiped
+// (replaced by empty ones). upstream < 0 enrols a primary — it owns no
+// buckets yet, so only replicated tables are copied; otherwise the node
+// becomes a standby of upstream and also mirrors upstream's distributed
+// partitions (rows an unfinished migration left behind included — the reap
+// will ship through the tap). Replicated tables copy from the first live
+// node. A failed drain or copy restores every partition set and changes
+// nothing else. On success the topology is published — the node leaves its
+// previous standby list and the retired / down sets and is spliced out of
+// the successor chains, since it is back in service — and onReady runs
+// while the barrier is still held.
+// Caller holds routeMu and mu.
+func (c *Cluster) enrolLocked(node, upstream int, onReady func(id int)) (int, error) {
+	old := c.nodes()
+	if node >= len(old) || upstream >= len(old) {
+		return 0, fmt.Errorf("cluster: dn%d does not exist", max(node, upstream))
 	}
-	var undos []undo
-	rollback := func() {
-		for _, u := range undos {
-			u.ti.parts.Store(u.old)
+	if node >= 0 && node == upstream {
+		return 0, fmt.Errorf("cluster: dn%d cannot be its own standby", node)
+	}
+	if node >= 0 && c.fab.Unreachable(transport.DN(node)) {
+		return 0, fmt.Errorf("cluster: cannot seed dn%d: %w", node, ErrNodeDown)
+	}
+	if upstream >= 0 {
+		if c.retired[upstream] {
+			return 0, fmt.Errorf("cluster: dn%d is retired", upstream)
 		}
+		if c.downNodes[upstream] || c.fab.Unreachable(transport.DN(upstream)) {
+			return 0, fmt.Errorf("cluster: cannot seed a standby from dn%d: %w", upstream, ErrNodeDown)
+		}
+	}
+
+	id := node
+	var dn *DataNode
+	if node < 0 {
+		id, dn = len(old), &DataNode{ID: len(old), Txm: txnkit.NewTxnManager()}
+	} else {
+		dn = old[node]
+	}
+
+	// Install fresh partitions first (copy-on-write): a reader may only see
+	// a new node once its partitions exist (len(parts) >= len(dns) always).
+	type seeded struct {
+		ti   *TableInfo
+		prev *tableParts
+		src  int // node the table is copied from; -1: starts empty
+	}
+	var tables []seeded
+	rollback := func(err error) (int, error) {
+		for _, t := range tables {
+			t.ti.parts.Store(t.prev)
+		}
+		return 0, err
 	}
 	for _, ti := range c.tables {
-		p := ti.parts.Load()
-		undos = append(undos, undo{ti, p})
-		ti.parts.Store(replacePartition(ti, p, node, dn))
-	}
-	if err := c.seedTablesLocked(upstream, node, n, dn); err != nil {
-		rollback()
-		return err
-	}
-
-	// Re-home: leave the old upstream's standby list, join the new one.
-	c.standbys[node] = upstream
-	sibs := c.standbyOf[oldUp]
-	for i, sib := range sibs {
-		if sib == node {
-			c.standbyOf[oldUp] = append(sibs[:i:i], sibs[i+1:]...)
-			break
+		src := upstream
+		if ti.replicated {
+			if src = c.firstLiveLocked(len(old), id); src < 0 {
+				return rollback(fmt.Errorf("cluster: no live replica of %q to seed dn%d from: %w", ti.Meta.Name, id, ErrRebalanceRetry))
+			}
+		}
+		prev := ti.parts.Load()
+		tables = append(tables, seeded{ti, prev, src})
+		if node < 0 {
+			ti.parts.Store(appendPartition(ti, prev, dn))
+		} else {
+			ti.parts.Store(replacePartition(ti, prev, node, dn))
 		}
 	}
-	c.standbyOf[upstream] = append(c.standbyOf[upstream], node)
+
+	// Uncommitted writes would be missed by the snapshot copy and could
+	// never reach the node afterwards: drain every source before copying
+	// anything. The barrier blocks new statements while in-flight
+	// transactions settle (commit paths take no route lock).
+	deadline := time.Now().Add(c.drainTimeout())
+	for _, t := range tables {
+		if t.src < 0 {
+			continue
+		}
+		if err := waitSettled(t.prev, t.src, nil, deadline); err != nil {
+			return rollback(fmt.Errorf("cluster: seeding dn%d, table %q: %w", id, t.ti.Meta.Name, err))
+		}
+	}
+	for _, t := range tables {
+		if t.src < 0 {
+			continue
+		}
+		if err := c.copyReplica(t.ti, t.src, id, dn); err != nil {
+			return rollback(fmt.Errorf("cluster: seeding dn%d, table %q: %w", id, t.ti.Meta.Name, err))
+		}
+	}
+
+	if node < 0 {
+		grown := make([]*DataNode, len(old)+1)
+		copy(grown, old)
+		grown[len(old)] = dn
+		c.dns.Store(&grown)
+	}
+	if prev, was := c.standbys[id]; was {
+		c.standbyOf[prev] = slices.DeleteFunc(slices.Clone(c.standbyOf[prev]), func(sib int) bool { return sib == id })
+	}
+	if upstream >= 0 {
+		// Mirror rows must never surface in scans: their buckets are owned
+		// by the primary, so the ownership filter hides them — from now on.
+		c.filterByBucket = true
+		c.standbys[id] = upstream
+		c.standbyOf[upstream] = append(c.standbyOf[upstream], id)
+	}
+	delete(c.retired, id)
+	delete(c.downNodes, id)
+	// Splice id out of the promotion chains rather than cutting them at it:
+	// whoever id replaced is now succeeded by id's own successor. Only a
+	// retired node can have predecessors — a standby's were spliced away
+	// when it last enrolled, and it has not been promoted since.
+	if next, wasRetired := c.successor[id]; wasRetired {
+		for k, s := range c.successor {
+			if s == id {
+				c.successor[k] = next
+			}
+		}
+		delete(c.successor, id)
+	}
 
 	if onReady != nil {
-		onReady(node)
+		onReady(id)
 	}
-	return nil
+	return id, nil
 }
 
 // ReturnedPrimaries lists retired ex-primaries that are back online —
@@ -569,17 +501,6 @@ func (c *Cluster) PromoteStandby(primary, standby int) (int, error) {
 	return flipped, nil
 }
 
-// StandbyOf returns the first standby attached to primary, if any
-// (single-standby compatibility accessor; see Standbys for the group).
-func (c *Cluster) StandbyOf(primary int) (int, bool) {
-	c.routeMu.RLock()
-	defer c.routeMu.RUnlock()
-	if sids := c.standbyOf[primary]; len(sids) > 0 {
-		return sids[0], true
-	}
-	return 0, false
-}
-
 // Standbys returns the standbys attached directly to upstream, in attach
 // order (chained standbys appear under their own upstream, not here).
 func (c *Cluster) Standbys(upstream int) []int {
@@ -590,7 +511,8 @@ func (c *Cluster) Standbys(upstream int) []int {
 
 // Successor follows the promotion chain from a retired primary to the node
 // currently serving its buckets — the standby promoted in its place,
-// transitively across repeated failovers. Rebalances whose target died
+// transitively across repeated failovers; ok is false for a node that was
+// never retired or has re-entered service. Rebalances whose target died
 // mid-plan re-target through this.
 func (c *Cluster) Successor(id int) (int, bool) {
 	c.routeMu.RLock()
@@ -599,13 +521,17 @@ func (c *Cluster) Successor(id int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	for {
+	// A node that re-enters service is spliced out of the map (enrolLocked),
+	// so the chain is acyclic and ends at a primary; the hop bound keeps a
+	// broken invariant from spinning under the route lock.
+	for hops := 0; hops < len(c.successor); hops++ {
 		next, ok := c.successor[s]
 		if !ok {
 			return s, true
 		}
 		s = next
 	}
+	return 0, false
 }
 
 // ShardFenced reports whether id is a primary that is down but has
@@ -814,14 +740,7 @@ func (c *Cluster) PartitionDigest(name string, dnID, owner int) (TableDigest, er
 		dk := ti.Meta.DistKey
 		pred = func(r types.Row) bool { return c.bmap.dn[BucketOf(r[dk])] == owner }
 	}
-	var d TableDigest
-	for _, r := range c.rawVisibleRows(ti, dnID, c.node(dnID), pred) {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(encodeRow(r)))
-		d.Rows++
-		d.Sum += h.Sum64()
-	}
-	return d, nil
+	return DigestRows(c.rawVisibleRows(ti, dnID, c.node(dnID), pred)), nil
 }
 
 // DistributedTableNames lists the hash-distributed stored tables (the set
@@ -839,8 +758,7 @@ func (c *Cluster) DistributedTableNames() []string {
 // Read-replica routing
 // ---------------------------------------------------------------------------
 
-// StandbyReadMode selects whether (and how) reads may be served by synced
-// standbys.
+// StandbyReadMode selects whether reads may be served by synced standbys.
 type StandbyReadMode uint8
 
 // Standby read modes.
@@ -851,11 +769,6 @@ const (
 	// standby when the standby is synced (lag zero) and the transaction
 	// has no leg on the primary yet.
 	StandbyReadOffload
-	// StandbyReadSplit scans even buckets on the primary and odd buckets
-	// on the synced standby — two Exchange fragments per shard, extra scan
-	// parallelism at the cost of escalating the statement to a global
-	// transaction.
-	StandbyReadSplit
 )
 
 // SetStandbyReads configures read-replica routing: mode picks the policy
@@ -870,49 +783,8 @@ func (c *Cluster) SetStandbyReads(mode StandbyReadMode, readable func(primary in
 	c.standbyReadable = readable
 }
 
-// applyStandbyReads rewrites a SELECT's routed shard set for read-replica
-// service: offloaded shards read a replica instead, split shards read
-// both halves. It fills the statement's readMap/splitSet and returns the
-// set of nodes to touch. Caller holds routeMu.
-func (c *Cluster) applyStandbyReads(t *txn, a *stmtAccess, dnSet []int) []int {
-	mode := c.standbyReadMode
-	if mode == StandbyReadOff || len(c.standbyOf) == 0 || c.standbyReadable == nil {
-		return dnSet
-	}
-	out := make([]int, 0, len(dnSet)+1)
-	for _, p := range dnSet {
-		// A transaction that already holds a leg on the primary (it wrote
-		// there, or read it in an earlier statement) keeps reading the
-		// primary: its own uncommitted writes are invisible on the standby.
-		if len(c.standbyOf[p]) == 0 || t.hasLeg(p) {
-			out = append(out, p)
-			continue
-		}
-		sid, ok := c.standbyReadable(p)
-		if !ok || c.nodeDown(sid) {
-			out = append(out, p)
-			continue
-		}
-		// Split needs both halves live; with the primary down it degrades
-		// to a full offload, keeping reads available pre-failover.
-		if mode == StandbyReadSplit && !c.nodeDown(p) {
-			a.splitSet[p] = sid
-			out = append(out, p, sid)
-		} else {
-			a.readMap[p] = sid
-			out = append(out, sid)
-		}
-	}
-	return out
-}
-
 // ErrReplicatedWriteDown wraps ErrNodeDown for writes to replicated tables
 // while a replica is offline: every copy must apply the write, so the
 // statement fails (errors.Is-able against both sentinels) until the node
 // returns or a failover retires it.
 var ErrReplicatedWriteDown = errors.New("cluster: replicated-table write requires every replica online")
-
-// grownParts returns ti's partition set grown by one partition on dn.
-func grownParts(ti *TableInfo, dn *DataNode) *tableParts {
-	return appendPartition(ti, ti.parts.Load(), dn)
-}

@@ -130,8 +130,8 @@ func TestAddStandbyMirrorsAndHides(t *testing.T) {
 	if ready != sid {
 		t.Fatalf("onReady got %d, want %d", ready, sid)
 	}
-	if got, ok := c.StandbyOf(0); !ok || got != sid {
-		t.Fatalf("StandbyOf(0) = %d,%v", got, ok)
+	if got := c.Standbys(0); len(got) != 1 || got[0] != sid {
+		t.Fatalf("Standbys(0) = %v, want [%d]", got, sid)
 	}
 
 	// The mirror is physically complete...

@@ -37,11 +37,12 @@ func (rt *recordingTap) stream(dn int) []WriteRec {
 	return append([]WriteRec(nil), rt.byDN[dn]...)
 }
 
-// TestCommitTapFanOut drives writes with the dedicated (SetCommitTap) slot
-// and two extra (AddCommitTap) subscribers installed at once, all
-// returning wait funcs — every commit must drain without deadlock, every
-// subscriber must see the identical stream in per-DN commit order, and all
-// the composed waits must run.
+// TestCommitTapFanOut drives writes with three AddCommitTap subscribers
+// installed at once (the replication manager, the HTAP manager and one
+// more), two of them returning wait funcs — every commit must drain
+// without deadlock, every subscriber must see the identical stream in
+// per-DN commit order, all the composed waits must run, and each detach
+// func must remove exactly its own subscription.
 func TestCommitTapFanOut(t *testing.T) {
 	c := newCluster(t, 3, ModeGTMLite)
 	s := setupAccounts(t, c, 10)
@@ -49,7 +50,7 @@ func TestCommitTapFanOut(t *testing.T) {
 	primary := newRecordingTap(true)
 	extraA := newRecordingTap(true)
 	extraB := newRecordingTap(false)
-	c.SetCommitTap(primary)
+	detachPrimary := c.AddCommitTap(primary)
 	detachA := c.AddCommitTap(extraA)
 	defer c.AddCommitTap(extraB)()
 
@@ -110,17 +111,19 @@ func TestCommitTapFanOut(t *testing.T) {
 		t.Fatal("detached tap still receiving records")
 	}
 
-	// The dedicated slot clearing (repl teardown) must not detach extras.
-	c.SetCommitTap(nil)
+	// Nor may detaching the first subscriber (repl teardown while HTAP stays
+	// up), and a second call of the same detach func is a no-op.
+	detachPrimary()
+	detachPrimary()
 	bBefore := len(extraB.stream(0)) + len(extraB.stream(1)) + len(extraB.stream(2))
 	mustExec(t, s, "INSERT INTO accounts VALUES (9002, 2, 5)")
 	bAfter := len(extraB.stream(0)) + len(extraB.stream(1)) + len(extraB.stream(2))
 	if bAfter != bBefore+1 {
-		t.Fatalf("extra tap missed a record after SetCommitTap(nil): %d -> %d", bBefore, bAfter)
+		t.Fatalf("remaining tap missed a record after the first one detached: %d -> %d", bBefore, bAfter)
 	}
 	pTotal := len(primary.stream(0)) + len(primary.stream(1)) + len(primary.stream(2))
 	if pTotal != total+1 { // saw 9001 but not 9002
-		t.Fatalf("dedicated tap saw %d records after clearing, want %d", pTotal, total+1)
+		t.Fatalf("detached tap saw %d records, want %d", pTotal, total+1)
 	}
 }
 

@@ -181,3 +181,72 @@ func TestEnableHAAndTickFailover(t *testing.T) {
 		t.Fatalf("Failovers() = %d", ha.Failovers())
 	}
 }
+
+// TestAutopilotTickAfterSecondFailover drives the loop through failover →
+// automatic re-enrolment of the returned primary → failover back onto it →
+// the second victim's return. The last Tick asks for the successor of a
+// node whose own successor has since re-entered service; that walk used to
+// cycle forever under the route lock.
+func TestAutopilotTickAfterSecondFailover(t *testing.T) {
+	// Close is registered only after the watchdog check: it needs the route
+	// lock a stuck Tick would hold.
+	db, err := Open(Options{DataNodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := db.NewAutopilot(autonomous.SLA{TargetP95: 200 * time.Millisecond})
+	ap.Actions.SetCooldown("reenroll-standby", 0)
+	db.MustExec("CREATE TABLE t (a BIGINT, b BIGINT) DISTRIBUTE BY HASH(a)")
+	for i := 0; i < 20; i++ {
+		db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, i))
+	}
+	ha, err := db.EnableHA(repl.Config{Mode: repl.ModeSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := db.Cluster()
+
+	tick := func(what string) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			ap.Tick()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Tick did not return within 2s (%s)", what)
+		}
+	}
+	// fail kills node, lets the loop promote its standby, then revives it so
+	// the loop re-enrols it under the successor.
+	fail := func(node int) int {
+		t.Helper()
+		before, succ := ha.Failovers(), ha.Replicas(node)[0]
+		c.SetDataNodeDown(node, true)
+		tick(fmt.Sprintf("promote dn%d in place of dn%d", succ, node))
+		if ha.Failovers() != before+1 {
+			t.Fatalf("dn%d was not failed over: failovers %d -> %d", node, before, ha.Failovers())
+		}
+		c.SetDataNodeDown(node, false)
+		tick(fmt.Sprintf("re-enrol returned dn%d", node))
+		return succ
+	}
+	succ := fail(0)
+	if got := ha.Replicas(succ); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("dn0 was not re-enrolled under dn%d: replicas %v", succ, got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !ha.Synced(succ); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("re-enrolled dn0 never synced (lag %d)", ha.Lag(succ))
+		}
+	}
+	if back := fail(succ); back != 0 {
+		t.Fatalf("second failover promoted dn%d, want dn0 back", back)
+	}
+	t.Cleanup(db.Close)
+	if res := db.MustExec("SELECT count(*) FROM t"); res.Rows[0][0].Int() != 20 {
+		t.Fatalf("rows after two failovers: %v", res.Rows)
+	}
+}

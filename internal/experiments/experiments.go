@@ -1502,13 +1502,16 @@ func HTAP(w io.Writer, txns int) error {
 		m.SetFreshnessBound(set.bound)
 		m.SetPolicy(set.policy)
 		for _, q := range analyticalQs {
-			c.DisableHTAPReads = true
+			// The primary's answer: read routing detached for one statement
+			// (the tap is a separate subscription, so the replicas keep
+			// applying).
+			c.SetAnalyticalReads(nil)
 			want, err := s.Exec(q)
+			c.SetAnalyticalReads(m)
 			if err != nil {
 				m.Close()
 				return err
 			}
-			c.DisableHTAPReads = false
 			got, err := s.Exec(q)
 			if err != nil {
 				m.Close()

@@ -12,6 +12,10 @@
 // until they catch up (PolicyBlock) or degrades to the primary row path
 // (PolicyDegrade). Consistency is enforced by that bound, not by shared
 // locks — analytical scans never contend with OLTP commits.
+//
+// The commit stream itself — ordered queue, batch consumer, quiesce gate,
+// watermarks, poison latch — is the same repl.Feed a row standby runs on;
+// this package only adds the columnar sink behind it.
 package htap
 
 import (
@@ -23,6 +27,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/colstore"
 	"repro/internal/plan"
+	"repro/internal/repl"
 	"repro/internal/txnkit"
 	"repro/internal/types"
 )
@@ -60,21 +65,18 @@ type Config struct {
 	// BlockTimeout caps how long PolicyBlock waits before degrading
 	// (default 2s).
 	BlockTimeout time.Duration
-	// MergeBatch is the maximum number of commit legs merged per apply
-	// round (default 32).
-	MergeBatch int
 	// SealRows seals a replica table's delta buffer into a compressed
 	// segment once it holds at least this many rows (default 512; the
 	// colstore also self-seals at colstore.SegmentRows regardless).
 	SealRows int
 }
 
+// mergeBatch is the maximum number of commit legs merged per apply round.
+const mergeBatch = 32
+
 func (c Config) withDefaults() Config {
 	if c.BlockTimeout <= 0 {
 		c.BlockTimeout = 2 * time.Second
-	}
-	if c.MergeBatch <= 0 {
-		c.MergeBatch = 32
 	}
 	if c.SealRows <= 0 {
 		c.SealRows = 512
@@ -88,11 +90,6 @@ type replTable struct {
 	meta *plan.TableMeta
 }
 
-// leg is one committed transaction leg's records, queued for apply.
-type leg struct {
-	recs []cluster.WriteRec
-}
-
 // replica is the columnar mirror of one primary data node.
 type replica struct {
 	dn int
@@ -103,20 +100,15 @@ type replica struct {
 	tmu    sync.RWMutex
 	tables map[string]*replTable
 
-	qmu   sync.Mutex
-	queue []leg
-	wake  chan struct{}
-
-	// Watermarks, all monotonic: enq* advance under the primary's commit
-	// lock, app* advance as the apply loop commits replica transactions.
-	enqLegs atomic.Int64
-	enqRecs atomic.Int64
-	appLegs atomic.Int64
-	appRecs atomic.Int64
+	// feed queues the primary's committed legs for this replica; its
+	// watermarks (both monotonic: enqueued advances under the primary's
+	// commit lock, applied as the sink commits replica transactions) are
+	// what the freshness bound is measured on.
+	feed *repl.Feed
 }
 
 // lag returns the replica's current apply lag in records.
-func (r *replica) lag() int64 { return r.enqRecs.Load() - r.appRecs.Load() }
+func (r *replica) lag() int64 { return r.feed.Enqueued() - r.feed.Applied() }
 
 func (r *replica) table(name string) *replTable {
 	r.tmu.RLock()
@@ -125,7 +117,7 @@ func (r *replica) table(name string) *replTable {
 }
 
 // Manager owns the analytical replicas: it subscribes to the cluster
-// commit tap, runs one apply goroutine per replica, and implements
+// commit tap, runs one feed per replica, and implements
 // cluster.AnalyticalProvider for statement routing.
 type Manager struct {
 	c        *cluster.Cluster
@@ -134,21 +126,17 @@ type Manager struct {
 
 	// Runtime-adjustable freshness knobs (E19 sweeps them on a live
 	// manager).
-	maxLag       atomic.Int64
-	policy       atomic.Int32
-	blockTimeout atomic.Int64 // nanoseconds
+	maxLag atomic.Int64
+	policy atomic.Int32
 
 	detach func() // commit-tap unsubscribe
-	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	// paused freezes the apply loops mid-stream (freshness-bound tests).
-	paused atomic.Bool
-
-	// failure poisons the manager: apply hit a divergence it cannot
-	// repair, so the gate refuses every statement from then on.
-	failure atomic.Pointer[applyFailure]
+	// resume holds the feeds' quiesce releases while SetApplyPaused(true)
+	// is in effect (nil otherwise).
+	pauseMu sync.Mutex
+	resume  []func()
 
 	// Routing counters.
 	offloaded    atomic.Int64
@@ -156,8 +144,6 @@ type Manager struct {
 	gateBlocks   atomic.Int64
 	gateTimeouts atomic.Int64
 }
-
-type applyFailure struct{ err error }
 
 // Enable builds columnar replicas of every distributed table under a
 // cluster-wide barrier, subscribes to the commit tap before the barrier
@@ -168,11 +154,9 @@ func Enable(c *cluster.Cluster, cfg Config) (*Manager, error) {
 		c:        c,
 		cfg:      cfg.withDefaults(),
 		replicas: make(map[int]*replica),
-		stop:     make(chan struct{}),
 	}
 	m.maxLag.Store(m.cfg.MaxLagRecords)
 	m.policy.Store(int32(m.cfg.Policy))
-	m.blockTimeout.Store(int64(m.cfg.BlockTimeout))
 
 	err := c.SeedAnalyticalReplicas(func(primaries []int, seeds []cluster.AnalyticalSeed) error {
 		for _, dn := range primaries {
@@ -180,7 +164,7 @@ func Enable(c *cluster.Cluster, cfg Config) (*Manager, error) {
 				dn:     dn,
 				txm:    txnkit.NewTxnManager(),
 				tables: make(map[string]*replTable),
-				wake:   make(chan struct{}, 1),
+				feed:   repl.NewFeed(),
 			}
 		}
 		for _, seed := range seeds {
@@ -201,7 +185,7 @@ func Enable(c *cluster.Cluster, cfg Config) (*Manager, error) {
 			}
 		}
 		// Subscribe while the barrier is still held: every commit after
-		// this point reaches the queues, and none before it can.
+		// this point reaches the feeds, and none before it can.
 		m.detach = c.AddCommitTap(m)
 		return nil
 	})
@@ -213,24 +197,27 @@ func Enable(c *cluster.Cluster, cfg Config) (*Manager, error) {
 	}
 	for _, r := range m.replicas {
 		m.wg.Add(1)
-		go m.applyReplica(r)
+		go func() {
+			defer m.wg.Done()
+			r.feed.Run(mergeBatch, func(batch []repl.Leg, done func()) error { return m.apply(r, batch, done) })
+		}()
 	}
 	c.SetAnalyticalReads(m)
 	return m, nil
 }
 
-// Close detaches routing and the commit tap, then stops the apply loops.
-// Queued-but-unapplied records are dropped — the replicas are disposable
-// derived state.
+// Close detaches routing and the commit tap, then closes the feeds and
+// waits for their consumers to drain what was queued.
 func (m *Manager) Close() {
 	if m.closed.Swap(true) {
 		return
 	}
 	m.c.SetAnalyticalReads(nil)
-	if m.detach != nil {
-		m.detach()
+	m.detach()
+	m.SetApplyPaused(false)
+	for _, r := range m.replicas {
+		r.feed.Close()
 	}
-	close(m.stop)
 	m.wg.Wait()
 }
 
@@ -250,83 +237,36 @@ func (r *replica) createTable(meta *plan.TableMeta) *replTable {
 // ---------------------------------------------------------------------------
 
 // Committed implements cluster.CommitTap. It runs under the data node's
-// commit lock, so it only enqueues: the records land in the replica's
-// queue in commit order and the watermarks advance. Legs from nodes
-// without a replica (standbys, post-enable primaries) are ignored — their
-// fragments read the primary.
+// commit lock, so it only enqueues: the records land on the replica's feed
+// in commit order. Legs from nodes without a replica (standbys,
+// post-enable primaries) are ignored — their fragments read the primary.
 func (m *Manager) Committed(dnID int, recs []cluster.WriteRec) func() {
-	r := m.replicas[dnID]
-	if r == nil {
-		return nil
-	}
-	r.qmu.Lock()
-	r.queue = append(r.queue, leg{recs: recs})
-	r.qmu.Unlock()
-	r.enqLegs.Add(1)
-	r.enqRecs.Add(int64(len(recs)))
-	select {
-	case r.wake <- struct{}{}:
-	default:
+	if r := m.replicas[dnID]; r != nil {
+		r.feed.Append(recs)
 	}
 	return nil
 }
 
-// take dequeues up to max legs.
-func (r *replica) take(max int) []leg {
-	r.qmu.Lock()
-	defer r.qmu.Unlock()
-	n := len(r.queue)
-	if n == 0 {
-		return nil
-	}
-	if n > max {
-		n = max
-	}
-	out := append([]leg(nil), r.queue[:n]...)
-	rest := r.queue[n:]
-	if len(rest) == 0 {
-		r.queue = nil // release the backing array
-	} else {
-		r.queue = append(r.queue[:0], rest...)
-	}
-	return out
-}
-
-// applyReplica is one replica's apply loop: drain queued legs in batches,
-// replay each leg as one replica-local transaction, seal delta buffers on
-// batch boundaries.
-func (m *Manager) applyReplica(r *replica) {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-r.wake:
+// apply is the columnar sink of one replica's feed: replay each leg of the
+// batch as one replica-local transaction, then seal the delta buffers that
+// crossed the merge threshold so scans run on compressed, zone-mapped
+// segments. An error poisons the feed — the replica diverged beyond repair
+// — and the gate refuses every statement from then on.
+func (m *Manager) apply(r *replica, batch []repl.Leg, done func()) error {
+	for _, l := range batch {
+		if err := m.applyLeg(r, l.Recs); err != nil {
+			return err
 		}
-		for !m.paused.Load() {
-			legs := r.take(m.cfg.MergeBatch)
-			if len(legs) == 0 {
-				break
-			}
-			for _, l := range legs {
-				if err := m.applyLeg(r, l.recs); err != nil {
-					m.failure.Store(&applyFailure{err: err})
-					return
-				}
-				r.appLegs.Add(1)
-				r.appRecs.Add(int64(len(l.recs)))
-			}
-			// Batch boundary: seal delta buffers that crossed the merge
-			// threshold so scans run on compressed, zone-mapped segments.
-			r.tmu.RLock()
-			for _, rt := range r.tables {
-				if rt.tbl.DeltaLen() >= m.cfg.SealRows {
-					rt.tbl.Flush()
-				}
-			}
-			r.tmu.RUnlock()
+		done()
+	}
+	r.tmu.RLock()
+	defer r.tmu.RUnlock()
+	for _, rt := range r.tables {
+		if rt.tbl.DeltaLen() >= m.cfg.SealRows {
+			rt.tbl.Flush()
 		}
 	}
+	return nil
 }
 
 // applyLeg replays one committed leg as a single replica transaction, so
@@ -383,10 +323,10 @@ func (m *Manager) applyLeg(r *replica, recs []cluster.WriteRec) error {
 // statement with the primaries it would scan; true admits the statement to
 // the replicas. Under PolicyBlock a stale replica is waited on — the
 // target watermark is captured at gate time, so the wait terminates as
-// long as the apply loop is running (and times out into degradation when
-// it is paused or wedged).
+// long as the feed's consumer is running (and times out into degradation
+// when it is paused or wedged).
 func (m *Manager) Gate(dnIDs []int) bool {
-	if m.failure.Load() != nil || m.closed.Load() {
+	if m.Err() != nil || m.closed.Load() {
 		m.degraded.Add(1)
 		return false
 	}
@@ -398,7 +338,7 @@ func (m *Manager) Gate(dnIDs []int) bool {
 		if r == nil {
 			continue // no replica: that fragment reads the primary anyway
 		}
-		if enq := r.enqRecs.Load(); enq-r.appRecs.Load() > maxLag {
+		if enq := r.feed.Enqueued(); enq-r.feed.Applied() > maxLag {
 			stale = append(stale, r)
 			targets = append(targets, enq-maxLag)
 		}
@@ -412,15 +352,12 @@ func (m *Manager) Gate(dnIDs []int) bool {
 		return false
 	}
 	m.gateBlocks.Add(1)
-	deadline := time.Now().Add(time.Duration(m.blockTimeout.Load()))
+	deadline := time.Now().Add(m.cfg.BlockTimeout)
 	for i, r := range stale {
-		for r.appRecs.Load() < targets[i] {
-			if time.Now().After(deadline) {
-				m.gateTimeouts.Add(1)
-				m.degraded.Add(1)
-				return false
-			}
-			time.Sleep(20 * time.Microsecond)
+		if !r.feed.WaitApplied(targets[i], deadline) {
+			m.gateTimeouts.Add(1)
+			m.degraded.Add(1)
+			return false
 		}
 	}
 	m.offloaded.Add(1)
@@ -450,28 +387,32 @@ func (m *Manager) SetFreshnessBound(records int64) { m.maxLag.Store(records) }
 // SetPolicy adjusts the staleness policy at runtime.
 func (m *Manager) SetPolicy(p Policy) { m.policy.Store(int32(p)) }
 
-// SetBlockTimeout adjusts how long PolicyBlock waits before degrading.
-func (m *Manager) SetBlockTimeout(d time.Duration) { m.blockTimeout.Store(int64(d)) }
-
-// SetApplyPaused freezes (true) or resumes (false) every apply loop —
-// enqueued records accumulate as lag while paused. Test hook for the
-// freshness bound.
+// SetApplyPaused freezes (true) or resumes (false) every replica's feed
+// between batches — enqueued records accumulate as lag while paused. Test
+// hook for the freshness bound.
 func (m *Manager) SetApplyPaused(paused bool) {
-	m.paused.Store(paused)
-	if !paused {
+	m.pauseMu.Lock()
+	defer m.pauseMu.Unlock()
+	if paused == (m.resume != nil) {
+		return
+	}
+	for _, release := range m.resume {
+		release()
+	}
+	m.resume = nil
+	if paused {
 		for _, r := range m.replicas {
-			select {
-			case r.wake <- struct{}{}:
-			default:
-			}
+			m.resume = append(m.resume, r.feed.Quiesce())
 		}
 	}
 }
 
-// Err returns the apply failure that poisoned the manager, if any.
+// Err returns the apply failure that poisoned a replica, if any.
 func (m *Manager) Err() error {
-	if f := m.failure.Load(); f != nil {
-		return f.err
+	for _, r := range m.replicas {
+		if err := r.feed.Err(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -481,15 +422,11 @@ func (m *Manager) Err() error {
 func (m *Manager) WaitCaughtUp(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, r := range m.replicas {
-		target := r.enqRecs.Load()
-		for r.appRecs.Load() < target {
+		if !r.feed.WaitApplied(r.feed.Enqueued(), deadline) {
 			if err := m.Err(); err != nil {
 				return err
 			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("htap: dn%d apply lag %d records after %v", r.dn, r.lag(), timeout)
-			}
-			time.Sleep(50 * time.Microsecond)
+			return fmt.Errorf("htap: dn%d apply lag %d records after %v", r.dn, r.lag(), timeout)
 		}
 	}
 	return nil
@@ -563,9 +500,9 @@ func (m *Manager) Status() Status {
 	for _, r := range m.replicas {
 		rs := ReplicaStatus{
 			DN:              r.dn,
-			EnqueuedRecords: r.enqRecs.Load(),
-			AppliedRecords:  r.appRecs.Load(),
-			AppliedLegs:     r.appLegs.Load(),
+			EnqueuedRecords: r.feed.Enqueued(),
+			AppliedRecords:  r.feed.Applied(),
+			AppliedLegs:     r.feed.AppliedLegs(),
 		}
 		rs.LagRecords = rs.EnqueuedRecords - rs.AppliedRecords
 		r.tmu.RLock()

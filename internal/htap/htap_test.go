@@ -54,6 +54,16 @@ func enable(t *testing.T, c *cluster.Cluster, cfg Config) *Manager {
 	return m
 }
 
+// onPrimary answers q from the primary row path: read routing is detached
+// for the statement while the replicas — fed by a separate tap
+// subscription — keep applying.
+func onPrimary(t *testing.T, c *cluster.Cluster, m *Manager, s *cluster.Session, q string) *cluster.Result {
+	t.Helper()
+	c.SetAnalyticalReads(nil)
+	defer c.SetAnalyticalReads(m)
+	return mustExec(t, s, q)
+}
+
 // checkConverged waits for the apply loops and compares every replica
 // partition digest against the primary's.
 func checkConverged(t *testing.T, c *cluster.Cluster, m *Manager, table string) {
@@ -111,9 +121,7 @@ func TestAnalyticalOffloadAndIdentity(t *testing.T) {
 		"SELECT avg(balance) FROM accounts WHERE branch < 5",
 	}
 	for _, q := range queries {
-		c.DisableHTAPReads = true
-		want := mustExec(t, s, q)
-		c.DisableHTAPReads = false
+		want := onPrimary(t, c, m, s, q)
 		got := mustExec(t, s, q)
 		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 			t.Errorf("%s:\n  primary %v\n  replica %v", q, want.Rows, got.Rows)
@@ -289,9 +297,7 @@ func TestTableCreatedAfterEnable(t *testing.T) {
 	mustExec(t, s, "DELETE FROM late WHERE k < 10")
 	checkConverged(t, c, m, "late")
 
-	c.DisableHTAPReads = true
-	want := mustExec(t, s, "SELECT count(*), sum(v) FROM late")
-	c.DisableHTAPReads = false
+	want := onPrimary(t, c, m, s, "SELECT count(*), sum(v) FROM late")
 	got := mustExec(t, s, "SELECT count(*), sum(v) FROM late")
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Errorf("late table: primary %v replica %v", want.Rows, got.Rows)
@@ -317,9 +323,7 @@ func TestBucketMoveReap(t *testing.T) {
 	}
 	checkConverged(t, c, m, "accounts")
 
-	c.DisableHTAPReads = true
-	want := mustExec(t, s, "SELECT count(*), sum(balance) FROM accounts")
-	c.DisableHTAPReads = false
+	want := onPrimary(t, c, m, s, "SELECT count(*), sum(balance) FROM accounts")
 	got := mustExec(t, s, "SELECT count(*), sum(balance) FROM accounts")
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Errorf("after bucket move: primary %v replica %v", want.Rows, got.Rows)

@@ -27,8 +27,7 @@ type FailoverReport struct {
 //  4. drain — wait for a direct, unbroken, reachable replica to reach
 //     zero lag: the promotion candidate;
 //  5. verify — compare per-table digests of the primary's partitions and
-//     the candidate mirror (zero committed-transaction loss), unless
-//     SkipVerify;
+//     the candidate mirror (zero committed-transaction loss);
 //  6. promote — flip every bucket the primary owned to the candidate
 //     under the route barrier and retire the primary;
 //  7. regroup — reparent the surviving replicas (including the
@@ -60,19 +59,17 @@ func (m *Manager) Failover(primary int) (FailoverReport, error) {
 		return FailoverReport{}, fmt.Errorf("repl: failover of dn%d: %w", primary, err)
 	}
 
-	if !m.cfg.SkipVerify {
-		for _, name := range m.c.DistributedTableNames() {
-			want, err := m.c.PartitionDigest(name, primary, primary)
-			if err != nil {
-				return FailoverReport{}, err
-			}
-			got, err := m.c.PartitionDigest(name, cand.node, primary)
-			if err != nil {
-				return FailoverReport{}, err
-			}
-			if want != got {
-				return FailoverReport{}, fmt.Errorf("repl: table %q mirror mismatch before promotion (primary %d rows, standby %d rows)", name, want.Rows, got.Rows)
-			}
+	for _, name := range m.c.DistributedTableNames() {
+		want, err := m.c.PartitionDigest(name, primary, primary)
+		if err != nil {
+			return FailoverReport{}, err
+		}
+		got, err := m.c.PartitionDigest(name, cand.node, primary)
+		if err != nil {
+			return FailoverReport{}, err
+		}
+		if want != got {
+			return FailoverReport{}, fmt.Errorf("repl: table %q mirror mismatch before promotion (primary %d rows, standby %d rows)", name, want.Rows, got.Rows)
 		}
 	}
 
@@ -81,7 +78,7 @@ func (m *Manager) Failover(primary int) (FailoverReport, error) {
 		return FailoverReport{}, err
 	}
 	survivors := m.regroup(g, primary, cand)
-	cand.log.close()
+	cand.feed.Close()
 	m.failovers.Add(1)
 	g.failing.Store(false)
 	return FailoverReport{
@@ -107,9 +104,9 @@ func (m *Manager) drainCandidate(g *group) (*replica, error) {
 			if r.detached.Load() {
 				continue
 			}
-			if r.broken.Load() {
+			if err := r.feed.Err(); err != nil {
 				if brokenErr == nil {
-					brokenErr = fmt.Errorf("standby dn%d diverged, refusing promotion: %w", r.node, r.brokenErr())
+					brokenErr = fmt.Errorf("standby dn%d diverged, refusing promotion: %w", r.node, err)
 				}
 				continue
 			}
@@ -137,7 +134,7 @@ func (m *Manager) drainCandidate(g *group) (*replica, error) {
 func (m *Manager) minLag(g *group) int64 {
 	min := int64(-1)
 	for _, r := range *g.direct.Load() {
-		if r.broken.Load() || m.c.NodeIsDown(r.node) {
+		if r.broken() || m.c.NodeIsDown(r.node) {
 			continue
 		}
 		if l := r.lag(); min < 0 || l < min {
@@ -181,7 +178,7 @@ func (m *Manager) regroup(g *group, oldPrimary int, cand *replica) []int {
 	}
 	// The candidate's chained standbys already mirror its partitions; when
 	// it becomes primary they become its direct standbys, fed by the
-	// commit tap instead of its (now closed) apply loop.
+	// commit tap instead of its (now closed) feed.
 	nextDirect = append(nextDirect, *cand.children.Load()...)
 	empty := []*replica{}
 	cand.children.Store(&empty)
@@ -215,7 +212,7 @@ func (m *Manager) regroup(g *group, oldPrimary int, cand *replica) []int {
 }
 
 // watch is the failure detector: every ProbeInterval it probes each
-// group's primary and fails over any seen down FailAfterMisses probes in
+// group's primary and fails over any seen down failAfterMisses probes in
 // a row.
 func (m *Manager) watch() {
 	defer m.wg.Done()
@@ -237,7 +234,7 @@ func (m *Manager) watch() {
 				continue
 			}
 			misses[primary]++
-			if misses[primary] >= m.cfg.FailAfterMisses {
+			if misses[primary] >= failAfterMisses {
 				misses[primary] = 0
 				// Best effort: an error leaves the group latched and the
 				// primary fenced; Status surfaces the broken state.

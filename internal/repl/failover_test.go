@@ -103,7 +103,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 			if m.Failovers() != 1 {
 				t.Fatalf("Failovers() = %d, want 1", m.Failovers())
 			}
-			if _, ok := c.StandbyOf(victim); ok {
+			if sibs := c.Standbys(victim); len(sibs) > 0 {
 				t.Fatal("victim still has a standby pair after promotion")
 			}
 

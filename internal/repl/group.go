@@ -2,7 +2,7 @@ package repl
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/transport"
@@ -15,47 +15,41 @@ type replica struct {
 
 	// upstream is the node this replica ships from: the group primary for
 	// a direct replica, the parent standby for a chained one. A failover
-	// reparents survivors by storing the promoted node here; the apply
-	// loop re-reads it per send, so retries migrate to the new link.
+	// reparents survivors by storing the promoted node here; the sink
+	// re-reads it per send, so retries migrate to the new link.
 	upstream atomic.Int64
 	// link is the WAN latency configured for this replica's ship link,
 	// re-applied to the new upstream link when a failover reparents it.
 	link transport.Latency
 
-	log *shipLog
+	// feed queues the legs this replica still has to apply; its poison
+	// latch is the replica's broken state (an apply error — mirror
+	// divergence — leaves it neither readable nor promotable, while the
+	// queue keeps draining and acking so sync-mode commits are released),
+	// and a chained attach quiesces it so base = parent.base +
+	// parent.applied is consistent with the seed snapshot.
+	feed *Feed
 	// base is the group log offset at seed time: records appended before
 	// base were part of the seed snapshot, so lag counts only what this
 	// replica still has to apply.
 	base int64
 
-	appliedRecs atomic.Int64
-	batches     atomic.Int64 // ReplShip batches delivered to this replica
+	batches atomic.Int64 // ReplShip batches delivered to this replica
 
-	// applyGate serializes batch application with topology changes: a
-	// chained attach holds it so base = parent.base + parent.applied is
-	// consistent with the seed snapshot.
-	applyGate sync.Mutex
-
-	// children are chained standbys fed by this replica's apply loop
+	// children are chained standbys fed by this replica's sink
 	// (copy-on-write under Manager.mu).
 	children atomic.Pointer[[]*replica]
 
-	// broken latches on an apply error (mirror divergence): the replica
-	// is no longer readable or promotable; its queue keeps draining (and
-	// acking) so sync-mode commits are still released.
-	broken atomic.Bool
 	// detached latches when a self-healing re-seed takes this replica
 	// object out of service (its node re-enrolls under a fresh replica):
-	// the apply loop stops applying — and ship retry loops bail — so the
-	// node's partitions are quiescent while the cluster wipes and re-seeds
-	// them. A detached replica acks through, like a broken one.
+	// the sink stops applying — and ship retry loops bail — so the node's
+	// partitions are quiescent while the cluster wipes and re-seeds them.
+	// A detached replica acks through, like a broken one.
 	detached atomic.Bool
-	mu       sync.Mutex // guards err
-	err      error
 }
 
 func newReplica(g *group, link transport.Latency) *replica {
-	r := &replica{node: -1, g: g, link: link, log: newShipLog()}
+	r := &replica{node: -1, g: g, link: link, feed: NewFeed()}
 	empty := []*replica{}
 	r.children.Store(&empty)
 	return r
@@ -63,22 +57,9 @@ func newReplica(g *group, link transport.Latency) *replica {
 
 // lag is the records committed on the group's primary that this replica
 // has not applied yet (its distance from the group log's head).
-func (r *replica) lag() int64 { return r.g.appended.Load() - r.base - r.appliedRecs.Load() }
+func (r *replica) lag() int64 { return r.g.appended.Load() - r.base - r.feed.Applied() }
 
-func (r *replica) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-	r.broken.Store(true)
-}
-
-func (r *replica) brokenErr() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
+func (r *replica) broken() bool { return r.feed.Err() != nil }
 
 // group is one shard's replica group: the current primary plus every
 // standby mirroring it, directly or through a chain.
@@ -93,7 +74,7 @@ type group struct {
 	appended atomic.Int64
 	// replicas is every replica of the group; direct is the subset fed
 	// straight from the primary's commit tap (chained replicas are fed by
-	// their parent's apply loop). Both copy-on-write under Manager.mu.
+	// their parent's sink). Both copy-on-write under Manager.mu.
 	replicas atomic.Pointer[[]*replica]
 	direct   atomic.Pointer[[]*replica]
 	// failing latches while a failover runs so it runs exactly once.
@@ -129,23 +110,14 @@ func (m *Manager) findReplica(node int) (*group, *replica) {
 // appendCoW appends r to a copy-on-write replica slice. Caller holds
 // Manager.mu.
 func appendCoW(p *atomic.Pointer[[]*replica], r *replica) {
-	old := *p.Load()
-	next := make([]*replica, len(old)+1)
-	copy(next, old)
-	next[len(old)] = r
+	next := append(slices.Clip(*p.Load()), r)
 	p.Store(&next)
 }
 
 // removeCoW removes r from a copy-on-write replica slice (no-op when
 // absent). Caller holds Manager.mu.
 func removeCoW(p *atomic.Pointer[[]*replica], r *replica) {
-	old := *p.Load()
-	next := make([]*replica, 0, len(old))
-	for _, x := range old {
-		if x != r {
-			next = append(next, x)
-		}
-	}
+	next := slices.DeleteFunc(slices.Clone(*p.Load()), func(x *replica) bool { return x == r })
 	p.Store(&next)
 }
 
@@ -170,11 +142,12 @@ func (m *Manager) AttachStandby(upstream int) (int, error) {
 // log starts capturing inside that same barrier — no committed write can
 // fall between the seed snapshot and the first shipped record. Chained
 // replicas (spec.Upstream names an existing standby) seed from the parent
-// mirror while the parent's apply loop is quiesced, and are fed by it
+// mirror while the parent's feed is quiesced, and are fed by it
 // afterwards.
 func (m *Manager) AttachReplica(spec ReplicaSpec) (int, error) {
-	return m.attach(spec.Upstream, spec.Link, func(onReady func(int)) (int, error) {
-		return m.c.AddStandby(spec.Upstream, onReady)
+	return m.attach(spec.Upstream, spec.Link, func(onReady func(int)) error {
+		_, err := m.c.AddStandby(spec.Upstream, onReady)
+		return err
 	})
 }
 
@@ -185,11 +158,8 @@ func (m *Manager) AttachReplica(spec ReplicaSpec) (int, error) {
 // lifecycle loop, since the group regains its configured redundancy
 // without provisioning a new node.
 func (m *Manager) ReenrollStandby(node, upstream int) error {
-	_, err := m.attach(upstream, transport.Latency{}, func(onReady func(int)) (int, error) {
-		if err := m.c.ReenrollStandby(node, upstream, onReady); err != nil {
-			return 0, err
-		}
-		return node, nil
+	_, err := m.attach(upstream, transport.Latency{}, func(onReady func(int)) error {
+		return m.c.ReenrollStandby(node, upstream, onReady)
 	})
 	return err
 }
@@ -197,8 +167,8 @@ func (m *Manager) ReenrollStandby(node, upstream int) error {
 // attach is the shared enrollment path: resolve the upstream into a group
 // (joining a parent replica for chains, or creating/joining the primary's
 // group), run the cluster-side enrollment with an onReady that registers
-// the replica inside the barrier, then start its apply loop.
-func (m *Manager) attach(up int, link transport.Latency, enroll func(onReady func(int)) (int, error)) (int, error) {
+// the replica inside the barrier, then start its feed's consumer.
+func (m *Manager) attach(up int, link transport.Latency, enroll func(onReady func(int)) error) (int, error) {
 	g := m.group(up)
 	var parent *replica
 	if g == nil {
@@ -207,8 +177,8 @@ func (m *Manager) attach(up int, link transport.Latency, enroll func(onReady fun
 	if g != nil && g.failing.Load() {
 		return 0, fmt.Errorf("repl: dn%d's group has a failover in progress", up)
 	}
-	if parent != nil && parent.broken.Load() {
-		return 0, fmt.Errorf("repl: cannot chain off diverged standby dn%d: %w", up, parent.brokenErr())
+	if parent != nil && parent.broken() {
+		return 0, fmt.Errorf("repl: cannot chain off diverged standby dn%d: %w", up, parent.feed.Err())
 	}
 	if g == nil {
 		g = newGroup(up)
@@ -216,21 +186,20 @@ func (m *Manager) attach(up int, link transport.Latency, enroll func(onReady fun
 	r := newReplica(g, link)
 
 	if parent != nil {
-		// Quiesce the parent's apply loop: base must equal exactly what
-		// the seed snapshot contains, and the parent must not advance (or
-		// start forwarding) mid-seed.
-		parent.applyGate.Lock()
-		defer parent.applyGate.Unlock()
+		// Quiesce the parent's feed: base must equal exactly what the seed
+		// snapshot contains, and the parent must not advance (or start
+		// forwarding) mid-seed.
+		defer parent.feed.Quiesce()()
 	}
 
-	sid, err := enroll(func(standbyID int) {
+	err := enroll(func(standbyID int) {
 		// Runs under the cluster's route barrier.
 		r.node = standbyID
 		r.upstream.Store(int64(up))
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		if parent != nil {
-			r.base = parent.base + parent.appliedRecs.Load()
+			r.base = parent.base + parent.feed.Applied()
 			appendCoW(&g.replicas, r)
 			appendCoW(&parent.children, r)
 			return
@@ -251,11 +220,14 @@ func (m *Manager) attach(up int, link transport.Latency, enroll func(onReady fun
 		return 0, err
 	}
 	if link != (transport.Latency{}) {
-		m.fab.SetLinkLatency(transport.DN(up), transport.DN(sid), link)
+		m.fab.SetLinkLatency(transport.DN(up), transport.DN(r.node), link)
 	}
 	m.wg.Add(1)
-	go m.applyLoop(r)
-	return sid, nil
+	go func() {
+		defer m.wg.Done()
+		r.feed.Run(maxShipBatch, func(batch []Leg, done func()) error { return m.apply(r, batch, done) })
+	}()
+	return r.node, nil
 }
 
 // storeGroupLocked publishes a new group under primary (caller holds
@@ -291,7 +263,7 @@ func (m *Manager) ReadReplica(primary int) (int, bool) {
 	}
 	for i := 0; i < n; i++ {
 		r := reps[(start+i)%n]
-		if !r.broken.Load() && !r.detached.Load() && r.lag() == 0 {
+		if !r.broken() && !r.detached.Load() && r.lag() == 0 {
 			return r.node, true
 		}
 	}

@@ -330,3 +330,58 @@ func TestAttachRejectsDuringFailoverAndBrokenParent(t *testing.T) {
 		t.Fatal("chained attach off a broken replica succeeded")
 	}
 }
+
+// TestSuccessorAfterFailoverReenrollFailover is the regression test for the
+// promotion-chain cycle: failover → re-enrol the retired primary under its
+// successor → fail over again promotes the first node back, and unless
+// re-entering service clears its successor entry the map holds 0→2 and
+// 2→0 — Successor then spun forever holding the route lock's read side,
+// and the next writer queued behind it blocked every statement.
+func TestSuccessorAfterFailoverReenrollFailover(t *testing.T) {
+	c := newCluster(t, 2, cluster.ModeGTMLite)
+	setupAccounts(t, c, 20)
+	// No deferred Close before the check: Close needs the route lock, which
+	// a spinning Successor would hold — the failure must stay a failure,
+	// not become a package timeout.
+	m := NewManager(c, Config{Mode: ModeSync})
+	sid, err := m.AttachStandby(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Failover(0); err != nil {
+		t.Fatalf("first failover: %v", err)
+	}
+	if err := m.ReenrollStandby(0, sid); err != nil {
+		t.Fatalf("re-enrol: %v", err)
+	}
+	waitSynced(t, m, []int{sid})
+	if rep, err := m.Failover(sid); err != nil || rep.Standby != 0 {
+		t.Fatalf("second failover: %+v, %v", rep, err)
+	}
+
+	type answer struct {
+		node int
+		ok   bool
+	}
+	ask := func(id int) answer {
+		got := make(chan answer, 1)
+		go func() {
+			n, ok := c.Successor(id)
+			got <- answer{n, ok}
+		}()
+		select {
+		case a := <-got:
+			return a
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Successor(%d) did not return within 2s (promotion chain has a cycle)", id)
+			return answer{}
+		}
+	}
+	if a := ask(sid); !a.ok || a.node != 0 {
+		t.Errorf("Successor(%d) = %d, %v; want 0, true", sid, a.node, a.ok)
+	}
+	if a := ask(0); a.ok {
+		t.Errorf("Successor(0) = %d, true for a node back in service", a.node)
+	}
+	m.Close()
+}

@@ -68,7 +68,7 @@ func (m *Manager) TargetReplicas() int { return m.cfg.StandbysPerShard }
 // a stale detach latch (a previous re-seed failed partway), a poisoned
 // mirror, or a chained replica whose parent can no longer feed it.
 func (m *Manager) needsReseed(g *group, r *replica, primary int) bool {
-	if r.detached.Load() || r.broken.Load() {
+	if r.detached.Load() || r.broken() {
 		return true
 	}
 	up := int(r.upstream.Load())
@@ -82,7 +82,7 @@ func (m *Manager) needsReseed(g *group, r *replica, primary int) bool {
 		if p == r || p.node != up {
 			continue
 		}
-		return p.broken.Load() || p.detached.Load() || m.c.NodeIsDown(p.node)
+		return p.broken() || p.detached.Load() || m.c.NodeIsDown(p.node)
 	}
 	return true // parent absent entirely
 }
@@ -135,22 +135,18 @@ func (m *Manager) ReattachOrphans(primary int) ([]int, error) {
 // reattach replaces one replica object with a freshly seeded direct
 // replica of primary on the same node.
 func (m *Manager) reattach(g *group, r *replica, primary int) error {
-	// Quiesce: latch the detach flag (ship retry loops bail, apply skips),
-	// close the old log (the apply loop drains acking-through and exits),
-	// and wait out any batch already inside the apply gate. After this,
+	// Quiesce: latch the detach flag (ship retry loops bail, the sink
+	// skips), close the old feed (it drains acking-through and its consumer
+	// exits), and wait out any batch already inside the sink. After this,
 	// nothing applies records to the node.
 	r.detached.Store(true)
-	r.log.close()
-	r.applyGate.Lock()
-	r.applyGate.Unlock() //nolint:staticcheck // empty critical section = quiesce barrier
+	r.feed.Close()
+	r.feed.Quiesce()()
 
 	// Wipe and re-seed under the route barrier; the new replica registers
 	// inside the barrier, so capture resumes exactly at the seed snapshot.
-	_, err := m.attach(primary, r.link, func(onReady func(int)) (int, error) {
-		if err := m.c.ReseedStandby(r.node, primary, onReady); err != nil {
-			return 0, err
-		}
-		return r.node, nil
+	_, err := m.attach(primary, r.link, func(onReady func(int)) error {
+		return m.c.ReseedStandby(r.node, primary, onReady)
 	})
 	if err != nil {
 		return err

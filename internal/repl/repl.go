@@ -10,8 +10,8 @@
 // write records to this package in commit order, a standby seeding barrier
 // (AddStandby / ReenrollStandby), commit slots that let a failover drain
 // in-flight commits to a definite log, and the 256-bucket routing flip
-// (PromoteStandby). On top of those the Manager keeps one ship log and one
-// apply goroutine per replica, batches shipped records per link, exposes
+// (PromoteStandby). On top of those the Manager keeps one Feed (feed.go)
+// per replica, batches shipped records per link, exposes
 // per-replica lag, serves reads round-robin from synced replicas, and —
 // on a dead primary — replays the log tail, verifies a mirror, promotes
 // it, and reparents the surviving replicas under the new primary, losing
@@ -64,17 +64,11 @@ type Config struct {
 	// DrainTimeout bounds each failover phase: commit-slot settle and log
 	// drain (default 5s).
 	DrainTimeout time.Duration
-	// MaxShipBatch bounds how many queued legs ship as one ReplShip
-	// message (default 64). Batching amortizes link latency: a replica
-	// behind a WAN link catches up at one round trip per batch.
-	MaxShipBatch int
 	// AutoFailover runs a failure detector that promotes a standby of any
-	// primary observed down FailAfterMisses probes in a row.
+	// primary observed down failAfterMisses probes in a row.
 	AutoFailover bool
 	// ProbeInterval is the detector's probe period (default 5ms).
 	ProbeInterval time.Duration
-	// FailAfterMisses is the consecutive-down-probe threshold (default 2).
-	FailAfterMisses int
 	// StandbysPerShard is how many direct standbys core.EnableHA attaches
 	// per primary (default 1). Attach more, or chains, with AttachReplica.
 	StandbysPerShard int
@@ -82,15 +76,18 @@ type Config struct {
 	// EnableHA attaches (Links[i] shapes standby i's ship link); shorter
 	// than StandbysPerShard means the remainder are LAN links.
 	Links []transport.Latency
-	// ReadMode routes reads to synced replicas (off by default): offload
-	// whole shards or split each shard's scan across primary and replica.
+	// ReadMode routes reads to synced replicas (off by default).
 	ReadMode cluster.StandbyReadMode
-	// SkipVerify disables the pre-promotion digest comparison between the
-	// dead primary's partitions and the candidate mirror. The check reads
-	// the primary's in-memory state, which a real crash would not allow;
-	// it exists to prove zero loss in tests and experiments.
-	SkipVerify bool
 }
+
+const (
+	// maxShipBatch bounds how many queued legs ship as one ReplShip
+	// message. Batching amortizes link latency: a replica behind a WAN
+	// link catches up at one round trip per batch.
+	maxShipBatch = 64
+	// failAfterMisses is the detector's consecutive-down-probe threshold.
+	failAfterMisses = 2
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.QuorumAcks <= 0 {
@@ -102,14 +99,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
-	if cfg.MaxShipBatch <= 0 {
-		cfg.MaxShipBatch = 64
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 5 * time.Millisecond
-	}
-	if cfg.FailAfterMisses <= 0 {
-		cfg.FailAfterMisses = 2
 	}
 	if cfg.StandbysPerShard <= 0 {
 		cfg.StandbysPerShard = 1
@@ -146,6 +137,7 @@ type Manager struct {
 	ackTimeouts atomic.Int64
 	ackWaitNs   atomic.Int64
 
+	detach    func() // commit-tap unsubscribe
 	wg        sync.WaitGroup
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -161,7 +153,7 @@ func NewManager(c *cluster.Cluster, cfg Config) *Manager {
 	empty := map[int]*group{}
 	m.groups.Store(&empty)
 	m.quorumK.Store(int32(cfg.QuorumAcks))
-	c.SetCommitTap(m)
+	m.detach = c.AddCommitTap(m)
 	c.SetStandbyReads(cfg.ReadMode, m.ReadReplica)
 	if cfg.AutoFailover {
 		m.wg.Add(1)
@@ -177,12 +169,12 @@ func (m *Manager) Config() Config { return m.cfg }
 // loops (draining queued entries), and waits for them.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
-		m.c.SetCommitTap(nil)
+		m.detach()
 		m.c.SetStandbyReads(cluster.StandbyReadOff, nil)
 		close(m.stop)
 		for _, g := range *m.groups.Load() {
 			for _, r := range *g.replicas.Load() {
-				r.log.close()
+				r.feed.Close()
 			}
 		}
 		m.wg.Wait()
@@ -222,7 +214,7 @@ func (m *Manager) Committed(dnID int, recs []cluster.WriteRec) func() {
 		m.ackMu.Unlock()
 	}
 	for _, r := range direct {
-		r.log.append(recs, ack)
+		r.feed.append(recs, ack)
 	}
 	if ack == nil {
 		return nil
@@ -245,65 +237,31 @@ func (m *Manager) Committed(dnID int, recs []cluster.WriteRec) func() {
 	}
 }
 
-// applyLoop is one replica's single consumer: it drains the ship log in
-// batches, applying each batch under the replica's apply gate so
-// topology changes (chained seeding, failover reparenting) see a
-// quiescent replica between batches.
-func (m *Manager) applyLoop(r *replica) {
-	defer m.wg.Done()
-	for {
-		batch := r.log.takeBatch(m.cfg.MaxShipBatch)
-		if batch == nil {
-			return
-		}
-		r.applyGate.Lock()
-		m.applyBatch(r, batch)
-		r.applyGate.Unlock()
-		r.log.consumed(len(batch))
-	}
-}
-
-// applyBatch ships one batch over the replica's current upstream link and
-// applies it leg by leg, each as one replica-local transaction, then
-// forwards the applied legs to chained children. A transport failure
-// (dropped ReplShip, severed link) is retried until the link heals — the
-// records are durable upstream and lag simply grows, taking the replica
-// out of read rotation and degrading sync-mode commits. An apply error,
-// by contrast, poisons the replica (the mirror can no longer be trusted)
-// but the loop keeps consuming — and acking — so sync-mode commits are
-// still released.
-func (m *Manager) applyBatch(r *replica, batch []*Entry) {
-	if r.detached.Load() || r.broken.Load() || !m.ship(r, batch) {
-		ackBatch(batch)
-		return
+// apply is the row sink of one replica's feed: it ships the batch over
+// the replica's current upstream link and applies it leg by leg, each as
+// one replica-local transaction, forwarding every applied leg to chained
+// children. A transport failure (dropped ReplShip, severed link) is
+// retried until the link heals — the records are durable upstream and lag
+// simply grows, taking the replica out of read rotation and degrading
+// sync-mode commits. An apply error, by contrast, poisons the feed (the
+// mirror can no longer be trusted); the feed keeps draining — and acking —
+// so sync-mode commits are still released.
+func (m *Manager) apply(r *replica, batch []Leg, done func()) error {
+	if r.detached.Load() || !m.ship(r, batch) {
+		return nil
 	}
 	r.batches.Add(1)
-	for i, e := range batch {
-		if err := m.c.ApplyStandbyRecs(r.node, e.Recs); err != nil {
-			r.fail(err)
-			ackBatch(batch[i:])
-			return
+	for _, l := range batch {
+		if err := m.c.ApplyStandbyRecs(r.node, l.Recs); err != nil {
+			return err
 		}
-		r.appliedRecs.Add(int64(len(e.Recs)))
-		m.shipped.Add(int64(len(e.Recs)))
+		m.shipped.Add(int64(len(l.Recs)))
 		for _, child := range *r.children.Load() {
-			child.log.append(e.Recs, e.ack)
+			child.feed.append(l.Recs, l.ack)
 		}
-		if e.ack != nil {
-			e.ack.ack()
-		}
+		done()
 	}
-}
-
-// ackBatch releases the quorum waiters of entries this replica will never
-// apply (broken mirror or manager close) so no sync client blocks on a
-// replica that cannot make progress.
-func ackBatch(batch []*Entry) {
-	for _, e := range batch {
-		if e.ack != nil {
-			e.ack.ack()
-		}
-	}
+	return nil
 }
 
 // ship delivers one batch over the replica's upstream link as a single
@@ -311,15 +269,15 @@ func ackBatch(batch []*Entry) {
 // close. The upstream is re-read on every retry, so a replica reparented
 // by a failover mid-retry migrates to the promoted primary's link.
 // Returns false only when the manager closed before delivery.
-func (m *Manager) ship(r *replica, batch []*Entry) bool {
+func (m *Manager) ship(r *replica, batch []Leg) bool {
 	payload := 0
-	for _, e := range batch {
-		payload += recsPayload(e.Recs)
+	for _, l := range batch {
+		payload += recsPayload(l.Recs)
 	}
 	for {
 		if r.detached.Load() {
 			// A re-seed is taking this replica object out of service; stop
-			// retrying so the apply loop quiesces promptly.
+			// retrying so the feed quiesces promptly.
 			return false
 		}
 		up := int(r.upstream.Load())
@@ -361,7 +319,7 @@ func (m *Manager) Synced(primary int) bool {
 	}
 	live := 0
 	for _, r := range reps {
-		if r.broken.Load() || r.detached.Load() {
+		if r.broken() || r.detached.Load() {
 			continue
 		}
 		if r.lag() != 0 {
@@ -442,10 +400,10 @@ func (m *Manager) Status() Status {
 				Primary:  primary,
 				Node:     r.node,
 				Upstream: int(r.upstream.Load()),
-				Applied:  r.appliedRecs.Load(),
+				Applied:  r.feed.Applied(),
 				Lag:      r.lag(),
 				Batches:  r.batches.Load(),
-				Broken:   r.broken.Load(),
+				Broken:   r.broken(),
 			})
 		}
 	}

@@ -3,10 +3,13 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -220,55 +223,91 @@ func TestFailoverReplaysInDoubt2PC(t *testing.T) {
 }
 
 func TestReadReplicaRouting(t *testing.T) {
-	for _, mode := range []cluster.StandbyReadMode{cluster.StandbyReadOffload, cluster.StandbyReadSplit} {
-		name := "offload"
-		if mode == cluster.StandbyReadSplit {
-			name = "split"
+	t.Run("offload", func(t *testing.T) {
+		c := newCluster(t, 2, cluster.ModeGTMLite)
+		s := setupAccounts(t, c, 50)
+		mustExec(t, s, "CREATE TABLE branches (b BIGINT, region BIGINT) DISTRIBUTE BY HASH(b)")
+		for b := 0; b < 10; b++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO branches VALUES (%d, %d)", b, b%3))
 		}
-		t.Run(name, func(t *testing.T) {
-			c := newCluster(t, 2, cluster.ModeGTMLite)
-			s := setupAccounts(t, c, 50)
-			m := NewManager(c, Config{Mode: ModeSync, ReadMode: mode})
-			defer m.Close()
-			attachAll(t, m, c)
-			waitSynced(t, m, c.PrimaryIDs())
+		m := NewManager(c, Config{Mode: ModeSync, ReadMode: cluster.StandbyReadOffload})
+		defer m.Close()
+		pairs := attachAll(t, m, c)
+		waitSynced(t, m, c.PrimaryIDs())
 
-			// Scatter and single-shard reads return identical results whether
-			// served by primaries or standbys.
-			res := mustExec(t, s, "SELECT count(*), sum(balance) FROM accounts")
-			if res.Rows[0][0].Int() != 50 || res.Rows[0][1].Int() != 5000 {
-				t.Fatalf("standby-served scatter read wrong: %v", res.Rows)
-			}
-			res = mustExec(t, s, "SELECT balance FROM accounts WHERE id = 7")
-			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 100 {
-				t.Fatalf("standby-served point read wrong: %v", res.Rows)
-			}
+		// Scatter and single-shard reads return identical results whether
+		// served by primaries or standbys.
+		res := mustExec(t, s, "SELECT count(*), sum(balance) FROM accounts")
+		if res.Rows[0][0].Int() != 50 || res.Rows[0][1].Int() != 5000 {
+			t.Fatalf("standby-served scatter read wrong: %v", res.Rows)
+		}
+		res = mustExec(t, s, "SELECT balance FROM accounts WHERE id = 7")
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 100 {
+			t.Fatalf("standby-served point read wrong: %v", res.Rows)
+		}
 
-			// A transaction that wrote a shard keeps reading its own writes
-			// from the primary (never the standby, which lacks the
-			// uncommitted version).
-			mustExec(t, s, "BEGIN")
-			mustExec(t, s, "UPDATE accounts SET balance = 123 WHERE id = 7")
-			res = mustExec(t, s, "SELECT balance FROM accounts WHERE id = 7")
-			if len(res.Rows) != 1 || res.Rows[0][0].Int() != 123 {
-				t.Fatalf("read-own-writes broken under standby reads: %v", res.Rows)
+		// A DN-side join reads both of its sides from the synced standbys: with
+		// the shuffle strategy forced, every batch that crosses the fabric
+		// leaves a standby, none a primary, and the rows are the CN join's.
+		const join = "SELECT a.id, r.region FROM accounts a, branches r WHERE a.branch = r.b"
+		c.JoinPolicy = plan.DistJoinPolicy{Disable: true}
+		want := sortedRows(mustExec(t, s, join))
+		c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
+		c.Fabric().TrackLinks(true)
+		got := sortedRows(mustExec(t, s, join))
+		c.Fabric().TrackLinks(false)
+		c.JoinPolicy = plan.DistJoinPolicy{}
+		if len(got) != 50 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("standby-served shuffle join: %d rows, differs from the CN join's %d", len(got), len(want))
+		}
+		fromStandby := int64(0)
+		for _, ls := range c.Fabric().LinkStats() {
+			if ls.From.Kind != transport.KindDN || ls.To.Kind != transport.KindDN {
+				continue
 			}
-			mustExec(t, s, "ROLLBACK")
+			if _, isPrimary := pairs[ls.From.ID]; isPrimary {
+				t.Errorf("join side shipped %d batches from primary dn%d", ls.Count, ls.From.ID)
+			}
+			fromStandby += ls.Count
+		}
+		if fromStandby == 0 {
+			t.Error("no shuffle batch left a standby")
+		}
 
-			// Reads survive a primary going down before any failover: the
-			// synced standby serves them; writes to that shard still fail.
-			c.SetDataNodeDown(0, true)
-			res = mustExec(t, s, "SELECT count(*) FROM accounts")
-			if res.Rows[0][0].Int() != 50 {
-				t.Fatalf("scatter read with primary down: %v", res.Rows)
-			}
-			key := int64(0)
-			for c.RouteKey(types.NewInt(key)) != 0 {
-				key++
-			}
-			if _, err := s.Exec(fmt.Sprintf("UPDATE accounts SET balance = 1 WHERE id = %d", key)); !errors.Is(err, cluster.ErrNodeDown) {
-				t.Fatalf("write to down primary: got %v, want ErrNodeDown", err)
-			}
-		})
+		// A transaction that wrote a shard keeps reading its own writes from
+		// the primary (never the standby, which lacks the uncommitted version).
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, "UPDATE accounts SET balance = 123 WHERE id = 7")
+		res = mustExec(t, s, "SELECT balance FROM accounts WHERE id = 7")
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != 123 {
+			t.Fatalf("read-own-writes broken under standby reads: %v", res.Rows)
+		}
+		mustExec(t, s, "ROLLBACK")
+
+		// Reads survive a primary going down before any failover: the synced
+		// standby serves them; writes to that shard still fail.
+		c.SetDataNodeDown(0, true)
+		res = mustExec(t, s, "SELECT count(*) FROM accounts")
+		if res.Rows[0][0].Int() != 50 {
+			t.Fatalf("scatter read with primary down: %v", res.Rows)
+		}
+		key := int64(0)
+		for c.RouteKey(types.NewInt(key)) != 0 {
+			key++
+		}
+		if _, err := s.Exec(fmt.Sprintf("UPDATE accounts SET balance = 1 WHERE id = %d", key)); !errors.Is(err, cluster.ErrNodeDown) {
+			t.Fatalf("write to down primary: got %v, want ErrNodeDown", err)
+		}
+	})
+}
+
+// sortedRows renders a result's rows order-independently (joins define no
+// output order).
+func sortedRows(res *cluster.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = fmt.Sprint(r)
 	}
+	sort.Strings(out)
+	return out
 }

@@ -121,7 +121,7 @@ func TestFailoverUnderPartition(t *testing.T) {
 	}
 	wg.Wait()
 
-	if _, ok := c.StandbyOf(victim); ok {
+	if sibs := c.Standbys(victim); len(sibs) > 0 {
 		t.Fatal("victim still has a standby pair after promotion")
 	}
 

@@ -142,6 +142,18 @@ func (r *reader) str() string {
 	return s
 }
 
+// count reads a u32 element count and rejects one the rest of the frame
+// cannot hold at minBytes per element, so a corrupt or hostile count can
+// never size an allocation beyond a small multiple of the frame itself.
+func (r *reader) count(minBytes int) int {
+	n := int(r.u32())
+	if r.err != nil || n > (len(r.b)-r.off)/minBytes {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
 func (r *reader) fail() {
 	if r.err == nil {
 		r.err = fmt.Errorf("server: truncated frame at offset %d", r.off)
@@ -210,21 +222,20 @@ func DecodeResponse(b []byte) (*Response, error) {
 	p.Err = r.str()
 	p.CacheHit = r.u8() != 0
 	p.RowsAffected = int64(r.u64())
-	ncols := int(r.u32())
-	if r.err == nil && ncols > 0 {
+	// Every column name and row carries at least its own u32 length, every
+	// datum at least its kind byte.
+	if ncols := r.count(4); ncols > 0 {
 		p.Columns = make([]string, ncols)
-		for i := range p.Columns {
+		for i := 0; i < ncols && r.err == nil; i++ {
 			p.Columns[i] = r.str()
 		}
 	}
-	nrows := int(r.u32())
-	if r.err == nil && nrows > 0 {
+	if nrows := r.count(4); nrows > 0 {
 		p.Rows = make([]types.Row, 0, nrows)
 		for i := 0; i < nrows && r.err == nil; i++ {
-			arity := int(r.u32())
-			row := make(types.Row, 0, arity)
-			for j := 0; j < arity; j++ {
-				row = append(row, r.datum())
+			row := make(types.Row, r.count(1))
+			for j := 0; j < len(row) && r.err == nil; j++ {
+				row[j] = r.datum()
 			}
 			p.Rows = append(p.Rows, row)
 		}

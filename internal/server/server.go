@@ -35,9 +35,6 @@ type Config struct {
 	// StmtCacheSize bounds each session's prepared-statement cache
 	// (normalized SQL -> parsed statement; 0 = 128).
 	StmtCacheSize int
-	// AdmitTimeout bounds the admission queue wait when the request
-	// carries no timeout of its own (0 = 5s).
-	AdmitTimeout time.Duration
 	// Clock overrides time for idle accounting (tests).
 	Clock func() time.Time
 }
@@ -114,9 +111,6 @@ func New(c *cluster.Cluster, cfg Config) *Server {
 	}
 	if cfg.StmtCacheSize <= 0 {
 		cfg.StmtCacheSize = 128
-	}
-	if cfg.AdmitTimeout <= 0 {
-		cfg.AdmitTimeout = 5 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -371,6 +365,10 @@ func (s *Server) lookup(id uint64) *session {
 
 var errAdmissionTimeout = errors.New("server: admission wait timed out")
 
+// admitTimeout bounds the admission queue wait when the request carries no
+// timeout of its own.
+const admitTimeout = 5 * time.Second
+
 func (s *Server) exec(q *Request) *Response {
 	sess := s.lookup(q.Session)
 	if sess == nil {
@@ -391,7 +389,7 @@ func (s *Server) exec(q *Request) *Response {
 	// Admission gate: every statement waits for a slot; the wait is
 	// bounded by the request's timeout (or the server default) and frees
 	// its queue slot when cancelled.
-	wait := s.cfg.AdmitTimeout
+	wait := admitTimeout
 	if q.TimeoutMillis > 0 {
 		wait = time.Duration(q.TimeoutMillis) * time.Millisecond
 	}
@@ -468,45 +466,62 @@ func (sess *session) parse(sql string) (sqlx.Statement, bool, error) {
 }
 
 // NormalizeSQL canonicalizes statement text for the prepared-statement
-// cache key: case-folded and whitespace-collapsed outside single-quoted
-// strings, literal content preserved.
+// cache: two texts share a key only if sqlx lexes them to the same tokens.
+// Outside quotes it lower-cases ASCII letters and collapses every run of
+// whitespace and comments (`--` to end of line, `/* */`; unterminated ones
+// run to the end, as in sqlx's lexer) to one space, dropping leading and
+// trailing runs; string literals ('...', a doubled quote escaping one)
+// and quoted identifiers ("...") are copied byte for byte.
 func NormalizeSQL(sql string) string {
 	var b strings.Builder
 	b.Grow(len(sql))
-	inStr := false
 	space := false
 	for i := 0; i < len(sql); i++ {
 		c := sql[i]
-		if inStr {
-			b.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(sql) && sql[i+1] == '\'' {
-					b.WriteByte('\'')
-					i++
-					continue
-				}
-				inStr = false
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			space = true
+			continue
+		case c == '-' && strings.HasPrefix(sql[i:], "--"):
+			space = true
+			if nl := strings.IndexByte(sql[i:], '\n'); nl >= 0 {
+				i += nl
+			} else {
+				i = len(sql)
+			}
+			continue
+		case c == '/' && strings.HasPrefix(sql[i:], "/*"):
+			space = true
+			if end := strings.Index(sql[i+2:], "*/"); end >= 0 {
+				i += 2 + end + 1
+			} else {
+				i = len(sql)
 			}
 			continue
 		}
+		if space && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		space = false
 		switch {
-		case c == '\'':
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
+		case c == '\'' || c == '"':
+			// Copy through the closing quote (or the end, if unterminated).
+			end := i + 1
+			for end < len(sql) {
+				if sql[end] != c {
+					end++
+				} else if c == '\'' && end+1 < len(sql) && sql[end+1] == '\'' {
+					end += 2
+				} else {
+					break
+				}
 			}
-			space = false
-			inStr = true
-			b.WriteByte(c)
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			space = true
+			end = min(end+1, len(sql))
+			b.WriteString(sql[i:end])
+			i = end - 1
+		case 'A' <= c && c <= 'Z':
+			b.WriteByte(c + 'a' - 'A')
 		default:
-			if space && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			space = false
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
 			b.WriteByte(c)
 		}
 	}

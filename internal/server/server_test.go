@@ -123,6 +123,13 @@ func TestNormalizeSQL(t *testing.T) {
 		{"  SELECT 1  ", "select 1"},
 		{"SELECT 'It''s UPPER  case'", "select 'It''s UPPER  case'"},
 		{"select 'a'||'B'", "select 'a'||'B'"},
+		// Comments are whitespace, exactly as sqlx's lexer reads them.
+		{"SELECT 1 -- c\n, 2", "select 1 , 2"},
+		{"SELECT 1 -- c , 2", "select 1"},
+		{"SELECT/* x */1/**/,2 /* open", "select 1 ,2"},
+		{"SELECT '--' , '/*' -- tail", "select '--' , '/*'"},
+		// Quoted identifiers keep their case, spacing and comment markers.
+		{`SELECT "Col  A", "--x" FROM T`, `select "Col  A", "--x" from t`},
 	}
 	for _, c := range cases {
 		if got := NormalizeSQL(c.in); got != c.want {
@@ -131,6 +138,26 @@ func TestNormalizeSQL(t *testing.T) {
 	}
 	if NormalizeSQL("SELECT 'x'") == NormalizeSQL("SELECT 'X'") {
 		t.Error("normalization folded string literal content")
+	}
+}
+
+// TestStmtCacheKeysFollowTheLexer is the regression test for the cache-key
+// collision: a line comment used to survive newline collapsing, so a
+// statement whose comment ends at a newline and one whose comment runs to
+// the end shared a key — and the second was served the first one's parse
+// tree.
+func TestStmtCacheKeysFollowTheLexer(t *testing.T) {
+	two, one := "SELECT 1 -- c\n, 2", "SELECT 1 -- c , 2"
+	if NormalizeSQL(two) == NormalizeSQL(one) {
+		t.Fatalf("%q and %q share the cache key %q", two, one, NormalizeSQL(one))
+	}
+	s, _ := newTestServer(t, Config{})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	if p := exec(t, s, sess, two); len(p.Columns) != 2 {
+		t.Fatalf("%q returned %d columns, want 2", two, len(p.Columns))
+	}
+	if p := exec(t, s, sess, one); len(p.Columns) != 1 || p.CacheHit {
+		t.Fatalf("%q returned %d columns (cache hit %v), want 1 from its own parse", one, len(p.Columns), p.CacheHit)
 	}
 }
 
@@ -390,5 +417,33 @@ func TestProtocolRoundtripDatums(t *testing.T) {
 	}
 	if len(p.Columns) != 4 {
 		t.Fatalf("columns = %v", p.Columns)
+	}
+}
+
+// TestDecodeResponseRejectsCountsBeyondTheFrame is the regression test for
+// the decode bomb: a 34-byte frame announcing one row of 2^31-1 datums
+// used to make the client allocate 128 GiB and die. Counts the remaining
+// bytes cannot hold are an error, found without allocating for them.
+func TestDecodeResponseRejectsCountsBeyondTheFrame(t *testing.T) {
+	frame := EncodeResponse(&Response{})
+	frame = frame[:len(frame)-4]         // drop nrows = 0
+	frame = appendU32(frame, 1)          // nrows = 1
+	frame = appendU32(frame, 0x7fffffff) // arity
+	if len(frame) != 34 {
+		t.Fatalf("frame is %d bytes, want 34", len(frame))
+	}
+	start := time.Now()
+	if _, err := DecodeResponse(frame); err == nil {
+		t.Fatal("oversized arity decoded without error")
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("rejecting the frame took %v", took)
+	}
+	for _, counts := range [][2]uint32{{0x7fffffff, 0}, {0, 0x7fffffff}} {
+		frame = frame[:22] // through RowsAffected
+		frame = appendU32(appendU32(frame, counts[0]), counts[1])
+		if _, err := DecodeResponse(frame); err == nil {
+			t.Errorf("ncols=%d nrows=%d decoded without error", counts[0], counts[1])
+		}
 	}
 }
