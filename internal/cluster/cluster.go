@@ -310,12 +310,51 @@ func (c *Cluster) sendFromDN(dnID int, t transport.MsgType, payloadBytes int) er
 	return c.fab.Send(transport.DN(dnID), transport.CN(), t, payloadBytes)
 }
 
+// sendDNs sends one payload-free message of type t to each listed data node
+// and fails if any was lost: a single message is awaited as such, several go
+// out as one wave (one hop, not one per node).
+func (c *Cluster) sendDNs(ids []int, t transport.MsgType) error {
+	if len(ids) == 1 {
+		return c.sendDN(ids[0], t, 0)
+	}
+	for _, err := range c.waveDN(ids, t) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waveDN is sendDNs reporting each node's loss (see transport.Fabric.Wave).
+func (c *Cluster) waveDN(ids []int, t transport.MsgType) []error {
+	tos := make([]transport.Endpoint, len(ids))
+	for i, id := range ids {
+		tos[i] = transport.DN(id)
+	}
+	return c.fab.Wave(transport.CN(), tos, t, 0)
+}
+
+// postDN puts one coordinator -> data-node message on the fabric without
+// waiting for it: the sender needs no answer (a read-only transaction
+// releasing a leg, an abort), so the message is accounted and can be lost,
+// but is on no statement's critical path.
+func (c *Cluster) postDN(dnID int, t transport.MsgType) error {
+	_, err := c.fab.Post(transport.CN(), transport.DN(dnID), t, 0)
+	return err
+}
+
 // sendGTM models one CN <-> GTM round trip. The GTM endpoint participates
 // in latency, delay faults and accounting, but lost messages are only
 // counted, never surfaced: the transaction paths treat the GTM as always
 // decidable (partition-tolerant GTM consensus is out of scope).
 func (c *Cluster) sendGTM(t transport.MsgType) {
 	_ = c.fab.Send(transport.CN(), transport.GTM(), t, 0)
+}
+
+// postGTM is sendGTM for an outcome the coordinator only reports (the end
+// of a read-only or aborted global transaction): accounted, not waited for.
+func (c *Cluster) postGTM(t transport.MsgType) {
+	_, _ = c.fab.Post(transport.CN(), transport.GTM(), t, 0)
 }
 
 // rowPayload estimates the wire size of n rows of ti for the fabric's

@@ -1,0 +1,343 @@
+package cluster
+
+import (
+	"fmt"
+	"maps"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/plan"
+	"repro/internal/transport"
+	"repro/internal/types"
+)
+
+// A hop is what a statement waits for, not what it sends. These tests pin
+// both without timing anything: the fabric gets a recording Sleep that
+// returns at once, and every (message type, direction) is tagged with its
+// own delay by an injected Delay fault, so the durations a statement hands
+// to Sleep say which messages were on its critical path — and the fabric's
+// counters say which messages existed at all.
+
+// One tag per message kind a statement can wait for. Powers of two, so no
+// wave's maximum and no stream's sum can be mistaken for another tag.
+const (
+	tagFragReq  = 1 * time.Millisecond // scan_frag cn -> dn
+	tagFragResp = 2 * time.Millisecond // scan_frag dn -> cn
+	tagWrite    = 4 * time.Millisecond
+	tagPrepare  = 8 * time.Millisecond
+	tagCommit   = 16 * time.Millisecond
+	tagAbort    = 32 * time.Millisecond
+	tagGTM      = 64 * time.Millisecond // gtm_round cn -> gtm
+	tagShuffle  = 128 * time.Millisecond
+	tagBcast    = 256 * time.Millisecond
+)
+
+var tagNames = map[time.Duration]string{
+	tagFragReq: "scan_frag_req", tagFragResp: "scan_frag_resp", tagWrite: "write",
+	tagPrepare: "prepare", tagCommit: "commit", tagAbort: "abort", tagGTM: "gtm_round",
+	tagShuffle: "shuffle_part", tagBcast: "bcast_build",
+}
+
+// hopLog is the recording transport.Config.Sleep.
+type hopLog struct {
+	mu    sync.Mutex
+	waits map[time.Duration]int
+}
+
+func (l *hopLog) sleep(d time.Duration) {
+	l.mu.Lock()
+	l.waits[d]++
+	l.mu.Unlock()
+}
+
+// take returns the waits since the last call, by tag name.
+func (l *hopLog) take() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := map[string]int{}
+	for d, n := range l.waits {
+		name, ok := tagNames[d]
+		if !ok {
+			name = "untagged:" + d.String()
+		}
+		out[name] = n
+	}
+	l.waits = map[time.Duration]int{}
+	return out
+}
+
+// tagFabric replaces c's fabric with one that never sleeps and tags every
+// message kind of an n-node cluster. Call before any table exists.
+func tagFabric(c *Cluster, n int) *hopLog {
+	log := &hopLog{waits: map[time.Duration]int{}}
+	f := transport.New(transport.Config{Sleep: log.sleep})
+	tag := func(from, to transport.Endpoint, t transport.MsgType, d time.Duration) {
+		f.InjectFault(from, to, transport.Fault{Types: []transport.MsgType{t}, Delay: d})
+	}
+	tag(transport.CN(), transport.GTM(), transport.GTMRound, tagGTM)
+	for i := 0; i < n; i++ {
+		dn := transport.DN(i)
+		tag(transport.CN(), dn, transport.ScanFrag, tagFragReq)
+		tag(dn, transport.CN(), transport.ScanFrag, tagFragResp)
+		tag(transport.CN(), dn, transport.Write, tagWrite)
+		tag(transport.CN(), dn, transport.Prepare, tagPrepare)
+		tag(transport.CN(), dn, transport.Commit, tagCommit)
+		tag(transport.CN(), dn, transport.Abort, tagAbort)
+		tag(transport.CN(), dn, transport.BcastBuild, tagBcast)
+		for j := 0; j < n; j++ {
+			if i != j {
+				tag(dn, transport.DN(j), transport.ShufflePart, tagShuffle)
+			}
+		}
+	}
+	c.fab = f
+	return log
+}
+
+// msgCounts renders a stats delta as type -> delivered messages, zero
+// entries left out.
+func msgCounts(d transport.Stats) map[string]int {
+	out := map[string]int{}
+	for _, st := range d {
+		if st.Count != 0 {
+			out[st.Type.String()] = int(st.Count)
+		}
+	}
+	return out
+}
+
+// TestCriticalPathHops pins, per statement class on 4 data nodes at degree
+// 4, the messages a statement waits for and the messages it sends. Sent
+// messages equal what the serial protocol sent — except that a read-only
+// transaction prepares nothing — while the waits are what the protocol
+// needs: a read waits for its fragments and never for its own clean-up, a
+// 2PC phase is one wave, a shuffle producer pays once per stream.
+func TestCriticalPathHops(t *testing.T) {
+	const n = 4
+	c := newCluster(t, n, ModeGTMLite)
+	log := tagFabric(c, n)
+	c.ParallelDegree = n
+	s := setupStar(t, c)
+	mustExec(t, s, "CREATE TABLE accounts (id BIGINT, branch BIGINT, balance BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)")
+	var vals []string
+	for i := 0; i < 64; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, 100)", i, i%10))
+	}
+	mustExec(t, s, "INSERT INTO accounts VALUES "+strings.Join(vals, ", "))
+	// Two tables big enough that a shuffle stream carries several batches:
+	// ~1000 rows per source, ~250 per (source, target) queue, 128 per batch.
+	mustExec(t, s, "CREATE TABLE sa (k BIGINT, j BIGINT) DISTRIBUTE BY HASH(k)")
+	mustExec(t, s, "CREATE TABLE sb (k BIGINT, j BIGINT) DISTRIBUTE BY HASH(k)")
+	for _, tb := range []string{"sa", "sb"} {
+		for lo := 0; lo < 4000; lo += 500 {
+			vals = vals[:0]
+			for i := lo; i < lo+500; i++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d)", i, i*7+3))
+			}
+			mustExec(t, s, "INSERT INTO "+tb+" VALUES "+strings.Join(vals, ", "))
+		}
+	}
+
+	// step runs one statement and checks its waits and its messages.
+	step := func(name, sql string, wantWaits, wantMsgs map[string]int) {
+		t.Helper()
+		log.take()
+		base := c.fab.Stats()
+		mustExec(t, s, sql)
+		waits, msgs := log.take(), msgCounts(c.fab.Stats().Sub(base))
+		if !maps.Equal(waits, wantWaits) {
+			t.Errorf("%s waited on %v, want %v", name, waits, wantWaits)
+		}
+		if !maps.Equal(msgs, wantMsgs) {
+			t.Errorf("%s sent %v, want %v", name, msgs, wantMsgs)
+		}
+	}
+
+	// Read-only scatter statements: the global snapshot, then one request
+	// and one response per fragment, side by side. The four legs and the GTM
+	// are told the outcome (4 commits, the second gtm_round) but nobody
+	// waits for that, and nothing is prepared.
+	scatterWaits := map[string]int{"gtm_round": 1, "scan_frag_req": n, "scan_frag_resp": n}
+	scatterMsgs := map[string]int{"gtm_round": 2, "scan_frag": 2 * n, "commit": n}
+	step("scatter aggregate", "SELECT branch, count(*), sum(balance) FROM accounts GROUP BY branch", scatterWaits, scatterMsgs)
+	step("top-N", "SELECT id, balance FROM accounts ORDER BY id DESC LIMIT 5", scatterWaits, scatterMsgs)
+	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistColocated}
+	step("co-located join", "SELECT fact.k, fact.v, big.w FROM fact, big WHERE fact.k = big.b", scatterWaits, scatterMsgs)
+	c.JoinPolicy = plan.DistJoinPolicy{}
+
+	// The same inside BEGIN … COMMIT: the COMMIT of a transaction that only
+	// read waits for nothing.
+	mustExec(t, s, "BEGIN")
+	step("scatter aggregate in a transaction", "SELECT branch, count(*) FROM accounts GROUP BY branch",
+		scatterWaits, map[string]int{"gtm_round": 1, "scan_frag": 2 * n})
+	step("COMMIT of a read-only transaction", "COMMIT", map[string]int{}, map[string]int{"gtm_round": 1, "commit": n})
+
+	// Single-shard read: two hops; its release is sent, not waited for.
+	step("single-shard read", "SELECT balance FROM accounts WHERE id = 7",
+		map[string]int{"scan_frag_req": 1, "scan_frag_resp": 1},
+		map[string]int{"scan_frag": 2, "commit": 1})
+
+	// Single-shard write: the commit is the statement's outcome and is
+	// awaited, exactly as before.
+	step("single-shard update", "UPDATE accounts SET balance = balance + 1 WHERE id = 7",
+		map[string]int{"write": 1, "commit": 1},
+		map[string]int{"write": 1, "commit": 1})
+
+	// A 4-leg writing transaction: the scatter UPDATE dispatches its four
+	// write legs as one wave; COMMIT waits once per 2PC phase and once for
+	// the GTM's decision between them.
+	mustExec(t, s, "BEGIN")
+	step("scatter update", "UPDATE accounts SET balance = balance + 1",
+		map[string]int{"gtm_round": 1, "write": 1},
+		map[string]int{"gtm_round": 1, "write": n})
+	step("COMMIT of a 4-leg writing transaction", "COMMIT",
+		map[string]int{"prepare": 1, "gtm_round": 1, "commit": 1},
+		map[string]int{"prepare": n, "gtm_round": 1, "commit": n})
+
+	// ROLLBACK: one abort per leg and the GTM's record, none awaited.
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "UPDATE accounts SET balance = balance + 1")
+	step("ROLLBACK of a 4-leg writing transaction", "ROLLBACK", map[string]int{},
+		map[string]int{"abort": n, "gtm_round": 1})
+
+	// A replicated table is written on every node: one wave, then 2PC.
+	step("insert into a replicated table", "INSERT INTO dimr VALUES (99, 'rep99')",
+		map[string]int{"gtm_round": 2, "write": 1, "prepare": 1, "commit": 1},
+		map[string]int{"gtm_round": 2, "write": n, "prepare": n, "commit": n})
+
+	// Broadcast join: the build side's four sources are asked in one wave
+	// and their results awaited once, then every fragment takes the build
+	// side and answers (each on its own goroutine, as any fragment).
+	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistBroadcast}
+	step("broadcast join", "SELECT fact.v, dim.name FROM fact, dim WHERE fact.d = dim.d",
+		map[string]int{"gtm_round": 1, "scan_frag_req": 1, "scan_frag_resp": 1 + n, "bcast_build": n},
+		map[string]int{"gtm_round": 2, "scan_frag": 3 * n, "bcast_build": n, "commit": n})
+
+	// Shuffle join: 8 producers (4 sources × 2 sides), each sending several
+	// batches to each of 3 other nodes — and each waiting once, for its
+	// stream, however many batches that was.
+	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
+	log.take()
+	base := c.fab.Stats()
+	mustExec(t, s, "SELECT sa.k, sb.k FROM sa, sb WHERE sa.j = sb.j")
+	waits, msgs := log.take(), msgCounts(c.fab.Stats().Sub(base))
+	batches := msgs["shuffle_part"]
+	if batches < 2*2*n*(n-1) {
+		t.Fatalf("shuffle join sent %d shuffle_part batches; the fixture needs at least 2 per stream and target (%d)", batches, 2*2*n*(n-1))
+	}
+	wantWaits := map[string]int{"gtm_round": 1, "scan_frag_req": n, "scan_frag_resp": n, "shuffle_part": 2 * n}
+	if !maps.Equal(waits, wantWaits) {
+		t.Errorf("shuffle join (%d batches) waited on %v, want %v", batches, waits, wantWaits)
+	}
+	delete(msgs, "shuffle_part")
+	if !maps.Equal(msgs, scatterMsgs) {
+		t.Errorf("shuffle join sent %v besides its batches, want %v", msgs, scatterMsgs)
+	}
+}
+
+// TestCommitWaveFaults drives the 2PC waves through injected message loss:
+// what a lost prepare, a lost commit confirmation and a lost read-only
+// release each leave behind.
+func TestCommitWaveFaults(t *testing.T) {
+	const rows = 40
+	c := newCluster(t, 4, ModeGTMLite)
+	s := setupAccounts(t, c, rows)
+	// Two keys on different nodes, a on the lower-numbered one: its message
+	// is the first of each wave.
+	var a, b int64 = 0, 1
+	for c.RouteKey(types.NewInt(b)) == c.RouteKey(types.NewInt(a)) {
+		b++
+	}
+	if c.RouteKey(types.NewInt(a)) > c.RouteKey(types.NewInt(b)) {
+		a, b = b, a
+	}
+	dnA := c.RouteKey(types.NewInt(a))
+	balance := func(id int64) int64 {
+		t.Helper()
+		return mustExec(t, s, fmt.Sprintf("SELECT balance FROM accounts WHERE id = %d", id)).Rows[0][0].Int()
+	}
+	checkSum := func() {
+		t.Helper()
+		if got := mustExec(t, s, "SELECT sum(balance) FROM accounts").Rows[0][0].Int(); got != rows*100 {
+			t.Fatalf("sum(balance) = %d, want %d", got, rows*100)
+		}
+	}
+	transfer := func() error {
+		t.Helper()
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, fmt.Sprintf("UPDATE accounts SET balance = balance - 30 WHERE id = %d", a))
+		mustExec(t, s, fmt.Sprintf("UPDATE accounts SET balance = balance + 30 WHERE id = %d", b))
+		_, err := s.Exec("COMMIT")
+		return err
+	}
+	dropNext := func(dn int, mt transport.MsgType) {
+		c.Fabric().InjectFault(transport.CN(), transport.DN(dn), transport.Fault{
+			Types: []transport.MsgType{mt}, Drop: true, Count: 1,
+		})
+	}
+	activeLegs := func() int {
+		total := 0
+		for _, dn := range c.DataNodes() {
+			total += dn.Txm.ActiveCount()
+		}
+		return total
+	}
+
+	// A lost prepare: the leg cannot vote, both legs abort, nothing is left
+	// in doubt.
+	dropNext(dnA, transport.Prepare)
+	if err := transfer(); err == nil || !strings.Contains(err.Error(), "prepare failed") {
+		t.Fatalf("COMMIT with a dropped prepare: %v, want a prepare failure", err)
+	}
+	if got := c.InDoubtCount(); got != 0 {
+		t.Fatalf("a failed prepare left %d legs in doubt", got)
+	}
+	if balance(a) != 100 || balance(b) != 100 || activeLegs() != 0 {
+		t.Fatalf("aborted transfer left balances %d/%d and %d active legs", balance(a), balance(b), activeLegs())
+	}
+	checkSum()
+
+	// A lost commit confirmation, on the first leg of the wave: the decision
+	// is durable, so the other leg commits and is visible; exactly the leg
+	// that never heard stays in doubt until recovery finishes it.
+	dropNext(dnA, transport.Commit)
+	if err := transfer(); err == nil || !strings.Contains(err.Error(), "in doubt") {
+		t.Fatalf("COMMIT with a dropped confirmation: %v, want the in-doubt error", err)
+	}
+	if got := c.InDoubtCount(); got != 1 {
+		t.Fatalf("InDoubtCount = %d, want 1 (only the leg whose confirmation was lost)", got)
+	}
+	if got := balance(b); got != 130 {
+		t.Fatalf("the leg whose confirmation arrived reads %d, want 130 (committed and visible)", got)
+	}
+	if committed, aborted := c.RecoverInDoubt(); committed != 1 || aborted != 0 {
+		t.Fatalf("RecoverInDoubt = %d committed, %d aborted; want 1, 0", committed, aborted)
+	}
+	if c.InDoubtCount() != 0 || balance(a) != 70 {
+		t.Fatalf("after recovery: %d in doubt, a = %d (want 0, 70)", c.InDoubtCount(), balance(a))
+	}
+	checkSum()
+
+	// A lost read-only release: the rows are already delivered, so neither a
+	// scatter nor a single-shard SELECT fails; the loss is counted and the
+	// leg ends all the same (presumed abort).
+	for _, q := range []string{
+		"SELECT sum(balance) FROM accounts",
+		fmt.Sprintf("SELECT balance FROM accounts WHERE id = %d", a),
+	} {
+		base := c.Fabric().Stats()
+		dropNext(dnA, transport.Commit)
+		if _, err := s.Exec(q); err != nil {
+			t.Fatalf("%s with its release dropped: %v", q, err)
+		}
+		if d := c.Fabric().Stats().Sub(base).Get(transport.Commit); d.Dropped != 1 {
+			t.Fatalf("%s: commit stats %+v, want the dropped release counted", q, d)
+		}
+		if activeLegs() != 0 || c.InDoubtCount() != 0 {
+			t.Fatalf("%s: a lost release left %d active legs, %d in doubt", q, activeLegs(), c.InDoubtCount())
+		}
+	}
+	checkSum()
+}

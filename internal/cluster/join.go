@@ -259,9 +259,10 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 // Broadcast
 // ---------------------------------------------------------------------------
 
-// broadcastJoin gathers the build side once at the coordinator (ordinary
-// scan legs), ships it to every target DN as one bcast_build message each,
-// and probes with each DN's local probe partition.
+// broadcastJoin gathers the build side once at the coordinator (scan legs,
+// requested as one wave and answered as one stream), ships it to every
+// target DN as one bcast_build message each, and probes with each DN's
+// local probe partition.
 func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 	c := a.s.c
 	return exec.NewParallelSource("join:broadcast", spec.Out, c.parallelDegree(), func() ([]exec.Fragment, error) {
@@ -281,11 +282,17 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 		gather := func(ctx *exec.Ctx) {
 			table = map[string][]types.Row{}
 			add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
+			// The build sources are asked in one wave and answer side by
+			// side, their results converging on the coordinator.
+			nodes := make([]int, len(build.srcs))
+			for i, src := range build.srcs {
+				nodes[i] = src.node
+			}
+			if gatherErr = c.sendDNs(nodes, transport.ScanFrag); gatherErr != nil {
+				return
+			}
+			results := c.fab.Stream()
 			for _, src := range build.srcs {
-				if err := c.sendDN(src.node, transport.ScanFrag, 0); err != nil {
-					gatherErr = err
-					return
-				}
 				n := 0
 				err := build.scan(ctx, src, func(r types.Row) bool {
 					n++
@@ -296,13 +303,14 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 					err = *buildErr
 				}
 				if err == nil {
-					err = c.sendFromDN(src.node, transport.ScanFrag, n*build.prog.shipWidth()*8)
+					err = results.Post(transport.DN(src.node), transport.CN(), transport.ScanFrag, n*build.prog.shipWidth()*8)
 				}
 				if err != nil {
 					gatherErr = err
 					return
 				}
 			}
+			results.Wait()
 		}
 		frags := make([]exec.Fragment, len(targets))
 		for i, p := range targets {
@@ -345,7 +353,8 @@ func shufflePart(key string, n int) int {
 // DNs. Producer goroutines — one per source fragment, so at most one per
 // DN and side — scan their fragment and write rows into
 // per-(source,target) bounded queues; every batch that changes nodes is
-// charged as a shuffle_part message. One consumer fragment per target
+// a shuffle_part message on the producer's stream, which the producer pays
+// for once, after its last batch. One consumer fragment per target
 // drains its build queues into a hash table, then probes with its probe
 // queues. Both ends must all run at once for progress: producers block on
 // full queues, and Partitioner.Drain consumes sources strictly in order, so
@@ -365,20 +374,27 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			}
 			width := joinResultWidth(probe, build)
 
-			// Per-side partitioners; the onBatch hook charges the fabric
-			// for batches that change nodes (and is where injected
-			// shuffle_part faults surface, failing the producer).
-			onBatch := func(side *joinSide) func(src, part int, rows []types.Row) error {
-				return func(src, part int, rows []types.Row) error {
-					from, to := side.srcs[src].node, targets[part]
-					if from == to {
-						return nil // local partition: no wire
-					}
-					return c.fab.Send(transport.DN(from), transport.DN(to), transport.ShufflePart, len(rows)*side.prog.shipWidth()*8)
+			// Per-side partitioners; the onBatch hook posts every batch that
+			// changes nodes on its producer's stream (and is where injected
+			// shuffle_part faults surface, failing the producer). A producer
+			// does not stop and wait per batch: it pays for the stream, once,
+			// in produce.
+			sideParts := func(side *joinSide) (*exec.Partitioner, []transport.Stream) {
+				streams := make([]transport.Stream, len(side.srcs))
+				for i := range streams {
+					streams[i] = c.fab.Stream()
 				}
+				return exec.NewPartitioner(len(side.srcs), len(targets), shuffleBatchRows, shuffleQueueCap,
+					func(src, part int, rows []types.Row) error {
+						from, to := side.srcs[src].node, targets[part]
+						if from == to {
+							return nil // local partition: no wire
+						}
+						return streams[src].Post(transport.DN(from), transport.DN(to), transport.ShufflePart, len(rows)*side.prog.shipWidth()*8)
+					}), streams
 			}
-			bp := exec.NewPartitioner(len(build.srcs), len(targets), shuffleBatchRows, shuffleQueueCap, onBatch(&build))
-			pp := exec.NewPartitioner(len(probe.srcs), len(targets), shuffleBatchRows, shuffleQueueCap, onBatch(&probe))
+			bp, buildStreams := sideParts(&build)
+			pp, probeStreams := sideParts(&probe)
 			cancelBoth := func() { bp.Cancel(); pp.Cancel() }
 
 			var (
@@ -394,7 +410,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			// produce scans one source fragment and routes its rows. NULL
 			// keys are dropped at the producer: they can never match an
 			// inner join, so they need not cross the fabric at all.
-			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, src int) error {
+			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, stream *transport.Stream, src int) error {
 				w := part.Writer(src)
 				var keyErr error
 				err := side.scan(ctx, side.srcs[src], func(r types.Row) bool {
@@ -415,6 +431,15 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 				if err == nil {
 					err = keyErr
 				}
+				if err == nil {
+					err = w.Flush()
+				}
+				if err == nil {
+					// The stream's one wait, before Close marks the queues
+					// complete: no consumer can finish ahead of the last
+					// batch's arrival.
+					stream.Wait()
+				}
 				if cerr := w.Close(); err == nil {
 					err = cerr
 				}
@@ -423,19 +448,19 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			start := func(ctx *exec.Ctx) {
 				startOnce.Do(func() {
 					now := ctx.Now
-					spawn := func(side *joinSide, part *exec.Partitioner) {
+					spawn := func(side *joinSide, part *exec.Partitioner, streams []transport.Stream) {
 						for i := range side.srcs {
 							producerWG.Add(1)
 							go func(src int) {
 								defer producerWG.Done()
-								if err := produce(exec.NewCtx(now), side, part, src); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
+								if err := produce(exec.NewCtx(now), side, part, &streams[src], src); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
 									fail(err)
 								}
 							}(i)
 						}
 					}
-					spawn(&build, bp)
-					spawn(&probe, pp)
+					spawn(&build, bp, buildStreams)
+					spawn(&probe, pp, probeStreams)
 				})
 			}
 

@@ -226,8 +226,9 @@ func (t *txn) snapshotFor(dnID int) (*txnkit.Snapshot, error) {
 	return &s, nil
 }
 
-// commit finishes the transaction: local commit on the single-shard fast
-// path, 2PC with commit-on-GTM-first ordering otherwise.
+// commit finishes the transaction: a release of its legs when it wrote
+// nothing, local commit on the single-shard fast path, 2PC with
+// commit-on-GTM-first ordering otherwise.
 func (t *txn) commit() error {
 	if t.done {
 		return errors.New("cluster: transaction already finished")
@@ -238,6 +239,10 @@ func (t *txn) commit() error {
 		return ErrTxnAborted
 	}
 	ids := t.sortedDNs()
+	if !t.dml {
+		t.release(ids)
+		return nil
+	}
 
 	// Hold a commit slot on every leg for the duration of the protocol,
 	// then re-check liveness: a failover marks the primary down and drains
@@ -264,27 +269,28 @@ func (t *txn) commit() error {
 	}
 
 	if !t.global {
-		// GTM-lite single-shard fast path: no GTM, no 2PC.
-		for _, dnID := range ids {
-			if err := t.c.sendDN(dnID, transport.Commit, 0); err != nil {
-				// The commit message never reached the node: nothing
-				// committed, so aborting is safe and the client sees the
-				// failure.
-				t.abortLocked()
-				return fmt.Errorf("cluster: commit aborted, dn%d unreachable: %w", dnID, err)
-			}
-			if err := t.c.commitLeg(dnID, t.xids[dnID], t.pending[dnID], &waits); err != nil {
-				return err
-			}
+		// GTM-lite single-shard fast path: no GTM, no 2PC, and exactly one
+		// leg — a second one would have escalated the transaction.
+		if len(ids) == 0 {
+			return nil
 		}
-		return nil
-	}
-	// Phase 1: prepare every leg.
-	for _, dnID := range ids {
-		if err := t.c.sendDN(dnID, transport.Prepare, 0); err != nil {
+		dnID := ids[0]
+		if err := t.c.sendDN(dnID, transport.Commit, 0); err != nil {
+			// The commit message never reached the node: nothing
+			// committed, so aborting is safe and the client sees the
+			// failure.
 			t.abortLocked()
-			return fmt.Errorf("cluster: prepare failed on dn%d: %w", dnID, err)
+			return fmt.Errorf("cluster: commit aborted, dn%d unreachable: %w", dnID, err)
 		}
+		return t.c.commitLeg(dnID, t.xids[dnID], t.pending[dnID], &waits)
+	}
+	// Phase 1: prepare every leg, as one wave. A leg whose prepare was lost
+	// cannot vote, so the transaction aborts everywhere.
+	if err := t.c.sendDNs(ids, transport.Prepare); err != nil {
+		t.abortLocked()
+		return fmt.Errorf("cluster: prepare failed: %w", err)
+	}
+	for _, dnID := range ids {
 		if err := t.c.node(dnID).Txm.Prepare(t.xids[dnID]); err != nil {
 			t.abortLocked()
 			return fmt.Errorf("cluster: prepare failed on dn%d: %w", dnID, err)
@@ -309,23 +315,54 @@ func (t *txn) commit() error {
 		// legs stay prepared until RecoverInDoubt finishes phase 2.
 		return errors.New("cluster: coordinator crashed after GTM commit (failpoint)")
 	}
-	// Phase 2: commit confirmations to data nodes.
-	for _, dnID := range ids {
-		if err := t.c.sendDN(dnID, transport.Commit, 0); err != nil {
-			// The decision is already durable at the GTM and the leg stays
-			// prepared with its records stashed: in-doubt recovery
-			// (ResolveInDoubt) finishes phase 2 when the node is reachable.
-			return fmt.Errorf("cluster: commit confirmation to dn%d lost (leg stays in doubt): %w", dnID, err)
+	// Phase 2: commit confirmations to the data nodes, as one wave. The
+	// decision is already durable at the GTM, so every leg whose
+	// confirmation arrived commits; a leg whose confirmation was lost stays
+	// prepared with its records stashed, and in-doubt recovery
+	// (ResolveInDoubt) finishes it when the node is reachable.
+	var firstErr error
+	lost := t.c.waveDN(ids, transport.Commit)
+	for i, dnID := range ids {
+		if lost != nil && lost[i] != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("cluster: commit confirmation to dn%d lost (leg stays in doubt): %w", dnID, lost[i])
+			}
+			continue
 		}
 		recs := t.c.takeStash(dnID, t.xids[dnID])
 		if recs == nil {
 			recs = t.pending[dnID]
 		}
-		if err := t.c.commitLeg(dnID, t.xids[dnID], recs, &waits); err != nil {
-			return err
+		if err := t.c.commitLeg(dnID, t.xids[dnID], recs, &waits); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	return firstErr
+}
+
+// release ends a transaction that ran no DML — the read-only optimisation
+// of two-phase commit. Its legs hold nothing to vote on, log or ship, so
+// there is no prepare, no commit slot and nothing for the client to wait
+// for: the outcome goes to the GTM and one commit message to every leg, all
+// posted and none awaited — the statement's critical path ended at its last
+// fragment response. A release the fabric loses is counted as dropped and
+// its leg ends by presumed abort, which for a leg without writes is the same
+// thing; the rows stay delivered.
+func (t *txn) release(ids []int) {
+	if t.global {
+		t.c.postGTM(transport.GTMRound)
+		t.c.gtm.EndGlobal(t.gxid, true)
+	}
+	for _, dnID := range ids {
+		txm := t.c.node(dnID).Txm
+		// Settling errors (leg already ended) are unreachable through the
+		// session API; ignore defensively.
+		if t.c.postDN(dnID, transport.Commit) != nil {
+			_ = txm.Abort(t.xids[dnID])
+		} else {
+			_ = txm.Commit(t.xids[dnID])
+		}
+	}
 }
 
 // abort rolls back every leg.
@@ -337,18 +374,18 @@ func (t *txn) abort() {
 	t.abortLocked()
 }
 
+// abortLocked rolls every leg back with one wave nobody waits for: a lost
+// abort leaves its leg to presumed-abort recovery, and the client's error
+// does not depend on any of them arriving.
 func (t *txn) abortLocked() {
-	for dnID, xid := range t.xids {
-		// Aborts are best effort: a lost message leaves the leg to be
-		// reaped by presumed-abort recovery, so delivery failures are
-		// deliberately ignored.
-		_ = t.c.sendDN(dnID, transport.Abort, 0)
+	for _, dnID := range t.sortedDNs() {
+		_ = t.c.postDN(dnID, transport.Abort)
 		// Abort errors (already settled) are unreachable through the
 		// session API; ignore defensively.
-		_ = t.c.node(dnID).Txm.Abort(xid)
+		_ = t.c.node(dnID).Txm.Abort(t.xids[dnID])
 	}
 	if t.global {
-		t.c.sendGTM(transport.GTMRound)
+		t.c.postGTM(transport.GTMRound)
 		t.c.gtm.EndGlobal(t.gxid, false)
 	}
 }
@@ -613,14 +650,14 @@ func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
 			return nil, err
 		}
 		t.touchSet(targets)
+		if err := s.c.sendDNs(targets, transport.Write); err != nil {
+			return nil, err
+		}
 		logging := !ti.replicated && s.c.tapInstalled()
 		for _, dnID := range targets {
 			xid := t.touch(dnID)
 			snap, err := t.snapshotFor(dnID)
 			if err != nil {
-				return nil, err
-			}
-			if err := s.c.sendDN(dnID, transport.Write, 0); err != nil {
 				return nil, err
 			}
 			if ti.columnar() {
@@ -751,6 +788,9 @@ func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
 		return nil, err
 	}
 	t.touchSet(targets)
+	if err := s.c.sendDNs(targets, transport.Write); err != nil {
+		return nil, err
+	}
 	ctx := exec.NewCtx(s.c.Clock())
 	total := 0
 	logging := !ti.replicated && s.c.tapInstalled()
@@ -759,9 +799,6 @@ func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
 		xid := t.touch(dnID)
 		snap, err := t.snapshotFor(dnID)
 		if err != nil {
-			return nil, err
-		}
-		if err := s.c.sendDN(dnID, transport.Write, 0); err != nil {
 			return nil, err
 		}
 		var evalErr error
@@ -848,6 +885,9 @@ func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
 		return nil, err
 	}
 	t.touchSet(targets)
+	if err := s.c.sendDNs(targets, transport.Write); err != nil {
+		return nil, err
+	}
 	ctx := exec.NewCtx(s.c.Clock())
 	total := 0
 	logging := !ti.replicated && s.c.tapInstalled()
@@ -856,9 +896,6 @@ func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
 		xid := t.touch(dnID)
 		snap, err := t.snapshotFor(dnID)
 		if err != nil {
-			return nil, err
-		}
-		if err := s.c.sendDN(dnID, transport.Write, 0); err != nil {
 			return nil, err
 		}
 		var evalErr error

@@ -634,7 +634,11 @@ func (c *Cluster) WaitCommitsSettled(dnID int, timeout time.Duration) error {
 // transaction leg) to the standby inside a single standby-local
 // transaction, preserving the batch's atomicity. OpUpdate and OpDelete
 // match exactly one stored instance of the old row; a missing match means
-// the mirror diverged and the error poisons the pair.
+// the mirror diverged and the error poisons the pair. ErrNodeDown is the one
+// error that says nothing about the mirror: the standby was down or cut off
+// when its transaction came to commit, the transaction rolled back, and the
+// same leg can be applied again (a reap record, the only thing applied
+// outside that transaction, always ships as a leg of its own).
 func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 	dn := c.node(standbyID)
 	var xid txnkit.XID

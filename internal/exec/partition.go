@@ -134,16 +134,25 @@ func (w *PartWriter) flush(part int) error {
 	return nil
 }
 
-// Close flushes all pending batches of this source and marks its queues
-// complete. Every writer must Close (even after an error) or drainers
-// block forever.
-func (w *PartWriter) Close() error {
+// Flush pushes every pending batch of this source into its queue without
+// marking the queues complete: between Flush and Close the writer knows
+// its whole output (onBatch has seen every batch) while no drainer can yet
+// see the end of it — where a producer waits for its last batch to arrive.
+func (w *PartWriter) Flush() error {
 	var firstErr error
 	for part := 0; part < w.p.nParts; part++ {
 		if err := w.flush(part); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	return firstErr
+}
+
+// Close flushes all pending batches of this source and marks its queues
+// complete. Every writer must Close (even after an error) or drainers
+// block forever.
+func (w *PartWriter) Close() error {
+	firstErr := w.Flush()
 	for part := 0; part < w.p.nParts; part++ {
 		q := w.p.queue(w.src, part)
 		q.mu.Lock()

@@ -19,6 +19,7 @@
 package repl
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -240,58 +241,79 @@ func (m *Manager) Committed(dnID int, recs []cluster.WriteRec) func() {
 // apply is the row sink of one replica's feed: it ships the batch over
 // the replica's current upstream link and applies it leg by leg, each as
 // one replica-local transaction, forwarding every applied leg to chained
-// children. A transport failure (dropped ReplShip, severed link) is
-// retried until the link heals — the records are durable upstream and lag
-// simply grows, taking the replica out of read rotation and degrading
-// sync-mode commits. An apply error, by contrast, poisons the feed (the
+// children. A transport failure is retried until the fabric heals — the
+// records are durable upstream and lag simply grows, taking the replica out
+// of read rotation and degrading sync-mode commits — whether it loses the
+// ReplShip message or cuts the replica off between a batch's delivery and
+// its apply: the legs the replica could not commit are shipped again, so a
+// partition looks the same (ReplShip drops, growing lag) whichever side of
+// the delivery it lands on. Any other apply error poisons the feed (the
 // mirror can no longer be trusted); the feed keeps draining — and acking —
 // so sync-mode commits are still released.
 func (m *Manager) apply(r *replica, batch []Leg, done func()) error {
-	if r.detached.Load() || !m.ship(r, batch) {
-		return nil
-	}
-	r.batches.Add(1)
-	for _, l := range batch {
-		if err := m.c.ApplyStandbyRecs(r.node, l.Recs); err != nil {
-			return err
+	for {
+		if r.detached.Load() || !m.ship(r, batch) {
+			return nil
 		}
-		m.shipped.Add(int64(len(l.Recs)))
-		for _, child := range *r.children.Load() {
-			child.feed.append(l.Recs, l.ack)
+		r.batches.Add(1)
+		for len(batch) > 0 {
+			l := batch[0]
+			if err := m.c.ApplyStandbyRecs(r.node, l.Recs); err != nil {
+				// ErrNodeDown rolled the leg's transaction back whole. It is
+				// the fabric's doing, and transient, unless the node is down
+				// for a reason of its own.
+				dead := m.c.NodeIsDown(r.node) && !m.fab.Unreachable(transport.DN(r.node))
+				if !errors.Is(err, cluster.ErrNodeDown) || dead {
+					return err
+				}
+				break
+			}
+			m.shipped.Add(int64(len(l.Recs)))
+			for _, child := range *r.children.Load() {
+				child.feed.append(l.Recs, l.ack)
+			}
+			done()
+			batch = batch[1:]
 		}
-		done()
+		if len(batch) == 0 || !m.retryPause(r) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // ship delivers one batch over the replica's upstream link as a single
 // ReplShip message, retrying transport failures until delivery or manager
 // close. The upstream is re-read on every retry, so a replica reparented
 // by a failover mid-retry migrates to the promoted primary's link.
-// Returns false only when the manager closed before delivery.
+// Returns false only when retrying stopped before delivery (retryPause).
 func (m *Manager) ship(r *replica, batch []Leg) bool {
 	payload := 0
 	for _, l := range batch {
 		payload += recsPayload(l.Recs)
 	}
 	for {
-		if r.detached.Load() {
-			// A re-seed is taking this replica object out of service; stop
-			// retrying so the feed quiesces promptly.
-			return false
-		}
 		up := int(r.upstream.Load())
-		err := m.fab.Send(transport.DN(up), transport.DN(r.node), transport.ReplShip, payload)
-		if err == nil {
-			return true
-		}
 		// Send only fails with ErrUnreachable variants (drop fault, severed
 		// link, partition) — all transient from the log's point of view.
-		select {
-		case <-m.stop:
-			return false
-		case <-time.After(200 * time.Microsecond):
+		if m.fab.Send(transport.DN(up), transport.DN(r.node), transport.ReplShip, payload) == nil {
+			return true
 		}
+		if !m.retryPause(r) {
+			return false
+		}
+	}
+}
+
+// retryPause backs off before the replica's sink retries a transient
+// failure. It returns false when retrying must stop instead: the manager
+// closed, or a re-seed is taking this replica object out of service and its
+// feed has to quiesce promptly.
+func (m *Manager) retryPause(r *replica) bool {
+	select {
+	case <-m.stop:
+		return false
+	case <-time.After(200 * time.Microsecond):
+		return !r.detached.Load()
 	}
 }
 

@@ -217,3 +217,87 @@ func TestSyncDegradeOnLinkDrop(t *testing.T) {
 		t.Fatal("fault injection never dropped a ReplShip")
 	}
 }
+
+// TestPartitionBetweenShipAndApplyKeepsReplica is the regression test for a
+// partition landing inside a batch — after its ReplShip message was
+// delivered, before its legs are applied. The replica can then not commit
+// (a cut-off node reads as down), which says nothing about its mirror: the
+// sink must keep the feed healthy and retry, exactly as it does when the
+// same partition loses the ReplShip message itself, and catch up after the
+// heal with no re-seed.
+func TestPartitionBetweenShipAndApplyKeepsReplica(t *testing.T) {
+	c := newCluster(t, 2, cluster.ModeGTMLite)
+	s := setupAccounts(t, c, 40)
+	m := NewManager(c, Config{Mode: ModeAsync})
+	defer m.Close()
+	pairs := attachAll(t, m, c)
+	waitSynced(t, m, c.PrimaryIDs())
+
+	const primary = 0
+	sid := pairs[primary]
+	r := (*m.group(primary).replicas.Load())[0]
+	fab := c.Fabric()
+
+	// Queue a five-leg batch behind a held feed, and make its one ReplShip
+	// message slow: while ship() sleeps on the delivered message, the test
+	// knows the batch is across and nothing of it is applied yet.
+	key := keyOn(c, primary)
+	release := r.feed.Quiesce()
+	for i := 0; i < 5; i++ {
+		mustExec(t, s, fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", key))
+	}
+	fab.InjectFault(transport.DN(primary), transport.DN(sid), transport.Fault{
+		Types: []transport.MsgType{transport.ReplShip}, Delay: 40 * time.Millisecond, Count: 1,
+	})
+	base := fab.Stats().Get(transport.ReplShip)
+	applied := r.feed.Applied()
+	release()
+	deadline := time.Now().Add(5 * time.Second)
+	for fab.Stats().Get(transport.ReplShip).Count == base.Count {
+		if time.Now().After(deadline) {
+			t.Fatal("the held batch was never shipped")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	fab.Partition(transport.DN(sid))
+
+	// While cut off the replica retries: re-shipped batches are lost to the
+	// partition (the drop signal the autopilot's quorum policy reads), lag
+	// stays, and the feed is not poisoned.
+	for fab.Stats().Get(transport.ReplShip).Dropped < base.Dropped+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no retries while partitioned (feed error: %v)", r.feed.Err())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := r.feed.Err(); err != nil {
+		t.Fatalf("partition between ship and apply poisoned the feed: %v", err)
+	}
+	if got := r.feed.Applied(); got != applied {
+		t.Fatalf("replica applied %d records while cut off", got-applied)
+	}
+	if m.Lag(primary) == 0 {
+		t.Fatal("lag is zero with five legs undelivered")
+	}
+
+	// Heal: the same replica object catches up — no re-seed — and mirrors
+	// its primary exactly.
+	fab.Heal()
+	waitSynced(t, m, []int{primary})
+	st := m.Status().Replicas
+	if got := (*m.group(primary).replicas.Load())[0]; got != r {
+		t.Fatal("replica was replaced (re-seeded)")
+	}
+	for _, rs := range st {
+		if rs.Broken {
+			t.Fatalf("replica dn%d broken after heal", rs.Node)
+		}
+	}
+	if err := r.feed.Err(); err != nil {
+		t.Fatalf("feed error after heal: %v", err)
+	}
+	if got := r.feed.Applied() - applied; got != 5 {
+		t.Fatalf("replica applied %d records after heal, want 5 (each leg exactly once)", got)
+	}
+	mirrorsMatch(t, c, pairs)
+}

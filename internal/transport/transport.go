@@ -15,9 +15,13 @@
 //     reported through Unreachable so the cluster's liveness checks and
 //     the replication failure detector compose with injected partitions.
 //
-// The fabric is in-process: a Send sleeps for the modeled latency and
-// returns an error when a fault fires — callers treat that exactly as a
-// failed RPC. The zero-configuration fabric (New(Config{})) costs one
+// The fabric is in-process. Post accounts one message, applies faults and
+// partitions — an error is a failed RPC to the caller — and returns the
+// message's modeled delay; waiting is separate, because what a protocol
+// waits for is not what it sends: Send waits for its one message, Wave once
+// for the slowest of a phase's parallel messages, a Stream once for a
+// pipelined sequence, and a message nobody needs an answer to is posted and
+// not waited for. The zero-configuration fabric (New(Config{})) costs one
 // atomic add per message on the hot path.
 package transport
 
@@ -563,17 +567,23 @@ func (f *Fabric) severed(from, to Endpoint) bool {
 	return p != nil && p.severs(from, to)
 }
 
-// Send delivers one message of type t with a payload of payloadBytes from
-// from to to, sleeping for the link's modeled latency. It returns
-// ErrPartitioned / ErrDropped (both wrapping ErrUnreachable) when the
-// message is lost; the caller treats that as a failed RPC.
-func (f *Fabric) Send(from, to Endpoint, t MsgType, payloadBytes int) error {
+// Post puts one message of type t with a payload of payloadBytes on the
+// link from -> to and returns its modeled one-way delay — link latency plus
+// payload over bandwidth — without waiting for it. It is the one place a
+// message is accounted, fault-checked and partition-checked; who waits, and
+// for how much of the delay, is the caller's protocol: Send waits for its
+// one message, Wave once for the slowest of many, a Stream once for a whole
+// pipelined sequence, and a caller that needs no reply (a read-only
+// transaction releasing its legs, an abort) does not wait at all. Post
+// returns ErrPartitioned / ErrDropped (both wrapping ErrUnreachable) when
+// the message is lost; the caller treats that as a failed RPC.
+func (f *Fabric) Post(from, to Endpoint, t MsgType, payloadBytes int) (time.Duration, error) {
 	if f.severed(from, to) {
 		f.dropped[t].Add(1)
 		if f.trackLinks.Load() {
 			f.recordLink(from, to, payloadBytes, true)
 		}
-		return fmt.Errorf("%w (%s -> %s, %s)", ErrPartitioned, from, to, t)
+		return 0, fmt.Errorf("%w (%s -> %s, %s)", ErrPartitioned, from, to, t)
 	}
 
 	delay := time.Duration(f.base.Load())
@@ -584,13 +594,11 @@ func (f *Fabric) Send(from, to Endpoint, t MsgType, payloadBytes int) error {
 			if f.trackLinks.Load() {
 				f.recordLink(from, to, payloadBytes, true)
 			}
-			return fmt.Errorf("%w (%s -> %s, %s)", ErrDropped, from, to, t)
+			return 0, fmt.Errorf("%w (%s -> %s, %s)", ErrDropped, from, to, t)
 		}
 		delay += extra
 	}
-	if bw := f.bandwidth.Load(); bw > 0 && payloadBytes > 0 {
-		delay += time.Duration(float64(payloadBytes) / float64(bw) * float64(time.Second))
-	}
+	delay += f.payloadDelay(payloadBytes)
 
 	f.counts[t].Add(1)
 	f.bytes[t].Add(int64(payloadBytes))
@@ -603,11 +611,92 @@ func (f *Fabric) Send(from, to Endpoint, t MsgType, payloadBytes int) error {
 	if f.trackLinks.Load() {
 		f.recordLink(from, to, payloadBytes, false)
 	}
-	if delay > 0 {
-		f.sleep(delay)
+	return delay, nil
+}
+
+// payloadDelay is the bandwidth term of a message's delay.
+func (f *Fabric) payloadDelay(payloadBytes int) time.Duration {
+	if bw := f.bandwidth.Load(); bw > 0 && payloadBytes > 0 {
+		return time.Duration(float64(payloadBytes) / float64(bw) * float64(time.Second))
 	}
+	return 0
+}
+
+// wait realizes a modeled delay (Config.Sleep; nothing at zero).
+func (f *Fabric) wait(d time.Duration) {
+	if d > 0 {
+		f.sleep(d)
+	}
+}
+
+// Send delivers one message and waits for it: Post plus the message's own
+// delay.
+func (f *Fabric) Send(from, to Endpoint, t MsgType, payloadBytes int) error {
+	delay, err := f.Post(from, to, t, payloadBytes)
+	if err != nil {
+		return err
+	}
+	f.wait(delay)
 	return nil
 }
+
+// Wave sends the same message from from to every endpoint of tos at once and
+// waits once, for the slowest link that delivered — what a coordinator pays
+// for one protocol phase over N participants (N messages side by side, not
+// N round trips one after the other). It returns nil when every message
+// arrived; otherwise a slice parallel to tos holding each lost message's
+// error, nil where the message was delivered.
+func (f *Fabric) Wave(from Endpoint, tos []Endpoint, t MsgType, payloadBytes int) []error {
+	var (
+		slowest time.Duration
+		lost    []error
+	)
+	for i, to := range tos {
+		delay, err := f.Post(from, to, t, payloadBytes)
+		if err != nil {
+			if lost == nil {
+				lost = make([]error, len(tos))
+			}
+			lost[i] = err
+			continue
+		}
+		slowest = max(slowest, delay)
+	}
+	f.wait(slowest)
+	return lost
+}
+
+// Stream prices messages that follow each other without waiting for
+// replies — one sender's batches, or many senders' results converging on
+// one receiver: the link latencies overlap and the payloads serialize on
+// the shared end, so the whole sequence costs the slowest latency posted
+// plus the summed payload time, waited once by Wait. Not safe for
+// concurrent use.
+type Stream struct {
+	f       *Fabric
+	latency time.Duration
+	payload time.Duration
+}
+
+// Stream starts an empty stream on the fabric.
+func (f *Fabric) Stream() Stream { return Stream{f: f} }
+
+// Post is Fabric.Post with the delay added to the stream's bill.
+func (s *Stream) Post(from, to Endpoint, t MsgType, payloadBytes int) error {
+	delay, err := s.f.Post(from, to, t, payloadBytes)
+	if err != nil {
+		return err
+	}
+	payload := s.f.payloadDelay(payloadBytes)
+	s.latency = max(s.latency, delay-payload)
+	s.payload += payload
+	return nil
+}
+
+// Wait waits until the last posted message has arrived; call it once, when
+// the stream is complete. A stream nothing was delivered on waits for
+// nothing.
+func (s *Stream) Wait() { s.f.wait(s.latency + s.payload) }
 
 // shape resolves per-link latency overrides and faults for one message.
 // It returns any extra delay and whether the message is dropped; when an

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -329,5 +330,220 @@ func TestScanFragLegAccounting(t *testing.T) {
 	}
 	if got := d.TotalBytes(); got != 320 {
 		t.Fatalf("window total bytes = %d, want 320", got)
+	}
+}
+
+// sleepLog is a recording Config.Sleep: it keeps every wait and sleeps for
+// none of them.
+type sleepLog struct {
+	mu    sync.Mutex
+	waits []time.Duration
+}
+
+func (l *sleepLog) sleep(d time.Duration) {
+	l.mu.Lock()
+	l.waits = append(l.waits, d)
+	l.mu.Unlock()
+}
+
+func (l *sleepLog) take() []time.Duration {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.waits
+	l.waits = nil
+	return out
+}
+
+// waveFabric builds a fabric with link tracking on, a partitioned dn2 and a
+// drop fault on cn -> dn1: one wave over dn0..dn3 then meets every way a
+// message can end (delivered, dropped, partitioned).
+func waveFabric(log *sleepLog) *Fabric {
+	f := New(Config{BaseLatency: time.Millisecond, Bandwidth: 1e6, Sleep: log.sleep})
+	f.TrackLinks(true)
+	f.Partition(DN(2))
+	f.InjectFault(CN(), DN(1), Fault{Types: []MsgType{Prepare}, Drop: true, Count: 1})
+	return f
+}
+
+// TestWaveAccountsLikeSends: Wave has no accounting of its own — over N
+// endpoints it leaves every counter the fabric keeps (per type, per data
+// node, per link, dropped) exactly as N Sends do, and reports the same
+// per-endpoint losses.
+func TestWaveAccountsLikeSends(t *testing.T) {
+	tos := []Endpoint{DN(0), DN(1), DN(2), DN(3)}
+	const payload = 100
+
+	var sendLog, waveLog sleepLog
+	bySend, byWave := waveFabric(&sendLog), waveFabric(&waveLog)
+	sendErrs := make([]error, len(tos))
+	for i, to := range tos {
+		sendErrs[i] = bySend.Send(CN(), to, Prepare, payload)
+	}
+	waveErrs := byWave.Wave(CN(), tos, Prepare, payload)
+
+	if len(waveErrs) != len(tos) {
+		t.Fatalf("Wave with losses returned %d errors, want one slot per endpoint (%d)", len(waveErrs), len(tos))
+	}
+	for i := range tos {
+		if (sendErrs[i] == nil) != (waveErrs[i] == nil) {
+			t.Fatalf("%v: Send err %v, Wave err %v", tos[i], sendErrs[i], waveErrs[i])
+		}
+	}
+	if !errors.Is(waveErrs[1], ErrDropped) || !errors.Is(waveErrs[2], ErrPartitioned) {
+		t.Fatalf("Wave losses = %v, want dn1 dropped and dn2 partitioned", waveErrs)
+	}
+	if a, b := bySend.Stats(), byWave.Stats(); a != b {
+		t.Fatalf("Stats differ:\n sends %+v\n wave  %+v", a.Get(Prepare), b.Get(Prepare))
+	}
+	if got := byWave.Stats().Get(Prepare); got.Count != 2 || got.Dropped != 2 || got.Bytes != 2*payload {
+		t.Fatalf("prepare stats = %+v, want 2 delivered, 2 dropped, %d B", got, 2*payload)
+	}
+	if a, b := bySend.DNStats(), byWave.DNStats(); !slices.Equal(a, b) {
+		t.Fatalf("DNStats differ:\n sends %+v\n wave  %+v", a, b)
+	}
+	if a, b := bySend.LinkStats(), byWave.LinkStats(); len(a) != 4 || !slices.Equal(a, b) {
+		t.Fatalf("LinkStats differ (or are not one per link):\n sends %+v\n wave  %+v", a, b)
+	}
+
+	// What differs is the waiting: one wait per delivered Send, one per Wave.
+	if got := len(sendLog.take()); got != 2 {
+		t.Fatalf("2 delivered Sends waited %d times", got)
+	}
+	if got := waveLog.take(); len(got) != 1 || got[0] != time.Millisecond+100*time.Microsecond {
+		t.Fatalf("Wave waited %v, want once for 1.1ms (latency + 100 B at 1 MB/s)", got)
+	}
+
+	// Everything delivered: no error slice at all.
+	byWave.Heal()
+	if errs := byWave.Wave(CN(), tos, Prepare, 0); errs != nil {
+		t.Fatalf("clean Wave returned %v, want nil", errs)
+	}
+	// Nothing delivered: nothing to wait for.
+	byWave.Partition(tos...)
+	waveLog.take()
+	if errs := byWave.Wave(CN(), tos, Prepare, 0); len(errs) != len(tos) {
+		t.Fatalf("fully partitioned Wave returned %v", errs)
+	}
+	if got := waveLog.take(); len(got) != 0 {
+		t.Fatalf("a Wave that delivered nothing waited %v", got)
+	}
+}
+
+// TestWaveWaitsForSlowestLink: the wave's wait is the max over its links,
+// not their sum, and a wave of one endpoint is a Send.
+func TestWaveWaitsForSlowestLink(t *testing.T) {
+	var log sleepLog
+	f := New(Config{BaseLatency: time.Millisecond, Sleep: log.sleep})
+	f.SetLinkLatency(CN(), DN(1), Latency{Base: 7 * time.Millisecond})
+	f.SetLinkLatency(CN(), DN(2), Latency{Base: 3 * time.Millisecond})
+	tos := []Endpoint{DN(0), DN(1), DN(2)}
+
+	if errs := f.Wave(CN(), tos, Commit, 0); errs != nil {
+		t.Fatal(errs)
+	}
+	if got := log.take(); len(got) != 1 || got[0] != 7*time.Millisecond {
+		t.Fatalf("Wave waited %v, want once for the slowest link (7ms), not the sum (11ms)", got)
+	}
+
+	// A lost message does not set the pace: only delivered links are waited for.
+	f.InjectFault(CN(), DN(1), Fault{Drop: true, Count: 1})
+	if errs := f.Wave(CN(), tos, Commit, 0); errs == nil || errs[1] == nil || errs[0] != nil || errs[2] != nil {
+		t.Fatalf("Wave errors = %v, want only dn1 lost", errs)
+	}
+	if got := log.take(); len(got) != 1 || got[0] != 3*time.Millisecond {
+		t.Fatalf("Wave with dn1 lost waited %v, want once for 3ms", got)
+	}
+
+	// One endpoint: same wait, same counters, same error as Send.
+	for _, to := range []Endpoint{DN(1), DN(2)} {
+		base := f.Stats()
+		if errs := f.Wave(CN(), []Endpoint{to}, Commit, 0); errs != nil {
+			t.Fatal(errs)
+		}
+		waved, wavedStats := log.take(), f.Stats().Sub(base)
+		base = f.Stats()
+		if err := f.Send(CN(), to, Commit, 0); err != nil {
+			t.Fatal(err)
+		}
+		sent, sentStats := log.take(), f.Stats().Sub(base)
+		if len(waved) != 1 || len(sent) != 1 || waved[0] != sent[0] || wavedStats != sentStats {
+			t.Fatalf("%v: Wave of one waited %v (%+v), Send waited %v (%+v)", to, waved, wavedStats.Get(Commit), sent, sentStats.Get(Commit))
+		}
+	}
+	f.Partition(DN(2))
+	errs := f.Wave(CN(), []Endpoint{DN(2)}, Commit, 0)
+	if len(errs) != 1 || !errors.Is(errs[0], ErrPartitioned) {
+		t.Fatalf("Wave of one partitioned endpoint = %v, want [ErrPartitioned]", errs)
+	}
+}
+
+// TestPostAccountsWithoutWaiting: Post is Send minus the wait — counted,
+// fault-checked, priced, never slept for.
+func TestPostAccountsWithoutWaiting(t *testing.T) {
+	var log sleepLog
+	f := New(Config{BaseLatency: 2 * time.Millisecond, Bandwidth: 1e6, Sleep: log.sleep})
+	d, err := f.Post(DN(0), CN(), ScanFrag, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != 3*time.Millisecond {
+		t.Fatalf("Post delay = %v, want 3ms (2ms link + 1000 B at 1 MB/s)", d)
+	}
+	if got := f.Stats().Get(ScanFrag); got.Count != 1 || got.Bytes != 1000 {
+		t.Fatalf("scan_frag stats = %+v", got)
+	}
+	f.InjectFault(CN(), DN(0), Fault{Drop: true, Count: 1})
+	if _, err := f.Post(CN(), DN(0), Commit, 0); !errors.Is(err, ErrDropped) {
+		t.Fatalf("Post through a drop fault: %v", err)
+	}
+	if got := f.Stats().Get(Commit); got.Count != 0 || got.Dropped != 1 {
+		t.Fatalf("commit stats = %+v, want the loss counted", got)
+	}
+	if got := log.take(); len(got) != 0 {
+		t.Fatalf("Post waited %v", got)
+	}
+}
+
+// TestStreamPaysOncePerStream: however many batches a stream carries, its
+// sender waits once — the slowest link latency plus the payload time of all
+// bytes — while every batch is still its own accounted, droppable message.
+func TestStreamPaysOncePerStream(t *testing.T) {
+	var log sleepLog
+	f := New(Config{BaseLatency: time.Millisecond, Bandwidth: 1e6, Sleep: log.sleep})
+	f.SetLinkLatency(DN(0), DN(2), Latency{Base: 4 * time.Millisecond})
+	for _, batches := range []int{1, 3, 40} {
+		base := f.Stats()
+		s := f.Stream()
+		for i := 0; i < batches; i++ {
+			if err := s.Post(DN(0), DN(1+i%2), ShufflePart, 500); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := log.take(); len(got) != 0 {
+			t.Fatalf("%d batches: posting waited %v", batches, got)
+		}
+		s.Wait()
+		lat := time.Millisecond
+		if batches > 1 {
+			lat = 4 * time.Millisecond // some batch crossed the slow link
+		}
+		want := lat + time.Duration(batches)*500*time.Microsecond
+		if got := log.take(); len(got) != 1 || got[0] != want {
+			t.Fatalf("%d batches: stream waited %v, want once for %v", batches, got, want)
+		}
+		if got := f.Stats().Sub(base).Get(ShufflePart); got.Count != int64(batches) || got.Bytes != int64(batches)*500 {
+			t.Fatalf("%d batches: shuffle_part stats = %+v", batches, got)
+		}
+	}
+
+	// A lost batch fails its Post and is not billed.
+	f.InjectFault(DN(0), DN(1), Fault{Types: []MsgType{ShufflePart}, Drop: true, Count: 1})
+	s := f.Stream()
+	if err := s.Post(DN(0), DN(1), ShufflePart, 500); !errors.Is(err, ErrDropped) {
+		t.Fatalf("Post through a drop fault: %v", err)
+	}
+	s.Wait()
+	if got := log.take(); len(got) != 0 {
+		t.Fatalf("a stream that delivered nothing waited %v", got)
 	}
 }
