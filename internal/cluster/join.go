@@ -22,9 +22,9 @@ package cluster
 // HTAP replica and standby routing and MoveBucket ownership fencing all
 // compose — a join side reads precisely the rows a plain scan of that side
 // would ship.
-// Every strategy emits rows through an ordered Exchange and scans sources
-// in a fixed order, so results are identical across strategies and
-// parallel degrees.
+// Every strategy emits rows through an Exchange (merged in fragment order)
+// and scans sources in a fixed order, so results are identical across
+// strategies and parallel degrees.
 
 import (
 	"errors"
@@ -150,48 +150,34 @@ func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, 
 	return side.scan(ctx, src, deliver)
 }
 
-// buildHashFrom adds rows into a build hash table keyed by the side's join
-// keys; NULL key parts never match an inner join and are dropped, exactly
-// like the CN HashJoin's build.
-func buildHashFrom(ctx *exec.Ctx, keys []exec.Expr, table map[string][]types.Row) (func(types.Row) bool, *error) {
+// buildInto returns a row sink feeding the join's build table (which drops
+// NULL-keyed rows, exactly like the CN HashJoin's build — it is the same
+// table); a failed Add stops the scan and lands in the returned error.
+func buildInto(ctx *exec.Ctx, table *exec.JoinTable) (func(types.Row) bool, *error) {
 	errp := new(error)
 	return func(r types.Row) bool {
-		key, null, err := exec.EncodeJoinKey(ctx, keys, r)
-		if err != nil {
-			*errp = err
-			return false
-		}
-		if !null {
-			table[key] = append(table[key], r)
-		}
-		return true
+		*errp = table.Add(ctx, r)
+		return *errp == nil
 	}, errp
 }
 
 // probeEmit returns a probe-row callback that joins each row against the
-// hash table, applies the residual, and emits the concatenated row.
-func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table map[string][]types.Row, shipped *int, emit func(types.Row) bool) (func(types.Row) bool, *error) {
+// build table and emits the joined rows, counting what it ships.
+func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *exec.JoinTable, shipped *int, emit func(types.Row) bool) (func(types.Row) bool, *error) {
+	probe := table.Probe(exec.InnerJoin, spec.Probe.Keys, spec.Residual, 0)
 	errp := new(error)
 	return func(pr types.Row) bool {
-		key, null, err := exec.EncodeJoinKey(ctx, spec.Probe.Keys, pr)
-		if err != nil {
-			*errp = err
+		if *errp = probe.Start(ctx, pr); *errp != nil {
 			return false
 		}
-		if null {
-			return true
-		}
-		for _, br := range table[key] {
-			joined := append(append(make(types.Row, 0, len(pr)+len(br)), pr...), br...)
-			if spec.Residual != nil {
-				ok, err := exec.EvalBool(spec.Residual, ctx, joined)
-				if err != nil {
-					*errp = err
-					return false
-				}
-				if !ok {
-					continue
-				}
+		for {
+			joined, ok, err := probe.Next(ctx)
+			if err != nil {
+				*errp = err
+				return false
+			}
+			if !ok {
+				return true
 			}
 			a.rowsShipped.Add(1)
 			*shipped++
@@ -199,7 +185,6 @@ func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table map
 				return false
 			}
 		}
-		return true
 	}, errp
 }
 
@@ -232,8 +217,8 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 				if err := c.sendDN(p, transport.ScanFrag, 0); err != nil {
 					return err
 				}
-				table := map[string][]types.Row{}
-				add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
+				table := exec.NewJoinTable(spec.Build.Keys)
+				add, buildErr := buildInto(ctx, table)
 				if err := a.scanSideLocal(ctx, build, i, p, add); err != nil {
 					return err
 				}
@@ -275,13 +260,13 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 		// first; siblings block on the Once and then share it read-only.
 		var (
 			gatherOnce sync.Once
-			table      map[string][]types.Row
+			table      *exec.JoinTable
 			buildRows  int
 			gatherErr  error
 		)
 		gather := func(ctx *exec.Ctx) {
-			table = map[string][]types.Row{}
-			add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
+			table = exec.NewJoinTable(spec.Build.Keys)
+			add, buildErr := buildInto(ctx, table)
 			// The build sources are asked in one wave and answer side by
 			// side, their results converging on the coordinator.
 			nodes := make([]int, len(build.srcs))
@@ -342,11 +327,21 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 // Shuffle
 // ---------------------------------------------------------------------------
 
-// shufflePart maps an encoded join key to a target index.
-func shufflePart(key string, n int) int {
+// shufflePart maps an encoded join key to a target index. The FNV sum is
+// mixed before the modulo: FNV-1a's low bits depend only on the low bits of
+// each input byte, and so do the placement hash's, so unmixed and at a
+// power-of-two target count integer keys partition mostly onto the node that
+// already stores them — one oversized local stream per producer, which
+// overruns its queue window and serializes the producers behind Drain's
+// source order (+4 hops on a wan shuffle).
+func shufflePart(key []byte, n int) int {
 	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(n))
+	h.Write(key)
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return int(x % uint64(n))
 }
 
 // shuffleJoin hash-partitions both inputs by join key across the target
@@ -365,7 +360,6 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 	return &exec.Exchange{
 		Name:     "join:shuffle",
 		Out:      spec.Out,
-		Ordered:  true,
 		Parallel: 1 << 20, // every consumer must run; see doc comment
 		Plan: func() ([]exec.Fragment, error) {
 			probe, build, targets, err := a.resolveJoin(spec)
@@ -412,21 +406,15 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			// inner join, so they need not cross the fabric at all.
 			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, stream *transport.Stream, src int) error {
 				w := part.Writer(src)
+				var key []byte
 				var keyErr error
 				err := side.scan(ctx, side.srcs[src], func(r types.Row) bool {
-					key, null, err := exec.EncodeJoinKey(ctx, side.keys, r)
-					if err != nil {
-						keyErr = err
-						return false
+					var null bool
+					if key, null, keyErr = exec.AppendKeys(key[:0], ctx, side.keys, r); keyErr != nil || null {
+						return keyErr == nil
 					}
-					if null {
-						return true
-					}
-					if err := w.Write(shufflePart(key, len(targets)), r); err != nil {
-						keyErr = err
-						return false
-					}
-					return true
+					keyErr = w.Write(shufflePart(key, len(targets)), r)
+					return keyErr == nil
 				})
 				if err == nil {
 					err = keyErr
@@ -476,12 +464,11 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 						if err := c.sendDN(targets[t], transport.ScanFrag, 0); err != nil {
 							return 0, err
 						}
-						table := map[string][]types.Row{}
-						add, buildErr := buildHashFrom(ctx, spec.Build.Keys, table)
+						table := exec.NewJoinTable(spec.Build.Keys)
 						err := bp.Drain(t, func(rows []types.Row) error {
 							for _, r := range rows {
-								if !add(r) {
-									return *buildErr
+								if err := table.Add(ctx, r); err != nil {
+									return err
 								}
 							}
 							return nil

@@ -20,10 +20,10 @@ import (
 // select stage (zone-map prune, vectorized kernels, ownership, bloom,
 // residual) decides which rows survive, and a sink (fragSink) either
 // materializes their projected columns — plain scans, the fragment TopN
-// heap, join sides, the generic partial aggregate — or folds them into the
-// vectorized aggregate's accumulators. The engine honours whatever spec the
-// planner hands it; how much gets pushed is the planner's decision
-// (plan.PushdownLevel).
+// heap, join sides — or folds them into a partial aggregate's group table
+// (exec.AggTable), row by row or straight off the column vectors. The engine
+// honours whatever spec the planner hands it; how much gets pushed is the
+// planner's decision (plan.PushdownLevel).
 
 // ndpProgram is the compiled form of one scan's pushdown spec, built once
 // per Exchange open and shared read-only by the scan's fragments.
@@ -56,13 +56,26 @@ type ndpProgram struct {
 	tableCols int
 }
 
-// fragSink is where a fragment's selected rows go; exactly one field is
-// set. rows receives each survivor's projected columns as a sparse
-// schema-width row (false stops the scan); agg accumulates survivors
-// straight off the column vectors and needs a columnar source.
+// fragSink is where a fragment's selected rows go: exactly one of rows and
+// agg is set. rows receives each survivor's projected columns as a sparse
+// schema-width row (false stops the scan); agg is pushed the same rows —
+// or, when vec is set too (a columnar source whose group and aggregate
+// expressions are all bare columns), folds survivors in straight off the
+// column vectors.
 type fragSink struct {
 	rows func(types.Row) bool
-	agg  *vecAgg
+	agg  *exec.AggTable
+	vec  *vecPlan
+}
+
+// deliver hands one materialized survivor to the sink; false stops the scan
+// (with the aggregate's error, if that is why).
+func (k fragSink) deliver(ctx *exec.Ctx, row types.Row) (bool, error) {
+	if k.agg == nil {
+		return k.rows(row), nil
+	}
+	err := k.agg.Push(ctx, row)
+	return err == nil, err
 }
 
 // Scan implements plan.Access: the fragment program with an empty spec
@@ -342,7 +355,9 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 			for _, c := range p.matCols {
 				row[c] = r[c]
 			}
-			return sink.rows(row)
+			var more bool
+			more, scanErr = sink.deliver(ctx, row)
+			return more
 		})
 		return scanErr
 	}
@@ -364,11 +379,11 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 				return false
 			}
 		}
-		// Row-wise checks refine the selection vector. The row sink
-		// materializes each survivor on the spot (so a full bare-LIMIT heap
-		// stops the scan mid-batch); the aggregating sink takes the whole
+		// Row-wise checks refine the selection vector. A row-fed sink gets
+		// each survivor materialized on the spot (so a full bare-LIMIT heap
+		// stops the scan mid-batch); the vector-fed aggregate takes the whole
 		// vector afterwards, in one tight loop.
-		refine := sink.rows != nil || src.owns != nil || bf != nil || p.residual != nil
+		refine := sink.vec == nil || src.owns != nil || bf != nil || p.residual != nil
 		for i := 0; refine && i < b.N; i++ {
 			if !sel[i] {
 				continue
@@ -400,7 +415,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					continue
 				}
 			}
-			if sink.rows == nil {
+			if sink.vec != nil {
 				continue
 			}
 			// Materialize the survivor: sparse, at schema width, carrying
@@ -409,14 +424,15 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 			for j, c := range p.matCols {
 				row[c] = b.Cols[p.matPos[j]].DatumAt(i)
 			}
-			if !sink.rows(row) {
+			var more bool
+			if more, scanErr = sink.deliver(ctx, row); !more {
 				return false
 			}
 		}
-		if sink.agg != nil {
-			sink.agg.addBatch(b, sel)
+		if sink.vec != nil {
+			scanErr = sink.vec.addBatch(sink.agg, b, sel)
 		}
-		return true
+		return scanErr == nil
 	})
 	return scanErr
 }

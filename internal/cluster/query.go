@@ -208,32 +208,18 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 			if err := a.s.c.sendDN(src.node, transport.ScanFrag, 0); err != nil {
 				return err
 			}
-			var rows []types.Row
+			// All of it evaluates "on the data node", survivors streaming
+			// into the group table; only the aggregate's output crosses to
+			// the coordinator. Every group/agg expression a bare column
+			// reference over a columnar source: straight off the vectors.
+			sink := fragSink{agg: exec.NewAggTable(groupBy, aggs)}
 			if vp, ok := buildVecPlan(p, groupBy, aggs); ok && src.col != nil {
-				// Every group/agg expression a bare column reference over a
-				// columnar source: aggregate straight off the vectors.
-				acc := &vecAgg{plan: vp, groups: map[string]*vecAccum{}}
-				if err := p.run(ctx, src, nil, fragSink{agg: acc}); err != nil {
-					return err
-				}
-				rows = acc.rows()
-			} else {
-				// Generic aggregate: the row sink feeds exec.Agg. All of it
-				// evaluates "on the data node"; only the aggregate's output
-				// crosses to the coordinator.
-				var scanErr error
-				scan := exec.NewSource(meta.Name, meta.Schema, func(emitRow func(types.Row) bool) {
-					scanErr = p.run(ctx, src, nil, fragSink{rows: emitRow})
-				})
-				var err error
-				rows, err = exec.Collect(ctx, &exec.Agg{Child: scan, GroupBy: groupBy, Aggs: aggs, Out: out})
-				if err == nil {
-					err = scanErr
-				}
-				if err != nil {
-					return err
-				}
+				sink.vec = vp
 			}
+			if err := p.run(ctx, src, nil, sink); err != nil {
+				return err
+			}
+			rows := sink.agg.Rows()
 			if err := a.s.c.sendFromDN(src.node, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
 				return err
 			}
@@ -308,7 +294,7 @@ func (s *Session) execSelect(t *txn, sel *sqlx.Select) (*Result, error) {
 func (s *Session) admitReplicas(t *txn, a *stmtAccess, sel *sqlx.Select, owners []int) []int {
 	c := s.c
 	if prov := c.analyticalReads(); prov != nil && a.scatter && !t.dmlSeen() && !t.hasAnyLeg() {
-		if _, analytical := plan.AnalyticalShape(sel); analytical && prov.Gate(owners) {
+		if plan.AnalyticalShape(sel) && prov.Gate(owners) {
 			a.htap = prov
 			return nil
 		}

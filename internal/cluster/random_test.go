@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ import (
 // refRow is the reference copy of one table row; nil means SQL NULL.
 type refRow struct {
 	a, b *int64
-	c    *string
+	c, d *string
 }
 
 // tern is three-valued logic.
@@ -253,6 +254,15 @@ var randomStorages = []struct{ name, clause string }{
 	{"columnar", " USING COLUMN"},
 }
 
+// keyBreakers are strings picked to break a row-key encoding: they carry the
+// separators earlier encoders joined key parts with (", " and "|4:"), so two
+// different (c, d) pairs concatenate to the same text, and the word a NULL
+// used to be rendered as.
+var (
+	keyBreakersC = []string{"x, y", "x", "x|4:y", "NULL"}
+	keyBreakersD = []string{"z", "y, z", "y|4:z", "x", "NULL"}
+)
+
 // loadRandomTable creates rt on the cluster (storage is the CREATE TABLE
 // storage clause) and mirrors it in reference rows. A columnar table seals
 // its first three quarters into segments, so scans cross both zone-mapped
@@ -260,7 +270,7 @@ var randomStorages = []struct{ name, clause string }{
 func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int, storage string) []refRow {
 	t.Helper()
 	s := c.NewSession()
-	mustExec(t, s, "CREATE TABLE rt (id BIGINT, a BIGINT, b BIGINT, c TEXT) DISTRIBUTE BY HASH(id)"+storage)
+	mustExec(t, s, "CREATE TABLE rt (id BIGINT, a BIGINT, b BIGINT, c TEXT, d TEXT) DISTRIBUTE BY HASH(id)"+storage)
 	rows := make([]refRow, 0, n)
 	for i := 0; i < n; i++ {
 		if i == n*3/4 {
@@ -273,7 +283,7 @@ func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int, storage st
 			}
 		}
 		var r refRow
-		var aSQL, bSQL, cSQL string
+		var aSQL, bSQL, cSQL, dSQL string
 		if rng.Float64() < 0.1 {
 			aSQL = "NULL"
 		} else {
@@ -292,10 +302,20 @@ func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int, storage st
 			cSQL = "NULL"
 		} else {
 			v := fmt.Sprintf("%s%d", []string{"x", "y"}[rng.Intn(2)], rng.Intn(20))
+			if rng.Float64() < 0.4 {
+				v = keyBreakersC[rng.Intn(len(keyBreakersC))]
+			}
 			r.c = &v
 			cSQL = "'" + v + "'"
 		}
-		mustExec(t, s, fmt.Sprintf("INSERT INTO rt VALUES (%d, %s, %s, %s)", i, aSQL, bSQL, cSQL))
+		if rng.Float64() < 0.1 {
+			dSQL = "NULL"
+		} else {
+			v := keyBreakersD[rng.Intn(len(keyBreakersD))]
+			r.d = &v
+			dSQL = "'" + v + "'"
+		}
+		mustExec(t, s, fmt.Sprintf("INSERT INTO rt VALUES (%d, %s, %s, %s, %s)", i, aSQL, bSQL, cSQL, dSQL))
 		rows = append(rows, r)
 	}
 	return rows
@@ -313,11 +333,19 @@ func sweepPushdown(c *Cluster, check func(label string)) {
 	}
 }
 
-// canon renders result rows to a sorted multiset fingerprint.
+// canon renders result rows to a sorted multiset fingerprint; strings are
+// quoted, so no two different rows render alike.
 func canon(rows []types.Row) string {
 	lines := make([]string, len(rows))
 	for i, r := range rows {
-		lines[i] = r.String()
+		parts := make([]string, len(r))
+		for j, d := range r {
+			parts[j] = d.String()
+			if d.Kind() == types.KindString {
+				parts[j] = strconv.Quote(d.Str())
+			}
+		}
+		lines[i] = strings.Join(parts, ", ")
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
@@ -451,6 +479,83 @@ func TestDifferentialRandomAggregates(t *testing.T) {
 					}
 					if got := canon(res.Rows); got != exp {
 						t.Fatalf("trial %d %s: %q\nengine:\n%s\nreference:\n%s", trial, label, sql, got, exp)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestDifferentialRandomStringGroups groups by the two text columns, whose
+// values (keyBreakers, NULL beside 'NULL') collide under any group-key
+// encoding that is not injective; the model keys its groups by a Go struct.
+func TestDifferentialRandomStringGroups(t *testing.T) {
+	type groupKey struct {
+		cNull, dNull bool
+		c, d         string
+	}
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			c := newCluster(t, 4, ModeGTMLite)
+			ref := loadRandomTable(t, c, rng, 120, st.clause)
+			s := c.NewSession()
+
+			for trial := 0; trial < 20; trial++ {
+				p := genPred(rng, 1)
+				sql := "SELECT c, d, count(*), sum(b) FROM rt WHERE " + p.sql() + " GROUP BY c, d"
+				type agg struct {
+					c, d   *string
+					count  int64
+					sum    int64
+					sumSet bool
+				}
+				groups := map[groupKey]*agg{}
+				for _, r := range ref {
+					if p.eval(r) != ternTrue {
+						continue
+					}
+					k := groupKey{cNull: r.c == nil, dNull: r.d == nil}
+					if r.c != nil {
+						k.c = *r.c
+					}
+					if r.d != nil {
+						k.d = *r.d
+					}
+					g, ok := groups[k]
+					if !ok {
+						g = &agg{c: r.c, d: r.d}
+						groups[k] = g
+					}
+					g.count++
+					if r.b != nil {
+						g.sum += *r.b
+						g.sumSet = true
+					}
+				}
+				var want []types.Row
+				for _, g := range groups {
+					row := types.Row{types.Null, types.Null, types.NewInt(g.count), types.Null}
+					if g.c != nil {
+						row[0] = types.NewString(*g.c)
+					}
+					if g.d != nil {
+						row[1] = types.NewString(*g.d)
+					}
+					if g.sumSet {
+						row[3] = types.NewInt(g.sum)
+					}
+					want = append(want, row)
+				}
+				exp := canon(want)
+				sweepPushdown(c, func(label string) {
+					res, err := s.Exec(sql)
+					if err != nil {
+						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
+					}
+					if got := canon(res.Rows); got != exp {
+						t.Fatalf("trial %d %s: %q\nengine (%d groups) != reference (%d groups)\nengine:\n%s\nreference:\n%s",
+							trial, label, sql, len(res.Rows), len(want), got, exp)
 					}
 				})
 			}

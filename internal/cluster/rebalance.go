@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"time"
 
 	"repro/internal/colstore"
@@ -412,14 +411,16 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 	tgtRows := c.rawVisibleRows(ti, target, tgtDN, inBucket)
 
 	have := make(map[string]int, len(tgtRows))
+	var key []byte
 	for _, r := range tgtRows {
-		have[encodeRow(r)]++
+		key = r.AppendKey(key[:0])
+		have[string(key)]++
 	}
 	var inserts []types.Row
 	for _, r := range srcRows {
-		k := encodeRow(r)
-		if have[k] > 0 {
-			have[k]--
+		key = r.AppendKey(key[:0])
+		if have[string(key)] > 0 {
+			have[string(key)]--
 		} else {
 			inserts = append(inserts, r)
 		}
@@ -472,9 +473,9 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 			if !inBucket(r) {
 				return false
 			}
-			k := encodeRow(r)
-			if have[k] > 0 {
-				have[k]--
+			key = r.AppendKey(key[:0])
+			if have[string(key)] > 0 {
+				have[string(key)]--
 				if logging {
 					recs = append(recs, WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: r.Clone()})
 				}
@@ -498,18 +499,6 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 	return len(inserts), c.commitLocal(tgtDN, xid, recs)
 }
 
-// encodeRow serializes a row to a comparable key (kind-tagged so 1 and "1"
-// differ); used for multiset diffs and checksums.
-func encodeRow(r types.Row) string {
-	var b strings.Builder
-	for _, d := range r {
-		b.WriteByte(byte(d.Kind()))
-		b.WriteString(d.String())
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
 // TableDigest is an order-independent summary of a table's visible
 // contents: the row count and a commutative sum of per-row hashes. Two
 // digests are equal iff the visible multisets of rows are equal (modulo
@@ -523,9 +512,11 @@ type TableDigest struct {
 // TableChecksum, PartitionDigest and DigestRows.
 func (d *TableDigest) add(rows []types.Row) {
 	h := fnv.New64a()
+	var key []byte
 	for _, r := range rows {
 		h.Reset()
-		_, _ = h.Write([]byte(encodeRow(r)))
+		key = r.AppendKey(key[:0])
+		_, _ = h.Write(key)
 		d.Sum += h.Sum64()
 		d.Rows++
 	}

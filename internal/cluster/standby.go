@@ -26,6 +26,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -690,10 +691,14 @@ func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 			// update then re-inserts the new version in the same
 			// transaction, so a shared primary key passes the uniqueness
 			// check (the stale version is already stamped dead by us).
-			key := encodeRow(rec.Old)
+			key := rec.Old.AppendKey(nil)
+			var buf []byte
 			matched := false
 			n, err := parts.rows[standbyID].Delete(xid, &snap, func(r types.Row) bool {
-				if matched || encodeRow(r) != key {
+				if matched {
+					return false
+				}
+				if buf = r.AppendKey(buf[:0]); !bytes.Equal(buf, key) {
 					return false
 				}
 				matched = true

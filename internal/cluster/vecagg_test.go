@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -77,6 +78,89 @@ func TestVectorizedAggNulls(t *testing.T) {
 	r := res.Rows[0]
 	if r[0].Int() != 3 || r[1].Int() != 2 || r[2].Int() != 40 || r[3].Int() != 10 {
 		t.Errorf("null handling = %v", r)
+	}
+}
+
+// Row store and column store answer alike (issue 19): the DN-side vector
+// sink, the DN-side row sink and the coordinator's operators share one group
+// table, one accumulator and one key codec, so the three statements below —
+// each wrong on one storage or the other before — cannot differ by storage.
+
+// TestGroupKeysIdenticalAcrossStorage groups by two text columns whose
+// values collide under a joined-text key: ('a, b','c') with ('a','b, c'),
+// and NULL with 'NULL'.
+func TestGroupKeysIdenticalAcrossStorage(t *testing.T) {
+	var answers []string
+	for _, st := range randomStorages {
+		c := newCluster(t, 2, ModeGTMLite)
+		s := c.NewSession()
+		mustExec(t, s, "CREATE TABLE g (id BIGINT, a TEXT, b TEXT) DISTRIBUTE BY HASH(id)"+st.clause)
+		mustExec(t, s, "INSERT INTO g VALUES (1, 'a, b', 'c'), (2, 'a', 'b, c'), (3, NULL, 'x'), (4, 'NULL', 'x')")
+		sweepPushdown(c, func(label string) {
+			res := mustExec(t, s, "SELECT a, b, count(*) FROM g GROUP BY a, b")
+			if len(res.Rows) != 4 {
+				t.Errorf("%s %s: %d groups, want 4: %v", st.name, label, len(res.Rows), res.Rows)
+			}
+			answers = append(answers, canon(res.Rows))
+		})
+	}
+	for _, a := range answers {
+		if a != answers[0] {
+			t.Fatalf("answers differ by storage, level or degree:\n%s\n--- vs ---\n%s", answers[0], a)
+		}
+	}
+}
+
+// TestAggregateErrorsIdenticalAcrossStorage: sum() over TEXT or TIMESTAMP
+// is the row path's error on every storage, not 0 or a number of
+// nanoseconds on the columnar one.
+func TestAggregateErrorsIdenticalAcrossStorage(t *testing.T) {
+	for _, st := range randomStorages {
+		c := newCluster(t, 2, ModeGTMLite)
+		s := c.NewSession()
+		mustExec(t, s, "CREATE TABLE e (id BIGINT, a TEXT, ts TIMESTAMP) DISTRIBUTE BY HASH(id)"+st.clause)
+		mustExec(t, s, "INSERT INTO e VALUES (1, 'x', '2024-01-01T00:00:00Z'), (2, 'y', '2024-01-02T00:00:00Z')")
+		for q, want := range map[string]string{
+			"SELECT sum(a) FROM e":                  "exec: sum over TEXT",
+			"SELECT id, sum(ts) FROM e GROUP BY id": "exec: sum over TIMESTAMP",
+		} {
+			if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %q = %v, want error %q", st.name, q, err, want)
+			}
+		}
+		// What does order still aggregates.
+		res := mustExec(t, s, "SELECT min(a), max(a), count(ts), min(ts) < max(ts) FROM e")
+		if got := fmt.Sprint(res.Rows[0]); got != "(x, y, 2, true)" {
+			t.Errorf("%s: min/max over TEXT and TIMESTAMP = %s", st.name, got)
+		}
+	}
+}
+
+// TestBigIntsAbove2To53StayDistinct: DISTINCT, GROUP BY and an equi-join
+// tell 2^53 from 2^53+1 (a key built from float64(v) did not), while INT 3
+// still joins DOUBLE 3.0.
+func TestBigIntsAbove2To53StayDistinct(t *testing.T) {
+	for _, st := range randomStorages {
+		c := newCluster(t, 2, ModeGTMLite)
+		s := c.NewSession()
+		mustExec(t, s, "CREATE TABLE big (id BIGINT, v BIGINT) DISTRIBUTE BY HASH(id)"+st.clause)
+		mustExec(t, s, "CREATE TABLE fl (id BIGINT, f DOUBLE) DISTRIBUTE BY HASH(id)"+st.clause)
+		mustExec(t, s, "INSERT INTO big VALUES (1, 9007199254740992), (2, 9007199254740993), (3, 9007199254740992), (4, 3)")
+		mustExec(t, s, "INSERT INTO fl VALUES (1, 3.0), (2, 3.5)")
+		sweepPushdown(c, func(label string) {
+			for q, want := range map[string]string{
+				"SELECT DISTINCT v FROM big ORDER BY v":                               "[(3) (9007199254740992) (9007199254740993)]",
+				"SELECT v, count(*) FROM big GROUP BY v ORDER BY v":                   "[(3, 1) (9007199254740992, 2) (9007199254740993, 1)]",
+				"SELECT count(DISTINCT v) FROM big":                                   "[(3)]",
+				"SELECT x.id, y.id FROM big x JOIN big y ON x.v = y.v WHERE x.id = 2": "[(2, 2)]",
+				"SELECT count(*) FROM big x JOIN big y ON x.v = y.v":                  "[(6)]",
+				"SELECT big.id, fl.id FROM big JOIN fl ON big.v = fl.f":               "[(4, 1)]",
+			} {
+				if got := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
+					t.Errorf("%s %s: %q = %s, want %s", st.name, label, q, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ package colstore
 
 import (
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/txnkit"
@@ -25,8 +24,8 @@ type rowLoc struct {
 }
 
 // EnableTombstones switches the table into delta-merge mode: inserts are
-// indexed by encoded row value so DeleteMatching can locate victims in
-// O(1), and rows gain atomically-stamped xmax delete markers. Must be
+// indexed by row value (types.Row.AppendKey) so DeleteMatching can locate
+// victims in O(1), and rows gain atomically-stamped xmax delete markers. Must be
 // called before the first insert; user-facing columnar tables never enable
 // it, so their hot paths are unchanged.
 func (t *Table) EnableTombstones() {
@@ -42,22 +41,9 @@ func (t *Table) EnableTombstones() {
 	t.index = make(map[string][]rowLoc)
 }
 
-// rowKey encodes a row for index lookup: kind-tagged so 1 (int) and "1"
-// (string) cannot collide. Only self-consistency matters — the same row
-// value always produces the same key.
-func rowKey(r types.Row) string {
-	var b []byte
-	for _, d := range r {
-		b = append(b, byte('0'+int(d.Kind())))
-		b = strconv.AppendQuote(b, d.String())
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
 // indexAddLocked records a new physical row location.
 func (t *Table) indexAddLocked(row types.Row, loc rowLoc) {
-	k := rowKey(row)
+	k := string(row.AppendKey(nil))
 	t.index[k] = append(t.index[k], loc)
 }
 
@@ -65,7 +51,7 @@ func (t *Table) indexAddLocked(row types.Row, loc rowLoc) {
 // buffer was just sealed into (row offsets are preserved by seal).
 func (t *Table) indexResealLocked(seg int) {
 	for i, row := range t.buf {
-		locs := t.index[rowKey(row)]
+		locs := t.index[string(row.AppendKey(nil))]
 		for j := range locs {
 			if locs[j].seg == -1 && locs[j].idx == i {
 				locs[j].seg = seg
@@ -119,7 +105,7 @@ func (t *Table) DeleteMatching(xid txnkit.XID, snap *txnkit.Snapshot, row types.
 	if !t.mutable {
 		return fmt.Errorf("colstore: table %q is append-only", t.name)
 	}
-	key := rowKey(row)
+	key := string(row.AppendKey(nil))
 	for _, loc := range t.index[key] {
 		var xmin txnkit.XID
 		if loc.seg == -1 {
@@ -154,7 +140,7 @@ func (t *Table) DeleteWhere(xid txnkit.XID, snap *txnkit.Snapshot, pred func(typ
 			}
 			row := seg.rowAt(t.schema, i)
 			if pred(row) {
-				t.stampLocked(rowKey(row), loc, xid)
+				t.stampLocked(string(row.AppendKey(nil)), loc, xid)
 				n++
 			}
 		}
@@ -165,7 +151,7 @@ func (t *Table) DeleteWhere(xid txnkit.XID, snap *txnkit.Snapshot, pred func(typ
 			continue
 		}
 		if pred(row) {
-			t.stampLocked(rowKey(row), loc, xid)
+			t.stampLocked(string(row.AppendKey(nil)), loc, xid)
 			n++
 		}
 	}

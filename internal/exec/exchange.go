@@ -2,16 +2,11 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
-
-// exchangeBuffer is the bounded-channel capacity of a streaming Exchange:
-// enough slack that producers stay busy while the consumer drains, small
-// enough that a slow consumer backpressures the fragments.
-const exchangeBuffer = 256
 
 // Fragment is one partition's share of an Exchange: it emits rows until
 // exhausted (or until emit returns false, which signals cancellation) and
@@ -26,13 +21,12 @@ type Fragment func(ctx *Ctx, emit func(types.Row) bool) error
 //   - Parallel caps concurrent fragments. Degree <= 1 runs them inline on
 //     the caller's goroutine in fragment order, byte-identical to a
 //     sequential loop (the degree-1 path tests and EXPLAIN rely on).
-//   - Ordered buffers each fragment's rows and concatenates them in
-//     fragment order, so output is deterministic at any degree. Unordered
-//     streams rows through a bounded channel as they are produced.
+//   - Each fragment's rows are buffered and the buffers concatenated in
+//     fragment order, so output is deterministic at any degree.
 //   - The first fragment error (or panic, converted to an error) cancels
 //     the siblings — their emit returns false — and is the one error
-//     surfaced from Open/Next. Close always joins every worker, so no
-//     fragment outlives the operator.
+//     surfaced from Open, which returns only after every worker has exited,
+//     so no fragment outlives it.
 //
 // Fragments run on worker goroutines under forked contexts, so they must be
 // partition-pure: no outer-row references and no shared mutable state
@@ -48,52 +42,19 @@ type Exchange struct {
 	// Parallel is the max number of concurrently running fragments;
 	// values <= 1 select the sequential inline path.
 	Parallel int
-	// Ordered selects the deterministic merge (see type comment).
-	Ordered bool
 
-	// materialized output (sequential and ordered modes)
-	rows []types.Row
-	pos  int
-
-	// streaming state (unordered mode)
-	ch     chan types.Row
-	done   chan struct{}
-	closed sync.Once
-	wg     sync.WaitGroup
-
-	errOnce   sync.Once
-	err       error
-	streaming bool
+	rowCursor
 }
 
-// NewParallelSource builds an ordered Exchange over a lazily-planned
-// fragment set: the drop-in parallel replacement for NewSource over
-// per-partition scan closures. Ordered merging keeps results identical to
-// the sequential loop at every degree.
+// NewParallelSource builds an Exchange over a lazily-planned fragment set:
+// the drop-in parallel replacement for NewSource over per-partition scan
+// closures, with results identical to the sequential loop at every degree.
 func NewParallelSource(name string, schema *types.Schema, degree int, plan func() ([]Fragment, error)) *Exchange {
-	return &Exchange{Name: name, Out: schema, Plan: plan, Parallel: degree, Ordered: true}
+	return &Exchange{Name: name, Out: schema, Plan: plan, Parallel: degree}
 }
 
 // Schema implements Operator.
 func (e *Exchange) Schema() *types.Schema { return e.Out }
-
-// setErr records the first fragment error and cancels the siblings.
-func (e *Exchange) setErr(err error) {
-	e.errOnce.Do(func() {
-		e.err = err
-		close(e.done)
-	})
-}
-
-// canceled reports whether a sibling already failed or Close ran.
-func (e *Exchange) canceled() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
 
 // runFragment invokes f with panic-to-error recovery: a panicking DN
 // fragment must surface as a query error, not tear down the process with
@@ -117,19 +78,10 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	e.rows = e.rows[:0]
-	e.pos = 0
-	e.err = nil
-	e.errOnce = sync.Once{}
-	e.closed = sync.Once{}
-	e.done = make(chan struct{})
-	e.streaming = false
+	e.reset(e.rows[:0])
 
-	degree := e.Parallel
-	if degree > len(frags) {
-		degree = len(frags)
-	}
-	if degree <= 1 || len(frags) <= 1 {
+	degree := min(e.Parallel, len(frags))
+	if degree <= 1 {
 		// Sequential path: the exact pre-exchange loop.
 		for _, f := range frags {
 			if err := runFragment(ctx, f, func(r types.Row) bool {
@@ -142,45 +94,38 @@ func (e *Exchange) Open(ctx *Ctx) error {
 		return nil
 	}
 
-	if e.Ordered {
-		return e.openOrdered(ctx, frags, degree)
-	}
-	e.openStreaming(ctx, frags, degree)
-	return nil
-}
-
-// openOrdered runs fragments concurrently into per-fragment buffers, then
-// concatenates them in fragment order. It returns only after every worker
-// has exited.
-func (e *Exchange) openOrdered(ctx *Ctx, frags []Fragment, degree int) error {
+	// Workers claim fragment indexes off a shared counter and fill
+	// per-fragment buffers, concatenated in fragment order once all are done.
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		canceled atomic.Bool // set by the first failure, with firstErr
+		firstErr error
+	)
 	bufs := make([][]types.Row, len(frags))
-	work := make(chan int)
 	for w := 0; w < degree; w++ {
-		e.wg.Add(1)
+		wg.Add(1)
 		fctx := ctx.fork()
 		go func() {
-			defer e.wg.Done()
-			for idx := range work {
-				if e.canceled() {
-					continue // drain remaining indexes without running them
+			defer wg.Done()
+			for !canceled.Load() {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(frags) {
+					return
 				}
 				emit := func(r types.Row) bool {
 					bufs[idx] = append(bufs[idx], r)
-					return !e.canceled()
+					return !canceled.Load()
 				}
-				if err := runFragment(fctx, frags[idx], emit); err != nil {
-					e.setErr(err)
+				if err := runFragment(fctx, frags[idx], emit); err != nil && canceled.CompareAndSwap(false, true) {
+					firstErr = err
 				}
 			}
 		}()
 	}
-	for i := range frags {
-		work <- i
-	}
-	close(work)
-	e.wg.Wait()
-	if e.err != nil {
-		return e.err
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
 	}
 	n := 0
 	for _, b := range bufs {
@@ -195,87 +140,8 @@ func (e *Exchange) openOrdered(ctx *Ctx, frags []Fragment, degree int) error {
 	return nil
 }
 
-// openStreaming starts producers feeding the bounded channel; Next consumes
-// until the channel closes.
-func (e *Exchange) openStreaming(ctx *Ctx, frags []Fragment, degree int) {
-	e.streaming = true
-	e.ch = make(chan types.Row, exchangeBuffer)
-	work := make(chan int)
-	for w := 0; w < degree; w++ {
-		e.wg.Add(1)
-		fctx := ctx.fork()
-		go func() {
-			defer e.wg.Done()
-			for idx := range work {
-				if e.canceled() {
-					continue
-				}
-				emit := func(r types.Row) bool {
-					select {
-					case e.ch <- r:
-						return true
-					case <-e.done:
-						return false
-					}
-				}
-				if err := runFragment(fctx, frags[idx], emit); err != nil {
-					e.setErr(err)
-				}
-			}
-		}()
-	}
-	go func() {
-		for i := range frags {
-			work <- i
-		}
-		close(work)
-	}()
-	go func() {
-		e.wg.Wait()
-		close(e.ch)
-	}()
-}
-
-// Next implements Operator.
-func (e *Exchange) Next(*Ctx) (types.Row, error) {
-	if !e.streaming {
-		if e.pos >= len(e.rows) {
-			return nil, io.EOF
-		}
-		r := e.rows[e.pos]
-		e.pos++
-		return r, nil
-	}
-	r, ok := <-e.ch
-	if !ok {
-		if e.err != nil {
-			return nil, e.err
-		}
-		return nil, io.EOF
-	}
-	return r, nil
-}
-
-// RowCount implements Sized for the materialized modes (-1 when streaming).
-func (e *Exchange) RowCount() int {
-	if e.streaming {
-		return -1
-	}
-	return len(e.rows)
-}
-
-// Close implements Operator: it cancels any still-running fragments and
-// joins them, so no worker goroutine survives the operator.
+// Close implements Operator. Every worker exited before Open returned.
 func (e *Exchange) Close() error {
-	if e.done != nil {
-		e.closed.Do(func() { e.setErr(nil) }) // close done without recording an error
-	}
-	if e.streaming {
-		// Unblock producers parked on the full channel, then join.
-		for range e.ch {
-		}
-	}
-	e.wg.Wait()
 	e.rows = e.rows[:0]
 	return nil
 }

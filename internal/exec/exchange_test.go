@@ -68,7 +68,7 @@ func TestExchangePlanError(t *testing.T) {
 	}
 }
 
-// TestExchangeFragmentErrorCancelsSiblings checks the ordered path: one
+// TestExchangeFragmentErrorCancelsSiblings: one
 // failing fragment must cancel the others (their emit returns false) and
 // Open must surface exactly that error after joining every worker — no
 // deadlock, no goroutine leak past Close.
@@ -106,82 +106,6 @@ func TestExchangeFragmentErrorCancelsSiblings(t *testing.T) {
 	// of their full output (8M rows if nothing canceled).
 	if n := emitted.Load(); n >= 7_000_000 {
 		t.Fatalf("siblings were not canceled: %d rows emitted", n)
-	}
-}
-
-// TestExchangeStreamingErrorNoDeadlock exercises the unordered path, where
-// producers can be parked on a full channel when a sibling fails: the
-// consumer must see the error and Close must join everyone.
-func TestExchangeStreamingErrorNoDeadlock(t *testing.T) {
-	wantErr := errors.New("fragment exploded")
-	ex := &Exchange{
-		Name:     "t",
-		Out:      schema2("a", "b"),
-		Parallel: 4,
-		Plan: func() ([]Fragment, error) {
-			frags := make([]Fragment, 4)
-			for i := range frags {
-				i := i
-				frags[i] = func(_ *Ctx, emit func(types.Row) bool) error {
-					if i == 3 {
-						return wantErr
-					}
-					// Far more rows than the channel buffers, so producers
-					// block if nobody drains.
-					for j := 0; j < exchangeBuffer*10; j++ {
-						if !emit(intRow(int64(i), int64(j))) {
-							return nil
-						}
-					}
-					return nil
-				}
-			}
-			return frags, nil
-		},
-	}
-	ctx := NewCtx(time.Unix(0, 0))
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	for {
-		_, err = ex.Next(ctx)
-		if err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Next error = %v, want %v", err, wantErr)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestExchangeStreamingAbandonedConsumer closes a streaming exchange while
-// producers are still blocked on the channel; Close must unblock and join
-// them rather than leak goroutines.
-func TestExchangeStreamingAbandonedConsumer(t *testing.T) {
-	ex := &Exchange{
-		Name:     "t",
-		Out:      schema2("a", "b"),
-		Parallel: 4,
-		Plan: func() ([]Fragment, error) {
-			return rangeFragments(4, exchangeBuffer*4), nil
-		},
-	}
-	ctx := NewCtx(time.Unix(0, 0))
-	if err := ex.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Read a handful of rows, then walk away.
-	for i := 0; i < 3; i++ {
-		if _, err := ex.Next(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

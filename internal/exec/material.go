@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"io"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // MatState is the shared cache behind one WITH-clause materialization. All
 // references to the same CTE share one MatState, so the CTE body executes
@@ -38,8 +34,7 @@ func (m *MatState) Reset() { m.done = false; m.rows = nil; m.err = nil }
 type MaterialRef struct {
 	State *MatState
 	Out   *types.Schema
-	rows  []types.Row
-	pos   int
+	rowCursor
 }
 
 // Schema implements Operator.
@@ -51,19 +46,8 @@ func (r *MaterialRef) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	r.rows = rows
-	r.pos = 0
+	r.reset(rows)
 	return nil
-}
-
-// Next implements Operator.
-func (r *MaterialRef) Next(*Ctx) (types.Row, error) {
-	if r.pos >= len(r.rows) {
-		return nil, io.EOF
-	}
-	row := r.rows[r.pos]
-	r.pos++
-	return row, nil
 }
 
 // Close implements Operator.

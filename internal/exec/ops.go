@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -49,21 +48,63 @@ func Collect(ctx *Ctx, op Operator) ([]types.Row, error) {
 	}
 }
 
+// each opens op and hands fn every row it yields; the blocking operators
+// (hash-join build, aggregation) consume their input through it. Closing op
+// stays with its owner.
+func each(ctx *Ctx, op Operator, fn func(types.Row) error) error {
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	for {
+		row, err := op.Next(ctx)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Values / Source
 // ---------------------------------------------------------------------------
 
+// rowCursor replays a materialized row set: the Next / RowCount half of
+// every operator that computes its whole output at Open.
+type rowCursor struct {
+	rows []types.Row
+	pos  int
+}
+
+func (c *rowCursor) reset(rows []types.Row) { c.rows, c.pos = rows, 0 }
+
+// Next implements Operator.
+func (c *rowCursor) Next(*Ctx) (types.Row, error) {
+	if c.pos >= len(c.rows) {
+		return nil, io.EOF
+	}
+	r := c.rows[c.pos]
+	c.pos++
+	return r, nil
+}
+
+// RowCount implements Sized.
+func (c *rowCursor) RowCount() int { return len(c.rows) }
+
 // Values replays a fixed row set (VALUES lists, gathered remote results,
 // CTE materializations).
 type Values struct {
-	Rows   []types.Row
 	schema *types.Schema
-	pos    int
+	rowCursor
 }
 
 // NewValues builds a Values operator.
 func NewValues(schema *types.Schema, rows []types.Row) *Values {
-	return &Values{Rows: rows, schema: schema}
+	return &Values{schema: schema, rowCursor: rowCursor{rows: rows}}
 }
 
 // Schema implements Operator.
@@ -72,21 +113,8 @@ func (v *Values) Schema() *types.Schema { return v.schema }
 // Open implements Operator.
 func (v *Values) Open(*Ctx) error { v.pos = 0; return nil }
 
-// Next implements Operator.
-func (v *Values) Next(*Ctx) (types.Row, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, io.EOF
-	}
-	r := v.Rows[v.pos]
-	v.pos++
-	return r, nil
-}
-
 // Close implements Operator.
 func (v *Values) Close() error { return nil }
-
-// RowCount implements Sized.
-func (v *Values) RowCount() int { return len(v.Rows) }
 
 // Source adapts a callback-style scan (storage.Table.Scan and friends) to
 // an Operator by materializing at Open. ScanFn is re-invoked on every Open,
@@ -95,8 +123,7 @@ type Source struct {
 	Name   string
 	schema *types.Schema
 	ScanFn func(emit func(types.Row) bool)
-	rows   []types.Row
-	pos    int
+	rowCursor
 }
 
 // NewSource builds a Source over scan.
@@ -109,27 +136,13 @@ func (s *Source) Schema() *types.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *Source) Open(*Ctx) error {
-	s.rows = s.rows[:0]
+	s.reset(s.rows[:0])
 	s.ScanFn(func(r types.Row) bool {
 		s.rows = append(s.rows, r)
 		return true
 	})
-	s.pos = 0
 	return nil
 }
-
-// Next implements Operator.
-func (s *Source) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// RowCount implements Sized.
-func (s *Source) RowCount() int { return len(s.rows) }
 
 // Close implements Operator. The row buffer keeps its capacity so
 // re-executed sources (correlated subplans Open/Close per outer row) do not
@@ -222,574 +235,6 @@ func (p *Project) Next(ctx *Ctx) (types.Row, error) {
 func (p *Project) Close() error { return p.Child.Close() }
 
 // ---------------------------------------------------------------------------
-// Joins
-// ---------------------------------------------------------------------------
-
-// JoinType enumerates supported join types.
-type JoinType uint8
-
-// Join types.
-const (
-	InnerJoin JoinType = iota
-	LeftJoin
-	CrossJoin
-)
-
-// NestedLoopJoin joins by re-scanning the (materialized) right side per
-// left row. Used for non-equi conditions and cross joins.
-type NestedLoopJoin struct {
-	Type        JoinType
-	Left, Right Operator
-	On          Expr // nil for cross join
-	out         *types.Schema
-
-	right   []types.Row
-	cur     types.Row
-	ri      int
-	matched bool
-}
-
-// Schema implements Operator.
-func (j *NestedLoopJoin) Schema() *types.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
-}
-
-// Open implements Operator.
-func (j *NestedLoopJoin) Open(ctx *Ctx) error {
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	rows, err := Collect(ctx, j.Right)
-	if err != nil {
-		return err
-	}
-	j.right = rows
-	j.cur = nil
-	j.ri = 0
-	return nil
-}
-
-// Next implements Operator.
-func (j *NestedLoopJoin) Next(ctx *Ctx) (types.Row, error) {
-	nRight := len(j.Right.Schema().Columns)
-	for {
-		if j.cur == nil {
-			row, err := j.Left.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			j.cur = row
-			j.ri = 0
-			j.matched = false
-		}
-		for j.ri < len(j.right) {
-			r := j.right[j.ri]
-			j.ri++
-			joined := append(append(make(types.Row, 0, len(j.cur)+len(r)), j.cur...), r...)
-			if j.On != nil {
-				ok, err := EvalBool(j.On, ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			j.matched = true
-			return joined, nil
-		}
-		// Left outer: emit null-extended row when no match.
-		if j.Type == LeftJoin && !j.matched {
-			left := j.cur
-			j.cur = nil
-			out := append(append(make(types.Row, 0, len(left)+nRight), left...), make(types.Row, nRight)...)
-			return out, nil
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Operator.
-func (j *NestedLoopJoin) Close() error {
-	j.right = nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// HashJoin is an equi-join: build a hash table on the right side keyed by
-// RightKeys, probe with LeftKeys. ExtraOn, if set, is evaluated over the
-// combined row as a residual filter.
-type HashJoin struct {
-	Type        JoinType
-	Left, Right Operator
-	LeftKeys    []Expr
-	RightKeys   []Expr
-	ExtraOn     Expr
-	// Bloom, when set, receives a bloom filter over the build side's
-	// BloomKey-th key before the probe side opens — sideways information
-	// passing so an NDP probe-side scan can drop non-matching rows on the
-	// DN (see plan.ScanPushdown).
-	Bloom    *BloomHandle
-	BloomKey int
-	// Dist, when set by the planner, is a distributed execution of this
-	// join (co-located / broadcast / shuffle fragments built by the
-	// engine). The join delegates to it wholesale and never opens its
-	// children — they stay attached only so planning passes (projection
-	// pushdown) can keep analyzing the tree.
-	Dist Operator
-	out  *types.Schema
-
-	table   map[string][]types.Row
-	cur     types.Row
-	bucket  []types.Row
-	bi      int
-	matched bool
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *types.Schema {
-	if j.out == nil {
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.out
-}
-
-// Open implements Operator. The build side streams directly into the hash
-// table — no intermediate row slice — before the probe side opens, so a
-// sideways bloom filter (j.Bloom) is always published before any
-// probe-side scan fragment starts. The bloom is built only after the whole
-// build side has been consumed without error: a failed build must
-// propagate its error instead of publishing a filter that probe fragments
-// would wait on.
-func (j *HashJoin) Open(ctx *Ctx) error {
-	if j.Dist != nil {
-		return j.Dist.Open(ctx)
-	}
-	if err := j.Right.Open(ctx); err != nil {
-		return err
-	}
-	j.table = make(map[string][]types.Row)
-	n := 0
-	for {
-		r, err := j.Right.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n++
-		key, null, err := keyOf(ctx, j.RightKeys, r)
-		if err != nil {
-			return err
-		}
-		if null {
-			continue // NULL keys never match
-		}
-		j.table[key] = append(j.table[key], r)
-	}
-	if j.Bloom != nil {
-		bf := NewBloom(n)
-		for _, bucket := range j.table {
-			for _, r := range bucket {
-				v, err := j.RightKeys[j.BloomKey].Eval(ctx, r)
-				if err != nil {
-					return err
-				}
-				if v.IsNull() {
-					continue // NULL keys never match; nothing to admit
-				}
-				bf.Add(v)
-			}
-		}
-		j.Bloom.Set(bf)
-	}
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	j.cur = nil
-	return nil
-}
-
-// keyOf encodes key expressions into a map key; null reports any NULL key
-// part.
-func keyOf(ctx *Ctx, keys []Expr, row types.Row) (string, bool, error) {
-	var sb strings.Builder
-	for _, k := range keys {
-		v, err := k.Eval(ctx, row)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			return "", true, nil
-		}
-		// Normalize numerics so INT 3 matches FLOAT 3.0 (consistent with
-		// types.Compare).
-		if v.Kind() == types.KindInt || v.Kind() == types.KindFloat {
-			fmt.Fprintf(&sb, "n:%g|", v.Float())
-		} else {
-			fmt.Fprintf(&sb, "%d:%s|", v.Kind(), v.String())
-		}
-	}
-	return sb.String(), false, nil
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Ctx) (types.Row, error) {
-	if j.Dist != nil {
-		return j.Dist.Next(ctx)
-	}
-	nRight := len(j.Right.Schema().Columns)
-	for {
-		if j.cur == nil {
-			row, err := j.Left.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			j.cur = row
-			j.matched = false
-			key, null, err := keyOf(ctx, j.LeftKeys, row)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				j.bucket = nil
-			} else {
-				j.bucket = j.table[key]
-			}
-			j.bi = 0
-		}
-		for j.bi < len(j.bucket) {
-			r := j.bucket[j.bi]
-			j.bi++
-			joined := append(append(make(types.Row, 0, len(j.cur)+len(r)), j.cur...), r...)
-			if j.ExtraOn != nil {
-				ok, err := EvalBool(j.ExtraOn, ctx, joined)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			j.matched = true
-			return joined, nil
-		}
-		if j.Type == LeftJoin && !j.matched {
-			left := j.cur
-			j.cur = nil
-			out := append(append(make(types.Row, 0, len(left)+nRight), left...), make(types.Row, nRight)...)
-			return out, nil
-		}
-		j.cur = nil
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	if j.Dist != nil {
-		return j.Dist.Close()
-	}
-	j.table = nil
-	err1 := j.Left.Close()
-	err2 := j.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// EncodeJoinKey encodes key expressions evaluated over row into the map
-// key HashJoin uses, reporting null=true when any key part is NULL (such
-// rows can never match an equi-join). Exported so distributed join
-// fragments partition and build with byte-identical keys.
-func EncodeJoinKey(ctx *Ctx, keys []Expr, row types.Row) (string, bool, error) {
-	return keyOf(ctx, keys, row)
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------------
-
-// AggKind enumerates aggregate functions.
-type AggKind uint8
-
-// Aggregate kinds.
-const (
-	AggCountStar AggKind = iota
-	AggCount
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-// String returns the SQL name.
-func (k AggKind) String() string {
-	switch k {
-	case AggCountStar, AggCount:
-		return "count"
-	case AggSum:
-		return "sum"
-	case AggAvg:
-		return "avg"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	default:
-		return "agg?"
-	}
-}
-
-// AggSpec is one aggregate in an Agg operator.
-type AggSpec struct {
-	Kind     AggKind
-	Arg      Expr // nil for count(*)
-	Distinct bool
-}
-
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	min     types.Datum
-	max     types.Datum
-	seen    map[string]struct{} // for DISTINCT
-	any     bool
-}
-
-// Agg is a hash aggregation: output columns are the group-by values
-// followed by the aggregate results. With no group-by expressions it emits
-// exactly one row (aggregates over the whole input, zero-row input
-// included).
-type Agg struct {
-	Child   Operator
-	GroupBy []Expr
-	Aggs    []AggSpec
-	Out     *types.Schema
-
-	groups []types.Row
-	pos    int
-}
-
-// Schema implements Operator.
-func (a *Agg) Schema() *types.Schema { return a.Out }
-
-// Open implements Operator.
-func (a *Agg) Open(ctx *Ctx) error {
-	if err := a.Child.Open(ctx); err != nil {
-		return err
-	}
-	defer a.Child.Close()
-
-	type group struct {
-		key    types.Row
-		states []*aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-
-	for {
-		row, err := a.Child.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		keyVals := make(types.Row, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			v, err := g.Eval(ctx, row)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-		}
-		key := rowKey(keyVals)
-		grp, ok := groups[key]
-		if !ok {
-			grp = &group{key: keyVals, states: make([]*aggState, len(a.Aggs))}
-			for i := range grp.states {
-				grp.states[i] = &aggState{}
-				if a.Aggs[i].Distinct {
-					grp.states[i].seen = make(map[string]struct{})
-				}
-			}
-			groups[key] = grp
-			order = append(order, key)
-		}
-		for i, spec := range a.Aggs {
-			if err := grp.states[i].update(ctx, spec, row); err != nil {
-				return err
-			}
-		}
-	}
-
-	// No groups and no group-by: emit the identity row.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
-		states := make([]*aggState, len(a.Aggs))
-		for i := range states {
-			states[i] = &aggState{}
-		}
-		out := make(types.Row, 0, len(a.Aggs))
-		for i, spec := range a.Aggs {
-			out = append(out, states[i].result(spec))
-		}
-		a.groups = []types.Row{out}
-		a.pos = 0
-		return nil
-	}
-
-	a.groups = a.groups[:0]
-	for _, key := range order {
-		grp := groups[key]
-		out := make(types.Row, 0, len(grp.key)+len(a.Aggs))
-		out = append(out, grp.key...)
-		for i, spec := range a.Aggs {
-			out = append(out, grp.states[i].result(spec))
-		}
-		a.groups = append(a.groups, out)
-	}
-	a.pos = 0
-	return nil
-}
-
-func rowKey(vals types.Row) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		if v.IsNull() {
-			sb.WriteString("~|")
-			continue
-		}
-		if v.Kind() == types.KindInt || v.Kind() == types.KindFloat {
-			fmt.Fprintf(&sb, "n:%g|", v.Float())
-		} else {
-			fmt.Fprintf(&sb, "%d:%s|", v.Kind(), v.String())
-		}
-	}
-	return sb.String()
-}
-
-func (s *aggState) update(ctx *Ctx, spec AggSpec, row types.Row) error {
-	if spec.Kind == AggCountStar {
-		s.count++
-		return nil
-	}
-	v, err := spec.Arg.Eval(ctx, row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil // SQL aggregates skip NULLs
-	}
-	if spec.Distinct {
-		k := rowKey(types.Row{v})
-		if _, dup := s.seen[k]; dup {
-			return nil
-		}
-		s.seen[k] = struct{}{}
-	}
-	s.count++
-	switch spec.Kind {
-	case AggCount:
-		// count only
-	case AggSum, AggAvg:
-		switch v.Kind() {
-		case types.KindInt:
-			if s.isFloat {
-				s.sumF += float64(v.Int())
-			} else {
-				s.sumI += v.Int()
-			}
-		case types.KindFloat:
-			if !s.isFloat {
-				s.sumF = float64(s.sumI)
-				s.isFloat = true
-			}
-			s.sumF += v.Float()
-		default:
-			return fmt.Errorf("exec: %s over %s", spec.Kind, v.Kind())
-		}
-	case AggMin:
-		if !s.any {
-			s.min = v
-		} else if c, err := types.Compare(v, s.min); err != nil {
-			return err
-		} else if c < 0 {
-			s.min = v
-		}
-	case AggMax:
-		if !s.any {
-			s.max = v
-		} else if c, err := types.Compare(v, s.max); err != nil {
-			return err
-		} else if c > 0 {
-			s.max = v
-		}
-	}
-	s.any = true
-	return nil
-}
-
-func (s *aggState) result(spec AggSpec) types.Datum {
-	switch spec.Kind {
-	case AggCountStar, AggCount:
-		return types.NewInt(s.count)
-	case AggSum:
-		if !s.any {
-			return types.Null
-		}
-		if s.isFloat {
-			return types.NewFloat(s.sumF)
-		}
-		return types.NewInt(s.sumI)
-	case AggAvg:
-		if s.count == 0 {
-			return types.Null
-		}
-		if s.isFloat {
-			return types.NewFloat(s.sumF / float64(s.count))
-		}
-		return types.NewFloat(float64(s.sumI) / float64(s.count))
-	case AggMin:
-		if !s.any {
-			return types.Null
-		}
-		return s.min
-	case AggMax:
-		if !s.any {
-			return types.Null
-		}
-		return s.max
-	default:
-		return types.Null
-	}
-}
-
-// Next implements Operator.
-func (a *Agg) Next(*Ctx) (types.Row, error) {
-	if a.pos >= len(a.groups) {
-		return nil, io.EOF
-	}
-	r := a.groups[a.pos]
-	a.pos++
-	return r, nil
-}
-
-// Close implements Operator.
-func (a *Agg) Close() error { a.groups = nil; return nil }
-
-// ---------------------------------------------------------------------------
 // Sort / Limit / Distinct
 // ---------------------------------------------------------------------------
 
@@ -804,8 +249,7 @@ type Sort struct {
 	Child Operator
 	Keys  []SortKey
 
-	rows []types.Row
-	pos  int
+	rowCursor
 }
 
 // Schema implements Operator.
@@ -853,26 +297,16 @@ func (s *Sort) Open(ctx *Ctx) error {
 	if sortErr != nil {
 		return sortErr
 	}
-	s.rows = make([]types.Row, len(rows))
+	sorted := make([]types.Row, len(rows))
 	for i, j := range idx {
-		s.rows[i] = rows[j]
+		sorted[i] = rows[j]
 	}
-	s.pos = 0
+	s.reset(sorted)
 	return nil
 }
 
-// Next implements Operator.
-func (s *Sort) Next(*Ctx) (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, io.EOF
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
 // Close implements Operator.
-func (s *Sort) Close() error { s.rows = nil; return nil }
+func (s *Sort) Close() error { s.reset(nil); return nil }
 
 // Limit implements LIMIT/OFFSET. Limit < 0 means unlimited.
 type Limit struct {
@@ -919,6 +353,7 @@ func (l *Limit) Close() error { return l.Child.Close() }
 type Distinct struct {
 	Child Operator
 	seen  map[string]struct{}
+	buf   []byte
 }
 
 // Schema implements Operator.
@@ -937,11 +372,11 @@ func (d *Distinct) Next(ctx *Ctx) (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := rowKey(row)
-		if _, dup := d.seen[k]; dup {
+		d.buf = row.AppendKey(d.buf[:0])
+		if _, dup := d.seen[string(d.buf)]; dup {
 			continue
 		}
-		d.seen[k] = struct{}{}
+		d.seen[string(d.buf)] = struct{}{}
 		return row, nil
 	}
 }

@@ -197,8 +197,7 @@ type TopN struct {
 	Keys  []SortKey
 	Limit int64
 
-	rows []types.Row
-	pos  int
+	rowCursor
 }
 
 // Schema implements Operator.
@@ -229,22 +228,12 @@ func (t *TopN) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	t.rows, t.pos = rows, 0
+	t.reset(rows)
 	return nil
-}
-
-// Next implements Operator.
-func (t *TopN) Next(*Ctx) (types.Row, error) {
-	if t.pos >= len(t.rows) {
-		return nil, io.EOF
-	}
-	r := t.rows[t.pos]
-	t.pos++
-	return r, nil
 }
 
 // Close implements Operator.
 func (t *TopN) Close() error {
-	t.rows = nil
+	t.reset(nil)
 	return t.Child.Close()
 }

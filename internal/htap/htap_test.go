@@ -140,6 +140,44 @@ func TestAnalyticalOffloadAndIdentity(t *testing.T) {
 	}
 }
 
+// TestReplicaGroupsAndAggregateErrorsMatchPrimary: the replica's vectorized
+// aggregate and the primary's row aggregate are one group table behind one
+// key codec, so group keys that collide as joined text (', ' inside a value,
+// NULL beside 'NULL') stay four groups on both, and a sum() the row path
+// refuses is refused by the replica too instead of answering 0 or a number
+// of nanoseconds.
+func TestReplicaGroupsAndAggregateErrorsMatchPrimary(t *testing.T) {
+	c := newCluster(t, 2)
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE notes (id BIGINT, a TEXT, b TEXT, ts TIMESTAMP, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)")
+	mustExec(t, s, "INSERT INTO notes VALUES (1, 'a, b', 'c', '2024-01-01T00:00:00Z'), (2, 'a', 'b, c', '2024-01-02T00:00:00Z'), "+
+		"(3, NULL, 'x', '2024-01-03T00:00:00Z'), (4, 'NULL', 'x', '2024-01-04T00:00:00Z')")
+	m := enable(t, c, Config{})
+	if err := m.WaitCaughtUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	q := "SELECT a, b, count(*), min(ts) FROM notes GROUP BY a, b ORDER BY b, a"
+	want := onPrimary(t, c, m, s, q)
+	before := m.Status().QueriesOffloaded
+	got := mustExec(t, s, q)
+	if len(got.Rows) != 4 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		t.Errorf("%s:\n  primary %v\n  replica %v", q, want.Rows, got.Rows)
+	}
+	for _, q := range []string{"SELECT sum(a) FROM notes", "SELECT b, sum(ts) FROM notes GROUP BY b"} {
+		c.SetAnalyticalReads(nil)
+		_, wantErr := s.Exec(q)
+		c.SetAnalyticalReads(m)
+		_, gotErr := s.Exec(q)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s:\n  primary error %v\n  replica error %v", q, wantErr, gotErr)
+		}
+	}
+	if off := m.Status().QueriesOffloaded; off < before+3 {
+		t.Errorf("offloaded %d of 3 replica statements", off-before)
+	}
+}
+
 // TestReadOwnWritesInTxn asserts a transaction that has written reads its
 // own writes — the statement must stay on the primary even though its
 // shape is analytical, because the replica only learns about the write at

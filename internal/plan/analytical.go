@@ -1,178 +1,51 @@
-// Analytical-shape classification for HTAP routing (paper §II-III):
-// decide from the AST alone whether a SELECT is the kind of statement the
-// columnar analytical replicas should serve. The routing layer applies
-// this only to scatter statements — point reads are already excluded by
-// single-shard routing, and DML / read-own-writes sessions are excluded by
-// the session's transaction state.
+// Analytical-shape check for HTAP routing (paper §II-III): decide from the
+// AST alone whether a SELECT is the kind of statement the columnar
+// analytical replicas should serve. The routing layer applies this only to
+// scatter statements — point reads are already excluded by single-shard
+// routing, and DML / read-own-writes sessions are excluded by the session's
+// transaction state.
 
 package plan
 
-import (
-	"strings"
+import "repro/internal/sqlx"
 
-	"repro/internal/sqlx"
-)
-
-// StmtShape is the dominant analytical shape of a SELECT.
-type StmtShape uint8
-
-const (
-	// ShapeScan is a plain (possibly filtered, projected) table scan.
-	ShapeScan StmtShape = iota
-	// ShapeTopN is ORDER BY ... LIMIT (or a bare LIMIT) over a scan.
-	ShapeTopN
-	// ShapeAggregate has GROUP BY, HAVING, or aggregate functions.
-	ShapeAggregate
-	// ShapeJoin reads more than one table.
-	ShapeJoin
-)
-
-func (s StmtShape) String() string {
-	switch s {
-	case ShapeTopN:
-		return "topn"
-	case ShapeAggregate:
-		return "aggregate"
-	case ShapeJoin:
-		return "join"
-	default:
-		return "scan"
-	}
+// AnalyticalShape reports whether a columnar replica may serve sel: it
+// reads at least one table and every table it reads — in FROM, joins,
+// derived tables and set-operation arms — is a stored one. Statements
+// reading engine-backed virtual tables (gtimeseries/ggraph) or no table at
+// all never touch the row primaries in the first place.
+func AnalyticalShape(sel *sqlx.Select) bool {
+	return sel != nil && len(sel.From) > 0 && storedOnly(sel)
 }
 
-// AnalyticalShape classifies sel and reports whether a columnar replica
-// may serve it. Statements reading engine-backed virtual tables
-// (gtimeseries/ggraph) or reading no table at all are not analytical —
-// they never touch the row primaries in the first place.
-func AnalyticalShape(sel *sqlx.Select) (StmtShape, bool) {
-	if sel == nil || len(sel.From) == 0 {
-		return ShapeScan, false
-	}
-	tables := 0
-	for _, ref := range sel.From {
-		n, ok := countBaseTables(ref)
-		if !ok {
-			return ShapeScan, false
-		}
-		tables += n
-	}
-	for _, arm := range sel.SetOps {
-		n, ok := armTables(arm.Query)
-		if !ok {
-			return ShapeScan, false
-		}
-		tables += n
-	}
-	shape := ShapeScan
-	switch {
-	case tables > 1:
-		shape = ShapeJoin
-	case len(sel.GroupBy) > 0 || sel.Having != nil || hasAggregate(sel):
-		shape = ShapeAggregate
-	case sel.Limit >= 0:
-		shape = ShapeTopN
-	}
-	return shape, true
-}
-
-// countBaseTables counts stored-table references under ref; ok=false when
-// the reference is a table function (virtual engine) the replicas cannot
-// serve.
-func countBaseTables(ref sqlx.TableRef) (int, bool) {
-	switch x := ref.(type) {
-	case *sqlx.BaseTable:
-		return 1, true
-	case *sqlx.JoinRef:
-		l, ok := countBaseTables(x.Left)
-		if !ok {
-			return 0, false
-		}
-		r, ok := countBaseTables(x.Right)
-		if !ok {
-			return 0, false
-		}
-		return l + r, true
-	case *sqlx.SubqueryRef:
-		return armTables(x.Query)
-	default: // *sqlx.TableFunc and future engine refs
-		return 0, false
-	}
-}
-
-// armTables counts tables referenced by a nested query block.
-func armTables(q *sqlx.Select) (int, bool) {
+// storedOnly reports whether q's FROM list and set-operation arms reference
+// stored tables only.
+func storedOnly(q *sqlx.Select) bool {
 	if q == nil {
-		return 0, true
+		return true
 	}
-	total := 0
 	for _, ref := range q.From {
-		n, ok := countBaseTables(ref)
-		if !ok {
-			return 0, false
+		if !storedRef(ref) {
+			return false
 		}
-		total += n
 	}
 	for _, arm := range q.SetOps {
-		n, ok := armTables(arm.Query)
-		if !ok {
-			return 0, false
+		if !storedOnly(arm.Query) {
+			return false
 		}
-		total += n
 	}
-	return total, true
+	return true
 }
 
-// hasAggregate reports whether any select-list or HAVING expression calls
-// an aggregate function.
-func hasAggregate(sel *sqlx.Select) bool {
-	for _, it := range sel.Items {
-		if it.Expr != nil && exprHasAggregate(it.Expr) {
-			return true
-		}
+func storedRef(ref sqlx.TableRef) bool {
+	switch x := ref.(type) {
+	case *sqlx.BaseTable:
+		return true
+	case *sqlx.JoinRef:
+		return storedRef(x.Left) && storedRef(x.Right)
+	case *sqlx.SubqueryRef:
+		return storedOnly(x.Query)
+	default: // *sqlx.TableFunc and future engine refs
+		return false
 	}
-	return sel.Having != nil && exprHasAggregate(sel.Having)
-}
-
-func exprHasAggregate(e sqlx.Expr) bool {
-	switch x := e.(type) {
-	case *sqlx.FuncCall:
-		if x.Star || sqlx.AggregateFuncs[strings.ToLower(x.Name)] {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlx.BinaryOp:
-		return exprHasAggregate(x.Left) || exprHasAggregate(x.Right)
-	case *sqlx.UnaryOp:
-		return exprHasAggregate(x.Child)
-	case *sqlx.IsNull:
-		return exprHasAggregate(x.Child)
-	case *sqlx.InList:
-		if exprHasAggregate(x.Child) {
-			return true
-		}
-		for _, v := range x.List {
-			if exprHasAggregate(v) {
-				return true
-			}
-		}
-	case *sqlx.Between:
-		return exprHasAggregate(x.Child) || exprHasAggregate(x.Lo) || exprHasAggregate(x.Hi)
-	case *sqlx.CaseExpr:
-		if x.Operand != nil && exprHasAggregate(x.Operand) {
-			return true
-		}
-		for i := range x.Whens {
-			if exprHasAggregate(x.Whens[i]) || exprHasAggregate(x.Thens[i]) {
-				return true
-			}
-		}
-		if x.Else != nil {
-			return exprHasAggregate(x.Else)
-		}
-	}
-	return false
 }

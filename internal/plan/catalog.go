@@ -160,13 +160,15 @@ func AnalyzeRows(schema *types.Schema, rows []types.Row) *TableStats {
 		var vals []types.Datum
 		nulls := 0
 		distinct := make(map[string]struct{})
+		var key []byte
 		for _, r := range rows {
 			if r[c].IsNull() {
 				nulls++
 				continue
 			}
 			vals = append(vals, r[c])
-			distinct[r[c].Kind().String()+":"+r[c].String()] = struct{}{}
+			key = types.AppendKey(key[:0], r[c])
+			distinct[string(key)] = struct{}{}
 		}
 		cs := ColStats{NDV: int64(len(distinct))}
 		if len(rows) > 0 {

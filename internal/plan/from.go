@@ -45,7 +45,7 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 	combined := &Scope{Cols: append(append([]ScopeCol(nil), lscope.Cols...), rscope.Cols...)}
 
 	var candidates []sqlx.Expr
-	onConjs := splitConjuncts(on)
+	onConjs := sqlx.SplitConjuncts(on)
 	candidates = append(candidates, onConjs...)
 	if jt == exec.InnerJoin {
 		for _, c := range conjuncts {

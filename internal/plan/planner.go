@@ -272,7 +272,7 @@ func (pc *pctx) planSetOps(sel *sqlx.Select) (exec.Operator, *Scope, []string, e
 // planSelectBlock compiles one plain query block (no set operations; the
 // caller has already registered any CTEs).
 func (pc *pctx) planSelectBlock(sel *sqlx.Select) (exec.Operator, *Scope, []string, error) {
-	conjuncts := splitConjuncts(sel.Where)
+	conjuncts := sqlx.SplitConjuncts(sel.Where)
 
 	// FROM.
 	var op exec.Operator
@@ -544,17 +544,6 @@ func exprKind(pc *pctx, e sqlx.Expr) types.Kind {
 		return types.KindNull
 	}
 	return types.KindNull
-}
-
-// splitConjuncts flattens a WHERE tree into AND conjuncts.
-func splitConjuncts(e sqlx.Expr) []sqlx.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sqlx.BinaryOp); ok && b.Op == sqlx.OpAnd {
-		return append(splitConjuncts(b.Left), splitConjuncts(b.Right)...)
-	}
-	return []sqlx.Expr{e}
 }
 
 // compileConjuncts compiles and ANDs a conjunct list.

@@ -10,6 +10,7 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -203,8 +204,9 @@ func numericKinds(a, b Kind) bool {
 }
 
 // Compare orders two datums. NULL sorts before every non-NULL value.
-// Cross-kind numeric comparison (INT vs FLOAT) is supported; any other kind
-// mismatch returns an error.
+// Cross-kind numeric comparison (INT vs FLOAT) is supported and exact — the
+// integer is never rounded to a float — so Compare == 0 is an equivalence
+// (the one AppendKey encodes); any other kind mismatch returns an error.
 func Compare(a, b Datum) (int, error) {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -218,7 +220,10 @@ func Compare(a, b Datum) (int, error) {
 	}
 	if a.kind != b.kind {
 		if numericKinds(a.kind, b.kind) {
-			return cmpFloat(a.Float(), b.Float()), nil
+			if a.kind == KindInt {
+				return cmpIntFloat(a.i, b.f), nil
+			}
+			return -cmpIntFloat(b.i, a.f), nil
 		}
 		return 0, fmt.Errorf("types: cannot compare %s with %s", a.kind, b.kind)
 	}
@@ -268,15 +273,46 @@ func cmpInt(a, b int64) int {
 	}
 }
 
+// cmpFloat orders floats; NaN equals itself and sorts above every number,
+// so the order is total.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b, a != a && b != b:
 		return 0
+	case a != a:
+		return 1
+	default: // b is NaN
+		return -1
 	}
+}
+
+// cmpIntFloat orders i against f without rounding i: above 2^53 float64(i)
+// is not injective, and two different BIGINTs must not both equal one DOUBLE.
+func cmpIntFloat(i int64, f float64) int {
+	whole, ok := floatAsInt(math.Trunc(f))
+	if !ok {
+		// NaN, ±Inf or beyond int64: f's sign (NaN sorts high) decides.
+		if f < 0 {
+			return 1
+		}
+		return -1
+	}
+	if c := cmpInt(i, whole); c != 0 {
+		return c
+	}
+	return -cmpFloat(f, math.Trunc(f)) // equal whole parts: the fraction decides
+}
+
+// floatAsInt returns the int64 with exactly f's value, if there is one.
+func floatAsInt(f float64) (int64, bool) {
+	if f >= -(1<<63) && f < 1<<63 && f == math.Trunc(f) {
+		return int64(f), true
+	}
+	return 0, false
 }
 
 // Hash returns a 64-bit hash of the datum, used for hash distribution
@@ -318,8 +354,64 @@ func Hash(d Datum) uint64 {
 	return h.Sum64()
 }
 
+// Key tags. Fixed-width payloads follow the tag directly; variable-width
+// ones are length-prefixed, so a concatenation of keys decodes one way only.
+const (
+	keyNull byte = iota
+	keyBool
+	keyInt // every integral value in int64 range, INT or FLOAT
+	keyFloat
+	keyString
+	keyBytes
+	keyTime
+)
+
+// AppendKey appends d's equality key to dst and returns the extended slice:
+// two datums get equal bytes iff Compare calls them equal (INT 3 and FLOAT
+// 3.0 do, any two different BIGINTs do not, NULL equals only NULL; kinds
+// Compare refuses to order are simply unequal), and a sequence of keys is
+// equal to another iff the sequences are equal part by part. It is the one
+// encoding behind hash aggregation, DISTINCT, hash joins and shuffle
+// partitioning, the columnar delete index, row multiset diffs and digests,
+// and ANALYZE's distinct counts. Hash / distribution placement is separate
+// (see Hash) and only has to agree with it on equal values.
+func AppendKey(dst []byte, d Datum) []byte {
+	switch d.kind {
+	case KindBool:
+		return append(dst, keyBool, byte(d.i))
+	case KindInt:
+		return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(d.i))
+	case KindFloat:
+		if i, ok := floatAsInt(d.f); ok {
+			return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(i))
+		}
+		f := d.f
+		if f != f {
+			f = math.NaN() // one NaN, whatever its payload bits
+		}
+		return binary.BigEndian.AppendUint64(append(dst, keyFloat), math.Float64bits(f))
+	case KindString:
+		return append(binary.AppendUvarint(append(dst, keyString), uint64(len(d.s))), d.s...)
+	case KindBytes:
+		return append(binary.AppendUvarint(append(dst, keyBytes), uint64(len(d.b))), d.b...)
+	case KindTime:
+		return binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(d.i))
+	default:
+		return append(dst, keyNull)
+	}
+}
+
 // Row is a tuple of datums positionally matching a Schema.
 type Row []Datum
+
+// AppendKey appends the keys of r's datums in order (see AppendKey): equal
+// bytes iff equal arity and every position equal.
+func (r Row) AppendKey(dst []byte) []byte {
+	for _, d := range r {
+		dst = AppendKey(dst, d)
+	}
+	return dst
+}
 
 // Clone returns a deep-enough copy of the row (datum payloads are immutable
 // by convention, so a shallow copy of the slice suffices).

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -81,6 +82,19 @@ func TestCompare(t *testing.T) {
 		{Null, Null, 0},
 		{NewBool(false), NewBool(true), -1},
 		{NewTime(time.Unix(1, 0)), NewTime(time.Unix(2, 0)), -1},
+		// INT against FLOAT is exact: no BIGINT is rounded to a double.
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewFloat(1 << 53), NewInt(1<<53 + 1), -1},
+		{NewInt(1 << 53), NewFloat(1 << 53), 0},
+		{NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
+		{NewInt(math.MinInt64), NewFloat(-(1 << 63)), 0},
+		{NewInt(-2), NewFloat(-2.5), 1},
+		{NewInt(-3), NewFloat(-2.5), -1},
+		{NewInt(7), NewFloat(math.Inf(-1)), 1},
+		// NaN equals itself and sorts above every number.
+		{NewFloat(math.NaN()), NewFloat(math.NaN()), 0},
+		{NewFloat(math.NaN()), NewFloat(math.Inf(1)), 1},
+		{NewInt(7), NewFloat(math.NaN()), -1},
 	}
 	for _, c := range cases {
 		got, err := Compare(c.a, c.b)
