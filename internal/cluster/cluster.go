@@ -77,14 +77,77 @@ type Config struct {
 	HopLatency time.Duration
 }
 
-// tableParts holds the per-DN partitions of one table; exactly one slice is
-// non-nil depending on the table's storage kind. The set is copy-on-write:
-// AddDataNode swaps in a grown set while in-flight statements keep reading
-// the one they loaded.
-type tableParts struct {
-	rows []*storage.Table
-	cols []*colstore.Table
+// partition is one table's storage on one data node: a row heap or a
+// columnar table, exactly one of the two. Its methods hide which from the
+// callers that do not care — insert under a leg, list what is visible, count
+// what is unsettled, drop rows physically; the ones that do (fragSource, the
+// UPDATE / DELETE body, column statistics, vacuum) read the field.
+type partition struct {
+	row *storage.Table
+	col *colstore.Table
 }
+
+// newPartition creates table meta's empty partition on dn.
+func newPartition(meta *plan.TableMeta, dn *DataNode) partition {
+	if meta.Storage == sqlx.StorageColumn {
+		return partition{col: colstore.NewTable(meta.Name, meta.Schema, dn.Txm)}
+	}
+	return partition{row: storage.NewTable(meta.Name, meta.Schema, meta.PKCols, dn.Txm)}
+}
+
+// insert appends row under the leg xid. snap is the leg's snapshot, which a
+// row heap checks the primary key against; columnar tables have no key.
+func (p partition) insert(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
+	if p.col != nil {
+		return p.col.Insert(xid, row)
+	}
+	return p.row.Insert(xid, snap, row)
+}
+
+// visibleRows lists the rows visible to snap that keep accepts (nil: all).
+// The rows are the caller's to retain.
+func (p partition) visibleRows(snap *txnkit.Snapshot, keep func(types.Row) bool) []types.Row {
+	var out []types.Row
+	if p.col != nil {
+		p.col.ScanRows(0, snap, func(r types.Row) bool {
+			if keep == nil || keep(r) {
+				out = append(out, r)
+			}
+			return true
+		})
+		return out
+	}
+	p.row.Scan(0, snap, func(r types.Row) bool {
+		if keep == nil || keep(r) {
+			out = append(out, r.Clone())
+		}
+		return true
+	})
+	return out
+}
+
+// unsettled counts the versions matching pred (nil: all) stamped by a
+// transaction that is still active or prepared.
+func (p partition) unsettled(pred func(types.Row) bool) int {
+	if p.col != nil {
+		return p.col.UnsettledCount(pred)
+	}
+	return p.row.UnsettledCount(pred)
+}
+
+// reap physically drops every version matching pred. Columnar partitions
+// are append-only: their retired rows stay, invisible behind the
+// bucket-ownership filter.
+func (p partition) reap(pred func(types.Row) bool) {
+	if p.row != nil {
+		p.row.Reap(pred)
+	}
+}
+
+// tableParts holds one table's partitions, indexed by data node. The set is
+// copy-on-write: AddDataNode swaps in a grown set while in-flight statements
+// keep reading the one they loaded.
+type tableParts []partition
 
 // TableInfo is the coordinator's catalog entry for one table.
 type TableInfo struct {
@@ -95,14 +158,11 @@ type TableInfo struct {
 	replicated bool
 }
 
-// rowParts returns the current row partitions (nil for columnar tables).
-func (ti *TableInfo) rowParts() []*storage.Table { return ti.parts.Load().rows }
-
-// colParts returns the current columnar partitions (nil for row tables).
-func (ti *TableInfo) colParts() []*colstore.Table { return ti.parts.Load().cols }
+// part returns the table's partition on data node dnID.
+func (ti *TableInfo) part(dnID int) partition { return (*ti.parts.Load())[dnID] }
 
 // columnar reports whether the table uses columnar storage.
-func (ti *TableInfo) columnar() bool { return ti.parts.Load().cols != nil }
+func (ti *TableInfo) columnar() bool { return ti.Meta.Storage == sqlx.StorageColumn }
 
 // DataNode is one shared-nothing shard.
 type DataNode struct {
@@ -358,8 +418,8 @@ func (c *Cluster) postGTM(t transport.MsgType) {
 }
 
 // rowPayload estimates the wire size of n rows of ti for the fabric's
-// bandwidth model (8 bytes per datum; bulk streams only — per-row DML
-// messages are counted without payload).
+// bandwidth model (8 bytes per datum; bulk streams only — a statement's
+// write wave is counted without payload).
 func rowPayload(ti *TableInfo, n int) int {
 	return n * ti.Meta.Schema.Len() * 8
 }
@@ -382,9 +442,9 @@ func (c *Cluster) TableScanStats(name string) (colstore.ScanStats, error) {
 		return colstore.ScanStats{}, fmt.Errorf("cluster: unknown table %q", name)
 	}
 	var st colstore.ScanStats
-	for _, p := range ti.colParts() {
-		if p != nil {
-			st.Add(p.ScanStats())
+	for _, p := range *ti.parts.Load() {
+		if p.col != nil {
+			st.Add(p.col.ScanStats())
 		}
 	}
 	return st, nil
@@ -400,10 +460,10 @@ func (c *Cluster) ColstoreStats() (colstore.TableStats, colstore.ScanStats) {
 	var ts colstore.TableStats
 	var ss colstore.ScanStats
 	for _, ti := range c.tables {
-		for _, p := range ti.colParts() {
-			if p != nil {
-				ts.Add(p.Stats())
-				ss.Add(p.ScanStats())
+		for _, p := range *ti.parts.Load() {
+			if p.col != nil {
+				ts.Add(p.col.Stats())
+				ss.Add(p.col.ScanStats())
 			}
 		}
 	}
@@ -419,45 +479,29 @@ func (c *Cluster) shardFor(key types.Datum) int {
 	return c.bmap.dn[b]
 }
 
-// writeTarget routes one row's distribution key for a write. Writes into a
-// bucket frozen for cutover fail with ErrBucketMigrating (retryable)
-// rather than block, so the cutover drain can never deadlock against a
-// stalled writer. Caller must hold routeMu.
+// frozenErr fails writes into a bucket frozen for cutover with
+// ErrBucketMigrating (retryable) rather than block them, so the cutover
+// drain can never deadlock against a stalled writer. Caller must hold
+// routeMu.
+func (c *Cluster) frozenErr(b int) error {
+	if c.frozenCount > 0 && c.frozen[b] {
+		return fmt.Errorf("%w (bucket %d)", ErrBucketMigrating, b)
+	}
+	return nil
+}
+
+// writeTarget routes one row's distribution key for a write (see
+// frozenErr). Caller must hold routeMu.
 func (c *Cluster) writeTarget(key types.Datum) (int, error) {
 	b := BucketOf(key)
 	c.touchHeat(b)
-	if c.frozenCount > 0 && c.frozen[b] {
-		return 0, fmt.Errorf("%w (bucket %d)", ErrBucketMigrating, b)
-	}
-	return c.bmap.dn[b], nil
+	return c.bmap.dn[b], c.frozenErr(b)
 }
 
 // needsBucketFilter reports whether scans of ti must apply per-row bucket
 // ownership filtering. Caller must hold routeMu.
 func (c *Cluster) needsBucketFilter(ti *TableInfo) bool {
 	return c.filterByBucket && !ti.replicated && ti.Meta.DistKey >= 0
-}
-
-// victimGuard returns a per-row check for UPDATE/DELETE victim selection on
-// dnID: rows whose bucket is not owned by this partition are migration
-// phantoms (silently skipped), and rows in a bucket frozen for cutover fail
-// the statement with ErrBucketMigrating. nil until the first migration
-// starts. Caller must hold routeMu.
-func (c *Cluster) victimGuard(ti *TableInfo, dnID int) func(types.Row) (bool, error) {
-	if !c.needsBucketFilter(ti) {
-		return nil
-	}
-	dk := ti.Meta.DistKey
-	return func(r types.Row) (bool, error) {
-		b := BucketOf(r[dk])
-		if c.bmap.dn[b] != dnID {
-			return false, nil
-		}
-		if c.frozen[b] {
-			return false, fmt.Errorf("%w (bucket %d)", ErrBucketMigrating, b)
-		}
-		return true, nil
-	}
 }
 
 // BucketOwners returns a copy of the routing map (bucket -> data node id).
@@ -586,15 +630,11 @@ func (c *Cluster) createTable(ct *sqlx.CreateTable) error {
 		},
 		replicated: replicated,
 	}
-	parts := &tableParts{}
+	var parts tableParts
 	for _, dn := range c.nodes() {
-		if ct.Storage == sqlx.StorageColumn {
-			parts.cols = append(parts.cols, colstore.NewTable(key, schema, dn.Txm))
-		} else {
-			parts.rows = append(parts.rows, storage.NewTable(key, schema, pkCols, dn.Txm))
-		}
+		parts = append(parts, newPartition(ti.Meta, dn))
 	}
-	ti.parts.Store(parts)
+	ti.parts.Store(&parts)
 	c.tables[key] = ti
 	return nil
 }
@@ -625,46 +665,34 @@ func (c *Cluster) Analyze(table string) error {
 	defer c.routeMu.RUnlock()
 	var rows []types.Row
 	if ti.replicated {
-		rows = c.partitionRows(ti, 0, 0, nil)
+		rows = c.partitionRows(ti, 0, nil)
 	} else {
 		for dnID := 0; dnID < c.DataNodeCount(); dnID++ {
-			rows = append(rows, c.partitionRows(ti, dnID, 0, nil)...)
+			rows = append(rows, c.partitionRows(ti, dnID, c.ownsRow(ti, dnID))...)
 		}
 	}
 	ti.Meta.Stats = plan.AnalyzeRows(ti.Meta.Schema, rows)
 	return nil
 }
 
-// partitionRows reads all rows of one partition visible to a fresh local
-// snapshot (xid/snap may be overridden by passing snap != nil), applying
-// the bucket-ownership filter so migrated-away or half-copied rows are
-// excluded. Callers must hold routeMu (or run quiesced).
-func (c *Cluster) partitionRows(ti *TableInfo, dnID int, xid txnkit.XID, snap *txnkit.Snapshot) []types.Row {
-	dn := c.node(dnID)
-	if snap == nil {
-		s := dn.Txm.LocalSnapshot()
-		snap = &s
+// partitionRows returns the rows physically stored on dnID's partition of
+// ti that are visible to a fresh local snapshot and that keep accepts (nil:
+// all). Pass ownsRow for what a scan would see; the migration and
+// replication machinery passes its own filter, because it needs the
+// copied-but-not-cut-over rows ordinary scans hide.
+func (c *Cluster) partitionRows(ti *TableInfo, dnID int, keep func(types.Row) bool) []types.Row {
+	snap := c.node(dnID).Txm.LocalSnapshot()
+	return ti.part(dnID).visibleRows(&snap, keep)
+}
+
+// ownsRow is fragKeepDatum over a whole row of ti. Caller must hold routeMu.
+func (c *Cluster) ownsRow(ti *TableInfo, owner int) func(types.Row) bool {
+	owns := c.fragKeepDatum(ti, owner)
+	if owns == nil {
+		return nil
 	}
-	owns := c.fragKeepDatum(ti, dnID)
 	dk := ti.Meta.DistKey
-	var out []types.Row
-	parts := ti.parts.Load()
-	if parts.cols != nil {
-		parts.cols[dnID].ScanRows(xid, snap, func(r types.Row) bool {
-			if owns == nil || owns(r[dk]) {
-				out = append(out, r)
-			}
-			return true
-		})
-		return out
-	}
-	parts.rows[dnID].Scan(xid, snap, func(r types.Row) bool {
-		if owns == nil || owns(r[dk]) {
-			out = append(out, r.Clone())
-		}
-		return true
-	})
-	return out
+	return func(r types.Row) bool { return owns(r[dk]) }
 }
 
 // RecoverInDoubt resolves prepared-but-undecided transaction legs left
@@ -823,15 +851,14 @@ func (c *Cluster) BloatReport() map[string]BloatInfo {
 	defer c.mu.RUnlock()
 	out := map[string]BloatInfo{}
 	for name, ti := range c.tables {
-		parts := ti.parts.Load()
-		if parts.rows == nil {
+		if ti.columnar() {
 			continue
 		}
 		var info BloatInfo
-		for dnID, part := range parts.rows {
-			info.Versions += part.VersionCount()
+		for dnID, part := range *ti.parts.Load() {
+			info.Versions += part.row.VersionCount()
 			snap := c.node(dnID).Txm.LocalSnapshot()
-			info.Visible += part.VisibleCount(0, &snap)
+			info.Visible += part.row.VisibleCount(0, &snap)
 		}
 		out[name] = info
 	}
@@ -848,15 +875,23 @@ func (c *Cluster) InDoubtCount() int {
 	return n
 }
 
-// Vacuum reclaims dead row-store versions on every data node.
+// Vacuum reclaims dead row-store versions on every data node. It runs under
+// the route barrier: the horizon is each node's oldest active xid, which
+// only bounds the snapshots statements will take — one already in flight
+// may list a since-committed writer as active and still need the version
+// that writer replaced — so no statement may be in flight.
 func (c *Cluster) Vacuum() int {
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	total := 0
 	for _, ti := range c.tables {
-		for dnID, part := range ti.parts.Load().rows {
-			horizon := c.node(dnID).Txm.LocalSnapshot().Xmin
-			total += part.Vacuum(horizon)
+		for dnID, part := range *ti.parts.Load() {
+			if part.row != nil {
+				horizon := c.node(dnID).Txm.LocalSnapshot().Xmin
+				total += part.row.Vacuum(horizon)
+			}
 		}
 	}
 	return total

@@ -56,9 +56,9 @@ func TestRowsSpreadAcrossShards(t *testing.T) {
 	}
 	nonEmpty := 0
 	total := 0
-	for dnID, part := range ti.rowParts() {
+	for dnID, part := range *ti.parts.Load() {
 		snap := c.node(dnID).Txm.LocalSnapshot()
-		n := part.VisibleCount(0, &snap)
+		n := part.row.VisibleCount(0, &snap)
 		total += n
 		if n > 0 {
 			nonEmpty++
@@ -241,9 +241,9 @@ func TestReplicatedTable(t *testing.T) {
 	mustExec(t, s, "INSERT INTO dim VALUES (1, 'one'), (2, 'two')")
 	// Every DN holds a full copy.
 	ti, _ := c.tableInfo("dim")
-	for dnID, part := range ti.rowParts() {
+	for dnID, part := range *ti.parts.Load() {
 		snap := c.node(dnID).Txm.LocalSnapshot()
-		if n := part.VisibleCount(0, &snap); n != 2 {
+		if n := part.row.VisibleCount(0, &snap); n != 2 {
 			t.Errorf("dn%d has %d rows, want 2", dnID, n)
 		}
 	}
@@ -258,8 +258,8 @@ func TestReplicatedTable(t *testing.T) {
 	}
 	// Update applies to all copies.
 	mustExec(t, s, "UPDATE dim SET name = 'TWO' WHERE k = 2")
-	for dnID := range ti.rowParts() {
-		rows := c.partitionRows(ti, dnID, 0, nil)
+	for dnID := range *ti.parts.Load() {
+		rows := c.partitionRows(ti, dnID, nil)
 		seen := false
 		for _, r := range rows {
 			if r[0].Int() == 2 && r[1].Str() == "TWO" {

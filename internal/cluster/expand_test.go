@@ -109,8 +109,8 @@ func TestMoveBucketMigratesData(t *testing.T) {
 	// row remains across the cluster (no updates ran, so versions == rows).
 	ti, _ := c.tableInfo("accounts")
 	versions := 0
-	for _, part := range ti.rowParts() {
-		versions += part.VersionCount()
+	for _, part := range *ti.parts.Load() {
+		versions += part.row.VersionCount()
 	}
 	if versions != 300 {
 		t.Errorf("%d heap versions across shards, want 300 (retired copies not reaped)", versions)

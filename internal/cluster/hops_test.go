@@ -207,6 +207,23 @@ func TestCriticalPathHops(t *testing.T) {
 		map[string]int{"gtm_round": 2, "write": 1, "prepare": 1, "commit": 1},
 		map[string]int{"gtm_round": 2, "write": n, "prepare": n, "commit": n})
 
+	// A multi-row INSERT is one write wave whatever its row count — 64 rows
+	// over four nodes, four rows onto four replicas — followed by the commit
+	// path of an n-leg write.
+	wideWriteWaits := map[string]int{"gtm_round": 2, "write": 1, "prepare": 1, "commit": 1}
+	wideWriteMsgs := map[string]int{"gtm_round": 2, "write": n, "prepare": n, "commit": n}
+	vals = vals[:0]
+	for i := 64; i < 128; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, 100)", i, i%10))
+	}
+	step("64-row insert", "INSERT INTO accounts VALUES "+strings.Join(vals, ", "), wideWriteWaits, wideWriteMsgs)
+	step("4-row insert into a replicated table",
+		"INSERT INTO dimr VALUES (100, 'a'), (101, 'b'), (102, 'c'), (103, 'd')", wideWriteWaits, wideWriteMsgs)
+	// INSERT … SELECT: the source query's fragments, then the same one wave.
+	step("insert from a scatter select", "INSERT INTO accounts SELECT id + 128, branch, balance FROM accounts",
+		map[string]int{"gtm_round": 2, "scan_frag_req": n, "scan_frag_resp": n, "write": 1, "prepare": 1, "commit": 1},
+		map[string]int{"gtm_round": 2, "scan_frag": 2 * n, "write": n, "prepare": n, "commit": n})
+
 	// Broadcast join: the build side's four sources are asked in one wave
 	// and their results awaited once, then every fragment takes the build
 	// side and answers (each on its own goroutine, as any fragment).

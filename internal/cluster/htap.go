@@ -104,7 +104,7 @@ func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, seeds []A
 	for _, ti := range tis {
 		s := AnalyticalSeed{Meta: ti.Meta, Rows: make(map[int][]types.Row, len(primaries))}
 		for _, dn := range primaries {
-			s.Rows[dn] = c.rawVisibleRows(ti, dn, c.node(dn), nil)
+			s.Rows[dn] = c.partitionRows(ti, dn, nil)
 		}
 		seeds = append(seeds, s)
 	}

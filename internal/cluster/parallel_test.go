@@ -90,7 +90,7 @@ func TestSegmentPruningReducesRowsScanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ti.colParts()[0].SegmentCount(); got != 3 {
+	if got := ti.part(0).col.SegmentCount(); got != 3 {
 		t.Fatalf("segments = %d, want 3 (buffer did not seal as expected)", got)
 	}
 

@@ -43,8 +43,10 @@ type stmtAccess struct {
 	htap     AnalyticalProvider
 	standbys map[int]int
 
-	mu    sync.Mutex // guards snaps, htapSnaps
-	snaps map[int]*txnkit.Snapshot
+	mu sync.Mutex // guards snaps, htapSnaps
+	// snaps caches the statement's snapshot per data node (nil: not taken
+	// yet); the node set cannot grow under a statement's route pin.
+	snaps []*txnkit.Snapshot
 	// htapSnaps caches one replica-local snapshot per DN so concurrent
 	// fragments (and multiple tables on one DN) read consistently;
 	// allocated on first replica read.
@@ -59,7 +61,7 @@ func (s *Session) newStmtAccess(t *txn) *stmtAccess {
 	return &stmtAccess{
 		s: s, t: t,
 		routed: map[string][]int{},
-		snaps:  map[int]*txnkit.Snapshot{},
+		snaps:  make([]*txnkit.Snapshot, s.c.DataNodeCount()),
 	}
 }
 
@@ -69,7 +71,7 @@ func (s *Session) newStmtAccess(t *txn) *stmtAccess {
 func (a *stmtAccess) snapshotFor(dnID int) (*txnkit.Snapshot, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if snap, ok := a.snaps[dnID]; ok {
+	if snap := a.snaps[dnID]; snap != nil {
 		return snap, nil
 	}
 	snap, err := a.t.snapshotFor(dnID)
@@ -175,11 +177,8 @@ func (a *stmtAccess) fragSource(ti *TableInfo, owner int) (fragSource, error) {
 		return fragSource{}, err
 	}
 	src.snap = snap
-	if ti.columnar() {
-		src.col = ti.colParts()[src.node]
-	} else {
-		src.row = ti.rowParts()[src.node]
-	}
+	part := ti.part(src.node)
+	src.col, src.row = part.col, part.row
 	return src, nil
 }
 
@@ -233,12 +232,8 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 		}), true
 }
 
-// planner builds a statement planner bound to the transaction.
-func (s *Session) planner(t *txn) *plan.Planner {
-	return s.plannerWithAccess(s.newStmtAccess(t))
-}
-
-func (s *Session) plannerWithAccess(a *stmtAccess) *plan.Planner {
+// planner builds the statement's planner over its access object.
+func (s *Session) planner(a *stmtAccess) *plan.Planner {
 	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy, Pushdown: s.c.Pushdown}
 	if s.c.UseLearnedCard && s.c.Store != nil {
 		p.Estimator = s.c.Store
@@ -246,24 +241,22 @@ func (s *Session) plannerWithAccess(a *stmtAccess) *plan.Planner {
 	return p
 }
 
-// planSelect routes, touches and plans a SELECT. Routing returns the nodes
+// planSelect routes, touches and plans a SELECT over the statement's access
+// object (a DML statement hands in its own, so an INSERT's source query and
+// its write legs share one snapshot per node). Routing returns the nodes
 // the statement takes legs on; they are touched up front so a multi-shard
 // statement escalates to a global transaction once, before any fragment
 // acquires a snapshot.
-func (s *Session) planSelect(t *txn, sel *sqlx.Select) (*plan.Plan, *stmtAccess, error) {
-	access := s.newStmtAccess(t)
+func (s *Session) planSelect(access *stmtAccess, sel *sqlx.Select) (*plan.Plan, error) {
+	t := access.t
 	t.touchSet(s.routeSelect(t, sel, access))
 	t.refreshGlobalSnapshot()
-	p, err := s.plannerWithAccess(access).PlanSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, access, nil
+	return s.planner(access).PlanSelect(sel)
 }
 
-func (s *Session) execSelect(t *txn, sel *sqlx.Select) (*Result, error) {
+func (s *Session) execSelect(access *stmtAccess, sel *sqlx.Select) (*Result, error) {
 	planStart := time.Now()
-	p, access, err := s.planSelect(t, sel)
+	p, err := s.planSelect(access, sel)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,9 @@ package cluster
 // in every shape it is compiled to.
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -17,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -278,8 +281,10 @@ func loadRandomTable(t *testing.T, c *Cluster, rng *rand.Rand, n int, storage st
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, part := range ti.colParts() {
-				part.Flush()
+			for _, part := range *ti.parts.Load() {
+				if part.col != nil {
+					part.col.Flush()
+				}
 			}
 		}
 		var r refRow
@@ -644,4 +649,466 @@ func TestDifferentialOrderLimit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ---------------------------------------------------------------------------
+// The write half: seeded random DML against the same model
+// ---------------------------------------------------------------------------
+
+// LogFedReplicas is installed by replicas_test.go — package cluster_test,
+// which may import internal/repl and internal/htap where this package
+// cannot. It attaches a standby to every primary of c and enables the HTAP
+// replicas, and returns a function that waits until both kinds have applied
+// everything committed so far and then returns each HTAP replica's digest of
+// table, by primary (none for a replicated table: it has no HTAP replica).
+var LogFedReplicas func(t *testing.T, c *Cluster) (digests func(table string) map[int]TableDigest)
+
+// dmlRow is a model row of the DML table: refRow plus the key.
+type dmlRow struct {
+	id int64
+	refRow
+}
+
+// dmlModel is the reference copy of table wt.
+type dmlModel struct {
+	rows   []dmlRow
+	nextID int64
+	// keyed: wt has PRIMARY KEY(id), so an INSERT of a present key fails.
+	// rowStore: wt accepts UPDATE and DELETE. scatterOnly: no UPDATE or
+	// DELETE is narrowed to one key, so each visits every primary.
+	keyed, rowStore, scatterOnly bool
+}
+
+func (m *dmlModel) clone() []dmlRow { return append([]dmlRow(nil), m.rows...) }
+
+func (m *dmlModel) canon() string {
+	out := make([]types.Row, len(m.rows))
+	for i, r := range m.rows {
+		row := types.Row{types.NewInt(r.id), types.Null, types.Null, types.Null, types.Null}
+		if r.a != nil {
+			row[1] = types.NewInt(*r.a)
+		}
+		if r.b != nil {
+			row[2] = types.NewInt(*r.b)
+		}
+		if r.c != nil {
+			row[3] = types.NewString(*r.c)
+		}
+		if r.d != nil {
+			row[4] = types.NewString(*r.d)
+		}
+		out[i] = row
+	}
+	return canon(out)
+}
+
+func intSQL(v *int64) string {
+	if v == nil {
+		return "NULL"
+	}
+	return strconv.FormatInt(*v, 10)
+}
+
+func textSQL(v *string) string {
+	if v == nil {
+		return "NULL"
+	}
+	return "'" + *v + "'"
+}
+
+func randInt(rng *rand.Rand) *int64 {
+	if rng.Float64() < 0.15 {
+		return nil
+	}
+	v := int64(rng.Intn(40))
+	return &v
+}
+
+func randText(rng *rand.Rand, pool []string) *string {
+	if rng.Float64() < 0.15 {
+		return nil
+	}
+	v := pool[rng.Intn(len(pool))]
+	if rng.Float64() < 0.5 {
+		v = fmt.Sprintf("%s%d", []string{"x", "y"}[rng.Intn(2)], rng.Intn(20))
+	}
+	return &v
+}
+
+// dmlStmt is one generated statement: its SQL, and what it does to the
+// model — the rows it affects, or the error it must fail with (wrapping
+// wantErr), leaving the model alone.
+type dmlStmt struct {
+	sql     string
+	wantErr error
+	apply   func() int
+}
+
+// genInsert builds a multi-row INSERT with an explicit column list in random
+// order (omitted columns are NULL). On a keyed table one in five carries a
+// key that is already present, or twice in the statement: it must fail whole.
+func (m *dmlModel) genInsert(rng *rand.Rand) dmlStmt {
+	cols := []string{"a", "b", "c", "d"}
+	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+	cols = append(cols[:rng.Intn(len(cols)+1)], "id")
+	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+
+	n := 1 + rng.Intn(6)
+	added := make([]dmlRow, n)
+	for i := range added {
+		added[i].id = m.nextID + int64(i)
+	}
+	collide := m.keyed && rng.Float64() < 0.2 && (n > 1 || len(m.rows) > 0)
+	if collide {
+		victim := rng.Intn(n)
+		if n > 1 && (len(m.rows) == 0 || rng.Intn(2) == 0) {
+			added[victim].id = added[(victim+1)%n].id
+		} else {
+			added[victim].id = m.rows[rng.Intn(len(m.rows))].id
+		}
+	}
+	tuples := make([]string, n)
+	for i := range added {
+		r := &added[i]
+		vals := make([]string, len(cols))
+		for j, col := range cols {
+			switch col {
+			case "id":
+				vals[j] = strconv.FormatInt(r.id, 10)
+			case "a":
+				r.a = randInt(rng)
+				vals[j] = intSQL(r.a)
+			case "b":
+				r.b = randInt(rng)
+				vals[j] = intSQL(r.b)
+			case "c":
+				r.c = randText(rng, keyBreakersC)
+				vals[j] = textSQL(r.c)
+			case "d":
+				r.d = randText(rng, keyBreakersD)
+				vals[j] = textSQL(r.d)
+			}
+		}
+		tuples[i] = "(" + strings.Join(vals, ", ") + ")"
+	}
+	st := dmlStmt{sql: fmt.Sprintf("INSERT INTO wt (%s) VALUES %s", strings.Join(cols, ", "), strings.Join(tuples, ", "))}
+	if collide {
+		st.wantErr = storage.ErrDuplicateKey
+		return st
+	}
+	st.apply = func() int {
+		m.rows = append(m.rows, added...)
+		m.nextID += int64(n)
+		return n
+	}
+	return st
+}
+
+// genInsertSelect copies the rows a predicate keeps to fresh keys.
+func (m *dmlModel) genInsertSelect(rng *rand.Rand) dmlStmt {
+	p := genPred(rng, 2)
+	shift := m.nextID
+	for _, r := range m.rows {
+		shift = max(shift, r.id+1)
+	}
+	return dmlStmt{
+		sql: fmt.Sprintf("INSERT INTO wt (b, id, c) SELECT b, id + %d, c FROM wt WHERE (%s) AND id < %d", shift, p.sql(), shift),
+		apply: func() int {
+			n := 0
+			for _, r := range m.clone() {
+				if p.eval(r.refRow) == ternTrue {
+					m.rows = append(m.rows, dmlRow{id: r.id + shift, refRow: refRow{b: r.b, c: r.c}})
+					n++
+				}
+			}
+			m.nextID = 2 * shift
+			return n
+		},
+	}
+}
+
+// genVictims picks the WHERE clause of an UPDATE or DELETE: a random
+// predicate, half the time narrowed to one key (the single-shard route).
+func (m *dmlModel) genVictims(rng *rand.Rand) (string, func(dmlRow) bool) {
+	p := genPred(rng, 2)
+	if !m.scatterOnly && len(m.rows) > 0 && rng.Intn(2) == 0 {
+		id := m.rows[rng.Intn(len(m.rows))].id
+		return fmt.Sprintf("id = %d AND (%s)", id, p.sql()),
+			func(r dmlRow) bool { return r.id == id && p.eval(r.refRow) == ternTrue }
+	}
+	return p.sql(), func(r dmlRow) bool { return p.eval(r.refRow) == ternTrue }
+}
+
+func (m *dmlModel) genDelete(rng *rand.Rand) dmlStmt {
+	where, hit := m.genVictims(rng)
+	return dmlStmt{sql: "DELETE FROM wt WHERE " + where, apply: func() int {
+		kept := m.rows[:0:0]
+		for _, r := range m.rows {
+			if !hit(r) {
+				kept = append(kept, r)
+			}
+		}
+		n := len(m.rows) - len(kept)
+		m.rows = kept
+		return n
+	}}
+}
+
+// genUpdate assigns one integer column (a constant, NULL, itself plus one,
+// or the other integer column) and sometimes one text column; no assignment
+// reads a column another one writes.
+func (m *dmlModel) genUpdate(rng *rand.Rand) dmlStmt {
+	where, hit := m.genVictims(rng)
+	target, other := "a", "b"
+	if rng.Intn(2) == 0 {
+		target, other = other, target
+	}
+	lit := randInt(rng)
+	kind := rng.Intn(3)
+	set := target + " = " + []string{intSQL(lit), target + " + 1", other}[kind]
+	var text *string
+	textCol := ""
+	if rng.Intn(3) == 0 {
+		textCol = []string{"c", "d"}[rng.Intn(2)]
+		text = randText(rng, keyBreakersC)
+		set = textCol + " = " + textSQL(text) + ", " + set
+	}
+	return dmlStmt{sql: "UPDATE wt SET " + set + " WHERE " + where, apply: func() int {
+		n := 0
+		for i := range m.rows {
+			r := &m.rows[i]
+			if !hit(*r) {
+				continue
+			}
+			n++
+			tv, ov := &r.a, r.b
+			if target == "b" {
+				tv, ov = &r.b, r.a
+			}
+			switch kind {
+			case 0:
+				*tv = lit
+			case 1:
+				if *tv != nil {
+					v := **tv + 1
+					*tv = &v
+				}
+			default:
+				*tv = ov
+			}
+			switch textCol {
+			case "c":
+				r.c = text
+			case "d":
+				r.d = text
+			}
+		}
+		return n
+	}}
+}
+
+func (m *dmlModel) gen(rng *rand.Rand) dmlStmt {
+	if !m.rowStore {
+		return m.genInsert(rng)
+	}
+	switch k := rng.Intn(10); {
+	case k < 3:
+		return m.genInsert(rng)
+	case k < 4 && len(m.rows) < 100:
+		// Bounded: a mirror applies each changed row by a scan, so a table
+		// that kept doubling would make every later scatter UPDATE quadratic.
+		return m.genInsertSelect(rng)
+	case k < 8:
+		return m.genUpdate(rng)
+	default:
+		return m.genDelete(rng)
+	}
+}
+
+// TestDifferentialDML runs seeded random INSERT / UPDATE / DELETE sequences
+// — autocommit, and BEGIN blocks that COMMIT or ROLLBACK — against the
+// model, on a distributed and a replicated row table and a columnar one
+// (INSERT only), at degree 1 and 4, through live bucket moves, with a
+// standby and an HTAP replica attached to every primary. After every
+// sequence the table equals the model, every standby mirror's digest equals
+// its primary's, and so does every HTAP replica's.
+func TestDifferentialDML(t *testing.T) {
+	layouts := []struct {
+		name, clause    string
+		keyed, rowStore bool
+		distributed     bool
+	}{
+		{"distributed", ", PRIMARY KEY (id)) DISTRIBUTE BY HASH(id)", true, true, true},
+		{"replicated", ", PRIMARY KEY (id)) DISTRIBUTE BY REPLICATION", true, true, false},
+		{"columnar", ") DISTRIBUTE BY HASH(id) USING COLUMN", false, false, true},
+	}
+	for li, lay := range layouts {
+		t.Run(lay.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(31 + li)))
+			c := newCluster(t, 2, ModeGTMLite)
+			s := c.NewSession()
+			mustExec(t, s, "CREATE TABLE wt (id BIGINT, a BIGINT, b BIGINT, c TEXT, d TEXT"+lay.clause)
+			m := &dmlModel{keyed: lay.keyed, rowStore: lay.rowStore}
+
+			// run executes one statement and holds it to the model.
+			refused := map[error]int{}
+			run := func(when string, st dmlStmt) bool {
+				t.Helper()
+				res, err := s.Exec(st.sql)
+				if st.wantErr != nil {
+					if !errors.Is(err, st.wantErr) {
+						t.Fatalf("%s: %q: err = %v, want %v", when, st.sql, err, st.wantErr)
+					}
+					refused[st.wantErr]++
+					return false
+				}
+				if err != nil {
+					t.Fatalf("%s: %q failed: %v", when, st.sql, err)
+				}
+				if want := st.apply(); res.RowsAffected != want {
+					t.Fatalf("%s: %q affected %d rows, model says %d", when, st.sql, res.RowsAffected, want)
+				}
+				return true
+			}
+			// sequence runs n statements, some of them grouped in
+			// transactions: a block ends in COMMIT, in ROLLBACK, or — its last
+			// statement refused — aborted, and the model follows.
+			sequence := func(when string, n int) {
+				t.Helper()
+				for n > 0 {
+					if rng.Intn(3) > 0 {
+						run(when, m.gen(rng))
+						n--
+						continue
+					}
+					saved, savedNext := m.clone(), m.nextID
+					mustExec(t, s, "BEGIN")
+					ok := true
+					for k := 1 + rng.Intn(4); ok && k > 0 && n > 0; k, n = k-1, n-1 {
+						ok = run(when+" in a transaction", m.gen(rng))
+					}
+					switch {
+					case !ok:
+						if _, err := s.Exec("COMMIT"); !errors.Is(err, ErrTxnAborted) {
+							t.Fatalf("%s: COMMIT after a refused statement: %v, want ErrTxnAborted", when, err)
+						}
+						m.rows, m.nextID = saved, savedNext
+					case rng.Intn(2) == 0:
+						mustExec(t, s, "ROLLBACK")
+						m.rows, m.nextID = saved, savedNext
+					default:
+						if got := canon(mustExec(t, s, "SELECT id, a, b, c, d FROM wt").Rows); got != m.canon() {
+							t.Fatalf("%s: the transaction does not read its own writes\nengine:\n%s\nmodel:\n%s", when, got, m.canon())
+						}
+						mustExec(t, s, "COMMIT")
+					}
+				}
+			}
+			var digests func(string) map[int]TableDigest
+			verify := func(when string) {
+				t.Helper()
+				if got := canon(mustExec(t, c.NewSession(), "SELECT id, a, b, c, d FROM wt").Rows); got != m.canon() {
+					t.Fatalf("%s: table differs from the model\nengine:\n%s\nmodel:\n%s", when, got, m.canon())
+				}
+				replicas := digests("wt")
+				if lay.distributed && len(replicas) < 2 {
+					t.Fatalf("%s: %d HTAP replica digests, want one per original primary", when, len(replicas))
+				}
+				for p, got := range replicas {
+					if want := mustDigest(t, c, p, p); got != want {
+						t.Fatalf("%s: HTAP replica of dn%d digests %+v, primary %+v", when, p, got, want)
+					}
+				}
+				c.routeMu.RLock()
+				mirrors := maps.Clone(c.standbys)
+				c.routeMu.RUnlock()
+				for sid, p := range mirrors {
+					if got, want := mustDigest(t, c, sid, p), mustDigest(t, c, p, p); got != want {
+						t.Fatalf("%s: standby dn%d of dn%d digests %+v, primary %+v", when, sid, p, got, want)
+					}
+				}
+			}
+
+			sequence("load", 30)
+			if LogFedReplicas == nil {
+				t.Fatal("replicas_test.go did not install LogFedReplicas")
+			}
+			digests = LogFedReplicas(t, c)
+			verify("after attaching replicas")
+			for _, degree := range []int{1, 4} {
+				c.ParallelDegree = degree
+				sequence(fmt.Sprintf("degree %d", degree), 60)
+				verify(fmt.Sprintf("degree %d", degree))
+			}
+			if lay.keyed && refused[storage.ErrDuplicateKey] == 0 {
+				t.Fatal("no INSERT with a colliding key was generated")
+			}
+			if !lay.distributed {
+				return
+			}
+
+			// Live bucket moves: statements run while the target holds
+			// phantom copies ("copied"), and a scatter DELETE inside the
+			// cutover window ("frozen") fails iff the frozen bucket holds rows.
+			id, err := c.AddDataNode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.MoveHook = func(stage string, bucket, target int) {
+				when := fmt.Sprintf("bucket %d -> dn%d %s", bucket, target, stage)
+				switch stage {
+				case "copied":
+					sequence(when, 6)
+					// One row lands in the moving bucket after its copy: the
+					// delta must carry it, and the freeze will find it.
+					key := m.nextID
+					for BucketOf(types.NewInt(key)) != bucket {
+						key++
+					}
+					run(when, dmlStmt{sql: fmt.Sprintf("INSERT INTO wt (id, a) VALUES (%d, 1)", key), apply: func() int {
+						one := int64(1)
+						m.rows = append(m.rows, dmlRow{id: key, refRow: refRow{a: &one}})
+						m.nextID = key + 1
+						return 1
+					}})
+				case "frozen":
+					if !lay.rowStore {
+						return
+					}
+					m.scatterOnly = true
+					st := m.genDelete(rng)
+					m.scatterOnly = false
+					for _, r := range m.rows {
+						if BucketOf(types.NewInt(r.id)) == bucket {
+							st.wantErr = ErrBucketMigrating
+						}
+					}
+					run(when, st)
+				}
+			}
+			for i, b := range c.ExpansionPlan(id) {
+				if i == 24 {
+					break
+				}
+				if _, err := c.MoveBucket(b, id); err != nil {
+					t.Fatalf("MoveBucket(%d, %d): %v", b, id, err)
+				}
+				sequence(fmt.Sprintf("after moving bucket %d", b), 3)
+			}
+			c.MoveHook = nil
+			verify("after the bucket moves")
+			if lay.rowStore && refused[ErrBucketMigrating] == 0 {
+				t.Fatal("no statement ran into a frozen bucket")
+			}
+		})
+	}
+}
+
+func mustDigest(t *testing.T, c *Cluster, node, owner int) TableDigest {
+	t.Helper()
+	d, err := c.PartitionDigest("wt", node, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
-	"repro/internal/colstore"
-	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -70,33 +69,19 @@ func (c *Cluster) firstLiveLocked(n, except int) int {
 }
 
 // appendPartition returns p grown by one empty partition of ti on dn
-// (copy-on-write: the shared prefix is reused, so concurrent readers of the
-// old slice are unaffected).
+// (copy-on-write: concurrent readers of the old set are unaffected).
 func appendPartition(ti *TableInfo, p *tableParts, dn *DataNode) *tableParts {
-	np := &tableParts{}
-	if p.cols != nil {
-		np.cols = append(append([]*colstore.Table(nil), p.cols...),
-			colstore.NewTable(ti.Meta.Name, ti.Meta.Schema, dn.Txm))
-	} else {
-		np.rows = append(append([]*storage.Table(nil), p.rows...),
-			storage.NewTable(ti.Meta.Name, ti.Meta.Schema, ti.Meta.PKCols, dn.Txm))
-	}
-	return np
+	np := append(slices.Clone(*p), newPartition(ti.Meta, dn))
+	return &np
 }
 
 // replacePartition returns p with the partition at idx replaced by a fresh
 // empty one on dn (copy-on-write; standby re-enrollment wipes the retired
 // node's data this way before re-seeding).
 func replacePartition(ti *TableInfo, p *tableParts, idx int, dn *DataNode) *tableParts {
-	np := &tableParts{}
-	if p.cols != nil {
-		np.cols = append([]*colstore.Table(nil), p.cols...)
-		np.cols[idx] = colstore.NewTable(ti.Meta.Name, ti.Meta.Schema, dn.Txm)
-	} else {
-		np.rows = append([]*storage.Table(nil), p.rows...)
-		np.rows[idx] = storage.NewTable(ti.Meta.Name, ti.Meta.Schema, ti.Meta.PKCols, dn.Txm)
-	}
-	return np
+	np := slices.Clone(*p)
+	np[idx] = newPartition(ti.Meta, dn)
+	return &np
 }
 
 // copyReplica snapshots table ti on node src and inserts every visible row
@@ -104,21 +89,15 @@ func replacePartition(ti *TableInfo, p *tableParts, idx int, dn *DataNode) *tabl
 // rows cross the fabric as one RebalCopy bulk stream (replica seeding and
 // standby seeding both go through here).
 func (c *Cluster) copyReplica(ti *TableInfo, src, dst int, dstDN *DataNode) error {
-	rows := c.rawVisibleRows(ti, src, c.node(src), nil)
+	rows := c.partitionRows(ti, src, nil)
 	if err := c.fab.Send(transport.DN(src), transport.DN(dst), transport.RebalCopy, rowPayload(ti, len(rows))); err != nil {
 		return err
 	}
-	parts := ti.parts.Load()
+	part := ti.part(dst)
 	xid := dstDN.Txm.Begin()
 	snap := dstDN.Txm.LocalSnapshot()
 	for _, r := range rows {
-		var err error
-		if parts.cols != nil {
-			err = parts.cols[dst].Insert(xid, r)
-		} else {
-			err = parts.rows[dst].Insert(xid, &snap, r)
-		}
-		if err != nil {
+		if err := part.insert(xid, &snap, r); err != nil {
 			_ = dstDN.Txm.Abort(xid)
 			return err
 		}
@@ -126,42 +105,11 @@ func (c *Cluster) copyReplica(ti *TableInfo, src, dst int, dstDN *DataNode) erro
 	return dstDN.Txm.Commit(xid)
 }
 
-// rawVisibleRows returns the rows of one partition visible to a fresh local
-// snapshot matching pred (nil = all), without the bucket-ownership filter —
-// the migration machinery needs to see copied-but-not-cut-over rows that
-// ordinary scans hide.
-func (c *Cluster) rawVisibleRows(ti *TableInfo, dnID int, dn *DataNode, pred func(types.Row) bool) []types.Row {
-	snap := dn.Txm.LocalSnapshot()
-	parts := ti.parts.Load()
-	var out []types.Row
-	if parts.cols != nil {
-		parts.cols[dnID].ScanRows(0, &snap, func(r types.Row) bool {
-			if pred == nil || pred(r) {
-				out = append(out, r)
-			}
-			return true
-		})
-		return out
-	}
-	parts.rows[dnID].Scan(0, &snap, func(r types.Row) bool {
-		if pred == nil || pred(r) {
-			out = append(out, r.Clone())
-		}
-		return true
-	})
-	return out
-}
-
 // waitSettled polls one partition until no version matching pred has an
 // active or prepared transaction stamp, or deadline passes.
 func waitSettled(parts *tableParts, dnID int, pred func(types.Row) bool, deadline time.Time) error {
 	for {
-		var n int
-		if parts.cols != nil {
-			n = parts.cols[dnID].UnsettledCount(pred)
-		} else {
-			n = parts.rows[dnID].UnsettledCount(pred)
-		}
+		n := (*parts)[dnID].unsettled(pred)
 		if n == 0 {
 			return nil
 		}
@@ -256,7 +204,6 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 	}()
 
 	tables := c.distributedTables()
-	srcDN, tgtDN := c.node(source), c.node(target)
 
 	fail := func(stage string, err error) (int, error) {
 		// Leave the map untouched; physically drop whatever the copy
@@ -295,7 +242,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 	// Phase 1: live copy under traffic.
 	copied := 0
 	for _, ti := range tables {
-		n, err := c.syncBucketTable(ti, bucket, source, target, srcDN, tgtDN, transport.RebalCopy)
+		n, err := c.syncBucketTable(ti, bucket, source, target, transport.RebalCopy)
 		if err != nil {
 			return fail("copy", err)
 		}
@@ -331,7 +278,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 		return fail("delta", downErr(target))
 	}
 	for _, ti := range tables {
-		n, err := c.syncBucketTable(ti, bucket, source, target, srcDN, tgtDN, transport.RebalDelta)
+		n, err := c.syncBucketTable(ti, bucket, source, target, transport.RebalDelta)
 		if err != nil {
 			return fail("delta", err)
 		}
@@ -368,18 +315,16 @@ func (c *Cluster) distributedTables() []*TableInfo {
 	return out
 }
 
-// reapBucket physically removes the bucket's rows from one node's row
-// partitions. Columnar partitions are append-only: their stale rows stay,
-// permanently invisible behind the bucket-ownership filter.
+// reapBucket physically removes the bucket's rows from one node's
+// partitions (see partition.reap: row storage only).
 func (c *Cluster) reapBucket(tables []*TableInfo, dnID, bucket int) {
 	logging := c.tapInstalled()
 	for _, ti := range tables {
-		parts := ti.parts.Load()
-		if parts.rows == nil {
+		if ti.columnar() {
 			continue
 		}
 		col := ti.Meta.DistKey
-		parts.rows[dnID].Reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
+		ti.part(dnID).reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
 		if logging {
 			// Ship the reap so the node's standby mirror drops the same
 			// rows; by now no commit can write this bucket on this node, so
@@ -404,11 +349,11 @@ func (c *Cluster) reapBucket(tables []*TableInfo, dnID, bucket int) {
 // bulk message of type mt (RebalCopy for the phase-1 copy, RebalDelta for
 // the post-freeze delta); a lost stream fails the sync before any local
 // change, so the caller's retry re-runs the same idempotent diff.
-func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, srcDN, tgtDN *DataNode, mt transport.MsgType) (int, error) {
+func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, mt transport.MsgType) (int, error) {
 	col := ti.Meta.DistKey
 	inBucket := func(r types.Row) bool { return BucketOf(r[col]) == bucket }
-	srcRows := c.rawVisibleRows(ti, source, srcDN, inBucket)
-	tgtRows := c.rawVisibleRows(ti, target, tgtDN, inBucket)
+	srcRows := c.partitionRows(ti, source, inBucket)
+	tgtRows := c.partitionRows(ti, target, inBucket)
 
 	have := make(map[string]int, len(tgtRows))
 	var key []byte
@@ -442,26 +387,12 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 	logging := c.tapInstalled()
 	var recs []WriteRec
 
-	parts := ti.parts.Load()
-	if parts.cols != nil {
-		// Columnar tables are append-only (no SQL UPDATE/DELETE), so the
-		// target can never hold rows the source lost.
-		if deletes > 0 {
-			return 0, fmt.Errorf("cluster: columnar bucket sync found %d rows on target absent from source (table %q)", deletes, ti.Meta.Name)
-		}
-		xid := tgtDN.Txm.Begin()
-		for _, r := range inserts {
-			if err := parts.cols[target].Insert(xid, r); err != nil {
-				_ = tgtDN.Txm.Abort(xid)
-				return 0, err
-			}
-			if logging {
-				recs = append(recs, WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: r.Clone()})
-			}
-		}
-		return len(inserts), c.commitLocal(tgtDN, xid, recs)
+	// Columnar tables are append-only (no SQL UPDATE/DELETE), so the target
+	// can never hold rows the source lost.
+	if deletes > 0 && ti.columnar() {
+		return 0, fmt.Errorf("cluster: columnar bucket sync found %d rows on target absent from source (table %q)", deletes, ti.Meta.Name)
 	}
-
+	part, tgtDN := ti.part(target), c.node(target)
 	xid := tgtDN.Txm.Begin()
 	snap := tgtDN.Txm.LocalSnapshot()
 	if deletes > 0 {
@@ -469,7 +400,7 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 		// the stale copy, so the stale version must be stamped dead (by
 		// this same transaction) before the new version passes the PK
 		// uniqueness check.
-		if _, err := parts.rows[target].Delete(xid, &snap, func(r types.Row) bool {
+		if _, err := part.row.Delete(xid, &snap, func(r types.Row) bool {
 			if !inBucket(r) {
 				return false
 			}
@@ -488,7 +419,7 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, src
 		}
 	}
 	for _, r := range inserts {
-		if err := parts.rows[target].Insert(xid, &snap, r); err != nil {
+		if err := part.insert(xid, &snap, r); err != nil {
 			_ = tgtDN.Txm.Abort(xid)
 			return 0, err
 		}
@@ -544,7 +475,7 @@ func (c *Cluster) TableChecksum(name string) (TableDigest, error) {
 	}
 	var d TableDigest
 	for _, dnID := range ids {
-		d.add(c.partitionRows(ti, dnID, 0, nil))
+		d.add(c.partitionRows(ti, dnID, c.ownsRow(ti, dnID)))
 	}
 	return d, nil
 }
@@ -561,5 +492,5 @@ func (c *Cluster) DNVisibleRows(name string, dnID int) (int, error) {
 	}
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()
-	return len(c.partitionRows(ti, dnID, 0, nil)), nil
+	return len(c.partitionRows(ti, dnID, c.ownsRow(ti, dnID))), nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -494,11 +495,11 @@ func (s *Session) execStatement(t *txn, stmt sqlx.Statement) (*Result, error) {
 	case *sqlx.Insert:
 		return s.execInsert(t, st)
 	case *sqlx.Update:
-		return s.execUpdate(t, st)
+		return s.execRewrite(t, OpUpdate, st.Table, st.Where, st.Set)
 	case *sqlx.Delete:
-		return s.execDelete(t, st)
+		return s.execRewrite(t, OpDelete, st.Table, st.Where, nil)
 	case *sqlx.Select:
-		return s.execSelect(t, st)
+		return s.execSelect(s.newStmtAccess(t), st)
 	default:
 		return nil, fmt.Errorf("cluster: unsupported statement %T in transaction", stmt)
 	}
@@ -516,7 +517,8 @@ func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
 	}
 	s.c.routeMu.RLock()
 	defer s.c.routeMu.RUnlock()
-	p, access, err := s.planSelect(t, sel)
+	access := s.newStmtAccess(t)
+	p, err := s.planSelect(access, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -579,16 +581,84 @@ func (s *Session) evalConstRow(pl *plan.Planner, exprs []sqlx.Expr) (types.Row, 
 	return out, nil
 }
 
-func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
-	// Mark before planning: INSERT ... SELECT's source query must read
-	// the primaries, not a (bounded-staleness) HTAP replica.
+// writeLeg is one target of a DML statement: the partition written and the
+// transaction leg the write runs under. tap is the transaction when the
+// leg's changes must be recorded for the commit taps, nil when nobody
+// listens.
+type writeLeg struct {
+	dn   int
+	part partition
+	xid  txnkit.XID
+	snap *txnkit.Snapshot
+	tap  *txn
+}
+
+// log records one change of the leg; call only when l.tap != nil.
+func (l writeLeg) log(rec WriteRec) { l.tap.logWrite(l.dn, rec) }
+
+// beginWrite opens a DML statement on table. The transaction is marked as
+// writing before anything is planned — INSERT ... SELECT's source query and
+// every subquery must read the primaries, not a bounded-staleness HTAP
+// replica — and the statement gets its one access object: subqueries, an
+// INSERT's source query and the write legs all read under its per-DN
+// snapshots.
+func (s *Session) beginWrite(t *txn, table string) (*TableInfo, *stmtAccess, error) {
 	t.markDML()
-	ti, err := s.c.tableInfo(ins.Table)
+	ti, err := s.c.tableInfo(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ti, s.newStmtAccess(t), nil
+}
+
+// execWrite is the one write fragment body: INSERT, UPDATE and DELETE differ
+// only in frag, what they do to one target partition. Every target must be
+// live (a replicated table is written on every copy or not at all), the
+// legs start together so a multi-shard statement escalates once, the
+// statement costs one write wave whatever its row count, and each leg
+// writes under its xid and the statement's snapshot on that node. frag
+// returns the rows it affected; a replicated table's are counted once.
+func (s *Session) execWrite(a *stmtAccess, ti *TableInfo, targets []int, frag func(writeLeg) (int, error)) (*Result, error) {
+	c, t := s.c, a.t
+	if err := c.requireLive(targets...); err != nil {
+		if ti.replicated {
+			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
+		}
+		return nil, err
+	}
+	t.touchSet(targets)
+	if err := c.sendDNs(targets, transport.Write); err != nil {
+		return nil, err
+	}
+	// Replicated tables are never recorded: standbys receive those writes
+	// through this same all-replica path.
+	var tap *txn
+	if !ti.replicated && c.tapInstalled() {
+		tap = t
+	}
+	total := 0
+	for i, dnID := range targets {
+		snap, err := a.snapshotFor(dnID)
+		if err != nil {
+			return nil, err
+		}
+		n, err := frag(writeLeg{dn: dnID, part: ti.part(dnID), xid: t.touch(dnID), snap: snap, tap: tap})
+		if err != nil {
+			return nil, err
+		}
+		if !ti.replicated || i == 0 {
+			total += n
+		}
+	}
+	return &Result{RowsAffected: total}, nil
+}
+
+func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
+	ti, a, err := s.beginWrite(t, ins.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := ti.Meta.Schema
-	pl := s.planner(t)
 
 	// Column mapping: explicit column list may reorder or omit columns.
 	colIdx := make([]int, 0, schema.Len())
@@ -607,74 +677,72 @@ func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
 	}
 
 	// Materialize the rows to insert.
-	var srcRows []types.Row
+	var rows []types.Row
 	if ins.Query != nil {
-		res, err := s.execSelect(t, ins.Query)
+		res, err := s.execSelect(a, ins.Query)
 		if err != nil {
 			return nil, err
 		}
-		srcRows = res.Rows
+		rows = res.Rows
 	} else {
+		pl := s.planner(a)
 		for _, exprRow := range ins.Rows {
 			row, err := s.evalConstRow(pl, exprRow)
 			if err != nil {
 				return nil, err
 			}
-			srcRows = append(srcRows, row)
+			rows = append(rows, row)
 		}
 	}
+	if len(rows) == 0 {
+		return &Result{}, nil
+	}
 
-	n := 0
-	for _, src := range srcRows {
+	// Widen every row to the schema and route it before any is written, so
+	// the statement is one leg, one snapshot and one write message per
+	// target. dst[i] is the node rows[i] goes to; a replicated table (dst
+	// nil) puts every row on every replica.
+	var dst, targets []int
+	if ti.replicated {
+		targets = s.c.replicaTargetsLocked()
+	} else {
+		dst = make([]int, len(rows))
+	}
+	for i, src := range rows {
 		if len(src) != len(colIdx) {
 			return nil, fmt.Errorf("cluster: INSERT has %d values but %d target columns", len(src), len(colIdx))
 		}
 		full := make(types.Row, schema.Len())
-		for i, c := range colIdx {
-			full[c] = src[i]
+		for j, c := range colIdx {
+			full[c] = src[j]
 		}
-		var targets []int
-		if ti.replicated {
-			targets = s.c.replicaTargetsLocked()
-		} else {
-			dnID, err := s.c.writeTarget(full[ti.Meta.DistKey])
-			if err != nil {
+		rows[i] = full
+		if dst != nil {
+			if dst[i], err = s.c.writeTarget(full[ti.Meta.DistKey]); err != nil {
 				return nil, err
 			}
-			targets = []int{dnID}
-		}
-		if err := s.c.requireLive(targets...); err != nil {
-			if ti.replicated {
-				return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
-			}
-			return nil, err
-		}
-		t.touchSet(targets)
-		if err := s.c.sendDNs(targets, transport.Write); err != nil {
-			return nil, err
-		}
-		logging := !ti.replicated && s.c.tapInstalled()
-		for _, dnID := range targets {
-			xid := t.touch(dnID)
-			snap, err := t.snapshotFor(dnID)
-			if err != nil {
-				return nil, err
-			}
-			if ti.columnar() {
-				err = ti.colParts()[dnID].Insert(xid, full)
-			} else {
-				err = ti.rowParts()[dnID].Insert(xid, snap, full)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if logging {
-				t.logWrite(dnID, WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: full})
+			if !slices.Contains(targets, dst[i]) {
+				targets = append(targets, dst[i])
 			}
 		}
-		n++
 	}
-	return &Result{RowsAffected: n}, nil
+	sort.Ints(targets)
+	return s.execWrite(a, ti, targets, func(l writeLeg) (int, error) {
+		n := 0
+		for i, row := range rows {
+			if dst != nil && dst[i] != l.dn {
+				continue
+			}
+			if err := l.part.insert(l.xid, l.snap, row); err != nil {
+				return n, err
+			}
+			if l.tap != nil {
+				l.log(WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: row})
+			}
+			n++
+		}
+		return n, nil
+	})
 }
 
 func allDNs(n int) []int {
@@ -741,202 +809,103 @@ func shortAlias(name string) string {
 	return name
 }
 
-func (s *Session) execUpdate(t *txn, up *sqlx.Update) (*Result, error) {
-	t.markDML()
-	ti, err := s.c.tableInfo(up.Table)
-	if err != nil {
-		return nil, err
-	}
-	if ti.columnar() {
-		return nil, fmt.Errorf("cluster: UPDATE is not supported on columnar table %q (use row storage)", up.Table)
-	}
-	pl := s.planner(t)
-	scope := plan.TableScope(ti.Meta, shortAlias(ti.Meta.Name))
+// setClause is one compiled SET assignment of an UPDATE.
+type setClause struct {
+	col int
+	e   exec.Expr
+}
 
-	var pred exec.Expr
-	if up.Where != nil {
-		pred, err = pl.CompileScalar(up.Where, scope)
-		if err != nil {
-			return nil, err
-		}
-	}
-	type setc struct {
-		col int
-		e   exec.Expr
-	}
-	var sets []setc
-	for _, a := range up.Set {
-		i := ti.Meta.Schema.ColumnIndex(a.Column)
+// compileSets compiles an UPDATE's SET list over ti's row scope.
+func compileSets(pl *plan.Planner, scope *plan.Scope, ti *TableInfo, set []sqlx.Assignment) ([]setClause, error) {
+	sets := make([]setClause, 0, len(set))
+	for _, as := range set {
+		i := ti.Meta.Schema.ColumnIndex(as.Column)
 		if i < 0 {
-			return nil, &plan.ErrColumnNotFound{Table: up.Table, Column: a.Column}
+			return nil, &plan.ErrColumnNotFound{Table: ti.Meta.Name, Column: as.Column}
 		}
-		ce, err := pl.CompileScalar(a.Value, scope)
+		ce, err := pl.CompileScalar(as.Value, scope)
 		if err != nil {
 			return nil, err
 		}
 		if i == ti.Meta.DistKey && !ti.replicated {
-			return nil, fmt.Errorf("cluster: updating the distribution column %q is not supported", a.Column)
+			return nil, fmt.Errorf("cluster: updating the distribution column %q is not supported", as.Column)
 		}
-		sets = append(sets, setc{col: i, e: ce})
+		sets = append(sets, setClause{col: i, e: ce})
 	}
-
-	targets := s.routeWrite(ti, up.Where)
-	if err := s.c.requireLive(targets...); err != nil {
-		if ti.replicated {
-			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
-		}
-		return nil, err
-	}
-	t.touchSet(targets)
-	if err := s.c.sendDNs(targets, transport.Write); err != nil {
-		return nil, err
-	}
-	ctx := exec.NewCtx(s.c.Clock())
-	total := 0
-	logging := !ti.replicated && s.c.tapInstalled()
-	for _, dnID := range targets {
-		dnID := dnID
-		xid := t.touch(dnID)
-		snap, err := t.snapshotFor(dnID)
-		if err != nil {
-			return nil, err
-		}
-		var evalErr error
-		guard := s.c.victimGuard(ti, dnID)
-		n, err := ti.rowParts()[dnID].Update(xid, snap,
-			func(r types.Row) bool {
-				if guard != nil {
-					ok, err := guard(r)
-					if err != nil {
-						evalErr = err
-						return false
-					}
-					if !ok {
-						return false
-					}
-				}
-				if pred == nil {
-					return true
-				}
-				ok, err := exec.EvalBool(pred, ctx, r)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				return ok
-			},
-			func(r types.Row) (types.Row, error) {
-				var old types.Row
-				if logging {
-					old = r.Clone()
-				}
-				for _, sc := range sets {
-					v, err := sc.e.Eval(ctx, r)
-					if err != nil {
-						return nil, err
-					}
-					r[sc.col] = v
-				}
-				if logging {
-					// A storage error after this point fails the statement
-					// and aborts the transaction, discarding the record.
-					t.logWrite(dnID, WriteRec{Table: ti.Meta.Name, Op: OpUpdate, Row: r.Clone(), Old: old})
-				}
-				return r, nil
-			})
-		if evalErr != nil {
-			return nil, evalErr
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ti.replicated {
-			total += n
-		} else if dnID == targets[0] {
-			total += n
-		}
-	}
-	return &Result{RowsAffected: total}, nil
+	return sets, nil
 }
 
-func (s *Session) execDelete(t *txn, del *sqlx.Delete) (*Result, error) {
-	t.markDML()
-	ti, err := s.c.tableInfo(del.Table)
+// execRewrite is UPDATE (op OpUpdate, applying set) and DELETE (OpDelete,
+// no set) as a write fragment: on every routed partition, the visible rows
+// that the partition owns and where accepts are the victims of the one
+// storage loop that ends versions and creates their successors.
+func (s *Session) execRewrite(t *txn, op WriteOp, table string, where sqlx.Expr, set []sqlx.Assignment) (*Result, error) {
+	ti, a, err := s.beginWrite(t, table)
 	if err != nil {
 		return nil, err
 	}
 	if ti.columnar() {
-		return nil, fmt.Errorf("cluster: DELETE is not supported on columnar table %q (use row storage)", del.Table)
+		return nil, fmt.Errorf("cluster: %s is not supported on columnar table %q (use row storage)", strings.ToUpper(op.String()), table)
 	}
-	pl := s.planner(t)
+	pl := s.planner(a)
 	scope := plan.TableScope(ti.Meta, shortAlias(ti.Meta.Name))
 	var pred exec.Expr
-	if del.Where != nil {
-		pred, err = pl.CompileScalar(del.Where, scope)
-		if err != nil {
+	if where != nil {
+		if pred, err = pl.CompileScalar(where, scope); err != nil {
 			return nil, err
 		}
 	}
-	targets := s.routeWrite(ti, del.Where)
-	if err := s.c.requireLive(targets...); err != nil {
-		if ti.replicated {
-			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
-		}
+	sets, err := compileSets(pl, scope, ti, set)
+	if err != nil {
 		return nil, err
 	}
-	t.touchSet(targets)
-	if err := s.c.sendDNs(targets, transport.Write); err != nil {
-		return nil, err
-	}
-	ctx := exec.NewCtx(s.c.Clock())
-	total := 0
-	logging := !ti.replicated && s.c.tapInstalled()
-	for _, dnID := range targets {
-		dnID := dnID
-		xid := t.touch(dnID)
-		snap, err := t.snapshotFor(dnID)
-		if err != nil {
-			return nil, err
-		}
-		var evalErr error
-		guard := s.c.victimGuard(ti, dnID)
-		n, err := ti.rowParts()[dnID].Delete(xid, snap, func(r types.Row) bool {
-			if guard != nil {
-				ok, err := guard(r)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !ok {
-					return false
+	c, ctx := s.c, exec.NewCtx(s.c.Clock())
+	dk := ti.Meta.DistKey
+	return s.execWrite(a, ti, s.routeWrite(ti, where), func(l writeLeg) (int, error) {
+		// Rows whose bucket this partition does not own are migration
+		// phantoms and silently skipped; an owned row in a bucket frozen for
+		// cutover fails the statement (see frozenErr).
+		owns := c.fragKeepDatum(ti, l.dn)
+		freezing := owns != nil && c.frozenCount > 0
+		match := func(r types.Row) (bool, error) {
+			if owns != nil && !owns(r[dk]) {
+				return false, nil
+			}
+			if freezing {
+				if err := c.frozenErr(BucketOf(r[dk])); err != nil {
+					return false, err
 				}
 			}
-			if pred != nil {
-				ok, err := exec.EvalBool(pred, ctx, r)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				if !ok {
-					return false
-				}
+			if pred == nil {
+				return true, nil
 			}
-			if logging {
-				t.logWrite(dnID, WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: r.Clone()})
+			return exec.EvalBool(pred, ctx, r)
+		}
+		// A storage error after a change was recorded fails the statement
+		// and aborts the transaction, discarding the record.
+		var change func(types.Row) (types.Row, error)
+		switch {
+		case op == OpUpdate:
+			change = func(old types.Row) (types.Row, error) {
+				row := old.Clone()
+				for _, sc := range sets {
+					v, err := sc.e.Eval(ctx, row)
+					if err != nil {
+						return nil, err
+					}
+					row[sc.col] = v
+				}
+				if l.tap != nil {
+					l.log(WriteRec{Table: ti.Meta.Name, Op: OpUpdate, Row: row.Clone(), Old: old.Clone()})
+				}
+				return row, nil
 			}
-			return true
-		})
-		if evalErr != nil {
-			return nil, evalErr
+		case l.tap != nil: // a DELETE somebody listens to
+			change = func(old types.Row) (types.Row, error) {
+				l.log(WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: old.Clone()})
+				return nil, nil
+			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		if !ti.replicated {
-			total += n
-		} else if dnID == targets[0] {
-			total += n
-		}
-	}
-	return &Result{RowsAffected: total}, nil
+		return l.part.row.Rewrite(l.xid, l.snap, match, change)
+	})
 }

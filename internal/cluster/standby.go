@@ -671,18 +671,15 @@ func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 			abort()
 			return err
 		}
-		parts := ti.parts.Load()
+		part := ti.part(standbyID)
 		if rec.Op == OpReap {
-			// Physical cleanup mirrors the primary's reap: outside MVCC,
-			// row storage only (columnar partitions are append-only).
+			// Physical cleanup mirrors the primary's reap: outside MVCC.
 			if err := flush(); err != nil {
 				return err
 			}
-			if parts.rows != nil {
-				col := ti.Meta.DistKey
-				bucket := rec.Bucket
-				parts.rows[standbyID].Reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
-			}
+			col := ti.Meta.DistKey
+			bucket := rec.Bucket
+			part.reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
 			continue
 		}
 		begin()
@@ -694,7 +691,7 @@ func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 			key := rec.Old.AppendKey(nil)
 			var buf []byte
 			matched := false
-			n, err := parts.rows[standbyID].Delete(xid, &snap, func(r types.Row) bool {
+			n, err := part.row.Delete(xid, &snap, func(r types.Row) bool {
 				if matched {
 					return false
 				}
@@ -714,13 +711,7 @@ func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 			}
 		}
 		if rec.Op == OpInsert || rec.Op == OpUpdate {
-			var err error
-			if parts.cols != nil {
-				err = parts.cols[standbyID].Insert(xid, rec.Row)
-			} else {
-				err = parts.rows[standbyID].Insert(xid, &snap, rec.Row)
-			}
-			if err != nil {
+			if err := part.insert(xid, &snap, rec.Row); err != nil {
 				abort()
 				return err
 			}
@@ -749,7 +740,7 @@ func (c *Cluster) PartitionDigest(name string, dnID, owner int) (TableDigest, er
 		dk := ti.Meta.DistKey
 		pred = func(r types.Row) bool { return c.bmap.dn[BucketOf(r[dk])] == owner }
 	}
-	return DigestRows(c.rawVisibleRows(ti, dnID, c.node(dnID), pred)), nil
+	return DigestRows(c.partitionRows(ti, dnID, pred)), nil
 }
 
 // DistributedTableNames lists the hash-distributed stored tables (the set

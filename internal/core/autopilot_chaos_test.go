@@ -183,9 +183,9 @@ func TestAutopilotChaosConvergence(t *testing.T) {
 	}
 	for _, p := range ha.GroupPrimaries() {
 		deadline := time.Now().Add(15 * time.Second)
-		for !ha.Synced(p) {
+		for !ha.Synced(p) || len(ha.Orphans(p)) > 0 {
 			if time.Now().After(deadline) {
-				t.Fatalf("dn%d group never drained (lag %d)", p, ha.Lag(p))
+				t.Fatalf("dn%d group never drained (lag %d, orphans %v)", p, ha.Lag(p), ha.Orphans(p))
 			}
 			ap.Tick()
 			time.Sleep(time.Millisecond)

@@ -94,10 +94,8 @@ func (t *Table) Insert(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.pkCols) > 0 {
-		if t.pkExistsLocked(xid, snap, row) {
-			return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
-		}
+	if err := t.checkKeyLocked(xid, snap, row); err != nil {
+		return err
 	}
 	t.appendLocked(Tuple{Xmin: xid, Row: row})
 	return nil
@@ -111,22 +109,21 @@ func pkOf(row types.Row, pkCols []int) types.Row {
 	return out
 }
 
-// pkExistsLocked checks whether a visible (or own-uncommitted) tuple with
-// the same primary key exists.
-func (t *Table) pkExistsLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) bool {
+// checkKeyLocked fails with ErrDuplicateKey if a tuple visible to (xid,
+// snap) — own uncommitted inserts included — already carries row's primary
+// key. Tables without a primary key always pass.
+func (t *Table) checkKeyLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
+	if len(t.pkCols) == 0 {
+		return nil
+	}
 	c0 := t.pkCols[0]
-	slots := t.indexes[c0][types.Hash(row[c0])]
-	for _, s := range slots {
+	for _, s := range t.indexes[c0][types.Hash(row[c0])] {
 		tp := &t.heap[s]
-		if !t.sameKey(tp.Row, row) {
-			continue
-		}
-		// Visible to us, or inserted by us and not yet deleted by us.
-		if t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
-			return true
+		if t.sameKey(tp.Row, row) && t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
+			return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
 		}
 	}
-	return false
+	return nil
 }
 
 func (t *Table) sameKey(a, b types.Row) bool {
@@ -191,13 +188,18 @@ func (t *Table) LookupEq(xid txnkit.XID, snap *txnkit.Snapshot, col int, key typ
 	}
 }
 
-// Update rewrites every visible tuple matching pred: the old version gets
-// xmax=xid, a new version with set(row) applied is appended. It returns the
-// number of updated tuples.
-func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
+// Rewrite is the one loop that ends tuple versions and creates their
+// successors: every tuple visible to (xid, snap) that match accepts (nil:
+// all) gets xmax=xid, and the row change returns for it is appended as a new
+// version. A nil change, or a nil row from it, deletes the victim. change
+// must neither modify nor retain the row it is given. A successor whose
+// primary-key columns differ from its victim's is checked for uniqueness
+// exactly as Insert checks a new row. Any error stops the loop: the
+// transaction has then written part of the statement and must abort. It
+// returns the number of victims rewritten.
+func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, match func(types.Row) (bool, error), change func(old types.Row) (types.Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
 	// Collect first: appending while iterating would rescan new versions.
 	var victims []int
 	for i := range t.heap {
@@ -205,50 +207,64 @@ func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Ro
 		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
 			continue
 		}
-		if pred != nil && !pred(tp.Row) {
-			continue
+		if match != nil {
+			ok, err := match(tp.Row)
+			if err != nil {
+				return 0, err
+			}
+			if !ok {
+				continue
+			}
 		}
 		victims = append(victims, i)
 	}
+	n := 0
 	for _, i := range victims {
-		tp := &t.heap[i]
-		if err := t.markDeletedLocked(tp, xid); err != nil {
+		old := t.heap[i].Row
+		if err := t.markDeletedLocked(&t.heap[i], xid); err != nil {
 			return n, err
 		}
-		newRow, err := set(tp.Row.Clone())
-		if err != nil {
-			return n, err
+		if change != nil {
+			row, err := change(old)
+			if err != nil {
+				return n, err
+			}
+			if row != nil {
+				if row, err = t.schema.CheckRow(row); err != nil {
+					return n, err
+				}
+				if !t.sameKey(old, row) {
+					if err = t.checkKeyLocked(xid, snap, row); err != nil {
+						return n, err
+					}
+				}
+				t.appendLocked(Tuple{Xmin: xid, Row: row})
+			}
 		}
-		newRow, err = t.schema.CheckRow(newRow)
-		if err != nil {
-			return n, err
-		}
-		t.appendLocked(Tuple{Xmin: xid, Row: newRow})
 		n++
 	}
 	return n, nil
 }
 
+// Update rewrites every visible tuple matching pred: the old version gets
+// xmax=xid, a new version with set applied to a copy of the row is appended.
+// It returns the number of updated tuples.
+func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
+	return t.Rewrite(xid, snap, matchOf(pred), func(old types.Row) (types.Row, error) { return set(old.Clone()) })
+}
+
 // Delete stamps xmax=xid on every visible tuple matching pred and returns
 // the count.
 func (t *Table) Delete(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for i := range t.heap {
-		tp := &t.heap[i]
-		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
-			continue
-		}
-		if pred != nil && !pred(tp.Row) {
-			continue
-		}
-		if err := t.markDeletedLocked(tp, xid); err != nil {
-			return n, err
-		}
-		n++
+	return t.Rewrite(xid, snap, matchOf(pred), nil)
+}
+
+// matchOf adapts a predicate that cannot fail to Rewrite's match.
+func matchOf(pred func(types.Row) bool) func(types.Row) (bool, error) {
+	if pred == nil {
+		return nil
 	}
-	return n, nil
+	return func(r types.Row) (bool, error) { return pred(r), nil }
 }
 
 // markDeletedLocked sets xmax, enforcing first-updater-wins: if another

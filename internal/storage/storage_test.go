@@ -3,6 +3,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +109,83 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	})
 	if err != nil {
 		t.Errorf("delete+reinsert should succeed: %v", err)
+	}
+}
+
+// TestUpdateEnforcesPrimaryKey: the loop that creates versions checks the
+// key of every successor whose key columns changed, as Insert does.
+func TestUpdateEnforcesPrimaryKey(t *testing.T) {
+	tbl, txm := newTestTable(t, true)
+	insertRows(t, tbl, txm, 3)
+	contents := func() string {
+		snap := txm.LocalSnapshot()
+		var rows []string
+		tbl.Scan(0, &snap, func(r types.Row) bool {
+			rows = append(rows, r.String())
+			return true
+		})
+		sort.Strings(rows)
+		return strings.Join(rows, " ")
+	}
+	before := contents()
+	idIs := func(id int64) func(types.Row) bool {
+		return func(r types.Row) bool { return r[0].Int() == id }
+	}
+	setID := func(id int64) func(types.Row) (types.Row, error) {
+		return func(r types.Row) (types.Row, error) {
+			r[0] = types.NewInt(id)
+			return r, nil
+		}
+	}
+
+	// Moving row 0 onto row 1's key fails, and the aborted transaction
+	// leaves the table as it was.
+	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		_, err := tbl.Update(xid, snap, idIs(0), setID(1))
+		return err
+	})
+	if !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("UPDATE onto an existing key: err = %v, want ErrDuplicateKey", err)
+	}
+	if got := contents(); got != before {
+		t.Fatalf("failed UPDATE changed the table:\n%s\nwant\n%s", got, before)
+	}
+
+	// A row may be assigned its own key, and non-key updates never check.
+	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		if n, err := tbl.Update(xid, snap, idIs(1), setID(1)); err != nil || n != 1 {
+			return fmt.Errorf("own key: n=%d err=%v", n, err)
+		}
+		n, err := tbl.Update(xid, snap, nil, func(r types.Row) (types.Row, error) {
+			r[1] = types.NewString("w")
+			return r, nil
+		})
+		if err != nil || n != 3 {
+			return fmt.Errorf("non-key update: n=%d err=%v", n, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A key freed by the same transaction's earlier delete may be taken; a
+	// free key may be taken at any time.
+	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		if _, err := tbl.Delete(xid, snap, idIs(1)); err != nil {
+			return err
+		}
+		if _, err := tbl.Update(xid, snap, idIs(0), setID(1)); err != nil {
+			return err
+		}
+		_, err := tbl.Update(xid, snap, idIs(2), setID(7))
+		return err
+	})
+	if err != nil {
+		t.Fatalf("taking freed and free keys: %v", err)
+	}
+	if got, want := contents(), "(1, w) (7, w)"; got != want {
+		t.Fatalf("table holds %s, want %s", got, want)
 	}
 }
 
