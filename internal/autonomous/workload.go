@@ -199,21 +199,9 @@ func (w *WorkloadManager) AdmitPriority(ctx context.Context, pri Priority) error
 		return err
 	}
 	w.mu.Lock()
-	if w.inflight < w.limit && w.queueLen == 0 {
-		w.inflight++
-		w.stats[pri].Admitted++
+	if w.admitNowLocked(pri) {
 		w.mu.Unlock()
 		return nil
-	}
-	if w.inflight < w.limit {
-		// Slots free but waiters queued: jump only ahead of strictly
-		// lower classes — equal-priority requests stay FIFO.
-		if !w.queuedAtOrAboveLocked(pri) {
-			w.inflight++
-			w.stats[pri].Admitted++
-			w.mu.Unlock()
-			return nil
-		}
 	}
 	if w.queueLen >= w.cfg.QueueLimit && !w.evictBelowLocked(pri) {
 		w.stats[pri].Shed++
@@ -254,6 +242,31 @@ func (w *WorkloadManager) AdmitPriority(ctx context.Context, pri Priority) error
 		w.mu.Unlock()
 		return ctx.Err()
 	}
+}
+
+// TryAdmit takes a slot if the request need not queue — the common case,
+// which then costs no context, timer or waiter — and reports whether it did.
+// After false nothing was counted: the caller goes on to AdmitPriority with
+// whatever deadline the wait should have.
+func (w *WorkloadManager) TryAdmit(pri Priority) bool {
+	if int(pri) >= numPriorities {
+		pri = PriorityHigh
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.admitNowLocked(pri)
+}
+
+// admitNowLocked grants a free slot to a request nobody it must wait behind
+// is queued for: with waiters queued it jumps only ahead of strictly lower
+// classes — equal-priority requests stay FIFO. Caller holds w.mu.
+func (w *WorkloadManager) admitNowLocked(pri Priority) bool {
+	if w.inflight >= w.limit || (w.queueLen > 0 && w.queuedAtOrAboveLocked(pri)) {
+		return false
+	}
+	w.inflight++
+	w.stats[pri].Admitted++
+	return true
 }
 
 // queuedAtOrAboveLocked reports whether any waiter of class >= pri is

@@ -281,3 +281,37 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// TestTryAdmit: a free slot is taken without a context; a request that would
+// have to queue — no slot, or an equal-or-higher class already waiting — is
+// left alone, uncounted, for AdmitPriority.
+func TestTryAdmit(t *testing.T) {
+	wm := NewWorkloadManager(SLA{TargetP95: time.Second},
+		WorkloadConfig{InitialConcurrency: 2, MaxConcurrency: 2}, nil)
+	if !wm.TryAdmit(PriorityNormal) || !wm.TryAdmit(PriorityLow) {
+		t.Fatal("free slots refused")
+	}
+	if wm.TryAdmit(PriorityHigh) {
+		t.Fatal("admitted beyond the limit")
+	}
+	if st := wm.Stats(); st.Inflight != 2 || st.QueueLen != 0 || st.ByClass[PriorityHigh] != (ClassStats{}) {
+		t.Fatalf("after a refused TryAdmit: %+v", st)
+	}
+	// Queue a normal-priority waiter, then free a slot for it: until it has
+	// taken it, TryAdmit may not jump it at its own class.
+	queued := make(chan error, 1)
+	go func() { queued <- wm.AdmitPriority(context.Background(), PriorityNormal) }()
+	for wm.QueueLen() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if wm.TryAdmit(PriorityNormal) {
+		t.Fatal("jumped a queued waiter of the same class")
+	}
+	wm.Release(time.Millisecond)
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	if got := wm.Stats().ByClass[PriorityNormal].Admitted; got != 2 {
+		t.Fatalf("normal class admitted %d, want 2", got)
+	}
+}

@@ -196,8 +196,13 @@ type Cluster struct {
 	// AddDataNode and bucket cutover (freeze / flip) take the write side
 	// briefly. Commit/abort paths deliberately take no route lock, so
 	// in-flight transactions can always settle while a cutover drains.
-	// Lock order: routeMu before mu.
+	// Lock order: routeMu before mu. Writers take it through lockRoutes.
 	routeMu sync.RWMutex
+	// epoch counts the changes a compiled statement may have assumed away:
+	// every route-barrier holder (lockRoutes) and every catalog change (DDL,
+	// ANALYZE, virtual tables) bumps it, and a prepared statement recompiles
+	// when it has moved (see planStamp).
+	epoch atomic.Uint64
 	// bmap is the bucket -> data node routing map. Guarded by routeMu.
 	bmap *BucketMap
 	// frozen marks buckets in their cutover window: writes to them fail
@@ -551,6 +556,7 @@ func (c *Cluster) RegisterVirtual(name string, schema *types.Schema, scan func()
 		Meta: &plan.TableMeta{Name: key, Schema: schema, DistKey: -1},
 		Scan: scan,
 	}
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -636,6 +642,7 @@ func (c *Cluster) createTable(ct *sqlx.CreateTable) error {
 	}
 	ti.parts.Store(&parts)
 	c.tables[key] = ti
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -651,6 +658,7 @@ func (c *Cluster) dropTable(dt *sqlx.DropTable) error {
 		return &plan.ErrTableNotFound{Name: dt.Name}
 	}
 	delete(c.tables, key)
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -672,6 +680,7 @@ func (c *Cluster) Analyze(table string) error {
 		}
 	}
 	ti.Meta.Stats = plan.AnalyzeRows(ti.Meta.Schema, rows)
+	c.epoch.Add(1)
 	return nil
 }
 
@@ -881,7 +890,7 @@ func (c *Cluster) InDoubtCount() int {
 // may list a since-committed writer as active and still need the version
 // that writer replaced — so no statement may be in flight.
 func (c *Cluster) Vacuum() int {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -71,7 +71,7 @@ type AnalyticalSeed struct {
 // record: no gap, no overlap. Replicated tables are not seeded — their
 // fragments always read the primary copy.
 func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, seeds []AnalyticalSeed) error) error {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	// scanTargetsLocked consults the retired set under mu.RLock itself, so
 	// it must run before the catalog lock below (lock order: routeMu, mu).

@@ -25,11 +25,16 @@ import (
 // honours whatever spec the planner hands it; how much gets pushed is the
 // planner's decision (plan.PushdownLevel).
 
-// ndpProgram is the compiled form of one scan's pushdown spec, built once
-// per Exchange open and shared read-only by the scan's fragments.
+// ndpProgram is the compiled form of one scan's pushdown spec, built at the
+// scan's first Exchange open and shared read-only by its fragments, of that
+// execution and of a prepared statement's later ones.
 type ndpProgram struct {
 	pred exec.Expr                    // the whole pushed filter (row-store loop)
 	keep func(*colstore.Segment) bool // zone-map segment pruner
+	// key is the primary-key access path pred offers a row partition (nil:
+	// none). It narrows which versions the row source hands the select
+	// stage; a columnar source ignores it.
+	key *keyProbe
 
 	// matCols lists the table columns materialized into shipped rows (the
 	// projection plus whatever the sink's own expressions read: aggregate
@@ -111,17 +116,25 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 // degree. Program and sources are resolved when the Exchange opens, not
 // here: the planner fills the spec's Cols/TopN/Bloom after the scan
 // operator is built (late binding), and a dead node fails the scan before
-// any fragment is dispatched. rowExprs are extra expressions body evaluates
-// against shipped rows (see compileNDP).
+// any fragment is dispatched. The program is kept across opens — a
+// correlated subplan's, a prepared statement's next execution's — for as
+// long as the table is the one it was compiled for; whatever else it
+// depends on is in the plan stamp, which retires the whole operator.
+// rowExprs are extra expressions body evaluates against shipped rows (see
+// compileNDP).
 func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types.Schema, spec *plan.ScanPushdown, rowExprs []exec.Expr,
 	body func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error) exec.Operator {
+	var prog *ndpProgram
+	var progOf *TableInfo
 	return exec.NewParallelSource(name, out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
 		ti, err := a.s.c.tableInfo(meta.Name)
 		if err != nil {
 			return nil, err
 		}
 		owners := a.targetsFor(ti)
-		prog := a.compileNDP(ti, spec, rowExprs)
+		if progOf != ti {
+			prog, progOf = a.compileNDP(ti, spec, rowExprs), ti
+		}
 		frags := make([]exec.Fragment, len(owners))
 		for i, owner := range owners {
 			src, err := a.fragSource(ti, owner)
@@ -207,10 +220,14 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 		p.matPos[i] = need(col)
 	}
 
-	// Predicate columns (for the sparse residual row) and kernels.
+	// Predicate columns (for the sparse residual row), kernels, and on a row
+	// table the key the predicate pins.
 	if spec.Pred != nil {
 		needRefs(spec.Pred, func(col int) { need(col) })
 		p.kernels, p.residual = compileVecFilter(spec.Pred, ti.Meta.Schema, p.scanPos)
+		if !ti.columnar() {
+			p.key = keyProbeOf(spec.Pred, ti.Meta)
+		}
 	}
 
 	if spec.Bloom != nil && spec.BloomCol >= 0 && spec.BloomCol < n {
@@ -322,7 +339,8 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 
 // run is the one fragment body: the select stage over src — columnar
 // batches (HTAP replicas included, which is what buys offloaded row tables
-// the vectorized loop) or the row store — feeding sink. Rows are dropped by
+// the vectorized loop), the row store, or the row store's versions of the
+// one primary key the predicate pins — feeding sink. Rows are dropped by
 // the cheapest check first: zone maps skip whole segments, kernels clear a
 // selection vector over decoded column vectors, then ownership, bloom and
 // the residual predicate decide row by row, and only survivors reach the
@@ -330,7 +348,7 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fragSink) error {
 	var scanErr error
 	if src.col == nil {
-		src.row.Scan(src.xid, src.snap, func(r types.Row) bool {
+		src.row.ScanKey(src.xid, src.snap, p.key.key(ctx), func(r types.Row) bool {
 			if src.owns != nil && !src.owns(r[p.distCol]) {
 				return true
 			}

@@ -169,7 +169,7 @@ func TestSegmentPruningDeltaBufferVisible(t *testing.T) {
 	}
 }
 
-// TestRoutedDedupMultiShard is the regression test for the routeSelect
+// TestRoutedDedupMultiShard is the regression test for the SELECT routing
 // dedup bug: with a table referenced several times and the statement
 // routed to MORE than one shard, the per-table routed lists must still be
 // deduplicated — before the fix, accounts' list held a duplicate shard and

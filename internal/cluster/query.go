@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/sqlx"
 	"repro/internal/storage"
 	"repro/internal/transport"
 	"repro/internal/txnkit"
@@ -20,14 +17,18 @@ import (
 // stmtAccess implements plan.Access for one statement: scans gather rows
 // from the routed data nodes under the statement's per-DN snapshots. Its
 // state is shared by the statement's concurrent DN fragments, so the
-// snapshot cache is mutex-guarded and the counters are atomic.
+// snapshot cache is mutex-guarded and the counters are atomic. The operators
+// a compiled statement keeps are bound to one access object, so a prepared
+// statement's executions share it: reset starts each one.
 type stmtAccess struct {
 	s *Session
 	t *txn
-	// routed maps table name -> data nodes to scan; tables absent from the
-	// map scan the default set. Written only during routing, before any
+	// routed lists, per pinned table, the data nodes to scan; tables absent
+	// from it scan the default set. Written only during routing, before any
 	// fragment starts.
-	routed map[string][]int
+	routed []tableShards
+	// owners is routing's scratch list of the shards the statement reads.
+	owners []int
 	// scatter marks the statement as unrouted (scans every primary) —
 	// the shape eligible for HTAP replica service. Written during
 	// routing, before any fragment starts.
@@ -57,12 +58,46 @@ type stmtAccess struct {
 	rowsShipped atomic.Int64
 }
 
-func (s *Session) newStmtAccess(t *txn) *stmtAccess {
-	return &stmtAccess{
-		s: s, t: t,
-		routed: map[string][]int{},
-		snaps:  make([]*txnkit.Snapshot, s.c.DataNodeCount()),
+// tableShards is one pinned table's routed shard set, ascending.
+type tableShards struct {
+	table  string
+	shards []int
+}
+
+func (s *Session) newStmtAccess() *stmtAccess { return &stmtAccess{s: s} }
+
+// reset starts an execution under transaction t: nothing routed, admitted,
+// snapshotted or counted yet.
+func (a *stmtAccess) reset(t *txn) {
+	a.t = t
+	a.routed, a.owners = a.routed[:0], a.owners[:0]
+	a.scatter, a.htap, a.standbys, a.htapSnaps = false, nil, nil, nil
+	if n := a.s.c.DataNodeCount(); len(a.snaps) != n {
+		a.snaps = make([]*txnkit.Snapshot, n)
+	} else {
+		clear(a.snaps)
 	}
+	a.rowsShipped.Store(0)
+}
+
+// route adds shard to table's routed set (kept ascending, without
+// duplicates: a table referenced twice must not be scanned twice).
+func (a *stmtAccess) route(table string, shard int) {
+	for i := range a.routed {
+		if r := &a.routed[i]; r.table == table {
+			if at, found := slices.BinarySearch(r.shards, shard); !found {
+				r.shards = slices.Insert(r.shards, at, shard)
+			}
+			return
+		}
+	}
+	// Grow into the slot a previous execution left behind, shard list and all.
+	if n := len(a.routed); n < cap(a.routed) {
+		a.routed = a.routed[:n+1]
+		a.routed[n].table, a.routed[n].shards = table, append(a.routed[n].shards[:0], shard)
+		return
+	}
+	a.routed = append(a.routed, tableShards{table: table, shards: []int{shard}})
 }
 
 // snapshotFor lazily acquires and caches the statement snapshot on a DN.
@@ -84,8 +119,10 @@ func (a *stmtAccess) snapshotFor(dnID int) (*txnkit.Snapshot, error) {
 
 // targetsFor picks the data nodes a scan of ti must visit.
 func (a *stmtAccess) targetsFor(ti *TableInfo) []int {
-	if set, ok := a.routed[ti.Meta.Name]; ok {
-		return set
+	for i := range a.routed {
+		if a.routed[i].table == ti.Meta.Name {
+			return a.routed[i].shards
+		}
 	}
 	if ti.replicated {
 		return a.s.c.replicaReadNode(a.t)
@@ -241,38 +278,6 @@ func (s *Session) planner(a *stmtAccess) *plan.Planner {
 	return p
 }
 
-// planSelect routes, touches and plans a SELECT over the statement's access
-// object (a DML statement hands in its own, so an INSERT's source query and
-// its write legs share one snapshot per node). Routing returns the nodes
-// the statement takes legs on; they are touched up front so a multi-shard
-// statement escalates to a global transaction once, before any fragment
-// acquires a snapshot.
-func (s *Session) planSelect(access *stmtAccess, sel *sqlx.Select) (*plan.Plan, error) {
-	t := access.t
-	t.touchSet(s.routeSelect(t, sel, access))
-	t.refreshGlobalSnapshot()
-	return s.planner(access).PlanSelect(sel)
-}
-
-func (s *Session) execSelect(access *stmtAccess, sel *sqlx.Select) (*Result, error) {
-	planStart := time.Now()
-	p, err := s.planSelect(access, sel)
-	if err != nil {
-		return nil, err
-	}
-	planTime := time.Since(planStart)
-	ctx := exec.NewCtx(s.c.Clock())
-	rows, err := exec.Collect(ctx, p.Root)
-	if err != nil {
-		return nil, err
-	}
-	// Learning optimizer producer (paper §II-C).
-	if s.c.CaptureSteps && s.c.Store != nil {
-		s.c.Store.Capture(p.Counted)
-	}
-	return &Result{Columns: p.OutputNames, Rows: rows, Plan: p, RowsShipped: access.rowsShipped.Load(), PlanTime: planTime}, nil
-}
-
 // admitReplicas is routing's last step: the once-per-statement checks that
 // say which replicas fragSource may read for the routed owners, and the
 // nodes the statement will therefore hold legs on. A scatter read of
@@ -284,10 +289,10 @@ func (s *Session) execSelect(access *stmtAccess, sel *sqlx.Select) (*Result, err
 // uncommitted writes are invisible on the standby), is served there: the
 // leg moves to the standby, so the transaction stays standby-only for that
 // shard and reads survive the primary going down before a failover.
-func (s *Session) admitReplicas(t *txn, a *stmtAccess, sel *sqlx.Select, owners []int) []int {
+func (s *Session) admitReplicas(t *txn, a *stmtAccess, analytical bool, owners []int) []int {
 	c := s.c
 	if prov := c.analyticalReads(); prov != nil && a.scatter && !t.dmlSeen() && !t.hasAnyLeg() {
-		if plan.AnalyticalShape(sel) && prov.Gate(owners) {
+		if analytical && prov.Gate(owners) {
 			a.htap = prov
 			return nil
 		}
@@ -309,140 +314,4 @@ func (s *Session) admitReplicas(t *txn, a *stmtAccess, sel *sqlx.Select, owners 
 		}
 	}
 	return legs
-}
-
-// ---------------------------------------------------------------------------
-// Statement routing
-// ---------------------------------------------------------------------------
-
-// routeSelect decides which data nodes a SELECT must touch. A statement is
-// single-shard iff every distributed table it references (in any query
-// block) carries an equality predicate on its distribution key and all
-// such predicates route to the same shard — the paper's "majority of
-// transactions are single-sharded" fast path. Otherwise all shards are
-// touched. The shards' owners then pass through admitReplicas, which may
-// move a leg to a synced standby or drop the legs altogether.
-func (s *Session) routeSelect(t *txn, sel *sqlx.Select, access *stmtAccess) []int {
-	shards := map[int]struct{}{}
-	sawDistributed := false
-	unrouted := false
-
-	var walkSelect func(q *sqlx.Select, ctes map[string]bool)
-	var walkExprSubqueries func(e sqlx.Expr, ctes map[string]bool)
-	var walkRef func(ref sqlx.TableRef, q *sqlx.Select, ctes map[string]bool)
-
-	walkExprSubqueries = func(e sqlx.Expr, ctes map[string]bool) {
-		sqlx.WalkExpr(e, func(x sqlx.Expr) bool {
-			switch v := x.(type) {
-			case *sqlx.Subquery:
-				walkSelect(v.Query, ctes)
-				return false
-			case *sqlx.InList:
-				for _, item := range v.List {
-					if sq, ok := item.(*sqlx.Subquery); ok {
-						walkSelect(sq.Query, ctes)
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	walkRef = func(ref sqlx.TableRef, q *sqlx.Select, ctes map[string]bool) {
-		switch r := ref.(type) {
-		case *sqlx.BaseTable:
-			if ctes[strings.ToLower(r.Name)] {
-				return
-			}
-			ti, err := s.c.tableInfo(r.Name)
-			if err != nil || ti.replicated {
-				return
-			}
-			sawDistributed = true
-			alias := r.Alias
-			if alias == "" {
-				alias = shortAlias(r.Name)
-			}
-			scope := plan.TableScope(ti.Meta, strings.ToLower(alias))
-			if shard, ok := routeByDistKey(s.c, ti, scope, q.Where); ok {
-				shards[shard] = struct{}{}
-				access.routed[ti.Meta.Name] = append(access.routed[ti.Meta.Name], shard)
-			} else {
-				unrouted = true
-			}
-		case *sqlx.SubqueryRef:
-			walkSelect(r.Query, ctes)
-		case *sqlx.TableFunc:
-			if r.Query != nil {
-				walkSelect(r.Query, ctes)
-			}
-		case *sqlx.JoinRef:
-			walkRef(r.Left, q, ctes)
-			walkRef(r.Right, q, ctes)
-			walkExprSubqueries(r.On, ctes)
-		}
-	}
-
-	walkSelect = func(q *sqlx.Select, outer map[string]bool) {
-		ctes := make(map[string]bool, len(outer))
-		for k := range outer {
-			ctes[k] = true
-		}
-		for _, cte := range q.CTEs {
-			walkSelect(cte.Query, ctes)
-			ctes[strings.ToLower(cte.Name)] = true
-		}
-		for _, ref := range q.From {
-			walkRef(ref, q, ctes)
-		}
-		for _, so := range q.SetOps {
-			walkSelect(so.Query, ctes)
-		}
-		walkExprSubqueries(q.Where, ctes)
-		walkExprSubqueries(q.Having, ctes)
-		for _, it := range q.Items {
-			if !it.Star {
-				walkExprSubqueries(it.Expr, ctes)
-			}
-		}
-	}
-
-	walkSelect(sel, map[string]bool{})
-
-	var owners []int
-	switch {
-	case !sawDistributed:
-		owners = s.c.replicaReadNode(t)
-	case unrouted || len(shards) == 0:
-		// Clear per-table routing: a scatter statement scans every primary.
-		access.routed = map[string][]int{}
-		access.scatter = true
-		owners = s.c.scanTargetsLocked()
-	default:
-		owners = make([]int, 0, len(shards))
-		for sh := range shards {
-			owners = append(owners, sh)
-		}
-		sort.Ints(owners)
-		// Deduplicate routed lists in every branch: a table referenced
-		// twice (self-join, repeated CTE use) must not be scanned twice.
-		// When len(owners) > 1 the statement touches multiple shards but
-		// each table still scans only its own routed (deduplicated) shard
-		// set.
-		for name, list := range access.routed {
-			access.routed[name] = dedupInts(list)
-		}
-	}
-	return s.admitReplicas(t, access, sel, owners)
-}
-
-func dedupInts(in []int) []int {
-	sort.Ints(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -49,7 +49,7 @@ func (c *Cluster) AddDataNode() (int, error) {
 	// while we hold it, and none can start until we release it. Commit and
 	// abort paths take no route lock, so in-flight transactions can still
 	// settle — which is exactly what enrolLocked's drain waits for.
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,7 +161,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 	// Taking the write lock here is also a barrier: once we proceed, no
 	// statement started under filterByBucket=false is still running, so
 	// every scan that could observe our copies filters them out.
-	c.routeMu.Lock()
+	c.lockRoutes()
 	// Standby mirrors and retired nodes never own buckets: rejecting them
 	// here is a permanent configuration error, not a retryable failure.
 	if p, isStandby := c.standbys[target]; isStandby {
@@ -194,7 +194,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 
 	frozen := false
 	defer func() {
-		c.routeMu.Lock()
+		c.lockRoutes()
 		c.migrating[bucket] = false
 		if frozen {
 			c.frozen[bucket] = false
@@ -254,7 +254,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 	}
 
 	// Phase 2: freeze the bucket.
-	c.routeMu.Lock()
+	c.lockRoutes()
 	c.frozen[bucket] = true
 	c.frozenCount++
 	c.routeMu.Unlock()
@@ -287,7 +287,7 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 
 	// Phase 5: flip the map and unfreeze atomically. The write lock waits
 	// out every in-flight statement, so none straddles the flip.
-	c.routeMu.Lock()
+	c.lockRoutes()
 	c.bmap.dn[bucket] = target
 	c.frozen[bucket] = false
 	c.frozenCount--

@@ -3,9 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -53,6 +51,10 @@ type Session struct {
 
 // NewSession opens a session.
 func (c *Cluster) NewSession() *Session { return &Session{c: c} }
+
+// InTxn reports whether the session is inside an explicit BEGIN..COMMIT
+// block.
+func (s *Session) InTxn() bool { return s.tx != nil }
 
 // txn is the coordinator-side transaction state.
 type txn struct {
@@ -413,22 +415,9 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	return s.ExecStmt(stmt)
 }
 
-// ExecStmt executes a parsed statement.
+// ExecStmt executes a parsed statement: prepare, then execute once.
 func (s *Session) ExecStmt(stmt sqlx.Statement) (*Result, error) {
-	switch st := stmt.(type) {
-	case *sqlx.TxControl:
-		return s.execTxControl(st)
-	case *sqlx.CreateTable:
-		return &Result{}, s.c.createTable(st)
-	case *sqlx.DropTable:
-		return &Result{}, s.c.dropTable(st)
-	case *sqlx.Explain:
-		return s.execExplain(st)
-	case *sqlx.Insert, *sqlx.Update, *sqlx.Delete, *sqlx.Select:
-		return s.execInTxn(stmt)
-	default:
-		return nil, fmt.Errorf("cluster: unsupported statement %T", stmt)
-	}
+	return s.Prepare(stmt).Exec(nil)
 }
 
 func (s *Session) execTxControl(tc *sqlx.TxControl) (*Result, error) {
@@ -461,21 +450,21 @@ func (s *Session) execTxControl(tc *sqlx.TxControl) (*Result, error) {
 	}
 }
 
-// execInTxn runs a DML/SELECT inside the current explicit transaction or an
-// implicit autocommit one.
-func (s *Session) execInTxn(stmt sqlx.Statement) (*Result, error) {
+// execInTxn runs a prepared DML/SELECT inside the current explicit
+// transaction or an implicit autocommit one.
+func (s *Session) execInTxn(p *Prepared, params []types.Datum) (*Result, error) {
 	if s.tx != nil {
 		if s.tx.failed {
 			return nil, ErrTxnAborted
 		}
-		res, err := s.execStatement(s.tx, stmt)
+		res, err := s.execStatement(s.tx, p, params)
 		if err != nil {
 			s.tx.failed = true
 		}
 		return res, err
 	}
 	t := s.newTxn()
-	res, err := s.execStatement(t, stmt)
+	res, err := s.execStatement(t, p, params)
 	if err != nil {
 		t.abort()
 		s.LastTxnWasGlobal = t.global
@@ -485,24 +474,21 @@ func (s *Session) execInTxn(stmt sqlx.Statement) (*Result, error) {
 	return res, t.commit()
 }
 
-func (s *Session) execStatement(t *txn, stmt sqlx.Statement) (*Result, error) {
+func (s *Session) execStatement(t *txn, p *Prepared, params []types.Datum) (*Result, error) {
 	// Pin the routing view: the bucket map (and freeze set) cannot change
 	// while this statement runs, so every row it touches routes and filters
-	// consistently. Commit/abort run outside the pin.
+	// consistently — and the epoch the prepared statement's compiled unit is
+	// checked against cannot move under it. Commit/abort run outside the pin.
 	s.c.routeMu.RLock()
 	defer s.c.routeMu.RUnlock()
-	switch st := stmt.(type) {
-	case *sqlx.Insert:
-		return s.execInsert(t, st)
-	case *sqlx.Update:
-		return s.execRewrite(t, OpUpdate, st.Table, st.Where, st.Set)
-	case *sqlx.Delete:
-		return s.execRewrite(t, OpDelete, st.Table, st.Where, nil)
-	case *sqlx.Select:
-		return s.execSelect(s.newStmtAccess(t), st)
-	default:
-		return nil, fmt.Errorf("cluster: unsupported statement %T in transaction", stmt)
+	u, a, err := p.unitFor(params)
+	if err != nil {
+		return nil, err
 	}
+	a.reset(t)
+	ctx := exec.NewCtx(s.c.Clock())
+	ctx.Params = params
+	return u.run(a, ctx)
 }
 
 func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
@@ -517,8 +503,14 @@ func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
 	}
 	s.c.routeMu.RLock()
 	defer s.c.routeMu.RUnlock()
-	access := s.newStmtAccess(t)
-	p, err := s.planSelect(access, sel)
+	access := s.newStmtAccess()
+	u, err := s.compileSelect(access, sel, true)
+	if err != nil {
+		return nil, err
+	}
+	access.reset(t)
+	ctx := exec.NewCtx(s.c.Clock())
+	p, err := u.open(access, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +527,6 @@ func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
 	// EXPLAIN ANALYZE: execute the plan, discard output rows, report the
 	// estimated vs actual cardinality of every instrumented step plus the
 	// MPP exchange volume.
-	ctx := exec.NewCtx(s.c.Clock())
 	start := time.Now()
 	resultRows, err := exec.Collect(ctx, p.Root)
 	if err != nil {
@@ -557,355 +548,4 @@ func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
 		types.NewInt(int64(len(resultRows))),
 	})
 	return &Result{Columns: []string{"step", "estimated_rows", "actual_rows"}, Rows: rows, Plan: p, RowsShipped: access.rowsShipped.Load()}, nil
-}
-
-// ---------------------------------------------------------------------------
-// DML
-// ---------------------------------------------------------------------------
-
-// evalConstRow evaluates an INSERT VALUES row (no column references).
-func (s *Session) evalConstRow(pl *plan.Planner, exprs []sqlx.Expr) (types.Row, error) {
-	ctx := exec.NewCtx(s.c.Clock())
-	out := make(types.Row, len(exprs))
-	for i, e := range exprs {
-		ce, err := pl.CompileScalar(e, &plan.Scope{})
-		if err != nil {
-			return nil, err
-		}
-		v, err := ce.Eval(ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// writeLeg is one target of a DML statement: the partition written and the
-// transaction leg the write runs under. tap is the transaction when the
-// leg's changes must be recorded for the commit taps, nil when nobody
-// listens.
-type writeLeg struct {
-	dn   int
-	part partition
-	xid  txnkit.XID
-	snap *txnkit.Snapshot
-	tap  *txn
-}
-
-// log records one change of the leg; call only when l.tap != nil.
-func (l writeLeg) log(rec WriteRec) { l.tap.logWrite(l.dn, rec) }
-
-// beginWrite opens a DML statement on table. The transaction is marked as
-// writing before anything is planned — INSERT ... SELECT's source query and
-// every subquery must read the primaries, not a bounded-staleness HTAP
-// replica — and the statement gets its one access object: subqueries, an
-// INSERT's source query and the write legs all read under its per-DN
-// snapshots.
-func (s *Session) beginWrite(t *txn, table string) (*TableInfo, *stmtAccess, error) {
-	t.markDML()
-	ti, err := s.c.tableInfo(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ti, s.newStmtAccess(t), nil
-}
-
-// execWrite is the one write fragment body: INSERT, UPDATE and DELETE differ
-// only in frag, what they do to one target partition. Every target must be
-// live (a replicated table is written on every copy or not at all), the
-// legs start together so a multi-shard statement escalates once, the
-// statement costs one write wave whatever its row count, and each leg
-// writes under its xid and the statement's snapshot on that node. frag
-// returns the rows it affected; a replicated table's are counted once.
-func (s *Session) execWrite(a *stmtAccess, ti *TableInfo, targets []int, frag func(writeLeg) (int, error)) (*Result, error) {
-	c, t := s.c, a.t
-	if err := c.requireLive(targets...); err != nil {
-		if ti.replicated {
-			return nil, fmt.Errorf("%w: %w", ErrReplicatedWriteDown, err)
-		}
-		return nil, err
-	}
-	t.touchSet(targets)
-	if err := c.sendDNs(targets, transport.Write); err != nil {
-		return nil, err
-	}
-	// Replicated tables are never recorded: standbys receive those writes
-	// through this same all-replica path.
-	var tap *txn
-	if !ti.replicated && c.tapInstalled() {
-		tap = t
-	}
-	total := 0
-	for i, dnID := range targets {
-		snap, err := a.snapshotFor(dnID)
-		if err != nil {
-			return nil, err
-		}
-		n, err := frag(writeLeg{dn: dnID, part: ti.part(dnID), xid: t.touch(dnID), snap: snap, tap: tap})
-		if err != nil {
-			return nil, err
-		}
-		if !ti.replicated || i == 0 {
-			total += n
-		}
-	}
-	return &Result{RowsAffected: total}, nil
-}
-
-func (s *Session) execInsert(t *txn, ins *sqlx.Insert) (*Result, error) {
-	ti, a, err := s.beginWrite(t, ins.Table)
-	if err != nil {
-		return nil, err
-	}
-	schema := ti.Meta.Schema
-
-	// Column mapping: explicit column list may reorder or omit columns.
-	colIdx := make([]int, 0, schema.Len())
-	if len(ins.Columns) == 0 {
-		for i := 0; i < schema.Len(); i++ {
-			colIdx = append(colIdx, i)
-		}
-	} else {
-		for _, name := range ins.Columns {
-			i := schema.ColumnIndex(name)
-			if i < 0 {
-				return nil, &plan.ErrColumnNotFound{Table: ins.Table, Column: name}
-			}
-			colIdx = append(colIdx, i)
-		}
-	}
-
-	// Materialize the rows to insert.
-	var rows []types.Row
-	if ins.Query != nil {
-		res, err := s.execSelect(a, ins.Query)
-		if err != nil {
-			return nil, err
-		}
-		rows = res.Rows
-	} else {
-		pl := s.planner(a)
-		for _, exprRow := range ins.Rows {
-			row, err := s.evalConstRow(pl, exprRow)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	if len(rows) == 0 {
-		return &Result{}, nil
-	}
-
-	// Widen every row to the schema and route it before any is written, so
-	// the statement is one leg, one snapshot and one write message per
-	// target. dst[i] is the node rows[i] goes to; a replicated table (dst
-	// nil) puts every row on every replica.
-	var dst, targets []int
-	if ti.replicated {
-		targets = s.c.replicaTargetsLocked()
-	} else {
-		dst = make([]int, len(rows))
-	}
-	for i, src := range rows {
-		if len(src) != len(colIdx) {
-			return nil, fmt.Errorf("cluster: INSERT has %d values but %d target columns", len(src), len(colIdx))
-		}
-		full := make(types.Row, schema.Len())
-		for j, c := range colIdx {
-			full[c] = src[j]
-		}
-		rows[i] = full
-		if dst != nil {
-			if dst[i], err = s.c.writeTarget(full[ti.Meta.DistKey]); err != nil {
-				return nil, err
-			}
-			if !slices.Contains(targets, dst[i]) {
-				targets = append(targets, dst[i])
-			}
-		}
-	}
-	sort.Ints(targets)
-	return s.execWrite(a, ti, targets, func(l writeLeg) (int, error) {
-		n := 0
-		for i, row := range rows {
-			if dst != nil && dst[i] != l.dn {
-				continue
-			}
-			if err := l.part.insert(l.xid, l.snap, row); err != nil {
-				return n, err
-			}
-			if l.tap != nil {
-				l.log(WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: row})
-			}
-			n++
-		}
-		return n, nil
-	})
-}
-
-func allDNs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// routeWrite picks target data nodes for an UPDATE/DELETE on table ti with
-// the given WHERE clause. Replicated tables write every non-retired
-// replica (standbys included); scatter writes on distributed tables cover
-// the primaries only — standbys receive them through the commit log.
-func (s *Session) routeWrite(ti *TableInfo, where sqlx.Expr) []int {
-	if ti.replicated {
-		return s.c.replicaTargetsLocked()
-	}
-	scope := plan.TableScope(ti.Meta, shortAlias(ti.Meta.Name))
-	if shard, ok := routeByDistKey(s.c, ti, scope, where); ok {
-		return []int{shard}
-	}
-	return s.c.scanTargetsLocked()
-}
-
-// routeByDistKey looks for a top-level `distkey = <literal>` conjunct.
-func routeByDistKey(c *Cluster, ti *TableInfo, scope *plan.Scope, where sqlx.Expr) (int, bool) {
-	for _, conj := range sqlx.SplitConjuncts(where) {
-		b, ok := conj.(*sqlx.BinaryOp)
-		if !ok || b.Op != sqlx.OpEq {
-			continue
-		}
-		col, lit := colLit(b)
-		if col == nil || lit == nil {
-			continue
-		}
-		i, err := scope.Resolve(col.Table, col.Column)
-		if err != nil || i != ti.Meta.DistKey {
-			continue
-		}
-		return c.shardFor(lit.Value), true
-	}
-	return 0, false
-}
-
-func colLit(b *sqlx.BinaryOp) (*sqlx.ColumnRef, *sqlx.Literal) {
-	if cr, ok := b.Left.(*sqlx.ColumnRef); ok {
-		if lit, ok := b.Right.(*sqlx.Literal); ok {
-			return cr, lit
-		}
-	}
-	if cr, ok := b.Right.(*sqlx.ColumnRef); ok {
-		if lit, ok := b.Left.(*sqlx.Literal); ok {
-			return cr, lit
-		}
-	}
-	return nil, nil
-}
-
-func shortAlias(name string) string {
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
-// setClause is one compiled SET assignment of an UPDATE.
-type setClause struct {
-	col int
-	e   exec.Expr
-}
-
-// compileSets compiles an UPDATE's SET list over ti's row scope.
-func compileSets(pl *plan.Planner, scope *plan.Scope, ti *TableInfo, set []sqlx.Assignment) ([]setClause, error) {
-	sets := make([]setClause, 0, len(set))
-	for _, as := range set {
-		i := ti.Meta.Schema.ColumnIndex(as.Column)
-		if i < 0 {
-			return nil, &plan.ErrColumnNotFound{Table: ti.Meta.Name, Column: as.Column}
-		}
-		ce, err := pl.CompileScalar(as.Value, scope)
-		if err != nil {
-			return nil, err
-		}
-		if i == ti.Meta.DistKey && !ti.replicated {
-			return nil, fmt.Errorf("cluster: updating the distribution column %q is not supported", as.Column)
-		}
-		sets = append(sets, setClause{col: i, e: ce})
-	}
-	return sets, nil
-}
-
-// execRewrite is UPDATE (op OpUpdate, applying set) and DELETE (OpDelete,
-// no set) as a write fragment: on every routed partition, the visible rows
-// that the partition owns and where accepts are the victims of the one
-// storage loop that ends versions and creates their successors.
-func (s *Session) execRewrite(t *txn, op WriteOp, table string, where sqlx.Expr, set []sqlx.Assignment) (*Result, error) {
-	ti, a, err := s.beginWrite(t, table)
-	if err != nil {
-		return nil, err
-	}
-	if ti.columnar() {
-		return nil, fmt.Errorf("cluster: %s is not supported on columnar table %q (use row storage)", strings.ToUpper(op.String()), table)
-	}
-	pl := s.planner(a)
-	scope := plan.TableScope(ti.Meta, shortAlias(ti.Meta.Name))
-	var pred exec.Expr
-	if where != nil {
-		if pred, err = pl.CompileScalar(where, scope); err != nil {
-			return nil, err
-		}
-	}
-	sets, err := compileSets(pl, scope, ti, set)
-	if err != nil {
-		return nil, err
-	}
-	c, ctx := s.c, exec.NewCtx(s.c.Clock())
-	dk := ti.Meta.DistKey
-	return s.execWrite(a, ti, s.routeWrite(ti, where), func(l writeLeg) (int, error) {
-		// Rows whose bucket this partition does not own are migration
-		// phantoms and silently skipped; an owned row in a bucket frozen for
-		// cutover fails the statement (see frozenErr).
-		owns := c.fragKeepDatum(ti, l.dn)
-		freezing := owns != nil && c.frozenCount > 0
-		match := func(r types.Row) (bool, error) {
-			if owns != nil && !owns(r[dk]) {
-				return false, nil
-			}
-			if freezing {
-				if err := c.frozenErr(BucketOf(r[dk])); err != nil {
-					return false, err
-				}
-			}
-			if pred == nil {
-				return true, nil
-			}
-			return exec.EvalBool(pred, ctx, r)
-		}
-		// A storage error after a change was recorded fails the statement
-		// and aborts the transaction, discarding the record.
-		var change func(types.Row) (types.Row, error)
-		switch {
-		case op == OpUpdate:
-			change = func(old types.Row) (types.Row, error) {
-				row := old.Clone()
-				for _, sc := range sets {
-					v, err := sc.e.Eval(ctx, row)
-					if err != nil {
-						return nil, err
-					}
-					row[sc.col] = v
-				}
-				if l.tap != nil {
-					l.log(WriteRec{Table: ti.Meta.Name, Op: OpUpdate, Row: row.Clone(), Old: old.Clone()})
-				}
-				return row, nil
-			}
-		case l.tap != nil: // a DELETE somebody listens to
-			change = func(old types.Row) (types.Row, error) {
-				l.log(WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: old.Clone()})
-				return nil, nil
-			}
-		}
-		return l.part.row.Rewrite(l.xid, l.snap, match, change)
-	})
 }

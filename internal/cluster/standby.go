@@ -256,7 +256,7 @@ func (c *Cluster) takeStash(dnID int, xid txnkit.XID) []WriteRec {
 // all-replica path from the moment it is published; distributed-table
 // changes reach it only through the commit tap.
 func (c *Cluster) AddStandby(upstream int, onReady func(standbyID int)) (int, error) {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,7 +272,7 @@ func (c *Cluster) AddStandby(upstream int, onReady func(standbyID int)) (int, er
 // the standby set — un-retired, marked up, serving replicated-table writes
 // again and mirroring upstream through the commit tap.
 func (c *Cluster) ReenrollStandby(node, upstream int, onReady func(standbyID int)) error {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -294,7 +294,7 @@ func (c *Cluster) ReenrollStandby(node, upstream int, onReady func(standbyID int
 // (internal/repl) must have quiesced the standby's feed first — nothing may
 // call ApplyStandbyRecs for the node concurrently.
 func (c *Cluster) ReseedStandby(node, upstream int, onReady func(standbyID int)) error {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -474,7 +474,7 @@ func (c *Cluster) ReturnedPrimaries() []int {
 // successor map so rebalances targeting the retired node can re-target.
 // It returns the number of buckets flipped.
 func (c *Cluster) PromoteStandby(primary, standby int) (int, error) {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	if up, ok := c.standbys[standby]; !ok || up != primary {
 		return 0, fmt.Errorf("cluster: dn%d is not a standby of dn%d", standby, primary)
@@ -777,7 +777,7 @@ const (
 // replicas here). readable must be lock-light — it is consulted under the
 // route lock on every SELECT.
 func (c *Cluster) SetStandbyReads(mode StandbyReadMode, readable func(primary int) (int, bool)) {
-	c.routeMu.Lock()
+	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	c.standbyReadMode = mode
 	c.standbyReadable = readable

@@ -69,8 +69,9 @@ func runFragment(ctx *Ctx, f Fragment, emit func(types.Row) bool) (err error) {
 }
 
 // fork returns an independent evaluation context for one worker: fragments
-// share the statement clock but must not share the outer-row stack.
-func (c *Ctx) fork() *Ctx { return &Ctx{Now: c.Now} }
+// share the statement clock and parameters but must not share the outer-row
+// stack.
+func (c *Ctx) fork() *Ctx { return &Ctx{Now: c.Now, Params: c.Params} }
 
 // Open implements Operator.
 func (e *Exchange) Open(ctx *Ctx) error {

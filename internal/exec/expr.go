@@ -16,11 +16,18 @@ import (
 	"repro/internal/types"
 )
 
-// Ctx carries per-execution state: the session clock and the stack of outer
-// rows for correlated subqueries.
+// Ctx carries per-execution state: the session clock, the values bound to a
+// prepared statement's parameters and the stack of outer rows for correlated
+// subqueries. One Ctx is one execution: the caches a plan keeps for the
+// length of a statement (uncorrelated subplans, CTE materializations)
+// remember the Ctx they were filled under, so a plan re-opened under a new
+// Ctx recomputes them.
 type Ctx struct {
 	// Now is the statement timestamp returned by now().
 	Now time.Time
+	// Params holds the execution's parameter values (see Param); shared
+	// read-only with forked fragment contexts.
+	Params []types.Datum
 	// OuterRows is the stack of enclosing rows; the last element is the
 	// innermost enclosing scope. Subplan evaluation pushes/pops.
 	OuterRows []types.Row
@@ -56,6 +63,20 @@ func (c *Const) String() string {
 	}
 	return c.Value.String()
 }
+
+// Param reads parameter Index of the execution: the value a prepared
+// statement was bound with in place of a literal lifted out of its text.
+type Param struct{ Index int }
+
+// Eval implements Expr.
+func (p *Param) Eval(ctx *Ctx, _ types.Row) (types.Datum, error) {
+	if p.Index >= len(ctx.Params) {
+		return types.Null, fmt.Errorf("exec: parameter %d not bound (%d given)", p.Index, len(ctx.Params))
+	}
+	return ctx.Params[p.Index], nil
+}
+
+func (p *Param) String() string { return fmt.Sprintf("?%d", p.Index) }
 
 // ColRef reads column Index of the current row. Name is retained for
 // canonical display (qualified, upper-cased by the planner when feeding the
@@ -763,8 +784,9 @@ type Subplan struct {
 	NotIn      bool
 	Correlated bool
 
-	cached bool
-	cache  []types.Row
+	// cache is the uncorrelated result, valid for the execution cachedIn.
+	cachedIn *Ctx
+	cache    []types.Row
 }
 
 // Eval implements Expr.
@@ -817,7 +839,7 @@ func (s *Subplan) Eval(ctx *Ctx, row types.Row) (types.Datum, error) {
 }
 
 func (s *Subplan) rows(ctx *Ctx, row types.Row) ([]types.Row, error) {
-	if !s.Correlated && s.cached {
+	if !s.Correlated && s.cachedIn == ctx {
 		return s.cache, nil
 	}
 	ctx.OuterRows = append(ctx.OuterRows, row)
@@ -827,8 +849,7 @@ func (s *Subplan) rows(ctx *Ctx, row types.Row) ([]types.Row, error) {
 		return nil, err
 	}
 	if !s.Correlated {
-		s.cached = true
-		s.cache = rows
+		s.cachedIn, s.cache = ctx, rows
 	}
 	return rows, nil
 }

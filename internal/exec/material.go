@@ -4,13 +4,15 @@ import "repro/internal/types"
 
 // MatState is the shared cache behind one WITH-clause materialization. All
 // references to the same CTE share one MatState, so the CTE body executes
-// at most once per statement (queries are single-threaded; no locking
+// at most once per execution (queries are single-threaded; no locking
 // needed).
 type MatState struct {
 	Child Operator
-	done  bool
-	rows  []types.Row
-	err   error
+	// doneIn is the execution rows and err belong to; a plan re-opened under
+	// another Ctx runs the body again.
+	doneIn *Ctx
+	rows   []types.Row
+	err    error
 }
 
 // NewMatState wraps the CTE body.
@@ -18,16 +20,12 @@ func NewMatState(child Operator) *MatState { return &MatState{Child: child} }
 
 // rowsOnce executes the child on first use and caches the result.
 func (m *MatState) rowsOnce(ctx *Ctx) ([]types.Row, error) {
-	if !m.done {
+	if m.doneIn != ctx {
 		m.rows, m.err = Collect(ctx, m.Child)
-		m.done = true
+		m.doneIn = ctx
 	}
 	return m.rows, m.err
 }
-
-// Reset clears the cache so the next Open re-executes the body (used when
-// the same prepared plan is re-run in a new statement).
-func (m *MatState) Reset() { m.done = false; m.rows = nil; m.err = nil }
 
 // MaterialRef is one reference to a shared materialization; each reference
 // keeps its own cursor.

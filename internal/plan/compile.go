@@ -25,6 +25,11 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 	switch x := e.(type) {
 	case *sqlx.Literal:
 		return &exec.Const{Value: x.Value}, nil
+	case *sqlx.Param:
+		if x.Neg {
+			return &exec.Neg{Child: &exec.Param{Index: x.Index}}, nil
+		}
+		return &exec.Param{Index: x.Index}, nil
 	case *sqlx.IntervalLit:
 		return &exec.Const{Value: types.NewInt(x.Nanos)}, nil
 	case *sqlx.ColumnRef:

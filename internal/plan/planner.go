@@ -482,6 +482,8 @@ func exprKind(pc *pctx, e sqlx.Expr) types.Kind {
 	switch x := e.(type) {
 	case *sqlx.Literal:
 		return x.Value.Kind()
+	case *sqlx.Param:
+		return x.Kind
 	case *sqlx.ColumnRef:
 		if pc.scope != nil {
 			if i, err := pc.scope.resolve(x.Table, x.Column); err == nil && i >= 0 {

@@ -2,6 +2,8 @@ package repl
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,5 +189,132 @@ func TestFeed(t *testing.T) {
 		if f.WaitApplied(6, start.Add(5*time.Second)) || time.Since(start) > time.Second {
 			t.Error("WaitApplied on a poisoned feed did not give up at once")
 		}
+	})
+}
+
+// TestFeedWaiterHelps: whoever waits for the watermark runs batches itself.
+// With no consumer goroutine at all the wait still ends, in queue order and
+// one batch at a time; it takes only what it needs, leaves the rest queued,
+// and stays out while a Quiesce holds the feed — timing out, as a freshness
+// gate expects of a paused replica.
+func TestFeedWaiterHelps(t *testing.T) {
+	t.Run("no consumer goroutine", func(t *testing.T) {
+		f := NewFeed()
+		var order []int
+		inSink := 0
+		f.serve(4, func(batch []Leg, done func()) error {
+			if inSink++; inSink > 1 {
+				t.Error("two batches in the sink at once")
+			}
+			for _, l := range batch {
+				order = append(order, l.Recs[0].Bucket)
+				done()
+			}
+			inSink--
+			return nil
+		})
+		for i := 0; i < 10; i++ {
+			f.Append(leg(i))
+		}
+		if !f.WaitApplied(6, time.Now().Add(5*time.Second)) {
+			t.Fatalf("WaitApplied(6) gave up with %d applied and nobody else to apply", f.Applied())
+		}
+		// Batches of 4, and the second stops at the leg that reaches 6.
+		if got := f.Applied(); got != 6 {
+			t.Fatalf("the waiter applied %d records, want exactly the 6 it waited for", got)
+		}
+		if !f.WaitApplied(10, time.Now().Add(5*time.Second)) {
+			t.Fatalf("WaitApplied(10) gave up with %d applied", f.Applied())
+		}
+		for i, n := range order {
+			if n != i {
+				t.Fatalf("legs applied in order %v", order)
+			}
+		}
+		if len(order) != 10 {
+			t.Fatalf("applied %d legs, want 10", len(order))
+		}
+	})
+
+	t.Run("consumer held behind a quiesce", func(t *testing.T) {
+		f := NewFeed()
+		release := f.Quiesce()
+		applied := make(chan int, 16)
+		exited := runFeed(f, 2, func(batch []Leg, done func()) error {
+			for _, l := range batch {
+				applied <- l.Recs[0].Bucket
+				done()
+			}
+			return nil
+		})
+		for i := 0; i < 6; i++ {
+			f.Append(leg(i))
+		}
+		// Held: neither the consumer nor a waiter may start a batch, and the
+		// wait times out (SetApplyPaused relies on exactly this).
+		start := time.Now()
+		if f.WaitApplied(1, start.Add(30*time.Millisecond)) {
+			t.Fatal("WaitApplied succeeded while the feed was quiesced")
+		}
+		if f.Applied() != 0 || time.Since(start) > 2*time.Second {
+			t.Fatalf("quiesced feed: %d applied, wait took %v", f.Applied(), time.Since(start))
+		}
+		release()
+		// Released: consumer and waiter may both run batches now; whoever
+		// does, order holds and the wait ends.
+		if !f.WaitApplied(6, time.Now().Add(5*time.Second)) {
+			t.Fatalf("after release: %d of 6 applied", f.Applied())
+		}
+		for want := 0; want < 6; want++ {
+			if got := <-applied; got != want {
+				t.Fatalf("leg %d applied at position %d", got, want)
+			}
+		}
+		f.Close()
+		waitExit(t, exited)
+	})
+
+	t.Run("waiters and consumer together", func(t *testing.T) {
+		// Many waiters, one consumer, a sink that checks it is never entered
+		// twice at once and sees legs in order. Run under -race.
+		f := NewFeed()
+		var busy, next atomic.Int64
+		exited := runFeed(f, 3, func(batch []Leg, done func()) error {
+			if busy.Add(1) != 1 {
+				t.Error("two batches in the sink at once")
+			}
+			for _, l := range batch {
+				if got := int64(l.Recs[0].Bucket); got != next.Load() {
+					t.Errorf("leg %d applied, want %d", got, next.Load())
+				}
+				next.Add(1)
+				done()
+			}
+			busy.Add(-1)
+			return nil
+		})
+		const legs = 400
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for target := int64(1); target <= legs; target += 7 {
+					if !f.WaitApplied(target, time.Now().Add(10*time.Second)) {
+						t.Errorf("WaitApplied(%d) gave up at %d", target, f.Applied())
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < legs; i++ {
+			f.Append(leg(i))
+		}
+		wg.Wait()
+		if !f.WaitApplied(legs, time.Now().Add(10*time.Second)) {
+			t.Fatalf("applied %d of %d", f.Applied(), legs)
+		}
+		f.Close()
+		waitExit(t, exited)
 	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,10 +12,14 @@ import (
 	"repro/internal/types"
 )
 
-// FuzzNormalizeSQL is the differential check behind the statement cache:
-// a text and its cache key must lex alike — both fail, or both yield the
-// same token kinds with the same text up to letter case — so no two
-// statements the parser tells apart can share a key.
+// FuzzNormalizeSQL is the differential check behind the statement cache. A
+// text's key, with the literals Normalize lifted out of it put back where
+// their placeholders stand, must lex as the text does — both fail, or both
+// yield the same token kinds with the same text up to letter case — so two
+// texts share a key only if they differ in lifted literals alone. And the
+// statement parsed once for the shape must be the text's own: parsing with
+// parameter nodes at the lifted positions and binding the lifted values
+// yields the AST sqlx.Parse(text) yields, or fails as it fails.
 func FuzzNormalizeSQL(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT 1 -- c\n, 2",
@@ -23,31 +28,159 @@ func FuzzNormalizeSQL(f *testing.F) {
 		"SELECT 'It''s UPPER  case'",
 		`SELECT "Col  A", "--x" FROM T /* open`,
 		"SELECT a/**/b, 1e--5, 1E+5, x- -y, 'unterminated",
+		"SELECT v FROM kv WHERE k = -5 AND w = - -2.50 AND s = -'x' ORDER BY 2, v+1 LIMIT 10 OFFSET 3",
+		"UPDATE t SET a = a + 1, s = 'x''y' WHERE k IN (1, 2.0, '3') AND d > now() - INTERVAL '1 hour'",
+		"INSERT INTO t (a, b) VALUES (1, 'x'), (99999999999999999999, NULL)",
+		"SELECT g, count(*) FROM t WHERE k = 7 GROUP BY g, 2 HAVING count(*) > 1 UNION ALL SELECT 1, 2 ORDER BY 1",
+		"EXPLAIN SELECT * FROM ggraph('g.V(1)') h, gspatial(box(1, 2)) s, gtimeseries(SELECT 1) g WHERE h.id = 4",
+		"CREATE TABLE t (k BIGINT, v VARCHAR(10), PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)",
+		"SELECT (SELECT max(a) FROM u WHERE b = 1 ORDER BY 1 LIMIT 1) + 5, $1, '$S', \"$I\" FROM t",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		norm := NormalizeSQL(sql)
+		sh := sqlx.Normalize(sql)
+		if NormalizeSQL(sql) != sh.Key {
+			t.Fatalf("NormalizeSQL(%q) is not the shape key %q", sql, sh.Key)
+		}
+		if len(sh.Pos) != len(sh.Params) {
+			t.Fatalf("%q lifts %d values at %d positions", sql, len(sh.Params), len(sh.Pos))
+		}
 		want, wantErr := sqlx.Tokenize(sql)
-		got, gotErr := sqlx.Tokenize(norm)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%q lexes with error %v, its key %q with %v", sql, wantErr, norm, gotErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%q lexes to %d tokens, its key %q to %d", sql, len(want), norm, len(got))
-		}
-		for i := range want {
-			if got[i].Kind != want[i].Kind || !strings.EqualFold(got[i].Text, want[i].Text) {
-				t.Fatalf("token %d of %q is %v, of its key %q is %v", i, sql, want[i], norm, got[i])
+		if wantErr == nil {
+			// Put the lifted literals back and lex the key.
+			lits := map[int]sqlx.Token{}
+			for _, tok := range want {
+				lits[tok.Pos] = tok
+			}
+			restored, ok := restoreLiterals(sh, lits)
+			if !ok {
+				t.Fatalf("key %q of %q does not hold one placeholder of the right kind per lifted literal %v", sh.Key, sql, sh.Params)
+			}
+			got, gotErr := sqlx.Tokenize(restored)
+			if gotErr != nil {
+				t.Fatalf("%q lexes, its restored key %q fails with %v", sql, restored, gotErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%q lexes to %d tokens, its restored key %q to %d", sql, len(want), restored, len(got))
+			}
+			for i := range want {
+				if got[i].Kind != want[i].Kind || !strings.EqualFold(got[i].Text, want[i].Text) {
+					t.Fatalf("token %d of %q is %v, of its restored key %q is %v", i, sql, want[i], restored, got[i])
+				}
+			}
+		} else if len(sh.Params) == 0 {
+			// Nothing lifted: the key must fail to lex as the text does.
+			if _, gotErr := sqlx.Tokenize(sh.Key); gotErr == nil {
+				t.Fatalf("%q fails to lex (%v), its key %q lexes", sql, wantErr, sh.Key)
 			}
 		}
-		if again := NormalizeSQL(norm); again != norm {
-			t.Fatalf("key %q of %q normalizes again to %q", norm, sql, again)
+
+		ast, err := sqlx.Parse(sql)
+		lifted, liftErr := sqlx.ParseLifted(sql, sh.Pos)
+		switch {
+		case err != nil:
+			if liftErr == nil || (liftErr.Error() != err.Error() && liftErr != sqlx.ErrUnliftable) {
+				t.Fatalf("Parse(%q) fails with %v, ParseLifted with %v", sql, err, liftErr)
+			}
+		case liftErr == sqlx.ErrUnliftable:
+			// Runs uncached; nothing shares its parse.
+		case liftErr != nil:
+			t.Fatalf("Parse(%q) succeeds, ParseLifted fails with %v", sql, liftErr)
+		default:
+			if bound := sqlx.Bind(lifted, sh.Params); !reflect.DeepEqual(bound, ast) {
+				t.Fatalf("%q parses to %s, its shape %q bound with %v to %s", sql, ast, sh.Key, sh.Params, bound)
+			}
+			// The planner reads a bare integer in GROUP BY / ORDER BY as an
+			// output position; a parameter there would read as an expression.
+			if paramOrdinal(reflect.ValueOf(lifted)) {
+				t.Fatalf("%q: an ORDER BY / GROUP BY ordinal was lifted: %s", sql, lifted)
+			}
 		}
 	})
+}
+
+// paramOrdinal walks an AST and reports whether some SELECT has a parameter
+// standing alone as a GROUP BY or ORDER BY item.
+func paramOrdinal(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		return !v.IsNil() && paramOrdinal(v.Elem())
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if paramOrdinal(v.Index(i)) {
+				return true
+			}
+		}
+	case reflect.Struct:
+		if sel, ok := v.Interface().(sqlx.Select); ok {
+			for _, g := range sel.GroupBy {
+				if _, bare := g.(*sqlx.Param); bare {
+					return true
+				}
+			}
+			for _, o := range sel.OrderBy {
+				if _, bare := o.Expr.(*sqlx.Param); bare {
+					return true
+				}
+			}
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if paramOrdinal(v.Field(i)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// restoreLiterals writes sh's key with every placeholder replaced by the
+// source form of the literal it stands for (lits maps token offsets in the
+// original text to tokens). ok=false if placeholders and lifted literals do
+// not pair up one to one with matching kinds.
+func restoreLiterals(sh sqlx.Shape, lits map[int]sqlx.Token) (string, bool) {
+	var b strings.Builder
+	key, next := sh.Key, 0
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if c == '\'' || c == '"' {
+			// A quoted run is copied as it stands.
+			end := i + 1
+			for end < len(key) {
+				if key[end] != c {
+					end++
+				} else if c == '\'' && end+1 < len(key) && key[end+1] == '\'' {
+					end += 2
+				} else {
+					break
+				}
+			}
+			end = min(end+1, len(key))
+			b.WriteString(key[i:end])
+			i = end - 1
+			continue
+		}
+		if c != '$' || i+1 == len(key) || !strings.ContainsRune("IFS", rune(key[i+1])) {
+			b.WriteByte(c)
+			continue
+		}
+		if next == len(sh.Params) {
+			return "", false
+		}
+		tok, d := lits[sh.Pos[next]], sh.Params[next]
+		next++
+		switch {
+		case key[i+1] == 'S' && d.Kind() == types.KindString && tok.Kind == sqlx.TokString && tok.Text == d.Str():
+			b.WriteString("'" + strings.ReplaceAll(tok.Text, "'", "''") + "'")
+		case key[i+1] == 'I' && d.Kind() == types.KindInt && tok.Kind == sqlx.TokNumber,
+			key[i+1] == 'F' && d.Kind() == types.KindFloat && tok.Kind == sqlx.TokNumber:
+			b.WriteString(tok.Text)
+		default:
+			return "", false
+		}
+		i++
+	}
+	return b.String(), next == len(sh.Params)
 }
 
 // FuzzDecodeFrames feeds arbitrary bytes to both frame decoders: neither

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sqlx"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // Config configures a front-door server.
@@ -33,7 +33,7 @@ type Config struct {
 	// Sessions inside an explicit transaction are never evicted.
 	IdleTimeout time.Duration
 	// StmtCacheSize bounds each session's prepared-statement cache
-	// (normalized SQL -> parsed statement; 0 = 128).
+	// (statement shape -> prepared statement; 0 = 128).
 	StmtCacheSize int
 	// Clock overrides time for idle accounting (tests).
 	Clock func() time.Time
@@ -88,17 +88,19 @@ type session struct {
 	// misbehave; execution state must not interleave).
 	mu       sync.Mutex
 	lastUsed atomic.Int64 // unix nanos
-	inTxn    bool
 
-	// stmt cache: normalized SQL -> *list.Element of stmtEntry, LRU.
+	// stmt cache: statement shape -> *list.Element of stmtEntry, LRU.
 	cache map[string]*list.Element
 	lru   *list.List
 	limit int
 }
 
+// stmtEntry is one cached shape: the statement parsed once with parameter
+// nodes where its literals were, prepared on the session's coordinator
+// session, which keeps what it compiles from it between executions.
 type stmtEntry struct {
 	key  string
-	stmt sqlx.Statement
+	stmt *cluster.Prepared
 }
 
 // New builds a server over a cluster. Close releases the idle reaper.
@@ -205,7 +207,7 @@ func (s *Server) EvictIdle(now time.Time) int {
 	n := 0
 	for _, sess := range victims {
 		sess.mu.Lock()
-		if sess.inTxn {
+		if sess.cs.InTxn() {
 			// Raced into a transaction: put it back.
 			sess.mu.Unlock()
 			s.mu.Lock()
@@ -348,10 +350,9 @@ func (s *Server) closeSession(id uint64) {
 	s.mu.Unlock()
 	if ok {
 		sess.mu.Lock()
-		if sess.inTxn {
+		if sess.cs.InTxn() {
 			// Roll back the abandoned transaction so its legs release.
 			_, _ = sess.cs.Exec("ROLLBACK")
-			sess.inTxn = false
 		}
 		sess.mu.Unlock()
 	}
@@ -376,7 +377,7 @@ func (s *Server) exec(q *Request) *Response {
 	}
 	sess.lastUsed.Store(s.cfg.Clock().UnixNano())
 
-	stmt, hit, err := sess.parse(q.SQL)
+	stmt, params, hit, err := sess.prepare(q.SQL)
 	if err != nil {
 		return &Response{Status: StatusError, Err: err.Error()}
 	}
@@ -386,35 +387,30 @@ func (s *Server) exec(q *Request) *Response {
 		s.cacheMiss.Add(1)
 	}
 
-	// Admission gate: every statement waits for a slot; the wait is
-	// bounded by the request's timeout (or the server default) and frees
-	// its queue slot when cancelled.
-	wait := admitTimeout
-	if q.TimeoutMillis > 0 {
-		wait = time.Duration(q.TimeoutMillis) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), wait)
-	err = s.wm.AdmitPriority(ctx, sess.pri)
-	cancel()
-	switch {
-	case errors.Is(err, autonomous.ErrQueueFull):
-		return &Response{Status: StatusQueueFull, Session: q.Session, CacheHit: hit, Err: err.Error()}
-	case err != nil:
-		return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, Err: errAdmissionTimeout.Error()}
+	// Admission gate: every statement needs a slot. A free one is taken on
+	// the spot; only a statement that must queue gets a deadline — the
+	// request's timeout (or the server default) — and frees its queue slot
+	// when that cancels it.
+	if !s.wm.TryAdmit(sess.pri) {
+		wait := admitTimeout
+		if q.TimeoutMillis > 0 {
+			wait = time.Duration(q.TimeoutMillis) * time.Millisecond
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		err = s.wm.AdmitPriority(ctx, sess.pri)
+		cancel()
+		switch {
+		case errors.Is(err, autonomous.ErrQueueFull):
+			return &Response{Status: StatusQueueFull, Session: q.Session, CacheHit: hit, Err: err.Error()}
+		case err != nil:
+			return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, Err: errAdmissionTimeout.Error()}
+		}
 	}
 
 	sess.mu.Lock()
 	start := time.Now()
-	res, execErr := sess.cs.ExecStmt(stmt)
+	res, execErr := stmt.Exec(params)
 	lat := time.Since(start)
-	if tc, ok := stmt.(*sqlx.TxControl); ok {
-		switch {
-		case tc.Verb == "BEGIN" && execErr == nil:
-			sess.inTxn = true
-		case tc.Verb == "COMMIT" || tc.Verb == "ROLLBACK":
-			sess.inTxn = false
-		}
-	}
 	sess.mu.Unlock()
 	s.wm.Release(lat)
 	s.stmts.Add(1)
@@ -434,96 +430,37 @@ func (s *Server) exec(q *Request) *Response {
 	return resp
 }
 
-// parse returns the statement for sql, serving repeats from the session's
-// cache keyed by normalized text.
-func (sess *session) parse(sql string) (sqlx.Statement, bool, error) {
-	key := NormalizeSQL(sql)
+// prepare returns the prepared statement for sql and the values to execute
+// it with, serving every text of a shape seen before from the session's
+// cache. A miss parses the text with parameter nodes where Normalize lifted
+// its literals; a text whose lifted literals the grammar does not read as
+// expression literals is parsed as it stands and not cached.
+func (sess *session) prepare(sql string) (stmt *cluster.Prepared, params []types.Datum, hit bool, err error) {
+	sh := sqlx.Normalize(sql)
 	sess.mu.Lock()
-	if el, ok := sess.cache[key]; ok {
+	defer sess.mu.Unlock()
+	if el, ok := sess.cache[sh.Key]; ok {
 		sess.lru.MoveToFront(el)
-		stmt := el.Value.(*stmtEntry).stmt
-		sess.mu.Unlock()
-		return stmt, true, nil
+		return el.Value.(*stmtEntry).stmt, sh.Params, true, nil
 	}
-	sess.mu.Unlock()
-	stmt, err := sqlx.Parse(sql)
-	if err != nil {
-		return nil, false, err
-	}
-	sess.mu.Lock()
-	if el, ok := sess.cache[key]; ok {
-		// Raced with another parse of the same text; keep the first.
-		sess.lru.MoveToFront(el)
-	} else {
-		sess.cache[key] = sess.lru.PushFront(&stmtEntry{key: key, stmt: stmt})
-		for sess.lru.Len() > sess.limit {
-			old := sess.lru.Remove(sess.lru.Back()).(*stmtEntry)
-			delete(sess.cache, old.key)
+	ast, err := sqlx.ParseLifted(sql, sh.Pos)
+	if errors.Is(err, sqlx.ErrUnliftable) {
+		if ast, err = sqlx.Parse(sql); err == nil {
+			return sess.cs.Prepare(ast), nil, false, nil
 		}
 	}
-	sess.mu.Unlock()
-	return stmt, false, nil
+	if err != nil {
+		return nil, nil, false, err
+	}
+	stmt = sess.cs.Prepare(ast)
+	sess.cache[sh.Key] = sess.lru.PushFront(&stmtEntry{key: sh.Key, stmt: stmt})
+	for sess.lru.Len() > sess.limit {
+		old := sess.lru.Remove(sess.lru.Back()).(*stmtEntry)
+		delete(sess.cache, old.key)
+	}
+	return stmt, sh.Params, false, nil
 }
 
-// NormalizeSQL canonicalizes statement text for the prepared-statement
-// cache: two texts share a key only if sqlx lexes them to the same tokens.
-// Outside quotes it lower-cases ASCII letters and collapses every run of
-// whitespace and comments (`--` to end of line, `/* */`; unterminated ones
-// run to the end, as in sqlx's lexer) to one space, dropping leading and
-// trailing runs; string literals ('...', a doubled quote escaping one)
-// and quoted identifiers ("...") are copied byte for byte.
-func NormalizeSQL(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
-	space := false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			space = true
-			continue
-		case c == '-' && strings.HasPrefix(sql[i:], "--"):
-			space = true
-			if nl := strings.IndexByte(sql[i:], '\n'); nl >= 0 {
-				i += nl
-			} else {
-				i = len(sql)
-			}
-			continue
-		case c == '/' && strings.HasPrefix(sql[i:], "/*"):
-			space = true
-			if end := strings.Index(sql[i+2:], "*/"); end >= 0 {
-				i += 2 + end + 1
-			} else {
-				i = len(sql)
-			}
-			continue
-		}
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		space = false
-		switch {
-		case c == '\'' || c == '"':
-			// Copy through the closing quote (or the end, if unterminated).
-			end := i + 1
-			for end < len(sql) {
-				if sql[end] != c {
-					end++
-				} else if c == '\'' && end+1 < len(sql) && sql[end+1] == '\'' {
-					end += 2
-				} else {
-					break
-				}
-			}
-			end = min(end+1, len(sql))
-			b.WriteString(sql[i:end])
-			i = end - 1
-		case 'A' <= c && c <= 'Z':
-			b.WriteByte(c + 'a' - 'A')
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
+// NormalizeSQL returns the statement cache's key for a statement text: its
+// shape (see sqlx.Normalize).
+func NormalizeSQL(sql string) string { return sqlx.Normalize(sql).Key }

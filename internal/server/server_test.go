@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/autonomous"
 	"repro/internal/cluster"
+	"repro/internal/sqlx"
 	"repro/internal/transport"
 )
 
@@ -120,24 +122,57 @@ func TestNormalizeSQL(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"SELECT * FROM t", "select * from t"},
 		{"select\t*\n  from   t", "select * from t"},
-		{"  SELECT 1  ", "select 1"},
-		{"SELECT 'It''s UPPER  case'", "select 'It''s UPPER  case'"},
-		{"select 'a'||'B'", "select 'a'||'B'"},
+		{"  SELECT 1  ", "select $I"},
+		// Value literals are lifted, whatever is inside them.
+		{"SELECT 'It''s UPPER  case'", "select $S"},
+		{"select 'a'||'B'", "select $S||$S"},
+		{"SELECT v FROM kv WHERE k = 5 AND f < 2.5e3 AND s = 'x'", "select v from kv where k = $I and f < $F and s = $S"},
 		// Comments are whitespace, exactly as sqlx's lexer reads them.
-		{"SELECT 1 -- c\n, 2", "select 1 , 2"},
-		{"SELECT 1 -- c , 2", "select 1"},
-		{"SELECT/* x */1/**/,2 /* open", "select 1 ,2"},
-		{"SELECT '--' , '/*' -- tail", "select '--' , '/*'"},
+		{"SELECT 1 -- c\n, 2", "select $I , $I"},
+		{"SELECT 1 -- c , 2", "select $I"},
+		{"SELECT/* x */1/**/,2 /* open", "select $I ,$I"},
+		{"SELECT '--' , '/*' -- tail", "select $S , $S"},
 		// Quoted identifiers keep their case, spacing and comment markers.
 		{`SELECT "Col  A", "--x" FROM T`, `select "Col  A", "--x" from t`},
+		// Structural literals stay in the key.
+		{"SELECT a FROM t WHERE b = 1 ORDER BY 2, a+1 DESC LIMIT 10 OFFSET 5", "select a from t where b = $I order by 2, a+1 desc limit 10 offset 5"},
+		{"SELECT g, count(*) FROM t GROUP BY 1 HAVING count(*) > 3", "select g, count(*) from t group by 1 having count(*) > $I"},
+		{"SELECT (SELECT a FROM u ORDER BY 1 LIMIT 1) + 7", "select (select a from u order by 1 limit 1) + $I"},
+		{"SELECT now() - INTERVAL '1 hour', 'x'", "select now() - interval '1 hour', $S"},
+		{"CREATE TABLE t (k BIGINT, v VARCHAR(10))", "create table t (k bigint, v varchar(10))"},
+		{"SELECT 99999999999999999999", "select 99999999999999999999"},
+		{"SELECT 'unterminated", "select 'unterminated"},
 	}
 	for _, c := range cases {
 		if got := NormalizeSQL(c.in); got != c.want {
 			t.Errorf("NormalizeSQL(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
-	if NormalizeSQL("SELECT 'x'") == NormalizeSQL("SELECT 'X'") {
-		t.Error("normalization folded string literal content")
+	// A literal's kind is part of the shape; a structural literal's value is.
+	distinct := [][]string{
+		{"SELECT 1", "SELECT 1.0", "SELECT '1'"},
+		{"SELECT a FROM t LIMIT 10", "SELECT a FROM t LIMIT 20"},
+		{"SELECT a, b FROM t ORDER BY 1", "SELECT a, b FROM t ORDER BY 2"},
+		{"SELECT 1", "SELECT $I", "SELECT '$I'", `SELECT "$I"`},
+	}
+	for _, group := range distinct {
+		seen := map[string]string{}
+		for _, sql := range group {
+			key := NormalizeSQL(sql)
+			if other, dup := seen[key]; dup {
+				t.Errorf("%q and %q share the key %q", other, sql, key)
+			}
+			seen[key] = sql
+		}
+	}
+	// Texts that differ in lifted values alone share a key, and the values
+	// come out in text order.
+	a, b := sqlx.Normalize("UPDATE kv SET v = 'x' WHERE k = 5"), sqlx.Normalize("update kv set v = 'It''s' where k = 42")
+	if a.Key != b.Key {
+		t.Errorf("one shape, two keys: %q and %q", a.Key, b.Key)
+	}
+	if len(b.Params) != 2 || b.Params[0].Str() != "It's" || b.Params[1].Int() != 42 {
+		t.Errorf("lifted values = %v", b.Params)
 	}
 }
 
@@ -445,5 +480,173 @@ func TestDecodeResponseRejectsCountsBeyondTheFrame(t *testing.T) {
 		if _, err := DecodeResponse(frame); err == nil {
 			t.Errorf("ncols=%d nrows=%d decoded without error", counts[0], counts[1])
 		}
+	}
+}
+
+// handleAllocs measures allocations per Server.Handle of an OpExec frame:
+// 256 texts of one shape (text(i) for i in 1..256) are encoded beforehand,
+// the first is executed as the miss, and every later one must be served from
+// the statement cache.
+func handleAllocs(t *testing.T, s *Server, sess uint64, text func(i int) string) float64 {
+	t.Helper()
+	frames := make([][]byte, 256)
+	for i := range frames {
+		frames[i] = EncodeRequest(&Request{Op: OpExec, Session: sess, SQL: text(i + 1)})
+	}
+	next := 0
+	var last []byte
+	run := func() {
+		last = s.Handle(frames[next%len(frames)])
+		next++
+	}
+	run() // the miss
+	allocs := testing.AllocsPerRun(200, run)
+	if p, err := DecodeResponse(last); err != nil || p.Status != StatusOK || !p.CacheHit {
+		t.Fatalf("%q: status %d, cache hit %v, err %v %q", text(next), p.Status, p.CacheHit, err, p.Err)
+	}
+	return allocs
+}
+
+// TestCachedStatementAllocationCeilings pins what a cached one-row statement
+// allocates on its way through Server.Handle — decode, shape, admission,
+// routing, legs, snapshot, fragment, commit, encode. The ceilings sit about a
+// tenth above what the code reaches, so a change that adds an allocation per
+// statement fails here, by name, before it shows as a fraction of a percent
+// in the benchmark's alloc_kb_per_op.
+func TestCachedStatementAllocationCeilings(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT) DISTRIBUTE BY HASH(k)")
+	for i := 0; i < 300; i++ {
+		exec(t, s, sess, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'v%d')", i, i))
+	}
+	for _, c := range []struct {
+		name    string
+		text    func(i int) string
+		ceiling float64
+	}{
+		{"point SELECT", func(i int) string { return fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i) }, ceilSelect},
+		{"point UPDATE", func(i int) string { return fmt.Sprintf("UPDATE kv SET v = 'w%d' WHERE k = %d", i, i) }, ceilUpdate},
+		{"single-row INSERT", func(i int) string { return fmt.Sprintf("INSERT INTO kv VALUES (%d, 'n%d')", 1000+i, i) }, ceilInsert},
+	} {
+		got := handleAllocs(t, s, sess, c.text)
+		t.Logf("%s: %.0f allocations per statement (ceiling %.0f)", c.name, got, c.ceiling)
+		if got > c.ceiling {
+			t.Errorf("%s allocates %.0f times per cached statement, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+// Reached when the ceilings were set: 27, 23 and 23.
+const ceilSelect, ceilUpdate, ceilInsert = 30, 26, 26
+
+// TestStmtCacheHitsAcrossLiterals: texts that differ in literal values alone
+// are one shape — parsed once, executed with each text's own values.
+func TestStmtCacheHitsAcrossLiterals(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT) DISTRIBUTE BY HASH(k)")
+	for i := 0; i < 20; i++ {
+		p := exec(t, s, sess, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'it''s %d')", i, i))
+		if p.CacheHit != (i > 0) || p.RowsAffected != 1 {
+			t.Fatalf("INSERT %d: cache hit %v, %d rows", i, p.CacheHit, p.RowsAffected)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		p := exec(t, s, sess, fmt.Sprintf("select v from KV where k = %d", i))
+		if p.CacheHit != (i > 0) {
+			t.Fatalf("SELECT %d: cache hit %v", i, p.CacheHit)
+		}
+		if want := fmt.Sprintf("it's %d", i); len(p.Rows) != 1 || p.Rows[0][0].Str() != want {
+			t.Fatalf("SELECT %d returned %v, want %q", i, p.Rows, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		p := exec(t, s, sess, fmt.Sprintf("UPDATE kv SET v = 'u%d' WHERE k = %d", i, 19-i))
+		if p.CacheHit != (i > 0) || p.RowsAffected != 1 {
+			t.Fatalf("UPDATE %d: cache hit %v, %d rows", i, p.CacheHit, p.RowsAffected)
+		}
+	}
+	if p := exec(t, s, sess, "SELECT v FROM kv WHERE k = 19"); p.Rows[0][0].Str() != "u0" {
+		t.Fatalf("k = 19 reads %v, want u0", p.Rows)
+	}
+	// Another kind of literal, or a structural one, is another shape.
+	for _, sql := range []string{
+		"SELECT v FROM kv WHERE k = 3.0",
+		"SELECT v FROM kv WHERE k = 3 LIMIT 1",
+		"SELECT v FROM kv WHERE k = 3 LIMIT 2",
+		"SELECT k, v FROM kv WHERE k < 3 ORDER BY 1",
+		"SELECT k, v FROM kv WHERE k < 3 ORDER BY 2",
+	} {
+		if p := exec(t, s, sess, sql); p.CacheHit {
+			t.Errorf("%q was served another shape's statement", sql)
+		}
+	}
+	if p := exec(t, s, sess, "SELECT k, v FROM kv WHERE k < 7 ORDER BY 2"); !p.CacheHit || len(p.Rows) != 7 || p.Rows[0][1].Str() != "u13" {
+		t.Errorf("ORDER BY 2 with another bound: cache hit %v, rows %v", p.CacheHit, p.Rows)
+	}
+	// Transaction verbs are shapes too.
+	exec(t, s, sess, "BEGIN")
+	exec(t, s, sess, "ROLLBACK")
+	if p := exec(t, s, sess, "begin"); !p.CacheHit {
+		t.Error("BEGIN missed the cache")
+	}
+	exec(t, s, sess, "COMMIT")
+	// A text the grammar cannot share a parse for runs, uncached.
+	for i := 0; i < 2; i++ {
+		p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: "SELECT * FROM ggraph('g.V(1)') g"})
+		if p.CacheHit || p.Status != StatusError || !strings.Contains(p.Err, "graph engine") {
+			t.Errorf("table-function statement: status %d, cache hit %v, err %q", p.Status, p.CacheHit, p.Err)
+		}
+	}
+}
+
+// TestStmtCacheBoundedByShapes: the cache holds shapes, StmtCacheSize of
+// them, however many a session sends.
+func TestStmtCacheBoundedByShapes(t *testing.T) {
+	const limit = 16
+	s, _ := newTestServer(t, Config{StmtCacheSize: limit})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT) DISTRIBUTE BY HASH(k)")
+	for i := 0; i < 10000; i++ {
+		// A LIMIT is part of the shape: a shape per i.
+		if p := exec(t, s, sess, fmt.Sprintf("SELECT v FROM kv WHERE k = %d LIMIT %d", i%7, i+1)); p.CacheHit {
+			t.Fatalf("shape %d was served from the cache", i)
+		}
+	}
+	cached := s.lookup(sess)
+	if n := cached.lru.Len(); n != limit || len(cached.cache) != limit {
+		t.Fatalf("cache holds %d entries (%d keys) after 10000 shapes, want %d", n, len(cached.cache), limit)
+	}
+	if p := exec(t, s, sess, "SELECT v FROM kv WHERE k = 0 LIMIT 4"); p.CacheHit {
+		t.Error("a shape evicted long ago reported a cache hit")
+	}
+}
+
+// TestStmtCacheAnswersForTheNewTable: the cached statement is recompiled when
+// the table it names is another table.
+func TestStmtCacheAnswersForTheNewTable(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT) DISTRIBUTE BY HASH(k)")
+	exec(t, s, sess, "INSERT INTO kv VALUES (1, 'one')")
+	if p := exec(t, s, sess, "SELECT v FROM kv WHERE k = 1"); p.Rows[0][0].Str() != "one" {
+		t.Fatalf("rows = %v", p.Rows)
+	}
+	exec(t, s, sess, "DROP TABLE kv")
+	exec(t, s, sess, "CREATE TABLE kv (v BIGINT, pad TEXT, k TEXT, PRIMARY KEY (k)) DISTRIBUTE BY HASH(v)")
+	exec(t, s, sess, "INSERT INTO kv VALUES (11, 'pad', 'a')")
+	p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: "SELECT v FROM kv WHERE k = 2"})
+	if !p.CacheHit || p.Status != StatusError {
+		t.Fatalf("comparing the new TEXT key with a number: status %d, cache hit %v, rows %v", p.Status, p.CacheHit, p.Rows)
+	}
+	if p := exec(t, s, sess, "SELECT v FROM kv WHERE k = 'a'"); len(p.Rows) != 1 || p.Rows[0][0].Int() != 11 {
+		t.Fatalf("rows from the new table = %v", p.Rows)
+	}
+	if err := c.Analyze("kv"); err != nil {
+		t.Fatal(err)
+	}
+	if p := exec(t, s, sess, "SELECT v FROM kv WHERE k = 'a'"); !p.CacheHit || p.Rows[0][0].Int() != 11 {
+		t.Fatalf("after ANALYZE: cache hit %v, rows %v", p.CacheHit, p.Rows)
 	}
 }

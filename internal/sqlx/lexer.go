@@ -95,35 +95,7 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 	case c >= '0' && c <= '9':
-		l.pos++
-		seenDot := false
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == '.' && !seenDot {
-				seenDot = true
-				l.pos++
-				continue
-			}
-			if ch < '0' || ch > '9' {
-				break
-			}
-			l.pos++
-		}
-		// exponent
-		if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-			save := l.pos
-			l.pos++
-			if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-				l.pos++
-			}
-			if l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-					l.pos++
-				}
-			} else {
-				l.pos = save
-			}
-		}
+		l.pos = scanNumber(l.src, l.pos)
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 	case c == '\'':
 		l.pos++
@@ -168,6 +140,40 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{}, fmt.Errorf("sqlx: illegal character %q at offset %d", c, start)
 	}
+}
+
+// scanNumber returns the end of the number token starting at src[pos] (a
+// digit): digits, at most one point, and an exponent only when digits
+// follow it. Normalize scans numbers with it too, so a statement's shape
+// and its tokens cannot disagree on where a number ends.
+func scanNumber(src string, pos int) int {
+	pos++
+	seenDot := false
+	for pos < len(src) {
+		ch := src[pos]
+		if ch == '.' && !seenDot {
+			seenDot = true
+			pos++
+			continue
+		}
+		if ch < '0' || ch > '9' {
+			break
+		}
+		pos++
+	}
+	if pos < len(src) && (src[pos] == 'e' || src[pos] == 'E') {
+		exp := pos + 1
+		if exp < len(src) && (src[exp] == '+' || src[exp] == '-') {
+			exp++
+		}
+		if exp < len(src) && src[exp] >= '0' && src[exp] <= '9' {
+			for exp < len(src) && src[exp] >= '0' && src[exp] <= '9' {
+				exp++
+			}
+			pos = exp
+		}
+	}
+	return pos
 }
 
 func (l *Lexer) skipSpaceAndComments() {

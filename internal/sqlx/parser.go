@@ -14,25 +14,15 @@ type Parser struct {
 	toks []Token
 	pos  int
 	src  string
+	// lift lists the byte offsets of the literal tokens that become Param
+	// nodes (ParseLifted), ascending; lifted counts those turned so far.
+	lift   []int
+	lifted int
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
-func Parse(src string) (Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
-	}
-	p.eatOp(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after end of statement", p.peek())
-	}
-	return stmt, nil
-}
+func Parse(src string) (Statement, error) { return ParseLifted(src, nil) }
 
 // ParseMulti parses a semicolon-separated script.
 func ParseMulti(src string) ([]Statement, error) {
@@ -1047,12 +1037,17 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := child.(*Literal); ok {
-			switch lit.Value.Kind() {
+		switch x := child.(type) {
+		case *Literal:
+			switch x.Value.Kind() {
 			case types.KindInt:
-				return &Literal{Value: types.NewInt(-lit.Value.Int())}, nil
+				return &Literal{Value: types.NewInt(-x.Value.Int())}, nil
 			case types.KindFloat:
-				return &Literal{Value: types.NewFloat(-lit.Value.Float())}, nil
+				return &Literal{Value: types.NewFloat(-x.Value.Float())}, nil
+			}
+		case *Param:
+			if x.Kind == types.KindInt || x.Kind == types.KindFloat {
+				return &Param{Index: x.Index, Kind: x.Kind, Neg: !x.Neg}, nil
 			}
 		}
 		return &UnaryOp{Op: "-", Child: child}, nil
@@ -1094,11 +1089,28 @@ func ParseInterval(text string) (int64, error) {
 	return n * ns, nil
 }
 
+// liftedAt reports whether the literal token at byte offset pos is the next
+// one to lift, and counts it.
+func (p *Parser) liftedAt(pos int) bool {
+	if p.lifted < len(p.lift) && p.lift[p.lifted] == pos {
+		p.lifted++
+		return true
+	}
+	return false
+}
+
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case TokNumber:
 		p.next()
+		if p.liftedAt(t.Pos) {
+			kind := types.KindInt
+			if strings.ContainsAny(t.Text, ".eE") {
+				kind = types.KindFloat
+			}
+			return &Param{Index: p.lifted - 1, Kind: kind}, nil
+		}
 		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
@@ -1113,6 +1125,9 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &Literal{Value: types.NewInt(n)}, nil
 	case TokString:
 		p.next()
+		if p.liftedAt(t.Pos) {
+			return &Param{Index: p.lifted - 1, Kind: types.KindString}, nil
+		}
 		return &Literal{Value: types.NewString(t.Text)}, nil
 	case TokKeyword:
 		switch t.Text {

@@ -1,6 +1,6 @@
 // Package storage implements the per-data-node row storage engine of the
 // FI-MPPDB reproduction: an MVCC heap with PostgreSQL-style (xmin, xmax)
-// tuple stamping, hash indexes, predicate scans and vacuum.
+// tuple stamping, a primary-key hash index, predicate scans and vacuum.
 //
 // Visibility is delegated to internal/txnkit so the same heap works under
 // purely local snapshots (GTM-lite single-shard fast path) and merged
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/txnkit"
 	"repro/internal/types"
@@ -38,27 +39,28 @@ type Table struct {
 	name   string
 	schema *types.Schema
 	heap   []Tuple
-	// indexes maps column position -> hash index (datum hash -> heap slots).
-	// Index entries are never removed on update/delete; visibility filtering
-	// happens at scan time and Vacuum rebuilds the index.
-	indexes map[int]map[uint64][]int
 	// pkCols are the primary-key column positions; empty means no PK.
 	pkCols []int
-	txm    *txnkit.TxnManager
+	// pk is the primary-key index: the hash of a version's whole key (see
+	// keyHash) -> the heap slots carrying it, in heap order. nil without a
+	// PK. Entries are never removed on update/delete; visibility filtering
+	// happens at scan time and Vacuum / Reap rebuild the index. A posting
+	// list is a candidate list: a hash collision puts other keys on it, so
+	// every reader re-checks what it is looking for.
+	pk  map[uint64][]int
+	txm *txnkit.TxnManager
+
+	// visited counts the heap versions scans, rewrites and key checks have
+	// examined — what an access path saves shows here, not in a clock.
+	visited atomic.Int64
 }
 
 // NewTable creates an empty heap bound to the node's transaction manager.
 // pkCols may be nil.
 func NewTable(name string, schema *types.Schema, pkCols []int, txm *txnkit.TxnManager) *Table {
-	t := &Table{
-		name:    name,
-		schema:  schema,
-		indexes: make(map[int]map[uint64][]int),
-		pkCols:  pkCols,
-		txm:     txm,
-	}
-	for _, c := range pkCols {
-		t.indexes[c] = make(map[uint64][]int)
+	t := &Table{name: name, schema: schema, pkCols: pkCols, txm: txm}
+	if len(pkCols) > 0 {
+		t.pk = make(map[uint64][]int)
 	}
 	return t
 }
@@ -68,22 +70,6 @@ func (t *Table) Name() string { return t.name }
 
 // Schema returns the table schema.
 func (t *Table) Schema() *types.Schema { return t.schema }
-
-// CreateIndex adds a hash index on the column at position col, backfilling
-// existing heap entries.
-func (t *Table) CreateIndex(col int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.indexes[col]; ok {
-		return
-	}
-	idx := make(map[uint64][]int)
-	for slot, tp := range t.heap {
-		h := types.Hash(tp.Row[col])
-		idx[h] = append(idx[h], slot)
-	}
-	t.indexes[col] = idx
-}
 
 // Insert appends a new tuple version owned by xid. The snapshot is used for
 // primary-key uniqueness checking.
@@ -109,15 +95,50 @@ func pkOf(row types.Row, pkCols []int) types.Row {
 	return out
 }
 
+// keyHash hashes the key datums taken from row at cols (nil: row is the key
+// itself): FNV-1a over their types.AppendKey bytes, so two keys Compare
+// calls equal (BIGINT 5 and DOUBLE 5.0) hash alike.
+func keyHash(row types.Row, cols []int) uint64 {
+	var buf [64]byte
+	b := buf[:0]
+	if cols == nil {
+		b = row.AppendKey(b)
+	}
+	for _, c := range cols {
+		b = types.AppendKey(b, row[c])
+	}
+	h := uint64(14695981039346656037)
+	for _, x := range b {
+		h = (h ^ uint64(x)) * 1099511628211
+	}
+	return h
+}
+
+// pathLocked picks the access path of a scan or rewrite: the n heap slots to
+// examine are slots[0:n] — the key index's candidates for key (one datum per
+// primary-key column, in key order), in heap order — or, with nil slots,
+// the whole heap: no key, or one this table cannot narrow by. Every examined
+// version counts as visited.
+func (t *Table) pathLocked(key types.Row) (slots []int, n int) {
+	n = len(t.heap)
+	if t.pk != nil && len(key) == len(t.pkCols) {
+		slots = t.pk[keyHash(key, nil)]
+		n = len(slots)
+	}
+	t.visited.Add(int64(n))
+	return slots, n
+}
+
 // checkKeyLocked fails with ErrDuplicateKey if a tuple visible to (xid,
 // snap) — own uncommitted inserts included — already carries row's primary
 // key. Tables without a primary key always pass.
 func (t *Table) checkKeyLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
-	if len(t.pkCols) == 0 {
+	if t.pk == nil {
 		return nil
 	}
-	c0 := t.pkCols[0]
-	for _, s := range t.indexes[c0][types.Hash(row[c0])] {
+	slots := t.pk[keyHash(row, t.pkCols)]
+	t.visited.Add(int64(len(slots)))
+	for _, s := range slots {
 		tp := &t.heap[s]
 		if t.sameKey(tp.Row, row) && t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
 			return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
@@ -136,21 +157,49 @@ func (t *Table) sameKey(a, b types.Row) bool {
 }
 
 func (t *Table) appendLocked(tp Tuple) {
-	slot := len(t.heap)
 	t.heap = append(t.heap, tp)
-	for col, idx := range t.indexes {
-		h := types.Hash(tp.Row[col])
-		idx[h] = append(idx[h], slot)
+	t.indexLocked(len(t.heap) - 1)
+}
+
+// indexLocked enters heap slot's version into the key index.
+func (t *Table) indexLocked(slot int) {
+	if t.pk != nil {
+		h := keyHash(t.heap[slot].Row, t.pkCols)
+		t.pk[h] = append(t.pk[h], slot)
+	}
+}
+
+// rebuildKeyLocked re-derives the key index after heap slots moved.
+func (t *Table) rebuildKeyLocked() {
+	if t.pk == nil {
+		return
+	}
+	t.pk = make(map[uint64][]int, len(t.heap))
+	for slot := range t.heap {
+		t.indexLocked(slot)
 	}
 }
 
 // Scan calls fn for every tuple version visible to (xid, snap). fn must not
 // retain the row. Returning false stops the scan.
 func (t *Table) Scan(xid txnkit.XID, snap *txnkit.Snapshot, fn func(row types.Row) bool) {
+	t.ScanKey(xid, snap, nil, fn)
+}
+
+// ScanKey is Scan over an access path: with a whole primary key (one datum
+// per key column, in key order) it visits only the versions the key index
+// lists for it, in heap order — a superset of the versions carrying the
+// key, so fn applies its own predicate exactly as under Scan; with a nil
+// key, or on a table the key does not fit, it is Scan.
+func (t *Table) ScanKey(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, fn func(row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for i := range t.heap {
+	slots, n := t.pathLocked(key)
+	for i := 0; i < n; i++ {
 		tp := &t.heap[i]
+		if slots != nil {
+			tp = &t.heap[slots[i]]
+		}
 		if t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
 			if !fn(tp.Row) {
 				return
@@ -159,50 +208,43 @@ func (t *Table) Scan(xid txnkit.XID, snap *txnkit.Snapshot, fn func(row types.Ro
 	}
 }
 
-// LookupEq scans only tuples whose indexed column col equals key, using the
-// hash index when present and falling back to a full scan otherwise.
+// LookupEq scans only tuples whose column col equals key: through the key
+// index when col is the whole primary key, by a full scan otherwise.
 func (t *Table) LookupEq(xid txnkit.XID, snap *txnkit.Snapshot, col int, key types.Datum, fn func(row types.Row) bool) {
-	t.mu.RLock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		t.mu.RUnlock()
-		t.Scan(xid, snap, func(row types.Row) bool {
-			if types.Equal(row[col], key) {
-				return fn(row)
-			}
-			return true
-		})
-		return
+	var probe types.Row
+	if len(t.pkCols) == 1 && t.pkCols[0] == col {
+		probe = types.Row{key}
 	}
-	defer t.mu.RUnlock()
-	for _, s := range idx[types.Hash(key)] {
-		tp := &t.heap[s]
-		if !types.Equal(tp.Row[col], key) {
-			continue // hash collision
+	t.ScanKey(xid, snap, probe, func(row types.Row) bool {
+		if types.Equal(row[col], key) {
+			return fn(row)
 		}
-		if t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
-			if !fn(tp.Row) {
-				return
-			}
-		}
-	}
+		return true
+	})
 }
 
 // Rewrite is the one loop that ends tuple versions and creates their
 // successors: every tuple visible to (xid, snap) that match accepts (nil:
 // all) gets xmax=xid, and the row change returns for it is appended as a new
-// version. A nil change, or a nil row from it, deletes the victim. change
-// must neither modify nor retain the row it is given. A successor whose
+// version. key narrows where victims are looked for exactly as in ScanKey
+// (nil: the whole heap); match still decides. A nil change, or a nil row
+// from it, deletes the victim. change must neither modify nor retain the
+// row it is given. A successor whose
 // primary-key columns differ from its victim's is checked for uniqueness
 // exactly as Insert checks a new row. Any error stops the loop: the
 // transaction has then written part of the statement and must abort. It
 // returns the number of victims rewritten.
-func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, match func(types.Row) (bool, error), change func(old types.Row) (types.Row, error)) (int, error) {
+func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, match func(types.Row) (bool, error), change func(old types.Row) (types.Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Collect first: appending while iterating would rescan new versions.
+	slots, cand := t.pathLocked(key)
 	var victims []int
-	for i := range t.heap {
+	for j := 0; j < cand; j++ {
+		i := j
+		if slots != nil {
+			i = slots[j]
+		}
 		tp := &t.heap[i]
 		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
 			continue
@@ -250,13 +292,13 @@ func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, match func(types.
 // xmax=xid, a new version with set applied to a copy of the row is appended.
 // It returns the number of updated tuples.
 func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
-	return t.Rewrite(xid, snap, matchOf(pred), func(old types.Row) (types.Row, error) { return set(old.Clone()) })
+	return t.Rewrite(xid, snap, nil, matchOf(pred), func(old types.Row) (types.Row, error) { return set(old.Clone()) })
 }
 
 // Delete stamps xmax=xid on every visible tuple matching pred and returns
 // the count.
 func (t *Table) Delete(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool) (int, error) {
-	return t.Rewrite(xid, snap, matchOf(pred), nil)
+	return t.Rewrite(xid, snap, nil, matchOf(pred), nil)
 }
 
 // matchOf adapts a predicate that cannot fail to Rewrite's match.
@@ -284,7 +326,7 @@ func (t *Table) markDeletedLocked(tp *Tuple, xid txnkit.XID) error {
 
 // Vacuum removes versions that can never become visible again: inserted by
 // an aborted txn, or deleted by a txn committed before horizon. It rebuilds
-// the indexes and returns the number of versions reclaimed.
+// the key index and returns the number of versions reclaimed.
 func (t *Table) Vacuum(horizon txnkit.XID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -305,14 +347,7 @@ func (t *Table) Vacuum(horizon txnkit.XID) int {
 		kept = append(kept, tp)
 	}
 	t.heap = kept
-	for col := range t.indexes {
-		idx := make(map[uint64][]int)
-		for slot, tp := range t.heap {
-			h := types.Hash(tp.Row[col])
-			idx[h] = append(idx[h], slot)
-		}
-		t.indexes[col] = idx
-	}
+	t.rebuildKeyLocked()
 	return removed
 }
 
@@ -344,7 +379,7 @@ func (t *Table) UnsettledCount(pred func(types.Row) bool) int {
 }
 
 // Reap physically removes every heap version matching pred, regardless of
-// visibility, and rebuilds the indexes. It is the rebalancer's cleanup after
+// visibility, and rebuilds the key index. It is the rebalancer's cleanup after
 // a bucket cutover (retired source rows) or an aborted move (half-copied
 // target rows): at those points the routing map guarantees no snapshot can
 // reach the rows. It returns the number of versions removed.
@@ -364,16 +399,13 @@ func (t *Table) Reap(pred func(types.Row) bool) int {
 		return 0
 	}
 	t.heap = kept
-	for col := range t.indexes {
-		idx := make(map[uint64][]int)
-		for slot, tp := range t.heap {
-			h := types.Hash(tp.Row[col])
-			idx[h] = append(idx[h], slot)
-		}
-		t.indexes[col] = idx
-	}
+	t.rebuildKeyLocked()
 	return removed
 }
+
+// Visited reports how many heap versions scans, rewrites and key checks have
+// examined since the table was created.
+func (t *Table) Visited() int64 { return t.visited.Load() }
 
 // VersionCount reports the raw number of heap versions (visible or not).
 func (t *Table) VersionCount() int {

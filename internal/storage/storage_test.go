@@ -312,18 +312,6 @@ func TestLookupEqUsesIndexAndFallback(t *testing.T) {
 	}
 }
 
-func TestCreateIndexBackfills(t *testing.T) {
-	tbl, txm := newTestTable(t, false)
-	insertRows(t, tbl, txm, 50)
-	tbl.CreateIndex(1)
-	snap := txm.LocalSnapshot()
-	n := 0
-	tbl.LookupEq(0, &snap, 1, types.NewString("v9"), func(r types.Row) bool { n++; return true })
-	if n != 1 {
-		t.Errorf("found %d rows via backfilled index", n)
-	}
-}
-
 func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	tbl, txm := newTestTable(t, true)
 	insertRows(t, tbl, txm, 10)
@@ -457,5 +445,160 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 	if got := countVisible(tbl, txm); got != 300 {
 		t.Errorf("final visible = %d, want 300", got)
+	}
+}
+
+// TestKeyPathVisitsOnlyItsKey counts tuples: a scan, a rewrite and an
+// insert's key check that are given the whole primary key examine that key's
+// versions, not the heap; a key that does not fit the table walks it.
+func TestKeyPathVisitsOnlyItsKey(t *testing.T) {
+	const rows = 5000
+	txm := txnkit.NewTxnManager()
+	schema := types.NewSchema(
+		types.Column{Name: "w", Kind: types.KindInt},
+		types.Column{Name: "d", Kind: types.KindInt},
+		types.Column{Name: "v", Kind: types.KindString},
+	)
+	tbl := NewTable("t", schema, []int{0, 1}, txm)
+	if err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		for i := 0; i < rows; i++ {
+			if err := tbl.Insert(xid, snap, types.Row{types.NewInt(int64(i / 10)), types.NewInt(int64(i % 10)), types.NewString("v")}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The load's own key checks stay on each row's key too: every probe of
+	// the first 10 rows' warehouse used to walk the warehouse.
+	if n := tbl.Visited(); n != 0 {
+		t.Errorf("loading %d distinct keys examined %d tuples in key checks, want 0", rows, n)
+	}
+
+	key := types.Row{types.NewInt(123), types.NewInt(4)}
+	visit := func(what string, most int64, f func(xid txnkit.XID, snap *txnkit.Snapshot) error) {
+		t.Helper()
+		before := tbl.Visited()
+		if err := run(txm, f); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := tbl.Visited() - before; n > most {
+			t.Errorf("%s examined %d tuples of %d, want at most %d", what, n, rows, most)
+		}
+	}
+	found := 0
+	visit("a keyed scan", 1, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		tbl.ScanKey(xid, snap, key, func(r types.Row) bool { found++; return true })
+		return nil
+	})
+	// A DOUBLE that equals the BIGINT key hashes to the same posting list.
+	visit("a keyed scan by an equal DOUBLE", 1, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		tbl.ScanKey(xid, snap, types.Row{types.NewFloat(123), types.NewFloat(4)}, func(r types.Row) bool { found++; return true })
+		return nil
+	})
+	if found != 2 {
+		t.Fatalf("keyed scans found the row %d times, want 2", found)
+	}
+	visit("a keyed rewrite", 1, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		n, err := tbl.Rewrite(xid, snap, key, nil, func(old types.Row) (types.Row, error) {
+			row := old.Clone()
+			row[2] = types.NewString("w")
+			return row, nil
+		})
+		if err == nil && n != 1 {
+			err = fmt.Errorf("rewrote %d rows, want 1", n)
+		}
+		return err
+	})
+	visit("the rewritten key's scan", 2, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		seen := 0
+		tbl.ScanKey(xid, snap, key, func(r types.Row) bool { seen++; return true })
+		if seen != 1 {
+			return fmt.Errorf("saw %d visible versions, want 1", seen)
+		}
+		return nil
+	})
+	visit("a duplicate insert's key check", 2, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		if err := tbl.Insert(xid, snap, types.Row{key[0], key[1], types.NewString("dup")}); !errors.Is(err, ErrDuplicateKey) {
+			return fmt.Errorf("duplicate insert: %v, want ErrDuplicateKey", err)
+		}
+		return nil
+	})
+	// Half a key is no key: the whole heap is the candidate list.
+	before := tbl.Visited()
+	snap := txm.LocalSnapshot()
+	tbl.ScanKey(0, &snap, types.Row{types.NewInt(123)}, func(types.Row) bool { return true })
+	if n := tbl.Visited() - before; n < rows {
+		t.Errorf("a scan with half the key examined %d tuples, want the whole heap (%d)", n, rows)
+	}
+}
+
+// TestKeyIndexSurvivesVacuumAndReap: both compact the heap, so every slot
+// the index holds moves; keyed scans, rewrites and key checks must find the
+// same rows afterwards.
+func TestKeyIndexSurvivesVacuumAndReap(t *testing.T) {
+	tbl, txm := newTestTable(t, true)
+	insertRows(t, tbl, txm, 200)
+	update := func(id int64, v string) {
+		t.Helper()
+		if err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+			_, err := tbl.Rewrite(xid, snap, types.Row{types.NewInt(id)}, nil, func(old types.Row) (types.Row, error) {
+				return types.Row{old[0], types.NewString(v)}, nil
+			})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int64(0); id < 200; id += 3 {
+		update(id, "second")
+	}
+	check := func(when string) {
+		t.Helper()
+		snap := txm.LocalSnapshot()
+		for id := int64(0); id < 200; id++ {
+			var got []string
+			tbl.ScanKey(0, &snap, types.Row{types.NewInt(id)}, func(r types.Row) bool {
+				if r[0].Int() == id {
+					got = append(got, r[1].Str())
+				}
+				return true
+			})
+			want := fmt.Sprintf("v%d", id)
+			if id%3 == 0 {
+				want = "second"
+			}
+			if id >= 150 && when == "after reap" {
+				if len(got) != 0 {
+					t.Fatalf("%s: reaped key %d still found: %v", when, id, got)
+				}
+				continue
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Fatalf("%s: key %d reads %v, want [%s]", when, id, got, want)
+			}
+		}
+	}
+	check("before")
+	if n := tbl.Vacuum(txm.LocalSnapshot().Xmax); n == 0 {
+		t.Fatal("vacuum reclaimed nothing")
+	}
+	check("after vacuum")
+	if n := tbl.Reap(func(r types.Row) bool { return r[0].Int() >= 150 }); n == 0 {
+		t.Fatal("reap removed nothing")
+	}
+	check("after reap")
+	// Updates and key checks keep working against the rebuilt index.
+	update(7, "third")
+	if err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		return tbl.Insert(xid, snap, types.Row{types.NewInt(7), types.NewString("dup")})
+	}); !errors.Is(err, ErrDuplicateKey) {
+		t.Fatalf("insert of a live key after vacuum and reap: %v, want ErrDuplicateKey", err)
+	}
+	if err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		return tbl.Insert(xid, snap, types.Row{types.NewInt(160), types.NewString("back")})
+	}); err != nil {
+		t.Fatalf("insert of a reaped key: %v", err)
 	}
 }

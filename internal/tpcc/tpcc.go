@@ -79,9 +79,9 @@ func Load(c *cluster.Cluster, cfg Config) error {
 	s := c.NewSession()
 	ddl := []string{
 		"CREATE TABLE warehouse (w_id BIGINT, w_ytd BIGINT, PRIMARY KEY(w_id)) DISTRIBUTE BY HASH(w_id)",
-		"CREATE TABLE district (d_w_id BIGINT, d_id BIGINT, d_next_o_id BIGINT, d_ytd BIGINT) DISTRIBUTE BY HASH(d_w_id)",
-		"CREATE TABLE customer (c_w_id BIGINT, c_d_id BIGINT, c_id BIGINT, c_balance BIGINT, c_payments BIGINT) DISTRIBUTE BY HASH(c_w_id)",
-		"CREATE TABLE stock (s_w_id BIGINT, s_i_id BIGINT, s_qty BIGINT) DISTRIBUTE BY HASH(s_w_id)",
+		"CREATE TABLE district (d_w_id BIGINT, d_id BIGINT, d_next_o_id BIGINT, d_ytd BIGINT, PRIMARY KEY(d_w_id, d_id)) DISTRIBUTE BY HASH(d_w_id)",
+		"CREATE TABLE customer (c_w_id BIGINT, c_d_id BIGINT, c_id BIGINT, c_balance BIGINT, c_payments BIGINT, PRIMARY KEY(c_w_id, c_d_id, c_id)) DISTRIBUTE BY HASH(c_w_id)",
+		"CREATE TABLE stock (s_w_id BIGINT, s_i_id BIGINT, s_qty BIGINT, PRIMARY KEY(s_w_id, s_i_id)) DISTRIBUTE BY HASH(s_w_id)",
 		"CREATE TABLE orders (o_w_id BIGINT, o_d_id BIGINT, o_id BIGINT, o_c_id BIGINT, o_lines BIGINT) DISTRIBUTE BY HASH(o_w_id)",
 		"CREATE TABLE order_line (ol_w_id BIGINT, ol_d_id BIGINT, ol_o_id BIGINT, ol_i_id BIGINT, ol_qty BIGINT) DISTRIBUTE BY HASH(ol_w_id)",
 		"CREATE TABLE item (i_id BIGINT, i_price BIGINT, PRIMARY KEY(i_id)) DISTRIBUTE BY REPLICATION",

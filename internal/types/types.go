@@ -203,6 +203,10 @@ func numericKinds(a, b Kind) bool {
 	return num(a) && num(b)
 }
 
+// Comparable reports whether Compare orders non-NULL datums of kinds a and
+// b: the same kind, or the two numeric ones.
+func Comparable(a, b Kind) bool { return a == b || numericKinds(a, b) }
+
 // Compare orders two datums. NULL sorts before every non-NULL value.
 // Cross-kind numeric comparison (INT vs FLOAT) is supported and exact — the
 // integer is never rounded to a float — so Compare == 0 is an equivalence
@@ -218,14 +222,14 @@ func Compare(a, b Datum) (int, error) {
 			return 1, nil
 		}
 	}
-	if a.kind != b.kind {
-		if numericKinds(a.kind, b.kind) {
-			if a.kind == KindInt {
-				return cmpIntFloat(a.i, b.f), nil
-			}
-			return -cmpIntFloat(b.i, a.f), nil
-		}
+	if !Comparable(a.kind, b.kind) {
 		return 0, fmt.Errorf("types: cannot compare %s with %s", a.kind, b.kind)
+	}
+	if a.kind != b.kind {
+		if a.kind == KindInt {
+			return cmpIntFloat(a.i, b.f), nil
+		}
+		return -cmpIntFloat(b.i, a.f), nil
 	}
 	switch a.kind {
 	case KindBool:
