@@ -27,12 +27,20 @@ import (
 
 // ndpProgram is the compiled form of one scan's pushdown spec, built at the
 // scan's first Exchange open and shared read-only by its fragments, of that
-// execution and of a prepared statement's later ones.
+// execution and of a prepared statement's later ones. What depends on the
+// values of one execution — the key probed, the zone checks and kernels the
+// predicate's terms become — is instantiated by each fragment run (key, bind).
 type ndpProgram struct {
-	pred exec.Expr                    // the whole pushed filter (row-store loop)
-	keep func(*colstore.Segment) bool // zone-map segment pruner
-	// key is the primary-key access path pred offers a row partition (nil:
-	// none). It narrows which versions the row source hands the select
+	pred exec.Expr // the whole pushed filter (row-store loop)
+	// terms are pred's `column op value` conjuncts and rest the others
+	// (exec.SplitTerms): under a run's values each term is a zone-map check
+	// (when prune) and, a comparison, a vectorized kernel over scanCols.
+	terms  []exec.Term
+	rest   exec.Expr
+	prune  bool
+	schema *types.Schema
+	// key is the primary-key access path the terms offer a row partition
+	// (nil: none). It narrows which versions the row source hands the select
 	// stage; a columnar source ignores it.
 	key *keyProbe
 
@@ -54,9 +62,6 @@ type ndpProgram struct {
 	bloom    *exec.BloomHandle
 	bloomCol int // table column probed against the bloom filter (-1: none)
 	distCol  int // distribution key column (-1: no ownership check)
-
-	kernels  []vecKernel // vectorized conjuncts over scanCols
-	residual exec.Expr   // conjuncts the kernels could not cover (row-wise)
 
 	tableCols int
 }
@@ -161,7 +166,8 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 	n := ti.Meta.Schema.Len()
 	p := &ndpProgram{
 		pred:      spec.Pred,
-		keep:      c.segmentPruner(spec.Pred),
+		prune:     !c.DisableSegmentPrune,
+		schema:    ti.Meta.Schema,
 		topn:      spec.TopN,
 		bloomCol:  -1,
 		distCol:   -1,
@@ -220,14 +226,12 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 		p.matPos[i] = need(col)
 	}
 
-	// Predicate columns (for the sparse residual row), kernels, and on a row
-	// table the key the predicate pins.
-	if spec.Pred != nil {
-		needRefs(spec.Pred, func(col int) { need(col) })
-		p.kernels, p.residual = compileVecFilter(spec.Pred, ti.Meta.Schema, p.scanPos)
-		if !ti.columnar() {
-			p.key = keyProbeOf(spec.Pred, ti.Meta)
-		}
+	// Predicate columns (for the kernels and the sparse residual row), its
+	// terms, and on a row table the key they pin.
+	needRefs(spec.Pred, func(col int) { need(col) })
+	p.terms, p.rest = exec.SplitTerms(spec.Pred)
+	if !ti.columnar() {
+		p.key = keyProbeOf(p.terms, ti.Meta)
 	}
 
 	if spec.Bloom != nil && spec.BloomCol >= 0 && spec.BloomCol < n {
@@ -258,6 +262,45 @@ func (p *ndpProgram) scanPos(col int) int {
 		}
 	}
 	return -1
+}
+
+// bind instantiates the program's terms for one columnar fragment run: the
+// segment pruner (nil: scan everything), the kernels, and the residual the
+// run evaluates row-wise — rest plus the conjunct of every term that gets no
+// kernel: an IN list, or one whose value does not resolve (exec.Term.Resolve).
+func (p *ndpProgram) bind(ctx *exec.Ctx) (keep func(*colstore.Segment) bool, kernels []vecKernel, residual exec.Expr) {
+	residual = p.rest
+	var checks []zoneCheck
+	var left exec.Expr // the last conjunct left to the residual: BETWEEN is two terms of one
+	for i := range p.terms {
+		t := &p.terms[i]
+		var vals []types.Datum
+		at := p.scanPos(t.Col)
+		ok := at >= 0
+		if ok {
+			vals, ok = t.Resolve(ctx, p.schema.Columns[t.Col].Kind, nil)
+		}
+		if ok && p.prune {
+			checks = append(checks, zoneCheckOf(t.Col, t.Op, vals))
+		}
+		if ok && t.Op != "IN" {
+			kernels = append(kernels, vecKernelOf(at, t.Op, vals[0]))
+		} else if t.Conj != left {
+			left = t.Conj
+			residual = exec.And(residual, left)
+		}
+	}
+	if len(checks) > 0 {
+		keep = func(s *colstore.Segment) bool {
+			for _, chk := range checks {
+				if !chk(s) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return keep, kernels, residual
 }
 
 // fragKeepDatum returns the ownership check for the read fragment of
@@ -380,10 +423,11 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 		return scanErr
 	}
 
+	keep, kernels, residual := p.bind(ctx)
 	distPos, bloomPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol)
 	var sel []bool
 	var sparse types.Row // reused for residual predicate evaluation
-	src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, p.keep, func(b *colstore.Batch) bool {
+	src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, keep, func(b *colstore.Batch) bool {
 		if cap(sel) < b.N {
 			sel = make([]bool, b.N)
 		}
@@ -391,7 +435,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 		for i := range sel {
 			sel[i] = true
 		}
-		for _, k := range p.kernels {
+		for _, k := range kernels {
 			if err := k(b, sel); err != nil {
 				scanErr = err
 				return false
@@ -401,7 +445,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 		// each survivor materialized on the spot (so a full bare-LIMIT heap
 		// stops the scan mid-batch); the vector-fed aggregate takes the whole
 		// vector afterwards, in one tight loop.
-		refine := sink.vec == nil || src.owns != nil || bf != nil || p.residual != nil
+		refine := sink.vec == nil || src.owns != nil || bf != nil || residual != nil
 		for i := 0; refine && i < b.N; i++ {
 			if !sel[i] {
 				continue
@@ -416,14 +460,14 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					continue
 				}
 			}
-			if p.residual != nil {
+			if residual != nil {
 				if sparse == nil {
 					sparse = make(types.Row, p.tableCols)
 				}
 				for j, c := range p.scanCols {
 					sparse[c] = b.Cols[j].DatumAt(i)
 				}
-				ok, err := exec.EvalBool(p.residual, ctx, sparse)
+				ok, err := exec.EvalBool(residual, ctx, sparse)
 				if err != nil {
 					scanErr = err
 					return false

@@ -48,7 +48,7 @@ func (p *Prepared) Exec(params []types.Datum) (*Result, error) {
 	case *sqlx.DropTable:
 		return &Result{}, s.c.dropTable(st)
 	case *sqlx.Explain:
-		return s.execExplain(sqlx.Bind(st, params).(*sqlx.Explain))
+		return s.execExplain(st, params)
 	case *sqlx.Insert, *sqlx.Update, *sqlx.Delete, *sqlx.Select:
 		return s.execInTxn(p, params)
 	default:
@@ -97,8 +97,8 @@ type unit interface {
 
 // unitFor returns the statement's compiled unit and the access object it is
 // bound to, compiling it if there is none under the current stamp. A DML
-// statement with a subquery in an expression is compiled by every execution
-// from the statement with params bound, as a scatter SELECT is planned (see
+// statement with a subquery in an expression is compiled by every execution,
+// for that execution's values, as a scatter SELECT is planned (see
 // selectUnit.plan; a subquery is a SELECT without a unit of its own). So, for
 // this execution only, is a shape the planner cannot compile with parameters
 // standing in for literals — a select item that must match a GROUP BY
@@ -110,37 +110,27 @@ func (p *Prepared) unitFor(params []types.Datum) (unit, *stmtAccess, error) {
 		return p.unit, p.access, nil
 	}
 	p.unit = nil
-	stmt, keep := p.stmt, true
-	if len(params) > 0 && hasExprSubquery(stmt) {
-		stmt, keep = sqlx.Bind(stmt, params), false
+	if len(params) == 0 || !hasExprSubquery(p.stmt) {
+		a := s.newStmtAccess()
+		u, err := s.compile(a, p.stmt, nil, len(params) == 0)
+		if err == nil {
+			p.unit, p.access, p.stamp = u, a, stamp
+			return u, a, nil
+		}
+		if len(params) == 0 {
+			return nil, nil, err
+		}
 	}
 	a := s.newStmtAccess()
-	u, err := s.compile(a, stmt, !keep || len(params) == 0)
-	if err != nil && keep && len(params) > 0 {
-		keep, a = false, s.newStmtAccess()
-		u, err = s.compile(a, sqlx.Bind(stmt, params), true)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if keep {
-		p.unit, p.access, p.stamp = u, a, stamp
-	}
-	return u, a, nil
+	u, err := s.compile(a, p.stmt, params, true)
+	return u, a, err
 }
 
 // hasExprSubquery reports whether a DML statement holds a subquery in its
 // VALUES rows, SET list or WHERE clause.
 func hasExprSubquery(stmt sqlx.Statement) bool {
 	found := false
-	visit := func(e sqlx.Expr) {
-		sqlx.WalkExpr(e, func(x sqlx.Expr) bool {
-			if _, ok := x.(*sqlx.Subquery); ok {
-				found = true
-			}
-			return !found
-		})
-	}
+	visit := func(e sqlx.Expr) { found = found || sqlx.HasSubquery(e) }
 	switch st := stmt.(type) {
 	case *sqlx.Insert:
 		for _, row := range st.Rows {
@@ -159,18 +149,20 @@ func hasExprSubquery(stmt sqlx.Statement) bool {
 	return found
 }
 
-// compile compiles stmt over a. literal says stmt holds no parameters: every
-// execution of it would be planned alike.
-func (s *Session) compile(a *stmtAccess, stmt sqlx.Statement, literal bool) (unit, error) {
+// compile compiles stmt over a: for every execution (values nil: parameters
+// stay parameters), or for the one execution whose values these are. literal
+// says the planner meets no parameter it has no value for: every execution
+// compiled so would be planned alike.
+func (s *Session) compile(a *stmtAccess, stmt sqlx.Statement, values []types.Datum, literal bool) (unit, error) {
 	switch st := stmt.(type) {
 	case *sqlx.Select:
-		return s.compileSelect(a, st, literal)
+		return s.compileSelect(a, st, values, literal)
 	case *sqlx.Insert:
-		return s.compileInsert(a, st, literal)
+		return s.compileInsert(a, st, values, literal)
 	case *sqlx.Update:
-		return s.compileRewrite(a, OpUpdate, st.Table, st.Where, st.Set)
+		return s.compileRewrite(a, OpUpdate, st.Table, st.Where, st.Set, values)
 	case *sqlx.Delete:
-		return s.compileRewrite(a, OpDelete, st.Table, st.Where, nil)
+		return s.compileRewrite(a, OpDelete, st.Table, st.Where, nil, values)
 	default:
 		return nil, fmt.Errorf("cluster: unsupported statement %T in transaction", stmt)
 	}
@@ -185,12 +177,8 @@ func (s *Session) compile(a *stmtAccess, stmt sqlx.Statement, literal bool) (uni
 // in for one. nil means where does not pin ti's distribution key.
 func distKeyValue(ti *TableInfo, scope *plan.Scope, where sqlx.Expr) sqlx.Expr {
 	for _, conj := range sqlx.SplitConjuncts(where) {
-		b, ok := conj.(*sqlx.BinaryOp)
-		if !ok || b.Op != sqlx.OpEq {
-			continue
-		}
-		col, val := colValue(b)
-		if col == nil {
+		col, op, val, ok := sqlx.MatchColumnValue(conj)
+		if !ok || op != sqlx.OpEq {
 			continue
 		}
 		if i, err := scope.Resolve(col.Table, col.Column); err == nil && i == ti.Meta.DistKey {
@@ -198,34 +186,6 @@ func distKeyValue(ti *TableInfo, scope *plan.Scope, where sqlx.Expr) sqlx.Expr {
 		}
 	}
 	return nil
-}
-
-// colValue splits `column = value` (either way round); value is a
-// *sqlx.Literal or a *sqlx.Param.
-func colValue(b *sqlx.BinaryOp) (*sqlx.ColumnRef, sqlx.Expr) {
-	if cr, ok := b.Left.(*sqlx.ColumnRef); ok && isValue(b.Right) {
-		return cr, b.Right
-	}
-	if cr, ok := b.Right.(*sqlx.ColumnRef); ok && isValue(b.Left) {
-		return cr, b.Left
-	}
-	return nil, nil
-}
-
-func isValue(e sqlx.Expr) bool {
-	switch e.(type) {
-	case *sqlx.Literal, *sqlx.Param:
-		return true
-	}
-	return false
-}
-
-// valueOf evaluates what colValue returned under the execution's parameters.
-func valueOf(e sqlx.Expr, params []types.Datum) types.Datum {
-	if p, ok := e.(*sqlx.Param); ok {
-		return p.Value(params)
-	}
-	return e.(*sqlx.Literal).Value
 }
 
 func shortAlias(name string) string {
@@ -248,80 +208,56 @@ func allDNs(n int) []int {
 // ---------------------------------------------------------------------------
 
 // keyProbe is the access path a pushed predicate offers a row partition: the
-// value its top-level `col = value` conjuncts pin each primary-key column
-// to, in key order. It only says where to look — every candidate still goes
-// through the whole predicate.
+// `col = value` term that pins each primary-key column, in key order. It
+// only says where to look — every candidate still goes through the whole
+// predicate.
 type keyProbe struct {
-	vals  []exec.Expr  // constants and parameters, one per key column
+	terms []exec.Term
 	kinds []types.Kind // the key columns' declared kinds
 }
 
-// keyProbeOf extracts the probe from pred, compiled over meta's row scope;
-// nil when some key column is left unpinned (or there is no key).
-func keyProbeOf(pred exec.Expr, meta *plan.TableMeta) *keyProbe {
-	if pred == nil || len(meta.PKCols) == 0 {
+// keyProbeOf extracts the probe from a predicate's terms (compiled over
+// meta's row scope); nil when some key column is left unpinned (or there is
+// no key).
+func keyProbeOf(terms []exec.Term, meta *plan.TableMeta) *keyProbe {
+	if len(meta.PKCols) == 0 {
 		return nil
 	}
-	k := &keyProbe{vals: make([]exec.Expr, len(meta.PKCols)), kinds: make([]types.Kind, len(meta.PKCols))}
-	var walk func(e exec.Expr)
-	walk = func(e exec.Expr) {
-		b, ok := e.(*exec.BinOp)
-		if !ok {
-			return
+	k := &keyProbe{terms: make([]exec.Term, len(meta.PKCols)), kinds: make([]types.Kind, len(meta.PKCols))}
+	for i, col := range meta.PKCols {
+		t := pinOf(terms, col)
+		if t == nil {
+			return nil
 		}
-		if b.Op == "AND" {
-			walk(b.Left)
-			walk(b.Right)
-			return
-		}
-		if b.Op != "=" {
-			return
-		}
-		col, val := b.Left, b.Right
-		if _, ok := col.(*exec.ColRef); !ok {
-			col, val = val, col
-		}
-		cr, ok := col.(*exec.ColRef)
-		if !ok || !isExecValue(val) {
-			return
-		}
-		if at := slices.Index(meta.PKCols, cr.Index); at >= 0 && k.vals[at] == nil {
-			k.vals[at], k.kinds[at] = val, meta.Schema.Columns[cr.Index].Kind
-		}
-	}
-	walk(pred)
-	if slices.Contains(k.vals, nil) {
-		return nil
+		k.terms[i], k.kinds[i] = *t, meta.Schema.Columns[col].Kind
 	}
 	return k
 }
 
-func isExecValue(e exec.Expr) bool {
-	switch x := e.(type) {
-	case *exec.Const, *exec.Param:
-		return true
-	case *exec.Neg:
-		_, ok := x.Child.(*exec.Param)
-		return ok
+// pinOf returns the first `col = value` term among terms, nil for none.
+func pinOf(terms []exec.Term, col int) *exec.Term {
+	for i := range terms {
+		if t := &terms[i]; t.Op == "=" && t.Col == col {
+			return t
+		}
 	}
-	return false
+	return nil
 }
 
 // key evaluates the probe for one execution. nil — walk the partition —
-// when a value is NULL or of a kind its column cannot be compared with: the
-// predicate then matches nothing or fails on every row, and either way it
-// must get to say so.
+// when a value does not resolve (exec.Term.Resolve): the predicate then
+// matches nothing or fails on every row, and either way it must get to say
+// so.
 func (k *keyProbe) key(ctx *exec.Ctx) types.Row {
 	if k == nil {
 		return nil
 	}
-	key := make(types.Row, len(k.vals))
-	for i, e := range k.vals {
-		v, err := e.Eval(ctx, nil)
-		if err != nil || v.IsNull() || !types.Comparable(v.Kind(), k.kinds[i]) {
+	key := make(types.Row, 0, len(k.terms))
+	for i := range k.terms {
+		var ok bool
+		if key, ok = k.terms[i].Resolve(ctx, k.kinds[i], key); !ok {
 			return nil
 		}
-		key[i] = v
 	}
 	return key
 }
@@ -349,9 +285,9 @@ type selectUnit struct {
 	// (every table pinned, or only replicated ones read) or holds no
 	// parameters. A scatter statement's plan depends on how selective its
 	// literals are, so one whose literals change is planned by every
-	// execution, from the statement with its values bound; and so is any
-	// statement calling a table function, whose engine may answer while it
-	// is being planned.
+	// execution, for that execution's values; and so is any statement
+	// calling a table function, whose engine may answer while it is being
+	// planned.
 	plan *plan.Plan
 }
 
@@ -361,13 +297,13 @@ type pinnedTable struct {
 }
 
 // compileSelect analyses sel's routing and plans it over a if the plan is
-// one to keep (see selectUnit.plan; literal: sel holds no parameters).
-func (s *Session) compileSelect(a *stmtAccess, sel *sqlx.Select, literal bool) (*selectUnit, error) {
+// one to keep (see selectUnit.plan and compile).
+func (s *Session) compileSelect(a *stmtAccess, sel *sqlx.Select, values []types.Datum, literal bool) (*selectUnit, error) {
 	u := &selectUnit{s: s, sel: sel, analytical: plan.AnalyticalShape(sel)}
 	u.analyzeRoutes(sel, nil)
 	if (!u.scatter || literal) && !u.engines {
 		a.scatter = u.scatter // the planner asks (JoinScan), as it will of every execution's route
-		p, err := s.planner(a).PlanSelect(sel)
+		p, err := s.planner(a, values).PlanSelect(sel)
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +407,8 @@ func (u *selectUnit) route(a *stmtAccess, params []types.Datum) []int {
 		owners = c.scanTargetsLocked()
 	default:
 		for _, p := range u.pinned {
-			shard := c.shardFor(valueOf(p.val, params))
+			v, _ := sqlx.ValueOf(p.val, params)
+			shard := c.shardFor(v)
 			a.route(p.table, shard)
 			if at, found := slices.BinarySearch(a.owners, shard); !found {
 				a.owners = slices.Insert(a.owners, at, shard)
@@ -493,7 +430,7 @@ func (u *selectUnit) open(a *stmtAccess, ctx *exec.Ctx) (*plan.Plan, error) {
 	if u.plan != nil {
 		return u.plan, nil
 	}
-	return u.s.planner(a).PlanSelect(sqlx.Bind(u.sel, ctx.Params).(*sqlx.Select))
+	return u.s.planner(a, ctx.Params).PlanSelect(u.sel)
 }
 
 func (u *selectUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
@@ -586,7 +523,7 @@ type insertUnit struct {
 	query  *selectUnit
 }
 
-func (s *Session) compileInsert(a *stmtAccess, ins *sqlx.Insert, literal bool) (*insertUnit, error) {
+func (s *Session) compileInsert(a *stmtAccess, ins *sqlx.Insert, values []types.Datum, literal bool) (*insertUnit, error) {
 	ti, err := s.c.tableInfo(ins.Table)
 	if err != nil {
 		return nil, err
@@ -611,11 +548,11 @@ func (s *Session) compileInsert(a *stmtAccess, ins *sqlx.Insert, literal bool) (
 	}
 
 	if ins.Query != nil {
-		u.query, err = s.compileSelect(a, ins.Query, literal)
+		u.query, err = s.compileSelect(a, ins.Query, values, literal)
 		return u, err
 	}
 	// VALUES rows hold no column references: compile against an empty scope.
-	pl, scope := s.planner(a), &plan.Scope{}
+	pl, scope := s.planner(a, values), &plan.Scope{}
 	u.rows = make([][]exec.Expr, len(ins.Rows))
 	for i, exprRow := range ins.Rows {
 		if len(exprRow) != len(u.colIdx) {
@@ -720,19 +657,20 @@ type setClause struct {
 }
 
 // rewriteUnit is a compiled UPDATE (op OpUpdate, applying sets) or DELETE
-// (OpDelete): the victim predicate, the value that pins the distribution key
-// (nil: every primary) and the primary-key access path the predicate offers.
+// (OpDelete): the victim predicate and what its terms offer — the value that
+// pins the distribution key (nil: every primary) and the primary-key access
+// path.
 type rewriteUnit struct {
 	s     *Session
 	op    WriteOp
 	ti    *TableInfo
 	pred  exec.Expr
 	sets  []setClause
-	shard sqlx.Expr
+	shard exec.Expr
 	key   *keyProbe
 }
 
-func (s *Session) compileRewrite(a *stmtAccess, op WriteOp, table string, where sqlx.Expr, set []sqlx.Assignment) (*rewriteUnit, error) {
+func (s *Session) compileRewrite(a *stmtAccess, op WriteOp, table string, where sqlx.Expr, set []sqlx.Assignment, values []types.Datum) (*rewriteUnit, error) {
 	ti, err := s.c.tableInfo(table)
 	if err != nil {
 		return nil, err
@@ -741,7 +679,7 @@ func (s *Session) compileRewrite(a *stmtAccess, op WriteOp, table string, where 
 		return nil, fmt.Errorf("cluster: %s is not supported on columnar table %q (use row storage)", strings.ToUpper(op.String()), table)
 	}
 	u := &rewriteUnit{s: s, op: op, ti: ti}
-	pl := s.planner(a)
+	pl := s.planner(a, values)
 	scope := plan.TableScope(ti.Meta, shortAlias(ti.Meta.Name))
 	if where != nil {
 		if u.pred, err = pl.CompileScalar(where, scope); err != nil {
@@ -763,10 +701,11 @@ func (s *Session) compileRewrite(a *stmtAccess, op WriteOp, table string, where 
 		}
 		u.sets = append(u.sets, setClause{col: i, e: ce})
 	}
-	if !ti.replicated {
-		u.shard = distKeyValue(ti, scope, where)
+	terms, _ := exec.SplitTerms(u.pred)
+	if pin := pinOf(terms, ti.Meta.DistKey); pin != nil {
+		u.shard = pin.Vals[0]
 	}
-	u.key = keyProbeOf(u.pred, ti.Meta)
+	u.key = keyProbeOf(terms, ti.Meta)
 	return u, nil
 }
 
@@ -774,15 +713,18 @@ func (s *Session) compileRewrite(a *stmtAccess, op WriteOp, table string, where 
 // every non-retired replica (standbys included); scatter writes on
 // distributed tables cover the primaries only — standbys receive them
 // through the commit log.
-func (u *rewriteUnit) targets(params []types.Datum) []int {
+func (u *rewriteUnit) targets(ctx *exec.Ctx) ([]int, error) {
 	c := u.s.c
 	switch {
 	case u.ti.replicated:
-		return c.replicaTargetsLocked()
+		return c.replicaTargetsLocked(), nil
 	case u.shard != nil:
-		return []int{c.shardFor(valueOf(u.shard, params))}
+		// Whatever the value — NULL, or of a kind the key never holds, the
+		// predicate then answers for on that shard as on any.
+		v, err := u.shard.Eval(ctx, nil)
+		return []int{c.shardFor(v)}, err
 	}
-	return c.scanTargetsLocked()
+	return c.scanTargetsLocked(), nil
 }
 
 // run executes the UPDATE / DELETE as a write fragment: on every routed
@@ -794,7 +736,11 @@ func (u *rewriteUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
 	a.t.markDML()
 	c, dk := s.c, ti.Meta.DistKey
 	key := u.key.key(ctx)
-	return s.execWrite(a, ti, u.targets(ctx.Params), func(l writeLeg) (int, error) {
+	targets, err := u.targets(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return s.execWrite(a, ti, targets, func(l writeLeg) (int, error) {
 		// Rows whose bucket this partition does not own are migration
 		// phantoms and silently skipped; an owned row in a bucket frozen for
 		// cutover fails the statement (see frozenErr).

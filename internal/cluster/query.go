@@ -269,9 +269,10 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 		}), true
 }
 
-// planner builds the statement's planner over its access object.
-func (s *Session) planner(a *stmtAccess) *plan.Planner {
-	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy, Pushdown: s.c.Pushdown}
+// planner builds the statement's planner over its access object: for the one
+// execution whose parameter values are given, or (nil) for all of them.
+func (s *Session) planner(a *stmtAccess, values []types.Datum) *plan.Planner {
+	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy, Pushdown: s.c.Pushdown, Values: values}
 	if s.c.UseLearnedCard && s.c.Store != nil {
 		p.Estimator = s.c.Store
 	}

@@ -6,7 +6,10 @@ package cluster
 // ternary-logic semantics. Any mismatch is a real engine bug. Every trial
 // is swept over pushdown level × parallel degree on a row-store and a
 // columnar table, so the one fragment program is checked against the model
-// in every shape it is compiled to.
+// in every shape it is compiled to — and runs both as literal text and
+// prepared by shape with its values bound (shapeTwin), which must agree on
+// the answer and on what storage did for it: versions visited, segments and
+// rows scanned and pruned.
 
 import (
 	"errors"
@@ -362,7 +365,7 @@ func TestDifferentialRandomPredicates(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			c := newCluster(t, 4, ModeGTMLite)
 			ref := loadRandomTable(t, c, rng, 120, st.clause)
-			s := c.NewSession()
+			w := newShapeTwin(t, c)
 
 			for trial := 0; trial < 120; trial++ {
 				p := genPred(rng, 3)
@@ -375,7 +378,7 @@ func TestDifferentialRandomPredicates(t *testing.T) {
 				}
 				exp := canon(want)
 				sweepPushdown(c, func(label string) {
-					res, err := s.Exec(sql)
+					res, err := w.exec("rt", sql)
 					if err != nil {
 						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
 					}
@@ -471,14 +474,14 @@ func TestDifferentialRandomAggregates(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			c := newCluster(t, 4, ModeGTMLite)
 			ref := loadRandomTable(t, c, rng, 120, st.clause)
-			s := c.NewSession()
+			w := newShapeTwin(t, c)
 
 			for trial := 0; trial < 60; trial++ {
 				p := genPred(rng, 2)
 				sql := aggSQL(p)
 				exp := canon(refAggregate(ref, p))
 				sweepPushdown(c, func(label string) {
-					res, err := s.Exec(sql)
+					res, err := w.exec("rt", sql)
 					if err != nil {
 						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
 					}
@@ -504,7 +507,7 @@ func TestDifferentialRandomStringGroups(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			c := newCluster(t, 4, ModeGTMLite)
 			ref := loadRandomTable(t, c, rng, 120, st.clause)
-			s := c.NewSession()
+			w := newShapeTwin(t, c)
 
 			for trial := 0; trial < 20; trial++ {
 				p := genPred(rng, 1)
@@ -554,7 +557,7 @@ func TestDifferentialRandomStringGroups(t *testing.T) {
 				}
 				exp := canon(want)
 				sweepPushdown(c, func(label string) {
-					res, err := s.Exec(sql)
+					res, err := w.exec("rt", sql)
 					if err != nil {
 						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
 					}
@@ -617,7 +620,7 @@ func TestDifferentialOrderLimit(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
 			c := newCluster(t, 2, ModeGTMLite)
 			ref := loadRandomTable(t, c, rng, 80, st.clause)
-			s := c.NewSession()
+			w := newShapeTwin(t, c)
 
 			for trial := 0; trial < 30; trial++ {
 				p := genPred(rng, 2)
@@ -633,7 +636,7 @@ func TestDifferentialOrderLimit(t *testing.T) {
 					wantIDs = wantIDs[:limit]
 				}
 				sweepPushdown(c, func(label string) {
-					res, err := s.Exec(sql)
+					res, err := w.exec("rt", sql)
 					if err != nil {
 						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
 					}

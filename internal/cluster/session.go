@@ -491,7 +491,7 @@ func (s *Session) execStatement(t *txn, p *Prepared, params []types.Datum) (*Res
 	return u.run(a, ctx)
 }
 
-func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
+func (s *Session) execExplain(ex *sqlx.Explain, params []types.Datum) (*Result, error) {
 	sel, ok := ex.Stmt.(*sqlx.Select)
 	if !ok {
 		return nil, errors.New("cluster: EXPLAIN supports only SELECT")
@@ -504,12 +504,13 @@ func (s *Session) execExplain(ex *sqlx.Explain) (*Result, error) {
 	s.c.routeMu.RLock()
 	defer s.c.routeMu.RUnlock()
 	access := s.newStmtAccess()
-	u, err := s.compileSelect(access, sel, true)
+	u, err := s.compileSelect(access, sel, params, true)
 	if err != nil {
 		return nil, err
 	}
 	access.reset(t)
 	ctx := exec.NewCtx(s.c.Clock())
+	ctx.Params = params
 	p, err := u.open(access, ctx)
 	if err != nil {
 		return nil, err

@@ -2,60 +2,25 @@ package cluster
 
 import (
 	"repro/internal/colstore"
-	"repro/internal/exec"
 	"repro/internal/types"
 )
 
-// Vectorized selection for NDP scans: pushed-filter conjuncts of the shape
-// col-op-const run directly over decoded column vectors as tight loops,
+// Vectorized selection for NDP scans: the pushed filter's comparison terms
+// (exec.SplitTerms) run directly over decoded column vectors as tight loops,
 // clearing a selection bitmap instead of evaluating the expression
-// interpreter per row. Conjuncts the compiler cannot cover stay in a
-// residual expression the fragment evaluates row-wise — semantics are
-// always identical to exec.EvalBool over the full predicate (NULL
-// comparisons are false, comparison errors propagate).
+// interpreter per row. Conjuncts that are no such term, or whose value does
+// not resolve for the run, stay in a residual expression the fragment
+// evaluates row-wise — semantics are always identical to exec.EvalBool over
+// the full predicate (NULL comparisons are false, comparison errors
+// propagate).
 
-// vecKernel applies one compiled conjunct to a batch, clearing sel[i] for
-// rows that fail it. sel has b.N entries.
+// vecKernel applies one term to a batch, clearing sel[i] for rows that fail
+// it. sel has b.N entries.
 type vecKernel func(b *colstore.Batch, sel []bool) error
 
-// compileVecFilter splits pred into conjuncts and compiles each
-// col-op-const comparison into a kernel; everything else is ANDed back
-// together as the residual. pos maps a table column to its scan projection
-// position (-1: not scanned).
-func compileVecFilter(pred exec.Expr, schema *types.Schema, pos func(col int) int) (kernels []vecKernel, residual exec.Expr) {
-	for _, cj := range splitConjuncts(pred, nil) {
-		if k := compileVecKernel(cj, schema, pos); k != nil {
-			kernels = append(kernels, k)
-		} else if residual == nil {
-			residual = cj
-		} else {
-			residual = &exec.BinOp{Op: "AND", Left: residual, Right: cj}
-		}
-	}
-	return kernels, residual
-}
-
-// compileVecKernel recognizes one col-op-const conjunct (either
-// orientation) and returns its kernel, or nil when the conjunct must stay
-// row-wise.
-func compileVecKernel(e exec.Expr, schema *types.Schema, pos func(col int) int) vecKernel {
-	col, op, v, ok := colOpConst(e)
-	if !ok {
-		return nil
-	}
-	switch op {
-	case "<", "<=", ">", ">=", "=", "<>":
-	default:
-		return nil
-	}
-	if col.Index < 0 || col.Index >= schema.Len() {
-		return nil
-	}
-	at := pos(col.Index)
-	if at < 0 {
-		return nil
-	}
-
+// vecKernelOf builds the kernel of a comparison term with operator op under
+// its resolved value v, over the column at scan projection position at.
+func vecKernelOf(at int, op string, v types.Datum) vecKernel {
 	constIsInt := v.Kind() == types.KindInt
 	constIsNum := constIsInt || v.Kind() == types.KindFloat
 	cI := int64(0)

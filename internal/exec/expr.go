@@ -10,6 +10,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,12 +72,13 @@ type Param struct{ Index int }
 // Eval implements Expr.
 func (p *Param) Eval(ctx *Ctx, _ types.Row) (types.Datum, error) {
 	if p.Index >= len(ctx.Params) {
-		return types.Null, fmt.Errorf("exec: parameter %d not bound (%d given)", p.Index, len(ctx.Params))
+		return types.Null, fmt.Errorf("exec: parameter %s not bound (%d given)", p, len(ctx.Params))
 	}
 	return ctx.Params[p.Index], nil
 }
 
-func (p *Param) String() string { return fmt.Sprintf("?%d", p.Index) }
+// String spells the parameter as sqlx.Param does: $1 is Index 0.
+func (p *Param) String() string { return "$" + strconv.Itoa(p.Index+1) }
 
 // ColRef reads column Index of the current row. Name is retained for
 // canonical display (qualified, upper-cased by the planner when feeding the

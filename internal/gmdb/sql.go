@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gmdb/schema"
+	"repro/internal/plan"
 	"repro/internal/sqlx"
 	"repro/internal/types"
 )
@@ -36,6 +37,7 @@ type SQLSession struct {
 	// scalarCols maps output column -> root field index.
 	scalarCols []int
 	tblSchema  *types.Schema
+	scope      *plan.Scope // tblSchema as the expression compiler binds it
 }
 
 // NewSQLSession opens a SQL session over one object type at one schema
@@ -62,6 +64,7 @@ func (s *Store) NewSQLSession(typ string, version int) (*SQLSession, error) {
 		sess.scalarCols = append(sess.scalarCols, i)
 	}
 	sess.tblSchema = &types.Schema{Columns: cols}
+	sess.scope = plan.TableScope(&plan.TableMeta{Name: typ, Schema: sess.tblSchema}, strings.ToLower(typ))
 	return sess, nil
 }
 
@@ -114,103 +117,28 @@ func (s *SQLSession) objectRow(o *schema.Object) types.Row {
 // remaining conjuncts return as a residual predicate source.
 func (s *SQLSession) keyFromWhere(where sqlx.Expr) (string, bool) {
 	for _, conj := range sqlx.SplitConjuncts(where) {
-		b, ok := conj.(*sqlx.BinaryOp)
-		if !ok || b.Op != sqlx.OpEq {
+		col, op, val, ok := sqlx.MatchColumnValue(conj)
+		if !ok || op != sqlx.OpEq || !strings.EqualFold(col.Column, s.sc.PrimaryKey) {
 			continue
 		}
-		cr, lit := b.Left, b.Right
-		if _, ok := cr.(*sqlx.ColumnRef); !ok {
-			cr, lit = b.Right, b.Left
+		if key, ok := sqlx.ValueOf(val, nil); ok {
+			return key.String(), true
 		}
-		col, ok := cr.(*sqlx.ColumnRef)
-		if !ok || !strings.EqualFold(col.Column, s.sc.PrimaryKey) {
-			continue
-		}
-		l, ok := lit.(*sqlx.Literal)
-		if !ok {
-			continue
-		}
-		return l.Value.String(), true
 	}
 	return "", false
 }
 
-// compilePred compiles a WHERE clause against the scalar table schema.
+// compilePred compiles a WHERE clause against the scalar table schema with
+// the engine's expression compiler. GMDB has no joins or subqueries: there
+// is no catalog for one to plan against.
 func (s *SQLSession) compilePred(where sqlx.Expr) (exec.Expr, error) {
 	if where == nil {
 		return nil, nil
 	}
-	return compileScalarExpr(where, s.tblSchema)
-}
-
-// compileScalarExpr resolves column references positionally against a flat
-// schema — a minimal binder (GMDB has no joins or subqueries).
-func compileScalarExpr(e sqlx.Expr, tbl *types.Schema) (exec.Expr, error) {
-	switch x := e.(type) {
-	case *sqlx.Literal:
-		return &exec.Const{Value: x.Value}, nil
-	case *sqlx.ColumnRef:
-		i := tbl.ColumnIndex(x.Column)
-		if i < 0 {
-			return nil, fmt.Errorf("gmdb: unknown column %q", x.Column)
-		}
-		return &exec.ColRef{Index: i, Name: strings.ToUpper(x.Column)}, nil
-	case *sqlx.BinaryOp:
-		l, err := compileScalarExpr(x.Left, tbl)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileScalarExpr(x.Right, tbl)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.BinOp{Op: x.Op, Left: l, Right: r}, nil
-	case *sqlx.UnaryOp:
-		c, err := compileScalarExpr(x.Child, tbl)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "NOT" {
-			return &exec.Not{Child: c}, nil
-		}
-		return &exec.Neg{Child: c}, nil
-	case *sqlx.IsNull:
-		c, err := compileScalarExpr(x.Child, tbl)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.IsNullExpr{Child: c, Not: x.Not}, nil
-	case *sqlx.Between:
-		c, err := compileScalarExpr(x.Child, tbl)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileScalarExpr(x.Lo, tbl)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileScalarExpr(x.Hi, tbl)
-		if err != nil {
-			return nil, err
-		}
-		return &exec.BetweenExpr{Child: c, Lo: lo, Hi: hi, Not: x.Not}, nil
-	case *sqlx.InList:
-		c, err := compileScalarExpr(x.Child, tbl)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]exec.Expr, len(x.List))
-		for i, item := range x.List {
-			ce, err := compileScalarExpr(item, tbl)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = ce
-		}
-		return &exec.InListExpr{Child: c, List: list, Not: x.Not}, nil
-	default:
-		return nil, fmt.Errorf("gmdb: unsupported SQL expression %T", e)
+	if sqlx.HasSubquery(where) {
+		return nil, fmt.Errorf("gmdb: subqueries are not supported (single-object KV store)")
 	}
+	return new(plan.Planner).CompileScalar(where, s.scope)
 }
 
 func (s *SQLSession) execSelect(sel *sqlx.Select) (*SQLResult, error) {

@@ -188,3 +188,39 @@ func TestSQLPredicateShapes(t *testing.T) {
 		t.Error("subquery must be rejected")
 	}
 }
+
+// TestSQLPredicatesUseTheEngineCompiler: GMDB predicates compile with the
+// planner's expression compiler, so the forms the private binder refused
+// (functions, CASE), qualified columns and a key written value-first all
+// work — and a subquery, which would need a catalog, says so.
+func TestSQLPredicatesUseTheEngineCompiler(t *testing.T) {
+	_, sess := newSQL(t, 5)
+	for i := 0; i < 5; i++ {
+		sess.Exec(fmt.Sprintf(`INSERT INTO mme_session (imsi, tac, apn) VALUES ('p%d', %d, 'apn-%d')`, i, i*10, i%2))
+	}
+	for q, want := range map[string]int{
+		`SELECT imsi FROM mme_session WHERE apn LIKE 'apn-0%'`:                                      3,
+		`SELECT imsi FROM mme_session WHERE CASE WHEN tac >= 20 THEN apn ELSE 'none' END = 'apn-0'`: 2,
+		`SELECT imsi FROM mme_session WHERE tac * 2 + 1 > 41 AND abs(tac - 50) <= 20`:               2,
+		`SELECT imsi FROM mme_session WHERE upper(mme_session.apn) = 'APN-1' AND 'p3' = imsi`:       1,
+	} {
+		res, err := sess.Exec(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if len(res.Rows) != want {
+			t.Errorf("%q: %d rows, want %d", q, len(res.Rows), want)
+		}
+	}
+	if res, err := sess.Exec(`DELETE FROM mme_session WHERE 'p4' = imsi`); err != nil || res.RowsAffected != 1 {
+		t.Errorf("DELETE by a key written value-first: %v, %v", res, err)
+	}
+	for _, q := range []string{
+		`SELECT imsi FROM mme_session WHERE imsi IN (SELECT imsi FROM mme_session)`,
+		`SELECT imsi FROM mme_session WHERE tac > 0 AND NOT (apn = (SELECT 'x'))`,
+	} {
+		if _, err := sess.Exec(q); err == nil || !strings.Contains(err.Error(), "subqueries are not supported") {
+			t.Errorf("%q: err = %v, want a refusal naming subqueries", q, err)
+		}
+	}
+}

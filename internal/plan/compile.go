@@ -26,6 +26,9 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 	case *sqlx.Literal:
 		return &exec.Const{Value: x.Value}, nil
 	case *sqlx.Param:
+		if v, ok := sqlx.ValueOf(x, pc.p.Values); ok {
+			return &exec.Const{Value: v}, nil
+		}
 		if x.Neg {
 			return &exec.Neg{Child: &exec.Param{Index: x.Index}}, nil
 		}

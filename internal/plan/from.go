@@ -307,7 +307,7 @@ func (pc *pctx) planBaseTable(bt *sqlx.BaseTable, conjuncts []sqlx.Expr) (exec.O
 		}
 		preds = append(preds, ce)
 		predTexts = append(predTexts, NormalizePredicate(ce.String()))
-		sel *= estimateConjunctSelectivity(pc.p.costs(), meta, scope, c)
+		sel *= estimateConjunctSelectivity(pc.p.costs(), meta, scope, c, pc.p.Values)
 		pc.consumed[c] = true
 	}
 	var combinedPred exec.Expr
@@ -478,17 +478,18 @@ func (pc *pctx) estimateJoin(l, r float64, nkeys int) float64 {
 	return l * r * cm.JoinSelectivity
 }
 
-// estimateConjunctSelectivity inspects a single-table conjunct's AST.
-func estimateConjunctSelectivity(cm CostModel, meta *TableMeta, scope *Scope, e sqlx.Expr) float64 {
-	if meta.Stats == nil {
+// estimateConjunctSelectivity inspects a single-table conjunct's AST: a
+// comparison of a column with a value known while planning (a literal, or a
+// parameter of the execution planned for) is estimated from the column's
+// statistics, anything else by shape.
+func estimateConjunctSelectivity(cm CostModel, meta *TableMeta, scope *Scope, e sqlx.Expr, values []types.Datum) float64 {
+	cr, op, val, ok := sqlx.MatchColumnValue(e)
+	if !ok || meta.Stats == nil {
 		return defaultSelectivityFor(cm, e)
 	}
-	b, ok := e.(*sqlx.BinaryOp)
-	if !ok {
-		return defaultSelectivityFor(cm, e)
-	}
-	col, lit, op := classifyColLit(b, scope)
-	if col < 0 {
+	col, err := scope.resolve(cr.Table, cr.Column)
+	v, known := sqlx.ValueOf(val, values)
+	if err != nil || col < 0 || !known {
 		return defaultSelectivityFor(cm, e)
 	}
 	cs := &meta.Stats.Cols[col]
@@ -498,35 +499,10 @@ func estimateConjunctSelectivity(cm CostModel, meta *TableMeta, scope *Scope, e 
 	case sqlx.OpNe:
 		return 1 - cs.SelectivityEq()
 	case sqlx.OpLt, sqlx.OpLe:
-		return cs.SelectivityLE(lit)
-	case sqlx.OpGt, sqlx.OpGe:
-		return 1 - cs.SelectivityLE(lit)
-	case sqlx.OpLike:
-		return cm.LikeSelectivity
-	default:
-		return defaultSelectivityFor(cm, e)
+		return cs.SelectivityLE(v)
+	default: // OpGt, OpGe
+		return 1 - cs.SelectivityLE(v)
 	}
-}
-
-// classifyColLit recognizes `col OP literal` and `literal OP col` (with the
-// operator flipped) over the given single-table scope.
-func classifyColLit(b *sqlx.BinaryOp, scope *Scope) (int, types.Datum, string) {
-	if cr, ok := b.Left.(*sqlx.ColumnRef); ok {
-		if lit, ok := b.Right.(*sqlx.Literal); ok {
-			if i, err := scope.resolve(cr.Table, cr.Column); err == nil && i >= 0 {
-				return i, lit.Value, b.Op
-			}
-		}
-	}
-	if cr, ok := b.Right.(*sqlx.ColumnRef); ok {
-		if lit, ok := b.Left.(*sqlx.Literal); ok {
-			if i, err := scope.resolve(cr.Table, cr.Column); err == nil && i >= 0 {
-				flip := map[string]string{sqlx.OpLt: sqlx.OpGt, sqlx.OpLe: sqlx.OpGe, sqlx.OpGt: sqlx.OpLt, sqlx.OpGe: sqlx.OpLe, sqlx.OpEq: sqlx.OpEq, sqlx.OpNe: sqlx.OpNe}
-				return i, lit.Value, flip[b.Op]
-			}
-		}
-	}
-	return -1, types.Null, ""
 }
 
 func defaultSelectivityFor(cm CostModel, e sqlx.Expr) float64 {

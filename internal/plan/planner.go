@@ -31,6 +31,12 @@ type Planner struct {
 	// Pushdown caps how much work the planner pushes into scans (ndp.go);
 	// the zero value pushes everything.
 	Pushdown PushdownLevel
+	// Values are the parameter values of the one execution being planned
+	// for: a sqlx.Param they reach compiles to the constant it stands for,
+	// so step text, estimates and textual GROUP BY matching are those of the
+	// statement written with its literals. nil plans for every execution: a
+	// parameter compiles to an exec.Param read from exec.Ctx.Params.
+	Values []types.Datum
 }
 
 // costs resolves the cost model from the catalog, defaulting to the stock
@@ -556,11 +562,7 @@ func (pc *pctx) compileConjuncts(conjs []sqlx.Expr) (exec.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if out == nil {
-			out = ce
-		} else {
-			out = &exec.BinOp{Op: "AND", Left: out, Right: ce}
-		}
+		out = exec.And(out, ce)
 	}
 	return out, nil
 }

@@ -18,8 +18,9 @@ import (
 // yield the same token kinds with the same text up to letter case — so two
 // texts share a key only if they differ in lifted literals alone. And the
 // statement parsed once for the shape must be the text's own: parsing with
-// parameter nodes at the lifted positions and binding the lifted values
-// yields the AST sqlx.Parse(text) yields, or fails as it fails.
+// parameter nodes at the lifted positions yields the AST sqlx.Parse(text)
+// yields but for a parameter, standing for the lifted value, where each
+// lifted literal is — or fails as it fails.
 func FuzzNormalizeSQL(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT 1 -- c\n, 2",
@@ -35,6 +36,8 @@ func FuzzNormalizeSQL(f *testing.F) {
 		"EXPLAIN SELECT * FROM ggraph('g.V(1)') h, gspatial(box(1, 2)) s, gtimeseries(SELECT 1) g WHERE h.id = 4",
 		"CREATE TABLE t (k BIGINT, v VARCHAR(10), PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)",
 		"SELECT (SELECT max(a) FROM u WHERE b = 1 ORDER BY 1 LIMIT 1) + 5, $1, '$S', \"$I\" FROM t",
+		"SELECT v FROM t WHERE -5 < k AND 3 >= k AND k BETWEEN -2 AND +7 AND w IN (-1, 2.5e3, 'a''b')",
+		"DELETE FROM t WHERE 'x' = s AND NOT (k NOT BETWEEN 1 AND - 2) AND k NOT IN (-0, - -1) OR 4.0 <> k",
 	} {
 		f.Add(seed)
 	}
@@ -88,8 +91,8 @@ func FuzzNormalizeSQL(f *testing.F) {
 		case liftErr != nil:
 			t.Fatalf("Parse(%q) succeeds, ParseLifted fails with %v", sql, liftErr)
 		default:
-			if bound := sqlx.Bind(lifted, sh.Params); !reflect.DeepEqual(bound, ast) {
-				t.Fatalf("%q parses to %s, its shape %q bound with %v to %s", sql, ast, sh.Key, sh.Params, bound)
+			if !sameAST(reflect.ValueOf(lifted), reflect.ValueOf(ast), sh.Params) {
+				t.Fatalf("%q parses to %s, its shape %q with %v to %s", sql, ast, sh.Key, sh.Params, lifted)
 			}
 			// The planner reads a bare integer in GROUP BY / ORDER BY as an
 			// output position; a parameter there would read as an expression.
@@ -98,6 +101,46 @@ func FuzzNormalizeSQL(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameAST walks two ASTs in step and reports whether lifted is ast with a
+// parameter in place of some literals, each standing under params for the
+// literal's value.
+func sameAST(lifted, ast reflect.Value, params []types.Datum) bool {
+	if lifted.Type() != ast.Type() {
+		return false
+	}
+	switch lifted.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if lifted.IsNil() || ast.IsNil() {
+			return lifted.IsNil() == ast.IsNil()
+		}
+		if p, ok := lifted.Interface().(*sqlx.Param); ok {
+			lit, isLit := ast.Interface().(*sqlx.Literal)
+			return isLit && p.Index < len(params) && reflect.DeepEqual(lit.Value, p.Value(params))
+		}
+		return sameAST(lifted.Elem(), ast.Elem(), params)
+	case reflect.Slice:
+		if lifted.Len() != ast.Len() || lifted.IsNil() != ast.IsNil() {
+			return false
+		}
+		for i := 0; i < lifted.Len(); i++ {
+			if !sameAST(lifted.Index(i), ast.Index(i), params) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		if _, leaf := lifted.Interface().(types.Datum); !leaf {
+			for i := 0; i < lifted.NumField(); i++ {
+				if !sameAST(lifted.Field(i), ast.Field(i), params) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return reflect.DeepEqual(lifted.Interface(), ast.Interface())
 }
 
 // paramOrdinal walks an AST and reports whether some SELECT has a parameter

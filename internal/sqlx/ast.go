@@ -665,6 +665,17 @@ func IsAggregate(e Expr) bool {
 	return found
 }
 
+// HasSubquery reports whether the expression tree holds a subquery.
+func HasSubquery(e Expr) bool {
+	found := false
+	WalkExpr(e, func(x Expr) bool {
+		_, isSub := x.(*Subquery)
+		found = found || isSub
+		return !found
+	})
+	return found
+}
+
 // SplitConjuncts flattens an expression into its top-level AND conjuncts.
 func SplitConjuncts(e Expr) []Expr {
 	if e == nil {

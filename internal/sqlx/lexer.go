@@ -76,7 +76,7 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 // Next returns the next token, or an error for unterminated strings and
 // illegal characters.
 func (l *Lexer) Next() (Token, error) {
-	l.skipSpaceAndComments()
+	l.pos = skipSpace(l.src, l.pos)
 	if l.pos >= len(l.src) {
 		return Token{Kind: TokEOF, Pos: l.pos}, nil
 	}
@@ -97,35 +97,20 @@ func (l *Lexer) Next() (Token, error) {
 	case c >= '0' && c <= '9':
 		l.pos = scanNumber(l.src, l.pos)
 		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
-	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				// '' escapes a single quote.
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+	case c == '\'' || c == '"':
+		end, closed := scanQuoted(l.src, start)
+		if !closed {
+			what := "string literal"
+			if c == '"' {
+				what = "quoted identifier"
 			}
-			sb.WriteByte(ch)
-			l.pos++
+			return Token{}, fmt.Errorf("sqlx: unterminated %s at offset %d", what, start)
 		}
-		return Token{}, fmt.Errorf("sqlx: unterminated string literal at offset %d", start)
-	case c == '"':
-		// Double-quoted identifier.
-		l.pos++
-		end := strings.IndexByte(l.src[l.pos:], '"')
-		if end < 0 {
-			return Token{}, fmt.Errorf("sqlx: unterminated quoted identifier at offset %d", start)
+		l.pos = end
+		if c == '"' {
+			return Token{Kind: TokIdent, Text: l.src[start+1 : end-1], Pos: start}, nil
 		}
-		text := l.src[l.pos : l.pos+end]
-		l.pos += end + 1
-		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
+		return Token{Kind: TokString, Text: quotedValue(l.src[start+1 : end-1]), Pos: start}, nil
 	default:
 		// Multi-character operators first.
 		for _, op := range []string{"<>", "<=", ">=", "!=", "||"} {
@@ -145,7 +130,8 @@ func (l *Lexer) Next() (Token, error) {
 // scanNumber returns the end of the number token starting at src[pos] (a
 // digit): digits, at most one point, and an exponent only when digits
 // follow it. Normalize scans numbers with it too, so a statement's shape
-// and its tokens cannot disagree on where a number ends.
+// and its tokens cannot disagree on where a number ends; skipSpace and
+// scanQuoted are shared the same way.
 func scanNumber(src string, pos int) int {
 	pos++
 	seenDot := false
@@ -176,30 +162,61 @@ func scanNumber(src string, pos int) int {
 	return pos
 }
 
-func (l *Lexer) skipSpaceAndComments() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+// skipSpace returns the end of the run of whitespace and comments (`--` to
+// end of line, `/* */`; an unterminated one runs to the end) starting at
+// src[pos]; pos itself when there is none.
+func skipSpace(src string, pos int) int {
+	for pos < len(src) {
+		c := src[pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case strings.HasPrefix(l.src[l.pos:], "--"):
-			nl := strings.IndexByte(l.src[l.pos:], '\n')
+			pos++
+		case c == '-' && strings.HasPrefix(src[pos:], "--"):
+			nl := strings.IndexByte(src[pos:], '\n')
 			if nl < 0 {
-				l.pos = len(l.src)
-				return
+				return len(src)
 			}
-			l.pos += nl + 1
-		case strings.HasPrefix(l.src[l.pos:], "/*"):
-			end := strings.Index(l.src[l.pos+2:], "*/")
+			pos += nl + 1
+		case c == '/' && strings.HasPrefix(src[pos:], "/*"):
+			end := strings.Index(src[pos+2:], "*/")
 			if end < 0 {
-				l.pos = len(l.src)
-				return
+				return len(src)
 			}
-			l.pos += 2 + end + 2
+			pos += 2 + end + 2
 		default:
-			return
+			return pos
 		}
 	}
+	return pos
+}
+
+// scanQuoted returns the end of the quoted run starting at src[pos] (a ' or
+// a "): one past its closing quote, or len(src) and closed=false when there
+// is none. Inside '...' a doubled quote is the quote character; "..." has
+// no escape.
+func scanQuoted(src string, pos int) (end int, closed bool) {
+	q := src[pos]
+	for end = pos + 1; end < len(src); end++ {
+		if src[end] != q {
+			continue
+		}
+		if q == '\'' && end+1 < len(src) && src[end+1] == '\'' {
+			end++
+			continue
+		}
+		return end + 1, true
+	}
+	return len(src), false
+}
+
+// quotedValue returns the value of a string literal's body (a doubled quote
+// is one quote) in memory of its own: a stored value must not pin the statement
+// text.
+func quotedValue(body string) string {
+	if strings.Contains(body, "''") {
+		return strings.ReplaceAll(body, "''", "'")
+	}
+	return strings.Clone(body)
 }
 
 func isIdentStart(r rune) bool {

@@ -48,6 +48,70 @@ func (p *Param) Value(params []types.Datum) types.Datum {
 	return v
 }
 
+// MatchColumnValue recognises a comparison (= <> < <= > >=) of a column with
+// a value — a literal, or the parameter standing in for one — written
+// either way round, and returns it read as `column op value`: the operator is
+// mirrored when the text has the value first. It is the one matcher SELECT
+// routing, the selectivity estimate and GMDB's key lookup read a WHERE
+// conjunct with.
+func MatchColumnValue(e Expr) (col *ColumnRef, op string, val Expr, ok bool) {
+	b, isBin := e.(*BinaryOp)
+	if !isBin {
+		return nil, "", nil, false
+	}
+	switch b.Op {
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+	default:
+		return nil, "", nil, false
+	}
+	if cr, isCol := b.Left.(*ColumnRef); isCol && literalOrParam(b.Right) {
+		return cr, b.Op, b.Right, true
+	}
+	if cr, isCol := b.Right.(*ColumnRef); isCol && literalOrParam(b.Left) {
+		return cr, flipOp(b.Op), b.Left, true
+	}
+	return nil, "", nil, false
+}
+
+func literalOrParam(e Expr) bool {
+	switch e.(type) {
+	case *Literal, *Param:
+		return true
+	}
+	return false
+}
+
+// flipOp mirrors a comparison for the value-op-column orientation.
+func flipOp(op string) string {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	default: // = and <> read the same both ways
+		return op
+	}
+}
+
+// ValueOf returns the datum a value MatchColumnValue matched stands for
+// under params. ok=false for a parameter params does not reach: a statement
+// compiled for all of its executions has no values yet.
+func ValueOf(val Expr, params []types.Datum) (d types.Datum, ok bool) {
+	switch v := val.(type) {
+	case *Literal:
+		return v.Value, true
+	case *Param:
+		if v.Index < len(params) {
+			return v.Value(params), true
+		}
+	}
+	return types.Null, false
+}
+
 // Shape is what Normalize lifts out of one statement text: Key identifies
 // the shape, Params holds the lifted literal values in text order and Pos
 // the byte offset of each one's token in the text.
@@ -86,26 +150,12 @@ func Normalize(sql string) Shape {
 	}
 	for i := 0; i < len(sql); i++ {
 		c := sql[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			space = true
-			continue
-		case c == '-' && strings.HasPrefix(sql[i:], "--"):
-			space = true
-			if nl := strings.IndexByte(sql[i:], '\n'); nl >= 0 {
-				i += nl
-			} else {
-				i = len(sql)
+		if c <= ' ' || c == '-' || c == '/' { // all a run of whitespace and comments starts with
+			if end := skipSpace(sql, i); end > i {
+				space = true
+				i = end - 1
+				continue
 			}
-			continue
-		case c == '/' && strings.HasPrefix(sql[i:], "/*"):
-			space = true
-			if end := strings.Index(sql[i+2:], "*/"); end >= 0 {
-				i += 2 + end + 1
-			} else {
-				i = len(sql)
-			}
-			continue
 		}
 		if space && b.Len() > 0 {
 			b.WriteByte(' ')
@@ -138,27 +188,10 @@ func Normalize(sql string) Shape {
 			}
 		case c == '\'' || c == '"':
 			// Through the closing quote (or the end, if unterminated).
-			end := i + 1
-			closed := false
-			for end < len(sql) {
-				if sql[end] != c {
-					end++
-				} else if c == '\'' && end+1 < len(sql) && sql[end+1] == '\'' {
-					end += 2
-				} else {
-					closed = true
-					break
-				}
-			}
-			end = min(end+1, len(sql))
+			end, closed := scanQuoted(sql, i)
 			i = end - 1
 			if c == '\'' && closed && lift() {
-				// Cloned: a stored value must not pin the statement text.
-				s := strings.Clone(sql[start+1 : end-1])
-				if strings.Contains(s, "''") {
-					s = strings.ReplaceAll(s, "''", "'")
-				}
-				sh.lifted(&b, types.NewString(s), start)
+				sh.lifted(&b, types.NewString(quotedValue(sql[start+1:end-1])), start)
 			} else {
 				b.WriteString(sql[start:end])
 			}
@@ -244,8 +277,8 @@ var ErrUnliftable = errors.New("sqlx: a lifted literal is not an expression lite
 
 // ParseLifted parses src like Parse, except that the literal tokens at the
 // byte offsets pos (ascending; Normalize's Shape.Pos) become Param nodes
-// numbered in that order. Binding the values lifted from src (Bind) yields
-// the AST Parse(src) yields.
+// numbered in that order: the AST Parse(src) yields, but for a Param where
+// each lifted literal stood.
 func ParseLifted(src string, pos []int) (Statement, error) {
 	p, err := newParser(src)
 	if err != nil {
@@ -264,137 +297,4 @@ func ParseLifted(src string, pos []int) (Statement, error) {
 		return nil, ErrUnliftable
 	}
 	return stmt, nil
-}
-
-// Bind returns stmt with every Param replaced by the literal it stands for
-// under params. Subtrees without parameters are shared with stmt, not
-// copied; with no params stmt itself is returned.
-func Bind(stmt Statement, params []types.Datum) Statement {
-	if len(params) == 0 {
-		return stmt
-	}
-	b := binder{params}
-	switch st := stmt.(type) {
-	case *Select:
-		return b.sel(st)
-	case *Insert:
-		out := *st
-		out.Query = b.sel(st.Query)
-		out.Rows = make([][]Expr, len(st.Rows))
-		for i, row := range st.Rows {
-			out.Rows[i] = b.exprs(row)
-		}
-		return &out
-	case *Update:
-		out := *st
-		out.Where = b.expr(st.Where)
-		out.Set = make([]Assignment, len(st.Set))
-		for i, a := range st.Set {
-			out.Set[i] = Assignment{Column: a.Column, Value: b.expr(a.Value)}
-		}
-		return &out
-	case *Delete:
-		return &Delete{Table: st.Table, Where: b.expr(st.Where)}
-	case *Explain:
-		return &Explain{Stmt: Bind(st.Stmt, params), Analyze: st.Analyze}
-	default:
-		return stmt
-	}
-}
-
-type binder struct{ params []types.Datum }
-
-func (b binder) sel(s *Select) *Select {
-	if s == nil {
-		return nil
-	}
-	out := *s
-	if len(s.CTEs) > 0 {
-		out.CTEs = make([]CTE, len(s.CTEs))
-		for i, c := range s.CTEs {
-			out.CTEs[i] = CTE{Name: c.Name, Columns: c.Columns, Query: b.sel(c.Query)}
-		}
-	}
-	out.Items = make([]SelectItem, len(s.Items))
-	for i, it := range s.Items {
-		it.Expr = b.expr(it.Expr)
-		out.Items[i] = it
-	}
-	if len(s.From) > 0 {
-		out.From = make([]TableRef, len(s.From))
-		for i, r := range s.From {
-			out.From[i] = b.ref(r)
-		}
-	}
-	out.Where = b.expr(s.Where)
-	out.GroupBy = b.exprs(s.GroupBy)
-	out.Having = b.expr(s.Having)
-	if len(s.OrderBy) > 0 {
-		out.OrderBy = make([]OrderItem, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			out.OrderBy[i] = OrderItem{Expr: b.expr(o.Expr), Desc: o.Desc}
-		}
-	}
-	if len(s.SetOps) > 0 {
-		out.SetOps = make([]SetOp, len(s.SetOps))
-		for i, so := range s.SetOps {
-			out.SetOps[i] = SetOp{All: so.All, Query: b.sel(so.Query)}
-		}
-	}
-	return &out
-}
-
-func (b binder) ref(r TableRef) TableRef {
-	switch x := r.(type) {
-	case *SubqueryRef:
-		return &SubqueryRef{Query: b.sel(x.Query), Alias: x.Alias}
-	case *TableFunc:
-		out := *x
-		out.Query = b.sel(x.Query)
-		return &out
-	case *JoinRef:
-		return &JoinRef{Kind: x.Kind, Left: b.ref(x.Left), Right: b.ref(x.Right), On: b.expr(x.On)}
-	default:
-		return r
-	}
-}
-
-func (b binder) exprs(es []Expr) []Expr {
-	if es == nil {
-		return nil
-	}
-	out := make([]Expr, len(es))
-	for i, e := range es {
-		out[i] = b.expr(e)
-	}
-	return out
-}
-
-func (b binder) expr(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Param:
-		return &Literal{Value: x.Value(b.params)}
-	case *BinaryOp:
-		return &BinaryOp{Op: x.Op, Left: b.expr(x.Left), Right: b.expr(x.Right)}
-	case *UnaryOp:
-		return &UnaryOp{Op: x.Op, Child: b.expr(x.Child)}
-	case *IsNull:
-		return &IsNull{Child: b.expr(x.Child), Not: x.Not}
-	case *InList:
-		return &InList{Child: b.expr(x.Child), List: b.exprs(x.List), Not: x.Not}
-	case *Between:
-		return &Between{Child: b.expr(x.Child), Lo: b.expr(x.Lo), Hi: b.expr(x.Hi), Not: x.Not}
-	case *FuncCall:
-		out := *x
-		out.Args = b.exprs(x.Args)
-		return &out
-	case *Subquery:
-		return &Subquery{Query: b.sel(x.Query)}
-	case *CaseExpr:
-		return &CaseExpr{Operand: b.expr(x.Operand), Whens: b.exprs(x.Whens), Thens: b.exprs(x.Thens), Else: b.expr(x.Else)}
-	default: // Literal, ColumnRef, IntervalLit: no parameters below
-		return e
-	}
 }
