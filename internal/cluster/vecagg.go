@@ -70,12 +70,10 @@ func (p *vecPlan) addBatch(t *exec.AggTable, b *colstore.Batch, sel []bool) erro
 		for _, gi := range p.groupIdx {
 			p.key = types.AppendKey(p.key, b.Cols[gi].DatumAt(i))
 		}
-		g := t.Group(p.key, func() types.Row {
-			vals := make(types.Row, len(p.groupIdx))
+		g := t.Group(p.key, func(vals types.Row) {
 			for k, gi := range p.groupIdx {
 				vals[k] = b.Cols[gi].DatumAt(i)
 			}
-			return vals
 		})
 		for a, at := range p.aggIdx {
 			if at < 0 {

@@ -1,7 +1,9 @@
 // Package colstore implements the columnar half of FI-MPPDB's hybrid
 // row-column storage (paper §II, Fig 1): append-only compressed column
 // segments with per-tuple MVCC insert stamps, plus the vector batches the
-// vectorized execution engine operates on.
+// vectorized execution engine operates on. A partition is columnar from the
+// first insert — the open delta buffer is a segment whose plain columns still
+// grow — and a scan borrows column memory instead of copying it (DESIGN 22).
 //
 // Column tables are optimized for the paper's OLAP workloads: bulk ingest
 // and scan-heavy queries. User-facing columnar tables are append-only
@@ -13,6 +15,7 @@ package colstore
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -27,9 +30,10 @@ const BatchSize = 1024
 // segment.
 const SegmentRows = 8192
 
-// Vector is a typed column of BatchSize or fewer values. Exactly one of the
-// payload slices is populated according to Kind (times share Ints as
-// UnixNano).
+// Vector is a typed column of values. Exactly one of the payload slices is
+// populated according to Kind (times share Ints as UnixNano). A scan's
+// vectors hold BatchSize or fewer values and are read-only: their payload may
+// be the table's own memory.
 type Vector struct {
 	Kind   types.Kind
 	Ints   []int64
@@ -84,7 +88,9 @@ func (v *Vector) DatumAt(i int) types.Datum {
 	}
 }
 
-// Batch is a set of column vectors sharing one row count.
+// Batch is a set of column vectors sharing one row count. A scan hands the
+// same Batch to every call of its callback; see ScanBatchesWhere for how long
+// what it points at stays valid.
 type Batch struct {
 	Cols []*Vector
 	N    int
@@ -100,10 +106,10 @@ func (b *Batch) Row(i int) types.Row {
 }
 
 // ---------------------------------------------------------------------------
-// Compressed segments
+// Segments
 // ---------------------------------------------------------------------------
 
-// encoding identifies the physical layout of one compressed column.
+// encoding identifies the physical layout of one column.
 type encoding uint8
 
 const (
@@ -112,31 +118,28 @@ const (
 	encDict           // dictionary-encoded strings
 )
 
-// column is one sealed, compressed column.
+// column is one column of a Segment. Plain, its values are the embedded
+// Vector's payload — what the delta buffer appends to and what scans lend
+// out; seal may replace that payload by runs or a dictionary. Kind and Nulls
+// hold under every encoding.
 type column struct {
-	kind types.Kind
-	enc  encoding
+	Vector
+	enc encoding
 
-	// plain payloads
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-
-	// RLE payload: runs[i] = (value, count)
+	// RLE payload: run r is runVals[r] over rows [runStarts[r], runStarts[r+1]).
 	runVals   []int64
-	runCounts []int32
+	runStarts []int32 // one more entry than runVals: the row count closes the last run
 
 	// dict payload
 	dict    []string
 	indexes []uint32
-
-	nulls []bool // nil when no NULLs
 }
 
-// Segment is an immutable set of compressed columns plus MVCC insert
-// stamps and per-column zone maps (min/max over non-NULL values, recorded
-// at seal time) that scans use to skip segments a predicate cannot match.
+// Segment is a set of columns plus MVCC insert stamps. The table's open delta
+// buffer is one whose columns are all plain and still grow; sealing compresses
+// it in place, records per-column zone maps (min/max over non-NULL values)
+// that scans use to skip segments a predicate cannot match, and makes it
+// immutable.
 type Segment struct {
 	rows  int
 	cols  []column
@@ -182,18 +185,8 @@ func (s *Segment) CompressedValues(c int) int {
 	case encDict:
 		return len(col.dict) + len(col.indexes)/4 // indexes are 4x smaller than strings; approximate
 	default:
-		switch col.kind {
-		case types.KindInt, types.KindTime:
-			return len(col.ints)
-		case types.KindFloat:
-			return len(col.floats)
-		case types.KindString:
-			return len(col.strs)
-		case types.KindBool:
-			return len(col.bools)
-		}
+		return s.rows
 	}
-	return s.rows
 }
 
 // Encoding returns the encoding chosen for column c ("plain", "rle",
@@ -209,135 +202,68 @@ func (s *Segment) Encoding(c int) string {
 	}
 }
 
-// seal compresses buffered rows into a Segment. Column encodings are chosen
-// per column: RLE when integer runs average >= 2, dictionary when string
-// cardinality is below 50%, plain otherwise.
-func seal(schema *types.Schema, rows []types.Row, xmins []txnkit.XID, xmaxs []uint64) *Segment {
-	n := len(rows)
-	seg := &Segment{rows: n, xmins: append([]txnkit.XID(nil), xmins...)}
-	if xmaxs != nil {
-		seg.xmaxs = make([]uint64, n)
-		for i := range xmaxs {
-			atomic.StoreUint64(&seg.xmaxs[i], atomic.LoadUint64(&xmaxs[i]))
-		}
-	}
-	seg.cols = make([]column, schema.Len())
-	seg.mins = make([]types.Datum, schema.Len())
-	seg.maxs = make([]types.Datum, schema.Len())
-	for c := range schema.Columns {
-		seg.mins[c], seg.maxs[c] = zoneMap(rows, c)
-		kind := schema.Columns[c].Kind
-		col := column{kind: kind}
-		var nulls []bool
-		hasNull := false
-		for i := 0; i < n; i++ {
-			isNull := rows[i][c].IsNull()
-			if isNull {
-				hasNull = true
-			}
-			nulls = append(nulls, isNull)
-		}
-		if hasNull {
-			col.nulls = nulls
-		}
-		switch kind {
+// seal turns the delta buffer into a sealed segment without copying it. Plain
+// columns keep the vectors inserts built; the encoding is chosen per column:
+// RLE when integer runs average >= 2, dictionary when string cardinality is
+// below 50%. Scans that were lent the vectors keep reading them: nothing
+// here writes to a payload, it only stops referring to the ones it replaces.
+func (s *Segment) seal() {
+	n := s.rows
+	s.mins = make([]types.Datum, len(s.cols))
+	s.maxs = make([]types.Datum, len(s.cols))
+	for c := range s.cols {
+		col := &s.cols[c]
+		s.mins[c], s.maxs[c] = zoneMap(&col.Vector)
+		switch col.Kind {
 		case types.KindInt, types.KindTime:
-			vals := make([]int64, n)
-			for i := 0; i < n; i++ {
-				if !nulls[i] {
-					if kind == types.KindTime {
-						vals[i] = rows[i][c].Time().UnixNano()
-					} else {
-						vals[i] = rows[i][c].Int()
-					}
-				}
-			}
-			runs := countRuns(vals)
-			if n > 0 && n/max(runs, 1) >= 2 {
+			if n/max(countRuns(col.Ints), 1) >= 2 {
 				col.enc = encRLE
-				col.runVals, col.runCounts = rleEncode(vals)
-			} else {
-				col.enc = encPlain
-				col.ints = vals
-			}
-		case types.KindFloat:
-			col.enc = encPlain
-			col.floats = make([]float64, n)
-			for i := 0; i < n; i++ {
-				if !nulls[i] {
-					col.floats[i] = rows[i][c].Float()
-				}
+				col.runVals, col.runStarts = rleEncode(col.Ints)
+				col.Ints = nil
 			}
 		case types.KindString:
-			vals := make([]string, n)
-			distinct := make(map[string]uint32)
-			for i := 0; i < n; i++ {
-				if !nulls[i] {
-					vals[i] = rows[i][c].Str()
-					distinct[vals[i]] = 0
+			dict, at := []string(nil), make(map[string]uint32)
+			for i, v := range col.Strs {
+				if _, seen := at[v]; !seen && !col.IsNull(i) {
+					at[v] = uint32(len(dict))
+					dict = append(dict, v)
 				}
 			}
-			if n > 0 && len(distinct)*2 < n {
+			if len(dict)*2 < n {
 				col.enc = encDict
-				col.dict = make([]string, 0, len(distinct))
-				for s := range distinct {
-					distinct[s] = uint32(len(col.dict))
-					col.dict = append(col.dict, s)
-				}
+				col.dict = dict
 				col.indexes = make([]uint32, n)
-				for i := 0; i < n; i++ {
-					if !nulls[i] {
-						col.indexes[i] = distinct[vals[i]]
-					}
+				for i, v := range col.Strs {
+					col.indexes[i] = at[v] // a NULL row's index is never read
 				}
-			} else {
-				col.enc = encPlain
-				col.strs = vals
-			}
-		case types.KindBool:
-			col.enc = encPlain
-			col.bools = make([]bool, n)
-			for i := 0; i < n; i++ {
-				if !nulls[i] {
-					col.bools[i] = rows[i][c].Bool()
-				}
-			}
-		default:
-			col.enc = encPlain
-			col.strs = make([]string, n)
-			for i := 0; i < n; i++ {
-				if !nulls[i] {
-					col.strs[i] = rows[i][c].String()
-				}
+				col.Strs = nil
 			}
 		}
-		seg.cols[c] = col
 	}
-	return seg
 }
 
-// zoneMap computes the min/max of column c over non-NULL values; both are
-// Null when the column holds no non-NULL values or an unorderable kind.
-func zoneMap(rows []types.Row, c int) (min, max types.Datum) {
+// zoneMap computes the min/max of v over non-NULL values; both are Null when
+// it holds no non-NULL values or an unorderable kind.
+func zoneMap(v *Vector) (min, max types.Datum) {
 	min, max = types.Null, types.Null
-	for _, r := range rows {
-		v := r[c]
-		if v.IsNull() {
+	for i, n := 0, v.Len(); i < n; i++ {
+		d := v.DatumAt(i)
+		if d.IsNull() {
 			continue
 		}
 		if min.IsNull() {
-			min, max = v, v
+			min, max = d, d
 			continue
 		}
-		cl, err := types.Compare(v, min)
+		cl, err := types.Compare(d, min)
 		if err != nil {
 			return types.Null, types.Null // unorderable kind: no zone map
 		}
 		if cl < 0 {
-			min = v
+			min = d
 		}
-		if ch, _ := types.Compare(v, max); ch > 0 {
-			max = v
+		if ch, _ := types.Compare(d, max); ch > 0 {
+			max = d
 		}
 	}
 	return min, max
@@ -356,67 +282,76 @@ func countRuns(vals []int64) int {
 	return runs
 }
 
-func rleEncode(vals []int64) ([]int64, []int32) {
-	var rv []int64
-	var rc []int32
-	for i := 0; i < len(vals); {
-		j := i
-		for j < len(vals) && vals[j] == vals[i] {
-			j++
+func rleEncode(vals []int64) (runVals []int64, runStarts []int32) {
+	for i, v := range vals {
+		if i == 0 || v != vals[i-1] {
+			runVals = append(runVals, v)
+			runStarts = append(runStarts, int32(i))
 		}
-		rv = append(rv, vals[i])
-		rc = append(rc, int32(j-i))
-		i = j
 	}
-	return rv, rc
+	return runVals, append(runStarts, int32(len(vals)))
 }
 
-// decode materializes rows [lo, hi) of column c into the destination
-// vector.
-func (s *Segment) decode(c, lo, hi int, out *Vector) {
-	col := &s.cols[c]
-	out.Kind = col.kind
-	out.Ints = out.Ints[:0]
-	out.Floats = out.Floats[:0]
-	out.Strs = out.Strs[:0]
-	out.Bools = out.Bools[:0]
-	out.Nulls = nil
-	if col.nulls != nil {
-		out.Nulls = col.nulls[lo:hi]
+// view returns rows [lo, hi) of the column as a read-only vector. A plain
+// column lends cap-limited sub-slices of its own payload — nothing is copied,
+// and an append to the view cannot reach the column; an RLE or dictionary
+// column decodes into scratch, which the caller owns and which never holds
+// lent memory. Nulls are always lent.
+func (col *column) view(lo, hi int, scratch *Vector) Vector {
+	out := Vector{Kind: col.Kind}
+	if col.Nulls != nil {
+		out.Nulls = col.Nulls[lo:hi:hi]
 	}
-	switch col.enc {
-	case encRLE:
-		// Walk runs; fine for segment-sized ranges.
-		pos := 0
-		for r := 0; r < len(col.runVals) && pos < hi; r++ {
-			cnt := int(col.runCounts[r])
-			for k := 0; k < cnt; k++ {
-				if pos >= lo && pos < hi {
-					out.Ints = append(out.Ints, col.runVals[r])
-				}
-				pos++
+	switch {
+	case col.enc == encRLE:
+		// The run holding lo is the last one starting at or before it.
+		r := sort.Search(len(col.runVals), func(r int) bool { return int(col.runStarts[r+1]) > lo })
+		ints := scratch.Ints[:0]
+		for pos := lo; pos < hi; r++ {
+			for end := min(int(col.runStarts[r+1]), hi); pos < end; pos++ {
+				ints = append(ints, col.runVals[r])
 			}
 		}
-	case encDict:
+		scratch.Ints, out.Ints = ints, ints
+	case col.enc == encDict:
+		strs := scratch.Strs[:0]
 		for i := lo; i < hi; i++ {
-			if col.nulls != nil && col.nulls[i] {
-				out.Strs = append(out.Strs, "")
-				continue
+			if col.IsNull(i) {
+				strs = append(strs, "")
+			} else {
+				strs = append(strs, col.dict[col.indexes[i]])
 			}
-			out.Strs = append(out.Strs, col.dict[col.indexes[i]])
 		}
-	default:
-		switch col.kind {
-		case types.KindInt, types.KindTime:
-			out.Ints = append(out.Ints, col.ints[lo:hi]...)
-		case types.KindFloat:
-			out.Floats = append(out.Floats, col.floats[lo:hi]...)
-		case types.KindString:
-			out.Strs = append(out.Strs, col.strs[lo:hi]...)
-		case types.KindBool:
-			out.Bools = append(out.Bools, col.bools[lo:hi]...)
-		}
+		scratch.Strs, out.Strs = strs, strs
+	case col.Kind == types.KindInt, col.Kind == types.KindTime:
+		out.Ints = col.Ints[lo:hi:hi]
+	case col.Kind == types.KindFloat:
+		out.Floats = col.Floats[lo:hi:hi]
+	case col.Kind == types.KindString:
+		out.Strs = col.Strs[lo:hi:hi]
+	case col.Kind == types.KindBool:
+		out.Bools = col.Bools[lo:hi:hi]
 	}
+	return out
+}
+
+// gather copies the rows of src listed in sel (ascending) into dst, reusing
+// dst's arrays; dst must not hold lent memory.
+func gather(dst, src *Vector, sel []int) {
+	*dst = Vector{Kind: src.Kind, Ints: pick(dst.Ints, src.Ints, sel), Floats: pick(dst.Floats, src.Floats, sel),
+		Strs: pick(dst.Strs, src.Strs, sel), Bools: pick(dst.Bools, src.Bools, sel), Nulls: pick(dst.Nulls, src.Nulls, sel)}
+}
+
+// pick overwrites dst with src's elements at sel; an absent payload stays so.
+func pick[T any](dst, src []T, sel []int) []T {
+	if src == nil {
+		return nil
+	}
+	dst = dst[:0]
+	for _, i := range sel {
+		dst = append(dst, src[i])
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------------
@@ -429,17 +364,20 @@ type Table struct {
 	name     string
 	schema   *types.Schema
 	segments []*Segment
-	// open delta buffer
-	buf      []types.Row
-	bufXmins []txnkit.XID
-	txm      *txnkit.TxnManager
+	// delta is the open delta buffer: columnar from the first insert, so a
+	// scan borrows it like a sealed segment and sealing adopts it as one.
+	delta *Segment
+	txm   *txnkit.TxnManager
+	// unstorable is what Insert answers when the schema has a column kind no
+	// vector holds.
+	unstorable error
 
-	// Delta-merge mode (HTAP replicas): bufXmaxs parallels buf with
-	// atomically-accessed delete stamps, and index locates live rows by
-	// encoded value for DeleteMatching. All nil on append-only tables.
+	// Delta-merge mode (HTAP replicas): segments carry atomically-accessed
+	// delete stamps, and index locates live rows by encoded value for
+	// DeleteMatching. Unset on append-only tables.
 	mutable    bool
-	bufXmaxs   []uint64
 	index      map[string][]rowLoc
+	keyBuf     []byte // reused index key bytes (under mu)
 	tombstones atomic.Int64
 
 	// Zone-map effectiveness counters, atomic because parallel query
@@ -477,7 +415,28 @@ func (t *Table) ScanStats() ScanStats {
 // NewTable creates an empty columnar table bound to the node's transaction
 // manager.
 func NewTable(name string, schema *types.Schema, txm *txnkit.TxnManager) *Table {
-	return &Table{name: name, schema: schema, txm: txm}
+	t := &Table{name: name, schema: schema, txm: txm}
+	for _, c := range schema.Columns {
+		switch c.Kind {
+		case types.KindInt, types.KindTime, types.KindFloat, types.KindString, types.KindBool:
+		default:
+			t.unstorable = fmt.Errorf("colstore: table %q: column %q: %s is not a columnar kind", name, c.Name, c.Kind)
+		}
+	}
+	t.delta = t.newDelta()
+	return t
+}
+
+// newDelta returns an empty delta buffer for the table's schema.
+func (t *Table) newDelta() *Segment {
+	d := &Segment{cols: make([]column, t.schema.Len())}
+	for c := range d.cols {
+		d.cols[c].Kind = t.schema.Columns[c].Kind
+	}
+	if t.mutable {
+		d.xmaxs = []uint64{}
+	}
+	return d
 }
 
 // Name returns the table name.
@@ -489,19 +448,26 @@ func (t *Table) Schema() *types.Schema { return t.schema }
 // Insert appends a row stamped with xid, sealing a segment when the delta
 // buffer fills.
 func (t *Table) Insert(xid txnkit.XID, row types.Row) error {
+	if t.unstorable != nil {
+		return t.unstorable
+	}
 	row, err := t.schema.CheckRow(row)
 	if err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf = append(t.buf, row)
-	t.bufXmins = append(t.bufXmins, xid)
-	if t.mutable {
-		t.bufXmaxs = append(t.bufXmaxs, 0)
-		t.indexAddLocked(row, rowLoc{seg: -1, idx: len(t.buf) - 1})
+	d := t.delta
+	for c := range d.cols {
+		appendDatum(&d.cols[c].Vector, row[c])
 	}
-	if len(t.buf) >= SegmentRows {
+	d.xmins = append(d.xmins, xid)
+	if t.mutable {
+		d.xmaxs = append(d.xmaxs, 0)
+		t.indexAddLocked(row, rowLoc{seg: int32(len(t.segments)), idx: int32(d.rows)})
+	}
+	d.rows++
+	if d.rows >= SegmentRows {
 		t.sealLocked()
 	}
 	return nil
@@ -511,19 +477,15 @@ func (t *Table) Insert(xid txnkit.XID, row types.Row) error {
 func (t *Table) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.buf) > 0 {
+	if t.delta.rows > 0 {
 		t.sealLocked()
 	}
 }
 
 func (t *Table) sealLocked() {
-	t.segments = append(t.segments, seal(t.schema, t.buf, t.bufXmins, t.bufXmaxs))
-	if t.mutable {
-		t.indexResealLocked(len(t.segments) - 1)
-	}
-	t.buf = nil
-	t.bufXmins = nil
-	t.bufXmaxs = nil
+	t.delta.seal()
+	t.segments = append(t.segments, t.delta)
+	t.delta = t.newDelta()
 }
 
 // DeltaLen returns the current delta-buffer length (cheap; the HTAP apply
@@ -531,7 +493,7 @@ func (t *Table) sealLocked() {
 func (t *Table) DeltaLen() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.buf)
+	return t.delta.rows
 }
 
 // SegmentCount returns the number of sealed segments.
@@ -555,11 +517,27 @@ func (t *Table) ScanBatches(xid txnkit.XID, snap *txnkit.Snapshot, cols []int, f
 	t.ScanBatchesWhere(xid, snap, cols, nil, fn)
 }
 
+// scanCol is one projected column of a running scan.
+type scanCol struct {
+	src   *column // the column of the segment being read
+	delta column  // the delta buffer's column as it stood when the scan began
+	out   Vector  // what fn sees: lent from src, or one of the two below
+	dec   Vector  // scratch an RLE / dictionary column decodes into
+	own   Vector  // scratch the visible rows of a batch with invisible ones gather into
+}
+
 // ScanBatchesWhere is ScanBatches with segment-level zone-map pruning:
 // sealed segments for which keep returns false are skipped without
 // decoding. keep must be conservative — returning false asserts no row of
 // the segment can satisfy the query predicate. The delta buffer has no
 // zone maps and is always scanned. A nil keep scans everything.
+//
+// The batch and its vectors are read-only views, valid until fn returns:
+// plain columns of a batch whose rows are all visible are sub-slices of the
+// segment's or the delta buffer's own arrays (never written again once a
+// scan can see them), everything else lives in scratch the scan reuses for
+// its next batch. A value read out of them — a Datum, its string — may be
+// kept for as long as the caller likes.
 func (t *Table) ScanBatchesWhere(xid txnkit.XID, snap *txnkit.Snapshot, cols []int, keep func(*Segment) bool, fn func(*Batch) bool) {
 	if cols == nil {
 		cols = make([]int, t.schema.Len())
@@ -567,101 +545,90 @@ func (t *Table) ScanBatchesWhere(xid txnkit.XID, snap *txnkit.Snapshot, cols []i
 			cols[i] = i
 		}
 	}
+	sc := make([]scanCol, len(cols))
+	batch := &Batch{Cols: make([]*Vector, len(cols))}
+	for v := range sc {
+		batch.Cols[v] = &sc[v].out
+	}
 	t.mu.RLock()
 	segs := t.segments
-	buf := t.buf
-	bufXmins := t.bufXmins
-	bufXmaxs := t.bufXmaxs
+	delta := Segment{rows: t.delta.rows, xmins: t.delta.xmins, xmaxs: t.delta.xmaxs}
+	for v, c := range cols {
+		sc[v].delta = t.delta.cols[c]
+	}
 	t.mu.RUnlock()
 
+	var sel []int // one selection scratch per scan
+	// scan hands fn the visible rows of seg, whose projected columns are
+	// sc[v].src, a batch at a time; false stops the whole scan.
+	scan := func(seg *Segment) bool {
+		t.rowsScanned.Add(int64(seg.rows))
+		for lo := 0; lo < seg.rows; lo += BatchSize {
+			hi := min(lo+BatchSize, seg.rows)
+			// sel lists the visible rows, from the first invisible one on:
+			// while dense, every row so far is visible and nothing is listed.
+			dense := true
+			sel = sel[:0]
+			for i := lo; i < hi; i++ {
+				switch visible := t.txm.TupleVisible(snap, xid, seg.xmins[i], seg.xmaxAt(i)); {
+				case visible && !dense:
+					sel = append(sel, i-lo)
+				case !visible && dense:
+					dense = false
+					for j := 0; j < i-lo; j++ {
+						sel = append(sel, j)
+					}
+				}
+			}
+			batch.N = hi - lo
+			if !dense {
+				batch.N = len(sel)
+			}
+			if batch.N == 0 {
+				continue
+			}
+			for v := range sc {
+				c := &sc[v]
+				c.out = c.src.view(lo, hi, &c.dec)
+				if !dense {
+					gather(&c.own, &c.out, sel)
+					c.out = c.own
+				}
+			}
+			if !fn(batch) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, seg := range segs {
 		if keep != nil && !keep(seg) {
 			t.segsPruned.Add(1)
 			continue
 		}
 		t.segsScanned.Add(1)
-		t.rowsScanned.Add(int64(seg.rows))
-		for lo := 0; lo < seg.rows; lo += BatchSize {
-			hi := lo + BatchSize
-			if hi > seg.rows {
-				hi = seg.rows
-			}
-			batch := &Batch{Cols: make([]*Vector, len(cols))}
-			// Visibility selection vector first.
-			sel := make([]int, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				if t.txm.TupleVisible(snap, xid, seg.xmins[i], seg.xmaxAt(i)) {
-					sel = append(sel, i)
-				}
-			}
-			if len(sel) == 0 {
-				continue
-			}
-			if len(sel) == hi-lo {
-				// Dense fast path: decode the range directly.
-				for v, c := range cols {
-					vec := &Vector{}
-					seg.decode(c, lo, hi, vec)
-					batch.Cols[v] = vec
-				}
-				batch.N = hi - lo
-			} else {
-				// Sparse path: materialize selected rows.
-				for v, c := range cols {
-					full := &Vector{}
-					seg.decode(c, lo, hi, full)
-					vec := &Vector{Kind: full.Kind}
-					for _, i := range sel {
-						appendDatum(vec, full.DatumAt(i-lo))
-					}
-					batch.Cols[v] = vec
-				}
-				batch.N = len(sel)
-			}
-			if !fn(batch) {
-				return
-			}
-		}
-	}
-	// Delta buffer: materialize as one batch. It has no zone maps and is
-	// never pruned.
-	if len(buf) > 0 {
-		t.rowsScanned.Add(int64(len(buf)))
-		batch := &Batch{Cols: make([]*Vector, len(cols))}
 		for v, c := range cols {
-			batch.Cols[v] = &Vector{Kind: t.schema.Columns[c].Kind}
+			sc[v].src = &seg.cols[c]
 		}
-		for i, row := range buf {
-			var xmax txnkit.XID
-			if bufXmaxs != nil {
-				xmax = txnkit.XID(atomic.LoadUint64(&bufXmaxs[i]))
-			}
-			if !t.txm.TupleVisible(snap, xid, bufXmins[i], xmax) {
-				continue
-			}
-			for v, c := range cols {
-				appendDatum(batch.Cols[v], row[c])
-			}
-			batch.N++
-		}
-		if batch.N > 0 {
-			fn(batch)
+		if !scan(seg) {
+			return
 		}
 	}
+	for v := range sc {
+		sc[v].src = &sc[v].delta
+	}
+	scan(&delta)
 }
 
 // appendDatum pushes d onto the vector, tracking NULLs.
 func appendDatum(v *Vector, d types.Datum) {
 	isNull := d.IsNull()
-	pushNull := func() {
-		if v.Nulls == nil && isNull {
-			v.Nulls = make([]bool, v.Len())
-		}
-		if v.Nulls != nil {
-			v.Nulls = append(v.Nulls, isNull)
-		}
+	if v.Nulls == nil && isNull {
+		v.Nulls = make([]bool, v.Len())
 	}
-	pushNull()
+	if v.Nulls != nil {
+		v.Nulls = append(v.Nulls, isNull)
+	}
 	switch v.Kind {
 	case types.KindInt:
 		var x int64
@@ -693,8 +660,6 @@ func appendDatum(v *Vector, d types.Datum) {
 			x = d.Bool()
 		}
 		v.Bools = append(v.Bools, x)
-	default:
-		panic(fmt.Sprintf("colstore: cannot append kind %v", v.Kind))
 	}
 }
 
@@ -710,14 +675,14 @@ func (t *Table) ScanRows(xid txnkit.XID, snap *txnkit.Snapshot, fn func(types.Ro
 	})
 }
 
-// rowAt materializes one segment row (slow path; used only for the rare
-// unsettled rows UnsettledCount must inspect).
-func (s *Segment) rowAt(schema *types.Schema, i int) types.Row {
+// rowAt materializes row i, of a sealed segment or of the delta buffer alike
+// (the slow path of UnsettledCount, DeleteWhere and the tests).
+func (s *Segment) rowAt(i int) types.Row {
 	out := make(types.Row, len(s.cols))
-	var vec Vector
+	var scratch Vector // decode target shared by the columns: view never lends it out
 	for c := range s.cols {
-		s.decode(c, i, i+1, &vec)
-		out[c] = vec.DatumAt(0)
+		v := s.cols[c].view(i, i+1, &scratch)
+		out[c] = v.DatumAt(0)
 	}
 	return out
 }
@@ -729,27 +694,16 @@ func (s *Segment) rowAt(schema *types.Schema, i int) types.Row {
 func (t *Table) UnsettledCount(pred func(types.Row) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	unsettled := func(x txnkit.XID) bool {
-		st := t.txm.Status(x)
-		return st == txnkit.StatusActive || st == txnkit.StatusPrepared
-	}
 	n := 0
-	for _, seg := range t.segments {
+	for si := 0; si <= len(t.segments); si++ {
+		seg := t.segLocked(si)
 		for i, x := range seg.xmins {
-			if !unsettled(x) {
+			if st := t.txm.Status(x); st != txnkit.StatusActive && st != txnkit.StatusPrepared {
 				continue
 			}
-			if pred == nil || pred(seg.rowAt(t.schema, i)) {
+			if pred == nil || pred(seg.rowAt(i)) {
 				n++
 			}
-		}
-	}
-	for i, x := range t.bufXmins {
-		if !unsettled(x) {
-			continue
-		}
-		if pred == nil || pred(t.buf[i]) {
-			n++
 		}
 	}
 	return n

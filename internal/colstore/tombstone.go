@@ -16,11 +16,19 @@ import (
 	"repro/internal/types"
 )
 
-// rowLoc addresses one physical row: segment index (or -1 for the open
-// delta buffer) plus row offset.
+// rowLoc addresses one physical row: segment number plus row offset. The
+// open delta buffer goes by the number it will have once sealed,
+// len(t.segments), so sealing moves no index entry.
 type rowLoc struct {
-	seg int
-	idx int
+	seg, idx int32
+}
+
+// segLocked returns segment si, the delta buffer for si == len(t.segments).
+func (t *Table) segLocked(si int) *Segment {
+	if si == len(t.segments) {
+		return t.delta
+	}
+	return t.segments[si]
 }
 
 // EnableTombstones switches the table into delta-merge mode: inserts are
@@ -34,61 +42,40 @@ func (t *Table) EnableTombstones() {
 	if t.mutable {
 		return
 	}
-	if len(t.buf) > 0 || len(t.segments) > 0 {
+	if t.delta.rows > 0 || len(t.segments) > 0 {
 		panic("colstore: EnableTombstones on non-empty table " + t.name)
 	}
 	t.mutable = true
 	t.index = make(map[string][]rowLoc)
+	t.delta = t.newDelta()
 }
 
-// indexAddLocked records a new physical row location.
+// indexAddLocked records a new physical row location. The key is built in
+// one reused buffer: the map's own copy of it is the only string made.
 func (t *Table) indexAddLocked(row types.Row, loc rowLoc) {
-	k := string(row.AppendKey(nil))
-	t.index[k] = append(t.index[k], loc)
+	t.keyBuf = row.AppendKey(t.keyBuf[:0])
+	t.index[string(t.keyBuf)] = append(t.index[string(t.keyBuf)], loc)
 }
 
-// indexResealLocked repoints delta-buffer index entries at the segment the
-// buffer was just sealed into (row offsets are preserved by seal).
-func (t *Table) indexResealLocked(seg int) {
-	for i, row := range t.buf {
-		locs := t.index[string(row.AppendKey(nil))]
-		for j := range locs {
-			if locs[j].seg == -1 && locs[j].idx == i {
-				locs[j].seg = seg
-			}
-		}
-	}
-}
-
-// stampLocked sets the xmax of loc to xid and drops the row from the
-// index. The store is atomic because scans read stamps without the table
-// lock.
-func (t *Table) stampLocked(key string, loc rowLoc, xid txnkit.XID) {
-	if loc.seg == -1 {
-		atomic.StoreUint64(&t.bufXmaxs[loc.idx], uint64(xid))
-	} else {
-		atomic.StoreUint64(&t.segments[loc.seg].xmaxs[loc.idx], uint64(xid))
-	}
+// stampLocked sets the xmax of loc, whose row has the index key key, to xid
+// and drops the row from the index. The store is atomic because scans read
+// stamps without the table lock.
+func (t *Table) stampLocked(key []byte, loc rowLoc, xid txnkit.XID) {
+	atomic.StoreUint64(&t.segLocked(int(loc.seg)).xmaxs[loc.idx], uint64(xid))
 	t.tombstones.Add(1)
-	locs := t.index[key]
+	locs := t.index[string(key)]
 	for j := range locs {
 		if locs[j] == loc {
 			locs[j] = locs[len(locs)-1]
-			t.index[key] = locs[:len(locs)-1]
+			locs = locs[:len(locs)-1]
 			break
 		}
 	}
-	if len(t.index[key]) == 0 {
-		delete(t.index, key)
+	if len(locs) == 0 {
+		delete(t.index, string(key))
+	} else {
+		t.index[string(key)] = locs
 	}
-}
-
-// xmaxLocked returns the current delete stamp of loc.
-func (t *Table) xmaxLocked(loc rowLoc) txnkit.XID {
-	if loc.seg == -1 {
-		return txnkit.XID(atomic.LoadUint64(&t.bufXmaxs[loc.idx]))
-	}
-	return t.segments[loc.seg].xmaxAt(loc.idx)
 }
 
 // DeleteMatching stamps exactly one live instance of row dead under xid.
@@ -105,16 +92,11 @@ func (t *Table) DeleteMatching(xid txnkit.XID, snap *txnkit.Snapshot, row types.
 	if !t.mutable {
 		return fmt.Errorf("colstore: table %q is append-only", t.name)
 	}
-	key := string(row.AppendKey(nil))
-	for _, loc := range t.index[key] {
-		var xmin txnkit.XID
-		if loc.seg == -1 {
-			xmin = t.bufXmins[loc.idx]
-		} else {
-			xmin = t.segments[loc.seg].xmins[loc.idx]
-		}
-		if t.txm.TupleVisible(snap, xid, xmin, t.xmaxLocked(loc)) {
-			t.stampLocked(key, loc, xid)
+	t.keyBuf = row.AppendKey(t.keyBuf[:0])
+	for _, loc := range t.index[string(t.keyBuf)] {
+		seg := t.segLocked(int(loc.seg))
+		if t.txm.TupleVisible(snap, xid, seg.xmins[loc.idx], seg.xmaxAt(int(loc.idx))) {
+			t.stampLocked(t.keyBuf, loc, xid)
 			return nil
 		}
 	}
@@ -132,27 +114,17 @@ func (t *Table) DeleteWhere(xid txnkit.XID, snap *txnkit.Snapshot, pred func(typ
 		return 0
 	}
 	n := 0
-	for si, seg := range t.segments {
+	for si := 0; si <= len(t.segments); si++ {
+		seg := t.segLocked(si)
 		for i := range seg.xmins {
-			loc := rowLoc{seg: si, idx: i}
-			if !t.txm.TupleVisible(snap, xid, seg.xmins[i], t.xmaxLocked(loc)) {
+			if !t.txm.TupleVisible(snap, xid, seg.xmins[i], seg.xmaxAt(i)) {
 				continue
 			}
-			row := seg.rowAt(t.schema, i)
-			if pred(row) {
-				t.stampLocked(string(row.AppendKey(nil)), loc, xid)
+			if row := seg.rowAt(i); pred(row) {
+				t.keyBuf = row.AppendKey(t.keyBuf[:0])
+				t.stampLocked(t.keyBuf, rowLoc{seg: int32(si), idx: int32(i)}, xid)
 				n++
 			}
-		}
-	}
-	for i, row := range t.buf {
-		loc := rowLoc{seg: -1, idx: i}
-		if !t.txm.TupleVisible(snap, xid, t.bufXmins[i], t.xmaxLocked(loc)) {
-			continue
-		}
-		if pred(row) {
-			t.stampLocked(string(row.AppendKey(nil)), loc, xid)
-			n++
 		}
 	}
 	return n
@@ -201,7 +173,7 @@ func (t *Table) Stats() TableStats {
 	defer t.mu.RUnlock()
 	st := TableStats{
 		Segments:   int64(len(t.segments)),
-		DeltaRows:  int64(len(t.buf)),
+		DeltaRows:  int64(t.delta.rows),
 		Tombstones: t.tombstones.Load(),
 	}
 	for _, seg := range t.segments {

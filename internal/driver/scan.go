@@ -149,7 +149,7 @@ func assignDatum(dst reflect.Value, d types.Datum) error {
 		dst.SetString(d.Str())
 	case reflect.Slice:
 		if dst.Type().Elem().Kind() == reflect.Uint8 && d.Kind() == types.KindBytes {
-			dst.SetBytes(append([]byte(nil), d.Bytes()...))
+			dst.SetBytes(d.Bytes()) // a copy: the caller may keep and change it
 			return nil
 		}
 		return fmt.Errorf("cannot scan %v into %s", d.Kind(), dst.Type())

@@ -50,9 +50,9 @@ type accum struct {
 	count   int64 // values folded in (rows, for count(*))
 	sumI    int64
 	sumF    float64
-	isFloat bool                // the sum has seen a DOUBLE and lives in sumF
-	ext     types.Datum         // running min or max
-	seen    map[string]struct{} // DISTINCT: keys of the values already folded
+	isFloat bool        // the sum has seen a DOUBLE and lives in sumF
+	ext     types.Datum // running min or max
+	seen    *keyIndex   // DISTINCT: keys of the values already folded
 }
 
 func (s *accum) addInt(kind AggKind, v int64) error {
@@ -137,43 +137,45 @@ func (s *accum) result(kind AggKind) types.Datum {
 	}
 }
 
-// AggGroup is one group of an AggTable: its key columns and one accumulator
-// per aggregate. The Add methods are the typed entry points a column vector
-// folds into without boxing each value; a is the aggregate's position in the
-// table's spec list and the value must not be NULL (AddDatum alone accepts
-// and skips NULLs).
+// AggGroup is a handle on one group of an AggTable. The Add methods are the
+// typed entry points a column vector folds into without boxing each value; a
+// is the aggregate's position in the table's spec list and the value must
+// not be NULL (AddDatum alone accepts and skips NULLs).
 type AggGroup struct {
-	t   *AggTable
-	key types.Row
-	acc []accum
+	t *AggTable
+	n int // the group's number, in first-seen order
 }
 
+// acc returns the group's accumulator for aggregate a.
+func (g AggGroup) acc(a int) *accum { return &g.t.accs[g.n*len(g.t.aggs)+a] }
+
 // AddRow counts one row into count(*) aggregate a.
-func (g *AggGroup) AddRow(a int) { g.acc[a].count++ }
+func (g AggGroup) AddRow(a int) { g.acc(a).count++ }
 
 // AddInt folds a BIGINT into aggregate a.
-func (g *AggGroup) AddInt(a int, v int64) error { return g.acc[a].addInt(g.t.aggs[a].Kind, v) }
+func (g AggGroup) AddInt(a int, v int64) error { return g.acc(a).addInt(g.t.aggs[a].Kind, v) }
 
 // AddFloat folds a DOUBLE into aggregate a.
-func (g *AggGroup) AddFloat(a int, v float64) error { return g.acc[a].addFloat(g.t.aggs[a].Kind, v) }
+func (g AggGroup) AddFloat(a int, v float64) error { return g.acc(a).addFloat(g.t.aggs[a].Kind, v) }
 
 // AddDatum folds a value of any kind into aggregate a.
-func (g *AggGroup) AddDatum(a int, v types.Datum) error {
-	return g.acc[a].addDatum(g.t.aggs[a].Kind, v)
+func (g AggGroup) AddDatum(a int, v types.Datum) error {
+	return g.acc(a).addDatum(g.t.aggs[a].Kind, v)
 }
 
 // AggTable is the push-fed core of hash aggregation, shared by the
 // coordinator's Agg operator and the data nodes' partial-aggregate sinks
 // (as TopNHeap is for TopN): groups keyed by types.AppendKey of their
-// group-by values, kept in first-seen order, each holding one accumulator
+// group-by values, numbered in first-seen order, each holding one accumulator
 // per aggregate. Rows go in whole through Push; column vectors go in through
 // Group + the AggGroup Add methods. With no group-by expressions it yields
 // exactly one row, zero-row input included.
 type AggTable struct {
 	groupBy []Expr
 	aggs    []AggSpec
-	index   map[string]*AggGroup
-	order   []*AggGroup
+	index   keyIndex
+	keys    types.Row // group n's group-by values at [n*len(groupBy):]
+	accs    []accum   // group n's accumulators at [n*len(aggs):]
 	buf     []byte    // reused key bytes
 	vals    types.Row // reused group-by values of the row being pushed
 }
@@ -181,20 +183,25 @@ type AggTable struct {
 // NewAggTable returns an empty table. groupBy and every spec's Arg are
 // evaluated only by Push; vector feeders use their positions alone.
 func NewAggTable(groupBy []Expr, aggs []AggSpec) *AggTable {
-	return &AggTable{groupBy: groupBy, aggs: aggs, index: map[string]*AggGroup{}, vals: make(types.Row, len(groupBy))}
+	return &AggTable{groupBy: groupBy, aggs: aggs, vals: make(types.Row, len(groupBy))}
 }
 
 // Group returns the group whose encoded key (types.AppendKey over its
 // group-by values, in order) is key, creating it on first sight with the key
-// columns vals() returns.
-func (t *AggTable) Group(key []byte, vals func() types.Row) *AggGroup {
-	g := t.index[string(key)]
-	if g == nil {
-		g = &AggGroup{t: t, key: vals(), acc: make([]accum, len(t.aggs))}
-		t.index[string(key)] = g
-		t.order = append(t.order, g)
+// columns vals fills in.
+func (t *AggTable) Group(key []byte, vals func(dst types.Row)) AggGroup {
+	n, isNew := t.index.put(key)
+	if isNew {
+		t.keys, t.accs = room(t.keys, len(t.groupBy)), room(t.accs, len(t.aggs))
+		for range t.groupBy {
+			t.keys = append(t.keys, types.Null)
+		}
+		vals(t.keys[n*len(t.groupBy):])
+		for range t.aggs {
+			t.accs = append(t.accs, accum{})
+		}
 	}
-	return g
+	return AggGroup{t, n}
 }
 
 // Push folds one input row into its group.
@@ -207,7 +214,7 @@ func (t *AggTable) Push(ctx *Ctx, row types.Row) error {
 		t.vals[i] = v
 	}
 	t.buf = t.vals.AppendKey(t.buf[:0])
-	g := t.Group(t.buf, t.vals.Clone)
+	g := t.Group(t.buf, func(dst types.Row) { copy(dst, t.vals) })
 	for a, spec := range t.aggs {
 		if spec.Kind == AggCountStar {
 			g.AddRow(a)
@@ -218,15 +225,14 @@ func (t *AggTable) Push(ctx *Ctx, row types.Row) error {
 			return err
 		}
 		if spec.Distinct && !v.IsNull() {
-			s := &g.acc[a]
+			s := g.acc(a)
+			if s.seen == nil {
+				s.seen = &keyIndex{}
+			}
 			t.buf = types.AppendKey(t.buf[:0], v)
-			if _, dup := s.seen[string(t.buf)]; dup {
+			if _, isNew := s.seen.put(t.buf); !isNew {
 				continue
 			}
-			if s.seen == nil {
-				s.seen = map[string]struct{}{}
-			}
-			s.seen[string(t.buf)] = struct{}{}
 		}
 		if err := g.AddDatum(a, v); err != nil {
 			return err
@@ -239,16 +245,18 @@ func (t *AggTable) Push(ctx *Ctx, row types.Row) error {
 // then the aggregate results. A global aggregate (no group-by) over no input
 // still yields its identity row (counts 0, everything else NULL).
 func (t *AggTable) Rows() []types.Row {
-	if len(t.order) == 0 && len(t.groupBy) == 0 {
-		t.Group(nil, func() types.Row { return nil })
+	if t.index.len() == 0 && len(t.groupBy) == 0 {
+		t.Group(nil, func(types.Row) {})
 	}
-	rows := make([]types.Row, len(t.order))
-	for i, g := range t.order {
-		row := append(make(types.Row, 0, len(g.key)+len(t.aggs)), g.key...)
+	nk, na := len(t.groupBy), len(t.aggs)
+	rows := make([]types.Row, t.index.len())
+	cells := make(types.Row, 0, len(rows)*(nk+na)) // every output row, back to back
+	for n := range rows {
+		cells = append(cells, t.keys[n*nk:(n+1)*nk]...)
 		for a, spec := range t.aggs {
-			row = append(row, g.acc[a].result(spec.Kind))
+			cells = append(cells, t.accs[n*na+a].result(spec.Kind))
 		}
-		rows[i] = row
+		rows[n] = cells[len(cells)-nk-na : len(cells) : len(cells)]
 	}
 	return rows
 }

@@ -35,18 +35,21 @@ func AppendKeys(dst []byte, ctx *Ctx, exprs []Expr, row types.Row) (key []byte, 
 // join's "every build row meets every probe row". Once built it is read-only
 // and may be probed from several goroutines, each through its own JoinProbe.
 type JoinTable struct {
-	keys    []Expr
-	index   map[string]int // key -> position in buckets
-	buckets [][]types.Row
-	offered int // rows added, NULL-keyed included
-	buf     []byte
+	keys  []Expr
+	index keyIndex
+	// rows are the kept build rows in arrival order; the rows of one key are
+	// chained in that order: head and tail, per key entry, are its first and
+	// last row, next[i] the row after row i (-1: none).
+	rows       []types.Row
+	next       []int32
+	head, tail []int32
+	offered    int // rows added, NULL-keyed included
+	buf        []byte
 }
 
 // NewJoinTable returns an empty build table keyed by keys (evaluated over
 // build rows).
-func NewJoinTable(keys []Expr) *JoinTable {
-	return &JoinTable{keys: keys, index: map[string]int{}}
-}
+func NewJoinTable(keys []Expr) *JoinTable { return &JoinTable{keys: keys} }
 
 // Add offers one build row. The row is retained by reference.
 func (t *JoinTable) Add(ctx *Ctx, row types.Row) error {
@@ -56,13 +59,13 @@ func (t *JoinTable) Add(ctx *Ctx, row types.Row) error {
 	if err != nil || null {
 		return err
 	}
-	at, ok := t.index[string(key)]
-	if !ok {
-		at = len(t.buckets)
-		t.index[string(key)] = at
-		t.buckets = append(t.buckets, nil)
+	i := int32(len(t.rows))
+	t.rows, t.next = append(room(t.rows, 1), row), append(room(t.next, 1), -1)
+	if e, isNew := t.index.put(key); isNew {
+		t.head, t.tail = append(room(t.head, 1), i), append(room(t.tail, 1), i)
+	} else {
+		t.next[t.tail[e]], t.tail[e] = i, i
 	}
-	t.buckets[at] = append(t.buckets[at], row)
 	return nil
 }
 
@@ -75,14 +78,12 @@ func (t *JoinTable) fill(ctx *Ctx, op Operator) error {
 // (NULL-keyed rows were never kept: nothing to admit).
 func (t *JoinTable) Bloom(ctx *Ctx, part int) (*Bloom, error) {
 	bf := NewBloom(t.offered)
-	for _, bucket := range t.buckets {
-		for _, r := range bucket {
-			v, err := t.keys[part].Eval(ctx, r)
-			if err != nil {
-				return nil, err
-			}
-			bf.Add(v)
+	for _, r := range t.rows {
+		v, err := t.keys[part].Eval(ctx, r)
+		if err != nil {
+			return nil, err
 		}
+		bf.Add(v)
 	}
 	return bf, nil
 }
@@ -101,8 +102,8 @@ type JoinProbe struct {
 	buf        []byte
 
 	cur     types.Row
-	bucket  []types.Row
-	active  bool // cur still owes rows (matches, or its left-outer extension)
+	at      int32 // the next build row of cur's key to join (-1: none left)
+	active  bool  // cur still owes rows (matches, or its left-outer extension)
 	matched bool
 }
 
@@ -111,7 +112,7 @@ type JoinProbe struct {
 // buildWidth is the build side's column count (what a LeftJoin pads
 // unmatched probe rows with).
 func (t *JoinTable) Probe(typ JoinType, keys []Expr, residual Expr, buildWidth int) *JoinProbe {
-	return &JoinProbe{table: t, typ: typ, keys: keys, residual: residual, buildWidth: buildWidth}
+	return &JoinProbe{table: t, typ: typ, keys: keys, residual: residual, buildWidth: buildWidth, at: -1}
 }
 
 // Start positions the cursor on probe row r. A key with a NULL part finds
@@ -122,9 +123,9 @@ func (p *JoinProbe) Start(ctx *Ctx, r types.Row) error {
 	if err != nil {
 		return err
 	}
-	p.cur, p.bucket, p.active, p.matched = r, nil, true, false
-	if at, ok := p.table.index[string(key)]; ok {
-		p.bucket = p.table.buckets[at]
+	p.cur, p.at, p.active, p.matched = r, -1, true, false
+	if e, ok := p.table.index.find(key); ok {
+		p.at = p.table.head[e]
 	}
 	return nil
 }
@@ -132,9 +133,9 @@ func (p *JoinProbe) Start(ctx *Ctx, r types.Row) error {
 // Next returns the current probe row's next joined row; ok is false once it
 // has none left (and before the first Start).
 func (p *JoinProbe) Next(ctx *Ctx) (row types.Row, ok bool, err error) {
-	for len(p.bucket) > 0 {
-		b := p.bucket[0]
-		p.bucket = p.bucket[1:]
+	for p.at >= 0 {
+		b := p.table.rows[p.at]
+		p.at = p.table.next[p.at]
 		joined := append(append(make(types.Row, 0, len(p.cur)+len(b)), p.cur...), b...)
 		if p.residual != nil {
 			pass, err := EvalBool(p.residual, ctx, joined)

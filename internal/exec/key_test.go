@@ -118,7 +118,7 @@ func TestAggregateErrorsAreTheAccumulators(t *testing.T) {
 	for _, tc := range cases {
 		specs := []AggSpec{{Kind: tc.kind, Arg: col(0)}}
 		pushed, folded := NewAggTable(nil, specs), NewAggTable(nil, specs)
-		g := folded.Group(nil, func() types.Row { return nil })
+		g := folded.Group(nil, func(types.Row) {})
 		var pushErr, foldErr error
 		for _, v := range tc.vals {
 			if err := pushed.Push(ctx, types.Row{v}); err != nil {

@@ -352,7 +352,7 @@ func (l *Limit) Close() error { return l.Child.Close() }
 // Distinct removes duplicate rows.
 type Distinct struct {
 	Child Operator
-	seen  map[string]struct{}
+	seen  keyIndex
 	buf   []byte
 }
 
@@ -361,7 +361,7 @@ func (d *Distinct) Schema() *types.Schema { return d.Child.Schema() }
 
 // Open implements Operator.
 func (d *Distinct) Open(ctx *Ctx) error {
-	d.seen = make(map[string]struct{})
+	d.seen = keyIndex{}
 	return d.Child.Open(ctx)
 }
 
@@ -373,16 +373,14 @@ func (d *Distinct) Next(ctx *Ctx) (types.Row, error) {
 			return nil, err
 		}
 		d.buf = row.AppendKey(d.buf[:0])
-		if _, dup := d.seen[string(d.buf)]; dup {
-			continue
+		if _, isNew := d.seen.put(d.buf); isNew {
+			return row, nil
 		}
-		d.seen[string(d.buf)] = struct{}{}
-		return row, nil
 	}
 }
 
 // Close implements Operator.
-func (d *Distinct) Close() error { d.seen = nil; return d.Child.Close() }
+func (d *Distinct) Close() error { d.seen = keyIndex{}; return d.Child.Close() }
 
 // Concat streams its children in order (UNION ALL).
 type Concat struct {

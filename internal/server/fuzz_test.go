@@ -248,7 +248,7 @@ func FuzzDecodeFrames(f *testing.F) {
 		q, qErr := DecodeRequest(b)
 		p, pErr := DecodeResponse(b)
 		runtime.ReadMemStats(&after)
-		// A datum decodes to 64 bytes from as little as one; leave room for
+		// A datum decodes to 32 bytes from as little as one; leave room for
 		// row headers and unrelated runtime allocation.
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(b)+1<<16); grew > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), grew, limit)

@@ -291,10 +291,9 @@ func (r *reader) datum() types.Datum {
 			r.fail()
 			return types.Null
 		}
-		raw := make([]byte, n)
-		copy(raw, r.b[r.off:r.off+n])
 		r.off += n
-		return types.NewBytes(raw)
+		return types.NewBytes(r.b[r.off-n : r.off]) // NewBytes copies
+
 	case types.KindTime:
 		return types.NewTime(time.Unix(0, int64(r.u64())).UTC())
 	default:

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/sqlx"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *cluster.Cluster) {
@@ -479,6 +482,39 @@ func TestDecodeResponseRejectsCountsBeyondTheFrame(t *testing.T) {
 		frame = appendU32(appendU32(frame, counts[0]), counts[1])
 		if _, err := DecodeResponse(frame); err == nil {
 			t.Errorf("ncols=%d nrows=%d decoded without error", counts[0], counts[1])
+		}
+	}
+}
+
+// TestWireCodecKeepsSpecialValues: the values a datum-layout change loses
+// first — float bit patterns, integer extremes, empty and non-UTF-8 BYTEA —
+// cross the frame codec bit for bit.
+func TestWireCodecKeepsSpecialValues(t *testing.T) {
+	row := types.Row{
+		types.NewFloat(math.Float64frombits(0x7ff8000000000123)), // a NaN with payload bits
+		types.NewFloat(math.Copysign(0, -1)),
+		types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)),
+		types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64),
+		types.NewBytes(nil), types.NewBytes([]byte{0xff, 0x00, 0x80}), types.NewString(""), types.Null,
+	}
+	p, err := DecodeResponse(EncodeResponse(&Response{Rows: []types.Row{row}}))
+	if err != nil || len(p.Rows) != 1 || len(p.Rows[0]) != len(row) {
+		t.Fatalf("decoded %+v, %v", p, err)
+	}
+	for i, want := range row {
+		got := p.Rows[0][i]
+		same := got.Kind() == want.Kind()
+		switch {
+		case !same:
+		case want.Kind() == types.KindFloat:
+			same = math.Float64bits(got.Float()) == math.Float64bits(want.Float())
+		case want.Kind() == types.KindBytes:
+			same = bytes.Equal(got.Bytes(), want.Bytes())
+		default:
+			same = types.Equal(got, want)
+		}
+		if !same {
+			t.Errorf("datum %d: %v (%v) arrived as %v (%v)", i, want, want.Kind(), got, got.Kind())
 		}
 	}
 }

@@ -76,14 +76,14 @@ func KindFromName(name string) (Kind, error) {
 	}
 }
 
-// Datum is a single SQL value. The zero Datum is NULL.
+// Datum is a single SQL value, 32 bytes. The zero Datum is NULL.
 type Datum struct {
 	kind Kind
-	// i holds bool (0/1), int64, or time as UnixNano depending on kind.
+	// i holds bool (0/1), int64, time as UnixNano, or a DOUBLE's
+	// math.Float64bits, depending on kind.
 	i int64
-	f float64
+	// s holds TEXT, and BYTEA's bytes (immutable like any string).
 	s string
-	b []byte
 }
 
 // Null is the NULL datum.
@@ -102,13 +102,16 @@ func NewBool(v bool) Datum {
 func NewInt(v int64) Datum { return Datum{kind: KindInt, i: v} }
 
 // NewFloat returns a DOUBLE datum.
-func NewFloat(v float64) Datum { return Datum{kind: KindFloat, f: v} }
+func NewFloat(v float64) Datum { return Datum{kind: KindFloat, i: int64(math.Float64bits(v))} }
+
+// f returns a DOUBLE datum's value.
+func (d Datum) f() float64 { return math.Float64frombits(uint64(d.i)) }
 
 // NewString returns a TEXT datum.
 func NewString(v string) Datum { return Datum{kind: KindString, s: v} }
 
-// NewBytes returns a BYTEA datum. The slice is not copied.
-func NewBytes(v []byte) Datum { return Datum{kind: KindBytes, b: v} }
+// NewBytes returns a BYTEA datum holding a copy of v.
+func NewBytes(v []byte) Datum { return Datum{kind: KindBytes, s: string(v)} }
 
 // NewTime returns a TIMESTAMP datum with nanosecond precision.
 func NewTime(v time.Time) Datum { return Datum{kind: KindTime, i: v.UnixNano()} }
@@ -139,7 +142,7 @@ func (d Datum) Int() int64 {
 func (d Datum) Float() float64 {
 	switch d.kind {
 	case KindFloat:
-		return d.f
+		return d.f()
 	case KindInt:
 		return float64(d.i)
 	default:
@@ -155,12 +158,12 @@ func (d Datum) Str() string {
 	return d.s
 }
 
-// Bytes returns the byte value; it panics if the kind is not BYTEA.
+// Bytes returns a copy of the byte value; it panics if the kind is not BYTEA.
 func (d Datum) Bytes() []byte {
 	if d.kind != KindBytes {
 		panic(fmt.Sprintf("types: Bytes() on %s datum", d.kind))
 	}
-	return d.b
+	return []byte(d.s)
 }
 
 // Time returns the timestamp value; it panics if the kind is not TIMESTAMP.
@@ -184,11 +187,11 @@ func (d Datum) String() string {
 	case KindInt:
 		return strconv.FormatInt(d.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(d.f, 'g', -1, 64)
+		return strconv.FormatFloat(d.f(), 'g', -1, 64)
 	case KindString:
 		return d.s
 	case KindBytes:
-		return fmt.Sprintf("\\x%x", d.b)
+		return fmt.Sprintf("\\x%x", d.s)
 	case KindTime:
 		return d.Time().Format(time.RFC3339Nano)
 	default:
@@ -227,9 +230,9 @@ func Compare(a, b Datum) (int, error) {
 	}
 	if a.kind != b.kind {
 		if a.kind == KindInt {
-			return cmpIntFloat(a.i, b.f), nil
+			return cmpIntFloat(a.i, b.f()), nil
 		}
-		return -cmpIntFloat(b.i, a.f), nil
+		return -cmpIntFloat(b.i, a.f()), nil
 	}
 	switch a.kind {
 	case KindBool:
@@ -237,11 +240,9 @@ func Compare(a, b Datum) (int, error) {
 	case KindInt:
 		return cmpInt(a.i, b.i), nil
 	case KindFloat:
-		return cmpFloat(a.f, b.f), nil
-	case KindString:
+		return cmpFloat(a.f(), b.f()), nil
+	case KindString, KindBytes:
 		return strings.Compare(a.s, b.s), nil
-	case KindBytes:
-		return strings.Compare(string(a.b), string(b.b)), nil
 	case KindTime:
 		return cmpInt(a.i, b.i), nil
 	default:
@@ -347,7 +348,7 @@ func Hash(d Datum) uint64 {
 	case KindBytes:
 		buf[0] = 4
 		h.Write(buf[:1])
-		h.Write(d.b)
+		h.Write([]byte(d.s))
 	case KindTime:
 		buf[0] = 5
 		for i := 0; i < 8; i++ {
@@ -386,10 +387,10 @@ func AppendKey(dst []byte, d Datum) []byte {
 	case KindInt:
 		return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(d.i))
 	case KindFloat:
-		if i, ok := floatAsInt(d.f); ok {
+		f := d.f()
+		if i, ok := floatAsInt(f); ok {
 			return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(i))
 		}
-		f := d.f
 		if f != f {
 			f = math.NaN() // one NaN, whatever its payload bits
 		}
@@ -397,7 +398,7 @@ func AppendKey(dst []byte, d Datum) []byte {
 	case KindString:
 		return append(binary.AppendUvarint(append(dst, keyString), uint64(len(d.s))), d.s...)
 	case KindBytes:
-		return append(binary.AppendUvarint(append(dst, keyBytes), uint64(len(d.b))), d.b...)
+		return append(binary.AppendUvarint(append(dst, keyBytes), uint64(len(d.s))), d.s...)
 	case KindTime:
 		return binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(d.i))
 	default:
@@ -525,10 +526,11 @@ func Coerce(d Datum, to Kind) (Datum, error) {
 		}
 	case KindInt:
 		if d.kind == KindFloat {
-			if d.f == math.Trunc(d.f) {
-				return NewInt(int64(d.f)), nil
+			f := d.f()
+			if f == math.Trunc(f) {
+				return NewInt(int64(f)), nil
 			}
-			return Null, fmt.Errorf("cannot coerce non-integral %v to BIGINT", d.f)
+			return Null, fmt.Errorf("cannot coerce non-integral %v to BIGINT", f)
 		}
 		if d.kind == KindBool {
 			return NewInt(d.i), nil

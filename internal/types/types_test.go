@@ -1,10 +1,12 @@
 package types
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindFromName(t *testing.T) {
@@ -243,6 +245,77 @@ func TestBytesDatum(t *testing.T) {
 	}
 	if Hash(NewTime(time.Unix(1, 0))) == Hash(NewTime(time.Unix(2, 0))) {
 		t.Error("time hash collision")
+	}
+}
+
+// TestDatumIs32Bytes pins the layout every row, heap and hash table is made
+// of: kind, one 8-byte word (bool, int, time, or a DOUBLE's bits), one string
+// (TEXT, or BYTEA's bytes).
+func TestDatumIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Datum{}); got != 32 {
+		t.Errorf("Datum is %d bytes, want 32", got)
+	}
+}
+
+// specialDatums are the values a layout change is most likely to lose: float
+// bit patterns that are not plain numbers, the integer extremes, and byte
+// strings that are empty or not UTF-8.
+var specialDatums = []Datum{
+	NewFloat(math.NaN()), NewFloat(math.Copysign(0, -1)), NewFloat(0), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+	NewFloat(math.MaxFloat64), NewFloat(math.SmallestNonzeroFloat64),
+	NewInt(math.MaxInt64), NewInt(math.MinInt64),
+	NewBytes(nil), NewBytes([]byte{}), NewBytes([]byte{0xff, 0xfe, 0x00, 0x80}), NewString(""), NewString("\xff\xfe"),
+}
+
+func TestSpecialValuesSurviveTheLayout(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.MaxFloat64, -1.5} {
+		d := NewFloat(f)
+		if got := d.Float(); math.Float64bits(got) != math.Float64bits(f) || d.Kind() != KindFloat {
+			t.Errorf("NewFloat(%v).Float() = %v (bits %x, want %x)", f, got, math.Float64bits(got), math.Float64bits(f))
+		}
+	}
+	if got := NewInt(math.MaxInt64).Float(); got != float64(math.MaxInt64) {
+		t.Errorf("MaxInt64 as float = %v", got)
+	}
+	// -0.0 equals 0.0 and NaN equals itself, for Compare and for the key alike.
+	zero, negZero, nan := NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN())
+	if !Equal(zero, negZero) || !bytes.Equal(AppendKey(nil, zero), AppendKey(nil, negZero)) {
+		t.Error("-0.0 and 0.0 differ")
+	}
+	if !Equal(nan, NewFloat(math.Float64frombits(0x7ff8000000000123))) || MustCompare(nan, NewFloat(math.Inf(1))) != 1 {
+		t.Error("NaN must equal NaN and sort above +Inf")
+	}
+	if MustCompare(NewInt(math.MaxInt64), NewFloat(math.Inf(1))) != -1 || MustCompare(NewInt(math.MinInt64), NewFloat(math.Inf(-1))) != 1 {
+		t.Error("the integer extremes must sort inside the infinities")
+	}
+
+	// BYTEA: a copy on the way in and on the way out.
+	src := []byte{0xff, 0x00, 'a'}
+	b := NewBytes(src)
+	src[0] = 'x'
+	out := b.Bytes()
+	out[1] = 'y'
+	if got := b.Bytes(); !bytes.Equal(got, []byte{0xff, 0x00, 'a'}) {
+		t.Errorf("a BYTEA datum changed under its source or its reader: %x", got)
+	}
+	if got := NewBytes(nil).Bytes(); len(got) != 0 || NewBytes(nil).IsNull() {
+		t.Errorf("empty BYTEA = %x, null %v", got, NewBytes(nil).IsNull())
+	}
+	if Equal(NewBytes([]byte("ab")), NewString("ab")) || bytes.Equal(AppendKey(nil, NewBytes([]byte("ab"))), AppendKey(nil, NewString("ab"))) {
+		t.Error("BYTEA and TEXT of the same bytes must stay different values")
+	}
+
+	// Equal keys iff Compare says equal, across the whole set.
+	for _, a := range specialDatums {
+		for _, b := range specialDatums {
+			same := bytes.Equal(AppendKey(nil, a), AppendKey(nil, b))
+			if want := Equal(a, b); same != want {
+				t.Errorf("%v vs %v: equal keys = %v, Compare-equal = %v", a, b, same, want)
+			}
+		}
+		if Hash(a) != Hash(a) || !Equal(a, a) {
+			t.Errorf("%v is not equal to itself", a)
+		}
 	}
 }
 
