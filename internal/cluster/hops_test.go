@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"strings"
@@ -108,12 +109,23 @@ func msgCounts(d transport.Stats) map[string]int {
 	return out
 }
 
+// activeLegs counts the transaction legs still active on c's data nodes.
+func activeLegs(c *Cluster) int {
+	total := 0
+	for _, dn := range c.DataNodes() {
+		total += dn.Txm.ActiveCount()
+	}
+	return total
+}
+
 // TestCriticalPathHops pins, per statement class on 4 data nodes at degree
-// 4, the messages a statement waits for and the messages it sends. Sent
-// messages equal what the serial protocol sent — except that a read-only
-// transaction prepares nothing — while the waits are what the protocol
-// needs: a read waits for its fragments and never for its own clean-up, a
-// 2PC phase is one wave, a shuffle producer pays once per stream.
+// 4, the messages a statement waits for and the messages it sends. The
+// waits are what the protocol needs: a read waits for its fragments and
+// never for its own clean-up, a 2PC phase is one wave, a shuffle producer
+// pays once per stream. The sends are what carries information: an
+// autocommit statement's legs end with the requests that did their work,
+// so its reads release nothing and its single-shard write commits with
+// its write; an explicit transaction's COMMIT still tells every leg.
 func TestCriticalPathHops(t *testing.T) {
 	const n = 4
 	c := newCluster(t, n, ModeGTMLite)
@@ -140,7 +152,9 @@ func TestCriticalPathHops(t *testing.T) {
 		}
 	}
 
-	// step runs one statement and checks its waits and its messages.
+	// step runs one statement and checks its waits and its messages — and,
+	// outside a transaction, that no leg outlives it without a message
+	// having ended it.
 	step := func(name, sql string, wantWaits, wantMsgs map[string]int) {
 		t.Helper()
 		log.take()
@@ -153,37 +167,49 @@ func TestCriticalPathHops(t *testing.T) {
 		if !maps.Equal(msgs, wantMsgs) {
 			t.Errorf("%s sent %v, want %v", name, msgs, wantMsgs)
 		}
+		if n := activeLegs(c); !s.InTxn() && n != 0 {
+			t.Errorf("%s left %d active legs", name, n)
+		}
 	}
 
 	// Read-only scatter statements: the global snapshot, then one request
-	// and one response per fragment, side by side. The four legs and the GTM
-	// are told the outcome (4 commits, the second gtm_round) but nobody
-	// waits for that, and nothing is prepared.
+	// and one response per fragment, side by side. The GTM is told the
+	// outcome (the second gtm_round) but nobody waits for that; each leg
+	// ended with its fragment, so none is sent a release, and nothing is
+	// prepared.
 	scatterWaits := map[string]int{"gtm_round": 1, "scan_frag_req": n, "scan_frag_resp": n}
-	scatterMsgs := map[string]int{"gtm_round": 2, "scan_frag": 2 * n, "commit": n}
+	scatterMsgs := map[string]int{"gtm_round": 2, "scan_frag": 2 * n}
 	step("scatter aggregate", "SELECT branch, count(*), sum(balance) FROM accounts GROUP BY branch", scatterWaits, scatterMsgs)
 	step("top-N", "SELECT id, balance FROM accounts ORDER BY id DESC LIMIT 5", scatterWaits, scatterMsgs)
 	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistColocated}
 	step("co-located join", "SELECT fact.k, fact.v, big.w FROM fact, big WHERE fact.k = big.b", scatterWaits, scatterMsgs)
 	c.JoinPolicy = plan.DistJoinPolicy{}
 
-	// The same inside BEGIN … COMMIT: the COMMIT of a transaction that only
-	// read waits for nothing.
+	// The same inside BEGIN … COMMIT: the fragments did not end the legs, so
+	// COMMIT releases all four — and, the transaction having only read,
+	// waits for nothing.
 	mustExec(t, s, "BEGIN")
 	step("scatter aggregate in a transaction", "SELECT branch, count(*) FROM accounts GROUP BY branch",
 		scatterWaits, map[string]int{"gtm_round": 1, "scan_frag": 2 * n})
 	step("COMMIT of a read-only transaction", "COMMIT", map[string]int{}, map[string]int{"gtm_round": 1, "commit": n})
 
-	// Single-shard read: two hops; its release is sent, not waited for.
+	// Single-shard read: two hops, two messages.
 	step("single-shard read", "SELECT balance FROM accounts WHERE id = 7",
 		map[string]int{"scan_frag_req": 1, "scan_frag_resp": 1},
-		map[string]int{"scan_frag": 2, "commit": 1})
+		map[string]int{"scan_frag": 2})
 
-	// Single-shard write: the commit is the statement's outcome and is
-	// awaited, exactly as before.
+	// Single-shard autocommit write: the write is the statement's one
+	// message and its outcome — the node commits the leg it carried.
 	step("single-shard update", "UPDATE accounts SET balance = balance + 1 WHERE id = 7",
-		map[string]int{"write": 1, "commit": 1},
-		map[string]int{"write": 1, "commit": 1})
+		map[string]int{"write": 1}, map[string]int{"write": 1})
+
+	// The same write inside BEGIN … COMMIT: the write did not end the leg,
+	// so COMMIT's one commit is awaited, as before.
+	mustExec(t, s, "BEGIN")
+	step("single-shard update in a transaction", "UPDATE accounts SET balance = balance + 1 WHERE id = 7",
+		map[string]int{"write": 1}, map[string]int{"write": 1})
+	step("COMMIT of a single-shard writing transaction", "COMMIT",
+		map[string]int{"commit": 1}, map[string]int{"commit": 1})
 
 	// A 4-leg writing transaction: the scatter UPDATE dispatches its four
 	// write legs as one wave; COMMIT waits once per 2PC phase and once for
@@ -230,7 +256,7 @@ func TestCriticalPathHops(t *testing.T) {
 	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistBroadcast}
 	step("broadcast join", "SELECT fact.v, dim.name FROM fact, dim WHERE fact.d = dim.d",
 		map[string]int{"gtm_round": 1, "scan_frag_req": 1, "scan_frag_resp": 1 + n, "bcast_build": n},
-		map[string]int{"gtm_round": 2, "scan_frag": 3 * n, "bcast_build": n, "commit": n})
+		map[string]int{"gtm_round": 2, "scan_frag": 3 * n, "bcast_build": n})
 
 	// Shuffle join: 8 producers (4 sources × 2 sides), each sending several
 	// batches to each of 3 other nodes — and each waiting once, for its
@@ -252,11 +278,14 @@ func TestCriticalPathHops(t *testing.T) {
 	if !maps.Equal(msgs, scatterMsgs) {
 		t.Errorf("shuffle join sent %v besides its batches, want %v", msgs, scatterMsgs)
 	}
+	if n := activeLegs(c); n != 0 {
+		t.Errorf("shuffle join left %d active legs", n)
+	}
 }
 
-// TestCommitWaveFaults drives the 2PC waves through injected message loss:
-// what a lost prepare, a lost commit confirmation and a lost read-only
-// release each leave behind.
+// TestCommitWaveFaults drives the commit protocol through injected message
+// loss: what a lost prepare, a lost commit confirmation, a lost read-only
+// release and a one-shot write's lost write each leave behind.
 func TestCommitWaveFaults(t *testing.T) {
 	const rows = 40
 	c := newCluster(t, 4, ModeGTMLite)
@@ -294,13 +323,6 @@ func TestCommitWaveFaults(t *testing.T) {
 			Types: []transport.MsgType{mt}, Drop: true, Count: 1,
 		})
 	}
-	activeLegs := func() int {
-		total := 0
-		for _, dn := range c.DataNodes() {
-			total += dn.Txm.ActiveCount()
-		}
-		return total
-	}
 
 	// A lost prepare: the leg cannot vote, both legs abort, nothing is left
 	// in doubt.
@@ -311,8 +333,8 @@ func TestCommitWaveFaults(t *testing.T) {
 	if got := c.InDoubtCount(); got != 0 {
 		t.Fatalf("a failed prepare left %d legs in doubt", got)
 	}
-	if balance(a) != 100 || balance(b) != 100 || activeLegs() != 0 {
-		t.Fatalf("aborted transfer left balances %d/%d and %d active legs", balance(a), balance(b), activeLegs())
+	if balance(a) != 100 || balance(b) != 100 || activeLegs(c) != 0 {
+		t.Fatalf("aborted transfer left balances %d/%d and %d active legs", balance(a), balance(b), activeLegs(c))
 	}
 	checkSum()
 
@@ -337,24 +359,48 @@ func TestCommitWaveFaults(t *testing.T) {
 	}
 	checkSum()
 
-	// A lost read-only release: the rows are already delivered, so neither a
-	// scatter nor a single-shard SELECT fails; the loss is counted and the
-	// leg ends all the same (presumed abort).
+	// A lost read-only release: only an explicit transaction sends one (an
+	// autocommit read's legs end with its fragments). The rows are already
+	// delivered, so neither a scatter nor a single-shard SELECT nor the
+	// COMMIT fails; the loss is counted and the leg ends all the same
+	// (presumed abort).
 	for _, q := range []string{
 		"SELECT sum(balance) FROM accounts",
 		fmt.Sprintf("SELECT balance FROM accounts WHERE id = %d", a),
 	} {
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, q)
 		base := c.Fabric().Stats()
 		dropNext(dnA, transport.Commit)
-		if _, err := s.Exec(q); err != nil {
-			t.Fatalf("%s with its release dropped: %v", q, err)
+		if _, err := s.Exec("COMMIT"); err != nil {
+			t.Fatalf("%s: COMMIT with its release dropped: %v", q, err)
 		}
 		if d := c.Fabric().Stats().Sub(base).Get(transport.Commit); d.Dropped != 1 {
 			t.Fatalf("%s: commit stats %+v, want the dropped release counted", q, d)
 		}
-		if activeLegs() != 0 || c.InDoubtCount() != 0 {
-			t.Fatalf("%s: a lost release left %d active legs, %d in doubt", q, activeLegs(), c.InDoubtCount())
+		if activeLegs(c) != 0 || c.InDoubtCount() != 0 {
+			t.Fatalf("%s: a lost release left %d active legs, %d in doubt", q, activeLegs(c), c.InDoubtCount())
 		}
+	}
+	checkSum()
+
+	// A one-shot write whose write message is lost: the message that would
+	// have done the work and ended the leg never arrived, so the statement
+	// fails, nothing commits, and the leg is rolled back — none stays
+	// active, none in doubt.
+	base := c.Fabric().Stats()
+	dropNext(dnA, transport.Write)
+	if _, err := s.Exec(fmt.Sprintf("UPDATE accounts SET balance = balance + 5 WHERE id = %d", a)); !errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("one-shot UPDATE with its write dropped: %v, want the loss", err)
+	}
+	if d := c.Fabric().Stats().Sub(base); d.Get(transport.Write).Dropped != 1 || !maps.Equal(msgCounts(d), map[string]int{"abort": 1}) {
+		t.Fatalf("one-shot UPDATE delivered %v and lost %d writes, want the lost write and its leg's abort only", msgCounts(d), d.Get(transport.Write).Dropped)
+	}
+	if activeLegs(c) != 0 || c.InDoubtCount() != 0 {
+		t.Fatalf("a lost one-shot write left %d active legs, %d in doubt", activeLegs(c), c.InDoubtCount())
+	}
+	if got := balance(a); got != 70 {
+		t.Fatalf("a = %d after its lost write, want 70 (nothing committed)", got)
 	}
 	checkSum()
 }

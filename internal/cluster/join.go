@@ -214,7 +214,7 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 		for i, p := range targets {
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
 				// One request leg carries the whole join fragment.
-				if err := c.sendDN(p, transport.ScanFrag, 0); err != nil {
+				if err := a.dispatch(transport.ScanFrag, 0, p); err != nil {
 					return err
 				}
 				table := exec.NewJoinTable(spec.Build.Keys)
@@ -273,7 +273,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 			for i, src := range build.srcs {
 				nodes[i] = src.node
 			}
-			if gatherErr = c.sendDNs(nodes, transport.ScanFrag); gatherErr != nil {
+			if gatherErr = a.dispatch(transport.ScanFrag, 0, nodes...); gatherErr != nil {
 				return
 			}
 			results := c.fab.Stream()
@@ -305,7 +305,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 					return gatherErr
 				}
 				// Ship the build side to this DN, then run the local probe.
-				if err := c.sendDN(p, transport.BcastBuild, buildRows*build.prog.shipWidth()*8); err != nil {
+				if err := a.dispatch(transport.BcastBuild, buildRows*build.prog.shipWidth()*8, p); err != nil {
 					return err
 				}
 				shipped := 0
@@ -461,7 +461,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 					// every exit path cancels (if needed) and joins them.
 					defer producerWG.Wait()
 					run := func() (int, error) {
-						if err := c.sendDN(targets[t], transport.ScanFrag, 0); err != nil {
+						if err := a.dispatch(transport.ScanFrag, 0, targets[t]); err != nil {
 							return 0, err
 						}
 						table := exec.NewJoinTable(spec.Build.Keys)

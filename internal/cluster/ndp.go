@@ -329,7 +329,7 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 	if bf != nil {
 		req = bf.SizeBytes()
 	}
-	if err := a.s.c.sendDN(src.node, transport.ScanFrag, req); err != nil {
+	if err := a.dispatch(transport.ScanFrag, req, src.node); err != nil {
 		return err
 	}
 

@@ -487,7 +487,7 @@ func (s *Session) execWrite(a *stmtAccess, ti *TableInfo, targets []int, frag fu
 		return nil, err
 	}
 	t.touchSet(targets)
-	if err := c.sendDNs(targets, transport.Write); err != nil {
+	if err := a.dispatch(transport.Write, 0, targets...); err != nil {
 		return nil, err
 	}
 	// Replicated tables are never recorded: standbys receive those writes

@@ -117,6 +117,26 @@ func (a *stmtAccess) snapshotFor(dnID int) (*txnkit.Snapshot, error) {
 	return snap, nil
 }
 
+// dispatch sends the statement's request of type mt — a write, a fragment,
+// a broadcast join's build side — to every node of ids, awaited as one
+// message or one wave, and marks the transaction's legs there carried (see
+// leg.carried): the request that does a oneShot leg's work also ends it.
+// payload is charged on a single message only; a wave is payload-free.
+func (a *stmtAccess) dispatch(mt transport.MsgType, payload int, ids ...int) error {
+	c := a.s.c
+	var err error
+	if len(ids) == 1 {
+		err = c.sendDN(ids[0], mt, payload)
+	} else {
+		err = c.sendDNs(ids, mt)
+	}
+	if err != nil {
+		return err
+	}
+	a.t.carry(ids)
+	return nil
+}
+
 // targetsFor picks the data nodes a scan of ti must visit.
 func (a *stmtAccess) targetsFor(ti *TableInfo) []int {
 	for i := range a.routed {
@@ -134,7 +154,7 @@ func (a *stmtAccess) targetsFor(ti *TableInfo) []int {
 // shard the transaction already holds a leg on, else the first live shard
 // (read failover; a retired or down node must never take a new leg).
 func (c *Cluster) replicaReadNode(t *txn) []int {
-	if ids := c.liveNodes(t.sortedDNs()); len(ids) > 0 {
+	if ids := c.liveNodes(t.legDNs()); len(ids) > 0 {
 		return ids[:1]
 	}
 	if live := c.liveNodes(allDNs(c.DataNodeCount())); len(live) > 0 {
@@ -241,7 +261,7 @@ func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupB
 		func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
 			// Fragment dispatch: the scan+partial-agg request goes out, the
 			// reduced result rows come back.
-			if err := a.s.c.sendDN(src.node, transport.ScanFrag, 0); err != nil {
+			if err := a.dispatch(transport.ScanFrag, 0, src.node); err != nil {
 				return err
 			}
 			// All of it evaluates "on the data node", survivors streaming

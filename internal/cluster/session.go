@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,14 +60,22 @@ func (s *Session) InTxn() bool { return s.tx != nil }
 type txn struct {
 	c    *Cluster
 	mode TxnMode
-	// mu guards xids, global, gxid and gsnap against concurrent fragment
+	// oneShot marks the implicit transaction of one autocommit statement:
+	// its legs end with the statement's own requests (see leg.carried).
+	// Set at creation, read-only after.
+	oneShot bool
+	// mu guards legs, global, gxid and gsnap against concurrent fragment
 	// start: parallel Exchange fragments of one statement may begin legs
 	// on different data nodes simultaneously. Commit, abort and the
-	// post-statement reads (sortedDNs, LastTxnWasGlobal) run after every
+	// post-statement reads (legDNs, LastTxnWasGlobal) run after every
 	// fragment has joined — Exchange.Open waits for its workers — so they
 	// read without the lock.
-	mu     sync.Mutex
-	xids   map[int]txnkit.XID
+	mu sync.Mutex
+	// legs lists the transaction's legs in node order. first backs it until
+	// a second leg arrives, so a single-shard transaction's legs cost no
+	// allocation of their own.
+	legs   []leg
+	first  [1]leg
 	global bool
 	gxid   txnkit.GXID
 	gsnap  *txnkit.GlobalSnapshot
@@ -85,6 +93,18 @@ type txn struct {
 	// so the session observes its own uncommitted writes. Guarded by mu:
 	// it is set before INSERT ... SELECT plans its source query.
 	dml bool
+}
+
+// leg is the transaction's branch on data node dn.
+type leg struct {
+	dn  int
+	xid txnkit.XID
+	// carried says the leg's node received a request of the transaction's
+	// one statement — its write or its fragment — while the transaction
+	// was oneShot. The node then knows the leg has nothing more coming and
+	// ends it with that request, so the leg's outcome needs no message of
+	// its own: no commit on the single-shard fast path, no release.
+	carried bool
 }
 
 // markDML flags the transaction as writing (see txn.dml).
@@ -105,11 +125,33 @@ func (t *txn) dmlSeen() bool {
 func (t *txn) hasAnyLeg() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.xids) > 0
+	return len(t.legs) > 0
 }
 
 func (s *Session) newTxn() *txn {
-	return &txn{c: s.c, mode: s.c.cfg.Mode, xids: make(map[int]txnkit.XID)}
+	t := &txn{c: s.c, mode: s.c.cfg.Mode}
+	t.legs = t.first[:0]
+	return t
+}
+
+// legAt finds the leg on dnID: its index in t.legs, or where it would be
+// inserted. Caller holds t.mu (or every fragment has joined).
+func (t *txn) legAt(dnID int) (int, bool) {
+	for i := range t.legs {
+		if t.legs[i].dn >= dnID {
+			return i, t.legs[i].dn == dnID
+		}
+	}
+	return len(t.legs), false
+}
+
+// legDNs lists the nodes the transaction holds legs on, ascending.
+func (t *txn) legDNs() []int {
+	ids := make([]int, len(t.legs))
+	for i, l := range t.legs {
+		ids[i] = l.dn
+	}
+	return ids
 }
 
 // ensureGlobalLocked escalates the transaction to a global (GTM-managed)
@@ -122,10 +164,10 @@ func (t *txn) ensureGlobalLocked() {
 	t.gxid, t.gsnap = t.c.gtm.BeginGlobal()
 	t.global = true
 	// Retroactively bind any already-started local legs.
-	for dnID, xid := range t.xids {
+	for _, l := range t.legs {
 		// Registration failures can only happen on settled transactions,
-		// which cannot be in t.xids.
-		if err := t.c.node(dnID).Txm.RegisterGlobal(xid, t.gxid); err != nil {
+		// which cannot be in t.legs.
+		if err := t.c.node(l.dn).Txm.RegisterGlobal(l.xid, t.gxid); err != nil {
 			panic(fmt.Sprintf("cluster: escalation failed: %v", err))
 		}
 	}
@@ -142,12 +184,13 @@ func (t *txn) touch(dnID int) txnkit.XID {
 }
 
 func (t *txn) touchLocked(dnID int) txnkit.XID {
-	if xid, ok := t.xids[dnID]; ok {
-		return xid
+	at, ok := t.legAt(dnID)
+	if ok {
+		return t.legs[at].xid
 	}
 	if t.mode == ModeBaseline {
 		t.ensureGlobalLocked()
-	} else if len(t.xids) >= 1 {
+	} else if len(t.legs) >= 1 {
 		t.ensureGlobalLocked() // GTM-lite: second shard -> escalate
 	}
 	dn := t.c.node(dnID)
@@ -157,23 +200,23 @@ func (t *txn) touchLocked(dnID int) txnkit.XID {
 	} else {
 		xid = dn.Txm.Begin()
 	}
-	t.xids[dnID] = xid
+	t.legs = slices.Insert(t.legs, at, leg{dn: dnID, xid: xid})
 	return xid
 }
 
 // touchSet pre-touches a set of data nodes, escalating once if the set is
-// larger than one.
+// larger than one or adds a node to a transaction that already has a leg.
 func (t *txn) touchSet(dnIDs []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(dnIDs) > 1 || (len(dnIDs) == 1 && len(t.xids) > 0 && t.xids[dnIDs[0]] == 0) {
-		needsEscalate := len(dnIDs) > 1
+	if t.mode == ModeGTMLite {
+		escalate := len(dnIDs) > 1
 		for _, id := range dnIDs {
-			if _, ok := t.xids[id]; !ok && len(t.xids) > 0 {
-				needsEscalate = true
+			if _, ok := t.legAt(id); !ok && len(t.legs) > 0 {
+				escalate = true
 			}
 		}
-		if needsEscalate && t.mode == ModeGTMLite {
+		if escalate {
 			t.ensureGlobalLocked()
 		}
 	}
@@ -198,8 +241,24 @@ func (t *txn) refreshGlobalSnapshot() {
 func (t *txn) hasLeg(dnID int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.xids[dnID]
+	_, ok := t.legAt(dnID)
 	return ok
+}
+
+// carry marks the legs on dnIDs carried by the request just delivered
+// there, if the transaction is oneShot (see leg.carried). A node the
+// transaction holds no leg on — an HTAP replica's host — has nothing to mark.
+func (t *txn) carry(dnIDs []int) {
+	if !t.oneShot {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, id := range dnIDs {
+		if at, ok := t.legAt(id); ok {
+			t.legs[at].carried = true
+		}
+	}
 }
 
 // logWrite records one write for the leg on dnID (see txn.pending).
@@ -241,9 +300,8 @@ func (t *txn) commit() error {
 		t.abortLocked()
 		return ErrTxnAborted
 	}
-	ids := t.sortedDNs()
 	if !t.dml {
-		t.release(ids)
+		t.release()
 		return nil
 	}
 
@@ -252,57 +310,62 @@ func (t *txn) commit() error {
 	// these slots, so a commit racing the kill either aborts here (saw the
 	// down mark) or lands its records in the shipped log before promotion —
 	// never in between. Sync-mode standby waits run after the slots drop.
-	for _, dnID := range ids {
-		t.c.node(dnID).committing.Add(1)
+	for _, l := range t.legs {
+		t.c.node(l.dn).committing.Add(1)
 	}
 	var waits []func()
 	defer func() {
-		for _, dnID := range ids {
-			t.c.node(dnID).committing.Add(-1)
+		for _, l := range t.legs {
+			t.c.node(l.dn).committing.Add(-1)
 		}
 		for _, w := range waits {
 			w()
 		}
 	}()
-	for _, dnID := range ids {
-		if t.c.nodeDown(dnID) {
+	for _, l := range t.legs {
+		if t.c.nodeDown(l.dn) {
 			t.abortLocked()
-			return fmt.Errorf("cluster: commit aborted, %w: dn%d", ErrNodeDown, dnID)
+			return fmt.Errorf("cluster: commit aborted, %w: dn%d", ErrNodeDown, l.dn)
 		}
 	}
 
 	if !t.global {
 		// GTM-lite single-shard fast path: no GTM, no 2PC, and exactly one
-		// leg — a second one would have escalated the transaction.
-		if len(ids) == 0 {
+		// leg — a second one would have escalated the transaction. A
+		// carried leg commits with the write that reached it; any other
+		// is told to.
+		if len(t.legs) == 0 {
 			return nil
 		}
-		dnID := ids[0]
-		if err := t.c.sendDN(dnID, transport.Commit, 0); err != nil {
-			// The commit message never reached the node: nothing
-			// committed, so aborting is safe and the client sees the
-			// failure.
-			t.abortLocked()
-			return fmt.Errorf("cluster: commit aborted, dn%d unreachable: %w", dnID, err)
+		l := t.legs[0]
+		if !l.carried {
+			if err := t.c.sendDN(l.dn, transport.Commit, 0); err != nil {
+				// The commit message never reached the node: nothing
+				// committed, so aborting is safe and the client sees the
+				// failure.
+				t.abortLocked()
+				return fmt.Errorf("cluster: commit aborted, dn%d unreachable: %w", l.dn, err)
+			}
 		}
-		return t.c.commitLeg(dnID, t.xids[dnID], t.pending[dnID], &waits)
+		return t.c.commitLeg(l.dn, l.xid, t.pending[l.dn], &waits)
 	}
 	// Phase 1: prepare every leg, as one wave. A leg whose prepare was lost
 	// cannot vote, so the transaction aborts everywhere.
+	ids := t.legDNs()
 	if err := t.c.sendDNs(ids, transport.Prepare); err != nil {
 		t.abortLocked()
 		return fmt.Errorf("cluster: prepare failed: %w", err)
 	}
-	for _, dnID := range ids {
-		if err := t.c.node(dnID).Txm.Prepare(t.xids[dnID]); err != nil {
+	for _, l := range t.legs {
+		if err := t.c.node(l.dn).Txm.Prepare(l.xid); err != nil {
 			t.abortLocked()
-			return fmt.Errorf("cluster: prepare failed on dn%d: %w", dnID, err)
+			return fmt.Errorf("cluster: prepare failed on dn%d: %w", l.dn, err)
 		}
 	}
 	// Every leg is prepared: park the write records so in-doubt recovery
 	// can still ship them if the coordinator dies mid-commit.
-	for _, dnID := range ids {
-		t.c.stashPrepared(dnID, t.xids[dnID], t.pending[dnID])
+	for _, l := range t.legs {
+		t.c.stashPrepared(l.dn, l.xid, t.pending[l.dn])
 	}
 	if t.c.failCrashBeforeGTM.Load() {
 		// Simulated coordinator death: legs stay prepared, no GTM decision.
@@ -325,18 +388,18 @@ func (t *txn) commit() error {
 	// (ResolveInDoubt) finishes it when the node is reachable.
 	var firstErr error
 	lost := t.c.waveDN(ids, transport.Commit)
-	for i, dnID := range ids {
+	for i, l := range t.legs {
 		if lost != nil && lost[i] != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: commit confirmation to dn%d lost (leg stays in doubt): %w", dnID, lost[i])
+				firstErr = fmt.Errorf("cluster: commit confirmation to dn%d lost (leg stays in doubt): %w", l.dn, lost[i])
 			}
 			continue
 		}
-		recs := t.c.takeStash(dnID, t.xids[dnID])
+		recs := t.c.takeStash(l.dn, l.xid)
 		if recs == nil {
-			recs = t.pending[dnID]
+			recs = t.pending[l.dn]
 		}
-		if err := t.c.commitLeg(dnID, t.xids[dnID], recs, &waits); err != nil && firstErr == nil {
+		if err := t.c.commitLeg(l.dn, l.xid, recs, &waits); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -346,24 +409,25 @@ func (t *txn) commit() error {
 // release ends a transaction that ran no DML — the read-only optimisation
 // of two-phase commit. Its legs hold nothing to vote on, log or ship, so
 // there is no prepare, no commit slot and nothing for the client to wait
-// for: the outcome goes to the GTM and one commit message to every leg, all
-// posted and none awaited — the statement's critical path ended at its last
-// fragment response. A release the fabric loses is counted as dropped and
-// its leg ends by presumed abort, which for a leg without writes is the same
-// thing; the rows stay delivered.
-func (t *txn) release(ids []int) {
+// for: the outcome goes to the GTM and one commit message to every leg not
+// carried (a carried one ended with its fragment), all posted and none
+// awaited — the statement's critical path ended at its last fragment
+// response. A release the fabric loses is counted as dropped and its leg
+// ends by presumed abort, which for a leg without writes is the same thing;
+// the rows stay delivered.
+func (t *txn) release() {
 	if t.global {
 		t.c.postGTM(transport.GTMRound)
 		t.c.gtm.EndGlobal(t.gxid, true)
 	}
-	for _, dnID := range ids {
-		txm := t.c.node(dnID).Txm
+	for _, l := range t.legs {
+		txm := t.c.node(l.dn).Txm
 		// Settling errors (leg already ended) are unreachable through the
 		// session API; ignore defensively.
-		if t.c.postDN(dnID, transport.Commit) != nil {
-			_ = txm.Abort(t.xids[dnID])
+		if !l.carried && t.c.postDN(l.dn, transport.Commit) != nil {
+			_ = txm.Abort(l.xid)
 		} else {
-			_ = txm.Commit(t.xids[dnID])
+			_ = txm.Commit(l.xid)
 		}
 	}
 }
@@ -381,25 +445,16 @@ func (t *txn) abort() {
 // abort leaves its leg to presumed-abort recovery, and the client's error
 // does not depend on any of them arriving.
 func (t *txn) abortLocked() {
-	for _, dnID := range t.sortedDNs() {
-		_ = t.c.postDN(dnID, transport.Abort)
+	for _, l := range t.legs {
+		_ = t.c.postDN(l.dn, transport.Abort)
 		// Abort errors (already settled) are unreachable through the
 		// session API; ignore defensively.
-		_ = t.c.node(dnID).Txm.Abort(t.xids[dnID])
+		_ = t.c.node(l.dn).Txm.Abort(l.xid)
 	}
 	if t.global {
 		t.c.postGTM(transport.GTMRound)
 		t.c.gtm.EndGlobal(t.gxid, false)
 	}
-}
-
-func (t *txn) sortedDNs() []int {
-	ids := make([]int, 0, len(t.xids))
-	for id := range t.xids {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 // ---------------------------------------------------------------------------
@@ -420,14 +475,19 @@ func (s *Session) ExecStmt(stmt sqlx.Statement) (*Result, error) {
 	return s.Prepare(stmt).Exec(nil)
 }
 
+// Begin opens an explicit transaction, as the statement BEGIN does.
+func (s *Session) Begin() error {
+	if s.tx != nil {
+		return errors.New("cluster: already inside a transaction")
+	}
+	s.tx = s.newTxn()
+	return nil
+}
+
 func (s *Session) execTxControl(tc *sqlx.TxControl) (*Result, error) {
 	switch tc.Verb {
 	case "BEGIN":
-		if s.tx != nil {
-			return nil, errors.New("cluster: already inside a transaction")
-		}
-		s.tx = s.newTxn()
-		return &Result{}, nil
+		return &Result{}, s.Begin()
 	case "COMMIT":
 		if s.tx == nil {
 			return nil, errors.New("cluster: COMMIT outside a transaction")
@@ -464,6 +524,7 @@ func (s *Session) execInTxn(p *Prepared, params []types.Datum) (*Result, error) 
 		return res, err
 	}
 	t := s.newTxn()
+	t.oneShot = true
 	res, err := s.execStatement(t, p, params)
 	if err != nil {
 		t.abort()

@@ -6,7 +6,10 @@
 // client-side, so a handle is just its template), transaction affinity
 // (Begin pins a pooled connection until Commit/Rollback), and jittered
 // exponential backoff when the server's admission gate sheds the statement
-// with queue-full.
+// with queue-full. Begin sends nothing: a transaction's first frame carries
+// the begin bit (server.FlagBegin) and opens it server-side, and a
+// transaction that never sent a frame ends without one — so an n-statement
+// transaction costs n+1 round trips, not n+2.
 package driver
 
 import (
@@ -377,10 +380,17 @@ type Result struct {
 	CacheHit bool
 }
 
-// execOn runs one bound statement on a pinned connection with queue-full
-// retries (safe: a shed statement never executed). Transport request-leg
-// losses redial and retry; response-leg losses surface to the caller.
-func (db *DB) execOn(cn *conn, sql string, pinned bool) (*Result, *conn, error) {
+// execOn runs one bound statement on cn with queue-full retries (safe: a
+// shed statement never executed). tx is the transaction the statement
+// belongs to, nil for autocommit. Until a frame of tx has opened the
+// transaction on the server, each of its frames carries the begin bit and
+// nothing of it is pinned server-side, so — as for an autocommit statement
+// — a lost request leg redials and retries and an evicted session
+// re-handshakes. Once the server session holds the transaction, both
+// surface: a new session would not have it. A lost response leg always
+// surfaces (the statement may have executed).
+func (db *DB) execOn(cn *conn, sql string, tx *Tx) (*Result, *conn, error) {
+	begin := tx != nil && !tx.begun
 	req := &server.Request{
 		Op:            server.OpExec,
 		Priority:      uint8(db.opts.Priority),
@@ -388,6 +398,10 @@ func (db *DB) execOn(cn *conn, sql string, pinned bool) (*Result, *conn, error) 
 		TimeoutMillis: uint32(db.opts.StmtTimeout / time.Millisecond),
 		SQL:           sql,
 	}
+	if begin {
+		req.Flags = server.FlagBegin
+	}
+	pinned := tx != nil && !begin
 	rehandshakes := 0
 	for attempt := 0; ; {
 		db.sent.Add(1)
@@ -395,15 +409,20 @@ func (db *DB) execOn(cn *conn, sql string, pinned bool) (*Result, *conn, error) 
 		if err != nil {
 			if errors.Is(err, server.ErrRequestLost) && !pinned {
 				// The statement never reached the server: reconnect and
-				// retry. Inside a transaction (pinned) the session state
-				// would be lost, so surface instead.
+				// retry.
 				if cn = db.redial(cn); cn != nil {
 					req.Session = cn.sess
 					continue
 				}
 				return nil, nil, errors.New("driver: connection lost and redial failed")
 			}
+			if begin && errors.Is(err, server.ErrResponseLost) {
+				tx.begun = true // it may have opened the transaction: end it with a frame
+			}
 			return nil, cn, err
+		}
+		if begin && resp.InTxn {
+			tx.begun = true
 		}
 		if resp.CacheHit {
 			db.cacheHits.Add(1)
@@ -449,7 +468,7 @@ func (db *DB) exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, cn2, err := db.execOn(cn, sql, false)
+	res, cn2, err := db.execOn(cn, sql, nil)
 	if cn2 == nil {
 		// The connection died mid-retry; its slot was not returned.
 		db.mu.Lock()
@@ -562,24 +581,23 @@ func (st *Stmt) Select(dest any, arg any) error {
 // Tx is an explicit transaction pinned to one pooled connection, so every
 // statement lands on the same server session (transaction affinity).
 type Tx struct {
-	db   *DB
-	cn   *conn
-	done bool
-	dead bool
+	db *DB
+	cn *conn
+	// begun says the server session holds the transaction: a frame carrying
+	// the begin bit opened it — or may have, its response having been lost.
+	begun bool
+	done  bool
+	dead  bool
 }
 
-// Begin opens a transaction on a pinned connection.
+// Begin pins a pooled connection for a transaction. It sends nothing: the
+// transaction's first frame opens it on the server (see execOn).
 func (db *DB) Begin() (*Tx, error) {
 	cn, err := db.checkout()
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{db: db, cn: cn}
-	if _, err := tx.Exec("BEGIN"); err != nil {
-		tx.finish(true)
-		return nil, err
-	}
-	return tx, nil
+	return &Tx{db: db, cn: cn}, nil
 }
 
 // Exec runs a statement inside the transaction.
@@ -591,7 +609,7 @@ func (tx *Tx) Exec(query string, arg ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, cn, err := tx.db.execOn(tx.cn, sql, true)
+	res, cn, err := tx.db.execOn(tx.cn, sql, tx)
 	if cn == nil || (err != nil && !isStmtError(err) && !errors.Is(err, ErrShed)) {
 		tx.dead = true
 	}
@@ -620,15 +638,21 @@ func (tx *Tx) Get(dest any, query string, arg ...any) error {
 }
 
 // Commit commits and unpins the connection.
-func (tx *Tx) Commit() error {
-	_, err := tx.Exec("COMMIT")
-	tx.finish(tx.dead)
-	return err
-}
+func (tx *Tx) Commit() error { return tx.end("COMMIT") }
 
 // Rollback aborts and unpins the connection.
-func (tx *Tx) Rollback() error {
-	_, err := tx.Exec("ROLLBACK")
+func (tx *Tx) Rollback() error { return tx.end("ROLLBACK") }
+
+// end sends verb — unless no frame of the transaction ever opened it on the
+// server, which leaves nothing to end — and unpins the connection.
+func (tx *Tx) end(verb string) error {
+	if tx.done {
+		return errors.New("driver: transaction already finished")
+	}
+	var err error
+	if tx.begun {
+		_, err = tx.Exec(verb)
+	}
 	tx.finish(tx.dead)
 	return err
 }

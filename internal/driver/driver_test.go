@@ -12,6 +12,7 @@ import (
 	"repro/internal/autonomous"
 	"repro/internal/cluster"
 	"repro/internal/server"
+	"repro/internal/tpcc"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -450,4 +451,251 @@ func TestScanDatumAndBytes(t *testing.T) {
 		t.Errorf("row = %+v", r)
 	}
 	_ = row{}
+}
+
+// clientReqs counts the client_req frames the fabric delivered since base.
+func clientReqs(c *cluster.Cluster, base transport.Stats) int64 {
+	return c.Fabric().Stats().Sub(base).Get(transport.ClientReq).Count
+}
+
+// TestBeginRidesOnFirstFrame pins the piggybacked BEGIN: Begin sends
+// nothing, a transaction that never sent a frame ends without one, and one
+// that did costs its statements plus its COMMIT.
+func TestBeginRidesOnFirstFrame(t *testing.T) {
+	srv, c := newStack(t, server.Config{})
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)")
+
+	for _, end := range []func(*Tx) error{(*Tx).Commit, (*Tx).Rollback} {
+		base := c.Fabric().Stats()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := clientReqs(c, base); n != 0 {
+			t.Fatalf("Begin sent %d client_req frames, want 0", n)
+		}
+		if err := end(tx); err != nil {
+			t.Fatal(err)
+		}
+		if n := clientReqs(c, base); n != 0 {
+			t.Fatalf("ending an empty transaction sent %d client_req frames, want 0", n)
+		}
+		if err := end(tx); err == nil {
+			t.Fatal("ending a finished transaction did not error")
+		}
+	}
+
+	base := c.Fabric().Stats()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustTx(t, tx, "INSERT INTO kv VALUES (1, 10)")
+	mustTx(t, tx, "INSERT INTO kv VALUES (2, 20)")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := clientReqs(c, base); n != 3 {
+		t.Fatalf("a 2-statement transaction sent %d client_req frames, want 3 (no BEGIN frame)", n)
+	}
+	if n := kvCount(t, db); n != 2 {
+		t.Fatalf("committed count = %d, want 2", n)
+	}
+}
+
+func mustTx(t *testing.T, tx *Tx, sql string) *Result {
+	t.Helper()
+	res, err := tx.Exec(sql)
+	if err != nil {
+		t.Fatalf("tx.Exec(%q): %v", sql, err)
+	}
+	return res
+}
+
+func kvCount(t *testing.T, db *DB) int64 {
+	t.Helper()
+	var n int64
+	if err := db.Get(&n, "SELECT count(*) FROM kv"); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestFailedFirstStatementAbortsTransaction: the first statement's frame
+// opened the transaction even though the statement failed, exactly as a
+// BEGIN frame followed by the statement would have — every later statement
+// is refused until Rollback, which sends its frame and frees the session.
+func TestFailedFirstStatementAbortsTransaction(t *testing.T) {
+	srv, c := newStack(t, server.Config{})
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)")
+	mustExec(t, db, "INSERT INTO kv VALUES (1, 10)")
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec("INSERT INTO kv VALUES (1, 11)"); err == nil {
+		t.Fatal("duplicate key insert succeeded")
+	}
+	if _, err := tx.Exec("INSERT INTO kv VALUES (2, 20)"); err == nil || err.Error() != cluster.ErrTxnAborted.Error() {
+		t.Fatalf("statement after a failed first statement: %v, want %v", err, cluster.ErrTxnAborted)
+	}
+	base := c.Fabric().Stats()
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n := clientReqs(c, base); n != 1 {
+		t.Fatalf("Rollback of an opened transaction sent %d frames, want 1", n)
+	}
+	if n := kvCount(t, db); n != 1 {
+		t.Fatalf("count = %d after the aborted transaction, want 1", n)
+	}
+	// The session is out of the transaction: the next one starts clean.
+	tx, err = db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustTx(t, tx, "INSERT INTO kv VALUES (2, 20)")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := kvCount(t, db); n != 2 {
+		t.Fatalf("count = %d, want 2", n)
+	}
+}
+
+// TestLostBeginFrameRetries: nothing is pinned server-side until the first
+// frame executes, so losing its request leg redials and retries like an
+// autocommit statement — while the same loss on a later frame surfaces.
+func TestLostBeginFrameRetries(t *testing.T) {
+	srv, c := newStack(t, server.Config{})
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)")
+	drop := func(ep int) {
+		c.Fabric().InjectFault(transport.Client(ep), transport.CN(), transport.Fault{
+			Types: []transport.MsgType{transport.ClientReq}, Drop: true, Count: 1,
+		})
+	}
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop(1)
+	mustTx(t, tx, "INSERT INTO kv VALUES (1, 10)")
+	if db.Stats().Reconnects != 1 {
+		t.Fatalf("reconnects = %d, want 1 (the begin-carrying frame redialed)", db.Stats().Reconnects)
+	}
+	drop(2) // the redialed connection's endpoint
+	if _, err := tx.Exec("INSERT INTO kv VALUES (2, 20)"); !errors.Is(err, server.ErrRequestLost) {
+		t.Fatalf("lost request inside the transaction: %v, want ErrRequestLost", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := kvCount(t, db); n != 1 {
+		t.Fatalf("count = %d, want 1 (the retried insert once, the lost one never)", n)
+	}
+}
+
+// TestEvictionBeforeFirstFrameRehandshakes: an idle session evicted between
+// Begin and the first statement held no transaction yet, so the statement
+// re-handshakes and opens it on the new session.
+func TestEvictionBeforeFirstFrameRehandshakes(t *testing.T) {
+	now := time.Unix(1000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	srv, _ := newStack(t, server.Config{IdleTimeout: time.Hour, Clock: clock})
+	db := open(t, srv, Options{PoolSize: 1, HealthCheckAfter: time.Hour})
+	mustExec(t, db, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)")
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now = now.Add(2 * time.Hour)
+	mu.Unlock()
+	if n := srv.EvictIdle(clock()); n != 1 {
+		t.Fatalf("evicted %d sessions, want 1", n)
+	}
+	mustTx(t, tx, "INSERT INTO kv VALUES (1, 10)")
+	mustTx(t, tx, "INSERT INTO kv VALUES (2, 20)")
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n := kvCount(t, db); n != 0 {
+		t.Fatalf("count = %d after rollback, want 0 (both inserts in the one transaction)", n)
+	}
+}
+
+// TestFrontDoorMessagesPerStatement pins the fabric messages one operation
+// costs through driver.Fabric on a one-warehouse TPC-C schema, so every
+// operation is single-shard: two client frames per statement, one request
+// (and a fragment's response) per data-node leg, and nothing else — no
+// BEGIN frame, no commit or release after an autocommit statement, one
+// commit for an explicit transaction's one leg.
+func TestFrontDoorMessagesPerStatement(t *testing.T) {
+	srv, c := newStack(t, server.Config{})
+	if err := tpcc.Load(c, tpcc.DefaultConfig(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "SELECT 1") // dial and handshake outside the counts
+
+	ops := []struct {
+		name string
+		txn  bool
+		sql  []string
+		want int64
+	}{
+		{"point read", false, []string{"SELECT w_ytd FROM warehouse WHERE w_id = 0"}, 4},
+		{"point update", false, []string{"UPDATE warehouse SET w_ytd = w_ytd + 1 WHERE w_id = 0"}, 3},
+		{"single-shard Payment", true, []string{
+			"UPDATE warehouse SET w_ytd = w_ytd + 3 WHERE w_id = 0",
+			"UPDATE district SET d_ytd = d_ytd + 3 WHERE d_w_id = 0 AND d_id = 1",
+			"UPDATE customer SET c_balance = c_balance - 3, c_payments = c_payments + 1 WHERE c_w_id = 0 AND c_d_id = 1 AND c_id = 7",
+		}, 12},
+		{"2-line single-shard New-Order", true, []string{
+			"SELECT d_next_o_id FROM district WHERE d_w_id = 0 AND d_id = 1",
+			"UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = 0 AND d_id = 1",
+			"INSERT INTO orders VALUES (0, 1, 1, 7, 2)",
+			"INSERT INTO order_line VALUES (0, 1, 1, 3, 1)",
+			"UPDATE stock SET s_qty = s_qty - 1 WHERE s_w_id = 0 AND s_i_id = 3",
+			"INSERT INTO order_line VALUES (0, 1, 1, 4, 1)",
+			"UPDATE stock SET s_qty = s_qty - 1 WHERE s_w_id = 0 AND s_i_id = 4",
+		}, 25},
+	}
+	for _, op := range ops {
+		base := c.Fabric().Stats()
+		if !op.txn {
+			mustExec(t, db, op.sql[0])
+		} else {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sql := range op.sql {
+				mustTx(t, tx, sql)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := c.Fabric().Stats().Sub(base)
+		if got := d.Total(); got != op.want {
+			t.Errorf("%s: %d fabric messages, want %d", op.name, got, op.want)
+			for _, st := range d {
+				if st.Count != 0 {
+					t.Logf("  %s: %d", st.Type, st.Count)
+				}
+			}
+		}
+	}
 }

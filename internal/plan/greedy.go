@@ -10,12 +10,10 @@ package plan
 // cheapest pair each round. No maintained statistics are required: the
 // score degrades gracefully to pure shape (key count + default
 // cardinalities) when Stats are absent. Ordering is deterministic (strict
-// improvement keeps the first-scanned pair) and bounded by a wall-clock
-// budget; past the budget the remaining items fold in list order.
+// improvement keeps the first-scanned pair) and bounded by a count of scored
+// pairs; past the budget the remaining items fold in list order.
 
 import (
-	"time"
-
 	"repro/internal/exec"
 	"repro/internal/sqlx"
 )
@@ -27,10 +25,13 @@ const (
 	// greedyMaxItems bounds the O(n²) pair scoring; larger lists fold
 	// left-to-right like the pre-greedy planner.
 	greedyMaxItems = 64
-	// greedyBudget is the planning-time ceiling for pair scoring. The
-	// deadline is re-checked every round; once exceeded, the remaining
-	// items join in list order.
-	greedyBudget = 100 * time.Microsecond
+	// greedyMaxPairs bounds the pairs one FROM list scores: a round is
+	// scored only if it fits in what is left; from the first round that
+	// does not, the remaining items join in list order. A count, not a
+	// clock, so the join order depends on the statement alone, never on
+	// machine load. It is one round over the largest list
+	// (greedyMaxItems), 2 016 pairs; a 6-table chain scores 35.
+	greedyMaxPairs = greedyMaxItems * (greedyMaxItems - 1) / 2
 )
 
 // joinLeaf is one planned FROM item awaiting join-order selection.
@@ -63,7 +64,6 @@ func (pc *pctx) foldJoinList(leaves []joinLeaf, conjuncts []sqlx.Expr) (exec.Ope
 	}
 
 	greedy := len(entries) >= greedyMinItems && len(entries) <= greedyMaxItems
-	deadline := time.Now().Add(greedyBudget)
 
 	// Cross-leaf equi-key counts, computed once; the key count between two
 	// merged entries is the sum over their leaf pairs. The equi-conjunct
@@ -105,9 +105,14 @@ func (pc *pctx) foldJoinList(leaves []joinLeaf, conjuncts []sqlx.Expr) (exec.Ope
 		return est
 	}
 
+	// scoring stays on while every round so far fit the pair budget.
+	scoring := greedy
 	for len(entries) > 1 {
 		ai, bi := 0, 1
-		if greedy && time.Now().Before(deadline) {
+		round := len(entries) * (len(entries) - 1) / 2
+		scoring = scoring && pc.pairsScored+round <= greedyMaxPairs
+		if scoring {
+			pc.pairsScored += round
 			best := -1.0
 			for i := 0; i < len(entries); i++ {
 				for j := i + 1; j < len(entries); j++ {

@@ -120,6 +120,9 @@ type pctx struct {
 	// post-planning NDP passes (pushProjections, tryBloomPushdown) can
 	// find each scan's pushdown spec from the operator tree.
 	scans *map[*exec.Counted]*scanInfo
+	// pairsScored counts the pairs the greedy join ordering scored for this
+	// block's FROM list, against greedyMaxPairs.
+	pairsScored int
 }
 
 // scanInfo describes one instrumented base-table scan.

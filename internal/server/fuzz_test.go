@@ -234,8 +234,9 @@ func FuzzDecodeFrames(f *testing.F) {
 	bomb = appendU32(appendU32(bomb[:len(bomb)-4], 1), 0x7fffffff)
 	f.Add(bomb)
 	f.Add(EncodeRequest(&Request{Op: OpExec, Priority: 2, Session: 7, TimeoutMillis: 50, SQL: "SELECT 1"}))
+	f.Add(EncodeRequest(&Request{Op: OpExec, Flags: FlagBegin, Session: 7, SQL: "UPDATE kv SET v = 1 WHERE k = 2"}))
 	f.Add(EncodeResponse(&Response{
-		Status: StatusOK, Session: 7, CacheHit: true, RowsAffected: 3,
+		Status: StatusOK, Session: 7, CacheHit: true, InTxn: true, RowsAffected: 3,
 		Columns: []string{"a", "b"},
 		Rows: []types.Row{
 			{types.NewInt(1), types.NewString("x"), types.Null},

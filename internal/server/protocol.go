@@ -55,12 +55,26 @@ const (
 	StatusNoSession
 )
 
+// Request flag bits.
+const (
+	// FlagBegin opens an explicit transaction on the session before the
+	// frame's statement runs, under the statement's admission slot — a
+	// transaction's BEGIN rides on its first statement instead of taking a
+	// round trip of its own.
+	FlagBegin uint8 = 1 << iota
+
+	knownFlags = FlagBegin
+)
+
 // Request is one client -> CN frame.
 type Request struct {
 	Op Op
 	// Priority is the session's SLA class (set on OpHello; echoed on later
 	// requests but the session's handshake class wins).
 	Priority uint8
+	// Flags holds the request flag bits (FlagBegin); a frame with a bit
+	// this version does not know is rejected.
+	Flags uint8
 	// Session is the token from the OpHello response (0 for OpHello).
 	Session uint64
 	// TimeoutMillis bounds the server-side admission wait (0 = server
@@ -77,7 +91,11 @@ type Response struct {
 	Err     string
 	// CacheHit reports whether the statement parse was served from the
 	// session's prepared-statement cache.
-	CacheHit     bool
+	CacheHit bool
+	// InTxn reports, for a frame that executed, whether the session is
+	// inside an explicit transaction afterwards — how a client learns that
+	// its begin-carrying frame opened one.
+	InTxn        bool
 	RowsAffected int64
 	Columns      []string
 	Rows         []types.Row
@@ -164,8 +182,8 @@ func (r *reader) fail() {
 // carrier adds it: the fabric as the message payload size, WriteFrame on a
 // byte stream).
 func EncodeRequest(q *Request) []byte {
-	b := make([]byte, 0, 16+len(q.SQL))
-	b = append(b, byte(q.Op), q.Priority)
+	b := make([]byte, 0, 18+len(q.SQL))
+	b = append(b, byte(q.Op), q.Priority, q.Flags)
 	b = appendU64(b, q.Session)
 	b = appendU32(b, q.TimeoutMillis)
 	b = appendString(b, q.SQL)
@@ -178,6 +196,7 @@ func DecodeRequest(b []byte) (*Request, error) {
 	q := &Request{
 		Op:       Op(r.u8()),
 		Priority: r.u8(),
+		Flags:    r.u8(),
 	}
 	q.Session = r.u64()
 	q.TimeoutMillis = r.u32()
@@ -185,8 +204,17 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if q.Flags&^knownFlags != 0 {
+		return nil, fmt.Errorf("server: unknown request flags %#x", q.Flags&^knownFlags)
+	}
 	return q, nil
 }
+
+// Response flag bits, one byte on the wire.
+const (
+	respCacheHit = 1 << iota
+	respInTxn
+)
 
 // EncodeResponse renders a response frame.
 func EncodeResponse(p *Response) []byte {
@@ -194,11 +222,14 @@ func EncodeResponse(p *Response) []byte {
 	b = append(b, byte(p.Status))
 	b = appendU64(b, p.Session)
 	b = appendString(b, p.Err)
-	var hit byte
+	var flags byte
 	if p.CacheHit {
-		hit = 1
+		flags |= respCacheHit
 	}
-	b = append(b, hit)
+	if p.InTxn {
+		flags |= respInTxn
+	}
+	b = append(b, flags)
 	b = appendU64(b, uint64(p.RowsAffected))
 	b = appendU32(b, uint32(len(p.Columns)))
 	for _, c := range p.Columns {
@@ -220,7 +251,8 @@ func DecodeResponse(b []byte) (*Response, error) {
 	p := &Response{Status: Status(r.u8())}
 	p.Session = r.u64()
 	p.Err = r.str()
-	p.CacheHit = r.u8() != 0
+	flags := r.u8()
+	p.CacheHit, p.InTxn = flags&respCacheHit != 0, flags&respInTxn != 0
 	p.RowsAffected = int64(r.u64())
 	// Every column name and row carries at least its own u32 length, every
 	// datum at least its kind byte.

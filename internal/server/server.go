@@ -88,6 +88,9 @@ type session struct {
 	// misbehave; execution state must not interleave).
 	mu       sync.Mutex
 	lastUsed atomic.Int64 // unix nanos
+	// gone marks a session evicted or closed after a request had looked it
+	// up: that request must not run on it (guarded by mu).
+	gone bool
 
 	// stmt cache: statement shape -> *list.Element of stmtEntry, LRU.
 	cache map[string]*list.Element
@@ -217,6 +220,7 @@ func (s *Server) EvictIdle(now time.Time) int {
 			s.mu.Unlock()
 			continue
 		}
+		sess.gone = true
 		sess.mu.Unlock()
 		s.evicted.Add(1)
 		n++
@@ -350,6 +354,7 @@ func (s *Server) closeSession(id uint64) {
 	s.mu.Unlock()
 	if ok {
 		sess.mu.Lock()
+		sess.gone = true
 		if sess.cs.InTxn() {
 			// Roll back the abandoned transaction so its legs release.
 			_, _ = sess.cs.Exec("ROLLBACK")
@@ -370,10 +375,20 @@ var errAdmissionTimeout = errors.New("server: admission wait timed out")
 // timeout of its own.
 const admitTimeout = 5 * time.Second
 
+// errNoSession answers a request whose session is unknown or gone.
+var errNoSession = &Response{Status: StatusNoSession, Err: "server: unknown or expired session (re-handshake)"}
+
+// exec runs one OpExec frame: prepare from the session's cache, pass the
+// admission gate, execute. A frame carrying FlagBegin opens the session's
+// transaction first, under the same admission slot, so BEGIN and the first
+// statement cost one frame with the two frames' semantics: the transaction
+// stays open whatever the statement does, aborted if it failed. A frame
+// that fails before executing — unparsable, shed, timed out at the gate —
+// opens nothing, and Response.InTxn says which happened.
 func (s *Server) exec(q *Request) *Response {
 	sess := s.lookup(q.Session)
 	if sess == nil {
-		return &Response{Status: StatusNoSession, Err: "server: unknown or expired session (re-handshake)"}
+		return errNoSession
 	}
 	sess.lastUsed.Store(s.cfg.Clock().UnixNano())
 
@@ -408,21 +423,37 @@ func (s *Server) exec(q *Request) *Response {
 	}
 
 	sess.mu.Lock()
+	if sess.gone {
+		// Evicted between lookup and here: run nothing — above all, open
+		// no transaction on a session nobody can reach again.
+		sess.mu.Unlock()
+		s.wm.Release(0)
+		return errNoSession
+	}
 	start := time.Now()
-	res, execErr := stmt.Exec(params)
+	var res *cluster.Result
+	var execErr error
+	if q.Flags&FlagBegin != 0 {
+		execErr = sess.cs.Begin()
+	}
+	if execErr == nil {
+		res, execErr = stmt.Exec(params)
+	}
 	lat := time.Since(start)
+	inTxn := sess.cs.InTxn()
 	sess.mu.Unlock()
 	s.wm.Release(lat)
 	s.stmts.Add(1)
 	sess.lastUsed.Store(s.cfg.Clock().UnixNano())
 
 	if execErr != nil {
-		return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, Err: execErr.Error()}
+		return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, InTxn: inTxn, Err: execErr.Error()}
 	}
 	resp := &Response{
 		Status:       StatusOK,
 		Session:      q.Session,
 		CacheHit:     hit,
+		InTxn:        inTxn,
 		RowsAffected: int64(res.RowsAffected),
 		Columns:      res.Columns,
 		Rows:         res.Rows,

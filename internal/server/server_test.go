@@ -686,3 +686,80 @@ func TestStmtCacheAnswersForTheNewTable(t *testing.T) {
 		t.Fatalf("after ANALYZE: cache hit %v, rows %v", p.CacheHit, p.Rows)
 	}
 }
+
+// TestBeginFlag: a frame carrying FlagBegin opens the session's transaction
+// and runs its statement under one admission slot, with the semantics of a
+// BEGIN frame followed by the statement's — the transaction stays open when
+// the statement fails, aborted until ROLLBACK. A frame that never executes
+// (unparsable, shed, timed out at the gate) opens nothing, and InTxn says
+// which happened.
+func TestBeginFlag(t *testing.T) {
+	wm := autonomous.NewWorkloadManager(autonomous.SLA{TargetP95: time.Second},
+		autonomous.WorkloadConfig{InitialConcurrency: 1, MaxConcurrency: 1}, nil)
+	s, _ := newTestServer(t, Config{Manager: wm})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)")
+	exec(t, s, sess, "INSERT INTO kv VALUES (1, 10)")
+	begin := func(sql string, timeout uint32) *Response {
+		t.Helper()
+		return roundtrip(t, s, &Request{Op: OpExec, Flags: FlagBegin, Session: sess, SQL: sql, TimeoutMillis: timeout})
+	}
+	statements := s.Stats().Statements
+
+	// Frames that do not execute open nothing.
+	if p := begin("SELEC 1", 0); p.Status != StatusError || p.InTxn {
+		t.Fatalf("unparsable begin frame: status=%d inTxn=%v", p.Status, p.InTxn)
+	}
+	if err := wm.Admit(); err != nil {
+		t.Fatal(err)
+	}
+	if p := begin("INSERT INTO kv VALUES (2, 20)", 5); p.Err != errAdmissionTimeout.Error() || p.InTxn {
+		t.Fatalf("begin frame timed out at the gate: status=%d err=%q inTxn=%v", p.Status, p.Err, p.InTxn)
+	}
+	wm.Release(time.Millisecond)
+	if p := exec(t, s, sess, "SELECT count(*) FROM kv"); p.InTxn || p.Rows[0][0].Int() != 1 {
+		t.Fatalf("after frames that never ran: inTxn=%v rows=%v", p.InTxn, p.Rows)
+	}
+
+	// A failing first statement: the transaction is open and aborted.
+	if p := begin("INSERT INTO kv VALUES (1, 11)", 0); p.Status != StatusError || !p.InTxn {
+		t.Fatalf("failing first statement: status=%d err=%q inTxn=%v, want an error inside the transaction", p.Status, p.Err, p.InTxn)
+	}
+	p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: "INSERT INTO kv VALUES (3, 30)"})
+	if p.Status != StatusError || p.Err != cluster.ErrTxnAborted.Error() || !p.InTxn {
+		t.Fatalf("statement after the failed first one: status=%d err=%q inTxn=%v", p.Status, p.Err, p.InTxn)
+	}
+	if p := exec(t, s, sess, "ROLLBACK"); p.InTxn {
+		t.Fatal("ROLLBACK left the session in a transaction")
+	}
+
+	// A succeeding one: BEGIN and the statement are one statement's worth of
+	// admission, and COMMIT publishes what it wrote.
+	if p := begin("INSERT INTO kv VALUES (2, 20)", 0); p.Status != StatusOK || !p.InTxn || p.RowsAffected != 1 {
+		t.Fatalf("begin frame: status=%d err=%q inTxn=%v", p.Status, p.Err, p.InTxn)
+	}
+	exec(t, s, sess, "COMMIT")
+	if p := exec(t, s, sess, "SELECT count(*) FROM kv"); p.Rows[0][0].Int() != 2 {
+		t.Fatalf("count after commit = %v, want 2", p.Rows)
+	}
+	// Executed: the failing begin frame, the refused statement, ROLLBACK,
+	// two counts, the begin frame, COMMIT.
+	if got := s.Stats().Statements - statements; got != 7 {
+		t.Errorf("statements executed = %d, want 7", got)
+	}
+}
+
+// TestDecodeRequestRejectsUnknownFlags: a flag bit this version does not
+// know is a frame it cannot honour.
+func TestDecodeRequestRejectsUnknownFlags(t *testing.T) {
+	for bit := uint8(1); bit != 0; bit <<= 1 {
+		q := &Request{Op: OpExec, Flags: bit, Session: 1, SQL: "SELECT 1"}
+		got, err := DecodeRequest(EncodeRequest(q))
+		switch {
+		case bit&knownFlags != 0 && (err != nil || *got != *q):
+			t.Errorf("flag %#x: %+v, %v; want it round-tripped", bit, got, err)
+		case bit&knownFlags == 0 && err == nil:
+			t.Errorf("flag %#x decoded; want it rejected", bit)
+		}
+	}
+}
