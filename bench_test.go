@@ -35,20 +35,26 @@ import (
 // E1 — Fig 3: GTM-Lite scalability
 // ---------------------------------------------------------------------------
 
-// BenchmarkFig3GTMLiteScalability regenerates Fig 3's four series in the
-// virtual-time cluster simulator. The metric "txn/s(virtual)" is the
-// figure's y-axis.
+// BenchmarkFig3GTMLiteScalability regenerates Fig 3's four series by
+// replaying the live engine's recorded paths (experiments.RecordPaths) in
+// the virtual-time simulator. The metric "txn/s(virtual)" is the figure's
+// y-axis.
 func BenchmarkFig3GTMLiteScalability(b *testing.B) {
-	for _, mode := range []perfsim.Mode{perfsim.GTMLite, perfsim.Baseline} {
+	lite, baseline := recordPaths(b)
+	protos := []struct {
+		name  string
+		paths perfsim.Paths
+	}{{cluster.ModeGTMLite.String(), lite}, {cluster.ModeBaseline.String(), baseline}}
+	for _, proto := range protos {
 		for _, ss := range []float64{1.0, 0.9} {
 			for _, nodes := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%s/ss=%.0f%%/nodes=%d", mode, ss*100, nodes)
+				name := fmt.Sprintf("%s/ss=%.0f%%/nodes=%d", proto.name, ss*100, nodes)
 				b.Run(name, func(b *testing.B) {
 					var last perfsim.Result
 					for i := 0; i < b.N; i++ {
-						p := perfsim.DefaultParams(nodes, mode, ss)
+						p := perfsim.DefaultParams(nodes, ss)
 						p.Duration = 0.5
-						last = perfsim.Run(p)
+						last = perfsim.Run(p, proto.paths)
 					}
 					b.ReportMetric(last.Throughput, "txn/s(virtual)")
 					b.ReportMetric(last.GTMUtilization*100, "gtm-util-%")
@@ -56,6 +62,16 @@ func BenchmarkFig3GTMLiteScalability(b *testing.B) {
 			}
 		}
 	}
+}
+
+// recordPaths records both protocols' paths on the live engine.
+func recordPaths(b *testing.B) (lite, baseline perfsim.Paths) {
+	b.Helper()
+	lite, baseline, err := experiments.RecordPaths()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return lite, baseline
 }
 
 // BenchmarkTPCCLiveEngine is the E1 companion on the real engine: wall
@@ -242,35 +258,36 @@ func BenchmarkLearningOptimizer(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationCrossShardFraction sweeps the multi-shard fraction at 4
-// nodes; GTM-lite's advantage decays toward 1x as cross-shard work grows.
+// nodes over the recorded paths; GTM-lite's advantage decays toward 1x as
+// cross-shard work grows.
 func BenchmarkAblationCrossShardFraction(b *testing.B) {
+	litePaths, basePaths := recordPaths(b)
 	for _, ss := range []float64{1.0, 0.9, 0.5, 0.0} {
 		b.Run(fmt.Sprintf("cross-shard=%.0f%%", (1-ss)*100), func(b *testing.B) {
 			var lite, base perfsim.Result
 			for i := 0; i < b.N; i++ {
-				pl := perfsim.DefaultParams(4, perfsim.GTMLite, ss)
-				pb := perfsim.DefaultParams(4, perfsim.Baseline, ss)
-				pl.Duration, pb.Duration = 0.5, 0.5
-				lite, base = perfsim.Run(pl), perfsim.Run(pb)
+				p := perfsim.DefaultParams(4, ss)
+				p.Duration = 0.5
+				lite, base = perfsim.Run(p, litePaths), perfsim.Run(p, basePaths)
 			}
 			b.ReportMetric(lite.Throughput/base.Throughput, "speedup-x")
 		})
 	}
 }
 
-// BenchmarkAblationGTMLatency sweeps the GTM service time at 8 nodes: the
-// slower the centralized service, the harder the baseline flattens while
-// GTM-lite is unaffected.
+// BenchmarkAblationGTMLatency sweeps the GTM service time at 8 nodes over
+// the recorded paths: the slower the centralized service, the harder the
+// baseline flattens while GTM-lite is unaffected.
 func BenchmarkAblationGTMLatency(b *testing.B) {
+	litePaths, basePaths := recordPaths(b)
 	for _, svc := range []float64{5e-6, 25e-6, 100e-6} {
 		b.Run(fmt.Sprintf("gtm-service=%.0fus", svc*1e6), func(b *testing.B) {
 			var lite, base perfsim.Result
 			for i := 0; i < b.N; i++ {
-				pl := perfsim.DefaultParams(8, perfsim.GTMLite, 0.9)
-				pb := perfsim.DefaultParams(8, perfsim.Baseline, 0.9)
-				pl.GTMService, pb.GTMService = svc, svc
-				pl.Duration, pb.Duration = 0.5, 0.5
-				lite, base = perfsim.Run(pl), perfsim.Run(pb)
+				p := perfsim.DefaultParams(8, 0.9)
+				p.GTMService = svc
+				p.Duration = 0.5
+				lite, base = perfsim.Run(p, litePaths), perfsim.Run(p, basePaths)
 			}
 			b.ReportMetric(lite.Throughput, "lite-txn/s")
 			b.ReportMetric(base.Throughput, "baseline-txn/s")

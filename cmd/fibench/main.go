@@ -30,16 +30,17 @@ func main() {
 		fn   func() error
 	}
 	registry := []entry{
-		{"fig3", func() error { experiments.Fig3(w, *duration); return nil }},
+		{"fig3", func() error { _, err := experiments.Fig3(w, *duration); return err }},
 		{"table1", func() error { return experiments.Table1(w) }},
 		{"fig8", func() error { return experiments.Fig8(w) }},
 		{"fig11", func() error { _, err := experiments.Fig11(w, 200, 2000); return err }},
 		{"learn", func() error { _, err := experiments.Learn(w); return err }},
 		{"tpcc", func() error { return experiments.TPCC(w, 200) }},
 		{"ablation", func() error {
-			experiments.AblationCrossShard(w, *duration)
-			experiments.AblationGTMService(w, *duration)
-			return nil
+			if err := experiments.AblationCrossShard(w, *duration); err != nil {
+				return err
+			}
+			return experiments.AblationGTMService(w, *duration)
 		}},
 		{"sync", func() error { experiments.EdgeSync(w, 6, 20); return nil }},
 		{"mpp", func() error { return experiments.MPPExtensions(w) }},

@@ -297,8 +297,8 @@ type Cluster struct {
 	// (guarded by stashMu).
 	stashMu sync.Mutex
 	stash   map[stashKey][]WriteRec
-	// Read-replica routing policy (guarded by routeMu; see SetStandbyReads).
-	standbyReadMode StandbyReadMode
+	// Read-replica routing (guarded by routeMu; nil = off; see
+	// SetStandbyReads).
 	standbyReadable func(primary int) (int, bool)
 
 	// heat counts per-bucket key routings (reads and writes), always on —

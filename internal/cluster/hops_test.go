@@ -404,3 +404,131 @@ func TestCommitWaveFaults(t *testing.T) {
 	}
 	checkSum()
 }
+
+// TestFabricRecordsTransactionPaths checks the fabric's recording — the
+// paths the Fig 3 simulator replays — against the hop log of
+// TestCriticalPathHops: per statement sequence, the awaited entries are
+// exactly the waits the log sees, by message type; every delivered message
+// sits in exactly one entry; and what nobody waits for (a read-only
+// release, the GTM told an outcome, an abort) is an entry of its own.
+func TestFabricRecordsTransactionPaths(t *testing.T) {
+	const n = 4
+	c := newCluster(t, n, ModeGTMLite)
+	log := tagFabric(c, n)
+	s := setupAccounts(t, c, 40)
+	// A Payment's three rows: warehouse, district and customer, on one node
+	// (keys a) or with the customer on another (key b).
+	var a []int64
+	b := int64(-1)
+	for k := int64(0); len(a) < 3 || b < 0; k++ {
+		if c.RouteKey(types.NewInt(k)) == c.RouteKey(types.NewInt(0)) {
+			a = append(a, k)
+		} else if b < 0 {
+			b = k
+		}
+	}
+	payment := func(customer int64) []string {
+		return []string{
+			"BEGIN",
+			fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", a[0]),
+			fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", a[1]),
+			fmt.Sprintf("UPDATE accounts SET balance = balance - 2 WHERE id = %d", customer),
+			"COMMIT",
+		}
+	}
+
+	c.fab.Record(true)
+	defer c.fab.Record(false)
+	// path runs sqls and returns the recording by message type: the awaited
+	// entries named as the hop log names its waits, the unawaited ones by
+	// their messages.
+	path := func(name string, sqls ...string) (awaited, posted map[string]int) {
+		t.Helper()
+		log.take()
+		c.fab.Recorded()
+		base := c.fab.Stats()
+		for _, sql := range sqls {
+			mustExec(t, s, sql)
+		}
+		awaited, posted = map[string]int{}, map[string]int{}
+		recorded := map[string]int{}
+		for _, e := range c.fab.Recorded() {
+			if len(e.Msgs) == 0 {
+				t.Fatalf("%s: an entry with no message", name)
+			}
+			for _, m := range e.Msgs {
+				recorded[m.Type.String()]++
+				if !e.Awaited {
+					posted[m.Type.String()]++
+				}
+			}
+			if e.Awaited {
+				awaited[waitName(e.Msgs[0])]++
+			}
+		}
+		if waits := log.take(); !maps.Equal(awaited, waits) {
+			t.Errorf("%s: recorded awaited entries %v, the hop log waited on %v", name, awaited, waits)
+		}
+		if sent := msgCounts(c.fab.Stats().Sub(base)); !maps.Equal(recorded, sent) {
+			t.Errorf("%s: recorded messages %v, the fabric delivered %v", name, recorded, sent)
+		}
+		return awaited, posted
+	}
+	check := func(name string, sqls []string, wantAwaited, wantPosted map[string]int) {
+		t.Helper()
+		awaited, posted := path(name, sqls...)
+		if !maps.Equal(awaited, wantAwaited) {
+			t.Errorf("%s: awaited %v, want %v", name, awaited, wantAwaited)
+		}
+		if !maps.Equal(posted, wantPosted) {
+			t.Errorf("%s: posted %v, want %v", name, posted, wantPosted)
+		}
+	}
+
+	// TestCriticalPathHops' "single-shard update".
+	check("single-shard autocommit update",
+		[]string{fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", a[0])},
+		map[string]int{"write": 1}, map[string]int{})
+	// Three times its "single-shard update in a transaction", then its
+	// "COMMIT of a single-shard writing transaction".
+	check("single-shard Payment", payment(a[2]),
+		map[string]int{"write": 3, "commit": 1}, map[string]int{})
+	// The third update escalates ("scatter update": the GTM, then the
+	// write), and COMMIT is the 2PC of "COMMIT of a 4-leg writing
+	// transaction", its waves over two legs.
+	check("2-shard Payment", payment(b),
+		map[string]int{"write": 3, "gtm_round": 2, "prepare": 1, "commit": 1}, map[string]int{})
+
+	// Read-only: the scatter's snapshot and fragments are awaited; the GTM's
+	// end and, inside a transaction, COMMIT's release of every leg are not.
+	scatter := "SELECT sum(balance) FROM accounts"
+	scatterWaits := map[string]int{"gtm_round": 1, "scan_frag_req": n, "scan_frag_resp": n}
+	check("autocommit scatter read", []string{scatter}, scatterWaits, map[string]int{"gtm_round": 1})
+	check("read-only transaction", []string{"BEGIN", scatter, "COMMIT"}, scatterWaits,
+		map[string]int{"gtm_round": 1, "commit": n})
+	// ROLLBACK tells every leg and the GTM, waiting for none of them.
+	check("rolled-back 2-shard transaction", []string{
+		"BEGIN",
+		fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", a[0]),
+		fmt.Sprintf("UPDATE accounts SET balance = balance + 1 WHERE id = %d", b),
+		"ROLLBACK",
+	}, map[string]int{"write": 2, "gtm_round": 1}, map[string]int{"abort": 2, "gtm_round": 1})
+
+	// Off, nothing is recorded.
+	c.fab.Record(false)
+	mustExec(t, s, scatter)
+	if got := c.fab.Recorded(); got != nil {
+		t.Errorf("recording off listed %d entries", len(got))
+	}
+}
+
+// waitName names an awaited entry the way the hop log names its wait.
+func waitName(m transport.Msg) string {
+	if m.Type != transport.ScanFrag {
+		return m.Type.String()
+	}
+	if m.From == transport.CN() {
+		return "scan_frag_req"
+	}
+	return "scan_frag_resp"
+}

@@ -221,7 +221,7 @@ func TestDifferentialKeyedVsUnkeyed(t *testing.T) {
 				standbyOf[p] = sid
 			}
 			c.routeMu.RUnlock()
-			c.SetStandbyReads(StandbyReadOffload, func(p int) (int, bool) { sid, ok := standbyOf[p]; return sid, ok })
+			c.SetStandbyReads(func(p int) (int, bool) { sid, ok := standbyOf[p]; return sid, ok })
 			ti, _ := c.tableInfo("wt")
 			before := int64(0)
 			for _, sid := range standbyOf {
@@ -235,7 +235,7 @@ func TestDifferentialKeyedVsUnkeyed(t *testing.T) {
 			if after == before {
 				t.Fatal("no probe was served by a standby's partition")
 			}
-			c.SetStandbyReads(StandbyReadOff, nil)
+			c.SetStandbyReads(nil)
 
 			// Live bucket moves: while a bucket's rows are copied to the new
 			// node but not cut over, the target holds phantoms that carry

@@ -318,7 +318,7 @@ func (s *Session) admitReplicas(t *txn, a *stmtAccess, analytical bool, owners [
 			return nil
 		}
 	}
-	if c.standbyReadMode == StandbyReadOff || len(c.standbyOf) == 0 || c.standbyReadable == nil {
+	if c.standbyReadable == nil {
 		return owners
 	}
 	legs := append([]int(nil), owners...)

@@ -758,28 +758,16 @@ func (c *Cluster) DistributedTableNames() []string {
 // Read-replica routing
 // ---------------------------------------------------------------------------
 
-// StandbyReadMode selects whether reads may be served by synced standbys.
-type StandbyReadMode uint8
-
-// Standby read modes.
-const (
-	// StandbyReadOff routes every read to the primary (default).
-	StandbyReadOff StandbyReadMode = iota
-	// StandbyReadOffload serves a shard's whole read fragment from its
-	// standby when the standby is synced (lag zero) and the transaction
-	// has no leg on the primary yet.
-	StandbyReadOffload
-)
-
-// SetStandbyReads configures read-replica routing: mode picks the policy
-// and readable returns, per primary, a replica of that shard currently
-// safe to read (internal/repl wires a round-robin over its lag-zero
-// replicas here). readable must be lock-light — it is consulted under the
-// route lock on every SELECT.
-func (c *Cluster) SetStandbyReads(mode StandbyReadMode, readable func(primary int) (int, bool)) {
+// SetStandbyReads configures read-replica routing: readable returns, per
+// primary, a replica of that shard currently safe to read (internal/repl
+// wires a round-robin over its lag-zero replicas here), and a shard's whole
+// read fragment is then served there when the transaction has no leg on
+// the primary yet. nil — the default — routes every read to the primary.
+// readable must be lock-light — it is consulted under the route lock on
+// every SELECT.
+func (c *Cluster) SetStandbyReads(readable func(primary int) (int, bool)) {
 	c.lockRoutes()
 	defer c.routeMu.Unlock()
-	c.standbyReadMode = mode
 	c.standbyReadable = readable
 }
 

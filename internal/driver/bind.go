@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -14,8 +15,8 @@ import (
 // or a struct using `db` tags, sqlx idiom), rendering each value as a SQL
 // literal. Placeholders inside single-quoted strings are left alone
 // (” escaping respected). Binding is client-side: the server sees plain
-// SQL, so the CN statement cache keys on the bound text — repeats with
-// the same values hit, distinct values re-parse.
+// SQL, lifts the literals back out and keys its statement cache on the
+// shape, so the same statement with distinct values is parsed once.
 func BindNamed(query string, arg any) (string, error) {
 	vals, err := fieldMap(arg)
 	if err != nil {
@@ -138,9 +139,9 @@ func renderLiteral(v any) (string, error) {
 	case uint64:
 		return strconv.FormatUint(x, 10), nil
 	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 64), nil
+		return renderFloat(float64(x))
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64), nil
+		return renderFloat(x)
 	case time.Time:
 		return quoteString(x.UTC().Format(time.RFC3339Nano)), nil
 	case types.Datum:
@@ -167,6 +168,20 @@ func renderDatum(d types.Datum) (string, error) {
 	default:
 		return "", fmt.Errorf("unsupported datum kind %v", d.Kind())
 	}
+}
+
+// renderFloat renders a float so that it reads back as one: always with a
+// '.' or an exponent (3.0 as "3.0", not the integer 3). NaN and ±Inf have
+// no SQL literal.
+func renderFloat(f float64) (string, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return "", fmt.Errorf("float %v has no SQL literal", f)
+	}
+	s := strconv.FormatFloat(f, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".e") {
+		s += ".0"
+	}
+	return s, nil
 }
 
 func quoteString(s string) string {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +98,43 @@ func TestBindSkipsQuotedPlaceholders(t *testing.T) {
 	}
 }
 
+// TestBindFloatsStayFloats: a whole-number float binds as a float literal,
+// so the server computes with a float, not an integer; NaN and ±Inf, which
+// have no literal, fail at bind time naming their parameter.
+func TestBindFloatsStayFloats(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{3.0, "3.0"}, {-2.0, "-2.0"}, {float32(4), "4.0"}, {3.5, "3.5"}, {1e21, "1e+21"},
+		{types.NewFloat(2), "2.0"},
+	} {
+		got, err := BindNamed("SELECT :a", map[string]any{"a": tc.v})
+		if err != nil || got != "SELECT "+tc.want {
+			t.Errorf("%T %v bound as %q (%v), want %q", tc.v, tc.v, got, err, "SELECT "+tc.want)
+		}
+	}
+	for _, v := range []any{math.NaN(), math.Inf(1), math.Inf(-1), types.NewFloat(math.NaN())} {
+		if _, err := BindNamed("SELECT :ratio", map[string]any{"ratio": v}); err == nil || !strings.Contains(err.Error(), ":ratio") {
+			t.Errorf("binding %v: err = %v, want an error naming :ratio", v, err)
+		}
+	}
+
+	srv, _ := newStack(t, server.Config{})
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "CREATE TABLE f (id BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)")
+	mustExec(t, db, "INSERT INTO f VALUES (1)")
+	for _, tc := range []struct{ a, want float64 }{{3.0, 1.5}, {3.5, 1.75}} {
+		var got float64
+		if err := db.Get(&got, "SELECT :a / 2 FROM f WHERE id = 1", map[string]any{"a": tc.a}); err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("SELECT :a / 2 with a = %v returned %v, want %v", tc.a, got, tc.want)
+		}
+	}
+}
+
 func TestDriverEndToEnd(t *testing.T) {
 	srv, _ := newStack(t, server.Config{})
 	db := open(t, srv, Options{PoolSize: 4})
@@ -162,9 +201,8 @@ func TestPreparedStatementsHitServerCache(t *testing.T) {
 			t.Fatalf("v = %d", v)
 		}
 	}
-	// Different bound values produce different SQL text, so the server's
-	// normalized cache only helps verbatim repeats; the same key repeated
-	// must hit.
+	// The server caches by shape, so every execution after the first hits
+	// whatever its bound value; the same key repeated must.
 	if hits := db.Stats().StatementsCacheHit; hits < 2 {
 		t.Errorf("server cache hits observed by driver = %d, want >= 2", hits)
 	}

@@ -34,28 +34,75 @@ import (
 	"repro/internal/types"
 )
 
+// recordedTxns is how many TPC-C-like transactions RecordPaths runs per
+// protocol: about 260 single- and 40 multi-shard paths each.
+const recordedTxns = 300
+
+// RecordPaths runs the TPC-C-like driver — one session, one transaction at
+// a time — on a live 4-DN cluster once per transaction mode, with the
+// fabric recording its waits (transport.Fabric.Record), and files each
+// committed transaction's waits as a single- or multi-shard path by the
+// data nodes it touched. These are the paths the Fig 3 and E8 simulations
+// replay: the engine alone decides what each protocol sends.
+func RecordPaths() (lite, baseline perfsim.Paths, err error) {
+	record := func(mode cluster.TxnMode) (perfsim.Paths, error) {
+		var paths perfsim.Paths
+		c, err := cluster.New(cluster.Config{DataNodes: 4, Mode: mode})
+		if err != nil {
+			return paths, err
+		}
+		cfg := tpcc.DefaultConfig(8, 0.5)
+		if err := tpcc.Load(c, cfg); err != nil {
+			return paths, err
+		}
+		fab := c.Fabric()
+		fab.Record(true)
+		d := tpcc.NewDriver(c, cfg, 1)
+		for i := 0; i < recordedTxns; i++ {
+			committed := d.Stats.Committed
+			if err := d.RunOne(); err != nil {
+				return paths, err
+			}
+			if path := fab.Recorded(); d.Stats.Committed > committed {
+				paths.Add(path)
+			}
+		}
+		return paths, nil
+	}
+	if lite, err = record(cluster.ModeGTMLite); err != nil {
+		return
+	}
+	baseline, err = record(cluster.ModeBaseline)
+	return
+}
+
 // Fig3 regenerates the paper's Fig 3 (GTM-Lite scalability): throughput vs
 // cluster size for GTM-lite and baseline under the 100 % single-shard (SS)
-// and 90 % single-shard (MS) TPC-C-like workloads, in the virtual-time
-// cluster simulator. Returns the GTM-lite-SS series for assertions.
-func Fig3(w io.Writer, duration float64) map[string][]float64 {
+// and 90 % single-shard (MS) TPC-C-like workloads, replaying the live
+// engine's recorded paths in the virtual-time simulator. Returns the four
+// series for assertions.
+func Fig3(w io.Writer, duration float64) (map[string][]float64, error) {
+	lite, baseline, err := RecordPaths()
+	if err != nil {
+		return nil, err
+	}
 	sizes := []int{1, 2, 4, 8}
 	series := map[string][]float64{}
-	run := func(mode perfsim.Mode, ss float64) []float64 {
+	run := func(paths perfsim.Paths, ss float64) []float64 {
 		out := make([]float64, len(sizes))
 		for i, n := range sizes {
-			p := perfsim.DefaultParams(n, mode, ss)
+			p := perfsim.DefaultParams(n, ss)
 			if duration > 0 {
 				p.Duration = duration
 			}
-			out[i] = perfsim.Run(p).Throughput
+			out[i] = perfsim.Run(p, paths).Throughput
 		}
 		return out
 	}
-	series["gtm-lite SS"] = run(perfsim.GTMLite, 1.0)
-	series["gtm-lite MS"] = run(perfsim.GTMLite, 0.9)
-	series["baseline SS"] = run(perfsim.Baseline, 1.0)
-	series["baseline MS"] = run(perfsim.Baseline, 0.9)
+	series["gtm-lite SS"] = run(lite, 1.0)
+	series["gtm-lite MS"] = run(lite, 0.9)
+	series["baseline SS"] = run(baseline, 1.0)
+	series["baseline MS"] = run(baseline, 0.9)
 
 	var rows [][]string
 	for i, n := range sizes {
@@ -72,7 +119,7 @@ func Fig3(w io.Writer, duration float64) map[string][]float64 {
 	fmt.Fprintln(w, "shape check: gtm-lite scales ~linearly; baseline flattens once the")
 	fmt.Fprintln(w, "serialized GTM saturates (paper: 'GTM-Lite achieved higher throughput")
 	fmt.Fprintln(w, "and scaled out much better than baseline').")
-	return series
+	return series, nil
 }
 
 // Table1 regenerates §II-C Table I: it runs the paper's example query
@@ -359,18 +406,22 @@ func TPCC(w io.Writer, txns int) error {
 	return nil
 }
 
-// AblationCrossShard (E8) sweeps the multi-shard fraction: GTM-lite's
-// advantage shrinks as cross-shard work grows.
-func AblationCrossShard(w io.Writer, duration float64) {
+// AblationCrossShard (E8) sweeps the multi-shard fraction over the
+// recorded paths (RecordPaths): GTM-lite's advantage shrinks as
+// cross-shard work grows.
+func AblationCrossShard(w io.Writer, duration float64) error {
+	lite, baseline, err := RecordPaths()
+	if err != nil {
+		return err
+	}
 	fractions := []float64{1.0, 0.95, 0.9, 0.7, 0.5, 0.0}
 	var rows [][]string
 	for _, ss := range fractions {
-		pl := perfsim.DefaultParams(4, perfsim.GTMLite, ss)
-		pb := perfsim.DefaultParams(4, perfsim.Baseline, ss)
+		p := perfsim.DefaultParams(4, ss)
 		if duration > 0 {
-			pl.Duration, pb.Duration = duration, duration
+			p.Duration = duration
 		}
-		rl, rb := perfsim.Run(pl), perfsim.Run(pb)
+		rl, rb := perfsim.Run(p, lite), perfsim.Run(p, baseline)
 		rows = append(rows, []string{
 			benchfmt.Pct(1 - ss),
 			benchfmt.F(rl.Throughput),
@@ -380,21 +431,26 @@ func AblationCrossShard(w io.Writer, duration float64) {
 	}
 	benchfmt.Table(w, "Ablation — cross-shard fraction sweep @4 nodes (E8)",
 		[]string{"cross-shard", "gtm-lite txn/s", "baseline txn/s", "speedup"}, rows)
+	return nil
 }
 
-// AblationGTMService (E8) sweeps the GTM service time: the slower the
-// centralized service, the earlier the baseline flattens.
-func AblationGTMService(w io.Writer, duration float64) {
+// AblationGTMService (E8) sweeps the GTM service time over the recorded
+// paths: the slower the centralized service, the earlier the baseline
+// flattens.
+func AblationGTMService(w io.Writer, duration float64) error {
+	lite, baseline, err := RecordPaths()
+	if err != nil {
+		return err
+	}
 	services := []float64{5e-6, 25e-6, 100e-6}
 	var rows [][]string
 	for _, svc := range services {
-		pl := perfsim.DefaultParams(8, perfsim.GTMLite, 0.9)
-		pb := perfsim.DefaultParams(8, perfsim.Baseline, 0.9)
-		pl.GTMService, pb.GTMService = svc, svc
+		p := perfsim.DefaultParams(8, 0.9)
+		p.GTMService = svc
 		if duration > 0 {
-			pl.Duration, pb.Duration = duration, duration
+			p.Duration = duration
 		}
-		rl, rb := perfsim.Run(pl), perfsim.Run(pb)
+		rl, rb := perfsim.Run(p, lite), perfsim.Run(p, baseline)
 		rows = append(rows, []string{
 			fmt.Sprintf("%.0fµs", svc*1e6),
 			benchfmt.F(rl.Throughput),
@@ -404,6 +460,7 @@ func AblationGTMService(w io.Writer, duration float64) {
 	}
 	benchfmt.Table(w, "Ablation — GTM service time sweep @8 nodes, 90% SS (E8)",
 		[]string{"GTM service", "gtm-lite txn/s", "baseline txn/s", "baseline GTM util"}, rows)
+	return nil
 }
 
 // EdgeSync (E10) compares device-to-device mesh sync against via-cloud
@@ -856,8 +913,6 @@ type NetworkCell struct {
 	Mode        cluster.TxnMode
 	SingleShard float64
 	Committed   int64
-	MultiShard  int64
-	Stats       transport.Stats // raw counter delta over the run
 	PerTxn      map[transport.MsgType]float64
 	// GTMPerTxn is the GTM's message load (snapshot_req + gtm_round) per
 	// committed transaction — the quantity GTM-lite exists to shrink.
@@ -906,8 +961,6 @@ func Network(w io.Writer, txns int) ([]NetworkCell, error) {
 				Mode:        mode,
 				SingleShard: ss,
 				Committed:   committed,
-				MultiShard:  d.Stats.MultiShard,
-				Stats:       st,
 				PerTxn:      map[transport.MsgType]float64{},
 				TotalPerTxn: float64(st.Total()) / float64(committed),
 			}
@@ -931,18 +984,6 @@ func Network(w io.Writer, txns int) ([]NetworkCell, error) {
 	}
 	header = append(header, "gtm msgs/txn", "total msgs/txn")
 	benchfmt.Table(w, "Messages per committed transaction by type — TPC-C-like @4 shards (E15)", header, rows)
-
-	// Feed the measured wire traffic back into the simulator: perfsim's
-	// hand-set network cost estimates are replaced by the fabric's counters
-	// (the 90 % single-shard baseline cell carries both knobs).
-	for _, cell := range cells {
-		if cell.Mode == cluster.ModeBaseline && cell.SingleShard < 1.0 {
-			p := perfsim.DefaultParams(4, perfsim.Baseline, cell.SingleShard).
-				CalibrateFromFabric(cell.Stats, cell.Committed, cell.MultiShard)
-			fmt.Fprintf(w, "perfsim calibration from fabric counters: BaselineExtraGTMOps=%d, MultiShardFanout=%d\n\n",
-				p.BaselineExtraGTMOps, p.MultiShardFanout)
-		}
-	}
 	return cells, nil
 }
 
@@ -968,7 +1009,7 @@ func GeoRepl(w io.Writer, commitsPerCell int) error {
 			if _, err := s.Exec("CREATE TABLE geo (id BIGINT, v BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)"); err != nil {
 				return err
 			}
-			c.Fabric().TrackLinks(true)
+			c.Fabric().Record(true)
 			m := repl.NewManager(c, repl.Config{Mode: repl.ModeSync, QuorumAcks: k, SyncTimeout: 250 * time.Millisecond})
 			for _, p := range c.PrimaryIDs() {
 				for i, link := range []transport.Latency{{}, {Base: wan, Jitter: wan / 4}, {Base: wan, Jitter: wan / 4}} {
@@ -1028,14 +1069,16 @@ func GeoRepl(w io.Writer, commitsPerCell int) error {
 				zeroLoss,
 			})
 			if k == 3 && wan == wans[len(wans)-1] {
-				var links int
+				links := map[[2]transport.Endpoint]bool{}
 				var bytes int64
-				for _, ls := range c.Fabric().LinkStats() {
-					links++
-					bytes += ls.Bytes
+				for _, e := range c.Fabric().Recorded() {
+					for _, msg := range e.Msgs {
+						links[[2]transport.Endpoint{msg.From, msg.To}] = true
+						bytes += int64(msg.Bytes)
+					}
 				}
 				note = fmt.Sprintf("per-link fabric accounting (K=3, wan=%v cell): %d tracked links, %d payload bytes delivered, %d records shipped",
-					wan, links, bytes, m.RecordsShipped())
+					wan, len(links), bytes, m.RecordsShipped())
 			}
 			m.Close()
 		}

@@ -1,86 +1,62 @@
-// Package perfsim is a discrete-event simulator of the FI-MPPDB cluster's
-// transaction paths, used to regenerate the paper's Fig 3 (GTM-Lite
-// scalability) and its ablations.
+// Package perfsim is a discrete-event simulator that replays transaction
+// paths recorded on the live cluster's fabric, used to regenerate the
+// paper's Fig 3 (GTM-Lite scalability) and its ablations.
 //
 // Why a simulator: the paper measured wall-clock throughput on clusters of
 // 1–8 physical machines. This reproduction runs on a single host, where
 // wall-clock concurrency cannot express "8 machines worth" of parallel CPU.
-// The simulator models the same mechanism the paper's experiment exercises
-// — every transaction's sequence of network hops and FCFS service demands
-// at data nodes and at the serialized GTM — and measures throughput in
-// virtual time. The GTM bottleneck, and GTM-lite's removal of it for
-// single-shard transactions, arise from queueing at the single GTM server
-// exactly as in the real system; only absolute numbers differ.
+// The simulator keeps the queueing — FCFS service demands at data nodes and
+// at the serialized GTM, measured in virtual time — and nothing else: which
+// messages a transaction sends is decided by the engine alone. A path is
+// what transport.Fabric.Record listed for one committed transaction of the
+// live cluster, so GTM-lite and the baseline differ here only in the paths
+// their protocols recorded. The GTM bottleneck, and GTM-lite's removal of
+// it for single-shard transactions, arise from queueing at the single GTM
+// server exactly as in the real system; only absolute numbers differ.
 //
 // The simulation is a closed-loop queueing network: a fixed client
-// population issues transactions back-to-back. Transaction paths:
+// population issues transactions back-to-back, each a path drawn from the
+// single- or multi-shard pool, its data nodes mapped onto distinct
+// simulated ones. A path replays its entries in order:
 //
-//	GTM-lite, single-shard:  CN → DN(work) → done          (no GTM)
-//	GTM-lite, multi-shard:   CN → GTM(begin) → k×DN(work) →
-//	                         k×DN(prepare) → GTM(end) → k×DN(commit)
-//	Baseline, single-shard:  CN → GTM(begin) → DN(work) → GTM(end)
-//	                         (+ extra GTM snapshot ops per statement)
-//	Baseline, multi-shard:   as GTM-lite multi-shard + extra GTM ops
-//
-// Servers are FCFS with deterministic service times; transaction starts are
-// processed in global time order (arrival-order within a transaction's own
-// path is exact; cross-client interleaving at mid-path servers is
-// approximated by start order, which preserves work conservation and
-// therefore saturation throughput).
+//   - an awaited entry costs one network hop plus FCFS service at every
+//     receiving GTM or data node, and the client goes on when the slowest
+//     of its messages has been served;
+//   - an entry nobody waits for (a read-only release, the GTM told an
+//     outcome) occupies its servers but does not hold the client.
 package perfsim
 
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/transport"
 )
 
-// Mode selects the transaction protocol (mirrors cluster.TxnMode).
-type Mode uint8
-
-// Protocol modes.
-const (
-	GTMLite Mode = iota
-	Baseline
-)
-
-func (m Mode) String() string {
-	if m == Baseline {
-		return "baseline"
-	}
-	return "gtm-lite"
-}
-
 // Params configures one simulation run. All times are in seconds.
 type Params struct {
 	DataNodes int
-	Mode      Mode
-	// SingleShardFraction is the probability a transaction is
-	// single-shard (1.0 for the paper's SS workload, 0.9 for MS).
+	// SingleShardFraction is the probability a transaction is drawn from
+	// the single-shard paths (1.0 for the paper's SS workload, 0.9 for MS).
 	SingleShardFraction float64
 	// ClientsPerDN is the closed-loop population per data node.
 	ClientsPerDN int
 	// Duration is the virtual time horizon.
 	Duration float64
 
-	// GTMService is the serialized service time per GTM request.
+	// GTMService is the serialized service time per GTM message.
 	GTMService float64
-	// BaselineExtraGTMOps adds per-transaction snapshot requests in
-	// baseline mode (the "many-round communication").
-	BaselineExtraGTMOps int
-	// DNWork is the data-node execution time of one transaction leg.
+	// DNWork is the data-node execution time of one transaction leg,
+	// spread over the data messages (write, scan_frag) the leg received.
 	DNWork float64
-	// MultiShardFanout is the number of shards a multi-shard transaction
-	// touches (>= 2).
-	MultiShardFanout int
-	// PrepareCost and CommitCost are per-shard 2PC phase costs.
+	// PrepareCost and CommitCost are per prepare / commit (or abort)
+	// message.
 	PrepareCost float64
 	CommitCost  float64
-	// NetHop is the one-way network latency per message.
+	// NetHop is the one-way network latency per awaited entry.
 	NetHop float64
 	// CNService is the coordinator's per-transaction parse/route cost
 	// (CNs scale out with the cluster, so this is pure latency, not a
@@ -91,21 +67,18 @@ type Params struct {
 }
 
 // DefaultParams returns the parameter set used for the Fig 3 reproduction:
-// service demands chosen so a data node saturates near 5 k txn/s and the
-// GTM near 13 k baseline transactions/s, reproducing the paper's shape
-// (baseline flattens as shards are added; GTM-lite scales linearly on
-// single-shard work).
-func DefaultParams(dataNodes int, mode Mode, ssFraction float64) Params {
+// service demands chosen so a data node saturates near 4 k recorded TPC-C
+// transactions/s and the GTM, at the baseline's ~2.5 GTM messages per
+// transaction, near 16 k/s — the paper's shape (baseline flattens as shards
+// are added; GTM-lite scales linearly on single-shard work).
+func DefaultParams(dataNodes int, ssFraction float64) Params {
 	return Params{
 		DataNodes:           dataNodes,
-		Mode:                mode,
 		SingleShardFraction: ssFraction,
 		ClientsPerDN:        16,
 		Duration:            5.0,
 		GTMService:          25e-6,
-		BaselineExtraGTMOps: 1,
 		DNWork:              200e-6,
-		MultiShardFanout:    2,
 		PrepareCost:         40e-6,
 		CommitCost:          40e-6,
 		NetHop:              50e-6,
@@ -114,36 +87,46 @@ func DefaultParams(dataNodes int, mode Mode, ssFraction float64) Params {
 	}
 }
 
-// CalibrateFromFabric replaces the simulator's hand-set per-transaction
-// message estimates with counts measured on the live cluster's transport
-// fabric. st must be the fabric counter delta over a run that committed
-// `committed` transactions of which `multiShard` ran 2PC, under the same
-// TxnMode these params simulate (see experiments.Network / E15 for the
-// measurement).
-//
-// Two knobs are derivable from wire traffic alone:
-//
-//   - BaselineExtraGTMOps: the baseline path always pays two GTM round
-//     trips (GXID+snapshot at begin, dequeue at end); whatever the fabric
-//     counted beyond those is the paper's "many-round communication".
-//   - MultiShardFanout: prepare messages divided by 2PC transactions is
-//     exactly the shards a multi-shard transaction touched.
-func (p Params) CalibrateFromFabric(st transport.Stats, committed, multiShard int64) Params {
-	if committed <= 0 {
-		return p
+// Path is one committed transaction as the fabric recorded it: its waits,
+// in order.
+type Path []transport.Entry
+
+// Paths are the recorded transactions Run draws from, filed by how many
+// data nodes each one touched.
+type Paths struct {
+	Single, Multi []Path
+}
+
+// Add files p as single- or multi-shard by the distinct data nodes its
+// messages touched.
+func (ps *Paths) Add(p Path) {
+	if len(dataNodes(p)) > 1 {
+		ps.Multi = append(ps.Multi, p)
+	} else {
+		ps.Single = append(ps.Single, p)
 	}
-	if p.Mode == Baseline {
-		gtmPerTxn := float64(st.Get(transport.SnapshotReq).Count+st.Get(transport.GTMRound).Count) / float64(committed)
-		if extra := int(math.Round(gtmPerTxn)) - 2; extra >= 0 {
-			p.BaselineExtraGTMOps = extra
+}
+
+// dataNodes lists the data nodes p's messages touch, in order of first
+// appearance.
+func dataNodes(p Path) []int {
+	var ids []int
+	for _, e := range p {
+		for _, m := range e.Msgs {
+			for _, ep := range [2]transport.Endpoint{m.From, m.To} {
+				if ep.Kind == transport.KindDN && !slices.Contains(ids, ep.ID) {
+					ids = append(ids, ep.ID)
+				}
+			}
 		}
 	}
-	if multiShard > 0 {
-		if fanout := int(math.Round(float64(st.Get(transport.Prepare).Count) / float64(multiShard))); fanout >= 2 {
-			p.MultiShardFanout = fanout
-		}
-	}
-	return p
+	return ids
+}
+
+// isData reports whether m does a leg's work: a write or a fragment
+// arriving at a data node.
+func isData(m transport.Msg) bool {
+	return m.To.Kind == transport.KindDN && (m.Type == transport.Write || m.Type == transport.ScanFrag)
 }
 
 // Result summarizes one run.
@@ -159,8 +142,8 @@ type Result struct {
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("%s dn=%d ss=%.0f%%: %.0f txn/s (gtm util %.0f%%, dn util %.0f%%)",
-		r.Params.Mode, r.Params.DataNodes, r.Params.SingleShardFraction*100,
+	return fmt.Sprintf("dn=%d ss=%.0f%%: %.0f txn/s (gtm util %.0f%%, dn util %.0f%%)",
+		r.Params.DataNodes, r.Params.SingleShardFraction*100,
 		r.Throughput, r.GTMUtilization*100, r.DNUtilization*100)
 }
 
@@ -217,44 +200,13 @@ func (s *sim) at(t float64, fn func(now float64)) {
 	heap.Push(&s.h, event{t: t, seq: s.seq, fn: fn})
 }
 
-// serveAt schedules a service request arriving at srv at time t; cont runs
-// at the service completion time.
-func (s *sim) serveAt(srv *server, t, svc float64, cont func(done float64)) {
-	s.at(t, func(now float64) {
-		done := srv.serve(now, svc)
-		s.at(done, func(now float64) { cont(now) })
-	})
-}
-
-// forkServe issues one service request per target server at time t and
-// calls cont when the last completion (plus perLegTail) arrives.
-func (s *sim) forkServe(targets []*server, t, svc, perLegTail float64, cont func(join float64)) {
-	remaining := len(targets)
-	join := t
-	for _, srv := range targets {
-		s.serveAt(srv, t, svc, func(done float64) {
-			done += perLegTail
-			if done > join {
-				join = done
-			}
-			remaining--
-			if remaining == 0 {
-				cont(join)
-			}
-		})
-	}
-}
-
-// Run executes the simulation.
-func Run(p Params) Result {
+// Run replays paths for p.Duration of virtual time.
+func Run(p Params, paths Paths) Result {
 	if p.DataNodes < 1 {
 		panic("perfsim: DataNodes must be >= 1")
 	}
-	if p.MultiShardFanout < 2 {
-		p.MultiShardFanout = 2
-	}
-	if p.MultiShardFanout > p.DataNodes {
-		p.MultiShardFanout = p.DataNodes
+	if len(paths.Single)+len(paths.Multi) == 0 {
+		panic("perfsim: no recorded paths")
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
@@ -270,9 +222,81 @@ func Run(p Params) Result {
 
 	s := &sim{}
 	var startTxn func(t float64)
-	finish := func(start float64) func(done float64) {
-		return func(done float64) {
-			if done < p.Duration {
+	startTxn = func(start float64) {
+		if start >= p.Duration {
+			return
+		}
+		pool := paths.Single
+		if len(pool) == 0 || (len(paths.Multi) > 0 && rng.Float64() >= p.SingleShardFraction) {
+			pool = paths.Multi
+		}
+		path := pool[rng.Intn(len(pool))]
+		first := rng.Intn(len(dns))
+		// The path's k-th data node is simulated node first+k; its leg's
+		// work is spread over the data messages it received.
+		ids := dataNodes(path)
+		legMsgs := make([]int, len(ids))
+		for _, e := range path {
+			for _, m := range e.Msgs {
+				if isData(m) {
+					legMsgs[slices.Index(ids, m.To.ID)]++
+				}
+			}
+		}
+		// cost names the server m asks and for how long; nil for the
+		// coordinator or a client (a hop, no queue).
+		cost := func(m transport.Msg) (*server, float64) {
+			switch m.To.Kind {
+			case transport.KindGTM:
+				return gtm, p.GTMService
+			case transport.KindDN:
+				k := slices.Index(ids, m.To.ID)
+				srv := dns[(first+k)%len(dns)]
+				switch {
+				case isData(m):
+					return srv, p.DNWork / float64(legMsgs[k])
+				case m.Type == transport.Prepare:
+					return srv, p.PrepareCost
+				case m.Type == transport.Commit || m.Type == transport.Abort:
+					return srv, p.CommitCost
+				}
+				return srv, 0
+			}
+			return nil, 0
+		}
+		// replay runs the path's entries from i on, starting at time t.
+		var replay func(i int, t float64)
+		replay = func(i int, t float64) {
+			for ; i < len(path); i++ {
+				e, next, arrive := path[i], i+1, t+p.NetHop
+				join, pending := arrive, 0
+				for _, m := range e.Msgs {
+					srv, svc := cost(m)
+					if srv == nil {
+						continue
+					}
+					pending++
+					s.at(arrive, func(now float64) {
+						served := srv.serve(now, svc)
+						if e.Awaited {
+							s.at(served, func(now float64) {
+								join = max(join, now)
+								if pending--; pending == 0 {
+									replay(next, join)
+								}
+							})
+						}
+					})
+				}
+				if e.Awaited {
+					if pending > 0 {
+						return
+					}
+					t = arrive // it went to no server
+				}
+			}
+			// The reply to the client.
+			if done := t + p.NetHop; done < p.Duration {
 				completed++
 				lat := done - start
 				latencySum += lat
@@ -280,17 +304,8 @@ func Run(p Params) Result {
 				startTxn(done)
 			}
 		}
-	}
-
-	startTxn = func(t float64) {
-		if t >= p.Duration {
-			return
-		}
-		if rng.Float64() < p.SingleShardFraction {
-			simSingleShard(s, p, rng, gtm, dns, t, finish(t))
-		} else {
-			simMultiShard(s, p, rng, gtm, dns, t, finish(t))
-		}
+		// Client -> CN and the CN's own work, then the path.
+		replay(0, start+p.NetHop+p.CNService)
 	}
 
 	nClients := p.ClientsPerDN * p.DataNodes
@@ -331,82 +346,4 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
-}
-
-// simSingleShard schedules one single-shard transaction path.
-func simSingleShard(s *sim, p Params, rng *rand.Rand, gtm *server, dns []*server, t float64, done func(float64)) {
-	shard := rng.Intn(len(dns))
-	t += p.NetHop + p.CNService // client -> CN, CN work
-
-	runDN := func(t float64, after func(float64)) {
-		s.serveAt(dns[shard], t+p.NetHop, p.DNWork, func(d float64) { after(d + p.NetHop) })
-	}
-
-	if p.Mode == GTMLite {
-		// The fast path: no GTM at all.
-		runDN(t, func(d float64) { done(d + p.NetHop) })
-		return
-	}
-	// Baseline: GXID + snapshot(s) from the GTM, then work, then dequeue.
-	gtmOps := 1 + p.BaselineExtraGTMOps
-	var chainGTM func(t float64, n int, after func(float64))
-	chainGTM = func(t float64, n int, after func(float64)) {
-		if n == 0 {
-			after(t)
-			return
-		}
-		s.serveAt(gtm, t+p.NetHop, p.GTMService, func(d float64) {
-			chainGTM(d+p.NetHop, n-1, after)
-		})
-	}
-	chainGTM(t, gtmOps, func(t float64) {
-		runDN(t, func(t float64) {
-			// Dequeue from the GTM active list.
-			s.serveAt(gtm, t+p.NetHop, p.GTMService, func(d float64) {
-				done(d + p.NetHop + p.NetHop)
-			})
-		})
-	})
-}
-
-// simMultiShard schedules one multi-shard transaction path with 2PC.
-func simMultiShard(s *sim, p Params, rng *rand.Rand, gtm *server, dns []*server, t float64, done func(float64)) {
-	k := p.MultiShardFanout
-	first := rng.Intn(len(dns))
-	targets := make([]*server, k)
-	for i := range targets {
-		targets[i] = dns[(first+i)%len(dns)]
-	}
-	t += p.NetHop + p.CNService
-
-	gtmOps := 1 // GXID + global snapshot
-	if p.Mode == Baseline {
-		gtmOps += p.BaselineExtraGTMOps
-	}
-	var chainGTM func(t float64, n int, after func(float64))
-	chainGTM = func(t float64, n int, after func(float64)) {
-		if n == 0 {
-			after(t)
-			return
-		}
-		s.serveAt(gtm, t+p.NetHop, p.GTMService, func(d float64) {
-			chainGTM(d+p.NetHop, n-1, after)
-		})
-	}
-
-	chainGTM(t, gtmOps, func(t float64) {
-		// Parallel work legs.
-		s.forkServe(targets, t+p.NetHop, p.DNWork, p.NetHop, func(join float64) {
-			// 2PC prepare round.
-			s.forkServe(targets, join+p.NetHop, p.PrepareCost, p.NetHop, func(join float64) {
-				// Commit at GTM first (the paper's ordering), then the
-				// commit confirmation round.
-				s.serveAt(gtm, join+p.NetHop, p.GTMService, func(d float64) {
-					s.forkServe(targets, d+p.NetHop, p.CommitCost, p.NetHop, func(join float64) {
-						done(join + p.NetHop)
-					})
-				})
-			})
-		})
-	})
 }

@@ -78,7 +78,7 @@ type Config struct {
 	// than StandbysPerShard means the remainder are LAN links.
 	Links []transport.Latency
 	// ReadMode routes reads to synced replicas (off by default).
-	ReadMode cluster.StandbyReadMode
+	ReadMode bool
 }
 
 const (
@@ -155,7 +155,9 @@ func NewManager(c *cluster.Cluster, cfg Config) *Manager {
 	m.groups.Store(&empty)
 	m.quorumK.Store(int32(cfg.QuorumAcks))
 	m.detach = c.AddCommitTap(m)
-	c.SetStandbyReads(cfg.ReadMode, m.ReadReplica)
+	if cfg.ReadMode {
+		c.SetStandbyReads(m.ReadReplica)
+	}
 	if cfg.AutoFailover {
 		m.wg.Add(1)
 		go m.watch()
@@ -171,7 +173,7 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
 		m.detach()
-		m.c.SetStandbyReads(cluster.StandbyReadOff, nil)
+		m.c.SetStandbyReads(nil)
 		close(m.stop)
 		for _, g := range *m.groups.Load() {
 			for _, r := range *g.replicas.Load() {

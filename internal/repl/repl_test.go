@@ -230,7 +230,7 @@ func TestReadReplicaRouting(t *testing.T) {
 		for b := 0; b < 10; b++ {
 			mustExec(t, s, fmt.Sprintf("INSERT INTO branches VALUES (%d, %d)", b, b%3))
 		}
-		m := NewManager(c, Config{Mode: ModeSync, ReadMode: cluster.StandbyReadOffload})
+		m := NewManager(c, Config{Mode: ModeSync, ReadMode: true})
 		defer m.Close()
 		pairs := attachAll(t, m, c)
 		waitSynced(t, m, c.PrimaryIDs())
@@ -253,22 +253,25 @@ func TestReadReplicaRouting(t *testing.T) {
 		c.JoinPolicy = plan.DistJoinPolicy{Disable: true}
 		want := sortedRows(mustExec(t, s, join))
 		c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
-		c.Fabric().TrackLinks(true)
+		c.Fabric().Record(true)
 		got := sortedRows(mustExec(t, s, join))
-		c.Fabric().TrackLinks(false)
+		recorded := c.Fabric().Recorded()
+		c.Fabric().Record(false)
 		c.JoinPolicy = plan.DistJoinPolicy{}
 		if len(got) != 50 || fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("standby-served shuffle join: %d rows, differs from the CN join's %d", len(got), len(want))
 		}
-		fromStandby := int64(0)
-		for _, ls := range c.Fabric().LinkStats() {
-			if ls.From.Kind != transport.KindDN || ls.To.Kind != transport.KindDN {
-				continue
+		fromStandby := 0
+		for _, e := range recorded {
+			for _, m := range e.Msgs {
+				if m.From.Kind != transport.KindDN || m.To.Kind != transport.KindDN {
+					continue
+				}
+				if _, isPrimary := pairs[m.From.ID]; isPrimary {
+					t.Errorf("join side shipped a batch from primary dn%d", m.From.ID)
+				}
+				fromStandby++
 			}
-			if _, isPrimary := pairs[ls.From.ID]; isPrimary {
-				t.Errorf("join side shipped %d batches from primary dn%d", ls.Count, ls.From.ID)
-			}
-			fromStandby += ls.Count
 		}
 		if fromStandby == 0 {
 			t.Error("no shuffle batch left a standby")

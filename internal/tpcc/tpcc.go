@@ -7,7 +7,8 @@
 // The generator drives a live internal/cluster instance through its SQL
 // session API, so it exercises the full GTM-lite / baseline protocol stack:
 // routing, escalation, merged snapshots and 2PC. (The Fig 3 throughput
-// *curves* are produced by internal/perfsim in virtual time; this package
+// *curves* are produced by internal/perfsim in virtual time, replaying the
+// fabric paths this driver's transactions record; this package also
 // validates protocol behaviour — GTM traffic, correctness invariants — on
 // the real engine.)
 package tpcc

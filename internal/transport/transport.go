@@ -21,15 +21,15 @@
 // waits for is not what it sends: Send waits for its one message, Wave once
 // for the slowest of a phase's parallel messages, a Stream once for a
 // pipelined sequence, and a message nobody needs an answer to is posted and
-// not waited for. The zero-configuration fabric (New(Config{})) costs one
-// atomic add per message on the hot path.
+// not waited for. Record lists those waits in order, with the messages
+// each one waited for. The zero-configuration fabric (New(Config{})) costs
+// one atomic add per message on the hot path.
 package transport
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -275,71 +275,48 @@ func (s Stats) Sub(base Stats) Stats {
 // Get returns one type's counters.
 func (s Stats) Get(t MsgType) TypeStat { return s[t] }
 
-// LinkStat is one directed link's delivery counters (see TrackLinks).
-// Replication lag accounting reads these to attribute standby shipping
-// traffic — and loss — to individual geo links.
-type LinkStat struct {
+// Msg is one delivered message of a recording.
+type Msg struct {
 	From, To Endpoint
-	Count    int64 // delivered messages
-	Bytes    int64 // delivered payload bytes
-	Dropped  int64 // messages lost to faults or partitions
+	Type     MsgType
+	Bytes    int // payload
 }
 
-// TrackLinks enables (or disables) per-link counters. Off by default —
-// when off, Send pays only one atomic flag load; when on, each message
-// takes a short mutex to bump its link's counters. Disabling does not
-// clear accumulated stats; re-enabling resumes them.
-func (f *Fabric) TrackLinks(on bool) {
-	f.linkMu.Lock()
-	if f.linkStats == nil {
-		f.linkStats = map[linkKey]*LinkStat{}
-	}
-	f.linkMu.Unlock()
-	f.trackLinks.Store(on)
+// Entry is one wait of a recording: the delivered messages of one Send, one
+// Wave or one Stream.Wait — Awaited — or the one message of a bare Post,
+// which nobody waits for.
+type Entry struct {
+	Awaited bool
+	Msgs    []Msg
 }
 
-// LinkStats snapshots the per-link counters, sorted by (from, to). Empty
-// until TrackLinks(true).
-func (f *Fabric) LinkStats() []LinkStat {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	out := make([]LinkStat, 0, len(f.linkStats))
-	for _, ls := range f.linkStats {
-		out = append(out, *ls)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.From != b.From {
-			return epLess(a.From, b.From)
-		}
-		return epLess(a.To, b.To)
-	})
+// Record turns the recorder on or off. On, the fabric lists every wait its
+// callers make, in the order they make them, with the messages each one
+// waited for, starting from an empty list: the per-link view of its
+// traffic, and the transaction paths the Fig 3 simulator replays. Off by
+// default — Post then pays one flag load for it and nothing else.
+func (f *Fabric) Record(on bool) {
+	f.recMu.Lock()
+	f.rec = nil
+	f.recMu.Unlock()
+	f.recording.Store(on)
+}
+
+// Recorded returns the entries recorded since Record(true) or the previous
+// call, and starts a new list.
+func (f *Fabric) Recorded() []Entry {
+	f.recMu.Lock()
+	defer f.recMu.Unlock()
+	out := f.rec
+	f.rec = nil
 	return out
 }
 
-func epLess(a, b Endpoint) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.ID < b.ID
-}
-
-// recordLink bumps one link's counters (TrackLinks on).
-func (f *Fabric) recordLink(from, to Endpoint, payloadBytes int, dropped bool) {
-	f.linkMu.Lock()
-	defer f.linkMu.Unlock()
-	k := linkKey{from, to}
-	ls := f.linkStats[k]
-	if ls == nil {
-		ls = &LinkStat{From: from, To: to}
-		f.linkStats[k] = ls
-	}
-	if dropped {
-		ls.Dropped++
-		return
-	}
-	ls.Count++
-	ls.Bytes += int64(payloadBytes)
+// record appends one entry to the recording.
+func (f *Fabric) record(awaited bool, msgs ...Msg) {
+	f.recMu.Lock()
+	f.rec = append(f.rec, Entry{Awaited: awaited, Msgs: msgs})
+	f.recMu.Unlock()
 }
 
 // partition is an immutable view of the injected connectivity failures —
@@ -371,11 +348,11 @@ type Fabric struct {
 	faults map[linkKey][]*fault
 	rng    *rand.Rand
 
-	// trackLinks enables per-link counters (off by default: the hot path
-	// then pays only the flag load). Guarded by linkMu when on.
-	trackLinks atomic.Bool
-	linkMu     sync.Mutex
-	linkStats  map[linkKey]*LinkStat
+	// recording turns the recorder on (Record); off, the hot path pays
+	// only this flag load. recMu guards rec.
+	recording atomic.Bool
+	recMu     sync.Mutex
+	rec       []Entry
 
 	part atomic.Pointer[partition]
 
@@ -576,14 +553,22 @@ func (f *Fabric) severed(from, to Endpoint) bool {
 // pipelined sequence, and a caller that needs no reply (a read-only
 // transaction releasing its legs, an abort) does not wait at all. Post
 // returns ErrPartitioned / ErrDropped (both wrapping ErrUnreachable) when
-// the message is lost; the caller treats that as a failed RPC.
+// the message is lost; the caller treats that as a failed RPC. A recording
+// (Record) lists a delivered Post as an entry nobody waits for.
 func (f *Fabric) Post(from, to Endpoint, t MsgType, payloadBytes int) (time.Duration, error) {
+	delay, recording, err := f.post(from, to, t, payloadBytes)
+	if recording {
+		f.record(false, Msg{from, to, t, payloadBytes})
+	}
+	return delay, err
+}
+
+// post is Post without the recording; it also reports whether a delivered
+// message is to be recorded, so a caller that waits records its own entry.
+func (f *Fabric) post(from, to Endpoint, t MsgType, payloadBytes int) (time.Duration, bool, error) {
 	if f.severed(from, to) {
 		f.dropped[t].Add(1)
-		if f.trackLinks.Load() {
-			f.recordLink(from, to, payloadBytes, true)
-		}
-		return 0, fmt.Errorf("%w (%s -> %s, %s)", ErrPartitioned, from, to, t)
+		return 0, false, fmt.Errorf("%w (%s -> %s, %s)", ErrPartitioned, from, to, t)
 	}
 
 	delay := time.Duration(f.base.Load())
@@ -591,10 +576,7 @@ func (f *Fabric) Post(from, to Endpoint, t MsgType, payloadBytes int) (time.Dura
 		extra, drop := f.shape(from, to, t, &delay)
 		if drop {
 			f.dropped[t].Add(1)
-			if f.trackLinks.Load() {
-				f.recordLink(from, to, payloadBytes, true)
-			}
-			return 0, fmt.Errorf("%w (%s -> %s, %s)", ErrDropped, from, to, t)
+			return 0, false, fmt.Errorf("%w (%s -> %s, %s)", ErrDropped, from, to, t)
 		}
 		delay += extra
 	}
@@ -608,10 +590,7 @@ func (f *Fabric) Post(from, to Endpoint, t MsgType, payloadBytes int) (time.Dura
 			dc.bytes.Add(int64(payloadBytes))
 		}
 	}
-	if f.trackLinks.Load() {
-		f.recordLink(from, to, payloadBytes, false)
-	}
-	return delay, nil
+	return delay, f.recording.Load(), nil
 }
 
 // payloadDelay is the bandwidth term of a message's delay.
@@ -632,9 +611,12 @@ func (f *Fabric) wait(d time.Duration) {
 // Send delivers one message and waits for it: Post plus the message's own
 // delay.
 func (f *Fabric) Send(from, to Endpoint, t MsgType, payloadBytes int) error {
-	delay, err := f.Post(from, to, t, payloadBytes)
+	delay, recording, err := f.post(from, to, t, payloadBytes)
 	if err != nil {
 		return err
+	}
+	if recording {
+		f.record(true, Msg{from, to, t, payloadBytes})
 	}
 	f.wait(delay)
 	return nil
@@ -650,9 +632,10 @@ func (f *Fabric) Wave(from Endpoint, tos []Endpoint, t MsgType, payloadBytes int
 	var (
 		slowest time.Duration
 		lost    []error
+		waited  []Msg // recorded only
 	)
 	for i, to := range tos {
-		delay, err := f.Post(from, to, t, payloadBytes)
+		delay, recording, err := f.post(from, to, t, payloadBytes)
 		if err != nil {
 			if lost == nil {
 				lost = make([]error, len(tos))
@@ -661,6 +644,12 @@ func (f *Fabric) Wave(from Endpoint, tos []Endpoint, t MsgType, payloadBytes int
 			continue
 		}
 		slowest = max(slowest, delay)
+		if recording {
+			waited = append(waited, Msg{from, to, t, payloadBytes})
+		}
+	}
+	if waited != nil {
+		f.record(true, waited...)
 	}
 	f.wait(slowest)
 	return lost
@@ -676,6 +665,7 @@ type Stream struct {
 	f       *Fabric
 	latency time.Duration
 	payload time.Duration
+	waited  []Msg // recorded only
 }
 
 // Stream starts an empty stream on the fabric.
@@ -683,20 +673,28 @@ func (f *Fabric) Stream() Stream { return Stream{f: f} }
 
 // Post is Fabric.Post with the delay added to the stream's bill.
 func (s *Stream) Post(from, to Endpoint, t MsgType, payloadBytes int) error {
-	delay, err := s.f.Post(from, to, t, payloadBytes)
+	delay, recording, err := s.f.post(from, to, t, payloadBytes)
 	if err != nil {
 		return err
 	}
 	payload := s.f.payloadDelay(payloadBytes)
 	s.latency = max(s.latency, delay-payload)
 	s.payload += payload
+	if recording {
+		s.waited = append(s.waited, Msg{from, to, t, payloadBytes})
+	}
 	return nil
 }
 
 // Wait waits until the last posted message has arrived; call it once, when
 // the stream is complete. A stream nothing was delivered on waits for
 // nothing.
-func (s *Stream) Wait() { s.f.wait(s.latency + s.payload) }
+func (s *Stream) Wait() {
+	if s.waited != nil {
+		s.f.record(true, s.waited...)
+	}
+	s.f.wait(s.latency + s.payload)
+}
 
 // shape resolves per-link latency overrides and faults for one message.
 // It returns any extra delay and whether the message is dropped; when an

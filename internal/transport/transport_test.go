@@ -271,11 +271,11 @@ func TestMsgTypeStrings(t *testing.T) {
 // TestScanFragLegAccounting pins down the wire accounting contract the NDP
 // scan path relies on: scan_frag request legs (CN->DN, zero bytes except a
 // pushed bloom filter) and response legs (DN->CN, the shipped batch) share
-// one message type, with the per-direction split recoverable from the link
-// counters and a measurement window recoverable via Stats.Sub.
+// one message type, with the per-direction split recoverable from the
+// recording and a measurement window recoverable via Stats.Sub.
 func TestScanFragLegAccounting(t *testing.T) {
 	f := New(Config{})
-	f.TrackLinks(true)
+	f.Record(true)
 	const bloomBytes = 64
 	resp := []int{800, 0, 160, 240}
 	for dn := 0; dn < 4; dn++ {
@@ -298,15 +298,15 @@ func TestScanFragLegAccounting(t *testing.T) {
 		t.Fatalf("scan_frag bytes = %d, want %d", got, want)
 	}
 	var reqLeg, respLeg int64
-	for _, ls := range f.LinkStats() {
+	for _, m := range recordedMsgs(f) {
 		switch {
-		case ls.From == CN() && ls.To.Kind == KindDN:
-			reqLeg += ls.Bytes
-			if ls.Bytes != bloomBytes {
-				t.Fatalf("request leg to %v carried %d B, want %d", ls.To, ls.Bytes, bloomBytes)
+		case m.From == CN() && m.To.Kind == KindDN:
+			reqLeg += int64(m.Bytes)
+			if m.Bytes != bloomBytes {
+				t.Fatalf("request leg to %v carried %d B, want %d", m.To, m.Bytes, bloomBytes)
 			}
-		case ls.From.Kind == KindDN && ls.To == CN():
-			respLeg += ls.Bytes
+		case m.From.Kind == KindDN && m.To == CN():
+			respLeg += int64(m.Bytes)
 		}
 	}
 	if reqLeg != 4*bloomBytes {
@@ -354,12 +354,21 @@ func (l *sleepLog) take() []time.Duration {
 	return out
 }
 
-// waveFabric builds a fabric with link tracking on, a partitioned dn2 and a
+// recordedMsgs flattens f's recording into its messages, in order.
+func recordedMsgs(f *Fabric) []Msg {
+	var out []Msg
+	for _, e := range f.Recorded() {
+		out = append(out, e.Msgs...)
+	}
+	return out
+}
+
+// waveFabric builds a fabric with the recorder on, a partitioned dn2 and a
 // drop fault on cn -> dn1: one wave over dn0..dn3 then meets every way a
 // message can end (delivered, dropped, partitioned).
 func waveFabric(log *sleepLog) *Fabric {
 	f := New(Config{BaseLatency: time.Millisecond, Bandwidth: 1e6, Sleep: log.sleep})
-	f.TrackLinks(true)
+	f.Record(true)
 	f.Partition(DN(2))
 	f.InjectFault(CN(), DN(1), Fault{Types: []MsgType{Prepare}, Drop: true, Count: 1})
 	return f
@@ -367,8 +376,8 @@ func waveFabric(log *sleepLog) *Fabric {
 
 // TestWaveAccountsLikeSends: Wave has no accounting of its own — over N
 // endpoints it leaves every counter the fabric keeps (per type, per data
-// node, per link, dropped) exactly as N Sends do, and reports the same
-// per-endpoint losses.
+// node, dropped) and the recorded messages exactly as N Sends do, and
+// reports the same per-endpoint losses.
 func TestWaveAccountsLikeSends(t *testing.T) {
 	tos := []Endpoint{DN(0), DN(1), DN(2), DN(3)}
 	const payload = 100
@@ -401,8 +410,8 @@ func TestWaveAccountsLikeSends(t *testing.T) {
 	if a, b := bySend.DNStats(), byWave.DNStats(); !slices.Equal(a, b) {
 		t.Fatalf("DNStats differ:\n sends %+v\n wave  %+v", a, b)
 	}
-	if a, b := bySend.LinkStats(), byWave.LinkStats(); len(a) != 4 || !slices.Equal(a, b) {
-		t.Fatalf("LinkStats differ (or are not one per link):\n sends %+v\n wave  %+v", a, b)
+	if a, b := recordedMsgs(bySend), recordedMsgs(byWave); len(a) != 2 || !slices.Equal(a, b) {
+		t.Fatalf("recorded messages differ (or are not the 2 delivered):\n sends %+v\n wave  %+v", a, b)
 	}
 
 	// What differs is the waiting: one wait per delivered Send, one per Wave.
@@ -545,5 +554,53 @@ func TestStreamPaysOncePerStream(t *testing.T) {
 	s.Wait()
 	if got := log.take(); len(got) != 0 {
 		t.Fatalf("a stream that delivered nothing waited %v", got)
+	}
+}
+
+// TestRecordListsWaits: a recording lists one entry per Send, Wave and
+// Stream.Wait with the messages delivered to it, one unawaited entry per
+// bare Post, nothing for a lost message — and, off, costs Send, Wave and a
+// stream no allocation.
+func TestRecordListsWaits(t *testing.T) {
+	f := New(Config{})
+	f.InjectFault(CN(), DN(1), Fault{Types: []MsgType{Prepare}, Drop: true, Count: 1})
+	f.Record(true)
+	_ = f.Send(CN(), GTM(), GTMRound, 0)
+	f.Wave(CN(), []Endpoint{DN(0), DN(1), DN(2)}, Prepare, 0)
+	s := f.Stream()
+	_ = s.Post(DN(0), DN(1), ShufflePart, 8)
+	_ = s.Post(DN(0), DN(2), ShufflePart, 8)
+	s.Wait()
+	_, _ = f.Post(CN(), DN(0), Commit, 0)
+	_ = f.Send(CN(), DN(1), Prepare, 0) // the fault has fired: delivered
+	f.InjectFault(CN(), DN(3), Fault{Drop: true})
+	_ = f.Send(CN(), DN(3), Write, 0)
+	want := []Entry{
+		{Awaited: true, Msgs: []Msg{{CN(), GTM(), GTMRound, 0}}},
+		{Awaited: true, Msgs: []Msg{{CN(), DN(0), Prepare, 0}, {CN(), DN(2), Prepare, 0}}},
+		{Awaited: true, Msgs: []Msg{{DN(0), DN(1), ShufflePart, 8}, {DN(0), DN(2), ShufflePart, 8}}},
+		{Msgs: []Msg{{CN(), DN(0), Commit, 0}}},
+		{Awaited: true, Msgs: []Msg{{CN(), DN(1), Prepare, 0}}},
+	}
+	got := f.Recorded()
+	if !slices.EqualFunc(got, want, func(a, b Entry) bool { return a.Awaited == b.Awaited && slices.Equal(a.Msgs, b.Msgs) }) {
+		t.Fatalf("recorded %+v\nwant     %+v", got, want)
+	}
+	if got := f.Recorded(); got != nil {
+		t.Fatalf("a second Recorded returned %+v, want a fresh list", got)
+	}
+
+	f.Record(false)
+	f.ClearFaults()
+	tos := []Endpoint{DN(0), DN(1)}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = f.Send(CN(), DN(0), Write, 0)
+		f.Wave(CN(), tos, Commit, 0)
+		s := f.Stream()
+		_ = s.Post(DN(0), DN(1), ShufflePart, 8)
+		s.Wait()
+	})
+	if allocs != 0 || f.Recorded() != nil {
+		t.Fatalf("recording off: %v allocations per round, recorded %v", allocs, f.Recorded())
 	}
 }
