@@ -22,6 +22,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,7 +80,7 @@ type Config struct {
 
 // partition is one table's storage on one data node: a row heap or a
 // columnar table, exactly one of the two. Its methods hide which from the
-// callers that do not care — insert under a leg, list what is visible, count
+// callers that do not care — apply a record, list what is visible, count
 // what is unsettled, drop rows physically; the ones that do (fragSource, the
 // UPDATE / DELETE body, column statistics, vacuum) read the field.
 type partition struct {
@@ -95,13 +96,35 @@ func newPartition(meta *plan.TableMeta, dn *DataNode) partition {
 	return partition{row: storage.NewTable(meta.Name, meta.Schema, meta.PKCols, dn.Txm)}
 }
 
-// insert appends row under the leg xid. snap is the leg's snapshot, which a
-// row heap checks the primary key against; columnar tables have no key.
-func (p partition) insert(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
-	if p.col != nil {
-		return p.col.Insert(xid, row)
+// apply writes one record — an INSERT's row; a copy's shipped, diffed or
+// seeded record — under the leg (xid, snap): an insert appends rec.Row; an
+// update or delete ends one visible instance of rec.Old through Rewrite,
+// probing the key index for its primary key, and an update appends rec.Row
+// as its successor. Columnar partitions take inserts only.
+func (p partition) apply(xid txnkit.XID, snap *txnkit.Snapshot, rec WriteRec) error {
+	switch {
+	case p.col != nil && rec.Op == OpInsert:
+		return p.col.Insert(xid, rec.Row)
+	case p.col != nil:
+		return errors.New("columnar partitions take inserts only")
+	case rec.Op == OpInsert:
+		return p.row.Insert(xid, snap, rec.Row)
 	}
-	return p.row.Insert(xid, snap, row)
+	old := rec.Old.AppendKey(nil)
+	var buf []byte
+	found := false
+	n, err := p.row.Rewrite(xid, snap, p.row.KeyOf(rec.Old), func(r types.Row) (bool, error) {
+		if !found {
+			buf = r.AppendKey(buf[:0])
+			found = bytes.Equal(buf, old)
+			return found, nil
+		}
+		return false, nil
+	}, func(types.Row) (types.Row, error) { return rec.Row, nil })
+	if err == nil && n != 1 {
+		err = errors.New("no visible instance of the old row")
+	}
+	return err
 }
 
 // visibleRows lists the rows visible to snap that keep accepts (nil: all).

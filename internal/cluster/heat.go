@@ -17,17 +17,6 @@ func (c *Cluster) BucketHeat() []int64 {
 	return out
 }
 
-// HeatByNode aggregates the cumulative bucket heat onto the buckets'
-// current owners (monitoring view; the autopilot works on windowed deltas).
-func (c *Cluster) HeatByNode() map[int]int64 {
-	owners := c.BucketOwners()
-	out := map[int]int64{}
-	for b, dn := range owners {
-		out[dn] += c.heat[b].Load()
-	}
-	return out
-}
-
 // touchHeat records one access to bucket b. One atomic add — cheap enough
 // for the routing hot path, always on.
 func (c *Cluster) touchHeat(b int) { c.heat[b].Add(1) }

@@ -7,8 +7,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/plan"
@@ -52,25 +50,15 @@ func (c *Cluster) analyticalReads() AnalyticalProvider {
 	return nil
 }
 
-// AnalyticalSeed is the barrier snapshot of one distributed table handed
-// to the HTAP manager at install time.
-type AnalyticalSeed struct {
-	Meta *plan.TableMeta
-	// Rows maps each primary dn to that partition's physically stored
-	// visible rows — unfiltered by bucket ownership, so the replica
-	// mirrors the partition exactly and later OpReap records find their
-	// rows. Scans re-apply the ownership filter, as on the primary.
-	Rows map[int][]types.Row
-}
-
 // SeedAnalyticalReplicas snapshots every non-replicated stored table under
-// a full routing + catalog barrier and hands the snapshots to install,
-// which must build the replicas and subscribe its commit tap before
-// returning. Because the tap attaches while the barrier is held, the
-// replica sees exactly the rows in the seed plus every later committed
-// record: no gap, no overlap. Replicated tables are not seeded — their
-// fragments always read the primary copy.
-func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, seeds []AnalyticalSeed) error) error {
+// a full routing + catalog barrier (seedRecs, as enrolment does) and hands
+// install the tables and, per primary, insert records of the rows its
+// partitions store — unfiltered by bucket ownership, so later OpReap records
+// find their rows (scans filter, as on the primary). install must build the
+// replicas and subscribe its commit tap before returning, so a replica sees
+// exactly the seed plus every later commit: no gap, no overlap. Replicated
+// tables are not seeded: their fragments always read the primary copy.
+func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, tables []*plan.TableMeta, seed map[int][]WriteRec) error) error {
 	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	// scanTargetsLocked consults the retired set under mu.RLock itself, so
@@ -79,36 +67,26 @@ func (c *Cluster) SeedAnalyticalReplicas(install func(primaries []int, seeds []A
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	var tis []*TableInfo
+	var tables []*plan.TableMeta
+	var srcs []seedSource
 	for _, ti := range c.tables {
-		if !ti.replicated {
-			tis = append(tis, ti)
+		if ti.replicated {
+			continue
 		}
-	}
-	sort.Slice(tis, func(i, j int) bool { return tis[i].Meta.Name < tis[j].Meta.Name })
-
-	// Writes already committed keep settling while we hold the barrier
-	// (commit paths take no route lock); drain them so the seed is a
-	// definite prefix of the commit stream.
-	deadline := time.Now().Add(c.drainTimeout())
-	for _, ti := range tis {
-		parts := ti.parts.Load()
+		tables = append(tables, ti.Meta)
 		for _, dn := range primaries {
-			if err := waitSettled(parts, dn, nil, deadline); err != nil {
-				return fmt.Errorf("htap seed: table %q dn%d: %w", ti.Meta.Name, dn, err)
-			}
+			srcs = append(srcs, seedSource{ti, dn})
 		}
 	}
-
-	seeds := make([]AnalyticalSeed, 0, len(tis))
-	for _, ti := range tis {
-		s := AnalyticalSeed{Meta: ti.Meta, Rows: make(map[int][]types.Row, len(primaries))}
-		for _, dn := range primaries {
-			s.Rows[dn] = c.partitionRows(ti, dn, nil)
-		}
-		seeds = append(seeds, s)
+	recs, err := c.seedRecs(srcs)
+	if err != nil {
+		return fmt.Errorf("htap seed: %w", err)
 	}
-	return install(primaries, seeds)
+	seed := make(map[int][]WriteRec, len(primaries))
+	for i, s := range srcs {
+		seed[s.dn] = append(seed[s.dn], recs[i]...)
+	}
+	return install(primaries, tables, seed)
 }
 
 // DigestRows hashes a row multiset with the same encoding PartitionDigest

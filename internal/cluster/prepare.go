@@ -188,6 +188,15 @@ func distKeyValue(ti *TableInfo, scope *plan.Scope, where sqlx.Expr) sqlx.Expr {
 	return nil
 }
 
+// keyAs is v as a key column of kind stores it (Schema.CheckRow's coercion:
+// a string as its TIMESTAMP), or v if it does not convert. Rows route by it.
+func keyAs(v types.Datum, kind types.Kind) types.Datum {
+	if k, err := types.Coerce(v, kind); err == nil {
+		return k
+	}
+	return v
+}
+
 func shortAlias(name string) string {
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
 		return name[i+1:]
@@ -293,7 +302,8 @@ type selectUnit struct {
 
 type pinnedTable struct {
 	table string
-	val   sqlx.Expr // *sqlx.Literal or *sqlx.Param
+	val   sqlx.Expr  // *sqlx.Literal or *sqlx.Param
+	kind  types.Kind // the distribution key's
 }
 
 // compileSelect analyses sel's routing and plans it over a if the plan is
@@ -356,7 +366,7 @@ func (u *selectUnit) analyzeRef(ref sqlx.TableRef, q *sqlx.Select, ctes []string
 		}
 		scope := plan.TableScope(ti.Meta, strings.ToLower(alias))
 		if val := distKeyValue(ti, scope, q.Where); val != nil {
-			u.pinned = append(u.pinned, pinnedTable{table: ti.Meta.Name, val: val})
+			u.pinned = append(u.pinned, pinnedTable{table: ti.Meta.Name, val: val, kind: ti.Meta.Schema.Columns[ti.Meta.DistKey].Kind})
 		} else {
 			u.scatter = true
 		}
@@ -408,7 +418,7 @@ func (u *selectUnit) route(a *stmtAccess, params []types.Datum) []int {
 	default:
 		for _, p := range u.pinned {
 			v, _ := sqlx.ValueOf(p.val, params)
-			shard := c.shardFor(v)
+			shard := c.shardFor(keyAs(v, p.kind))
 			a.route(p.table, shard)
 			if at, found := slices.BinarySearch(a.owners, shard); !found {
 				a.owners = slices.Insert(a.owners, at, shard)
@@ -621,9 +631,10 @@ func (u *insertUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
 		targets = s.c.replicaTargetsLocked()
 	} else {
 		dst = make([]int, len(rows))
+		dk := ti.Meta.DistKey
 		for i, row := range rows {
 			var err error
-			if dst[i], err = s.c.writeTarget(row[ti.Meta.DistKey]); err != nil {
+			if dst[i], err = s.c.writeTarget(keyAs(row[dk], schema.Columns[dk].Kind)); err != nil {
 				return nil, err
 			}
 			if !slices.Contains(targets, dst[i]) {
@@ -638,11 +649,12 @@ func (u *insertUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
 			if dst != nil && dst[i] != l.dn {
 				continue
 			}
-			if err := l.part.insert(l.xid, l.snap, row); err != nil {
+			rec := WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: row}
+			if err := l.part.apply(l.xid, l.snap, rec); err != nil {
 				return n, err
 			}
 			if l.tap != nil {
-				l.log(WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: row})
+				l.log(rec)
 			}
 			n++
 		}

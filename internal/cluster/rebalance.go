@@ -84,25 +84,48 @@ func replacePartition(ti *TableInfo, p *tableParts, idx int, dn *DataNode) *tabl
 	return &np
 }
 
-// copyReplica snapshots table ti on node src and inserts every visible row
-// into the (empty) partition on the new node in one local transaction. The
-// rows cross the fabric as one RebalCopy bulk stream (replica seeding and
-// standby seeding both go through here).
-func (c *Cluster) copyReplica(ti *TableInfo, src, dst int, dstDN *DataNode) error {
-	rows := c.partitionRows(ti, src, nil)
-	if err := c.fab.Send(transport.DN(src), transport.DN(dst), transport.RebalCopy, rowPayload(ti, len(rows))); err != nil {
-		return err
-	}
-	part := ti.part(dst)
-	xid := dstDN.Txm.Begin()
-	snap := dstDN.Txm.LocalSnapshot()
-	for _, r := range rows {
-		if err := part.insert(xid, &snap, r); err != nil {
-			_ = dstDN.Txm.Abort(xid)
-			return err
+// seedSource is a partition a copy is seeded from: ti's on data node dn.
+type seedSource struct {
+	ti *TableInfo
+	dn int
+}
+
+// seedRecs is the one read behind every seed (enrolment, analytical
+// replicas): it drains every source — commits take no route lock, so they
+// settle under the caller's barrier — and only then snapshots each as insert
+// records of its visible rows, a definite prefix of the commit stream that a
+// tap attached under the barrier continues. recs[i] seeds from srcs[i].
+func (c *Cluster) seedRecs(srcs []seedSource) ([][]WriteRec, error) {
+	deadline := time.Now().Add(c.drainTimeout())
+	for _, s := range srcs {
+		if err := waitSettled(s.ti.parts.Load(), s.dn, nil, deadline); err != nil {
+			return nil, fmt.Errorf("table %q: %w", s.ti.Meta.Name, err)
 		}
 	}
-	return dstDN.Txm.Commit(xid)
+	recs := make([][]WriteRec, len(srcs))
+	for i, s := range srcs {
+		rows := c.partitionRows(s.ti, s.dn, nil)
+		recs[i] = make([]WriteRec, len(rows))
+		for j, r := range rows {
+			recs[i][j] = WriteRec{Table: s.ti.Meta.Name, Op: OpInsert, Row: r}
+		}
+	}
+	return recs, nil
+}
+
+// copyReplica ships one table's seed records to the new node dst's empty
+// partition as one RebalCopy bulk stream, an empty seed too, and applies
+// them there. The commit is a plain one: a retired node being re-enrolled
+// reads as down until enrolLocked publishes it, so commitLocal would abort.
+func (c *Cluster) copyReplica(src seedSource, recs []WriteRec, dst *DataNode) error {
+	if err := c.fab.Send(transport.DN(src.dn), transport.DN(dst.ID), transport.RebalCopy, rowPayload(src.ti, len(recs))); err != nil {
+		return err
+	}
+	xid, err := c.applyRecs(dst, src.ti, recs)
+	if err != nil {
+		return err
+	}
+	return dst.Txm.Commit(xid)
 }
 
 // waitSettled polls one partition until no version matching pred has an
@@ -262,13 +285,9 @@ func (c *Cluster) MoveBucket(bucket, target int) (int, error) {
 	c.moveHook("frozen", bucket, target)
 
 	// Phase 3: drain in-flight transactions touching the bucket.
-	dk := func(ti *TableInfo) func(types.Row) bool {
-		col := ti.Meta.DistKey
-		return func(r types.Row) bool { return BucketOf(r[col]) == bucket }
-	}
 	deadline := time.Now().Add(c.drainTimeout())
 	for _, ti := range tables {
-		if err := waitSettled(ti.parts.Load(), source, dk(ti), deadline); err != nil {
+		if err := waitSettled(ti.parts.Load(), source, inBucket(ti, bucket), deadline); err != nil {
 			return fail("drain", err)
 		}
 	}
@@ -315,6 +334,12 @@ func (c *Cluster) distributedTables() []*TableInfo {
 	return out
 }
 
+// inBucket matches ti's rows whose distribution key hashes to bucket.
+func inBucket(ti *TableInfo, bucket int) func(types.Row) bool {
+	col := ti.Meta.DistKey
+	return func(r types.Row) bool { return BucketOf(r[col]) == bucket }
+}
+
 // reapBucket physically removes the bucket's rows from one node's
 // partitions (see partition.reap: row storage only).
 func (c *Cluster) reapBucket(tables []*TableInfo, dnID, bucket int) {
@@ -323,8 +348,7 @@ func (c *Cluster) reapBucket(tables []*TableInfo, dnID, bucket int) {
 		if ti.columnar() {
 			continue
 		}
-		col := ti.Meta.DistKey
-		ti.part(dnID).reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
+		ti.part(dnID).reap(inBucket(ti, bucket))
 		if logging {
 			// Ship the reap so the node's standby mirror drops the same
 			// rows; by now no commit can write this bucket on this node, so
@@ -342,18 +366,19 @@ func (c *Cluster) reapBucket(tables []*TableInfo, dnID, bucket int) {
 
 // syncBucketTable makes the target partition's bucket contents equal to the
 // source's, as of fresh local snapshots, inside one target-local
-// transaction. It is a multiset diff — deletes extra target rows first,
-// then inserts missing ones — which makes both the initial copy and the
-// post-freeze delta the same idempotent operation, and returns the number
-// of rows inserted. The diff ships source -> target over the fabric as one
-// bulk message of type mt (RebalCopy for the phase-1 copy, RebalDelta for
-// the post-freeze delta); a lost stream fails the sync before any local
-// change, so the caller's retry re-runs the same idempotent diff.
+// transaction. It is a multiset diff — a delete record per surplus target
+// instance, then an insert record per missing source row (an updated row's
+// stale copy must end before its successor passes the key check) — which
+// makes both the initial copy and the post-freeze delta the same idempotent
+// operation, and returns the number of rows inserted. A columnar target
+// never holds rows the source lost (no SQL UPDATE / DELETE), and a diff that
+// would delete from one fails. The diff ships source -> target over the
+// fabric as one bulk message of type mt (RebalCopy for the phase-1 copy,
+// RebalDelta for the post-freeze delta); a lost stream fails the sync before
+// any local change, so the caller's retry re-runs the same idempotent diff.
 func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, mt transport.MsgType) (int, error) {
-	col := ti.Meta.DistKey
-	inBucket := func(r types.Row) bool { return BucketOf(r[col]) == bucket }
-	srcRows := c.partitionRows(ti, source, inBucket)
-	tgtRows := c.partitionRows(ti, target, inBucket)
+	srcRows := c.partitionRows(ti, source, inBucket(ti, bucket))
+	tgtRows := c.partitionRows(ti, target, inBucket(ti, bucket))
 
 	have := make(map[string]int, len(tgtRows))
 	var key []byte
@@ -361,73 +386,44 @@ func (c *Cluster) syncBucketTable(ti *TableInfo, bucket, source, target int, mt 
 		key = r.AppendKey(key[:0])
 		have[string(key)]++
 	}
-	var inserts []types.Row
+	var inserts []WriteRec
 	for _, r := range srcRows {
 		key = r.AppendKey(key[:0])
 		if have[string(key)] > 0 {
 			have[string(key)]--
 		} else {
-			inserts = append(inserts, r)
+			inserts = append(inserts, WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: r})
 		}
 	}
-	deletes := 0
-	for _, n := range have {
-		deletes += n
+	var recs []WriteRec
+	for _, r := range tgtRows {
+		key = r.AppendKey(key[:0])
+		if have[string(key)] > 0 {
+			have[string(key)]--
+			recs = append(recs, WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: r})
+		}
 	}
-	if len(inserts) == 0 && deletes == 0 {
+	recs = append(recs, inserts...)
+	if len(recs) == 0 {
 		return 0, nil
 	}
-	if err := c.fab.Send(transport.DN(source), transport.DN(target), mt, rowPayload(ti, len(inserts)+deletes)); err != nil {
+	if err := c.fab.Send(transport.DN(source), transport.DN(target), mt, rowPayload(ti, len(recs))); err != nil {
 		return 0, err
 	}
 
 	// Commit through commitLocal: the sync aborts if the target was marked
 	// down mid-move, and its records ship to the target's standby (if any),
 	// so bucket moves compose with replication.
-	logging := c.tapInstalled()
-	var recs []WriteRec
-
-	// Columnar tables are append-only (no SQL UPDATE/DELETE), so the target
-	// can never hold rows the source lost.
-	if deletes > 0 && ti.columnar() {
-		return 0, fmt.Errorf("cluster: columnar bucket sync found %d rows on target absent from source (table %q)", deletes, ti.Meta.Name)
+	tgtDN := c.node(target)
+	xid, err := c.applyRecs(tgtDN, ti, recs)
+	if err != nil {
+		return 0, err
 	}
-	part, tgtDN := ti.part(target), c.node(target)
-	xid := tgtDN.Txm.Begin()
-	snap := tgtDN.Txm.LocalSnapshot()
-	if deletes > 0 {
-		// Delete before insert: an updated row shares its primary key with
-		// the stale copy, so the stale version must be stamped dead (by
-		// this same transaction) before the new version passes the PK
-		// uniqueness check.
-		if _, err := part.row.Delete(xid, &snap, func(r types.Row) bool {
-			if !inBucket(r) {
-				return false
-			}
-			key = r.AppendKey(key[:0])
-			if have[string(key)] > 0 {
-				have[string(key)]--
-				if logging {
-					recs = append(recs, WriteRec{Table: ti.Meta.Name, Op: OpDelete, Old: r.Clone()})
-				}
-				return true
-			}
-			return false
-		}); err != nil {
-			_ = tgtDN.Txm.Abort(xid)
-			return 0, err
-		}
+	var logged []WriteRec
+	if c.tapInstalled() {
+		logged = recs
 	}
-	for _, r := range inserts {
-		if err := part.insert(xid, &snap, r); err != nil {
-			_ = tgtDN.Txm.Abort(xid)
-			return 0, err
-		}
-		if logging {
-			recs = append(recs, WriteRec{Table: ti.Meta.Name, Op: OpInsert, Row: r.Clone()})
-		}
-	}
-	return len(inserts), c.commitLocal(tgtDN, xid, recs)
+	return len(inserts), c.commitLocal(tgtDN, xid, logged)
 }
 
 // TableDigest is an order-independent summary of a table's visible

@@ -26,7 +26,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -359,12 +358,12 @@ func (c *Cluster) enrolLocked(node, upstream int, onReady func(id int)) (int, er
 
 	// Install fresh partitions first (copy-on-write): a reader may only see
 	// a new node once its partitions exist (len(parts) >= len(dns) always).
-	type seeded struct {
+	type swapped struct {
 		ti   *TableInfo
 		prev *tableParts
-		src  int // node the table is copied from; -1: starts empty
 	}
-	var tables []seeded
+	var tables []swapped
+	var srcs []seedSource // where each copied table comes from; the rest start empty
 	rollback := func(err error) (int, error) {
 		for _, t := range tables {
 			t.ti.parts.Store(t.prev)
@@ -379,7 +378,10 @@ func (c *Cluster) enrolLocked(node, upstream int, onReady func(id int)) (int, er
 			}
 		}
 		prev := ti.parts.Load()
-		tables = append(tables, seeded{ti, prev, src})
+		tables = append(tables, swapped{ti, prev})
+		if src >= 0 {
+			srcs = append(srcs, seedSource{ti, src})
+		}
 		if node < 0 {
 			ti.parts.Store(appendPartition(ti, prev, dn))
 		} else {
@@ -387,25 +389,13 @@ func (c *Cluster) enrolLocked(node, upstream int, onReady func(id int)) (int, er
 		}
 	}
 
-	// Uncommitted writes would be missed by the snapshot copy and could
-	// never reach the node afterwards: drain every source before copying
-	// anything. The barrier blocks new statements while in-flight
-	// transactions settle (commit paths take no route lock).
-	deadline := time.Now().Add(c.drainTimeout())
-	for _, t := range tables {
-		if t.src < 0 {
-			continue
-		}
-		if err := waitSettled(t.prev, t.src, nil, deadline); err != nil {
-			return rollback(fmt.Errorf("cluster: seeding dn%d, table %q: %w", id, t.ti.Meta.Name, err))
-		}
+	seeds, err := c.seedRecs(srcs)
+	if err != nil {
+		return rollback(fmt.Errorf("cluster: seeding dn%d, %w", id, err))
 	}
-	for _, t := range tables {
-		if t.src < 0 {
-			continue
-		}
-		if err := c.copyReplica(t.ti, t.src, id, dn); err != nil {
-			return rollback(fmt.Errorf("cluster: seeding dn%d, table %q: %w", id, t.ti.Meta.Name, err))
+	for i, s := range srcs {
+		if err := c.copyReplica(s, seeds[i], dn); err != nil {
+			return rollback(fmt.Errorf("cluster: seeding dn%d, table %q: %w", id, s.ti.Meta.Name, err))
 		}
 	}
 
@@ -631,93 +621,66 @@ func (c *Cluster) WaitCommitsSettled(dnID int, timeout time.Duration) error {
 // Record application (standby side)
 // ---------------------------------------------------------------------------
 
-// ApplyStandbyRecs applies one shipped record batch (one committed
-// transaction leg) to the standby inside a single standby-local
-// transaction, preserving the batch's atomicity. OpUpdate and OpDelete
-// match exactly one stored instance of the old row; a missing match means
-// the mirror diverged and the error poisons the pair. ErrNodeDown is the one
-// error that says nothing about the mirror: the standby was down or cut off
-// when its transaction came to commit, the transaction rolled back, and the
-// same leg can be applied again (a reap record, the only thing applied
-// outside that transaction, always ships as a leg of its own).
+// ApplyStandbyRecs applies one shipped leg to the standby, each run of
+// records between reaps as one standby-local transaction (applyRecs). A
+// record with no instance of its old row left means the mirror diverged, and
+// the error poisons the pair. ErrNodeDown is the one error that says nothing
+// about the mirror: the standby was down or cut off when its transaction
+// came to commit, the transaction rolled back, and the same leg can be
+// applied again (a reap, the only thing applied outside that transaction,
+// always ships as a leg of its own).
 func (c *Cluster) ApplyStandbyRecs(standbyID int, recs []WriteRec) error {
 	dn := c.node(standbyID)
-	var xid txnkit.XID
-	var snap txnkit.Snapshot
-	open := false
-	begin := func() {
-		if !open {
-			xid = dn.Txm.Begin()
-			snap = dn.Txm.LocalSnapshot()
-			open = true
-		}
-	}
-	flush := func() error {
-		if !open {
-			return nil
-		}
-		open = false
-		return c.commitLocal(dn, xid, nil)
-	}
-	abort := func() {
-		if open {
-			open = false
-			_ = dn.Txm.Abort(xid)
-		}
-	}
-	for _, rec := range recs {
-		ti, err := c.tableInfo(rec.Table)
-		if err != nil {
-			abort()
-			return err
-		}
-		part := ti.part(standbyID)
-		if rec.Op == OpReap {
+	for len(recs) > 0 {
+		run := slices.IndexFunc(recs, func(r WriteRec) bool { return r.Op == OpReap })
+		if run == 0 {
 			// Physical cleanup mirrors the primary's reap: outside MVCC.
-			if err := flush(); err != nil {
+			ti, err := c.tableInfo(recs[0].Table)
+			if err != nil {
 				return err
 			}
-			col := ti.Meta.DistKey
-			bucket := rec.Bucket
-			part.reap(func(r types.Row) bool { return BucketOf(r[col]) == bucket })
+			ti.part(standbyID).reap(inBucket(ti, recs[0].Bucket))
+			recs = recs[1:]
 			continue
 		}
-		begin()
-		if rec.Op == OpUpdate || rec.Op == OpDelete {
-			// Remove exactly one stored instance of the old version. An
-			// update then re-inserts the new version in the same
-			// transaction, so a shared primary key passes the uniqueness
-			// check (the stale version is already stamped dead by us).
-			key := rec.Old.AppendKey(nil)
-			var buf []byte
-			matched := false
-			n, err := part.row.Delete(xid, &snap, func(r types.Row) bool {
-				if matched {
-					return false
-				}
-				if buf = r.AppendKey(buf[:0]); !bytes.Equal(buf, key) {
-					return false
-				}
-				matched = true
-				return true
-			})
-			if err != nil {
-				abort()
-				return err
-			}
-			if n != 1 {
-				abort()
-				return fmt.Errorf("cluster: standby dn%d diverged: no %s row to %s", standbyID, rec.Table, rec.Op)
-			}
+		if run < 0 {
+			run = len(recs)
 		}
-		if rec.Op == OpInsert || rec.Op == OpUpdate {
-			if err := part.insert(xid, &snap, rec.Row); err != nil {
-				abort()
-				return err
-			}
+		xid, err := c.applyRecs(dn, nil, recs[:run])
+		if err == nil {
+			err = c.commitLocal(dn, xid, nil)
+		}
+		if err != nil {
+			return err
+		}
+		recs = recs[run:]
+	}
+	return nil
+}
+
+// applyRecs is the one step that writes a copy outside a statement — a
+// standby's log replay, a bucket move's copy and delta, a seed: it applies
+// recs through partition.apply in one new dn-local transaction and returns
+// it for the caller to commit, or aborts it and names the node, operation
+// and table that failed. A non-nil ti is every record's table (a seed holds
+// the catalog lock a lookup takes); nil looks each one up.
+func (c *Cluster) applyRecs(dn *DataNode, ti *TableInfo, recs []WriteRec) (txnkit.XID, error) {
+	xid := dn.Txm.Begin()
+	snap := dn.Txm.LocalSnapshot()
+	for _, rec := range recs {
+		t, err := ti, error(nil)
+		if t == nil {
+			t, err = c.tableInfo(rec.Table)
+		}
+		if err == nil {
+			err = t.part(dn.ID).apply(xid, &snap, rec)
+		}
+		if err != nil {
+			_ = dn.Txm.Abort(xid)
+			return 0, fmt.Errorf("cluster: dn%d diverged applying %s on %q: %w", dn.ID, rec.Op, rec.Table, err)
 		}
 	}
-	return flush()
+	return xid, nil
 }
 
 // PartitionDigest digests the rows of table name physically stored on node

@@ -186,6 +186,35 @@ func TestDriverEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTimeValuesCompareInWhere: a bound time.Time travels as a quoted string;
+// compared with a TIMESTAMP column it reads as the TIMESTAMP it names, as it
+// does when inserted — in a range, an equality and a distribution-key pin.
+func TestTimeValuesCompareInWhere(t *testing.T) {
+	srv, _ := newStack(t, server.Config{})
+	db := open(t, srv, Options{PoolSize: 1})
+	mustExec(t, db, "CREATE TABLE ev (id BIGINT, ts TIMESTAMP, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)")
+	mustExec(t, db, "CREATE TABLE evk (ts TIMESTAMP, id BIGINT, PRIMARY KEY(ts)) DISTRIBUTE BY HASH(ts)")
+	base := time.Date(2026, 10, 15, 1, 2, 3, 500, time.UTC)
+	at := func(i int) time.Time { return base.Add(time.Duration(i) * time.Minute) }
+	for i := 0; i < 5; i++ {
+		mustExec(t, db, "INSERT INTO ev VALUES (:id, :ts)", map[string]any{"id": i, "ts": at(i)})
+		mustExec(t, db, "INSERT INTO evk VALUES (:ts, :id)", map[string]any{"id": i, "ts": at(i)})
+	}
+	var ids []int64
+	if err := db.Select(&ids, "SELECT id FROM ev WHERE ts >= :from AND ts < :to ORDER BY id", map[string]any{"from": at(1), "to": at(3)}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ids) != "[1 2]" {
+		t.Errorf("ids in [at(1), at(3)) = %v, want [1 2]", ids)
+	}
+	for _, table := range []string{"ev", "evk"} {
+		var id int64
+		if err := db.Get(&id, "SELECT id FROM "+table+" WHERE ts = :at", map[string]any{"at": at(4)}); err != nil || id != 4 {
+			t.Errorf("%s: id at(4) = %d (%v), want 4", table, id, err)
+		}
+	}
+}
+
 func TestPreparedStatementsHitServerCache(t *testing.T) {
 	srv, _ := newStack(t, server.Config{})
 	db := open(t, srv, Options{PoolSize: 1})

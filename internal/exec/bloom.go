@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -11,8 +9,8 @@ import (
 // Bloom is a fixed-size bloom filter over join-key datums, used for
 // sideways information passing: HashJoin builds it from the (small) build
 // side's keys and NDP scans probe it DN-side so non-matching probe rows
-// never cross the fabric. Keys are normalized exactly like the hash join's
-// own key encoding (numerics compare kind-insensitively), so a datum the
+// never cross the fabric. Keys are hashed by the hash join's own key
+// encoding (types.AppendKey: equal bytes iff Compare == 0), so a datum the
 // filter rejects provably cannot match any build row.
 type Bloom struct {
 	bits []uint64
@@ -36,20 +34,14 @@ func NewBloom(n int) *Bloom {
 	return &Bloom{bits: make([]uint64, m/64), m: m, k: 4}
 }
 
-// bloomEncode normalizes a datum the same way the hash join's keyOf does,
-// so bloom membership agrees with join-key equality.
-func bloomEncode(v types.Datum) string {
-	if v.Kind() == types.KindInt || v.Kind() == types.KindFloat {
-		return fmt.Sprintf("n:%g", v.Float())
-	}
-	return fmt.Sprintf("%d:%s", v.Kind(), v.String())
-}
-
-// hashes derives the double-hashing pair (h1, h2) for a datum.
+// hashes derives the double-hashing pair (h1, h2) for a datum: FNV-1a over
+// its types.AppendKey bytes, the encoding JoinTable's equality is.
 func (b *Bloom) hashes(v types.Datum) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(bloomEncode(v)))
-	h1 := h.Sum64()
+	var buf [32]byte
+	h1 := uint64(14695981039346656037)
+	for _, x := range types.AppendKey(buf[:0], v) {
+		h1 = (h1 ^ uint64(x)) * 1099511628211
+	}
 	h2 := h1>>33 | h1<<31 | 1 // odd, so successive probes cover the bit space
 	return h1, h2
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/types"
@@ -79,6 +80,34 @@ func (p *Param) Eval(ctx *Ctx, _ types.Row) (types.Datum, error) {
 
 // String spells the parameter as sqlx.Param does: $1 is Index 0.
 func (p *Param) String() string { return "$" + strconv.Itoa(p.Index+1) }
+
+// AsTime reads a string value (a driver-bound time.Time arrives as one) as a
+// TIMESTAMP, as types.Coerce does, where the planner compares it with one.
+// The last string parsed is kept: a value is parsed once per execution, not
+// per row. One that does not parse fails the statement, naming the value.
+type AsTime struct {
+	Value Expr
+	last  atomic.Pointer[[2]types.Datum] // a string and its TIMESTAMP
+}
+
+// Eval implements Expr.
+func (a *AsTime) Eval(ctx *Ctx, row types.Row) (types.Datum, error) {
+	v, err := a.Value.Eval(ctx, row)
+	if err != nil || v.Kind() != types.KindString {
+		return v, err
+	}
+	if p := a.last.Load(); p != nil && p[0].Str() == v.Str() {
+		return p[1], nil
+	}
+	t, err := types.Coerce(v, types.KindTime)
+	if err == nil {
+		a.last.Store(&[2]types.Datum{v, t})
+	}
+	return t, err
+}
+
+// String prints the value: the comparison reads as it was written.
+func (a *AsTime) String() string { return a.Value.String() }
 
 // ColRef reads column Index of the current row. Name is retained for
 // canonical display (qualified, upper-cased by the planner when feeding the
@@ -722,6 +751,8 @@ func WalkExpr(e Expr, visit func(Expr) bool) {
 		WalkExpr(x.Child, visit)
 	case *Neg:
 		WalkExpr(x.Child, visit)
+	case *AsTime:
+		WalkExpr(x.Value, visit)
 	case *IsNullExpr:
 		WalkExpr(x.Child, visit)
 	case *InListExpr:

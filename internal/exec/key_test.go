@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,34 @@ func TestHashOperatorsEquateIntAndFloat(t *testing.T) {
 	both := append(append([]types.Row{}, left...), right...)
 	if got := collect(t, &Distinct{Child: NewValues(ints, both)}); len(got) != 3 {
 		t.Errorf("DISTINCT over 3, 4, 3.0, 4.5 = %v, want three rows", got)
+	}
+}
+
+// TestBloomAdmitsEqualKeys: the join's bloom filter hashes the join's own key
+// bytes, so a filter built from one key admits every key types.Equal to it —
+// across kinds, above 2^53 and at negative zero, where a float rendering does
+// not read as the integer.
+func TestBloomAdmitsEqualKeys(t *testing.T) {
+	const big = int64(1) << 60
+	at := time.Date(2026, 10, 15, 1, 2, 3, 4, time.UTC)
+	for _, pair := range [][2]types.Datum{
+		{types.NewInt(5), types.NewFloat(5.0)},
+		{types.NewInt(big), types.NewFloat(float64(big))},
+		{types.NewInt(big + 1), types.NewInt(big + 1)},
+		{types.NewInt(0), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewString("x|4:y"), types.NewString("x|4:y")},
+		{types.NewTime(at), types.NewTime(at.In(time.FixedZone("x", 3600)))},
+	} {
+		if !types.Equal(pair[0], pair[1]) {
+			t.Fatalf("%v and %v are not equal", pair[0], pair[1])
+		}
+		for i := range pair {
+			b := NewBloom(1)
+			b.Add(pair[i])
+			if other := pair[1-i]; !b.MayContain(other) {
+				t.Errorf("a filter built from %s %v rejects the equal %s %v", pair[i].Kind(), pair[i], other.Kind(), other)
+			}
+		}
 	}
 }
 

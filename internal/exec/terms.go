@@ -13,7 +13,8 @@ import "repro/internal/types"
 // "<>", "<", "<=", ">" or ">=" over Vals[0] — `value op column` is mirrored
 // into this form, and `column BETWEEN lo AND hi` is the two terms >= lo and
 // <= hi — or "IN" over the list Vals. A value is a Const, a Param or a
-// negated Param. Conj is the conjunct the term was read from.
+// negated Param, or one of those read as a TIMESTAMP (AsTime). Conj is the
+// conjunct the term was read from.
 type Term struct {
 	Col  int
 	Op   string
@@ -107,6 +108,8 @@ func termValue(e Expr) bool {
 	case *Neg:
 		_, ok := x.Child.(*Param)
 		return ok
+	case *AsTime:
+		return termValue(x.Value)
 	}
 	return false
 }

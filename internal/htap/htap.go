@@ -158,29 +158,23 @@ func Enable(c *cluster.Cluster, cfg Config) (*Manager, error) {
 	m.maxLag.Store(m.cfg.MaxLagRecords)
 	m.policy.Store(int32(m.cfg.Policy))
 
-	err := c.SeedAnalyticalReplicas(func(primaries []int, seeds []cluster.AnalyticalSeed) error {
+	err := c.SeedAnalyticalReplicas(func(primaries []int, tables []*plan.TableMeta, seed map[int][]cluster.WriteRec) error {
 		for _, dn := range primaries {
-			m.replicas[dn] = &replica{
+			r := &replica{
 				dn:     dn,
 				txm:    txnkit.NewTxnManager(),
 				tables: make(map[string]*replTable),
 				feed:   repl.NewFeed(),
 			}
-		}
-		for _, seed := range seeds {
-			for dn, rows := range seed.Rows {
-				r := m.replicas[dn]
-				rt := r.createTable(seed.Meta)
-				xid := r.txm.Begin()
-				for _, row := range rows {
-					if err := rt.tbl.Insert(xid, row); err != nil {
-						_ = r.txm.Abort(xid)
-						return fmt.Errorf("htap: seeding %q on dn%d: %w", seed.Meta.Name, dn, err)
-					}
-				}
-				if err := r.txm.Commit(xid); err != nil {
-					return err
-				}
+			m.replicas[dn] = r
+			for _, meta := range tables {
+				r.createTable(meta)
+			}
+			// A seed is insert records: it replays like any committed leg.
+			if err := m.applyLeg(r, seed[dn]); err != nil {
+				return err
+			}
+			for _, rt := range r.tables {
 				rt.tbl.Flush()
 			}
 		}

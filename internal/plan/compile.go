@@ -46,6 +46,10 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		switch x.Op {
+		case sqlx.OpEq, sqlx.OpNe, sqlx.OpLt, sqlx.OpLe, sqlx.OpGt, sqlx.OpGe:
+			l, r = pc.asTime(x.Right, x.Left, l), pc.asTime(x.Left, x.Right, r)
+		}
 		return &exec.BinOp{Op: x.Op, Left: l, Right: r}, nil
 	case *sqlx.UnaryOp:
 		c, err := pc.compileExpr(x.Child)
@@ -87,7 +91,7 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			list[i] = ce
+			list[i] = pc.asTime(x.Child, item, ce)
 		}
 		return &exec.InListExpr{Child: c, List: list, Not: x.Not}, nil
 	case *sqlx.Between:
@@ -103,7 +107,7 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &exec.BetweenExpr{Child: c, Lo: lo, Hi: hi, Not: x.Not}, nil
+		return &exec.BetweenExpr{Child: c, Lo: pc.asTime(x.Child, x.Lo, lo), Hi: pc.asTime(x.Child, x.Hi, hi), Not: x.Not}, nil
 	case *sqlx.FuncCall:
 		name := strings.ToLower(x.Name)
 		if sqlx.AggregateFuncs[name] {
@@ -155,6 +159,20 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 	default:
 		return nil, fmt.Errorf("plan: unsupported expression %T", e)
 	}
+}
+
+// asTime is cv, the compiled value v compared with other, read as a
+// TIMESTAMP (exec.AsTime) when other is one and v a string literal or a
+// parameter lifted from one: the comparison is then a TIMESTAMP comparison,
+// as assigning the string to a TIMESTAMP column would be.
+func (pc *pctx) asTime(other, v sqlx.Expr, cv exec.Expr) exec.Expr {
+	switch v.(type) {
+	case *sqlx.Literal, *sqlx.Param:
+		if exprKind(pc, v) == types.KindString && exprKind(pc, other) == types.KindTime {
+			return &exec.AsTime{Value: cv}
+		}
+	}
+	return cv
 }
 
 // compileColumnRef resolves a column in the current scope, climbing to

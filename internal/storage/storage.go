@@ -288,17 +288,15 @@ func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, ma
 	return n, nil
 }
 
+// KeyOf returns row's primary key, one datum per key column in key order —
+// the key Rewrite and ScanKey narrow by (empty without a primary key).
+func (t *Table) KeyOf(row types.Row) types.Row { return pkOf(row, t.pkCols) }
+
 // Update rewrites every visible tuple matching pred: the old version gets
 // xmax=xid, a new version with set applied to a copy of the row is appended.
 // It returns the number of updated tuples.
 func (t *Table) Update(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool, set func(types.Row) (types.Row, error)) (int, error) {
 	return t.Rewrite(xid, snap, nil, matchOf(pred), func(old types.Row) (types.Row, error) { return set(old.Clone()) })
-}
-
-// Delete stamps xmax=xid on every visible tuple matching pred and returns
-// the count.
-func (t *Table) Delete(xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool) (int, error) {
-	return t.Rewrite(xid, snap, nil, matchOf(pred), nil)
 }
 
 // matchOf adapts a predicate that cannot fail to Rewrite's match.

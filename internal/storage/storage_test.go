@@ -52,6 +52,12 @@ func insertRows(t *testing.T, tbl *Table, txm *txnkit.TxnManager, n int) {
 	}
 }
 
+// del ends every visible tuple matching pred (nil: all) through Rewrite and
+// returns the count.
+func del(tbl *Table, xid txnkit.XID, snap *txnkit.Snapshot, pred func(types.Row) bool) (int, error) {
+	return tbl.Rewrite(xid, snap, nil, matchOf(pred), nil)
+}
+
 func countVisible(tbl *Table, txm *txnkit.TxnManager) int {
 	snap := txm.LocalSnapshot()
 	return tbl.VisibleCount(0, &snap)
@@ -102,7 +108,7 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	}
 	// Deleting then reinserting the same key is allowed.
 	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		if _, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int() == 2 }); err != nil {
+		if _, err := del(tbl, xid, snap, func(r types.Row) bool { return r[0].Int() == 2 }); err != nil {
 			return err
 		}
 		return tbl.Insert(xid, snap, types.Row{types.NewInt(2), types.NewString("reborn")})
@@ -172,7 +178,7 @@ func TestUpdateEnforcesPrimaryKey(t *testing.T) {
 	// A key freed by the same transaction's earlier delete may be taken; a
 	// free key may be taken at any time.
 	err = run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		if _, err := tbl.Delete(xid, snap, idIs(1)); err != nil {
+		if _, err := del(tbl, xid, snap, idIs(1)); err != nil {
 			return err
 		}
 		if _, err := tbl.Update(xid, snap, idIs(0), setID(1)); err != nil {
@@ -233,7 +239,7 @@ func TestDeleteHidesTuple(t *testing.T) {
 	tbl, txm := newTestTable(t, true)
 	insertRows(t, tbl, txm, 5)
 	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		n, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int()%2 == 0 })
+		n, err := del(tbl, xid, snap, func(r types.Row) bool { return r[0].Int()%2 == 0 })
 		if n != 3 {
 			t.Errorf("deleted %d, want 3", n)
 		}
@@ -253,7 +259,7 @@ func TestAbortRollsBackEverything(t *testing.T) {
 	xid := txm.Begin()
 	snap := txm.LocalSnapshot()
 	tbl.Insert(xid, &snap, types.Row{types.NewInt(99), types.NewString("ghost")})
-	tbl.Delete(xid, &snap, func(r types.Row) bool { return r[0].Int() == 0 })
+	del(tbl, xid, &snap, func(r types.Row) bool { return r[0].Int() == 0 })
 	tbl.Update(xid, &snap, func(r types.Row) bool { return r[0].Int() == 1 },
 		func(r types.Row) (types.Row, error) { r[1] = types.NewString("ghost2"); return r, nil })
 	txm.Abort(xid)
@@ -279,16 +285,16 @@ func TestWriteWriteConflict(t *testing.T) {
 	t2 := txm.Begin()
 	s2 := txm.LocalSnapshot()
 
-	if _, err := tbl.Delete(t1, &s1, nil); err != nil {
+	if _, err := del(tbl, t1, &s1, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tbl.Delete(t2, &s2, nil)
+	_, err := del(tbl, t2, &s2, nil)
 	if !errors.Is(err, ErrWriteConflict) {
 		t.Errorf("err = %v, want ErrWriteConflict", err)
 	}
 	// After t1 aborts, t2 can take over.
 	txm.Abort(t1)
-	if _, err := tbl.Delete(t2, &s2, nil); err != nil {
+	if _, err := del(tbl, t2, &s2, nil); err != nil {
 		t.Errorf("takeover after abort failed: %v", err)
 	}
 	txm.Commit(t2)
@@ -317,7 +323,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	insertRows(t, tbl, txm, 10)
 	// Delete half, update two.
 	err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
-		_, err := tbl.Delete(xid, snap, func(r types.Row) bool { return r[0].Int() < 5 })
+		_, err := del(tbl, xid, snap, func(r types.Row) bool { return r[0].Int() < 5 })
 		return err
 	})
 	if err != nil {
@@ -388,7 +394,7 @@ func TestVisibleCountProperty(t *testing.T) {
 				// Delete exactly one visible row (the smallest id).
 				run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
 					deleted := false
-					_, err := tbl.Delete(xid, snap, func(r types.Row) bool {
+					_, err := del(tbl, xid, snap, func(r types.Row) bool {
 						if deleted {
 							return false
 						}

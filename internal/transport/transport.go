@@ -356,11 +356,12 @@ type Fabric struct {
 
 	part atomic.Pointer[partition]
 
-	// dnStats holds always-on per-data-node delivery counters (messages
-	// addressed to each DN endpoint, all types) — the per-node load signal
-	// the autopilot's hot-shard detection reads without paying TrackLinks'
-	// per-message mutex. The slice is grown copy-on-write under mu; the
-	// hot path pays one pointer load plus two atomic adds.
+	// dnStats holds always-on per-data-node delivery counters (messages and
+	// bytes addressed to each DN endpoint, all types), read through DNStats:
+	// the autopilot's collect step records them into its information store
+	// as the transport.dn_msgs / dn_bytes gauges (its hot-bucket spreading
+	// reads Cluster.BucketHeat, not these). The slice is grown copy-on-write
+	// under mu; the hot path pays one pointer load plus two atomic adds.
 	dnStats atomic.Pointer[[]*dnCounter]
 
 	sleep func(time.Duration)
