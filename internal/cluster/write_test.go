@@ -62,6 +62,44 @@ func TestUpdateEnforcesPrimaryKey(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsCannotCommitOneKey: two sessions that each insert
+// the same primary key inside a transaction cannot both commit it — the
+// second insert fails first-updater-wins while the first is open, and
+// succeeds once the first rolled back, though its snapshot predates that.
+func TestConcurrentSessionsCannotCommitOneKey(t *testing.T) {
+	for _, dist := range []string{"DISTRIBUTE BY HASH(k)", "DISTRIBUTE BY REPLICATION"} {
+		t.Run(dist, func(t *testing.T) {
+			c := newCluster(t, 4, ModeGTMLite)
+			mustExec(t, c.NewSession(), "CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT) "+dist)
+			a, b := c.NewSession(), c.NewSession()
+			mustExec(t, a, "BEGIN")
+			mustExec(t, a, "INSERT INTO kv VALUES (1, 10)")
+			mustExec(t, b, "BEGIN")
+			if _, err := b.Exec("INSERT INTO kv VALUES (1, 20)"); !errors.Is(err, storage.ErrWriteConflict) {
+				t.Fatalf("second insert of an open transaction's key: err = %v, want ErrWriteConflict", err)
+			}
+			mustExec(t, a, "COMMIT")
+			if _, err := b.Exec("COMMIT"); !errors.Is(err, ErrTxnAborted) {
+				t.Fatalf("COMMIT after the refused insert: err = %v, want ErrTxnAborted", err)
+			}
+			if got, want := canon(mustExec(t, c.NewSession(), "SELECT k, v FROM kv WHERE k = 1").Rows), "1, 10"; got != want {
+				t.Fatalf("key 1 holds\n%s\nwant\n%s", got, want)
+			}
+
+			mustExec(t, a, "BEGIN")
+			mustExec(t, a, "INSERT INTO kv VALUES (2, 10)")
+			mustExec(t, b, "BEGIN")
+			mustExec(t, b, "SELECT v FROM kv") // b's snapshot: a still open
+			mustExec(t, a, "ROLLBACK")
+			mustExec(t, b, "INSERT INTO kv VALUES (2, 20)")
+			mustExec(t, b, "COMMIT")
+			if got, want := canon(mustExec(t, c.NewSession(), "SELECT k, v FROM kv").Rows), "1, 10\n2, 20"; got != want {
+				t.Fatalf("table holds\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
 // TestVacuumUnderConcurrentUpdates: a statement's snapshot can list a
 // writer as active that commits a moment later; a vacuum whose horizon is
 // the oldest active xid would then drop the version only that snapshot

@@ -559,6 +559,7 @@ func (t *Table) ScanBatchesWhere(xid txnkit.XID, snap *txnkit.Snapshot, cols []i
 	t.mu.RUnlock()
 
 	var sel []int // one selection scratch per scan
+	vis := t.txm.Reader(snap, xid)
 	// scan hands fn the visible rows of seg, whose projected columns are
 	// sc[v].src, a batch at a time; false stops the whole scan.
 	scan := func(seg *Segment) bool {
@@ -570,7 +571,7 @@ func (t *Table) ScanBatchesWhere(xid txnkit.XID, snap *txnkit.Snapshot, cols []i
 			dense := true
 			sel = sel[:0]
 			for i := lo; i < hi; i++ {
-				switch visible := t.txm.TupleVisible(snap, xid, seg.xmins[i], seg.xmaxAt(i)); {
+				switch visible := vis.Visible(seg.xmins[i], seg.xmaxAt(i)); {
 				case visible && !dense:
 					sel = append(sel, i-lo)
 				case !visible && dense:

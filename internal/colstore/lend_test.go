@@ -273,7 +273,7 @@ func TestDeltaScanMatchesRowModel(t *testing.T) {
 		model = append(model, &modelRow{row: row, xmin: xid})
 	}
 	visible := func(snap *txnkit.Snapshot, m *modelRow) bool {
-		return txm.TupleVisible(snap, 0, m.xmin, m.xmax)
+		return refVisible(txm, snap, 0, m.xmin, m.xmax)
 	}
 	deleteSome := func(k int) {
 		for ; k > 0; k-- {

@@ -93,9 +93,10 @@ func (t *Table) DeleteMatching(xid txnkit.XID, snap *txnkit.Snapshot, row types.
 		return fmt.Errorf("colstore: table %q is append-only", t.name)
 	}
 	t.keyBuf = row.AppendKey(t.keyBuf[:0])
+	vis := t.txm.Reader(snap, xid)
 	for _, loc := range t.index[string(t.keyBuf)] {
 		seg := t.segLocked(int(loc.seg))
-		if t.txm.TupleVisible(snap, xid, seg.xmins[loc.idx], seg.xmaxAt(int(loc.idx))) {
+		if vis.Visible(seg.xmins[loc.idx], seg.xmaxAt(int(loc.idx))) {
 			t.stampLocked(t.keyBuf, loc, xid)
 			return nil
 		}
@@ -114,10 +115,11 @@ func (t *Table) DeleteWhere(xid txnkit.XID, snap *txnkit.Snapshot, pred func(typ
 		return 0
 	}
 	n := 0
+	vis := t.txm.Reader(snap, xid)
 	for si := 0; si <= len(t.segments); si++ {
 		seg := t.segLocked(si)
 		for i := range seg.xmins {
-			if !t.txm.TupleVisible(snap, xid, seg.xmins[i], seg.xmaxAt(i)) {
+			if !vis.Visible(seg.xmins[i], seg.xmaxAt(i)) {
 				continue
 			}
 			if row := seg.rowAt(i); pred(row) {

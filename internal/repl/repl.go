@@ -225,9 +225,13 @@ func (m *Manager) Committed(dnID int, recs []cluster.WriteRec) func() {
 	timeout := m.cfg.SyncTimeout
 	return func() {
 		start := time.Now()
+		// Stopped on return: an ack arriving in microseconds must not
+		// leave a timer alive for the rest of SyncTimeout.
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
 		select {
 		case <-ack.done:
-		case <-time.After(timeout):
+		case <-timer.C:
 			// Degrade to async: the commit is durable on the primary and
 			// stays queued for the replicas; only the quorum ack is lost.
 			m.ackTimeouts.Add(1)

@@ -129,9 +129,15 @@ func (t *Table) pathLocked(key types.Row) (slots []int, n int) {
 	return slots, n
 }
 
-// checkKeyLocked fails with ErrDuplicateKey if a tuple visible to (xid,
-// snap) — own uncommitted inserts included — already carries row's primary
-// key. Tables without a primary key always pass.
+// checkKeyLocked fails if a version already carrying row's primary key may
+// still be live when xid commits. Uniqueness is judged by commit status, not
+// by the snapshot alone — two transactions that cannot see each other's
+// insert must not both commit the key. A version blocks unless its inserter
+// aborted, or it was ended by xid itself or by a deleter that committed and
+// snap admits. A blocking version xid can see, or inserted itself, fails
+// with ErrDuplicateKey; one from a concurrent transaction (still unsettled,
+// or committed after snap) fails with ErrWriteConflict, first-updater-wins.
+// Tables without a primary key always pass.
 func (t *Table) checkKeyLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.Row) error {
 	if t.pk == nil {
 		return nil
@@ -140,9 +146,20 @@ func (t *Table) checkKeyLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.
 	t.visited.Add(int64(len(slots)))
 	for _, s := range slots {
 		tp := &t.heap[s]
-		if t.sameKey(tp.Row, row) && t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
+		if !t.sameKey(tp.Row, row) {
+			continue
+		}
+		ins := t.txm.Status(tp.Xmin)
+		if ins == txnkit.StatusAborted {
+			continue
+		}
+		if tp.Xmax != 0 && (tp.Xmax == xid || snap.XIDVisible(tp.Xmax) && t.txm.Status(tp.Xmax) == txnkit.StatusCommitted) {
+			continue
+		}
+		if tp.Xmin == xid || snap.XIDVisible(tp.Xmin) && ins == txnkit.StatusCommitted {
 			return fmt.Errorf("%w: table %s key %v", ErrDuplicateKey, t.name, pkOf(row, t.pkCols))
 		}
+		return fmt.Errorf("%w: table %s key %v held by txn %d", ErrWriteConflict, t.name, pkOf(row, t.pkCols), tp.Xmin)
 	}
 	return nil
 }
@@ -195,12 +212,13 @@ func (t *Table) ScanKey(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, fn
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	slots, n := t.pathLocked(key)
+	vis := t.txm.Reader(snap, xid)
 	for i := 0; i < n; i++ {
 		tp := &t.heap[i]
 		if slots != nil {
 			tp = &t.heap[slots[i]]
 		}
-		if t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
+		if vis.Visible(tp.Xmin, tp.Xmax) {
 			if !fn(tp.Row) {
 				return
 			}
@@ -240,13 +258,14 @@ func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, ma
 	// Collect first: appending while iterating would rescan new versions.
 	slots, cand := t.pathLocked(key)
 	var victims []int
+	vis := t.txm.Reader(snap, xid)
 	for j := 0; j < cand; j++ {
 		i := j
 		if slots != nil {
 			i = slots[j]
 		}
 		tp := &t.heap[i]
-		if !t.txm.TupleVisible(snap, xid, tp.Xmin, tp.Xmax) {
+		if !vis.Visible(tp.Xmin, tp.Xmax) {
 			continue
 		}
 		if match != nil {

@@ -300,6 +300,119 @@ func TestWriteWriteConflict(t *testing.T) {
 	txm.Commit(t2)
 }
 
+// TestConcurrentInsertsOfOneKey: uniqueness is judged by commit status, not
+// by the inserter's snapshot — of two transactions that cannot see each
+// other's insert of a key, the second fails first-updater-wins, whether the
+// first is still open or committed after the second's snapshot; once the
+// first aborts the key is free, and a transaction may delete and re-insert a
+// key of its own.
+func TestConcurrentInsertsOfOneKey(t *testing.T) {
+	row := func(id int64, v string) types.Row { return types.Row{types.NewInt(id), types.NewString(v)} }
+	tbl, txm := newTestTable(t, true)
+	a, b := txm.Begin(), txm.Begin()
+	sa, sb := txm.LocalSnapshot(), txm.LocalSnapshot()
+	if err := tbl.Insert(a, &sa, row(1, "a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(b, &sb, row(1, "b")); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("insert of a key an open transaction inserted: err = %v, want ErrWriteConflict", err)
+	}
+	if err := txm.Commit(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(b, &sb, row(1, "b")); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("insert of a key committed after the snapshot: err = %v, want ErrWriteConflict", err)
+	}
+	// A primary-key-changing UPDATE is held to the same rule.
+	if err := tbl.Insert(b, &sb, row(2, "b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.Update(b, &sb, func(r types.Row) bool { return r[0].Int() == 2 }, func(r types.Row) (types.Row, error) {
+		r[0] = types.NewInt(1)
+		return r, nil
+	}); !errors.Is(err, ErrWriteConflict) {
+		t.Fatalf("UPDATE onto a key committed after the snapshot: err = %v, want ErrWriteConflict", err)
+	}
+	txm.Abort(b)
+	if got := countVisible(tbl, txm); got != 1 {
+		t.Fatalf("visible = %d, want only a's row", got)
+	}
+
+	// After the first inserter aborts, the second's insert succeeds.
+	c, d := txm.Begin(), txm.Begin()
+	sc, sd := txm.LocalSnapshot(), txm.LocalSnapshot()
+	if err := tbl.Insert(c, &sc, row(5, "c")); err != nil {
+		t.Fatal(err)
+	}
+	txm.Abort(c)
+	if err := tbl.Insert(d, &sd, row(5, "d")); err != nil {
+		t.Fatalf("insert after the other inserter aborted: %v", err)
+	}
+	// Delete and re-insert of a key inside one transaction still works.
+	if _, err := del(tbl, d, &sd, func(r types.Row) bool { return r[0].Int() == 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(d, &sd, row(1, "d")); err != nil {
+		t.Fatalf("re-insert of a key deleted by the same transaction: %v", err)
+	}
+	txm.Commit(d)
+	snap := txm.LocalSnapshot()
+	var got []string
+	tbl.Scan(0, &snap, func(r types.Row) bool { got = append(got, r.String()); return true })
+	if want := "(5, d) (1, d)"; strings.Join(got, " ") != want {
+		t.Fatalf("table holds %v, want %s", got, want)
+	}
+}
+
+// TestScanSettlesEachTransactionOnce pins the per-scan visibility reader by
+// count: a scan, and Rewrite's victim loop, over a heap written by k
+// inserting transactions and stamped by d deleters read the clog at most
+// k + d times, whatever the number of rows.
+func TestScanSettlesEachTransactionOnce(t *testing.T) {
+	for _, rows := range []int{100, 5000} {
+		tbl, txm := newTestTable(t, true)
+		const k, d = 5, 3
+		for w := 0; w < k; w++ {
+			err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+				for id := w * rows / k; id < (w+1)*rows/k; id++ {
+					if err := tbl.Insert(xid, snap, types.Row{types.NewInt(int64(id)), types.NewString("v")}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for w := 0; w < d; w++ {
+			lo := int64((2*w + 1) * rows / (2 * d))
+			err := run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+				_, err := del(tbl, xid, snap, func(r types.Row) bool { return r[0].Int() >= lo && r[0].Int() < lo+int64(rows/(4*d)) })
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := txm.LocalSnapshot()
+		before := txm.ClogReads()
+		n := tbl.VisibleCount(0, &snap)
+		if reads := txm.ClogReads() - before; reads > k+d {
+			t.Errorf("a scan of %d versions (%d visible) read the clog %d times, ceiling %d", rows, n, reads, k+d)
+		}
+		xid := txm.Begin()
+		before = txm.ClogReads()
+		if _, err := del(tbl, xid, &snap, func(types.Row) bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+		if reads := txm.ClogReads() - before; reads > k+d {
+			t.Errorf("a rewrite over %d versions read the clog %d times, ceiling %d", rows, reads, k+d)
+		}
+		txm.Abort(xid)
+	}
+}
+
 func TestLookupEqUsesIndexAndFallback(t *testing.T) {
 	tbl, txm := newTestTable(t, true) // pk index on col 0
 	insertRows(t, tbl, txm, 100)

@@ -79,7 +79,7 @@ func (s *Snapshot) Contains(x XID) bool {
 }
 
 // XIDVisible reports whether transaction x is visible under the snapshot,
-// ignoring commit status (callers combine with the clog via TupleVisible).
+// ignoring commit status (a Reader combines it with the clog).
 func (s *Snapshot) XIDVisible(x XID) bool {
 	if x >= s.Xmax {
 		return false
@@ -151,6 +151,7 @@ type TxnManager struct {
 	xidMap     map[GXID]XID // the paper's xidMap input to Algorithm 1
 	lco        []lcoEntry   // the paper's LCO input to Algorithm 1
 	commitDone map[XID]chan struct{}
+	clogReads  uint64 // Reader verdicts that read status
 
 	// UpgradeTimeout bounds how long MergeSnapshot waits for a prepared
 	// writer (UPGRADE). Zero means DefaultUpgradeTimeout.
@@ -329,36 +330,92 @@ func (m *TxnManager) localSnapshotLocked() Snapshot {
 	return snap
 }
 
-// TupleVisible decides MVCC visibility of a tuple stamped (xmin, xmax)
-// under snap, consulting the manager's clog for commit status. A tuple is
-// visible iff its inserter committed and is snapshot-visible, and its
-// deleter (if any) is not.
-func (m *TxnManager) TupleVisible(snap *Snapshot, self XID, xmin, xmax XID) bool {
-	insVisible := m.xidSettledVisible(snap, self, xmin)
-	if !insVisible {
+// Reader decides MVCC visibility for one scan: a tuple stamped (xmin, xmax)
+// is visible iff its inserter is, and its deleter (if any) is not, where a
+// stamp x is visible iff x is the reading transaction self, or the snapshot
+// admits x and the clog says x committed. Downgraded transactions appear in
+// snap.Active even though the clog says committed, which is exactly how
+// DOWNGRADE hides them.
+//
+// A Reader remembers the verdict for the last insert stamp and the last
+// delete stamp it was asked about, and reads the clog only when one
+// changes — rows written by one transaction lie in runs, so a scan reads
+// it about once per writer, not once per row. A verdict is final for the
+// life of the snapshot:
+//
+//   - a snapshot admits x only if x < Xmax and x is not in Active; such a
+//     transaction had already committed or aborted when the snapshot was
+//     taken, and that status never changes;
+//   - a stamp the snapshot rejects stays rejected;
+//   - self is always visible.
+//
+// This holds for DOWNGRADE-merged snapshots too, since MergeSnapshot builds
+// their Active set once. It needs the snapshot to have been taken on the
+// manager that reads it: every Snapshot outside tests comes from
+// LocalSnapshot, MergeSnapshot or Clone, each called on the manager that
+// later judges it.
+//
+// A Reader is a stack value made for one loop and never shared between
+// goroutines; the zero stamp needs no entry of its own, since no
+// transaction has XID 0 and the zero verdict (invisible) is its verdict.
+type Reader struct {
+	m        *TxnManager
+	snap     *Snapshot
+	self     XID
+	ins, del verdict
+}
+
+// verdict is a Reader's memory of one stamp.
+type verdict struct {
+	x       XID
+	visible bool
+}
+
+// Reader returns a visibility reader for the transaction self (0: none)
+// reading under snap, which must stay unmodified while the reader is used.
+func (m *TxnManager) Reader(snap *Snapshot, self XID) Reader {
+	return Reader{m: m, snap: snap, self: self}
+}
+
+// Visible reports whether the tuple stamped (xmin, xmax) is visible.
+func (r *Reader) Visible(xmin, xmax XID) bool {
+	if xmin != r.ins.x {
+		r.ins = verdict{xmin, r.settled(xmin)}
+	}
+	if !r.ins.visible {
 		return false
 	}
 	if xmax == 0 {
 		return true
 	}
-	return !m.xidSettledVisible(snap, self, xmax)
+	if xmax != r.del.x {
+		r.del = verdict{xmax, r.settled(xmax)}
+	}
+	return !r.del.visible
 }
 
-// xidSettledVisible reports whether x's effects are visible: either x is
-// the reading transaction itself, or x committed and the snapshot admits
-// it. Downgraded transactions appear in snap.Active even though the clog
-// says committed, which is exactly how DOWNGRADE hides them.
-func (m *TxnManager) xidSettledVisible(snap *Snapshot, self XID, x XID) bool {
-	if x == self && x != 0 {
+// settled is the Reader's miss path: whether x's effects are visible to it.
+func (r *Reader) settled(x XID) bool {
+	if x == r.self && x != 0 {
 		return true
 	}
-	if !snap.XIDVisible(x) {
+	if !r.snap.XIDVisible(x) {
 		return false
 	}
+	m := r.m
 	m.mu.Lock()
 	st := m.status[x]
+	m.clogReads++
 	m.mu.Unlock()
 	return st == StatusCommitted
+}
+
+// ClogReads reports how many times Readers have read the clog for a
+// verdict since the manager was created.
+func (m *TxnManager) ClogReads() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.clogReads
 }
 
 // MergeSnapshot implements Algorithm 1 of the paper. Given the reader's
@@ -435,7 +492,15 @@ func (m *TxnManager) upgradeTX(gsnap *GlobalSnapshot) error {
 	if timeout == 0 {
 		timeout = DefaultUpgradeTimeout
 	}
-	deadline := time.Now().Add(timeout)
+	// One timer bounds the waits for all the writers, made at the first wait
+	// and stopped on return: an unstopped one would outlive a wait that ends
+	// in microseconds by up to timeout.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		m.mu.Lock()
 		var waitCh chan struct{}
@@ -456,10 +521,13 @@ func (m *TxnManager) upgradeTX(gsnap *GlobalSnapshot) error {
 		if waitCh == nil {
 			return nil
 		}
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+		}
 		select {
 		case <-waitCh:
 			// Re-scan: there may be more prepared writers.
-		case <-time.After(time.Until(deadline)):
+		case <-timer.C:
 			return ErrUpgradeTimeout
 		}
 	}

@@ -46,14 +46,14 @@ func TestPreparedStaysInvisible(t *testing.T) {
 	if !snap.Contains(w) {
 		t.Error("prepared txn must be in the active set")
 	}
-	if m.TupleVisible(&snap, 0, w, 0) {
+	if visible(m, &snap, 0, w, 0) {
 		t.Error("tuple written by a prepared txn must be invisible")
 	}
 	if err := m.Commit(w); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := m.LocalSnapshot()
-	if !m.TupleVisible(&snap2, 0, w, 0) {
+	if !visible(m, &snap2, 0, w, 0) {
 		t.Error("tuple must be visible after commit")
 	}
 }
@@ -67,12 +67,12 @@ func TestSnapshotIsolatesConcurrentWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Even though w is now committed, the old snapshot must not see it.
-	if m.TupleVisible(&snap, reader, w, 0) {
+	if visible(m, &snap, reader, w, 0) {
 		t.Error("snapshot must hide txn that was active when taken")
 	}
 	// A fresh snapshot sees it.
 	fresh := m.LocalSnapshot()
-	if !m.TupleVisible(&fresh, reader, w, 0) {
+	if !visible(m, &fresh, reader, w, 0) {
 		t.Error("fresh snapshot must see committed txn")
 	}
 }
@@ -81,10 +81,10 @@ func TestOwnWritesVisible(t *testing.T) {
 	m := NewTxnManager()
 	x := m.Begin()
 	snap := m.LocalSnapshot()
-	if !m.TupleVisible(&snap, x, x, 0) {
+	if !visible(m, &snap, x, x, 0) {
 		t.Error("a transaction must see its own insert")
 	}
-	if m.TupleVisible(&snap, x, x, x) {
+	if visible(m, &snap, x, x, x) {
 		t.Error("a transaction must not see a tuple it deleted itself")
 	}
 }
@@ -99,10 +99,10 @@ func TestDeletedTupleVisibility(t *testing.T) {
 	snapAfter := m.LocalSnapshot()
 
 	// Tuple inserted by ins, deleted by del.
-	if !m.TupleVisible(&snapBefore, 0, ins, del) {
+	if !visible(m, &snapBefore, 0, ins, del) {
 		t.Error("delete not yet visible: tuple should still be visible")
 	}
-	if m.TupleVisible(&snapAfter, 0, ins, del) {
+	if visible(m, &snapAfter, 0, ins, del) {
 		t.Error("after commit of deleter the tuple must be gone")
 	}
 }
@@ -112,7 +112,7 @@ func TestAbortedWriterInvisible(t *testing.T) {
 	w := m.Begin()
 	m.Abort(w)
 	snap := m.LocalSnapshot()
-	if m.TupleVisible(&snap, 0, w, 0) {
+	if visible(m, &snap, 0, w, 0) {
 		t.Error("aborted writer's tuple must be invisible")
 	}
 	// A tuple whose deleter aborted is still visible.
@@ -121,7 +121,7 @@ func TestAbortedWriterInvisible(t *testing.T) {
 	del := m.Begin()
 	m.Abort(del)
 	snap = m.LocalSnapshot()
-	if !m.TupleVisible(&snap, 0, ins, del) {
+	if !visible(m, &snap, 0, ins, del) {
 		t.Error("aborted delete must not hide the tuple")
 	}
 }
@@ -164,7 +164,7 @@ func TestAnomaly1Upgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TupleVisible(&merged, 0, w, 0) {
+	if !visible(m, &merged, 0, w, 0) {
 		t.Error("after UPGRADE the globally-committed writer's tuple must be visible")
 	}
 }
@@ -182,7 +182,7 @@ func TestAnomaly1WithoutUpgradeShowsStaleRead(t *testing.T) {
 	}
 	// The anomaly: global view says committed, but the reader misses the
 	// write because locally it is still prepared.
-	if m.TupleVisible(&merged, 0, w, 0) {
+	if visible(m, &merged, 0, w, 0) {
 		t.Error("with UPGRADE disabled the anomaly should be observable (tuple invisible)")
 	}
 	m.Commit(w)
@@ -237,10 +237,10 @@ func TestAnomaly2Downgrade(t *testing.T) {
 	// Simulate a pre-existing inserter: create one committed txn first in a
 	// fresh manager is cleaner; here tuple1's xmin predates T1, so use an
 	// extra committed txn.
-	if m.TupleVisible(&merged, 0, t1, 0) {
+	if visible(m, &merged, 0, t1, 0) {
 		t.Error("T1's insert (tuple2 lineage) must be invisible after DOWNGRADE")
 	}
-	if m.TupleVisible(&merged, 0, t3, 0) {
+	if visible(m, &merged, 0, t3, 0) {
 		t.Error("T3's insert (tuple3) must be invisible after DOWNGRADE — it depends on T1")
 	}
 }
@@ -268,8 +268,8 @@ func TestAnomaly2WithoutDowngradeIsVisible(t *testing.T) {
 	// visible because T1 is globally active, AND tuple3 (inserted by T3)
 	// is visible because T3 committed locally — the reader sees T3's
 	// update but not T1's.
-	tuple1Visible := m.TupleVisible(&merged, 0, older, t1)
-	tuple3Visible := m.TupleVisible(&merged, 0, t3, 0)
+	tuple1Visible := visible(m, &merged, 0, older, t1)
+	tuple3Visible := visible(m, &merged, 0, t3, 0)
 	if !tuple1Visible || !tuple3Visible {
 		t.Errorf("expected the anomaly (tuple1=%v tuple3=%v should both be visible)", tuple1Visible, tuple3Visible)
 	}
@@ -292,10 +292,10 @@ func TestDowngradePoisonsOnlySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.TupleVisible(&merged, 0, early, 0) {
+	if !visible(m, &merged, 0, early, 0) {
 		t.Error("commits before the poisoned txn must remain visible")
 	}
-	if m.TupleVisible(&merged, 0, t1, 0) {
+	if visible(m, &merged, 0, t1, 0) {
 		t.Error("the poisoned txn itself must be invisible")
 	}
 }
@@ -328,7 +328,7 @@ func TestMergeHidesFutureGlobalTxns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TupleVisible(&merged, 0, lx, 0) {
+	if visible(m, &merged, 0, lx, 0) {
 		t.Error("txn above global xmax must be invisible")
 	}
 }
@@ -354,7 +354,7 @@ func TestTruncateLCO(t *testing.T) {
 		t.Fatal(err)
 	}
 	lx := m.LocalXIDFor(5)
-	if m.TupleVisible(&merged, 0, lx, 0) {
+	if visible(m, &merged, 0, lx, 0) {
 		t.Error("retained poisoned entry must still downgrade")
 	}
 }
