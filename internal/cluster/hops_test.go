@@ -90,6 +90,7 @@ func tagFabric(c *Cluster, n int) *hopLog {
 		for j := 0; j < n; j++ {
 			if i != j {
 				tag(dn, transport.DN(j), transport.ShufflePart, tagShuffle)
+				tag(dn, transport.DN(j), transport.BcastBuild, tagBcast)
 			}
 		}
 	}
@@ -250,13 +251,19 @@ func TestCriticalPathHops(t *testing.T) {
 		map[string]int{"gtm_round": 2, "scan_frag_req": n, "scan_frag_resp": n, "write": 1, "prepare": 1, "commit": 1},
 		map[string]int{"gtm_round": 2, "scan_frag": 2 * n, "write": n, "prepare": n, "commit": n})
 
-	// Broadcast join: the build side's four sources are asked in one wave
-	// and their results awaited once, then every fragment takes the build
-	// side and answers (each on its own goroutine, as any fragment).
+	// Broadcast join: the shuffle's shape with only the build side
+	// exchanged. Every target is asked for its fragment and answers; every
+	// build source that holds rows streams them to each of the other n-1
+	// nodes in one batch and waits once, for its stream. Nothing is gathered
+	// at the coordinator.
+	senders := map[int]bool{}
+	for d := 0; d < 10; d++ {
+		senders[c.RouteKey(types.NewInt(int64(d)))] = true
+	}
 	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistBroadcast}
 	step("broadcast join", "SELECT fact.v, dim.name FROM fact, dim WHERE fact.d = dim.d",
-		map[string]int{"gtm_round": 1, "scan_frag_req": 1, "scan_frag_resp": 1 + n, "bcast_build": n},
-		map[string]int{"gtm_round": 2, "scan_frag": 3 * n, "bcast_build": n})
+		map[string]int{"gtm_round": 1, "scan_frag_req": n, "scan_frag_resp": n, "bcast_build": len(senders)},
+		map[string]int{"gtm_round": 2, "scan_frag": 2 * n, "bcast_build": len(senders) * (n - 1)})
 
 	// Shuffle join: 8 producers (4 sources × 2 sides), each sending several
 	// batches to each of 3 other nodes — and each waiting once, for its

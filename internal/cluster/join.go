@@ -9,13 +9,19 @@ package cluster
 //     sides' keys align with the 256-bucket map, or one side is
 //     replicated and therefore locally present everywhere). Nothing but
 //     results crosses the fabric.
-//   - broadcast: the small build side is gathered once and shipped to
-//     every target DN (bcast_build messages); each DN probes with its
-//     local probe partition.
+//   - broadcast: every build source streams its rows to every target DN
+//     (bcast_build messages); each DN probes with its local probe
+//     partition.
 //   - shuffle: both inputs hash-partition by join key across the target
-//     DNs through bounded, backpressured exec.Partitioner queues
-//     (shuffle_part messages for every batch that changes nodes); each DN
-//     joins one key range.
+//     DNs (shuffle_part messages for every batch that changes nodes); each
+//     DN joins one key range.
+//
+// Broadcast and shuffle are one exchange (exchangeJoin) through bounded,
+// backpressured exec.Partitioner queues: they differ only in how build rows
+// are routed and whether the probe side is exchanged at all. A DN that has
+// its whole build table before it scans its probe partition (co-located,
+// broadcast) filters that scan with the table's bloom filter, so a probe row
+// that cannot match is never materialized.
 //
 // Side scans run the one fragment program (ndpProgram.run) with a row sink
 // over sources resolved by fragSource, so pushed predicates, projections,
@@ -38,17 +44,17 @@ import (
 )
 
 const (
-	// shuffleBatchRows is the row count per shuffle_part batch.
+	// shuffleBatchRows is the row count per shuffle_part / bcast_build
+	// batch.
 	shuffleBatchRows = 128
 	// shuffleQueueCap bounds each (source,partition) queue in batches —
-	// the backpressure window; a shuffle never holds more than
+	// the backpressure window; an exchange never holds more than
 	// sources × partitions × cap × batch rows in flight.
 	shuffleQueueCap = 4
 )
 
-// errJoinCanceled aborts a partition drain when the consumer's emit
-// declines more rows (sibling error or operator close); it is not a
-// statement error.
+// errJoinCanceled aborts a join fragment when the consumer's emit declines
+// more rows (sibling error or operator close); it is not a statement error.
 var errJoinCanceled = errors.New("cluster: join fragment canceled")
 
 // JoinScan implements plan.DistJoinAccess.
@@ -73,9 +79,9 @@ func (a *stmtAccess) JoinScan(spec *plan.DistJoinSpec) (exec.Operator, bool) {
 			// output; the planner only gets here under Force.
 			return nil, false
 		}
-		return a.broadcastJoin(spec), true
+		return a.exchangeJoin(spec), true
 	case plan.DistShuffle:
-		return a.shuffleJoin(spec), true
+		return a.exchangeJoin(spec), true
 	default:
 		return nil, false
 	}
@@ -94,10 +100,11 @@ type joinSide struct {
 }
 
 // scan streams one resolved fragment of the side through deliver (false
-// stops the scan early), with no transport accounting — the caller charges
-// whatever wire the strategy actually uses.
-func (side joinSide) scan(ctx *exec.Ctx, src fragSource, deliver func(types.Row) bool) error {
-	return side.prog.run(ctx, src, nil, fragSink{rows: deliver})
+// stops the scan early), dropping the rows bf rejects (nil: none), with no
+// transport accounting — the caller charges whatever wire the strategy
+// actually uses.
+func (side joinSide) scan(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, deliver func(types.Row) bool) error {
+	return side.prog.run(ctx, src, bf, fragSink{rows: deliver})
 }
 
 // resolveJoin resolves both sides and the target set at Exchange-open time
@@ -132,6 +139,16 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 	if probe, err = sideFor(spec.Probe); err != nil {
 		return
 	}
+	// A DN that holds its whole build table before it scans its probe
+	// partition probes the table's bloom filter with a bare-column key
+	// (probeLocal); a shuffle's probe rows are scanned while the build
+	// is still arriving.
+	if len(spec.Probe.Keys) == 1 && spec.Strategy != plan.DistShuffle {
+		if cr, ok := spec.Probe.Keys[0].(*exec.ColRef); ok {
+			probe.prog.bloomCol = cr.Index
+			probe.prog.need(cr.Index)
+		}
+	}
 	build, err = sideFor(spec.Build)
 	return
 }
@@ -139,30 +156,21 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 // scanSideLocal streams the share of a join side that lives with
 // targets[i]: the node's own copy of a replicated table, otherwise the
 // fragment of the rows it owns.
-func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, deliver func(types.Row) bool) error {
+func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, bf *exec.Bloom, deliver func(types.Row) bool) error {
 	if !side.ti.replicated {
-		return side.scan(ctx, side.srcs[i], deliver)
+		return side.scan(ctx, side.srcs[i], bf, deliver)
 	}
 	src, err := a.fragSource(side.ti, target)
 	if err != nil {
 		return err
 	}
-	return side.scan(ctx, src, deliver)
-}
-
-// buildInto returns a row sink feeding the join's build table (which drops
-// NULL-keyed rows, exactly like the CN HashJoin's build — it is the same
-// table); a failed Add stops the scan and lands in the returned error.
-func buildInto(ctx *exec.Ctx, table *exec.JoinTable) (func(types.Row) bool, *error) {
-	errp := new(error)
-	return func(r types.Row) bool {
-		*errp = table.Add(ctx, r)
-		return *errp == nil
-	}, errp
+	return side.scan(ctx, src, bf, deliver)
 }
 
 // probeEmit returns a probe-row callback that joins each row against the
-// build table and emits the joined rows, counting what it ships.
+// build table and emits the joined rows, counting what it ships. Once it
+// returns false, the returned error says why: the join's own error, or
+// errJoinCanceled when emit declined.
 func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *exec.JoinTable, shipped *int, emit func(types.Row) bool) (func(types.Row) bool, *error) {
 	probe := table.Probe(exec.InnerJoin, spec.Probe.Keys, spec.Residual, 0)
 	errp := new(error)
@@ -182,10 +190,29 @@ func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *ex
 			a.rowsShipped.Add(1)
 			*shipped++
 			if !emit(joined) {
+				*errp = errJoinCanceled
 				return false
 			}
 		}
 	}, errp
+}
+
+// probeLocal joins the probe side's share on targets[i] against the built
+// table, emitting the joined rows. When the probe program has a bloom column
+// the scan drops, before materializing them, the rows the table's bloom
+// filter rejects — a DN-side semi-join with what the DN itself built.
+func (a *stmtAccess) probeLocal(ctx *exec.Ctx, spec *plan.DistJoinSpec, probe joinSide, i, target int, table *exec.JoinTable, emit func(types.Row) bool) (shipped int, err error) {
+	var bf *exec.Bloom
+	if probe.prog.bloomCol >= 0 {
+		if bf, err = table.Bloom(ctx, 0); err != nil {
+			return 0, err
+		}
+	}
+	pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
+	if err = a.scanSideLocal(ctx, probe, i, target, bf, pe); err == nil {
+		err = *probeErr
+	}
+	return shipped, err
 }
 
 // joinResultWidth is the wire width of one joined row (probe + build
@@ -218,103 +245,19 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 					return err
 				}
 				table := exec.NewJoinTable(spec.Build.Keys)
-				add, buildErr := buildInto(ctx, table)
-				if err := a.scanSideLocal(ctx, build, i, p, add); err != nil {
+				var buildErr error
+				if err := a.scanSideLocal(ctx, build, i, p, nil, func(r types.Row) bool {
+					buildErr = table.Add(ctx, r)
+					return buildErr == nil
+				}); err != nil {
 					return err
 				}
-				if *buildErr != nil {
-					return *buildErr
+				if buildErr != nil {
+					return buildErr
 				}
-				shipped := 0
-				pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-				if err := a.scanSideLocal(ctx, probe, i, p, pe); err != nil {
-					return err
-				}
-				if *probeErr != nil {
-					return *probeErr
-				}
-				return c.sendFromDN(p, transport.ScanFrag, shipped*width*8)
-			}
-		}
-		return frags, nil
-	})
-}
-
-// ---------------------------------------------------------------------------
-// Broadcast
-// ---------------------------------------------------------------------------
-
-// broadcastJoin gathers the build side once at the coordinator (scan legs,
-// requested as one wave and answered as one stream), ships it to every
-// target DN as one bcast_build message each, and probes with each DN's
-// local probe partition.
-func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
-	c := a.s.c
-	return exec.NewParallelSource("join:broadcast", spec.Out, c.parallelDegree(), func() ([]exec.Fragment, error) {
-		probe, build, targets, err := a.resolveJoin(spec)
-		if err != nil {
-			return nil, err
-		}
-		width := joinResultWidth(probe, build)
-		// The build table is gathered once, by whichever fragment runs
-		// first; siblings block on the Once and then share it read-only.
-		var (
-			gatherOnce sync.Once
-			table      *exec.JoinTable
-			buildRows  int
-			gatherErr  error
-		)
-		gather := func(ctx *exec.Ctx) {
-			table = exec.NewJoinTable(spec.Build.Keys)
-			add, buildErr := buildInto(ctx, table)
-			// The build sources are asked in one wave and answer side by
-			// side, their results converging on the coordinator.
-			nodes := make([]int, len(build.srcs))
-			for i, src := range build.srcs {
-				nodes[i] = src.node
-			}
-			if gatherErr = a.dispatch(transport.ScanFrag, 0, nodes...); gatherErr != nil {
-				return
-			}
-			results := c.fab.Stream()
-			for _, src := range build.srcs {
-				n := 0
-				err := build.scan(ctx, src, func(r types.Row) bool {
-					n++
-					buildRows++
-					return add(r)
-				})
-				if err == nil {
-					err = *buildErr
-				}
-				if err == nil {
-					err = results.Post(transport.DN(src.node), transport.CN(), transport.ScanFrag, n*build.prog.shipWidth()*8)
-				}
+				shipped, err := a.probeLocal(ctx, spec, probe, i, p, table, emit)
 				if err != nil {
-					gatherErr = err
-					return
-				}
-			}
-			results.Wait()
-		}
-		frags := make([]exec.Fragment, len(targets))
-		for i, p := range targets {
-			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				gatherOnce.Do(func() { gather(ctx) })
-				if gatherErr != nil {
-					return gatherErr
-				}
-				// Ship the build side to this DN, then run the local probe.
-				if err := a.dispatch(transport.BcastBuild, buildRows*build.prog.shipWidth()*8, p); err != nil {
 					return err
-				}
-				shipped := 0
-				pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-				if err := a.scanSideLocal(ctx, probe, i, p, pe); err != nil {
-					return err
-				}
-				if *probeErr != nil {
-					return *probeErr
 				}
 				return c.sendFromDN(p, transport.ScanFrag, shipped*width*8)
 			}
@@ -324,7 +267,7 @@ func (a *stmtAccess) broadcastJoin(spec *plan.DistJoinSpec) exec.Operator {
 }
 
 // ---------------------------------------------------------------------------
-// Shuffle
+// Broadcast and shuffle
 // ---------------------------------------------------------------------------
 
 // shufflePart maps an encoded join key to a target index. The FNV sum is
@@ -344,21 +287,25 @@ func shufflePart(key []byte, n int) int {
 	return int(x % uint64(n))
 }
 
-// shuffleJoin hash-partitions both inputs by join key across the target
-// DNs. Producer goroutines — one per source fragment, so at most one per
-// DN and side — scan their fragment and write rows into
-// per-(source,target) bounded queues; every batch that changes nodes is
-// a shuffle_part message on the producer's stream, which the producer pays
-// for once, after its last batch. One consumer fragment per target
-// drains its build queues into a hash table, then probes with its probe
-// queues. Both ends must all run at once for progress: producers block on
-// full queues, and Partitioner.Drain consumes sources strictly in order, so
-// a producer held back (by any admission cap) while a later one fills its
+// exchangeJoin runs the two strategies whose build rows change nodes.
+// Producer goroutines — one per build source fragment and, under shuffle,
+// one per probe source fragment, so at most one per DN and side — scan their
+// fragment and write rows into per-(source,target) bounded queues: a shuffle
+// routes each row to the target its key hashes to, a broadcast routes every
+// build row to every target. Every batch that changes nodes is a
+// shuffle_part or bcast_build message on the producer's stream, which the
+// producer pays for once, after its last batch. One consumer fragment per
+// target drains its build queues into a hash table, then probes it: with its
+// probe queues under shuffle, with its own probe partition under broadcast
+// (probeLocal). Both ends must all run at once for progress: producers block
+// on full queues, and Partitioner.Drain consumes sources strictly in order,
+// so a producer held back (by any admission cap) while a later one fills its
 // queue deadlocks the join. ParallelDegree therefore does not apply here.
-func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
+func (a *stmtAccess) exchangeJoin(spec *plan.DistJoinSpec) exec.Operator {
 	c := a.s.c
+	bcast := spec.Strategy == plan.DistBroadcast
 	return &exec.Exchange{
-		Name:     "join:shuffle",
+		Name:     "join:" + spec.Strategy.String(),
 		Out:      spec.Out,
 		Parallel: 1 << 20, // every consumer must run; see doc comment
 		Plan: func() ([]exec.Fragment, error) {
@@ -370,26 +317,40 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 
 			// Per-side partitioners; the onBatch hook posts every batch that
 			// changes nodes on its producer's stream (and is where injected
-			// shuffle_part faults surface, failing the producer). A producer
-			// does not stop and wait per batch: it pays for the stream, once,
-			// in produce.
-			sideParts := func(side *joinSide) (*exec.Partitioner, []transport.Stream) {
+			// faults surface, failing the producer). A producer does not stop
+			// and wait per batch: it pays for the stream, once, in produce.
+			var parts []*exec.Partitioner
+			sideParts := func(side *joinSide, kind transport.MsgType) (*exec.Partitioner, []transport.Stream) {
 				streams := make([]transport.Stream, len(side.srcs))
 				for i := range streams {
 					streams[i] = c.fab.Stream()
 				}
-				return exec.NewPartitioner(len(side.srcs), len(targets), shuffleBatchRows, shuffleQueueCap,
+				p := exec.NewPartitioner(len(side.srcs), len(targets), shuffleBatchRows, shuffleQueueCap,
 					func(src, part int, rows []types.Row) error {
 						from, to := side.srcs[src].node, targets[part]
 						if from == to {
 							return nil // local partition: no wire
 						}
-						return streams[src].Post(transport.DN(from), transport.DN(to), transport.ShufflePart, len(rows)*side.prog.shipWidth()*8)
-					}), streams
+						return streams[src].Post(transport.DN(from), transport.DN(to), kind, len(rows)*side.prog.shipWidth()*8)
+					})
+				parts = append(parts, p)
+				return p, streams
 			}
-			bp, buildStreams := sideParts(&build)
-			pp, probeStreams := sideParts(&probe)
-			cancelBoth := func() { bp.Cancel(); pp.Cancel() }
+			buildKind := transport.ShufflePart
+			if bcast {
+				buildKind = transport.BcastBuild
+			}
+			bp, buildStreams := sideParts(&build, buildKind)
+			var pp *exec.Partitioner // nil: the probe side is not exchanged
+			var probeStreams []transport.Stream
+			if !bcast {
+				pp, probeStreams = sideParts(&probe, transport.ShufflePart)
+			}
+			cancelAll := func() {
+				for _, p := range parts {
+					p.Cancel()
+				}
+			}
 
 			var (
 				startOnce  sync.Once
@@ -399,22 +360,31 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			)
 			fail := func(err error) {
 				errOnce.Do(func() { prodErr = err })
-				cancelBoth()
+				cancelAll()
 			}
-			// produce scans one source fragment and routes its rows. NULL
-			// keys are dropped at the producer: they can never match an
-			// inner join, so they need not cross the fabric at all.
-			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, stream *transport.Stream, src int) error {
+			// produce scans one source fragment and routes its rows: to every
+			// target when all is set, else to the one its key hashes to. NULL
+			// keys are dropped at the producer: they can never match an inner
+			// join, so they need not cross the fabric at all.
+			produce := func(ctx *exec.Ctx, side *joinSide, part *exec.Partitioner, stream *transport.Stream, src int, all bool) error {
 				w := part.Writer(src)
 				var key []byte
 				var keyErr error
-				err := side.scan(ctx, side.srcs[src], func(r types.Row) bool {
+				err := side.scan(ctx, side.srcs[src], nil, func(r types.Row) bool {
 					var null bool
 					if key, null, keyErr = exec.AppendKeys(key[:0], ctx, side.keys, r); keyErr != nil || null {
 						return keyErr == nil
 					}
-					keyErr = w.Write(shufflePart(key, len(targets)), r)
-					return keyErr == nil
+					if !all {
+						keyErr = w.Write(shufflePart(key, len(targets)), r)
+						return keyErr == nil
+					}
+					for t := range targets {
+						if keyErr = w.Write(t, r); keyErr != nil {
+							return false
+						}
+					}
+					return true
 				})
 				if err == nil {
 					err = keyErr
@@ -436,19 +406,21 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 			start := func(ctx *exec.Ctx) {
 				startOnce.Do(func() {
 					now := ctx.Now
-					spawn := func(side *joinSide, part *exec.Partitioner, streams []transport.Stream) {
+					spawn := func(side *joinSide, part *exec.Partitioner, streams []transport.Stream, all bool) {
 						for i := range side.srcs {
 							producerWG.Add(1)
 							go func(src int) {
 								defer producerWG.Done()
-								if err := produce(exec.NewCtx(now), side, part, &streams[src], src); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
+								if err := produce(exec.NewCtx(now), side, part, &streams[src], src, all); err != nil && !errors.Is(err, exec.ErrPartitionerCanceled) {
 									fail(err)
 								}
 							}(i)
 						}
 					}
-					spawn(&build, bp, buildStreams)
-					spawn(&probe, pp, probeStreams)
+					spawn(&build, bp, buildStreams, bcast)
+					if pp != nil {
+						spawn(&probe, pp, probeStreams, false)
+					}
 				})
 			}
 
@@ -476,15 +448,15 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 						if err != nil {
 							return 0, err
 						}
+						if pp == nil {
+							return a.probeLocal(ctx, spec, probe, t, targets[t], table, emit)
+						}
 						shipped := 0
 						pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
 						err = pp.Drain(t, func(rows []types.Row) error {
 							for _, r := range rows {
 								if !pe(r) {
-									if *probeErr != nil {
-										return *probeErr
-									}
-									return errJoinCanceled
+									return *probeErr
 								}
 							}
 							return nil
@@ -498,7 +470,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 					case errors.Is(err, errJoinCanceled):
 						// Consumer-side cancel (operator closing): stop the
 						// producers, not the statement.
-						cancelBoth()
+						cancelAll()
 						return nil
 					case errors.Is(err, exec.ErrPartitionerCanceled):
 						// A producer failed (or a sibling canceled): surface
@@ -508,7 +480,7 @@ func (a *stmtAccess) shuffleJoin(spec *plan.DistJoinSpec) exec.Operator {
 						}
 						return nil
 					default:
-						cancelBoth()
+						cancelAll()
 						return err
 					}
 				}

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -76,8 +78,18 @@ var starQueries = []struct {
 	{"threeway", "SELECT fact.v, big.w, dim.name FROM fact, big, dim WHERE fact.k = big.b AND fact.d = dim.d"},
 }
 
+// reverseFrom rewrites "SELECT … FROM a, b, c WHERE …" with its FROM items
+// in reverse order: the same query, written the other way round.
+func reverseFrom(sql string) string {
+	from, where := strings.Index(sql, " FROM ")+len(" FROM "), strings.Index(sql, " WHERE ")
+	items := strings.Split(sql[from:where], ", ")
+	slices.Reverse(items)
+	return sql[:from] + strings.Join(items, ", ") + sql[where:]
+}
+
 // TestDistJoinIdentityMatrix checks every strategy × parallel degree ×
-// pushdown off/on produces exactly the rows the CN-fallback reference does.
+// pushdown off/on × FROM order produces exactly the rows the CN-fallback
+// reference does.
 func TestDistJoinIdentityMatrix(t *testing.T) {
 	c := newCluster(t, 4, ModeGTMLite)
 	s := setupStar(t, c)
@@ -110,10 +122,12 @@ func TestDistJoinIdentityMatrix(t *testing.T) {
 				c.ParallelDegree = degree
 				c.Pushdown = level
 				for _, q := range starQueries {
-					got := fingerprint(t, s, q.sql)
-					if got != refs[q.name] {
-						t.Errorf("%s/%s degree=%d pushdown=%s: results differ from reference\n got: %.120s\nwant: %.120s",
-							pol.name, q.name, degree, level, got, refs[q.name])
+					for _, sql := range []string{q.sql, reverseFrom(q.sql)} {
+						got := fingerprint(t, s, sql)
+						if got != refs[q.name] {
+							t.Errorf("%s/%s degree=%d pushdown=%s: results differ from reference for %q\n got: %.120s\nwant: %.120s",
+								pol.name, q.name, degree, level, sql, got, refs[q.name])
+						}
 					}
 				}
 			}
@@ -183,9 +197,143 @@ func TestDistJoinStrategyBytes(t *testing.T) {
 	}
 }
 
+// setupE20 loads E20's star schema at a quarter of its size, analysed: two
+// columnar fact tables sharing a distribution key and a 64-row dimension on
+// its own.
+func setupE20(t *testing.T, c *Cluster) *Session {
+	t.Helper()
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE jfact (k BIGINT, d BIGINT, v BIGINT) DISTRIBUTE BY HASH(k) USING COLUMN")
+	mustExec(t, s, "CREATE TABLE jfact2 (k BIGINT, w BIGINT) DISTRIBUTE BY HASH(k) USING COLUMN")
+	mustExec(t, s, "CREATE TABLE jdim (id BIGINT, tag BIGINT) DISTRIBUTE BY HASH(id)")
+	var f1, f2, dim []string
+	for i := 0; i < 2048; i++ {
+		f1 = append(f1, fmt.Sprintf("(%d, %d, %d)", i, i%64, i))
+		f2 = append(f2, fmt.Sprintf("(%d, %d)", i, i*2))
+	}
+	for i := 0; i < 64; i++ {
+		dim = append(dim, fmt.Sprintf("(%d, %d)", i, i*10))
+	}
+	mustExec(t, s, "INSERT INTO jfact VALUES "+strings.Join(f1, ", "))
+	mustExec(t, s, "INSERT INTO jfact2 VALUES "+strings.Join(f2, ", "))
+	mustExec(t, s, "INSERT INTO jdim VALUES "+strings.Join(dim, ", "))
+	for _, tb := range []string{"jfact", "jfact2", "jdim"} {
+		if err := c.Analyze(tb); err != nil {
+			t.Fatalf("analyze %s: %v", tb, err)
+		}
+	}
+	return s
+}
+
+// TestJoinOrientationIgnoresFromOrder checks that the planner builds on the
+// side its estimates call smaller whichever side is written first: on E20's
+// three shapes, both FROM orders pick the same strategy and send the same
+// messages and bytes of every kind, and both return the CN fallback's rows.
+func TestJoinOrientationIgnoresFromOrder(t *testing.T) {
+	c := newCluster(t, 4, ModeGTMLite)
+	s := setupE20(t, c)
+	c.ParallelDegree = 4
+	queries := []struct{ name, sql, strategy string }{
+		{"aligned", "SELECT f.k, f.v, g.w FROM jfact f, jfact2 g WHERE f.k = g.k AND f.v < 400", "colocated"},
+		{"smalldim", "SELECT f.v, d.tag FROM jfact f, jdim d WHERE f.d = d.id AND f.v < 400", "broadcast"},
+		// The filtered jfact is the build side, so it is broadcast rather
+		// than both sides shuffled.
+		{"repart", "SELECT f.v, g.w FROM jfact f, jfact2 g WHERE f.d = g.w AND f.v < 400", "broadcast"},
+	}
+	strategyOf := func(d transport.Stats) string {
+		switch {
+		case d.Get(transport.BcastBuild).Count > 0:
+			return "broadcast"
+		case d.Get(transport.ShufflePart).Count > 0:
+			return "shuffle"
+		}
+		return "colocated"
+	}
+	for _, q := range queries {
+		c.JoinPolicy = plan.DistJoinPolicy{Disable: true}
+		want := fingerprint(t, s, q.sql)
+		c.JoinPolicy = plan.DistJoinPolicy{}
+		var first transport.Stats
+		for i, sql := range []string{q.sql, reverseFrom(q.sql)} {
+			d := joinDelta(t, c, s, sql)
+			if got := strategyOf(d); got != q.strategy {
+				t.Errorf("%s: %q ran %s, want %s", q.name, sql, got, q.strategy)
+			}
+			if i == 0 {
+				first = d
+			} else if !maps.Equal(msgCounts(d), msgCounts(first)) || !maps.Equal(byteCounts(d), byteCounts(first)) {
+				t.Errorf("%s: the two FROM orders sent %v / %v B, want %v / %v B",
+					q.name, msgCounts(d), byteCounts(d), msgCounts(first), byteCounts(first))
+			}
+			if got := fingerprint(t, s, sql); got != want {
+				t.Errorf("%s: %q differs from the CN fallback\n got: %.120s\nwant: %.120s", q.name, sql, got, want)
+			}
+		}
+	}
+}
+
+// byteCounts renders a stats delta as type -> bytes, zero entries left out.
+func byteCounts(d transport.Stats) map[string]int64 {
+	out := map[string]int64{}
+	for _, st := range d {
+		if st.Bytes != 0 {
+			out[st.Type.String()] = st.Bytes
+		}
+	}
+	return out
+}
+
+// TestJoinProbeAllocationsFollowMatches is a ceiling on what a co-located
+// join allocates per probe row that cannot match: each DN builds its table
+// before it scans its probe partition, and the scan drops the rows the
+// table's bloom filter rejects before materializing them. Growing the probe
+// table fourfold, with the 200 matches unchanged, may add only the filter's
+// false positives and per-segment scan state — not a row per probe row.
+func TestJoinProbeAllocationsFollowMatches(t *testing.T) {
+	c := newCluster(t, 4, ModeGTMLite)
+	s := c.NewSession()
+	c.ParallelDegree = 1
+	mustExec(t, s, "CREATE TABLE pbuild (k BIGINT, w BIGINT) DISTRIBUTE BY HASH(k)")
+	mustExec(t, s, "CREATE TABLE pprobe (k BIGINT, v BIGINT) DISTRIBUTE BY HASH(k) USING COLUMN")
+	insert := func(table string, lo, hi int) {
+		for ; lo < hi; lo += 1024 {
+			var vals []string
+			for i := lo; i < min(lo+1024, hi); i++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d)", i, i*3))
+			}
+			mustExec(t, s, "INSERT INTO "+table+" VALUES "+strings.Join(vals, ", "))
+		}
+		if err := c.Analyze(table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT p.v, b.w FROM pprobe p, pbuild b WHERE p.k = b.k"
+	allocs := func() float64 {
+		if n := len(mustExec(t, s, q).Rows); n != 200 {
+			t.Fatalf("join returned %d rows, want 200", n)
+		}
+		return testing.AllocsPerRun(20, func() { mustExec(t, s, q) })
+	}
+	insert("pbuild", 0, 200)
+	insert("pprobe", 0, 4096)
+	small := allocs()
+	insert("pprobe", 4096, 16384)
+	large := allocs()
+	// 12 288 more probe rows: materializing each would add at least as many
+	// allocations. The bloom filter (10 bits per key, 512 bits at least)
+	// passes a few per cent of them, ~900 allocations.
+	const ceiling = 2048
+	if large-small >= ceiling {
+		t.Errorf("allocations grew from %.0f to %.0f (+%.0f) with the probe table, want < +%d", small, large, large-small, ceiling)
+	}
+	t.Logf("allocs per join: %.0f at 4096 probe rows, %.0f at 16384", small, large)
+}
+
 // TestShuffleStreamDropRetries injects a drop fault on every DN->DN
-// shuffle link: the statement must fail cleanly (no hang, no partial
-// results), and a retry after clearing faults must match the reference.
+// exchange link, under shuffle and under broadcast (the same exchange with
+// only the build side routed): the statement must fail cleanly (no hang, no
+// partial results), and a retry after clearing faults must match the
+// reference.
 func TestShuffleStreamDropRetries(t *testing.T) {
 	c := newCluster(t, 4, ModeGTMLite)
 	s := setupStar(t, c)
@@ -194,32 +342,34 @@ func TestShuffleStreamDropRetries(t *testing.T) {
 	c.JoinPolicy = plan.DistJoinPolicy{Disable: true}
 	want := fingerprint(t, s, q)
 
-	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
 	c.ParallelDegree = 4
-	got := fingerprint(t, s, q)
-	if got != want {
-		t.Fatalf("shuffle result differs before fault:\n got: %.120s\nwant: %.120s", got, want)
-	}
-
 	n := c.DataNodeCount()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				c.Fabric().InjectFault(transport.DN(i), transport.DN(j), transport.Fault{
-					Types: []transport.MsgType{transport.ShufflePart},
-					Drop:  true,
-				})
+	for _, strategy := range []plan.DistStrategy{plan.DistShuffle, plan.DistBroadcast} {
+		c.JoinPolicy = plan.DistJoinPolicy{Force: strategy}
+		got := fingerprint(t, s, q)
+		if got != want {
+			t.Fatalf("%s result differs before fault:\n got: %.120s\nwant: %.120s", strategy, got, want)
+		}
+
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					c.Fabric().InjectFault(transport.DN(i), transport.DN(j), transport.Fault{
+						Types: []transport.MsgType{transport.ShufflePart, transport.BcastBuild},
+						Drop:  true,
+					})
+				}
 			}
 		}
-	}
-	if _, err := s.Exec(q); err == nil {
-		t.Fatal("shuffle join succeeded with every shuffle_part link dropping")
-	}
+		if _, err := s.Exec(q); err == nil {
+			t.Fatalf("%s join succeeded with every DN->DN link dropping", strategy)
+		}
 
-	c.Fabric().ClearFaults()
-	for i := 0; i < 3; i++ { // retries stay clean; no leaked producer state
-		if got := fingerprint(t, s, q); got != want {
-			t.Fatalf("retry %d after fault differs:\n got: %.120s\nwant: %.120s", i, got, want)
+		c.Fabric().ClearFaults()
+		for i := 0; i < 3; i++ { // retries stay clean; no leaked producer state
+			if got := fingerprint(t, s, q); got != want {
+				t.Fatalf("%s retry %d after fault differs:\n got: %.120s\nwant: %.120s", strategy, i, got, want)
+			}
 		}
 	}
 }
@@ -228,7 +378,9 @@ func TestShuffleStreamDropRetries(t *testing.T) {
 // with producers admitted through a ParallelDegree-sized semaphore, a late
 // source could win the only slot, fill its bounded queue and park, while
 // every consumer waited (in source order) on a source still queued for the
-// slot. Needs more rows per (source, partition) queue than the queue holds.
+// slot. Needs more rows per (source, partition) queue than the queue holds;
+// a broadcast, which sends every build row to every target, runs through
+// the same queues.
 func TestShuffleJoinNoDeadlockAtDegreeOne(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := newCluster(t, 2, ModeGTMLite)
@@ -250,29 +402,31 @@ func TestShuffleJoinNoDeadlockAtDegreeOne(t *testing.T) {
 		}
 		mustExec(t, s, "COMMIT")
 	}
-	c.JoinPolicy = plan.DistJoinPolicy{Force: plan.DistShuffle}
 	c.ParallelDegree = 1
 
 	type outcome struct {
 		res *Result
 		err error
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := s.Exec("SELECT count(*) FROM sja, sjb WHERE sja.j = sjb.j")
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
+	for _, strategy := range []plan.DistStrategy{plan.DistShuffle, plan.DistBroadcast} {
+		c.JoinPolicy = plan.DistJoinPolicy{Force: strategy}
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := s.Exec("SELECT count(*) FROM sja, sjb WHERE sja.j = sjb.j")
+			done <- outcome{res, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			if got := o.res.Rows[0][0].Int(); got != rows {
+				t.Fatalf("%s join count = %d, want %d", strategy, got, rows)
+			}
+		case <-time.After(10 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s join did not finish in 10s; goroutines:\n%s", strategy, buf[:runtime.Stack(buf, true)])
 		}
-		if got := o.res.Rows[0][0].Int(); got != rows {
-			t.Fatalf("join count = %d, want %d", got, rows)
-		}
-	case <-time.After(10 * time.Second):
-		buf := make([]byte, 1<<20)
-		t.Fatalf("shuffle join did not finish in 10s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -174,13 +174,6 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 		tableCols: n,
 	}
 
-	need := func(col int) int {
-		if at := p.scanPos(col); at >= 0 {
-			return at
-		}
-		p.scanCols = append(p.scanCols, col)
-		return len(p.scanCols) - 1
-	}
 	// needRefs adds every in-range column e references to the scan.
 	needRefs := func(e exec.Expr, then func(col int)) {
 		exec.WalkExpr(e, func(x exec.Expr) bool {
@@ -223,12 +216,12 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 	}
 	p.matPos = make([]int, len(p.matCols))
 	for i, col := range p.matCols {
-		p.matPos[i] = need(col)
+		p.matPos[i] = p.need(col)
 	}
 
 	// Predicate columns (for the kernels and the sparse residual row), its
 	// terms, and on a row table the key they pin.
-	needRefs(spec.Pred, func(col int) { need(col) })
+	needRefs(spec.Pred, func(col int) { p.need(col) })
 	p.terms, p.rest = exec.SplitTerms(spec.Pred)
 	if !ti.columnar() {
 		p.key = keyProbeOf(p.terms, ti.Meta)
@@ -237,14 +230,14 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 	if spec.Bloom != nil && spec.BloomCol >= 0 && spec.BloomCol < n {
 		p.bloom = spec.Bloom
 		p.bloomCol = spec.BloomCol
-		need(p.bloomCol)
+		p.need(p.bloomCol)
 	}
 
 	// Ownership filtering reads the distribution key: on from the first
 	// bucket move or standby attach (see fragKeepDatum).
 	if c.needsBucketFilter(ti) {
 		p.distCol = ti.Meta.DistKey
-		need(p.distCol)
+		p.need(p.distCol)
 	}
 	return p
 }
@@ -262,6 +255,15 @@ func (p *ndpProgram) scanPos(col int) int {
 		}
 	}
 	return -1
+}
+
+// need returns col's position in the batch-scan projection, adding it.
+func (p *ndpProgram) need(col int) int {
+	if at := p.scanPos(col); at >= 0 {
+		return at
+	}
+	p.scanCols = append(p.scanCols, col)
+	return len(p.scanCols) - 1
 }
 
 // bind instantiates the program's terms for one columnar fragment run: the

@@ -11,7 +11,7 @@ package plan
 //   - co-located: both sides hash-distributed on their join key (or one
 //     side replicated), so every DN joins its own partitions; nothing but
 //     results crosses the fabric.
-//   - broadcast: the small build side ships to every DN once
+//   - broadcast: the small build side streams from each DN to every DN
 //     (bcast_build); each DN probes with its local partition.
 //   - shuffle: both inputs hash-partition by join key across the DNs
 //     (shuffle_part); each DN joins one key range.

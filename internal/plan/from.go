@@ -13,7 +13,7 @@ import (
 // conjuncts from the WHERE list (implicit joins, as in the paper's Table I
 // query) and returning the remaining conjuncts. Three or more items go
 // through the greedy, statistics-free join-order heuristic (greedy.go);
-// fewer keep the written order.
+// two keep the written order but build on the smaller side.
 func (pc *pctx) planFromList(items []sqlx.TableRef, conjuncts []sqlx.Expr) (exec.Operator, *Scope, []sqlx.Expr, error) {
 	leaves := make([]joinLeaf, len(items))
 	for i, item := range items {
@@ -75,7 +75,7 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 			}
 			leftKeys = append(leftKeys, lk)
 			rightKeys = append(rightKeys, rk)
-			keyPreds = append(keyPreds, NormalizePredicate(lk.String()+" = "+rk.String()))
+			keyPreds = append(keyPreds, equiPredicate(lk, rk))
 			usedKeys[c] = true
 			continue
 		}
@@ -90,7 +90,7 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 			}
 			leftKeys = append(leftKeys, lk)
 			rightKeys = append(rightKeys, rk)
-			keyPreds = append(keyPreds, NormalizePredicate(lk.String()+" = "+rk.String()))
+			keyPreds = append(keyPreds, equiPredicate(lk, rk))
 			usedKeys[c] = true
 		}
 	}
@@ -159,6 +159,17 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 	}
 
 	return join, combined, conjuncts, nil
+}
+
+// equiPredicate renders an equi-join key pair for a join's step text with
+// its sides in sorted order: the step, and what the plan store learns under
+// it, must not depend on which side the planner chose to probe.
+func equiPredicate(a, b exec.Expr) string {
+	l, r := a.String(), b.String()
+	if r < l {
+		l, r = r, l
+	}
+	return NormalizePredicate(l + " = " + r)
 }
 
 // stepOf returns the canonical step text and estimate of an operator if it

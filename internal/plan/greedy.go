@@ -19,8 +19,8 @@ import (
 )
 
 const (
-	// greedyMinItems is the smallest FROM list worth reordering; two-item
-	// lists keep the written order (probe left, build right).
+	// greedyMinItems is the smallest FROM list worth reordering; a two-item
+	// list is only oriented (probe the larger side, build the smaller).
 	greedyMinItems = 3
 	// greedyMaxItems bounds the O(n²) pair scoring; larger lists fold
 	// left-to-right like the pre-greedy planner.
@@ -44,10 +44,11 @@ type joinLeaf struct {
 // greedy heuristic: precompute cross-leaf equi-key counts once, then each
 // round score every candidate pair with estimateJoin (leaf estimates carry
 // base cardinality × pushed-predicate selectivity, so an NDP-filtered fact
-// table scores small) and join the cheapest, orienting the larger side as
-// probe (left) and the smaller as build (right). The output scope is
-// restored to the written FROM order with a column-permuting projection
-// when the greedy order differs, so SELECT * stays stable.
+// table scores small) and join the cheapest. Every pair, at any list
+// length, is oriented the larger side as probe (left) and the smaller as
+// build (right). The output scope is restored to the written FROM order
+// with a column-permuting projection when the join order differs, so
+// SELECT * stays stable; projection pushdown sees through it.
 func (pc *pctx) foldJoinList(leaves []joinLeaf, conjuncts []sqlx.Expr) (exec.Operator, *Scope, []sqlx.Expr, error) {
 	if len(leaves) == 0 {
 		return nil, &Scope{}, conjuncts, nil
@@ -124,9 +125,9 @@ func (pc *pctx) foldJoinList(leaves []joinLeaf, conjuncts []sqlx.Expr) (exec.Ope
 			}
 		}
 		a, b := entries[ai], entries[bi]
-		if greedy && estOf(b) > estOf(a) {
+		if ea, eb := estOf(a), estOf(b); ea > 0 && eb > ea {
 			// Probe with the larger side; build the hash table on the
-			// smaller.
+			// smaller. Ties and unknown estimates keep the written order.
 			a, b = b, a
 		}
 		op, scope, rest, err := pc.joinPair(a.op, a.scope, b.op, b.scope, nil, exec.InnerJoin, conjuncts)

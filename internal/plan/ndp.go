@@ -122,9 +122,11 @@ func pushProjections(root exec.Operator, scans map[*exec.Counted]*scanInfo) {
 		case *exec.Filter:
 			walk(o.Child, addExprCols(need, o.Child.Schema().Len(), o.Pred))
 		case *exec.Project:
+			// Only the outputs the parent reads: a FROM-order permutation
+			// must not widen the scans below it.
 			childNeed := make([]bool, o.Child.Schema().Len())
-			for _, e := range o.Exprs {
-				if !exprNeeds(e, childNeed) {
+			for i, e := range o.Exprs {
+				if (need == nil || need[i]) && !exprNeeds(e, childNeed) {
 					childNeed = nil
 					break
 				}

@@ -184,10 +184,38 @@ func TestJoinOrderIndependentStepText(t *testing.T) {
 		}
 	}
 	// Children sort lexicographically and predicates normalize, so the two
-	// spellings must produce comparable join steps. The predicate direction
-	// (A1 = A2 vs A2 = A1) may differ; children order must not.
+	// spellings must produce comparable join steps. A scan predicate's
+	// spelling (B1 > 10 vs 10 < B1) may differ; children order must not.
 	if !strings.HasPrefix(j1, "JOIN(SCAN(OLAP.T1") || !strings.HasPrefix(j2, "JOIN(SCAN(OLAP.T1") {
 		t.Errorf("join children not canonically ordered:\n  %s\n  %s", j1, j2)
+	}
+}
+
+// TestJoinStepIgnoresOrientation: which side a join probes follows the
+// estimates, which the plan store itself corrects. The step a join's
+// actuals are learned under must not move with it, or a learned estimate
+// that flips the orientation would no longer be found.
+func TestJoinStepIgnoresOrientation(t *testing.T) {
+	c := newFixture()
+	p := newPlanner(c)
+	const q = "select * from olap.t1, olap.t2 where t1.a1 = t2.a2"
+	step := func() string {
+		_, plan := planAndRun(t, p, q)
+		for _, cn := range plan.Counted {
+			if strings.HasPrefix(cn.StepText, "JOIN(") {
+				return cn.StepText
+			}
+		}
+		t.Fatal("no join step")
+		return ""
+	}
+	probeT1 := step() // t1 (200 rows) is larger: probed, as written
+	t2 := c.tables["olap.t2"].meta
+	saved := t2.Stats
+	defer func() { t2.Stats = saved }()
+	t2.Stats = &TableStats{Rows: 5000, Cols: saved.Cols}
+	if probeT2 := step(); probeT2 != probeT1 {
+		t.Errorf("join step moved with the probe side:\n  %s\n  %s", probeT1, probeT2)
 	}
 }
 
