@@ -117,21 +117,25 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 // scanFragments builds the fan-out every partition-reading SELECT runs as:
 // one fragment per routed shard owner, each handing body the program
 // compiled from spec plus the source fragSource resolved for that owner,
-// merged by an ordered Exchange so results are identical at every parallel
-// degree. Program and sources are resolved when the Exchange opens, not
-// here: the planner fills the spec's Cols/TopN/Bloom after the scan
-// operator is built (late binding), and a dead node fails the scan before
-// any fragment is dispatched. The program is kept across opens — a
-// correlated subplan's, a prepared statement's next execution's — for as
-// long as the table is the one it was compiled for; whatever else it
-// depends on is in the plan stamp, which retires the whole operator.
-// rowExprs are extra expressions body evaluates against shipped rows (see
-// compileNDP).
+// gathered by an Exchange in fragment order so results are identical at
+// every parallel degree. Under a pushed ORDER BY (spec.TopN with keys) the
+// Exchange gets the program's keys: once a fragment's rows have arrived,
+// the exchange worker that gathered them sorts them where they sit, and
+// the coordinator merges the sorted runs. Program and sources are
+// resolved when the Exchange opens, not here: the planner fills the spec's
+// Cols/TopN/Bloom after the scan operator is built (late binding), and a
+// dead node fails the scan before any fragment is dispatched. The program
+// is kept across opens — a correlated subplan's, a prepared statement's
+// next execution's — for as long as the table is the one it was compiled
+// for; whatever else it depends on is in the plan stamp, which retires the
+// whole operator. rowExprs are extra expressions body evaluates against
+// shipped rows (see compileNDP).
 func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types.Schema, spec *plan.ScanPushdown, rowExprs []exec.Expr,
 	body func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error) exec.Operator {
 	var prog *ndpProgram
 	var progOf *TableInfo
-	return exec.NewParallelSource(name, out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
+	var ex *exec.Exchange
+	ex = exec.NewParallelSource(name, out, a.s.c.parallelDegree(), func() ([]exec.Fragment, error) {
 		ti, err := a.s.c.tableInfo(meta.Name)
 		if err != nil {
 			return nil, err
@@ -139,6 +143,9 @@ func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types
 		owners := a.targetsFor(ti)
 		if progOf != ti {
 			prog, progOf = a.compileNDP(ti, spec, rowExprs), ti
+		}
+		if prog.topn != nil && len(prog.topn.Keys) > 0 {
+			ex.Order = prog.topn.Keys
 		}
 		frags := make([]exec.Fragment, len(owners))
 		for i, owner := range owners {
@@ -152,6 +159,7 @@ func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types
 		}
 		return frags, nil
 	})
+	return ex
 }
 
 // compileNDP resolves a pushdown spec into an executable program — the one
@@ -324,7 +332,9 @@ func (c *Cluster) fragKeepDatum(ti *TableInfo, owner int) func(types.Datum) bool
 // shipRows is the scan fragment body: the request leg carries the bloom
 // filter (if any), the row sink feeds the fragment TopN heap or the
 // coordinator directly, and the pre-reduced rows come back charged at
-// their projected width.
+// their projected width. Rows ship in scan order, a bounded heap's kept
+// rows too; under a pushed ORDER BY the scan's Exchange sorts each
+// fragment's run once they have arrived (see scanFragments).
 func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
 	bf := p.bloom.Get()
 	req := 0
@@ -336,7 +346,7 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 	}
 
 	var heap *exec.TopNHeap
-	if p.topn != nil {
+	if p.topn != nil && p.topn.Limit >= 0 {
 		heap = exec.NewTopNHeap(ctx, p.topn.Keys, p.topn.Limit)
 	}
 	var shipped int
@@ -364,14 +374,7 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 		return heapErr
 	}
 	if heap != nil {
-		// Ship the kept rows in scan order: the coordinator merge then sees
-		// the same relative sequence as without pushdown, keeping results
-		// byte-identical at every degree and level.
-		rows, err := heap.ArrivalRows()
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
+		for _, r := range heap.ArrivalRows() {
 			a.rowsShipped.Add(1)
 			shipped++
 			if !emit(r) {

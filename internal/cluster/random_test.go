@@ -614,39 +614,174 @@ func TestDifferentialAggregatesDuringMoveBucket(t *testing.T) {
 	}
 }
 
+// orderKey is one ORDER BY key value in the model: NULL, a number (BIGINT
+// and DOUBLE alike) or a string.
+type orderKey struct {
+	null bool
+	num  float64
+	str  string
+}
+
+func numKey(v *int64, plus float64) orderKey {
+	if v == nil {
+		return orderKey{null: true}
+	}
+	return orderKey{num: float64(*v) + plus}
+}
+
+func strKey(v *string) orderKey {
+	if v == nil {
+		return orderKey{null: true}
+	}
+	return orderKey{str: *v}
+}
+
+// cmpOrderKeys orders key tuples as ORDER BY does: NULL first, each key
+// reversed when desc says so.
+func cmpOrderKeys(a, b []orderKey, desc []bool) int {
+	for i := range a {
+		var c int
+		switch {
+		case a[i].null || b[i].null:
+			c = map[bool]int{true: 1}[b[i].null] - map[bool]int{true: 1}[a[i].null]
+		case a[i].num != b[i].num:
+			c = map[bool]int{true: -1, false: 1}[a[i].num < b[i].num]
+		default:
+			c = strings.Compare(a[i].str, b[i].str)
+		}
+		if desc[i] {
+			c = -c
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// orderCases are the ORDER BY shapes TestDifferentialOrderLimit checks: %s is
+// the predicate. key gives a model row's sort key; unique says the keys
+// (ending in id) order the rows completely, so the model fixes the whole
+// answer and not just its key sequence.
+var orderCases = []struct {
+	sql    string
+	desc   []bool
+	key    func(id int64, r refRow) []orderKey
+	unique bool
+}{
+	{"SELECT id, a FROM rt WHERE %s ORDER BY id", []bool{false},
+		func(id int64, _ refRow) []orderKey { return []orderKey{{num: float64(id)}} }, true},
+	{"SELECT id, a FROM rt WHERE %s ORDER BY id DESC", []bool{true},
+		func(id int64, _ refRow) []orderKey { return []orderKey{{num: float64(id)}} }, true},
+	// A key with ties and NULLs, with and without a tiebreak column.
+	{"SELECT id, b FROM rt WHERE %s ORDER BY a", []bool{false},
+		func(_ int64, r refRow) []orderKey { return []orderKey{numKey(r.a, 0)} }, false},
+	{"SELECT id, b FROM rt WHERE %s ORDER BY a DESC", []bool{true},
+		func(_ int64, r refRow) []orderKey { return []orderKey{numKey(r.a, 0)} }, false},
+	{"SELECT id, a, b FROM rt WHERE %s ORDER BY a DESC, id", []bool{true, false},
+		func(id int64, r refRow) []orderKey { return []orderKey{numKey(r.a, 0), {num: float64(id)}} }, true},
+	// One key whose values are BIGINT for some rows and DOUBLE for others.
+	{"SELECT id, b FROM rt WHERE %s ORDER BY CASE WHEN b < 20 THEN a ELSE a + 0.5 END, id", []bool{false, false},
+		func(id int64, r refRow) []orderKey {
+			k := numKey(r.a, 0.5)
+			if r.b != nil && *r.b < 20 {
+				k = numKey(r.a, 0)
+			}
+			return []orderKey{k, {num: float64(id)}}
+		}, true},
+	// Strings that share their first bytes, and 'NULL' beside NULL.
+	{"SELECT id, c FROM rt WHERE %s ORDER BY c DESC, id DESC", []bool{true, true},
+		func(id int64, r refRow) []orderKey { return []orderKey{strKey(r.c), {num: float64(id)}} }, true},
+	{"SELECT id, a FROM rt WHERE %s ORDER BY c", []bool{false},
+		func(_ int64, r refRow) []orderKey { return []orderKey{strKey(r.c)} }, false},
+}
+
+// TestDifferentialOrderLimit runs ORDER BY shapes — ascending and
+// descending, unique keys and keys with ties and NULLs, BIGINT beside
+// DOUBLE, strings — with no LIMIT, a LIMIT, and a LIMIT with an OFFSET, on 4
+// DNs under every pushdown level and degree. The model fixes each answer's
+// key sequence (and, for a unique key, its rows). Every level and degree must
+// then return exactly the rows of pushdown off at degree 1 — a stable sort
+// of the rows in the order the fragments deliver them — ties included.
 func TestDifferentialOrderLimit(t *testing.T) {
 	for _, st := range randomStorages {
 		t.Run(st.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
-			c := newCluster(t, 2, ModeGTMLite)
-			ref := loadRandomTable(t, c, rng, 80, st.clause)
+			c := newCluster(t, 4, ModeGTMLite)
+			ref := loadRandomTable(t, c, rng, 120, st.clause)
 			w := newShapeTwin(t, c)
 
-			for trial := 0; trial < 30; trial++ {
+			for trial := 0; trial < 24; trial++ {
 				p := genPred(rng, 2)
-				limit := 1 + rng.Intn(10)
-				sql := fmt.Sprintf("SELECT id, a FROM rt WHERE %s ORDER BY id LIMIT %d", p.sql(), limit)
-				var wantIDs []int64
+				oc := orderCases[trial%len(orderCases)]
+				limit, offset := -1, 0
+				sql := fmt.Sprintf(oc.sql, p.sql())
+				switch trial / len(orderCases) {
+				case 1:
+					limit = 1 + rng.Intn(10)
+					sql += fmt.Sprintf(" LIMIT %d", limit)
+				case 2:
+					limit, offset = 1+rng.Intn(10), rng.Intn(8)
+					sql += fmt.Sprintf(" LIMIT %d OFFSET %d", limit, offset)
+				}
+				var want []int64
 				for i, r := range ref {
 					if p.eval(r) == ternTrue {
-						wantIDs = append(wantIDs, int64(i))
+						want = append(want, int64(i))
 					}
 				}
-				if len(wantIDs) > limit {
-					wantIDs = wantIDs[:limit]
+				keyOf := func(id int64) []orderKey { return oc.key(id, ref[id]) }
+				sort.SliceStable(want, func(i, j int) bool { return cmpOrderKeys(keyOf(want[i]), keyOf(want[j]), oc.desc) < 0 })
+				want = want[min(offset, len(want)):]
+				if limit >= 0 && len(want) > limit {
+					want = want[:limit]
 				}
+
+				var base []string
 				sweepPushdown(c, func(label string) {
 					res, err := w.exec("rt", sql)
 					if err != nil {
 						t.Fatalf("trial %d %s: %q failed: %v", trial, label, sql, err)
 					}
-					if len(res.Rows) != len(wantIDs) {
-						t.Fatalf("trial %d %s: %q: %d rows, want %d", trial, label, sql, len(res.Rows), len(wantIDs))
+					if len(res.Rows) != len(want) {
+						t.Fatalf("trial %d %s: %q: %d rows, want %d", trial, label, sql, len(res.Rows), len(want))
 					}
+					got := make([]string, len(res.Rows))
 					for i, r := range res.Rows {
-						if r[0].Int() != wantIDs[i] {
-							t.Fatalf("trial %d %s: %q: row %d id=%v, want %d", trial, label, sql, i, r[0], wantIDs[i])
+						id := r[0].Int()
+						if oc.unique && id != want[i] || cmpOrderKeys(keyOf(id), keyOf(want[i]), oc.desc) != 0 {
+							t.Fatalf("trial %d %s: %q: row %d id=%d, want id %d (key %v)", trial, label, sql, i, id, want[i], keyOf(want[i]))
 						}
+						got[i] = r.String()
+					}
+					if base == nil {
+						base = got // pushdown off, degree 1: the stable sort
+					} else if fmt.Sprint(got) != fmt.Sprint(base) {
+						t.Fatalf("trial %d %s: %q:\n got %v\nwant %v (pushdown off, degree 1)", trial, label, sql, got, base)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestOrderByIncomparableKindsFails: a first sort key whose values mix kinds
+// Compare cannot order fails with Compare's error under Sort, TopN and the
+// DN sort with its merge, at every pushdown level and degree.
+func TestOrderByIncomparableKindsFails(t *testing.T) {
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			c := newCluster(t, 4, ModeGTMLite)
+			loadRandomTable(t, c, rand.New(rand.NewSource(7)), 60, st.clause)
+			s := c.NewSession()
+			for _, sql := range []string{
+				"SELECT id FROM rt ORDER BY CASE WHEN id < 30 THEN id ELSE d END",
+				"SELECT id FROM rt ORDER BY CASE WHEN id < 30 THEN id ELSE d END DESC LIMIT 5",
+				"SELECT id FROM rt ORDER BY CASE WHEN id < 30 THEN id ELSE d END, id LIMIT 3 OFFSET 2",
+			} {
+				sweepPushdown(c, func(label string) {
+					if _, err := s.Exec(sql); err == nil || !strings.Contains(err.Error(), "types: cannot compare") {
+						t.Fatalf("%s: %q: err = %v, want types: cannot compare", label, sql, err)
 					}
 				})
 			}

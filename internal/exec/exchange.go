@@ -22,7 +22,12 @@ type Fragment func(ctx *Ctx, emit func(types.Row) bool) error
 //     the caller's goroutine in fragment order, byte-identical to a
 //     sequential loop (the degree-1 path tests and EXPLAIN rely on).
 //   - Each fragment's rows are buffered and the buffers concatenated in
-//     fragment order, so output is deterministic at any degree.
+//     fragment order, so output is deterministic at any degree. With Order
+//     set they are merged instead: the worker that ran a fragment (at
+//     degree 1, the caller's goroutine) sorts its buffer where it sits once
+//     the fragment returns, and Open merges the sorted buffers under Order,
+//     ties to the lower fragment — exactly a stable sort of the
+//     concatenation, at every degree.
 //   - The first fragment error (or panic, converted to an error) cancels
 //     the siblings — their emit returns false — and is the one error
 //     surfaced from Open, which returns only after every worker has exited,
@@ -42,6 +47,10 @@ type Exchange struct {
 	// Parallel is the max number of concurrently running fragments;
 	// values <= 1 select the sequential inline path.
 	Parallel int
+	// Order, when set, sorts the output under these keys by merging the
+	// fragments (see above). Like Plan's fragments, it may be set up to the
+	// moment Open runs.
+	Order []SortKey
 
 	rowCursor
 }
@@ -82,7 +91,7 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	e.reset(e.rows[:0])
 
 	degree := min(e.Parallel, len(frags))
-	if degree <= 1 {
+	if degree <= 1 && e.Order == nil {
 		// Sequential path: the exact pre-exchange loop.
 		for _, f := range frags {
 			if err := runFragment(ctx, f, func(r types.Row) bool {
@@ -95,50 +104,77 @@ func (e *Exchange) Open(ctx *Ctx) error {
 		return nil
 	}
 
-	// Workers claim fragment indexes off a shared counter and fill
-	// per-fragment buffers, concatenated in fragment order once all are done.
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		canceled atomic.Bool // set by the first failure, with firstErr
-		firstErr error
-	)
-	bufs := make([][]types.Row, len(frags))
-	for w := 0; w < degree; w++ {
-		wg.Add(1)
-		fctx := ctx.fork()
-		go func() {
-			defer wg.Done()
-			for !canceled.Load() {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(frags) {
-					return
-				}
-				emit := func(r types.Row) bool {
-					bufs[idx] = append(bufs[idx], r)
-					return !canceled.Load()
-				}
-				if err := runFragment(fctx, frags[idx], emit); err != nil && canceled.CompareAndSwap(false, true) {
-					firstErr = err
-				}
+	// Each fragment fills (and, ordered, sorts) its own run; the runs are
+	// then concatenated or merged in fragment order.
+	runs := make([]sortRun, len(frags))
+	if degree <= 1 {
+		for i, f := range frags {
+			if err := e.fill(ctx, f, &runs[i], func() bool { return true }); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+		}
+	} else {
+		// Workers claim fragment indexes off a shared counter.
+		var (
+			wg       sync.WaitGroup
+			next     atomic.Int64
+			canceled atomic.Bool // set by the first failure, with firstErr
+			firstErr error
+		)
+		for w := 0; w < degree; w++ {
+			wg.Add(1)
+			fctx := ctx.fork()
+			go func() {
+				defer wg.Done()
+				for !canceled.Load() {
+					idx := int(next.Add(1)) - 1
+					if idx >= len(frags) {
+						return
+					}
+					live := func() bool { return !canceled.Load() }
+					if err := e.fill(fctx, frags[idx], &runs[idx], live); err != nil && canceled.CompareAndSwap(false, true) {
+						firstErr = err
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if firstErr != nil {
+			return firstErr
+		}
 	}
 	n := 0
-	for _, b := range bufs {
-		n += len(b)
+	for _, r := range runs {
+		n += len(r.rows)
 	}
 	if cap(e.rows) < n {
 		e.rows = make([]types.Row, 0, n)
 	}
-	for _, b := range bufs {
-		e.rows = append(e.rows, b...)
+	if e.Order != nil {
+		o := keyOrder{keys: e.Order, ctx: ctx}
+		e.rows, err = o.merge(runs, e.rows)
+		return err
+	}
+	for _, r := range runs {
+		e.rows = append(e.rows, r.rows...)
 	}
 	return nil
+}
+
+// fill runs fragment f into run and, under Order, sorts it there. live
+// reports whether the exchange still wants rows.
+func (e *Exchange) fill(ctx *Ctx, f Fragment, run *sortRun, live func() bool) error {
+	if err := runFragment(ctx, f, func(r types.Row) bool {
+		run.rows = append(run.rows, r)
+		return live()
+	}); err != nil || e.Order == nil {
+		return err
+	}
+	o := keyOrder{keys: e.Order, ctx: ctx}
+	var err error
+	run.ents, err = o.sort(run.rows)
+	run.first = o.first
+	return err
 }
 
 // Close implements Operator. Every worker exited before Open returned.

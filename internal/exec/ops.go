@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/types"
 )
@@ -24,6 +23,14 @@ type Sized interface {
 	RowCount() int
 }
 
+// rowCount is op's RowCount when it is Sized, else -1.
+func rowCount(op Operator) int {
+	if s, ok := op.(Sized); ok {
+		return s.RowCount()
+	}
+	return -1
+}
+
 // Collect opens, drains and closes op.
 func Collect(ctx *Ctx, op Operator) ([]types.Row, error) {
 	if err := op.Open(ctx); err != nil {
@@ -31,10 +38,8 @@ func Collect(ctx *Ctx, op Operator) ([]types.Row, error) {
 	}
 	defer op.Close()
 	var out []types.Row
-	if s, ok := op.(Sized); ok {
-		if n := s.RowCount(); n > 0 {
-			out = make([]types.Row, 0, n)
-		}
+	if n := rowCount(op); n > 0 {
+		out = make([]types.Row, 0, n)
 	}
 	for {
 		row, err := op.Next(ctx)
@@ -231,6 +236,9 @@ func (p *Project) Next(ctx *Ctx) (types.Row, error) {
 	return out, nil
 }
 
+// RowCount implements Sized: one output row per input row.
+func (p *Project) RowCount() int { return rowCount(p.Child) }
+
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
 
@@ -244,7 +252,8 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes and sorts its input.
+// Sort materializes and sorts its input, stably: ties keep their input
+// order. It ranks 16-byte (prefix, position) entries through keyOrder.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
@@ -261,45 +270,14 @@ func (s *Sort) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	keys := make([][]types.Datum, len(rows))
-	for i, r := range rows {
-		ks := make([]types.Datum, len(s.Keys))
-		for k, key := range s.Keys {
-			v, err := key.Expr.Eval(ctx, r)
-			if err != nil {
-				return err
-			}
-			ks[k] = v
-		}
-		keys[i] = ks
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, key := range s.Keys {
-			c, err := types.Compare(keys[idx[a]][k], keys[idx[b]][k])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c != 0 {
-				if key.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
+	o := keyOrder{keys: s.Keys, ctx: ctx}
+	ents, err := o.sort(rows)
+	if err != nil {
+		return err
 	}
 	sorted := make([]types.Row, len(rows))
-	for i, j := range idx {
-		sorted[i] = rows[j]
+	for i, e := range ents {
+		sorted[i] = rows[e.pos]
 	}
 	s.reset(sorted)
 	return nil
@@ -463,6 +441,9 @@ func (c *Counted) Next(ctx *Ctx) (types.Row, error) {
 	}
 	return row, err
 }
+
+// RowCount implements Sized: Counted passes every row through.
+func (c *Counted) RowCount() int { return rowCount(c.Child) }
 
 // Close implements Operator.
 func (c *Counted) Close() error { return c.Child.Close() }

@@ -1,16 +1,18 @@
 package exec
 
 import (
+	"cmp"
 	"io"
+	"slices"
 
 	"repro/internal/types"
 )
 
-// topnItem is one candidate row inside a TopNHeap: the row, its evaluated
-// sort-key datums, and its arrival sequence number (for stable tie-breaks).
+// topnItem is one candidate row inside a TopNHeap: the row as the
+// comparator ranks it, and its arrival sequence number (for stable
+// tie-breaks).
 type topnItem struct {
-	row types.Row
-	key []types.Datum
+	ranked
 	seq int64
 }
 
@@ -20,63 +22,58 @@ type topnItem struct {
 // shared bounded accumulator behind the CN-side TopN operator and the
 // DN-side fragment TopN pushdown: a max-heap of size ≤ limit whose root is
 // the worst row currently kept, so each additional row costs O(log limit)
-// instead of materializing the full input.
+// instead of materializing the full input. It ranks rows with Sort's
+// comparator (keyOrder): an item keeps its row, its prefix and a slot of
+// the comparator's slab holding its full keys, read only when two prefixes
+// tie. An item takes the slot of the row it displaces, so a full heap keeps
+// limit+1 slots, evaluated once per row offered.
 //
 // With no keys the heap degenerates to "first `limit` rows by arrival",
 // which is what a bare LIMIT keeps; callers can then stop feeding it as
 // soon as Full reports true.
 type TopNHeap struct {
-	keys  []SortKey
+	order keyOrder
 	limit int64
-	ctx   *Ctx
 	items []topnItem
 	next  int64
+	spare int // the slot a row offered to the full heap loads its keys into
 }
 
 // NewTopNHeap returns an empty accumulator keeping the top `limit` rows.
 // ctx is used to evaluate the key expressions against each pushed row.
 func NewTopNHeap(ctx *Ctx, keys []SortKey, limit int64) *TopNHeap {
-	return &TopNHeap{keys: keys, limit: limit, ctx: ctx}
+	return &TopNHeap{order: keyOrder{keys: keys, ctx: ctx}, limit: limit, spare: int(limit)}
 }
 
 // less reports whether a orders strictly before b: by the sort keys first
-// (respecting Desc), then by arrival sequence — the same comparator a
-// stable Sort induces. Comparison errors propagate like Sort's.
+// (respecting Desc), then by arrival sequence — the same order a stable
+// Sort induces. Comparison errors propagate like Sort's.
 func (h *TopNHeap) less(a, b *topnItem) (bool, error) {
-	for k, key := range h.keys {
-		c, err := types.Compare(a.key[k], b.key[k])
-		if err != nil {
-			return false, err
-		}
-		if c != 0 {
-			if key.Desc {
-				return c > 0, nil
-			}
-			return c < 0, nil
-		}
+	c, err := h.order.compare(&a.ranked, &b.ranked)
+	if c == 0 {
+		return a.seq < b.seq, err
 	}
-	return a.seq < b.seq, nil
+	return c < 0, err
 }
 
 // Push offers one row to the accumulator. The row is retained by reference;
-// callers must not mutate it afterwards.
+// callers must not mutate it afterwards. Its keys are evaluated once, into
+// the slot it would take; a row that is not kept costs no allocation.
 func (h *TopNHeap) Push(row types.Row) error {
 	if h.limit <= 0 {
 		return nil
 	}
-	it := topnItem{row: row, seq: h.next}
-	h.next++
-	if len(h.keys) > 0 {
-		it.key = make([]types.Datum, len(h.keys))
-		for k, key := range h.keys {
-			v, err := key.Expr.Eval(h.ctx, row)
-			if err != nil {
-				return err
-			}
-			it.key[k] = v
-		}
+	full := int64(len(h.items)) >= h.limit
+	it := topnItem{ranked{row: row, slot: len(h.items), loaded: true}, h.next}
+	if full {
+		it.slot = h.spare
 	}
-	if int64(len(h.items)) < h.limit {
+	h.next++
+	var err error
+	if it.prefix, err = h.order.prefix(row, it.slot); err != nil {
+		return err
+	}
+	if !full {
 		h.items = append(h.items, it)
 		return h.siftUp(len(h.items) - 1)
 	}
@@ -86,8 +83,9 @@ func (h *TopNHeap) Push(row types.Row) error {
 	if err != nil || !better {
 		return err
 	}
+	h.spare = h.items[0].slot
 	h.items[0] = it
-	return h.siftDown(0)
+	return h.siftDown(0, len(h.items))
 }
 
 // Full reports whether the heap holds `limit` rows. With no sort keys a
@@ -116,15 +114,12 @@ func (h *TopNHeap) siftUp(i int) error {
 	return nil
 }
 
-// siftDown restores the max-heap property from node i downward.
-func (h *TopNHeap) siftDown(i int) error {
-	n := len(h.items)
+// siftDown restores the max-heap property of the first n items from node i
+// downward.
+func (h *TopNHeap) siftDown(i, n int) error {
 	for {
 		worst := i
-		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c >= n {
-				continue
-			}
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
 			after, err := h.less(&h.items[worst], &h.items[c])
 			if err != nil {
 				return err
@@ -142,49 +137,33 @@ func (h *TopNHeap) siftDown(i int) error {
 }
 
 // SortedRows returns the kept rows in ascending sort order (keys, then
-// arrival) — the order a stable Sort + Limit would emit them in.
+// arrival) — the order a stable Sort + Limit would emit them in. It
+// heapsorts the items where they sit — the worst goes last, and so on —
+// so it is the heap's last call.
 func (h *TopNHeap) SortedRows() ([]types.Row, error) {
-	items := append([]topnItem(nil), h.items...)
-	var cmpErr error
-	sortItems(items, func(a, b *topnItem) bool {
-		less, err := h.less(a, b)
-		if err != nil && cmpErr == nil {
-			cmpErr = err
-		}
-		return less
-	})
-	if cmpErr != nil {
-		return nil, cmpErr
-	}
-	rows := make([]types.Row, len(items))
-	for i, it := range items {
-		rows[i] = it.row
-	}
-	return rows, nil
-}
-
-// ArrivalRows returns the kept rows in their original arrival order. DN
-// fragments ship in this order so the CN-side merge sees the same relative
-// sequence it would without pushdown, keeping merged output byte-identical
-// at every parallel degree.
-func (h *TopNHeap) ArrivalRows() ([]types.Row, error) {
-	items := append([]topnItem(nil), h.items...)
-	sortItems(items, func(a, b *topnItem) bool { return a.seq < b.seq })
-	rows := make([]types.Row, len(items))
-	for i, it := range items {
-		rows[i] = it.row
-	}
-	return rows, nil
-}
-
-// sortItems is an insertion sort over the (≤ limit, typically tiny) kept
-// set; stable by construction.
-func sortItems(items []topnItem, less func(a, b *topnItem) bool) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && less(&items[j], &items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
+	for n := len(h.items) - 1; n > 0; n-- {
+		h.items[0], h.items[n] = h.items[n], h.items[0]
+		if err := h.siftDown(0, n); err != nil {
+			return nil, err
 		}
 	}
+	return h.rows(), nil
+}
+
+// ArrivalRows returns the kept rows in their arrival order, the heap's last
+// call. A DN fragment ships them so: its Exchange run is then in scan order,
+// as without a heap, and the Exchange's one sort of the run orders them.
+func (h *TopNHeap) ArrivalRows() []types.Row {
+	slices.SortFunc(h.items, func(a, b topnItem) int { return cmp.Compare(a.seq, b.seq) })
+	return h.rows()
+}
+
+func (h *TopNHeap) rows() []types.Row {
+	rows := make([]types.Row, len(h.items))
+	for i, it := range h.items {
+		rows[i] = it.row
+	}
+	return rows
 }
 
 // TopN is the bounded ORDER BY + LIMIT operator: it keeps only the top

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,38 +86,50 @@ func TestTopNBareLimit(t *testing.T) {
 }
 
 // TestTopNFragmentMergeDeterministic is the distributed-claim test: split
-// one row stream into k fragments (the exchange's ordered concat), run each
-// through its own bounded heap, ship survivors in arrival order, and TopN
-// the merged stream at the CN. At every split factor the result must be
-// byte-identical to TopN over the unsplit stream — this is the invariant
-// that lets the DN drop rows without the CN noticing, ties included.
+// one row stream into k fragments, run each through its own bounded heap,
+// ship survivors in arrival order, and sort and merge them in an ordered
+// Exchange under a Limit, as the planner does above a pushed ORDER BY. At every split factor
+// and degree the result must be byte-identical to TopN over the unsplit
+// stream — the invariant that lets the DN drop and order rows without the
+// CN noticing, ties included.
 func TestTopNFragmentMergeDeterministic(t *testing.T) {
 	all := lcgRows(240)
 	keys := []SortKey{{Expr: &ColRef{Index: 0}, Desc: true}} // ties on a galore
 	const limit = 10
-	ctx := NewCtx(time.Unix(0, 0))
 	want := collect(t, &TopN{Child: NewValues(schema2("a", "b"), all), Keys: keys, Limit: limit})
 
 	for _, frags := range []int{1, 2, 4, 16} {
 		per := len(all) / frags
-		var shipped []types.Row
-		for f := 0; f < frags; f++ {
-			h := NewTopNHeap(ctx, keys, limit)
-			for _, r := range all[f*per : (f+1)*per] {
-				if err := h.Push(r); err != nil {
-					t.Fatal(err)
+		var shipped atomic.Int64
+		plan := func() ([]Fragment, error) {
+			out := make([]Fragment, frags)
+			for f := range out {
+				part := all[f*per : (f+1)*per]
+				out[f] = func(ctx *Ctx, emit func(types.Row) bool) error {
+					h := NewTopNHeap(ctx, keys, limit)
+					for _, r := range part {
+						if err := h.Push(r); err != nil {
+							return err
+						}
+					}
+					for _, r := range h.ArrivalRows() {
+						shipped.Add(1)
+						emit(r)
+					}
+					return nil
 				}
 			}
-			part, err := h.ArrivalRows()
-			if err != nil {
-				t.Fatal(err)
-			}
-			shipped = append(shipped, part...)
+			return out, nil
 		}
-		got := collect(t, &TopN{Child: NewValues(schema2("a", "b"), shipped), Keys: keys, Limit: limit})
-		rowsEqual(t, fmt.Sprintf("frags=%d", frags), got, want)
-		if len(shipped) > frags*limit {
-			t.Fatalf("frags=%d shipped %d rows, heap bound is %d", frags, len(shipped), frags*limit)
+		for _, degree := range []int{1, 4} {
+			shipped.Store(0)
+			ex := NewParallelSource("t", schema2("a", "b"), degree, plan)
+			ex.Order = keys
+			got := collect(t, &Limit{Child: ex, Count: limit})
+			rowsEqual(t, fmt.Sprintf("frags=%d degree=%d", frags, degree), got, want)
+			if n := shipped.Load(); n > int64(frags*limit) {
+				t.Fatalf("frags=%d shipped %d rows, heap bound is %d", frags, n, frags*limit)
+			}
 		}
 	}
 }

@@ -56,12 +56,14 @@ type PartialAggAccess interface {
 	ScanPartialAgg(t *TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool)
 }
 
-// TopNPush asks the engine to keep only the top Limit rows per partition.
+// TopNPush asks the engine to sort each partition's rows under Keys and
+// keep only the top Limit of them, and to emit the partitions merged in key
+// order, ties to the lower partition — the planner puts no Sort above it.
 // Keys are compiled against the table schema; an empty Keys means a bare
 // LIMIT (keep the first Limit rows in scan order and stop early).
 type TopNPush struct {
 	Keys  []exec.SortKey
-	Limit int64 // rows to keep per partition (already includes any OFFSET)
+	Limit int64 // rows to keep per partition (already includes any OFFSET); < 0: all
 }
 
 // ScanPushdown carries everything the planner pushes into an NDP scan
@@ -80,8 +82,8 @@ type ScanPushdown struct {
 	// ships only these (emitting schema-width rows with NULLs elsewhere so
 	// compiled column indexes stay valid). nil means ship all columns.
 	Cols []int
-	// TopN, when set, bounds each partition's output to the top rows a
-	// CN-side merge could ever keep.
+	// TopN, when set, orders the scan's output and bounds each partition's
+	// share to the top rows a CN-side merge could ever keep.
 	TopN *TopNPush
 	// Bloom, when set, is filled by a downstream hash join with a filter
 	// over its build-side keys before this scan opens; the scan drops rows

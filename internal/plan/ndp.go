@@ -3,9 +3,9 @@ package plan
 // Near-data-processing planning passes (Taurus NDP, paper §III-B): after a
 // query block is fully planned, the planner walks the final operator tree
 // to work out which table columns each NDP scan must actually ship
-// (projection pushdown), recognizes ORDER BY + LIMIT over a bare scan as a
-// per-fragment bounded TopN, and wires sideways bloom filters from hash-
-// join build sides into probe-side scans. All three only *narrow* what a
+// (projection pushdown), recognizes ORDER BY and LIMIT over a bare scan as
+// a per-fragment sort or bounded TopN, and wires sideways bloom filters
+// from hash-join build sides into probe-side scans. All three only *narrow* what a
 // scan ships — an unvisited or unanalyzable scan simply ships everything,
 // so conservatism is always safe.
 
@@ -21,7 +21,7 @@ type PushdownLevel uint8
 
 const (
 	PushdownBloom      PushdownLevel = iota // + sideways bloom filters into probe-side scans
-	PushdownTopN                            // + per-fragment bounded TopN
+	PushdownTopN                            // + per-fragment sort / bounded TopN, merged at the CN
 	PushdownProjection                      // + ship only the referenced columns
 	PushdownFilter                          // exact DN-side filtering, nothing else
 	PushdownOff                             // plain Scan under a coordinator Filter; no spec
@@ -205,31 +205,38 @@ func splitJoinNeed(need []bool, nLeft, nRight int, cond exec.Expr) (ln, rn []boo
 	return ln, rn
 }
 
-// tryTopNPushdown fires when a query block's ORDER BY + LIMIT sits
+// tryTopNPushdown fires when a query block's ORDER BY and/or LIMIT sits
 // directly on a single NDP scan (no residual filter, join, aggregation or
-// DISTINCT in between): each scan fragment then keeps only the top
-// limit rows under the same keys — everything a CN-side merge could ever
-// retain — instead of shipping the whole partition. sortKeys reference
-// projection outputs; they are remapped to the underlying table-schema
-// expressions, which must be partition-pure to evaluate on a DN.
-func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey, exprs []exec.Expr, limit int64) {
+// DISTINCT in between) and reports whether it did. Each scan fragment then
+// sorts its own rows under the same keys and, under a LIMIT, keeps only the
+// top limit of them — everything a CN-side merge could ever retain —
+// instead of shipping the whole partition; the scan's Exchange merges the
+// sorted fragments, so the block needs no Sort or TopN of its own. limit
+// < 0 means no LIMIT. sortKeys reference projection outputs; they are
+// remapped to the underlying table-schema expressions, which must be
+// partition-pure to evaluate on a DN.
+func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey, exprs []exec.Expr, limit int64) bool {
 	ls := pc.lastScan
 	if !pc.p.Pushdown.includes(PushdownTopN) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
-		return
+		return false
+	}
+	if limit < 0 && len(sortKeys) == 0 {
+		return false
 	}
 	keys := make([]exec.SortKey, 0, len(sortKeys))
 	for _, sk := range sortKeys {
 		cr, ok := sk.Expr.(*exec.ColRef)
 		if !ok || cr.Index < 0 || cr.Index >= len(exprs) {
-			return
+			return false
 		}
 		e := exprs[cr.Index]
 		if !exec.IsPartitionPure(e) {
-			return
+			return false
 		}
 		keys = append(keys, exec.SortKey{Expr: e, Desc: sk.Desc})
 	}
 	ls.spec.TopN = &TopNPush{Keys: keys, Limit: limit}
+	return true
 }
 
 // tryBloomPushdown wires sideways information passing into an inner hash

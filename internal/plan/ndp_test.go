@@ -12,9 +12,11 @@ import (
 
 // ndpCatalog wraps fakeCatalog with NDPAccess support. The returned scan
 // reads its ScanPushdown at emit time (late binding, like the engine) and
-// honors Pred, Cols (sparse rows) and Bloom; TopN is deliberately ignored —
-// shipping more rows than the fragment heap would is always safe, and it
-// keeps the fake honest about the CN not depending on DN truncation.
+// honors Pred, Cols (sparse rows), Bloom and TopN's order — the planner
+// leaves no Sort above a pushed ORDER BY. TopN's bound is deliberately
+// ignored: shipping more sorted rows than the fragment heap would is always
+// safe, and it keeps the fake honest about the CN not depending on DN
+// truncation.
 type ndpCatalog struct {
 	*fakeCatalog
 	refuse bool
@@ -33,7 +35,15 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 	ctx := exec.NewCtx(time.Unix(0, 0))
 	return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
 		bf := spec.Bloom.Get()
-		for _, r := range tb.rows {
+		rows := tb.rows
+		if spec.TopN != nil && len(spec.TopN.Keys) > 0 {
+			sorted, err := exec.Collect(ctx, &exec.Sort{Child: exec.NewValues(meta.Schema, rows), Keys: spec.TopN.Keys})
+			if err != nil {
+				panic(err)
+			}
+			rows = sorted
+		}
+		for _, r := range rows {
 			if spec.Pred != nil {
 				ok, err := exec.EvalBool(spec.Pred, ctx, r)
 				if err != nil || !ok {
@@ -93,6 +103,70 @@ func TestNDPScanSpecFilterProjectionTopN(t *testing.T) {
 	for _, cn := range plan.Counted {
 		if strings.HasPrefix(cn.StepText, "FILTER(") {
 			t.Errorf("CN filter survived NDP pushdown: %s", cn.StepText)
+		}
+	}
+}
+
+// cnSorts counts the Sort and TopN operators the coordinator runs.
+func cnSorts(op exec.Operator) int {
+	switch o := op.(type) {
+	case *exec.Sort:
+		return 1 + cnSorts(o.Child)
+	case *exec.TopN:
+		return 1 + cnSorts(o.Child)
+	case *exec.Limit:
+		return cnSorts(o.Child)
+	case *exec.Project:
+		return cnSorts(o.Child)
+	case *exec.Filter:
+		return cnSorts(o.Child)
+	case *exec.Distinct:
+		return cnSorts(o.Child)
+	case *exec.Agg:
+		return cnSorts(o.Child)
+	case *exec.Counted:
+		return cnSorts(o.Child)
+	}
+	return 0
+}
+
+// TestNDPOrderByPushdown: ORDER BY over a bare scan, with or without a
+// LIMIT, is sorted by the scan (an unbounded TopN when there is no LIMIT)
+// and the coordinator keeps neither Sort nor TopN — only the Limit, which
+// applies LIMIT and OFFSET to the merged stream. Below +topn, and above
+// anything but a bare scan, the coordinator sorts.
+func TestNDPOrderByPushdown(t *testing.T) {
+	for _, tc := range []struct {
+		sql   string
+		level PushdownLevel
+		limit int64 // of the pushed TopN; -2: none pushed
+		sorts int   // CN Sort and TopN operators
+		first int64 // the first row's value
+	}{
+		{"SELECT a1 FROM olap.t1 WHERE b1 < 100 ORDER BY a1 DESC", PushdownBloom, -1, 0, 49},
+		{"SELECT b1 FROM olap.t1 ORDER BY a1, b1 DESC LIMIT 3 OFFSET 2", PushdownBloom, 5, 0, 50},
+		{"SELECT b1 FROM olap.t1 ORDER BY b1 + 1 DESC", PushdownTopN, -1, 0, 199},
+		{"SELECT a1 FROM olap.t1 WHERE b1 < 100 ORDER BY a1 DESC", PushdownProjection, -2, 1, 49},
+		{"SELECT a1 FROM olap.t1 ORDER BY a1 DESC LIMIT 5", PushdownFilter, -2, 1, 49},
+		{"SELECT a1, count(*) FROM olap.t1 GROUP BY a1 ORDER BY a1 DESC", PushdownBloom, -2, 1, 49},
+		{"SELECT DISTINCT a1 FROM olap.t1 ORDER BY a1 DESC", PushdownBloom, -2, 1, 49},
+		{"SELECT t1.a1 FROM olap.t1, olap.t2 WHERE t1.a1 = t2.a2 ORDER BY t1.a1 DESC", PushdownBloom, -2, 1, 49},
+	} {
+		nc, p := newNDPPlanner()
+		p.Pushdown = tc.level
+		rows, plan := planAndRun(t, p, tc.sql)
+		if len(rows) == 0 || rows[0][0].Int() != tc.first {
+			t.Errorf("%s at %s: first row of %v, want %d", tc.sql, tc.level, rows[:min(3, len(rows))], tc.first)
+		}
+		limit := int64(-2)
+		if spec := nc.specs["olap.t1"]; spec != nil && spec.TopN != nil {
+			limit = spec.TopN.Limit
+		}
+		if limit != tc.limit {
+			t.Errorf("%s at %s: pushed TopN limit %d, want %d", tc.sql, tc.level, limit, tc.limit)
+		}
+		if n := cnSorts(plan.Root); n != tc.sorts {
+			t.Errorf("%s at %s: %d CN sorts, want %d", tc.sql, tc.level, n, tc.sorts)
 		}
 	}
 }

@@ -379,16 +379,16 @@ func (pc *pctx) planSelectBlock(sel *sqlx.Select) (exec.Operator, *Scope, []stri
 
 	// ORDER BY + LIMIT compiles to a bounded TopN — row-for-row identical
 	// to a stable Sort followed by Limit, in O(limit) memory. When the
-	// block is a bare NDP scan the same bound is also pushed into the
-	// scan's fragments (see tryTopNPushdown).
+	// block is a bare NDP scan, ORDER BY (and the LIMIT's bound) is pushed
+	// into the scan's fragments instead, whose Exchange merges them in
+	// order (see tryTopNPushdown); the Limit below applies LIMIT and
+	// OFFSET to the merged stream.
 	limitK := int64(-1)
 	if sel.Limit >= 0 {
 		limitK = sel.Limit + sel.Offset
 	}
-	if limitK >= 0 && !sel.Distinct && !hasAgg {
-		pc.tryTopNPushdown(projChild, sortKeys, exprs, limitK)
-	}
-	if len(sortKeys) > 0 {
+	pushed := !sel.Distinct && !hasAgg && pc.tryTopNPushdown(projChild, sortKeys, exprs, limitK)
+	if len(sortKeys) > 0 && !pushed {
 		if limitK >= 0 {
 			op = &exec.TopN{Child: op, Keys: sortKeys, Limit: limitK}
 		} else {

@@ -406,6 +406,66 @@ func AppendKey(dst []byte, d Datum) []byte {
 	}
 }
 
+// Family groups the kinds Compare orders against each other: the two
+// numeric kinds share one, every other kind is its own. NULL has a family of
+// its own, which orders against all of them.
+type Family uint8
+
+// Kind families.
+const (
+	FamilyNull Family = iota
+	FamilyBool
+	FamilyNumeric
+	FamilyString
+	FamilyBytes
+	FamilyTime
+)
+
+// OrderPrefix returns a 64-bit image of d that never reverses Compare:
+// Compare(a, b) < 0 implies OrderPrefix(a) <= OrderPrefix(b), and
+// Compare(a, b) == 0 implies equal prefixes. So two datums of one family
+// (or one NULL) whose prefixes differ are ordered by them, and only a tie
+// needs Compare. Across two non-NULL families the prefixes mean nothing —
+// Compare refuses such a pair, and a caller must let it.
+//
+// NULL is 0. BIGINT and DOUBLE share one float64 order image: −0 and +0
+// meet, every NaN sits above +Inf, and INT 3 ties DOUBLE 3.0 (BIGINTs above
+// 2^53 may share a prefix; Compare still tells them apart). TEXT and BYTEA
+// are their first 8 bytes, big-endian and zero-padded; BOOL and TIMESTAMP
+// their value with the sign bit flipped.
+func OrderPrefix(d Datum) (uint64, Family) {
+	const sign = 1 << 63
+	switch d.kind {
+	case KindBool:
+		return uint64(d.i) ^ sign, FamilyBool
+	case KindInt, KindFloat:
+		f := d.Float()
+		switch {
+		case f == 0:
+			f = 0 // −0
+		case f != f:
+			f = math.NaN() // one NaN, the positive one, whatever its payload
+		}
+		bits := math.Float64bits(f)
+		if bits&sign != 0 {
+			return ^bits, FamilyNumeric
+		}
+		return bits | sign, FamilyNumeric
+	case KindString, KindBytes:
+		var b [8]byte
+		copy(b[:], d.s)
+		fam := FamilyString
+		if d.kind == KindBytes {
+			fam = FamilyBytes
+		}
+		return binary.BigEndian.Uint64(b[:]), fam
+	case KindTime:
+		return uint64(d.i) ^ sign, FamilyTime
+	default:
+		return 0, FamilyNull
+	}
+}
+
 // Row is a tuple of datums positionally matching a Schema.
 type Row []Datum
 
