@@ -272,7 +272,9 @@ type Cluster struct {
 	// exchange merges fragments in DN order).
 	ParallelDegree int
 	// DisableSegmentPrune turns off zone-map segment pruning on columnar
-	// scans (ablation knob for E13).
+	// scans. E13's with/without rows and the prune-identity tests
+	// (TestSegmentPruningReducesRowsScanned, TestShapePreparedPrunesLikeLiteral:
+	// the same answers with pruning off) are what keep it.
 	DisableSegmentPrune bool
 	// Pushdown caps how much scan work the planner pushes to the data
 	// nodes (ablation ladder for E18); the zero value is full pushdown.

@@ -28,8 +28,10 @@ package cluster
 // HTAP replica and standby routing and MoveBucket ownership fencing all
 // compose — a join side reads precisely the rows a plain scan of that side
 // would ship.
-// Every strategy emits rows through an Exchange (merged in fragment order)
-// and scans sources in a fixed order, so results are identical across
+// Each target's share runs in the fragment envelope a scan runs in
+// (stmtAccess.fragment): one request, the joined rows, one reply. Every
+// strategy emits rows through an Exchange (merged in fragment order) and
+// scans sources in a fixed order, so results are identical across
 // strategies and parallel degrees.
 
 import (
@@ -52,10 +54,6 @@ const (
 	// sources × partitions × cap × batch rows in flight.
 	shuffleQueueCap = 4
 )
-
-// errJoinCanceled aborts a join fragment when the consumer's emit declines
-// more rows (sibling error or operator close); it is not a statement error.
-var errJoinCanceled = errors.New("cluster: join fragment canceled")
 
 // JoinScan implements plan.DistJoinAccess.
 func (a *stmtAccess) JoinScan(spec *plan.DistJoinSpec) (exec.Operator, bool) {
@@ -123,7 +121,7 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 		if side.ti, err = c.tableInfo(s.Meta.Name); err != nil {
 			return
 		}
-		side.prog, side.keys = a.compileNDP(side.ti, s.Spec, nil), s.Keys
+		side.prog, side.keys = a.compileNDP(side.ti, s.Spec), s.Keys
 		owners := targets
 		if side.ti.replicated {
 			owners = targets[:1]
@@ -168,10 +166,9 @@ func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, 
 }
 
 // probeEmit returns a probe-row callback that joins each row against the
-// build table and emits the joined rows, counting what it ships. Once it
-// returns false, the returned error says why: the join's own error, or
-// errJoinCanceled when emit declined.
-func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *exec.JoinTable, shipped *int, emit func(types.Row) bool) (func(types.Row) bool, *error) {
+// build table and ships the joined rows. Once it returns false, the returned
+// error says why: the join's own error, or errStopped when ship declined.
+func probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *exec.JoinTable, ship func(types.Row) bool) (func(types.Row) bool, *error) {
 	probe := table.Probe(exec.InnerJoin, spec.Probe.Keys, spec.Residual, 0)
 	errp := new(error)
 	return func(pr types.Row) bool {
@@ -187,10 +184,8 @@ func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *ex
 			if !ok {
 				return true
 			}
-			a.rowsShipped.Add(1)
-			*shipped++
-			if !emit(joined) {
-				*errp = errJoinCanceled
+			if !ship(joined) {
+				*errp = errStopped
 				return false
 			}
 		}
@@ -198,21 +193,22 @@ func (a *stmtAccess) probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *ex
 }
 
 // probeLocal joins the probe side's share on targets[i] against the built
-// table, emitting the joined rows. When the probe program has a bloom column
+// table, shipping the joined rows. When the probe program has a bloom column
 // the scan drops, before materializing them, the rows the table's bloom
 // filter rejects — a DN-side semi-join with what the DN itself built.
-func (a *stmtAccess) probeLocal(ctx *exec.Ctx, spec *plan.DistJoinSpec, probe joinSide, i, target int, table *exec.JoinTable, emit func(types.Row) bool) (shipped int, err error) {
+func (a *stmtAccess) probeLocal(ctx *exec.Ctx, spec *plan.DistJoinSpec, probe joinSide, i, target int, table *exec.JoinTable, ship func(types.Row) bool) error {
 	var bf *exec.Bloom
 	if probe.prog.bloomCol >= 0 {
+		var err error
 		if bf, err = table.Bloom(ctx, 0); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-	if err = a.scanSideLocal(ctx, probe, i, target, bf, pe); err == nil {
-		err = *probeErr
+	pe, probeErr := probeEmit(ctx, spec, table, ship)
+	if err := a.scanSideLocal(ctx, probe, i, target, bf, pe); err != nil {
+		return err
 	}
-	return shipped, err
+	return *probeErr
 }
 
 // joinResultWidth is the wire width of one joined row (probe + build
@@ -240,26 +236,21 @@ func (a *stmtAccess) colocatedJoin(spec *plan.DistJoinSpec) exec.Operator {
 		frags := make([]exec.Fragment, len(targets))
 		for i, p := range targets {
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				// One request leg carries the whole join fragment.
-				if err := a.dispatch(transport.ScanFrag, 0, p); err != nil {
-					return err
-				}
-				table := exec.NewJoinTable(spec.Build.Keys)
-				var buildErr error
-				if err := a.scanSideLocal(ctx, build, i, p, nil, func(r types.Row) bool {
-					buildErr = table.Add(ctx, r)
-					return buildErr == nil
-				}); err != nil {
-					return err
-				}
-				if buildErr != nil {
-					return buildErr
-				}
-				shipped, err := a.probeLocal(ctx, spec, probe, i, p, table, emit)
-				if err != nil {
-					return err
-				}
-				return c.sendFromDN(p, transport.ScanFrag, shipped*width*8)
+				// One fragment carries the whole join.
+				return a.fragment(p, 0, width, emit, func(out *shipment) error {
+					table := exec.NewJoinTable(spec.Build.Keys)
+					var buildErr error
+					if err := a.scanSideLocal(ctx, build, i, p, nil, func(r types.Row) bool {
+						buildErr = table.Add(ctx, r)
+						return buildErr == nil
+					}); err != nil {
+						return err
+					}
+					if buildErr != nil {
+						return buildErr
+					}
+					return a.probeLocal(ctx, spec, probe, i, p, table, out.ship)
+				})
 			}
 		}
 		return frags, nil
@@ -432,10 +423,7 @@ func (a *stmtAccess) exchangeJoin(spec *plan.DistJoinSpec) exec.Operator {
 					// Never leave producers running past the statement:
 					// every exit path cancels (if needed) and joins them.
 					defer producerWG.Wait()
-					run := func() (int, error) {
-						if err := a.dispatch(transport.ScanFrag, 0, targets[t]); err != nil {
-							return 0, err
-						}
+					err := a.fragment(targets[t], 0, width, emit, func(out *shipment) error {
 						table := exec.NewJoinTable(spec.Build.Keys)
 						err := bp.Drain(t, func(rows []types.Row) error {
 							for _, r := range rows {
@@ -446,14 +434,13 @@ func (a *stmtAccess) exchangeJoin(spec *plan.DistJoinSpec) exec.Operator {
 							return nil
 						})
 						if err != nil {
-							return 0, err
+							return err
 						}
 						if pp == nil {
-							return a.probeLocal(ctx, spec, probe, t, targets[t], table, emit)
+							return a.probeLocal(ctx, spec, probe, t, targets[t], table, out.ship)
 						}
-						shipped := 0
-						pe, probeErr := a.probeEmit(ctx, spec, table, &shipped, emit)
-						err = pp.Drain(t, func(rows []types.Row) error {
+						pe, probeErr := probeEmit(ctx, spec, table, out.ship)
+						return pp.Drain(t, func(rows []types.Row) error {
 							for _, r := range rows {
 								if !pe(r) {
 									return *probeErr
@@ -461,16 +448,9 @@ func (a *stmtAccess) exchangeJoin(spec *plan.DistJoinSpec) exec.Operator {
 							}
 							return nil
 						})
-						return shipped, err
-					}
-					shipped, err := run()
+					})
 					switch {
 					case err == nil:
-						return c.sendFromDN(targets[t], transport.ScanFrag, shipped*width*8)
-					case errors.Is(err, errJoinCanceled):
-						// Consumer-side cancel (operator closing): stop the
-						// producers, not the statement.
-						cancelAll()
 						return nil
 					case errors.Is(err, exec.ErrPartitionerCanceled):
 						// A producer failed (or a sibling canceled): surface
@@ -480,6 +460,8 @@ func (a *stmtAccess) exchangeJoin(spec *plan.DistJoinSpec) exec.Operator {
 						}
 						return nil
 					default:
+						// This target failed, or its consumer stopped it
+						// (errStopped): stop the producers.
 						cancelAll()
 						return err
 					}

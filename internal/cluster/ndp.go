@@ -4,7 +4,6 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/exec"
 	"repro/internal/plan"
-	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -44,7 +43,7 @@ type ndpProgram struct {
 	// stage; a columnar source ignores it.
 	key *keyProbe
 
-	// matCols lists the table columns materialized into shipped rows (the
+	// matCols lists the table columns materialized into sink rows (the
 	// projection plus whatever the sink's own expressions read: aggregate
 	// inputs, fragment-TopN keys); matPos gives each
 	// one's position in scanCols. Unlisted slots stay NULL — rows keep
@@ -58,6 +57,7 @@ type ndpProgram struct {
 	scanCols []int
 
 	topn *plan.TopNPush
+	agg  *plan.AggPush
 
 	bloom    *exec.BloomHandle
 	bloomCol int // table column probed against the bloom filter (-1: none)
@@ -101,37 +101,41 @@ func (a *stmtAccess) Scan(meta *plan.TableMeta) exec.Operator {
 			}
 		})
 	}
-	return a.scanFragments(meta.Name, meta, meta.Schema, &plan.ScanPushdown{}, nil, a.shipRows)
+	return a.scanFragments(meta, &plan.ScanPushdown{})
 }
 
 // ScanNDP implements plan.NDPAccess. It refuses only virtual tables (which
 // fall back to Scan under a coordinator Filter); everything else — row-store
-// tables included — gets exact DN-side filtering and column pruning.
+// tables included — gets exact DN-side filtering and column pruning, and a
+// partial aggregate when spec carries one.
 func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exec.Operator, bool) {
 	if _, ok := a.s.c.virtualTable(meta.Name); ok {
 		return nil, false
 	}
-	return a.scanFragments(meta.Name, meta, meta.Schema, spec, nil, a.shipRows), true
+	return a.scanFragments(meta, spec), true
 }
 
 // scanFragments builds the fan-out every partition-reading SELECT runs as:
-// one fragment per routed shard owner, each handing body the program
-// compiled from spec plus the source fragSource resolved for that owner,
-// gathered by an Exchange in fragment order so results are identical at
-// every parallel degree. Under a pushed ORDER BY (spec.TopN with keys) the
-// Exchange gets the program's keys: once a fragment's rows have arrived,
-// the exchange worker that gathered them sorts them where they sit, and
-// the coordinator merges the sorted runs. Program and sources are
+// one fragment per routed shard owner, each running shipRows over the
+// program compiled from spec and the source fragSource resolved for that
+// owner, gathered by an Exchange in fragment order so results are identical
+// at every parallel degree. A partial aggregate's Exchange is named
+// "<table>:partial-agg" and emits spec.Agg.Out rows. Under a pushed ORDER
+// BY (spec.TopN with keys) the Exchange gets the program's keys: once a
+// fragment's rows have arrived, the exchange worker that gathered them
+// sorts them where they sit, and the coordinator merges the sorted runs. Program and sources are
 // resolved when the Exchange opens, not here: the planner fills the spec's
 // Cols/TopN/Bloom after the scan operator is built (late binding), and a
 // dead node fails the scan before any fragment is dispatched. The program
 // is kept across opens — a correlated subplan's, a prepared statement's
 // next execution's — for as long as the table is the one it was compiled
 // for; whatever else it depends on is in the plan stamp, which retires the
-// whole operator. rowExprs are extra expressions body evaluates against
-// shipped rows (see compileNDP).
-func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types.Schema, spec *plan.ScanPushdown, rowExprs []exec.Expr,
-	body func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error) exec.Operator {
+// whole operator.
+func (a *stmtAccess) scanFragments(meta *plan.TableMeta, spec *plan.ScanPushdown) exec.Operator {
+	name, out := meta.Name, meta.Schema
+	if spec.Agg != nil {
+		name, out = name+":partial-agg", spec.Agg.Out
+	}
 	var prog *ndpProgram
 	var progOf *TableInfo
 	var ex *exec.Exchange
@@ -142,7 +146,7 @@ func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types
 		}
 		owners := a.targetsFor(ti)
 		if progOf != ti {
-			prog, progOf = a.compileNDP(ti, spec, rowExprs), ti
+			prog, progOf = a.compileNDP(ti, spec), ti
 		}
 		if prog.topn != nil && len(prog.topn.Keys) > 0 {
 			ex.Order = prog.topn.Keys
@@ -154,7 +158,7 @@ func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types
 				return nil, err
 			}
 			frags[i] = func(ctx *exec.Ctx, emit func(types.Row) bool) error {
-				return body(ctx, prog, src, emit)
+				return a.shipRows(ctx, prog, src, emit)
 			}
 		}
 		return frags, nil
@@ -164,12 +168,11 @@ func (a *stmtAccess) scanFragments(name string, meta *plan.TableMeta, out *types
 
 // compileNDP resolves a pushdown spec into an executable program — the one
 // place a fragment's predicate, projection and ownership check are
-// compiled. rowExprs are expressions the fragment's sink will evaluate
-// against shipped rows (a partial aggregate's group keys and arguments);
-// like fragment-TopN keys, the columns they read are materialized on top
-// of spec.Cols. Caller must hold routeMu (it runs from the Exchange's Plan
-// hook, inside statement execution).
-func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs []exec.Expr) *ndpProgram {
+// compiled. A partial aggregate's group keys and arguments, like
+// fragment-TopN keys, evaluate against sink rows: the columns they read are
+// materialized on top of spec.Cols. Caller must hold routeMu (it runs from
+// the Exchange's Plan hook, inside statement execution).
+func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProgram {
 	c := a.s.c
 	n := ti.Meta.Schema.Len()
 	p := &ndpProgram{
@@ -177,6 +180,7 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 		prune:     !c.DisableSegmentPrune,
 		schema:    ti.Meta.Schema,
 		topn:      spec.TopN,
+		agg:       spec.Agg,
 		bloomCol:  -1,
 		distCol:   -1,
 		tableCols: n,
@@ -201,8 +205,8 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 			p.matCols[i] = i
 		}
 	}
-	// rowExprs and fragment TopN keys evaluate against the sparse shipped
-	// row; make sure their columns are materialized (TopN's normally
+	// Aggregate inputs and fragment TopN keys evaluate against the sparse
+	// sink row; make sure their columns are materialized (TopN's normally
 	// already are — ORDER BY expressions are projection outputs).
 	materialize := func(e exec.Expr) {
 		needRefs(e, func(col int) {
@@ -214,8 +218,13 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 			p.matCols = append(p.matCols, col)
 		})
 	}
-	for _, e := range rowExprs {
-		materialize(e)
+	if p.agg != nil {
+		for _, g := range p.agg.GroupBy {
+			materialize(g)
+		}
+		for _, sp := range p.agg.Aggs {
+			materialize(sp.Arg)
+		}
 	}
 	if p.topn != nil {
 		for _, k := range p.topn.Keys {
@@ -250,9 +259,15 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown, rowExprs
 	return p
 }
 
-// shipWidth is the number of datums one shipped row is charged for; a row
-// is never free on the wire.
-func (p *ndpProgram) shipWidth() int { return max(1, len(p.matCols)) }
+// shipWidth is the number of datums one shipped row is charged for: a
+// partial aggregate's output row, else the projected columns. A row is
+// never free on the wire.
+func (p *ndpProgram) shipWidth() int {
+	if p.agg != nil {
+		return p.agg.Out.Len()
+	}
+	return max(1, len(p.matCols))
+}
 
 // scanPos returns col's position in the batch-scan projection (a handful of
 // columns), or -1.
@@ -329,60 +344,61 @@ func (c *Cluster) fragKeepDatum(ti *TableInfo, owner int) func(types.Datum) bool
 	return func(d types.Datum) bool { return c.bmap.dn[BucketOf(d)] == owner }
 }
 
-// shipRows is the scan fragment body: the request leg carries the bloom
-// filter (if any), the row sink feeds the fragment TopN heap or the
-// coordinator directly, and the pre-reduced rows come back charged at
-// their projected width. Rows ship in scan order, a bounded heap's kept
-// rows too; under a pushed ORDER BY the scan's Exchange sorts each
-// fragment's run once they have arrived (see scanFragments).
+// shipRows is the scan fragment body, partial aggregates included. Inside
+// the fragment envelope (the request carries the bloom filter, if any) the
+// program's survivors go to one of three sinks: straight to the
+// coordinator; into the bounded TopN heap, whose kept rows ship when the
+// scan ends; or into the partial aggregate's group table, whose group rows
+// ship instead (folded straight off the column vectors when the source is
+// columnar and every group and aggregate expression is a bare column). Rows
+// ship in scan order, a bounded heap's kept rows too; under a pushed ORDER
+// BY the scan's Exchange sorts each fragment's run once they have arrived
+// (see scanFragments).
 func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
 	bf := p.bloom.Get()
 	req := 0
 	if bf != nil {
 		req = bf.SizeBytes()
 	}
-	if err := a.dispatch(transport.ScanFrag, req, src.node); err != nil {
-		return err
-	}
-
-	var heap *exec.TopNHeap
-	if p.topn != nil && p.topn.Limit >= 0 {
-		heap = exec.NewTopNHeap(ctx, p.topn.Keys, p.topn.Limit)
-	}
-	var shipped int
-	var heapErr error
-	// deliver feeds one surviving (already projected) row onward; false
-	// stops the scan.
-	deliver := func(row types.Row) bool {
-		if heap != nil {
-			if err := heap.Push(row); err != nil {
-				heapErr = err
-				return false
+	return a.fragment(src.node, req, p.shipWidth(), emit, func(out *shipment) error {
+		var kept []types.Row // what ships once the scan ends
+		switch {
+		case p.agg != nil:
+			sink := fragSink{agg: exec.NewAggTable(p.agg.GroupBy, p.agg.Aggs)}
+			if vp, ok := buildVecPlan(p, p.agg.GroupBy, p.agg.Aggs); ok && src.col != nil {
+				sink.vec = vp
 			}
-			// A bare LIMIT never displaces rows once full: stop early.
-			return !(len(p.topn.Keys) == 0 && heap.Full())
+			if err := p.run(ctx, src, bf, sink); err != nil {
+				return err
+			}
+			kept = sink.agg.Rows()
+		case p.topn != nil && p.topn.Limit >= 0:
+			heap := exec.NewTopNHeap(ctx, p.topn.Keys, p.topn.Limit)
+			var heapErr error
+			err := p.run(ctx, src, bf, fragSink{rows: func(row types.Row) bool {
+				if heapErr = heap.Push(row); heapErr != nil {
+					return false
+				}
+				// A bare LIMIT never displaces rows once full: stop early.
+				return !(len(p.topn.Keys) == 0 && heap.Full())
+			}})
+			if err == nil {
+				err = heapErr
+			}
+			if err != nil {
+				return err
+			}
+			kept = heap.ArrivalRows()
+		default:
+			return p.run(ctx, src, bf, fragSink{rows: out.ship})
 		}
-		a.rowsShipped.Add(1)
-		shipped++
-		return emit(row)
-	}
-
-	if err := p.run(ctx, src, bf, fragSink{rows: deliver}); err != nil {
-		return err
-	}
-	if heapErr != nil {
-		return heapErr
-	}
-	if heap != nil {
-		for _, r := range heap.ArrivalRows() {
-			a.rowsShipped.Add(1)
-			shipped++
-			if !emit(r) {
+		for _, r := range kept {
+			if !out.ship(r) {
 				break
 			}
 		}
-	}
-	return a.s.c.sendFromDN(src.node, transport.ScanFrag, shipped*p.shipWidth()*8)
+		return nil
+	})
 }
 
 // run is the one fragment body: the select stage over src — columnar

@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/colstore"
-	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -137,6 +137,50 @@ func (a *stmtAccess) dispatch(mt transport.MsgType, payload int, ids ...int) err
 	return nil
 }
 
+// errStopped ends a fragment whose consumer declined a row. It is not the
+// statement's error: a consumer declines only once its Exchange has been
+// canceled by a sibling fragment's error, which is the one Open surfaces.
+var errStopped = errors.New("cluster: fragment stopped by its consumer")
+
+// fragment is the one envelope of a data-node fragment — a scan, a partial
+// aggregate, a co-located join, one target of a broadcast or shuffle join —
+// and the one place its wire is accounted. In order: the scan_frag request
+// goes to node (payload bytes, ending a one-shot leg there: dispatch); body
+// runs "on the node", handing out.ship each row it sends the coordinator;
+// the shipped rows are counted; the reply comes back charged at shipped ×
+// width datums. A fragment whose consumer stopped it (ship returned false)
+// sends no reply and returns errStopped: its statement is failing, nobody
+// reads the reply, and a join target must release the producers feeding it.
+func (a *stmtAccess) fragment(node, payload, width int, emit func(types.Row) bool, body func(out *shipment) error) error {
+	if err := a.dispatch(transport.ScanFrag, payload, node); err != nil {
+		return err
+	}
+	out := &shipment{emit: emit}
+	err := body(out)
+	a.rowsShipped.Add(int64(out.rows))
+	switch {
+	case out.stopped:
+		return errStopped
+	case err != nil:
+		return err
+	}
+	return a.s.c.sendFromDN(node, transport.ScanFrag, out.rows*width*8)
+}
+
+// shipment is what a fragment body sends its consumer, counted.
+type shipment struct {
+	emit    func(types.Row) bool
+	rows    int
+	stopped bool // emit declined a row
+}
+
+// ship hands r to the consumer; false: stop producing.
+func (s *shipment) ship(r types.Row) bool {
+	s.rows++
+	s.stopped = !s.emit(r)
+	return !s.stopped
+}
+
 // targetsFor picks the data nodes a scan of ti must visit.
 func (a *stmtAccess) targetsFor(ti *TableInfo) []int {
 	for i := range a.routed {
@@ -237,56 +281,6 @@ func (a *stmtAccess) fragSource(ti *TableInfo, owner int) (fragSource, error) {
 	part := ti.part(src.node)
 	src.col, src.row = part.col, part.row
 	return src, nil
-}
-
-// ScanPartialAgg implements plan.PartialAggAccess: the partial aggregate
-// is the scan fragment program (same compiled predicate, pruning and
-// ownership check as any scan) with an aggregating sink, evaluated against
-// each partition locally (modelling DN-side reduction); only the partial
-// result rows ship to the coordinator. Each DN's scan+aggregate is one
-// Exchange fragment, so the reductions run in parallel across data nodes.
-func (a *stmtAccess) ScanPartialAgg(meta *plan.TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool) {
-	if _, isVirtual := a.s.c.virtualTable(meta.Name); isVirtual {
-		return nil, false // virtual tables are engine-local; nothing to push
-	}
-	// Ship nothing but what the group keys and aggregate arguments read.
-	inputs := append([]exec.Expr(nil), groupBy...)
-	for _, sp := range aggs {
-		if sp.Arg != nil {
-			inputs = append(inputs, sp.Arg)
-		}
-	}
-	spec := &plan.ScanPushdown{Pred: pred, Cols: []int{}}
-	return a.scanFragments(meta.Name+":partial-agg", meta, out, spec, inputs,
-		func(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit func(types.Row) bool) error {
-			// Fragment dispatch: the scan+partial-agg request goes out, the
-			// reduced result rows come back.
-			if err := a.dispatch(transport.ScanFrag, 0, src.node); err != nil {
-				return err
-			}
-			// All of it evaluates "on the data node", survivors streaming
-			// into the group table; only the aggregate's output crosses to
-			// the coordinator. Every group/agg expression a bare column
-			// reference over a columnar source: straight off the vectors.
-			sink := fragSink{agg: exec.NewAggTable(groupBy, aggs)}
-			if vp, ok := buildVecPlan(p, groupBy, aggs); ok && src.col != nil {
-				sink.vec = vp
-			}
-			if err := p.run(ctx, src, nil, sink); err != nil {
-				return err
-			}
-			rows := sink.agg.Rows()
-			if err := a.s.c.sendFromDN(src.node, transport.ScanFrag, len(rows)*out.Len()*8); err != nil {
-				return err
-			}
-			for _, r := range rows {
-				a.rowsShipped.Add(1)
-				if !emit(r) {
-					break
-				}
-			}
-			return nil
-		}), true
 }
 
 // planner builds the statement's planner over its access object: for the one

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // setupFacts loads a 4-shard table with a known aggregate answer.
@@ -139,5 +141,38 @@ func TestHavingWithTwoPhaseAgg(t *testing.T) {
 		if r[0].Int() == 3 {
 			t.Errorf("group 3 should be filtered by HAVING: %v", r)
 		}
+	}
+}
+
+// TestTwoPhaseAggFollowsPushdownLadder: a partial aggregate is a sink of the
+// NDP scan, so it follows the pushdown ladder like any other reduction — at
+// PushdownOff the scan is plain and every row crosses to the coordinator,
+// from PushdownFilter up only the per-partition partials do. The answer is
+// the same at every level.
+func TestTwoPhaseAggFollowsPushdownLadder(t *testing.T) {
+	const q = "SELECT grp, count(*), sum(v), min(v) FROM facts WHERE v < 300 GROUP BY grp ORDER BY grp"
+	for _, storage := range []string{"ROW", "COLUMN"} {
+		t.Run(storage, func(t *testing.T) {
+			c, s := setupFacts(t, storage)
+			defer func() { c.Pushdown = plan.PushdownBloom }()
+			var want string
+			for _, lv := range plan.PushdownLadder {
+				c.Pushdown = lv
+				res := mustExec(t, s, q)
+				got := fmt.Sprint(res.Rows)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("%s: rows %s, want %s (as at %s)", lv, got, want, plan.PushdownOff)
+				}
+				shards := int64(c.DataNodeCount())
+				switch {
+				case lv == plan.PushdownOff && res.RowsShipped != 400:
+					t.Errorf("%s: shipped %d rows, want all 400 (a plain scan under a coordinator Filter)", lv, res.RowsShipped)
+				case lv != plan.PushdownOff && res.RowsShipped > 4*shards:
+					t.Errorf("%s: shipped %d rows, want <= 4 groups x %d shards", lv, res.RowsShipped, shards)
+				}
+			}
+		})
 	}
 }

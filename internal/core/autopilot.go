@@ -37,26 +37,13 @@ type Autopilot struct {
 	// dry-run makes it observe-only.
 	Actions *autonomous.ActionLog
 
-	// BloatRatio is the versions-per-visible-row threshold that triggers
-	// an automatic vacuum (default 2.0).
-	BloatRatio float64
-	// LCOLimit triggers LCO truncation housekeeping (default 1024).
-	LCOLimit int
-	// HotRatio arms the hot-bucket controller: a tick window whose hottest
-	// primary carries >= HotRatio times the mean per-primary heat is
-	// skewed (default 2.0). TargetRatio disarms it (default 1.5); between
-	// the two the hysteresis latch holds its state, so heat oscillating
-	// around either threshold cannot flap the controller.
-	HotRatio    float64
+	// TargetRatio disarms the hot-bucket controller (default 1.5; see
+	// hotRatio): between the two thresholds the hysteresis latch holds its
+	// state, so heat oscillating around either cannot flap the controller.
 	TargetRatio float64
 	// MinHeat is the minimum per-window key-touch count before skew is
 	// acted on — idle clusters have meaningless ratios (default 64).
 	MinHeat int64
-	// HeartbeatTimeout / DiskSlowMs / MemLowFrac parameterize the anomaly
-	// detectors' absolute rules.
-	HeartbeatTimeout time.Duration
-	DiskSlowMs       float64
-	MemLowFrac       float64
 
 	// Controller state: the hysteresis latch, the previous heat snapshot
 	// (tick deltas, not lifetime totals, drive decisions), previous
@@ -76,6 +63,23 @@ type Autopilot struct {
 	heatFn func() []int64
 	moveFn func(bucket, target int) error
 }
+
+// The autopilot's fixed thresholds.
+const (
+	// bloatRatio is the versions-per-visible-row threshold that triggers an
+	// automatic vacuum.
+	bloatRatio = 2.0
+	// lcoLimit triggers LCO truncation housekeeping.
+	lcoLimit = 1024
+	// hotRatio arms the hot-bucket controller: a tick window whose hottest
+	// primary carries >= hotRatio times the mean per-primary heat is skewed.
+	hotRatio = 2.0
+	// heartbeatTimeout, diskSlowMs and memLowFrac parameterize the anomaly
+	// detectors' absolute rules.
+	heartbeatTimeout = time.Second
+	diskSlowMs       = 50
+	memLowFrac       = 0.05
+)
 
 // NewAutopilot builds an autopilot for the database with the given SLA.
 func (db *DB) NewAutopilot(sla autonomous.SLA) *Autopilot {
@@ -98,15 +102,9 @@ func (db *DB) NewAutopilot(sla autonomous.SLA) *Autopilot {
 			InitialConcurrency: 8,
 			MaxConcurrency:     64,
 		}, changes),
-		Actions:          actions,
-		BloatRatio:       2.0,
-		LCOLimit:         1024,
-		HotRatio:         2.0,
-		TargetRatio:      1.5,
-		MinHeat:          64,
-		HeartbeatTimeout: time.Second,
-		DiskSlowMs:       50,
-		MemLowFrac:       0.05,
+		Actions:     actions,
+		TargetRatio: 1.5,
+		MinHeat:     64,
 		rebal: rebalance.New(db.cluster, rebalance.Options{
 			MaxConcurrentMoves: 1,
 			Metrics:            info,
@@ -296,7 +294,7 @@ func (a *Autopilot) consumeAnomalies(record func(kind, detail string, err error)
 			a.Anomaly.Heartbeat(fmt.Sprintf("dn%d", id))
 		}
 	}
-	a.Anomaly.Check(a.HeartbeatTimeout, a.DiskSlowMs, a.MemLowFrac)
+	a.Anomaly.Check(heartbeatTimeout, diskSlowMs, memLowFrac)
 
 	down := map[int]bool{}
 	for _, an := range a.Anomaly.Consume() {
@@ -493,7 +491,7 @@ func (a *Autopilot) spreadHeat(record func(kind, detail string, err error), dry 
 	a.Info.Record("cluster.bucket_heat.max_dn", float64(s.max))
 	a.Info.Record("cluster.bucket_heat.ratio", s.ratio)
 
-	if !a.latch.update(s.ratio, s.total, a.MinHeat, a.HotRatio, a.TargetRatio) {
+	if !a.latch.update(s.ratio, s.total, a.MinHeat, hotRatio, a.TargetRatio) {
 		return
 	}
 	if a.moveBusy.Load() {
@@ -552,20 +550,20 @@ func (a *Autopilot) housekeep(record func(kind, detail string, err error), dry b
 			record("recover-in-doubt", fmt.Sprintf("committed=%d aborted=%d", committed, aborted), nil)
 		}
 	}
-	if obs.worstBloat >= a.BloatRatio {
+	if obs.worstBloat >= bloatRatio {
 		if dry {
 			record("auto-vacuum", fmt.Sprintf("table=%s ratio=%.2f (dry-run)", obs.worstTable, obs.worstBloat), nil)
 		} else {
 			reclaimed := a.db.Vacuum()
 			a.Changes.Set("vacuum.reclaimed", float64(reclaimed),
-				fmt.Sprintf("table %s bloat %.2f >= %.2f", obs.worstTable, obs.worstBloat, a.BloatRatio))
+				fmt.Sprintf("table %s bloat %.2f >= %.2f", obs.worstTable, obs.worstBloat, bloatRatio))
 			record("auto-vacuum", fmt.Sprintf("table=%s ratio=%.2f reclaimed=%d", obs.worstTable, obs.worstBloat, reclaimed), nil)
 		}
 	}
 	// LCO housekeeping: truncation is cheap and monotone, run it whenever
 	// any node's LCO grows past the limit.
 	for _, dn := range c.DataNodes() {
-		if dn.Txm.LCOLen() > a.LCOLimit {
+		if dn.Txm.LCOLen() > lcoLimit {
 			if dry {
 				record("truncate-lco", "lco over limit (dry-run)", nil)
 			} else {

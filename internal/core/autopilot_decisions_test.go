@@ -89,8 +89,8 @@ func newDecisionAutopilot(t *testing.T, clk *fakeClock) (*DB, *Autopilot) {
 }
 
 // TestAutopilotHeatHysteresisNoFlap scripts heat windows across both
-// thresholds: the controller arms at ratio >= HotRatio (2.0), keeps acting
-// while the ratio hovers between TargetRatio and HotRatio (the latch holds),
+// thresholds: the controller arms at ratio >= hotRatio (2.0), keeps acting
+// while the ratio hovers between TargetRatio and hotRatio (the latch holds),
 // disarms at <= TargetRatio (1.5), and does NOT re-arm when the ratio climbs
 // back into the dead band — that would be flapping.
 func TestAutopilotHeatHysteresisNoFlap(t *testing.T) {
@@ -255,7 +255,7 @@ func TestAutopilotSingleInFlightMove(t *testing.T) {
 func TestAutopilotConsumesAnomalies(t *testing.T) {
 	clk := newFakeClock()
 	_, ap := newDecisionAutopilot(t, clk)
-	ap.Info.Record("disk_ms", 100) // over the 50ms DiskSlowMs rule
+	ap.Info.Record("disk_ms", 100) // over the 50ms diskSlowMs rule
 
 	actions := ap.Tick()
 	found := false

@@ -41,21 +41,6 @@ type Access interface {
 	Scan(t *TableMeta) exec.Operator
 }
 
-// PartialAggAccess is an optional Access extension for two-phase
-// aggregation: the engine evaluates the partial aggregate on every
-// partition locally (DN-side reduction) and streams only the partial
-// results to the coordinator, where a final merge aggregate runs. This is
-// the classic MPP optimization behind the paper's "query planning and
-// execution are optimized for large scale parallel processing".
-type PartialAggAccess interface {
-	Access
-	// ScanPartialAgg returns an operator streaming per-partition partial
-	// aggregate rows (groupBy values followed by partial agg results), or
-	// ok=false when the engine cannot push this aggregate down. pred is an
-	// optional pre-aggregation filter evaluated on each partition.
-	ScanPartialAgg(t *TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool)
-}
-
 // TopNPush asks the engine to sort each partition's rows under Keys and
 // keep only the top Limit of them, and to emit the partitions merged in key
 // order, ties to the lower partition — the planner puts no Sort above it.
@@ -68,10 +53,11 @@ type TopNPush struct {
 
 // ScanPushdown carries everything the planner pushes into an NDP scan
 // (near-data processing, Taurus-style). Pred is fixed when the scan is
-// created; the remaining fields are filled in by later planning passes —
-// projection analysis sets Cols, ORDER BY/LIMIT recognition sets TopN, and
-// join analysis sets Bloom. The engine must therefore read the spec when
-// the scan *opens*, not when it is constructed.
+// created, and so is Agg, which fixes the scan's output schema; the
+// remaining fields are filled in by later planning passes — projection
+// analysis sets Cols, ORDER BY/LIMIT recognition sets TopN, and join
+// analysis sets Bloom. The engine must therefore read the spec when the
+// scan *opens*, not when it is constructed.
 type ScanPushdown struct {
 	// Pred is the pushed filter (AND of the single-table conjuncts), or
 	// nil. NDP filtering is exact: the planner puts no Filter of its own on
@@ -91,18 +77,37 @@ type ScanPushdown struct {
 	// inner, so they can never produce output).
 	Bloom    *exec.BloomHandle
 	BloomCol int
+	// Agg, when set, makes the scan the first phase of a two-phase
+	// aggregate: each partition folds its surviving rows into groups and
+	// ships one row per group instead of the rows themselves.
+	Agg *AggPush
+}
+
+// AggPush asks the engine to aggregate each partition's surviving rows
+// locally (DN-side reduction) — the classic MPP optimization behind the
+// paper's "query planning and execution are optimized for large scale
+// parallel processing". GroupBy and Aggs are compiled against the table
+// schema; every aggregate is mergeable. Each fragment ships rows laid out as
+// Out: the group values followed by the partial results, which a
+// coordinator Agg above the scan merges.
+type AggPush struct {
+	GroupBy []exec.Expr
+	Aggs    []exec.AggSpec
+	Out     *types.Schema
 }
 
 // NDPAccess is the near-data-processing Access extension: the engine
 // evaluates pushed filters against vectorized column batches on each
 // partition, ships only referenced columns, caps output with a bounded
-// TopN heap, and probes sideways bloom filters — so scan fragments carry
-// pre-reduced batches instead of full-width row streams.
+// TopN heap or folds it into partial aggregates, and probes sideways bloom
+// filters — so scan fragments carry pre-reduced batches instead of
+// full-width row streams.
 type NDPAccess interface {
 	Access
 	// ScanNDP returns a pushdown-capable scan honoring spec (whose Cols/
 	// TopN/Bloom fields may be filled after this call, see ScanPushdown),
-	// or ok=false to fall back to Scan under a coordinator Filter.
+	// or ok=false to fall back to Scan under a coordinator Filter (to the
+	// coordinator Agg, for a spec with Agg).
 	ScanNDP(t *TableMeta, spec *ScanPushdown) (exec.Operator, bool)
 }
 

@@ -350,12 +350,16 @@ func estimateAgg(childEst float64, groupCols int) float64 {
 	return est
 }
 
-// tryPartialAggPushdown checks the aggregate-over-single-scan pattern and,
-// when the engine supports it, replaces the scan+aggregate with a
-// per-partition partial aggregate plus a coordinator-side merge.
+// tryPartialAggPushdown checks the aggregate-over-single-NDP-scan pattern
+// and, when the engine takes the spec, replaces the scan+aggregate with an
+// NDP scan whose fragments aggregate their partitions (ScanPushdown.Agg)
+// plus a coordinator-side merge. A scan the pushdown level left plain
+// (PushdownOff) has no spec to carry the aggregate, and stays plain; an NDP
+// scan's predicate is partition-pure already.
 func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, aggs []exec.AggSpec, outScope *Scope) (exec.Operator, bool) {
-	pa, ok := pc.p.Access.(PartialAggAccess)
-	if !ok || pc.lastScan == nil || exec.Operator(pc.lastScan.counted) != child {
+	ls := pc.lastScan
+	nd, ok := pc.p.Access.(NDPAccess)
+	if !ok || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != child {
 		return nil, false
 	}
 	// Every aggregate must be mergeable and partition-pure.
@@ -377,12 +381,12 @@ func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, 
 			return nil, false
 		}
 	}
-	if pc.lastScan.pred != nil && !exec.IsPartitionPure(pc.lastScan.pred) {
-		return nil, false
-	}
 
+	// Nothing above the aggregate reads the table's columns; the fragments
+	// read what the group keys and aggregate arguments need.
 	partialSchema := outScope.schema()
-	pop, ok := pa.ScanPartialAgg(pc.lastScan.meta, pc.lastScan.pred, groupBy, aggs, partialSchema)
+	pop, ok := nd.ScanNDP(ls.meta, &ScanPushdown{Pred: ls.pred, Cols: []int{},
+		Agg: &AggPush{GroupBy: groupBy, Aggs: aggs, Out: partialSchema}})
 	if !ok {
 		return nil, false
 	}
@@ -410,7 +414,7 @@ func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, 
 	// The scan's instrumented step never executes; remove it so the
 	// learning producer doesn't capture a zero-row scan.
 	for i, c := range *pc.counted {
-		if c == pc.lastScan.counted {
+		if c == ls.counted {
 			*pc.counted = append((*pc.counted)[:i], (*pc.counted)[i+1:]...)
 			break
 		}

@@ -12,19 +12,21 @@ import (
 
 // ndpCatalog wraps fakeCatalog with NDPAccess support. The returned scan
 // reads its ScanPushdown at emit time (late binding, like the engine) and
-// honors Pred, Cols (sparse rows), Bloom and TopN's order — the planner
-// leaves no Sort above a pushed ORDER BY. TopN's bound is deliberately
-// ignored: shipping more sorted rows than the fragment heap would is always
-// safe, and it keeps the fake honest about the CN not depending on DN
-// truncation.
+// honors Pred, Cols (sparse rows), Bloom, TopN's order — the planner leaves
+// no Sort above a pushed ORDER BY — and Agg, over a single "partition".
+// TopN's bound is deliberately ignored: shipping more sorted rows than the
+// fragment heap would is always safe, and it keeps the fake honest about
+// the CN not depending on DN truncation.
 type ndpCatalog struct {
 	*fakeCatalog
-	refuse bool
-	specs  map[string]*ScanPushdown
+	refuse    bool // refuse every spec
+	refuseAgg bool // refuse specs with Agg
+	aggCalls  int  // specs with Agg taken
+	specs     map[string]*ScanPushdown
 }
 
 func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator, bool) {
-	if c.refuse {
+	if c.refuse || c.refuseAgg && spec.Agg != nil {
 		return nil, false
 	}
 	if c.specs == nil {
@@ -33,7 +35,7 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 	c.specs[strings.ToLower(meta.Name)] = spec
 	tb := c.tables[strings.ToLower(meta.Name)]
 	ctx := exec.NewCtx(time.Unix(0, 0))
-	return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
+	src := exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
 		bf := spec.Bloom.Get()
 		rows := tb.rows
 		if spec.TopN != nil && len(spec.TopN.Keys) > 0 {
@@ -57,7 +59,7 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 				}
 			}
 			out := r
-			if spec.Cols != nil {
+			if spec.Cols != nil && spec.Agg == nil { // the aggregate reads whole rows
 				out = make(types.Row, len(r))
 				for _, ci := range spec.Cols {
 					out[ci] = r[ci]
@@ -67,7 +69,12 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 				return
 			}
 		}
-	}), true
+	})
+	if spec.Agg == nil {
+		return src, true
+	}
+	c.aggCalls++
+	return &exec.Agg{Child: src, GroupBy: spec.Agg.GroupBy, Aggs: spec.Agg.Aggs, Out: spec.Agg.Out}, true
 }
 
 func newNDPPlanner() (*ndpCatalog, *Planner) {

@@ -10,35 +10,14 @@ import (
 	"repro/internal/types"
 )
 
-// aggCatalog wraps fakeCatalog with PartialAggAccess support.
-type aggCatalog struct {
-	*fakeCatalog
-	partialCalls int
-	refuse       bool
-}
-
-func (a *aggCatalog) ScanPartialAgg(meta *TableMeta, pred exec.Expr, groupBy []exec.Expr, aggs []exec.AggSpec, out *types.Schema) (exec.Operator, bool) {
-	if a.refuse {
-		return nil, false
-	}
-	a.partialCalls++
-	// Single "partition": run the partial aggregate over all rows.
-	var src exec.Operator = a.fakeCatalog.Scan(meta)
-	if pred != nil {
-		src = &exec.Filter{Child: src, Pred: pred}
-	}
-	return &exec.Agg{Child: src, GroupBy: groupBy, Aggs: aggs, Out: out}, true
-}
-
 func TestPartialAggPushdownPlannerSide(t *testing.T) {
-	ac := &aggCatalog{fakeCatalog: newFixture()}
-	p := &Planner{Catalog: ac, Access: ac}
+	ac, p := newNDPPlanner()
 	rows, plan := planAndRun(t, p, "SELECT a1, count(*), sum(b1) FROM olap.t1 WHERE b1 < 100 GROUP BY a1")
 	if len(rows) != 50 {
 		t.Fatalf("groups = %d", len(rows))
 	}
-	if ac.partialCalls != 1 {
-		t.Errorf("pushdown used %d times, want 1", ac.partialCalls)
+	if ac.aggCalls != 1 {
+		t.Errorf("pushdown used %d times, want 1", ac.aggCalls)
 	}
 	// The scan step is dropped; only the AGG step remains instrumented.
 	for _, c := range plan.Counted {
@@ -49,8 +28,7 @@ func TestPartialAggPushdownPlannerSide(t *testing.T) {
 }
 
 func TestPartialAggPushdownFallbacks(t *testing.T) {
-	ac := &aggCatalog{fakeCatalog: newFixture()}
-	p := &Planner{Catalog: ac, Access: ac}
+	ac, p := newNDPPlanner()
 	// avg is not mergeable.
 	rows, _ := planAndRun(t, p, "SELECT avg(b1) FROM olap.t1")
 	if rows[0][0].Float() != 99.5 {
@@ -60,11 +38,18 @@ func TestPartialAggPushdownFallbacks(t *testing.T) {
 	planAndRun(t, p, "SELECT count(DISTINCT a1) FROM olap.t1")
 	// join input is not a single scan.
 	planAndRun(t, p, "SELECT count(*) FROM olap.t1, olap.t2 WHERE t1.a1 = t2.a2")
-	if ac.partialCalls != 0 {
-		t.Errorf("fallback cases pushed down %d times", ac.partialCalls)
+	// A plain scan (PushdownOff) has no spec to carry the aggregate.
+	p.Pushdown = PushdownOff
+	rows, _ = planAndRun(t, p, "SELECT a1, count(*) FROM olap.t1 WHERE b1 < 100 GROUP BY a1")
+	if len(rows) != 50 {
+		t.Errorf("groups at %s = %d", p.Pushdown, len(rows))
+	}
+	p.Pushdown = PushdownBloom
+	if ac.aggCalls != 0 {
+		t.Errorf("fallback cases pushed down %d times", ac.aggCalls)
 	}
 	// Engine refusal falls back too.
-	ac.refuse = true
+	ac.refuseAgg = true
 	rows, _ = planAndRun(t, p, "SELECT count(*) FROM olap.t1")
 	if rows[0][0].Int() != 200 {
 		t.Errorf("count = %v", rows[0][0])

@@ -28,9 +28,6 @@ type Options struct {
 	// MaxConcurrentMoves bounds in-flight bucket moves (default 4). Each
 	// move briefly freezes one bucket, so this is the blast-radius knob.
 	MaxConcurrentMoves int
-	// Throttle sleeps between finishing one move and starting the next on
-	// each worker (0 = full speed), bounding migration I/O pressure.
-	Throttle time.Duration
 	// MaxRetries re-runs a bucket move that failed retryably — target or
 	// source down, drain timeout — this many times (default 3).
 	MaxRetries int
@@ -132,9 +129,6 @@ func (r *Rebalancer) MoveBuckets(moves []Move) error {
 			defer wg.Done()
 			for mv := range work {
 				errCh <- r.moveOne(mv)
-				if r.opt.Throttle > 0 {
-					time.Sleep(r.opt.Throttle)
-				}
 			}
 		}()
 	}

@@ -158,9 +158,11 @@ type TxnManager struct {
 	UpgradeTimeout time.Duration
 
 	// DisableDowngrade and DisableUpgrade switch off the respective half of
-	// Algorithm 1's conflict resolution. They exist only for the anomaly
-	// reproduction tests and ablation benchmarks (experiments E7/E8) and
-	// must stay false in production use.
+	// Algorithm 1's conflict resolution. They exist only for E7's anomaly
+	// reproductions (TestAnomaly1WithoutUpgradeShowsStaleRead,
+	// TestAnomaly2WithoutDowngradeIsVisible show each anomaly with its half
+	// off); no experiment or benchmark sets them.
+	// They must stay false in production use.
 	DisableDowngrade bool
 	DisableUpgrade   bool
 }
