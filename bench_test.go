@@ -212,7 +212,7 @@ func BenchmarkDeltaSync(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(store.Stats().FullSyncBytes)/float64(b.N), "sync-bytes/op")
+		b.ReportMetric(float64(store.Fabric().Stats().Get(transport.GMDBPub).Bytes)/float64(b.N), "sync-bytes/op")
 	})
 	b.Run("delta-update", func(b *testing.B) {
 		store, keys := newMMEStore(b)
@@ -230,7 +230,7 @@ func BenchmarkDeltaSync(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(store.Stats().DeltaSyncBytes)/float64(b.N), "sync-bytes/op")
+		b.ReportMetric(float64(store.Fabric().Stats().Get(transport.GMDBDelta).Bytes)/float64(b.N), "sync-bytes/op")
 	})
 }
 
@@ -299,45 +299,23 @@ func BenchmarkAblationGTMLatency(b *testing.B) {
 // E10 — device-edge-cloud sync
 // ---------------------------------------------------------------------------
 
-// BenchmarkEdgeSync compares P2P-mesh and via-cloud convergence of 6
-// devices; "sim-ms" is the virtual convergence time over the paper's 10x
-// link asymmetry.
+// BenchmarkEdgeSync runs E10 (6 devices, 20 keys each); "sim-ms" is the
+// virtual convergence time over the paper's 10x link asymmetry.
 func BenchmarkEdgeSync(b *testing.B) {
-	mkNodes := func() []*dsync.Node {
-		var nodes []*dsync.Node
-		for i := 0; i < 6; i++ {
-			n := dsync.NewNode(fmt.Sprintf("dev%d", i), dsync.Device, nil)
-			for j := 0; j < 20; j++ {
-				n.Put(fmt.Sprintf("n%d/k%d", i, j), make([]byte, 256))
-			}
-			nodes = append(nodes, n)
-		}
-		return nodes
+	var mesh, cloud dsync.ConvergeResult
+	for i := 0; i < b.N; i++ {
+		mesh, cloud, _ = experiments.EdgeSync(io.Discard, 6, 20)
 	}
-	b.Run("p2p-mesh-direct", func(b *testing.B) {
-		var res dsync.ConvergeResult
-		for i := 0; i < b.N; i++ {
-			direct, _ := dsync.DefaultLinks()
-			res = dsync.Converge(mkNodes(), nil, dsync.MeshP2P, direct, 0)
-			if !res.Converged {
-				b.Fatal("did not converge")
-			}
+	for _, run := range []struct {
+		name string
+		r    dsync.ConvergeResult
+	}{{"p2p-mesh-direct", mesh}, {"via-cloud-internet", cloud}} {
+		if !run.r.Converged {
+			b.Fatalf("%s did not converge", run.name)
 		}
-		b.ReportMetric(float64(res.SimTime)/float64(time.Millisecond), "sim-ms")
-		b.ReportMetric(float64(res.Bytes), "bytes")
-	})
-	b.Run("via-cloud-internet", func(b *testing.B) {
-		var res dsync.ConvergeResult
-		for i := 0; i < b.N; i++ {
-			_, internet := dsync.DefaultLinks()
-			res = dsync.Converge(mkNodes(), dsync.NewNode("cloud", dsync.Cloud, nil), dsync.ViaCloud, internet, 0)
-			if !res.Converged {
-				b.Fatal("did not converge")
-			}
-		}
-		b.ReportMetric(float64(res.SimTime)/float64(time.Millisecond), "sim-ms")
-		b.ReportMetric(float64(res.Bytes), "bytes")
-	})
+		b.ReportMetric(float64(run.r.SimTime)/float64(time.Millisecond), run.name+"-sim-ms")
+		b.ReportMetric(float64(run.r.Bytes), run.name+"-bytes")
+	}
 }
 
 // ---------------------------------------------------------------------------

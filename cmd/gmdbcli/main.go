@@ -25,6 +25,7 @@ import (
 	"repro/internal/gmdb"
 	"repro/internal/gmdb/schema"
 	"repro/internal/mme"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -122,9 +123,10 @@ func main() {
 			}
 			benchfmt.Table(os.Stdout, "Fig 8 conversion matrix", headers, rows)
 		case "stats":
-			st := store.Stats()
+			st, fab := store.Stats(), store.Fabric().Stats()
 			fmt.Printf("puts=%d gets=%d deltas=%d deletes=%d conversions=%d fullSyncBytes=%d deltaSyncBytes=%d\n",
-				st.Puts, st.Gets, st.Deltas, st.Deletes, st.Conversions, st.FullSyncBytes, st.DeltaSyncBytes)
+				st.Puts, st.Gets, st.Deltas, st.Deletes, st.Conversions,
+				fab.Get(transport.GMDBPub).Bytes, fab.Get(transport.GMDBDelta).Bytes)
 		default:
 			fmt.Println("unknown command; try 'help'")
 		}

@@ -52,7 +52,10 @@ func main() {
 	// last writer wins deterministically after the next sync.
 	phone.Put("settings/volume", []byte("40"))
 	watch.Put("settings/volume", []byte("65"))
-	dsync.SyncPair(phone, watch, direct)
+	if _, err := dsync.SyncPair(phone, watch, direct); err != nil {
+		fmt.Println("sync failed:", err)
+		return
+	}
 	pv, _ := phone.Get("settings/volume")
 	wv, _ := watch.Get("settings/volume")
 	fmt.Printf("\nconflict resolved identically on both: phone=%s watch=%s\n", pv, wv)

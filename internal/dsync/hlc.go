@@ -4,10 +4,11 @@
 // the paper calls out), last-writer-wins convergence, digest-based
 // anti-entropy that guarantees no data loss and no redundant data,
 // query-based event subscriptions, and both P2P-mesh and leader-based
-// topologies over a latency-modelled network.
+// topologies, every exchange a message on a transport fabric.
 package dsync
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"time"
@@ -23,29 +24,14 @@ type Timestamp struct {
 
 // Compare orders two timestamps (-1, 0, 1).
 func (t Timestamp) Compare(o Timestamp) int {
-	switch {
-	case t.Physical != o.Physical:
-		if t.Physical < o.Physical {
-			return -1
-		}
-		return 1
-	case t.Logical != o.Logical:
-		if t.Logical < o.Logical {
-			return -1
-		}
-		return 1
-	case t.Node != o.Node:
-		if t.Node < o.Node {
-			return -1
-		}
-		return 1
-	default:
-		return 0
+	if c := cmp.Compare(t.Physical, o.Physical); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(t.Logical, o.Logical); c != 0 {
+		return c
+	}
+	return cmp.Compare(t.Node, o.Node)
 }
-
-// IsZero reports an unset timestamp.
-func (t Timestamp) IsZero() bool { return t.Physical == 0 && t.Logical == 0 && t.Node == "" }
 
 func (t Timestamp) String() string {
 	return fmt.Sprintf("%d.%d@%s", t.Physical, t.Logical, t.Node)
@@ -92,20 +78,14 @@ func (h *HLC) Observe(ts Timestamp) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	now := h.wall().UnixNano()
-	maxPhys := h.physical
-	if ts.Physical > maxPhys {
-		maxPhys = ts.Physical
-	}
+	maxPhys := max(h.physical, ts.Physical)
 	if now > maxPhys {
 		h.physical = now
 		h.logical = 0
 		return
 	}
 	if maxPhys == h.physical && maxPhys == ts.Physical {
-		if ts.Logical > h.logical {
-			h.logical = ts.Logical
-		}
-		h.logical++
+		h.logical = max(h.logical, ts.Logical) + 1
 	} else if maxPhys == ts.Physical {
 		h.physical = maxPhys
 		h.logical = ts.Logical + 1

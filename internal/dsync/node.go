@@ -4,7 +4,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // Tier classifies a node's capability class (§IV-B: devices with "a broad
@@ -63,6 +66,7 @@ type Node struct {
 	Tier Tier
 
 	clock *HLC
+	ep    transport.Endpoint // the node's end of every fabric it syncs over
 
 	// SyncFilter, when set, restricts what this node replicates: sync only
 	// pulls keys the filter accepts (§IV-B2 "Resource Sharing" — a smart
@@ -78,6 +82,9 @@ type Node struct {
 	redundant int64 // sync deliveries that were not newer (no-op merges)
 }
 
+// nextEndpoint numbers nodes' fabric endpoints process-wide.
+var nextEndpoint atomic.Int64
+
 // NewNode creates a node; wall may be nil (used to inject clock drift in
 // tests).
 func NewNode(id string, tier Tier, wall func() time.Time) *Node {
@@ -85,9 +92,13 @@ func NewNode(id string, tier Tier, wall func() time.Time) *Node {
 		ID:    id,
 		Tier:  tier,
 		clock: NewHLC(id, wall),
+		ep:    transport.SyncNode(int(nextEndpoint.Add(1))),
 		data:  make(map[string]Entry),
 	}
 }
+
+// Endpoint returns the node's fabric endpoint.
+func (n *Node) Endpoint() transport.Endpoint { return n.ep }
 
 // Put writes a key locally and returns the version timestamp.
 func (n *Node) Put(key string, value []byte) Timestamp {
@@ -224,23 +235,30 @@ func (n *Node) MissingFrom(peer map[string]Timestamp, accept func(string) bool) 
 	return out
 }
 
-// FetchVia reads a key locally, falling back to the given peers over the
-// link (transparent data sharing: storage-constrained devices read through
-// more capable ones). The fetched value is NOT cached when the node's
+// FetchVia reads a key locally, falling back to the given peers over f
+// (transparent data sharing: storage-constrained devices read through more
+// capable ones). Each peer asked costs a request (0 bytes) and a reply
+// carrying the entry, if the peer has it; a peer whose request or reply is
+// lost is skipped. The fetched value is NOT cached when the node's
 // SyncFilter excludes the key.
-func (n *Node) FetchVia(key string, peers []*Node, link *Link) ([]byte, bool) {
+func (n *Node) FetchVia(key string, peers []*Node, f *transport.Fabric) ([]byte, bool) {
 	if v, ok := n.Get(key); ok {
 		return v, true
 	}
 	for _, p := range peers {
+		if f.Send(n.ep, p.ep, transport.DSyncDigest, 0) != nil {
+			continue
+		}
 		p.mu.Lock()
 		e, ok := p.data[key]
 		p.mu.Unlock()
-		if !ok || e.Deleted {
-			continue
+		found := ok && !e.Deleted
+		reply := 0
+		if found {
+			reply = e.size()
 		}
-		if link != nil {
-			link.charge(e.size())
+		if f.Send(p.ep, n.ep, transport.DSyncDelta, reply) != nil || !found {
+			continue
 		}
 		if n.SyncFilter == nil || n.SyncFilter(key) {
 			n.applyEntry(e, true)

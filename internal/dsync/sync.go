@@ -1,54 +1,20 @@
 package dsync
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/transport"
 )
 
-// LinkKind models the two transports the paper contrasts: direct
-// device-to-device radio ("at least 10X faster than communications through
-// the Internet") versus Internet links to the cloud.
-type LinkKind uint8
-
-// Link kinds.
-const (
-	DirectRadio LinkKind = iota // Bluetooth / Wi-Fi Direct between peers
-	Internet                    // device <-> cloud WAN path
-)
-
-// Link is a simulated connection with per-message latency and accounting.
-type Link struct {
-	Kind LinkKind
-	// RTT is the round-trip latency charged per request/response exchange.
-	RTT time.Duration
-
-	mu       sync.Mutex
-	messages int64
-	bytes    int64
-	// simTime accumulates the virtual time spent on this link.
-	simTime time.Duration
-}
-
-// DefaultLinks returns the paper's 10x asymmetry: 10 ms direct radio RTT
-// versus 100 ms Internet RTT.
-func DefaultLinks() (direct, internet *Link) {
-	return &Link{Kind: DirectRadio, RTT: 10 * time.Millisecond},
-		&Link{Kind: Internet, RTT: 100 * time.Millisecond}
-}
-
-func (l *Link) charge(bytes int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.messages++
-	l.bytes += int64(bytes)
-	l.simTime += l.RTT
-}
-
-// Stats reports cumulative link usage.
-func (l *Link) Stats() (messages, bytes int64, simTime time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.messages, l.bytes, l.simTime
+// DefaultLinks returns the paper's 10x asymmetry ("at least 10X faster
+// than communications through the Internet") as two fabrics: direct radio
+// between peers at 5 ms one way, the device <-> cloud Internet path at
+// 50 ms. Sync time is accounted (Fabric.Waited), never slept.
+func DefaultLinks() (direct, internet *transport.Fabric) {
+	link := func(oneWay time.Duration) *transport.Fabric {
+		return transport.New(transport.Config{BaseLatency: oneWay, Sleep: func(time.Duration) {}})
+	}
+	return link(5 * time.Millisecond), link(50 * time.Millisecond)
 }
 
 // SyncStats summarizes one synchronization exchange.
@@ -56,48 +22,63 @@ type SyncStats struct {
 	EntriesAtoB int
 	EntriesBtoA int
 	Bytes       int
-	// SimTime is the virtual wall time the exchange took on the link.
+	// SimTime is the virtual wall time the exchange waited on the fabric.
 	SimTime time.Duration
 }
 
-// SyncPair runs one bidirectional anti-entropy exchange between two nodes:
-// digests cross the link, then each side ships exactly the entries the
-// other lacks. The exchange preserves the platform's guarantee of "no data
-// loss and no redundant data": every newer version transfers, nothing
-// already known does.
-func SyncPair(a, b *Node, link *Link) SyncStats {
-	var st SyncStats
+// send puts one message of the exchange on f; once it is delivered, its
+// payload counts and the entries it carries apply at the receiver.
+func (st *SyncStats) send(f *transport.Fabric, from, to *Node, t transport.MsgType, bytes int, es []Entry) error {
+	if err := f.Send(from.ep, to.ep, t, bytes); err != nil {
+		return err
+	}
+	st.Bytes += bytes
+	for _, e := range es {
+		to.applyEntry(e, true)
+	}
+	return nil
+}
 
-	// Round 1: digest exchange (one RTT carries both).
+// SyncPair runs one bidirectional anti-entropy exchange between two nodes
+// over f: a sends its digest and b replies with its own (one round trip),
+// then a ships the entries b lacks and b replies with the entries a lacks.
+// The exchange preserves the platform's guarantee of "no data loss and no
+// redundant data": every newer version transfers, nothing already known
+// does. A lost message ends the exchange with its error; a node applies
+// only a batch that reached it, so the next exchange ships what was lost.
+func SyncPair(a, b *Node, f *transport.Fabric) (st SyncStats, err error) {
+	start := f.Waited()
+	defer func() { st.SimTime = f.Waited() - start }()
+
 	da, db := a.Digest(), b.Digest()
-	digestBytes := DigestSize(da) + DigestSize(db)
-	link.charge(digestBytes)
-	st.Bytes += digestBytes
+	if err := st.send(f, a, b, transport.DSyncDigest, DigestSize(da), nil); err != nil {
+		return st, err
+	}
+	if err := st.send(f, b, a, transport.DSyncDigest, DigestSize(db), nil); err != nil {
+		return st, err
+	}
 
-	// Round 2: each side sends what the other is missing (and accepts,
-	// per its SyncFilter).
+	// Each side ships what the other is missing (and accepts, per its
+	// SyncFilter).
 	fromA := a.MissingFrom(db, b.SyncFilter)
 	fromB := b.MissingFrom(da, a.SyncFilter)
-	payload := 0
-	for _, e := range fromA {
-		payload += e.size()
-	}
-	for _, e := range fromB {
-		payload += e.size()
-	}
-	link.charge(payload)
-	st.Bytes += payload
-
-	for _, e := range fromA {
-		b.applyEntry(e, true)
-	}
-	for _, e := range fromB {
-		a.applyEntry(e, true)
+	if err := st.send(f, a, b, transport.DSyncDelta, entriesSize(fromA), fromA); err != nil {
+		return st, err
 	}
 	st.EntriesAtoB = len(fromA)
+	if err := st.send(f, b, a, transport.DSyncDelta, entriesSize(fromB), fromB); err != nil {
+		return st, err
+	}
 	st.EntriesBtoA = len(fromB)
-	st.SimTime = 2 * link.RTT
-	return st
+	return st, nil
+}
+
+func entriesSize(es []Entry) int {
+	n := 0
+	for _, e := range es {
+		n += e.size()
+	}
+	return n
 }
 
 // Topology names the sync arrangement.
@@ -116,56 +97,64 @@ const (
 	LeaderStar
 )
 
-// ConvergeResult reports a full synchronization run.
+// ConvergeResult reports a full synchronization run: the traffic and
+// accounted time of this run alone on its fabric.
 type ConvergeResult struct {
 	Rounds   int
 	Messages int64
 	Bytes    int64
 	SimTime  time.Duration
+	// Failed counts exchanges a lost message cut short.
+	Failed int
 	// Converged is false only if MaxRounds was hit first.
 	Converged bool
 }
 
-// Converge drives sync exchanges under the given topology until all nodes
-// share identical state (or maxRounds passes elapse). relay is the cloud
-// or leader node for the non-mesh topologies (ignored for MeshP2P).
-func Converge(nodes []*Node, relay *Node, topo Topology, link *Link, maxRounds int) ConvergeResult {
+// Converge drives sync exchanges over f under the given topology until all
+// nodes share identical state (or maxRounds passes elapse). relay is the
+// cloud or leader node for the non-mesh topologies (ignored for MeshP2P).
+// An exchange a lost message cut short is retried by the next pass
+// (anti-entropy); convergence alone decides when the run is done.
+func Converge(nodes []*Node, relay *Node, topo Topology, f *transport.Fabric, maxRounds int) ConvergeResult {
 	if maxRounds <= 0 {
 		maxRounds = 3 * (len(nodes) + 1)
 	}
+	synced := nodes
+	if topo != MeshP2P {
+		synced = append(nodes[:len(nodes):len(nodes)], relay)
+	}
 	var res ConvergeResult
+	before, start := f.Stats(), f.Waited()
 	for round := 1; round <= maxRounds; round++ {
 		res.Rounds = round
-		switch topo {
-		case MeshP2P:
-			for i := range nodes {
-				st := SyncPair(nodes[i], nodes[(i+1)%len(nodes)], link)
-				res.SimTime += st.SimTime
+		for i, n := range nodes {
+			peer := relay
+			if topo == MeshP2P {
+				peer = nodes[(i+1)%len(nodes)]
 			}
-		case ViaCloud, LeaderStar:
-			for _, n := range nodes {
-				st := SyncPair(n, relay, link)
-				res.SimTime += st.SimTime
+			if _, err := SyncPair(n, peer, f); err != nil {
+				res.Failed++
 			}
 		}
-		if allConverged(nodes, relay, topo) {
+		if allSame(synced) {
 			res.Converged = true
 			break
 		}
 	}
-	res.Messages, res.Bytes, _ = link.Stats()
+	st := f.Stats().Sub(before)
+	for _, t := range []transport.MsgType{transport.DSyncDigest, transport.DSyncDelta} {
+		res.Messages += st.Get(t).Count
+		res.Bytes += st.Get(t).Bytes
+	}
+	res.SimTime = f.Waited() - start
 	return res
 }
 
-func allConverged(nodes []*Node, relay *Node, topo Topology) bool {
-	base := nodes[0]
+func allSame(nodes []*Node) bool {
 	for _, n := range nodes[1:] {
-		if !SameState(base, n) {
+		if !SameState(nodes[0], n) {
 			return false
 		}
-	}
-	if topo != MeshP2P && relay != nil {
-		return SameState(base, relay)
 	}
 	return true
 }

@@ -260,9 +260,9 @@ func Fig11(w io.Writer, sessions, opsPerCase int) (Fig11Result, error) {
 			return res, err
 		}
 	}
-	st := store.Stats()
-	res.FullUpdateBytes = st.FullSyncBytes
-	res.DeltaUpdateBytes = st.DeltaSyncBytes
+	st := store.Fabric().Stats()
+	res.FullUpdateBytes = st.Get(transport.GMDBPub).Bytes
+	res.DeltaUpdateBytes = st.Get(transport.GMDBDelta).Bytes
 
 	benchfmt.Table(w, "Fig 11 — GMDB online schema evolution (synthetic MME sessions)",
 		[]string{"case", "ops/s"},
@@ -464,8 +464,9 @@ func AblationGTMService(w io.Writer, duration float64) error {
 }
 
 // EdgeSync (E10) compares device-to-device mesh sync against via-cloud
-// sync: convergence time (virtual) and bytes.
-func EdgeSync(w io.Writer, devices, keysPerDevice int) {
+// sync: convergence time (virtual) and bytes. Mesh and leader star share
+// the direct-radio fabric; each row reports its own run's traffic.
+func EdgeSync(w io.Writer, devices, keysPerDevice int) (mesh, cloud, leader dsync.ConvergeResult) {
 	mkNodes := func() []*dsync.Node {
 		var nodes []*dsync.Node
 		for i := 0; i < devices; i++ {
@@ -478,9 +479,9 @@ func EdgeSync(w io.Writer, devices, keysPerDevice int) {
 		return nodes
 	}
 	direct, internet := dsync.DefaultLinks()
-	mesh := dsync.Converge(mkNodes(), nil, dsync.MeshP2P, direct, 0)
-	cloud := dsync.Converge(mkNodes(), dsync.NewNode("cloud", dsync.Cloud, nil), dsync.ViaCloud, internet, 0)
-	leader := dsync.Converge(mkNodes(), dsync.NewNode("router", dsync.Edge, nil), dsync.LeaderStar, direct, 0)
+	mesh = dsync.Converge(mkNodes(), nil, dsync.MeshP2P, direct, 0)
+	cloud = dsync.Converge(mkNodes(), dsync.NewNode("cloud", dsync.Cloud, nil), dsync.ViaCloud, internet, 0)
+	leader = dsync.Converge(mkNodes(), dsync.NewNode("router", dsync.Edge, nil), dsync.LeaderStar, direct, 0)
 	row := func(name string, r dsync.ConvergeResult) []string {
 		return []string{name, fmt.Sprintf("%v", r.Converged), fmt.Sprintf("%d", r.Rounds),
 			fmt.Sprintf("%d", r.Messages), fmt.Sprintf("%d", r.Bytes), r.SimTime.String()}
@@ -492,6 +493,7 @@ func EdgeSync(w io.Writer, devices, keysPerDevice int) {
 			row("via cloud (Internet)", cloud),
 			row("leader star (router)", leader),
 		})
+	return mesh, cloud, leader
 }
 
 // Expand (E11) measures online cluster expansion: TPC-C-like traffic runs

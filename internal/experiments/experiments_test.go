@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/dsync"
 )
 
 // TestNetworkGTMLiteFewerGTMMessages is E15's acceptance check: GTM-lite
@@ -65,5 +66,29 @@ func TestFrontDoorShedsLowProtectsHigh(t *testing.T) {
 func TestNDPExperiment(t *testing.T) {
 	if err := NDP(io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEdgeSyncShape is E10's acceptance check: every topology converges,
+// the mesh over direct radio takes about a tenth of the via-cloud time
+// (the paper's "at least 10X faster" link), and the leader star, a star
+// like via-cloud, moves exactly via-cloud's bytes — its own run's traffic,
+// not the mesh's too.
+func TestEdgeSyncShape(t *testing.T) {
+	devices, keys := 6, 20
+	if testing.Short() {
+		devices, keys = 4, 5
+	}
+	mesh, cloud, leader := EdgeSync(io.Discard, devices, keys)
+	for name, r := range map[string]dsync.ConvergeResult{"mesh": mesh, "via-cloud": cloud, "leader": leader} {
+		if !r.Converged || r.Failed != 0 {
+			t.Fatalf("%s: %+v", name, r)
+		}
+	}
+	if ratio := float64(cloud.SimTime) / float64(mesh.SimTime); ratio < 9 || ratio > 11 {
+		t.Errorf("via-cloud %v / mesh %v = %.1f, want about 10", cloud.SimTime, mesh.SimTime, ratio)
+	}
+	if leader.Bytes != cloud.Bytes {
+		t.Errorf("leader star moved %d bytes, via-cloud %d: same star, same traffic", leader.Bytes, cloud.Bytes)
 	}
 }

@@ -45,11 +45,12 @@ func (s *Store) NewClient(typ string, version int) (*Client, error) {
 func (c *Client) Version() int { return c.version }
 
 // Get returns the object in the client's schema version, serving from the
-// local cache when possible.
+// local cache when possible. A cached object is cloned under the lock: the
+// watch pump applies deltas to it in place.
 func (c *Client) Get(key string) (*schema.Object, error) {
 	c.mu.Lock()
 	if obj, ok := c.cache[key]; ok {
-		c.mu.Unlock()
+		defer c.mu.Unlock()
 		c.cacheHits.Add(1)
 		return obj.Clone(), nil
 	}
@@ -59,10 +60,11 @@ func (c *Client) Get(key string) (*schema.Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	out := obj.Clone()
 	c.mu.Lock()
 	c.cache[key] = obj
 	c.mu.Unlock()
-	return obj.Clone(), nil
+	return out, nil
 }
 
 // Put writes an object (stamped with the client's version) and caches it.

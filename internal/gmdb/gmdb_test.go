@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/gmdb/schema"
 	"repro/internal/mme"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
@@ -243,12 +244,53 @@ func TestSubscriptionDeliversConverted(t *testing.T) {
 	if !n.Deleted {
 		t.Fatalf("delete notification = %+v", n)
 	}
-	st := s.Stats()
-	if st.FullSyncBytes == 0 || st.DeltaSyncBytes == 0 {
-		t.Errorf("sync byte counters = %+v", st)
+	st := s.Fabric().Stats()
+	full, delta := st.Get(transport.GMDBPub).Bytes, st.Get(transport.GMDBDelta).Bytes
+	if full == 0 || delta == 0 {
+		t.Errorf("sync byte counters: full %d, delta %d", full, delta)
 	}
-	if st.DeltaSyncBytes >= st.FullSyncBytes {
-		t.Errorf("delta bytes (%d) should be far below full-object bytes (%d)", st.DeltaSyncBytes, st.FullSyncBytes)
+	if delta >= full {
+		t.Errorf("delta bytes (%d) should be far below full-object bytes (%d)", delta, full)
+	}
+}
+
+// TestDroppedDeltaNeverReachesSubscriber: a notification the fabric loses
+// is counted as dropped and never appears on Subscription.C; the next one
+// arrives.
+func TestDroppedDeltaNeverReachesSubscriber(t *testing.T) {
+	s, _ := newMMEStore(t)
+	sub, err := s.Subscribe("k", 5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	s.Put("k", session(t, 5, 11))
+	n := recvNotification(t, sub.C)
+	imsi := n.Object.Root.Values[0].Scalar.Str()
+
+	s.Fabric().InjectFault(s.Endpoint(), sub.Endpoint(), transport.Fault{
+		Types: []transport.MsgType{transport.GMDBDelta}, Drop: true, Count: 1,
+	})
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2; i++ {
+		d, _ := mme.SessionDelta(rng, 5, imsi, 0)
+		if err := s.ApplyDelta("k", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Notifications are posted on the fiber before ApplyDelta returns, so
+	// exactly the second delta is waiting.
+	if n := recvNotification(t, sub.C); n.Delta == nil {
+		t.Fatalf("notification = %+v, want the second delta", n)
+	}
+	select {
+	case n := <-sub.C:
+		t.Errorf("the dropped delta was delivered: %+v", n)
+	default:
+	}
+	st := s.Fabric().Stats().Get(transport.GMDBDelta)
+	if st.Dropped != 1 || st.Count != 1 {
+		t.Errorf("gmdb_delta counters = %+v, want 1 delivered and 1 dropped", st)
 	}
 }
 

@@ -142,8 +142,11 @@ func (s *SQLSession) compilePred(where sqlx.Expr) (exec.Expr, error) {
 }
 
 func (s *SQLSession) execSelect(sel *sqlx.Select) (*SQLResult, error) {
-	if len(sel.From) != 1 || len(sel.CTEs) > 0 || len(sel.GroupBy) > 0 || len(sel.SetOps) > 0 {
+	if len(sel.From) != 1 || len(sel.CTEs) > 0 || len(sel.GroupBy) > 0 || sel.Having != nil || len(sel.SetOps) > 0 {
 		return nil, fmt.Errorf("gmdb: SELECT supports a single table, no grouping")
+	}
+	if sel.Distinct || len(sel.OrderBy) > 0 || sel.Limit >= 0 || sel.Offset > 0 {
+		return nil, fmt.Errorf("gmdb: DISTINCT, ORDER BY, LIMIT and OFFSET are not supported (dedupe, sort and trim client-side)")
 	}
 	bt, ok := sel.From[0].(*sqlx.BaseTable)
 	if !ok {
@@ -217,11 +220,6 @@ func (s *SQLSession) execSelect(sel *sqlx.Select) (*SQLResult, error) {
 		}
 		res.Rows = append(res.Rows, out)
 	}
-	// Deterministic order for full scans: sort by the key column when
-	// projected, else leave storage order.
-	if len(sel.OrderBy) > 0 {
-		return nil, fmt.Errorf("gmdb: ORDER BY is not supported (sort client-side)")
-	}
 	return res, nil
 }
 
@@ -230,17 +228,13 @@ func (s *SQLSession) execSelect(sel *sqlx.Select) (*SQLResult, error) {
 func (s *SQLSession) scanAll() ([]types.Row, error) {
 	var keys []string
 	for _, p := range s.store.parts {
-		p := p
-		done := make(chan struct{})
-		p.requests <- func(p *partition) {
-			defer close(done)
+		p.do(func(p *partition) {
 			for key, e := range p.objects {
 				if e.obj != nil && e.obj.Type == s.typ {
 					keys = append(keys, key)
 				}
 			}
-		}
-		<-done
+		})
 	}
 	sort.Strings(keys)
 	var out []types.Row

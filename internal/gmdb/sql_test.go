@@ -121,6 +121,10 @@ func TestSQLErrors(t *testing.T) {
 		`DELETE FROM mme_session`,                       // no key
 		`SELECT imsi FROM mme_session ORDER BY imsi`,    // unsupported
 		`SELECT count(*) FROM mme_session GROUP BY apn`, // grouping unsupported
+		`SELECT DISTINCT apn FROM mme_session`,          // unsupported, like the three below
+		`SELECT imsi FROM mme_session LIMIT 1`,
+		`SELECT imsi FROM mme_session LIMIT 10 OFFSET 1`,
+		`SELECT imsi FROM mme_session HAVING imsi = 'x'`,
 	}
 	for _, q := range bad {
 		if _, err := sess.Exec(q); err == nil {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/gmdb/schema"
+	"repro/internal/transport"
 )
 
 // timeNow is the statement clock for the SQL surface (var for tests).
@@ -64,20 +65,19 @@ type Subscription struct {
 	store *Store
 }
 
+// Endpoint returns the subscriber's end of the store's fabric.
+func (sub *Subscription) Endpoint() transport.Endpoint { return transport.Client(int(sub.id)) }
+
 // Stats counts store activity.
 type Stats struct {
 	Puts, Gets, Deltas, Deletes int64
 	// Conversions counts schema conversions performed on reads/writes.
 	Conversions int64
-	// FullSyncBytes and DeltaSyncBytes measure notification payload sizes
-	// (experiment E9: delta sync bandwidth).
-	FullSyncBytes  int64
-	DeltaSyncBytes int64
-	Flushes        int64
+	Flushes     int64
 }
 
 type subscriber struct {
-	id      int64
+	ep      transport.Endpoint
 	version int
 	ch      chan Notification
 }
@@ -100,6 +100,9 @@ type Store struct {
 	registry *schema.Registry
 	parts    []*partition
 	cfg      Config
+	// fab carries every notification, store -> subscriber; its gmdb_pub
+	// and gmdb_delta counters are the pub/sub bandwidth (E9).
+	fab *transport.Fabric
 
 	nextSubID atomic.Int64
 	closed    atomic.Bool
@@ -107,7 +110,6 @@ type Store struct {
 	flushWG   sync.WaitGroup
 
 	puts, gets, deltas, deletes, conversions atomic.Int64
-	fullBytes, deltaBytes                    atomic.Int64
 	flushes                                  atomic.Int64
 }
 
@@ -116,7 +118,7 @@ func NewStore(registry *schema.Registry, cfg Config) *Store {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
-	s := &Store{registry: registry, cfg: cfg, stopFlush: make(chan struct{})}
+	s := &Store{registry: registry, cfg: cfg, fab: transport.New(transport.Config{}), stopFlush: make(chan struct{})}
 	for i := 0; i < cfg.Partitions; i++ {
 		p := &partition{
 			requests: make(chan func(*partition), 256),
@@ -132,6 +134,15 @@ func NewStore(registry *schema.Registry, cfg Config) *Store {
 	}
 	return s
 }
+
+// Fabric returns the fabric the store's notifications travel on: read its
+// gmdb_pub / gmdb_delta counters, or inject faults and partitions between
+// Endpoint and a Subscription's Endpoint.
+func (s *Store) Fabric() *transport.Fabric { return s.fab }
+
+// Endpoint returns the store's end of its fabric, where every notification
+// leaves from.
+func (s *Store) Endpoint() transport.Endpoint { return transport.DN(0) }
 
 // run is the fiber loop: it owns the partition's data exclusively, so no
 // locks are taken on the data path.
@@ -150,15 +161,14 @@ func (s *Store) Close() {
 	close(s.stopFlush)
 	s.flushWG.Wait()
 	for _, p := range s.parts {
-		p := p
-		p.requests <- func(p *partition) {
+		p.do(func(p *partition) {
 			for _, e := range p.objects {
 				for _, sub := range e.subs {
 					close(sub.ch)
 				}
 				e.subs = nil
 			}
-		}
+		})
 		close(p.requests)
 		<-p.done
 	}
@@ -175,58 +185,51 @@ func (s *Store) exec(key string, fn func(p *partition)) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	s.partitionFor(key).do(fn)
+	return nil
+}
+
+// do runs fn on the partition's fiber and waits for completion; a caller
+// visiting every partition calls it on each in turn.
+func (p *partition) do(fn func(p *partition)) {
 	done := make(chan struct{})
-	s.partitionFor(key).requests <- func(p *partition) {
+	p.requests <- func(p *partition) {
 		defer close(done)
 		fn(p)
 	}
 	<-done
-	return nil
 }
 
 // convertPath converts an object across versions stepwise through adjacent
 // registered versions.
 func (s *Store) convertPath(obj *schema.Object, to int) (*schema.Object, error) {
-	if obj.Version == to {
-		return obj, nil
-	}
-	path, err := s.registry.ConversionPath(obj.Type, obj.Version, to)
-	if err != nil {
-		return nil, err
-	}
-	cur := obj
-	for i := 0; i+1 < len(path); i++ {
-		from, _ := s.registry.Get(obj.Type, path[i])
-		dst, _ := s.registry.Get(obj.Type, path[i+1])
-		cur, err = schema.Convert(cur, from, dst)
-		if err != nil {
-			return nil, err
-		}
-		s.conversions.Add(1)
-	}
-	return cur, nil
+	return convertSteps(s, obj.Type, obj.Version, to, obj, schema.Convert)
 }
 
 // convertDeltaPath converts a delta stepwise.
 func (s *Store) convertDeltaPath(d *schema.Delta, to int) (*schema.Delta, error) {
-	if d.Version == to {
-		return d, nil
+	return convertSteps(s, d.Type, d.Version, to, d, schema.ConvertDelta)
+}
+
+// convertSteps takes v of type typ from version `from` to `to` one
+// adjacent registered version at a time.
+func convertSteps[T any](s *Store, typ string, from, to int, v T, step func(T, *schema.Schema, *schema.Schema) (T, error)) (T, error) {
+	if from == to {
+		return v, nil
 	}
-	path, err := s.registry.ConversionPath(d.Type, d.Version, to)
+	path, err := s.registry.ConversionPath(typ, from, to)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	cur := d
 	for i := 0; i+1 < len(path); i++ {
-		from, _ := s.registry.Get(d.Type, path[i])
-		dst, _ := s.registry.Get(d.Type, path[i+1])
-		cur, err = schema.ConvertDelta(cur, from, dst)
-		if err != nil {
-			return nil, err
+		src, _ := s.registry.Get(typ, path[i])
+		dst, _ := s.registry.Get(typ, path[i+1])
+		if v, err = step(v, src, dst); err != nil {
+			return v, err
 		}
 		s.conversions.Add(1)
 	}
-	return cur, nil
+	return v, nil
 }
 
 // Put stores (or replaces) an object under key. The stored copy keeps the
@@ -367,22 +370,22 @@ func (s *Store) Delete(key string) error {
 }
 
 // notifyLocked fans a change out to the entry's subscribers, converting
-// per subscriber version. Runs on the fiber.
+// per subscriber version; each notification is one message on the store's
+// fabric, and one the fabric loses is not delivered. Runs on the fiber.
 func (s *Store) notifyLocked(e *entry, key string, obj *schema.Object, d *schema.Delta, deleted bool) error {
 	for _, sub := range e.subs {
 		n := Notification{Key: key, Deleted: deleted}
-		if deleted {
-			trySend(sub.ch, n)
-			continue
-		}
-		if d != nil {
+		t, size := transport.GMDBPub, 0
+		switch {
+		case deleted:
+		case d != nil:
 			cd, err := s.convertDeltaPath(d, sub.version)
 			if err != nil {
 				return err
 			}
 			n.Delta = cd
-			s.deltaBytes.Add(int64(schema.DeltaSize(cd)))
-		} else {
+			t, size = transport.GMDBDelta, schema.DeltaSize(cd)
+		default:
 			co, err := s.convertPath(obj, sub.version)
 			if err != nil {
 				return err
@@ -392,8 +395,11 @@ func (s *Store) notifyLocked(e *entry, key string, obj *schema.Object, d *schema
 			}
 			n.Object = co
 			if sc, ok := s.registry.Get(co.Type, co.Version); ok {
-				s.fullBytes.Add(int64(schema.EncodedSize(co, sc)))
+				size = schema.EncodedSize(co, sc)
 			}
+		}
+		if _, err := s.fab.Post(s.Endpoint(), sub.ep, t, size); err != nil {
+			continue
 		}
 		trySend(sub.ch, n)
 	}
@@ -424,7 +430,7 @@ func (s *Store) Subscribe(key string, version int, buffer int) (*Subscription, e
 			e = &entry{}
 			p.objects[key] = e
 		}
-		e.subs = append(e.subs, &subscriber{id: id, version: version, ch: ch})
+		e.subs = append(e.subs, &subscriber{ep: transport.Client(int(id)), version: version, ch: ch})
 	})
 	if err != nil {
 		return nil, err
@@ -440,7 +446,7 @@ func (sub *Subscription) Cancel() {
 			return
 		}
 		for i, sb := range e.subs {
-			if sb.id == sub.id {
+			if sb.ep == sub.Endpoint() {
 				e.subs = append(e.subs[:i], e.subs[i+1:]...)
 				close(sb.ch)
 				break
@@ -455,25 +461,15 @@ func (sub *Subscription) Cancel() {
 // Len counts stored objects.
 func (s *Store) Len() int {
 	total := 0
-	var mu sync.Mutex
-	var wg sync.WaitGroup
 	for _, p := range s.parts {
-		p := p
-		wg.Add(1)
-		p.requests <- func(p *partition) {
-			defer wg.Done()
-			n := 0
+		p.do(func(p *partition) {
 			for _, e := range p.objects {
 				if e.obj != nil {
-					n++
+					total++
 				}
 			}
-			mu.Lock()
-			total += n
-			mu.Unlock()
-		}
+		})
 	}
-	wg.Wait()
 	return total
 }
 
@@ -482,7 +478,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Puts: s.puts.Load(), Gets: s.gets.Load(), Deltas: s.deltas.Load(),
 		Deletes: s.deletes.Load(), Conversions: s.conversions.Load(),
-		FullSyncBytes: s.fullBytes.Load(), DeltaSyncBytes: s.deltaBytes.Load(),
 		Flushes: s.flushes.Load(),
 	}
 }
@@ -524,23 +519,15 @@ func (s *Store) Checkpoint(w io.Writer) error {
 		obj *schema.Object
 	}
 	var all []kv
-	var mu sync.Mutex
-	var wg sync.WaitGroup
 	for _, p := range s.parts {
-		p := p
-		wg.Add(1)
-		p.requests <- func(p *partition) {
-			defer wg.Done()
+		p.do(func(p *partition) {
 			for key, e := range p.objects {
 				if e.obj != nil {
-					mu.Lock()
 					all = append(all, kv{key, e.obj.Clone()})
-					mu.Unlock()
 				}
 			}
-		}
+		})
 	}
-	wg.Wait()
 	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

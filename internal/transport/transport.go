@@ -78,14 +78,25 @@ const (
 	// BcastBuild is the CN->DN shipment of a broadcast join's build side
 	// (payload = build row bytes; one message per receiving data node).
 	BcastBuild
+	// DSyncDigest is a sync node's version digest, or a peer fetch
+	// request (0 bytes).
+	DSyncDigest
+	// DSyncDelta is the entries one sync node ships to another.
+	DSyncDelta
+	// GMDBPub is a GMDB notification carrying a whole object (or a
+	// delete, 0 bytes), store -> subscriber.
+	GMDBPub
+	// GMDBDelta is a GMDB notification carrying a converted delta.
+	GMDBDelta
 
-	numMsgTypes = int(BcastBuild) + 1
+	numMsgTypes = int(GMDBDelta) + 1
 )
 
 var msgTypeNames = [numMsgTypes]string{
 	"snapshot_req", "gtm_round", "scan_frag", "write", "prepare",
 	"commit", "abort", "repl_ship", "rebal_copy", "rebal_delta",
 	"client_req", "client_resp", "shuffle_part", "bcast_build",
+	"dsync_digest", "dsync_delta", "gmdb_pub", "gmdb_delta",
 }
 
 func (t MsgType) String() string {
@@ -118,6 +129,8 @@ const (
 	KindGTM
 	// KindClient is one front-door client connection, identified by ID.
 	KindClient
+	// KindSyncNode is a device, edge or cloud node of device sync.
+	KindSyncNode
 )
 
 // Endpoint names one party of a link. CN and GTM are singletons (ID 0).
@@ -134,6 +147,8 @@ func (e Endpoint) String() string {
 		return "gtm"
 	case KindClient:
 		return fmt.Sprintf("client%d", e.ID)
+	case KindSyncNode:
+		return fmt.Sprintf("sync%d", e.ID)
 	default:
 		return fmt.Sprintf("dn%d", e.ID)
 	}
@@ -150,6 +165,9 @@ func GTM() Endpoint { return Endpoint{Kind: KindGTM} }
 
 // Client returns the endpoint of front-door client connection id.
 func Client(id int) Endpoint { return Endpoint{Kind: KindClient, ID: id} }
+
+// SyncNode returns the endpoint of device-sync node id.
+func SyncNode(id int) Endpoint { return Endpoint{Kind: KindSyncNode, ID: id} }
 
 // Sentinel errors. ErrDropped and ErrPartitioned both wrap ErrUnreachable,
 // so callers that only care "the message did not arrive" match once.
@@ -355,6 +373,9 @@ type Fabric struct {
 	rec       []Entry
 
 	part atomic.Pointer[partition]
+
+	// waited sums every delay realized by wait (Waited).
+	waited atomic.Int64
 
 	// dnStats holds always-on per-data-node delivery counters (messages and
 	// bytes addressed to each DN endpoint, all types), read through DNStats:
@@ -605,9 +626,14 @@ func (f *Fabric) payloadDelay(payloadBytes int) time.Duration {
 // wait realizes a modeled delay (Config.Sleep; nothing at zero).
 func (f *Fabric) wait(d time.Duration) {
 	if d > 0 {
+		f.waited.Add(int64(d))
 		f.sleep(d)
 	}
 }
+
+// Waited sums every delay the fabric's callers have waited for: the
+// accounted clock of a fabric whose Sleep does nothing.
+func (f *Fabric) Waited() time.Duration { return time.Duration(f.waited.Load()) }
 
 // Send delivers one message and waits for it: Post plus the message's own
 // delay.
@@ -738,16 +764,6 @@ func (f *Fabric) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// Total returns the lifetime count of delivered messages (the old Hops()
-// number).
-func (f *Fabric) Total() int64 {
-	var n int64
-	for i := 0; i < numMsgTypes; i++ {
-		n += f.counts[i].Load()
-	}
-	return n
 }
 
 // ResetCounters zeroes the per-type counters (measured-window bookkeeping

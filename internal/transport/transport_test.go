@@ -33,14 +33,14 @@ func TestCountersByType(t *testing.T) {
 	if got := st.Get(ScanFrag).Bytes; got != 128 {
 		t.Fatalf("scan_frag bytes = %d, want 128", got)
 	}
-	if got := f.Total(); got != 4 {
+	if got := st.Total(); got != 4 {
 		t.Fatalf("total = %d, want 4", got)
 	}
 	if d := st.Sub(st); d.Total() != 0 || d.TotalBytes() != 0 {
 		t.Fatalf("self-delta not zero: %+v", d)
 	}
 	f.ResetCounters()
-	if f.Total() != 0 {
+	if f.Stats().Total() != 0 {
 		t.Fatal("reset left counters non-zero")
 	}
 }
@@ -602,5 +602,32 @@ func TestRecordListsWaits(t *testing.T) {
 	})
 	if allocs != 0 || f.Recorded() != nil {
 		t.Fatalf("recording off: %v allocations per round, recorded %v", allocs, f.Recorded())
+	}
+}
+
+// TestWaitedSumsRealizedDelays pins the accounted clock: Waited grows by
+// what each Send, Wave and Stream.Wait waited for — also when Sleep does
+// nothing — and not for a bare Post or a lost message.
+func TestWaitedSumsRealizedDelays(t *testing.T) {
+	f := New(Config{BaseLatency: 5 * time.Millisecond, Sleep: func(time.Duration) {}})
+	f.SetLinkLatency(CN(), DN(2), Latency{Base: 7 * time.Millisecond})
+	if err := f.Send(CN(), DN(0), Write, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Wave(CN(), []Endpoint{DN(1), DN(2)}, Prepare, 0) // slowest link: 7 ms
+	s := f.Stream()
+	if err := s.Post(DN(0), CN(), ScanFrag, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Wait()
+	if _, err := f.Post(CN(), DN(0), Commit, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Partition(DN(3))
+	if err := f.Send(CN(), DN(3), Write, 0); err == nil {
+		t.Fatal("send across a partition succeeded")
+	}
+	if got, want := f.Waited(), 17*time.Millisecond; got != want {
+		t.Errorf("Waited = %v, want %v", got, want)
 	}
 }
