@@ -389,27 +389,6 @@ func BenchmarkSQLPointRead(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarAggregate measures a scatter aggregate over columnar
-// storage (compressed segments, vectorized decode).
-func BenchmarkColumnarAggregate(b *testing.B) {
-	db, err := core.Open(core.Options{DataNodes: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	db.MustExec("CREATE TABLE facts (k BIGINT, grp BIGINT, v DOUBLE) DISTRIBUTE BY HASH(k) USING COLUMN")
-	s := db.Session()
-	for i := 0; i < 20000; i++ {
-		s.Exec(fmt.Sprintf("INSERT INTO facts VALUES (%d, %d, %d.5)", i, i%8, i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Exec("SELECT grp, count(*), avg(v) FROM facts GROUP BY grp"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelScatterAgg measures E13's headline: intra-query
 // parallelism on a scatter aggregate. Each data node's scan+partial-agg is
 // one exchange fragment; with the per-hop network cost model enabled the

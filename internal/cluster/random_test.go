@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -490,8 +491,115 @@ func TestDifferentialRandomAggregates(t *testing.T) {
 					}
 				})
 			}
+
+			exp := canon(loadWideKeys(t, c, st.clause))
+			sweepPushdown(c, func(label string) {
+				res, err := w.exec("wk", wideKeySQL)
+				if err != nil {
+					t.Fatalf("%s: %q failed: %v", label, wideKeySQL, err)
+				}
+				if got := canon(res.Rows); got != exp {
+					t.Fatalf("%s: %q\nengine:\n%s\nreference:\n%s", label, wideKeySQL, got, exp)
+				}
+			})
 		})
 	}
+}
+
+// wideKeySQL groups wk by a BIGINT with more distinct values than the
+// vector sink's memo has slots (memoSlots).
+const wideKeySQL = "SELECT k, count(*), count(x), sum(x), min(x), max(x) FROM wk GROUP BY k"
+
+// loadWideKeys creates and fills wk and returns the model's answer to
+// wideKeySQL. Its keys come in sets that differ only in their high bits or
+// only in their low bits, with NULL keys between them. A group's x values
+// (1e16, 1, -1e16, 1, rotated per group, a few NULL) have a sum that depends
+// on the order they are added in, since 1e16 + 1 is 1e16: wk is distributed
+// by k, so a group's rows sit on one data node in the order they were
+// inserted, and the model adds them in that order.
+func loadWideKeys(t *testing.T, c *Cluster, storage string) []types.Row {
+	t.Helper()
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE wk (id BIGINT, k BIGINT, x DOUBLE) DISTRIBUTE BY HASH(k)"+storage)
+	var keys []*int64
+	for j := int64(1); j <= 64; j++ {
+		for _, k := range []int64{j, j ^ 1<<62, j ^ math.MinInt64, j << 40, j<<40 | 1} {
+			keys = append(keys, &k)
+		}
+		if j%7 == 0 {
+			keys = append(keys, nil)
+		}
+	}
+	type agg struct {
+		key            *int64
+		count, counted int64
+		sum, min, max  float64
+	}
+	groups := map[string]*agg{}
+	var order []*agg
+	xs := []float64{1e16, 1, -1e16, 1}
+	var values []string
+	flush := func() {
+		mustExec(t, s, "INSERT INTO wk VALUES "+strings.Join(values, ", "))
+		values = values[:0]
+	}
+	for rep := 0; rep < len(xs); rep++ {
+		if rep == len(xs)/2 {
+			ti, err := c.tableInfo("wk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range *ti.parts.Load() {
+				if part.col != nil {
+					part.col.Flush()
+				}
+			}
+		}
+		for i, k := range keys {
+			name, kSQL := "NULL", "NULL"
+			if k != nil {
+				name = strconv.FormatInt(*k, 10)
+				kSQL = name
+			}
+			g := groups[name]
+			if g == nil {
+				g = &agg{key: k}
+				groups[name] = g
+				order = append(order, g)
+			}
+			g.count++
+			xSQL := "NULL"
+			if (i+rep)%11 != 0 {
+				x := xs[(i+rep)%len(xs)]
+				xSQL = strconv.FormatFloat(x, 'g', -1, 64)
+				if g.counted == 0 || x < g.min {
+					g.min = x
+				}
+				if g.counted == 0 || x > g.max {
+					g.max = x
+				}
+				g.sum += x
+				g.counted++
+			}
+			values = append(values, fmt.Sprintf("(%d, %s, %s)", rep*len(keys)+i, kSQL, xSQL))
+			if len(values) == 200 {
+				flush()
+			}
+		}
+		flush()
+	}
+	want := make([]types.Row, 0, len(order))
+	for _, g := range order {
+		row := types.Row{types.Null, types.NewInt(g.count), types.NewInt(g.counted), types.Null, types.Null, types.Null}
+		if g.key != nil {
+			row[0] = types.NewInt(*g.key)
+		}
+		if g.counted > 0 {
+			row[3], row[4], row[5] = types.NewFloat(g.sum), types.NewFloat(g.min), types.NewFloat(g.max)
+		}
+		want = append(want, row)
+	}
+	return want
 }
 
 // TestDifferentialRandomStringGroups groups by the two text columns, whose
