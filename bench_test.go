@@ -475,23 +475,6 @@ func BenchmarkFailover(b *testing.B) {
 	}
 }
 
-// BenchmarkGMDBPut measures the fiber-serialized write path with 5-10KB
-// objects.
-func BenchmarkGMDBPut(b *testing.B) {
-	store, _ := newMMEStore(b)
-	rng := rand.New(rand.NewSource(3))
-	objs := make([]*schema.Object, 16)
-	for i := range objs {
-		objs[i], _ = mme.GenerateSession(rng, 5, int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Put(fmt.Sprintf("bench-%d", i%256), objs[i%len(objs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStorageFormats contrasts the hybrid storage layouts (paper §II:
 // "hybrid row-column storage") on a scatter aggregate: columnar segments
 // decode compressed vectors, the row heap walks tuples.

@@ -70,11 +70,18 @@ func main() {
 					break
 				}
 				sc, _ := reg.Get(mme.SessionType, v)
-				data, _ := schema.MarshalObject(obj, sc)
-				if len(data) > 200 {
-					data = append(data[:200], []byte("…")...)
+				fmt.Printf("v%d (%d fields):", obj.Version, len(obj.Root.Values))
+				for i, f := range sc.Root.Fields {
+					val := obj.Root.Values[i]
+					text := val.Scalar.String()
+					if f.Kind == schema.RecordArray {
+						text = fmt.Sprintf("[%d]", len(val.Records))
+					} else if len(text) > 40 {
+						text = text[:40] + "…"
+					}
+					fmt.Printf(" %s=%s", f.Name, text)
 				}
-				fmt.Printf("v%d (%d fields): %s\n", obj.Version, len(obj.Root.Values), data)
+				fmt.Println()
 			}
 		case "delta":
 			if v, key, ok := keyVersion(fields); ok {

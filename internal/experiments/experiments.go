@@ -197,7 +197,7 @@ type Fig11Result struct {
 // Fig11 regenerates the GMDB online schema evolution experiment: read
 // throughput with and without on-the-fly conversion, plus the delta-sync
 // vs whole-object bandwidth comparison, over synthetic MME sessions
-// (5–10 KB, as in the paper's setup).
+// (4.7–6.9 KB encoded; the paper's are 5–10 KB).
 func Fig11(w io.Writer, sessions, opsPerCase int) (Fig11Result, error) {
 	var res Fig11Result
 	reg := schema.NewRegistry()

@@ -364,15 +364,24 @@ func TestClientCacheAndWatch(t *testing.T) {
 	}
 }
 
+// TestCheckpointAndRecovery: every recovered object equals the one put,
+// field by field and kind by kind, in the version it was stored in —
+// DOUBLE 3.0 and BIGINT 2^53+1 included.
 func TestCheckpointAndRecovery(t *testing.T) {
 	reg := schema.NewRegistry()
 	if err := mme.RegisterAll(reg); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore(reg, Config{Partitions: 2})
+	put := map[string]*schema.Object{}
 	for i := int64(0); i < 10; i++ {
-		obj, _ := mme.GenerateSession(rand.New(rand.NewSource(i)), 5, i)
-		s.Put(fmt.Sprintf("k%d", i), obj)
+		obj, _ := mme.GenerateSession(rand.New(rand.NewSource(i)), mme.Versions[i%5], i)
+		sc, _ := reg.Get(mme.SessionType, obj.Version)
+		obj.Root.Values[sc.Root.FieldIndex("tac")].Scalar = types.NewFloat(float64(i))
+		obj.Root.Values[sc.Root.FieldIndex("cell_id")].Scalar = types.NewInt(1<<53 + i)
+		key := fmt.Sprintf("k%d", i)
+		put[key] = obj
+		s.Put(key, obj)
 	}
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
@@ -385,13 +394,41 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if err := s2.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 10 {
-		t.Errorf("recovered %d objects, want 10", s2.Len())
+	if s2.Len() != len(put) {
+		t.Errorf("recovered %d objects, want %d", s2.Len(), len(put))
 	}
-	got, err := s2.Get("k3", 5)
-	if err != nil || got.Root.Values[0].Scalar.Str() == "" {
-		t.Errorf("recovered object = %v, %v", got, err)
+	for key, want := range put {
+		got, err := s2.Get(key, want.Version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffRecords(want.Root, got.Root, key); diff != "" {
+			t.Error(diff)
+		}
 	}
+}
+
+// diffRecords describes the first value at which two records differ in
+// kind or content, or returns "".
+func diffRecords(want, got *schema.Record, at string) string {
+	if len(want.Values) != len(got.Values) {
+		return fmt.Sprintf("%s: %d values, want %d", at, len(got.Values), len(want.Values))
+	}
+	for i, w := range want.Values {
+		g := got.Values[i]
+		if w.Scalar != g.Scalar {
+			return fmt.Sprintf("%s[%d]: %s %v, want %s %v", at, i, g.Scalar.Kind(), g.Scalar, w.Scalar.Kind(), w.Scalar)
+		}
+		if len(w.Records) != len(g.Records) {
+			return fmt.Sprintf("%s[%d]: %d records, want %d", at, i, len(g.Records), len(w.Records))
+		}
+		for j := range w.Records {
+			if diff := diffRecords(w.Records[j], g.Records[j], fmt.Sprintf("%s[%d][%d]", at, i, j)); diff != "" {
+				return diff
+			}
+		}
+	}
+	return ""
 }
 
 func TestAsyncFlushLoop(t *testing.T) {
@@ -450,8 +487,11 @@ func TestMMESessionSizeBand(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc, _ := reg.Get(mme.SessionType, 5)
-		size := schema.EncodedSize(obj, sc)
-		if size < 4000 || size > 12000 {
+		b, err := schema.EncodeObject(obj, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := len(b); size < 4000 || size > 12000 {
 			t.Errorf("session %d encodes to %d bytes, want ~5-10KB", i, size)
 		}
 	}
@@ -508,5 +548,109 @@ func TestClientWatchDeleteEvictsCache(t *testing.T) {
 			t.Fatal("delete notification never evicted the cache")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDeltaRecordsAreNotShared: a record a delta inserts is copied by
+// everyone who applies it. Two clients watch a key, one appends a bearer
+// by delta and patches it 50 times: the store, the writer's cache and the
+// other client's cache each hold their own record (under -race, shared
+// ones race between the two watch pumps), and the record the writer still
+// holds is not the stored one.
+func TestDeltaRecordsAreNotShared(t *testing.T) {
+	s, reg := newMMEStore(t)
+	a, _ := s.NewClient(mme.SessionType, 5)
+	b, _ := s.NewClient(mme.SessionType, 5)
+	defer a.Close()
+	defer b.Close()
+	obj := session(t, 5, 1)
+	if err := a.Put("k", obj); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Client{a, b} {
+		if _, err := c.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Watch("k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, _ := reg.Get(mme.SessionType, 5)
+	bi := sc.Root.FieldIndex("bearers")
+	bearer := sc.Root.Fields[bi].Record
+	up, n := bearer.FieldIndex("bytes_up"), len(obj.Root.Values[bi].Records)
+	delta := func(path []schema.PathElem, v schema.Value) *schema.Delta {
+		return &schema.Delta{Type: mme.SessionType, Version: 5, Key: obj.Root.Values[0].Scalar,
+			Patches: []schema.Patch{{Path: path, Value: v}}}
+	}
+	rec := schema.NewRecord(bearer)
+	if err := a.ApplyDelta("k", delta([]schema.PathElem{{Field: bi, Index: n}}, schema.Value{Records: []*schema.Record{rec}})); err != nil {
+		t.Fatal(err)
+	}
+	rec.Values[up] = schema.Value{Scalar: types.NewInt(-7)}
+	bytesUp := func(o *schema.Object) int64 {
+		if bearers := o.Root.Values[bi].Records; len(bearers) > n {
+			return bearers[n].Values[up].Scalar.Int()
+		}
+		return -1 // a watch pump has not applied the append yet
+	}
+	if got, _ := s.Get("k", 5); bytesUp(got) == -7 {
+		t.Fatal("the store holds the record the writer's delta carried")
+	}
+	const patches = 50
+	for i := int64(1); i <= patches; i++ {
+		if err := a.ApplyDelta("k", delta([]schema.PathElem{{Field: bi, Index: n}, {Field: up, Index: -1}}, schema.Value{Scalar: types.NewInt(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, c := range []*Client{a, b} {
+		for {
+			got, err := c.Get("k")
+			if err == nil && bytesUp(got) == patches {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("a cache never saw the last patch: %v", err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got, _ := s.Get("k", 5); bytesUp(got) != patches {
+		t.Errorf("stored bytes_up = %d, want %d", bytesUp(got), patches)
+	}
+}
+
+// TestGetWhileDeltasApply: Get converts and copies the stored object on its
+// fiber, so a reader never sees a delta being applied (under -race, a Get
+// that copied after leaving the fiber raced with ApplyDelta's writes).
+func TestGetWhileDeltasApply(t *testing.T) {
+	s, _ := newMMEStore(t)
+	obj := session(t, 5, 1)
+	if err := s.Put("k", obj); err != nil {
+		t.Fatal(err)
+	}
+	imsi := obj.Root.Values[0].Scalar.Str()
+	done := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 200; i++ {
+			d, _ := mme.SessionDelta(rng, 5, imsi, 0)
+			if err := s.ApplyDelta("k", d); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for _, version := range []int{5, 6, 3, 5} {
+		for i := 0; i < 50; i++ {
+			if _, err := s.Get("k", version); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package schema
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/types"
@@ -40,9 +39,6 @@ func NewRecord(rs *RecordSchema) *Record {
 	return rec
 }
 
-// Set assigns a scalar root-level... (see SetField for nested paths).
-func (r *Record) Set(idx int, v Value) { r.Values[idx] = v }
-
 // Key extracts the object's primary key.
 func (o *Object) Key(s *Schema) (types.Datum, error) {
 	if o.Root == nil {
@@ -66,14 +62,18 @@ func cloneRecord(r *Record) *Record {
 	}
 	out := &Record{Values: make([]Value, len(r.Values))}
 	for i, v := range r.Values {
-		nv := Value{Scalar: v.Scalar}
-		if v.Records != nil {
-			nv.Records = make([]*Record, len(v.Records))
-			for j, sub := range v.Records {
-				nv.Records[j] = cloneRecord(sub)
-			}
+		out.Values[i] = cloneValue(v)
+	}
+	return out
+}
+
+func cloneValue(v Value) Value {
+	out := Value{Scalar: v.Scalar}
+	if v.Records != nil {
+		out.Records = make([]*Record, len(v.Records))
+		for j, sub := range v.Records {
+			out.Records[j] = cloneRecord(sub)
 		}
-		out.Values[i] = nv
 	}
 	return out
 }
@@ -175,36 +175,42 @@ type Delta struct {
 // ConvertDelta rewrites a delta between schema versions. Add-only
 // evolution keeps field positions stable, so upgrade is the identity on
 // paths; downgrade drops patches that touch fields beyond the older
-// schema (they do not exist there).
+// schema (they do not exist there). A path that leaves the source schema
+// is an error.
 func ConvertDelta(d *Delta, from, to *Schema) (*Delta, error) {
 	if d.Version != from.Version {
 		return nil, fmt.Errorf("schema: delta is v%d, not source version v%d", d.Version, from.Version)
 	}
 	out := &Delta{Type: d.Type, Version: to.Version, Key: d.Key}
 	for _, p := range d.Patches {
-		if pathExists(p.Path, to.Root) {
+		if _, err := patchField(from.Root, p.Path); err != nil {
+			return nil, err
+		}
+		if _, err := patchField(to.Root, p.Path); err == nil {
 			out.Patches = append(out.Patches, p)
 		}
 	}
 	return out, nil
 }
 
-func pathExists(path []PathElem, rs *RecordSchema) bool {
-	cur := rs
+// patchField returns the field a patch path ends at. Every step but the
+// last enters one element of a record array; the last names a scalar
+// field (index -1), a whole record array (-1) or one of its elements.
+func patchField(rs *RecordSchema, path []PathElem) (Field, error) {
 	for i, pe := range path {
-		if pe.Field >= len(cur.Fields) {
-			return false
+		if pe.Field < 0 || pe.Field >= len(rs.Fields) || pe.Index < -1 {
+			break
 		}
-		f := cur.Fields[pe.Field]
-		if i == len(path)-1 {
-			return true
+		f := rs.Fields[pe.Field]
+		if i == len(path)-1 && (f.Kind == RecordArray || pe.Index == -1) {
+			return f, nil
 		}
-		if f.Kind != RecordArray {
-			return false
+		if f.Kind != RecordArray || pe.Index < 0 {
+			break
 		}
-		cur = f.Record
+		rs = f.Record
 	}
-	return len(path) > 0
+	return Field{}, fmt.Errorf("schema: patch path %v leaves the schema", path)
 }
 
 // Apply mutates obj in place per the delta, which must match the object's
@@ -237,8 +243,9 @@ func applyPatch(rec *Record, rs *RecordSchema, path []PathElem, v Value) error {
 	}
 	f := rs.Fields[pe.Field]
 	if len(path) == 1 && pe.Index < 0 {
-		// Scalar (or whole-array) assignment.
-		rec.Values[pe.Field] = v
+		// Scalar (or whole-array) assignment. Records are copied: the
+		// caller's delta must not share them with the object.
+		rec.Values[pe.Field] = cloneValue(v)
 		return nil
 	}
 	if f.Kind != RecordArray {
@@ -256,214 +263,10 @@ func applyPatch(rec *Record, rs *RecordSchema, path []PathElem, v Value) error {
 	}
 	if len(path) == 1 {
 		if v.Records != nil && len(v.Records) == 1 {
-			arr[pe.Index] = v.Records[0]
+			arr[pe.Index] = cloneRecord(v.Records[0])
 			return nil
 		}
 		return fmt.Errorf("schema: array-element patch needs exactly one record value")
 	}
 	return applyPatch(arr[pe.Index], f.Record, path[1:], v)
-}
-
-// ---------------------------------------------------------------------------
-// JSON encoding (the paper's session-data framing)
-// ---------------------------------------------------------------------------
-
-// MarshalObject encodes the object as JSON under its schema.
-func MarshalObject(o *Object, s *Schema) ([]byte, error) {
-	if o.Version != s.Version {
-		return nil, fmt.Errorf("schema: marshal version mismatch (object v%d, schema v%d)", o.Version, s.Version)
-	}
-	m, err := recordToMap(o.Root, s.Root)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(map[string]any{
-		"_type":    o.Type,
-		"_version": o.Version,
-		"data":     m,
-	})
-}
-
-func recordToMap(r *Record, rs *RecordSchema) (map[string]any, error) {
-	out := make(map[string]any, len(rs.Fields))
-	for i, f := range rs.Fields {
-		var v Value
-		if i < len(r.Values) {
-			v = r.Values[i]
-		}
-		if f.Kind == RecordArray {
-			arr := make([]any, len(v.Records))
-			for j, sub := range v.Records {
-				m, err := recordToMap(sub, f.Record)
-				if err != nil {
-					return nil, err
-				}
-				arr[j] = m
-			}
-			out[f.Name] = arr
-			continue
-		}
-		out[f.Name] = datumToJSON(v.Scalar)
-	}
-	return out, nil
-}
-
-func datumToJSON(d types.Datum) any {
-	switch d.Kind() {
-	case types.KindNull:
-		return nil
-	case types.KindBool:
-		return d.Bool()
-	case types.KindInt:
-		return d.Int()
-	case types.KindFloat:
-		return d.Float()
-	case types.KindString:
-		return d.Str()
-	case types.KindBytes:
-		return d.Bytes()
-	default:
-		return d.String()
-	}
-}
-
-// UnmarshalObject decodes JSON produced by MarshalObject using the given
-// schema (which must match the embedded version).
-func UnmarshalObject(data []byte, s *Schema) (*Object, error) {
-	var env struct {
-		Type    string         `json:"_type"`
-		Version int            `json:"_version"`
-		Data    map[string]any `json:"data"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, err
-	}
-	if env.Type != s.Type || env.Version != s.Version {
-		return nil, fmt.Errorf("schema: payload is %s v%d, schema is %s v%d", env.Type, env.Version, s.Type, s.Version)
-	}
-	root, err := mapToRecord(env.Data, s.Root)
-	if err != nil {
-		return nil, err
-	}
-	return &Object{Type: env.Type, Version: env.Version, Root: root}, nil
-}
-
-func mapToRecord(m map[string]any, rs *RecordSchema) (*Record, error) {
-	rec := &Record{Values: make([]Value, len(rs.Fields))}
-	for i, f := range rs.Fields {
-		raw, ok := m[f.Name]
-		if !ok || raw == nil {
-			if f.Kind != RecordArray {
-				rec.Values[i] = Value{Scalar: types.Null}
-			}
-			continue
-		}
-		if f.Kind == RecordArray {
-			arr, ok := raw.([]any)
-			if !ok {
-				return nil, fmt.Errorf("schema: field %q is not an array", f.Name)
-			}
-			recs := make([]*Record, len(arr))
-			for j, el := range arr {
-				subm, ok := el.(map[string]any)
-				if !ok {
-					return nil, fmt.Errorf("schema: element %d of %q is not a record", j, f.Name)
-				}
-				sub, err := mapToRecord(subm, f.Record)
-				if err != nil {
-					return nil, err
-				}
-				recs[j] = sub
-			}
-			rec.Values[i] = Value{Records: recs}
-			continue
-		}
-		d, err := jsonToDatum(raw, f.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("schema: field %q: %w", f.Name, err)
-		}
-		rec.Values[i] = Value{Scalar: d}
-	}
-	return rec, nil
-}
-
-func jsonToDatum(raw any, kind FieldKind) (types.Datum, error) {
-	switch kind {
-	case String:
-		s, ok := raw.(string)
-		if !ok {
-			return types.Null, fmt.Errorf("want string, got %T", raw)
-		}
-		return types.NewString(s), nil
-	case Number:
-		f, ok := raw.(float64)
-		if !ok {
-			return types.Null, fmt.Errorf("want number, got %T", raw)
-		}
-		if f == float64(int64(f)) {
-			return types.NewInt(int64(f)), nil
-		}
-		return types.NewFloat(f), nil
-	case Bool:
-		b, ok := raw.(bool)
-		if !ok {
-			return types.Null, fmt.Errorf("want bool, got %T", raw)
-		}
-		return types.NewBool(b), nil
-	case Bytes:
-		s, ok := raw.(string)
-		if !ok {
-			return types.Null, fmt.Errorf("want base64 string, got %T", raw)
-		}
-		return types.NewString(s), nil // JSON round-trips bytes as base64 text
-	default:
-		return types.Null, fmt.Errorf("unsupported scalar kind %v", kind)
-	}
-}
-
-// EncodedSize returns the JSON size of the object (used by the delta-sync
-// bandwidth experiment E9).
-func EncodedSize(o *Object, s *Schema) int {
-	b, err := MarshalObject(o, s)
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}
-
-// DeltaSize approximates the wire size of a delta as JSON.
-func DeltaSize(d *Delta) int {
-	b, err := json.Marshal(struct {
-		Type    string  `json:"t"`
-		Version int     `json:"v"`
-		Key     string  `json:"k"`
-		Patches []Patch `json:"p"`
-	}{d.Type, d.Version, d.Key.String(), d.Patches})
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}
-
-// MarshalJSON lets Patch participate in DeltaSize.
-func (p Patch) MarshalJSON() ([]byte, error) {
-	return json.Marshal(map[string]any{
-		"path":  p.Path,
-		"value": valueToJSON(p.Value),
-	})
-}
-
-func valueToJSON(v Value) any {
-	if v.Records != nil {
-		out := make([]any, len(v.Records))
-		for i, r := range v.Records {
-			vals := make([]any, len(r.Values))
-			for j, rv := range r.Values {
-				vals[j] = valueToJSON(rv)
-			}
-			out[i] = vals
-		}
-		return out
-	}
-	return datumToJSON(v.Scalar)
 }

@@ -1,8 +1,10 @@
 // Package schema implements GMDB's tree object model and online schema
 // evolution (paper §III-B): versioned record schemas whose instances are
-// JSON-modelled trees (records containing primary-typed fields and arrays
-// of nested records), with dynamic upgrade/downgrade conversion so clients
-// on different schema versions share one stored copy.
+// trees (records containing primary-typed fields and arrays of nested
+// records), with dynamic upgrade/downgrade conversion so clients on
+// different schema versions share one stored copy. Objects and deltas
+// travel and persist in one binary encoding (codec.go) that writes values
+// in schema order over the datum codec of package types.
 //
 // Evolution rules follow the paper: adding fields is the only allowed
 // change; deleting and re-ordering fields are rejected at registration.
@@ -12,7 +14,6 @@
 package schema
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -95,8 +96,8 @@ func (s *Schema) Validate() error {
 	if s.Type == "" {
 		return fmt.Errorf("schema: empty type name")
 	}
-	if s.Root == nil || len(s.Root.Fields) == 0 {
-		return fmt.Errorf("schema: %s v%d has no fields", s.Type, s.Version)
+	if s.Root == nil {
+		return fmt.Errorf("schema: %s v%d has no root record", s.Type, s.Version)
 	}
 	if i := s.Root.FieldIndex(s.PrimaryKey); i < 0 {
 		return fmt.Errorf("schema: %s v%d: primary key %q is not a root field", s.Type, s.Version, s.PrimaryKey)
@@ -105,6 +106,9 @@ func (s *Schema) Validate() error {
 }
 
 func validateRecord(r *RecordSchema) error {
+	if len(r.Fields) == 0 {
+		return fmt.Errorf("schema: record %s has no fields", r.Name)
+	}
 	seen := map[string]bool{}
 	for _, f := range r.Fields {
 		if f.Name == "" {
@@ -342,31 +346,4 @@ func (r *Registry) ConversionPath(typ string, from, to int) ([]int, error) {
 		}
 	}
 	return path, nil
-}
-
-// MarshalJSONSchema renders a schema as JSON (for diagnostics and the
-// paper's JSON framing of session data).
-func (s *Schema) MarshalJSONSchema() ([]byte, error) {
-	type jsonField struct {
-		Name   string      `json:"name"`
-		Kind   string      `json:"kind"`
-		Fields []jsonField `json:"fields,omitempty"`
-	}
-	var conv func(r *RecordSchema) []jsonField
-	conv = func(r *RecordSchema) []jsonField {
-		out := make([]jsonField, len(r.Fields))
-		for i, f := range r.Fields {
-			out[i] = jsonField{Name: f.Name, Kind: f.Kind.String()}
-			if f.Kind == RecordArray {
-				out[i].Fields = conv(f.Record)
-			}
-		}
-		return out
-	}
-	return json.Marshal(map[string]any{
-		"type":    s.Type,
-		"version": s.Version,
-		"pk":      s.PrimaryKey,
-		"fields":  conv(s.Root),
-	})
 }

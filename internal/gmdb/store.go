@@ -9,19 +9,18 @@
 package gmdb
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/gmdb/schema"
 	"repro/internal/transport"
+	"repro/internal/types"
 )
 
 // timeNow is the statement clock for the SQL surface (var for tests).
@@ -180,13 +179,33 @@ func (s *Store) partitionFor(key string) *partition {
 	return s.parts[int(h.Sum32())%len(s.parts)]
 }
 
-// exec runs fn on the key's fiber and waits for completion.
-func (s *Store) exec(key string, fn func(p *partition)) error {
+// exec runs fn on the key's fiber, waits for completion and returns fn's
+// error.
+func (s *Store) exec(key string, fn func(p *partition) error) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.partitionFor(key).do(fn)
-	return nil
+	var err error
+	s.partitionFor(key).do(func(p *partition) { err = fn(p) })
+	return err
+}
+
+// live returns key's entry if it holds an object.
+func (p *partition) live(key string) (*entry, error) {
+	if e, ok := p.objects[key]; ok && e.obj != nil {
+		return e, nil
+	}
+	return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+}
+
+// entry returns key's entry, creating an empty one if there is none.
+func (p *partition) entry(key string) *entry {
+	e, ok := p.objects[key]
+	if !ok {
+		e = &entry{}
+		p.objects[key] = e
+	}
+	return e
 }
 
 // do runs fn on the partition's fiber and waits for completion; a caller
@@ -241,45 +260,32 @@ func (s *Store) Put(key string, obj *schema.Object) error {
 	}
 	s.puts.Add(1)
 	stored := obj.Clone()
-	var notifyErr error
-	err := s.exec(key, func(p *partition) {
-		e, ok := p.objects[key]
-		if !ok {
-			e = &entry{}
-			p.objects[key] = e
-		}
+	return s.exec(key, func(p *partition) error {
+		e := p.entry(key)
 		e.obj = stored
-		notifyErr = s.notifyLocked(e, key, stored, nil, false)
+		return s.notifyLocked(e, key, stored, nil, false)
 	})
-	if err != nil {
-		return err
-	}
-	return notifyErr
 }
 
-// Get returns the object converted to the requested schema version.
+// Get returns a copy of the object converted to the requested schema
+// version; the conversion runs on the fiber, which owns the stored copy.
 func (s *Store) Get(key string, version int) (*schema.Object, error) {
 	s.gets.Add(1)
 	var obj *schema.Object
-	err := s.exec(key, func(p *partition) {
-		if e, ok := p.objects[key]; ok && e.obj != nil {
-			obj = e.obj
+	err := s.exec(key, func(p *partition) error {
+		e, err := p.live(key)
+		if err != nil {
+			return err
 		}
+		if obj, err = s.convertPath(e.obj, version); obj == e.obj {
+			obj = obj.Clone() // callers must not alias stored state
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	converted, err := s.convertPath(obj, version)
-	if err != nil {
-		return nil, err
-	}
-	if converted == obj {
-		converted = obj.Clone() // callers must not alias stored state
-	}
-	return converted, nil
+	return obj, nil
 }
 
 // ApplyDelta applies a partial update; the delta converts to the stored
@@ -290,118 +296,99 @@ func (s *Store) ApplyDelta(key string, d *schema.Delta) error {
 		return fmt.Errorf("gmdb: schema %s v%d is not registered", d.Type, d.Version)
 	}
 	s.deltas.Add(1)
-	var opErr error
-	err := s.exec(key, func(p *partition) {
-		e, ok := p.objects[key]
-		if !ok || e.obj == nil {
-			opErr = fmt.Errorf("%w: %q", ErrNotFound, key)
-			return
+	return s.exec(key, func(p *partition) error {
+		e, err := p.live(key)
+		if err != nil {
+			return err
 		}
 		converted, err := s.convertDeltaPath(d, e.obj.Version)
 		if err != nil {
-			opErr = err
-			return
+			return err
 		}
 		sc, _ := s.registry.Get(e.obj.Type, e.obj.Version)
 		if err := schema.Apply(e.obj, converted, sc); err != nil {
-			opErr = err
-			return
+			return err
 		}
-		opErr = s.notifyLocked(e, key, e.obj, d, false)
+		return s.notifyLocked(e, key, e.obj, d, false)
 	})
-	if err != nil {
-		return err
-	}
-	return opErr
 }
 
 // Update runs a single-object transaction: fn mutates the object converted
 // to `version`, and the result is stored back (the stored copy adopts
 // `version`). The whole read-modify-write is atomic on the fiber.
 func (s *Store) Update(key string, version int, fn func(obj *schema.Object) error) error {
-	var opErr error
-	err := s.exec(key, func(p *partition) {
-		e, ok := p.objects[key]
-		if !ok || e.obj == nil {
-			opErr = fmt.Errorf("%w: %q", ErrNotFound, key)
-			return
+	return s.exec(key, func(p *partition) error {
+		e, err := p.live(key)
+		if err != nil {
+			return err
 		}
 		converted, err := s.convertPath(e.obj, version)
 		if err != nil {
-			opErr = err
-			return
+			return err
 		}
 		if converted == e.obj {
 			converted = e.obj.Clone()
 		}
 		if err := fn(converted); err != nil {
-			opErr = err
-			return
+			return err
 		}
 		e.obj = converted
-		opErr = s.notifyLocked(e, key, e.obj, nil, false)
+		return s.notifyLocked(e, key, e.obj, nil, false)
 	})
-	if err != nil {
-		return err
-	}
-	return opErr
 }
 
 // Delete removes a key.
 func (s *Store) Delete(key string) error {
 	s.deletes.Add(1)
-	var opErr error
-	err := s.exec(key, func(p *partition) {
-		e, ok := p.objects[key]
-		if !ok || e.obj == nil {
-			opErr = fmt.Errorf("%w: %q", ErrNotFound, key)
-			return
+	return s.exec(key, func(p *partition) error {
+		e, err := p.live(key)
+		if err != nil {
+			return err
 		}
 		e.obj = nil
-		opErr = s.notifyLocked(e, key, nil, nil, true)
+		err = s.notifyLocked(e, key, nil, nil, true)
 		if len(e.subs) == 0 {
 			delete(p.objects, key)
 		}
-	})
-	if err != nil {
 		return err
-	}
-	return opErr
+	})
 }
 
 // notifyLocked fans a change out to the entry's subscribers, converting
 // per subscriber version; each notification is one message on the store's
-// fabric, and one the fabric loses is not delivered. Runs on the fiber.
+// fabric carrying the change's encoding, and one the fabric loses is not
+// delivered. What a subscriber receives is decoded from those bytes, so it
+// shares nothing with the store. Runs on the fiber.
 func (s *Store) notifyLocked(e *entry, key string, obj *schema.Object, d *schema.Delta, deleted bool) error {
 	for _, sub := range e.subs {
 		n := Notification{Key: key, Deleted: deleted}
-		t, size := transport.GMDBPub, 0
+		t, payload, err := transport.GMDBPub, []byte(nil), error(nil)
 		switch {
 		case deleted:
 		case d != nil:
-			cd, err := s.convertDeltaPath(d, sub.version)
-			if err != nil {
-				return err
+			t = transport.GMDBDelta
+			var cd *schema.Delta
+			if cd, err = s.convertDeltaPath(d, sub.version); err == nil {
+				sc, _ := s.registry.Get(cd.Type, cd.Version) // conversion ends at a registered version
+				if payload, err = schema.EncodeDelta(cd, sc); err == nil {
+					n.Delta, err = schema.DecodeDelta(payload, sc)
+				}
 			}
-			n.Delta = cd
-			t, size = transport.GMDBDelta, schema.DeltaSize(cd)
 		default:
-			co, err := s.convertPath(obj, sub.version)
-			if err != nil {
-				return err
-			}
-			if co == obj {
-				co = obj.Clone()
-			}
-			n.Object = co
-			if sc, ok := s.registry.Get(co.Type, co.Version); ok {
-				size = schema.EncodedSize(co, sc)
+			var co *schema.Object
+			if co, err = s.convertPath(obj, sub.version); err == nil {
+				sc, _ := s.registry.Get(co.Type, co.Version)
+				if payload, err = schema.EncodeObject(co, sc); err == nil {
+					n.Object, err = schema.DecodeObject(payload, sc)
+				}
 			}
 		}
-		if _, err := s.fab.Post(s.Endpoint(), sub.ep, t, size); err != nil {
-			continue
+		if err != nil {
+			return fmt.Errorf("gmdb: notify %q at v%d: %w", key, sub.version, err)
 		}
-		trySend(sub.ch, n)
+		if _, err := s.fab.Post(s.Endpoint(), sub.ep, t, len(payload)); err == nil {
+			trySend(sub.ch, n)
+		}
 	}
 	return nil
 }
@@ -424,13 +411,10 @@ func (s *Store) Subscribe(key string, version int, buffer int) (*Subscription, e
 	}
 	ch := make(chan Notification, buffer)
 	id := s.nextSubID.Add(1)
-	err := s.exec(key, func(p *partition) {
-		e, ok := p.objects[key]
-		if !ok {
-			e = &entry{}
-			p.objects[key] = e
-		}
+	err := s.exec(key, func(p *partition) error {
+		e := p.entry(key)
 		e.subs = append(e.subs, &subscriber{ep: transport.Client(int(id)), version: version, ch: ch})
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -440,10 +424,10 @@ func (s *Store) Subscribe(key string, version int, buffer int) (*Subscription, e
 
 // Cancel removes the subscription and closes its channel.
 func (sub *Subscription) Cancel() {
-	sub.store.exec(sub.key, func(p *partition) {
+	sub.store.exec(sub.key, func(p *partition) error {
 		e, ok := p.objects[sub.key]
 		if !ok {
-			return
+			return nil
 		}
 		for i, sb := range e.subs {
 			if sb.ep == sub.Endpoint() {
@@ -455,6 +439,7 @@ func (sub *Subscription) Cancel() {
 		if e.obj == nil && len(e.subs) == 0 {
 			delete(p.objects, sub.key)
 		}
+		return nil
 	})
 }
 
@@ -486,13 +471,6 @@ func (s *Store) Stats() Stats {
 // Asynchronous flush (durability trade-off, §III-A)
 // ---------------------------------------------------------------------------
 
-type checkpointRecord struct {
-	Key     string          `json:"key"`
-	Type    string          `json:"type"`
-	Version int             `json:"version"`
-	Data    json.RawMessage `json:"data"`
-}
-
 func (s *Store) flushLoop() {
 	defer s.flushWG.Done()
 	ticker := time.NewTicker(s.cfg.FlushInterval)
@@ -509,65 +487,61 @@ func (s *Store) flushLoop() {
 	}
 }
 
-// Checkpoint writes a JSON-lines snapshot of all objects.
+// Checkpoint writes a snapshot of all objects in key order: per object,
+// its key then its encoding, each behind its u32 length. Objects are
+// encoded on their fibers, each in the version it is stored in.
 func (s *Store) Checkpoint(w io.Writer) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	type kv struct {
-		key string
-		obj *schema.Object
-	}
-	var all []kv
+	encoded := map[string][]byte{}
+	var keys []string
+	var err error
 	for _, p := range s.parts {
 		p.do(func(p *partition) {
 			for key, e := range p.objects {
-				if e.obj != nil {
-					all = append(all, kv{key, e.obj.Clone()})
+				if e.obj != nil && err == nil {
+					sc, _ := s.registry.Get(e.obj.Type, e.obj.Version) // stored versions are registered
+					keys = append(keys, key)
+					if encoded[key], err = schema.EncodeObject(e.obj, sc); err != nil {
+						err = fmt.Errorf("gmdb: checkpoint %q: %w", key, err)
+					}
 				}
 			}
 		})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, item := range all {
-		sc, ok := s.registry.Get(item.obj.Type, item.obj.Version)
-		if !ok {
-			return fmt.Errorf("gmdb: checkpoint: schema %s v%d missing", item.obj.Type, item.obj.Version)
-		}
-		data, err := schema.MarshalObject(item.obj, sc)
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(checkpointRecord{Key: item.key, Type: item.obj.Type, Version: item.obj.Version, Data: data}); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	s.flushes.Add(1)
-	return bw.Flush()
+	slices.Sort(keys)
+	var b []byte
+	for _, key := range keys {
+		b = types.AppendBytes(types.AppendString(b, key), encoded[key])
+	}
+	if _, err = w.Write(b); err == nil {
+		s.flushes.Add(1)
+	}
+	return err
 }
 
 // LoadCheckpoint restores objects from a snapshot stream.
 func (s *Store) LoadCheckpoint(r io.Reader) error {
-	dec := json.NewDecoder(r)
-	for {
-		var rec checkpointRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return err
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	for rd := types.NewReader(data); rd.Len() > 0; {
+		key, b := rd.Str(), rd.Bytes()
+		if rd.Err() != nil {
+			return fmt.Errorf("gmdb: load: %w", rd.Err())
 		}
-		sc, ok := s.registry.Get(rec.Type, rec.Version)
-		if !ok {
-			return fmt.Errorf("gmdb: load: schema %s v%d missing", rec.Type, rec.Version)
-		}
-		obj, err := schema.UnmarshalObject(rec.Data, sc)
+		obj, err := s.registry.DecodeObject(b)
 		if err != nil {
-			return err
+			return fmt.Errorf("gmdb: load %q: %w", key, err)
 		}
-		if err := s.Put(rec.Key, obj); err != nil {
+		if err := s.Put(key, obj); err != nil {
 			return err
 		}
 	}
+	return nil
 }

@@ -3,9 +3,9 @@
 //
 // The paper evaluates online schema evolution "with real MME data"; real
 // LTE session traces are proprietary, so this package synthesizes
-// tree-model session objects with the documented shape: 5–10 KB JSON
-// objects, a root record keyed by IMSI with nested bearer-context records,
-// and a five-version schema chain V3 → V5 → V6 → V7 → V8 where each
+// tree-model session objects with the documented shape: 4.7–6.9 KB in
+// GMDB's binary encoding (the paper's "about 5–10KB"), a root record keyed
+// by IMSI with nested bearer-context records, and a five-version schema chain V3 → V5 → V6 → V7 → V8 where each
 // upgrade adds fields (the U1–U4 / D1–D4 transitions of Fig 8).
 package mme
 
@@ -98,7 +98,7 @@ func RegisterAll(reg *schema.Registry) error {
 	return nil
 }
 
-// GenerateSession builds a session object of ~5-10 KB under the given
+// GenerateSession builds a session object of ~5–7 KB encoded under the given
 // version, keyed by a deterministic IMSI derived from id.
 func GenerateSession(rng *rand.Rand, version int, id int64) (*schema.Object, error) {
 	sc, err := Schema(version)

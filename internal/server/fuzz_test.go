@@ -231,7 +231,7 @@ func restoreLiterals(sh sqlx.Shape, lits map[int]sqlx.Token) (string, bool) {
 // whatever decodes must survive an encode → decode round trip unchanged.
 func FuzzDecodeFrames(f *testing.F) {
 	bomb := EncodeResponse(&Response{})
-	bomb = appendU32(appendU32(bomb[:len(bomb)-4], 1), 0x7fffffff)
+	bomb = types.AppendU32(types.AppendU32(bomb[:len(bomb)-4], 1), 0x7fffffff)
 	f.Add(bomb)
 	f.Add(EncodeRequest(&Request{Op: OpExec, Priority: 2, Session: 7, TimeoutMillis: 50, SQL: "SELECT 1"}))
 	f.Add(EncodeRequest(&Request{Op: OpExec, Flags: FlagBegin, Session: 7, SQL: "UPDATE kv SET v = 1 WHERE k = 2"}))

@@ -16,8 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"time"
 
 	"repro/internal/types"
 )
@@ -105,104 +103,31 @@ type Response struct {
 // unbounded memory.
 const maxFrame = 64 << 20
 
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = appendU32(b, uint32(len(s)))
-	return append(b, s...)
-}
-
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// count reads a u32 element count and rejects one the rest of the frame
-// cannot hold at minBytes per element, so a corrupt or hostile count can
-// never size an allocation beyond a small multiple of the frame itself.
-func (r *reader) count(minBytes int) int {
-	n := int(r.u32())
-	if r.err != nil || n > (len(r.b)-r.off)/minBytes {
-		r.fail()
-		return 0
-	}
-	return n
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("server: truncated frame at offset %d", r.off)
-	}
-}
-
 // EncodeRequest renders a request frame (without the length prefix — the
 // carrier adds it: the fabric as the message payload size, WriteFrame on a
 // byte stream).
 func EncodeRequest(q *Request) []byte {
 	b := make([]byte, 0, 18+len(q.SQL))
 	b = append(b, byte(q.Op), q.Priority, q.Flags)
-	b = appendU64(b, q.Session)
-	b = appendU32(b, q.TimeoutMillis)
-	b = appendString(b, q.SQL)
+	b = types.AppendU64(b, q.Session)
+	b = types.AppendU32(b, q.TimeoutMillis)
+	b = types.AppendString(b, q.SQL)
 	return b
 }
 
 // DecodeRequest parses a request frame.
 func DecodeRequest(b []byte) (*Request, error) {
-	r := &reader{b: b}
+	r := types.NewReader(b)
 	q := &Request{
-		Op:       Op(r.u8()),
-		Priority: r.u8(),
-		Flags:    r.u8(),
+		Op:       Op(r.U8()),
+		Priority: r.U8(),
+		Flags:    r.U8(),
 	}
-	q.Session = r.u64()
-	q.TimeoutMillis = r.u32()
-	q.SQL = r.str()
-	if r.err != nil {
-		return nil, r.err
+	q.Session = r.U64()
+	q.TimeoutMillis = r.U32()
+	q.SQL = r.Str()
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if q.Flags&^knownFlags != 0 {
 		return nil, fmt.Errorf("server: unknown request flags %#x", q.Flags&^knownFlags)
@@ -220,8 +145,8 @@ const (
 func EncodeResponse(p *Response) []byte {
 	b := make([]byte, 0, 64)
 	b = append(b, byte(p.Status))
-	b = appendU64(b, p.Session)
-	b = appendString(b, p.Err)
+	b = types.AppendU64(b, p.Session)
+	b = types.AppendString(b, p.Err)
 	var flags byte
 	if p.CacheHit {
 		flags |= respCacheHit
@@ -230,16 +155,16 @@ func EncodeResponse(p *Response) []byte {
 		flags |= respInTxn
 	}
 	b = append(b, flags)
-	b = appendU64(b, uint64(p.RowsAffected))
-	b = appendU32(b, uint32(len(p.Columns)))
+	b = types.AppendU64(b, uint64(p.RowsAffected))
+	b = types.AppendU32(b, uint32(len(p.Columns)))
 	for _, c := range p.Columns {
-		b = appendString(b, c)
+		b = types.AppendString(b, c)
 	}
-	b = appendU32(b, uint32(len(p.Rows)))
+	b = types.AppendU32(b, uint32(len(p.Rows)))
 	for _, row := range p.Rows {
-		b = appendU32(b, uint32(len(row)))
+		b = types.AppendU32(b, uint32(len(row)))
 		for _, d := range row {
-			b = appendDatum(b, d)
+			b = types.AppendDatum(b, d)
 		}
 	}
 	return b
@@ -247,91 +172,35 @@ func EncodeResponse(p *Response) []byte {
 
 // DecodeResponse parses a response frame.
 func DecodeResponse(b []byte) (*Response, error) {
-	r := &reader{b: b}
-	p := &Response{Status: Status(r.u8())}
-	p.Session = r.u64()
-	p.Err = r.str()
-	flags := r.u8()
+	r := types.NewReader(b)
+	p := &Response{Status: Status(r.U8())}
+	p.Session = r.U64()
+	p.Err = r.Str()
+	flags := r.U8()
 	p.CacheHit, p.InTxn = flags&respCacheHit != 0, flags&respInTxn != 0
-	p.RowsAffected = int64(r.u64())
+	p.RowsAffected = int64(r.U64())
 	// Every column name and row carries at least its own u32 length, every
 	// datum at least its kind byte.
-	if ncols := r.count(4); ncols > 0 {
+	if ncols := r.Count(4); ncols > 0 {
 		p.Columns = make([]string, ncols)
-		for i := 0; i < ncols && r.err == nil; i++ {
-			p.Columns[i] = r.str()
+		for i := 0; i < ncols && r.Err() == nil; i++ {
+			p.Columns[i] = r.Str()
 		}
 	}
-	if nrows := r.count(4); nrows > 0 {
+	if nrows := r.Count(4); nrows > 0 {
 		p.Rows = make([]types.Row, 0, nrows)
-		for i := 0; i < nrows && r.err == nil; i++ {
-			row := make(types.Row, r.count(1))
-			for j := 0; j < len(row) && r.err == nil; j++ {
-				row[j] = r.datum()
+		for i := 0; i < nrows && r.Err() == nil; i++ {
+			row := make(types.Row, r.Count(1))
+			for j := 0; j < len(row) && r.Err() == nil; j++ {
+				row[j] = r.Datum()
 			}
 			p.Rows = append(p.Rows, row)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return p, nil
-}
-
-// Datum wire encoding: one kind byte, then a kind-specific payload.
-func appendDatum(b []byte, d types.Datum) []byte {
-	b = append(b, byte(d.Kind()))
-	switch d.Kind() {
-	case types.KindNull:
-	case types.KindBool:
-		var v byte
-		if d.Bool() {
-			v = 1
-		}
-		b = append(b, v)
-	case types.KindInt:
-		b = appendU64(b, uint64(d.Int()))
-	case types.KindFloat:
-		b = appendU64(b, math.Float64bits(d.Float()))
-	case types.KindString:
-		b = appendString(b, d.Str())
-	case types.KindBytes:
-		raw := d.Bytes()
-		b = appendU32(b, uint32(len(raw)))
-		b = append(b, raw...)
-	case types.KindTime:
-		b = appendU64(b, uint64(d.Time().UnixNano()))
-	}
-	return b
-}
-
-func (r *reader) datum() types.Datum {
-	switch types.Kind(r.u8()) {
-	case types.KindNull:
-		return types.Null
-	case types.KindBool:
-		return types.NewBool(r.u8() != 0)
-	case types.KindInt:
-		return types.NewInt(int64(r.u64()))
-	case types.KindFloat:
-		return types.NewFloat(math.Float64frombits(r.u64()))
-	case types.KindString:
-		return types.NewString(r.str())
-	case types.KindBytes:
-		n := int(r.u32())
-		if r.err != nil || r.off+n > len(r.b) {
-			r.fail()
-			return types.Null
-		}
-		r.off += n
-		return types.NewBytes(r.b[r.off-n : r.off]) // NewBytes copies
-
-	case types.KindTime:
-		return types.NewTime(time.Unix(0, int64(r.u64())).UTC())
-	default:
-		r.fail()
-		return types.Null
-	}
 }
 
 // WriteFrame writes one length-prefixed frame to a byte stream (the TCP

@@ -464,9 +464,9 @@ func TestProtocolRoundtripDatums(t *testing.T) {
 // bytes cannot hold are an error, found without allocating for them.
 func TestDecodeResponseRejectsCountsBeyondTheFrame(t *testing.T) {
 	frame := EncodeResponse(&Response{})
-	frame = frame[:len(frame)-4]         // drop nrows = 0
-	frame = appendU32(frame, 1)          // nrows = 1
-	frame = appendU32(frame, 0x7fffffff) // arity
+	frame = frame[:len(frame)-4]               // drop nrows = 0
+	frame = types.AppendU32(frame, 1)          // nrows = 1
+	frame = types.AppendU32(frame, 0x7fffffff) // arity
 	if len(frame) != 34 {
 		t.Fatalf("frame is %d bytes, want 34", len(frame))
 	}
@@ -479,7 +479,7 @@ func TestDecodeResponseRejectsCountsBeyondTheFrame(t *testing.T) {
 	}
 	for _, counts := range [][2]uint32{{0x7fffffff, 0}, {0, 0x7fffffff}} {
 		frame = frame[:22] // through RowsAffected
-		frame = appendU32(appendU32(frame, counts[0]), counts[1])
+		frame = types.AppendU32(types.AppendU32(frame, counts[0]), counts[1])
 		if _, err := DecodeResponse(frame); err == nil {
 			t.Errorf("ncols=%d nrows=%d decoded without error", counts[0], counts[1])
 		}
