@@ -10,8 +10,9 @@
 //     concurrency limit (AIMD) to meet a latency target;
 //   - change manager: dynamic configuration with watchers and history, so
 //     tuning actions apply without service disruption;
-//   - in-DB machine learning: online statistics, linear regression and
-//     EWMA forecasting used by the managers' decisions.
+//   - in-DB machine learning: online statistics whose z-scores drive the
+//     anomaly rules, and the latency percentiles the workload manager
+//     adapts by.
 package autonomous
 
 import (
@@ -120,71 +121,6 @@ func (o *OnlineStats) ZScore(x float64) float64 {
 	}
 	return (x - o.mean) / sd
 }
-
-// LinReg is a simple online least-squares regression y = a + b*x, used to
-// model e.g. response time as a function of concurrency.
-type LinReg struct {
-	n                        float64
-	sumX, sumY, sumXY, sumXX float64
-}
-
-// Add ingests one (x, y) pair.
-func (l *LinReg) Add(x, y float64) {
-	l.n++
-	l.sumX += x
-	l.sumY += y
-	l.sumXY += x * y
-	l.sumXX += x * x
-}
-
-// Coeffs returns intercept a and slope b; ok is false with fewer than two
-// distinct points.
-func (l *LinReg) Coeffs() (a, b float64, ok bool) {
-	if l.n < 2 {
-		return 0, 0, false
-	}
-	den := l.n*l.sumXX - l.sumX*l.sumX
-	if den == 0 {
-		return 0, 0, false
-	}
-	b = (l.n*l.sumXY - l.sumX*l.sumY) / den
-	a = (l.sumY - b*l.sumX) / l.n
-	return a, b, true
-}
-
-// Predict evaluates the fitted line at x.
-func (l *LinReg) Predict(x float64) (float64, bool) {
-	a, b, ok := l.Coeffs()
-	if !ok {
-		return 0, false
-	}
-	return a + b*x, true
-}
-
-// EWMA is an exponentially weighted moving average forecaster.
-type EWMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Add ingests one observation and returns the smoothed value.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.2
-	}
-	e.value = a*x + (1-a)*e.value
-	return e.value
-}
-
-// Value returns the current smoothed value.
-func (e *EWMA) Value() float64 { return e.value }
 
 // Percentile computes the p-quantile (0..1) of a sample.
 func Percentile(samples []float64, p float64) float64 {

@@ -63,32 +63,7 @@ func TestOnlineStats(t *testing.T) {
 	}
 }
 
-func TestLinReg(t *testing.T) {
-	var l LinReg
-	// y = 3 + 2x with noise-free points.
-	for x := 0.0; x < 10; x++ {
-		l.Add(x, 3+2*x)
-	}
-	a, b, ok := l.Coeffs()
-	if !ok || math.Abs(a-3) > 1e-9 || math.Abs(b-2) > 1e-9 {
-		t.Errorf("coeffs = %f, %f, %v", a, b, ok)
-	}
-	y, ok := l.Predict(20)
-	if !ok || math.Abs(y-43) > 1e-9 {
-		t.Errorf("predict = %f", y)
-	}
-	var empty LinReg
-	if _, _, ok := empty.Coeffs(); ok {
-		t.Error("empty regression must not fit")
-	}
-}
-
-func TestEWMAAndPercentile(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	e.Add(10)
-	if v := e.Add(20); v != 15 {
-		t.Errorf("ewma = %f", v)
-	}
+func TestPercentile(t *testing.T) {
 	if p := Percentile([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 0.95); p < 9 {
 		t.Errorf("p95 = %f", p)
 	}

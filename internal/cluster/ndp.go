@@ -58,6 +58,10 @@ type ndpProgram struct {
 
 	topn *plan.TopNPush
 	agg  *plan.AggPush
+	// topnCol is the table column of topn's first key when every key is a
+	// bare column: the fragment's full heap then turns a row away by that
+	// column's datum before the row is built (-1: never).
+	topnCol int
 
 	bloom    *exec.BloomHandle
 	bloomCol int // table column probed against the bloom filter (-1: none)
@@ -71,11 +75,13 @@ type ndpProgram struct {
 // schema-width row (false stops the scan); agg is pushed the same rows —
 // or, when vec is set too (a columnar source whose group and aggregate
 // expressions are all bare columns), folds survivors in straight off the
-// column vectors.
+// column vectors. topn, set beside rows when the program has a topnCol, is
+// the heap rows feeds: a survivor it Rejects is dropped unbuilt.
 type fragSink struct {
 	rows func(types.Row) bool
 	agg  *exec.AggTable
 	vec  *vecPlan
+	topn *exec.TopNHeap
 }
 
 // deliver hands one materialized survivor to the sink; false stops the scan
@@ -183,6 +189,7 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 		agg:       spec.Agg,
 		bloomCol:  -1,
 		distCol:   -1,
+		topnCol:   -1,
 		tableCols: n,
 	}
 
@@ -227,8 +234,17 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 		}
 	}
 	if p.topn != nil {
+		// Bare-column keys cannot fail to evaluate, and a typed column holds
+		// one kind family: a row turned away unbuilt is one Push would have
+		// dropped without an error.
+		bare := len(p.topn.Keys) > 0
 		for _, k := range p.topn.Keys {
 			materialize(k.Expr)
+			cr, ok := k.Expr.(*exec.ColRef)
+			bare = bare && ok && cr.Index >= 0 && cr.Index < n
+		}
+		if bare {
+			p.topnCol = p.topn.Keys[0].Expr.(*exec.ColRef).Index
 		}
 	}
 	p.matPos = make([]int, len(p.matCols))
@@ -376,13 +392,17 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 		case p.topn != nil && p.topn.Limit >= 0:
 			heap := exec.NewTopNHeap(ctx, p.topn.Keys, p.topn.Limit)
 			var heapErr error
-			err := p.run(ctx, src, bf, fragSink{rows: func(row types.Row) bool {
+			sink := fragSink{rows: func(row types.Row) bool {
 				if heapErr = heap.Push(row); heapErr != nil {
 					return false
 				}
 				// A bare LIMIT never displaces rows once full: stop early.
 				return !(len(p.topn.Keys) == 0 && heap.Full())
-			}})
+			}}
+			if p.topnCol >= 0 {
+				sink.topn = heap
+			}
+			err := p.run(ctx, src, bf, sink)
 			if err == nil {
 				err = heapErr
 			}
@@ -433,6 +453,9 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					return true
 				}
 			}
+			if sink.topn != nil && sink.topn.Rejects(r[p.topnCol]) {
+				return true
+			}
 			// Only the projected columns are copied out of the store's row.
 			row := make(types.Row, p.tableCols)
 			for _, c := range p.matCols {
@@ -446,7 +469,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 	}
 
 	keep, kernels, residual := p.bind(ctx)
-	distPos, bloomPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol)
+	distPos, bloomPos, topnPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol), p.scanPos(p.topnCol)
 	var sel []bool
 	var sparse types.Row // reused for residual predicate evaluation
 	src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, keep, func(b *colstore.Batch) bool {
@@ -499,7 +522,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					continue
 				}
 			}
-			if sink.vec != nil {
+			if sink.vec != nil || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
 				continue
 			}
 			// Materialize the survivor: sparse, at schema width, carrying

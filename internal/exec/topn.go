@@ -88,6 +88,28 @@ func (h *TopNHeap) Push(row types.Row) error {
 	return h.siftDown(0, len(h.items))
 }
 
+// Rejects reports whether the heap, full, would turn away any row whose
+// first key is first, without the row being built: first's order prefix
+// (complemented for DESC) is strictly greater than the worst kept row's.
+// Compare(a, b) < 0 implies prefix(a) ≤ prefix(b) (DESIGN 26), so such a
+// row orders strictly after every kept row. A tied prefix is not enough:
+// the row must go to Push and its full keys. Skipping the row instead of
+// pushing it is exact only when its keys could neither fail to evaluate nor
+// bring a second kind family to the first key — bare columns of one type.
+func (h *TopNHeap) Rejects(first types.Datum) bool {
+	if !h.Full() || len(h.order.keys) == 0 {
+		return false
+	}
+	if len(h.items) == 0 {
+		return true // LIMIT 0 keeps nothing
+	}
+	p, _ := types.OrderPrefix(first)
+	if h.order.keys[0].Desc {
+		p = ^p
+	}
+	return p > h.items[0].prefix
+}
+
 // Full reports whether the heap holds `limit` rows. With no sort keys a
 // full heap can never improve (later arrivals always lose ties), so
 // callers may stop scanning.

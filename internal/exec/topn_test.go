@@ -42,6 +42,51 @@ func rowsEqual(t *testing.T, label string, got, want []types.Row) {
 	}
 }
 
+// TestTopNHeapRejectsOnlyRowsPushDrops: a full heap that rows it Rejects
+// never reach keeps exactly the rows, in exactly the order, of one every row
+// is pushed to — over BIGINTs above 2^53 whose order prefixes tie in runs,
+// NULLs, both directions and every limit around the data size — and it does
+// turn rows away.
+func TestTopNHeapRejectsOnlyRowsPushDrops(t *testing.T) {
+	rows := make([]types.Row, 300)
+	x := int64(12345)
+	for i := range rows {
+		x = (x*1103515245 + 12347) % (1 << 31)
+		rows[i] = intRow(1<<60+x%1000-500, int64(i))
+		if x%23 == 0 {
+			rows[i][0] = types.Null
+		}
+	}
+	for _, keys := range [][]SortKey{
+		{{Expr: &ColRef{Index: 0}}},
+		{{Expr: &ColRef{Index: 0}, Desc: true}},
+		{{Expr: &ColRef{Index: 0}, Desc: true}, {Expr: &ColRef{Index: 1}, Desc: true}},
+	} {
+		for _, limit := range []int64{0, 1, 7, 50, 299, 300} {
+			ctx := NewCtx(time.Unix(0, 0))
+			all, some := NewTopNHeap(ctx, keys, limit), NewTopNHeap(ctx, keys, limit)
+			rejected := 0
+			for _, r := range rows {
+				if err := all.Push(r); err != nil {
+					t.Fatal(err)
+				}
+				if some.Rejects(r[0]) {
+					rejected++
+					continue
+				}
+				if err := some.Push(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := fmt.Sprintf("desc=%v keys=%d limit=%d", keys[0].Desc, len(keys), limit)
+			rowsEqual(t, label, some.ArrivalRows(), all.ArrivalRows())
+			if limit < 50 && rejected < len(rows)/2 {
+				t.Errorf("%s: %d of %d rows rejected", label, rejected, len(rows))
+			}
+		}
+	}
+}
+
 // TestTopNMatchesSortLimit: the bounded-heap operator must be
 // byte-identical to the stable Sort+Limit plan it replaces, including
 // tie-breaking (first-arrived wins), for every limit around the data size.

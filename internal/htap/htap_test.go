@@ -2,11 +2,13 @@ package htap
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 )
 
 func newCluster(t *testing.T, dns int) *cluster.Cluster {
@@ -175,6 +177,54 @@ func TestReplicaGroupsAndAggregateErrorsMatchPrimary(t *testing.T) {
 	}
 	if off := m.Status().QueriesOffloaded; off < before+3 {
 		t.Errorf("offloaded %d of 3 replica statements", off-before)
+	}
+}
+
+// TestReplicaTopNMatchesPrimary: a pushed ORDER BY … LIMIT answered from
+// the columnar replicas — whose fragment heaps turn rows away by their first
+// key, and whose segments carry the delete stamps of the primary's UPDATEs
+// and DELETEs — returns, at every pushdown level and degree, exactly the
+// rows the primary returns with pushdown off at degree 1. Keys include
+// BIGINTs above 2^53 that share their 64-bit prefixes, and ties.
+func TestReplicaTopNMatchesPrimary(t *testing.T) {
+	c := newCluster(t, 4)
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE ord (id BIGINT, a BIGINT, e BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)")
+	for i := 0; i < 800; i += 100 {
+		var vals []string
+		for id := i; id < i+100; id++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d)", id, id*7%40, int64(1)<<60+int64(id*37%400)-200))
+		}
+		mustExec(t, s, "INSERT INTO ord VALUES "+strings.Join(vals, ", "))
+	}
+	m := enable(t, c, Config{})
+	mustExec(t, s, "UPDATE ord SET a = a + 1 WHERE a < 6")
+	mustExec(t, s, "DELETE FROM ord WHERE a > 36")
+	mustExec(t, s, "UPDATE ord SET e = e - 1 WHERE id > 600")
+	if err := m.WaitCaughtUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { c.Pushdown, c.ParallelDegree = plan.PushdownBloom, 0 }()
+	for _, q := range []string{
+		"SELECT id, e FROM ord ORDER BY e DESC, id LIMIT 7",
+		"SELECT id, a, e FROM ord ORDER BY e LIMIT 4 OFFSET 3",
+		"SELECT id, a FROM ord ORDER BY a LIMIT 9",
+		"SELECT id, a FROM ord WHERE a <> 20 ORDER BY id DESC LIMIT 10",
+	} {
+		c.Pushdown, c.ParallelDegree = plan.PushdownOff, 1
+		want := fmt.Sprint(onPrimary(t, c, m, s, q).Rows)
+		before := m.Status().QueriesOffloaded
+		for _, lv := range plan.PushdownLadder {
+			for _, degree := range []int{1, 2, 4} {
+				c.Pushdown, c.ParallelDegree = lv, degree
+				if got := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
+					t.Errorf("%s at pushdown=%s degree=%d:\n  replica %s\n  primary %s", q, lv, degree, got, want)
+				}
+			}
+		}
+		if off := m.Status().QueriesOffloaded - before; off != int64(3*len(plan.PushdownLadder)) {
+			t.Errorf("%s: %d of %d statements offloaded", q, off, 3*len(plan.PushdownLadder))
+		}
 	}
 }
 
