@@ -111,7 +111,7 @@ func TestEnrolment(t *testing.T) {
 					t.Fatal(err)
 				}
 				c.SetDataNodeDown(primary, true)
-				if _, err := c.PromoteStandby(primary, sid); err != nil {
+				if _, err := c.PromoteStandby(primary, sid, func() {}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -208,7 +208,7 @@ func TestEnrolmentSplicesSuccessorChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetDataNodeDown(primary, true)
-		if _, err := c.PromoteStandby(primary, sid); err != nil {
+		if _, err := c.PromoteStandby(primary, sid, func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestEnrolmentSplicesSuccessorChain(t *testing.T) {
 	// dn0 returning now re-enrols under the primary, and a later promotion of
 	// dn2 extends the chain through it again without a cycle.
 	c.SetDataNodeDown(3, true)
-	if _, err := c.PromoteStandby(3, 2); err != nil {
+	if _, err := c.PromoteStandby(3, 2, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	if succ, ok := c.Successor(0); !ok || succ != 2 {

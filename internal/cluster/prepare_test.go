@@ -213,7 +213,7 @@ func TestPreparedReplansWhenTheCatalogMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetDataNodeDown(id, true)
-	if _, err := c.PromoteStandby(id, sid); err != nil {
+	if _, err := c.PromoteStandby(id, sid, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	step("after the failover", true)

@@ -462,13 +462,16 @@ func (c *Cluster) ReturnedPrimaries() []int {
 // surviving standbys re-attach beneath the promoted node (joining any
 // chained standbys it already had), and the promotion is recorded in the
 // successor map so rebalances targeting the retired node can re-target.
-// It returns the number of buckets flipped.
-func (c *Cluster) PromoteStandby(primary, standby int) (int, error) {
+// published runs under the barrier once the promotion cannot fail: what it
+// publishes is seen by every reader that sees the new owner. It returns the
+// number of buckets flipped.
+func (c *Cluster) PromoteStandby(primary, standby int, published func()) (int, error) {
 	c.lockRoutes()
 	defer c.routeMu.Unlock()
 	if up, ok := c.standbys[standby]; !ok || up != primary {
 		return 0, fmt.Errorf("cluster: dn%d is not a standby of dn%d", standby, primary)
 	}
+	published()
 	flipped := 0
 	for b := 0; b < NumBuckets; b++ {
 		if c.bmap.dn[b] == primary {

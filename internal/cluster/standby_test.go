@@ -215,7 +215,7 @@ func TestPromoteStandbyFlipsOwnership(t *testing.T) {
 		t.Fatalf("AddStandby: %v", err)
 	}
 	c.SetDataNodeDown(1, true)
-	flipped, err := c.PromoteStandby(1, sid)
+	flipped, err := c.PromoteStandby(1, sid, func() {})
 	if err != nil {
 		t.Fatalf("PromoteStandby: %v", err)
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,6 +54,33 @@ type Exchange struct {
 	Order []SortKey
 
 	rowCursor
+	ents []sortEntry // borrowed with rows, given back with them
+}
+
+// bufPool lends Exchanges their runs, sort entries and outputs (*sortRun,
+// storage only; the measured rules are in DESIGN 27). giveBack clears only
+// rows[:len], as an array is zero past its length, and keeps a buffer under
+// poolFloor rows with its owner, for a cached plan to reopen.
+var bufPool sync.Pool
+
+const poolFloor = 256
+
+// borrow returns empty pooled storage for n rows or more, or new storage.
+func borrow(n int) ([]types.Row, []sortEntry) {
+	if b, _ := bufPool.Get().(*sortRun); b != nil && cap(b.rows) >= n {
+		return b.rows, b.ents
+	}
+	return make([]types.Row, 0, n), nil
+}
+
+// giveBack clears rows, then pools them with ents or, if small, returns both.
+func giveBack(rows []types.Row, ents []sortEntry) ([]types.Row, []sortEntry) {
+	clear(rows)
+	if cap(rows) < poolFloor {
+		return rows[:0], ents[:0]
+	}
+	bufPool.Put(&sortRun{rows: rows[:0], ents: ents[:0]})
+	return nil, nil
 }
 
 // NewParallelSource builds an Exchange over a lazily-planned fragment set:
@@ -88,7 +116,8 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	e.reset(e.rows[:0])
+	e.Close() // a reopen gives back the last result first
+	e.reset(e.rows)
 
 	degree := min(e.Parallel, len(frags))
 	if degree <= 1 && e.Order == nil {
@@ -107,63 +136,60 @@ func (e *Exchange) Open(ctx *Ctx) error {
 	// Each fragment fills (and, ordered, sorts) its own run; the runs are
 	// then concatenated or merged in fragment order.
 	runs := make([]sortRun, len(frags))
-	if degree <= 1 {
-		for i, f := range frags {
-			if err := e.fill(ctx, f, &runs[i], func() bool { return true }); err != nil {
-				return err
+	// Workers claim fragment indexes off a shared counter. The caller's
+	// goroutine is one of them, the only one at degree 1.
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		canceled atomic.Bool // set by the first failure, with firstErr
+		firstErr error
+	)
+	work := func(ctx *Ctx) {
+		for !canceled.Load() {
+			idx := int(next.Add(1)) - 1
+			if idx >= len(frags) {
+				return
+			}
+			live := func() bool { return !canceled.Load() }
+			if err := e.fill(ctx, frags[idx], &runs[idx], live); err != nil && canceled.CompareAndSwap(false, true) {
+				firstErr = err
 			}
 		}
-	} else {
-		// Workers claim fragment indexes off a shared counter.
-		var (
-			wg       sync.WaitGroup
-			next     atomic.Int64
-			canceled atomic.Bool // set by the first failure, with firstErr
-			firstErr error
-		)
-		for w := 0; w < degree; w++ {
-			wg.Add(1)
-			fctx := ctx.fork()
-			go func() {
-				defer wg.Done()
-				for !canceled.Load() {
-					idx := int(next.Add(1)) - 1
-					if idx >= len(frags) {
-						return
-					}
-					live := func() bool { return !canceled.Load() }
-					if err := e.fill(fctx, frags[idx], &runs[idx], live); err != nil && canceled.CompareAndSwap(false, true) {
-						firstErr = err
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
-		}
+	}
+	for w := 1; w < degree; w++ {
+		wg.Add(1)
+		fctx := ctx.fork()
+		go func() { defer wg.Done(); work(fctx) }()
+	}
+	work(ctx)
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
 	}
 	n := 0
 	for _, r := range runs {
 		n += len(r.rows)
 	}
 	if cap(e.rows) < n {
-		e.rows = make([]types.Row, 0, n)
+		e.rows, e.ents = borrow(n)
 	}
 	if e.Order != nil {
 		o := keyOrder{keys: e.Order, ctx: ctx}
 		e.rows, err = o.merge(runs, e.rows)
-		return err
 	}
 	for _, r := range runs {
-		e.rows = append(e.rows, r.rows...)
+		if e.Order == nil {
+			e.rows = append(e.rows, r.rows...)
+		}
+		giveBack(r.rows, r.ents)
 	}
-	return nil
+	return err
 }
 
 // fill runs fragment f into run and, under Order, sorts it there. live
 // reports whether the exchange still wants rows.
 func (e *Exchange) fill(ctx *Ctx, f Fragment, run *sortRun, live func() bool) error {
+	run.rows, run.ents = borrow(0)
 	if err := runFragment(ctx, f, func(r types.Row) bool {
 		run.rows = append(run.rows, r)
 		return live()
@@ -172,13 +198,13 @@ func (e *Exchange) fill(ctx *Ctx, f Fragment, run *sortRun, live func() bool) er
 	}
 	o := keyOrder{keys: e.Order, ctx: ctx}
 	var err error
-	run.ents, err = o.sort(run.rows)
+	run.ents, err = o.sort(run.rows, slices.Grow(run.ents, len(run.rows))[:len(run.rows)])
 	run.first = o.first
 	return err
 }
 
 // Close implements Operator. Every worker exited before Open returned.
 func (e *Exchange) Close() error {
-	e.rows = e.rows[:0]
+	e.rows, e.ents = giveBack(e.rows, e.ents)
 	return nil
 }

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,5 +166,98 @@ func TestExchangeSequentialInlinePath(t *testing.T) {
 	rows := collect(t, ex)
 	if len(rows) != 3 || calls != 3 {
 		t.Fatalf("rows=%d calls=%d", len(rows), calls)
+	}
+}
+
+// TestExchangeAllocationCeiling: a 4-fragment Exchange at degree 4 sizes
+// its runs, their sort entries and its output once or borrows them, so an
+// Open/Close over 4 × 4096 rows allocates no more objects than one over
+// 4 × 64 rows, plus a few: under -race a pool drops a quarter of what it
+// is given.
+func TestExchangeAllocationCeiling(t *testing.T) {
+	ctx := NewCtx(time.Unix(0, 0))
+	for _, ordered := range []bool{false, true} {
+		allocs := func(per int) float64 {
+			rows := make([]types.Row, 4*per)
+			for i := range rows {
+				rows[i] = intRow(int64(i%per), int64(i))
+			}
+			ex := NewParallelSource("t", schema2("a", "seq"), 4, func() ([]Fragment, error) { return splitFragments(rows, 4), nil })
+			if ordered {
+				ex.Order = []SortKey{{Expr: &ColRef{Index: 1}, Desc: true}}
+			}
+			return testing.AllocsPerRun(100, func() {
+				if err := ex.Open(ctx); err != nil {
+					t.Fatal(err)
+				}
+				ex.Close()
+			})
+		}
+		if small, large := allocs(64), allocs(4096); large > small+8 {
+			t.Errorf("ordered=%v: Open/Close allocates %v objects over 4×4096 rows, %v over 4×64", ordered, large, small)
+		}
+	}
+}
+
+// TestExchangeReleasesRows: once an Exchange is closed, neither it nor the
+// buffers it gave back to the pool keep any row it produced alive.
+func TestExchangeReleasesRows(t *testing.T) {
+	const frags, per = 4, 300
+	ctx := NewCtx(time.Unix(0, 0))
+	for _, degree := range []int{1, 4} {
+		for _, ordered := range []bool{false, true} {
+			var freed atomic.Int64
+			ex := NewParallelSource("t", schema2("frag", "seq"), degree, func() ([]Fragment, error) {
+				fs := make([]Fragment, frags)
+				for i := range fs {
+					fs[i] = func(_ *Ctx, emit func(types.Row) bool) error {
+						for j := 0; j < per; j++ {
+							r := intRow(int64(i), int64(j))
+							runtime.SetFinalizer(&r[0], func(*types.Datum) { freed.Add(1) })
+							if !emit(r) {
+								return nil
+							}
+						}
+						return nil
+					}
+				}
+				return fs, nil
+			})
+			if ordered {
+				ex.Order = []SortKey{{Expr: &ColRef{Index: 1}, Desc: true}}
+			}
+			if err := ex.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; ; n++ {
+				if _, err := ex.Next(ctx); err == io.EOF {
+					if n != frags*per {
+						t.Fatalf("got %d rows, want %d", n, frags*per)
+					}
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex.Close()
+			// Hold what the pool kept: a GC empties a pool, which would
+			// free rows a pooled buffer pinned.
+			var held []any
+			for b := bufPool.Get(); b != nil; b = bufPool.Get() {
+				held = append(held, b)
+			}
+			runtime.GC()
+			runtime.GC()
+			for deadline := time.Now().Add(5 * time.Second); freed.Load() < frags*per && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := freed.Load(); n != frags*per {
+				t.Errorf("degree=%d ordered=%v: %d of %d rows freed after Close", degree, ordered, n, frags*per)
+			}
+			runtime.KeepAlive(ex)
+			for _, b := range held {
+				bufPool.Put(b)
+			}
+		}
 	}
 }

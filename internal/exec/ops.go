@@ -271,7 +271,7 @@ func (s *Sort) Open(ctx *Ctx) error {
 		return err
 	}
 	o := keyOrder{keys: s.Keys, ctx: ctx}
-	ents, err := o.sort(rows)
+	ents, err := o.sort(rows, make([]sortEntry, len(rows)))
 	if err != nil {
 		return err
 	}

@@ -137,11 +137,10 @@ func (o *keyOrder) compare(a, b *ranked) (int, error) {
 	return o.compareSlots(a.slot, b.slot)
 }
 
-// sort returns rows' entries in key order, ties by position; rows is not
-// moved. The entries are sorted on their prefixes alone, then each run of
-// tied prefixes on its rows' full keys.
-func (o *keyOrder) sort(rows []types.Row) ([]sortEntry, error) {
-	ents := make([]sortEntry, len(rows))
+// sort returns rows' entries in key order, ties by position, in ents, one
+// per row; rows is not moved. The entries are sorted on their prefixes
+// alone, then each run of tied prefixes on its rows' full keys.
+func (o *keyOrder) sort(rows []types.Row, ents []sortEntry) ([]sortEntry, error) {
 	for i, r := range rows {
 		p, err := o.prefix(r, -1)
 		if err != nil {
@@ -211,19 +210,20 @@ func (o *keyOrder) sortTies(rows []types.Row, run []sortEntry) error {
 	return sortErr
 }
 
-// sortRun is one fragment's share of an ordered Exchange: its rows, as they
-// arrived, their entries in key order, and its first key's first non-NULL
-// value.
+// sortRun is one fragment's share of an Exchange: its rows, as they
+// arrived, and, ordered, their entries in key order, its first key's first
+// non-NULL value and the merge's place in the entries.
 type sortRun struct {
 	rows  []types.Row
 	ents  []sortEntry
 	first types.Datum
+	next  int
 }
 
 // merge appends the runs' rows to out in key order, ties to the lower run:
 // exactly a stable sort of the runs' concatenation. A loser tree over the
 // run heads ranks them (run f's head loads its keys into slot f); each row
-// output costs log2(len(runs)) comparisons. The runs' entries are consumed.
+// output costs log2(len(runs)) comparisons. The runs are left intact.
 func (o *keyOrder) merge(runs []sortRun, out []types.Row) ([]types.Row, error) {
 	k := len(runs)
 	if k == 0 {
@@ -236,19 +236,21 @@ func (o *keyOrder) merge(runs []sortRun, out []types.Row) ([]types.Row, error) {
 			return out, err
 		}
 	}
+	done := func(f int) bool { return runs[f].next == len(runs[f].ents) }
 	// head makes run f's next entry its head.
 	head := func(f int) {
-		if r := &runs[f]; len(r.ents) > 0 {
-			heads[f] = ranked{row: r.rows[r.ents[0].pos], prefix: r.ents[0].prefix, slot: f}
+		if r := &runs[f]; !done(f) {
+			e := r.ents[r.next]
+			heads[f] = ranked{row: r.rows[e.pos], prefix: e.prefix, slot: f}
 		}
 	}
 	// before reports whether run a's head sorts before run b's; an
 	// exhausted run sorts last.
 	before := func(a, b int) (bool, error) {
 		switch {
-		case len(runs[a].ents) == 0:
+		case done(a):
 			return false, nil
-		case len(runs[b].ents) == 0:
+		case done(b):
 			return true, nil
 		}
 		c, err := o.compare(&heads[a], &heads[b])
@@ -291,9 +293,9 @@ func (o *keyOrder) merge(runs []sortRun, out []types.Row) ([]types.Row, error) {
 		win = max(win, w)
 	}
 	var err error
-	for err == nil && len(runs[win].ents) > 0 {
+	for err == nil && !done(win) {
 		out = append(out, heads[win].row)
-		runs[win].ents = runs[win].ents[1:]
+		runs[win].next++
 		head(win)
 		win, err = replay(win)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,6 +124,38 @@ func TestOrderedExchangeMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
+
+	// Statements of very different sizes, ordered and not, run at once and
+	// reopen their Exchanges, so they pass the pool's runs, entries and
+	// outputs among themselves; each still matches.
+	var wg sync.WaitGroup
+	for i, n := range []int{40, 300, 1100, 6000} {
+		for _, keys := range [][]SortKey{nil, orderKeyCases[i%len(orderKeyCases)]} {
+			rows := orderRows(n, int64(i))
+			want := seqs(rows)
+			if keys != nil {
+				want = seqs(stableReference(rows, keys))
+			}
+			ex := NewParallelSource("t", schema, 4, func() ([]Fragment, error) { return splitFragments(rows, 4), nil })
+			ex.Order = keys
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 6; rep++ {
+					got, err := Collect(NewCtx(time.Unix(0, 0)), ex)
+					if err != nil {
+						t.Errorf("concurrent %d rows ordered=%v, run %d: %v", n, keys != nil, rep, err)
+						return
+					}
+					if seqs(got) != want {
+						t.Errorf("concurrent %d rows ordered=%v, run %d: order differs from the reference", n, keys != nil, rep)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestOrderIncomparableKindsFails: a first key mixing kinds Compare cannot

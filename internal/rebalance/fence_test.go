@@ -95,7 +95,7 @@ func TestMoveWaitsForFailoverAndRetargets(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		_, err := c.PromoteStandby(1, sid)
+		_, err := c.PromoteStandby(1, sid, func() {})
 		done <- err
 	}()
 

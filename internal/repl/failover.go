@@ -29,7 +29,8 @@ type FailoverReport struct {
 //  5. verify — compare per-table digests of the primary's partitions and
 //     the candidate mirror (zero committed-transaction loss);
 //  6. promote — flip every bucket the primary owned to the candidate
-//     under the route barrier and retire the primary;
+//     under the route barrier, retire the primary and count the failover
+//     (Failovers), all in one step;
 //  7. regroup — reparent the surviving replicas (including the
 //     candidate's own chained standbys, which become direct) under the
 //     new primary, so the group keeps N-1 replicas and a second failover
@@ -73,13 +74,12 @@ func (m *Manager) Failover(primary int) (FailoverReport, error) {
 		}
 	}
 
-	flipped, err := m.c.PromoteStandby(primary, cand.node)
+	flipped, err := m.c.PromoteStandby(primary, cand.node, func() { m.failovers.Add(1) })
 	if err != nil {
 		return FailoverReport{}, err
 	}
 	survivors := m.regroup(g, primary, cand)
 	cand.feed.Close()
-	m.failovers.Add(1)
 	g.failing.Store(false)
 	return FailoverReport{
 		Primary:   primary,

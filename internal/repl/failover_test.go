@@ -53,6 +53,49 @@ func TestFailoverPromotesStandby(t *testing.T) {
 	}
 }
 
+// TestFailoverCountedWithTheFlip: a reader that sees the promoted standby
+// own the victim's buckets also sees the failover counted, even while the
+// rest of the failover (the regroup, held here on the manager's lock) has
+// not finished.
+func TestFailoverCountedWithTheFlip(t *testing.T) {
+	c := newCluster(t, 2, cluster.ModeGTMLite)
+	setupAccounts(t, c, 20)
+	m := NewManager(c, Config{Mode: ModeAsync})
+	defer m.Close()
+	victim := 0
+	standby := attachAll(t, m, c)[victim]
+	c.SetDataNodeDown(victim, true)
+
+	m.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Failover(victim)
+		done <- err
+	}()
+	seen := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); seen < 0 && time.Now().Before(deadline); {
+		for _, owner := range c.BucketOwners() {
+			if owner == standby {
+				seen = m.Failovers()
+				break
+			}
+		}
+	}
+	m.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatalf("Failover: %v", err)
+	}
+	if seen != 1 {
+		t.Fatalf("Failovers() = %d the moment the new owner was seen, want 1", seen)
+	}
+	if _, err := c.PromoteStandby(victim, standby, func() { t.Error("a refused promotion published") }); err == nil {
+		t.Fatal("promoting a retired primary's former standby again succeeded")
+	}
+	if m.Failovers() != 1 {
+		t.Fatalf("Failovers() = %d after a refused promotion, want 1", m.Failovers())
+	}
+}
+
 // TestFailoverUnderLoad is the E14 acceptance test: a TPC-C mixed workload
 // runs while a primary is killed; the failure detector promotes its standby
 // automatically; no committed transaction is lost (checksum-verified) and

@@ -233,6 +233,10 @@ func FuzzDecodeFrames(f *testing.F) {
 	bomb := EncodeResponse(&Response{})
 	bomb = types.AppendU32(types.AppendU32(bomb[:len(bomb)-4], 1), 0x7fffffff)
 	f.Add(bomb)
+	f.Add(wideClaimFrame())
+	claim := EncodeResponse(&Response{})
+	claim = types.AppendU32(types.AppendU32(claim[:len(claim)-4], 1<<20), 1<<20)
+	f.Add(append(claim, make([]byte, 300)...))
 	f.Add(EncodeRequest(&Request{Op: OpExec, Priority: 2, Session: 7, TimeoutMillis: 50, SQL: "SELECT 1"}))
 	f.Add(EncodeRequest(&Request{Op: OpExec, Flags: FlagBegin, Session: 7, SQL: "UPDATE kv SET v = 1 WHERE k = 2"}))
 	f.Add(EncodeResponse(&Response{

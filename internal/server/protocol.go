@@ -141,9 +141,19 @@ const (
 	respInTxn
 )
 
-// EncodeResponse renders a response frame.
+// EncodeResponse renders a response frame into a buffer made at its length.
 func EncodeResponse(p *Response) []byte {
-	b := make([]byte, 0, 64)
+	// The fixed fields, then a u32 per list, string and row.
+	n := 18 + 4*(3+len(p.Columns)+len(p.Rows)) + len(p.Err)
+	for _, c := range p.Columns {
+		n += len(c)
+	}
+	for _, row := range p.Rows {
+		for _, d := range row {
+			n += types.DatumSize(d)
+		}
+	}
+	b := make([]byte, 0, n)
 	b = append(b, byte(p.Status))
 	b = types.AppendU64(b, p.Session)
 	b = types.AppendString(b, p.Err)
@@ -187,14 +197,20 @@ func DecodeResponse(b []byte) (*Response, error) {
 			p.Columns[i] = r.Str()
 		}
 	}
+	// Rows are carved, cap-limited, from a slab sized for the rows left at
+	// the current width, never above the bytes left: a datum takes one or more.
 	if nrows := r.Count(4); nrows > 0 {
-		p.Rows = make([]types.Row, 0, nrows)
+		p.Rows = make([]types.Row, nrows)
+		var slab []types.Datum
 		for i := 0; i < nrows && r.Err() == nil; i++ {
-			row := make(types.Row, r.Count(1))
-			for j := 0; j < len(row) && r.Err() == nil; j++ {
-				row[j] = r.Datum()
+			w := r.Count(1)
+			if len(slab) < w {
+				slab = make([]types.Datum, min(w*(nrows-i), r.Len()))
 			}
-			p.Rows = append(p.Rows, row)
+			p.Rows[i], slab = slab[:w:w], slab[w:]
+			for j := 0; j < w && r.Err() == nil; j++ {
+				p.Rows[i][j] = r.Datum()
+			}
 		}
 	}
 	if r.Err() != nil {

@@ -44,6 +44,19 @@ func AppendDatum(b []byte, d Datum) []byte {
 	return b
 }
 
+// DatumSize is the number of bytes AppendDatum writes for d.
+func DatumSize(d Datum) int {
+	switch d.kind {
+	case KindBool:
+		return 2
+	case KindInt, KindFloat, KindTime:
+		return 9
+	case KindString, KindBytes:
+		return 5 + len(d.s)
+	}
+	return 1
+}
+
 // Reader decodes what the Append functions wrote. It is bounds-checked:
 // the first read past the end (or of a malformed value) sets Err, and
 // every read after that returns a zero value.
