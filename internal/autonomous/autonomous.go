@@ -50,11 +50,6 @@ func (s *InfoStore) Record(metric string, value float64) {
 	s.ts.Append(metric, s.clock(), value, nil)
 }
 
-// RecordAt appends a sample with an explicit timestamp.
-func (s *InfoStore) RecordAt(metric string, at time.Time, value float64) {
-	s.ts.Append(metric, at, value, nil)
-}
-
 // Window returns the samples of a metric in [now-d, now].
 func (s *InfoStore) Window(metric string, d time.Duration) []float64 {
 	now := s.clock()

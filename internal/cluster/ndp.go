@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"repro/internal/colstore"
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -43,14 +45,18 @@ type ndpProgram struct {
 	// stage; a columnar source ignores it.
 	key *keyProbe
 
-	// matCols lists the table columns materialized into sink rows (the
-	// projection plus whatever the sink's own expressions read: aggregate
-	// inputs, fragment-TopN keys); matPos gives each
-	// one's position in scanCols. Unlisted slots stay NULL — rows keep
-	// schema width so coordinator-compiled column indexes stay valid, but
-	// the wire is charged only for shipWidth datums per row.
+	// matCols lists the distinct table columns materialized into sink rows
+	// (the projection plus whatever the sink's own expressions read:
+	// aggregate inputs, fragment-TopN keys); the wire is charged for
+	// shipWidth datums per row whatever the row's width.
 	matCols []int
-	matPos  []int
+	// A sink row is width datums wide, and slots say which of its positions
+	// hold which materialized column. An unfolded scan's row is the table's
+	// (each column at its own position, NULL in the unlisted ones, so
+	// column indexes the coordinator compiled against the table stay
+	// valid); a folded scan's (spec.Out) is the query block's output row.
+	width int
+	slots []slot
 
 	// scanCols is the batch-scan projection: matCols plus whatever the
 	// predicate, TopN keys, bloom probe and ownership check read.
@@ -70,9 +76,13 @@ type ndpProgram struct {
 	tableCols int
 }
 
+// slot is one position of a sink row: at holds table column col, found at
+// position pos of the batch-scan projection.
+type slot struct{ at, col, pos int }
+
 // fragSink is where a fragment's selected rows go: exactly one of rows and
-// agg is set. rows receives each survivor's projected columns as a sparse
-// schema-width row (false stops the scan); agg is pushed the same rows —
+// agg is set. rows receives each survivor's projected columns as a sink
+// row (ndpProgram.slots; false stops the scan); agg is pushed the same rows —
 // or, when vec is set too (a columnar source whose group and aggregate
 // expressions are all bare columns), folds survivors in straight off the
 // column vectors. topn, set beside rows when the program has a topnCol, is
@@ -126,7 +136,8 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 // program compiled from spec and the source fragSource resolved for that
 // owner, gathered by an Exchange in fragment order so results are identical
 // at every parallel degree. A partial aggregate's Exchange is named
-// "<table>:partial-agg" and emits spec.Agg.Out rows. Under a pushed ORDER
+// "<table>:partial-agg" and emits spec.Agg.Out rows; a folded scan's emits
+// spec.OutSchema rows, the query block's output. Under a pushed ORDER
 // BY (spec.TopN with keys) the Exchange gets the program's keys: once a
 // fragment's rows have arrived, the exchange worker that gathered them
 // sorts them where they sit, and the coordinator merges the sorted runs. Program and sources are
@@ -139,8 +150,11 @@ func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exe
 // whole operator.
 func (a *stmtAccess) scanFragments(meta *plan.TableMeta, spec *plan.ScanPushdown) exec.Operator {
 	name, out := meta.Name, meta.Schema
-	if spec.Agg != nil {
+	switch {
+	case spec.Agg != nil:
 		name, out = name+":partial-agg", spec.Agg.Out
+	case spec.Out != nil:
+		out = spec.OutSchema
 	}
 	var prog *ndpProgram
 	var progOf *TableInfo
@@ -176,8 +190,9 @@ func (a *stmtAccess) scanFragments(meta *plan.TableMeta, spec *plan.ScanPushdown
 // place a fragment's predicate, projection and ownership check are
 // compiled. A partial aggregate's group keys and arguments, like
 // fragment-TopN keys, evaluate against sink rows: the columns they read are
-// materialized on top of spec.Cols. Caller must hold routeMu (it runs from
-// the Exchange's Plan hook, inside statement execution).
+// materialized on top of spec.Cols (a folded scan's keys are positions in
+// its output row, each a bare column). Caller must hold routeMu (it runs
+// from the Exchange's Plan hook, inside statement execution).
 func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProgram {
 	c := a.s.c
 	n := ti.Meta.Schema.Len()
@@ -204,27 +219,29 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 	}
 
 	// Shipped columns: the plan's projection, or everything when the
-	// planner did not bound it.
+	// planner did not bound it. out is the table column at each position
+	// of a sink row: the table's own, or a folded scan's output row.
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	p.matCols = append([]int(nil), spec.Cols...)
 	if spec.Cols == nil {
-		p.matCols = make([]int, n)
-		for i := range p.matCols {
-			p.matCols[i] = i
+		p.matCols = all
+	}
+	out := spec.Out
+	if out == nil {
+		out = all
+	}
+	// Aggregate inputs and fragment TopN keys evaluate against the sink
+	// row; make sure their columns are materialized (TopN's normally
+	// already are — ORDER BY expressions are projection outputs).
+	ship := func(col int) {
+		if !slices.Contains(p.matCols, col) {
+			p.matCols = append(p.matCols, col)
 		}
 	}
-	// Aggregate inputs and fragment TopN keys evaluate against the sparse
-	// sink row; make sure their columns are materialized (TopN's normally
-	// already are — ORDER BY expressions are projection outputs).
-	materialize := func(e exec.Expr) {
-		needRefs(e, func(col int) {
-			for _, mc := range p.matCols {
-				if mc == col {
-					return
-				}
-			}
-			p.matCols = append(p.matCols, col)
-		})
-	}
+	materialize := func(e exec.Expr) { needRefs(e, ship) }
 	if p.agg != nil {
 		for _, g := range p.agg.GroupBy {
 			materialize(g)
@@ -236,20 +253,34 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 	if p.topn != nil {
 		// Bare-column keys cannot fail to evaluate, and a typed column holds
 		// one kind family: a row turned away unbuilt is one Push would have
-		// dropped without an error.
+		// dropped without an error. A folded scan's keys are all bare.
+		keyCol := func(e exec.Expr) int {
+			if cr, ok := e.(*exec.ColRef); ok && cr.Index >= 0 && cr.Index < len(out) {
+				return out[cr.Index]
+			}
+			return -1
+		}
 		bare := len(p.topn.Keys) > 0
 		for _, k := range p.topn.Keys {
-			materialize(k.Expr)
-			cr, ok := k.Expr.(*exec.ColRef)
-			bare = bare && ok && cr.Index >= 0 && cr.Index < n
+			if col := keyCol(k.Expr); col >= 0 {
+				ship(col)
+			} else {
+				materialize(k.Expr)
+				bare = false
+			}
 		}
 		if bare {
-			p.topnCol = p.topn.Keys[0].Expr.(*exec.ColRef).Index
+			p.topnCol = keyCol(p.topn.Keys[0].Expr)
 		}
 	}
-	p.matPos = make([]int, len(p.matCols))
-	for i, col := range p.matCols {
-		p.matPos[i] = p.need(col)
+	for _, col := range p.matCols {
+		p.need(col)
+	}
+	p.width = len(out)
+	for at, col := range out {
+		if slices.Contains(p.matCols, col) {
+			p.slots = append(p.slots, slot{at: at, col: col, pos: p.scanPos(col)})
+		}
 	}
 
 	// Predicate columns (for the kernels and the sparse residual row), its
@@ -457,9 +488,9 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 				return true
 			}
 			// Only the projected columns are copied out of the store's row.
-			row := make(types.Row, p.tableCols)
-			for _, c := range p.matCols {
-				row[c] = r[c]
+			row := make(types.Row, p.width)
+			for _, sl := range p.slots {
+				row[sl.at] = r[sl.col]
 			}
 			var more bool
 			more, scanErr = sink.deliver(ctx, row)
@@ -525,11 +556,11 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 			if sink.vec != nil || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
 				continue
 			}
-			// Materialize the survivor: sparse, at schema width, carrying
-			// just the projected columns.
-			row := make(types.Row, p.tableCols)
-			for j, c := range p.matCols {
-				row[c] = b.Cols[p.matPos[j]].DatumAt(i)
+			// Materialize the survivor: just the projected columns, in the
+			// sink row's shape.
+			row := make(types.Row, p.width)
+			for _, sl := range p.slots {
+				row[sl.at] = b.Cols[sl.pos].DatumAt(i)
 			}
 			var more bool
 			if more, scanErr = sink.deliver(ctx, row); !more {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/colstore"
+	"repro/internal/sqlx"
 )
 
 // TestFragmentTopNAllocationCeiling is a ceiling on what a pushed ORDER BY
@@ -57,6 +58,62 @@ func TestFragmentTopNAllocationCeiling(t *testing.T) {
 	const ceiling = 256
 	if large-small >= ceiling {
 		t.Errorf("allocations grew from %.0f to %.0f (+%.0f) with the table, want < +%d", small, large, large-small, ceiling)
+	}
+	t.Logf("allocs per query: %.0f at %d rows, %.0f at %d", small, rows/4, large, rows)
+}
+
+// TestProjectedScanAllocationCeiling is a ceiling on what an ORDER BY over a
+// bare scan allocates per shipped row. Its select list is bare columns, so
+// the planner folds the projection into the scan: the data node builds each
+// survivor once, in the output row's shape, and no coordinator Project
+// copies it. Four times the rows may add one object per added row, plus a
+// constant — a second object per row (a table-width row and its projected
+// copy) would double the growth.
+func TestProjectedScanAllocationCeiling(t *testing.T) {
+	c := newCluster(t, 4, ModeGTMLite)
+	s := c.NewSession()
+	c.ParallelDegree = 1
+	mustExec(t, s, "CREATE TABLE tp (k BIGINT, v BIGINT, w BIGINT) DISTRIBUTE BY HASH(k) USING COLUMN")
+	stmt, err := sqlx.Parse("SELECT v, k FROM tp ORDER BY v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 8 * colstore.SegmentRows
+	insert := func(lo, hi int) {
+		for ; lo < hi; lo += 1024 {
+			var vals []string
+			for i := lo; i < min(lo+1024, hi); i++ {
+				vals = append(vals, fmt.Sprintf("(%d, %d, %d)", i, i*7919%rows, i))
+			}
+			mustExec(t, s, "INSERT INTO tp VALUES "+strings.Join(vals, ", "))
+		}
+	}
+	allocs := func(n int) float64 {
+		res, err := s.ExecStmt(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != n {
+			t.Fatalf("%d rows, want %d", len(res.Rows), n)
+		}
+		for i, r := range res.Rows {
+			if len(r) != 2 || i > 0 && r[0].Int() <= res.Rows[i-1][0].Int() || r[1].Int()*7919%rows != r[0].Int() {
+				t.Fatalf("over %d rows: row %d is %v", n, i, r)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := s.ExecStmt(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	insert(0, rows/4)
+	small := allocs(rows / 4)
+	insert(rows/4, rows)
+	large := allocs(rows)
+	const slack = 256
+	if added := float64(rows - rows/4); large-small > added+slack {
+		t.Errorf("allocations grew from %.0f to %.0f (+%.0f) over %.0f added rows, want at most one per row + %d", small, large, large-small, added, slack)
 	}
 	t.Logf("allocs per query: %.0f at %d rows, %.0f at %d", small, rows/4, large, rows)
 }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/plan"
@@ -973,6 +974,143 @@ func TestDifferentialOrderLimit(t *testing.T) {
 						t.Fatalf("%s: %q: err = %v, want %v (pushdown off, degree 1)", label, sql, err, base)
 					}
 				})
+			}
+		})
+	}
+}
+
+// projectedCases are the select lists TestDifferentialProjectedScan checks:
+// %s is the predicate. From +projection up, a list of bare columns over a
+// bare scan is folded into it, hidden ORDER BY columns included; a computed
+// list, and a block over a derived table or a join, keeps its coordinator
+// Project.
+var projectedCases = []string{
+	"SELECT b, id FROM rt WHERE %s",                                                  // a permutation
+	"SELECT a, a FROM rt WHERE %s",                                                   // a duplicate
+	"SELECT c FROM rt WHERE %s",                                                      // a subset
+	"SELECT * FROM rt WHERE %s",                                                      // every column
+	"SELECT c, a FROM rt WHERE %s ORDER BY id DESC",                                  // a hidden key, stripped
+	"SELECT e, e, id FROM rt WHERE %s ORDER BY e, id",                                // a duplicated key
+	"SELECT DISTINCT a FROM rt WHERE %s",                                             // DISTINCT
+	"SELECT DISTINCT b, a FROM rt WHERE %s ORDER BY a, b",                            // DISTINCT, ordered
+	"SELECT b, id FROM rt WHERE %s LIMIT 5",                                          // a bare LIMIT
+	"SELECT c, id FROM rt WHERE %s LIMIT 4 OFFSET 3",                                 // and an OFFSET
+	"SELECT c, id FROM rt WHERE %s ORDER BY a DESC, id LIMIT 4 OFFSET 2",             // keys, LIMIT and OFFSET
+	"SELECT d FROM rt WHERE %s ORDER BY e DESC, id LIMIT 5",                          // hidden keys under a LIMIT
+	"SELECT id, a + b, c FROM rt WHERE %s ORDER BY id DESC LIMIT 5",                  // computed
+	"SELECT a * 2, id FROM rt WHERE %s",                                              // computed, unordered
+	"SELECT x.b FROM (SELECT id, b, c FROM rt WHERE %s) x",                           // a folded block read in part
+	"SELECT x.a, y.c FROM (SELECT a, id FROM rt WHERE %s) x, rt y WHERE x.id = y.id", // a folded block joined
+}
+
+// analyticalCount counts the statements an HTAP freshness gate admits to
+// the replicas.
+type analyticalCount struct {
+	AnalyticalProvider
+	admitted atomic.Int64
+}
+
+func (g *analyticalCount) Gate(dnIDs []int) bool {
+	ok := g.AnalyticalProvider.Gate(dnIDs)
+	if ok {
+		g.admitted.Add(1)
+	}
+	return ok
+}
+
+// TestDifferentialProjectedScan runs select lists a scan folds — a
+// permutation, a duplicate, a subset, hidden ORDER BY columns, DISTINCT, a
+// LIMIT and an OFFSET with and without keys, a block read in part or joined
+// as a derived table — beside computed ones, on row and columnar tables,
+// read from the primaries and then from HTAP replicas. Every pushdown level
+// and degree must return exactly the rows of pushdown off at degree 1 on
+// the same copy, and a replica the primary's rows wherever the query fixes
+// them.
+//
+// Last, computed outputs that fail on one row the query does not return. A
+// coordinator Project evaluates only the rows its parent pulls, so the fold
+// must leave computed outputs to it: under a bare LIMIT the statement
+// answers at every level. Under ORDER BY … LIMIT it answers wherever the
+// fragments sort; below +topn the coordinator's TopN sits above the Project
+// and pulls every row through it, so there it fails, as it always has.
+func TestDifferentialProjectedScan(t *testing.T) {
+	for _, st := range randomStorages {
+		t.Run(st.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			c := newCluster(t, 4, ModeGTMLite)
+			loadRandomTable(t, c, rng, 300, st.clause)
+			w := newShapeTwin(t, c)
+			s := c.NewSession()
+			preds := []string{"a IS NOT NULL OR a IS NULL"}
+			for len(preds) < 3 {
+				preds = append(preds, genPred(rng, 2).sql())
+			}
+
+			primary := map[string]string{}
+			var stmts int // statements executed, for the replica gate's count
+			check := func(copyName, sql string) {
+				var base string
+				sweepPushdown(c, func(label string) {
+					res, err := w.exec("rt", sql)
+					stmts += 2
+					if err != nil {
+						t.Fatalf("%s %s: %q failed: %v", copyName, label, sql, err)
+					}
+					if got := fmt.Sprint(res.Rows); base == "" {
+						base = got
+					} else if got != base {
+						t.Fatalf("%s %s: %q:\n got %v\nwant %v (pushdown off, degree 1)", copyName, label, sql, got, base)
+					}
+					fixed := !strings.Contains(sql, "LIMIT") || strings.Contains(sql, "ORDER BY")
+					if want, ok := primary[sql]; !ok {
+						primary[sql] = canon(res.Rows)
+					} else if fixed && canon(res.Rows) != want {
+						t.Fatalf("%s %s: %q:\n got %s\nprimary %s", copyName, label, sql, canon(res.Rows), want)
+					}
+				})
+			}
+			run := func(copyName string) {
+				for _, q := range projectedCases {
+					for _, p := range preds {
+						check(copyName, fmt.Sprintf(q, p))
+					}
+				}
+
+				// The bare LIMIT's answer is the first 3 rows in fragment
+				// order; the failing row is this copy's last.
+				c.Pushdown, c.ParallelDegree = plan.PushdownOff, 1
+				all := mustExec(t, s, "SELECT id FROM rt").Rows
+				stmts++
+				check(copyName, fmt.Sprintf("SELECT a, 10 / (id - %d) FROM rt LIMIT 3", all[len(all)-1][0].Int()))
+
+				const sorted = "SELECT a, 100000 / (id - 5) FROM rt ORDER BY id DESC LIMIT 3"
+				var base string
+				sweepPushdown(c, func(label string) {
+					res, err := s.Exec(sorted)
+					stmts++
+					switch pushed := c.Pushdown <= plan.PushdownTopN; {
+					case !pushed && (err == nil || !strings.Contains(err.Error(), "division by zero")):
+						t.Fatalf("%s %s: %q: err = %v, want division by zero", copyName, label, sorted, err)
+					case !pushed:
+					case err != nil:
+						t.Fatalf("%s %s: %q failed: %v", copyName, label, sorted, err)
+					case len(res.Rows) != 3 || res.Rows[0][1].Int() != 100000/294 || res.Rows[2][1].Int() != 100000/292:
+						t.Fatalf("%s %s: %q: %v, want ids 299, 298, 297", copyName, label, sorted, res.Rows)
+					case base == "":
+						base = fmt.Sprint(res.Rows)
+					case fmt.Sprint(res.Rows) != base:
+						t.Fatalf("%s %s: %q:\n got %v\nwant %v (pushdown +topn, degree 1)", copyName, label, sorted, res.Rows, base)
+					}
+				})
+			}
+			run("primary")
+
+			LogFedReplicas(t, c)("rt")
+			gate := &analyticalCount{AnalyticalProvider: c.analyticalReads()}
+			c.SetAnalyticalReads(gate)
+			stmts = 0
+			if run("replica"); gate.admitted.Load() != int64(stmts) {
+				t.Fatalf("%d of %d statements read the HTAP replicas", gate.admitted.Load(), stmts)
 			}
 		})
 	}

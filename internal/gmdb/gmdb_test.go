@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -405,6 +407,54 @@ func TestCheckpointAndRecovery(t *testing.T) {
 		if diff := diffRecords(want.Root, got.Root, key); diff != "" {
 			t.Error(diff)
 		}
+	}
+}
+
+// TestStoreRefusesWhatItCannotEncode: a TEXT put into a numeric field, by
+// Put, ApplyDelta or Update, is refused on entry with the codec's error, and
+// the store keeps what it held — so a following Checkpoint still encodes
+// every object.
+func TestStoreRefusesWhatItCannotEncode(t *testing.T) {
+	s, reg := newMMEStore(t)
+	sc, _ := reg.Get(mme.SessionType, 5)
+	tac := sc.Root.FieldIndex("tac")
+	text := schema.Value{Scalar: types.NewString("not a number")}
+	good := session(t, 5, 1)
+	if err := s.Put("good", good); err != nil {
+		t.Fatal(err)
+	}
+	imsi := good.Root.Values[sc.Root.FieldIndex("imsi")].Scalar
+
+	bad := session(t, 5, 2)
+	bad.Root.Values[tac] = text
+	delta := &schema.Delta{Type: mme.SessionType, Version: 5, Key: imsi,
+		Patches: []schema.Patch{{Path: []schema.PathElem{{Field: tac, Index: -1}}, Value: text}}}
+	for name, write := range map[string]func() error{
+		"put":   func() error { return s.Put("bad", bad) },
+		"delta": func() error { return s.ApplyDelta("good", delta) },
+		"update": func() error {
+			return s.Update("good", 5, func(obj *schema.Object) error {
+				obj.Root.Values[tac] = text
+				return nil
+			})
+		},
+	} {
+		if err := write(); err == nil || !strings.Contains(err.Error(), `field "tac" cannot hold TEXT`) {
+			t.Errorf("%s of a TEXT tac: err = %v, want the codec's kind error", name, err)
+		}
+		if err := s.Checkpoint(io.Discard); err != nil {
+			t.Errorf("checkpoint after a refused %s: %v", name, err)
+		}
+	}
+	if s.Len() != 1 {
+		t.Errorf("store holds %d objects, want 1", s.Len())
+	}
+	got, err := s.Get("good", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := diffRecords(good.Root, got.Root, "good"); diff != "" {
+		t.Error(diff)
 	}
 }
 

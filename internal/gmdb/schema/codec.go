@@ -51,15 +51,88 @@ func EncodeDelta(d *Delta, s *Schema) ([]byte, error) {
 }
 
 func encodeHeader(s *Schema, typ string, version int) ([]byte, error) {
-	if typ != s.Type || version != s.Version {
-		return nil, fmt.Errorf("schema: %s v%d encoded under %s v%d", typ, version, s.Type, s.Version)
+	if err := headerFits(s, typ, version); err != nil {
+		return nil, err
 	}
 	return types.AppendU32(types.AppendString(nil, typ), uint32(version)), nil
 }
 
-func appendRecord(b []byte, r *Record, rs *RecordSchema) ([]byte, error) {
+func headerFits(s *Schema, typ string, version int) error {
+	if typ != s.Type || version != s.Version {
+		return fmt.Errorf("schema: %s v%d encoded under %s v%d", typ, version, s.Type, s.Version)
+	}
+	return nil
+}
+
+// CheckObject returns the error EncodeObject would fail o with under s,
+// nil when it would not: a store refuses an object it could not encode.
+func CheckObject(o *Object, s *Schema) error {
+	if err := headerFits(s, o.Type, o.Version); err != nil {
+		return err
+	}
+	return checkRecord(o.Root, s.Root)
+}
+
+// CheckDelta returns the error EncodeDelta would fail d with under s, nil
+// when it would not.
+func CheckDelta(d *Delta, s *Schema) error {
+	if err := headerFits(s, d.Type, d.Version); err != nil {
+		return err
+	}
+	if err := checkValue(Value{Scalar: d.Key}, s.keyField()); err != nil {
+		return err
+	}
+	for _, p := range d.Patches {
+		f, err := patchField(s.Root, p.Path)
+		if err != nil {
+			return err
+		}
+		if err := checkValue(p.Value, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkRecord(r *Record, rs *RecordSchema) error {
+	if err := recordFits(r, rs); err != nil {
+		return err
+	}
+	for i, v := range r.Values {
+		if err := checkValue(v, rs.Fields[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkValue(v Value, f Field) error {
+	if f.Kind != RecordArray {
+		if !f.Kind.holds(v.Scalar.Kind()) {
+			return kindError(f, v.Scalar.Kind())
+		}
+		return nil
+	}
+	for _, sub := range v.Records {
+		if err := checkRecord(sub, f.Record); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recordFits reports a record with more values than its schema has fields,
+// or none at all.
+func recordFits(r *Record, rs *RecordSchema) error {
 	if r == nil || len(r.Values) > len(rs.Fields) {
-		return nil, fmt.Errorf("schema: record does not fit %s", rs.Name)
+		return fmt.Errorf("schema: record does not fit %s", rs.Name)
+	}
+	return nil
+}
+
+func appendRecord(b []byte, r *Record, rs *RecordSchema) ([]byte, error) {
+	if err := recordFits(r, rs); err != nil {
+		return nil, err
 	}
 	var err error
 	for i, f := range rs.Fields {
@@ -76,8 +149,8 @@ func appendRecord(b []byte, r *Record, rs *RecordSchema) ([]byte, error) {
 
 func appendValue(b []byte, v Value, f Field) ([]byte, error) {
 	if f.Kind != RecordArray {
-		if !f.Kind.holds(v.Scalar.Kind()) {
-			return nil, kindError(f, v.Scalar.Kind())
+		if err := checkValue(v, f); err != nil {
+			return nil, err
 		}
 		return types.AppendDatum(b, v.Scalar), nil
 	}

@@ -253,10 +253,11 @@ func convertSteps[T any](s *Store, typ string, from, to int, v T, step func(T, *
 
 // Put stores (or replaces) an object under key. The stored copy keeps the
 // writer's schema version; readers at other versions convert on the fly
-// (paper Fig 9/10).
+// (paper Fig 9/10). An object the codec could not encode is refused: stored,
+// it would fail every later checkpoint and notification.
 func (s *Store) Put(key string, obj *schema.Object) error {
-	if _, ok := s.registry.Get(obj.Type, obj.Version); !ok {
-		return fmt.Errorf("gmdb: schema %s v%d is not registered", obj.Type, obj.Version)
+	if err := s.check(obj); err != nil {
+		return err
 	}
 	s.puts.Add(1)
 	stored := obj.Clone()
@@ -265,6 +266,19 @@ func (s *Store) Put(key string, obj *schema.Object) error {
 		e.obj = stored
 		return s.notifyLocked(e, key, stored, nil, false)
 	})
+}
+
+// check refuses an object of an unregistered schema, or one its schema's
+// codec could not encode.
+func (s *Store) check(obj *schema.Object) error {
+	sc, ok := s.registry.Get(obj.Type, obj.Version)
+	if !ok {
+		return fmt.Errorf("gmdb: schema %s v%d is not registered", obj.Type, obj.Version)
+	}
+	if err := schema.CheckObject(obj, sc); err != nil {
+		return fmt.Errorf("gmdb: %w", err)
+	}
+	return nil
 }
 
 // Get returns a copy of the object converted to the requested schema
@@ -292,8 +306,12 @@ func (s *Store) Get(key string, version int) (*schema.Object, error) {
 // object's version before applying, and subscribers receive it converted
 // to their own versions (delta sync, §III-B).
 func (s *Store) ApplyDelta(key string, d *schema.Delta) error {
-	if _, ok := s.registry.Get(d.Type, d.Version); !ok {
+	sc, ok := s.registry.Get(d.Type, d.Version)
+	if !ok {
 		return fmt.Errorf("gmdb: schema %s v%d is not registered", d.Type, d.Version)
+	}
+	if err := schema.CheckDelta(d, sc); err != nil {
+		return fmt.Errorf("gmdb: %w", err)
 	}
 	s.deltas.Add(1)
 	return s.exec(key, func(p *partition) error {
@@ -330,6 +348,9 @@ func (s *Store) Update(key string, version int, fn func(obj *schema.Object) erro
 			converted = e.obj.Clone()
 		}
 		if err := fn(converted); err != nil {
+			return err
+		}
+		if err := s.check(converted); err != nil {
 			return err
 		}
 		e.obj = converted

@@ -44,8 +44,10 @@ type Access interface {
 // TopNPush asks the engine to sort each partition's rows under Keys and
 // keep only the top Limit of them, and to emit the partitions merged in key
 // order, ties to the lower partition — the planner puts no Sort above it.
-// Keys are compiled against the table schema; an empty Keys means a bare
-// LIMIT (keep the first Limit rows in scan order and stop early).
+// Keys are compiled against the row the scan emits: the table schema, or
+// on a folded scan (ScanPushdown.Out) positions in the output row. An empty
+// Keys means a bare LIMIT (keep the first Limit rows in scan order and stop
+// early).
 type TopNPush struct {
 	Keys  []exec.SortKey
 	Limit int64 // rows to keep per partition (already includes any OFFSET); < 0: all
@@ -53,11 +55,12 @@ type TopNPush struct {
 
 // ScanPushdown carries everything the planner pushes into an NDP scan
 // (near-data processing, Taurus-style). Pred is fixed when the scan is
-// created, and so is Agg, which fixes the scan's output schema; the
-// remaining fields are filled in by later planning passes — projection
-// analysis sets Cols, ORDER BY/LIMIT recognition sets TopN, and join
-// analysis sets Bloom. The engine must therefore read the spec when the
-// scan *opens*, not when it is constructed.
+// created, and so are Agg and Out, which fix the scan's output schema (the
+// planner asks ScanNDP again for a scan it sets Out on); the remaining
+// fields are filled in by later planning passes — projection analysis
+// sets Cols, ORDER BY/LIMIT recognition sets TopN, and join analysis sets
+// Bloom. The engine must therefore read the spec when the scan *opens*,
+// not when it is constructed.
 type ScanPushdown struct {
 	// Pred is the pushed filter (AND of the single-table conjuncts), or
 	// nil. NDP filtering is exact: the planner puts no Filter of its own on
@@ -65,9 +68,16 @@ type ScanPushdown struct {
 	// partition-pure.
 	Pred exec.Expr
 	// Cols lists the table column positions the plan references; the scan
-	// ships only these (emitting schema-width rows with NULLs elsewhere so
-	// compiled column indexes stay valid). nil means ship all columns.
+	// ships only these. nil means ship all columns. Without Out the scan
+	// emits table-width rows with NULLs in the unlisted columns, so column
+	// indexes compiled against the table read the right slots; with Out it
+	// fills the output positions whose column is listed.
 	Cols []int
+	// Out, when set, folds the query block's projection into the scan: it
+	// emits OutSchema rows whose position i holds table column Out[i] (a
+	// column may appear more than once), and no Project sits above it.
+	Out       []int
+	OutSchema *types.Schema
 	// TopN, when set, orders the scan's output and bounds each partition's
 	// share to the top rows a CN-side merge could ever keep.
 	TopN *TopNPush

@@ -120,7 +120,9 @@ func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEs
 	if linfo == nil || linfo.spec == nil || rinfo == nil || rinfo.spec == nil {
 		return false
 	}
-	if linfo.spec.Bloom != nil || rinfo.spec.Bloom != nil {
+	// A folded scan (a derived table's block) emits output rows, and a DN
+	// join reads table rows: it stays a CN join input, as under its Project.
+	if linfo.spec.Bloom != nil || rinfo.spec.Bloom != nil || linfo.spec.Out != nil || rinfo.spec.Out != nil {
 		return false
 	}
 	for i := range hj.LeftKeys {

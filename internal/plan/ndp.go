@@ -11,6 +11,7 @@ package plan
 
 import (
 	"repro/internal/exec"
+	"repro/internal/types"
 )
 
 // PushdownLevel is the scan-pushdown ladder (E18). Levels are cumulative:
@@ -115,6 +116,9 @@ func pushProjections(root exec.Operator, scans map[*exec.Counted]*scanInfo) {
 		switch o := op.(type) {
 		case *exec.Counted:
 			if info := scans[o]; info != nil && info.spec != nil {
+				if info.spec.Out != nil {
+					need = outputNeed(info.spec.Out, need, info.meta.Schema.Len())
+				}
 				info.spec.Cols = colsFromNeed(need)
 				return
 			}
@@ -175,6 +179,18 @@ func pushProjections(root exec.Operator, scans map[*exec.Counted]*scanInfo) {
 	walk(root, nil)
 }
 
+// outputNeed maps a requirement set over a folded scan's output row (nil:
+// every output) onto the table columns of its n that the outputs read.
+func outputNeed(out []int, need []bool, n int) []bool {
+	cols := make([]bool, n)
+	for i, col := range out {
+		if need == nil || need[i] {
+			cols[col] = true
+		}
+	}
+	return cols
+}
+
 // keyExprs projects the expressions out of a sort-key list.
 func keyExprs(keys []exec.SortKey) []exec.Expr {
 	out := make([]exec.Expr, len(keys))
@@ -212,9 +228,10 @@ func splitJoinNeed(need []bool, nLeft, nRight int, cond exec.Expr) (ln, rn []boo
 // top limit of them — everything a CN-side merge could ever retain —
 // instead of shipping the whole partition; the scan's Exchange merges the
 // sorted fragments, so the block needs no Sort or TopN of its own. limit
-// < 0 means no LIMIT. sortKeys reference projection outputs; they are
-// remapped to the underlying table-schema expressions, which must be
-// partition-pure to evaluate on a DN.
+// < 0 means no LIMIT. sortKeys reference projection outputs. A folded scan
+// (tryProjectionFold) emits the output row, so they stay as they are;
+// otherwise they are remapped to the underlying table-schema expressions,
+// which must be partition-pure to evaluate on a DN.
 func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey, exprs []exec.Expr, limit int64) bool {
 	ls := pc.lastScan
 	if !pc.p.Pushdown.includes(PushdownTopN) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
@@ -222,6 +239,10 @@ func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey
 	}
 	if limit < 0 && len(sortKeys) == 0 {
 		return false
+	}
+	if ls.spec.Out != nil {
+		ls.spec.TopN = &TopNPush{Keys: sortKeys, Limit: limit}
+		return true
 	}
 	keys := make([]exec.SortKey, 0, len(sortKeys))
 	for _, sk := range sortKeys {
@@ -236,6 +257,38 @@ func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey
 		keys = append(keys, exec.SortKey{Expr: e, Desc: sk.Desc})
 	}
 	ls.spec.TopN = &TopNPush{Keys: keys, Limit: limit}
+	return true
+}
+
+// tryProjectionFold folds a query block's projection into the bare NDP
+// scan beneath it when every output — hidden ORDER BY columns included — is
+// a bare table column, and reports whether it did. The scan's fragments
+// then build each survivor in the output's shape (ScanPushdown.Out), and
+// the block builds no Project. A computed output keeps its coordinator
+// Project: that evaluates only the rows its parent pulls — under a LIMIT,
+// not every candidate of every fragment heap — so an expression that fails
+// on a row the query never returns does not fail the query on a DN.
+func (pc *pctx) tryProjectionFold(projChild exec.Operator, exprs []exec.Expr, out *types.Schema) bool {
+	ls := pc.lastScan
+	nd, ok := pc.p.Access.(NDPAccess)
+	if !ok || !pc.p.Pushdown.includes(PushdownProjection) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
+		return false
+	}
+	cols := make([]int, len(exprs))
+	for i, e := range exprs {
+		cr, ok := e.(*exec.ColRef)
+		if !ok || cr.Index < 0 || cr.Index >= ls.meta.Schema.Len() {
+			return false
+		}
+		cols[i] = cr.Index
+	}
+	ls.spec.Out, ls.spec.OutSchema = cols, out
+	op, ok := nd.ScanNDP(ls.meta, ls.spec)
+	if !ok {
+		ls.spec.Out, ls.spec.OutSchema = nil, nil
+		return false
+	}
+	ls.counted.Child = op
 	return true
 }
 
@@ -255,8 +308,10 @@ func (pc *pctx) tryBloomPushdown(hj *exec.HashJoin, lop exec.Operator, lEst, rEs
 	if !ok {
 		return
 	}
+	// A folded scan (a derived table's block) emits output rows, not the
+	// table's: it stays a plain probe input, as under its Project.
 	info := (*pc.scans)[lc]
-	if info == nil || info.spec == nil || info.spec.Bloom != nil {
+	if info == nil || info.spec == nil || info.spec.Bloom != nil || info.spec.Out != nil {
 		return
 	}
 	if lEst > 0 && rEst > lEst {

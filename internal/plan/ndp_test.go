@@ -12,11 +12,12 @@ import (
 
 // ndpCatalog wraps fakeCatalog with NDPAccess support. The returned scan
 // reads its ScanPushdown at emit time (late binding, like the engine) and
-// honors Pred, Cols (sparse rows), Bloom, TopN's order — the planner leaves
-// no Sort above a pushed ORDER BY — and Agg, over a single "partition".
-// TopN's bound is deliberately ignored: shipping more sorted rows than the
-// fragment heap would is always safe, and it keeps the fake honest about
-// the CN not depending on DN truncation.
+// honors Pred, Bloom, Cols (sparse rows) or Out (output rows, every output
+// filled), TopN's order — the planner leaves no Sort above a pushed ORDER
+// BY — and Agg, over a single "partition". TopN's bound is deliberately
+// ignored: shipping more sorted rows than the fragment heap would is always
+// safe, and it keeps the fake honest about the CN not depending on DN
+// truncation.
 type ndpCatalog struct {
 	*fakeCatalog
 	refuse    bool // refuse every spec
@@ -35,17 +36,14 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 	c.specs[strings.ToLower(meta.Name)] = spec
 	tb := c.tables[strings.ToLower(meta.Name)]
 	ctx := exec.NewCtx(time.Unix(0, 0))
-	src := exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
+	schema := meta.Schema
+	if spec.Out != nil {
+		schema = spec.OutSchema
+	}
+	src := exec.NewSource(meta.Name, schema, func(emit func(types.Row) bool) {
 		bf := spec.Bloom.Get()
-		rows := tb.rows
-		if spec.TopN != nil && len(spec.TopN.Keys) > 0 {
-			sorted, err := exec.Collect(ctx, &exec.Sort{Child: exec.NewValues(meta.Schema, rows), Keys: spec.TopN.Keys})
-			if err != nil {
-				panic(err)
-			}
-			rows = sorted
-		}
-		for _, r := range rows {
+		var rows []types.Row
+		for _, r := range tb.rows {
 			if spec.Pred != nil {
 				ok, err := exec.EvalBool(spec.Pred, ctx, r)
 				if err != nil || !ok {
@@ -58,8 +56,25 @@ func (c *ndpCatalog) ScanNDP(meta *TableMeta, spec *ScanPushdown) (exec.Operator
 					continue
 				}
 			}
+			if spec.Out != nil {
+				out := make(types.Row, len(spec.Out))
+				for i, ci := range spec.Out {
+					out[i] = r[ci]
+				}
+				r = out
+			}
+			rows = append(rows, r)
+		}
+		if spec.TopN != nil && len(spec.TopN.Keys) > 0 {
+			sorted, err := exec.Collect(ctx, &exec.Sort{Child: exec.NewValues(schema, rows), Keys: spec.TopN.Keys})
+			if err != nil {
+				panic(err)
+			}
+			rows = sorted
+		}
+		for _, r := range rows {
 			out := r
-			if spec.Cols != nil && spec.Agg == nil { // the aggregate reads whole rows
+			if spec.Cols != nil && spec.Agg == nil && spec.Out == nil { // the aggregate reads whole rows
 				out = make(types.Row, len(r))
 				for _, ci := range spec.Cols {
 					out[ci] = r[ci]
@@ -304,5 +319,79 @@ func TestNDPRefusalFallsBack(t *testing.T) {
 	}
 	if !filtered {
 		t.Error("no scan/filter step in fallback plan")
+	}
+}
+
+// cnProjects counts the Project operators the coordinator runs.
+func cnProjects(op exec.Operator) int {
+	switch o := op.(type) {
+	case *exec.Project:
+		return 1 + cnProjects(o.Child)
+	case *exec.Sort:
+		return cnProjects(o.Child)
+	case *exec.TopN:
+		return cnProjects(o.Child)
+	case *exec.Limit:
+		return cnProjects(o.Child)
+	case *exec.Distinct:
+		return cnProjects(o.Child)
+	case *exec.Counted:
+		return cnProjects(o.Child)
+	case *exec.HashJoin:
+		return cnProjects(o.Left) + cnProjects(o.Right)
+	}
+	return 0
+}
+
+// TestNDPProjectionFold: from +projection up, a select list of bare
+// columns over a bare scan — hidden ORDER BY columns included — becomes the
+// scan's output row (ScanPushdown.Out) and the block builds no Project, but
+// for the one that strips hidden columns. A pushed ORDER BY then keeps the
+// block's keys, positions in that row. A computed output, a level below
+// +projection, or a block over a join keeps the coordinator Project; a
+// folded derived table ships only the outputs its reader reads, and takes
+// no bloom filter.
+func TestNDPProjectionFold(t *testing.T) {
+	for _, tc := range []struct {
+		sql      string
+		level    PushdownLevel
+		out      []int // the t1 scan's Out
+		cols     []int // and its Cols
+		projects int   // CN Project operators
+		keys     string
+		first    string // the first row
+	}{
+		{"SELECT b1, a1 FROM olap.t1 WHERE b1 < 100 ORDER BY a1 DESC LIMIT 5", PushdownBloom, []int{1, 0}, nil, 0, "$1 DESC", "(49, 49)"},
+		{"SELECT b1, b1 FROM olap.t1 ORDER BY a1, b1 DESC LIMIT 3", PushdownBloom, []int{1, 1, 0}, []int{1}, 1, "$2, $0 DESC", "(150, 150)"},
+		{"SELECT b1 FROM olap.t1 WHERE b1 > 10", PushdownProjection, []int{1}, []int{1}, 0, "", "(11)"},
+		{"SELECT DISTINCT a1 FROM olap.t1", PushdownBloom, []int{0}, []int{0}, 0, "", "(0)"},
+		{"SELECT x.b1 FROM (SELECT a1, b1 FROM olap.t1) x", PushdownBloom, []int{0, 1}, []int{1}, 1, "", "(0)"},
+		{"SELECT b1 + 1 FROM olap.t1 ORDER BY a1 LIMIT 2", PushdownBloom, nil, []int{1}, 2, "OLAP.T1.A1", "(1)"},
+		{"SELECT b1, a1 FROM olap.t1", PushdownFilter, nil, nil, 1, "", "(0, 0)"},
+		{"SELECT t1.b1 FROM olap.t1, olap.t2 WHERE t1.a1 = t2.a2", PushdownBloom, nil, nil, 1, "", "(0)"},
+		{"SELECT x.a1 FROM (SELECT b1, a1 FROM olap.t1) x, olap.t2 WHERE x.a1 = t2.a2", PushdownBloom, []int{1, 0}, []int{0}, 1, "", "(0)"},
+	} {
+		nc, p := newNDPPlanner()
+		p.Pushdown = tc.level
+		rows, plan := planAndRun(t, p, tc.sql)
+		spec := nc.specs["olap.t1"]
+		var keys []string
+		if spec.TopN != nil {
+			for _, k := range spec.TopN.Keys {
+				keys = append(keys, k.Expr.String()+map[bool]string{true: " DESC"}[k.Desc])
+			}
+		}
+		switch {
+		case fmt.Sprintf("%#v %#v", spec.Out, spec.Cols) != fmt.Sprintf("%#v %#v", tc.out, tc.cols):
+			t.Errorf("%s at %s: Out %#v, Cols %#v; want %#v, %#v", tc.sql, tc.level, spec.Out, spec.Cols, tc.out, tc.cols)
+		case cnProjects(plan.Root) != tc.projects:
+			t.Errorf("%s at %s: %d CN Projects, want %d", tc.sql, tc.level, cnProjects(plan.Root), tc.projects)
+		case strings.Join(keys, ", ") != tc.keys:
+			t.Errorf("%s at %s: pushed keys %q, want %q", tc.sql, tc.level, keys, tc.keys)
+		case spec.Out != nil && spec.Bloom != nil:
+			t.Errorf("%s at %s: a folded scan took a bloom filter", tc.sql, tc.level)
+		case len(rows) == 0 || rows[0].String() != tc.first:
+			t.Errorf("%s at %s: first row of %v, want %s", tc.sql, tc.level, rows[:min(3, len(rows))], tc.first)
+		}
 	}
 }

@@ -368,7 +368,9 @@ func (pc *pctx) planSelectBlock(sel *sqlx.Select) (exec.Operator, *Scope, []stri
 		fullSchema = &types.Schema{Columns: cols}
 	}
 	projChild := op
-	op = &exec.Project{Child: op, Exprs: exprs, Out: fullSchema}
+	if !pc.tryProjectionFold(projChild, exprs, fullSchema) {
+		op = &exec.Project{Child: op, Exprs: exprs, Out: fullSchema}
+	}
 
 	if sel.Distinct {
 		if len(exprs) > hiddenStart {
