@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/types"
 )
 
@@ -36,25 +37,34 @@ func main() {
 	}
 
 	// --- Graph engine: call graph of persons ---------------------------
-	g := db.Graph()
-	suspect := g.AddVertex("person", map[string]types.Datum{
-		"cid": types.NewInt(11111), "phone": types.NewString("555-0100"),
-	})
-	clean := g.AddVertex("person", map[string]types.Datum{
-		"cid": types.NewInt(22222), "phone": types.NewString("555-0101"),
-	})
-	for i := 0; i < 4; i++ {
-		caller := g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(int64(30000 + i))})
-		g.AddEdge(caller, suspect, "call", map[string]types.Datum{"ts": types.NewInt(int64(20180610 + i))})
+	// A graph is two cluster tables, g_vertices and g_edges, whose property
+	// columns are declared up front.
+	g, err := db.CreateGraph("g",
+		[]types.Column{{Name: "cid", Kind: types.KindInt}, {Name: "phone", Kind: types.KindString}},
+		[]types.Column{{Name: "ts", Kind: types.KindInt}})
+	if err != nil {
+		log.Fatal(err)
 	}
-	one := g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(40000)})
-	g.AddEdge(one, clean, "call", map[string]types.Datum{"ts": types.NewInt(20180615)})
+	suspect := must(g.AddVertex("person", map[string]types.Datum{
+		"cid": types.NewInt(11111), "phone": types.NewString("555-0100"),
+	}))
+	clean := must(g.AddVertex("person", map[string]types.Datum{
+		"cid": types.NewInt(22222), "phone": types.NewString("555-0101"),
+	}))
+	for i := 0; i < 4; i++ {
+		caller := must(g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(int64(30000 + i))}))
+		check(g.AddEdge(caller, suspect, "call", map[string]types.Datum{"ts": types.NewInt(int64(20180610 + i))}))
+	}
+	one := must(g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(40000)}))
+	check(g.AddEdge(one, clean, "call", map[string]types.Datum{"ts": types.NewInt(20180615)}))
 
 	// --- Relational: car registration mapping --------------------------
 	db.MustExec("CREATE TABLE car2cid (carid TEXT, cid BIGINT) DISTRIBUTE BY REPLICATION")
 	db.MustExec("INSERT INTO car2cid VALUES ('car1', 11111), ('car2', 22222), ('car9', 99999)")
 
 	// --- The unified query (Example 1) ----------------------------------
+	fabric := db.Cluster().Fabric()
+	before := fabric.Stats()
 	res := db.MustExec(`
 		with cars (carid) as (
 		    select distinct carid from gtimeseries(
@@ -65,16 +75,26 @@ func main() {
 		select s.cid, c.carid
 		from suspects s, cars c
 		where s.cid = (select cid from car2cid as cc where cc.carid = c.carid)`)
+	traffic := fabric.Stats().Sub(before)
 
 	fmt.Println("suspects driving cars seen speeding in the last 30 minutes:")
 	for _, r := range res.Rows {
 		fmt.Printf("  cid=%v car=%v\n", r[0], r[1])
 	}
+	fmt.Printf("the traversal ran on the data nodes: %d fabric messages, %d bytes\n", traffic.Total(), traffic.TotalBytes())
 
-	// Bonus: every engine's data is also visible relationally.
-	if err := db.MultiModel().ExposeGraphTables("g"); err != nil {
+	// The graph is ordinary tables: plain SQL reads them too.
+	counts := db.MustExec("SELECT count(*) FROM g_edges")
+	fmt.Printf("\nunified storage: g_edges has %v rows\n", counts.Rows[0][0])
+}
+
+func must(id graph.VID, err error) graph.VID {
+	check(err)
+	return id
+}
+
+func check(err error) {
+	if err != nil {
 		log.Fatal(err)
 	}
-	counts := db.MustExec("SELECT count(*) FROM g_edges")
-	fmt.Printf("\nunified storage view: g_edges has %v rows (graph exposed as tables)\n", counts.Rows[0][0])
 }

@@ -374,6 +374,10 @@ func (u *selectUnit) analyzeRef(ref sqlx.TableRef, q *sqlx.Select, ctes []string
 		u.analyzeRoutes(r.Query, ctes)
 	case *sqlx.TableFunc:
 		u.engines = true
+		if r.Name == "ggraph" {
+			// A traversal compiles to scans of the graph's distributed tables.
+			u.distributed, u.scatter = true, true
+		}
 		if r.Query != nil {
 			u.analyzeRoutes(r.Query, ctes)
 		}

@@ -32,6 +32,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/spatial"
 	"repro/internal/tseries"
+	"repro/internal/types"
 )
 
 // Re-exported types so callers only import core.
@@ -82,8 +83,9 @@ type DB struct {
 	htap    *htap.Manager
 }
 
-// Open builds a cluster and attaches the graph, time-series and spatial
-// engines.
+// Open builds a cluster and attaches the multi-model engines: the ggraph
+// compiler, the time-series store and the spatial index. It creates no
+// table; a graph's two tables appear when CreateGraph declares it.
 func Open(opts Options) (*DB, error) {
 	if opts.DataNodes <= 0 {
 		opts.DataNodes = 4
@@ -105,7 +107,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	c.CaptureSteps = opts.Learning
 	c.UseLearnedCard = opts.Learning
-	mm := multimodel.Attach(c, graph.New(), tseries.NewStore(), spatial.NewIndex(opts.SpatialCellSize))
+	mm := multimodel.Attach(c, tseries.NewStore(), spatial.NewIndex(opts.SpatialCellSize))
 	return &DB{cluster: c, mm: mm, def: c.NewSession()}, nil
 }
 
@@ -142,9 +144,13 @@ func (db *DB) MustExec(sql string) *Result {
 	return res
 }
 
-// Graph returns the attached property-graph engine (ggraph(...) queries
-// traverse it).
-func (db *DB) Graph() *graph.Graph { return db.mm.Graph }
+// CreateGraph declares a property graph: the cluster tables
+// <name>_vertices and <name>_edges with the given property columns, written
+// through the DB's default session (see graph.Create). ggraph('<name>.V()…')
+// traverses it.
+func (db *DB) CreateGraph(name string, vprops, eprops []types.Column) (*graph.Graph, error) {
+	return graph.Create(db.def, name, vprops, eprops)
+}
 
 // TimeSeries returns the attached time-series engine.
 func (db *DB) TimeSeries() *tseries.Store { return db.mm.TS }
@@ -152,8 +158,7 @@ func (db *DB) TimeSeries() *tseries.Store { return db.mm.TS }
 // Spatial returns the attached spatial index.
 func (db *DB) Spatial() *spatial.Index { return db.mm.Spatial }
 
-// MultiModel exposes the virtual-table registration helpers
-// (ExposeSeries, ExposeGraphTables, ExposeSpatial).
+// MultiModel exposes the time-series virtual-table helper (ExposeSeries).
 func (db *DB) MultiModel() *multimodel.DB { return db.mm }
 
 // Cluster exposes the underlying cluster for advanced use (experiments,

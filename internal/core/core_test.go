@@ -130,9 +130,14 @@ func qerr(est, act float64) float64 {
 func TestMultiModelAccessors(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0).UTC()
 	db := open(t, Options{DataNodes: 2, Clock: func() time.Time { return now }})
-	// Graph.
-	v := db.Graph().AddVertex("person", map[string]types.Datum{"cid": types.NewInt(7)})
-	_ = v
+	// Graph: declared, then written through the default session.
+	g, err := db.CreateGraph("g", []types.Column{{Name: "cid", Kind: types.KindInt}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
 	res := db.MustExec("SELECT cid FROM ggraph('g.V().values(cid)') AS g")
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
 		t.Errorf("graph rows = %v", res.Rows)

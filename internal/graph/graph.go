@@ -1,153 +1,149 @@
-// Package graph implements the multi-model database's graph engine
-// (paper §II-B): an in-memory property graph stored relationally (vertex
-// and edge tables, as the paper's unified storage engine prescribes) with a
-// Gremlin-subset traversal language compiled and evaluated natively.
+// Package graph is the multi-model database's graph engine (paper §II-B).
+// As the paper prescribes, "graphs are represented through tables for
+// vertexes and edges": a graph g is two ordinary cluster tables,
 //
-// The ggraph(...) table expression in internal/multimodel compiles its
-// traversal text with ParseTraversal and streams the result rows into the
-// relational executor, reproducing Example 1.
+//	g_vertices (id BIGINT PRIMARY KEY, label TEXT, <vertex properties>) DISTRIBUTE BY HASH(id)
+//	g_edges    (src BIGINT, dst BIGINT, label TEXT, <edge properties>) DISTRIBUTE BY HASH(src)
+//
+// whose property columns are declared when the graph is created, the way a
+// GMDB object type declares its fields. Writes are INSERTs through a
+// cluster session, so they join its transaction. A Gremlin-subset
+// traversal compiles (Compile) into a relational query block over the two
+// tables, which the ggraph(...) table expression hands to the SQL planner:
+// the traversal runs under the statement's snapshot, through the same
+// scans, joins and fabric as any other query (Example 1).
 package graph
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
+	"repro/internal/cluster"
+	"repro/internal/sqlx"
 	"repro/internal/types"
 )
 
 // VID identifies a vertex.
 type VID int64
 
-// Vertex is a labelled property vertex.
-type Vertex struct {
-	ID    VID
-	Label string
-	Props map[string]types.Datum
-}
-
-// Edge is a directed labelled edge with properties.
-type Edge struct {
-	From, To VID
-	Label    string
-	Props    map[string]types.Datum
-}
-
-// Graph is an in-memory property graph. Methods are safe for concurrent
-// use; traversals see a consistent snapshot only in the absence of
-// concurrent writers (graph analytics in FI-MPPDB run over loaded data).
+// Graph writes one declared graph through a cluster session. Like the
+// session, it is not safe for concurrent use.
 type Graph struct {
-	mu       sync.RWMutex
-	vertices map[VID]*Vertex
-	out      map[VID][]*Edge
-	in       map[VID][]*Edge
-	byLabel  map[string][]VID
-	nextID   VID
+	s      *cluster.Session
+	name   string
+	vprops []types.Column
+	eprops []types.Column
+	last   VID // the last vertex id handed out
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{
-		vertices: make(map[VID]*Vertex),
-		out:      make(map[VID][]*Edge),
-		in:       make(map[VID][]*Edge),
-		byLabel:  make(map[string][]VID),
-		nextID:   1,
+// Create declares graph name with the given vertex and edge property
+// columns: it creates name_vertices and name_edges through s, and returns
+// the graph that writes them through s.
+func Create(s *cluster.Session, name string, vprops, eprops []types.Column) (*Graph, error) {
+	if !isIdent(name) {
+		return nil, fmt.Errorf("graph: bad graph name %q", name)
 	}
-}
-
-// AddVertex inserts a vertex and returns its id. Props may be nil.
-func (g *Graph) AddVertex(label string, props map[string]types.Datum) VID {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	id := g.nextID
-	g.nextID++
-	if props == nil {
-		props = map[string]types.Datum{}
-	}
-	g.vertices[id] = &Vertex{ID: id, Label: label, Props: props}
-	g.byLabel[label] = append(g.byLabel[label], id)
-	return id
-}
-
-// AddEdge inserts a directed edge; both endpoints must exist.
-func (g *Graph) AddEdge(from, to VID, label string, props map[string]types.Datum) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.vertices[from]; !ok {
-		return fmt.Errorf("graph: vertex %d does not exist", from)
-	}
-	if _, ok := g.vertices[to]; !ok {
-		return fmt.Errorf("graph: vertex %d does not exist", to)
-	}
-	if props == nil {
-		props = map[string]types.Datum{}
-	}
-	e := &Edge{From: from, To: to, Label: label, Props: props}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
-	return nil
-}
-
-// Vertex returns a vertex by id.
-func (g *Graph) Vertex(id VID) (*Vertex, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	v, ok := g.vertices[id]
-	return v, ok
-}
-
-// VertexCount returns the number of vertices.
-func (g *Graph) VertexCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.vertices)
-}
-
-// EdgeCount returns the number of edges.
-func (g *Graph) EdgeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	n := 0
-	for _, es := range g.out {
-		n += len(es)
-	}
-	return n
-}
-
-// allVertices returns vertex ids in insertion (id) order for deterministic
-// traversal output.
-func (g *Graph) allVertices() []VID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ids := make([]VID, 0, len(g.vertices))
-	for id := range g.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// VertexEdgeTables exports the graph in the unified storage engine's
-// relational form (paper §II-B: "graphs are represented through tables for
-// vertexes and edges"): a (id, label) vertex table and a
-// (from, to, label) edge table.
-func (g *Graph) VertexEdgeTables() (vrows, erows []types.Row) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	ids := make([]VID, 0, len(g.vertices))
-	for id := range g.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		v := g.vertices[id]
-		vrows = append(vrows, types.Row{types.NewInt(int64(v.ID)), types.NewString(v.Label)})
-		for _, e := range g.out[id] {
-			erows = append(erows, types.Row{
-				types.NewInt(int64(e.From)), types.NewInt(int64(e.To)), types.NewString(e.Label),
-			})
+	g := &Graph{s: s, name: name, vprops: vprops, eprops: eprops}
+	vt := &sqlx.CreateTable{Name: name + "_vertices", PrimaryKey: []string{"id"}, DistKey: "id"}
+	et := &sqlx.CreateTable{Name: name + "_edges", DistKey: "src"}
+	for _, t := range []struct {
+		ct    *sqlx.CreateTable
+		fixed []string
+		props []types.Column
+	}{{vt, vertexCols, vprops}, {et, edgeCols, eprops}} {
+		for _, f := range t.fixed {
+			kind := types.KindInt
+			if f == "label" {
+				kind = types.KindString
+			}
+			t.ct.Columns = append(t.ct.Columns, sqlx.ColumnDef{Name: f, Kind: kind})
+		}
+		for i, p := range t.props {
+			if !isIdent(p.Name) || slices.Contains(t.fixed, p.Name) || slices.ContainsFunc(t.props[:i], func(q types.Column) bool { return q.Name == p.Name }) {
+				return nil, fmt.Errorf("graph: bad or repeated property name %q", p.Name)
+			}
+			t.ct.Columns = append(t.ct.Columns, sqlx.ColumnDef{Name: p.Name, Kind: p.Kind})
 		}
 	}
-	return vrows, erows
+	if _, err := s.ExecStmt(vt); err != nil {
+		return nil, err
+	}
+	if _, err := s.ExecStmt(et); err != nil {
+		s.ExecStmt(&sqlx.DropTable{Name: vt.Name})
+		return nil, err
+	}
+	return g, nil
+}
+
+// AddVertex inserts a vertex and returns its id. Ids are graph-wide and
+// ascend in insertion order. Props may be nil; every key must be a declared
+// vertex property.
+func (g *Graph) AddVertex(label string, props map[string]types.Datum) (VID, error) {
+	vals, err := propRow(g.vprops, props)
+	if err != nil {
+		return 0, err
+	}
+	g.last++
+	id := g.last
+	row := append([]sqlx.Expr{lit(types.NewInt(int64(id))), lit(types.NewString(label))}, vals...)
+	if _, err := g.s.ExecStmt(&sqlx.Insert{Table: g.name + "_vertices", Rows: [][]sqlx.Expr{row}}); err != nil {
+		return 0, err
+	}
+	return id, nil
+}
+
+// AddEdge inserts a directed edge; both endpoints must exist (as the
+// session sees them). Every key of props must be a declared edge property.
+func (g *Graph) AddEdge(from, to VID, label string, props map[string]types.Datum) error {
+	vals, err := propRow(g.eprops, props)
+	if err != nil {
+		return err
+	}
+	for _, id := range []VID{from, to} {
+		res, err := g.s.ExecStmt(&sqlx.Select{
+			Items: []sqlx.SelectItem{{Expr: col("", "id")}},
+			From:  []sqlx.TableRef{&sqlx.BaseTable{Name: g.name + "_vertices"}},
+			Where: eq(col("", "id"), lit(types.NewInt(int64(id)))),
+			Limit: -1,
+		})
+		if err != nil {
+			return err
+		}
+		if len(res.Rows) == 0 {
+			return fmt.Errorf("graph: vertex %d does not exist", id)
+		}
+	}
+	row := append([]sqlx.Expr{lit(types.NewInt(int64(from))), lit(types.NewInt(int64(to))), lit(types.NewString(label))}, vals...)
+	_, err = g.s.ExecStmt(&sqlx.Insert{Table: g.name + "_edges", Rows: [][]sqlx.Expr{row}})
+	return err
+}
+
+// propRow lays props out in the declared columns' order; an absent
+// property is NULL.
+func propRow(decl []types.Column, props map[string]types.Datum) ([]sqlx.Expr, error) {
+	for k := range props {
+		if !slices.ContainsFunc(decl, func(c types.Column) bool { return c.Name == k }) {
+			return nil, fmt.Errorf("graph: property %q is not declared", k)
+		}
+	}
+	row := make([]sqlx.Expr, len(decl))
+	for i, c := range decl {
+		v, ok := props[c.Name]
+		if !ok {
+			v = types.Null
+		}
+		row[i] = lit(v)
+	}
+	return row, nil
+}
+
+// isIdent reports whether s is an ASCII identifier: a letter or '_', then
+// letters, digits or '_'.
+func isIdent(s string) bool {
+	for i, r := range s {
+		if !(r == '_' || 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || i > 0 && '0' <= r && r <= '9') {
+			return false
+		}
+	}
+	return s != ""
 }

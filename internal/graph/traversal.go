@@ -2,31 +2,34 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
 
+	"repro/internal/plan"
+	"repro/internal/sqlx"
 	"repro/internal/types"
 )
 
-// Traversal is a parsed Gremlin-subset traversal bound to a graph.
+// traversal is a parsed Gremlin-subset traversal.
 //
-// Supported steps: V([id]), hasLabel(l), has(key[, value | pred]),
-// out/in/both([label]), outE/inE([label]), outV()/inV(), values(k...),
+// Supported steps: V([id]), E(), hasLabel(l), has(key[, value | pred]),
+// out/in/both([label]), outE/inE/bothE([label]), outV()/inV(), values(k...),
 // count(), limit(n), dedup(), where(sub-traversal), and the predicates
-// eq/neq/gt/gte/lt/lte used inside has() or standalone as value filters
-// (count().gt(3)).
-type Traversal struct {
-	g     *Graph
-	steps []step
-	src   string
+// eq/neq/gt/gte/lt/lte, inside has() or after count() (count().gt(3)).
+type traversal struct {
+	// source names the graph traversed: the "g" of g.V(), which may be left
+	// out. Its tables are <source>_vertices and <source>_edges.
+	source string
+	steps  []step
 }
 
-// step transforms an element stream.
+// step is one step of a chain.
 type step struct {
 	name string
 	args []arg
-	sub  *Traversal // for where()
+	sub  []step // for where()
 }
 
 // arg is one parsed argument: a datum literal or a nested predicate call.
@@ -40,25 +43,29 @@ type predCall struct {
 	val  types.Datum
 }
 
-// elem is one traversal stream element: exactly one field is set.
-type elem struct {
-	v   *Vertex
-	e   *Edge
-	d   types.Datum
-	row types.Row
-}
-
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
 
-// ParseTraversal parses Gremlin-subset text like
-// "g.V().has('kind','person').inE('call').count()". The leading "g." is
-// optional. Unquoted identifiers in argument position are treated as string
-// literals (the paper writes has(cid,11111)).
-func (g *Graph) ParseTraversal(src string) (*Traversal, error) {
+// parseTraversal parses Gremlin-subset text like
+// "g.V().has('kind','person').inE('call').count()". The leading "g." names
+// the graph and is optional. Unquoted identifiers in argument position are
+// treated as string literals (the paper writes has(cid,11111)).
+func parseTraversal(src string) (*traversal, error) {
 	p := &tparser{src: src}
-	t, err := p.parseChain(g)
+	t := &traversal{source: "g"}
+	p.skipSpace()
+	save := p.pos
+	if id := p.ident(); id != "" {
+		p.skipSpace()
+		if p.pos < len(p.src) && p.src[p.pos] == '.' {
+			t.source = id
+			p.pos++
+		} else {
+			p.pos = save
+		}
+	}
+	steps, err := p.parseChain()
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +73,7 @@ func (g *Graph) ParseTraversal(src string) (*Traversal, error) {
 	if p.pos < len(p.src) {
 		return nil, fmt.Errorf("graph: trailing input %q in traversal", p.src[p.pos:])
 	}
-	t.src = src
+	t.steps = steps
 	return t, nil
 }
 
@@ -94,21 +101,8 @@ func (p *tparser) ident() string {
 	return p.src[start:p.pos]
 }
 
-func (p *tparser) parseChain(g *Graph) (*Traversal, error) {
-	t := &Traversal{g: g}
-	p.skipSpace()
-	// Optional leading "g."
-	save := p.pos
-	if id := p.ident(); id == "g" {
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '.' {
-			p.pos++
-		} else {
-			p.pos = save
-		}
-	} else {
-		p.pos = save
-	}
+func (p *tparser) parseChain() ([]step, error) {
+	var steps []step
 	for {
 		p.skipSpace()
 		name := p.ident()
@@ -123,7 +117,7 @@ func (p *tparser) parseChain(g *Graph) (*Traversal, error) {
 		st := step{name: name}
 		p.skipSpace()
 		if name == "where" {
-			sub, err := p.parseChain(g)
+			sub, err := p.parseChain()
 			if err != nil {
 				return nil, err
 			}
@@ -151,13 +145,13 @@ func (p *tparser) parseChain(g *Graph) (*Traversal, error) {
 			}
 			p.pos++ // )
 		}
-		t.steps = append(t.steps, st)
+		steps = append(steps, st)
 		p.skipSpace()
 		if p.pos < len(p.src) && p.src[p.pos] == '.' {
 			p.pos++
 			continue
 		}
-		return t, nil
+		return steps, nil
 	}
 }
 
@@ -228,7 +222,7 @@ func (p *tparser) parseArg() (arg, error) {
 				return arg{}, fmt.Errorf("graph: unterminated predicate %s(", id)
 			}
 			p.pos++
-			if !validPred(id) {
+			if _, ok := predOps[id]; !ok {
 				return arg{}, fmt.Errorf("graph: unknown predicate %q", id)
 			}
 			return arg{pred: &predCall{name: id, val: inner.lit}}, nil
@@ -238,444 +232,425 @@ func (p *tparser) parseArg() (arg, error) {
 	}
 }
 
-func validPred(name string) bool {
-	switch name {
-	case "eq", "neq", "gt", "gte", "lt", "lte":
-		return true
-	}
-	return false
-}
-
-func (pc *predCall) matches(v types.Datum) bool {
-	if v.IsNull() {
-		return false
-	}
-	c, err := types.Compare(v, pc.val)
-	if err != nil {
-		return false
-	}
-	switch pc.name {
-	case "eq":
-		return c == 0
-	case "neq":
-		return c != 0
-	case "gt":
-		return c > 0
-	case "gte":
-		return c >= 0
-	case "lt":
-		return c < 0
-	case "lte":
-		return c <= 0
-	}
-	return false
+// predOps maps each predicate to the SQL comparison it compiles to.
+var predOps = map[string]string{
+	"eq": sqlx.OpEq, "neq": sqlx.OpNe, "gt": sqlx.OpGt, "gte": sqlx.OpGe, "lt": sqlx.OpLt, "lte": sqlx.OpLe,
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation
+// Compilation to a query block
 // ---------------------------------------------------------------------------
 
-// Eval runs the traversal and returns relational rows matching
-// OutputSchema.
-func (t *Traversal) Eval() ([]types.Row, error) {
-	elems, err := t.evalFrom(nil)
+// Compile parses a ggraph(...) traversal and compiles it into one query
+// block over its graph's two tables in cat, for the planner to plan like a
+// derived table (plan.Hooks.GGraph). Every step is relational:
+//
+//   - V() / V(n) / E() scan a table (V(n) with id = n); hasLabel and has
+//     are predicates, has(k) being k IS NOT NULL (a NULL property is an
+//     absent one).
+//   - out / in join the edges on src / dst, then the vertices on the other
+//     end; outE / inE stop at the edge and outV / inV join back. both and
+//     bothE join a UNION ALL of the two orientations, so a self-loop counts
+//     twice.
+//   - values(k...) is a select list whose keys are NOT NULL, count() is
+//     count(*), and a predicate after it a HAVING.
+//   - dedup() and limit(n) wrap the chain so far into a derived table with
+//     DISTINCT or LIMIT. dedup compares whole elements: a vertex by its id,
+//     an edge (which has no id) by its endpoints, label and properties.
+//   - where(sub) is a correlated (SELECT count(*) …) > 0, or … <pred> k when
+//     sub ends in count().<pred>(k).
+//
+// The result columns are (id, label) for vertices, (from, to, label) for
+// edges, the keys for values(), and count — value after a predicate — for
+// count(). A property the graph did not declare is an error.
+func Compile(src string, cat plan.Catalog) (*sqlx.Select, error) {
+	t, err := parseTraversal(src)
 	if err != nil {
 		return nil, err
 	}
-	var out []types.Row
-	for _, e := range elems {
-		out = append(out, t.elemRow(e))
+	c := &compiler{vtab: t.source + "_vertices", etab: t.source + "_edges"}
+	if c.vcols, err = graphTable(cat, c.vtab, vertexCols); err != nil {
+		return nil, err
 	}
-	return out, nil
+	if c.ecols, err = graphTable(cat, c.etab, edgeCols); err != nil {
+		return nil, err
+	}
+	first := t.steps[0]
+	b := &block{}
+	switch {
+	case first.name == "V" && len(first.args) <= 1:
+		b.cur, b.kind = c.join(b, c.vtab, "v"), vertex
+		if len(first.args) == 1 {
+			a := first.args[0]
+			if a.pred != nil || a.lit.Kind() != types.KindInt {
+				return nil, fmt.Errorf("graph: V() takes one integer vertex id")
+			}
+			b.where = append(b.where, eq(col(b.cur, "id"), lit(a.lit)))
+		}
+	case first.name == "E" && len(first.args) == 0:
+		b.cur, b.kind = c.join(b, c.etab, "e"), edge
+	default:
+		return nil, fmt.Errorf("graph: a traversal starts with V([id]) or E(), not %s()", first.name)
+	}
+	if b, err = c.chain(b, t.steps[1:]); err != nil {
+		return nil, err
+	}
+	return c.query(b), nil
 }
 
-// evalFrom evaluates the step chain; start==nil begins with V() semantics
-// required as the first step, while a non-nil start element seeds
-// sub-traversals in where().
-func (t *Traversal) evalFrom(start *elem) ([]elem, error) {
-	var cur []elem
-	steps := t.steps
-	if start != nil {
-		cur = []elem{*start}
-	} else {
-		if len(steps) == 0 || (steps[0].name != "V" && steps[0].name != "E") {
-			return nil, fmt.Errorf("graph: traversal must start with V() or E()")
+// The structural columns every graph table starts with; the properties
+// follow them.
+var (
+	vertexCols = []string{"id", "label"}
+	edgeCols   = []string{"src", "dst", "label"}
+)
+
+// graphTable resolves one of a graph's tables and returns its columns.
+func graphTable(cat plan.Catalog, name string, fixed []string) ([]types.Column, error) {
+	meta, err := cat.Resolve(name)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	cols := meta.Schema.Columns
+	for i, f := range fixed {
+		if i >= len(cols) || !strings.EqualFold(cols[i].Name, f) {
+			return nil, fmt.Errorf("graph: %s is not a graph table: its columns must start with %s", name, strings.Join(fixed, ", "))
 		}
 	}
-	for i, st := range steps {
-		if start == nil && i == 0 {
-			var err error
-			cur, err = t.sourceStep(st)
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
+	return cols, nil
+}
+
+// kind is what a block's rows are.
+type kind uint8
+
+const (
+	vertex kind = iota
+	edge
+	valueRows // values(k...)
+	counted   // count()
+)
+
+func (k kind) String() string {
+	return [...]string{"vertices", "edges", "values()", "count()"}[k]
+}
+
+// accepts lists the kinds of stream each step reads; a step not listed is
+// unknown.
+var accepts = map[string][]kind{
+	"hasLabel": {vertex, edge}, "has": {vertex, edge}, "values": {vertex, edge}, "where": {vertex, edge},
+	"out": {vertex}, "in": {vertex}, "both": {vertex}, "outE": {vertex}, "inE": {vertex}, "bothE": {vertex},
+	"outV": {edge}, "inV": {edge},
+	"count": {vertex, edge, valueRows}, "dedup": {vertex, edge, valueRows}, "limit": {vertex, edge, valueRows},
+	"eq": {counted}, "neq": {counted}, "gt": {counted}, "gte": {counted}, "lt": {counted}, "lte": {counted},
+}
+
+// block is the query block a chain compiles into: its FROM list and WHERE
+// conjuncts, and the alias of the current element. cur may be an enclosing
+// block's alias: a where() sub-traversal starts at its caller's element.
+type block struct {
+	from  []sqlx.TableRef
+	where []sqlx.Expr
+	cur   string
+	kind  kind
+	keys  []string   // valueRows: the property columns
+	preds []predCall // counted: the predicates the count must pass
+}
+
+type compiler struct {
+	vtab, etab   string
+	vcols, ecols []types.Column // every column of the two tables
+	n            int            // aliases handed out
+}
+
+func (c *compiler) alias(prefix string) string {
+	c.n++
+	return prefix + strconv.Itoa(c.n)
+}
+
+// join adds table to b's FROM list under a fresh alias and returns it.
+func (c *compiler) join(b *block, table, prefix string) string {
+	a := c.alias(prefix)
+	b.from = append(b.from, &sqlx.BaseTable{Name: table, Alias: a})
+	return a
+}
+
+func (c *compiler) chain(b *block, steps []step) (*block, error) {
+	for _, st := range steps {
 		var err error
-		cur, err = t.applyStep(st, cur)
-		if err != nil {
+		if b, err = c.step(b, st); err != nil {
 			return nil, err
 		}
 	}
-	return cur, nil
+	return b, nil
 }
 
-func (t *Traversal) sourceStep(st step) ([]elem, error) {
+func (c *compiler) step(b *block, st step) (*block, error) {
+	kinds, ok := accepts[st.name]
+	if !ok {
+		return nil, fmt.Errorf("graph: unknown step %q", st.name)
+	}
+	if !slices.Contains(kinds, b.kind) {
+		return nil, fmt.Errorf("graph: %s() cannot follow %s", st.name, b.kind)
+	}
+	if _, ok := predOps[st.name]; ok {
+		if len(st.args) != 1 || st.args[0].pred != nil || !types.Comparable(types.KindInt, st.args[0].lit.Kind()) {
+			return nil, fmt.Errorf("graph: %s() after count() needs one number", st.name)
+		}
+		b.preds = append(b.preds, predCall{name: st.name, val: st.args[0].lit})
+		return b, nil
+	}
 	switch st.name {
-	case "V":
-		if len(st.args) == 1 && st.args[0].lit.Kind() == types.KindInt {
-			if v, ok := t.g.Vertex(VID(st.args[0].lit.Int())); ok {
-				return []elem{{v: v}}, nil
-			}
-			return nil, nil
-		}
-		var out []elem
-		for _, id := range t.g.allVertices() {
-			v, _ := t.g.Vertex(id)
-			out = append(out, elem{v: v})
-		}
-		return out, nil
-	case "E":
-		var out []elem
-		t.g.mu.RLock()
-		defer t.g.mu.RUnlock()
-		for _, id := range t.g.allVerticesLocked() {
-			for _, e := range t.g.out[id] {
-				out = append(out, elem{e: e})
-			}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("graph: traversal must start with V() or E(), got %s()", st.name)
-	}
-}
-
-// allVerticesLocked is allVertices without locking (caller holds g.mu).
-func (g *Graph) allVerticesLocked() []VID {
-	ids := make([]VID, 0, len(g.vertices))
-	for id := range g.vertices {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	case "outV", "inV", "count", "dedup":
+		if len(st.args) != 0 {
+			return nil, fmt.Errorf("graph: %s() takes no arguments", st.name)
 		}
 	}
-	return ids
-}
-
-func (t *Traversal) applyStep(st step, cur []elem) ([]elem, error) {
 	switch st.name {
 	case "hasLabel":
-		if len(st.args) != 1 {
-			return nil, fmt.Errorf("graph: hasLabel needs one argument")
+		l, err := names(st, 1, 1)
+		if err != nil {
+			return nil, err
 		}
-		label := st.args[0].lit.Str()
-		return filterElems(cur, func(e elem) bool {
-			if e.v != nil {
-				return e.v.Label == label
-			}
-			if e.e != nil {
-				return e.e.Label == label
-			}
-			return false
-		}), nil
+		b.where = append(b.where, eq(col(b.cur, "label"), lit(types.NewString(l[0]))))
 	case "has":
-		return t.applyHas(st, cur)
-	case "out", "in", "both":
-		return t.applyAdjacent(st, cur)
-	case "outE", "inE", "bothE":
-		return t.applyIncident(st, cur)
-	case "outV":
-		return mapElems(cur, func(e elem) (elem, bool) {
-			if e.e == nil {
-				return elem{}, false
-			}
-			v, ok := t.g.Vertex(e.e.From)
-			return elem{v: v}, ok
-		}), nil
-	case "inV":
-		return mapElems(cur, func(e elem) (elem, bool) {
-			if e.e == nil {
-				return elem{}, false
-			}
-			v, ok := t.g.Vertex(e.e.To)
-			return elem{v: v}, ok
-		}), nil
+		return b, c.has(b, st)
+	case "out", "in", "both", "outE", "inE", "bothE":
+		l, err := names(st, 0, 1)
+		if err != nil {
+			return nil, err
+		}
+		c.adjacent(b, st.name, l)
+	case "outV", "inV":
+		end := map[string]string{"outV": "src", "inV": "dst"}[st.name]
+		v := c.join(b, c.vtab, "v")
+		b.where = append(b.where, eq(col(v, "id"), col(b.cur, end)))
+		b.cur, b.kind = v, vertex
 	case "values":
-		if len(st.args) == 0 {
-			return nil, fmt.Errorf("graph: values needs at least one key")
+		keys, err := names(st, 1, -1)
+		if err != nil {
+			return nil, err
 		}
-		var out []elem
-		for _, e := range cur {
-			props := elemProps(e)
-			if props == nil {
-				continue
-			}
-			row := make(types.Row, len(st.args))
-			missing := false
-			for i, a := range st.args {
-				v, ok := props[a.lit.Str()]
-				if !ok {
-					missing = true
-					break
-				}
-				row[i] = v
-			}
-			if !missing {
-				out = append(out, elem{row: row})
-			}
-		}
-		return out, nil
-	case "count":
-		return []elem{{d: types.NewInt(int64(len(cur)))}}, nil
-	case "limit":
-		if len(st.args) != 1 || st.args[0].lit.Kind() != types.KindInt {
-			return nil, fmt.Errorf("graph: limit needs an integer")
-		}
-		n := int(st.args[0].lit.Int())
-		if n < len(cur) {
-			cur = cur[:n]
-		}
-		return cur, nil
-	case "dedup":
-		seen := map[string]struct{}{}
-		var out []elem
-		for _, e := range cur {
-			k := elemKey(e)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, e)
-		}
-		return out, nil
-	case "where":
-		var out []elem
-		for _, e := range cur {
-			e := e
-			sub, err := st.sub.evalFrom(&e)
+		for _, k := range keys {
+			p, err := c.prop(b.kind, k)
 			if err != nil {
 				return nil, err
 			}
-			if truthy(sub) {
-				out = append(out, e)
+			if slices.Contains(b.keys, p.Name) {
+				return nil, fmt.Errorf("graph: values() names %s twice", p.Name)
 			}
+			b.keys = append(b.keys, p.Name)
+			b.where = append(b.where, &sqlx.IsNull{Child: col(b.cur, p.Name), Not: true})
 		}
-		return out, nil
-	case "eq", "neq", "gt", "gte", "lt", "lte":
-		if len(st.args) != 1 {
-			return nil, fmt.Errorf("graph: %s needs one argument", st.name)
+		b.kind = valueRows
+	case "count":
+		b.kind = counted
+	case "dedup":
+		return c.wrap(b, true, -1), nil
+	case "limit":
+		if len(st.args) != 1 || st.args[0].pred != nil || st.args[0].lit.Kind() != types.KindInt || st.args[0].lit.Int() < 0 {
+			return nil, fmt.Errorf("graph: limit needs a non-negative integer")
 		}
-		pc := &predCall{name: st.name, val: st.args[0].lit}
-		return filterElems(cur, func(e elem) bool {
-			return !e.d.IsNull() && pc.matches(e.d)
-		}), nil
-	default:
-		return nil, fmt.Errorf("graph: unknown step %q", st.name)
+		return c.wrap(b, false, st.args[0].lit.Int()), nil
+	case "where":
+		sub, err := c.chain(&block{cur: b.cur, kind: b.kind}, st.sub)
+		if err != nil {
+			return nil, err
+		}
+		if sub.kind != counted {
+			sub.kind, sub.preds = counted, []predCall{{name: "gt", val: types.NewInt(0)}}
+		}
+		// count() with no predicate yields one element: where() passes.
+		for _, p := range sub.preds {
+			n := &sqlx.Subquery{Query: c.countQuery(sub)}
+			b.where = append(b.where, &sqlx.BinaryOp{Op: predOps[p.name], Left: n, Right: lit(p.val)})
+		}
 	}
+	return b, nil
 }
 
-func (t *Traversal) applyHas(st step, cur []elem) ([]elem, error) {
+// has compiles has(k), has(k, v) and has(k, pred(v)).
+func (c *compiler) has(b *block, st step) error {
 	if len(st.args) < 1 || len(st.args) > 2 {
-		return nil, fmt.Errorf("graph: has needs one or two arguments")
+		return fmt.Errorf("graph: has needs one or two arguments")
 	}
-	key := st.args[0].lit.Str()
-	return filterElems(cur, func(e elem) bool {
-		props := elemProps(e)
-		if props == nil {
-			return false
-		}
-		v, ok := props[key]
-		if !ok {
-			return false
-		}
-		if len(st.args) == 1 {
-			return true
-		}
-		a := st.args[1]
-		if a.pred != nil {
-			return a.pred.matches(v)
-		}
-		return types.Equal(v, a.lit)
-	}), nil
-}
-
-func (t *Traversal) applyAdjacent(st step, cur []elem) ([]elem, error) {
-	label := ""
+	k, err := name(st, st.args[0])
+	if err != nil {
+		return err
+	}
+	p, err := c.prop(b.kind, k)
+	if err != nil {
+		return err
+	}
 	if len(st.args) == 1 {
-		label = st.args[0].lit.Str()
+		b.where = append(b.where, &sqlx.IsNull{Child: col(b.cur, p.Name), Not: true})
+		return nil
 	}
-	t.g.mu.RLock()
-	defer t.g.mu.RUnlock()
-	var out []elem
-	for _, e := range cur {
-		if e.v == nil {
-			continue
-		}
-		if st.name == "out" || st.name == "both" {
-			for _, ed := range t.g.out[e.v.ID] {
-				if label == "" || ed.Label == label {
-					out = append(out, elem{v: t.g.vertices[ed.To]})
-				}
-			}
-		}
-		if st.name == "in" || st.name == "both" {
-			for _, ed := range t.g.in[e.v.ID] {
-				if label == "" || ed.Label == label {
-					out = append(out, elem{v: t.g.vertices[ed.From]})
-				}
-			}
-		}
+	op, v := sqlx.OpEq, st.args[1].lit
+	if pc := st.args[1].pred; pc != nil {
+		op, v = predOps[pc.name], pc.val
 	}
-	return out, nil
-}
-
-func (t *Traversal) applyIncident(st step, cur []elem) ([]elem, error) {
-	label := ""
-	if len(st.args) == 1 {
-		label = st.args[0].lit.Str()
+	if !types.Comparable(p.Kind, v.Kind()) {
+		return fmt.Errorf("graph: has(%s, …) compares a %s property with %s", p.Name, p.Kind, v.Kind())
 	}
-	t.g.mu.RLock()
-	defer t.g.mu.RUnlock()
-	var out []elem
-	for _, e := range cur {
-		if e.v == nil {
-			continue
-		}
-		if st.name == "outE" || st.name == "bothE" {
-			for _, ed := range t.g.out[e.v.ID] {
-				if label == "" || ed.Label == label {
-					out = append(out, elem{e: ed})
-				}
-			}
-		}
-		if st.name == "inE" || st.name == "bothE" {
-			for _, ed := range t.g.in[e.v.ID] {
-				if label == "" || ed.Label == label {
-					out = append(out, elem{e: ed})
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func filterElems(in []elem, keep func(elem) bool) []elem {
-	var out []elem
-	for _, e := range in {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func mapElems(in []elem, f func(elem) (elem, bool)) []elem {
-	var out []elem
-	for _, e := range in {
-		if m, ok := f(e); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func elemProps(e elem) map[string]types.Datum {
-	if e.v != nil {
-		return e.v.Props
-	}
-	if e.e != nil {
-		return e.e.Props
-	}
+	b.where = append(b.where, &sqlx.BinaryOp{Op: op, Left: col(b.cur, p.Name), Right: lit(v)})
 	return nil
 }
 
-func elemKey(e elem) string {
-	switch {
-	case e.v != nil:
-		return fmt.Sprintf("v%d", e.v.ID)
-	case e.e != nil:
-		return fmt.Sprintf("e%d-%d-%s", e.e.From, e.e.To, e.e.Label)
-	case e.row != nil:
-		return "r" + e.row.String()
-	default:
-		return "d" + e.d.String()
+// adjacent joins the current vertex to its edges, and for out / in / both
+// to the vertex at each edge's other end.
+func (c *compiler) adjacent(b *block, name string, label []string) {
+	e := c.alias("e")
+	near, far := "src", "dst"
+	var ref sqlx.TableRef = &sqlx.BaseTable{Name: c.etab, Alias: e}
+	switch strings.TrimSuffix(name, "E") {
+	case "in":
+		near, far = far, near
+	case "both":
+		ref, near, far = c.bothEdges(e), "$near", "$far"
 	}
+	b.from = append(b.from, ref)
+	b.where = append(b.where, eq(col(e, near), col(b.cur, "id")))
+	if len(label) == 1 {
+		b.where = append(b.where, eq(col(e, "label"), lit(types.NewString(label[0]))))
+	}
+	if strings.HasSuffix(name, "E") {
+		b.cur, b.kind = e, edge
+		return
+	}
+	v := c.join(b, c.vtab, "v")
+	b.where = append(b.where, eq(col(v, "id"), col(e, far)))
+	b.cur, b.kind = v, vertex
 }
 
-// truthy decides where() semantics: a sub-traversal passes if it produced
-// any element (boolean datums must include a true).
-func truthy(elems []elem) bool {
-	if len(elems) == 0 {
-		return false
-	}
-	allBool := true
-	for _, e := range elems {
-		if e.d.Kind() != types.KindBool {
-			allBool = false
-			break
+// bothEdges is the edges table in both orientations: every edge once with
+// $near = src and once with $near = dst, $far being the other end.
+func (c *compiler) bothEdges(alias string) sqlx.TableRef {
+	arm := func(near, far string) *sqlx.Select {
+		return &sqlx.Select{
+			Items: []sqlx.SelectItem{{Star: true}, {Expr: col("", near), Alias: "$near"}, {Expr: col("", far), Alias: "$far"}},
+			From:  []sqlx.TableRef{&sqlx.BaseTable{Name: c.etab}},
+			Limit: -1,
 		}
 	}
-	if !allBool {
-		return true
-	}
-	for _, e := range elems {
-		if e.d.Bool() {
-			return true
-		}
-	}
-	return false
+	u := arm("src", "dst")
+	u.SetOps = []sqlx.SetOp{{All: true, Query: arm("dst", "src")}}
+	return &sqlx.SubqueryRef{Query: u, Alias: alias}
 }
 
-// ---------------------------------------------------------------------------
-// Relational output
-// ---------------------------------------------------------------------------
-
-// OutputSchema derives the relational schema of the traversal's results
-// from its final step, per the unified framework's table-expression
-// contract.
-func (t *Traversal) OutputSchema() *types.Schema {
-	if len(t.steps) == 0 {
-		return types.NewSchema(types.Column{Name: "id", Kind: types.KindInt})
+// prop resolves a declared property of the current element.
+func (c *compiler) prop(k kind, key string) (types.Column, error) {
+	cols := c.vcols[len(vertexCols):]
+	if k == edge {
+		cols = c.ecols[len(edgeCols):]
 	}
-	last := t.steps[len(t.steps)-1]
-	switch last.name {
-	case "values":
-		cols := make([]types.Column, len(last.args))
-		for i, a := range last.args {
-			cols[i] = types.Column{Name: strings.ToLower(a.lit.Str()), Kind: types.KindNull}
+	for _, p := range cols {
+		if strings.EqualFold(p.Name, key) {
+			return p, nil
 		}
-		return &types.Schema{Columns: cols}
-	case "count":
-		return types.NewSchema(types.Column{Name: "count", Kind: types.KindInt})
-	case "eq", "neq", "gt", "gte", "lt", "lte":
-		return types.NewSchema(types.Column{Name: "value", Kind: types.KindNull})
-	case "outE", "inE", "bothE", "E":
-		return types.NewSchema(
-			types.Column{Name: "from", Kind: types.KindInt},
-			types.Column{Name: "to", Kind: types.KindInt},
-			types.Column{Name: "label", Kind: types.KindString},
-		)
-	default:
-		return types.NewSchema(
-			types.Column{Name: "id", Kind: types.KindInt},
-			types.Column{Name: "label", Kind: types.KindString},
-		)
 	}
+	return types.Column{}, fmt.Errorf("graph: %s have no property %q", k, key)
 }
 
-// elemRow converts one stream element to a relational row under
-// OutputSchema.
-func (t *Traversal) elemRow(e elem) types.Row {
-	switch {
-	case e.row != nil:
-		return e.row
-	case e.v != nil:
-		return types.Row{types.NewInt(int64(e.v.ID)), types.NewString(e.v.Label)}
-	case e.e != nil:
-		return types.Row{types.NewInt(int64(e.e.From)), types.NewInt(int64(e.e.To)), types.NewString(e.e.Label)}
+// wrap closes the chain so far into a derived table of whole elements (or
+// values() rows), made DISTINCT or cut at limit, and continues from it.
+func (c *compiler) wrap(b *block, distinct bool, limit int64) *block {
+	var items []sqlx.SelectItem
+	switch b.kind {
+	case vertex, edge:
+		cols := c.vcols
+		if b.kind == edge {
+			cols = c.ecols
+		}
+		for _, cl := range cols {
+			items = append(items, item(b.cur, cl.Name, cl.Name))
+		}
 	default:
-		return types.Row{e.d}
+		for _, k := range b.keys {
+			items = append(items, item(b.cur, k, k))
+		}
 	}
+	d := c.alias("d")
+	sel := &sqlx.Select{Items: items, From: b.from, Where: and(b.where), Distinct: distinct, Limit: limit}
+	return &block{from: []sqlx.TableRef{&sqlx.SubqueryRef{Query: sel, Alias: d}}, cur: d, kind: b.kind, keys: b.keys}
+}
+
+// query is the block's result: the traversal's output rows.
+func (c *compiler) query(b *block) *sqlx.Select {
+	sel := &sqlx.Select{From: b.from, Where: and(b.where), Limit: -1}
+	switch b.kind {
+	case vertex:
+		sel.Items = []sqlx.SelectItem{item(b.cur, "id", "id"), item(b.cur, "label", "label")}
+	case edge:
+		sel.Items = []sqlx.SelectItem{item(b.cur, "src", "from"), item(b.cur, "dst", "to"), item(b.cur, "label", "label")}
+	case valueRows:
+		for _, k := range b.keys {
+			sel.Items = append(sel.Items, item(b.cur, k, k))
+		}
+	case counted:
+		name := "count"
+		if len(b.preds) > 0 {
+			name = "value"
+		}
+		sel.Items = []sqlx.SelectItem{{Expr: countStar(), Alias: name}}
+		var having []sqlx.Expr
+		for _, p := range b.preds {
+			having = append(having, &sqlx.BinaryOp{Op: predOps[p.name], Left: countStar(), Right: lit(p.val)})
+		}
+		sel.Having = and(having)
+	}
+	return sel
+}
+
+// countQuery counts a sub-traversal's elements.
+func (c *compiler) countQuery(b *block) *sqlx.Select {
+	return &sqlx.Select{Items: []sqlx.SelectItem{{Expr: countStar()}}, From: b.from, Where: and(b.where), Limit: -1}
+}
+
+// names reads a step's arguments as at least min and at most max (-1: any
+// number of) label or property names.
+func names(st step, min, max int) ([]string, error) {
+	if len(st.args) < min || max >= 0 && len(st.args) > max {
+		return nil, fmt.Errorf("graph: %s() got %d arguments", st.name, len(st.args))
+	}
+	out := make([]string, len(st.args))
+	for i, a := range st.args {
+		var err error
+		if out[i], err = name(st, a); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// name reads one argument of st as a label or property name.
+func name(st step, a arg) (string, error) {
+	if a.pred != nil || a.lit.Kind() != types.KindString {
+		return "", fmt.Errorf("graph: %s() takes names, not %s", st.name, a.lit.Kind())
+	}
+	return a.lit.Str(), nil
+}
+
+func col(table, name string) *sqlx.ColumnRef { return &sqlx.ColumnRef{Table: table, Column: name} }
+
+func lit(v types.Datum) *sqlx.Literal { return &sqlx.Literal{Value: v} }
+
+func eq(l, r sqlx.Expr) sqlx.Expr { return &sqlx.BinaryOp{Op: sqlx.OpEq, Left: l, Right: r} }
+
+func countStar() *sqlx.FuncCall { return &sqlx.FuncCall{Name: "count", Star: true} }
+
+func item(table, name, as string) sqlx.SelectItem {
+	return sqlx.SelectItem{Expr: col(table, name), Alias: as}
+}
+
+// and folds conjuncts into one predicate, nil for none.
+func and(conjs []sqlx.Expr) sqlx.Expr {
+	var out sqlx.Expr
+	for _, e := range conjs {
+		if out == nil {
+			out = e
+		} else {
+			out = &sqlx.BinaryOp{Op: sqlx.OpAnd, Left: out, Right: e}
+		}
+	}
+	return out
 }

@@ -2,20 +2,21 @@
 // with the relational FI-MPPDB core, reproducing the paper's multi-model
 // database architecture (§II-B, Fig 4):
 //
-//   - Unified storage view: every engine's data is exposed relationally
-//     through virtual tables (graph vertex/edge tables, per-series
-//     time-series tables, the spatial point table).
-//   - Integrated runtime engines: the ggraph(...), gtimeseries(...) and
-//     gspatial(...) table expressions plug each engine's native execution
-//     into the SQL planner via plan.Hooks, so one plan spans all engines
-//     (Example 1).
+//   - Unified storage: a graph is two ordinary cluster tables
+//     (internal/graph), and ggraph(...) compiles its traversal into a query
+//     block over them that the planner plans like a derived table, so the
+//     traversal runs under the statement's snapshot on the data nodes.
+//     A time series is exposed relationally as a virtual table
+//     (ExposeSeries).
+//   - Integrated runtime engines: the gtimeseries(...) and gspatial(...)
+//     table expressions plug each engine's native execution into the SQL
+//     planner via plan.Hooks, so one plan spans all engines (Example 1).
 //   - Uniform framework: everything is reachable through the ordinary SQL
 //     session API.
 package multimodel
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -29,43 +30,23 @@ import (
 	"repro/internal/types"
 )
 
-// DB bundles the multi-model engines attached to a cluster.
+// DB bundles the engines attached to a cluster beside its graph tables.
 type DB struct {
 	Cluster *cluster.Cluster
-	Graph   *graph.Graph
 	TS      *tseries.Store
 	Spatial *spatial.Index
 }
 
 // Attach wires the engines into the cluster's planner hooks and returns
 // the handle used to expose engine data as virtual tables.
-func Attach(c *cluster.Cluster, g *graph.Graph, ts *tseries.Store, sp *spatial.Index) *DB {
-	db := &DB{Cluster: c, Graph: g, TS: ts, Spatial: sp}
+func Attach(c *cluster.Cluster, ts *tseries.Store, sp *spatial.Index) *DB {
+	db := &DB{Cluster: c, TS: ts, Spatial: sp}
 	c.Hooks = plan.Hooks{
-		GGraph:      db.ggraph,
+		GGraph:      graph.Compile,
 		GTimeseries: db.gtimeseries,
 		GSpatial:    db.gspatial,
 	}
 	return db
-}
-
-// ggraph compiles a Gremlin traversal; the result materializes at plan
-// time (graph traversals are read-only and the engine is not MVCC-bound).
-func (db *DB) ggraph(raw string) (exec.Operator, error) {
-	if db.Graph == nil {
-		return nil, fmt.Errorf("multimodel: no graph attached")
-	}
-	tr, err := db.Graph.ParseTraversal(raw)
-	if err != nil {
-		return nil, err
-	}
-	// Traversals are read-only; evaluate eagerly so malformed chains
-	// surface as plan-time errors and the operator replays cheaply.
-	rows, err := tr.Eval()
-	if err != nil {
-		return nil, err
-	}
-	return exec.NewValues(tr.OutputSchema(), rows), nil
 }
 
 // gtimeseries wraps the already-planned inner query. The inner query
@@ -153,32 +134,8 @@ func parseCall(raw string) (string, []float64, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified storage view: virtual tables
+// Time series as a virtual table
 // ---------------------------------------------------------------------------
-
-// ExposeGraphTables registers <prefix>_vertices (id, label) and
-// <prefix>_edges (from_id, to_id, label) over the live graph.
-func (db *DB) ExposeGraphTables(prefix string) error {
-	vschema := types.NewSchema(
-		types.Column{Name: "id", Kind: types.KindInt},
-		types.Column{Name: "label", Kind: types.KindString},
-	)
-	eschema := types.NewSchema(
-		types.Column{Name: "from_id", Kind: types.KindInt},
-		types.Column{Name: "to_id", Kind: types.KindInt},
-		types.Column{Name: "label", Kind: types.KindString},
-	)
-	if err := db.Cluster.RegisterVirtual(prefix+"_vertices", vschema, func() []types.Row {
-		v, _ := db.Graph.VertexEdgeTables()
-		return v
-	}); err != nil {
-		return err
-	}
-	return db.Cluster.RegisterVirtual(prefix+"_edges", eschema, func() []types.Row {
-		_, e := db.Graph.VertexEdgeTables()
-		return e
-	})
-}
 
 // ExposeSeries registers a virtual table over one time series with schema
 // (ts TIMESTAMP, value DOUBLE, <tag> TEXT...). The window covers
@@ -208,25 +165,6 @@ func (db *DB) ExposeSeries(tableName, seriesName string, lookback time.Duration,
 				}
 			}
 			rows[i] = row
-		}
-		return rows
-	})
-}
-
-// ExposeSpatial registers a virtual table (id, x, y) over the live spatial
-// index.
-func (db *DB) ExposeSpatial(tableName string) error {
-	schema := types.NewSchema(
-		types.Column{Name: "id", Kind: types.KindInt},
-		types.Column{Name: "x", Kind: types.KindFloat},
-		types.Column{Name: "y", Kind: types.KindFloat},
-	)
-	return db.Cluster.RegisterVirtual(tableName, schema, func() []types.Row {
-		items := db.Spatial.BBox(-1e18, -1e18, 1e18, 1e18)
-		sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
-		rows := make([]types.Row, len(items))
-		for i, it := range items {
-			rows[i] = types.Row{types.NewInt(it.ID), types.NewFloat(it.X), types.NewFloat(it.Y)}
 		}
 		return rows
 	})

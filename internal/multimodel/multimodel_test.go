@@ -22,8 +22,37 @@ func newMMDB(t *testing.T) (*DB, *cluster.Session) {
 		t.Fatal(err)
 	}
 	c.Clock = func() time.Time { return fixedNow }
-	db := Attach(c, graph.New(), tseries.NewStore(), spatial.NewIndex(10))
+	db := Attach(c, tseries.NewStore(), spatial.NewIndex(10))
 	return db, c.NewSession()
+}
+
+// newCallGraph declares graph g, persons with a cid and calls with a ts,
+// written through s.
+func newCallGraph(t *testing.T, s *cluster.Session) *graph.Graph {
+	t.Helper()
+	g, err := graph.Create(s, "g",
+		[]types.Column{{Name: "cid", Kind: types.KindInt}, {Name: "phone", Kind: types.KindString}},
+		[]types.Column{{Name: "ts", Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func addVertex(t *testing.T, g *graph.Graph, label string, props map[string]types.Datum) graph.VID {
+	t.Helper()
+	id, err := g.AddVertex(label, props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+func addEdge(t *testing.T, g *graph.Graph, from, to graph.VID, label string, props map[string]types.Datum) {
+	t.Helper()
+	if err := g.AddEdge(from, to, label, props); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func mustExec(t *testing.T, s *cluster.Session, sql string) *cluster.Result {
@@ -36,10 +65,11 @@ func mustExec(t *testing.T, s *cluster.Session, sql string) *cluster.Result {
 }
 
 func TestGGraphTableFunction(t *testing.T) {
-	db, s := newMMDB(t)
-	a := db.Graph.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(1)})
-	b := db.Graph.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(2)})
-	db.Graph.AddEdge(a, b, "knows", nil)
+	_, s := newMMDB(t)
+	g := newCallGraph(t, s)
+	a := addVertex(t, g, "person", map[string]types.Datum{"cid": types.NewInt(1)})
+	b := addVertex(t, g, "person", map[string]types.Datum{"cid": types.NewInt(2)})
+	addEdge(t, g, a, b, "knows", nil)
 
 	res := mustExec(t, s, "SELECT cid FROM ggraph('g.V().hasLabel(person).values(cid)') AS g ORDER BY cid")
 	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 1 {
@@ -51,6 +81,9 @@ func TestGGraphTableFunction(t *testing.T) {
 	}
 	if _, err := s.Exec("SELECT * FROM ggraph('g.bogus()') AS g"); err == nil {
 		t.Error("bad traversal should error at plan time")
+	}
+	if _, err := s.Exec("SELECT * FROM ggraph('g.V().has(age, 3)') AS g"); err == nil {
+		t.Error("an undeclared property should error at plan time")
 	}
 }
 
@@ -102,25 +135,25 @@ func TestGSpatialQueries(t *testing.T) {
 	}
 }
 
-func TestGraphVirtualTables(t *testing.T) {
-	db, s := newMMDB(t)
-	a := db.Graph.AddVertex("car", nil)
-	b := db.Graph.AddVertex("junction", nil)
-	db.Graph.AddEdge(a, b, "passed", nil)
-	if err := db.ExposeGraphTables("g"); err != nil {
-		t.Fatal(err)
-	}
+// TestGraphTablesAreClusterTables: a graph's vertices and edges are
+// ordinary cluster tables, joinable with SQL and current as of each
+// statement.
+func TestGraphTablesAreClusterTables(t *testing.T) {
+	_, s := newMMDB(t)
+	g := newCallGraph(t, s)
+	a := addVertex(t, g, "car", nil)
+	b := addVertex(t, g, "junction", nil)
+	addEdge(t, g, a, b, "passed", nil)
 	res := mustExec(t, s, "SELECT count(*) FROM g_vertices")
 	if res.Rows[0][0].Int() != 2 {
 		t.Errorf("vertices = %v", res.Rows[0][0])
 	}
 	// Join graph data with itself relationally.
-	res = mustExec(t, s, `SELECT v.label FROM g_edges e JOIN g_vertices v ON e.to_id = v.id`)
+	res = mustExec(t, s, `SELECT v.label FROM g_edges e JOIN g_vertices v ON e.dst = v.id`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "junction" {
 		t.Errorf("join = %v", res.Rows)
 	}
-	// Virtual tables reflect live engine state.
-	db.Graph.AddVertex("car", nil)
+	addVertex(t, g, "car", nil)
 	res = mustExec(t, s, "SELECT count(*) FROM g_vertices")
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("live vertices = %v", res.Rows[0][0])
@@ -130,7 +163,7 @@ func TestGraphVirtualTables(t *testing.T) {
 func TestVirtualNameCollisionRejected(t *testing.T) {
 	db, s := newMMDB(t)
 	mustExec(t, s, "CREATE TABLE taken (a BIGINT) DISTRIBUTE BY HASH(a)")
-	if err := db.ExposeSpatial("taken"); err == nil {
+	if err := db.ExposeSeries("taken", "speed", time.Hour); err == nil {
 		t.Error("collision with stored table must be rejected")
 	}
 }
@@ -155,24 +188,27 @@ func TestExample1UnifiedQuery(t *testing.T) {
 
 	// Graph engine: person 11111 (suspect, 4 recent calls, owns car1),
 	// person 22222 (1 recent call, owns car2).
-	suspect := db.Graph.AddVertex("person", map[string]types.Datum{
+	g := newCallGraph(t, s)
+	suspect := addVertex(t, g, "person", map[string]types.Datum{
 		"cid": types.NewInt(11111), "phone": types.NewString("555-0100"),
 	})
-	clean := db.Graph.AddVertex("person", map[string]types.Datum{
+	clean := addVertex(t, g, "person", map[string]types.Datum{
 		"cid": types.NewInt(22222), "phone": types.NewString("555-0101"),
 	})
 	for i := 0; i < 4; i++ {
-		caller := db.Graph.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(int64(30000 + i))})
-		db.Graph.AddEdge(caller, suspect, "call", map[string]types.Datum{"ts": types.NewInt(int64(20180610 + i))})
+		caller := addVertex(t, g, "person", map[string]types.Datum{"cid": types.NewInt(int64(30000 + i))})
+		addEdge(t, g, caller, suspect, "call", map[string]types.Datum{"ts": types.NewInt(int64(20180610 + i))})
 	}
-	onecaller := db.Graph.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(40000)})
-	db.Graph.AddEdge(onecaller, clean, "call", map[string]types.Datum{"ts": types.NewInt(20180615)})
+	onecaller := addVertex(t, g, "person", map[string]types.Datum{"cid": types.NewInt(40000)})
+	addEdge(t, g, onecaller, clean, "call", map[string]types.Datum{"ts": types.NewInt(20180615)})
 
 	// Relational mapping: car registration.
 	mustExec(t, s, "CREATE TABLE car2cid (carid TEXT, cid BIGINT) DISTRIBUTE BY REPLICATION")
 	mustExec(t, s, "INSERT INTO car2cid VALUES ('car1', 11111), ('car2', 22222), ('car9', 99999)")
 
-	// The unified query (dialect-adjusted Example 1).
+	// The unified query (dialect-adjusted Example 1). Its traffic is
+	// deterministic: EXPERIMENTS E5 reports it.
+	before := db.Cluster.Fabric().Stats()
 	res := mustExec(t, s, `
 		with cars (carid) as (
 		    select distinct carid from gtimeseries(
@@ -183,6 +219,9 @@ func TestExample1UnifiedQuery(t *testing.T) {
 		select s.cid, c.carid
 		from suspects s, cars c
 		where s.cid = (select cid from car2cid as cc where cc.carid = c.carid)`)
+
+	traffic := db.Cluster.Fabric().Stats().Sub(before)
+	t.Logf("Example 1: %d fabric messages, %d bytes", traffic.Total(), traffic.TotalBytes())
 
 	if len(res.Rows) != 1 {
 		t.Fatalf("Example 1 returned %d rows: %v", len(res.Rows), res.Rows)

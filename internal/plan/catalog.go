@@ -124,8 +124,9 @@ type NDPAccess interface {
 // Hooks supplies the multi-model table-function engines (paper §II-B). A
 // nil hook makes the corresponding table function an error.
 type Hooks struct {
-	// GGraph compiles a Gremlin traversal into a row source.
-	GGraph func(raw string) (exec.Operator, error)
+	// GGraph compiles a Gremlin traversal into a query block over the
+	// graph's tables in cat, which the planner plans as a derived table.
+	GGraph func(raw string, cat Catalog) (*sqlx.Select, error)
 	// GTimeseries wraps an already-planned inner query with time-series
 	// window semantics.
 	GTimeseries func(inner exec.Operator) (exec.Operator, error)

@@ -245,6 +245,9 @@ func (pc *pctx) planTableRef(ref sqlx.TableRef, conjuncts []sqlx.Expr) (exec.Ope
 		if err != nil {
 			return nil, nil, fmt.Errorf("in derived table %q: %w", r.Alias, err)
 		}
+		// A derived table reading the enclosing query's row makes this
+		// block correlated too: a subquery holding it must not cache it.
+		pc.usedOuter = pc.usedOuter || cpc.usedOuter
 		alias := strings.ToLower(r.Alias)
 		cols := make([]ScopeCol, len(scope.Cols))
 		for i := range scope.Cols {
@@ -422,12 +425,11 @@ func (pc *pctx) planTableFunc(tf *sqlx.TableFunc) (exec.Operator, *Scope, error)
 		if pc.p.Hooks.GGraph == nil {
 			return nil, nil, fmt.Errorf("plan: graph engine is not configured")
 		}
-		var err error
-		op, err = pc.p.Hooks.GGraph(tf.RawArg)
+		sel, err := pc.p.Hooks.GGraph(tf.RawArg, pc.p.Catalog)
 		if err != nil {
 			return nil, nil, fmt.Errorf("in ggraph(): %w", err)
 		}
-		return op, scopeFromSchema(op.Schema(), alias, nil), nil
+		return pc.planTableRef(&sqlx.SubqueryRef{Query: sel, Alias: alias}, nil)
 	case "gspatial":
 		if pc.p.Hooks.GSpatial == nil {
 			return nil, nil, fmt.Errorf("plan: spatial engine is not configured")

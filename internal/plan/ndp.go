@@ -244,20 +244,31 @@ func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey
 		ls.spec.TopN = &TopNPush{Keys: sortKeys, Limit: limit}
 		return true
 	}
-	keys := make([]exec.SortKey, 0, len(sortKeys))
-	for _, sk := range sortKeys {
-		cr, ok := sk.Expr.(*exec.ColRef)
-		if !ok || cr.Index < 0 || cr.Index >= len(exprs) {
+	keys, ok := inputKeys(sortKeys, exprs)
+	if !ok {
+		return false
+	}
+	for _, k := range keys {
+		if !exec.IsPartitionPure(k.Expr) {
 			return false
 		}
-		e := exprs[cr.Index]
-		if !exec.IsPartitionPure(e) {
-			return false
-		}
-		keys = append(keys, exec.SortKey{Expr: e, Desc: sk.Desc})
 	}
 	ls.spec.TopN = &TopNPush{Keys: keys, Limit: limit}
 	return true
+}
+
+// inputKeys rewrites sort keys over a projection's outputs into keys over
+// its input: each key becomes the projection expression it names.
+func inputKeys(sortKeys []exec.SortKey, exprs []exec.Expr) ([]exec.SortKey, bool) {
+	keys := make([]exec.SortKey, len(sortKeys))
+	for i, sk := range sortKeys {
+		cr, ok := sk.Expr.(*exec.ColRef)
+		if !ok || cr.Index < 0 || cr.Index >= len(exprs) {
+			return nil, false
+		}
+		keys[i] = exec.SortKey{Expr: exprs[cr.Index], Desc: sk.Desc}
+	}
+	return keys, true
 }
 
 // tryProjectionFold folds a query block's projection into the bare NDP

@@ -368,6 +368,23 @@ func TestScalarSubqueryCorrelated(t *testing.T) {
 	}
 }
 
+// TestSubqueryCorrelatedThroughDerivedTable: a subquery whose only outer
+// reference sits in a derived table of its FROM list is correlated, and is
+// evaluated per outer row rather than once.
+func TestSubqueryCorrelatedThroughDerivedTable(t *testing.T) {
+	p := newPlanner(newFixture())
+	rows, _ := planAndRun(t, p,
+		"SELECT a2, (SELECT min(b1) FROM (SELECT b1 FROM olap.t1 WHERE t1.a1 = t2.a2) d) FROM olap.t2 t2 WHERE a2 < 3 ORDER BY a2")
+	if len(rows) != 3 {
+		t.Fatalf("rows = %v", rows)
+	}
+	for i, r := range rows {
+		if r[1].Int() != int64(i) {
+			t.Errorf("min through a derived table for a2=%d = %v", i, r[1])
+		}
+	}
+}
+
 func TestInSubquery(t *testing.T) {
 	p := newPlanner(newFixture())
 	rows, _ := planAndRun(t, p,
@@ -388,9 +405,12 @@ func TestSelectWithoutFrom(t *testing.T) {
 func TestTableFuncHooks(t *testing.T) {
 	c := newFixture()
 	p := newPlanner(c)
-	p.Hooks.GGraph = func(raw string) (exec.Operator, error) {
-		schema := types.NewSchema(types.Column{Name: "cid", Kind: types.KindInt})
-		return exec.NewValues(schema, []types.Row{{types.NewInt(11111)}}), nil
+	p.Hooks.GGraph = func(raw string, cat Catalog) (*sqlx.Select, error) {
+		if _, err := cat.Resolve("olap.t1"); err != nil {
+			return nil, err
+		}
+		stmt, err := sqlx.Parse("SELECT 11111 AS cid")
+		return stmt.(*sqlx.Select), err
 	}
 	p.Hooks.GTimeseries = func(inner exec.Operator) (exec.Operator, error) { return inner, nil }
 	rows, _ := planAndRun(t, p, "SELECT g.cid FROM ggraph('g.V().count()') AS g")

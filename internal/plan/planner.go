@@ -367,8 +367,30 @@ func (pc *pctx) planSelectBlock(sel *sqlx.Select) (exec.Operator, *Scope, []stri
 		}
 		fullSchema = &types.Schema{Columns: cols}
 	}
+	// ORDER BY + LIMIT compiles to a bounded TopN — row-for-row identical
+	// to a stable Sort followed by Limit, in O(limit) memory. When the
+	// block is a bare NDP scan, ORDER BY (and the LIMIT's bound) is pushed
+	// into the scan's fragments instead, whose Exchange merges them in
+	// order (see tryTopNPushdown); the Limit below applies LIMIT and
+	// OFFSET to the merged stream. A TopN the scan does not take goes
+	// under the Project, its keys rewritten over the Project's input, so
+	// the select list is computed only for the rows the TopN keeps — as
+	// when the scan takes it — and an expression that fails on a row the
+	// query never returns fails at no pushdown level.
+	limitK := int64(-1)
+	if sel.Limit >= 0 {
+		limitK = sel.Limit + sel.Offset
+	}
 	projChild := op
-	if !pc.tryProjectionFold(projChild, exprs, fullSchema) {
+	folded := pc.tryProjectionFold(projChild, exprs, fullSchema)
+	sorted := !sel.Distinct && !hasAgg && pc.tryTopNPushdown(projChild, sortKeys, exprs, limitK)
+	if !folded && !sorted && !sel.Distinct && len(sortKeys) > 0 && limitK >= 0 {
+		if keys, ok := inputKeys(sortKeys, exprs); ok {
+			op = &exec.TopN{Child: op, Keys: keys, Limit: limitK}
+			exprs, fullSchema, sorted = exprs[:hiddenStart], projSchema, true
+		}
+	}
+	if !folded {
 		op = &exec.Project{Child: op, Exprs: exprs, Out: fullSchema}
 	}
 
@@ -379,18 +401,7 @@ func (pc *pctx) planSelectBlock(sel *sqlx.Select) (exec.Operator, *Scope, []stri
 		op = &exec.Distinct{Child: op}
 	}
 
-	// ORDER BY + LIMIT compiles to a bounded TopN — row-for-row identical
-	// to a stable Sort followed by Limit, in O(limit) memory. When the
-	// block is a bare NDP scan, ORDER BY (and the LIMIT's bound) is pushed
-	// into the scan's fragments instead, whose Exchange merges them in
-	// order (see tryTopNPushdown); the Limit below applies LIMIT and
-	// OFFSET to the merged stream.
-	limitK := int64(-1)
-	if sel.Limit >= 0 {
-		limitK = sel.Limit + sel.Offset
-	}
-	pushed := !sel.Distinct && !hasAgg && pc.tryTopNPushdown(projChild, sortKeys, exprs, limitK)
-	if len(sortKeys) > 0 && !pushed {
+	if len(sortKeys) > 0 && !sorted {
 		if limitK >= 0 {
 			op = &exec.TopN{Child: op, Keys: sortKeys, Limit: limitK}
 		} else {
