@@ -6,17 +6,19 @@
 //  2. High-dimensional data management -> AI feature vectors indexed for
 //     sub-second nearest-scene queries, with incremental ingestion and
 //     index rebuilding.
-//  3. Spatial queries over the fleet -> grid-indexed positions.
+//  3. Spatial queries over the fleet -> positions in a cluster table,
+//     queried with gspatial(...) SQL.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
+	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/highdim"
-	"repro/internal/spatial"
 	"repro/internal/tseries"
 )
 
@@ -96,12 +98,19 @@ func main() {
 	fmt.Printf("index rebuilt over %d live vectors\n\n", ix.Len())
 
 	// ------ 3. Fleet positions --------------------------------------
-	grid := spatial.NewIndex(250) // 250m cells
-	for car := int64(0); car < 500; car++ {
-		grid.Insert(car, rng.Float64()*10000, rng.Float64()*10000)
+	db, err := core.Open(core.Options{DataNodes: 4})
+	if err != nil {
+		log.Fatal(err)
 	}
-	nearby := grid.Radius(5000, 5000, 500)
-	fmt.Printf("cars within 500m of the incident at (5000,5000): %d\n", len(nearby))
-	closest := grid.Nearest(5000, 5000, 3)
-	fmt.Printf("three closest responders: %v %v %v\n", closest[0].ID, closest[1].ID, closest[2].ID)
+	defer db.Close()
+	db.MustExec("CREATE TABLE fleet (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
+	var rows []string
+	for car := 0; car < 500; car++ {
+		rows = append(rows, fmt.Sprintf("(%d, %f, %f)", car, rng.Float64()*10000, rng.Float64()*10000))
+	}
+	db.MustExec("INSERT INTO fleet VALUES " + strings.Join(rows, ", "))
+	nearby := db.MustExec("SELECT count(*) FROM gspatial('fleet.radius(5000, 5000, 500)') AS f")
+	fmt.Printf("cars within 500m of the incident at (5000,5000): %d\n", nearby.Rows[0][0].Int())
+	closest := db.MustExec("SELECT id FROM gspatial('fleet.nearest(5000, 5000, 3)') AS f")
+	fmt.Printf("three closest responders: %v %v %v\n", closest.Rows[0][0], closest.Rows[1][0], closest.Rows[2][0])
 }

@@ -252,7 +252,7 @@ type Cluster struct {
 	// tests. Defaults to time.Now.
 	Clock func() time.Time
 
-	// Hooks plugs in the multi-model table-function engines (§II-B);
+	// Hooks plugs in the ggraph and gspatial compilers (§II-B);
 	// internal/multimodel installs them.
 	Hooks plan.Hooks
 

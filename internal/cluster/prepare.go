@@ -285,18 +285,15 @@ type selectUnit struct {
 	// distributed table at all; scatter that some such table's distribution
 	// key is left unpinned, so every primary is scanned; pinned lists, per
 	// reference to a pinned table, the value its key is pinned to.
-	// engines says it calls a multi-model table function. analytical is
-	// plan.AnalyticalShape, the HTAP gate's admission test.
-	distributed, scatter, engines, analytical bool
-	pinned                                    []pinnedTable
+	// analytical is plan.AnalyticalShape, the HTAP gate's admission test.
+	distributed, scatter, analytical bool
+	pinned                           []pinnedTable
 
 	// plan is the operator tree, kept when the statement routes by key
 	// (every table pinned, or only replicated ones read) or holds no
 	// parameters. A scatter statement's plan depends on how selective its
 	// literals are, so one whose literals change is planned by every
-	// execution, for that execution's values; and so is any statement
-	// calling a table function, whose engine may answer while it is being
-	// planned.
+	// execution, for that execution's values.
 	plan *plan.Plan
 }
 
@@ -311,7 +308,7 @@ type pinnedTable struct {
 func (s *Session) compileSelect(a *stmtAccess, sel *sqlx.Select, values []types.Datum, literal bool) (*selectUnit, error) {
 	u := &selectUnit{s: s, sel: sel, analytical: plan.AnalyticalShape(sel)}
 	u.analyzeRoutes(sel, nil)
-	if (!u.scatter || literal) && !u.engines {
+	if !u.scatter || literal {
 		a.scatter = u.scatter // the planner asks (JoinScan), as it will of every execution's route
 		p, err := s.planner(a, values).PlanSelect(sel)
 		if err != nil {
@@ -373,13 +370,12 @@ func (u *selectUnit) analyzeRef(ref sqlx.TableRef, q *sqlx.Select, ctes []string
 	case *sqlx.SubqueryRef:
 		u.analyzeRoutes(r.Query, ctes)
 	case *sqlx.TableFunc:
-		u.engines = true
-		if r.Name == "ggraph" {
-			// A traversal compiles to scans of the graph's distributed tables.
-			u.distributed, u.scatter = true, true
-		}
 		if r.Query != nil {
 			u.analyzeRoutes(r.Query, ctes)
+		} else {
+			// ggraph and gspatial compile to scans of tables known only
+			// once the planner has compiled them: read every primary.
+			u.distributed, u.scatter = true, true
 		}
 	case *sqlx.JoinRef:
 		u.analyzeRef(r.Left, q, ctes)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/colstore"
 	"repro/internal/plan"
+	"repro/internal/spatial"
 	"repro/internal/sqlx"
 	"repro/internal/types"
 )
@@ -537,6 +538,55 @@ func TestShapePreparedPlansLikeLiteral(t *testing.T) {
 			if fmt.Sprint(wantSteps) != fmt.Sprint(gotSteps) || (text == sql && len(gotSteps) == 0) {
 				t.Errorf("%q captured\nas text:  %q\nby shape: %q", text, wantSteps, gotSteps)
 			}
+		}
+	}
+}
+
+// TestCompiledTableFunctionsRouteAsScatterReads: ggraph and gspatial
+// compile to scans of distributed tables that the statement's text does not
+// name, so they route to every primary, under one global snapshot taken
+// before any fragment runs. Their compilers read only the catalog, so a
+// literal statement keeps its plan like any other, and each execution reads
+// the rows its own snapshot sees. gtimeseries routes by its inner query.
+func TestCompiledTableFunctionsRouteAsScatterReads(t *testing.T) {
+	c := newCluster(t, 2, ModeGTMLite)
+	c.Hooks = plan.Hooks{
+		GGraph: func(string, plan.Catalog) (*sqlx.Select, error) {
+			stmt, err := sqlx.Parse("SELECT id FROM pts")
+			return stmt.(*sqlx.Select), err
+		},
+		GSpatial: spatial.Compile,
+	}
+	if err := c.RegisterVirtual("series", types.NewSchema(types.Column{Name: "ts", Kind: types.KindTime}), func() []types.Row { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE pts (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
+	for i, tc := range []struct {
+		sql     string
+		scatter bool
+	}{
+		{"SELECT count(*) FROM ggraph('g.V()') AS g", true},
+		{"SELECT count(*) FROM gspatial('pts.nearest(0, 0, 100)') AS p", true},
+		{"SELECT count(*) FROM gtimeseries(SELECT ts FROM series) AS ts", false},
+	} {
+		stmt, err := sqlx.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.Prepare(stmt)
+		first := mustRun(t, p, nil)
+		u := p.unit.(*selectUnit)
+		if u.distributed != tc.scatter || u.scatter != tc.scatter || u.plan == nil {
+			t.Errorf("%s: distributed %v, scatter %v, plan kept %v; want %v, %v, true", tc.sql, u.distributed, u.scatter, u.plan != nil, tc.scatter, tc.scatter)
+		}
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pts VALUES (%d, 1.0, 1.0)", i))
+		second := mustRun(t, p, nil)
+		if p.unit != unit(u) {
+			t.Errorf("%s: compiled again after an INSERT", tc.sql)
+		}
+		if grew := second.Rows[0][0].Int() - first.Rows[0][0].Int(); tc.scatter && grew != 1 {
+			t.Errorf("%s: %v, then %v after an INSERT", tc.sql, first.Rows, second.Rows)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/rebalance"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/spatial"
 	"repro/internal/tseries"
 	"repro/internal/types"
 )
@@ -67,8 +66,6 @@ type Options struct {
 	// Learning enables the §II-C loop: capture actual cardinalities after
 	// execution and serve them to the planner for later queries.
 	Learning bool
-	// SpatialCellSize tunes the spatial engine's grid (default 10).
-	SpatialCellSize float64
 	// Clock overrides the statement timestamp source (tests).
 	Clock func() time.Time
 }
@@ -84,14 +81,12 @@ type DB struct {
 }
 
 // Open builds a cluster and attaches the multi-model engines: the ggraph
-// compiler, the time-series store and the spatial index. It creates no
-// table; a graph's two tables appear when CreateGraph declares it.
+// and gspatial compilers and the time-series store. It creates no table; a
+// graph's two tables appear when CreateGraph declares it, and gspatial
+// reads any table with id BIGINT, x DOUBLE and y DOUBLE columns.
 func Open(opts Options) (*DB, error) {
 	if opts.DataNodes <= 0 {
 		opts.DataNodes = 4
-	}
-	if opts.SpatialCellSize <= 0 {
-		opts.SpatialCellSize = 10
 	}
 	c, err := cluster.New(cluster.Config{
 		DataNodes:      opts.DataNodes,
@@ -107,7 +102,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	c.CaptureSteps = opts.Learning
 	c.UseLearnedCard = opts.Learning
-	mm := multimodel.Attach(c, tseries.NewStore(), spatial.NewIndex(opts.SpatialCellSize))
+	mm := multimodel.Attach(c, tseries.NewStore())
 	return &DB{cluster: c, mm: mm, def: c.NewSession()}, nil
 }
 
@@ -154,9 +149,6 @@ func (db *DB) CreateGraph(name string, vprops, eprops []types.Column) (*graph.Gr
 
 // TimeSeries returns the attached time-series engine.
 func (db *DB) TimeSeries() *tseries.Store { return db.mm.TS }
-
-// Spatial returns the attached spatial index.
-func (db *DB) Spatial() *spatial.Index { return db.mm.Spatial }
 
 // MultiModel exposes the time-series virtual-table helper (ExposeSeries).
 func (db *DB) MultiModel() *multimodel.DB { return db.mm }

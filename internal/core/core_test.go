@@ -151,9 +151,10 @@ func TestMultiModelAccessors(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 42 {
 		t.Errorf("ts rows = %v", res.Rows)
 	}
-	// Spatial.
-	db.Spatial().Insert(1, 5, 5)
-	res = db.MustExec("SELECT id FROM gspatial('nearest(0, 0, 1)') AS g")
+	// Spatial: points in a table.
+	db.MustExec("CREATE TABLE pts (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
+	db.MustExec("INSERT INTO pts VALUES (1, 5.0, 5.0), (2, 50.0, 50.0)")
+	res = db.MustExec("SELECT id FROM gspatial('pts.nearest(0, 0, 1)') AS g")
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
 		t.Errorf("spatial rows = %v", res.Rows)
 	}

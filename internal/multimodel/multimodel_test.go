@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/spatial"
 	"repro/internal/tseries"
 	"repro/internal/types"
 )
@@ -22,7 +21,7 @@ func newMMDB(t *testing.T) (*DB, *cluster.Session) {
 		t.Fatal(err)
 	}
 	c.Clock = func() time.Time { return fixedNow }
-	db := Attach(c, tseries.NewStore(), spatial.NewIndex(10))
+	db := Attach(c, tseries.NewStore())
 	return db, c.NewSession()
 }
 
@@ -113,24 +112,31 @@ func TestGTimeseriesWindow(t *testing.T) {
 	}
 }
 
+// newPoints creates the points table name, distributed by id.
+func newPoints(t *testing.T, s *cluster.Session, name string) {
+	t.Helper()
+	mustExec(t, s, "CREATE TABLE "+name+" (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
+}
+
 func TestGSpatialQueries(t *testing.T) {
-	db, s := newMMDB(t)
+	_, s := newMMDB(t)
+	newPoints(t, s, "pts")
 	for i := 0; i < 10; i++ {
-		db.Spatial.Insert(int64(i), float64(i*10), 0)
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pts VALUES (%d, %d.0, 0.0)", i, i*10))
 	}
-	res := mustExec(t, s, "SELECT id FROM gspatial('bbox(0, -1, 25, 1)') AS g ORDER BY id")
+	res := mustExec(t, s, "SELECT id FROM gspatial('pts.bbox(0, -1, 25, 1)') AS g ORDER BY id")
 	if len(res.Rows) != 3 {
 		t.Errorf("bbox rows = %v", res.Rows)
 	}
-	res = mustExec(t, s, "SELECT id FROM gspatial('nearest(42, 0, 2)') AS g")
+	res = mustExec(t, s, "SELECT id FROM gspatial('pts.nearest(42, 0, 2)') AS g")
 	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 4 {
 		t.Errorf("nearest rows = %v", res.Rows)
 	}
-	res = mustExec(t, s, "SELECT count(*) FROM gspatial('radius(50, 0, 15)') AS g")
+	res = mustExec(t, s, "SELECT count(*) FROM gspatial('pts.radius(50, 0, 15)') AS g")
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("radius count = %v", res.Rows[0][0])
 	}
-	if _, err := s.Exec("SELECT * FROM gspatial('frob(1)') AS g"); err == nil {
+	if _, err := s.Exec("SELECT * FROM gspatial('pts.frob(1)') AS g"); err == nil {
 		t.Error("unknown spatial fn should error")
 	}
 }

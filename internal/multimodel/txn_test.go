@@ -3,10 +3,12 @@ package multimodel
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
+	"repro/internal/sqlx"
 	"repro/internal/transport"
 	"repro/internal/types"
 )
@@ -121,5 +123,136 @@ func TestOutStepIsColocatedJoin(t *testing.T) {
 	}
 	if gt.Get(transport.ShufflePart).Count+gt.Get(transport.BcastBuild).Count != 0 {
 		t.Errorf("the join moved rows between nodes: %v", gt)
+	}
+}
+
+// spatialRows runs a gspatial(...) statement on s and returns its rows in
+// the order they came.
+func spatialRows(t *testing.T, s *cluster.Session, src string) string {
+	t.Helper()
+	return fmt.Sprint(mustExec(t, s, "SELECT * FROM gspatial('"+src+"') AS p").Rows)
+}
+
+// TestSpatialIsTransactional: points are rows of a cluster table, and a
+// gspatial query reads under its statement's snapshot. A point inserted
+// inside an open transaction is seen by a query in it, by no other session
+// until COMMIT, and by nobody after ROLLBACK; an UPDATE moves a point; and
+// a query's rows survive a bucket move of the points it reads.
+func TestSpatialIsTransactional(t *testing.T) {
+	db, s1 := newMMDB(t)
+	s2 := db.Cluster.NewSession()
+	newPoints(t, s1, "pts")
+	mustExec(t, s1, "INSERT INTO pts VALUES (1, 0.0, 0.0)")
+	const near = "pts.nearest(10, 10, 5)"
+
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "INSERT INTO pts VALUES (2, 9.0, 9.0)")
+	if got := spatialRows(t, s1, near); got != "[(2, 9, 9) (1, 0, 0)]" {
+		t.Errorf("inside the transaction: %s", got)
+	}
+	if got := spatialRows(t, s2, near); got != "[(1, 0, 0)]" {
+		t.Errorf("another session before COMMIT: %s", got)
+	}
+	mustExec(t, s1, "COMMIT")
+	if got := spatialRows(t, s2, near); got != "[(2, 9, 9) (1, 0, 0)]" {
+		t.Errorf("another session after COMMIT: %s", got)
+	}
+
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "INSERT INTO pts VALUES (3, 10.0, 10.0)")
+	if got := spatialRows(t, s1, "pts.radius(10, 10, 0)"); got != "[(3, 10, 10)]" {
+		t.Errorf("inside the second transaction: %s", got)
+	}
+	mustExec(t, s1, "ROLLBACK")
+	for name, s := range map[string]*cluster.Session{"writer": s1, "reader": s2} {
+		if got := spatialRows(t, s, near); got != "[(2, 9, 9) (1, 0, 0)]" {
+			t.Errorf("%s after ROLLBACK: %s", name, got)
+		}
+	}
+
+	mustExec(t, s1, "UPDATE pts SET x = 20.0, y = 20.0 WHERE id = 2")
+	if got := spatialRows(t, s2, "pts.bbox(5, 5, 15, 15)"); got != "[]" {
+		t.Errorf("the moved point is still at its old place: %s", got)
+	}
+	if got := spatialRows(t, s2, "pts.radius(20, 20, 1)"); got != "[(2, 20, 20)]" {
+		t.Errorf("the moved point is not at its new place: %s", got)
+	}
+
+	// Move the bucket holding point 2 to another data node.
+	for i := 10; i < 30; i++ {
+		mustExec(t, s1, fmt.Sprintf("INSERT INTO pts VALUES (%d, %d.0, %d.5)", i, i, 30-i))
+	}
+	before := spatialRows(t, s2, "pts.radius(20, 20, 10)")
+	bucket := cluster.BucketOf(types.NewInt(2))
+	owner := db.Cluster.BucketOwners()[bucket]
+	if _, err := db.Cluster.MoveBucket(bucket, (owner+1)%db.Cluster.DataNodeCount()); err != nil {
+		t.Fatal(err)
+	}
+	if db.Cluster.BucketOwners()[bucket] == owner {
+		t.Fatal("the bucket did not move")
+	}
+	if after := spatialRows(t, s2, "pts.radius(20, 20, 10)"); after != before {
+		t.Errorf("across the bucket move: %s, before %s", after, before)
+	}
+	if !strings.HasPrefix(before, "[(2, 20, 20)") {
+		t.Errorf("the query across the move does not start at the moved point: %s", before)
+	}
+}
+
+// TestGSpatialIsScatterRead: a gspatial statement routes as a scatter read
+// of its table, so each query costs the fabric exactly what the same SQL
+// over the table costs, its predicate and top-k in the scan fragments.
+func TestGSpatialIsScatterRead(t *testing.T) {
+	db, s := newMMDB(t)
+	newPoints(t, s, "pts")
+	for i := 0; i < 10; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO pts VALUES (%d, %d.0, 0.0)", i, i*10))
+	}
+	traffic := func(sql string) (string, transport.Stats) {
+		before := db.Cluster.Fabric().Stats()
+		res := mustExec(t, s, sql)
+		return fmt.Sprint(res.Rows), db.Cluster.Fabric().Stats().Sub(before)
+	}
+	for _, tc := range []struct{ src, sql string }{
+		{"pts.bbox(0, -1, 25, 1)", "SELECT id, x, y FROM pts WHERE x >= 0.0 AND y >= -1.0 AND x <= 25.0 AND y <= 1.0 ORDER BY id"},
+		{"pts.radius(50, 0, 15)", "SELECT id, x, y FROM pts WHERE (x - 50.0) * (x - 50.0) + (y - 0.0) * (y - 0.0) <= 225.0 ORDER BY (x - 50.0) * (x - 50.0) + (y - 0.0) * (y - 0.0), id"},
+		{"pts.nearest(42, 0, 3)", "SELECT id, x, y FROM pts WHERE x IS NOT NULL AND y IS NOT NULL ORDER BY (x - 42.0) * (x - 42.0) + (y - 0.0) * (y - 0.0), id LIMIT 3"},
+	} {
+		gr, gt := traffic("SELECT * FROM gspatial('" + tc.src + "') AS p")
+		sr, st := traffic(tc.sql)
+		if gr != sr || gr == "[]" {
+			t.Errorf("%s: rows %s, SQL %s", tc.src, gr, sr)
+		}
+		if gt != st || gt.Get(transport.ScanFrag).Count == 0 {
+			t.Errorf("%s: fabric traffic %v, SQL %v", tc.src, gt, st)
+		}
+		t.Logf("%s: %d fabric messages, %d bytes", tc.src, gt.Total(), gt.TotalBytes())
+	}
+}
+
+// TestLiteralGGraphReadsLaterWrites: a literal ggraph statement keeps its
+// plan across executions on one handle, and each execution reads the graph
+// tables as of its own snapshot — a vertex written between two executions is
+// in the second one's answer. (gspatial's case, with a stand-in ggraph
+// compiler, is in cluster's TestCompiledTableFunctionsRouteAsScatterReads.)
+func TestLiteralGGraphReadsLaterWrites(t *testing.T) {
+	_, s := newMMDB(t)
+	g := newCallGraph(t, s)
+	stmt, err := sqlx.Parse("SELECT count(*) FROM ggraph('g.V().hasLabel(person)') AS v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Prepare(stmt)
+	count := func() int64 {
+		res, err := p.Exec(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].Int()
+	}
+	first := count()
+	addVertex(t, g, "person", nil)
+	if second := count(); first != 0 || second != 1 {
+		t.Errorf("%d persons, then %d after adding one, want 0 then 1", first, second)
 	}
 }

@@ -12,9 +12,9 @@ import "repro/internal/sqlx"
 // AnalyticalShape reports whether a columnar replica may serve sel: it
 // reads at least one table and every table it reads — in FROM, joins,
 // derived tables and set-operation arms — is a stored one. Statements
-// reading engine-backed virtual tables (gtimeseries/gspatial) or no table
-// at all never touch the row primaries in the first place, and a ggraph
-// traversal's tables are known only once the planner has compiled it, so
+// reading a gtimeseries(...) over a virtual table or no table at all never
+// touch the row primaries in the first place, and the tables a ggraph or
+// gspatial call reads are known only once the planner has compiled it, so
 // it reads the primaries.
 func AnalyticalShape(sel *sqlx.Select) bool {
 	return sel != nil && len(sel.From) > 0 && storedOnly(sel)

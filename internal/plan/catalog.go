@@ -121,17 +121,15 @@ type NDPAccess interface {
 	ScanNDP(t *TableMeta, spec *ScanPushdown) (exec.Operator, bool)
 }
 
-// Hooks supplies the multi-model table-function engines (paper §II-B). A
-// nil hook makes the corresponding table function an error.
+// Hooks supplies the multi-model table-function compilers (paper §II-B).
+// Each compiles its table function's raw argument into a query block over
+// tables in cat, which the planner plans as a derived table. A nil hook
+// makes the corresponding table function an error.
 type Hooks struct {
-	// GGraph compiles a Gremlin traversal into a query block over the
-	// graph's tables in cat, which the planner plans as a derived table.
+	// GGraph compiles a Gremlin traversal over a graph's two tables.
 	GGraph func(raw string, cat Catalog) (*sqlx.Select, error)
-	// GTimeseries wraps an already-planned inner query with time-series
-	// window semantics.
-	GTimeseries func(inner exec.Operator) (exec.Operator, error)
-	// GSpatial compiles a spatial query expression into a row source.
-	GSpatial func(raw string) (exec.Operator, error)
+	// GSpatial compiles a bbox / radius / nearest query over a points table.
+	GSpatial func(raw string, cat Catalog) (*sqlx.Select, error)
 }
 
 // Estimator is the learning-optimizer consumer interface: given a

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/exec"
@@ -398,51 +399,45 @@ func shortName(name string) string {
 	return name
 }
 
-// planTableFunc dispatches the multi-model table expressions (§II-B).
+// planTableFunc plans the multi-model table expressions (§II-B).
+// gtimeseries(q) is q sorted on its first TIMESTAMP column, the time order
+// downstream window operators rely on. ggraph and gspatial compile their
+// argument into a query block, planned as a derived table.
 func (pc *pctx) planTableFunc(tf *sqlx.TableFunc) (exec.Operator, *Scope, error) {
 	alias := strings.ToLower(tf.Alias)
 	if alias == "" {
 		alias = tf.Name
 	}
-	var op exec.Operator
+	var compile func(string, Catalog) (*sqlx.Select, error)
+	var engine string
 	switch tf.Name {
 	case "gtimeseries":
-		if pc.p.Hooks.GTimeseries == nil {
-			return nil, nil, fmt.Errorf("plan: time-series engine is not configured")
-		}
 		cpc := pc.child()
 		cpc.outer = pc.outer
-		inner, _, names, err := cpc.planSelect(tf.Query)
+		op, _, names, err := cpc.planSelect(tf.Query)
 		if err != nil {
 			return nil, nil, fmt.Errorf("in gtimeseries(): %w", err)
 		}
-		op, err = pc.p.Hooks.GTimeseries(inner)
-		if err != nil {
-			return nil, nil, err
+		schema := op.Schema()
+		if i := slices.IndexFunc(schema.Columns, func(c types.Column) bool { return c.Kind == types.KindTime }); i >= 0 {
+			op = &exec.Sort{Child: op, Keys: []exec.SortKey{{Expr: &exec.ColRef{Index: i}}}}
 		}
-		return op, scopeFromSchema(op.Schema(), alias, names), nil
+		return op, scopeFromSchema(schema, alias, names), nil
 	case "ggraph":
-		if pc.p.Hooks.GGraph == nil {
-			return nil, nil, fmt.Errorf("plan: graph engine is not configured")
-		}
-		sel, err := pc.p.Hooks.GGraph(tf.RawArg, pc.p.Catalog)
-		if err != nil {
-			return nil, nil, fmt.Errorf("in ggraph(): %w", err)
-		}
-		return pc.planTableRef(&sqlx.SubqueryRef{Query: sel, Alias: alias}, nil)
+		compile, engine = pc.p.Hooks.GGraph, "graph"
 	case "gspatial":
-		if pc.p.Hooks.GSpatial == nil {
-			return nil, nil, fmt.Errorf("plan: spatial engine is not configured")
-		}
-		var err error
-		op, err = pc.p.Hooks.GSpatial(tf.RawArg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("in gspatial(): %w", err)
-		}
-		return op, scopeFromSchema(op.Schema(), alias, nil), nil
+		compile, engine = pc.p.Hooks.GSpatial, "spatial"
 	default:
 		return nil, nil, fmt.Errorf("plan: unknown table function %q", tf.Name)
 	}
+	if compile == nil {
+		return nil, nil, fmt.Errorf("plan: %s engine is not configured", engine)
+	}
+	sel, err := compile(tf.RawArg, pc.p.Catalog)
+	if err != nil {
+		return nil, nil, fmt.Errorf("in %s(): %w", tf.Name, err)
+	}
+	return pc.planTableRef(&sqlx.SubqueryRef{Query: sel, Alias: alias}, nil)
 }
 
 func scopeFromSchema(schema *types.Schema, alias string, names []string) *Scope {

@@ -412,20 +412,30 @@ func TestTableFuncHooks(t *testing.T) {
 		stmt, err := sqlx.Parse("SELECT 11111 AS cid")
 		return stmt.(*sqlx.Select), err
 	}
-	p.Hooks.GTimeseries = func(inner exec.Operator) (exec.Operator, error) { return inner, nil }
+	p.Hooks.GSpatial = func(raw string, cat Catalog) (*sqlx.Select, error) {
+		stmt, err := sqlx.Parse("SELECT a1 AS id FROM olap.t1 WHERE b1 < 2")
+		return stmt.(*sqlx.Select), err
+	}
 	rows, _ := planAndRun(t, p, "SELECT g.cid FROM ggraph('g.V().count()') AS g")
 	if len(rows) != 1 || rows[0][0].Int() != 11111 {
 		t.Errorf("rows = %v", rows)
 	}
+	rows, _ = planAndRun(t, p, "SELECT s.id FROM gspatial('t1.bbox(0, 0, 1, 1)') AS s")
+	if len(rows) != 2 {
+		t.Errorf("rows = %v", rows)
+	}
+	// gtimeseries needs no hook.
 	rows, _ = planAndRun(t, p, "SELECT * FROM gtimeseries(SELECT a1 FROM olap.t1 WHERE b1 < 2) AS ts")
 	if len(rows) != 2 {
 		t.Errorf("rows = %v", rows)
 	}
-	// Unconfigured hook errors cleanly.
+	// Unconfigured hooks error cleanly.
 	p2 := newPlanner(c)
-	stmt, _ := sqlx.Parse("SELECT * FROM ggraph('g.V()') AS g")
-	if _, err := p2.PlanSelect(stmt.(*sqlx.Select)); err == nil {
-		t.Error("unconfigured ggraph should error")
+	for _, sql := range []string{"SELECT * FROM ggraph('g.V()') AS g", "SELECT * FROM gspatial('t1.bbox(0, 0, 1, 1)') AS g"} {
+		stmt, _ := sqlx.Parse(sql)
+		if _, err := p2.PlanSelect(stmt.(*sqlx.Select)); err == nil || !strings.Contains(err.Error(), "not configured") {
+			t.Errorf("%s with no hook: %v, want not configured", sql, err)
+		}
 	}
 }
 

@@ -1,209 +1,156 @@
-// Package spatial implements the multi-model database's spatial engine
-// (paper §II-B): a planar point index with a uniform grid, supporting
-// bounding-box queries, k-nearest-neighbour search and radius queries —
-// the spatial-temporal primitives the paper's autonomous-vehicle scenario
-// needs (GPS positions of cars, junction locations).
+// Package spatial is the multi-model database's spatial engine (paper
+// §II-B): bounding-box, radius and k-nearest-neighbour queries over planar
+// points — the spatial primitives the paper's autonomous-vehicle scenario
+// needs (GPS positions of cars, junction locations). Points are rows of an
+// ordinary cluster table with columns id BIGINT, x DOUBLE and y DOUBLE. A
+// query compiles (Compile) into a query block over that table, which the
+// gspatial(...) table expression hands to the SQL planner: the query runs
+// under the statement's snapshot, its predicate and top-k in the data
+// nodes' scan fragments, like any other scan.
 package spatial
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"strconv"
+	"strings"
+
+	"repro/internal/plan"
+	"repro/internal/sqlx"
+	"repro/internal/types"
 )
 
-// Item is one indexed point.
-type Item struct {
-	ID   int64
-	X, Y float64
+// query is a parsed gspatial(...) argument: <table>.<fn>(<args>).
+type query struct {
+	table, fn string
+	args      []float64
 }
 
-type cellKey struct{ cx, cy int32 }
+// arity is the number of arguments each query function takes.
+var arity = map[string]int{"bbox": 4, "radius": 3, "nearest": 3}
 
-// Index is a uniform-grid spatial index. Safe for concurrent use.
-type Index struct {
-	cell float64
-
-	mu    sync.RWMutex
-	cells map[cellKey][]Item
-	items map[int64]Item
-}
-
-// NewIndex creates a grid index with the given cell size; the cell size
-// should be on the order of typical query radii.
-func NewIndex(cellSize float64) *Index {
-	if cellSize <= 0 {
-		cellSize = 1
+// parseQuery parses and checks text like "fleet.nearest(42, 0, 3)". Every
+// argument must be a finite number, a radius non-negative and k a
+// non-negative integer.
+func parseQuery(src string) (*query, error) {
+	src = strings.TrimSpace(src)
+	open := strings.IndexByte(src, '(')
+	if open < 0 || !strings.HasSuffix(src, ")") {
+		return nil, fmt.Errorf("spatial: %q is not <table>.<function>(<arguments>)", src)
 	}
-	return &Index{
-		cell:  cellSize,
-		cells: make(map[cellKey][]Item),
-		items: make(map[int64]Item),
+	head := src[:open]
+	dot := strings.LastIndexByte(head, '.')
+	if dot < 0 || strings.TrimSpace(head[:dot]) == "" {
+		return nil, fmt.Errorf("spatial: %q names no table: write <table>.%s(...)", src, strings.TrimSpace(head))
 	}
-}
-
-func (ix *Index) keyFor(x, y float64) cellKey {
-	return cellKey{cx: int32(math.Floor(x / ix.cell)), cy: int32(math.Floor(y / ix.cell))}
-}
-
-// Insert adds or moves a point.
-func (ix *Index) Insert(id int64, x, y float64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if old, ok := ix.items[id]; ok {
-		ix.removeFromCellLocked(old)
-	}
-	it := Item{ID: id, X: x, Y: y}
-	ix.items[id] = it
-	k := ix.keyFor(x, y)
-	ix.cells[k] = append(ix.cells[k], it)
-}
-
-// Remove deletes a point; it reports whether the id existed.
-func (ix *Index) Remove(id int64) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	it, ok := ix.items[id]
+	q := &query{table: strings.TrimSpace(head[:dot]), fn: strings.ToLower(strings.TrimSpace(head[dot+1:]))}
+	n, ok := arity[q.fn]
 	if !ok {
-		return false
+		return nil, fmt.Errorf("spatial: unknown function %q (want bbox, radius or nearest)", q.fn)
 	}
-	delete(ix.items, id)
-	ix.removeFromCellLocked(it)
-	return true
+	var parts []string
+	if body := src[open+1 : len(src)-1]; strings.TrimSpace(body) != "" {
+		parts = strings.Split(body, ",")
+	}
+	if len(parts) != n {
+		return nil, fmt.Errorf("spatial: %s() takes %d arguments, got %d", q.fn, n, len(parts))
+	}
+	for _, part := range parts {
+		part = strings.TrimSpace(part)
+		f, err := strconv.ParseFloat(part, 64)
+		if err != nil {
+			return nil, fmt.Errorf("spatial: %s(): bad number %q", q.fn, part)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("spatial: %s(): argument %q is not finite", q.fn, part)
+		}
+		q.args = append(q.args, f)
+	}
+	switch last := q.args[n-1]; {
+	case q.fn == "radius" && last < 0:
+		return nil, fmt.Errorf("spatial: radius(): the radius %g is negative", last)
+	case q.fn == "nearest" && (last < 0 || last != math.Trunc(last) || last >= 1<<63):
+		return nil, fmt.Errorf("spatial: nearest(): k = %g is not a non-negative integer", last)
+	}
+	return q, nil
 }
 
-func (ix *Index) removeFromCellLocked(it Item) {
-	k := ix.keyFor(it.X, it.Y)
-	cell := ix.cells[k]
-	for i := range cell {
-		if cell[i].ID == it.ID {
-			cell[i] = cell[len(cell)-1]
-			ix.cells[k] = cell[:len(cell)-1]
-			return
+// Compile parses a gspatial(...) query and compiles it into one query block
+// over the points table it names in cat, for the planner to plan like a
+// derived table (plan.Hooks.GSpatial). Its rows are (id, x, y); with d² =
+// (x-qx)*(x-qx) + (y-qy)*(y-qy):
+//
+//   - t.bbox(x0, y0, x1, y1) keeps x0 <= x <= x1 and y0 <= y <= y1, ordered
+//     by id.
+//   - t.radius(qx, qy, r) keeps d² <= r*r, ordered by d², then id.
+//   - t.nearest(qx, qy, k) keeps the first k rows by d², then id, of those
+//     whose x and y are not NULL.
+//
+// A row with a NULL x or y matches no query. The table must have columns
+// id BIGINT, x DOUBLE and y DOUBLE; any others are not read.
+func Compile(src string, cat plan.Catalog) (*sqlx.Select, error) {
+	q, err := parseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	meta, err := cat.Resolve(q.table)
+	if err != nil {
+		return nil, fmt.Errorf("spatial: %w", err)
+	}
+	for _, want := range pointCols {
+		i := meta.Schema.ColumnIndex(want.Name)
+		if i < 0 {
+			return nil, fmt.Errorf("spatial: table %s has no column %s", q.table, want.Name)
+		}
+		if k := meta.Schema.Columns[i].Kind; k != want.Kind {
+			return nil, fmt.Errorf("spatial: %s.%s is %s, want %s", q.table, want.Name, k, want.Kind)
 		}
 	}
-}
-
-// Len returns the number of indexed points.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.items)
-}
-
-// Get returns a point by id.
-func (ix *Index) Get(id int64) (Item, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	it, ok := ix.items[id]
-	return it, ok
-}
-
-// BBox returns all points with minX <= x <= maxX and minY <= y <= maxY,
-// ordered by id for determinism.
-func (ix *Index) BBox(minX, minY, maxX, maxY float64) []Item {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	lo := ix.keyFor(minX, minY)
-	hi := ix.keyFor(maxX, maxY)
-	var out []Item
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, it := range ix.cells[cellKey{cx, cy}] {
-				if it.X >= minX && it.X <= maxX && it.Y >= minY && it.Y <= maxY {
-					out = append(out, it)
-				}
-			}
-		}
+	sel := &sqlx.Select{From: []sqlx.TableRef{&sqlx.BaseTable{Name: q.table}}, Limit: -1}
+	for _, c := range pointCols {
+		sel.Items = append(sel.Items, sqlx.SelectItem{Expr: col(c.Name)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	a := q.args
+	byDistance := []sqlx.OrderItem{{Expr: dist2(a[0], a[1])}, {Expr: col("id")}}
+	switch q.fn {
+	case "bbox":
+		sel.Where = and(cmp(sqlx.OpGe, "x", a[0]), cmp(sqlx.OpGe, "y", a[1]), cmp(sqlx.OpLe, "x", a[2]), cmp(sqlx.OpLe, "y", a[3]))
+		sel.OrderBy = []sqlx.OrderItem{{Expr: col("id")}}
+	case "radius":
+		sel.Where = &sqlx.BinaryOp{Op: sqlx.OpLe, Left: dist2(a[0], a[1]), Right: lit(a[2] * a[2])}
+		sel.OrderBy = byDistance
+	case "nearest":
+		sel.Where = and(&sqlx.IsNull{Child: col("x"), Not: true}, &sqlx.IsNull{Child: col("y"), Not: true})
+		sel.OrderBy = byDistance
+		sel.Limit = int64(a[2])
+	}
+	return sel, nil
 }
 
-// Radius returns all points within distance r of (x, y), nearest first.
-func (ix *Index) Radius(x, y, r float64) []Item {
-	items := ix.BBox(x-r, y-r, x+r, y+r)
-	out := items[:0]
-	for _, it := range items {
-		if dist2(it.X, it.Y, x, y) <= r*r {
-			out = append(out, it)
-		}
+// pointCols are the columns a points table must have, and a query's rows.
+var pointCols = []types.Column{{Name: "id", Kind: types.KindInt}, {Name: "x", Kind: types.KindFloat}, {Name: "y", Kind: types.KindFloat}}
+
+// dist2 is the squared distance of a row's point from (qx, qy).
+func dist2(qx, qy float64) sqlx.Expr {
+	sq := func(name string, q float64) sqlx.Expr {
+		d := func() sqlx.Expr { return &sqlx.BinaryOp{Op: sqlx.OpSub, Left: col(name), Right: lit(q)} }
+		return &sqlx.BinaryOp{Op: sqlx.OpMul, Left: d(), Right: d()}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return dist2(out[i].X, out[i].Y, x, y) < dist2(out[j].X, out[j].Y, x, y)
-	})
-	return out
+	return &sqlx.BinaryOp{Op: sqlx.OpAdd, Left: sq("x", qx), Right: sq("y", qy)}
 }
 
-func dist2(ax, ay, bx, by float64) float64 {
-	dx, dy := ax-bx, ay-by
-	return dx*dx + dy*dy
+func col(name string) *sqlx.ColumnRef { return &sqlx.ColumnRef{Column: name} }
+
+func lit(f float64) *sqlx.Literal { return &sqlx.Literal{Value: types.NewFloat(f)} }
+
+func cmp(op, name string, f float64) sqlx.Expr {
+	return &sqlx.BinaryOp{Op: op, Left: col(name), Right: lit(f)}
 }
 
-// nnHeap is a max-heap on distance for k-NN pruning.
-type nnCand struct {
-	it Item
-	d2 float64
-}
-
-type nnHeap []nnCand
-
-func (h nnHeap) Len() int           { return len(h) }
-func (h nnHeap) Less(i, j int) bool { return h[i].d2 > h[j].d2 }
-func (h nnHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x any)        { *h = append(*h, x.(nnCand)) }
-func (h *nnHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// Nearest returns the k nearest points to (x, y), nearest first. It
-// expands the grid search ring by ring and stops when the ring cannot
-// contain anything closer than the current k-th candidate.
-func (ix *Index) Nearest(x, y float64, k int) []Item {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if k <= 0 || len(ix.items) == 0 {
-		return nil
-	}
-	center := ix.keyFor(x, y)
-	h := &nnHeap{}
-	maxRing := int32(2048) // hard stop for pathological sparse data
-
-	consider := func(ck cellKey) {
-		for _, it := range ix.cells[ck] {
-			d2 := dist2(it.X, it.Y, x, y)
-			if h.Len() < k {
-				heap.Push(h, nnCand{it, d2})
-			} else if d2 < (*h)[0].d2 {
-				heap.Pop(h)
-				heap.Push(h, nnCand{it, d2})
-			}
-		}
-	}
-
-	for ring := int32(0); ring <= maxRing; ring++ {
-		if ring == 0 {
-			consider(center)
-		} else {
-			for cx := center.cx - ring; cx <= center.cx+ring; cx++ {
-				consider(cellKey{cx, center.cy - ring})
-				consider(cellKey{cx, center.cy + ring})
-			}
-			for cy := center.cy - ring + 1; cy <= center.cy+ring-1; cy++ {
-				consider(cellKey{center.cx - ring, cy})
-				consider(cellKey{center.cx + ring, cy})
-			}
-		}
-		// The next ring is at least (ring * cell) away; if we already have
-		// k candidates all closer than that, stop.
-		if h.Len() == k {
-			ringDist := float64(ring) * ix.cell
-			if (*h)[0].d2 <= ringDist*ringDist {
-				break
-			}
-		}
-	}
-	out := make([]Item, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(nnCand).it
+func and(conjs ...sqlx.Expr) sqlx.Expr {
+	out := conjs[0]
+	for _, e := range conjs[1:] {
+		out = &sqlx.BinaryOp{Op: sqlx.OpAnd, Left: out, Right: e}
 	}
 	return out
 }

@@ -293,15 +293,16 @@ func (*SubqueryRef) tableRef() {}
 
 func (s *SubqueryRef) String() string { return "(" + s.Query.String() + ") AS " + s.Alias }
 
-// TableFunc is a multi-model table expression: gtimeseries(select ...) or
-// ggraph(<gremlin>) (§II-B Example 1). For ggraph the traversal source is
-// kept as raw text and compiled by internal/graph.
+// TableFunc is a multi-model table expression (§II-B Example 1):
+// gtimeseries(select ...), whose inner query the planner sorts on its first
+// TIMESTAMP column, or ggraph('<traversal>') / gspatial('<table>.<query>'),
+// whose argument is kept as raw text for internal/graph / internal/spatial
+// to compile into a query block.
 type TableFunc struct {
-	Name    string  // "gtimeseries" | "ggraph" | future engines
-	Query   *Select // for gtimeseries: the inner relational query
-	RawArg  string  // for ggraph: the Gremlin traversal text
-	Alias   string
-	Columns []string // optional output column aliases
+	Name   string  // "gtimeseries" | "ggraph" | "gspatial"
+	Query  *Select // for gtimeseries: the inner relational query
+	RawArg string  // for ggraph and gspatial: the argument's text
+	Alias  string
 }
 
 func (*TableFunc) tableRef() {}

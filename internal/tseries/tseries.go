@@ -4,8 +4,9 @@
 // (the rollups the paper proposes for device/edge pre-aggregation in
 // §IV-B3) and retention-based expiry.
 //
-// The gtimeseries(...) table expression in internal/multimodel exposes the
-// engine to SQL.
+// internal/multimodel exposes a series to SQL as a virtual table
+// (ExposeSeries), which the gtimeseries(...) table expression reads in time
+// order.
 package tseries
 
 import (
