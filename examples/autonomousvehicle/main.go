@@ -1,8 +1,9 @@
 // Autonomous-vehicle data management (paper §IV-B3): the three challenges
 // the paper poses, exercised end to end on the reproduction's substrates.
 //
-//  1. Massive amount of data -> time-series pre-aggregation at the edge
-//     (continuous rollups) and hot/cold separation (retention expiry).
+//  1. Massive amount of data -> a time series in a cluster table,
+//     pre-aggregated per minute by a GROUP BY the data nodes run, and
+//     hot/cold separation (a retention DELETE).
 //  2. High-dimensional data management -> AI feature vectors indexed for
 //     sub-second nearest-scene queries, with incremental ingestion and
 //     index rebuilding.
@@ -19,39 +20,53 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/highdim"
-	"repro/internal/tseries"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(1))
-	now := time.Now().UTC()
-
-	// ------ 1. Sensor firehose with edge pre-aggregation ---------------
-	ts := tseries.NewStore()
-	// Continuous rollup maintained incrementally while ingesting — the
-	// paper's "perform data pre-aggregation for time series data at
-	// devices and edges".
-	if err := ts.EnableRollup("lidar_points", time.Minute); err != nil {
+	// One database holds the sensor series (§1) and the fleet (§3). Its
+	// clock is fixed on a whole minute, so the per-minute buckets of §1,
+	// counted back from now(), are whole clock minutes.
+	now := time.Now().UTC().Truncate(time.Minute)
+	db, err := core.Open(core.Options{DataNodes: 4, Clock: func() time.Time { return now }})
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
+
+	// ------ 1. Sensor firehose with edge pre-aggregation ---------------
+	// A series is a cluster table, ingested by multi-row INSERTs.
+	db.MustExec("CREATE TABLE lidar_points (ts TIMESTAMP, value DOUBLE) DISTRIBUTE BY HASH(ts)")
 	const samples = 8 * 3600 // one sample per second for 8 hours
+	var batch []string
 	for i := 0; i < samples; i++ {
 		at := now.Add(-time.Duration(samples-i) * time.Second)
-		ts.Append("lidar_points", at, 90000+float64(rng.Intn(20000)), nil)
+		batch = append(batch, fmt.Sprintf("('%s', %d.0)", at.Format(time.RFC3339), 90000+rng.Intn(20000)))
+		if len(batch) == 1000 || i == samples-1 {
+			db.MustExec("INSERT INTO lidar_points VALUES " + strings.Join(batch, ", "))
+			batch = batch[:0]
+		}
 	}
-	fmt.Printf("ingested %d lidar samples\n", ts.Len("lidar_points"))
+	hot := func() int64 { return db.MustExec("SELECT count(*) FROM lidar_points").Rows[0][0].Int() }
+	fmt.Printf("ingested %d lidar samples\n", hot())
 
-	// Dashboards read the pre-aggregated rollup, not the raw points.
-	buckets := ts.Window("lidar_points", now.Add(-10*time.Minute), now, time.Minute, nil)
-	fmt.Printf("last 10 minutes (1-min rollups, served pre-aggregated):\n")
-	for _, b := range buckets[:3] {
-		fmt.Printf("  %s  avg=%.0f pts/s  max=%.0f\n", b.Start.Format("15:04"), b.Value(tseries.AggAvg), b.Max)
+	// The paper's "perform data pre-aggregation for time series data at
+	// devices and edges": a GROUP BY on the sample's age in whole minutes,
+	// aggregated partially on each data node before anything crosses the
+	// fabric.
+	buckets := db.MustExec(`SELECT (now() - ts) / 60000000000 AS age, avg(value), max(value)
+		FROM lidar_points WHERE now() - ts < INTERVAL '10 minutes'
+		GROUP BY (now() - ts) / 60000000000 ORDER BY age DESC LIMIT 3`)
+	fmt.Printf("last 10 minutes (1-min buckets, pre-aggregated on the data nodes):\n")
+	for _, b := range buckets.Rows {
+		start := now.Add(-time.Duration(b[0].Int()+1) * time.Minute)
+		fmt.Printf("  %s  avg=%.0f pts/s  max=%.0f\n", start.Format("15:04"), b[1].Float(), b[2].Float())
 	}
 
 	// Hot/cold separation: expire raw data older than 1 hour (in
 	// production it would move to cloud cold storage first).
-	removed := ts.Expire("lidar_points", now.Add(-time.Hour))
-	fmt.Printf("cold-tiered %d raw samples; %d remain hot\n\n", removed, ts.Len("lidar_points"))
+	removed := db.MustExec("DELETE FROM lidar_points WHERE now() - ts > INTERVAL '1 hour'").RowsAffected
+	fmt.Printf("cold-tiered %d raw samples; %d remain hot\n\n", removed, hot())
 
 	// ------ 2. High-dimensional scene features -------------------------
 	const dim = 128
@@ -98,11 +113,6 @@ func main() {
 	fmt.Printf("index rebuilt over %d live vectors\n\n", ix.Len())
 
 	// ------ 3. Fleet positions --------------------------------------
-	db, err := core.Open(core.Options{DataNodes: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer db.Close()
 	db.MustExec("CREATE TABLE fleet (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
 	var rows []string
 	for car := 0; car < 500; car++ {

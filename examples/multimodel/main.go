@@ -19,22 +19,21 @@ import (
 )
 
 func main() {
-	now := time.Now().UTC()
+	now := time.Now().UTC().Truncate(time.Second)
 	db, err := core.Open(core.Options{DataNodes: 2, Clock: func() time.Time { return now }})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
 
-	// --- Time-series engine: highway speed sensors ---------------------
-	ts := db.TimeSeries()
-	ts.Append("high_speed", now.Add(-5*time.Minute), 132, map[string]string{"carid": "car1", "juncid": "j1"})
-	ts.Append("high_speed", now.Add(-8*time.Minute), 140, map[string]string{"carid": "car1", "juncid": "j3"})
-	ts.Append("high_speed", now.Add(-10*time.Minute), 125, map[string]string{"carid": "car2", "juncid": "j2"})
-	ts.Append("high_speed", now.Add(-2*time.Hour), 150, map[string]string{"carid": "car9", "juncid": "j1"})
-	if err := db.MultiModel().ExposeSeries("high_speed_view", "high_speed", 24*time.Hour, "carid", "juncid"); err != nil {
-		log.Fatal(err)
-	}
+	// --- Time series: highway speed sensors ----------------------------
+	// A series is a cluster table of (ts, value, tags...) samples.
+	db.MustExec("CREATE TABLE high_speed (ts TIMESTAMP, value DOUBLE, carid TEXT, juncid TEXT) DISTRIBUTE BY HASH(carid)")
+	ago := func(d time.Duration) string { return now.Add(-d).Format(time.RFC3339) }
+	db.MustExec(fmt.Sprintf(`INSERT INTO high_speed VALUES
+		('%s', 132.0, 'car1', 'j1'), ('%s', 140.0, 'car1', 'j3'),
+		('%s', 125.0, 'car2', 'j2'), ('%s', 150.0, 'car9', 'j1')`,
+		ago(5*time.Minute), ago(8*time.Minute), ago(10*time.Minute), ago(2*time.Hour)))
 
 	// --- Graph engine: call graph of persons ---------------------------
 	// A graph is two cluster tables, g_vertices and g_edges, whose property
@@ -68,7 +67,7 @@ func main() {
 	res := db.MustExec(`
 		with cars (carid) as (
 		    select distinct carid from gtimeseries(
-		        select ts, value, carid, juncid from high_speed_view
+		        select ts, value, carid, juncid from high_speed
 		        where now() - ts < INTERVAL '30 minutes') AS g),
 		 suspects (cid) as (
 		    select cid from ggraph('g.V().hasLabel(person).where(inE(call).has(ts, gt(20180601)).count().gt(3)).values(cid)') AS gg)
@@ -81,11 +80,12 @@ func main() {
 	for _, r := range res.Rows {
 		fmt.Printf("  cid=%v car=%v\n", r[0], r[1])
 	}
-	fmt.Printf("the traversal ran on the data nodes: %d fabric messages, %d bytes\n", traffic.Total(), traffic.TotalBytes())
+	fmt.Printf("the series scan and the traversal ran on the data nodes: %d fabric messages, %d bytes\n", traffic.Total(), traffic.TotalBytes())
 
-	// The graph is ordinary tables: plain SQL reads them too.
+	// The graph and the series are ordinary tables: plain SQL reads them too.
 	counts := db.MustExec("SELECT count(*) FROM g_edges")
-	fmt.Printf("\nunified storage: g_edges has %v rows\n", counts.Rows[0][0])
+	samples := db.MustExec("SELECT count(*) FROM high_speed")
+	fmt.Printf("\nunified storage: g_edges has %v rows, high_speed %v\n", counts.Rows[0][0], samples.Rows[0][0])
 }
 
 func must(id graph.VID, err error) graph.VID {

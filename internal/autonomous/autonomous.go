@@ -2,8 +2,8 @@
 // (§IV-A, Fig 12): the five components of Huawei's MPP autonomous database
 // architecture —
 //
-//   - information store: continuous performance/workload metrics
-//     (built on the internal/tseries substrate);
+//   - information store: continuous performance/workload metrics, each a
+//     time-ordered sample history bounded by a fixed horizon;
 //   - anomaly manager: detectors for datanode failures (heartbeat gaps),
 //     slow disks and memory pressure (threshold and z-score rules);
 //   - workload manager: SLA-driven admission control that adapts the
@@ -21,8 +21,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/tseries"
 )
 
 // ---------------------------------------------------------------------------
@@ -30,49 +28,83 @@ import (
 // ---------------------------------------------------------------------------
 
 // InfoStore collects named metrics with history (Fig 12 "Information
-// Store"). It wraps the time-series engine, the same substrate the
-// multi-model database uses.
+// Store"). It is process-local: the samples are the system's own
+// monitoring, and writing them to a cluster table would put the control
+// loop's traffic on the fabric it observes.
 type InfoStore struct {
-	ts    *tseries.Store
 	clock func() time.Time
+	mu    sync.Mutex
+	// samples holds each metric's history in the order it was recorded.
+	samples map[string][]sample
 }
+
+type sample struct {
+	at    time.Time
+	value float64
+}
+
+// Horizon is how much history Record keeps per metric: an autopilot
+// records each of its gauges every tick, for as long as the process runs.
+const Horizon = 2 * time.Hour
 
 // NewInfoStore creates a store; clock may be nil (wall clock).
 func NewInfoStore(clock func() time.Time) *InfoStore {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &InfoStore{ts: tseries.NewStore(), clock: clock}
+	return &InfoStore{clock: clock, samples: map[string][]sample{}}
 }
 
-// Record appends a sample to a metric.
+// Record appends a sample to a metric and drops the metric's samples older
+// than Horizon.
 func (s *InfoStore) Record(metric string, value float64) {
-	s.ts.Append(metric, s.clock(), value, nil)
+	now := s.clock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.samples[metric] = append(s.samples[metric], sample{now, value})
+	s.trimLocked(metric, now.Add(-Horizon))
 }
 
-// Window returns the samples of a metric in [now-d, now].
+// Window returns the samples of a metric in [now-d, now], oldest first.
 func (s *InfoStore) Window(metric string, d time.Duration) []float64 {
 	now := s.clock()
-	pts := s.ts.Range(metric, now.Add(-d), now.Add(time.Nanosecond), nil)
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Value
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []float64
+	for _, p := range s.samples[metric] {
+		if !p.at.Before(now.Add(-d)) && !p.at.After(now) {
+			out = append(out, p.value)
+		}
 	}
 	return out
 }
 
-// Last returns the most recent sample.
+// Last returns the most recently recorded sample.
 func (s *InfoStore) Last(metric string) (float64, bool) {
-	p, ok := s.ts.Latest(metric)
-	return p.Value, ok
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.samples[metric]
+	if len(h) == 0 {
+		return 0, false
+	}
+	return h[len(h)-1].value, true
 }
 
 // Expire drops samples older than the retention horizon.
 func (s *InfoStore) Expire(retention time.Duration) {
 	cutoff := s.clock().Add(-retention)
-	for _, name := range s.ts.Names() {
-		s.ts.Expire(name, cutoff)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for metric := range s.samples {
+		s.trimLocked(metric, cutoff)
 	}
+}
+
+// trimLocked drops the samples of metric recorded before cutoff: a prefix
+// of its history, as the clock does not run backwards.
+func (s *InfoStore) trimLocked(metric string, cutoff time.Time) {
+	h := s.samples[metric]
+	s.samples[metric] = h[sort.Search(len(h), func(i int) bool { return !h[i].at.Before(cutoff) }):]
 }
 
 // ---------------------------------------------------------------------------

@@ -45,6 +45,13 @@ func TestInfoStoreWindowAndExpire(t *testing.T) {
 	if w := s.Window("qps", time.Hour); len(w) != 3 {
 		t.Errorf("after expire window = %v", w)
 	}
+	// Under a frozen clock samples share a timestamp: Last is the one
+	// recorded last.
+	s.Record("frozen", 1)
+	s.Record("frozen", 2)
+	if v, ok := s.Last("frozen"); !ok || v != 2 {
+		t.Errorf("last under a frozen clock = %v, %v, want 2", v, ok)
+	}
 }
 
 func TestOnlineStats(t *testing.T) {

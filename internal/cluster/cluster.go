@@ -209,9 +209,8 @@ type Cluster struct {
 	// AddDataNode; existing entries are never replaced or removed.
 	dns atomic.Pointer[[]*DataNode]
 
-	mu       sync.RWMutex
-	tables   map[string]*TableInfo
-	virtuals map[string]*VirtualTable
+	mu     sync.RWMutex
+	tables map[string]*TableInfo
 
 	// routeMu orders statements against routing changes: every statement
 	// holds the read side for its whole execution, so the bucket map it
@@ -223,8 +222,8 @@ type Cluster struct {
 	routeMu sync.RWMutex
 	// epoch counts the changes a compiled statement may have assumed away:
 	// every route-barrier holder (lockRoutes) and every catalog change (DDL,
-	// ANALYZE, virtual tables) bumps it, and a prepared statement recompiles
-	// when it has moved (see planStamp).
+	// ANALYZE) bumps it, and a prepared statement recompiles when it has
+	// moved (see planStamp).
 	epoch atomic.Uint64
 	// bmap is the bucket -> data node routing map. Guarded by routeMu.
 	bmap *BucketMap
@@ -345,7 +344,6 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		gtm:       gtm.New(cfg.GTMServiceTime),
 		tables:    make(map[string]*TableInfo),
-		virtuals:  make(map[string]*VirtualTable),
 		downNodes: map[int]bool{},
 		retired:   map[int]bool{},
 		standbys:  map[int]int{},
@@ -557,51 +555,12 @@ func (c *Cluster) ExpansionPlan(newDN int) []int {
 	return c.bmap.PlanExpansion(newDN, c.DataNodeCount())
 }
 
-// VirtualTable is an engine-backed read-only table (the multi-model
-// engines expose their data relationally through these — paper §II-B's
-// unified storage view).
-type VirtualTable struct {
-	Meta *plan.TableMeta
-	// Scan returns the current rows; virtual tables are outside MVCC and
-	// reflect the owning engine's live state.
-	Scan func() []types.Row
-}
-
-// RegisterVirtual publishes an engine-backed table under the given name.
-// It replaces any previous virtual table with that name and fails if a
-// stored table already uses it.
-func (c *Cluster) RegisterVirtual(name string, schema *types.Schema, scan func() []types.Row) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, exists := c.tables[key]; exists {
-		return fmt.Errorf("cluster: %q is already a stored table", name)
-	}
-	c.virtuals[key] = &VirtualTable{
-		Meta: &plan.TableMeta{Name: key, Schema: schema, DistKey: -1},
-		Scan: scan,
-	}
-	c.epoch.Add(1)
-	return nil
-}
-
-// virtualTable looks up a registered virtual table.
-func (c *Cluster) virtualTable(name string) (*VirtualTable, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	vt, ok := c.virtuals[strings.ToLower(name)]
-	return vt, ok
-}
-
 // Resolve implements plan.Catalog.
 func (c *Cluster) Resolve(name string) (*plan.TableMeta, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if ti, ok := c.tables[strings.ToLower(name)]; ok {
 		return ti.Meta, nil
-	}
-	if vt, ok := c.virtuals[strings.ToLower(name)]; ok {
-		return vt.Meta, nil
 	}
 	return nil, &plan.ErrTableNotFound{Name: name}
 }

@@ -62,12 +62,6 @@ func (a *stmtAccess) JoinScan(spec *plan.DistJoinSpec) (exec.Operator, bool) {
 		// join over routed scans is the right plan.
 		return nil, false
 	}
-	if _, ok := a.s.c.virtualTable(spec.Probe.Meta.Name); ok {
-		return nil, false
-	}
-	if _, ok := a.s.c.virtualTable(spec.Build.Meta.Name); ok {
-		return nil, false
-	}
 	switch spec.Strategy {
 	case plan.DistColocated:
 		return a.colocatedJoin(spec), true

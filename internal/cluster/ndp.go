@@ -105,29 +105,15 @@ func (k fragSink) deliver(ctx *exec.Ctx, row types.Row) (bool, error) {
 }
 
 // Scan implements plan.Access: the fragment program with an empty spec
-// (every row, every column). Virtual tables are engine-local and have no
-// partitions to fan out over.
+// (every row, every column).
 func (a *stmtAccess) Scan(meta *plan.TableMeta) exec.Operator {
-	if vt, ok := a.s.c.virtualTable(meta.Name); ok {
-		return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
-			for _, r := range vt.Scan() {
-				if !emit(r) {
-					return
-				}
-			}
-		})
-	}
 	return a.scanFragments(meta, &plan.ScanPushdown{})
 }
 
-// ScanNDP implements plan.NDPAccess. It refuses only virtual tables (which
-// fall back to Scan under a coordinator Filter); everything else — row-store
-// tables included — gets exact DN-side filtering and column pruning, and a
-// partial aggregate when spec carries one.
+// ScanNDP implements plan.NDPAccess: every table gets exact DN-side
+// filtering and column pruning, and a partial aggregate when spec carries
+// one. The refusal the interface allows for is never taken here.
 func (a *stmtAccess) ScanNDP(meta *plan.TableMeta, spec *plan.ScanPushdown) (exec.Operator, bool) {
-	if _, ok := a.s.c.virtualTable(meta.Name); ok {
-		return nil, false
-	}
 	return a.scanFragments(meta, spec), true
 }
 

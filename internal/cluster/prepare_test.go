@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/colstore"
 	"repro/internal/plan"
@@ -547,7 +548,8 @@ func TestShapePreparedPlansLikeLiteral(t *testing.T) {
 // name, so they route to every primary, under one global snapshot taken
 // before any fragment runs. Their compilers read only the catalog, so a
 // literal statement keeps its plan like any other, and each execution reads
-// the rows its own snapshot sees. gtimeseries routes by its inner query.
+// the rows its own snapshot sees. gtimeseries routes by its inner query,
+// here a scatter read of a series table.
 func TestCompiledTableFunctionsRouteAsScatterReads(t *testing.T) {
 	c := newCluster(t, 2, ModeGTMLite)
 	c.Hooks = plan.Hooks{
@@ -557,18 +559,13 @@ func TestCompiledTableFunctionsRouteAsScatterReads(t *testing.T) {
 		},
 		GSpatial: spatial.Compile,
 	}
-	if err := c.RegisterVirtual("series", types.NewSchema(types.Column{Name: "ts", Kind: types.KindTime}), func() []types.Row { return nil }); err != nil {
-		t.Fatal(err)
-	}
 	s := c.NewSession()
 	mustExec(t, s, "CREATE TABLE pts (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
-	for i, tc := range []struct {
-		sql     string
-		scatter bool
-	}{
-		{"SELECT count(*) FROM ggraph('g.V()') AS g", true},
-		{"SELECT count(*) FROM gspatial('pts.nearest(0, 0, 100)') AS p", true},
-		{"SELECT count(*) FROM gtimeseries(SELECT ts FROM series) AS ts", false},
+	mustExec(t, s, "CREATE TABLE series (ts TIMESTAMP, value DOUBLE) DISTRIBUTE BY HASH(value)")
+	for i, tc := range []struct{ sql, insert string }{
+		{"SELECT count(*) FROM ggraph('g.V()') AS g", "INSERT INTO pts VALUES (%d, 1.0, 1.0)"},
+		{"SELECT count(*) FROM gspatial('pts.nearest(0, 0, 100)') AS p", "INSERT INTO pts VALUES (%d, 1.0, 1.0)"},
+		{"SELECT count(*) FROM gtimeseries(SELECT ts FROM series) AS ts", "INSERT INTO series VALUES (now(), %d.0)"},
 	} {
 		stmt, err := sqlx.Parse(tc.sql)
 		if err != nil {
@@ -577,16 +574,43 @@ func TestCompiledTableFunctionsRouteAsScatterReads(t *testing.T) {
 		p := s.Prepare(stmt)
 		first := mustRun(t, p, nil)
 		u := p.unit.(*selectUnit)
-		if u.distributed != tc.scatter || u.scatter != tc.scatter || u.plan == nil {
-			t.Errorf("%s: distributed %v, scatter %v, plan kept %v; want %v, %v, true", tc.sql, u.distributed, u.scatter, u.plan != nil, tc.scatter, tc.scatter)
+		if !u.distributed || !u.scatter || u.plan == nil {
+			t.Errorf("%s: distributed %v, scatter %v, plan kept %v; want all true", tc.sql, u.distributed, u.scatter, u.plan != nil)
 		}
-		mustExec(t, s, fmt.Sprintf("INSERT INTO pts VALUES (%d, 1.0, 1.0)", i))
+		mustExec(t, s, fmt.Sprintf(tc.insert, i))
 		second := mustRun(t, p, nil)
 		if p.unit != unit(u) {
 			t.Errorf("%s: compiled again after an INSERT", tc.sql)
 		}
-		if grew := second.Rows[0][0].Int() - first.Rows[0][0].Int(); tc.scatter && grew != 1 {
+		if grew := second.Rows[0][0].Int() - first.Rows[0][0].Int(); grew != 1 {
 			t.Errorf("%s: %v, then %v after an INSERT", tc.sql, first.Rows, second.Rows)
 		}
+	}
+}
+
+// TestGTimeseriesReadsHTAPReplicas: gtimeseries over stored tables is a
+// derived table like any other, so the HTAP freshness gate admits it and a
+// replica serves it with the primary's rows, in time order.
+func TestGTimeseriesReadsHTAPReplicas(t *testing.T) {
+	c := newCluster(t, 2, ModeGTMLite)
+	now := time.Unix(1_700_000_000, 0).UTC()
+	c.Clock = func() time.Time { return now }
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE speed (ts TIMESTAMP, value DOUBLE, carid TEXT) DISTRIBUTE BY HASH(carid)")
+	for i := 0; i < 40; i++ {
+		at := now.Add(-time.Duration(i) * time.Minute).Format(time.RFC3339)
+		mustExec(t, s, fmt.Sprintf("INSERT INTO speed VALUES ('%s', %d.0, 'car%d')", at, i, i%3))
+	}
+	const sql = "SELECT value, carid FROM gtimeseries(SELECT ts, value, carid FROM speed WHERE now() - ts < INTERVAL '30 minutes') AS g"
+	primary := fmt.Sprint(mustExec(t, s, sql).Rows)
+
+	LogFedReplicas(t, c)("speed")
+	gate := &analyticalCount{AnalyticalProvider: c.analyticalReads()}
+	c.SetAnalyticalReads(gate)
+	if got := fmt.Sprint(mustExec(t, s, sql).Rows); got != primary || !strings.HasPrefix(got, "[(29, car2) (28, car1)") {
+		t.Errorf("replica rows %s, primary %s", got, primary)
+	}
+	if n := gate.admitted.Load(); n != 1 {
+		t.Errorf("%d statements read the HTAP replicas, want 1", n)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,6 +130,27 @@ func TestAutopilotMetricsCollected(t *testing.T) {
 	}
 	if v, ok := ap.Info.Last("transport.dropped_total"); !ok || v != 0 {
 		t.Errorf("transport dropped metric = %v, %v (want present, zero)", v, ok)
+	}
+}
+
+// TestAutopilotHistoryIsBounded: every tick records each gauge, and on an
+// advancing clock the information store keeps only autonomous.Horizon of
+// them.
+func TestAutopilotHistoryIsBounded(t *testing.T) {
+	var now atomic.Int64
+	now.Store(time.Unix(1_700_000_000, 0).UnixNano())
+	db := open(t, Options{DataNodes: 2, Clock: func() time.Time { return time.Unix(0, now.Load()).UTC() }})
+	ap := db.NewAutopilot(autonomous.SLA{TargetP95: 200 * time.Millisecond})
+	const step, ticks = 5 * time.Minute, 100
+	for i := 0; i < ticks; i++ {
+		ap.Tick()
+		now.Add(int64(step))
+	}
+	bound := int(autonomous.Horizon/step) + 1
+	for _, m := range []string{"gtm_requests_total", "max_bloat_ratio", "transport.msgs_total"} {
+		if n := len(ap.Info.Window(m, ticks*step)); n == 0 || n > bound {
+			t.Errorf("%s: %d samples kept after %d ticks, want 1..%d", m, n, ticks, bound)
+		}
 	}
 }
 

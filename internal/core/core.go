@@ -30,7 +30,6 @@ import (
 	"repro/internal/rebalance"
 	"repro/internal/repl"
 	"repro/internal/server"
-	"repro/internal/tseries"
 	"repro/internal/types"
 )
 
@@ -73,7 +72,6 @@ type Options struct {
 // DB is an embedded FI-MPPDB instance with multi-model engines attached.
 type DB struct {
 	cluster *cluster.Cluster
-	mm      *multimodel.DB
 	def     *cluster.Session
 	repl    *repl.Manager
 	srv     *server.Server
@@ -81,9 +79,10 @@ type DB struct {
 }
 
 // Open builds a cluster and attaches the multi-model engines: the ggraph
-// and gspatial compilers and the time-series store. It creates no table; a
-// graph's two tables appear when CreateGraph declares it, and gspatial
-// reads any table with id BIGINT, x DOUBLE and y DOUBLE columns.
+// and gspatial compilers. It creates no table; a graph's two tables appear
+// when CreateGraph declares it, gspatial reads any table with id BIGINT,
+// x DOUBLE and y DOUBLE columns, and gtimeseries any query with a
+// TIMESTAMP column.
 func Open(opts Options) (*DB, error) {
 	if opts.DataNodes <= 0 {
 		opts.DataNodes = 4
@@ -102,8 +101,8 @@ func Open(opts Options) (*DB, error) {
 	}
 	c.CaptureSteps = opts.Learning
 	c.UseLearnedCard = opts.Learning
-	mm := multimodel.Attach(c, tseries.NewStore())
-	return &DB{cluster: c, mm: mm, def: c.NewSession()}, nil
+	multimodel.Attach(c)
+	return &DB{cluster: c, def: c.NewSession()}, nil
 }
 
 // Close releases the instance: it stops the replication manager's
@@ -146,12 +145,6 @@ func (db *DB) MustExec(sql string) *Result {
 func (db *DB) CreateGraph(name string, vprops, eprops []types.Column) (*graph.Graph, error) {
 	return graph.Create(db.def, name, vprops, eprops)
 }
-
-// TimeSeries returns the attached time-series engine.
-func (db *DB) TimeSeries() *tseries.Store { return db.mm.TS }
-
-// MultiModel exposes the time-series virtual-table helper (ExposeSeries).
-func (db *DB) MultiModel() *multimodel.DB { return db.mm }
 
 // Cluster exposes the underlying cluster for advanced use (experiments,
 // monitoring).

@@ -142,13 +142,12 @@ func TestMultiModelAccessors(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
 		t.Errorf("graph rows = %v", res.Rows)
 	}
-	// Time series through a virtual table.
-	db.TimeSeries().Append("m", now.Add(-time.Minute), 42, nil)
-	if err := db.MultiModel().ExposeSeries("m_ts", "m", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	res = db.MustExec("SELECT value FROM m_ts")
-	if len(res.Rows) != 1 || res.Rows[0][0].Float() != 42 {
+	// Time series: samples in a table, read in time order.
+	db.MustExec("CREATE TABLE m (ts TIMESTAMP, value DOUBLE) DISTRIBUTE BY HASH(ts)")
+	db.MustExec("INSERT INTO m VALUES (now(), 43.0)")
+	db.MustExec("INSERT INTO m VALUES ('" + now.Add(-time.Minute).Format(time.RFC3339) + "', 42.0)")
+	res = db.MustExec("SELECT value FROM gtimeseries(SELECT ts, value FROM m WHERE now() - ts < INTERVAL '1 hour') AS g")
+	if len(res.Rows) != 2 || res.Rows[0][0].Float() != 42 || res.Rows[1][0].Float() != 43 {
 		t.Errorf("ts rows = %v", res.Rows)
 	}
 	// Spatial: points in a table.

@@ -2,27 +2,63 @@ package multimodel
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
-	"repro/internal/tseries"
+	"repro/internal/sqlx"
+	"repro/internal/transport"
 	"repro/internal/types"
 )
 
 // fixedNow is the deterministic statement clock for all tests.
 var fixedNow = time.Unix(1_700_000_000, 0).UTC()
 
-func newMMDB(t *testing.T) (*DB, *cluster.Session) {
+func newMMDB(t *testing.T) (*cluster.Cluster, *cluster.Session) {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{DataNodes: 2, Mode: cluster.ModeGTMLite})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Clock = func() time.Time { return fixedNow }
-	db := Attach(c, tseries.NewStore())
-	return db, c.NewSession()
+	Attach(c)
+	return c, c.NewSession()
+}
+
+// newSeries creates the time-series table name, (ts TIMESTAMP, value
+// DOUBLE, <tag> TEXT...), distributed by its first tag.
+func newSeries(t *testing.T, s *cluster.Session, name string, tags ...string) {
+	t.Helper()
+	cols := "ts TIMESTAMP, value DOUBLE"
+	for _, tag := range tags {
+		cols += ", " + tag + " TEXT"
+	}
+	mustExec(t, s, "CREATE TABLE "+name+" ("+cols+") DISTRIBUTE BY HASH("+tags[0]+")")
+}
+
+// sample is one row of a series table.
+type sample struct {
+	at    time.Time
+	value float64
+	tags  []string
+}
+
+// addSamples inserts samples into the series table name in one INSERT.
+func addSamples(t *testing.T, s *cluster.Session, name string, samples ...sample) {
+	t.Helper()
+	ins := &sqlx.Insert{Table: name}
+	for _, p := range samples {
+		row := []sqlx.Expr{&sqlx.Literal{Value: types.NewTime(p.at)}, &sqlx.Literal{Value: types.NewFloat(p.value)}}
+		for _, tag := range p.tags {
+			row = append(row, &sqlx.Literal{Value: types.NewString(tag)})
+		}
+		ins.Rows = append(ins.Rows, row)
+	}
+	if _, err := s.ExecStmt(ins); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // newCallGraph declares graph g, persons with a cid and calls with a ts,
@@ -87,14 +123,14 @@ func TestGGraphTableFunction(t *testing.T) {
 }
 
 func TestGTimeseriesWindow(t *testing.T) {
-	db, s := newMMDB(t)
+	_, s := newMMDB(t)
 	// Points: every minute for the past 2 hours.
+	newSeries(t, s, "speed_ts", "carid")
+	var pts []sample
 	for i := 0; i < 120; i++ {
-		db.TS.Append("speed", fixedNow.Add(-time.Duration(i)*time.Minute), 80+float64(i%40), map[string]string{"carid": fmt.Sprintf("car%d", i%5)})
+		pts = append(pts, sample{fixedNow.Add(-time.Duration(i) * time.Minute), 80 + float64(i%40), []string{fmt.Sprintf("car%d", i%5)}})
 	}
-	if err := db.ExposeSeries("speed_ts", "speed", 24*time.Hour, "carid"); err != nil {
-		t.Fatal(err)
-	}
+	addSamples(t, s, "speed_ts", pts...)
 	res := mustExec(t, s, `SELECT count(*) FROM gtimeseries(
 		SELECT ts, value, carid FROM speed_ts
 		WHERE now() - ts < INTERVAL '30 minutes') AS g`)
@@ -109,6 +145,9 @@ func TestGTimeseriesWindow(t *testing.T) {
 		if res.Rows[i][0].Time().Before(res.Rows[i-1][0].Time()) {
 			t.Fatalf("rows not time ordered at %d", i)
 		}
+	}
+	if len(res.Rows) != 10 {
+		t.Errorf("10-minute window = %d rows, want 10", len(res.Rows))
 	}
 }
 
@@ -166,11 +205,13 @@ func TestGraphTablesAreClusterTables(t *testing.T) {
 	}
 }
 
+// TestVirtualNameCollisionRejected: a series is a table, so it cannot take
+// a name another table holds.
 func TestVirtualNameCollisionRejected(t *testing.T) {
-	db, s := newMMDB(t)
+	_, s := newMMDB(t)
 	mustExec(t, s, "CREATE TABLE taken (a BIGINT) DISTRIBUTE BY HASH(a)")
-	if err := db.ExposeSeries("taken", "speed", time.Hour); err == nil {
-		t.Error("collision with stored table must be rejected")
+	if _, err := s.Exec("CREATE TABLE taken (ts TIMESTAMP, value DOUBLE) DISTRIBUTE BY HASH(ts)"); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("a series over a taken name: %v, want already exists", err)
 	}
 }
 
@@ -180,17 +221,16 @@ func TestVirtualNameCollisionRejected(t *testing.T) {
 // recent incoming calls) and a relational mapping table, with a correlated
 // scalar subquery joining them.
 func TestExample1UnifiedQuery(t *testing.T) {
-	db, s := newMMDB(t)
+	c, s := newMMDB(t)
 
-	// Time-series engine: high-speed sightings. Cars car1, car2 seen
-	// recently; car9 seen two hours ago.
-	db.TS.Append("high_speed", fixedNow.Add(-5*time.Minute), 130, map[string]string{"carid": "car1", "juncid": "j1"})
-	db.TS.Append("high_speed", fixedNow.Add(-10*time.Minute), 125, map[string]string{"carid": "car2", "juncid": "j2"})
-	db.TS.Append("high_speed", fixedNow.Add(-8*time.Minute), 140, map[string]string{"carid": "car1", "juncid": "j3"})
-	db.TS.Append("high_speed", fixedNow.Add(-2*time.Hour), 150, map[string]string{"carid": "car9", "juncid": "j1"})
-	if err := db.ExposeSeries("high_speed_view", "high_speed", 24*time.Hour, "carid", "juncid"); err != nil {
-		t.Fatal(err)
-	}
+	// Time series: high-speed sightings. Cars car1, car2 seen recently;
+	// car9 seen two hours ago.
+	newSeries(t, s, "high_speed", "carid", "juncid")
+	addSamples(t, s, "high_speed",
+		sample{fixedNow.Add(-5 * time.Minute), 130, []string{"car1", "j1"}},
+		sample{fixedNow.Add(-10 * time.Minute), 125, []string{"car2", "j2"}},
+		sample{fixedNow.Add(-8 * time.Minute), 140, []string{"car1", "j3"}},
+		sample{fixedNow.Add(-2 * time.Hour), 150, []string{"car9", "j1"}})
 
 	// Graph engine: person 11111 (suspect, 4 recent calls, owns car1),
 	// person 22222 (1 recent call, owns car2).
@@ -214,11 +254,11 @@ func TestExample1UnifiedQuery(t *testing.T) {
 
 	// The unified query (dialect-adjusted Example 1). Its traffic is
 	// deterministic: EXPERIMENTS E5 reports it.
-	before := db.Cluster.Fabric().Stats()
+	before := c.Fabric().Stats()
 	res := mustExec(t, s, `
 		with cars (carid) as (
 		    select distinct carid from gtimeseries(
-		        select ts, value, carid, juncid from high_speed_view
+		        select ts, value, carid, juncid from high_speed
 		        where now() - ts < INTERVAL '30 minutes') AS g),
 		 suspects (cid) as (
 		    select cid from ggraph('g.V().hasLabel(person).where(inE(call).has(ts, gt(20180601)).count().gt(3)).values(cid)') AS gg)
@@ -226,8 +266,17 @@ func TestExample1UnifiedQuery(t *testing.T) {
 		from suspects s, cars c
 		where s.cid = (select cid from car2cid as cc where cc.carid = c.carid)`)
 
-	traffic := db.Cluster.Fabric().Stats().Sub(before)
+	traffic := c.Fabric().Stats().Sub(before)
 	t.Logf("Example 1: %d fabric messages, %d bytes", traffic.Total(), traffic.TotalBytes())
+	// Two GTM rounds for the statement's global snapshot, and scan
+	// fragments on both data nodes: 4 for the series, the rest for the
+	// graph tables and the correlated lookups in car2cid.
+	if g, f := traffic.Get(transport.GTMRound).Count, traffic.Get(transport.ScanFrag).Count; g != 2 || f != 40 || traffic.Total() != g+f {
+		t.Errorf("Example 1 traffic: %d gtm_round, %d scan_frag, %d in all; want 2, 40, 42", g, f, traffic.Total())
+	}
+	if b := traffic.TotalBytes(); b != 1536 {
+		t.Errorf("Example 1 moved %d bytes, want 1536", b)
+	}
 
 	if len(res.Rows) != 1 {
 		t.Fatalf("Example 1 returned %d rows: %v", len(res.Rows), res.Rows)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/graph"
@@ -33,8 +34,8 @@ func traversalRows(t *testing.T, s *cluster.Session, src string) string {
 // nobody after ROLLBACK. And a traversal's rows survive a bucket move of
 // the vertices and edges it reads.
 func TestTraversalIsTransactional(t *testing.T) {
-	db, s1 := newMMDB(t)
-	s2 := db.Cluster.NewSession()
+	c, s1 := newMMDB(t)
+	s2 := c.NewSession()
 	g := newCallGraph(t, s1)
 	const (
 		edges = "g.V().outE(call).count()"
@@ -79,11 +80,11 @@ func TestTraversalIsTransactional(t *testing.T) {
 	const hops = "g.V().has(cid, 11111).in(call).both(call).values(cid)"
 	before := traversalRows(t, s2, hops)
 	bucket := cluster.BucketOf(types.NewInt(int64(caller)))
-	owner := db.Cluster.BucketOwners()[bucket]
-	if _, err := db.Cluster.MoveBucket(bucket, (owner+1)%db.Cluster.DataNodeCount()); err != nil {
+	owner := c.BucketOwners()[bucket]
+	if _, err := c.MoveBucket(bucket, (owner+1)%c.DataNodeCount()); err != nil {
 		t.Fatal(err)
 	}
-	if db.Cluster.BucketOwners()[bucket] == owner {
+	if c.BucketOwners()[bucket] == owner {
 		t.Fatal("the bucket did not move")
 	}
 	if after := traversalRows(t, s2, hops); after != before {
@@ -98,7 +99,7 @@ func TestTraversalIsTransactional(t *testing.T) {
 // step joins each vertex with its edges on the vertex's own data node. The
 // traversal costs the fabric what the same join written in SQL costs.
 func TestOutStepIsColocatedJoin(t *testing.T) {
-	db, s := newMMDB(t)
+	c, s := newMMDB(t)
 	g := newCallGraph(t, s)
 	var prev graph.VID
 	for i := 0; i < 20; i++ {
@@ -109,9 +110,9 @@ func TestOutStepIsColocatedJoin(t *testing.T) {
 		prev = v
 	}
 	traffic := func(sql string) (int, transport.Stats) {
-		before := db.Cluster.Fabric().Stats()
+		before := c.Fabric().Stats()
 		res := mustExec(t, s, sql)
-		return len(res.Rows), db.Cluster.Fabric().Stats().Sub(before)
+		return len(res.Rows), c.Fabric().Stats().Sub(before)
 	}
 	gn, gt := traffic("SELECT * FROM ggraph('g.V().outE()') AS t")
 	sn, st := traffic("SELECT e.src, e.dst, e.label FROM g_vertices v, g_edges e WHERE e.src = v.id")
@@ -139,8 +140,8 @@ func spatialRows(t *testing.T, s *cluster.Session, src string) string {
 // until COMMIT, and by nobody after ROLLBACK; an UPDATE moves a point; and
 // a query's rows survive a bucket move of the points it reads.
 func TestSpatialIsTransactional(t *testing.T) {
-	db, s1 := newMMDB(t)
-	s2 := db.Cluster.NewSession()
+	c, s1 := newMMDB(t)
+	s2 := c.NewSession()
 	newPoints(t, s1, "pts")
 	mustExec(t, s1, "INSERT INTO pts VALUES (1, 0.0, 0.0)")
 	const near = "pts.nearest(10, 10, 5)"
@@ -184,11 +185,11 @@ func TestSpatialIsTransactional(t *testing.T) {
 	}
 	before := spatialRows(t, s2, "pts.radius(20, 20, 10)")
 	bucket := cluster.BucketOf(types.NewInt(2))
-	owner := db.Cluster.BucketOwners()[bucket]
-	if _, err := db.Cluster.MoveBucket(bucket, (owner+1)%db.Cluster.DataNodeCount()); err != nil {
+	owner := c.BucketOwners()[bucket]
+	if _, err := c.MoveBucket(bucket, (owner+1)%c.DataNodeCount()); err != nil {
 		t.Fatal(err)
 	}
-	if db.Cluster.BucketOwners()[bucket] == owner {
+	if c.BucketOwners()[bucket] == owner {
 		t.Fatal("the bucket did not move")
 	}
 	if after := spatialRows(t, s2, "pts.radius(20, 20, 10)"); after != before {
@@ -203,15 +204,15 @@ func TestSpatialIsTransactional(t *testing.T) {
 // of its table, so each query costs the fabric exactly what the same SQL
 // over the table costs, its predicate and top-k in the scan fragments.
 func TestGSpatialIsScatterRead(t *testing.T) {
-	db, s := newMMDB(t)
+	c, s := newMMDB(t)
 	newPoints(t, s, "pts")
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO pts VALUES (%d, %d.0, 0.0)", i, i*10))
 	}
 	traffic := func(sql string) (string, transport.Stats) {
-		before := db.Cluster.Fabric().Stats()
+		before := c.Fabric().Stats()
 		res := mustExec(t, s, sql)
-		return fmt.Sprint(res.Rows), db.Cluster.Fabric().Stats().Sub(before)
+		return fmt.Sprint(res.Rows), c.Fabric().Stats().Sub(before)
 	}
 	for _, tc := range []struct{ src, sql string }{
 		{"pts.bbox(0, -1, 25, 1)", "SELECT id, x, y FROM pts WHERE x >= 0.0 AND y >= -1.0 AND x <= 25.0 AND y <= 1.0 ORDER BY id"},
@@ -254,5 +255,128 @@ func TestLiteralGGraphReadsLaterWrites(t *testing.T) {
 	addVertex(t, g, "person", nil)
 	if second := count(); first != 0 || second != 1 {
 		t.Errorf("%d persons, then %d after adding one, want 0 then 1", first, second)
+	}
+}
+
+// seriesRows runs SELECT value, carid FROM gtimeseries(<inner>) on s and
+// returns its rows in the order they came.
+func seriesRows(t *testing.T, s *cluster.Session, inner string) string {
+	t.Helper()
+	return fmt.Sprint(mustExec(t, s, "SELECT value, carid FROM gtimeseries("+inner+") AS g").Rows)
+}
+
+// TestTimeSeriesIsTransactional: a series is a cluster table, and
+// gtimeseries reads it under its statement's snapshot. A sample inserted
+// inside an open transaction is seen by a read in it, by no other session
+// until COMMIT, and by nobody after ROLLBACK; a retention DELETE is a write
+// like any other; and a read's rows survive a bucket move of the samples.
+func TestTimeSeriesIsTransactional(t *testing.T) {
+	c, s1 := newMMDB(t)
+	s2 := c.NewSession()
+	newSeries(t, s1, "speed", "carid")
+	addSamples(t, s1, "speed", sample{fixedNow.Add(-2 * time.Minute), 100, []string{"car1"}})
+	const (
+		recent = "SELECT ts, value, carid FROM speed WHERE now() - ts < INTERVAL '1 hour'"
+		count  = "SELECT count(*) FROM speed"
+	)
+
+	mustExec(t, s1, "BEGIN")
+	addSamples(t, s1, "speed", sample{fixedNow.Add(-time.Minute), 110, []string{"car2"}})
+	if got := seriesRows(t, s1, recent); got != "[(100, car1) (110, car2)]" {
+		t.Errorf("inside the transaction: %s", got)
+	}
+	if got := seriesRows(t, s2, recent); got != "[(100, car1)]" {
+		t.Errorf("another session before COMMIT: %s", got)
+	}
+	mustExec(t, s1, "COMMIT")
+	if got := seriesRows(t, s2, recent); got != "[(100, car1) (110, car2)]" {
+		t.Errorf("another session after COMMIT: %s", got)
+	}
+
+	mustExec(t, s1, "BEGIN")
+	addSamples(t, s1, "speed", sample{fixedNow, 120, []string{"car3"}})
+	if got := seriesRows(t, s1, recent); got != "[(100, car1) (110, car2) (120, car3)]" {
+		t.Errorf("inside the second transaction: %s", got)
+	}
+	mustExec(t, s1, "ROLLBACK")
+	for name, s := range map[string]*cluster.Session{"writer": s1, "reader": s2} {
+		if got := seriesRows(t, s, recent); got != "[(100, car1) (110, car2)]" {
+			t.Errorf("%s after ROLLBACK: %s", name, got)
+		}
+	}
+
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "DELETE FROM speed WHERE now() - ts > INTERVAL '90 seconds'")
+	if got := seriesRows(t, s2, recent); got != "[(100, car1) (110, car2)]" {
+		t.Errorf("another session before the retention DELETE commits: %s", got)
+	}
+	mustExec(t, s1, "COMMIT")
+	if got := seriesRows(t, s2, recent); got != "[(110, car2)]" {
+		t.Errorf("after the retention DELETE: %s", got)
+	}
+
+	// Move the bucket holding car2's samples to another data node.
+	for i := 0; i < 20; i++ {
+		addSamples(t, s1, "speed", sample{fixedNow.Add(-time.Duration(i) * time.Second), float64(i), []string{fmt.Sprintf("car%d", i%4)}})
+	}
+	before := seriesRows(t, s2, recent)
+	bucket := cluster.BucketOf(types.NewString("car2"))
+	owner := c.BucketOwners()[bucket]
+	if _, err := c.MoveBucket(bucket, (owner+1)%c.DataNodeCount()); err != nil {
+		t.Fatal(err)
+	}
+	if c.BucketOwners()[bucket] == owner {
+		t.Fatal("the bucket did not move")
+	}
+	if after := seriesRows(t, s2, recent); after != before {
+		t.Errorf("across the bucket move: %s, before %s", after, before)
+	}
+	if !strings.HasPrefix(before, "[(110, car2) (19, car3)") || mustExec(t, s2, count).Rows[0][0].Int() != 21 {
+		t.Errorf("the read across the move: %s", before)
+	}
+}
+
+// TestGTimeseriesIsScatterRead: gtimeseries routes and runs as its inner
+// query, so each call costs the fabric exactly what that query costs run
+// alone — a scatter read of the series table, or one shard when the query
+// pins the distribution key — and its time-range predicate runs in the scan
+// fragments, so a narrow window ships fewer bytes than the whole series.
+func TestGTimeseriesIsScatterRead(t *testing.T) {
+	c, s := newMMDB(t)
+	newSeries(t, s, "speed", "carid")
+	var pts []sample
+	for i := 0; i < 60; i++ {
+		pts = append(pts, sample{fixedNow.Add(-time.Duration(i) * time.Minute), float64(i), []string{fmt.Sprintf("car%d", i%6)}})
+	}
+	addSamples(t, s, "speed", pts...)
+	traffic := func(sql string) (string, transport.Stats) {
+		before := c.Fabric().Stats()
+		res := mustExec(t, s, sql)
+		rows := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			rows[i] = r.String()
+		}
+		sort.Strings(rows)
+		return fmt.Sprint(rows), c.Fabric().Stats().Sub(before)
+	}
+	var costs []transport.Stats
+	for _, inner := range []string{
+		"SELECT ts, value, carid FROM speed WHERE now() - ts < INTERVAL '10 minutes'",
+		"SELECT ts, value, carid FROM speed",
+		"SELECT ts, value FROM speed WHERE carid = 'car1'",
+	} {
+		gr, gt := traffic("SELECT * FROM gtimeseries(" + inner + ") AS g")
+		sr, st := traffic(inner)
+		if gr != sr || gr == "[]" {
+			t.Errorf("%s: rows %s, alone %s", inner, gr, sr)
+		}
+		if gt != st || gt.Get(transport.ScanFrag).Count == 0 {
+			t.Errorf("%s: fabric traffic %v, alone %v", inner, gt, st)
+		}
+		t.Logf("%s: %d fabric messages, %d bytes", inner, gt.Total(), gt.TotalBytes())
+		costs = append(costs, gt)
+	}
+	if window, whole := costs[0].TotalBytes(), costs[1].TotalBytes(); window >= whole {
+		t.Errorf("a 10-minute window moved %d bytes, the whole series %d", window, whole)
 	}
 }

@@ -11,11 +11,11 @@ import "repro/internal/sqlx"
 
 // AnalyticalShape reports whether a columnar replica may serve sel: it
 // reads at least one table and every table it reads — in FROM, joins,
-// derived tables and set-operation arms — is a stored one. Statements
-// reading a gtimeseries(...) over a virtual table or no table at all never
-// touch the row primaries in the first place, and the tables a ggraph or
-// gspatial call reads are known only once the planner has compiled it, so
-// it reads the primaries.
+// derived tables, gtimeseries(...) inner queries and set-operation arms — is
+// a stored one. A statement reading no table never touches the row
+// primaries in the first place, and the tables a ggraph or gspatial call
+// reads are known only once the planner has compiled it, so it reads the
+// primaries.
 func AnalyticalShape(sel *sqlx.Select) bool {
 	return sel != nil && len(sel.From) > 0 && storedOnly(sel)
 }
@@ -47,7 +47,9 @@ func storedRef(ref sqlx.TableRef) bool {
 		return storedRef(x.Left) && storedRef(x.Right)
 	case *sqlx.SubqueryRef:
 		return storedOnly(x.Query)
-	default: // *sqlx.TableFunc and future engine refs
+	case *sqlx.TableFunc:
+		return x.Query != nil && storedOnly(x.Query) // gtimeseries
+	default:
 		return false
 	}
 }

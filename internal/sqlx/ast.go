@@ -294,10 +294,11 @@ func (*SubqueryRef) tableRef() {}
 func (s *SubqueryRef) String() string { return "(" + s.Query.String() + ") AS " + s.Alias }
 
 // TableFunc is a multi-model table expression (§II-B Example 1):
-// gtimeseries(select ...), whose inner query the planner sorts on its first
-// TIMESTAMP column, or ggraph('<traversal>') / gspatial('<table>.<query>'),
-// whose argument is kept as raw text for internal/graph / internal/spatial
-// to compile into a query block.
+// gtimeseries(select ...), an ordinary query (a time series is a table)
+// that the planner sorts on its first TIMESTAMP column, or
+// ggraph('<traversal>') / gspatial('<table>.<query>'), whose argument is
+// kept as raw text for internal/graph / internal/spatial to compile into a
+// query block.
 type TableFunc struct {
 	Name   string  // "gtimeseries" | "ggraph" | "gspatial"
 	Query  *Select // for gtimeseries: the inner relational query

@@ -1,139 +1,314 @@
 package tseries
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/sqlx"
+	"repro/internal/types"
 )
 
 var t0 = time.Unix(1_600_000_000, 0).UTC()
 
-func fill(s *Store, name string, n int, step time.Duration) {
-	for i := 0; i < n; i++ {
-		s.Append(name, t0.Add(time.Duration(i)*step), float64(i), nil)
+// newCluster returns a 2-DN cluster whose statement clock, now(), reads
+// now, and a session on it.
+func newCluster(t testing.TB, now time.Time) (*cluster.Cluster, *cluster.Session) {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{DataNodes: 2, Mode: cluster.ModeGTMLite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Clock = func() time.Time { return now }
+	return c, c.NewSession()
+}
+
+// point is one sample; an empty tag is NULL.
+type point struct {
+	ts    time.Time
+	value float64
+	tag   string
+}
+
+// fill returns n samples, value i at t0 + i·step.
+func fill(n int, step time.Duration) []point {
+	pts := make([]point, n)
+	for i := range pts {
+		pts[i] = point{ts: t0.Add(time.Duration(i) * step), value: float64(i)}
+	}
+	return pts
+}
+
+func mustExec(t testing.TB, s *cluster.Session, sql string) *cluster.Result {
+	t.Helper()
+	res, err := s.Exec(sql)
+	if err != nil {
+		t.Fatalf("Exec(%q): %v", sql, err)
+	}
+	return res
+}
+
+// createSeries creates the series table name (ts TIMESTAMP, value DOUBLE,
+// tag TEXT) and inserts pts.
+func createSeries(t testing.TB, s *cluster.Session, name string, pts []point) {
+	t.Helper()
+	mustExec(t, s, "CREATE TABLE "+name+" (ts TIMESTAMP, value DOUBLE, tag TEXT) DISTRIBUTE BY HASH(ts)")
+	insert(t, s, name, pts...)
+}
+
+// insert ingests pts into the series table name, one multi-row INSERT per
+// 1000 samples.
+func insert(t testing.TB, s *cluster.Session, name string, pts ...point) {
+	t.Helper()
+	for len(pts) > 0 {
+		batch := pts[:min(len(pts), 1000)]
+		pts = pts[len(batch):]
+		ins := &sqlx.Insert{Table: name}
+		for _, p := range batch {
+			tag := types.Null
+			if p.tag != "" {
+				tag = types.NewString(p.tag)
+			}
+			ins.Rows = append(ins.Rows, []sqlx.Expr{
+				&sqlx.Literal{Value: types.NewTime(p.ts)},
+				&sqlx.Literal{Value: types.NewFloat(p.value)},
+				&sqlx.Literal{Value: tag},
+			})
+		}
+		if _, err := s.ExecStmt(ins); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func rfc(ts time.Time) string { return ts.Format(time.RFC3339Nano) }
+
+// read returns the samples of the series table name that match where, in
+// the order gtimeseries gives them.
+func read(t testing.TB, s *cluster.Session, name, where string) []point {
+	t.Helper()
+	res := mustExec(t, s, "SELECT * FROM gtimeseries(SELECT ts, value, tag FROM "+name+" WHERE "+where+") AS g")
+	out := make([]point, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = point{ts: r[0].Time(), value: r[1].Float()}
+		if !r[2].IsNull() {
+			out[i].tag = r[2].Str()
+		}
+	}
+	return out
+}
+
+// count returns the number of samples in the series table name.
+func count(t testing.TB, s *cluster.Session, name string) int64 {
+	t.Helper()
+	return mustExec(t, s, "SELECT count(*) FROM "+name).Rows[0][0].Int()
+}
+
+// bucket is one aggregated window: the samples whose age, now() - ts, is
+// in [age·width, (age+1)·width).
+type bucket struct {
+	age, count          int64
+	sum, min, max, mean float64
+}
+
+// window aggregates the series table name into buckets of width by age,
+// oldest bucket first — the GROUP BY a dashboard runs in place of a rollup.
+func window(s *cluster.Session, name string, width time.Duration) ([]bucket, error) {
+	res, err := s.Exec(fmt.Sprintf(`SELECT (now() - ts) / %[2]d AS age, count(*), sum(value), min(value), max(value), avg(value)
+		FROM %[1]s GROUP BY (now() - ts) / %[2]d ORDER BY age DESC`, name, width.Nanoseconds()))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bucket, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = bucket{r[0].Int(), r[1].Int(), r[2].Float(), r[3].Float(), r[4].Float(), r[5].Float()}
+	}
+	return out, nil
+}
+
+// oracle buckets pts as window's GROUP BY does at statement time now: by
+// age (now - ts) / width, truncated toward zero, oldest bucket first.
+func oracle(pts []point, now time.Time, width time.Duration) []bucket {
+	byAge := map[int64]*bucket{}
+	for _, p := range pts {
+		age := (now.UnixNano() - p.ts.UnixNano()) / width.Nanoseconds()
+		b, ok := byAge[age]
+		if !ok {
+			b = &bucket{age: age, min: p.value, max: p.value}
+			byAge[age] = b
+		}
+		b.count++
+		b.sum += p.value
+		b.min, b.max = min(b.min, p.value), max(b.max, p.value)
+	}
+	out := make([]bucket, 0, len(byAge))
+	for _, b := range byAge {
+		b.mean = b.sum / float64(b.count)
+		out = append(out, *b)
+	}
+	slices.SortFunc(out, func(a, b bucket) int { return cmp.Compare(b.age, a.age) })
+	return out
+}
+
+// checkWindows compares window against oracle at each width.
+func checkWindows(t testing.TB, s *cluster.Session, name string, pts []point, now time.Time, widths ...time.Duration) {
+	t.Helper()
+	for _, w := range widths {
+		got, err := window(s, name, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle(pts, now, w); !slices.Equal(got, want) {
+			t.Errorf("%v buckets:\n got %+v\nwant %+v", w, got, want)
+		}
 	}
 }
 
 func TestAppendRange(t *testing.T) {
-	s := NewStore()
-	fill(s, "temp", 100, time.Second)
-	if s.Len("temp") != 100 {
-		t.Fatalf("len = %d", s.Len("temp"))
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "temp", fill(100, time.Second))
+	if n := count(t, s, "temp"); n != 100 {
+		t.Fatalf("len = %d", n)
 	}
-	pts := s.Range("temp", t0.Add(10*time.Second), t0.Add(20*time.Second), nil)
+	pts := read(t, s, "temp", fmt.Sprintf("ts >= '%s' AND ts < '%s'", rfc(t0.Add(10*time.Second)), rfc(t0.Add(20*time.Second))))
 	if len(pts) != 10 {
 		t.Fatalf("range = %d points", len(pts))
 	}
-	if pts[0].Value != 10 || pts[9].Value != 19 {
+	if pts[0].value != 10 || pts[9].value != 19 {
 		t.Errorf("points = %v..%v", pts[0], pts[9])
 	}
-	if got := s.Range("missing", t0, t0.Add(time.Hour), nil); got != nil {
-		t.Errorf("missing series = %v", got)
+	if _, err := s.Exec("SELECT * FROM gtimeseries(SELECT ts FROM missing) AS g"); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("missing series: %v", err)
 	}
 }
 
 func TestOutOfOrderAppends(t *testing.T) {
-	s := NewStore()
-	// Insert in reverse order; queries must still be time-ordered.
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "x", nil)
+	// Insert in reverse order; reads must still be time-ordered.
 	for i := 9; i >= 0; i-- {
-		s.Append("x", t0.Add(time.Duration(i)*time.Second), float64(i), nil)
+		insert(t, s, "x", point{ts: t0.Add(time.Duration(i) * time.Second), value: float64(i)})
 	}
-	pts := s.Range("x", t0, t0.Add(time.Minute), nil)
+	pts := read(t, s, "x", fmt.Sprintf("ts < '%s'", rfc(t0.Add(time.Minute))))
 	if len(pts) != 10 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for i, p := range pts {
-		if p.Value != float64(i) {
+		if p.value != float64(i) {
 			t.Fatalf("point %d = %v", i, p)
 		}
 	}
 }
 
+// TestChunkSealing: a series thousands of samples long, ingested in
+// batches, reads back whole and in time order.
 func TestChunkSealing(t *testing.T) {
-	s := NewStore()
-	fill(s, "big", ChunkSize*2+10, time.Millisecond)
-	if s.Len("big") != ChunkSize*2+10 {
-		t.Fatalf("len = %d", s.Len("big"))
+	const n = 2*4096 + 10
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "big", fill(n, time.Millisecond))
+	if got := count(t, s, "big"); got != n {
+		t.Fatalf("len = %d", got)
 	}
-	pts := s.Range("big", t0, t0.Add(time.Hour), nil)
-	if len(pts) != ChunkSize*2+10 {
+	pts := read(t, s, "big", fmt.Sprintf("ts >= '%s' AND ts < '%s'", rfc(t0), rfc(t0.Add(time.Hour))))
+	if len(pts) != n {
 		t.Fatalf("range = %d", len(pts))
+	}
+	for i, p := range pts {
+		if p.value != float64(i) {
+			t.Fatalf("point %d = %v", i, p)
+		}
 	}
 }
 
 func TestTagFiltering(t *testing.T) {
-	s := NewStore()
-	s.Append("speed", t0, 100, map[string]string{"car": "a"})
-	s.Append("speed", t0.Add(time.Second), 120, map[string]string{"car": "b"})
-	s.Append("speed", t0.Add(2*time.Second), 130, map[string]string{"car": "a"})
-	pts := s.Range("speed", t0, t0.Add(time.Minute), map[string]string{"car": "a"})
-	if len(pts) != 2 || pts[1].Value != 130 {
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "speed", []point{
+		{t0, 100, "a"},
+		{t0.Add(time.Second), 120, "b"},
+		{t0.Add(2 * time.Second), 130, "a"},
+	})
+	pts := read(t, s, "speed", "tag = 'a'")
+	if len(pts) != 2 || pts[1].value != 130 {
 		t.Errorf("filtered = %v", pts)
 	}
 }
 
 func TestWindowAggregation(t *testing.T) {
-	s := NewStore()
-	fill(s, "w", 60, time.Second) // values 0..59 over one minute
-	buckets := s.Window("w", t0, t0.Add(time.Minute), 10*time.Second, nil)
+	pts := fill(60, time.Second) // values 0..59 over one minute
+	// The clock reads the newest sample, so the six 10-second buckets of
+	// age are the minute's six 10-second spans, oldest first.
+	now := pts[59].ts
+	_, s := newCluster(t, now)
+	createSeries(t, s, "w", pts)
+	buckets, err := window(s, "w", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(buckets) != 6 {
 		t.Fatalf("buckets = %d", len(buckets))
 	}
 	b := buckets[0]
-	if b.Count != 10 || b.Sum != 45 || b.Min != 0 || b.Max != 9 || b.Value(AggAvg) != 4.5 {
+	if b.count != 10 || b.sum != 45 || b.min != 0 || b.max != 9 || b.mean != 4.5 {
 		t.Errorf("bucket 0 = %+v", b)
 	}
-	if buckets[5].Value(AggMax) != 59 {
+	if buckets[5].max != 59 {
 		t.Errorf("bucket 5 = %+v", buckets[5])
 	}
 }
 
+// TestContinuousRollupMatchesOnTheFly: GROUP BY buckets at two widths
+// equal the oracle's, and a sample inserted later is in the next query's
+// buckets — a GROUP BY reads the table as of its statement.
 func TestContinuousRollupMatchesOnTheFly(t *testing.T) {
-	s := NewStore()
-	fill(s, "r", 100, time.Second)
-	if err := s.EnableRollup("r", 10*time.Second); err != nil {
+	pts := fill(100, time.Second)
+	now := t0.Add(100 * time.Second)
+	_, s := newCluster(t, now)
+	createSeries(t, s, "r", pts)
+	checkWindows(t, s, "r", pts, now, 10*time.Second, 9*time.Second)
+
+	late := point{ts: now, value: 1000}
+	insert(t, s, "r", late)
+	pts = append(pts, late)
+	checkWindows(t, s, "r", pts, now, 10*time.Second, 9*time.Second)
+	got, err := window(s, "r", 10*time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Back-filled rollup must equal on-the-fly aggregation.
-	fromRollup := s.Window("r", t0, t0.Add(100*time.Second), 10*time.Second, nil)
-	onTheFly := s.Window("r", t0, t0.Add(100*time.Second), 9*time.Second, nil) // different width: raw path
-	_ = onTheFly
-	if len(fromRollup) != 10 {
-		t.Fatalf("rollup buckets = %d", len(fromRollup))
+	if len(got) != 11 || got[10].max != 1000 {
+		t.Errorf("the newest bucket = %+v", got[len(got)-1])
 	}
-	// Appends after enabling keep the rollup current.
-	s.Append("r", t0.Add(100*time.Second), 1000, nil)
-	got := s.Window("r", t0, t0.Add(101*time.Second), 10*time.Second, nil)
-	if len(got) != 11 || got[10].Max != 1000 {
-		t.Errorf("incremental rollup = %+v", got[len(got)-1])
-	}
-	// Double-enable is a no-op; non-positive width is an error.
-	if err := s.EnableRollup("r", 10*time.Second); err != nil {
-		t.Error(err)
-	}
-	if err := s.EnableRollup("r", 0); err == nil {
-		t.Error("zero width must fail")
+	if _, err := window(s, "r", 0); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Errorf("zero width: %v, want division by zero", err)
 	}
 }
 
 func TestRollupEquivalenceProperty(t *testing.T) {
-	// Property: for random data, Window via rollup == Window via raw scan.
+	// Property: for random data, GROUP BY buckets at two widths equal the
+	// oracle's.
+	now := t0.Add(time.Minute)
+	_, s := newCluster(t, now)
+	run := 0
 	f := func(vals []uint8) bool {
-		a, b := NewStore(), NewStore()
-		b.EnableRollup("s", 5*time.Second)
+		run++
+		name := fmt.Sprintf("s%d", run)
+		pts := make([]point, len(vals))
 		for i, v := range vals {
-			ts := t0.Add(time.Duration(i%40) * time.Second)
-			a.Append("s", ts, float64(v), nil)
-			b.Append("s", ts, float64(v), nil)
+			pts[i] = point{ts: t0.Add(time.Duration(i%40) * time.Second), value: float64(v)}
 		}
-		end := t0.Add(time.Minute)
-		wa := a.Window("s", t0, end, 5*time.Second, nil)
-		wb := b.Window("s", t0, end, 5*time.Second, nil)
-		if len(wa) != len(wb) {
-			return false
-		}
-		for i := range wa {
-			if wa[i] != wb[i] {
+		createSeries(t, s, name, pts)
+		for _, w := range []time.Duration{5 * time.Second, 7 * time.Second} {
+			got, err := window(s, name, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracle(pts, now, w); !slices.Equal(got, want) {
+				t.Logf("%v buckets of %v:\n got %+v\nwant %+v", w, vals, got, want)
 				return false
 			}
 		}
@@ -144,57 +319,71 @@ func TestRollupEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestExpire: retention is a DELETE of the samples older than a cutoff.
 func TestExpire(t *testing.T) {
-	s := NewStore()
-	fill(s, "e", 100, time.Second)
-	s.EnableRollup("e", 10*time.Second)
-	removed := s.Expire("e", t0.Add(50*time.Second))
-	if removed != 50 {
-		t.Fatalf("removed = %d", removed)
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "e", fill(100, time.Second))
+	res := mustExec(t, s, fmt.Sprintf("DELETE FROM e WHERE ts < '%s'", rfc(t0.Add(50*time.Second))))
+	if res.RowsAffected != 50 {
+		t.Fatalf("removed = %d", res.RowsAffected)
 	}
-	if s.Len("e") != 50 {
-		t.Errorf("len = %d", s.Len("e"))
+	if n := count(t, s, "e"); n != 50 {
+		t.Errorf("len = %d", n)
 	}
-	pts := s.Range("e", t0, t0.Add(time.Hour), nil)
-	if len(pts) != 50 || pts[0].Value != 50 {
+	pts := read(t, s, "e", fmt.Sprintf("ts < '%s'", rfc(t0.Add(time.Hour))))
+	if len(pts) != 50 || pts[0].value != 50 {
 		t.Errorf("post-expiry = %d pts, first %v", len(pts), pts[0])
 	}
-	if s.Expire("missing", t0) != 0 {
-		t.Error("expiring missing series should be 0")
+	if res := mustExec(t, s, fmt.Sprintf("DELETE FROM e WHERE ts < '%s'", rfc(t0))); res.RowsAffected != 0 {
+		t.Errorf("expiring nothing removed %d", res.RowsAffected)
 	}
 }
 
+// TestLatest: the most recent sample is ORDER BY ts DESC LIMIT 1.
 func TestLatest(t *testing.T) {
-	s := NewStore()
-	if _, ok := s.Latest("none"); ok {
-		t.Error("latest of missing series")
+	_, s := newCluster(t, t0)
+	createSeries(t, s, "l", nil)
+	const latest = "SELECT value FROM l ORDER BY ts DESC LIMIT 1"
+	if res := mustExec(t, s, latest); len(res.Rows) != 0 {
+		t.Errorf("latest of an empty series = %v", res.Rows)
 	}
-	s.Append("l", t0.Add(5*time.Second), 5, nil)
-	s.Append("l", t0.Add(2*time.Second), 2, nil)
-	p, ok := s.Latest("l")
-	if !ok || p.Value != 5 {
-		t.Errorf("latest = %v, %v", p, ok)
+	insert(t, s, "l", point{ts: t0.Add(5 * time.Second), value: 5}, point{ts: t0.Add(2 * time.Second), value: 2})
+	if res := mustExec(t, s, latest); len(res.Rows) != 1 || res.Rows[0][0].Float() != 5 {
+		t.Errorf("latest = %v", res.Rows)
 	}
 }
 
+// TestNamesAndConcurrentIngest: four sessions ingest into one series at
+// once, each under its own tag.
 func TestNamesAndConcurrentIngest(t *testing.T) {
-	s := NewStore()
-	done := make(chan struct{})
+	c, s := newCluster(t, t0)
+	createSeries(t, s, "concurrent", nil)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
 	for w := 0; w < 4; w++ {
+		wg.Add(1)
 		go func(w int) {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
+			ws := c.NewSession()
 			for i := 0; i < 500; i++ {
-				s.Append("concurrent", t0.Add(time.Duration(w*500+i)*time.Millisecond), float64(i), nil)
+				at := rfc(t0.Add(time.Duration(w*500+i) * time.Millisecond))
+				if _, err := ws.Exec(fmt.Sprintf("INSERT INTO concurrent VALUES ('%s', %d.0, 'w%d')", at, i, w)); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}(w)
 	}
-	for w := 0; w < 4; w++ {
-		<-done
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
-	if s.Len("concurrent") != 2000 {
-		t.Errorf("len = %d", s.Len("concurrent"))
+	if n := count(t, s, "concurrent"); n != 2000 {
+		t.Errorf("len = %d", n)
 	}
-	if names := s.Names(); len(names) != 1 || names[0] != "concurrent" {
-		t.Errorf("names = %v", names)
+	res := mustExec(t, s, "SELECT DISTINCT tag FROM concurrent ORDER BY tag")
+	if fmt.Sprint(res.Rows) != "[(w0) (w1) (w2) (w3)]" {
+		t.Errorf("tags = %v", res.Rows)
 	}
 }

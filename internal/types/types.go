@@ -3,10 +3,11 @@
 // primitives the storage, execution and transaction layers build on.
 //
 // The FI-MPPDB reproduction (internal/cluster, internal/exec), the
-// multi-model engines (internal/graph, internal/tseries, internal/spatial)
-// and the GMDB tree model (internal/gmdb) all speak Datum so that data can
-// flow between engines without conversion, which is the core promise of the
-// paper's unified storage engine (§II-B).
+// multi-model engines (internal/graph, internal/spatial, whose data and
+// time series are cluster tables) and the GMDB tree model (internal/gmdb)
+// all speak Datum so that data can flow between engines without
+// conversion, which is the core promise of the paper's unified storage
+// engine (§II-B).
 package types
 
 import (
