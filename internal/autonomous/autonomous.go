@@ -3,7 +3,7 @@
 // architecture —
 //
 //   - information store: continuous performance/workload metrics, each a
-//     time-ordered sample history bounded by a fixed horizon;
+//     time-ordered sample history bounded by a fixed horizon and count;
 //   - anomaly manager: detectors for datanode failures (heartbeat gaps),
 //     slow disks and memory pressure (threshold and z-score rules);
 //   - workload manager: SLA-driven admission control that adapts the
@@ -47,6 +47,12 @@ type sample struct {
 // records each of its gauges every tick, for as long as the process runs.
 const Horizon = 2 * time.Hour
 
+// MaxSamples is the most samples Record keeps per metric, the newest ones,
+// whatever the clock says: a clock that stands still (a test's, or a
+// simulation's) never ages a sample past Horizon. It holds one sample a
+// second over Horizon.
+const MaxSamples = 8192
+
 // NewInfoStore creates a store; clock may be nil (wall clock).
 func NewInfoStore(clock func() time.Time) *InfoStore {
 	if clock == nil {
@@ -56,12 +62,13 @@ func NewInfoStore(clock func() time.Time) *InfoStore {
 }
 
 // Record appends a sample to a metric and drops the metric's samples older
-// than Horizon.
+// than Horizon, and the oldest beyond MaxSamples.
 func (s *InfoStore) Record(metric string, value float64) {
 	now := s.clock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.samples[metric] = append(s.samples[metric], sample{now, value})
+	h := append(s.samples[metric], sample{now, value})
+	s.samples[metric] = h[max(0, len(h)-MaxSamples):]
 	s.trimLocked(metric, now.Add(-Horizon))
 }
 

@@ -646,8 +646,13 @@ func (c *Cluster) dropTable(dt *sqlx.DropTable) error {
 	return nil
 }
 
-// Analyze recomputes optimizer statistics for a table by scanning all
-// partitions under a fresh read snapshot (the ANALYZE utility).
+// Analyze recomputes optimizer statistics for a table (the ANALYZE
+// utility) from every value a scan would see under a fresh read snapshot on
+// each data node: a replicated table's one copy, or each node's owned rows
+// (the fragment's ownership filter hides migration phantoms). The values
+// are read where they lie — a columnar partition's column batches, a row
+// partition's stored rows — and kept by column, in the typed form
+// plan.StatsBuilder sorts without a comparator.
 func (c *Cluster) Analyze(table string) error {
 	ti, err := c.tableInfo(table)
 	if err != nil {
@@ -655,17 +660,69 @@ func (c *Cluster) Analyze(table string) error {
 	}
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()
-	var rows []types.Row
+	b := plan.NewStatsBuilder(ti.Meta.Schema)
+	nodes := c.DataNodeCount()
 	if ti.replicated {
-		rows = c.partitionRows(ti, 0, nil)
-	} else {
-		for dnID := 0; dnID < c.DataNodeCount(); dnID++ {
-			rows = append(rows, c.partitionRows(ti, dnID, c.ownsRow(ti, dnID))...)
-		}
+		nodes = 1
 	}
-	ti.Meta.Stats = plan.AnalyzeRows(ti.Meta.Schema, rows)
+	dk := ti.Meta.DistKey
+	for dnID := 0; dnID < nodes; dnID++ {
+		snap := c.node(dnID).Txm.LocalSnapshot()
+		owns := c.fragKeepDatum(ti, dnID)
+		part := ti.part(dnID)
+		if part.row != nil {
+			part.row.Scan(0, &snap, func(r types.Row) bool {
+				if owns == nil || owns(r[dk]) {
+					b.AddRow(r)
+				}
+				return true
+			})
+			continue
+		}
+		var sel []bool
+		part.col.ScanBatches(0, &snap, nil, func(bt *colstore.Batch) bool {
+			sel = sel[:0]
+			n := bt.N
+			if owns != nil {
+				n = 0
+				for i := 0; i < bt.N; i++ {
+					keep := owns(bt.Cols[dk].DatumAt(i))
+					sel = append(sel, keep)
+					if keep {
+						n++
+					}
+				}
+			}
+			b.AddRows(n)
+			for col, v := range bt.Cols {
+				addVector(b.Col(col), v, bt.N, sel)
+			}
+			return true
+		})
+	}
+	ti.Meta.Stats = b.Stats()
 	c.epoch.Add(1)
 	return nil
+}
+
+// addVector adds the first n values of v to cv: those sel marks, or all of
+// them for an empty sel.
+func addVector(cv *plan.ColumnValues, v *colstore.Vector, n int, sel []bool) {
+	for i := 0; i < n; i++ {
+		switch {
+		case len(sel) > 0 && !sel[i]:
+		case v.IsNull(i):
+			cv.AddNull()
+		case v.Kind == types.KindInt || v.Kind == types.KindTime:
+			cv.AddInt(v.Ints[i])
+		case v.Kind == types.KindFloat:
+			cv.AddFloat(v.Floats[i])
+		case v.Kind == types.KindString:
+			cv.AddString(v.Strs[i])
+		case v.Kind == types.KindBool:
+			cv.AddBool(v.Bools[i])
+		}
+	}
 }
 
 // partitionRows returns the rows physically stored on dnID's partition of

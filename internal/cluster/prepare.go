@@ -524,13 +524,37 @@ func (s *Session) execWrite(a *stmtAccess, ti *TableInfo, targets []int, frag fu
 }
 
 // insertUnit is a compiled INSERT: the target, the column mapping and either
-// the compiled VALUES rows or the source query's unit.
+// the VALUES rows or the source query's unit.
 type insertUnit struct {
 	s      *Session
 	ti     *TableInfo
 	colIdx []int
-	rows   [][]exec.Expr
-	query  *selectUnit
+	// vals holds the VALUES rows back to back, len(colIdx) items each: a
+	// literal item is its datum; an item listed in items is filled in by
+	// each execution.
+	vals  []types.Datum
+	items []insertItem
+	query *selectUnit
+}
+
+// insertItem is a VALUES item that is not a literal, at position at of
+// vals: a parameter, read from the execution's values, or any other
+// expression, compiled by the planner.
+type insertItem struct {
+	at    int
+	param *sqlx.Param
+	expr  exec.Expr
+}
+
+// eval returns the item's value in the execution ctx.
+func (it *insertItem) eval(ctx *exec.Ctx) (types.Datum, error) {
+	if it.expr != nil {
+		return it.expr.Eval(ctx, nil)
+	}
+	if it.param.Index >= len(ctx.Params) {
+		return types.Null, fmt.Errorf("exec: parameter %s not bound (%d given)", it.param, len(ctx.Params))
+	}
+	return it.param.Value(ctx.Params), nil
 }
 
 func (s *Session) compileInsert(a *stmtAccess, ins *sqlx.Insert, values []types.Datum, literal bool) (*insertUnit, error) {
@@ -561,18 +585,37 @@ func (s *Session) compileInsert(a *stmtAccess, ins *sqlx.Insert, values []types.
 		u.query, err = s.compileSelect(a, ins.Query, values, literal)
 		return u, err
 	}
-	// VALUES rows hold no column references: compile against an empty scope.
-	pl, scope := s.planner(a, values), &plan.Scope{}
-	u.rows = make([][]exec.Expr, len(ins.Rows))
-	for i, exprRow := range ins.Rows {
+	// A literal row is data: its datums go into vals as they are, and only
+	// an item that is neither literal nor parameter goes to the planner (a
+	// VALUES row holds no column references: an empty scope).
+	var pl *plan.Planner
+	u.vals = make([]types.Datum, 0, len(ins.Rows)*len(u.colIdx))
+	for _, exprRow := range ins.Rows {
 		if len(exprRow) != len(u.colIdx) {
 			return nil, fmt.Errorf("cluster: INSERT has %d values but %d target columns", len(exprRow), len(u.colIdx))
 		}
-		u.rows[i] = make([]exec.Expr, len(exprRow))
-		for j, e := range exprRow {
-			if u.rows[i][j], err = pl.CompileScalar(e, scope); err != nil {
-				return nil, err
+		for _, e := range exprRow {
+			it := insertItem{at: len(u.vals)}
+			switch x := e.(type) {
+			case *sqlx.Literal:
+				u.vals = append(u.vals, x.Value)
+				continue
+			case *sqlx.Param:
+				if v, ok := sqlx.ValueOf(x, values); ok {
+					u.vals = append(u.vals, v)
+					continue
+				}
+				it.param = x
+			default:
+				if pl == nil {
+					pl = s.planner(a, values)
+				}
+				if it.expr, err = pl.CompileScalar(e, &plan.Scope{}); err != nil {
+					return nil, err
+				}
 			}
+			u.items = append(u.items, it)
+			u.vals = append(u.vals, types.Null)
 		}
 	}
 	return u, nil
@@ -604,18 +647,24 @@ func (u *insertUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
 			}
 			rows[i] = full
 		}
-	} else {
-		rows = make([]types.Row, len(u.rows))
-		for i, exprs := range u.rows {
-			full := make(types.Row, schema.Len())
-			for j, e := range exprs {
-				v, err := e.Eval(ctx, nil)
-				if err != nil {
-					return nil, err
-				}
-				full[u.colIdx[j]] = v
+	} else if n := len(u.colIdx); n > 0 {
+		// Every row at schema width, in one allocation.
+		w := schema.Len()
+		rows = make([]types.Row, len(u.vals)/n)
+		cells := make([]types.Datum, len(rows)*w)
+		for i := range rows {
+			rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+			for j, c := range u.colIdx {
+				rows[i][c] = u.vals[i*n+j]
 			}
-			rows[i] = full
+		}
+		for k := range u.items {
+			it := &u.items[k]
+			v, err := it.eval(ctx)
+			if err != nil {
+				return nil, err
+			}
+			rows[it.at/n][u.colIdx[it.at%n]] = v
 		}
 	}
 	if len(rows) == 0 {

@@ -135,7 +135,8 @@ func TestAutopilotMetricsCollected(t *testing.T) {
 
 // TestAutopilotHistoryIsBounded: every tick records each gauge, and on an
 // advancing clock the information store keeps only autonomous.Horizon of
-// them.
+// them; on a frozen clock, which never ages a sample, only
+// autonomous.MaxSamples.
 func TestAutopilotHistoryIsBounded(t *testing.T) {
 	var now atomic.Int64
 	now.Store(time.Unix(1_700_000_000, 0).UnixNano())
@@ -151,6 +152,19 @@ func TestAutopilotHistoryIsBounded(t *testing.T) {
 		if n := len(ap.Info.Window(m, ticks*step)); n == 0 || n > bound {
 			t.Errorf("%s: %d samples kept after %d ticks, want 1..%d", m, n, ticks, bound)
 		}
+	}
+
+	frozen := time.Unix(1_700_000_000, 0)
+	info := autonomous.NewInfoStore(func() time.Time { return frozen })
+	const records = 10_000
+	for i := 0; i < records; i++ {
+		info.Record("m", float64(i))
+	}
+	if n := len(info.Window("m", time.Hour)); n != autonomous.MaxSamples {
+		t.Errorf("frozen clock: %d samples kept after %d records, want %d", n, records, autonomous.MaxSamples)
+	}
+	if v, _ := info.Last("m"); v != records-1 {
+		t.Errorf("frozen clock: last sample %v, want %d", v, records-1)
 	}
 }
 

@@ -6,7 +6,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/exec"
 	"repro/internal/sqlx"
@@ -165,54 +164,6 @@ type ColStats struct {
 type TableStats struct {
 	Rows int64
 	Cols []ColStats
-}
-
-// AnalyzeRows computes statistics from a full materialized sample. The
-// engine calls it from ANALYZE with all visible rows (tables here are
-// laptop-scale; a production system would sample).
-func AnalyzeRows(schema *types.Schema, rows []types.Row) *TableStats {
-	ts := &TableStats{Rows: int64(len(rows)), Cols: make([]ColStats, schema.Len())}
-	for c := range schema.Columns {
-		var vals []types.Datum
-		nulls := 0
-		distinct := make(map[string]struct{})
-		var key []byte
-		for _, r := range rows {
-			if r[c].IsNull() {
-				nulls++
-				continue
-			}
-			vals = append(vals, r[c])
-			key = types.AppendKey(key[:0], r[c])
-			distinct[string(key)] = struct{}{}
-		}
-		cs := ColStats{NDV: int64(len(distinct))}
-		if len(rows) > 0 {
-			cs.NullFrac = float64(nulls) / float64(len(rows))
-		}
-		if len(vals) > 0 {
-			sort.Slice(vals, func(i, j int) bool { return types.MustCompare(vals[i], vals[j]) < 0 })
-			cs.Min, cs.Max = vals[0], vals[len(vals)-1]
-			// Equi-depth histogram.
-			nb := HistogramBuckets
-			if len(vals) < nb {
-				nb = len(vals)
-			}
-			per := len(vals) / nb
-			if per == 0 {
-				per = 1
-			}
-			for i := per - 1; i < len(vals); i += per {
-				cs.Hist = append(cs.Hist, Bucket{Hi: vals[i], Count: int64(per)})
-			}
-			// Final partial bucket.
-			if rem := len(vals) % per; rem != 0 {
-				cs.Hist = append(cs.Hist, Bucket{Hi: vals[len(vals)-1], Count: int64(rem)})
-			}
-		}
-		ts.Cols[c] = cs
-	}
-	return ts
 }
 
 // SelectivityLE estimates P(col <= v) from the histogram, falling back to

@@ -47,7 +47,7 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 			return nil, err
 		}
 		switch x.Op {
-		case sqlx.OpEq, sqlx.OpNe, sqlx.OpLt, sqlx.OpLe, sqlx.OpGt, sqlx.OpGe:
+		case sqlx.OpEq, sqlx.OpNe, sqlx.OpLt, sqlx.OpLe, sqlx.OpGt, sqlx.OpGe, sqlx.OpSub:
 			l, r = pc.asTime(x.Right, x.Left, l), pc.asTime(x.Left, x.Right, r)
 		}
 		return &exec.BinOp{Op: x.Op, Left: l, Right: r}, nil
@@ -161,10 +161,11 @@ func (pc *pctx) compileExpr(e sqlx.Expr) (exec.Expr, error) {
 	}
 }
 
-// asTime is cv, the compiled value v compared with other, read as a
-// TIMESTAMP (exec.AsTime) when other is one and v a string literal or a
-// parameter lifted from one: the comparison is then a TIMESTAMP comparison,
-// as assigning the string to a TIMESTAMP column would be.
+// asTime is cv, the compiled value v compared with or subtracted from
+// other (or other from it), read as a TIMESTAMP (exec.AsTime) when other is
+// one and v a string literal or a parameter lifted from one: the comparison
+// is then a TIMESTAMP comparison, and the difference a TIMESTAMP minus a
+// TIMESTAMP, as assigning the string to a TIMESTAMP column would make them.
 func (pc *pctx) asTime(other, v sqlx.Expr, cv exec.Expr) exec.Expr {
 	switch v.(type) {
 	case *sqlx.Literal, *sqlx.Param:

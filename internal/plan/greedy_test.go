@@ -29,7 +29,7 @@ func starFixture() *fakeCatalog {
 		})
 	}
 	c.tables["star.fact"] = &fakeTable{
-		meta: &TableMeta{Name: "star.fact", Schema: factSchema, DistKey: 0, Stats: AnalyzeRows(factSchema, factRows)},
+		meta: &TableMeta{Name: "star.fact", Schema: factSchema, DistKey: 0, Stats: analyzeRows(factSchema, factRows)},
 		rows: factRows,
 	}
 
@@ -42,7 +42,7 @@ func starFixture() *fakeCatalog {
 		d1Rows = append(d1Rows, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("d1-%d", i))})
 	}
 	c.tables["star.d1"] = &fakeTable{
-		meta: &TableMeta{Name: "star.d1", Schema: d1Schema, DistKey: 0, Stats: AnalyzeRows(d1Schema, d1Rows)},
+		meta: &TableMeta{Name: "star.d1", Schema: d1Schema, DistKey: 0, Stats: analyzeRows(d1Schema, d1Rows)},
 		rows: d1Rows,
 	}
 
@@ -55,7 +55,7 @@ func starFixture() *fakeCatalog {
 		d2Rows = append(d2Rows, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("d2-%d", i))})
 	}
 	c.tables["star.d2"] = &fakeTable{
-		meta: &TableMeta{Name: "star.d2", Schema: d2Schema, DistKey: 0, Stats: AnalyzeRows(d2Schema, d2Rows)},
+		meta: &TableMeta{Name: "star.d2", Schema: d2Schema, DistKey: 0, Stats: analyzeRows(d2Schema, d2Rows)},
 		rows: d2Rows,
 	}
 	return c
@@ -166,7 +166,7 @@ func chainCatalog(n int) (*fakeCatalog, string) {
 		}
 		name := fmt.Sprintf("star.j%d", ti)
 		c.tables[name] = &fakeTable{
-			meta: &TableMeta{Name: name, Schema: schema, DistKey: 0, Stats: AnalyzeRows(schema, rows)},
+			meta: &TableMeta{Name: name, Schema: schema, DistKey: 0, Stats: analyzeRows(schema, rows)},
 			rows: rows,
 		}
 		from = append(from, name)

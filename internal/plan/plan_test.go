@@ -52,7 +52,7 @@ func newFixture() *fakeCatalog {
 		t1rows = append(t1rows, types.Row{types.NewInt(int64(i % 50)), types.NewInt(int64(i))})
 	}
 	c.tables["olap.t1"] = &fakeTable{
-		meta: &TableMeta{Name: "olap.t1", Schema: t1schema, DistKey: 0, Stats: AnalyzeRows(t1schema, t1rows)},
+		meta: &TableMeta{Name: "olap.t1", Schema: t1schema, DistKey: 0, Stats: analyzeRows(t1schema, t1rows)},
 		rows: t1rows,
 	}
 
@@ -65,7 +65,7 @@ func newFixture() *fakeCatalog {
 		t2rows = append(t2rows, types.Row{types.NewInt(int64(i)), types.NewString(fmt.Sprintf("name%d", i))})
 	}
 	c.tables["olap.t2"] = &fakeTable{
-		meta: &TableMeta{Name: "olap.t2", Schema: t2schema, DistKey: 0, Stats: AnalyzeRows(t2schema, t2rows)},
+		meta: &TableMeta{Name: "olap.t2", Schema: t2schema, DistKey: 0, Stats: analyzeRows(t2schema, t2rows)},
 		rows: t2rows,
 	}
 	return c
@@ -492,7 +492,7 @@ func TestAnalyzeRowsStats(t *testing.T) {
 		}
 		rows = append(rows, types.Row{types.NewInt(int64(i)), b})
 	}
-	ts := AnalyzeRows(schema, rows)
+	ts := analyzeRows(schema, rows)
 	if ts.Rows != 1000 {
 		t.Errorf("rows = %d", ts.Rows)
 	}
@@ -596,4 +596,13 @@ func TestUnionLimit(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+}
+
+// analyzeRows is ANALYZE over rows held in memory.
+func analyzeRows(schema *types.Schema, rows []types.Row) *TableStats {
+	b := NewStatsBuilder(schema)
+	for _, r := range rows {
+		b.AddRow(r)
+	}
+	return b.Stats()
 }

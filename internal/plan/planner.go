@@ -544,8 +544,8 @@ func exprKind(pc *pctx, e sqlx.Expr) types.Kind {
 				return types.KindFloat
 			}
 			if lk == types.KindTime || rk == types.KindTime {
-				if lk == rk {
-					return types.KindInt // ts - ts
+				if lk == rk || x.Op == sqlx.OpSub && (lk == types.KindString || rk == types.KindString) {
+					return types.KindInt // ts - ts, a string read as a TIMESTAMP (asTime)
 				}
 				return types.KindTime
 			}

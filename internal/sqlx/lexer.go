@@ -112,18 +112,23 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		return Token{Kind: TokString, Text: quotedValue(l.src[start+1 : end-1]), Pos: start}, nil
 	default:
-		// Multi-character operators first.
-		for _, op := range []string{"<>", "<=", ">=", "!=", "||"} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
-				return Token{Kind: TokOp, Text: op, Pos: start}, nil
-			}
+		// Operators are sliced out of src: two bytes where the second one
+		// completes <> <= >= != ||, else one.
+		var next byte
+		if l.pos+1 < len(l.src) {
+			next = l.src[l.pos+1]
 		}
-		if strings.ContainsRune("=<>+-*/%(),.;", rune(c)) {
-			l.pos++
-			return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		n := 1
+		switch {
+		case c == '<' && (next == '>' || next == '='),
+			(c == '>' || c == '!') && next == '=',
+			c == '|' && next == '|':
+			n = 2
+		case strings.IndexByte("=<>+-*/%(),.;", c) < 0:
+			return Token{}, fmt.Errorf("sqlx: illegal character %q at offset %d", c, start)
 		}
-		return Token{}, fmt.Errorf("sqlx: illegal character %q at offset %d", c, start)
+		l.pos += n
+		return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 	}
 }
 

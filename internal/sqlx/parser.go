@@ -9,11 +9,21 @@ import (
 	"repro/internal/types"
 )
 
-// Parser is a recursive-descent parser over the lexer's token stream.
+// Parser is a recursive-descent parser over the lexer's token stream. It
+// pulls tokens as it goes and never looks more than two past the current
+// one, so it holds at most three instead of a list of the whole statement.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex Lexer
+	// ahead[0] is the current token, always there; ahead[1:n] are the
+	// look-ahead tokens pulled so far.
+	ahead [3]Token
+	n     int
+	// err is the lexer's error, if it failed: the stream ends there (the
+	// token pulled is EOF), and every entry point reports err whatever the
+	// parse made of the truncated stream.
+	err  error
 	src  string
+	lits slab[Literal]
 	// lift lists the byte offsets of the literal tokens that become Param
 	// nodes (ParseLifted), ascending; lifted counts those turned so far.
 	lift   []int
@@ -26,20 +36,20 @@ func Parse(src string) (Statement, error) { return ParseLifted(src, nil) }
 
 // ParseMulti parses a semicolon-separated script.
 func ParseMulti(src string) ([]Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	var out []Statement
 	for {
 		for p.eatOp(";") {
 		}
 		if p.atEOF() {
+			if err := p.fail(nil); err != nil {
+				return nil, err
+			}
 			return out, nil
 		}
 		stmt, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, p.fail(err)
 		}
 		out = append(out, stmt)
 	}
@@ -48,39 +58,65 @@ func ParseMulti(src string) ([]Statement, error) {
 // ParseExpr parses a standalone scalar expression (used by tests and by the
 // GMDB SQL surface).
 func ParseExpr(src string) (Expr, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.atEOF() {
+		err = p.errorf("unexpected %s after expression", p.peek())
 	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after expression", p.peek())
+	if err = p.fail(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func newParser(src string) (*Parser, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	return &Parser{toks: toks, src: src}, nil
+func newParser(src string) *Parser {
+	p := &Parser{lex: Lexer{src: src}, src: src, n: 1}
+	p.ahead[0] = p.pull()
+	return p
 }
 
-func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) peek2() Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// pull returns the lexer's next token: EOF from its first error on.
+func (p *Parser) pull() Token {
+	t, err := p.lex.Next()
+	if err != nil {
+		if p.err == nil {
+			p.err = err
+		}
+		return Token{Kind: TokEOF, Pos: p.lex.pos}
 	}
-	return p.toks[len(p.toks)-1]
+	return t
 }
+
+// fail is the error an entry point returns for a parse that ended with err
+// (nil: it succeeded): the lexer's, if the lexer failed, since the parse
+// then saw a stream cut short.
+func (p *Parser) fail(err error) error {
+	if p.err != nil {
+		return p.err
+	}
+	return err
+}
+
+// peekAt returns the token k (1 or 2) past the current one. Past the end of
+// the stream every token is EOF.
+func (p *Parser) peekAt(k int) Token {
+	for ; p.n <= k; p.n++ {
+		p.ahead[p.n] = p.pull()
+	}
+	return p.ahead[k]
+}
+
+func (p *Parser) peek() Token  { return p.ahead[0] }
+func (p *Parser) peek2() Token { return p.peekAt(1) }
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.ahead[0]
+	if t.Kind == TokEOF {
+		return t
+	}
+	if p.n--; p.n > 0 {
+		copy(p.ahead[:], p.ahead[1:p.n+1])
+	} else {
+		p.ahead[0], p.n = p.pull(), 1
 	}
 	return t
 }
@@ -369,17 +405,19 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
+	var items []Expr // the row being parsed
+	var rows slab[Expr]
 	for {
 		if err := p.expectOp("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		items = items[:0]
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseValuesItem()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			items = append(items, e)
 			if !p.eatOp(",") {
 				break
 			}
@@ -387,11 +425,25 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
+		row := rows.take(len(items))
+		copy(row, items)
 		ins.Rows = append(ins.Rows, row)
 		if !p.eatOp(",") {
 			return ins, nil
 		}
 	}
+}
+
+// parseValuesItem parses one item of a VALUES row. A lone number or string
+// literal — by far the commonest item — is its primary, which is what the
+// whole expression grammar would make of it; anything else is an expression.
+func (p *Parser) parseValuesItem() (Expr, error) {
+	if k := p.peek().Kind; k == TokNumber || k == TokString {
+		if t := p.peek2(); t.Kind == TokOp && (t.Text == "," || t.Text == ")") {
+			return p.parsePrimary()
+		}
+	}
+	return p.parseExpr()
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
@@ -451,6 +503,33 @@ func (p *Parser) parseDelete() (Statement, error) {
 		del.Where = w
 	}
 	return del, nil
+}
+
+// slab hands out slices of T carved from blocks it allocates, the first
+// small and each next one twice the size, up to 256 values: a statement
+// with thousands of literals costs a few dozen allocations, one with two
+// literals a single small one. What it hands out lives as long as its block.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+// take returns n zero values of T, at capacity n.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.size = min(max(2*s.size, 4), 256)
+		s.free = make([]T, max(s.size, n))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// literal returns a Literal node holding v.
+func (p *Parser) literal(v types.Datum) *Literal {
+	l := &p.lits.take(1)[0]
+	l.Value = v
+	return l
 }
 
 // parseQualifiedName parses ident[.ident] as a dotted table name (the paper
@@ -654,7 +733,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	}
 	if p.peek().Kind == TokIdent && p.peek2().Kind == TokOp && p.peek2().Text == "." {
 		// Could be t.* — look two ahead.
-		if p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
+		if t := p.peekAt(2); t.Kind == TokOp && t.Text == "*" {
 			tbl := p.next().Text
 			p.next() // .
 			p.next() // *
@@ -1041,9 +1120,9 @@ func (p *Parser) parseUnary() (Expr, error) {
 		case *Literal:
 			switch x.Value.Kind() {
 			case types.KindInt:
-				return &Literal{Value: types.NewInt(-x.Value.Int())}, nil
+				return p.literal(types.NewInt(-x.Value.Int())), nil
 			case types.KindFloat:
-				return &Literal{Value: types.NewFloat(-x.Value.Float())}, nil
+				return p.literal(types.NewFloat(-x.Value.Float())), nil
 			}
 		case *Param:
 			if x.Kind == types.KindInt || x.Kind == types.KindFloat {
@@ -1104,42 +1183,31 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case TokNumber:
 		p.next()
+		v, ok := numberValue(t.Text)
 		if p.liftedAt(t.Pos) {
-			kind := types.KindInt
-			if strings.ContainsAny(t.Text, ".eE") {
-				kind = types.KindFloat
-			}
-			return &Param{Index: p.lifted - 1, Kind: kind}, nil
+			return &Param{Index: p.lifted - 1, Kind: v.Kind()}, nil
 		}
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.Text)
-			}
-			return &Literal{Value: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
+		if !ok {
 			return nil, p.errorf("bad number %q", t.Text)
 		}
-		return &Literal{Value: types.NewInt(n)}, nil
+		return p.literal(v), nil
 	case TokString:
 		p.next()
 		if p.liftedAt(t.Pos) {
 			return &Param{Index: p.lifted - 1, Kind: types.KindString}, nil
 		}
-		return &Literal{Value: types.NewString(t.Text)}, nil
+		return p.literal(types.NewString(t.Text)), nil
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
 			p.next()
-			return &Literal{Value: types.Null}, nil
+			return p.literal(types.Null), nil
 		case "TRUE":
 			p.next()
-			return &Literal{Value: types.NewBool(true)}, nil
+			return p.literal(types.NewBool(true)), nil
 		case "FALSE":
 			p.next()
-			return &Literal{Value: types.NewBool(false)}, nil
+			return p.literal(types.NewBool(false)), nil
 		case "INTERVAL":
 			p.next()
 			s := p.peek()

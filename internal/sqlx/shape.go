@@ -231,15 +231,25 @@ func (sh *Shape) lifted(b *strings.Builder, d types.Datum, pos int) {
 	}
 }
 
-// numberValue converts a number token as the parser does; ok=false for one
-// the parser rejects (out of range).
+// numberValue converts a number token (scanNumber's digits, point and
+// exponent) for the parser and Normalize alike: a DOUBLE if it has a point
+// or an exponent, else a BIGINT; ok=false for one out of range.
 func numberValue(text string) (types.Datum, bool) {
-	if strings.ContainsAny(text, ".eE") {
-		f, err := strconv.ParseFloat(text, 64)
-		return types.NewFloat(f), err == nil
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c == '.' || c == 'e' || c == 'E' {
+			f, err := strconv.ParseFloat(text, 64)
+			return types.NewFloat(f), err == nil
+		}
 	}
-	n, err := strconv.ParseInt(text, 10, 64)
-	return types.NewInt(n), err == nil
+	if len(text) > 18 { // may overflow
+		n, err := strconv.ParseInt(text, 10, 64)
+		return types.NewInt(n), err == nil
+	}
+	var n int64
+	for i := 0; i < len(text); i++ {
+		n = n*10 + int64(text[i]-'0')
+	}
+	return types.NewInt(n), true
 }
 
 func writeLower(b *strings.Builder, s string) {
@@ -280,21 +290,20 @@ var ErrUnliftable = errors.New("sqlx: a lifted literal is not an expression lite
 // numbered in that order: the AST Parse(src) yields, but for a Param where
 // each lifted literal stood.
 func ParseLifted(src string, pos []int) (Statement, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	p.lift = pos
 	stmt, err := p.parseStatement()
-	if err != nil {
+	if err == nil {
+		p.eatOp(";")
+		switch {
+		case !p.atEOF():
+			err = p.errorf("unexpected %s after end of statement", p.peek())
+		case p.lifted != len(pos):
+			err = ErrUnliftable
+		}
+	}
+	if err = p.fail(err); err != nil {
 		return nil, err
-	}
-	p.eatOp(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after end of statement", p.peek())
-	}
-	if p.lifted != len(pos) {
-		return nil, ErrUnliftable
 	}
 	return stmt, nil
 }

@@ -288,6 +288,46 @@ func TestContinuousRollupMatchesOnTheFly(t *testing.T) {
 	}
 }
 
+// TestEpochAlignedWindow: a TIMESTAMP minus a string literal reads the
+// string as a TIMESTAMP, as a comparison with one does, so a window can be
+// counted from a fixed epoch instead of back from the statement clock; a
+// string that is no TIMESTAMP fails the statement.
+func TestEpochAlignedWindow(t *testing.T) {
+	pts := fill(100, 7*time.Second)
+	_, s := newCluster(t, t0.Add(time.Hour))
+	createSeries(t, s, "e", pts)
+	epoch := t0.Add(-13 * time.Second)
+	const width = 30 * time.Second
+	res := mustExec(t, s, fmt.Sprintf(`SELECT (ts - '%[1]s') / %[2]d AS w, count(*), sum(value)
+		FROM e GROUP BY (ts - '%[1]s') / %[2]d ORDER BY w`, rfc(epoch), width.Nanoseconds()))
+	type win struct {
+		w, count int64
+		sum      float64
+	}
+	var want []win
+	for _, p := range pts {
+		w := int64(p.ts.Sub(epoch) / width)
+		if len(want) == 0 || want[len(want)-1].w != w {
+			want = append(want, win{w: w})
+		}
+		want[len(want)-1].count++
+		want[len(want)-1].sum += p.value
+	}
+	got := make([]win, len(res.Rows))
+	for i, r := range res.Rows {
+		got[i] = win{r[0].Int(), r[1].Int(), r[2].Float()}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("windows from %s:\n got %+v\nwant %+v", rfc(epoch), got, want)
+	}
+	if res := mustExec(t, s, fmt.Sprintf("SELECT count(*) FROM e WHERE '%s' - ts > 0", rfc(t0.Add(time.Minute)))); res.Rows[0][0].Int() != 9 {
+		t.Errorf("samples older than a minute after t0: %v, want 9", res.Rows)
+	}
+	if _, err := s.Exec("SELECT ts - 'yesterday' FROM e"); err == nil || !strings.Contains(err.Error(), "yesterday") {
+		t.Errorf("ts - 'yesterday': %v, want an error naming the value", err)
+	}
+}
+
 func TestRollupEquivalenceProperty(t *testing.T) {
 	// Property: for random data, GROUP BY buckets at two widths equal the
 	// oracle's.
