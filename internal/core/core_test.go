@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/planstore"
 	"repro/internal/types"
 )
 
@@ -94,7 +95,7 @@ func TestLearningLoopImprovesEstimates(t *testing.T) {
 		}
 	}
 	actual := float64(len(res1.Rows))
-	if qerr(firstEst, actual) <= qerr(secondEst, actual) {
+	if planstore.QError(firstEst, actual) <= planstore.QError(secondEst, actual) {
 		t.Errorf("learning did not improve: first est %.0f, second est %.0f, actual %.0f",
 			firstEst, secondEst, actual)
 	}
@@ -112,19 +113,6 @@ func TestLearningLoopImprovesEstimates(t *testing.T) {
 			t.Error("consumer still active after SetLearning(false, false)")
 		}
 	}
-}
-
-func qerr(est, act float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if act < 1 {
-		act = 1
-	}
-	if est > act {
-		return est / act
-	}
-	return act / est
 }
 
 func TestMultiModelAccessors(t *testing.T) {

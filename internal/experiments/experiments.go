@@ -26,6 +26,7 @@ import (
 	"repro/internal/mme"
 	"repro/internal/perfsim"
 	"repro/internal/plan"
+	"repro/internal/planstore"
 	"repro/internal/rebalance"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -323,7 +324,7 @@ func Learn(w io.Writer) (LearnResult, error) {
 				return 0, err
 			}
 			for _, c := range res.Plan.Counted {
-				total += qerr(c.EstimatedRows, float64(c.ActualRows))
+				total += planstore.QError(c.EstimatedRows, float64(c.ActualRows))
 				n++
 			}
 		}
@@ -343,19 +344,6 @@ func Learn(w io.Writer) (LearnResult, error) {
 			{"warm (plan-store actuals)", benchfmt.F(out.QErrAfter)},
 		})
 	return out, nil
-}
-
-func qerr(est, act float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if act < 1 {
-		act = 1
-	}
-	if est > act {
-		return est / act
-	}
-	return act / est
 }
 
 // TPCC validates the GTM-lite protocol on the live engine: commit counts,

@@ -8,8 +8,9 @@ import (
 )
 
 // FuzzTraversal: a ggraph(...) traversal arrives inside client SQL, so
-// parsing and compiling any text must never panic. A text that parses
-// either compiles to a statement the planner accepts, or returns an error.
+// parsing and compiling any text must never panic. A text that parses as a
+// call chain either compiles to a statement the planner accepts, or returns
+// an error.
 func FuzzTraversal(f *testing.F) {
 	for _, seed := range []string{
 		"g.V().count()",
@@ -27,11 +28,15 @@ func FuzzTraversal(f *testing.F) {
 		"g.V(1)",
 		"g.V().has(cid, gt(gt(3)))",
 		"g.V().values(cid, cid)",
+		"g.V().has('phone', 'O''Brien').values(cid)",
+		"g.V().has(cid, 1e3).in(call).where(in(call).values(limit)).limit(2).values(limit)",
+		"g.V().has(limit, gt(-2)).count().lt(1.5)",
+		`g.V().has("kind", neq(''))`,
 	} {
 		f.Add(seed)
 	}
 	c, s := newCluster(f)
-	g, err := Create(s, "g", []types.Column{intCol("cid"), textCol("phone"), textCol("kind")}, []types.Column{intCol("ts")})
+	g, err := Create(s, "g", []types.Column{intCol("cid"), textCol("phone"), textCol("kind"), intCol("limit")}, []types.Column{intCol("ts")})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func FuzzTraversal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		if _, err := parseTraversal(src); err != nil {
+		if _, err := sqlx.ParseChain(src); err != nil {
 			return
 		}
 		sel, err := Compile(src, c)

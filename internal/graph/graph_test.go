@@ -59,7 +59,7 @@ func mustEdge(t testing.TB, g *Graph, from, to VID, label string, props map[stri
 func traverse(s *cluster.Session, src string) (*cluster.Result, error) {
 	return s.ExecStmt(&sqlx.Select{
 		Items: []sqlx.SelectItem{{Star: true}},
-		From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "ggraph", RawArg: src, Alias: "t"}},
+		From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "ggraph", Arg: &sqlx.Literal{Value: types.NewString(src)}, Alias: "t"}},
 		Limit: -1,
 	})
 }
@@ -263,7 +263,7 @@ func TestOutputSchemas(t *testing.T) {
 	} {
 		res, err := s.ExecStmt(&sqlx.Select{
 			Items: []sqlx.SelectItem{{Star: true}},
-			From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "ggraph", RawArg: src, Alias: "t"}},
+			From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "ggraph", Arg: &sqlx.Literal{Value: types.NewString(src)}, Alias: "t"}},
 			Limit: -1,
 		})
 		if err != nil {
@@ -302,6 +302,11 @@ func TestParseErrors(t *testing.T) {
 		"g.V().where(V())",               // V() only starts a traversal
 		"g.V().has(cid, gt(gt(3)))",      // a predicate compares with a literal
 		"g.V().inE().count().gt('many')", // a count compares with a number
+		"a.b.V()",                        // a graph is named by one word
+		"g.V().has(cid, cid + 1)",        // a value is a literal
+		"g.V().has(cid 1)",               // arguments are separated by commas
+		"g.V().has(cid, 1,)",             // and not followed by one
+		"g.V(1e0)",                       // a vertex id is an integer
 	}
 	for _, src := range bad {
 		if _, err := traverse(s, src); err == nil {

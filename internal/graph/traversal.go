@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"unicode"
 
 	"repro/internal/plan"
 	"repro/internal/sqlx"
@@ -47,189 +46,77 @@ type predCall struct {
 // Parser
 // ---------------------------------------------------------------------------
 
-// parseTraversal parses Gremlin-subset text like
-// "g.V().has('kind','person').inE('call').count()". The leading "g." names
-// the graph and is optional. Unquoted identifiers in argument position are
-// treated as string literals (the paper writes has(cid,11111)).
+// parseTraversal reads Gremlin-subset text like
+// "g.V().has('kind','person').inE('call').count()" as a call chain
+// (sqlx.ParseChain). The leading "g." names the graph and is optional. A
+// bare word argument is a string literal (the paper writes has(cid,11111)).
 func parseTraversal(src string) (*traversal, error) {
-	p := &tparser{src: src}
-	t := &traversal{source: "g"}
-	p.skipSpace()
-	save := p.pos
-	if id := p.ident(); id != "" {
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '.' {
-			t.source = id
-			p.pos++
-		} else {
-			p.pos = save
-		}
-	}
-	steps, err := p.parseChain()
+	c, err := sqlx.ParseChain(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: %w", err)
 	}
-	p.skipSpace()
-	if p.pos < len(p.src) {
-		return nil, fmt.Errorf("graph: trailing input %q in traversal", p.src[p.pos:])
+	t := &traversal{source: "g"}
+	switch len(c.Path) {
+	case 0:
+	case 1:
+		t.source = c.Path[0]
+	default:
+		return nil, fmt.Errorf("graph: %q names no graph", strings.Join(c.Path, "."))
 	}
-	t.steps = steps
-	return t, nil
+	t.steps, err = steps(c.Steps)
+	return t, err
 }
 
-type tparser struct {
-	src string
-	pos int
-}
-
-func (p *tparser) skipSpace() {
-	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
-		p.pos++
-	}
-}
-
-func (p *tparser) ident() string {
-	start := p.pos
-	for p.pos < len(p.src) {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' {
-			p.pos++
-			continue
+func steps(chain []sqlx.Step) ([]step, error) {
+	out := make([]step, len(chain))
+	for i, st := range chain {
+		out[i].name = st.Name
+		var err error
+		if out[i].sub, err = steps(st.Sub); err != nil {
+			return nil, err
 		}
-		break
-	}
-	return p.src[start:p.pos]
-}
-
-func (p *tparser) parseChain() ([]step, error) {
-	var steps []step
-	for {
-		p.skipSpace()
-		name := p.ident()
-		if name == "" {
-			return nil, fmt.Errorf("graph: expected step name at offset %d", p.pos)
-		}
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.src[p.pos] != '(' {
-			return nil, fmt.Errorf("graph: step %s needs parentheses", name)
-		}
-		p.pos++ // (
-		st := step{name: name}
-		p.skipSpace()
-		if name == "where" {
-			sub, err := p.parseChain()
+		for _, e := range st.Args {
+			a, err := argument(st.Name, e)
 			if err != nil {
 				return nil, err
 			}
-			st.sub = sub
-			p.skipSpace()
-			if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-				return nil, fmt.Errorf("graph: unterminated where()")
-			}
-			p.pos++
-		} else {
-			for p.pos < len(p.src) && p.src[p.pos] != ')' {
-				a, err := p.parseArg()
-				if err != nil {
-					return nil, err
-				}
-				st.args = append(st.args, a)
-				p.skipSpace()
-				if p.pos < len(p.src) && p.src[p.pos] == ',' {
-					p.pos++
-					p.skipSpace()
-				}
-			}
-			if p.pos >= len(p.src) {
-				return nil, fmt.Errorf("graph: unterminated step %s(", name)
-			}
-			p.pos++ // )
+			out[i].args = append(out[i].args, a)
 		}
-		steps = append(steps, st)
-		p.skipSpace()
-		if p.pos < len(p.src) && p.src[p.pos] == '.' {
-			p.pos++
-			continue
-		}
-		return steps, nil
 	}
+	return out, nil
 }
 
-func (p *tparser) parseArg() (arg, error) {
-	p.skipSpace()
-	if p.pos >= len(p.src) {
-		return arg{}, fmt.Errorf("graph: expected argument")
+// argument reads one argument of step: a literal, a bare word or a
+// predicate call on one of them.
+func argument(step string, e sqlx.Expr) (arg, error) {
+	p, isPred := e.(*sqlx.FuncCall)
+	if !isPred {
+		v, ok := literal(e)
+		if !ok {
+			return arg{}, fmt.Errorf("graph: %s(): argument %s is not a name, a literal or a predicate", step, e)
+		}
+		return arg{lit: v}, nil
 	}
-	c := p.src[p.pos]
-	switch {
-	case c == '\'' || c == '"':
-		quote := c
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != quote {
-			p.pos++
-		}
-		if p.pos >= len(p.src) {
-			return arg{}, fmt.Errorf("graph: unterminated string")
-		}
-		s := p.src[start:p.pos]
-		p.pos++
-		return arg{lit: types.NewString(s)}, nil
-	case c >= '0' && c <= '9' || c == '-':
-		start := p.pos
-		p.pos++
-		isFloat := false
-		for p.pos < len(p.src) {
-			ch := p.src[p.pos]
-			if ch == '.' {
-				isFloat = true
-				p.pos++
-				continue
-			}
-			if ch < '0' || ch > '9' {
-				break
-			}
-			p.pos++
-		}
-		text := p.src[start:p.pos]
-		if isFloat {
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return arg{}, fmt.Errorf("graph: bad number %q", text)
-			}
-			return arg{lit: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return arg{}, fmt.Errorf("graph: bad number %q", text)
-		}
-		return arg{lit: types.NewInt(n)}, nil
-	default:
-		id := p.ident()
-		if id == "" {
-			return arg{}, fmt.Errorf("graph: unexpected character %q in arguments", c)
-		}
-		p.skipSpace()
-		// Nested predicate call gt(3)?
-		if p.pos < len(p.src) && p.src[p.pos] == '(' {
-			p.pos++
-			inner, err := p.parseArg()
-			if err != nil {
-				return arg{}, err
-			}
-			p.skipSpace()
-			if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-				return arg{}, fmt.Errorf("graph: unterminated predicate %s(", id)
-			}
-			p.pos++
-			if _, ok := predOps[id]; !ok {
-				return arg{}, fmt.Errorf("graph: unknown predicate %q", id)
-			}
-			return arg{pred: &predCall{name: id, val: inner.lit}}, nil
-		}
-		// Bare identifier = string literal (paper style: has(cid,11111)).
-		return arg{lit: types.NewString(id)}, nil
+	if _, ok := predOps[p.Name]; !ok {
+		return arg{}, fmt.Errorf("graph: unknown predicate %q", p.Name)
 	}
+	if len(p.Args) == 1 {
+		if v, ok := literal(p.Args[0]); ok {
+			return arg{pred: &predCall{name: p.Name, val: v}}, nil
+		}
+	}
+	return arg{}, fmt.Errorf("graph: %s compares with one literal", p)
+}
+
+// literal reads a literal argument, a bare word being a string.
+func literal(e sqlx.Expr) (types.Datum, bool) {
+	switch x := e.(type) {
+	case *sqlx.Literal:
+		return x.Value, true
+	case *sqlx.ColumnRef:
+		return types.NewString(x.Column), x.Table == ""
+	}
+	return types.Null, false
 }
 
 // predOps maps each predicate to the SQL comparison it compiles to.

@@ -114,6 +114,17 @@ func TestGGraphTableFunction(t *testing.T) {
 	if res.Rows[0][0].Int() != 1 {
 		t.Errorf("count = %v", res.Rows)
 	}
+	// The argument is read with SQL's quoting and numbers.
+	addVertex(t, g, "person", map[string]types.Datum{"cid": types.NewInt(1000), "phone": types.NewString("O'Brien")})
+	for _, sql := range []string{
+		"SELECT cid FROM ggraph('g.V().has(''phone'', ''O''''Brien'').values(cid)') AS g",
+		"SELECT cid FROM ggraph('g.V().has(cid, 1e3).values(cid)') AS g",
+		`SELECT cid FROM ggraph('g.V().has("phone", eq(''O''''Brien'')).values(cid)') AS g`,
+	} {
+		if res := mustExec(t, s, sql); len(res.Rows) != 1 || res.Rows[0][0].Int() != 1000 {
+			t.Errorf("%s: rows = %v, want cid 1000", sql, res.Rows)
+		}
+	}
 	if _, err := s.Exec("SELECT * FROM ggraph('g.bogus()') AS g"); err == nil {
 		t.Error("bad traversal should error at plan time")
 	}
@@ -174,6 +185,10 @@ func TestGSpatialQueries(t *testing.T) {
 	res = mustExec(t, s, "SELECT count(*) FROM gspatial('pts.radius(50, 0, 15)') AS g")
 	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("radius count = %v", res.Rows[0][0])
+	}
+	res = mustExec(t, s, "SELECT id, x FROM gspatial('pts.nearest(0, - 1, 1e0)') AS g")
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 0 || res.Rows[0][1].Float() != 0 {
+		t.Errorf("nearest(0, - 1, 1e0) rows = %v", res.Rows)
 	}
 	if _, err := s.Exec("SELECT * FROM gspatial('pts.frob(1)') AS g"); err == nil {
 		t.Error("unknown spatial fn should error")

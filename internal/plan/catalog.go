@@ -121,14 +121,15 @@ type NDPAccess interface {
 }
 
 // Hooks supplies the multi-model table-function compilers (paper §II-B).
-// Each compiles its table function's raw argument into a query block over
-// tables in cat, which the planner plans as a derived table. A nil hook
-// makes the corresponding table function an error.
+// Each compiles its table function's argument, a call chain
+// (sqlx.ParseChain), into a query block over tables in cat, which the
+// planner plans as a derived table. A nil hook makes the corresponding
+// table function an error.
 type Hooks struct {
 	// GGraph compiles a Gremlin traversal over a graph's two tables.
-	GGraph func(raw string, cat Catalog) (*sqlx.Select, error)
+	GGraph func(chain string, cat Catalog) (*sqlx.Select, error)
 	// GSpatial compiles a bbox / radius / nearest query over a points table.
-	GSpatial func(raw string, cat Catalog) (*sqlx.Select, error)
+	GSpatial func(chain string, cat Catalog) (*sqlx.Select, error)
 }
 
 // Estimator is the learning-optimizer consumer interface: given a

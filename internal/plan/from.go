@@ -402,7 +402,8 @@ func shortName(name string) string {
 // planTableFunc plans the multi-model table expressions (§II-B).
 // gtimeseries(q) is q sorted on its first TIMESTAMP column, the time order
 // downstream window operators rely on. ggraph and gspatial compile their
-// argument into a query block, planned as a derived table.
+// argument's value — the execution's, for a parameter — into a query
+// block, planned as a derived table.
 func (pc *pctx) planTableFunc(tf *sqlx.TableFunc) (exec.Operator, *Scope, error) {
 	alias := strings.ToLower(tf.Alias)
 	if alias == "" {
@@ -433,7 +434,11 @@ func (pc *pctx) planTableFunc(tf *sqlx.TableFunc) (exec.Operator, *Scope, error)
 	if compile == nil {
 		return nil, nil, fmt.Errorf("plan: %s engine is not configured", engine)
 	}
-	sel, err := compile(tf.RawArg, pc.p.Catalog)
+	arg, ok := sqlx.ValueOf(tf.Arg, pc.p.Values)
+	if !ok || arg.Kind() != types.KindString {
+		return nil, nil, fmt.Errorf("plan: %s() needs a string argument", tf.Name)
+	}
+	sel, err := compile(arg.Str(), pc.p.Catalog)
 	if err != nil {
 		return nil, nil, fmt.Errorf("in %s(): %w", tf.Name, err)
 	}

@@ -33,7 +33,7 @@ func FuzzNormalizeSQL(f *testing.F) {
 		"UPDATE t SET a = a + 1, s = 'x''y' WHERE k IN (1, 2.0, '3') AND d > now() - INTERVAL '1 hour'",
 		"INSERT INTO t (a, b) VALUES (1, 'x'), (99999999999999999999, NULL)",
 		"SELECT g, count(*) FROM t WHERE k = 7 GROUP BY g, 2 HAVING count(*) > 1 UNION ALL SELECT 1, 2 ORDER BY 1",
-		"EXPLAIN SELECT * FROM ggraph('g.V(1)') h, gspatial(box(1, 2)) s, gtimeseries(SELECT 1) g WHERE h.id = 4",
+		"EXPLAIN SELECT * FROM ggraph('g.V(1)') h, gspatial('pts.box(1, -2)') s, gtimeseries(SELECT 1) g WHERE h.id = 4",
 		"CREATE TABLE t (k BIGINT, v VARCHAR(10), PRIMARY KEY(k)) DISTRIBUTE BY HASH(k)",
 		"SELECT (SELECT max(a) FROM u WHERE b = 1 ORDER BY 1 LIMIT 1) + 5, $1, '$S', \"$I\" FROM t",
 		"SELECT v FROM t WHERE -5 < k AND 3 >= k AND k BETWEEN -2 AND +7 AND w IN (-1, 2.5e3, 'a''b')",

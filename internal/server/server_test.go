@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/autonomous"
 	"repro/internal/cluster"
+	"repro/internal/graph"
+	"repro/internal/multimodel"
 	"repro/internal/sqlx"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -628,11 +630,47 @@ func TestStmtCacheHitsAcrossLiterals(t *testing.T) {
 		t.Error("BEGIN missed the cache")
 	}
 	exec(t, s, sess, "COMMIT")
-	// A text the grammar cannot share a parse for runs, uncached.
+	// A table function's argument is a string value like any other: the
+	// second text is served the first one's parse (and fails alike, on a
+	// cluster without the graph engine).
 	for i := 0; i < 2; i++ {
-		p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: "SELECT * FROM ggraph('g.V(1)') g"})
-		if p.CacheHit || p.Status != StatusError || !strings.Contains(p.Err, "graph engine") {
-			t.Errorf("table-function statement: status %d, cache hit %v, err %q", p.Status, p.CacheHit, p.Err)
+		p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: fmt.Sprintf("SELECT * FROM ggraph('g.V(%d)') g", i+1)})
+		if p.CacheHit != (i > 0) || p.Status != StatusError || !strings.Contains(p.Err, "graph engine") {
+			t.Errorf("table-function statement %d: status %d, cache hit %v, err %q", i, p.Status, p.CacheHit, p.Err)
+		}
+	}
+}
+
+// TestStmtCacheServesTableFunctions: texts whose ggraph or gspatial
+// arguments differ are one shape, and each execution compiles its own
+// argument — its own output columns and rows from one cached statement.
+func TestStmtCacheServesTableFunctions(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	multimodel.Attach(c)
+	g, err := graph.Create(c.NewSession(), "g", []types.Column{{Name: "cid", Kind: types.KindInt}}, []types.Column{{Name: "ts", Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(11111)})
+	b, _ := g.AddVertex("person", map[string]types.Datum{"cid": types.NewInt(22222)})
+	if err := g.AddEdge(a, b, "call", map[string]types.Datum{"ts": types.NewInt(5)}); err != nil {
+		t.Fatal(err)
+	}
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE pts (id BIGINT PRIMARY KEY, x DOUBLE, y DOUBLE) DISTRIBUTE BY HASH(id)")
+	exec(t, s, sess, "INSERT INTO pts VALUES (1, 0.0, 0.0), (2, 3.0, 4.0), (3, 10.0, 10.0)")
+	for i, tc := range []struct{ sql, cols, rows string }{
+		{"SELECT * FROM ggraph('g.V().has(cid, 11111)') AS t", "id label", "[(1, person)]"},
+		{"SELECT * FROM ggraph('g.V().has(''cid'', 22222).inE(call)') AS t", "from to label", "[(1, 2, call)]"},
+		{"SELECT * FROM gspatial('pts.nearest(0, 0, 1)') AS p", "id x y", "[(1, 0, 0)]"},
+		{"SELECT * FROM gspatial('pts.bbox(1, 1, 20, 20)') AS p", "id x y", "[(2, 3, 4) (3, 10, 10)]"},
+	} {
+		p := exec(t, s, sess, tc.sql)
+		if p.CacheHit != (i%2 == 1) {
+			t.Errorf("%s: cache hit %v", tc.sql, p.CacheHit)
+		}
+		if cols, rows := strings.Join(p.Columns, " "), fmt.Sprint(p.Rows); cols != tc.cols || rows != tc.rows {
+			t.Errorf("%s: columns %q rows %s, want %q %s", tc.sql, cols, rows, tc.cols, tc.rows)
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzSpatial: a gspatial(...) query arrives inside client SQL, so parsing
-// and compiling any text must never panic. A text that parses either
-// compiles to a statement the planner accepts, or returns an error.
+// and compiling any text must never panic. A text that parses as a call
+// chain either compiles to a statement the planner accepts, or returns an
+// error.
 func FuzzSpatial(f *testing.F) {
 	for _, seed := range []string{
 		"pts.bbox(0, -1, 25, 1)",
@@ -24,6 +25,10 @@ func FuzzSpatial(f *testing.F) {
 		"nearest(0, 0, 1)",
 		"a.b.c.radius(1,2,3)",
 		"pts.bbox(0, 0, 1, 1)(2)",
+		"pts.nearest(0, - 1, 1e0)",
+		"pts.radius(1e3, 'O''Brien', 1)",
+		"values.in(1, 2, 3)",
+		"pts.Limit(0, 0, 1).where(bbox(0, 0, 1, 1))",
 	} {
 		f.Add(seed)
 	}
@@ -31,7 +36,7 @@ func FuzzSpatial(f *testing.F) {
 	createPoints(f, s, "pts", []point{{1, 1, 1}, {2, -3, 4}})
 	mustExec(f, s, "CREATE TABLE bad (id BIGINT, x TEXT, y DOUBLE) DISTRIBUTE BY HASH(id)")
 	f.Fuzz(func(t *testing.T, src string) {
-		if _, err := parseQuery(src); err != nil {
+		if _, err := sqlx.ParseChain(src); err != nil {
 			return
 		}
 		sel, err := Compile(src, c)

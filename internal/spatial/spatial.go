@@ -12,7 +12,6 @@ package spatial
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/plan"
@@ -29,42 +28,36 @@ type query struct {
 // arity is the number of arguments each query function takes.
 var arity = map[string]int{"bbox": 4, "radius": 3, "nearest": 3}
 
-// parseQuery parses and checks text like "fleet.nearest(42, 0, 3)". Every
-// argument must be a finite number, a radius non-negative and k a
-// non-negative integer.
+// parseQuery reads text like "fleet.nearest(42, 0, 3)" as a call chain
+// (sqlx.ParseChain) and checks it: one call of a known function on a
+// table, every argument a number literal (which SQL's lexer keeps finite),
+// a radius non-negative and k a non-negative integer.
 func parseQuery(src string) (*query, error) {
-	src = strings.TrimSpace(src)
-	open := strings.IndexByte(src, '(')
-	if open < 0 || !strings.HasSuffix(src, ")") {
-		return nil, fmt.Errorf("spatial: %q is not <table>.<function>(<arguments>)", src)
+	c, err := sqlx.ParseChain(src)
+	if err == nil && len(c.Steps) != 1 {
+		err = fmt.Errorf("%d calls", len(c.Steps))
 	}
-	head := src[:open]
-	dot := strings.LastIndexByte(head, '.')
-	if dot < 0 || strings.TrimSpace(head[:dot]) == "" {
-		return nil, fmt.Errorf("spatial: %q names no table: write <table>.%s(...)", src, strings.TrimSpace(head))
+	if err != nil {
+		return nil, fmt.Errorf("spatial: %q is not <table>.<function>(<arguments>): %w", src, err)
 	}
-	q := &query{table: strings.TrimSpace(head[:dot]), fn: strings.ToLower(strings.TrimSpace(head[dot+1:]))}
+	st := c.Steps[0]
+	q := &query{table: strings.Join(c.Path, "."), fn: strings.ToLower(st.Name)}
+	if q.table == "" {
+		return nil, fmt.Errorf("spatial: %q names no table: write <table>.%s(...)", src, st.Name)
+	}
 	n, ok := arity[q.fn]
 	if !ok {
 		return nil, fmt.Errorf("spatial: unknown function %q (want bbox, radius or nearest)", q.fn)
 	}
-	var parts []string
-	if body := src[open+1 : len(src)-1]; strings.TrimSpace(body) != "" {
-		parts = strings.Split(body, ",")
+	if len(st.Args) != n {
+		return nil, fmt.Errorf("spatial: %s() takes %d arguments, got %d", q.fn, n, len(st.Args))
 	}
-	if len(parts) != n {
-		return nil, fmt.Errorf("spatial: %s() takes %d arguments, got %d", q.fn, n, len(parts))
-	}
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			return nil, fmt.Errorf("spatial: %s(): bad number %q", q.fn, part)
+	for i, a := range st.Args {
+		l, ok := a.(*sqlx.Literal)
+		if !ok || l.Value.Kind() != types.KindInt && l.Value.Kind() != types.KindFloat {
+			return nil, fmt.Errorf("spatial: %s(): argument %d (%s) is not a number", q.fn, i+1, a)
 		}
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("spatial: %s(): argument %q is not finite", q.fn, part)
-		}
-		q.args = append(q.args, f)
+		q.args = append(q.args, l.Value.Float())
 	}
 	switch last := q.args[n-1]; {
 	case q.fn == "radius" && last < 0:

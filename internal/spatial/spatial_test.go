@@ -427,16 +427,18 @@ func TestInputErrors(t *testing.T) {
 	for src, cause := range map[string]string{
 		"pts.frob(1)":              `unknown function "frob"`,
 		"nearest(0, 0, 1)":         "names no table",
-		".nearest(0, 0, 1)":        "names no table",
+		".nearest(0, 0, 1)":        "is not <table>",
 		"pts.nearest(0, 0, 1":      "is not <table>",
 		"pts.bbox(0, 0, 1)":        "bbox() takes 4 arguments, got 3",
 		"pts.radius()":             "radius() takes 3 arguments, got 0",
 		"pts.nearest(0, 0, 1, 2)":  "nearest() takes 3 arguments, got 4",
-		"pts.radius(0, zero, 1)":   `bad number "zero"`,
-		"pts.radius(0, , 1)":       `bad number ""`,
-		"pts.radius(NaN, 0, 1)":    `argument "NaN" is not finite`,
-		"pts.bbox(0, 0, Inf, 1)":   `argument "Inf" is not finite`,
-		"pts.bbox(0, 0, 1, -inf)":  `argument "-inf" is not finite`,
+		"pts.radius(0, zero, 1)":   "argument 2 (zero) is not a number",
+		"pts.radius(0, , 1)":       "unexpected , in expression",
+		"pts.radius(NaN, 0, 1)":    "argument 1 (NaN) is not a number",
+		"pts.bbox(0, 0, Inf, 1)":   "argument 3 (Inf) is not a number",
+		"pts.bbox(0, 0, 1, -inf)":  "argument 4 ((- inf)) is not a number",
+		"pts.radius(0x1p-2, 0, 1)": "argument 1 of radius()",
+		"pts.radius(0, 'x', 1)":    "argument 2 ('x') is not a number",
 		"pts.radius(0, 0, 1e999)":  `bad number "1e999"`,
 		"pts.radius(0, 0, -1)":     "the radius -1 is negative",
 		"pts.nearest(0, 0, -1)":    "k = -1 is not a non-negative integer",
@@ -445,13 +447,14 @@ func TestInputErrors(t *testing.T) {
 		"nosuch.nearest(0, 0, 1)":  `table "nosuch" does not exist`,
 		"noy.nearest(0, 0, 1)":     "table noy has no column y",
 		"intx.nearest(0, 0, 1)":    "intx.x is BIGINT, want DOUBLE",
-		"pts.nearest(0, 0, 1) x)":  "bad number",
-		"pts.bbox(0, 0, 1, 1)(2)":  "bad number",
+		"pts.nearest(0, 0, 1) x)":  "unexpected x after the chain",
+		"pts.bbox(0, 0, 1, 1)(2)":  "unexpected ( after the chain",
+		"pts.nearest(0,0,1).x()":   "is not <table>",
 		"pts.nearest(0, 0, 1)\t\n": "",
 	} {
 		_, err := s.ExecStmt(&sqlx.Select{
 			Items: []sqlx.SelectItem{{Star: true}},
-			From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "gspatial", RawArg: src, Alias: "g"}},
+			From:  []sqlx.TableRef{&sqlx.TableFunc{Name: "gspatial", Arg: &sqlx.Literal{Value: types.NewString(src)}, Alias: "g"}},
 			Limit: -1,
 		})
 		switch {

@@ -296,24 +296,26 @@ func (s *SubqueryRef) String() string { return "(" + s.Query.String() + ") AS " 
 // TableFunc is a multi-model table expression (§II-B Example 1):
 // gtimeseries(select ...), an ordinary query (a time series is a table)
 // that the planner sorts on its first TIMESTAMP column, or
-// ggraph('<traversal>') / gspatial('<table>.<query>'), whose argument is
-// kept as raw text for internal/graph / internal/spatial to compile into a
+// ggraph('<traversal>') / gspatial('<table>.<query>'), whose argument is a
+// string value — a literal, or the parameter it was lifted into — that
+// internal/graph / internal/spatial parse (ParseChain) and compile into a
 // query block.
 type TableFunc struct {
-	Name   string  // "gtimeseries" | "ggraph" | "gspatial"
-	Query  *Select // for gtimeseries: the inner relational query
-	RawArg string  // for ggraph and gspatial: the argument's text
-	Alias  string
+	Name  string  // "gtimeseries" | "ggraph" | "gspatial"
+	Query *Select // for gtimeseries: the inner relational query
+	Arg   Expr    // for ggraph and gspatial: a string *Literal or *Param
+	Alias string
 }
 
 func (*TableFunc) tableRef() {}
 
 func (t *TableFunc) String() string {
 	var arg string
-	if t.Query != nil {
+	switch {
+	case t.Query != nil:
 		arg = t.Query.String()
-	} else {
-		arg = t.RawArg
+	case t.Arg != nil:
+		arg = t.Arg.String()
 	}
 	s := t.Name + "(" + arg + ")"
 	if t.Alias != "" {

@@ -1,10 +1,12 @@
 // Package sqlx implements the SQL dialect of the FI-MPPDB reproduction: a
 // practical subset of ANSI SQL (DDL, DML, SELECT with joins, grouping,
 // CTEs) extended with the paper's multi-model table expressions
-// gtimeseries(...) and ggraph('...') (§II-B Example 1).
+// gtimeseries(...), ggraph('...') and gspatial('...') (§II-B Example 1).
 //
 // The package provides a hand-written lexer and recursive-descent parser
-// producing the AST consumed by internal/plan.
+// producing the AST consumed by internal/plan. The string argument of
+// ggraph and gspatial is read by the same lexer and expression grammar, as
+// a call chain (ParseChain).
 package sqlx
 
 import (

@@ -837,32 +837,22 @@ func (p *Parser) parseTableRefPrimary() (TableRef, error) {
 		name := strings.ToLower(p.next().Text)
 		p.next() // (
 		tf := &TableFunc{Name: name}
+		var err error
 		if name == "gtimeseries" {
-			q, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			tf.Query = q
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-		} else {
-			// ggraph/gspatial take a raw traversal string or raw token run
-			// up to the matching close paren.
-			raw, err := p.captureRawArg()
-			if err != nil {
-				return nil, err
-			}
-			tf.RawArg = raw
+			tf.Query, err = p.parseSelect()
+		} else if tf.Arg, err = p.parseExpr(); err == nil && !isString(tf.Arg) {
+			// ggraph and gspatial take their query as a string: a literal,
+			// or the parameter the front door lifted it into.
+			err = p.errorf("%s() takes its query as a string literal", name)
 		}
-		if p.eatKeyword("AS") {
-			alias, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			tf.Alias = alias
-		} else if p.peek().Kind == TokIdent {
-			tf.Alias = p.next().Text
+		if err == nil {
+			err = p.expectOp(")")
+		}
+		if err == nil {
+			tf.Alias, err = p.parseAlias()
+		}
+		if err != nil {
+			return nil, err
 		}
 		return tf, nil
 	}
@@ -871,52 +861,128 @@ func (p *Parser) parseTableRefPrimary() (TableRef, error) {
 		return nil, err
 	}
 	ref := &BaseTable{Name: name}
-	if p.eatKeyword("AS") {
-		alias, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		ref.Alias = alias
-	} else if p.peek().Kind == TokIdent {
-		ref.Alias = p.next().Text
+	if ref.Alias, err = p.parseAlias(); err != nil {
+		return nil, err
 	}
 	return ref, nil
 }
 
-// captureRawArg consumes tokens (already lexed) until the matching ")" and
-// returns the original source text between the parens. A single string
-// literal argument is returned unquoted, so both ggraph('g.V()...') and
-// ggraph(g.V()...) work.
-func (p *Parser) captureRawArg() (string, error) {
-	if p.peek().Kind == TokString && p.peek2().Kind == TokOp && p.peek2().Text == ")" {
-		s := p.next().Text
-		p.next() // )
-		return s, nil
+// parseAlias reads a table reference's optional [AS] alias.
+func (p *Parser) parseAlias() (string, error) {
+	if p.eatKeyword("AS") {
+		return p.parseIdent()
 	}
-	depth := 1
-	start := p.peek().Pos
-	end := start
-	for depth > 0 {
+	if p.peek().Kind == TokIdent {
+		return p.next().Text, nil
+	}
+	return "", nil
+}
+
+func isString(e Expr) bool {
+	l, isLit := e.(*Literal)
+	q, isParam := e.(*Param)
+	return isLit && l.Value.Kind() == types.KindString || isParam && q.Kind == types.KindString
+}
+
+// Chain is a parsed call chain, the query language of ggraph and gspatial:
+// [name{.name}.] step(args){.step(args)}, as in
+// g.V().has('cid', 11111).values(phone) or fleet.nearest(0, 0, 3).
+type Chain struct {
+	Path  []string // the names before the first step
+	Steps []Step
+}
+
+// Step is one call of a chain, its name as written (a keyword keeps its
+// case). A bare word argument — a keyword too — followed by "," or ")" is a
+// *ColumnRef naming it; any other argument is an expression, except that the
+// argument of where(...) is a nested chain of steps, Sub.
+type Step struct {
+	Name string
+	Args []Expr
+	Sub  []Step
+}
+
+// ParseChain parses a call chain with the statement lexer and expression
+// grammar, so its quoting, numbers and whitespace are SQL's.
+func ParseChain(src string) (*Chain, error) {
+	p := newParser(src)
+	c := &Chain{}
+	for isWord(p.peek()) && p.peek2().Kind == TokOp && p.peek2().Text == "." {
+		c.Path = append(c.Path, p.word(p.next()))
+		p.next() // .
+	}
+	var err error
+	if c.Steps, err = p.parseSteps(); err == nil && !p.atEOF() {
+		err = p.errorf("unexpected %s after the chain", p.peek())
+	}
+	if err = p.fail(err); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (p *Parser) parseSteps() ([]Step, error) {
+	var steps []Step
+	for {
 		t := p.peek()
-		if t.Kind == TokEOF {
-			return "", p.errorf("unterminated table function argument")
-		}
-		if t.Kind == TokOp {
-			switch t.Text {
-			case "(":
-				depth++
-			case ")":
-				depth--
-				if depth == 0 {
-					end = t.Pos
-					p.next()
-					return strings.TrimSpace(p.src[start:end]), nil
-				}
-			}
+		if !isWord(t) {
+			return nil, p.errorf("expected a step, found %s", t)
 		}
 		p.next()
+		st := Step{Name: p.word(t)}
+		err := p.expectOp("(")
+		switch {
+		case err != nil:
+		case st.Name == "where":
+			if st.Sub, err = p.parseSteps(); err == nil {
+				err = p.expectOp(")")
+			}
+		case !p.eatOp(")"):
+			st.Args, err = p.parseArgs(st.Name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		steps = append(steps, st)
+		if !p.eatOp(".") {
+			return steps, nil
+		}
 	}
-	return "", p.errorf("unterminated table function argument")
+}
+
+// parseArgs reads the arguments of step, after its "(", through its ")".
+func (p *Parser) parseArgs(step string) ([]Expr, error) {
+	var args []Expr
+	for {
+		if w, n := p.peek(), p.peek2(); isWord(w) && n.Kind == TokOp && (n.Text == "," || n.Text == ")") {
+			args = append(args, &ColumnRef{Column: p.word(p.next())})
+		} else if a, err := p.parseExpr(); err == nil {
+			args = append(args, a)
+		} else {
+			return nil, err
+		}
+		if p.eatOp(")") {
+			return args, nil
+		}
+		if !p.eatOp(",") {
+			return nil, p.errorf("argument %d of %s(): expected , or ), found %s", len(args), step, p.peek())
+		}
+	}
+}
+
+func isWord(t Token) bool { return t.Kind == TokIdent || t.Kind == TokKeyword }
+
+// word is a bare word's text as written: a keyword token's Text is
+// upper-cased.
+func (p *Parser) word(t Token) string {
+	if t.Kind != TokKeyword {
+		return t.Text
+	}
+	end := t.Pos
+	for end < len(p.src) && isIdentPart(rune(p.src[end])) {
+		end++
+	}
+	return p.src[t.Pos:end]
 }
 
 // ---------------------------------------------------------------------------

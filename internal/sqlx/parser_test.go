@@ -1,6 +1,7 @@
 package sqlx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -162,7 +163,7 @@ func TestParseExample1Shape(t *testing.T) {
 		t.Fatalf("cte0 from = %+v", sel.CTEs[0].Query.From[0])
 	}
 	tf1, ok := sel.CTEs[1].Query.From[0].(*TableFunc)
-	if !ok || tf1.Name != "ggraph" || !strings.Contains(tf1.RawArg, "g.V()") {
+	if arg, isLit := tf1.Arg.(*Literal); !ok || tf1.Name != "ggraph" || !isLit || !strings.HasPrefix(arg.Value.Str(), "g.V()") {
 		t.Fatalf("cte1 from = %+v", sel.CTEs[1].Query.From[0])
 	}
 	// Scalar subquery in WHERE.
@@ -175,12 +176,64 @@ func TestParseExample1Shape(t *testing.T) {
 	}
 }
 
+// TestParseGgraphUnquoted: a table function's argument is an expression,
+// so a traversal written without quotes is a parse error, and so is any
+// argument but a string.
 func TestParseGgraphUnquoted(t *testing.T) {
-	stmt := mustParse(t, "select * from ggraph(g.V().has(kind,'person').out(knows).count()) AS g")
-	sel := stmt.(*Select)
-	tf := sel.From[0].(*TableFunc)
-	if !strings.HasPrefix(tf.RawArg, "g.V()") || !strings.Contains(tf.RawArg, "count()") {
-		t.Errorf("raw arg = %q", tf.RawArg)
+	for _, src := range []string{
+		"SELECT * FROM ggraph(g.V()) AS t",
+		"select * from ggraph(g.V().has(kind,'person').out(knows).count()) AS g",
+		"SELECT * FROM gspatial(pts.nearest(0, 0, 1)) AS p",
+		"SELECT * FROM ggraph(5) AS t",
+		"SELECT * FROM ggraph('g.' || 'V()') AS t",
+		"SELECT * FROM ggraph() AS t",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+}
+
+// TestParseChain: the call-chain grammar ggraph and gspatial arguments are
+// read with — SQL's quoting and numbers, step names as written, bare words
+// as names, where() a nested chain.
+func TestParseChain(t *testing.T) {
+	c, err := ParseChain(`g.V().has('name', 'O''Brien').has(cid, 1e3).has(limit, gt(-2)).where(in(call).count()).values(Values, "x y")`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range c.Steps {
+		s := st.Name + "("
+		for i, a := range st.Args {
+			if i > 0 {
+				s += ", "
+			}
+			s += fmt.Sprintf("%T %s", a, a)
+		}
+		for _, sub := range st.Sub {
+			s += sub.Name + "()."
+		}
+		got = append(got, s+")")
+	}
+	want := []string{
+		"V()",
+		"has(*sqlx.Literal 'name', *sqlx.Literal 'O''Brien')",
+		"has(*sqlx.ColumnRef cid, *sqlx.Literal 1000)",
+		"has(*sqlx.ColumnRef limit, *sqlx.FuncCall gt(-2))",
+		"where(in().count().)",
+		"values(*sqlx.ColumnRef Values, *sqlx.ColumnRef x y)",
+	}
+	if strings.Join(c.Path, ".") != "g" || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("path %q, steps\n%s\nwant\n%s", c.Path, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if v := c.Steps[2].Args[1].(*Literal).Value; v.Kind() != types.KindFloat {
+		t.Errorf("1e3 is %s, want DOUBLE", v.Kind())
+	}
+	for _, src := range []string{"", "g.", "g.V", "V(", "V(1", "V(1 2)", "V(,)", "V(1,)", "g.V() x", "g.V()(2)", ".V()", "V().", "where(1)", "V('x)"} {
+		if _, err := ParseChain(src); err == nil {
+			t.Errorf("ParseChain(%q) should fail", src)
+		}
 	}
 }
 

@@ -280,9 +280,8 @@ func eqFold(s, want string) bool {
 }
 
 // ErrUnliftable reports a statement text some lifted literal of which sits
-// where the grammar reads it as something other than an expression literal
-// (a table function's raw argument, say): it cannot share a parse with the
-// other texts of its shape.
+// where the grammar reads it as something other than an expression literal:
+// it cannot share a parse with the other texts of its shape.
 var ErrUnliftable = errors.New("sqlx: a lifted literal is not an expression literal")
 
 // ParseLifted parses src like Parse, except that the literal tokens at the
