@@ -241,11 +241,10 @@ type Cluster struct {
 	// entirely. Guarded by routeMu.
 	filterByBucket bool
 
-	// Learning optimizer (paper §II-C). Store is always present; the two
-	// flags make the before/after experiment (E6) togglable.
-	Store          *planstore.Store
-	CaptureSteps   bool
-	UseLearnedCard bool
+	// Learning optimizer (paper §II-C). Store is always present; Learning
+	// captures each statement's step counts and plans with them.
+	Store    *planstore.Store
+	Learning bool
 
 	// Clock returns the statement timestamp; overridable for deterministic
 	// tests. Defaults to time.Now.

@@ -27,7 +27,7 @@ package cluster
 // over sources resolved by fragSource, so pushed predicates, projections,
 // HTAP replica and standby routing and MoveBucket ownership fencing all
 // compose — a join side reads precisely the rows a plain scan of that side
-// would ship.
+// would ship, and counts them into the side's step as that scan would.
 // Each target's share runs in the fragment envelope a scan runs in
 // (stmtAccess.fragment): one request, the joined rows, one reply. Every
 // strategy emits rows through an Exchange (merged in fragment order) and
@@ -116,6 +116,7 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 			return
 		}
 		side.prog, side.keys = a.compileNDP(side.ti, s.Spec), s.Keys
+		side.prog.step.Restart()
 		owners := targets
 		if side.ti.replicated {
 			owners = targets[:1]
@@ -146,8 +147,9 @@ func (a *stmtAccess) resolveJoin(spec *plan.DistJoinSpec) (probe, build joinSide
 }
 
 // scanSideLocal streams the share of a join side that lives with
-// targets[i]: the node's own copy of a replicated table, otherwise the
-// fragment of the rows it owns.
+// targets[i]: the node's own copy of a replicated table (counted for the
+// side's step on the first target only), otherwise the fragment of the rows
+// it owns.
 func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, bf *exec.Bloom, deliver func(types.Row) bool) error {
 	if !side.ti.replicated {
 		return side.scan(ctx, side.srcs[i], bf, deliver)
@@ -156,14 +158,14 @@ func (a *stmtAccess) scanSideLocal(ctx *exec.Ctx, side joinSide, i, target int, 
 	if err != nil {
 		return err
 	}
-	return side.scan(ctx, src, bf, deliver)
+	return side.prog.run(ctx, src, bf, fragSink{rows: deliver, copy: i > 0})
 }
 
 // probeEmit returns a probe-row callback that joins each row against the
 // build table and ships the joined rows. Once it returns false, the returned
 // error says why: the join's own error, or errStopped when ship declined.
 func probeEmit(ctx *exec.Ctx, spec *plan.DistJoinSpec, table *exec.JoinTable, ship func(types.Row) bool) (func(types.Row) bool, *error) {
-	probe := table.Probe(exec.InnerJoin, spec.Probe.Keys, spec.Residual, 0)
+	probe := table.Probe(exec.InnerJoin, spec.Probe.Keys, nil, 0)
 	errp := new(error)
 	return func(pr types.Row) bool {
 		if *errp = probe.Start(ctx, pr); *errp != nil {

@@ -74,6 +74,7 @@ type ndpProgram struct {
 	distCol  int // distribution key column (-1: no ownership check)
 
 	tableCols int
+	step      *exec.Counted // told what pred selects (plan.ScanPushdown.Step)
 }
 
 // slot is one position of a sink row: at holds table column col, found at
@@ -86,12 +87,15 @@ type slot struct{ at, col, pos int }
 // or, when vec is set too (a columnar source whose group and aggregate
 // expressions are all bare columns), folds survivors in straight off the
 // column vectors. topn, set beside rows when the program has a topnCol, is
-// the heap rows feeds: a survivor it Rejects is dropped unbuilt.
+// the heap rows feeds: a survivor it Rejects is dropped unbuilt. copy marks
+// a scan of one more copy of a replicated table, whose rows the step counts
+// once, from the first copy scanned.
 type fragSink struct {
 	rows func(types.Row) bool
 	agg  *exec.AggTable
 	vec  *vecPlan
 	topn *exec.TopNHeap
+	copy bool
 }
 
 // deliver hands one materialized survivor to the sink; false stops the scan
@@ -105,9 +109,9 @@ func (k fragSink) deliver(ctx *exec.Ctx, row types.Row) (bool, error) {
 }
 
 // Scan implements plan.Access: the fragment program with an empty spec
-// (every row, every column).
-func (a *stmtAccess) Scan(meta *plan.TableMeta) exec.Operator {
-	return a.scanFragments(meta, &plan.ScanPushdown{})
+// (every row, every column) feeding step, which counts at the coordinator.
+func (a *stmtAccess) Scan(meta *plan.TableMeta, step *exec.Counted) exec.Operator {
+	return a.scanFragments(meta, &plan.ScanPushdown{Step: step})
 }
 
 // ScanNDP implements plan.NDPAccess: every table gets exact DN-side
@@ -157,6 +161,7 @@ func (a *stmtAccess) scanFragments(meta *plan.TableMeta, spec *plan.ScanPushdown
 		if prog.topn != nil && len(prog.topn.Keys) > 0 {
 			ex.Order = prog.topn.Keys
 		}
+		prog.step.Restart()
 		frags := make([]exec.Fragment, len(owners))
 		for i, owner := range owners {
 			src, err := a.fragSource(ti, owner)
@@ -192,6 +197,7 @@ func (a *stmtAccess) compileNDP(ti *TableInfo, spec *plan.ScanPushdown) *ndpProg
 		distCol:   -1,
 		topnCol:   -1,
 		tableCols: n,
+		step:      spec.Step,
 	}
 
 	// needRefs adds every in-range column e references to the scan.
@@ -440,25 +446,21 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 }
 
 // run is the one fragment body: the select stage over src — columnar
-// batches (HTAP replicas included, which is what buys offloaded row tables
-// the vectorized loop), the row store, or the row store's versions of the
-// one primary key the predicate pins — feeding sink. Rows are dropped by
-// the cheapest check first: zone maps skip whole segments, kernels clear a
-// selection vector over decoded column vectors, then ownership, bloom and
-// the residual predicate decide row by row, and only survivors reach the
-// sink. bf is the sideways bloom filter to probe, nil for none.
+// batches (HTAP replicas included), the row store, or the row store's
+// versions of the one primary key the predicate pins — feeding sink. Rows
+// are dropped by the cheapest check first: zone maps skip whole segments,
+// kernels clear a selection vector, then ownership and the residual
+// predicate decide row by row: what the step selects, counted for it
+// (exec.Counted.Select) before the bloom probe (bf, nil for none) and the
+// TopN heap drop a row. Only survivors reach the sink.
 func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fragSink) error {
 	var scanErr error
+	var selected int64
+	var stopped bool // the sink declined a row: the scan ended early
 	if src.col == nil {
 		src.row.ScanKey(src.xid, src.snap, p.key.key(ctx), func(r types.Row) bool {
 			if src.owns != nil && !src.owns(r[p.distCol]) {
 				return true
-			}
-			if bf != nil {
-				d := r[p.bloomCol]
-				if d.IsNull() || !bf.MayContain(d) {
-					return true
-				}
 			}
 			if p.pred != nil {
 				ok, err := exec.EvalBool(p.pred, ctx, r)
@@ -470,6 +472,13 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					return true
 				}
 			}
+			selected++
+			if bf != nil {
+				d := r[p.bloomCol]
+				if d.IsNull() || !bf.MayContain(d) {
+					return true
+				}
+			}
 			if sink.topn != nil && sink.topn.Rejects(r[p.topnCol]) {
 				return true
 			}
@@ -478,85 +487,96 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 			for _, sl := range p.slots {
 				row[sl.at] = r[sl.col]
 			}
-			var more bool
-			more, scanErr = sink.deliver(ctx, row)
+			more, err := sink.deliver(ctx, row)
+			scanErr, stopped = err, !more
 			return more
 		})
-		return scanErr
-	}
-
-	keep, kernels, residual := p.bind(ctx)
-	distPos, bloomPos, topnPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol), p.scanPos(p.topnCol)
-	var sel []bool
-	var sparse types.Row // reused for residual predicate evaluation
-	src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, keep, func(b *colstore.Batch) bool {
-		if cap(sel) < b.N {
-			sel = make([]bool, b.N)
-		}
-		sel = sel[:b.N]
-		for i := range sel {
-			sel[i] = true
-		}
-		for _, k := range kernels {
-			if err := k(b, sel); err != nil {
-				scanErr = err
-				return false
+	} else {
+		keep, kernels, residual := p.bind(ctx)
+		distPos, bloomPos, topnPos := p.scanPos(p.distCol), p.scanPos(p.bloomCol), p.scanPos(p.topnCol)
+		var sel []bool
+		var sparse types.Row // reused for residual predicate evaluation
+		src.col.ScanBatchesWhere(src.xid, src.snap, p.scanCols, keep, func(b *colstore.Batch) bool {
+			if cap(sel) < b.N {
+				sel = make([]bool, b.N)
 			}
-		}
-		// Row-wise checks refine the selection vector. A row-fed sink gets
-		// each survivor materialized on the spot (so a full bare-LIMIT heap
-		// stops the scan mid-batch); the vector-fed aggregate takes the whole
-		// vector afterwards, in one tight loop.
-		refine := sink.vec == nil || src.owns != nil || bf != nil || residual != nil
-		for i := 0; refine && i < b.N; i++ {
-			if !sel[i] {
-				continue
+			sel = sel[:b.N]
+			for i := range sel {
+				sel[i] = true
 			}
-			if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
-				sel[i] = false // not owner's row (migration phantom)
-				continue
-			}
-			if bf != nil {
-				if d := b.Cols[bloomPos].DatumAt(i); d.IsNull() || !bf.MayContain(d) {
-					sel[i] = false // provably cannot match the join's build side
-					continue
-				}
-			}
-			if residual != nil {
-				if sparse == nil {
-					sparse = make(types.Row, p.tableCols)
-				}
-				for j, c := range p.scanCols {
-					sparse[c] = b.Cols[j].DatumAt(i)
-				}
-				ok, err := exec.EvalBool(residual, ctx, sparse)
-				if err != nil {
+			for _, k := range kernels {
+				if err := k(b, sel); err != nil {
 					scanErr = err
 					return false
 				}
-				if !ok {
-					sel[i] = false
+			}
+			// Row-wise checks refine the selection vector. A row-fed sink gets
+			// each survivor materialized on the spot (so a full bare-LIMIT heap
+			// stops the scan mid-batch); the vector-fed aggregate takes, and
+			// counts, the whole vector afterwards when nothing refines it.
+			refine := sink.vec == nil || src.owns != nil || bf != nil || residual != nil
+			if n := int64(b.N); !refine {
+				for i := 0; len(kernels) > 0 && i < b.N; i++ {
+					if !sel[i] {
+						n--
+					}
+				}
+				selected += n
+			}
+			for i := 0; refine && i < b.N; i++ {
+				if !sel[i] {
 					continue
 				}
+				if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
+					sel[i] = false // not owner's row (migration phantom)
+					continue
+				}
+				if residual != nil {
+					if sparse == nil {
+						sparse = make(types.Row, p.tableCols)
+					}
+					for j, c := range p.scanCols {
+						sparse[c] = b.Cols[j].DatumAt(i)
+					}
+					ok, err := exec.EvalBool(residual, ctx, sparse)
+					if err != nil {
+						scanErr = err
+						return false
+					}
+					if !ok {
+						sel[i] = false
+						continue
+					}
+				}
+				selected++
+				if bf != nil {
+					if d := b.Cols[bloomPos].DatumAt(i); d.IsNull() || !bf.MayContain(d) {
+						sel[i] = false // provably cannot match the join's build side
+						continue
+					}
+				}
+				if sink.vec != nil || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
+					continue
+				}
+				// Materialize the survivor: just the projected columns, in the
+				// sink row's shape.
+				row := make(types.Row, p.width)
+				for _, sl := range p.slots {
+					row[sl.at] = b.Cols[sl.pos].DatumAt(i)
+				}
+				more, err := sink.deliver(ctx, row)
+				if scanErr, stopped = err, !more; stopped {
+					return false
+				}
 			}
-			if sink.vec != nil || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
-				continue
+			if sink.vec != nil {
+				scanErr = sink.vec.addBatch(sink.agg, b, sel)
 			}
-			// Materialize the survivor: just the projected columns, in the
-			// sink row's shape.
-			row := make(types.Row, p.width)
-			for _, sl := range p.slots {
-				row[sl.at] = b.Cols[sl.pos].DatumAt(i)
-			}
-			var more bool
-			if more, scanErr = sink.deliver(ctx, row); !more {
-				return false
-			}
-		}
-		if sink.vec != nil {
-			scanErr = sink.vec.addBatch(sink.agg, b, sel)
-		}
-		return scanErr == nil
-	})
+			return scanErr == nil
+		})
+	}
+	if !sink.copy {
+		p.step.Select(selected, stopped)
+	}
 	return scanErr
 }

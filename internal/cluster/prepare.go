@@ -74,7 +74,7 @@ func (c *Cluster) planStamp() planStamp {
 		pushdown: c.Pushdown,
 		join:     c.JoinPolicy,
 		degree:   c.parallelDegree(),
-		learned:  c.UseLearnedCard && c.Store != nil,
+		learned:  c.Learning && c.Store != nil,
 		noPrune:  c.DisableSegmentPrune,
 	}
 }
@@ -456,7 +456,7 @@ func (u *selectUnit) run(a *stmtAccess, ctx *exec.Ctx) (*Result, error) {
 		return nil, err
 	}
 	// Learning optimizer producer (paper §II-C).
-	if s.c.CaptureSteps && s.c.Store != nil {
+	if s.c.Learning && s.c.Store != nil {
 		s.c.Store.Capture(p.Counted)
 	}
 	return &Result{Columns: p.OutputNames, Rows: rows, Plan: p, RowsShipped: a.rowsShipped.Load(), PlanTime: planTime}, nil

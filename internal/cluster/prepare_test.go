@@ -507,7 +507,7 @@ func TestShapePreparedPlansLikeLiteral(t *testing.T) {
 	if err := c.Analyze("accounts"); err != nil {
 		t.Fatal(err)
 	}
-	c.CaptureSteps = true
+	c.Learning = true
 	c.Store.CaptureRatio = 1 // capture every step
 	for _, sql := range []string{
 		"SELECT id FROM accounts WHERE balance < 150 AND branch IN (1, 2) AND -3 < id",

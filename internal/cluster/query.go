@@ -287,7 +287,7 @@ func (a *stmtAccess) fragSource(ti *TableInfo, owner int) (fragSource, error) {
 // execution whose parameter values are given, or (nil) for all of them.
 func (s *Session) planner(a *stmtAccess, values []types.Datum) *plan.Planner {
 	p := &plan.Planner{Catalog: s.c, Access: a, Hooks: s.c.Hooks, DistJoin: s.c.JoinPolicy, Pushdown: s.c.Pushdown, Values: values}
-	if s.c.UseLearnedCard && s.c.Store != nil {
+	if s.c.Learning && s.c.Store != nil {
 		p.Estimator = s.c.Store
 	}
 	return p

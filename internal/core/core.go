@@ -99,8 +99,7 @@ func Open(opts Options) (*DB, error) {
 	if opts.Clock != nil {
 		c.Clock = opts.Clock
 	}
-	c.CaptureSteps = opts.Learning
-	c.UseLearnedCard = opts.Learning
+	c.Learning = opts.Learning
 	multimodel.Attach(c)
 	return &DB{cluster: c, def: c.NewSession()}, nil
 }
@@ -158,13 +157,6 @@ func (db *DB) Vacuum() int { return db.cluster.Vacuum() }
 
 // PlanStore exposes the learning optimizer's captured steps (§II-C).
 func (db *DB) PlanStore() *planstore.Store { return db.cluster.Store }
-
-// SetLearning toggles the §II-C loop at runtime: capture controls the
-// producer, use controls the consumer.
-func (db *DB) SetLearning(capture, use bool) {
-	db.cluster.CaptureSteps = capture
-	db.cluster.UseLearnedCard = use
-}
 
 // GTMRequests reports the total number of GTM requests served — the Fig 3
 // bottleneck metric.

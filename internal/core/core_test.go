@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/planstore"
 	"repro/internal/types"
 )
@@ -105,12 +106,44 @@ func TestLearningLoopImprovesEstimates(t *testing.T) {
 	if db.PlanStore().Len() == 0 {
 		t.Error("plan store is empty")
 	}
-	// Toggling learning off stops the consumer.
-	db.SetLearning(false, false)
+	// A DN-side join's inputs are steps too: its side scans run only on the
+	// data nodes, which count the rows each predicate selects, and the next
+	// plan estimates every step — the join's included — at what was learned.
+	db.PlanStore().CaptureRatio = 1 // learn every step
+	const jq = "SELECT x.a FROM skew x, skew y WHERE x.a = y.a AND x.b = 0 AND y.b > 0"
+	j1, err := db.Query(jq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnJoin := false
+	sides := map[string]int64{}
+	for _, c := range j1.Plan.Counted {
+		if hj, ok := c.Child.(*exec.HashJoin); ok && hj.Dist != nil {
+			dnJoin = true
+		}
+		if strings.HasPrefix(c.StepText, "SCAN(SKEW") {
+			sides[c.StepText] = c.ActualRows
+		}
+	}
+	want := map[string]int64{"SCAN(SKEW, PREDICATE(SKEW.B = 0))": 271, "SCAN(SKEW, PREDICATE(SKEW.B > 0))": 29}
+	if !dnJoin || fmt.Sprint(sides) != fmt.Sprint(want) {
+		t.Errorf("DN-side join %t with side steps %v, want %v", dnJoin, sides, want)
+	}
+	j2, err := db.Query(jq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range j2.Plan.Counted {
+		if c.EstimatedRows != float64(c.ActualRows) {
+			t.Errorf("warm %s: estimated %.0f, actual %d", c.StepText, c.EstimatedRows, c.ActualRows)
+		}
+	}
+	// Turning learning off stops the consumer.
+	db.Cluster().Learning = false
 	res3, _ := db.Query(q)
 	for _, c := range res3.Plan.Counted {
 		if strings.HasPrefix(c.StepText, "SCAN(SKEW") && c.EstimatedRows == actual {
-			t.Error("consumer still active after SetLearning(false, false)")
+			t.Error("consumer still active with Learning off")
 		}
 	}
 }

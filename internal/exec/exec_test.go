@@ -515,11 +515,6 @@ func TestCountedTracksRows(t *testing.T) {
 	if c.ActualRows != 3 {
 		t.Errorf("after reopen counted = %d", c.ActualRows)
 	}
-	found := 0
-	WalkCounted(&Filter{Child: c, Pred: &Const{Value: types.NewBool(true)}}, func(*Counted) { found++ })
-	if found != 1 {
-		t.Errorf("WalkCounted found %d", found)
-	}
 }
 
 func TestCaseWhen(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -410,9 +411,10 @@ func (c *Concat) Close() error {
 // Instrumentation
 // ---------------------------------------------------------------------------
 
-// Counted wraps an operator and counts the rows it produces; the learning
-// optimizer's producer (internal/planstore) reads ActualRows after the
-// query finishes (paper §II-C "captures actual execution statistics").
+// Counted wraps an operator as one step of the learning optimizer (paper
+// §II-C "captures actual execution statistics"): the planner names it by
+// its canonical step text and estimate; the plan store and EXPLAIN ANALYZE
+// read its count.
 type Counted struct {
 	Child Operator
 	// StepText is the canonical logical step definition this operator
@@ -420,24 +422,52 @@ type Counted struct {
 	StepText string
 	// EstimatedRows is the optimizer's cardinality estimate for this step.
 	EstimatedRows float64
-	// ActualRows counts rows produced in the most recent execution.
+	// ActualRows is the step's row count in its most recent execution: the
+	// rows that pass its predicate on the data nodes, before any bloom probe,
+	// TopN or LIMIT (Select), if OnDataNodes; else the rows Next returned.
 	ActualRows int64
+	// OnDataNodes marks a scan counted by its data-node programs, which run
+	// even where this operator does not (a DN-side join's input, the scan
+	// under a pushed aggregate); Next does not count.
+	OnDataNodes bool
+	// Cut marks a count short of the step's output — a data-node program
+	// stopped early, or Next has not yet returned io.EOF — never learned.
+	Cut atomic.Bool
 }
 
 // Schema implements Operator.
 func (c *Counted) Schema() *types.Schema { return c.Child.Schema() }
 
+// Restart starts the step's count for one execution.
+func (c *Counted) Restart() {
+	c.ActualRows = 0
+	c.Cut.Store(!c.OnDataNodes)
+}
+
+// Select adds a data-node program's tally — the rows that passed the step's
+// predicate, and whether it stopped before its scan's end — to the step.
+func (c *Counted) Select(rows int64, stopped bool) {
+	if c.OnDataNodes {
+		atomic.AddInt64(&c.ActualRows, rows)
+		c.Cut.CompareAndSwap(false, stopped) // a stop cuts the count; nothing uncuts it
+	}
+}
+
 // Open implements Operator.
 func (c *Counted) Open(ctx *Ctx) error {
-	c.ActualRows = 0
+	c.Restart()
 	return c.Child.Open(ctx)
 }
 
 // Next implements Operator.
 func (c *Counted) Next(ctx *Ctx) (types.Row, error) {
 	row, err := c.Child.Next(ctx)
-	if err == nil {
+	switch {
+	case c.OnDataNodes:
+	case err == nil:
 		c.ActualRows++
+	case err == io.EOF:
+		c.Cut.Store(false)
 	}
 	return row, err
 }
@@ -447,39 +477,6 @@ func (c *Counted) RowCount() int { return rowCount(c.Child) }
 
 // Close implements Operator.
 func (c *Counted) Close() error { return c.Child.Close() }
-
-// WalkCounted visits every Counted operator in the tree rooted at op.
-func WalkCounted(op Operator, visit func(*Counted)) {
-	switch o := op.(type) {
-	case *Counted:
-		visit(o)
-		WalkCounted(o.Child, visit)
-	case *Filter:
-		WalkCounted(o.Child, visit)
-	case *Project:
-		WalkCounted(o.Child, visit)
-	case *NestedLoopJoin:
-		WalkCounted(o.Left, visit)
-		WalkCounted(o.Right, visit)
-	case *HashJoin:
-		if o.Dist != nil {
-			WalkCounted(o.Dist, visit)
-			return
-		}
-		WalkCounted(o.Left, visit)
-		WalkCounted(o.Right, visit)
-	case *Agg:
-		WalkCounted(o.Child, visit)
-	case *Sort:
-		WalkCounted(o.Child, visit)
-	case *TopN:
-		WalkCounted(o.Child, visit)
-	case *Limit:
-		WalkCounted(o.Child, visit)
-	case *Distinct:
-		WalkCounted(o.Child, visit)
-	}
-}
 
 // ErrNotFound is a generic sentinel for lookup misses in exec helpers.
 var ErrNotFound = errors.New("exec: not found")

@@ -282,67 +282,127 @@ func Fig11(w io.Writer, sessions, opsPerCase int) (Fig11Result, error) {
 	return res, nil
 }
 
-// LearnResult carries the learning-optimizer quality measurement.
+// LearnResult carries the learning-optimizer quality measurement: the mean
+// Q-error over every step of every query, cold and warm, and the join
+// pass's two executions.
 type LearnResult struct {
 	QErrBefore, QErrAfter float64
+	JoinCold, JoinWarm    LearnJoinRun
 }
 
+// LearnJoinRun is one execution of E6's misaligned join: the distributed
+// strategy its estimates chose, what it cost on the fabric, and the mean
+// Q-error over its steps — both scans, which run on the data nodes, and the
+// join.
+type LearnJoinRun struct {
+	Strategy    string
+	Bytes, Msgs int64
+	QErr        float64
+}
+
+// learnJoin is E6's join: `orders.cust` is not a distribution key, so the
+// join broadcasts or shuffles. The customer predicate is a correlated pair
+// (tier = region on every row), which the histograms take for independent:
+// they expect 40 customers where 400 qualify, and the cold plan broadcasts
+// them to every DN. Learned, the customer side is too large to broadcast,
+// and the warm plan shuffles.
+const learnJoin = "SELECT o.o, c.c FROM orders o, custs c WHERE o.cust = c.c AND o.status = 1 AND c.region = 1 AND c.tier = 1"
+
 // Learn (E6) measures cardinality-estimation quality (Q-error) on a canned
-// reporting workload before and after the plan store learns actuals.
+// reporting workload before and after the plan store learns actuals, then
+// runs a misaligned join cold and warm: the learned side counts flip its
+// strategy.
 func Learn(w io.Writer) (LearnResult, error) {
 	var out LearnResult
-	db, err := core.Open(core.Options{DataNodes: 2, Learning: true})
+	db, err := core.Open(core.Options{DataNodes: 4, Learning: true})
 	if err != nil {
 		return out, err
 	}
 	defer db.Close()
-	db.MustExec("CREATE TABLE facts (k BIGINT, grp BIGINT, v BIGINT) DISTRIBUTE BY HASH(k)")
 	s := db.Session()
+	var facts, orders, custs strings.Builder
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		grp := int64(0) // zipf-ish skew the histogram cannot capture per-value
 		if rng.Float64() > 0.8 {
 			grp = int64(1 + rng.Intn(50))
 		}
-		if _, err := s.Exec(fmt.Sprintf("INSERT INTO facts VALUES (%d, %d, %d)", i, grp, rng.Intn(1000))); err != nil {
+		fmt.Fprintf(&facts, ",(%d, %d, %d)", i, grp, rng.Intn(1000))
+	}
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&orders, ",(%d, %d, %d)", i, i, i%2)
+	}
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&custs, ",(%d, %d, %d)", i, i%10, i%10)
+	}
+	for _, sql := range []string{
+		"CREATE TABLE facts (k BIGINT, grp BIGINT, v BIGINT) DISTRIBUTE BY HASH(k)",
+		"CREATE TABLE orders (o BIGINT, cust BIGINT, status BIGINT) DISTRIBUTE BY HASH(o)",
+		"CREATE TABLE custs (c BIGINT, region BIGINT, tier BIGINT) DISTRIBUTE BY HASH(c)",
+		"INSERT INTO facts VALUES " + facts.String()[1:],
+		"INSERT INTO orders VALUES " + orders.String()[1:],
+		"INSERT INTO custs VALUES " + custs.String()[1:],
+	} {
+		if _, err := s.Exec(sql); err != nil {
 			return out, err
 		}
 	}
-	if err := db.Analyze("facts"); err != nil {
-		return out, err
+	for _, t := range []string{"facts", "orders", "custs"} {
+		if err := db.Analyze(t); err != nil {
+			return out, err
+		}
 	}
 	queries := []string{
 		"SELECT * FROM facts WHERE grp = 0",
 		"SELECT * FROM facts WHERE grp = 7",
 		"SELECT count(*) FROM facts WHERE grp = 0 AND v < 500",
 	}
-	qerrPass := func() (float64, error) {
+	fab := db.Cluster().Fabric()
+	// pass runs every query once; the mean Q-error is over every step.
+	pass := func(join *LearnJoinRun) (float64, error) {
 		total, n := 0.0, 0
-		for _, q := range queries {
+		for _, q := range append(queries, learnJoin) {
+			before := fab.Stats()
 			res, err := db.Query(q)
 			if err != nil {
 				return 0, err
 			}
+			d := fab.Stats().Sub(before)
+			qerr := 0.0
 			for _, c := range res.Plan.Counted {
-				total += planstore.QError(c.EstimatedRows, float64(c.ActualRows))
-				n++
+				qerr += planstore.QError(c.EstimatedRows, float64(c.ActualRows))
+			}
+			total, n = total+qerr, n+len(res.Plan.Counted)
+			if q == learnJoin {
+				join.Strategy = "shuffle"
+				if d.Get(transport.BcastBuild).Count > 0 {
+					join.Strategy = "broadcast"
+				}
+				join.Bytes, join.Msgs = d.TotalBytes(), d.Total()
+				join.QErr = qerr / float64(len(res.Plan.Counted))
 			}
 		}
 		return total / float64(n), nil
 	}
-	if out.QErrBefore, err = qerrPass(); err != nil {
+	if out.QErrBefore, err = pass(&out.JoinCold); err != nil {
 		return out, err
 	}
 	// Second pass: the consumer now serves captured actuals.
-	if out.QErrAfter, err = qerrPass(); err != nil {
+	if out.QErrAfter, err = pass(&out.JoinWarm); err != nil {
 		return out, err
 	}
-	benchfmt.Table(w, "Learning optimizer — mean Q-error on canned workload (E6)",
+	benchfmt.Table(w, "Learning optimizer — mean Q-error over every step of the canned workload (E6)",
 		[]string{"pass", "mean q-error"},
 		[][]string{
 			{"cold (histogram estimates)", benchfmt.F(out.QErrBefore)},
 			{"warm (plan-store actuals)", benchfmt.F(out.QErrAfter)},
 		})
+	joinRow := func(pass string, r LearnJoinRun) []string {
+		return []string{pass, r.Strategy, fmt.Sprintf("%d", r.Bytes), fmt.Sprintf("%d", r.Msgs), benchfmt.F(r.QErr)}
+	}
+	benchfmt.Table(w, "Learning optimizer — misaligned join, 1 000 orders × 4 000 customers @4 DNs (E6)",
+		[]string{"pass", "strategy", "B/q", "messages", "mean q-error"},
+		[][]string{joinRow("cold", out.JoinCold), joinRow("warm", out.JoinWarm)})
 	return out, nil
 }
 

@@ -92,3 +92,33 @@ func TestEdgeSyncShape(t *testing.T) {
 		t.Errorf("leader star moved %d bytes, via-cloud %d: same star, same traffic", leader.Bytes, cloud.Bytes)
 	}
 }
+
+// TestLearnFlipsTheJoin is E6's acceptance check: warm, every step of every
+// query — the join's data-node scans included — is estimated exactly, and
+// the learned side counts turn the cold plan's broadcast into a shuffle.
+// Message counts are exact: the fabric counts messages, not time.
+func TestLearnFlipsTheJoin(t *testing.T) {
+	res, err := Learn(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QErrAfter != 1 || res.JoinWarm.QErr != 1 {
+		t.Errorf("warm mean q-error %v (join %v), want 1 over every step", res.QErrAfter, res.JoinWarm.QErr)
+	}
+	if res.QErrBefore <= res.QErrAfter || res.JoinCold.QErr <= 1 {
+		t.Errorf("cold mean q-error %v (join %v): nothing to learn", res.QErrBefore, res.JoinCold.QErr)
+	}
+	for _, c := range []struct {
+		pass     string
+		run      LearnJoinRun
+		strategy string
+		msgs     int64
+	}{{"cold", res.JoinCold, "broadcast", 22}, {"warm", res.JoinWarm, "shuffle", 34}} {
+		if c.run.Strategy != c.strategy || c.run.Msgs != c.msgs {
+			t.Errorf("%s join: %s in %d messages, want %s in %d", c.pass, c.run.Strategy, c.run.Msgs, c.strategy, c.msgs)
+		}
+	}
+	if res.JoinWarm.Bytes >= res.JoinCold.Bytes {
+		t.Errorf("warm join moved %d B, not fewer than the cold plan's %d B", res.JoinWarm.Bytes, res.JoinCold.Bytes)
+	}
+}

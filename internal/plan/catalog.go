@@ -36,8 +36,9 @@ type Catalog interface {
 // directly.
 type Access interface {
 	// Scan returns an operator streaming the table's currently-visible
-	// rows under the calling statement's snapshot.
-	Scan(t *TableMeta) exec.Operator
+	// rows under the calling statement's snapshot; step is the instrumented
+	// step they feed through a coordinator Filter (ScanPushdown.Step).
+	Scan(t *TableMeta, step *exec.Counted) exec.Operator
 }
 
 // TopNPush asks the engine to sort each partition's rows under Keys and
@@ -90,6 +91,10 @@ type ScanPushdown struct {
 	// aggregate: each partition folds its surviving rows into groups and
 	// ships one row per group instead of the rows themselves.
 	Agg *AggPush
+	// Step is the instrumented scan step the spec's rows feed: whatever runs
+	// the spec — this scan, a pushed aggregate, a DN-side join's side —
+	// counts into it what passes Pred (exec.Counted.Select).
+	Step *exec.Counted
 }
 
 // AggPush asks the engine to aggregate each partition's surviving rows

@@ -316,16 +316,8 @@ func (pc *pctx) planAggregate(child exec.Operator, sel *sqlx.Select) (exec.Opera
 	childStep, childEst := pc.stepOf(child)
 	var op exec.Operator = agg
 	if childStep != "" {
-		stepText := AggStep(childStep, groupTexts)
-		est := estimateAgg(childEst, len(groupBy))
-		if pc.p.Estimator != nil {
-			if learned, ok := pc.p.Estimator.LookupStep(stepText); ok {
-				est = learned
-			}
-		}
-		c := &exec.Counted{Child: agg, StepText: stepText, EstimatedRows: est}
-		*pc.counted = append(*pc.counted, c)
-		op = c
+		c := pc.newStep(AggStep(childStep, groupTexts), estimateAgg(childEst, len(groupBy)))
+		c.Child, op = agg, c
 	}
 
 	pc.aggMap = aggMap
@@ -360,7 +352,7 @@ func estimateAgg(childEst float64, groupCols int) float64 {
 func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, aggs []exec.AggSpec, outScope *Scope) (exec.Operator, bool) {
 	ls := pc.lastScan
 	nd, ok := pc.p.Access.(NDPAccess)
-	if !ok || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != child {
+	if !ok || ls == nil || exec.Operator(ls.spec.Step) != child {
 		return nil, false
 	}
 	// Every aggregate must be mergeable and partition-pure.
@@ -384,10 +376,11 @@ func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, 
 	}
 
 	// Nothing above the aggregate reads the table's columns; the fragments
-	// read what the group keys and aggregate arguments need.
+	// read what the group keys and aggregate arguments need, and count the
+	// scan's step, which stays a step though its own operator never runs.
 	partialSchema := outScope.schema()
-	pop, ok := nd.ScanNDP(ls.meta, &ScanPushdown{Pred: ls.pred, Cols: []int{},
-		Agg: &AggPush{GroupBy: groupBy, Aggs: aggs, Out: partialSchema}})
+	pop, ok := nd.ScanNDP(ls.meta, &ScanPushdown{Pred: ls.spec.Pred, Cols: []int{},
+		Agg: &AggPush{GroupBy: groupBy, Aggs: aggs, Out: partialSchema}, Step: ls.spec.Step})
 	if !ok {
 		return nil, false
 	}
@@ -410,15 +403,6 @@ func (pc *pctx) tryPartialAggPushdown(child exec.Operator, groupBy []exec.Expr, 
 			kind = exec.AggMax
 		}
 		finalAggs[i] = exec.AggSpec{Kind: kind, Arg: col}
-	}
-
-	// The scan's instrumented step never executes; remove it so the
-	// learning producer doesn't capture a zero-row scan.
-	for i, c := range *pc.counted {
-		if c == ls.counted {
-			*pc.counted = append((*pc.counted)[:i], (*pc.counted)[i+1:]...)
-			break
-		}
 	}
 	return &exec.Agg{Child: pop, GroupBy: finalGroup, Aggs: finalAggs, Out: partialSchema}, true
 }

@@ -60,15 +60,12 @@ type DistJoinSide struct {
 }
 
 // DistJoinSpec is everything the engine needs to run one join DN-side.
-// Probe is the left (streamed) input, Build the right (hashed) input;
-// Residual, when set, is a partition-pure predicate over the concatenated
-// probe++build row. Out is the join's output schema (probe columns then
-// build columns).
+// Probe is the left (streamed) input, Build the right (hashed) input. Out
+// is the join's output schema (probe columns then build columns).
 type DistJoinSpec struct {
 	Strategy DistStrategy
 	Probe    DistJoinSide
 	Build    DistJoinSide
-	Residual exec.Expr
 	Out      *types.Schema
 }
 
@@ -99,12 +96,12 @@ type dnCounter interface{ DataNodeCount() int }
 // defaultDNCount is assumed when the catalog cannot report a node count.
 const defaultDNCount = 4
 
-// tryDistJoin inspects an inner hash join whose planning just finished and,
-// when both sides are bare NDP base-table scans with partition-pure keys
-// and residual, asks the engine for a distributed execution. On success the
-// engine operator is attached as hj.Dist (the HashJoin delegates to it and
-// never opens its children) and the side scans' instrumented steps are
-// removed from the step list, since they no longer execute as CN scans.
+// tryDistJoin inspects an inner hash join whose planning just finished (it
+// has no residual: its ON conjuncts are WHERE conjuncts) and, when both
+// sides are bare NDP base-table scans with partition-pure keys, asks the
+// engine for a distributed execution. On success the engine operator is
+// attached as hj.Dist (the HashJoin delegates to it and never opens its
+// children); the side programs count the side steps through their specs.
 // Returns whether a distributed strategy was installed.
 func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEst float64) bool {
 	dj, ok := pc.p.Access.(DistJoinAccess)
@@ -117,7 +114,7 @@ func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEs
 		return false
 	}
 	linfo, rinfo := (*pc.scans)[lc], (*pc.scans)[rc]
-	if linfo == nil || linfo.spec == nil || rinfo == nil || rinfo.spec == nil {
+	if linfo == nil || rinfo == nil {
 		return false
 	}
 	// A folded scan (a derived table's block) emits output rows, and a DN
@@ -129,9 +126,6 @@ func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEs
 		if !exec.IsPartitionPure(hj.LeftKeys[i]) || !exec.IsPartitionPure(hj.RightKeys[i]) {
 			return false
 		}
-	}
-	if hj.ExtraOn != nil && !exec.IsPartitionPure(hj.ExtraOn) {
-		return false
 	}
 
 	lMeta, rMeta := linfo.meta, rinfo.meta
@@ -189,7 +183,6 @@ func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEs
 		Strategy: strategy,
 		Probe:    DistJoinSide{Meta: lMeta, Spec: linfo.spec, Keys: hj.LeftKeys},
 		Build:    DistJoinSide{Meta: rMeta, Spec: rinfo.spec, Keys: hj.RightKeys},
-		Residual: hj.ExtraOn,
 		Out:      hj.Schema(),
 	}
 	op, ok := dj.JoinScan(spec)
@@ -197,15 +190,5 @@ func (pc *pctx) tryDistJoin(hj *exec.HashJoin, lop, rop exec.Operator, lEst, rEs
 		return false
 	}
 	hj.Dist = op
-	// The side scans' instrumented steps never execute; remove them so the
-	// learning producer doesn't capture zero-row scans (their pushdown
-	// specs stay registered for projection analysis).
-	kept := (*pc.counted)[:0]
-	for _, c := range *pc.counted {
-		if c != lc && c != rc {
-			kept = append(kept, c)
-		}
-	}
-	*pc.counted = kept
 	return true
 }

@@ -10,12 +10,46 @@ import (
 	"repro/internal/types"
 )
 
-// planFromList plans comma-separated FROM items, consuming equi-join
-// conjuncts from the WHERE list (implicit joins, as in the paper's Table I
-// query) and returning the remaining conjuncts. Three or more items go
-// through the greedy, statistics-free join-order heuristic (greedy.go);
-// two keep the written order but build on the smaller side.
+// planFromList plans a FROM list, consuming equi-join conjuncts from the
+// WHERE list (implicit joins, as in the paper's Table I query) and returning
+// the remaining conjuncts. An inner or cross JOIN tree is the same list
+// written another way: its tables are items, and its ON conjuncts come
+// first in the WHERE list. A LEFT JOIN is one item (planTableRef).
 func (pc *pctx) planFromList(items []sqlx.TableRef, conjuncts []sqlx.Expr) (exec.Operator, *Scope, []sqlx.Expr, error) {
+	var on []sqlx.Expr
+	var refs []sqlx.TableRef
+	for _, item := range items {
+		on, refs = joinOn(item, on), joinItems(item, refs)
+	}
+	return pc.foldItems(refs, append(on, conjuncts...))
+}
+
+// joinOn appends the ON conjuncts of ref's inner joins, in written order.
+// Those on a LEFT JOIN's preserved side are included: filtering it after
+// the outer join keeps the same rows.
+func joinOn(ref sqlx.TableRef, on []sqlx.Expr) []sqlx.Expr {
+	j, ok := ref.(*sqlx.JoinRef)
+	if !ok {
+		return on
+	}
+	if on = joinOn(j.Left, on); j.Kind == sqlx.JoinLeft {
+		return on
+	}
+	return append(on, sqlx.SplitConjuncts(j.On)...)
+}
+
+// joinItems appends the FROM items an inner or cross JOIN tree lists.
+func joinItems(ref sqlx.TableRef, items []sqlx.TableRef) []sqlx.TableRef {
+	if j, ok := ref.(*sqlx.JoinRef); ok && j.Kind != sqlx.JoinLeft {
+		return joinItems(j.Right, joinItems(j.Left, items))
+	}
+	return append(items, ref)
+}
+
+// foldItems plans each item and joins them. Three or more go through the
+// greedy, statistics-free join-order heuristic (greedy.go); two are only
+// oriented.
+func (pc *pctx) foldItems(items []sqlx.TableRef, conjuncts []sqlx.Expr) (exec.Operator, *Scope, []sqlx.Expr, error) {
 	leaves := make([]joinLeaf, len(items))
 	for i, item := range items {
 		iop, iscope, err := pc.planTableRef(item, conjuncts)
@@ -64,36 +98,25 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 		if !ok || b.Op != sqlx.OpEq || containsSubquery(c) {
 			continue
 		}
-		lIn, rIn := resolvableIn(b.Left, lscope), resolvableIn(b.Right, rscope)
-		if lIn && rIn {
-			lk, err := pc.compileAgainst(b.Left, lscope)
-			if err != nil {
-				return nil, nil, nil, err
+		l, r := b.Left, b.Right
+		if !resolvableIn(l, lscope) || !resolvableIn(r, rscope) {
+			l, r = r, l
+			if !resolvableIn(l, lscope) || !resolvableIn(r, rscope) {
+				continue
 			}
-			rk, err := pc.compileAgainst(b.Right, rscope)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			leftKeys = append(leftKeys, lk)
-			rightKeys = append(rightKeys, rk)
-			keyPreds = append(keyPreds, equiPredicate(lk, rk))
-			usedKeys[c] = true
-			continue
 		}
-		if resolvableIn(b.Right, lscope) && resolvableIn(b.Left, rscope) {
-			lk, err := pc.compileAgainst(b.Right, lscope)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			rk, err := pc.compileAgainst(b.Left, rscope)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			leftKeys = append(leftKeys, lk)
-			rightKeys = append(rightKeys, rk)
-			keyPreds = append(keyPreds, equiPredicate(lk, rk))
-			usedKeys[c] = true
+		lk, err := pc.compileAgainst(l, lscope)
+		if err != nil {
+			return nil, nil, nil, err
 		}
+		rk, err := pc.compileAgainst(r, rscope)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		leftKeys = append(leftKeys, lk)
+		rightKeys = append(rightKeys, rk)
+		keyPreds = append(keyPreds, equiPredicate(lk, rk))
+		usedKeys[c] = true
 	}
 
 	// Residual ON conjuncts (non-equi) compile against the combined scope.
@@ -122,17 +145,20 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 		pc.consumed[c] = true
 	}
 
+	var step *exec.Counted
+	lStep, lEst := pc.stepOf(lop)
+	rStep, rEst := pc.stepOf(rop)
+	if lStep != "" && rStep != "" {
+		step = pc.newStep(JoinStep(lStep, rStep, keyPreds), pc.estimateJoin(lEst, rEst, len(leftKeys)))
+	}
+
 	var join exec.Operator
 	if len(leftKeys) > 0 {
 		hj := &exec.HashJoin{Type: jt, Left: lop, Right: rop, LeftKeys: leftKeys, RightKeys: rightKeys, ExtraOn: residual}
-		if jt == exec.InnerJoin {
-			_, lEst := pc.stepOf(lop)
-			_, rEst := pc.stepOf(rop)
-			// A distributed join subsumes the bloom semi-join: both sides
-			// already execute DN-side, so there is no probe stream to prune.
-			if !pc.tryDistJoin(hj, lop, rop, lEst, rEst) {
-				pc.tryBloomPushdown(hj, lop, lEst, rEst)
-			}
+		// A distributed join subsumes the bloom semi-join: both sides
+		// already execute DN-side, so there is no probe stream to prune.
+		if jt == exec.InnerJoin && !pc.tryDistJoin(hj, lop, rop, lEst, rEst) {
+			pc.tryBloomPushdown(hj, lop, lEst, rEst)
 		}
 		join = hj
 	} else {
@@ -142,21 +168,8 @@ func (pc *pctx) joinPair(lop exec.Operator, lscope *Scope, rop exec.Operator, rs
 		}
 		join = &exec.NestedLoopJoin{Type: t, Left: lop, Right: rop, On: residual}
 	}
-
-	// Instrument the join step for the learning optimizer.
-	lStep, lEst := pc.stepOf(lop)
-	rStep, rEst := pc.stepOf(rop)
-	if lStep != "" && rStep != "" {
-		stepText := JoinStep(lStep, rStep, keyPreds)
-		est := pc.estimateJoin(lEst, rEst, len(leftKeys))
-		if pc.p.Estimator != nil {
-			if learned, ok := pc.p.Estimator.LookupStep(stepText); ok {
-				est = learned
-			}
-		}
-		c := &exec.Counted{Child: join, StepText: stepText, EstimatedRows: est}
-		*pc.counted = append(*pc.counted, c)
-		join = c
+	if step != nil {
+		step.Child, join = join, step
 	}
 
 	return join, combined, conjuncts, nil
@@ -171,6 +184,19 @@ func equiPredicate(a, b exec.Expr) string {
 		l, r = r, l
 	}
 	return NormalizePredicate(l + " = " + r)
+}
+
+// newStep lists a step of the plan for the learning optimizer, estimated at
+// what the plan store learned for its text, if anything, else at est.
+func (pc *pctx) newStep(text string, est float64) *exec.Counted {
+	if pc.p.Estimator != nil {
+		if learned, ok := pc.p.Estimator.LookupStep(text); ok {
+			est = learned
+		}
+	}
+	c := &exec.Counted{StepText: text, EstimatedRows: est}
+	*pc.counted = append(*pc.counted, c)
+	return c
 }
 
 // stepOf returns the canonical step text and estimate of an operator if it
@@ -258,24 +284,23 @@ func (pc *pctx) planTableRef(ref sqlx.TableRef, conjuncts []sqlx.Expr) (exec.Ope
 	case *sqlx.TableFunc:
 		return pc.planTableFunc(r)
 	case *sqlx.JoinRef:
+		if r.Kind != sqlx.JoinLeft {
+			// An inner chain on a LEFT JOIN's preserved side: its ON
+			// conjuncts are in the WHERE list already (joinOn).
+			op, scope, _, err := pc.foldItems(joinItems(r, nil), conjuncts)
+			return op, scope, err
+		}
 		lop, lscope, err := pc.planTableRef(r.Left, conjuncts)
 		if err != nil {
 			return nil, nil, err
 		}
-		rop, rscope, err := pc.planTableRef(r.Right, conjuncts)
+		// The nullable side takes no WHERE conjunct: one that filtered its
+		// scan would null-extend the rows it should drop.
+		rop, rscope, err := pc.planTableRef(r.Right, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		var jt exec.JoinType
-		switch r.Kind {
-		case sqlx.JoinLeft:
-			jt = exec.LeftJoin
-		case sqlx.JoinCross:
-			jt = exec.CrossJoin
-		default:
-			jt = exec.InnerJoin
-		}
-		op, scope, _, err := pc.joinPair(lop, lscope, rop, rscope, r.On, jt, conjuncts)
+		op, scope, _, err := pc.joinPair(lop, lscope, rop, rscope, r.On, exec.LeftJoin, conjuncts)
 		return op, scope, err
 	default:
 		return nil, nil, fmt.Errorf("plan: unsupported FROM item %T", ref)
@@ -333,43 +358,36 @@ func (pc *pctx) planBaseTable(bt *sqlx.BaseTable, conjuncts []sqlx.Expr) (exec.O
 		}
 	}
 
-	// NDP scan when the pushdown level allows one, the engine offers it and
-	// the predicate (if any) is safe to evaluate on a partition. NDP
-	// filtering is exact — the engine evaluates the predicate on every row
-	// DN-side — so no Filter goes on top, and later passes may additionally
-	// push projections, TopN and bloom filters into the spec (see
-	// ScanPushdown). Otherwise: a plain scan filtered at the coordinator.
-	var op exec.Operator
-	var spec *ScanPushdown
-	if nd, ok := pc.p.Access.(NDPAccess); ok && pc.p.Pushdown.includes(PushdownFilter) &&
-		(combinedPred == nil || exec.IsPartitionPure(combinedPred)) {
-		sp := &ScanPushdown{Pred: combinedPred}
-		if s, ok := nd.ScanNDP(meta, sp); ok {
-			op, spec = s, sp
-		}
-	}
-	if op == nil {
-		op = pc.p.Access.Scan(meta)
-		if combinedPred != nil {
-			op = &exec.Filter{Child: op, Pred: combinedPred}
-		}
-	}
-
 	rows := float64(1000)
 	if meta.Stats != nil {
 		rows = float64(meta.Stats.Rows)
 	}
-	est := rows * sel
-	stepText := ScanStep(meta.Name, predTexts)
-	if pc.p.Estimator != nil {
-		if learned, ok := pc.p.Estimator.LookupStep(stepText); ok {
-			est = learned
+	c := pc.newStep(ScanStep(meta.Name, predTexts), rows*sel)
+
+	// NDP scan when the pushdown level allows one, the engine offers it and
+	// the predicate (if any) is safe to evaluate on a partition. NDP
+	// filtering is exact — the engine evaluates the predicate on every row
+	// DN-side, and counts the rows it selects into the step — so no Filter
+	// goes on top, and later passes may additionally push projections, TopN
+	// and bloom filters into the spec (see ScanPushdown). Otherwise: a plain
+	// scan filtered, and counted, at the coordinator.
+	var spec *ScanPushdown
+	if nd, ok := pc.p.Access.(NDPAccess); ok && pc.p.Pushdown.includes(PushdownFilter) &&
+		(combinedPred == nil || exec.IsPartitionPure(combinedPred)) {
+		sp := &ScanPushdown{Pred: combinedPred, Step: c}
+		if s, ok := nd.ScanNDP(meta, sp); ok {
+			c.Child, c.OnDataNodes, spec = s, true, sp
 		}
 	}
-	c := &exec.Counted{Child: op, StepText: stepText, EstimatedRows: est}
-	*pc.counted = append(*pc.counted, c)
-	pc.lastScan = &scanInfo{meta: meta, pred: combinedPred, counted: c, spec: spec}
-	if spec != nil && pc.scans != nil {
+	if spec == nil {
+		c.Child = pc.p.Access.Scan(meta, c)
+		if combinedPred != nil {
+			c.Child = &exec.Filter{Child: c.Child, Pred: combinedPred}
+		}
+	}
+	pc.lastScan = nil
+	if spec != nil {
+		pc.lastScan = &scanInfo{meta: meta, spec: spec}
 		(*pc.scans)[c] = pc.lastScan
 	}
 	return c, scope, nil

@@ -234,7 +234,7 @@ func splitJoinNeed(need []bool, nLeft, nRight int, cond exec.Expr) (ln, rn []boo
 // which must be partition-pure to evaluate on a DN.
 func (pc *pctx) tryTopNPushdown(projChild exec.Operator, sortKeys []exec.SortKey, exprs []exec.Expr, limit int64) bool {
 	ls := pc.lastScan
-	if !pc.p.Pushdown.includes(PushdownTopN) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
+	if !pc.p.Pushdown.includes(PushdownTopN) || ls == nil || exec.Operator(ls.spec.Step) != projChild {
 		return false
 	}
 	if limit < 0 && len(sortKeys) == 0 {
@@ -282,7 +282,7 @@ func inputKeys(sortKeys []exec.SortKey, exprs []exec.Expr) ([]exec.SortKey, bool
 func (pc *pctx) tryProjectionFold(projChild exec.Operator, exprs []exec.Expr, out *types.Schema) bool {
 	ls := pc.lastScan
 	nd, ok := pc.p.Access.(NDPAccess)
-	if !ok || !pc.p.Pushdown.includes(PushdownProjection) || ls == nil || ls.spec == nil || exec.Operator(ls.counted) != projChild {
+	if !ok || !pc.p.Pushdown.includes(PushdownProjection) || ls == nil || exec.Operator(ls.spec.Step) != projChild {
 		return false
 	}
 	cols := make([]int, len(exprs))
@@ -299,7 +299,7 @@ func (pc *pctx) tryProjectionFold(projChild exec.Operator, exprs []exec.Expr, ou
 		ls.spec.Out, ls.spec.OutSchema = nil, nil
 		return false
 	}
-	ls.counted.Child = op
+	ls.spec.Step.Child = op
 	return true
 }
 
@@ -322,7 +322,7 @@ func (pc *pctx) tryBloomPushdown(hj *exec.HashJoin, lop exec.Operator, lEst, rEs
 	// A folded scan (a derived table's block) emits output rows, not the
 	// table's: it stays a plain probe input, as under its Project.
 	info := (*pc.scans)[lc]
-	if info == nil || info.spec == nil || info.spec.Bloom != nil || info.spec.Out != nil {
+	if info == nil || info.spec.Bloom != nil || info.spec.Out != nil {
 		return
 	}
 	if lEst > 0 && rEst > lEst {

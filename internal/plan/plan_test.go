@@ -29,7 +29,7 @@ func (c *fakeCatalog) Resolve(name string) (*TableMeta, error) {
 	return t.meta, nil
 }
 
-func (c *fakeCatalog) Scan(meta *TableMeta) exec.Operator {
+func (c *fakeCatalog) Scan(meta *TableMeta, _ *exec.Counted) exec.Operator {
 	t := c.tables[strings.ToLower(meta.Name)]
 	return exec.NewSource(meta.Name, meta.Schema, func(emit func(types.Row) bool) {
 		for _, r := range t.rows {
@@ -348,9 +348,9 @@ type scanCounter struct {
 	n     *int
 }
 
-func (s scanCounter) Scan(meta *TableMeta) exec.Operator {
+func (s scanCounter) Scan(meta *TableMeta, step *exec.Counted) exec.Operator {
 	*s.n++
-	return s.inner.Scan(meta)
+	return s.inner.Scan(meta, step)
 }
 
 func TestScalarSubqueryCorrelated(t *testing.T) {

@@ -125,13 +125,10 @@ type pctx struct {
 	pairsScored int
 }
 
-// scanInfo describes one instrumented base-table scan.
+// scanInfo describes one NDP base-table scan: its table, and the pushdown
+// spec whose Step is the scan's instrumented step.
 type scanInfo struct {
-	meta    *TableMeta
-	pred    exec.Expr // nil when no predicate was pushed into the scan
-	counted *exec.Counted
-	// spec is the scan's NDP pushdown spec, nil when the scan is a plain
-	// Access.Scan under a coordinator Filter.
+	meta *TableMeta
 	spec *ScanPushdown
 }
 

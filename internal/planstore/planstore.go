@@ -95,13 +95,13 @@ func (s *Store) LookupStep(stepText string) (float64, bool) {
 // Capture is the producer: it records every instrumented step whose
 // estimate diverges from the actual row count by at least the capture
 // ratio, and refreshes steps already present (actuals drift as data
-// changes).
+// changes). A step whose count was cut short (exec.Counted.Cut) is skipped.
 func (s *Store) Capture(steps []*exec.Counted) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	captured := 0
 	for _, c := range steps {
-		if c.StepText == "" {
+		if c.StepText == "" || c.Cut.Load() {
 			continue
 		}
 		actual := float64(c.ActualRows)
