@@ -329,9 +329,10 @@ func (p *ndpProgram) need(col int) int {
 }
 
 // bind instantiates the program's terms for one columnar fragment run: the
-// segment pruner (nil: scan everything), the kernels, and the residual the
-// run evaluates row-wise — rest plus the conjunct of every term that gets no
-// kernel: an IN list, or one whose value does not resolve (exec.Term.Resolve).
+// segment pruner (nil: scan everything), the kernels — the range terms on
+// one BIGINT or DOUBLE column intersected into one — and the residual the
+// run evaluates row-wise: rest plus the conjunct of every term that gets no
+// kernel, an IN list or one whose value does not resolve (exec.Term.Resolve).
 func (p *ndpProgram) bind(ctx *exec.Ctx) (keep func(*colstore.Segment) bool, kernels []vecKernel, residual exec.Expr) {
 	residual = p.rest
 	var checks []zoneCheck
@@ -348,7 +349,7 @@ func (p *ndpProgram) bind(ctx *exec.Ctx) (keep func(*colstore.Segment) bool, ker
 			checks = append(checks, zoneCheckOf(t.Col, t.Op, vals))
 		}
 		if ok && t.Op != "IN" {
-			kernels = append(kernels, vecKernelOf(at, t.Op, vals[0]))
+			kernels = andKernel(kernels, vecKernelOf(at, p.schema.Columns[t.Col].Kind, t.Op, vals[0]))
 		} else if t.Conj != left {
 			left = t.Conj
 			residual = exec.And(residual, left)
@@ -504,8 +505,8 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 			for i := range sel {
 				sel[i] = true
 			}
-			for _, k := range kernels {
-				if err := k(b, sel); err != nil {
+			for i := range kernels {
+				if err := kernels[i].apply(b, sel); err != nil {
 					scanErr = err
 					return false
 				}

@@ -190,16 +190,39 @@ func TestAggregateErrorsIdenticalAcrossStorage(t *testing.T) {
 
 // TestBigIntsAbove2To53StayDistinct: DISTINCT, GROUP BY and an equi-join
 // tell 2^53 from 2^53+1 (a key built from float64(v) did not), while INT 3
-// still joins DOUBLE 3.0.
+// still joins DOUBLE 3.0; and a pushed comparison of a BIGINT column with a
+// DOUBLE, or of a DOUBLE column with a BIGINT above 2^53, selects exactly
+// as types.Compare orders them, NaN above every number, at every level —
+// the columnar kernels once compared through float64 and Go's NaN.
 func TestBigIntsAbove2To53StayDistinct(t *testing.T) {
 	for _, st := range randomStorages {
 		c := newCluster(t, 2, ModeGTMLite)
 		s := c.NewSession()
 		mustExec(t, s, "CREATE TABLE big (id BIGINT, v BIGINT) DISTRIBUTE BY HASH(id)"+st.clause)
 		mustExec(t, s, "CREATE TABLE fl (id BIGINT, f DOUBLE) DISTRIBUTE BY HASH(id)"+st.clause)
+		mustExec(t, s, "CREATE TABLE edge (id BIGINT, v BIGINT, f DOUBLE) DISTRIBUTE BY HASH(id)"+st.clause)
 		mustExec(t, s, "INSERT INTO big VALUES (1, 9007199254740992), (2, 9007199254740993), (3, 9007199254740992), (4, 3)")
 		mustExec(t, s, "INSERT INTO fl VALUES (1, 3.0), (2, 3.5)")
+		// f: 2^53, NaN, 1.5 and NULL beside v: 2^53 - 1, 2^53, 2^53 + 1 and NULL.
+		mustExec(t, s, "INSERT INTO edge VALUES (1, 9007199254740991, 9007199254740992.0), "+
+			"(2, 9007199254740992, 1e308 * 10 - 1e308 * 10), (3, 9007199254740993, 1.5), (4, NULL, NULL)")
 		sweepPushdown(c, func(label string) {
+			for q, want := range map[string]string{
+				"SELECT id FROM edge WHERE v > 9007199254740992.0 ORDER BY id":       "[(3)]",
+				"SELECT id FROM edge WHERE v = 9007199254740992.0 ORDER BY id":       "[(2)]",
+				"SELECT id FROM edge WHERE v <> 9007199254740992.0 ORDER BY id":      "[(1) (3)]",
+				"SELECT id FROM edge WHERE v >= 9007199254740991.5 ORDER BY id":      "[(2) (3)]",
+				"SELECT id FROM edge WHERE f < 9007199254740993 ORDER BY id":         "[(1) (3)]",
+				"SELECT id FROM edge WHERE f >= 9007199254740993 ORDER BY id":        "[(2)]",
+				"SELECT id FROM edge WHERE f > 1.0 ORDER BY id":                      "[(1) (2) (3)]",
+				"SELECT id FROM edge WHERE f > 1.0 AND f < 2.0 ORDER BY id":          "[(3)]",
+				"SELECT id FROM edge WHERE f <> 1.5 ORDER BY id":                     "[(1) (2)]",
+				"SELECT id FROM edge WHERE f >= 1e308 * 10 - 1e308 * 10 ORDER BY id": "[(2)]",
+			} {
+				if got := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
+					t.Errorf("%s %s: %q = %s, want %s", st.name, label, q, got, want)
+				}
+			}
 			for q, want := range map[string]string{
 				"SELECT DISTINCT v FROM big ORDER BY v":                               "[(3) (9007199254740992) (9007199254740993)]",
 				"SELECT v, count(*) FROM big GROUP BY v ORDER BY v":                   "[(3, 1) (9007199254740992, 2) (9007199254740993, 1)]",

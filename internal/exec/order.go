@@ -139,7 +139,8 @@ func (o *keyOrder) compare(a, b *ranked) (int, error) {
 
 // sort returns rows' entries in key order, ties by position, in ents, one
 // per row; rows is not moved. The entries are sorted on their prefixes
-// alone, then each run of tied prefixes on its rows' full keys.
+// alone, then each run of tied prefixes on its rows' full keys and
+// positions, so the first sort need not keep ties in order.
 func (o *keyOrder) sort(rows []types.Row, ents []sortEntry) ([]sortEntry, error) {
 	for i, r := range rows {
 		p, err := o.prefix(r, -1)
@@ -148,12 +149,7 @@ func (o *keyOrder) sort(rows []types.Row, ents []sortEntry) ([]sortEntry, error)
 		}
 		ents[i] = sortEntry{p, i}
 	}
-	slices.SortFunc(ents, func(a, b sortEntry) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	radixSort(ents, 56)
 	longest := 0
 	for i, j := 0, 0; i < len(ents); i = j {
 		j = tieEnd(ents, i)
@@ -171,6 +167,65 @@ func (o *keyOrder) sort(rows []types.Row, ents []sortEntry) ([]sortEntry, error)
 		}
 	}
 	return ents, nil
+}
+
+// radixSort sorts ents on their prefixes in place, from the byte at shift
+// down: an American flag sort. It counts the entries per value of the
+// byte, swaps each entry into its value's bucket and sorts each bucket on
+// the next byte; a byte every entry shares costs one counting pass and no
+// move, and a bucket of a few entries is insertion-sorted. No loop makes a
+// call per entry, where a comparison sort makes n log n comparator calls,
+// and no second buffer is needed. Entries of one prefix end up in no
+// particular order.
+func radixSort(ents []sortEntry, shift uint) {
+	var next, end [256]int32
+	for {
+		if len(ents) <= 32 {
+			for i := 1; i < len(ents); i++ {
+				for j := i; j > 0 && ents[j].prefix < ents[j-1].prefix; j-- {
+					ents[j], ents[j-1] = ents[j-1], ents[j]
+				}
+			}
+			return
+		}
+		end = [256]int32{}
+		for _, e := range ents {
+			end[byte(e.prefix>>shift)]++
+		}
+		if int(end[byte(ents[0].prefix>>shift)]) < len(ents) {
+			break
+		}
+		if shift == 0 {
+			return
+		}
+		shift -= 8
+	}
+	var sum int32
+	for d, n := range end {
+		next[d], sum = sum, sum+n
+		end[d] = sum
+	}
+	for d := range next {
+		for next[d] < end[d] {
+			e := ents[next[d]]
+			for b := byte(e.prefix >> shift); int(b) != d; b = byte(e.prefix >> shift) {
+				ents[next[b]], e = e, ents[next[b]]
+				next[b]++
+			}
+			ents[next[d]] = e
+			next[d]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		if hi-lo > 1 {
+			radixSort(ents[lo:hi], shift-8)
+		}
+		lo = hi
+	}
 }
 
 // tieEnd returns the end of the run of entries whose prefix is ents[i]'s.

@@ -36,6 +36,52 @@ func orderRows(n int, seed int64) []types.Row {
 	return rows
 }
 
+// prefixRows returns key sets shaped for the radix pass over order
+// prefixes, as rows (key, NULL, seq): prefixes that differ only in their
+// top byte (one-byte strings, NULL among them), only in their bottom byte
+// or two (strings sharing 7 or 6 bytes, so each value is repeated), or not
+// at all (BIGINTs above 2^60 that a
+// DOUBLE cannot tell apart, and strings sharing 8 bytes: every pass is
+// skipped and Compare orders them all), and negative and positive BIGINTs
+// and DOUBLEs mixed, NULL among them.
+func prefixRows(n int, seed int64) map[string][]types.Row {
+	rng := rand.New(rand.NewSource(seed))
+	gen := map[string]func() types.Datum{
+		"top byte": func() types.Datum {
+			if rng.Intn(10) == 0 {
+				return types.Null
+			}
+			return types.NewString(string(rune('a' + rng.Intn(20))))
+		},
+		"bottom byte": func() types.Datum { return types.NewString("abcdefg" + string(rune('a'+rng.Intn(20)))) },
+		"bottom two bytes": func() types.Datum {
+			return types.NewString("abcdef" + string(rune('a'+rng.Intn(3))) + string(rune('a'+rng.Intn(3))))
+		},
+		"no byte": func() types.Datum { return types.NewInt(1<<60 + int64(rng.Intn(40))) },
+		"no byte, strings": func() types.Datum {
+			return types.NewString("abcdefgh" + string(rune('a'+rng.Intn(20))))
+		},
+		"signed numbers": func() types.Datum {
+			switch rng.Intn(4) {
+			case 0:
+				return types.Null
+			case 1:
+				return types.NewFloat(rng.NormFloat64() * 1e6)
+			}
+			return types.NewInt(rng.Int63n(2_000_001) - 1_000_000)
+		},
+	}
+	sets := map[string][]types.Row{}
+	for name, next := range gen {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{next(), types.Null, types.NewInt(int64(i))}
+		}
+		sets[name] = rows
+	}
+	return sets
+}
+
 var orderKeyCases = [][]SortKey{
 	{{Expr: &ColRef{Index: 0}}},
 	{{Expr: &ColRef{Index: 0}, Desc: true}},
@@ -87,6 +133,15 @@ func TestSortMatchesStableReference(t *testing.T) {
 			}
 		}
 	}
+	for name, rows := range prefixRows(700, 9) {
+		for _, desc := range []bool{false, true} {
+			keys := []SortKey{{Expr: &ColRef{Index: 0}, Desc: desc}}
+			want := seqs(stableReference(rows, keys))
+			if got := seqs(collect(t, &Sort{Child: NewValues(schema, rows), Keys: keys})); got != want {
+				t.Fatalf("%s desc=%v: Sort\n got %s\nwant %s", name, desc, got, want)
+			}
+		}
+	}
 }
 
 // splitFragments cuts rows into k contiguous fragments.
@@ -120,6 +175,20 @@ func TestOrderedExchangeMatchesStableSort(t *testing.T) {
 				ex.Order = keys
 				if got := seqs(collect(t, ex)); got != want {
 					t.Fatalf("keys=%d frags=%d degree=%d:\n got %s\nwant %s", ki, k, degree, got, want)
+				}
+			}
+		}
+	}
+
+	for name, rows := range prefixRows(900, 10) {
+		for _, desc := range []bool{false, true} {
+			keys := []SortKey{{Expr: &ColRef{Index: 0}, Desc: desc}}
+			want := seqs(stableReference(rows, keys))
+			for _, degree := range []int{1, 4} {
+				ex := NewParallelSource("t", schema, degree, func() ([]Fragment, error) { return splitFragments(rows, 3), nil })
+				ex.Order = keys
+				if got := seqs(collect(t, ex)); got != want {
+					t.Fatalf("%s desc=%v degree=%d:\n got %s\nwant %s", name, desc, degree, got, want)
 				}
 			}
 		}

@@ -139,6 +139,13 @@ func (d Datum) Int() int64 {
 	return d.i
 }
 
+// IntValue returns a BIGINT datum's value; ok is false for any other kind.
+// Unlike Int it cannot panic, so it inlines into a caller's loop.
+func (d Datum) IntValue() (v int64, ok bool) { return d.i, d.kind == KindInt }
+
+// FloatValue returns a DOUBLE datum's value; ok is false for any other kind.
+func (d Datum) FloatValue() (v float64, ok bool) { return d.f(), d.kind == KindFloat }
+
 // Float returns the float value, converting from BIGINT if needed.
 func (d Datum) Float() float64 {
 	switch d.kind {
