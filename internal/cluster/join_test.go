@@ -483,3 +483,115 @@ func TestDistJoinPlanTime(t *testing.T) {
 		t.Errorf("PlanTime = %v, want > 0", res.PlanTime)
 	}
 }
+
+// TestDNJoinBloomProbe: a DN-side join whose probe scan is filtered by the
+// DN's own build table's bloom filter returns the rows pushdown off
+// returns, and learns every step at the count pushdown off learns — for a
+// BIGINT probe key with NULLs (probed a batch at a time on a columnar
+// table), a DOUBLE probe column against a BIGINT build key (probed datum
+// by datum), a residual predicate on the probe scan, and a co-located
+// join; on row and columnar probe tables; and again with every probe scan
+// under a mid-move ownership filter.
+func TestDNJoinBloomProbe(t *testing.T) {
+	c := newCluster(t, 2, ModeGTMLite)
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE bdim (id BIGINT, tag BIGINT) DISTRIBUTE BY HASH(id)")
+	mustExec(t, s, "CREATE TABLE bkeys (k BIGINT, w BIGINT) DISTRIBUTE BY HASH(k)")
+	var dim, keys, probe []string
+	for i := 0; i < 40; i++ {
+		dim = append(dim, fmt.Sprintf("(%d, %d)", i, i*10))
+	}
+	for i := 0; i < 3000; i += 37 {
+		keys = append(keys, fmt.Sprintf("(%d, %d)", i, i*2))
+	}
+	for i := 0; i < 3000; i++ {
+		j, x := fmt.Sprint(i%100), fmt.Sprintf("%d.0", i%100)
+		if i%7 == 0 {
+			j = "NULL"
+		}
+		if i%3 == 0 {
+			x = fmt.Sprintf("%d.5", i%100)
+		}
+		probe = append(probe, fmt.Sprintf("(%d, %s, %s, %d)", i, j, x, i))
+	}
+	mustExec(t, s, "INSERT INTO bdim VALUES "+strings.Join(dim, ", "))
+	mustExec(t, s, "INSERT INTO bkeys VALUES "+strings.Join(keys, ", "))
+	for _, tb := range []string{"bprobe", "cprobe"} {
+		using := map[string]string{"bprobe": "", "cprobe": " USING COLUMN"}[tb]
+		mustExec(t, s, "CREATE TABLE "+tb+" (k BIGINT, j BIGINT, x DOUBLE, v BIGINT) DISTRIBUTE BY HASH(k)"+using)
+		mustExec(t, s, "INSERT INTO "+tb+" VALUES "+strings.Join(probe, ", "))
+	}
+	for _, tb := range []string{"bdim", "bkeys", "bprobe", "cprobe"} {
+		if err := c.Analyze(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := []struct {
+		name, sql string
+		pol       plan.DistJoinPolicy
+	}{
+		{"nulls", "SELECT p.v, d.tag FROM P p, bdim d WHERE p.j = d.id", plan.DistJoinPolicy{Force: plan.DistBroadcast}},
+		{"double", "SELECT p.v, d.tag FROM P p, bdim d WHERE p.x = d.id", plan.DistJoinPolicy{Force: plan.DistBroadcast}},
+		{"residual", "SELECT p.v, d.tag FROM P p, bdim d WHERE p.j = d.id AND p.v % 3 <> 1", plan.DistJoinPolicy{Force: plan.DistBroadcast}},
+		{"colocated", "SELECT p.v, q.w FROM P p, bkeys q WHERE p.k = q.k", plan.DistJoinPolicy{Force: plan.DistColocated}},
+	}
+	c.Learning = true
+	c.Store.CaptureRatio = 1
+	defer func() { c.JoinPolicy, c.Pushdown = plan.DistJoinPolicy{}, plan.PushdownBloom }()
+	// run returns sql's rows and the steps it teaches an empty plan store.
+	run := func(sql string, pol plan.DistJoinPolicy, level plan.PushdownLevel) (string, string) {
+		c.JoinPolicy, c.Pushdown = pol, level
+		c.Store.Reset()
+		rows := fingerprint(t, s, sql)
+		learned := map[string]float64{}
+		for _, e := range c.Store.Entries() {
+			learned[e.StepText] = e.Actual
+		}
+		return rows, fmt.Sprint(learned)
+	}
+	check := func(when string) {
+		for _, tb := range []string{"bprobe", "cprobe"} {
+			for _, q := range queries {
+				sql := strings.Replace(q.sql, " P p", " "+tb+" p", 1)
+				wantRows, wantSteps := run(sql, plan.DistJoinPolicy{Disable: true}, plan.PushdownOff)
+				if strings.HasPrefix(wantRows, "0 rows") {
+					t.Fatalf("%s: %s returns no rows; fixture broken", q.name, sql)
+				}
+				rows, steps := run(sql, q.pol, plan.PushdownBloom)
+				if rows != wantRows {
+					t.Errorf("%s %s/%s: the DN join returns\n%.200s\nwant\n%.200s", when, tb, q.name, rows, wantRows)
+				}
+				if steps != wantSteps {
+					t.Errorf("%s %s/%s: the DN join learns %s\nwant %s", when, tb, q.name, steps, wantSteps)
+				}
+			}
+		}
+	}
+	check("before any move")
+
+	id, err := c.AddDataNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// From the second move on, the new node is scanned and holds the rows
+	// of a bucket it does not own yet.
+	copies := 0
+	c.MoveHook = func(stage string, bucket, target int) {
+		if stage == "copied" {
+			copies++
+			check(fmt.Sprintf("bucket %d copied to dn%d", bucket, target))
+		}
+	}
+	defer func() { c.MoveHook = nil }()
+	for n, b := range c.ExpansionPlan(id) {
+		if n == 3 {
+			break
+		}
+		if _, err := c.MoveBucket(b, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if copies != 3 {
+		t.Fatalf("%d bucket moves stopped at their copy, want 3", copies)
+	}
+}

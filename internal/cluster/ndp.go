@@ -453,7 +453,12 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 // kernels clear a selection vector, then ownership and the residual
 // predicate decide row by row: what the step selects, counted for it
 // (exec.Counted.Select) before the bloom probe (bf, nil for none) and the
-// TopN heap drop a row. Only survivors reach the sink.
+// TopN heap drop a row. Only survivors reach the sink. A columnar batch
+// goes through these stages one at a time, each over the whole selection
+// vector — a BIGINT bloom column is probed in one pass (Bloom.FilterInts)
+// — and the last loop only builds survivors; so a sink that stops the
+// scan mid-batch leaves a count that covers that batch whole (a stopped
+// count is cut, never learned).
 func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fragSink) error {
 	var scanErr error
 	var selected int64
@@ -511,52 +516,69 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 					return false
 				}
 			}
-			// Row-wise checks refine the selection vector. A row-fed sink gets
-			// each survivor materialized on the spot (so a full bare-LIMIT heap
-			// stops the scan mid-batch); the vector-fed aggregate takes, and
-			// counts, the whole vector afterwards when nothing refines it.
-			refine := sink.vec == nil || src.owns != nil || bf != nil || residual != nil
-			if n := int64(b.N); !refine {
-				for i := 0; len(kernels) > 0 && i < b.N; i++ {
+			// Ownership and the residual refine the selection row by row, and
+			// the step counts what they leave. A residual that fails ends the
+			// batch at its row: the rows before it still reach the sink, and
+			// the error stands unless the sink stops first.
+			n, evalErr := b.N, error(nil)
+			switch {
+			case src.owns != nil || residual != nil:
+				for i := 0; i < n; i++ {
 					if !sel[i] {
-						n--
+						continue
+					}
+					if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
+						sel[i] = false // not owner's row (migration phantom)
+						continue
+					}
+					if residual != nil {
+						if sparse == nil {
+							sparse = make(types.Row, p.tableCols)
+						}
+						for j, c := range p.scanCols {
+							sparse[c] = b.Cols[j].DatumAt(i)
+						}
+						ok, err := exec.EvalBool(residual, ctx, sparse)
+						if err != nil {
+							n, evalErr = i, err
+							break
+						}
+						if !ok {
+							sel[i] = false
+							continue
+						}
+					}
+					selected++
+				}
+			case len(kernels) > 0:
+				for _, ok := range sel {
+					if ok {
+						selected++
 					}
 				}
-				selected += n
+			default:
+				selected += int64(n)
 			}
-			for i := 0; refine && i < b.N; i++ {
-				if !sel[i] {
-					continue
-				}
-				if src.owns != nil && !src.owns(b.Cols[distPos].DatumAt(i)) {
-					sel[i] = false // not owner's row (migration phantom)
-					continue
-				}
-				if residual != nil {
-					if sparse == nil {
-						sparse = make(types.Row, p.tableCols)
-					}
-					for j, c := range p.scanCols {
-						sparse[c] = b.Cols[j].DatumAt(i)
-					}
-					ok, err := exec.EvalBool(residual, ctx, sparse)
-					if err != nil {
-						scanErr = err
-						return false
-					}
-					if !ok {
-						sel[i] = false
-						continue
+			// The bloom probe drops what provably cannot match the join's
+			// build side: a BIGINT key column in one pass, any other key by
+			// its datum.
+			if bf != nil {
+				if v := b.Cols[bloomPos]; v.Kind == types.KindInt {
+					bf.FilterInts(v.Ints, v.Nulls, sel[:n])
+				} else {
+					for i := 0; i < n; i++ {
+						if sel[i] {
+							d := v.DatumAt(i)
+							sel[i] = !d.IsNull() && bf.MayContain(d)
+						}
 					}
 				}
-				selected++
-				if bf != nil {
-					if d := b.Cols[bloomPos].DatumAt(i); d.IsNull() || !bf.MayContain(d) {
-						sel[i] = false // provably cannot match the join's build side
-						continue
-					}
-				}
-				if sink.vec != nil || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
+			}
+			// A row-fed sink gets each survivor materialized on the spot (so a
+			// full bare-LIMIT heap stops the scan mid-batch); the vector-fed
+			// aggregate takes the whole vector afterwards.
+			for i := 0; sink.vec == nil && i < n; i++ {
+				if !sel[i] || sink.topn != nil && sink.topn.Rejects(b.Cols[topnPos].DatumAt(i)) {
 					continue
 				}
 				// Materialize the survivor: just the projected columns, in the
@@ -569,6 +591,10 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 				if scanErr, stopped = err, !more; stopped {
 					return false
 				}
+			}
+			if evalErr != nil {
+				scanErr = evalErr
+				return false
 			}
 			if sink.vec != nil {
 				scanErr = sink.vec.addBatch(sink.agg, b, sel)

@@ -13,6 +13,7 @@ package txnkit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -134,11 +135,14 @@ func (s *GlobalSnapshot) GXIDVisible(g GXID) bool {
 	return !s.Contains(g)
 }
 
-// lcoEntry records one local commit in commit order. GXID is zero for
-// single-shard transactions.
+// lcoEntry records one local commit in commit order; its GXID is
+// gxidOf[XID] (none for a single-shard transaction), which a commit
+// settles. upTo is the highest GXID of this entry and every earlier one:
+// monotone along the LCO, so a binary search finds the first entry that
+// reaches a GXID.
 type lcoEntry struct {
 	XID  XID
-	GXID GXID
+	upTo GXID
 }
 
 // TxnManager is the per-data-node transaction manager.
@@ -149,6 +153,7 @@ type TxnManager struct {
 	active     map[XID]struct{}
 	gxidOf     map[XID]GXID
 	xidMap     map[GXID]XID // the paper's xidMap input to Algorithm 1
+	gxids      []GXID       // xidMap's keys, ascending
 	lco        []lcoEntry   // the paper's LCO input to Algorithm 1
 	commitDone map[XID]chan struct{}
 	clogReads  uint64 // Reader verdicts that read status
@@ -208,10 +213,23 @@ func (m *TxnManager) beginLocked(g GXID) XID {
 	m.active[x] = struct{}{}
 	m.commitDone[x] = make(chan struct{})
 	if g != 0 {
-		m.gxidOf[x] = g
-		m.xidMap[g] = x
+		m.mapGlobalLocked(x, g)
 	}
 	return x
+}
+
+// mapGlobalLocked binds local transaction x to g, keeping gxids sorted.
+// GXIDs come from one GTM counter, so a new one nearly always goes last.
+func (m *TxnManager) mapGlobalLocked(x XID, g GXID) {
+	m.gxidOf[x] = g
+	if _, ok := m.xidMap[g]; !ok {
+		i := len(m.gxids)
+		for i > 0 && m.gxids[i-1] > g {
+			i--
+		}
+		m.gxids = slices.Insert(m.gxids, i, g)
+	}
+	m.xidMap[g] = x
 }
 
 // RegisterGlobal maps an already-running local transaction to a GXID.
@@ -230,8 +248,7 @@ func (m *TxnManager) RegisterGlobal(x XID, g GXID) error {
 	if existing, ok := m.gxidOf[x]; ok && existing != g {
 		return fmt.Errorf("txnkit: transaction %d already bound to GXID %d", x, existing)
 	}
-	m.gxidOf[x] = g
-	m.xidMap[g] = x
+	m.mapGlobalLocked(x, g)
 	return nil
 }
 
@@ -258,7 +275,11 @@ func (m *TxnManager) Commit(x XID) error {
 	}
 	m.status[x] = StatusCommitted
 	delete(m.active, x)
-	m.lco = append(m.lco, lcoEntry{XID: x, GXID: m.gxidOf[x]})
+	upTo := m.gxidOf[x]
+	if n := len(m.lco); n > 0 {
+		upTo = max(upTo, m.lco[n-1].upTo)
+	}
+	m.lco = append(m.lco, lcoEntry{XID: x, upTo: upTo})
 	if ch, ok := m.commitDone[x]; ok {
 		close(ch)
 		delete(m.commitDone, x)
@@ -433,6 +454,12 @@ func (m *TxnManager) ClogReads() uint64 {
 //
 // The method takes the local snapshot itself at the appropriate time (after
 // UPGRADE waits complete) so callers only supply the global snapshot.
+//
+// The merge reads only what the global snapshot can hide: the GXIDs at or
+// above its Xmax (gxids is sorted), and the LCO from its first entry whose
+// GXID can be invisible — every GXID below both Xmax and each member of
+// Active is visible, and lcoEntry.upTo finds the first entry at or above
+// that bound. Nothing before it can poison.
 func (m *TxnManager) MergeSnapshot(gsnap *GlobalSnapshot) (Snapshot, error) {
 	// Step 6 (upgradeTX) first: wait for locally-prepared transactions that
 	// the global snapshot already considers committed. Waiting must happen
@@ -448,17 +475,19 @@ func (m *TxnManager) MergeSnapshot(gsnap *GlobalSnapshot) (Snapshot, error) {
 	defer m.mu.Unlock()
 
 	merged := m.localSnapshotLocked() // steps 3–4: local active set
-	// Step 1–2: map global active transactions into local XIDs.
+	// Step 1–2: map global active transactions into local XIDs. Every GXID
+	// below lo is visible to the global snapshot.
+	lo := min(gsnap.Xmin, gsnap.Xmax)
 	for g := range gsnap.Active {
+		lo = min(lo, g)
 		if lx, ok := m.xidMap[g]; ok {
 			merged.Active[lx] = struct{}{}
 		}
 	}
 	// Global transactions above the global horizon are also invisible.
-	for g, lx := range m.xidMap {
-		if g >= gsnap.Xmax {
-			merged.Active[lx] = struct{}{}
-		}
+	above, _ := slices.BinarySearch(m.gxids, gsnap.Xmax)
+	for _, g := range m.gxids[above:] {
+		merged.Active[m.xidMap[g]] = struct{}{}
 	}
 
 	// Step 5 (downgradeTX): traverse the LCO. The first locally-committed
@@ -467,10 +496,12 @@ func (m *TxnManager) MergeSnapshot(gsnap *GlobalSnapshot) (Snapshot, error) {
 	// overwritten its data (the T1→T3 dependency of Anomaly 2), so they are
 	// all re-marked active in the merged snapshot.
 	if !m.DisableDowngrade {
+		from := sort.Search(len(m.lco), func(i int) bool { return m.lco[i].upTo >= lo })
 		poisoned := false
-		for _, e := range m.lco {
-			if !poisoned && e.GXID != 0 && !gsnap.GXIDVisible(e.GXID) {
-				poisoned = true
+		for _, e := range m.lco[from:] {
+			if !poisoned {
+				g := m.gxidOf[e.XID]
+				poisoned = g != 0 && !gsnap.GXIDVisible(g)
 			}
 			if poisoned {
 				merged.Active[e.XID] = struct{}{}
@@ -562,13 +593,19 @@ func (m *TxnManager) TruncateLCO(globalXmin GXID) {
 	defer m.mu.Unlock()
 	keepFrom := len(m.lco)
 	for i, e := range m.lco {
-		if e.GXID != 0 && e.GXID >= globalXmin {
+		if g := m.gxidOf[e.XID]; g != 0 && g >= globalXmin {
 			keepFrom = i
 			break
 		}
 	}
 	if keepFrom > 0 {
 		m.lco = append([]lcoEntry(nil), m.lco[keepFrom:]...)
+		for i := range m.lco {
+			m.lco[i].upTo = m.gxidOf[m.lco[i].XID]
+			if i > 0 {
+				m.lco[i].upTo = max(m.lco[i].upTo, m.lco[i-1].upTo)
+			}
+		}
 	}
 }
 

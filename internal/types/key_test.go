@@ -145,5 +145,12 @@ func FuzzAppendKey(f *testing.F) {
 		if want := rowsEqual(r1, r2); same != want {
 			t.Fatalf("%v vs %v: equal keys = %v, equal rows = %v", r1, r2, same, want)
 		}
+		// KeyInt reads the integer tag exactly when AppendKey writes it.
+		for _, d := range r1 {
+			i, ok := KeyInt(d)
+			if key := AppendKey(nil, d); ok != (key[0] == keyInt) || ok && !bytes.Equal(key, AppendKey(nil, NewInt(i))) {
+				t.Fatalf("KeyInt(%s %v) = %d, %t; key %x", d.Kind(), d, i, ok, key)
+			}
+		}
 	})
 }

@@ -414,6 +414,19 @@ func AppendKey(dst []byte, d Datum) []byte {
 	}
 }
 
+// KeyInt reports the integer d's AppendKey bytes carry under the integer
+// tag — a BIGINT, or a DOUBLE with an integral value in int64 range — so a
+// hash of that integer separates keys exactly as a hash of the bytes does.
+func KeyInt(d Datum) (int64, bool) {
+	switch d.kind {
+	case KindInt:
+		return d.i, true
+	case KindFloat:
+		return floatAsInt(d.f())
+	}
+	return 0, false
+}
+
 // Family groups the kinds Compare orders against each other: the two
 // numeric kinds share one, every other kind is its own. NULL has a family of
 // its own, which orders against all of them.
