@@ -284,8 +284,9 @@ func TestDifferentialKeyedVsUnkeyed(t *testing.T) {
 }
 
 // TestPointStatementsVisitOneKey counts tuples, not microseconds: a statement
-// that pins a table's whole primary key examines that key's versions on its
-// partition, whatever the partition holds.
+// that pins a table's whole primary key examines its key's newest version on
+// its partition, whatever the partition or the key's history holds; only an
+// insert's key check reads every version of its key.
 func TestPointStatementsVisitOneKey(t *testing.T) {
 	const rows = 5000
 	c := newCluster(t, 1, ModeGTMLite)
@@ -308,21 +309,20 @@ func TestPointStatementsVisitOneKey(t *testing.T) {
 		}
 		return ti.part(0).row.Visited()
 	}
-	// Each step's budget is the number of versions its key has by then.
 	for _, step := range []struct {
 		table, sql string
 		rows, most int64
 	}{
 		{"kv", "SELECT v FROM kv WHERE k = 4321", 1, 1},
 		{"kv", "UPDATE kv SET v = 'x' WHERE k = 4321", 1, 1},
-		{"kv", "SELECT v FROM kv WHERE k = 4321", 1, 2},
-		{"kv", "UPDATE kv SET v = 'y' WHERE k = 4321.0", 1, 2},
-		{"kv", "DELETE FROM kv WHERE k = 4321", 1, 3},
-		{"kv", "INSERT INTO kv VALUES (4321, 'z')", 1, 3}, // the key check
+		{"kv", "SELECT v FROM kv WHERE k = 4321", 1, 1},
+		{"kv", "UPDATE kv SET v = 'y' WHERE k = 4321.0", 1, 1},
+		{"kv", "DELETE FROM kv WHERE k = 4321", 1, 1},
+		{"kv", "INSERT INTO kv VALUES (4321, 'z')", 1, 3}, // the key check: all three versions
 		{"kv", "INSERT INTO kv VALUES (5000001, 'new')", 1, 0},
 		{"dist", "SELECT y FROM dist WHERE w = 77 AND d = 3", 1, 1},
 		{"dist", "UPDATE dist SET y = y + 1 WHERE d = 3 AND w = 77", 1, 1},
-		{"dist", "SELECT y FROM dist WHERE w = 77 AND d = 3 AND y > 100", 0, 2},
+		{"dist", "SELECT y FROM dist WHERE w = 77 AND d = 3 AND y > 100", 0, 1},
 	} {
 		before := visited(step.table)
 		res := mustExec(t, s, step.sql)
@@ -338,5 +338,54 @@ func TestPointStatementsVisitOneKey(t *testing.T) {
 	mustExec(t, s, "SELECT y FROM dist WHERE w = 77")
 	if n := visited("dist") - before; n < rows {
 		t.Errorf("a statement pinning half the key examined %d tuples, want the whole partition (%d)", n, rows)
+	}
+}
+
+// TestPaymentVisitsAsManyAtEveryEpoch counts tuples per TPC-C Payment: its
+// three keyed UPDATEs examine as many versions after 4 000 transactions as
+// after 1 000, although every Payment adds a version of the one warehouse
+// row and nothing prunes them.
+func TestPaymentVisitsAsManyAtEveryEpoch(t *testing.T) {
+	c := newCluster(t, 1, ModeGTMLite)
+	s := c.NewSession()
+	mustExec(t, s, "CREATE TABLE warehouse (w_id BIGINT, w_ytd BIGINT, PRIMARY KEY(w_id)) DISTRIBUTE BY HASH(w_id)")
+	mustExec(t, s, "CREATE TABLE district (d_w_id BIGINT, d_id BIGINT, d_ytd BIGINT, PRIMARY KEY(d_w_id, d_id)) DISTRIBUTE BY HASH(d_w_id)")
+	mustExec(t, s, "CREATE TABLE customer (c_w_id BIGINT, c_d_id BIGINT, c_id BIGINT, c_balance BIGINT, PRIMARY KEY(c_w_id, c_d_id, c_id)) DISTRIBUTE BY HASH(c_w_id)")
+	mustExec(t, s, "INSERT INTO warehouse VALUES (0, 0)")
+	mustExec(t, s, "INSERT INTO district VALUES (0, 0, 0), (0, 1, 0)")
+	mustExec(t, s, "INSERT INTO customer VALUES "+valuesList(20, func(i int) string { return fmt.Sprintf("(0, %d, %d, 1000)", i%2, i) }))
+	tables := []string{"warehouse", "district", "customer"}
+	visited := func() (n int64) {
+		for _, table := range tables {
+			ti, err := c.tableInfo(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += ti.part(0).row.Visited()
+		}
+		return n
+	}
+	done := 0
+	payment := func() {
+		t.Helper()
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, "UPDATE warehouse SET w_ytd = w_ytd + 1 WHERE w_id = 0")
+		mustExec(t, s, fmt.Sprintf("UPDATE district SET d_ytd = d_ytd + 1 WHERE d_w_id = 0 AND d_id = %d", done%2))
+		mustExec(t, s, fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 1 WHERE c_w_id = 0 AND c_d_id = %d AND c_id = %d", done%2, done%20))
+		mustExec(t, s, "COMMIT")
+		done++
+	}
+	var per []int64
+	for _, epoch := range []int{1000, 4000} {
+		for done < epoch {
+			payment()
+		}
+		before := visited()
+		payment()
+		per = append(per, visited()-before)
+	}
+	// One version per UPDATE: each key's newest.
+	if per[0] != 3 || per[1] != 3 {
+		t.Errorf("a Payment examined %d versions after 1 000 transactions and %d after 4 000, want 3 and 3", per[0], per[1])
 	}
 }

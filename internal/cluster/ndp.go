@@ -446,6 +446,15 @@ func (a *stmtAccess) shipRows(ctx *exec.Ctx, p *ndpProgram, src fragSource, emit
 	})
 }
 
+// allSelected starts a columnar batch's selection vector by one copy: a
+// batch holds at most colstore.BatchSize rows.
+var allSelected = func() (all [colstore.BatchSize]bool) {
+	for i := range all {
+		all[i] = true
+	}
+	return all
+}()
+
 // run is the one fragment body: the select stage over src — columnar
 // batches (HTAP replicas included), the row store, or the row store's
 // versions of the one primary key the predicate pins — feeding sink. Rows
@@ -507,9 +516,7 @@ func (p *ndpProgram) run(ctx *exec.Ctx, src fragSource, bf *exec.Bloom, sink fra
 				sel = make([]bool, b.N)
 			}
 			sel = sel[:b.N]
-			for i := range sel {
-				sel[i] = true
-			}
+			copy(sel, allSelected[:])
 			for i := range kernels {
 				if err := kernels[i].apply(b, sel); err != nil {
 					scanErr = err

@@ -42,12 +42,10 @@ type Table struct {
 	// pkCols are the primary-key column positions; empty means no PK.
 	pkCols []int
 	// pk is the primary-key index: the hash of a version's whole key (see
-	// keyHash) -> the heap slots carrying it, in heap order. nil without a
+	// keyHash) -> the posting of the heap slots carrying it. nil without a
 	// PK. Entries are never removed on update/delete; visibility filtering
-	// happens at scan time and Vacuum / Reap rebuild the index. A posting
-	// list is a candidate list: a hash collision puts other keys on it, so
-	// every reader re-checks what it is looking for.
-	pk  map[uint64][]int
+	// happens at scan time and Vacuum / Reap rebuild the index.
+	pk  map[uint64]posting
 	txm *txnkit.TxnManager
 
 	// visited counts the heap versions scans, rewrites and key checks have
@@ -55,12 +53,22 @@ type Table struct {
 	visited atomic.Int64
 }
 
+// posting is one key-index entry: the heap slots whose key hashes alike, in
+// heap order, so a key's versions run oldest to newest. mixed marks a 64-bit
+// hash collision — a slot whose key differs from the first slot's — and such
+// a posting is only a candidate list, walked whole with every reader
+// re-checking what it is looking for.
+type posting struct {
+	slots []int
+	mixed bool
+}
+
 // NewTable creates an empty heap bound to the node's transaction manager.
 // pkCols may be nil.
 func NewTable(name string, schema *types.Schema, pkCols []int, txm *txnkit.TxnManager) *Table {
 	t := &Table{name: name, schema: schema, pkCols: pkCols, txm: txm}
 	if len(pkCols) > 0 {
-		t.pk = make(map[uint64][]int)
+		t.pk = make(map[uint64]posting)
 	}
 	return t
 }
@@ -114,19 +122,44 @@ func keyHash(row types.Row, cols []int) uint64 {
 	return h
 }
 
-// pathLocked picks the access path of a scan or rewrite: the n heap slots to
-// examine are slots[0:n] — the key index's candidates for key (one datum per
-// primary-key column, in key order), in heap order — or, with nil slots,
-// the whole heap: no key, or one this table cannot narrow by. Every examined
-// version counts as visited.
-func (t *Table) pathLocked(key types.Row) (slots []int, n int) {
+// pathLocked picks the access path of a scan or rewrite. With a whole
+// primary key (one datum per key column, in key order) whose posting carries
+// one key, one is true and slots are that key's versions, oldest first: at
+// most one of them is visible to a snapshot, and newestVisibleLocked finds
+// it. Otherwise the n heap slots to examine are slots[0:n] — a mixed
+// posting's candidates, in heap order — or, with nil slots, the whole heap:
+// no key, or one this table cannot narrow by; all n count as visited.
+func (t *Table) pathLocked(key types.Row) (slots []int, n int, one bool) {
 	n = len(t.heap)
 	if t.pk != nil && len(key) == len(t.pkCols) {
-		slots = t.pk[keyHash(key, nil)]
-		n = len(slots)
+		p := t.pk[keyHash(key, nil)]
+		if !p.mixed {
+			return p.slots, len(p.slots), true
+		}
+		slots, n = p.slots, len(p.slots)
 	}
 	t.visited.Add(int64(n))
-	return slots, n
+	return slots, n, false
+}
+
+// newestVisibleLocked walks one key's versions newest first and returns the
+// heap slot of the first one vis admits, or -1 when none is visible. It
+// stops there because no older version can also be visible: uniqueness is
+// judged by commit status (checkKeyLocked), an update ends its victim
+// first-updater-wins, and a snapshot — a merged one too — admits a prefix of
+// the node's local commit order, so it never sees a key's successor without
+// the end of its predecessor (DESIGN 20). Only the versions examined count
+// as visited.
+func (t *Table) newestVisibleLocked(slots []int, vis *txnkit.Reader) int {
+	for i := len(slots) - 1; i >= 0; i-- {
+		tp := &t.heap[slots[i]]
+		if vis.Visible(tp.Xmin, tp.Xmax) {
+			t.visited.Add(int64(len(slots) - i))
+			return slots[i]
+		}
+	}
+	t.visited.Add(int64(len(slots)))
+	return -1
 }
 
 // checkKeyLocked fails if a version already carrying row's primary key may
@@ -142,7 +175,7 @@ func (t *Table) checkKeyLocked(xid txnkit.XID, snap *txnkit.Snapshot, row types.
 	if t.pk == nil {
 		return nil
 	}
-	slots := t.pk[keyHash(row, t.pkCols)]
+	slots := t.pk[keyHash(row, t.pkCols)].slots
 	t.visited.Add(int64(len(slots)))
 	for _, s := range slots {
 		tp := &t.heap[s]
@@ -178,20 +211,29 @@ func (t *Table) appendLocked(tp Tuple) {
 	t.indexLocked(len(t.heap) - 1)
 }
 
-// indexLocked enters heap slot's version into the key index.
+// indexLocked enters heap slot's version into the key index, marking its
+// posting mixed if the slot's key differs from the posting's first.
 func (t *Table) indexLocked(slot int) {
-	if t.pk != nil {
-		h := keyHash(t.heap[slot].Row, t.pkCols)
-		t.pk[h] = append(t.pk[h], slot)
+	if t.pk == nil {
+		return
 	}
+	row := t.heap[slot].Row
+	h := keyHash(row, t.pkCols)
+	p := t.pk[h]
+	if len(p.slots) > 0 && !t.sameKey(t.heap[p.slots[0]].Row, row) {
+		p.mixed = true
+	}
+	p.slots = append(p.slots, slot)
+	t.pk[h] = p
 }
 
-// rebuildKeyLocked re-derives the key index after heap slots moved.
+// rebuildKeyLocked re-derives the key index, mixed flags included, after
+// heap slots moved.
 func (t *Table) rebuildKeyLocked() {
 	if t.pk == nil {
 		return
 	}
-	t.pk = make(map[uint64][]int, len(t.heap))
+	t.pk = make(map[uint64]posting, len(t.heap))
 	for slot := range t.heap {
 		t.indexLocked(slot)
 	}
@@ -203,16 +245,23 @@ func (t *Table) Scan(xid txnkit.XID, snap *txnkit.Snapshot, fn func(row types.Ro
 	t.ScanKey(xid, snap, nil, fn)
 }
 
-// ScanKey is Scan over an access path: with a whole primary key (one datum
-// per key column, in key order) it visits only the versions the key index
-// lists for it, in heap order — a superset of the versions carrying the
-// key, so fn applies its own predicate exactly as under Scan; with a nil
-// key, or on a table the key does not fit, it is Scan.
+// ScanKey is Scan over an access path. With a whole primary key (one datum
+// per key column, in key order) it reads only the versions the key index
+// lists for it: newest first, handing fn the key's one visible version, or,
+// on a mixed posting, every visible candidate in heap order. A posting may
+// carry another key, so fn applies its own predicate exactly as under Scan.
+// With a nil key, or on a table the key does not fit, it is Scan.
 func (t *Table) ScanKey(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, fn func(row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	slots, n := t.pathLocked(key)
+	slots, n, one := t.pathLocked(key)
 	vis := t.txm.Reader(snap, xid)
+	if one {
+		if s := t.newestVisibleLocked(slots, &vis); s >= 0 {
+			fn(t.heap[s].Row)
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		tp := &t.heap[i]
 		if slots != nil {
@@ -245,7 +294,8 @@ func (t *Table) LookupEq(xid txnkit.XID, snap *txnkit.Snapshot, col int, key typ
 // successors: every tuple visible to (xid, snap) that match accepts (nil:
 // all) gets xmax=xid, and the row change returns for it is appended as a new
 // version. key narrows where victims are looked for exactly as in ScanKey
-// (nil: the whole heap); match still decides. A nil change, or a nil row
+// (nil: the whole heap) — on a one-key posting the key's one visible version
+// is the only candidate; match still decides. A nil change, or a nil row
 // from it, deletes the victim. change must neither modify nor retain the
 // row it is given. A successor whose
 // primary-key columns differ from its victim's is checked for uniqueness
@@ -255,10 +305,25 @@ func (t *Table) LookupEq(xid txnkit.XID, snap *txnkit.Snapshot, col int, key typ
 func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, match func(types.Row) (bool, error), change func(old types.Row) (types.Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Collect first: appending while iterating would rescan new versions.
-	slots, cand := t.pathLocked(key)
-	var victims []int
+	slots, cand, one := t.pathLocked(key)
 	vis := t.txm.Reader(snap, xid)
+	if one {
+		i := t.newestVisibleLocked(slots, &vis)
+		if i < 0 {
+			return 0, nil
+		}
+		if match != nil {
+			if ok, err := match(t.heap[i].Row); err != nil || !ok {
+				return 0, err
+			}
+		}
+		if err := t.rewriteLocked(xid, snap, i, change); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	// Collect first: appending while iterating would rescan new versions.
+	var victims []int
 	for j := 0; j < cand; j++ {
 		i := j
 		if slots != nil {
@@ -279,32 +344,38 @@ func (t *Table) Rewrite(xid txnkit.XID, snap *txnkit.Snapshot, key types.Row, ma
 		}
 		victims = append(victims, i)
 	}
-	n := 0
-	for _, i := range victims {
-		old := t.heap[i].Row
-		if err := t.markDeletedLocked(&t.heap[i], xid); err != nil {
+	for n, i := range victims {
+		if err := t.rewriteLocked(xid, snap, i, change); err != nil {
 			return n, err
 		}
-		if change != nil {
-			row, err := change(old)
-			if err != nil {
-				return n, err
-			}
-			if row != nil {
-				if row, err = t.schema.CheckRow(row); err != nil {
-					return n, err
-				}
-				if !t.sameKey(old, row) {
-					if err = t.checkKeyLocked(xid, snap, row); err != nil {
-						return n, err
-					}
-				}
-				t.appendLocked(Tuple{Xmin: xid, Row: row})
-			}
-		}
-		n++
 	}
-	return n, nil
+	return len(victims), nil
+}
+
+// rewriteLocked ends the version in heap slot i for xid and appends the
+// successor change returns for it, if any: one victim of Rewrite.
+func (t *Table) rewriteLocked(xid txnkit.XID, snap *txnkit.Snapshot, i int, change func(old types.Row) (types.Row, error)) error {
+	old := t.heap[i].Row
+	if err := t.markDeletedLocked(&t.heap[i], xid); err != nil {
+		return err
+	}
+	if change == nil {
+		return nil
+	}
+	row, err := change(old)
+	if err != nil || row == nil {
+		return err
+	}
+	if row, err = t.schema.CheckRow(row); err != nil {
+		return err
+	}
+	if !t.sameKey(old, row) {
+		if err = t.checkKeyLocked(xid, snap, row); err != nil {
+			return err
+		}
+	}
+	t.appendLocked(Tuple{Xmin: xid, Row: row})
+	return nil
 }
 
 // KeyOf returns row's primary key, one datum per key column in key order —

@@ -721,3 +721,265 @@ func TestKeyIndexSurvivesVacuumAndReap(t *testing.T) {
 		t.Fatalf("insert of a reaped key: %v", err)
 	}
 }
+
+// TestHotKeyVisitsItsNewestVersion counts tuples: a keyed scan and a keyed
+// rewrite of a key updated thousands of times examine its newest version,
+// not its history — as few after 5 000 updates as after 1 000.
+func TestHotKeyVisitsItsNewestVersion(t *testing.T) {
+	tbl, txm := newTestTable(t, true)
+	insertRows(t, tbl, txm, 10)
+	key := types.Row{types.NewInt(3)}
+	updates := 0
+	bump := func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		n, err := tbl.Rewrite(xid, snap, key, nil, func(old types.Row) (types.Row, error) {
+			return types.Row{old[0], types.NewString(fmt.Sprintf("u%d", updates))}, nil
+		})
+		if err == nil && n != 1 {
+			err = fmt.Errorf("rewrote %d rows, want 1", n)
+		}
+		updates++
+		return err
+	}
+	for _, epoch := range []int{1000, 5000} {
+		for updates < epoch {
+			if err := run(txm, bump); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := tbl.VersionCount(); n < epoch {
+			t.Fatalf("the heap holds %d versions after %d updates", n, epoch)
+		}
+		before := tbl.Visited()
+		snap := txm.LocalSnapshot()
+		var got []string
+		tbl.ScanKey(0, &snap, key, func(r types.Row) bool { got = append(got, r[1].Str()); return true })
+		if want := fmt.Sprintf("u%d", updates-1); len(got) != 1 || got[0] != want {
+			t.Fatalf("after %d updates the key reads %v, want [%s]", updates, got, want)
+		}
+		if n := tbl.Visited() - before; n > 2 {
+			t.Errorf("after %d updates a keyed scan examined %d versions, want at most 2", updates, n)
+		}
+		before = tbl.Visited()
+		if err := run(txm, bump); err != nil {
+			t.Fatal(err)
+		}
+		if n := tbl.Visited() - before; n > 2 {
+			t.Errorf("after %d updates a keyed rewrite examined %d versions, want at most 2", updates-1, n)
+		}
+	}
+}
+
+// fullWalk is the walk the key index narrows: every heap slot in heap order,
+// judged by Visible, kept when pick accepts its row.
+func fullWalk(tbl *Table, xid txnkit.XID, snap *txnkit.Snapshot, pick func(types.Row) bool) []string {
+	vis := tbl.txm.Reader(snap, xid)
+	var out []string
+	for i := range tbl.heap {
+		tp := &tbl.heap[i]
+		if vis.Visible(tp.Xmin, tp.Xmax) && pick(tp.Row) {
+			out = append(out, tp.Row.String())
+		}
+	}
+	return out
+}
+
+// TestNewestFirstMatchesFullWalk holds the keyed walk — newest first,
+// stopping at the key's visible version — to a walk of the whole heap that
+// judges every version, for ScanKey and for Rewrite's victims, through the
+// histories that leave a key several versions: an update whose writer
+// aborted (an xmax of an aborted transaction, then taken over), a delete and
+// a re-insert, a transaction updating its own key twice, snapshots beneath
+// newer committed versions, concurrent updaters (first-updater-wins still
+// fails the second), a DOWNGRADEd merged snapshot (Algorithm 1, anomaly 2)
+// and a forced hash collision of two keys on one posting.
+func TestNewestFirstMatchesFullWalk(t *testing.T) {
+	tbl, txm := newTestTable(t, true)
+	insertRows(t, tbl, txm, 10)
+	type reader struct {
+		name string
+		xid  txnkit.XID
+		snap txnkit.Snapshot
+	}
+	var readers []reader
+	look := func(name string, xid txnkit.XID) {
+		readers = append(readers, reader{name, xid, txm.LocalSnapshot()})
+	}
+	row := func(id int64, v string) types.Row { return types.Row{types.NewInt(id), types.NewString(v)} }
+	set := func(v string) func(types.Row) (types.Row, error) {
+		return func(old types.Row) (types.Row, error) { return types.Row{old[0], types.NewString(v)}, nil }
+	}
+	key := func(id int64) types.Row { return types.Row{types.NewInt(id)} }
+	update := func(xid txnkit.XID, id int64, v string) error {
+		snap := txm.LocalSnapshot()
+		n, err := tbl.Rewrite(xid, &snap, key(id), nil, set(v))
+		if err == nil && n != 1 {
+			err = fmt.Errorf("update of key %d rewrote %d rows, want 1", id, n)
+		}
+		return err
+	}
+	commit := func(id int64, v string) {
+		t.Helper()
+		if err := run(txm, func(xid txnkit.XID, _ *txnkit.Snapshot) error { return update(xid, id, v) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	look("after the load", 0)
+
+	// Key 1: a committed update, an update whose writer aborts, and one that
+	// takes over the aborted writer's xmax.
+	commit(1, "t")
+	a := txm.Begin()
+	must(update(a, 1, "aborted"))
+	look("beside an open writer", 0)
+	txm.Abort(a)
+	look("after the abort", 0)
+	commit(1, "c")
+
+	// Key 2: deleted, then inserted again by another transaction; key 0:
+	// deleted and inserted again by one.
+	must(run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		_, err := tbl.Rewrite(xid, snap, key(2), nil, nil)
+		return err
+	}))
+	look("between a delete and its re-insert", 0)
+	must(run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error { return tbl.Insert(xid, snap, row(2, "again")) }))
+	must(run(txm, func(xid txnkit.XID, snap *txnkit.Snapshot) error {
+		if _, err := tbl.Rewrite(xid, snap, key(0), nil, nil); err != nil {
+			return err
+		}
+		return tbl.Insert(xid, snap, row(0, "own"))
+	}))
+
+	// Key 3: one transaction updates its own key twice.
+	s := txm.Begin()
+	must(update(s, 3, "s1"))
+	must(update(s, 3, "s2"))
+	look("the writer of two versions", s)
+	look("beside the writer of two versions", 0)
+	must(txm.Commit(s))
+
+	// Key 4: snapshots taken so far read beneath five newer versions.
+	for i := 0; i < 5; i++ {
+		commit(4, fmt.Sprintf("n%d", i))
+	}
+
+	// Key 5: first-updater-wins, against a writer committed after the
+	// second's snapshot and against one still open.
+	w := txm.Begin()
+	wsnap := txm.LocalSnapshot()
+	commit(5, "first")
+	if _, err := tbl.Rewrite(w, &wsnap, key(5), nil, set("second")); !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("an update beneath a committed concurrent update: err = %v, want ErrWriteConflict", err)
+	}
+	readers = append(readers, reader{"a writer beneath a committed update", w, wsnap})
+	txm.Abort(w)
+	u := txm.Begin()
+	must(update(u, 5, "open"))
+	w = txm.Begin()
+	wsnap = txm.LocalSnapshot()
+	if _, err := tbl.Rewrite(w, &wsnap, key(5), nil, set("second")); !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("an update beside an open update: err = %v, want ErrWriteConflict", err)
+	}
+	txm.Abort(w)
+	must(txm.Commit(u))
+
+	// Key 6: anomaly 2's shape — a multi-shard writer commits locally, a
+	// single-shard writer updates its version; a reader whose global
+	// snapshot still holds the first active is DOWNGRADEd past both.
+	const g txnkit.GXID = 5
+	t1 := txm.BeginGlobal(g)
+	must(update(t1, 6, "global"))
+	must(txm.Prepare(t1))
+	must(txm.Commit(t1))
+	commit(6, "local")
+	merged, err := txm.MergeSnapshot(&txnkit.GlobalSnapshot{Xmin: g, Xmax: g + 1, Active: map[txnkit.GXID]struct{}{g: {}}})
+	must(err)
+	readers = append(readers, reader{"a DOWNGRADEd merged snapshot", 0, merged})
+	var seen []string
+	tbl.ScanKey(0, &merged, key(6), func(r types.Row) bool { seen = append(seen, r[1].Str()); return true })
+	if len(seen) != 1 || seen[0] != "v6" {
+		t.Errorf("the DOWNGRADEd snapshot reads key 6 as %v, want [v6]", seen)
+	}
+
+	look("at the end", 0)
+
+	// Keys 7 and 8 forced onto one posting, as a hash collision puts them.
+	commit(7, "x")
+	commit(8, "y")
+	commit(7, "z")
+	look("before the collision", 0)
+	h7, h8 := keyHash(key(7), nil), keyHash(key(8), nil)
+	var both []int
+	for slot := range tbl.heap {
+		if id := tbl.heap[slot].Row[0]; !id.IsNull() && (id.Int() == 7 || id.Int() == 8) {
+			both = append(both, slot)
+		}
+	}
+	// A version indexed under a posting whose first slot carries another
+	// key marks it mixed.
+	tbl.pk[h7] = posting{slots: []int{both[1]}}
+	tbl.indexLocked(both[0])
+	if !tbl.pk[h7].mixed {
+		t.Fatal("a posting holding keys 8 and 7 is not marked mixed")
+	}
+	tbl.pk[h7] = posting{slots: both, mixed: true}
+	tbl.pk[h8] = posting{slots: both, mixed: true}
+
+	type probe struct {
+		name string
+		key  types.Row
+		pick func(types.Row) bool
+	}
+	var probes []probe
+	for id := int64(0); id < 10; id++ {
+		id := id
+		probes = append(probes, probe{fmt.Sprintf("key %d", id), key(id), func(r types.Row) bool { return !r[0].IsNull() && r[0].Int() == id }})
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, rd := range readers {
+			for _, p := range probes {
+				snap := rd.snap
+				want := fullWalk(tbl, rd.xid, &snap, p.pick)
+				var got []string
+				tbl.ScanKey(rd.xid, &snap, p.key, func(r types.Row) bool {
+					if p.pick(r) {
+						got = append(got, r.String())
+					}
+					return true
+				})
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: %s, %s: ScanKey reads %v, the full walk %v", when, rd.name, p.name, got, want)
+				}
+				var victims []string
+				if _, err := tbl.Rewrite(rd.xid, &snap, p.key, func(r types.Row) (bool, error) {
+					if p.pick(r) {
+						victims = append(victims, r.String())
+					}
+					return false, nil
+				}, nil); err != nil {
+					t.Fatalf("%s: %s, %s: %v", when, rd.name, p.name, err)
+				}
+				if fmt.Sprint(victims) != fmt.Sprint(want) {
+					t.Errorf("%s: %s, %s: Rewrite is offered %v, the full walk %v", when, rd.name, p.name, victims, want)
+				}
+			}
+		}
+	}
+	check("forced collision")
+	// Vacuum rebuilds the index from the keys themselves, and the forced
+	// collision is gone.
+	if tbl.Vacuum(readers[0].snap.Xmin) == 0 {
+		t.Fatal("vacuum reclaimed nothing")
+	}
+	if tbl.pk[h7].mixed || tbl.pk[h8].mixed {
+		t.Error("after vacuum keys 7 and 8 still share a mixed posting")
+	}
+	check("after vacuum")
+}
