@@ -43,9 +43,6 @@ func NewBucketMap(dataNodes int) (*BucketMap, error) {
 // DNFor returns the data node a distribution-key datum routes to.
 func (m *BucketMap) DNFor(key types.Datum) int { return m.dn[BucketOf(key)] }
 
-// DNOf returns the owner of one bucket.
-func (m *BucketMap) DNOf(bucket int) int { return m.dn[bucket] }
-
 // Set reassigns one bucket.
 func (m *BucketMap) Set(bucket, dn int) { m.dn[bucket] = dn }
 
