@@ -235,8 +235,8 @@ func (db *DB) connect() (*conn, error) {
 }
 
 func (db *DB) handshake(cn *conn) error {
-	resp, err := db.roundtrip(cn, &server.Request{Op: server.OpHello, Priority: uint8(db.opts.Priority)})
-	if err != nil {
+	var resp server.Response
+	if err := db.roundtrip(cn, &server.Request{Op: server.OpHello, Priority: uint8(db.opts.Priority)}, &resp); err != nil {
 		return err
 	}
 	if resp.Status != server.StatusOK {
@@ -246,12 +246,13 @@ func (db *DB) handshake(cn *conn) error {
 	return nil
 }
 
-func (db *DB) roundtrip(cn *conn, q *server.Request) (*server.Response, error) {
+// roundtrip sends q on cn and decodes the reply into resp.
+func (db *DB) roundtrip(cn *conn, q *server.Request, resp *server.Response) error {
 	raw, err := cn.t.Roundtrip(server.EncodeRequest(q))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return server.DecodeResponse(raw)
+	return resp.Decode(raw)
 }
 
 // checkout returns a healthy connection, dialing or blocking as needed.
@@ -313,7 +314,8 @@ func (db *DB) putback(cn *conn, dead bool) {
 func (db *DB) hangup(cn *conn) {
 	if cn.sess != 0 {
 		// Best-effort close of the server session.
-		_, _ = db.roundtrip(cn, &server.Request{Op: server.OpClose, Session: cn.sess})
+		var resp server.Response
+		_ = db.roundtrip(cn, &server.Request{Op: server.OpClose, Session: cn.sess}, &resp)
 	}
 	cn.t.Close()
 }
@@ -338,8 +340,8 @@ func (db *DB) redial(cn *conn) *conn {
 }
 
 func (db *DB) ping(cn *conn) error {
-	resp, err := db.roundtrip(cn, &server.Request{Op: server.OpPing, Session: cn.sess})
-	if err != nil {
+	var resp server.Response
+	if err := db.roundtrip(cn, &server.Request{Op: server.OpPing, Session: cn.sess}, &resp); err != nil {
 		return err
 	}
 	if resp.Status != server.StatusOK {
@@ -403,10 +405,12 @@ func (db *DB) execOn(cn *conn, sql string, tx *Tx) (*Result, *conn, error) {
 	}
 	pinned := tx != nil && !begin
 	rehandshakes := 0
+	// Every attempt's reply is decoded into this one response; what
+	// outlives it is the columns and rows a Result takes over.
+	var resp server.Response
 	for attempt := 0; ; {
 		db.sent.Add(1)
-		resp, err := db.roundtrip(cn, req)
-		if err != nil {
+		if err := db.roundtrip(cn, req, &resp); err != nil {
 			if errors.Is(err, server.ErrRequestLost) && !pinned {
 				// The statement never reached the server: reconnect and
 				// retry.

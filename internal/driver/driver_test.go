@@ -766,3 +766,44 @@ func TestFrontDoorMessagesPerStatement(t *testing.T) {
 		}
 	}
 }
+
+// TestDriverStatementAllocationCeiling pins what a cached statement
+// allocates on the whole path the benchmark's clients take: a Payment's
+// customer UPDATE through DB.Exec on the fabric carrier — pool checkout,
+// request frame, fabric legs, Server.Handle, execution, reply frame, reply
+// decode, Result. The ceiling sits about a tenth above what the code
+// reaches, so an allocation added anywhere on that path fails here by name.
+func TestDriverStatementAllocationCeiling(t *testing.T) {
+	srv, c := newStack(t, server.Config{})
+	if err := tpcc.Load(c, tpcc.DefaultConfig(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	db := open(t, srv, Options{PoolSize: 1})
+	texts := make([]string, 256)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("UPDATE customer SET c_balance = c_balance - %d, c_payments = c_payments + 1 WHERE c_w_id = 0 AND c_d_id = %d AND c_id = %d",
+			i%50+1, i%2, i%20)
+	}
+	next := 0
+	var res *Result
+	run := func() {
+		var err error
+		if res, err = db.Exec(texts[next%len(texts)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	run() // dial, handshake and the miss
+	got := testing.AllocsPerRun(200, run)
+	if !res.CacheHit || res.RowsAffected != 1 {
+		t.Fatalf("last Payment UPDATE: cache hit %v, %d rows", res.CacheHit, res.RowsAffected)
+	}
+	t.Logf("Payment UPDATE through the driver: %.0f allocations per statement (ceiling %.0f)", got, ceilDriverUpdate)
+	if got > ceilDriverUpdate {
+		t.Errorf("a cached Payment UPDATE through the driver allocates %.0f times, ceiling %.0f", got, ceilDriverUpdate)
+	}
+}
+
+// Reached when the ceiling was set: 15 (23 before a cache hit's shape moved
+// into session scratch and its frames were decoded in place).
+const ceilDriverUpdate float64 = 17

@@ -290,6 +290,11 @@ func Fig11(w io.Writer) error {
 		{"read, downgrade (V5->V3)", 3},
 		{"read, multi-hop (V5->V8)", 8},
 	}
+	// One untimed pass first: the first timed case must not pay for a cold
+	// store.
+	if _, err := measure(5); err != nil {
+		return err
+	}
 	var reads [][]string
 	for _, c := range cases {
 		opsPerSec, err := measure(c.version)
@@ -950,125 +955,14 @@ func Parallel(w io.Writer) error {
 // unless it lost no committed transaction: every order the driver saw
 // commit is present after the failover, and the TPC-C invariants hold.
 func HA(w io.Writer) error {
-	const txnsPerPhase = 300
 	var rows [][]string
 	var notes []string
 	for _, mode := range []repl.Mode{repl.ModeAsync, repl.ModeSync} {
-		c, err := cluster.New(cluster.Config{DataNodes: 4, Mode: cluster.ModeGTMLite})
+		modeRows, note, err := haMode(mode)
 		if err != nil {
 			return err
 		}
-		cfg := tpcc.DefaultConfig(8, 0.9)
-		if err := tpcc.Load(c, cfg); err != nil {
-			return err
-		}
-		m := repl.NewManager(c, repl.Config{Mode: mode})
-		for _, p := range c.PrimaryIDs() {
-			if _, err := m.AttachStandby(p); err != nil {
-				return err
-			}
-		}
-		drv := tpcc.NewDriver(c, cfg, 1)
-
-		worstLag := func() int64 {
-			var worst int64
-			for _, p := range c.PrimaryIDs() {
-				if l := m.Lag(p); l > worst {
-					worst = l
-				}
-			}
-			return worst
-		}
-		var maxLag int64
-		phase := func(name string, run func() error) error {
-			pre := drv.Stats
-			maxLag = 0
-			start := time.Now()
-			if err := run(); err != nil {
-				return err
-			}
-			elapsed := time.Since(start).Seconds()
-			committed := drv.Stats.Committed - pre.Committed
-			rows = append(rows, []string{
-				mode.String(),
-				name,
-				benchfmt.F(float64(committed) / elapsed),
-				fmt.Sprintf("%d", committed),
-				fmt.Sprintf("%d", drv.Stats.Aborted-pre.Aborted),
-				fmt.Sprintf("%d", maxLag),
-			})
-			return nil
-		}
-		sampled := func(n int) func() error {
-			return func() error {
-				for i := 0; i < n; i++ {
-					if err := drv.RunOne(); err != nil {
-						return err
-					}
-					if l := worstLag(); l > maxLag {
-						maxLag = l
-					}
-				}
-				return nil
-			}
-		}
-
-		if err := phase("steady", sampled(txnsPerPhase)); err != nil {
-			return err
-		}
-
-		// Kill a primary; its standby is promoted while the driver keeps
-		// issuing transactions. Aborts against the dead shard during the
-		// promotion window land in the aborted column.
-		victim := 0
-		var rep repl.FailoverReport
-		var foErr error
-		if err := phase("failover", func() error {
-			c.SetDataNodeDown(victim, true)
-			done := make(chan struct{})
-			go func() {
-				rep, foErr = m.Failover(victim)
-				close(done)
-			}()
-			for {
-				select {
-				case <-done:
-					return nil
-				default:
-					if err := drv.RunOne(); err != nil {
-						return err
-					}
-					if l := worstLag(); l > maxLag {
-						maxLag = l
-					}
-				}
-			}
-		}); err != nil {
-			return err
-		}
-		if foErr != nil {
-			return foErr
-		}
-
-		if err := phase("after", sampled(txnsPerPhase)); err != nil {
-			return err
-		}
-
-		if err := tpcc.CheckInvariants(c, cfg); err != nil {
-			return fmt.Errorf("ha: %s: after the failover: %w", mode, err)
-		}
-		res, err := c.NewSession().Exec("SELECT count(*) FROM orders")
-		if err != nil {
-			return err
-		}
-		if got := res.Rows[0][0].Int(); got != drv.Stats.NewOrders {
-			return fmt.Errorf("ha: %s: lost transactions: %d orders stored, %d committed", mode, got, drv.Stats.NewOrders)
-		}
-		notes = append(notes, fmt.Sprintf(
-			"%s: promoted dn%d -> dn%d in %s (%d buckets, %d in-doubt legs replayed, %d records shipped)",
-			mode, rep.Primary, rep.Standby, rep.Elapsed.Round(time.Microsecond),
-			rep.Buckets, rep.Replayed, m.RecordsShipped()))
-		m.Close()
+		rows, notes = append(rows, modeRows...), append(notes, note)
 	}
 	benchfmt.Table(w, "Per-shard standby replication under TPC-C-like load, failover mid-run (E14)",
 		[]string{"mode", "phase", "txn/s", "committed", "aborted", "max lag"}, rows)
@@ -1077,6 +971,128 @@ func HA(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	return nil
+}
+
+// haMode runs E14 under one shipping mode: its table rows and its failover
+// note.
+func haMode(mode repl.Mode) (rows [][]string, note string, err error) {
+	const txnsPerPhase = 300
+	c, err := cluster.New(cluster.Config{DataNodes: 4, Mode: cluster.ModeGTMLite})
+	if err != nil {
+		return nil, "", err
+	}
+	cfg := tpcc.DefaultConfig(8, 0.9)
+	if err := tpcc.Load(c, cfg); err != nil {
+		return nil, "", err
+	}
+	m := repl.NewManager(c, repl.Config{Mode: mode})
+	defer m.Close()
+	for _, p := range c.PrimaryIDs() {
+		if _, err := m.AttachStandby(p); err != nil {
+			return nil, "", err
+		}
+	}
+	drv := tpcc.NewDriver(c, cfg, 1)
+
+	worstLag := func() int64 {
+		var worst int64
+		for _, p := range c.PrimaryIDs() {
+			if l := m.Lag(p); l > worst {
+				worst = l
+			}
+		}
+		return worst
+	}
+	var maxLag int64
+	phase := func(name string, run func() error) error {
+		pre := drv.Stats
+		maxLag = 0
+		start := time.Now()
+		if err := run(); err != nil {
+			return err
+		}
+		elapsed := time.Since(start).Seconds()
+		committed := drv.Stats.Committed - pre.Committed
+		rows = append(rows, []string{
+			mode.String(),
+			name,
+			benchfmt.F(float64(committed) / elapsed),
+			fmt.Sprintf("%d", committed),
+			fmt.Sprintf("%d", drv.Stats.Aborted-pre.Aborted),
+			fmt.Sprintf("%d", maxLag),
+		})
+		return nil
+	}
+	sampled := func(n int) func() error {
+		return func() error {
+			for i := 0; i < n; i++ {
+				if err := drv.RunOne(); err != nil {
+					return err
+				}
+				if l := worstLag(); l > maxLag {
+					maxLag = l
+				}
+			}
+			return nil
+		}
+	}
+
+	if err := phase("steady", sampled(txnsPerPhase)); err != nil {
+		return nil, "", err
+	}
+
+	// Kill a primary; its standby is promoted while the driver keeps
+	// issuing transactions. Aborts against the dead shard during the
+	// promotion window land in the aborted column.
+	victim := 0
+	var rep repl.FailoverReport
+	var foErr error
+	if err := phase("failover", func() error {
+		c.SetDataNodeDown(victim, true)
+		done := make(chan struct{})
+		go func() {
+			rep, foErr = m.Failover(victim)
+			close(done)
+		}()
+		for {
+			select {
+			case <-done:
+				return nil
+			default:
+				if err := drv.RunOne(); err != nil {
+					<-done // the promotion ends before the manager closes
+					return err
+				}
+				if l := worstLag(); l > maxLag {
+					maxLag = l
+				}
+			}
+		}
+	}); err != nil {
+		return nil, "", err
+	}
+	if foErr != nil {
+		return nil, "", foErr
+	}
+
+	if err := phase("after", sampled(txnsPerPhase)); err != nil {
+		return nil, "", err
+	}
+
+	if err := tpcc.CheckInvariants(c, cfg); err != nil {
+		return nil, "", fmt.Errorf("ha: %s: after the failover: %w", mode, err)
+	}
+	res, err := c.NewSession().Exec("SELECT count(*) FROM orders")
+	if err != nil {
+		return nil, "", err
+	}
+	if got := res.Rows[0][0].Int(); got != drv.Stats.NewOrders {
+		return nil, "", fmt.Errorf("ha: %s: lost transactions: %d orders stored, %d committed", mode, got, drv.Stats.NewOrders)
+	}
+	return rows, fmt.Sprintf(
+		"%s: promoted dn%d -> dn%d in %s (%d buckets, %d in-doubt legs replayed, %d records shipped)",
+		mode, rep.Primary, rep.Standby, rep.Elapsed.Round(time.Microsecond),
+		rep.Buckets, rep.Replayed, m.RecordsShipped()), nil
 }
 
 // Network (E15) regenerates the transport-layer message accounting table:
@@ -1173,94 +1189,19 @@ func Network(w io.Writer) error {
 // 1 ms WAN, a commit waiting for K >= 2 acks averages at least the WAN's
 // 1 ms — a lower bound made of sleeps, so it holds on any machine.
 func GeoRepl(w io.Writer) error {
-	const commitsPerCell = 150
 	wans := []time.Duration{0, 200 * time.Microsecond, time.Millisecond}
 	var rows [][]string
 	var note string
 	for _, wan := range wans {
 		for k := 1; k <= 3; k++ {
-			c, err := cluster.New(cluster.Config{DataNodes: 2, Mode: cluster.ModeGTMLite})
+			row, cellNote, err := geoCell(wan, k, k == 3 && wan == wans[len(wans)-1])
 			if err != nil {
 				return err
 			}
-			s := c.NewSession()
-			if _, err := s.Exec("CREATE TABLE geo (id BIGINT, v BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)"); err != nil {
-				return err
+			rows = append(rows, row)
+			if cellNote != "" {
+				note = cellNote
 			}
-			c.Fabric().Record(true)
-			m := repl.NewManager(c, repl.Config{Mode: repl.ModeSync, QuorumAcks: k, SyncTimeout: 250 * time.Millisecond})
-			for _, p := range c.PrimaryIDs() {
-				for i, link := range []transport.Latency{{}, {Base: wan, Jitter: wan / 4}, {Base: wan, Jitter: wan / 4}} {
-					if _, err := m.AttachReplica(repl.ReplicaSpec{Upstream: p, Link: link}); err != nil {
-						return fmt.Errorf("georepl: standby %d of dn%d: %w", i, p, err)
-					}
-				}
-			}
-
-			var total, worst time.Duration
-			for i := 0; i < commitsPerCell; i++ {
-				start := time.Now()
-				if _, err := s.Exec(fmt.Sprintf("INSERT INTO geo VALUES (%d, %d)", i, i)); err != nil {
-					return err
-				}
-				el := time.Since(start)
-				total += el
-				if el > worst {
-					worst = el
-				}
-			}
-
-			// Drain every replica, then digest-verify the whole fleet.
-			deadline := time.Now().Add(10 * time.Second)
-			for _, p := range c.PrimaryIDs() {
-				for m.Lag(p) > 0 {
-					if time.Now().After(deadline) {
-						return fmt.Errorf("georepl: K=%d wan=%v never drained (lag %d)", k, wan, m.Lag(p))
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
-			}
-			st := m.Status()
-			var batches int64
-			for _, rs := range st.Replicas {
-				batches += rs.Batches
-				want, err := c.PartitionDigest("geo", rs.Primary, rs.Primary)
-				if err != nil {
-					return err
-				}
-				got, err := c.PartitionDigest("geo", rs.Node, rs.Primary)
-				if err != nil {
-					return err
-				}
-				if want != got {
-					return fmt.Errorf("georepl: K=%d wan=%v: replica dn%d diverged from primary dn%d", k, wan, rs.Node, rs.Primary)
-				}
-			}
-			avg := total / commitsPerCell
-			if wan == time.Millisecond && k >= 2 && avg < wan {
-				return fmt.Errorf("georepl: K=%d commits averaged %v behind a %v WAN — the quorum did not wait for it", k, avg, wan)
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%d/3", k),
-				wan.String(),
-				fmt.Sprintf("%d", commitsPerCell),
-				benchfmt.F(float64(total.Microseconds()) / float64(commitsPerCell)),
-				benchfmt.F(float64(worst.Microseconds())),
-				fmt.Sprintf("%d", batches),
-			})
-			if k == 3 && wan == wans[len(wans)-1] {
-				links := map[[2]transport.Endpoint]bool{}
-				var bytes int64
-				for _, e := range c.Fabric().Recorded() {
-					for _, msg := range e.Msgs {
-						links[[2]transport.Endpoint{msg.From, msg.To}] = true
-						bytes += int64(msg.Bytes)
-					}
-				}
-				note = fmt.Sprintf("per-link fabric accounting (K=3, wan=%v cell): %d tracked links, %d payload bytes delivered, %d records shipped",
-					wan, len(links), bytes, m.RecordsShipped())
-			}
-			m.Close()
 		}
 	}
 	benchfmt.Table(w, "Geo-replication: sync quorum K vs commit latency, 3 standbys/shard, 2 behind the WAN (E16)",
@@ -1268,6 +1209,95 @@ func GeoRepl(w io.Writer) error {
 	fmt.Fprintln(w, note)
 	fmt.Fprintln(w)
 	return nil
+}
+
+// geoCell runs one (WAN latency, quorum K) cell of E16: its table row and,
+// for the last cell, the per-link accounting note.
+func geoCell(wan time.Duration, k int, lastCell bool) (row []string, note string, err error) {
+	const commitsPerCell = 150
+	c, err := cluster.New(cluster.Config{DataNodes: 2, Mode: cluster.ModeGTMLite})
+	if err != nil {
+		return nil, "", err
+	}
+	s := c.NewSession()
+	if _, err := s.Exec("CREATE TABLE geo (id BIGINT, v BIGINT, PRIMARY KEY(id)) DISTRIBUTE BY HASH(id)"); err != nil {
+		return nil, "", err
+	}
+	c.Fabric().Record(true)
+	m := repl.NewManager(c, repl.Config{Mode: repl.ModeSync, QuorumAcks: k, SyncTimeout: 250 * time.Millisecond})
+	defer m.Close()
+	for _, p := range c.PrimaryIDs() {
+		for i, link := range []transport.Latency{{}, {Base: wan, Jitter: wan / 4}, {Base: wan, Jitter: wan / 4}} {
+			if _, err := m.AttachReplica(repl.ReplicaSpec{Upstream: p, Link: link}); err != nil {
+				return nil, "", fmt.Errorf("georepl: standby %d of dn%d: %w", i, p, err)
+			}
+		}
+	}
+
+	var total, worst time.Duration
+	for i := 0; i < commitsPerCell; i++ {
+		start := time.Now()
+		if _, err := s.Exec(fmt.Sprintf("INSERT INTO geo VALUES (%d, %d)", i, i)); err != nil {
+			return nil, "", err
+		}
+		el := time.Since(start)
+		total += el
+		if el > worst {
+			worst = el
+		}
+	}
+
+	// Drain every replica, then digest-verify the whole fleet.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, p := range c.PrimaryIDs() {
+		for m.Lag(p) > 0 {
+			if time.Now().After(deadline) {
+				return nil, "", fmt.Errorf("georepl: K=%d wan=%v never drained (lag %d)", k, wan, m.Lag(p))
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	st := m.Status()
+	var batches int64
+	for _, rs := range st.Replicas {
+		batches += rs.Batches
+		want, err := c.PartitionDigest("geo", rs.Primary, rs.Primary)
+		if err != nil {
+			return nil, "", err
+		}
+		got, err := c.PartitionDigest("geo", rs.Node, rs.Primary)
+		if err != nil {
+			return nil, "", err
+		}
+		if want != got {
+			return nil, "", fmt.Errorf("georepl: K=%d wan=%v: replica dn%d diverged from primary dn%d", k, wan, rs.Node, rs.Primary)
+		}
+	}
+	avg := total / commitsPerCell
+	if wan == time.Millisecond && k >= 2 && avg < wan {
+		return nil, "", fmt.Errorf("georepl: K=%d commits averaged %v behind a %v WAN — the quorum did not wait for it", k, avg, wan)
+	}
+	row = []string{
+		fmt.Sprintf("%d/3", k),
+		wan.String(),
+		fmt.Sprintf("%d", commitsPerCell),
+		benchfmt.F(float64(total.Microseconds()) / float64(commitsPerCell)),
+		benchfmt.F(float64(worst.Microseconds())),
+		fmt.Sprintf("%d", batches),
+	}
+	if lastCell {
+		links := map[[2]transport.Endpoint]bool{}
+		var bytes int64
+		for _, e := range c.Fabric().Recorded() {
+			for _, msg := range e.Msgs {
+				links[[2]transport.Endpoint{msg.From, msg.To}] = true
+				bytes += int64(msg.Bytes)
+			}
+		}
+		note = fmt.Sprintf("per-link fabric accounting (K=3, wan=%v cell): %d tracked links, %d payload bytes delivered, %d records shipped",
+			wan, len(links), bytes, m.RecordsShipped())
+	}
+	return row, note, nil
 }
 
 // FrontDoor drives the full client path — driver pool, wire protocol over
@@ -1700,8 +1730,25 @@ func HTAP(w io.Writer) error {
 		"SELECT d_w_id, sum(d_ytd) FROM district GROUP BY d_w_id ORDER BY d_w_id",
 	}
 	cfg := tpcc.DefaultConfig(4, 0.9)
+	if err := htapIdentity(cfg, analyticalQs, txns/2); err != nil {
+		return err
+	}
+	var rowsB [][]string
+	for _, pb := range []htapIsolationRun{
+		{"tpcc alone", false, false},
+		{"analytics on primary", false, true},
+		{"analytics on replicas", true, true},
+	} {
+		row, err := htapIsolation(cfg, analyticalQs, pb, txns)
+		if err != nil {
+			return err
+		}
+		rowsB = append(rowsB, row)
+	}
+	benchfmt.Table(w, "HTAP — TPC-C with concurrent analytics, primary vs columnar replicas (E19)",
+		[]string{"configuration", "committed", "txn/s", "analytical q", "offloaded"}, rowsB)
 
-	// --- Phase A: identity at every freshness setting --------------------
+	// --- Phase C: freshness bound vs analytical throughput ---------------
 	c, err := cluster.New(cluster.Config{DataNodes: 4})
 	if err != nil {
 		return err
@@ -1709,182 +1756,7 @@ func HTAP(w io.Writer) error {
 	if err := tpcc.Load(c, cfg); err != nil {
 		return err
 	}
-	m, err := htap.Enable(c, htap.Config{})
-	if err != nil {
-		return err
-	}
-	d := tpcc.NewDriver(c, cfg, 0)
-	if err := d.Run(txns / 2); err != nil {
-		m.Close()
-		return err
-	}
-	if err := m.WaitCaughtUp(10 * time.Second); err != nil {
-		m.Close()
-		return err
-	}
-	settings := []struct {
-		bound  int64
-		policy htap.Policy
-	}{
-		{0, htap.PolicyBlock},
-		{0, htap.PolicyDegrade},
-		{256, htap.PolicyBlock},
-		{1 << 20, htap.PolicyBlock},
-	}
-	s := c.NewSession()
-	for _, set := range settings {
-		m.SetFreshnessBound(set.bound)
-		m.SetPolicy(set.policy)
-		for _, q := range analyticalQs {
-			// The primary's answer: read routing detached for one statement
-			// (the tap is a separate subscription, so the replicas keep
-			// applying).
-			c.SetAnalyticalReads(nil)
-			want, err := s.Exec(q)
-			c.SetAnalyticalReads(m)
-			if err != nil {
-				m.Close()
-				return err
-			}
-			got, err := s.Exec(q)
-			if err != nil {
-				m.Close()
-				return err
-			}
-			if fmt.Sprintf("%v", got.Rows) != fmt.Sprintf("%v", want.Rows) {
-				m.Close()
-				return fmt.Errorf("htap: replica answer diverges from primary at bound=%d policy=%s for %q",
-					set.bound, set.policy, q)
-			}
-		}
-	}
-	offloadedA := m.Status().QueriesOffloaded
-	if offloadedA == 0 {
-		m.Close()
-		return errors.New("htap: no statement offloaded to the replicas in phase A")
-	}
-	m.Close()
-
-	// --- Phase B: OLTP throughput, analytics on primary vs replicas ------
-	type phaseB struct {
-		name      string
-		enable    bool // HTAP replicas on
-		analytics bool // concurrent analytical scanner on
-	}
-	configs := []phaseB{
-		{"tpcc alone", false, false},
-		{"analytics on primary", false, true},
-		{"analytics on replicas", true, true},
-	}
-	var rowsB [][]string
-	for _, pb := range configs {
-		c, err := cluster.New(cluster.Config{DataNodes: 4})
-		if err != nil {
-			return err
-		}
-		if err := tpcc.Load(c, cfg); err != nil {
-			return err
-		}
-		var m *htap.Manager
-		if pb.enable {
-			if m, err = htap.Enable(c, htap.Config{MaxLagRecords: 1 << 20}); err != nil {
-				return err
-			}
-		}
-		var before htap.Status
-		if m != nil {
-			before = m.Status()
-		}
-		stopScan := make(chan struct{})
-		var scanned int64
-		var wg sync.WaitGroup
-		if pb.analytics {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sess := c.NewSession()
-				for i := 0; ; i++ {
-					select {
-					case <-stopScan:
-						return
-					default:
-					}
-					if _, err := sess.Exec(analyticalQs[i%len(analyticalQs)]); err == nil {
-						scanned++
-					}
-				}
-			}()
-		}
-		d := tpcc.NewDriver(c, cfg, 1)
-		start := time.Now()
-		err = d.Run(txns)
-		elapsed := time.Since(start)
-		close(stopScan)
-		wg.Wait()
-		if err != nil {
-			return err
-		}
-		// The counters move before the invariant queries, which the
-		// replicas also serve.
-		var offloaded int64
-		if m != nil {
-			after := m.Status()
-			offloaded = after.QueriesOffloaded - before.QueriesOffloaded
-			if degraded := after.QueriesDegraded - before.QueriesDegraded; offloaded < scanned || degraded != 0 {
-				return fmt.Errorf("htap: %s: %d of %d analytical statements offloaded, %d degraded — wanted all on the replicas",
-					pb.name, offloaded, scanned, degraded)
-			}
-			// The replicas run a megarecord behind at most: let them catch
-			// up, or the invariant sums (scatter aggregates, served by them)
-			// each read their own stale cut.
-			if err := m.WaitCaughtUp(10 * time.Second); err != nil {
-				return err
-			}
-		}
-		if err := tpcc.CheckInvariants(c, cfg); err != nil {
-			return fmt.Errorf("htap: %s: %w", pb.name, err)
-		}
-		if m != nil {
-			st := m.Status()
-			// Zero-divergence check: every replica partition digest equals
-			// its primary's.
-			for _, rs := range st.Replicas {
-				for _, tbl := range c.DistributedTableNames() {
-					want, err := c.PartitionDigest(tbl, rs.DN, rs.DN)
-					if err != nil {
-						return err
-					}
-					got, err := m.ReplicaDigest(tbl, rs.DN)
-					if err != nil {
-						return err
-					}
-					if got != want {
-						return fmt.Errorf("htap: %s replica on dn%d diverged from primary", tbl, rs.DN)
-					}
-				}
-			}
-			m.Close()
-		}
-		rowsB = append(rowsB, []string{
-			pb.name,
-			fmt.Sprintf("%d", d.Stats.Committed),
-			benchfmt.F(float64(d.Stats.Committed) / elapsed.Seconds()),
-			fmt.Sprintf("%d", scanned),
-			fmt.Sprintf("%d", offloaded),
-		})
-	}
-	benchfmt.Table(w, "HTAP — TPC-C with concurrent analytics, primary vs columnar replicas (E19)",
-		[]string{"configuration", "committed", "txn/s", "analytical q", "offloaded"}, rowsB)
-
-	// --- Phase C: freshness bound vs analytical throughput ---------------
-	c, err = cluster.New(cluster.Config{DataNodes: 4})
-	if err != nil {
-		return err
-	}
-	if err := tpcc.Load(c, cfg); err != nil {
-		return err
-	}
-	m, err = htap.Enable(c, htap.Config{BlockTimeout: 250 * time.Millisecond})
+	m, err := htap.Enable(c, htap.Config{BlockTimeout: 250 * time.Millisecond})
 	if err != nil {
 		return err
 	}
@@ -1954,6 +1826,175 @@ func HTAP(w io.Writer) error {
 		return fmt.Errorf("htap: invariants after phase C: %w", err)
 	}
 	return m.Err()
+}
+
+// htapIdentity is E19's phase A: after txns TPC-C transactions, every
+// analytical answer from the replicas matches the primary row path at every
+// freshness setting and policy.
+func htapIdentity(cfg tpcc.Config, qs []string, txns int) error {
+	c, err := cluster.New(cluster.Config{DataNodes: 4})
+	if err != nil {
+		return err
+	}
+	if err := tpcc.Load(c, cfg); err != nil {
+		return err
+	}
+	m, err := htap.Enable(c, htap.Config{})
+	if err != nil {
+		return err
+	}
+	defer m.Close()
+	d := tpcc.NewDriver(c, cfg, 0)
+	if err := d.Run(txns); err != nil {
+		return err
+	}
+	if err := m.WaitCaughtUp(10 * time.Second); err != nil {
+		return err
+	}
+	settings := []struct {
+		bound  int64
+		policy htap.Policy
+	}{
+		{0, htap.PolicyBlock},
+		{0, htap.PolicyDegrade},
+		{256, htap.PolicyBlock},
+		{1 << 20, htap.PolicyBlock},
+	}
+	s := c.NewSession()
+	for _, set := range settings {
+		m.SetFreshnessBound(set.bound)
+		m.SetPolicy(set.policy)
+		for _, q := range qs {
+			// The primary's answer: read routing detached for one statement
+			// (the tap is a separate subscription, so the replicas keep
+			// applying).
+			c.SetAnalyticalReads(nil)
+			want, err := s.Exec(q)
+			c.SetAnalyticalReads(m)
+			if err != nil {
+				return err
+			}
+			got, err := s.Exec(q)
+			if err != nil {
+				return err
+			}
+			if fmt.Sprintf("%v", got.Rows) != fmt.Sprintf("%v", want.Rows) {
+				return fmt.Errorf("htap: replica answer diverges from primary at bound=%d policy=%s for %q",
+					set.bound, set.policy, q)
+			}
+		}
+	}
+	if m.Status().QueriesOffloaded == 0 {
+		return errors.New("htap: no statement offloaded to the replicas in phase A")
+	}
+	return nil
+}
+
+// htapIsolationRun is one configuration of E19's phase B.
+type htapIsolationRun struct {
+	name      string
+	enable    bool // HTAP replicas on
+	analytics bool // concurrent analytical scanner on
+}
+
+// htapIsolation is one configuration of E19's phase B — txns TPC-C
+// transactions beside the analytical scanner, on the primaries or on the
+// replicas — and its table row.
+func htapIsolation(cfg tpcc.Config, qs []string, pb htapIsolationRun, txns int) ([]string, error) {
+	c, err := cluster.New(cluster.Config{DataNodes: 4})
+	if err != nil {
+		return nil, err
+	}
+	if err := tpcc.Load(c, cfg); err != nil {
+		return nil, err
+	}
+	var m *htap.Manager
+	if pb.enable {
+		if m, err = htap.Enable(c, htap.Config{MaxLagRecords: 1 << 20}); err != nil {
+			return nil, err
+		}
+		defer m.Close()
+	}
+	var before htap.Status
+	if m != nil {
+		before = m.Status()
+	}
+	stopScan := make(chan struct{})
+	var scanned int64
+	var wg sync.WaitGroup
+	if pb.analytics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := c.NewSession()
+			for i := 0; ; i++ {
+				select {
+				case <-stopScan:
+					return
+				default:
+				}
+				if _, err := sess.Exec(qs[i%len(qs)]); err == nil {
+					scanned++
+				}
+			}
+		}()
+	}
+	d := tpcc.NewDriver(c, cfg, 1)
+	start := time.Now()
+	err = d.Run(txns)
+	elapsed := time.Since(start)
+	close(stopScan)
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	// The counters move before the invariant queries, which the
+	// replicas also serve.
+	var offloaded int64
+	if m != nil {
+		after := m.Status()
+		offloaded = after.QueriesOffloaded - before.QueriesOffloaded
+		if degraded := after.QueriesDegraded - before.QueriesDegraded; offloaded < scanned || degraded != 0 {
+			return nil, fmt.Errorf("htap: %s: %d of %d analytical statements offloaded, %d degraded — wanted all on the replicas",
+				pb.name, offloaded, scanned, degraded)
+		}
+		// The replicas run a megarecord behind at most: let them catch
+		// up, or the invariant sums (scatter aggregates, served by them)
+		// each read their own stale cut.
+		if err := m.WaitCaughtUp(10 * time.Second); err != nil {
+			return nil, err
+		}
+	}
+	if err := tpcc.CheckInvariants(c, cfg); err != nil {
+		return nil, fmt.Errorf("htap: %s: %w", pb.name, err)
+	}
+	if m != nil {
+		st := m.Status()
+		// Zero-divergence check: every replica partition digest equals
+		// its primary's.
+		for _, rs := range st.Replicas {
+			for _, tbl := range c.DistributedTableNames() {
+				want, err := c.PartitionDigest(tbl, rs.DN, rs.DN)
+				if err != nil {
+					return nil, err
+				}
+				got, err := m.ReplicaDigest(tbl, rs.DN)
+				if err != nil {
+					return nil, err
+				}
+				if got != want {
+					return nil, fmt.Errorf("htap: %s replica on dn%d diverged from primary", tbl, rs.DN)
+				}
+			}
+		}
+	}
+	return []string{
+		pb.name,
+		fmt.Sprintf("%d", d.Stats.Committed),
+		benchfmt.F(float64(d.Stats.Committed) / elapsed.Seconds()),
+		fmt.Sprintf("%d", scanned),
+		fmt.Sprintf("%d", offloaded),
+	}, nil
 }
 
 // Joins (E20) validates the distributed join paths (§II-A MPP joins) on a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,11 +21,14 @@ import (
 // statement parsed once for the shape must be the text's own: parsing with
 // parameter nodes at the lifted positions yields the AST sqlx.Parse(text)
 // yields but for a parameter, standing for the lifted value, where each
-// lifted literal is — or fails as it fails.
+// lifted literal is — or fails as it fails. The session computes shapes into
+// scratch it reuses, so appending a text's shape into buffers another
+// text's key, values and offsets were left in must yield the fresh shape.
 func FuzzNormalizeSQL(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT 1 -- c\n, 2",
 		"SELECT 1 -- c , 2",
+		" \n-- c\n SELECT 1 ",
 		"select\t*\n  from   t",
 		"SELECT 'It''s UPPER  case'",
 		`SELECT "Col  A", "--x" FROM T /* open`,
@@ -48,6 +52,19 @@ func FuzzNormalizeSQL(f *testing.F) {
 		}
 		if len(sh.Pos) != len(sh.Params) {
 			t.Fatalf("%q lifts %d values at %d positions", sql, len(sh.Params), len(sh.Pos))
+		}
+		// After what another text left in the scratch, and over it.
+		for _, keep := range []bool{true, false} {
+			key, params, pos := sqlx.AppendShape(nil, nil, nil, dirtySQL)
+			n, m := len(key), len(params)
+			if !keep {
+				n, m = 0, 0
+			}
+			key, params, pos = sqlx.AppendShape(key[:n], params[:m], pos[:m], sql)
+			if string(key[n:]) != sh.Key || !slices.Equal(params[m:], sh.Params) || !slices.Equal(pos[m:], sh.Pos) {
+				t.Fatalf("%q appended into dirty scratch (kept %v) gives %q %v %v, fresh %q %v %v",
+					sql, keep, key[n:], params[m:], pos[m:], sh.Key, sh.Params, sh.Pos)
+			}
 		}
 		want, wantErr := sqlx.Tokenize(sql)
 		if wantErr == nil {
@@ -102,6 +119,10 @@ func FuzzNormalizeSQL(f *testing.F) {
 		}
 	})
 }
+
+// dirtySQL leaves key bytes, more values than most texts lift and their
+// offsets in a shape's scratch.
+const dirtySQL = "SELECT 'left', 9, 9.5, 'over' FROM T WHERE k = -1 AND s = 'x''y'"
 
 // sameAST walks two ASTs in step and reports whether lifted is ast with a
 // parameter in place of some literals, each standing under params for the

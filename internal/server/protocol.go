@@ -107,7 +107,8 @@ const maxFrame = 64 << 20
 // carrier adds it: the fabric as the message payload size, WriteFrame on a
 // byte stream).
 func EncodeRequest(q *Request) []byte {
-	b := make([]byte, 0, 18+len(q.SQL))
+	// Op, priority and flags, the session, the timeout, the SQL's length.
+	b := make([]byte, 0, 3+8+4+4+len(q.SQL))
 	b = append(b, byte(q.Op), q.Priority, q.Flags)
 	b = types.AppendU64(b, q.Session)
 	b = types.AppendU32(b, q.TimeoutMillis)
@@ -117,8 +118,18 @@ func EncodeRequest(q *Request) []byte {
 
 // DecodeRequest parses a request frame.
 func DecodeRequest(b []byte) (*Request, error) {
+	q := new(Request)
+	if err := q.decode(b); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// decode parses a request frame into q, overwriting all of it. The SQL is
+// copied out of the frame.
+func (q *Request) decode(b []byte) error {
 	r := types.NewReader(b)
-	q := &Request{
+	*q = Request{
 		Op:       Op(r.U8()),
 		Priority: r.U8(),
 		Flags:    r.U8(),
@@ -127,12 +138,12 @@ func DecodeRequest(b []byte) (*Request, error) {
 	q.TimeoutMillis = r.U32()
 	q.SQL = r.Str()
 	if r.Err() != nil {
-		return nil, r.Err()
+		return r.Err()
 	}
 	if q.Flags&^knownFlags != 0 {
-		return nil, fmt.Errorf("server: unknown request flags %#x", q.Flags&^knownFlags)
+		return fmt.Errorf("server: unknown request flags %#x", q.Flags&^knownFlags)
 	}
-	return q, nil
+	return nil
 }
 
 // Response flag bits, one byte on the wire.
@@ -182,8 +193,18 @@ func EncodeResponse(p *Response) []byte {
 
 // DecodeResponse parses a response frame.
 func DecodeResponse(b []byte) (*Response, error) {
+	p := new(Response)
+	if err := p.Decode(b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Decode parses a response frame into p, overwriting all of it; what it
+// allocates is the reply's columns and rows.
+func (p *Response) Decode(b []byte) error {
 	r := types.NewReader(b)
-	p := &Response{Status: Status(r.U8())}
+	*p = Response{Status: Status(r.U8())}
 	p.Session = r.U64()
 	p.Err = r.Str()
 	flags := r.U8()
@@ -213,10 +234,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 			}
 		}
 	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	return p, nil
+	return r.Err()
 }
 
 // WriteFrame writes one length-prefixed frame to a byte stream (the TCP

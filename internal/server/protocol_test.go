@@ -39,6 +39,42 @@ func TestEncodeResponseSizedOnce(t *testing.T) {
 	}
 }
 
+// TestEncodeRequestSizedOnce: a request frame is written into one buffer
+// made at exactly its length, so no frame is copied to grow.
+func TestEncodeRequestSizedOnce(t *testing.T) {
+	for _, q := range []*Request{
+		{Op: OpHello, Priority: 2},
+		{Op: OpExec, Flags: FlagBegin, Session: 7, TimeoutMillis: 50, SQL: "UPDATE kv SET v = 'x' WHERE k = 1"},
+		{Op: OpExec, Session: 1 << 40, SQL: string(make([]byte, 10000))},
+	} {
+		var b []byte
+		if a := testing.AllocsPerRun(10, func() { b = EncodeRequest(q) }); a != 1 || len(b) != cap(b) {
+			t.Errorf("%d-byte SQL: %v allocations, %d bytes in a buffer of %d; want 1, exactly sized", len(q.SQL), a, len(b), cap(b))
+		}
+		if got, err := DecodeRequest(b); err != nil || *got != *q {
+			t.Errorf("%d-byte SQL decodes to %+v, %v", len(q.SQL), got, err)
+		}
+	}
+}
+
+// TestResponseDecodeOverwrites: a response decoded into one a client keeps
+// holds the new frame alone — no columns, rows or flags of the last one.
+func TestResponseDecodeOverwrites(t *testing.T) {
+	var p Response
+	full := &Response{Status: StatusOK, Session: 3, CacheHit: true, InTxn: true, RowsAffected: 1,
+		Columns: []string{"v"}, Rows: []types.Row{{types.NewString("x")}}}
+	if err := p.Decode(EncodeResponse(full)); err != nil || !bytes.Equal(EncodeResponse(&p), EncodeResponse(full)) {
+		t.Fatalf("decoded %+v, %v", p, err)
+	}
+	shed := &Response{Status: StatusQueueFull, Session: 3, Err: "queue full"}
+	if err := p.Decode(EncodeResponse(shed)); err != nil || p.Columns != nil || p.Rows != nil || p.CacheHit || p.InTxn || p.RowsAffected != 0 {
+		t.Fatalf("decoded over a full reply: %+v, %v", p, err)
+	}
+	if err := p.Decode([]byte{1, 2}); err == nil || p.Rows != nil || p.Err != "" {
+		t.Fatalf("a truncated frame decoded to %+v, %v", p, err)
+	}
+}
+
 // TestDecodeResponseAllocatesPerFrame: the rows of a reply are carved out of
 // one datum slab, so decoding 10 000 rows of fixed-width datums allocates a
 // few objects, not one per row.

@@ -96,6 +96,11 @@ type session struct {
 	cache map[string]*list.Element
 	lru   *list.List
 	limit int
+	// The shape of the statement being prepared: scratch reused by every
+	// statement of the session (guarded by mu).
+	key    []byte
+	params []types.Datum
+	pos    []int
 }
 
 // stmtEntry is one cached shape: the statement parsed once with parameter
@@ -298,26 +303,29 @@ func (s *Server) serveConn(conn net.Conn) {
 // encoded response frame. It never fails: protocol errors come back as
 // StatusError responses.
 func (s *Server) Handle(req []byte) []byte {
-	q, err := DecodeRequest(req)
-	if err != nil {
-		return EncodeResponse(&Response{Status: StatusError, Err: err.Error()})
+	var q Request
+	var p Response
+	if err := q.decode(req); err != nil {
+		p = Response{Status: StatusError, Err: err.Error()}
+	} else {
+		switch q.Op {
+		case OpHello:
+			p = s.hello(&q)
+		case OpPing:
+			p = Response{Status: StatusOK, Session: q.Session}
+		case OpClose:
+			s.closeSession(q.Session)
+			p = Response{Status: StatusOK}
+		case OpExec:
+			p = s.exec(&q)
+		default:
+			p = Response{Status: StatusError, Err: fmt.Sprintf("server: unknown op %d", q.Op)}
+		}
 	}
-	switch q.Op {
-	case OpHello:
-		return EncodeResponse(s.hello(q))
-	case OpPing:
-		return EncodeResponse(&Response{Status: StatusOK, Session: q.Session})
-	case OpClose:
-		s.closeSession(q.Session)
-		return EncodeResponse(&Response{Status: StatusOK})
-	case OpExec:
-		return EncodeResponse(s.exec(q))
-	default:
-		return EncodeResponse(&Response{Status: StatusError, Err: fmt.Sprintf("server: unknown op %d", q.Op)})
-	}
+	return EncodeResponse(&p)
 }
 
-func (s *Server) hello(q *Request) *Response {
+func (s *Server) hello(q *Request) Response {
 	pri := autonomous.Priority(q.Priority)
 	if int(pri) > int(autonomous.PriorityHigh) {
 		pri = autonomous.PriorityHigh
@@ -333,18 +341,18 @@ func (s *Server) hello(q *Request) *Response {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return &Response{Status: StatusError, Err: "server: closed"}
+		return Response{Status: StatusError, Err: "server: closed"}
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
-		return &Response{Status: StatusError, Err: "server: session limit reached"}
+		return Response{Status: StatusError, Err: "server: session limit reached"}
 	}
 	s.nextSess++
 	sess.id = s.nextSess
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	s.opened.Add(1)
-	return &Response{Status: StatusOK, Session: sess.id}
+	return Response{Status: StatusOK, Session: sess.id}
 }
 
 func (s *Server) closeSession(id uint64) {
@@ -376,7 +384,7 @@ var errAdmissionTimeout = errors.New("server: admission wait timed out")
 const admitTimeout = 5 * time.Second
 
 // errNoSession answers a request whose session is unknown or gone.
-var errNoSession = &Response{Status: StatusNoSession, Err: "server: unknown or expired session (re-handshake)"}
+var errNoSession = Response{Status: StatusNoSession, Err: "server: unknown or expired session (re-handshake)"}
 
 // exec runs one OpExec frame: prepare from the session's cache, pass the
 // admission gate, execute. A frame carrying FlagBegin opens the session's
@@ -385,7 +393,7 @@ var errNoSession = &Response{Status: StatusNoSession, Err: "server: unknown or e
 // stays open whatever the statement does, aborted if it failed. A frame
 // that fails before executing — unparsable, shed, timed out at the gate —
 // opens nothing, and Response.InTxn says which happened.
-func (s *Server) exec(q *Request) *Response {
+func (s *Server) exec(q *Request) Response {
 	sess := s.lookup(q.Session)
 	if sess == nil {
 		return errNoSession
@@ -394,7 +402,7 @@ func (s *Server) exec(q *Request) *Response {
 
 	stmt, params, hit, err := sess.prepare(q.SQL)
 	if err != nil {
-		return &Response{Status: StatusError, Err: err.Error()}
+		return Response{Status: StatusError, Err: err.Error()}
 	}
 	if hit {
 		s.cacheHits.Add(1)
@@ -416,9 +424,9 @@ func (s *Server) exec(q *Request) *Response {
 		cancel()
 		switch {
 		case errors.Is(err, autonomous.ErrQueueFull):
-			return &Response{Status: StatusQueueFull, Session: q.Session, CacheHit: hit, Err: err.Error()}
+			return Response{Status: StatusQueueFull, Session: q.Session, CacheHit: hit, Err: err.Error()}
 		case err != nil:
-			return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, Err: errAdmissionTimeout.Error()}
+			return Response{Status: StatusError, Session: q.Session, CacheHit: hit, Err: errAdmissionTimeout.Error()}
 		}
 	}
 
@@ -447,9 +455,9 @@ func (s *Server) exec(q *Request) *Response {
 	sess.lastUsed.Store(s.cfg.Clock().UnixNano())
 
 	if execErr != nil {
-		return &Response{Status: StatusError, Session: q.Session, CacheHit: hit, InTxn: inTxn, Err: execErr.Error()}
+		return Response{Status: StatusError, Session: q.Session, CacheHit: hit, InTxn: inTxn, Err: execErr.Error()}
 	}
-	resp := &Response{
+	return Response{
 		Status:       StatusOK,
 		Session:      q.Session,
 		CacheHit:     hit,
@@ -458,23 +466,30 @@ func (s *Server) exec(q *Request) *Response {
 		Columns:      res.Columns,
 		Rows:         res.Rows,
 	}
-	return resp
 }
 
 // prepare returns the prepared statement for sql and the values to execute
 // it with, serving every text of a shape seen before from the session's
-// cache. A miss parses the text with parameter nodes where Normalize lifted
-// its literals; a text whose lifted literals the grammar does not read as
-// expression literals is parsed as it stands and not cached.
+// cache. The shape is computed into the session's scratch, so a hit
+// allocates only the values' own slice, made at their number: the scratch
+// is overwritten by the session's next statement, and Exec must not see
+// that. A miss parses the text with parameter nodes where AppendShape lifted
+// its literals (the parser reads the offsets only during the call) and keys
+// the cache with a string of the key; a text whose lifted literals the
+// grammar does not read as expression literals is parsed as it stands and
+// not cached.
 func (sess *session) prepare(sql string) (stmt *cluster.Prepared, params []types.Datum, hit bool, err error) {
-	sh := sqlx.Normalize(sql)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if el, ok := sess.cache[sh.Key]; ok {
-		sess.lru.MoveToFront(el)
-		return el.Value.(*stmtEntry).stmt, sh.Params, true, nil
+	sess.key, sess.params, sess.pos = sqlx.AppendShape(sess.key[:0], sess.params[:0], sess.pos[:0], sql)
+	if len(sess.params) > 0 {
+		params = append(make([]types.Datum, 0, len(sess.params)), sess.params...)
 	}
-	ast, err := sqlx.ParseLifted(sql, sh.Pos)
+	if el, ok := sess.cache[string(sess.key)]; ok {
+		sess.lru.MoveToFront(el)
+		return el.Value.(*stmtEntry).stmt, params, true, nil
+	}
+	ast, err := sqlx.ParseLifted(sql, sess.pos)
 	if errors.Is(err, sqlx.ErrUnliftable) {
 		if ast, err = sqlx.Parse(sql); err == nil {
 			return sess.cs.Prepare(ast), nil, false, nil
@@ -484,14 +499,21 @@ func (sess *session) prepare(sql string) (stmt *cluster.Prepared, params []types
 		return nil, nil, false, err
 	}
 	stmt = sess.cs.Prepare(ast)
-	sess.cache[sh.Key] = sess.lru.PushFront(&stmtEntry{key: sh.Key, stmt: stmt})
+	key := string(sess.key)
+	sess.cache[key] = sess.lru.PushFront(&stmtEntry{key: key, stmt: stmt})
 	for sess.lru.Len() > sess.limit {
 		old := sess.lru.Remove(sess.lru.Back()).(*stmtEntry)
 		delete(sess.cache, old.key)
 	}
-	return stmt, sh.Params, false, nil
+	return stmt, params, false, nil
 }
 
 // NormalizeSQL returns the statement cache's key for a statement text: its
-// shape (see sqlx.Normalize).
-func NormalizeSQL(sql string) string { return sqlx.Normalize(sql).Key }
+// shape (see sqlx.AppendShape), the values lifted into stack scratch as a
+// session lifts them into its own.
+func NormalizeSQL(sql string) string {
+	var params [8]types.Datum
+	var pos [8]int
+	key, _, _ := sqlx.AppendShape(make([]byte, 0, len(sql)), params[:0], pos[:0], sql)
+	return string(key)
+}

@@ -575,8 +575,10 @@ func TestCachedStatementAllocationCeilings(t *testing.T) {
 	}
 }
 
-// Reached when the ceilings were set: 27, 23 and 23.
-const ceilSelect, ceilUpdate, ceilInsert = 30, 26, 26
+// Reached when the ceilings were set: 17, 15 and 16 (21, 19 and 20 before a
+// cache hit's shape moved into session scratch and the request and response
+// stayed off the heap).
+const ceilSelect, ceilUpdate, ceilInsert = 19, 17, 18
 
 // TestStmtCacheHitsAcrossLiterals: texts that differ in literal values alone
 // are one shape — parsed once, executed with each text's own values.
@@ -637,6 +639,77 @@ func TestStmtCacheHitsAcrossLiterals(t *testing.T) {
 		p := roundtrip(t, s, &Request{Op: OpExec, Session: sess, SQL: fmt.Sprintf("SELECT * FROM ggraph('g.V(%d)') g", i+1)})
 		if p.CacheHit != (i > 0) || p.Status != StatusError || !strings.Contains(p.Err, "graph engine") {
 			t.Errorf("table-function statement %d: status %d, cache hit %v, err %q", i, p.Status, p.CacheHit, p.Err)
+		}
+	}
+}
+
+// TestStmtCacheScratchNeverShared: a session computes every statement's
+// shape into scratch it reuses, so each statement must execute with its own
+// values whatever the session prepared before it — a hit after a hit, a
+// longer shape with more values, a miss, a hit again — and whatever the
+// session prepares while it waits at the admission gate.
+func TestStmtCacheScratchNeverShared(t *testing.T) {
+	wm := autonomous.NewWorkloadManager(autonomous.SLA{TargetP95: time.Second},
+		autonomous.WorkloadConfig{InitialConcurrency: 1, MaxConcurrency: 1}, nil)
+	s, _ := newTestServer(t, Config{Manager: wm})
+	sess := hello(t, s, autonomous.PriorityNormal)
+	exec(t, s, sess, "CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT) DISTRIBUTE BY HASH(k)")
+	for k := 1; k <= 7; k++ {
+		exec(t, s, sess, fmt.Sprintf("INSERT INTO kv VALUES (%d, 'initial')", k))
+	}
+	want := map[int]string{}
+	for _, st := range []struct {
+		k   int
+		v   string
+		sql string
+		hit bool
+	}{
+		{1, "one", "UPDATE kv SET v = 'one' WHERE k = 1", false},
+		{2, "two, longer", "UPDATE kv SET v = 'two, longer' WHERE k = 2", true},
+		{3, "three", "UPDATE kv SET v = 'three' WHERE k = 3 AND v <> 'one' AND k < 100 AND k > -5", false},
+		{4, "4", "UPDATE kv SET v = '4' WHERE k IN (4, 1000)", false},
+		{5, "five", "UPDATE kv SET v = 'five' WHERE k = 5", true},
+	} {
+		p := exec(t, s, sess, st.sql)
+		if p.CacheHit != st.hit || p.RowsAffected != 1 {
+			t.Fatalf("%q: cache hit %v, %d rows; want hit %v, 1 row", st.sql, p.CacheHit, p.RowsAffected, st.hit)
+		}
+		want[st.k] = st.v
+	}
+
+	// Two statements of the session wait at the gate, each prepared; the
+	// first runs after the second has prepared over the scratch.
+	if err := wm.Admit(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for n, st := range []struct {
+		k int
+		v string
+	}{{6, "six"}, {7, "seven, the last"}} {
+		want[st.k] = st.v
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sql := fmt.Sprintf("UPDATE kv SET v = '%s' WHERE k = %d", st.v, st.k)
+			p, err := DecodeResponse(s.Handle(EncodeRequest(&Request{Op: OpExec, Session: sess, SQL: sql})))
+			if err != nil || p.Status != StatusOK || p.RowsAffected != 1 {
+				t.Errorf("%q: %+v, %v", sql, p, err)
+			}
+		}()
+		for deadline := time.Now().Add(5 * time.Second); wm.QueueLen() <= n; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("statement %d never queued", n)
+			}
+		}
+	}
+	wm.Release(time.Millisecond)
+	wg.Wait()
+
+	for k, v := range want {
+		p := exec(t, s, sess, fmt.Sprintf("SELECT v FROM kv WHERE k = %d", k))
+		if len(p.Rows) != 1 || p.Rows[0][0].Str() != v {
+			t.Errorf("row %d reads %v, want %q", k, p.Rows, v)
 		}
 	}
 }

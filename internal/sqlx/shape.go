@@ -3,7 +3,6 @@ package sqlx
 import (
 	"errors"
 	"strconv"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -121,23 +120,30 @@ type Shape struct {
 	Pos    []int
 }
 
-// Normalize computes the shape of a statement text in one pass that mirrors
-// the lexer byte for byte. Outside quotes it lower-cases ASCII letters and
-// collapses every run of whitespace and comments (`--` to end of line,
-// `/* */`; unterminated ones run to the end) to one space, dropping leading
-// and trailing runs; quoted identifiers ("...") are copied as they are. A
-// number becomes $I (integer) or $F (anything with a point or exponent) and
-// a string literal $S — an upper-case letter cannot occur outside quotes
-// otherwise, so a key is never mistaken for another text's — unless the
-// literal is structural: after LIMIT, OFFSET or INTERVAL, anywhere inside an
-// ORDER BY or GROUP BY clause (ordinals), anywhere in DDL, or a number the
-// parser would reject. Those stay in the key, the string ones byte for
-// byte. Two texts share a key only if the lexer reads them as the same
-// tokens up to identifier case and the values of lifted literals.
+// Normalize computes the shape of a statement text (see AppendShape).
 func Normalize(sql string) Shape {
-	var sh Shape
-	var b strings.Builder
-	b.Grow(len(sql))
+	key, params, pos := AppendShape(make([]byte, 0, len(sql)), nil, nil, sql)
+	return Shape{Key: string(key), Params: params, Pos: pos}
+}
+
+// AppendShape computes the shape of a statement text in one pass that
+// mirrors the lexer byte for byte, appending its key to key and the lifted
+// values and their offsets to params and pos; it reads nothing already in
+// them, so a caller can keep the three as scratch across texts. Outside
+// quotes it lower-cases ASCII letters and collapses every run of whitespace
+// and comments (`--` to end of line, `/* */`; unterminated ones run to the
+// end) to one space, dropping leading and trailing runs; quoted identifiers
+// ("...") are copied as they are. A number becomes $I (integer) or $F
+// (anything with a point or exponent) and a string literal $S — an
+// upper-case letter cannot occur outside quotes otherwise, so a key is never
+// mistaken for another text's — unless the literal is structural: after
+// LIMIT, OFFSET or INTERVAL, anywhere inside an ORDER BY or GROUP BY clause
+// (ordinals), anywhere in DDL, or a number the parser would reject. Those
+// stay in the key, the string ones byte for byte. Two texts share a key only
+// if the lexer reads them as the same tokens up to identifier case and the
+// values of lifted literals.
+func AppendShape(key []byte, params []types.Datum, pos []int, sql string) ([]byte, []types.Datum, []int) {
+	keyStart := len(key)
 	space := false
 	var (
 		word, prevWord string // the last token and the one before, if bare words
@@ -157,18 +163,19 @@ func Normalize(sql string) Shape {
 				continue
 			}
 		}
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
+		if space && len(key) > keyStart {
+			key = append(key, ' ')
 		}
 		space = false
 		start := i
+		var d types.Datum // a lifted literal's value; no literal lifts to NULL
 		switch {
 		case isIdentStart(rune(c)):
 			for i+1 < len(sql) && isIdentPart(rune(sql[i+1])) {
 				i++
 			}
 			prevWord, word = word, sql[start:i+1]
-			writeLower(&b, word)
+			key = appendLower(key, word)
 			switch {
 			case eqFold(word, "create") || eqFold(word, "drop"):
 				ddl = true
@@ -181,19 +188,19 @@ func Normalize(sql string) Shape {
 		case c >= '0' && c <= '9':
 			i = scanNumber(sql, i) - 1
 			text := sql[start : i+1]
-			if d, ok := numberValue(text); ok && lift() {
-				sh.lifted(&b, d, start)
+			if v, ok := numberValue(text); ok && lift() {
+				d = v
 			} else {
-				writeLower(&b, text)
+				key = appendLower(key, text)
 			}
 		case c == '\'' || c == '"':
 			// Through the closing quote (or the end, if unterminated).
 			end, closed := scanQuoted(sql, i)
 			i = end - 1
 			if c == '\'' && closed && lift() {
-				sh.lifted(&b, types.NewString(quotedValue(sql[start+1:end-1])), start)
+				d = types.NewString(quotedValue(sql[start+1 : end-1]))
 			} else {
-				b.WriteString(sql[start:end])
+				key = append(key, sql[start:end]...)
 			}
 		default:
 			switch c {
@@ -205,30 +212,22 @@ func Normalize(sql string) Shape {
 					byDepth = -1
 				}
 			}
-			b.WriteByte(c)
+			key = append(key, c)
+		}
+		if !d.IsNull() {
+			params, pos = append(params, d), append(pos, start)
+			switch d.Kind() {
+			case types.KindInt:
+				key = append(key, "$I"...)
+			case types.KindFloat:
+				key = append(key, "$F"...)
+			default:
+				key = append(key, "$S"...)
+			}
 		}
 		prevWord, word = "", ""
 	}
-	sh.Key = b.String()
-	return sh
-}
-
-// lifted records one lifted literal and writes its placeholder.
-func (sh *Shape) lifted(b *strings.Builder, d types.Datum, pos int) {
-	if sh.Params == nil {
-		// Most statements bind a handful of values: size for them at once.
-		sh.Params, sh.Pos = make([]types.Datum, 0, 4), make([]int, 0, 4)
-	}
-	sh.Params = append(sh.Params, d)
-	sh.Pos = append(sh.Pos, pos)
-	switch d.Kind() {
-	case types.KindInt:
-		b.WriteString("$I")
-	case types.KindFloat:
-		b.WriteString("$F")
-	default:
-		b.WriteString("$S")
-	}
+	return key, params, pos
 }
 
 // numberValue converts a number token (scanNumber's digits, point and
@@ -252,14 +251,15 @@ func numberValue(text string) (types.Datum, bool) {
 	return types.NewInt(n), true
 }
 
-func writeLower(b *strings.Builder, s string) {
+func appendLower(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		b.WriteByte(c)
+		b = append(b, c)
 	}
+	return b
 }
 
 // eqFold is strings.EqualFold for an all-lower-case ASCII want.
